@@ -10,7 +10,7 @@
 //!
 //! Alongside the encoded columns each predicate keeps a flat row-major
 //! arena of decoded [`Value`]s — the borrowed `&[Value]` view the public
-//! iterators, the generic evaluator, and the persistence layer read.
+//! iterators, the model checker, and the persistence layer read.
 //! Membership is a [`RowSet`]: an open-addressing set of `u32` row ids
 //! whose hashes and equality read the encoded columns, so a row is stored
 //! once and *referenced* by the set — not duplicated into it.

@@ -105,7 +105,7 @@ use crate::ast::{
 };
 use crate::database::Database;
 use crate::guard::Guard;
-use crate::observe::{Observer, RuleEvaluated, RuleStats};
+use crate::observe::{Observer, RuleEvaluated};
 use crate::program::CTerm;
 use crate::program::{CHead, CItem, CRule, Program};
 use crate::provenance::{Event, Source};
@@ -967,21 +967,6 @@ impl Observer for RemapObserver {
     }
 }
 
-/// Seeds a per-rule stats table for `program`'s rules (all counters
-/// zero, heads filled in), exactly as `Solver::solve` does.
-fn seed_per_rule(program: &Program) -> Vec<RuleStats> {
-    program
-        .rules
-        .iter()
-        .enumerate()
-        .map(|(i, r)| RuleStats {
-            rule: i,
-            head: program.decl(r.head_pred).name().to_string(),
-            ..RuleStats::default()
-        })
-        .collect()
-}
-
 /// Folds the rewritten run's per-rule profile onto the original rules
 /// via the origin map: a guarded copy's and its demand rules' work all
 /// accrue to the one user-facing rule (so `render_profile_table` groups
@@ -992,7 +977,7 @@ fn remap_stats(
     run: SolveStats,
     final_db: &Database,
 ) -> SolveStats {
-    let mut per_rule = seed_per_rule(original);
+    let mut per_rule = SolveStats::for_program(original).per_rule;
     for (i, rs) in run.per_rule.iter().enumerate() {
         let target = &mut per_rule[rw.rule_origin[i]];
         target.evaluations += rs.evaluations;
@@ -1094,10 +1079,7 @@ impl Solver {
             Ok(resolved) => resolved,
             Err(e) => {
                 let db = Database::for_program(program, self.config.use_indexes);
-                let mut stats = SolveStats {
-                    per_rule: seed_per_rule(program),
-                    ..SolveStats::default()
-                };
+                let mut stats = SolveStats::for_program(program);
                 stats.wall_ns = wall_start.elapsed().as_nanos() as u64;
                 if let Some(obs) = &self.config.observer {
                     obs.solve_finished(&stats);
@@ -1155,10 +1137,7 @@ impl Solver {
         if sub.config.ascent.is_some() {
             db.enable_ascent();
         }
-        let mut run_stats = SolveStats {
-            per_rule: seed_per_rule(&rw.program),
-            ..SolveStats::default()
-        };
+        let mut run_stats = SolveStats::for_program(&rw.program);
         let mut events: Option<Vec<Event>> = sub.config.record_provenance.then(Vec::new);
         let outcome = sub.solve_inner(
             &rw.program,

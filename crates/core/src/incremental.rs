@@ -91,8 +91,7 @@
 
 use crate::database::{Database, InsertOutcome, PredData, Row};
 use crate::guard::Guard;
-use crate::kernel::KernelSet;
-use crate::observe::{RuleStats, StratumStats};
+use crate::observe::StratumStats;
 use crate::program::{CItem, Program};
 use crate::provenance::{pattern_matches, Event, Source};
 use crate::solver::{accumulate_change, insert_fault_error, make_solution, FactSource};
@@ -404,19 +403,7 @@ impl Solver {
         if let Some(obs) = &self.config.observer {
             obs.resume_started(delta.len());
         }
-        let mut stats = SolveStats {
-            per_rule: program
-                .rules
-                .iter()
-                .enumerate()
-                .map(|(i, r)| RuleStats {
-                    rule: i,
-                    head: program.decl(r.head_pred).name().to_string(),
-                    ..RuleStats::default()
-                })
-                .collect(),
-            ..SolveStats::default()
-        };
+        let mut stats = SolveStats::for_program(program);
 
         // Validate the prior solution and the delta before touching
         // anything; on a validation error the partial model is the
@@ -433,7 +420,9 @@ impl Solver {
         let resolved = match validated {
             Ok(resolved) => resolved,
             Err(e) => {
-                let db = prior.database().clone();
+                // Rejected before anything was touched: share the prior
+                // database rather than copying a model only to return it.
+                let db = prior.database_arc();
                 stats.total_facts = db.total_facts() as u64;
                 stats.wall_ns = wall_start.elapsed().as_nanos() as u64;
                 if let Some(obs) = &self.config.observer {
@@ -757,14 +746,7 @@ impl Solver {
         }
         tracer.record(0, SpanKind::ResumeSeed, seed_start);
 
-        // Compile the specialized join kernels against the warm database,
-        // exactly as a from-scratch solve would (provenance stays on the
-        // generic evaluator).
-        let kernels = if self.config.use_kernels && !self.config.record_provenance {
-            KernelSet::compile(program, db, self.config.ascent.is_none())
-        } else {
-            KernelSet::empty()
-        };
+        let kernels = self.compile_kernels(program, db);
 
         // Re-run exactly the strata a change can reach, in stratum
         // order. Stratification guarantees a stratum's body predicates
@@ -997,11 +979,7 @@ impl Solver {
         }
         tracer.record(0, SpanKind::ResumeSeed, seed_start);
 
-        let kernels = if self.config.use_kernels && !self.config.record_provenance {
-            KernelSet::compile(program, db, self.config.ascent.is_none())
-        } else {
-            KernelSet::empty()
-        };
+        let kernels = self.compile_kernels(program, db);
 
         // Phase 3: re-run the strata. A stratum re-evaluates fully when
         // any of its rule heads lost facts (the log records only first
@@ -1399,4 +1377,37 @@ fn key_pattern_hits(pattern: &[Option<Value>], keys: &HashSet<Vec<Value>>) -> bo
         return keys.contains(&key);
     }
     keys.iter().any(|key| pattern_matches(key_pat, key))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::ProgramBuilder;
+
+    /// A delta the program rejects returns the prior model as the partial
+    /// *without copying it* — `flixd` takes this exit on every malformed
+    /// update.
+    #[test]
+    fn rejected_delta_shares_the_prior_database() {
+        let mut b = ProgramBuilder::new();
+        let edge = b.relation("Edge", 2);
+        b.fact(edge, vec![1.into(), 2.into()]);
+        let program = b.build().expect("valid");
+        let solver = Solver::new();
+        let prior = solver.solve(&program).expect("solves");
+        for delta in [
+            Delta::new().insert("Nope", vec![1.into()]),
+            Delta::new().retract("Edge", vec![1.into()]),
+        ] {
+            let failure = solver
+                .resume(&program, &prior, &delta)
+                .expect_err("the delta does not fit the program");
+            assert!(matches!(failure.error, SolveError::Delta(_)));
+            assert!(Arc::ptr_eq(
+                &failure.partial.database_arc(),
+                &prior.database_arc()
+            ));
+            assert!(failure.partial.contains("Edge", &[1.into(), 2.into()]));
+        }
+    }
 }

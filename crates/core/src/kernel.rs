@@ -1,13 +1,12 @@
-//! Specialized join kernels: per-rule join plans compiled once per solve
-//! and executed by a tight interpreter over the *encoded* columns of the
-//! columnar fact store.
+//! The evaluator: every rule body — and every semi-naïve delta variant
+//! of it — is compiled once per solve into a join [`Plan`], and a tight
+//! interpreter runs the plans over the *encoded* columns of the columnar
+//! fact store. There is no other rule-body evaluator in the engine; the
+//! model checker's oracle in [`crate::model`] deliberately shares no code
+//! with this one.
 //!
-//! The generic evaluator ([`crate::solver`]'s `eval_body`) interprets the
-//! rule body per tuple: it clones [`Value`]s into an environment, unifies
-//! with dynamic dispatch over term shapes, and allocates a fresh probe
-//! key per index lookup. For the join-heavy inner loops of a fixpoint
-//! that is almost all of the solve time. A [`Plan`] moves every decision
-//! that does not depend on the data out of the loop:
+//! A plan moves every decision that does not depend on the data out of
+//! the loop:
 //!
 //! * **boundness is static** — which variables are bound at each body
 //!   position follows from the scheduled body order, so each atom
@@ -17,31 +16,42 @@
 //!   columns compare as encoded `u64` slots (see [`crate::database`]),
 //!   so a join key is a handful of word moves, not `Value` clones;
 //! * **lattice elements stay boxed** — cell values flow through the
-//!   `leq`/`glb` lattice operations exactly as in the generic path, so
-//!   the glb-matching semantics of §3.2 are untouched;
+//!   `leq`/`glb` lattice operations, so the glb-matching semantics of
+//!   §3.2 (and the runtime law sentinels behind them) are untouched;
+//! * **negation is an absence test** — a negated atom only ever reads a
+//!   predicate of a lower, fully settled stratum, so it compiles to one
+//!   membership / cell lookup when its key is ground and to a scan of the
+//!   settled facts otherwise, binding nothing;
+//! * **choice is a fan-out** — a `<-` binding calls its function once and
+//!   recurses per element of the returned set, the elements held in boxed
+//!   registers because user code may return values the store never saw;
+//! * **premises are instantiated at emit** — when provenance is recorded,
+//!   each derivation carries its positive body atoms with the registers'
+//!   values filled in (glb-rebound lattice witnesses included), in body
+//!   order, which is exactly what DRed retraction later replays;
 //! * **subsumed derivations are suppressed at the emit site** — a head
 //!   tuple the database already contains (or whose lattice candidate is
 //!   `⊑` its stored cell) would be materialized, re-encoded, and dropped
-//!   as `Unchanged` by the insert loop; the kernel checks membership on
+//!   as `Unchanged` by the insert loop; the plan checks membership on
 //!   the already-encoded columns and skips the allocation round trip.
 //!   Suppressed tuples are still counted as derived, head functions are
-//!   still applied (panic parity), and the check is skipped for lattice
-//!   heads when ascent telemetry is on (a subsumed join must count on
-//!   its cell), so every observable statistic matches the generic path.
+//!   still applied (so a panicking transfer function still fires), and
+//!   the check is skipped for lattice heads when ascent telemetry is on
+//!   (a subsumed join must count on its cell). Suppression cannot lose a
+//!   provenance event: only database-*changing* inserts are logged, and
+//!   a suppressed tuple is by construction one that changes nothing.
 //!
-//! A body the compiler cannot specialize (negation, choice bindings) gets
-//! no plan and falls back to the generic evaluator; provenance-recording
-//! solves skip kernels entirely (they need instantiated premises). The
-//! interpreter mirrors the generic evaluator's iteration order (insertion
-//! order scans, insertion-order probe hits, identical nesting) and its
-//! probe/scan counters, so solutions, statistics, traces, and snapshot
-//! bytes are identical whichever path ran — the strategy-parity and
-//! differential suites pin this.
+//! Iteration order is part of the contract — insertion-order scans,
+//! insertion-order probe hits, delta atom outermost — because solutions,
+//! statistics, traces, event logs and snapshot bytes all depend on it;
+//! the strategy-parity suite and the golden snapshots pin it.
 
 use crate::database::{decode, try_encode, Database, PredData, Row};
 use crate::fxhash::{FxHashMap, FxHashSet};
 use crate::guard::{panic_payload, EvalGuard};
+use crate::ops::OpsPanic;
 use crate::program::{CHead, CItem, CRule, CTerm, Program};
+use crate::provenance::Premise;
 use crate::solver::{Derived, EvalCounters, EvalFault, Payload, ENC_KEY};
 use crate::verify::Violation;
 use crate::{LatticeOps, PredId, Value};
@@ -58,7 +68,7 @@ enum KeySrc {
     Slot(usize),
     /// A boxed variable register, encoded at probe time. Encoding can
     /// fail when the value was never stored — then the key matches
-    /// nothing, exactly like the generic probe.
+    /// nothing.
     Boxed(usize),
 }
 
@@ -113,10 +123,9 @@ enum HeadSrc {
 }
 
 /// One step of a compiled body. Atom steps carry their whole access
-/// strategy; the counter behaviour of each step mirrors the generic
-/// evaluator exactly (ground tests and delta iteration count nothing,
-/// probes count one probe per visit, scans count one fallback per visit
-/// when an index was wanted).
+/// strategy and define the work counters: ground tests and delta
+/// iteration count nothing, probes count one probe per visit, scans
+/// count one fallback per visit when an index was wanted.
 #[derive(Clone, Debug)]
 enum Step {
     /// Fully ground relational atom: a membership test.
@@ -166,6 +175,26 @@ enum Step {
     },
     /// A boolean filter function over bound arguments.
     Filter { func: usize, args: Vec<ArgSrc> },
+    /// A negated atom: the sub-join continues only when no stored fact
+    /// matches. Every variable is bound by validation, so `ops` only
+    /// check and `val` never binds. With `key` set, every (key) column is
+    /// ground and the test is one membership / cell lookup (`ops` is then
+    /// empty); otherwise the predicate is scanned. Sound because stratification settles the
+    /// negated predicate before this rule's stratum runs. Counts neither
+    /// probes nor scans.
+    Neg {
+        pred: PredId,
+        key: Option<Vec<KeySrc>>,
+        ops: Vec<RowOp>,
+        val: ValSpec,
+    },
+    /// A choice binding `binds <- func(args)`: the function's set result
+    /// fans out, each element bound into the (boxed) `binds` registers.
+    Choose {
+        func: usize,
+        args: Vec<ArgSrc>,
+        binds: Vec<usize>,
+    },
 }
 
 /// A compiled join plan for one (rule, variant) body.
@@ -184,61 +213,66 @@ pub(crate) struct Plan {
     /// hand the insert loop a [`Payload::LatEnc`] instead of a
     /// materialized tuple, skipping decode + re-encode round trips.
     lat_enc: bool,
+    /// When provenance is recorded: one template per positive body atom,
+    /// in body order, instantiated from the registers at emit (`None`
+    /// columns are wildcards).
+    premises: Option<Vec<(PredId, Vec<Option<ArgSrc>>)>>,
 }
 
 /// The compiled plans of a whole program: `plans[rule]` holds the full
-/// body's plan plus one per delta variant. `None` entries fall back to
-/// the generic evaluator.
+/// body's plan plus one per delta variant.
 pub(crate) struct KernelSet {
     plans: Vec<RulePlans>,
 }
 
 struct RulePlans {
-    full: Option<Plan>,
-    variants: Vec<Option<Plan>>,
+    full: Plan,
+    variants: Vec<Plan>,
 }
 
 impl KernelSet {
-    /// A set with no plans: every lookup falls back to the generic path.
-    /// Used when kernels are disabled or provenance is being recorded.
-    pub(crate) fn empty() -> KernelSet {
-        KernelSet { plans: Vec::new() }
-    }
-
-    /// Compiles a plan for every specializable rule body. Takes the
+    /// Compiles a plan for every rule body and delta variant. Takes the
     /// database mutably to encode literals up front (interning them, so
     /// their encodings stay valid as the store grows). `lat_precheck`
     /// permits the emit-side subsumption check for lattice heads; it must
     /// be false when ascent telemetry is on, because a subsumed join
-    /// still counts against its cell's join counter there.
-    pub(crate) fn compile(program: &Program, db: &mut Database, lat_precheck: bool) -> KernelSet {
+    /// still counts against its cell's join counter there. `premises`
+    /// makes every derivation carry its instantiated positive body atoms
+    /// for the provenance log.
+    pub(crate) fn compile(
+        program: &Program,
+        db: &mut Database,
+        lat_precheck: bool,
+        premises: bool,
+    ) -> KernelSet {
+        let mut compile = |rule: &CRule, body: &[CItem], delta_first: bool| {
+            compile_body(program, db, rule, body, delta_first, lat_precheck, premises)
+        };
         let plans = program
             .rules
             .iter()
             .map(|rule| RulePlans {
-                full: compile_body(program, db, rule, &rule.body, false, lat_precheck),
+                full: compile(rule, &rule.body, false),
                 variants: rule
                     .delta_variants
                     .iter()
-                    .map(|(_, body)| compile_body(program, db, rule, body, true, lat_precheck))
+                    .map(|(_, body)| compile(rule, body, true))
                     .collect(),
             })
             .collect();
         KernelSet { plans }
     }
 
-    /// The plan for a rule evaluation, if one was compiled.
-    pub(crate) fn plan(&self, rule: usize, variant: Option<usize>) -> Option<&Plan> {
-        let entry = self.plans.get(rule)?;
+    /// The plan for a rule evaluation: the full body, or a delta variant.
+    pub(crate) fn plan(&self, rule: usize, variant: Option<usize>) -> &Plan {
         match variant {
-            None => entry.full.as_ref(),
-            Some(vi) => entry.variants.get(vi)?.as_ref(),
+            None => &self.plans[rule].full,
+            Some(vi) => &self.plans[rule].variants[vi],
         }
     }
 }
 
-/// Compiles one body into a [`Plan`]; `None` when the body contains an
-/// item the interpreter does not specialize (negation, choice).
+/// Compiles one body into a [`Plan`].
 fn compile_body(
     program: &Program,
     db: &mut Database,
@@ -246,18 +280,24 @@ fn compile_body(
     body: &[CItem],
     delta_first: bool,
     lat_precheck: bool,
-) -> Option<Plan> {
+    premises: bool,
+) -> Plan {
     // A slot is boxed iff it ever stands in a lattice *value* position in
-    // this body: there it must flow through leq/glb as a Value. All other
-    // slots live as encoded words.
+    // this body (there it must flow through leq/glb as a Value) or is
+    // bound by a choice (its values come from user code and may never
+    // have been stored). All other slots live as encoded words.
     let mut boxed_class: HashSet<usize> = HashSet::new();
     for item in body {
-        if let CItem::Atom { pred, terms, .. } = item {
-            if program.decl(*pred).is_lattice() {
-                if let Some(CTerm::Var(slot)) = terms.last() {
-                    boxed_class.insert(*slot);
+        match item {
+            CItem::Atom { pred, terms, .. } | CItem::NegAtom { pred, terms } => {
+                if program.decl(*pred).is_lattice() {
+                    if let Some(CTerm::Var(slot)) = terms.last() {
+                        boxed_class.insert(*slot);
+                    }
                 }
             }
+            CItem::Choose { binds, .. } => boxed_class.extend(binds),
+            CItem::Filter { .. } => {}
         }
     }
 
@@ -285,21 +325,9 @@ fn compile_body(
                         _ => None,
                     })
                     .collect();
-                let val = if is_lat {
-                    match terms.last().expect("lattice arity >= 1") {
-                        CTerm::Wild => ValSpec::Wild,
-                        CTerm::Lit(v) => ValSpec::Lit(v.clone()),
-                        CTerm::Var(slot) => {
-                            if bound.contains(slot) || key_binds.contains(slot) {
-                                ValSpec::Meet(*slot)
-                            } else {
-                                ValSpec::Bind(*slot)
-                            }
-                        }
-                    }
-                } else {
-                    ValSpec::Wild // unused for relations
-                };
+                let val = val_spec(terms, is_lat, |slot| {
+                    bound.contains(slot) || key_binds.contains(slot)
+                });
 
                 let is_delta = delta_first && idx == 0;
                 let step = if is_delta {
@@ -379,40 +407,85 @@ fn compile_body(
             CItem::Filter { func, args } => {
                 steps.push(Step::Filter {
                     func: *func,
-                    args: arg_srcs(args, &boxed_class)?,
+                    args: arg_srcs(args, &boxed_class),
                 });
             }
-            // Negation needs full-relation absence semantics and choice
-            // introduces set-valued fan-out; both stay on the generic
-            // evaluator (they are rare and never join-hot).
-            CItem::NegAtom { .. } | CItem::Choose { .. } => return None,
+            CItem::NegAtom { pred, terms } => {
+                let is_lat = program.decl(*pred).is_lattice();
+                let ncols = if is_lat { terms.len() - 1 } else { terms.len() };
+                let ground = !terms[..ncols].iter().any(|t| matches!(t, CTerm::Wild));
+                let all: Vec<usize> = (0..ncols).collect();
+                let (key, ops) = if ground {
+                    (Some(key_srcs(terms, &all, &boxed_class, db)), Vec::new())
+                } else {
+                    (None, row_ops(terms, ncols, &[], &bound, &boxed_class, db))
+                };
+                steps.push(Step::Neg {
+                    pred: *pred,
+                    key,
+                    ops,
+                    val: val_spec(terms, is_lat, |_| true),
+                });
+            }
+            CItem::Choose { func, args, binds } => {
+                steps.push(Step::Choose {
+                    func: *func,
+                    args: arg_srcs(args, &boxed_class),
+                    binds: binds.clone(),
+                });
+                bound.extend(binds);
+            }
         }
     }
 
-    let head = rule
+    let head: Vec<HeadSrc> = rule
         .head
         .iter()
         .map(|h| match h {
-            CHead::Lit(v) => Some(HeadSrc::Lit(v.clone(), db.encode_literal(v))),
-            CHead::Var(slot) => Some(if boxed_class.contains(slot) {
-                HeadSrc::Boxed(*slot)
-            } else {
-                HeadSrc::Slot(*slot)
-            }),
-            CHead::App(func, args) => Some(HeadSrc::App(*func, arg_srcs(args, &boxed_class)?)),
+            CHead::Lit(v) => HeadSrc::Lit(v.clone(), db.encode_literal(v)),
+            CHead::Var(slot) if boxed_class.contains(slot) => HeadSrc::Boxed(*slot),
+            CHead::Var(slot) => HeadSrc::Slot(*slot),
+            CHead::App(func, args) => HeadSrc::App(*func, arg_srcs(args, &boxed_class)),
         })
-        .collect::<Option<Vec<_>>>()?;
+        .collect();
+    let premises = premises.then(|| {
+        body.iter()
+            .filter_map(|item| match item {
+                CItem::Atom { pred, terms, .. } => Some((
+                    *pred,
+                    terms
+                        .iter()
+                        .map(|t| (!matches!(t, CTerm::Wild)).then(|| arg_src(t, &boxed_class)))
+                        .collect(),
+                )),
+                _ => None,
+            })
+            .collect()
+    });
 
     let is_lattice = program.decl(rule.head_pred).is_lattice();
     let lat_enc = is_lattice && head.len() - 1 <= ENC_KEY;
-    Some(Plan {
+    Plan {
         steps,
         head_pred: rule.head_pred,
         head,
         num_slots: rule.num_vars,
         precheck: lat_precheck || !is_lattice,
         lat_enc,
-    })
+        premises,
+    }
+}
+
+/// How the value column of a (possibly negated) lattice atom is matched;
+/// `is_bound` tells whether a value variable is bound by the time the
+/// value is matched. Unused (`Wild`) for relations.
+fn val_spec(terms: &[CTerm], is_lat: bool, is_bound: impl Fn(&usize) -> bool) -> ValSpec {
+    match terms.last() {
+        Some(CTerm::Lit(v)) if is_lat => ValSpec::Lit(v.clone()),
+        Some(CTerm::Var(slot)) if is_lat && is_bound(slot) => ValSpec::Meet(*slot),
+        Some(CTerm::Var(slot)) if is_lat => ValSpec::Bind(*slot),
+        _ => ValSpec::Wild,
+    }
 }
 
 /// Compiles the probe-key sources for `index_cols` (all of which are
@@ -478,18 +551,17 @@ fn row_ops(
     ops
 }
 
-fn arg_srcs(args: &[CTerm], boxed_class: &HashSet<usize>) -> Option<Vec<ArgSrc>> {
-    args.iter()
-        .map(|t| match t {
-            CTerm::Lit(v) => Some(ArgSrc::Lit(v.clone())),
-            CTerm::Var(slot) => Some(if boxed_class.contains(slot) {
-                ArgSrc::Boxed(*slot)
-            } else {
-                ArgSrc::Slot(*slot)
-            }),
-            CTerm::Wild => None,
-        })
-        .collect()
+fn arg_src(term: &CTerm, boxed_class: &HashSet<usize>) -> ArgSrc {
+    match term {
+        CTerm::Lit(v) => ArgSrc::Lit(v.clone()),
+        CTerm::Var(slot) if boxed_class.contains(slot) => ArgSrc::Boxed(*slot),
+        CTerm::Var(slot) => ArgSrc::Slot(*slot),
+        CTerm::Wild => panic!("wildcard cannot be a function argument"),
+    }
+}
+
+fn arg_srcs(args: &[CTerm], boxed_class: &HashSet<usize>) -> Vec<ArgSrc> {
+    args.iter().map(|t| arg_src(t, boxed_class)).collect()
 }
 
 // ---------------------------------------------------------------------------
@@ -591,9 +663,9 @@ impl KernelScratch {
     }
 }
 
-/// Executes a compiled plan, appending derivations to `out`. Mirrors the
-/// generic evaluator: same iteration order, same probe/scan counters,
-/// same fault short-circuiting.
+/// Executes a compiled plan, appending derivations to `out`. The first
+/// fault short-circuits the whole execution; the counters are folded in
+/// on that path too.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn run_plan(
     program: &Program,
@@ -782,8 +854,15 @@ fn delta_ops_match(ops: &[RowOp], row: &[Value], st: &mut State<'_, '_>) -> bool
     true
 }
 
-/// Matches a cell value per `val` and recurses into the next step — the
-/// compiled form of the generic `match_lattice_value`.
+/// Matches a cell value per `val` and recurses into the next step. This
+/// is the ground-instance semantics of §3.2: the atom `P(k̄, v)` is true
+/// when `v ⊑ cell(k̄)`. An unbound variable binds to the cell value (the
+/// greatest witness); a variable already bound to `w` rebinds to
+/// `w ⊓ cell` — the greatest element witnessing *both* occurrences, per
+/// the paper's `R(x) :- A(x), B(x)` example, whose minimal model holds
+/// `R(Odd ⊓ Even) = R(⊥)`. A `⊥` witness is dropped: every head derived
+/// from it through strict functions is `⊥`, which the database never
+/// stores.
 fn apply_val(
     plan: &Plan,
     next: usize,
@@ -836,8 +915,8 @@ fn arg_value(arg: &ArgSrc, st: &State<'_, '_>) -> Value {
     }
 }
 
-/// Invokes a user function with panic isolation, like the generic
-/// evaluator's `call_user_fn`.
+/// Invokes a user function with panic isolation: a caught panic becomes
+/// the execution's fault, naming the function.
 fn call_fn(func: usize, vals: &[Value], st: &mut State<'_, '_>) -> Option<Value> {
     let fdef = &st.program.funcs[func];
     match catch_unwind(AssertUnwindSafe(|| (fdef.body)(vals))) {
@@ -855,7 +934,7 @@ fn call_fn(func: usize, vals: &[Value], st: &mut State<'_, '_>) -> Option<Value>
 /// Computes the head's function applications once into `st.app_buf`, in
 /// head-column order. Returns `false` when one panicked (fault recorded).
 /// Always runs before the subsumption pre-check so a panicking transfer
-/// function fires exactly as in the generic evaluator.
+/// function fires whether or not its result would have been stored.
 fn compute_apps(plan: &Plan, st: &mut State<'_, '_>) -> bool {
     st.app_buf.clear();
     for h in &plan.head {
@@ -1013,8 +1092,8 @@ fn emit(plan: &Plan, st: &mut State<'_, '_>) {
     st.lat_hit_id = NO_ID;
     // Emit-side dedup: a tuple the database already subsumes would be
     // materialized, re-encoded, and dropped as `Unchanged` by the insert
-    // loop; suppress it here instead. Counted, so the derivation
-    // statistics are identical either way.
+    // loop; suppress it here instead. Counted, so `facts_derived` stays
+    // the gross count.
     if plan.precheck && is_subsumed(plan, st) {
         st.suppressed += 1;
         return;
@@ -1022,8 +1101,7 @@ fn emit(plan: &Plan, st: &mut State<'_, '_>) {
     // Lattice fast path: hand the insert loop the already-encoded key
     // instead of decoding it here just so `Database::insert` can re-encode
     // it. Falls back to the materialized tuple when a key value is not yet
-    // interned (`build_head_key` fails) so the insert path interns it
-    // exactly like the generic evaluator would.
+    // interned (`build_head_key` fails) so the insert path interns it.
     if plan.lat_enc {
         let (key_srcs, val_src) = plan.head.split_at(plan.head.len() - 1);
         if build_head_key(key_srcs, st) {
@@ -1035,17 +1113,13 @@ fn emit(plan: &Plan, st: &mut State<'_, '_>) {
                 HeadSrc::Boxed(s) => st.boxed[*s].clone().expect("statically bound"),
                 HeadSrc::App(..) => st.app_buf.last().expect("apps computed").clone(),
             };
-            st.out.push(Derived {
-                pred: plan.head_pred,
-                payload: Payload::LatEnc {
-                    arity: key_srcs.len() as u8,
-                    id: st.lat_hit_id,
-                    key,
-                    cell,
-                },
-                rule: st.rule,
-                premises: None,
-            });
+            let payload = Payload::LatEnc {
+                arity: key_srcs.len() as u8,
+                id: st.lat_hit_id,
+                key,
+                cell,
+            };
+            push_derived(plan, payload, st);
             return;
         }
     }
@@ -1062,12 +1136,83 @@ fn emit(plan: &Plan, st: &mut State<'_, '_>) {
             }
         }
     }
+    push_derived(plan, Payload::Tuple(tuple), st);
+}
+
+/// Appends one derivation, instantiating the plan's premise templates
+/// from the registers — glb-rebound lattice witnesses included — when
+/// provenance is recorded.
+fn push_derived(plan: &Plan, payload: Payload, st: &mut State<'_, '_>) {
+    let premises = plan.premises.as_ref().map(|templates| {
+        templates
+            .iter()
+            .map(|(pred, cols)| Premise {
+                pred: *pred,
+                pattern: cols
+                    .iter()
+                    .map(|col| col.as_ref().map(|src| arg_value(src, st)))
+                    .collect(),
+            })
+            .collect()
+    });
     st.out.push(Derived {
         pred: plan.head_pred,
-        payload: Payload::Tuple(tuple),
+        payload,
         rule: st.rule,
-        premises: None,
+        premises,
     });
+}
+
+/// Does `cell` satisfy the value column of a negated lattice atom? The
+/// existence-only form of [`apply_val`]: nothing is rebound.
+fn val_holds(
+    val: &ValSpec,
+    cell: &Value,
+    ops: &LatticeOps,
+    st: &State<'_, '_>,
+) -> Result<bool, OpsPanic> {
+    match val {
+        ValSpec::Wild => Ok(true),
+        ValSpec::Lit(l) => ops.try_leq(l, cell),
+        ValSpec::Meet(slot) => {
+            let bound = st.boxed[*slot].as_ref().expect("statically bound");
+            Ok(!ops.is_bottom(&ops.try_glb(bound, cell)?))
+        }
+        ValSpec::Bind(_) => unreachable!("negated atoms bind nothing"),
+    }
+}
+
+/// Does any stored fact match the negated atom?
+fn neg_exists(
+    pred: PredId,
+    key: Option<&[KeySrc]>,
+    ops: &[RowOp],
+    val: &ValSpec,
+    st: &mut State<'_, '_>,
+) -> Result<bool, OpsPanic> {
+    // An unencodable key component was never stored: nothing matches.
+    let keyed = key.map(|key| build_key(key, st));
+    match st.db.pred(pred) {
+        PredData::Rel(rel) => Ok(match keyed {
+            Some(encodable) => encodable && rel.contains_encoded(&st.key_buf),
+            None => (0..rel.len() as u32).any(|id| rel_ops_match(ops, rel, id, st)),
+        }),
+        PredData::Lat(lat) => {
+            if let Some(encodable) = keyed {
+                let id = encodable.then(|| lat.id_of_encoded(&st.key_buf)).flatten();
+                return match id {
+                    Some(id) => val_holds(val, lat.cell(id), lat.ops(), st),
+                    None => Ok(false),
+                };
+            }
+            for id in 0..lat.len() as u32 {
+                if lat_ops_match(ops, lat, id, st) && val_holds(val, lat.cell(id), lat.ops(), st)? {
+                    return Ok(true);
+                }
+            }
+            Ok(false)
+        }
+    }
 }
 
 fn step(plan: &Plan, i: usize, st: &mut State<'_, '_>) {
@@ -1090,8 +1235,7 @@ fn step(plan: &Plan, i: usize, st: &mut State<'_, '_>) {
             if !build_key(key, st) {
                 return;
             }
-            // Membership fast path: no probe counted, matching the
-            // generic evaluator's ground-atom test.
+            // A membership test, not an index probe: nothing counted.
             if rel.contains_encoded(&st.key_buf) {
                 step(plan, i + 1, st);
             }
@@ -1245,6 +1389,51 @@ fn step(plan: &Plan, i: usize, st: &mut State<'_, '_>) {
                 }
                 Some(Value::Bool(false)) => st.args_buf = vals,
                 Some(other) => st.fail(EvalFault::Safety(Violation::FilterNotBoolean(vals, other))),
+            }
+        }
+        Step::Neg {
+            pred,
+            key,
+            ops,
+            val,
+        } => match neg_exists(*pred, key.as_deref(), ops, val, st) {
+            Ok(false) => step(plan, i + 1, st),
+            Ok(true) => {}
+            Err(p) => st.fail(p),
+        },
+        Step::Choose { func, args, binds } => {
+            let vals: Vec<Value> = args.iter().map(|a| arg_value(a, st)).collect();
+            let Some(result) = call_fn(*func, &vals, st) else {
+                return;
+            };
+            let Value::Set(elems) = &result else {
+                st.fail(EvalFault::Safety(Violation::ChoiceMalformed(vals, result)));
+                return;
+            };
+            // A bind may shadow a variable an enclosing atom still checks
+            // sibling rows against; put the outer bindings back afterwards.
+            let outer: Vec<Option<Value>> = binds.iter().map(|&b| st.boxed[b].clone()).collect();
+            for elem in elems.iter() {
+                if st.fault.is_some() {
+                    break;
+                }
+                match elem.as_tuple() {
+                    _ if binds.len() == 1 => st.boxed[binds[0]] = Some(elem.clone()),
+                    Some(items) if items.len() == binds.len() => {
+                        for (&b, item) in binds.iter().zip(items) {
+                            st.boxed[b] = Some(item.clone());
+                        }
+                    }
+                    _ => {
+                        let malformed = Violation::ChoiceMalformed(vals.clone(), elem.clone());
+                        st.fail(EvalFault::Safety(malformed));
+                        break;
+                    }
+                }
+                step(plan, i + 1, st);
+            }
+            for (&b, old) in binds.iter().zip(outer) {
+                st.boxed[b] = old;
             }
         }
     }

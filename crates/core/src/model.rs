@@ -13,15 +13,23 @@
 //!   tuple, or decreasing any lattice cell to any smaller candidate value,
 //!   must break the model property.
 //!
-//! Together these give the cross-validation used by the test suite: the
-//! naïve and semi-naïve solvers must both land on a compact model that is
-//! locally minimal. (Compactness itself is enforced structurally: the
-//! database stores exactly one value per cell.)
+//! Together these give the cross-validation used by the test suite: every
+//! strategy, thread count and entry point must land on a compact model
+//! that is locally minimal. (Compactness itself is enforced structurally:
+//! the database stores exactly one value per cell.)
+//!
+//! The checker evaluates rule bodies with its own matcher (the private
+//! functions at the end of this module): tuple at a time over decoded
+//! [`Value`]s, straight from the definitions of §3.2. It shares no join
+//! code with the plan interpreter that computed the solution, so an
+//! evaluator bug cannot vouch for itself. It takes no budget and assumes
+//! total, law-abiding user functions — a panic in one propagates.
 
 use crate::database::{Database, PredData};
-use crate::program::Program;
-use crate::solver::{eval_rule, Solution};
-use crate::{PredId, Value};
+use crate::program::{CHead, CItem, CRule, CTerm, Program};
+use crate::solver::Solution;
+use crate::verify::Violation;
+use crate::{LatticeOps, PredId, Value};
 use std::collections::HashSet;
 
 /// Returns the first rule-head fact that the interpretation fails to
@@ -48,7 +56,8 @@ fn violation_against(program: &Program, db: &Database) -> Option<(String, Vec<Va
     // Every rule-derivable head must be satisfied: T_P(I) ⊑ I.
     let mut derived = Vec::new();
     for rule in &program.rules {
-        eval_rule(program, db, rule, None, &[], &mut derived);
+        let env = vec![None; rule.num_vars];
+        consequences(program, db, rule, 0, &env, &mut derived);
     }
     for (pred, tuple) in derived {
         if !satisfied(program, db, pred, &tuple) {
@@ -198,6 +207,174 @@ fn rebuild_without(
         }
     }
     out
+}
+
+/// The variable environment of one rule evaluation, indexed by slot.
+type Env = Vec<Option<Value>>;
+
+/// Appends to `out` the head of every instance of `rule` whose body items
+/// from `idx` on are true in `db` under some extension of `env`.
+fn consequences(
+    program: &Program,
+    db: &Database,
+    rule: &CRule,
+    idx: usize,
+    env: &Env,
+    out: &mut Vec<(PredId, Vec<Value>)>,
+) {
+    let call = |func: usize, args: &[CTerm]| -> (Vec<Value>, Value) {
+        let vals: Vec<Value> = args
+            .iter()
+            .map(|t| match t {
+                CTerm::Lit(v) => v.clone(),
+                CTerm::Var(slot) => env[*slot].clone().expect("validated: bound"),
+                CTerm::Wild => panic!("wildcard cannot be a function argument"),
+            })
+            .collect();
+        let result = (program.funcs[func].body)(&vals);
+        (vals, result)
+    };
+    let Some(item) = rule.body.get(idx) else {
+        let head = rule.head.iter().map(|h| match h {
+            CHead::Lit(v) => v.clone(),
+            CHead::Var(slot) => env[*slot].clone().expect("validated: bound"),
+            CHead::App(func, args) => call(*func, args).1,
+        });
+        out.push((rule.head_pred, head.collect()));
+        return;
+    };
+    let mut rest = |env: &Env| consequences(program, db, rule, idx + 1, env, out);
+    match item {
+        CItem::Atom { pred, terms, .. } => {
+            for_each_match(program, db, *pred, terms, env, &mut rest)
+        }
+        CItem::NegAtom { pred, terms } => {
+            let mut exists = false;
+            for_each_match(program, db, *pred, terms, env, &mut |_| exists = true);
+            if !exists {
+                rest(env);
+            }
+        }
+        CItem::Filter { func, args } => match call(*func, args) {
+            (_, Value::Bool(true)) => rest(env),
+            (_, Value::Bool(false)) => {}
+            (vals, other) => unsafe_function(Violation::FilterNotBoolean(vals, other)),
+        },
+        CItem::Choose { func, args, binds } => {
+            let (vals, result) = call(*func, args);
+            let Value::Set(elems) = &result else {
+                unsafe_function(Violation::ChoiceMalformed(vals, result));
+            };
+            let mut chosen = env.clone();
+            for elem in elems.iter() {
+                match elem.as_tuple() {
+                    _ if binds.len() == 1 => chosen[binds[0]] = Some(elem.clone()),
+                    Some(items) if items.len() == binds.len() => {
+                        for (&b, item) in binds.iter().zip(items) {
+                            chosen[b] = Some(item.clone());
+                        }
+                    }
+                    _ => unsafe_function(Violation::ChoiceMalformed(vals, elem.clone())),
+                }
+                rest(&chosen);
+            }
+        }
+    }
+}
+
+fn unsafe_function(violation: Violation) -> ! {
+    panic!("lattice safety violation during model check: {violation}")
+}
+
+/// Calls `next` with `env` extended by each way the atom `pred(terms)` is
+/// true in `db`. A fully ground key is one lookup and an index is used
+/// where the database has one; otherwise every stored fact is tried.
+fn for_each_match(
+    program: &Program,
+    db: &Database,
+    pred: PredId,
+    terms: &[CTerm],
+    env: &Env,
+    next: &mut dyn FnMut(&Env),
+) {
+    let ops = program.decl(pred).lattice_ops();
+    let ncols = terms.len() - ops.is_some() as usize;
+    // The ground (key) columns and their values.
+    let (cols, key): (Vec<usize>, Vec<Value>) = terms[..ncols]
+        .iter()
+        .enumerate()
+        .filter_map(|(col, t)| match t {
+            CTerm::Lit(v) => Some((col, v.clone())),
+            CTerm::Var(slot) => env[*slot].clone().map(|v| (col, v)),
+            CTerm::Wild => None,
+        })
+        .unzip();
+    let mut trial = env.clone();
+    let mut visit = |row: &[Value], cell: Option<&Value>| {
+        trial.clone_from(env);
+        if unify(terms, row, cell.zip(ops), &mut trial) {
+            next(&trial);
+        }
+    };
+    match db.pred(pred) {
+        PredData::Rel(rel) => {
+            if cols.len() == ncols {
+                if rel.contains(&key, db.spill()) {
+                    visit(&key, None);
+                }
+            } else if let Some(hits) = rel.probe(&cols, &key, db.spill()) {
+                hits.iter().for_each(|&i| visit(rel.row(i), None));
+            } else {
+                rel.rows().for_each(|row| visit(row, None));
+            }
+        }
+        PredData::Lat(lat) => {
+            if cols.len() == ncols {
+                if let Some(cell) = lat.value(&key, db.spill()) {
+                    visit(&key, Some(cell));
+                }
+            } else if let Some(hits) = lat.probe(&cols, &key, db.spill()) {
+                hits.iter()
+                    .for_each(|&i| visit(lat.key(i), Some(lat.cell(i))));
+            } else {
+                lat.iter().for_each(|(key, cell)| visit(key, Some(cell)));
+            }
+        }
+    }
+}
+
+/// Unifies an atom's terms with one stored fact, binding free variables
+/// in `env`. Columns match by equality. The element column of a lattice
+/// atom follows §3.2: `P(k̄, v)` is true when `v ⊑ cell(k̄)`, so a literal
+/// must sit below the cell, a free variable takes the cell (the greatest
+/// witness), and a variable already bound to `w` takes `w ⊓ cell` — the
+/// greatest witness of both occurrences — unless that is `⊥`, which no
+/// head stores.
+fn unify(
+    terms: &[CTerm],
+    row: &[Value],
+    cell: Option<(&Value, &LatticeOps)>,
+    env: &mut Env,
+) -> bool {
+    let columns = terms.iter().zip(row).all(|(term, value)| match term {
+        CTerm::Wild => true,
+        CTerm::Lit(l) => l == value,
+        CTerm::Var(slot) => env[*slot].get_or_insert_with(|| value.clone()) == value,
+    });
+    columns
+        && cell.is_none_or(|(cell, ops)| match terms.last().expect("arity >= 1") {
+            CTerm::Wild => true,
+            CTerm::Lit(l) => ops.leq(l, cell),
+            CTerm::Var(slot) => {
+                let witness = match &env[*slot] {
+                    None => cell.clone(),
+                    Some(bound) => ops.glb(bound, cell),
+                };
+                let holds = !ops.is_bottom(&witness);
+                env[*slot] = Some(witness);
+                holds
+            }
+        })
 }
 
 #[cfg(test)]

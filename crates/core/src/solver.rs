@@ -21,7 +21,7 @@ use crate::guard::{panic_payload, Budget, BudgetKind, EvalGuard, Guard};
 use crate::kernel::{self, KernelSet};
 use crate::observe::{Observer, RuleEvaluated, RuleStats, StratumStats};
 use crate::ops::OpsPanic;
-use crate::program::{CHead, CItem, CRule, CTerm, Program};
+use crate::program::Program;
 use crate::provenance::{key_matches, pattern_matches, DerivationTree, Event, Premise, Source};
 use crate::stratify::stratify;
 use crate::trace::{
@@ -31,7 +31,6 @@ use crate::trace::{
 use crate::verify::Violation;
 use crate::{PredId, Value};
 use std::fmt;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -106,6 +105,26 @@ pub struct SolveStats {
     pub per_rule: Vec<RuleStats>,
     /// Per-stratum rounds and per-round delta sizes, in evaluation order.
     pub per_stratum: Vec<StratumStats>,
+}
+
+impl SolveStats {
+    /// Zeroed statistics with one [`RuleStats`] entry per rule of
+    /// `program`, labelled with the rule's head predicate.
+    pub(crate) fn for_program(program: &Program) -> SolveStats {
+        let per_rule = rule_heads(program)
+            .into_iter()
+            .enumerate()
+            .map(|(rule, head)| RuleStats {
+                rule,
+                head,
+                ..RuleStats::default()
+            })
+            .collect();
+        SolveStats {
+            per_rule,
+            ..SolveStats::default()
+        }
+    }
 }
 
 /// An error during solving.
@@ -341,12 +360,6 @@ pub struct SolverConfig {
     /// Whether to build hash indexes (default `true`; `false` is the
     /// index-selection ablation forcing full scans on every join).
     pub use_indexes: bool,
-    /// Whether to compile specialized join kernels per rule body (default
-    /// `true`; `false` forces the generic tuple-at-a-time evaluator, the
-    /// kernel ablation). Kernels change evaluation speed, never results:
-    /// they derive the same tuples in the same order as the generic path.
-    /// Provenance-recording solves always use the generic evaluator.
-    pub use_kernels: bool,
     /// Bound on fixed-point rounds, a safety net against lattices of
     /// unbounded height (default: unlimited).
     pub max_rounds: Option<u64>,
@@ -380,7 +393,6 @@ impl Default for SolverConfig {
             strategy: Strategy::SemiNaive,
             threads: 1,
             use_indexes: true,
-            use_kernels: true,
             max_rounds: None,
             record_provenance: false,
             budget: Budget::new(),
@@ -397,7 +409,6 @@ impl fmt::Debug for SolverConfig {
             .field("strategy", &self.strategy)
             .field("threads", &self.threads)
             .field("use_indexes", &self.use_indexes)
-            .field("use_kernels", &self.use_kernels)
             .field("max_rounds", &self.max_rounds)
             .field("record_provenance", &self.record_provenance)
             .field("budget", &self.budget)
@@ -504,14 +515,6 @@ impl Solver {
         self
     }
 
-    /// Enables or disables per-rule specialized join kernels (the kernel
-    /// ablation; disabling forces the generic tuple-at-a-time evaluator).
-    /// Either setting produces the same solution, statistics, and traces.
-    pub fn kernels(mut self, use_kernels: bool) -> Solver {
-        self.config.use_kernels = use_kernels;
-        self
-    }
-
     /// Bounds the number of fixed-point rounds, as a safety net against
     /// lattices of unbounded height.
     pub fn max_rounds(mut self, limit: u64) -> Solver {
@@ -598,19 +601,7 @@ impl Solver {
         if self.config.ascent.is_some() {
             db.enable_ascent();
         }
-        let mut stats = SolveStats {
-            per_rule: program
-                .rules
-                .iter()
-                .enumerate()
-                .map(|(i, r)| RuleStats {
-                    rule: i,
-                    head: program.decl(r.head_pred).name.to_string(),
-                    ..RuleStats::default()
-                })
-                .collect(),
-            ..SolveStats::default()
-        };
+        let mut stats = SolveStats::for_program(program);
         let mut events: Option<Vec<Event>> = self.config.record_provenance.then(Vec::new);
 
         let outcome = self.solve_inner(
@@ -696,15 +687,7 @@ impl Solver {
         }
         tracer.record(0, SpanKind::LoadFacts, load_start);
 
-        // Compile the specialized join kernels once per solve, after fact
-        // loading (literals in rule bodies are interned here, so their
-        // encodings stay canonical for the run). Provenance-recording
-        // solves need instantiated premises and stay fully generic.
-        let kernels = if self.config.use_kernels && !self.config.record_provenance {
-            KernelSet::compile(program, db, self.config.ascent.is_none())
-        } else {
-            KernelSet::empty()
-        };
+        let kernels = self.compile_kernels(program, db);
 
         for (stratum, group) in strata.rule_groups.iter().enumerate() {
             stats.strata += 1;
@@ -728,6 +711,18 @@ impl Solver {
             result?;
         }
         Ok(())
+    }
+
+    /// Compiles the join plans of `program` against `db`. Call after the
+    /// facts are loaded: body literals are interned here, so their
+    /// encodings stay canonical for the run.
+    pub(crate) fn compile_kernels(&self, program: &Program, db: &mut Database) -> KernelSet {
+        KernelSet::compile(
+            program,
+            db,
+            self.config.ascent.is_none(),
+            self.config.record_provenance,
+        )
     }
 
     /// Fires a non-fatal [`AscentWarning`] when the cell at `pred`/`key`
@@ -1075,8 +1070,8 @@ impl Solver {
         stats.index_probes += report.probes;
         stats.scan_fallbacks += report.scans;
         // Suppressed derivations never reach the per-item counting in the
-        // insert loops; credit them here so `facts_derived` matches the
-        // generic evaluator.
+        // insert loops; credit them here so `facts_derived` stays the
+        // gross count.
         stats.facts_derived += report.suppressed;
         if let Some(obs) = &self.config.observer {
             obs.rule_evaluated(&RuleEvaluated {
@@ -1133,7 +1128,6 @@ impl Solver {
                     kernels,
                     task,
                     delta,
-                    self.config.record_provenance,
                     &eval_guard,
                     out,
                     &mut span,
@@ -1163,7 +1157,6 @@ impl Solver {
         // deadline-check frequency matches the sequential path. A fault in
         // any worker fails the whole round.
         let chunk = tasks.len().div_ceil(self.config.threads);
-        let provenance = self.config.record_provenance;
         let inject_panic = self.inject_worker_panic;
         let threads = self.config.threads;
         let mut joined: Vec<std::thread::Result<WorkerResult>> = Vec::new();
@@ -1201,7 +1194,6 @@ impl Solver {
                                 kernels,
                                 task,
                                 delta,
-                                provenance,
                                 &eval_guard,
                                 &mut out,
                                 &mut span,
@@ -1278,8 +1270,7 @@ type WorkerResult = Result<(Vec<Derived>, Vec<TaskReport>), SolveError>;
 struct TaskReport {
     rule: usize,
     variant: Option<usize>,
-    /// All derivations of this evaluation, including kernel-suppressed
-    /// ones — the same count the generic evaluator would report.
+    /// All derivations of this evaluation, suppressed ones included.
     derived: u64,
     /// The suppressed subset of `derived`: counted into `facts_derived`
     /// here because those tuples never reach the insert loop's counter.
@@ -1309,7 +1300,6 @@ fn run_one_task(
     kernels: &KernelSet,
     task: &Task,
     delta: &[Vec<Row>],
-    provenance: bool,
     eval_guard: &EvalGuard<'_>,
     out: &mut Vec<Derived>,
     span: &mut TaskSpan<'_, '_>,
@@ -1324,30 +1314,17 @@ fn run_one_task(
     let before = out.len();
     let mut counters = EvalCounters::default();
     let start = Instant::now();
-    let result = match kernels.plan(task.rule, task.variant) {
-        Some(plan) => kernel::run_plan(
-            program,
-            db,
-            plan,
-            task.rule,
-            delta,
-            eval_guard,
-            &mut counters,
-            out,
-            scratch,
-        ),
-        None => eval_rule_prov(
-            program,
-            db,
-            task.rule,
-            task.variant,
-            delta,
-            provenance,
-            eval_guard,
-            &mut counters,
-            out,
-        ),
-    };
+    let result = kernel::run_plan(
+        program,
+        db,
+        kernels.plan(task.rule, task.variant),
+        task.rule,
+        delta,
+        eval_guard,
+        &mut counters,
+        out,
+        scratch,
+    );
     let eval_ns = start.elapsed().as_nanos() as u64;
     if let Some(ring) = span.ring.as_mut() {
         // Reuses the timing this function already takes for the profile;
@@ -1378,8 +1355,6 @@ fn run_one_task(
     })
 }
 
-/// Attributes an [`InsertFault`] (from [`Database::insert`]) to the
-/// predicate and rule it happened under.
 /// The extensional store a from-scratch run loads before the strata.
 pub(crate) enum FactSource<'a> {
     /// The program's own facts plus extras: plain solves, and the resume
@@ -1393,6 +1368,8 @@ pub(crate) enum FactSource<'a> {
     Exact(&'a [(PredId, Vec<Value>)]),
 }
 
+/// Attributes an [`InsertFault`] (from [`Database::insert`]) to the
+/// predicate and rule it happened under.
 pub(crate) fn insert_fault_error(
     program: &Program,
     pred: PredId,
@@ -1709,733 +1686,11 @@ impl From<OpsPanic> for EvalFault {
 pub(crate) struct EvalCounters {
     pub(crate) probes: u64,
     pub(crate) scans: u64,
-    /// Derivations a kernel suppressed at emit time because the database
+    /// Derivations a plan suppressed at emit time because the database
     /// already subsumed them (the insert loop would have dropped them as
-    /// `Unchanged`). Counted back into `facts_derived` so the statistics
-    /// match the generic evaluator exactly. Always 0 on the generic path.
+    /// `Unchanged`). Counted back into `facts_derived`, which stays the
+    /// gross derivation count.
     pub(crate) suppressed: u64,
-}
-
-/// Evaluates a rule by index, producing [`Derived`] records (with
-/// premises when `provenance` is set). Probe/scan counts are accumulated
-/// into `counters`, including on the error path.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn eval_rule_prov(
-    program: &Program,
-    db: &Database,
-    rule_idx: usize,
-    variant: Option<usize>,
-    delta: &[Vec<Row>],
-    provenance: bool,
-    guard: &EvalGuard<'_>,
-    counters: &mut EvalCounters,
-    out: &mut Vec<Derived>,
-) -> Result<(), EvalFault> {
-    let raw = eval_rule_inner(
-        program,
-        db,
-        &program.rules[rule_idx],
-        variant,
-        delta,
-        provenance,
-        guard,
-        counters,
-    )?;
-    out.extend(raw.into_iter().map(|(pred, tuple, premises)| Derived {
-        pred,
-        payload: Payload::Tuple(tuple),
-        rule: rule_idx,
-        premises,
-    }));
-    Ok(())
-}
-
-/// The variable environment of one rule evaluation.
-type Env = Vec<Option<Value>>;
-
-/// Undo log of bindings performed while matching one body item.
-type Trail = Vec<(usize, Option<Value>)>;
-
-fn bind(env: &mut Env, trail: &mut Trail, slot: usize, value: Value) {
-    trail.push((slot, env[slot].take()));
-    env[slot] = Some(value);
-}
-
-fn unwind(env: &mut Env, trail: &mut Trail, mark: usize) {
-    while trail.len() > mark {
-        let (slot, old) = trail.pop().expect("trail length checked");
-        env[slot] = old;
-    }
-}
-
-/// Evaluates `rule` against `db` and appends every derived head tuple to
-/// `out`. With `variant = Some(i)`, the i-th delta variant body is used:
-/// its first atom is instantiated from `delta` instead of the full
-/// database (§3.7's incremental evaluation step).
-///
-/// This is the unguarded entry point used by the model checker; it runs
-/// with no budget and assumes total user functions.
-///
-/// # Panics
-///
-/// Re-raises (as a plain panic) any fault the guarded evaluator would
-/// report structurally — the model checker has no partial result to
-/// salvage.
-pub(crate) fn eval_rule(
-    program: &Program,
-    db: &Database,
-    rule: &CRule,
-    variant: Option<usize>,
-    delta: &[Vec<Row>],
-    out: &mut Vec<(PredId, Vec<Value>)>,
-) {
-    let guard = EvalGuard::unlimited();
-    let mut counters = EvalCounters::default();
-    match eval_rule_inner(
-        program,
-        db,
-        rule,
-        variant,
-        delta,
-        false,
-        &guard,
-        &mut counters,
-    ) {
-        Ok(raw) => out.extend(raw.into_iter().map(|(pred, tuple, _)| (pred, tuple))),
-        Err(EvalFault::Panic { function, payload }) => {
-            panic!("function {function} panicked during model check: {payload}")
-        }
-        Err(EvalFault::Safety(v)) => panic!("lattice safety violation during model check: {v}"),
-        Err(EvalFault::Budget(_)) => unreachable!("unlimited guard never trips"),
-    }
-}
-
-/// A derived head tuple before insertion: target predicate, values, and
-/// the rule premises when provenance recording is on.
-type RawDerivation = (PredId, Vec<Value>, Option<Vec<Premise>>);
-
-/// Per-evaluation mutable state: the output accumulator, the first fault
-/// observed (evaluation short-circuits once set), the budget guard, and
-/// the thread-local probe/scan counters.
-struct EvalCx<'a> {
-    guard: &'a EvalGuard<'a>,
-    provenance: bool,
-    out: Vec<RawDerivation>,
-    fault: Option<EvalFault>,
-    probes: u64,
-    scans: u64,
-}
-
-impl EvalCx<'_> {
-    fn fail(&mut self, fault: impl Into<EvalFault>) {
-        if self.fault.is_none() {
-            self.fault = Some(fault.into());
-        }
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn eval_rule_inner(
-    program: &Program,
-    db: &Database,
-    rule: &CRule,
-    variant: Option<usize>,
-    delta: &[Vec<Row>],
-    provenance: bool,
-    guard: &EvalGuard<'_>,
-    counters: &mut EvalCounters,
-) -> Result<Vec<RawDerivation>, EvalFault> {
-    let (body, delta_pos): (&[CItem], Option<usize>) = match variant {
-        None => (&rule.body, None),
-        Some(vi) => (&rule.delta_variants[vi].1, Some(0)),
-    };
-    let mut env: Env = vec![None; rule.num_vars];
-    let mut trail: Trail = Vec::new();
-    let mut cx = EvalCx {
-        guard,
-        provenance,
-        out: Vec::new(),
-        fault: None,
-        probes: 0,
-        scans: 0,
-    };
-    eval_body(
-        program, db, rule, body, 0, delta_pos, delta, &mut env, &mut trail, &mut cx,
-    );
-    counters.probes += cx.probes;
-    counters.scans += cx.scans;
-    match cx.fault {
-        None => Ok(cx.out),
-        Some(fault) => Err(fault),
-    }
-}
-
-/// Invokes a user-defined function body with panic isolation; on a caught
-/// panic the fault is recorded in `cx` and `None` returned.
-fn call_user_fn(
-    program: &Program,
-    func: usize,
-    vals: &[Value],
-    cx: &mut EvalCx<'_>,
-) -> Option<Value> {
-    let fdef = &program.funcs[func];
-    match catch_unwind(AssertUnwindSafe(|| (fdef.body)(vals))) {
-        Ok(v) => Some(v),
-        Err(payload) => {
-            cx.fail(EvalFault::Panic {
-                function: fdef.name.to_string(),
-                payload: panic_payload(payload),
-            });
-            None
-        }
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn eval_body(
-    program: &Program,
-    db: &Database,
-    rule: &CRule,
-    body: &[CItem],
-    item_idx: usize,
-    delta_pos: Option<usize>,
-    delta: &[Vec<Row>],
-    env: &mut Env,
-    trail: &mut Trail,
-    cx: &mut EvalCx<'_>,
-) {
-    if cx.fault.is_some() {
-        return;
-    }
-    if let Err(kind) = cx.guard.poll() {
-        cx.fail(EvalFault::Budget(kind));
-        return;
-    }
-    if item_idx == body.len() {
-        derive_head(program, rule, body, env, cx);
-        return;
-    }
-    match &body[item_idx] {
-        CItem::Atom {
-            pred,
-            terms,
-            index_cols,
-        } => {
-            let is_lat = program.decl(*pred).is_lattice();
-            let ops = program.decl(*pred).lattice_ops();
-            let visit = |row: &[Value], env: &mut Env, trail: &mut Trail, cx: &mut EvalCx<'_>| {
-                if cx.fault.is_some() {
-                    return;
-                }
-                let mark = trail.len();
-                match match_tuple(terms, row, is_lat, ops, env, trail) {
-                    Ok(true) => eval_body(
-                        program,
-                        db,
-                        rule,
-                        body,
-                        item_idx + 1,
-                        delta_pos,
-                        delta,
-                        env,
-                        trail,
-                        cx,
-                    ),
-                    Ok(false) => {}
-                    Err(p) => cx.fail(p),
-                }
-                unwind(env, trail, mark);
-            };
-            if delta_pos == Some(item_idx) {
-                for row in &delta[pred.0 as usize] {
-                    visit(row, env, trail, cx);
-                }
-                return;
-            }
-            match db.pred(*pred) {
-                PredData::Rel(rel) => {
-                    // Fast path: a fully ground atom (every column a
-                    // literal or bound variable, no wildcards) is a plain
-                    // membership test — no index needed.
-                    if index_cols.len() == terms.len() {
-                        // A membership test, not an index probe: available
-                        // even with indexes disabled.
-                        if let Some(key) = probe_key(index_cols, terms, env) {
-                            if rel.contains(&key, db.spill()) {
-                                eval_body(
-                                    program,
-                                    db,
-                                    rule,
-                                    body,
-                                    item_idx + 1,
-                                    delta_pos,
-                                    delta,
-                                    env,
-                                    trail,
-                                    cx,
-                                );
-                            }
-                            return;
-                        }
-                    }
-                    if let Some(hits) = probe_key(index_cols, terms, env)
-                        .and_then(|key| rel.probe(index_cols, &key, db.spill()))
-                    {
-                        cx.probes += 1;
-                        for &i in hits {
-                            visit(rel.row(i), env, trail, cx);
-                        }
-                    } else {
-                        if !index_cols.is_empty() {
-                            cx.scans += 1;
-                        }
-                        for row in rel.rows() {
-                            visit(row, env, trail, cx);
-                        }
-                    }
-                }
-                PredData::Lat(lat) => {
-                    // Fast path: all key columns ground.
-                    if let Some(key) = ground_key(terms, env) {
-                        if let Some(cell) = lat.value(&key, db.spill()) {
-                            let mark = trail.len();
-                            match match_lattice_value(
-                                terms.last().expect("lattice arity >= 1"),
-                                cell,
-                                lat.ops(),
-                                env,
-                                trail,
-                            ) {
-                                Ok(true) => eval_body(
-                                    program,
-                                    db,
-                                    rule,
-                                    body,
-                                    item_idx + 1,
-                                    delta_pos,
-                                    delta,
-                                    env,
-                                    trail,
-                                    cx,
-                                ),
-                                Ok(false) => {}
-                                Err(p) => cx.fail(p),
-                            }
-                            unwind(env, trail, mark);
-                        }
-                        return;
-                    }
-                    if let Some(hits) = probe_key(index_cols, terms, env)
-                        .and_then(|key| lat.probe(index_cols, &key, db.spill()))
-                    {
-                        cx.probes += 1;
-                        for &i in hits {
-                            let key = lat.key(i);
-                            let cell = lat.cell(i);
-                            visit_lat(
-                                key,
-                                cell,
-                                terms,
-                                lat.ops(),
-                                env,
-                                trail,
-                                cx,
-                                |env, trail, cx| {
-                                    eval_body(
-                                        program,
-                                        db,
-                                        rule,
-                                        body,
-                                        item_idx + 1,
-                                        delta_pos,
-                                        delta,
-                                        env,
-                                        trail,
-                                        cx,
-                                    )
-                                },
-                            );
-                        }
-                    } else {
-                        if !index_cols.is_empty() {
-                            cx.scans += 1;
-                        }
-                        for (key, cell) in lat.iter() {
-                            visit_lat(
-                                key,
-                                cell,
-                                terms,
-                                lat.ops(),
-                                env,
-                                trail,
-                                cx,
-                                |env, trail, cx| {
-                                    eval_body(
-                                        program,
-                                        db,
-                                        rule,
-                                        body,
-                                        item_idx + 1,
-                                        delta_pos,
-                                        delta,
-                                        env,
-                                        trail,
-                                        cx,
-                                    )
-                                },
-                            );
-                        }
-                    }
-                }
-            }
-        }
-        CItem::NegAtom { pred, terms } => match exists_match(program, db, *pred, terms, env) {
-            Ok(false) => eval_body(
-                program,
-                db,
-                rule,
-                body,
-                item_idx + 1,
-                delta_pos,
-                delta,
-                env,
-                trail,
-                cx,
-            ),
-            Ok(true) => {}
-            Err(p) => cx.fail(p),
-        },
-        CItem::Filter { func, args } => {
-            let vals = eval_args(args, env);
-            let Some(result) = call_user_fn(program, *func, &vals, cx) else {
-                return;
-            };
-            match result {
-                Value::Bool(true) => eval_body(
-                    program,
-                    db,
-                    rule,
-                    body,
-                    item_idx + 1,
-                    delta_pos,
-                    delta,
-                    env,
-                    trail,
-                    cx,
-                ),
-                Value::Bool(false) => {}
-                other => cx.fail(EvalFault::Safety(Violation::FilterNotBoolean(vals, other))),
-            }
-        }
-        CItem::Choose { func, args, binds } => {
-            let vals = eval_args(args, env);
-            let Some(result) = call_user_fn(program, *func, &vals, cx) else {
-                return;
-            };
-            let Value::Set(elems) = &result else {
-                cx.fail(EvalFault::Safety(Violation::ChoiceMalformed(
-                    vals,
-                    result.clone(),
-                )));
-                return;
-            };
-            for elem in elems.iter() {
-                if cx.fault.is_some() {
-                    return;
-                }
-                let mark = trail.len();
-                let ok = if binds.len() == 1 {
-                    bind(env, trail, binds[0], elem.clone());
-                    true
-                } else {
-                    match elem.as_tuple() {
-                        Some(items) if items.len() == binds.len() => {
-                            for (slot, item) in binds.iter().zip(items) {
-                                bind(env, trail, *slot, item.clone());
-                            }
-                            true
-                        }
-                        _ => {
-                            cx.fail(EvalFault::Safety(Violation::ChoiceMalformed(
-                                vals.clone(),
-                                elem.clone(),
-                            )));
-                            false
-                        }
-                    }
-                };
-                if ok {
-                    eval_body(
-                        program,
-                        db,
-                        rule,
-                        body,
-                        item_idx + 1,
-                        delta_pos,
-                        delta,
-                        env,
-                        trail,
-                        cx,
-                    );
-                }
-                unwind(env, trail, mark);
-            }
-        }
-    }
-}
-
-/// Matches a lattice (key, cell) pair against atom terms.
-#[allow(clippy::too_many_arguments)]
-fn visit_lat(
-    key: &[Value],
-    cell: &Value,
-    terms: &[CTerm],
-    ops: &crate::LatticeOps,
-    env: &mut Env,
-    trail: &mut Trail,
-    cx: &mut EvalCx<'_>,
-    mut next: impl FnMut(&mut Env, &mut Trail, &mut EvalCx<'_>),
-) {
-    if cx.fault.is_some() {
-        return;
-    }
-    let mark = trail.len();
-    let key_terms = &terms[..terms.len() - 1];
-    let matched = match_tuple(key_terms, key, false, None, env, trail).and_then(|key_ok| {
-        if !key_ok {
-            return Ok(false);
-        }
-        match_lattice_value(terms.last().expect("arity >= 1"), cell, ops, env, trail)
-    });
-    match matched {
-        Ok(true) => next(env, trail, cx),
-        Ok(false) => {}
-        Err(p) => cx.fail(p),
-    }
-    unwind(env, trail, mark);
-}
-
-/// Unifies atom terms against a stored tuple. For lattice atoms
-/// (`is_lat`), the last term is matched with [`match_lattice_value`] and
-/// the rest positionally. Fails when a lattice operation panics.
-fn match_tuple(
-    terms: &[CTerm],
-    row: &[Value],
-    is_lat: bool,
-    ops: Option<&crate::LatticeOps>,
-    env: &mut Env,
-    trail: &mut Trail,
-) -> Result<bool, OpsPanic> {
-    debug_assert_eq!(terms.len(), row.len());
-    let n = terms.len();
-    for (i, (term, value)) in terms.iter().zip(row).enumerate() {
-        if is_lat && i == n - 1 {
-            let ops = ops.expect("lattice atoms carry ops");
-            if !match_lattice_value(term, value, ops, env, trail)? {
-                return Ok(false);
-            }
-            continue;
-        }
-        match term {
-            CTerm::Wild => {}
-            CTerm::Lit(l) => {
-                if l != value {
-                    return Ok(false);
-                }
-            }
-            CTerm::Var(slot) => match &env[*slot] {
-                Some(bound) => {
-                    if bound != value {
-                        return Ok(false);
-                    }
-                }
-                None => bind(env, trail, *slot, value.clone()),
-            },
-        }
-    }
-    Ok(true)
-}
-
-/// Matches the value column of a lattice atom against a cell value.
-///
-/// This implements the ground-instance semantics of §3.2: the atom
-/// `P(k̄, v)` is true when `v ⊑ cell(k̄)`. An unbound variable binds to the
-/// cell value (the greatest witness); a variable already bound to `w`
-/// rebinds to `w ⊓ cell` — the greatest element witnessing *both*
-/// occurrences, per the paper's `R(x) :- A(x), B(x)` example, whose minimal
-/// model holds `R(Odd ⊓ Even) = R(⊥)`. A `⊥` witness is dropped: every
-/// head derived from it through strict functions is `⊥`, which the
-/// database never stores.
-fn match_lattice_value(
-    term: &CTerm,
-    cell: &Value,
-    ops: &crate::LatticeOps,
-    env: &mut Env,
-    trail: &mut Trail,
-) -> Result<bool, OpsPanic> {
-    match term {
-        CTerm::Wild => Ok(true),
-        CTerm::Lit(l) => ops.try_leq(l, cell),
-        CTerm::Var(slot) => match &env[*slot] {
-            None => {
-                bind(env, trail, *slot, cell.clone());
-                Ok(true)
-            }
-            Some(bound) => {
-                let met = ops.try_glb(bound, cell)?;
-                if ops.is_bottom(&met) {
-                    return Ok(false);
-                }
-                if met != *bound {
-                    bind(env, trail, *slot, met);
-                }
-                Ok(true)
-            }
-        },
-    }
-}
-
-/// Builds the probe key for an index lookup; `None` when some index column
-/// is not ground (cannot happen for compiled `index_cols`, but kept
-/// defensive) or when `index_cols` is empty.
-fn probe_key(index_cols: &[usize], terms: &[CTerm], env: &Env) -> Option<Vec<Value>> {
-    if index_cols.is_empty() {
-        return None;
-    }
-    let mut key = Vec::with_capacity(index_cols.len());
-    for &col in index_cols {
-        match &terms[col] {
-            CTerm::Lit(v) => key.push(v.clone()),
-            CTerm::Var(slot) => key.push(env[*slot].clone()?),
-            CTerm::Wild => return None,
-        }
-    }
-    Some(key)
-}
-
-/// Returns the fully ground key of a lattice atom, if every key column is
-/// a literal or bound variable.
-fn ground_key(terms: &[CTerm], env: &Env) -> Option<Vec<Value>> {
-    let key_terms = &terms[..terms.len() - 1];
-    let mut key = Vec::with_capacity(key_terms.len());
-    for t in key_terms {
-        match t {
-            CTerm::Lit(v) => key.push(v.clone()),
-            CTerm::Var(slot) => key.push(env[*slot].clone()?),
-            CTerm::Wild => return None,
-        }
-    }
-    Some(key)
-}
-
-/// Existence check for negated atoms (all variables are ground by
-/// validation; wildcards may remain).
-fn exists_match(
-    program: &Program,
-    db: &Database,
-    pred: PredId,
-    terms: &[CTerm],
-    env: &mut Env,
-) -> Result<bool, OpsPanic> {
-    let is_lat = program.decl(pred).is_lattice();
-    let ops = program.decl(pred).lattice_ops();
-    let mut trail: Trail = Vec::new();
-    match db.pred(pred) {
-        PredData::Rel(rel) => {
-            for row in rel.rows() {
-                let mark = trail.len();
-                let matched = match_tuple(terms, row, false, None, env, &mut trail);
-                unwind(env, &mut trail, mark);
-                if matched? {
-                    return Ok(true);
-                }
-            }
-            Ok(false)
-        }
-        PredData::Lat(lat) => {
-            if let Some(key) = ground_key(terms, env) {
-                if let Some(cell) = lat.value(&key, db.spill()) {
-                    let mark = trail.len();
-                    let matched = match_lattice_value(
-                        terms.last().expect("arity >= 1"),
-                        cell,
-                        ops.expect("lattice"),
-                        env,
-                        &mut trail,
-                    );
-                    unwind(env, &mut trail, mark);
-                    return matched;
-                }
-                return Ok(false);
-            }
-            for (key, cell) in lat.iter() {
-                let mark = trail.len();
-                let matched =
-                    match_tuple(terms, &full_row(key, cell), is_lat, ops, env, &mut trail);
-                unwind(env, &mut trail, mark);
-                if matched? {
-                    return Ok(true);
-                }
-            }
-            Ok(false)
-        }
-    }
-}
-
-fn full_row(key: &[Value], cell: &Value) -> Vec<Value> {
-    let mut row = key.to_vec();
-    row.push(cell.clone());
-    row
-}
-
-fn eval_args(args: &[CTerm], env: &Env) -> Vec<Value> {
-    args.iter()
-        .map(|t| match t {
-            CTerm::Lit(v) => v.clone(),
-            CTerm::Var(slot) => env[*slot]
-                .clone()
-                .expect("validated: argument variables are bound"),
-            CTerm::Wild => panic!("wildcard cannot be a function argument"),
-        })
-        .collect()
-}
-
-fn derive_head(program: &Program, rule: &CRule, body: &[CItem], env: &Env, cx: &mut EvalCx<'_>) {
-    let mut tuple = Vec::with_capacity(rule.head.len());
-    for h in &rule.head {
-        match h {
-            CHead::Lit(v) => tuple.push(v.clone()),
-            CHead::Var(slot) => {
-                tuple.push(env[*slot].clone().expect("validated: head variables bound"))
-            }
-            CHead::App(func, args) => {
-                let vals = eval_args(args, env);
-                let Some(v) = call_user_fn(program, *func, &vals, cx) else {
-                    return;
-                };
-                tuple.push(v);
-            }
-        }
-    }
-    let premises = cx.provenance.then(|| {
-        body.iter()
-            .filter_map(|item| match item {
-                CItem::Atom { pred, terms, .. } => Some(Premise {
-                    pred: *pred,
-                    pattern: terms
-                        .iter()
-                        .map(|t| match t {
-                            CTerm::Lit(v) => Some(v.clone()),
-                            CTerm::Var(slot) => env[*slot].clone(),
-                            CTerm::Wild => None,
-                        })
-                        .collect(),
-                }),
-                _ => None,
-            })
-            .collect()
-    });
-    cx.out.push((rule.head_pred, tuple, premises));
 }
 
 /// The extensional store E a model is the least fixed point of: every
@@ -2713,9 +1968,10 @@ impl Solution {
         &self.db
     }
 
-    /// The database behind this solution, shared. The empty-delta
-    /// short-circuit in [`Solver::resume`](crate::incremental) returns a
-    /// new [`Solution`] over the same allocation instead of cloning.
+    /// The database behind this solution, shared. The empty-delta and
+    /// rejected-delta exits of [`Solver::resume`](crate::incremental)
+    /// return a new [`Solution`] over the same allocation instead of
+    /// cloning.
     pub(crate) fn database_arc(&self) -> Arc<Database> {
         Arc::clone(&self.db)
     }

@@ -156,6 +156,49 @@ fn choose_from_non_set_is_a_safety_violation() {
 }
 
 #[test]
+fn choice_shadowing_a_bound_variable_is_scoped_to_its_sub_join() {
+    // Out(y) :- B(y), A(x, y), y <- succ(x). The choice rebinds `y` for
+    // the head only: each further A row must still be checked against the
+    // `y` that B bound, whatever the provenance setting or strategy.
+    let mut b = ProgramBuilder::new();
+    let bb = b.relation("B", 1);
+    let a = b.relation("A", 2);
+    let out = b.relation("Out", 1);
+    let succ = b.function("succ", |args| {
+        Value::set([Value::Int(args[0].as_int().expect("int") + 1)])
+    });
+    b.fact(bb, vec![1.into()]);
+    b.fact(a, vec![10.into(), 1.into()]);
+    b.fact(a, vec![20.into(), 1.into()]);
+    b.fact(a, vec![30.into(), 2.into()]);
+    b.rule(
+        Head::new(out, [HeadTerm::var("y")]),
+        [
+            BodyItem::atom(bb, [Term::var("y")]),
+            BodyItem::atom(a, [Term::var("x"), Term::var("y")]),
+            BodyItem::choose(succ, [Term::var("x")], "y"),
+        ],
+    );
+    let program = b.build().expect("valid");
+    for provenance in [false, true] {
+        for strategy in [flix_core::Strategy::Naive, flix_core::Strategy::SemiNaive] {
+            let solution = Solver::new()
+                .strategy(strategy)
+                .record_provenance(provenance)
+                .solve(&program)
+                .expect("solves");
+            let mut got: Vec<i64> = solution
+                .relation("Out")
+                .expect("relation")
+                .map(|row| row[0].as_int().expect("int"))
+                .collect();
+            got.sort_unstable();
+            assert_eq!(got, vec![11, 21], "{strategy:?} provenance={provenance}");
+        }
+    }
+}
+
+#[test]
 fn lattice_fact_at_bottom_is_a_no_op() {
     let mut b = ProgramBuilder::new();
     let a = b.lattice("A", 2, LatticeOps::of::<Parity>());

@@ -557,3 +557,218 @@ fn budget_error_display_is_informative() {
         "{msg}"
     );
 }
+
+// ---------------------------------------------------------------------------
+// Fault parity through compiled plans: choice bindings and mid-plan budget
+// trips, provenance on. Each fault must surface as the structured variant
+// with the faulting rule named, and leave a usable partial model whose
+// event log describes exactly the partial database.
+// ---------------------------------------------------------------------------
+
+/// `Reach` walks a 4-edge chain one node per round; rule #1, in the same
+/// stratum, feeds every reached node to `choice` and derives `Out` from
+/// the elements it returns.
+fn choice_program(
+    binds: &[&'static str],
+    choice: impl Fn(&[Value]) -> Value + Send + Sync + 'static,
+) -> Program {
+    let mut b = ProgramBuilder::new();
+    let edge = b.relation("Edge", 2);
+    let reach = b.relation("Reach", 1);
+    let out = b.relation("Out", 2);
+    let pick = b.function("pick", choice);
+    for i in 1..5i64 {
+        b.fact(edge, vec![i.into(), (i + 1).into()]);
+    }
+    b.fact(reach, vec![1.into()]);
+    b.rule(
+        Head::new(reach, [HeadTerm::var("y")]),
+        [
+            BodyItem::atom(reach, [Term::var("x")]),
+            BodyItem::atom(edge, [Term::var("x"), Term::var("y")]),
+        ],
+    );
+    let head_var = *binds.last().expect("at least one bind");
+    b.rule(
+        Head::new(out, [HeadTerm::var("x"), HeadTerm::var(head_var)]),
+        [
+            BodyItem::atom(reach, [Term::var("x")]),
+            BodyItem::choose_tuple(pick, [Term::var("x")], binds.iter().copied()),
+        ],
+    );
+    b.build().expect("valid")
+}
+
+/// Solves with provenance on, expecting a failure, and checks that the
+/// partial model is usable and that its log and database agree fact for
+/// fact (the programs here are relational: one event per stored tuple).
+fn fail_with_consistent_log(solver: Solver, program: &Program) -> Box<flix_core::SolveFailure> {
+    let failure = solver
+        .record_provenance(true)
+        .solve(program)
+        .expect_err("the injected fault fails the solve");
+    let partial = &failure.partial;
+    let events = partial.provenance().expect("the partial keeps its log");
+    assert!(partial.total_facts() > 0, "facts derived before the fault");
+    assert_eq!(events.len(), partial.total_facts(), "one event per fact");
+    for event in events {
+        let name = program.decl(event.pred).name();
+        assert!(
+            partial.contains(name, &event.tuple),
+            "{name}{:?}",
+            event.tuple
+        );
+    }
+    assert_eq!(failure.stats.total_facts, partial.total_facts() as u64);
+    failure
+}
+
+#[test]
+fn choice_returning_a_non_set_is_malformed_with_rule_context() {
+    let program = choice_program(&["z"], |args| match args[0].as_int() {
+        Some(n) if n >= 3 => Value::Int(n),
+        _ => Value::set([args[0].clone()]),
+    });
+    let failure = fail_with_consistent_log(Solver::new(), &program);
+    match &failure.error {
+        SolveError::SafetyViolation {
+            predicate,
+            rule,
+            violation: Violation::ChoiceMalformed(args, out),
+        } => {
+            assert_eq!(predicate, "Out");
+            assert_eq!(*rule, Some(1));
+            assert_eq!(args, &vec![Value::Int(3)]);
+            assert_eq!(out, &Value::Int(3));
+        }
+        other => panic!("expected ChoiceMalformed, got {other:?}"),
+    }
+    // The round that reached node 3 is dropped whole; the two before it
+    // survive.
+    assert_eq!(failure.partial.len("Reach"), Some(3));
+    assert_eq!(failure.partial.len("Out"), Some(2));
+}
+
+#[test]
+fn choice_element_of_the_wrong_arity_is_malformed_with_rule_context() {
+    let program = choice_program(&["p", "q"], |args| {
+        let x = args[0].clone();
+        Value::set([
+            Value::tuple([x.clone(), x.clone()]),
+            Value::tuple([x.clone(), x.clone(), x]),
+        ])
+    });
+    let failure = fail_with_consistent_log(Solver::new(), &program);
+    match &failure.error {
+        SolveError::SafetyViolation {
+            predicate,
+            rule,
+            violation: Violation::ChoiceMalformed(args, out),
+        } => {
+            assert_eq!(predicate, "Out");
+            assert_eq!(*rule, Some(1));
+            assert_eq!(args, &vec![Value::Int(1)]);
+            assert_eq!(out, &Value::tuple([1.into(), 1.into(), 1.into()]));
+        }
+        other => panic!("expected ChoiceMalformed, got {other:?}"),
+    }
+    // The well-formed element before the malformed one derives nothing:
+    // the faulting evaluation's output is discarded.
+    assert_eq!(failure.partial.len("Reach"), Some(1));
+    assert_eq!(failure.partial.len("Out"), Some(0));
+}
+
+#[test]
+fn panicking_choice_function_is_named_with_rule_context() {
+    let program = choice_program(&["z"], |args| {
+        if args[0].as_int() == Some(4) {
+            panic!("choice exploded on 4");
+        }
+        Value::set([args[0].clone()])
+    });
+    for threads in [1, 4] {
+        let failure = fail_with_consistent_log(Solver::new().threads(threads), &program);
+        match &failure.error {
+            SolveError::FunctionPanicked {
+                predicate,
+                rule,
+                function,
+                payload,
+            } => {
+                assert_eq!(predicate, "Out");
+                assert_eq!(*rule, Some(1));
+                assert_eq!(function, "pick");
+                assert!(payload.contains("choice exploded on 4"), "{payload}");
+            }
+            other => panic!("expected FunctionPanicked, got {other:?}"),
+        }
+        assert_eq!(failure.partial.len("Reach"), Some(4));
+        assert_eq!(failure.partial.len("Out"), Some(3));
+    }
+}
+
+#[test]
+fn cancellation_mid_plan_with_provenance_keeps_a_consistent_partial() {
+    // Stratum 0 closes `Reach`; the negation puts `Out` in stratum 1: one
+    // evaluation of a ~1M-row cross product whose filter cancels the solve
+    // on its 1000th call. No round boundary follows, so only the in-plan
+    // poll can notice.
+    let token = CancelToken::new();
+    let trip = token.clone();
+    let calls = std::sync::atomic::AtomicU64::new(0);
+    let mut b = ProgramBuilder::new();
+    let edge = b.relation("Edge", 2);
+    let reach = b.relation("Reach", 1);
+    let out = b.relation("Out", 3);
+    let blocked = b.relation("Blocked", 1);
+    let never = b.function("never", move |_| {
+        if calls.fetch_add(1, std::sync::atomic::Ordering::Relaxed) == 1000 {
+            trip.cancel();
+        }
+        Value::Bool(false)
+    });
+    for i in 0..100i64 {
+        b.fact(edge, vec![i.into(), (i + 1).into()]);
+    }
+    b.fact(reach, vec![0.into()]);
+    b.rule(
+        Head::new(reach, [HeadTerm::var("y")]),
+        [
+            BodyItem::atom(reach, [Term::var("x")]),
+            BodyItem::atom(edge, [Term::var("x"), Term::var("y")]),
+        ],
+    );
+    b.rule(
+        Head::new(
+            out,
+            [HeadTerm::var("x"), HeadTerm::var("y"), HeadTerm::var("z")],
+        ),
+        [
+            BodyItem::atom(reach, [Term::var("x")]),
+            BodyItem::atom(reach, [Term::var("y")]),
+            BodyItem::atom(reach, [Term::var("z")]),
+            BodyItem::filter(never, [Term::var("x")]),
+            BodyItem::not(blocked, [Term::var("x")]),
+        ],
+    );
+    let program = b.build().expect("valid");
+    let solver = Solver::new().budget(Budget::new().cancel_token(token));
+    let failure = fail_with_consistent_log(solver, &program);
+    assert!(
+        matches!(
+            &failure.error,
+            SolveError::BudgetExceeded {
+                kind: BudgetKind::Cancelled,
+                ..
+            }
+        ),
+        "got {:?}",
+        failure.error
+    );
+    assert_eq!(
+        failure.partial.len("Reach"),
+        Some(101),
+        "stratum 0 survived"
+    );
+    assert_eq!(failure.partial.len("Out"), Some(0));
+}

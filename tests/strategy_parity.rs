@@ -138,25 +138,32 @@ fn figure_2_dataflow_parity() {
 
 // ---------------------------------------------------------------------------
 // Differential property suite: seeded random programs, every strategy ×
-// kernel combination.
+// threads × provenance combination.
 //
-// The specialized join kernels promise *observational equivalence* with
-// the generic evaluator: same minimal model, same statistics (including
-// gross counters — `facts_derived`, probes, scans — within a strategy),
-// same convergence profile. Structured-random programs exercise the
-// corners the hand-written workloads miss: lattice heads at several key
-// widths (including past the kernels' inline-key width, which forces the
-// wide-key fallback), relational heads, filters, multiple seeds, and
-// disconnected graphs.
+// One engine runs every configuration, so the reference is the paper's
+// own definition, not a second evaluator: the result must be a model
+// (`is_model`) that no one-step reduction keeps a model
+// (`is_locally_minimal`), and a recorded event log must be a well-founded
+// proof forest over it. Structured-random programs exercise the corners
+// the hand-written workloads miss: lattice heads at several key widths
+// (including past the plans' inline-key width, which forces the wide-key
+// fallback), relational heads, filters, multiple seeds, disconnected
+// graphs, a negated upper stratum over a relation and over a lattice
+// (ground key, wildcard key, wildcard / literal / bound value), and `<-`
+// choice rules (single bind and tuple destructuring, optionally feeding
+// back into the recursion).
 // ---------------------------------------------------------------------------
 
+use flix::core::model::{is_locally_minimal, is_model};
+use flix::core::provenance::{Event, Source};
 use flix::lattice::rng::SmallRng;
 use flix::lattice::MinCost;
 use flix::ValueLattice;
 
 /// One random weighted digraph plus derived-predicate program. The shape
 /// is drawn from the seed: node/edge counts, weights, the lattice key
-/// width, an optional weight filter, and an optional second seed fact.
+/// width, an optional weight filter, an optional second seed fact, and
+/// the forms of the negated and choice rules.
 fn random_program(seed: u64) -> Program {
     let mut rng = SmallRng::seed_from_u64(seed);
     let nodes = rng.gen_range(4i64..11);
@@ -209,7 +216,7 @@ fn random_program(seed: u64) -> Program {
 
     // Dist(y…, d + c) :- Dist(x…, d), Edge(x, y, c) — the key repeats
     // one node variable `key_width` times, so width 5 exercises the
-    // kernels' wide-key fallback while staying a shortest-path fixpoint.
+    // plans' wide-key fallback while staying a shortest-path fixpoint.
     let mut head_terms: Vec<HeadTerm> = (0..key_width).map(|_| HeadTerm::var("y")).collect();
     head_terms.push(HeadTerm::app(extend, [Term::var("d"), Term::var("c")]));
     let mut dist_atom: Vec<Term> = vec![Term::var("x")];
@@ -223,92 +230,255 @@ fn random_program(seed: u64) -> Program {
         ],
     );
 
+    // The negated upper stratum. All draws sit after the ones above, so
+    // the positive core of each seed is the program it always was.
+    let node = b.relation("Node", 1);
+    let unreached = b.relation("Unreached", 1);
+    let unsettled = b.relation("Unsettled", 1);
+    let far = b.relation("Far", 2);
+    for n in 0..nodes {
+        b.fact(node, vec![n.into()]);
+    }
+    // Unreached(x) :- Node(x), !Reach(x).
+    b.rule(
+        Head::new(unreached, [HeadTerm::var("x")]),
+        [
+            BodyItem::atom(node, [Term::var("x")]),
+            BodyItem::not(reach, [Term::var("x")]),
+        ],
+    );
+    // Unsettled(x) :- Node(x), !Dist(x…, _): the key is either fully
+    // ground (one cell lookup) or wildcarded past its first column (a
+    // scan of the settled cells).
+    let ground_key = key_width == 1 || rng.gen_bool(0.5);
+    let neg_key = |var: &str| -> Vec<Term> {
+        let mut key = vec![Term::var(var)];
+        key.extend((1..key_width).map(|_| {
+            if ground_key {
+                Term::var(var)
+            } else {
+                Term::Wildcard
+            }
+        }));
+        key
+    };
+    let mut neg_dist = neg_key("x");
+    neg_dist.push(Term::Wildcard);
+    b.rule(
+        Head::new(unsettled, [HeadTerm::var("x")]),
+        [
+            BodyItem::atom(node, [Term::var("x")]),
+            BodyItem::not(dist, neg_dist),
+        ],
+    );
+    // Far(x, y) :- Dist(x…, d), Edge(x, y, _), !Dist(y…, v) with v a
+    // literal cost or the bound witness d.
+    let mut far_dist: Vec<Term> = vec![Term::var("x"); key_width];
+    far_dist.push(Term::var("d"));
+    let mut neg_far = neg_key("y");
+    neg_far.push(if rng.gen_bool(0.5) {
+        Term::lit(MinCost::finite(rng.gen_range(1u64..12)).to_value())
+    } else {
+        Term::var("d")
+    });
+    b.rule(
+        Head::new(far, [HeadTerm::var("x"), HeadTerm::var("y")]),
+        [
+            BodyItem::atom(dist, far_dist),
+            BodyItem::atom(edge, [Term::var("x"), Term::var("y"), Term::Wildcard]),
+            BodyItem::not(dist, neg_far),
+        ],
+    );
+
+    // The choice rule: Hop(x, z) :- Reach(x), Edge(x, y, c), z <- spread(y, c)
+    // or, destructuring, Hop(p, q) :- …, (p, q) <- pairs(y, c).
+    let hop = b.relation("Hop", 2);
+    let hop_body = |choice: BodyItem| {
+        [
+            BodyItem::atom(reach, [Term::var("x")]),
+            BodyItem::atom(edge, [Term::var("x"), Term::var("y"), Term::var("c")]),
+            choice,
+        ]
+    };
+    if rng.gen_bool(0.5) {
+        let spread = b.function("spread", move |args| {
+            let (y, c) = (
+                args[0].as_int().expect("node"),
+                args[1].as_int().expect("w"),
+            );
+            Value::set([Value::from(y), Value::from((y + c) % nodes)])
+        });
+        b.rule(
+            Head::new(hop, [HeadTerm::var("x"), HeadTerm::var("z")]),
+            hop_body(BodyItem::choose(
+                spread,
+                [Term::var("y"), Term::var("c")],
+                "z",
+            )),
+        );
+    } else {
+        let pairs = b.function("pairs", |args| {
+            let (y, c) = (args[0].clone(), args[1].clone());
+            Value::set([Value::tuple([y.clone(), c.clone()]), Value::tuple([c, y])])
+        });
+        b.rule(
+            Head::new(hop, [HeadTerm::var("p"), HeadTerm::var("q")]),
+            hop_body(BodyItem::choose_tuple(
+                pairs,
+                [Term::var("y"), Term::var("c")],
+                ["p", "q"],
+            )),
+        );
+    }
+    // Optionally close the loop, Reach(z) :- Hop(_, z), so the choice
+    // sits inside the recursion and its delta variants run.
+    if rng.gen_bool(0.5) {
+        b.rule(
+            Head::new(reach, [HeadTerm::var("z")]),
+            [BodyItem::atom(hop, [Term::Wildcard, Term::var("z")])],
+        );
+    }
+
     b.build().expect("the generated program is well-formed")
 }
 
-/// Solves one random program under every strategy × kernels combination
-/// and asserts cell-for-cell model equality plus statistics parity:
-/// strategy-invariant statistics across all runs, and *gross* counters
-/// (`facts_derived`, probes, scans) between the kernel and generic paths
-/// of the same strategy.
+/// Checks that a recorded event log is a well-founded proof forest over
+/// the final model: every premise of every rule event holds in the model
+/// and was logged before the conclusion it supports.
+fn assert_log_is_grounded(label: &str, program: &Program, solution: &Solution) {
+    let events: &[Event] = solution.provenance().expect("provenance was recorded");
+    assert!(!events.is_empty(), "{label}: the log is not empty");
+    for (i, event) in events.iter().enumerate() {
+        let Source::Rule { premises, .. } = &event.source else {
+            continue;
+        };
+        for premise in premises {
+            let decl = program.decl(premise.pred);
+            // Does `tuple` (a stored fact or an earlier logged one)
+            // establish the premise? Lattice premises carry a witness
+            // that must sit at or below the value it was read from.
+            let establishes = |tuple: &[Value]| match decl.lattice_ops() {
+                None => premise
+                    .pattern
+                    .iter()
+                    .zip(tuple)
+                    .all(|(p, v)| p.as_ref().is_none_or(|p| p == v)),
+                Some(ops) => {
+                    let n = tuple.len() - 1;
+                    premise.pattern[..n]
+                        .iter()
+                        .zip(tuple)
+                        .all(|(p, v)| p.as_ref().is_none_or(|p| p == v))
+                        && premise.pattern[n]
+                            .as_ref()
+                            .is_none_or(|w| ops.leq(w, &tuple[n]))
+                }
+            };
+            let holds = solution.facts(decl.name()).expect("declared").any(|fact| {
+                let mut tuple = fact.key().to_vec();
+                tuple.extend(fact.value().cloned());
+                establishes(&tuple)
+            });
+            assert!(
+                holds,
+                "{label}: event {i} has a premise the final model does not hold: {premise:?}"
+            );
+            assert!(
+                events[..i]
+                    .iter()
+                    .any(|e| e.pred == premise.pred && establishes(&e.tuple)),
+                "{label}: event {i} is logged before its premise {premise:?}"
+            );
+        }
+    }
+}
+
+/// The gross work counters: equal whenever the same strategy ran,
+/// whatever the thread count and whether or not provenance was recorded.
+fn work(solution: &Solution) -> (u64, u64, u64, u64) {
+    let s = solution.stats();
+    (
+        s.rule_evaluations,
+        s.facts_derived,
+        s.index_probes,
+        s.scan_fallbacks,
+    )
+}
+
+/// Solves one random program under every strategy × threads × provenance
+/// combination and asserts: one model, checked against the model-theoretic
+/// definition; strategy-invariant statistics across all runs; gross
+/// counters equal within a strategy; and, with provenance on, a grounded
+/// event log that does not depend on the thread count.
 fn assert_differential_parity(seed: u64) {
     let program = random_program(seed);
-    let configs: Vec<(&str, Solver)> = vec![
-        (
-            "naive/generic",
-            Solver::new().strategy(Strategy::Naive).kernels(false),
-        ),
-        (
-            "naive/kernels",
-            Solver::new().strategy(Strategy::Naive).kernels(true),
-        ),
-        (
-            "semi-naive/generic",
-            Solver::new().strategy(Strategy::SemiNaive).kernels(false),
-        ),
-        (
-            "semi-naive/kernels",
-            Solver::new().strategy(Strategy::SemiNaive).kernels(true),
-        ),
-        (
-            "semi-naive x4/kernels",
-            Solver::new()
-                .strategy(Strategy::SemiNaive)
-                .threads(4)
-                .kernels(true),
-        ),
-    ];
-    let runs: Vec<(&str, Solution)> = configs
-        .into_iter()
-        .map(|(name, solver)| (name, solver.solve(&program).expect("solves")))
-        .collect();
-    let (base_name, base) = &runs[0];
+    let mut runs: Vec<(String, Strategy, Solution)> = Vec::new();
+    for strategy in [Strategy::Naive, Strategy::SemiNaive] {
+        for threads in [1, 4] {
+            for provenance in [false, true] {
+                let solver = Solver::new()
+                    .strategy(strategy)
+                    .threads(threads)
+                    .record_provenance(provenance);
+                let name = format!(
+                    "seed {seed}: {} x{threads} provenance={provenance}",
+                    strategy.name()
+                );
+                runs.push((name, strategy, solver.solve(&program).expect("solves")));
+            }
+        }
+    }
+    let (base_name, _, base) = &runs[0];
+    assert!(
+        is_model(&program, base),
+        "{base_name}: the result is a model"
+    );
+    assert!(
+        is_locally_minimal(&program, base),
+        "{base_name}: the result is minimal"
+    );
     let base_dump = dump(&program, base);
-    for (name, solution) in &runs[1..] {
+    for (name, strategy, solution) in &runs {
         assert_eq!(
             dump(&program, solution),
             base_dump,
-            "seed {seed}: {name} and {base_name} disagree on the minimal model"
+            "{name} and {base_name} disagree on the minimal model"
         );
         let stats = solution.stats();
         assert_eq!(
             stats.facts_inserted,
             base.stats().facts_inserted,
-            "seed {seed}: {name} net insertions"
+            "{name} net insertions"
         );
         assert_eq!(
             stats.total_facts,
             base.stats().total_facts,
-            "seed {seed}: {name} total facts"
+            "{name} total facts"
         );
         assert_eq!(
             stats.per_stratum,
             base.stats().per_stratum,
-            "seed {seed}: {name} convergence profile"
+            "{name} convergence profile"
         );
-    }
-    // Gross-counter parity within a strategy: the kernel interpreter must
-    // derive, probe, and scan exactly like the generic evaluator.
-    for pair in [(0usize, 1usize), (2, 3)] {
-        let (gen_name, generic) = &runs[pair.0];
-        let (ker_name, kernels) = &runs[pair.1];
-        let (g, k) = (generic.stats(), kernels.stats());
-        assert_eq!(
-            g.facts_derived, k.facts_derived,
-            "seed {seed}: {ker_name} vs {gen_name} facts_derived"
-        );
-        assert_eq!(
-            g.index_probes, k.index_probes,
-            "seed {seed}: {ker_name} vs {gen_name} index_probes"
-        );
-        assert_eq!(
-            g.scan_fallbacks, k.scan_fallbacks,
-            "seed {seed}: {ker_name} vs {gen_name} scan_fallbacks"
-        );
-        assert_eq!(
-            g.rule_evaluations, k.rule_evaluations,
-            "seed {seed}: {ker_name} vs {gen_name} rule_evaluations"
-        );
+        // Within a strategy neither threads nor provenance change the
+        // work done or the log written.
+        let (peer_name, _, peer) = runs
+            .iter()
+            .find(|(_, s, _)| s == strategy)
+            .expect("the run itself");
+        assert_eq!(work(solution), work(peer), "{name} vs {peer_name} work");
+        if solution.provenance().is_some() {
+            assert_log_is_grounded(name, &program, solution);
+            let (logged_name, _, logged) = runs
+                .iter()
+                .find(|(_, s, sol)| s == strategy && sol.provenance().is_some())
+                .expect("the run itself");
+            assert_eq!(
+                solution.provenance(),
+                logged.provenance(),
+                "{name} vs {logged_name} event log"
+            );
+        }
     }
 }
 

@@ -104,12 +104,11 @@ use crate::ast::{
     BodyItem, FuncId, Head, HeadTerm, PredDecl, PredKind, ProgramError, RawRule, Term,
 };
 use crate::database::Database;
-use crate::guard::Guard;
 use crate::observe::{Observer, RuleEvaluated};
 use crate::program::CTerm;
 use crate::program::{CHead, CItem, CRule, Program};
 use crate::provenance::{Event, Source};
-use crate::solver::{make_solution, rule_heads, Fact};
+use crate::solver::{rule_heads, Fact, Finished, Run};
 use crate::stratify::check_stratifiable;
 use crate::trace::{AscentWarning, SpanKind, Tracer};
 use crate::{PredId, Solution, SolveError, SolveFailure, SolveStats, Solver, Value};
@@ -960,6 +959,11 @@ impl Observer for RemapObserver {
         self.inner.resume_started(delta_entries);
     }
 
+    fn solve_finished(&self, stats: &SolveStats) {
+        // Already folded onto the original rules by the time it fires.
+        self.inner.solve_finished(stats);
+    }
+
     fn ascent_warning(&self, warning: &AscentWarning) {
         // Lattice predicates keep their names through the rewrite, so
         // the warning is already in the original program's terms.
@@ -1078,18 +1082,8 @@ impl Solver {
         let resolved = match resolve_queries(program, queries) {
             Ok(resolved) => resolved,
             Err(e) => {
-                let db = Database::for_program(program, self.config.use_indexes);
-                let mut stats = SolveStats::for_program(program);
-                stats.wall_ns = wall_start.elapsed().as_nanos() as u64;
-                if let Some(obs) = &self.config.observer {
-                    obs.solve_finished(&stats);
-                }
-                let partial = make_solution(program, db, stats.clone(), None, None);
-                return Err(Box::new(SolveFailure {
-                    error: SolveError::Demand(e),
-                    partial,
-                    stats,
-                }));
+                let run = Run::fresh(self, program, Arc::clone(&program.facts));
+                return Err(run.reject(SolveError::Demand(e)));
             }
         };
 
@@ -1123,8 +1117,9 @@ impl Solver {
             });
         };
 
-        // Solve the rewritten program with an observer shim translating
-        // rule indices back to the original program.
+        // Solve the rewritten program — the same composition as `solve`
+        // — with an observer shim translating rule indices back to the
+        // original program.
         let mut sub = self.clone();
         if let Some(obs) = &self.config.observer {
             sub.config.observer = Some(Arc::new(RemapObserver {
@@ -1132,63 +1127,37 @@ impl Solver {
                 origin: rw.rule_origin.clone(),
             }));
         }
-        let guard = Guard::new(&sub.config.budget);
-        let mut db = Database::for_program(&rw.program, sub.config.use_indexes);
-        if sub.config.ascent.is_some() {
-            db.enable_ascent();
-        }
-        let mut run_stats = SolveStats::for_program(&rw.program);
-        let mut events: Option<Vec<Event>> = sub.config.record_provenance.then(Vec::new);
-        let outcome = sub.solve_inner(
-            &rw.program,
-            &guard,
-            &mut db,
-            crate::solver::FactSource::ProgramPlus(&[]),
-            &mut run_stats,
-            &mut events,
-            &tracer,
-        );
+        let mut run = Run::fresh(&sub, &rw.program, Arc::clone(&rw.program.facts))
+            .started(wall_start, tracer);
+        let outcome = run.strata().and_then(|strata| run.scratch(&strata));
 
-        // Strip the demand machinery: truncate the database back to the
-        // original predicates, fold rewritten-rule work onto original
-        // rules, translate provenance. The trace is remapped the same
-        // way: demand-internal rule spans collapse onto the user-facing
-        // rules they propagate for.
-        tracer.record(0, SpanKind::Solve, 0);
-        let trace = tracer.finish(rule_heads(&rw.program)).map(|mut t| {
-            t.remap_rules(&rw.rule_origin, rule_heads(program));
-            t
-        });
-        let db = db.truncated(rw.num_original_preds);
-        run_stats.wall_ns = wall_start.elapsed().as_nanos() as u64;
-        let stats = remap_stats(program, &rw, run_stats, &db);
-        if let Some(obs) = &self.config.observer {
-            obs.solve_finished(&stats);
-        }
-        let events = events.map(|ev| remap_events(&rw, ev));
-        let solution = make_solution(program, db, stats.clone(), events, trace);
-        match outcome {
-            Ok(()) => Ok(QueryResult {
-                solution,
-                queries: queries.to_vec(),
-                demanded: rw.demanded,
-                full: rw.full,
-                fallback: false,
-            }),
-            Err(mut error) => {
-                if let SolveError::RoundLimitExceeded { stats: s, .. }
-                | SolveError::BudgetExceeded { stats: s, .. } = &mut error
-                {
-                    *s = stats.clone();
-                }
-                let error = remap_error(program, &rw, error);
-                Err(Box::new(SolveFailure {
-                    error,
-                    partial: solution,
-                    stats,
-                }))
+        // Strip the demand machinery before anyone sees the result:
+        // truncate the database back to the original predicates, fold
+        // rewritten-rule work onto original rules, translate provenance
+        // and failure details. The trace is remapped the same way:
+        // demand-internal rule spans collapse onto the user-facing rules
+        // they propagate for.
+        let solution = run.finish_as(program, outcome, |out| {
+            let db = Arc::new(Arc::unwrap_or_clone(out.db).truncated(rw.num_original_preds));
+            Finished {
+                stats: remap_stats(program, &rw, out.stats, &db),
+                db,
+                edb: Arc::clone(&program.facts),
+                events: out.events.map(|ev| remap_events(&rw, ev)),
+                trace: out.trace.map(|mut t| {
+                    t.remap_rules(&rw.rule_origin, rule_heads(program));
+                    t
+                }),
+                outcome: out.outcome.map_err(|e| remap_error(program, &rw, e)),
             }
-        }
+        })?;
+        Ok(QueryResult {
+            solution,
+            queries: queries.to_vec(),
+            demanded: rw.demanded,
+            full: rw.full,
+            fallback: false,
+        })
     }
 }
 

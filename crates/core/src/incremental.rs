@@ -38,10 +38,15 @@
 //!   speedup: deltas reaching a negated body atom (insertions into a
 //!   negated predicate invalidate derivations; retractions create new
 //!   ones), and retractions when the prior solve did not record a
-//!   complete provenance log. Retractions additionally require the
-//!   prior's extensional store to be known; a solution loaded from a
-//!   version-1 snapshot rejects them with
-//!   [`DeltaError::NoExtensionalBase`].
+//!   complete provenance log.
+//!
+//! All three are compositions of the same primitives `solve` is written
+//! in — assert extensional facts, run a stratum from a seed, finish
+//! (`Run` in `solver.rs`): a monotone resume asserts the net additions
+//! and runs the strata they reach from their pending changes; a
+//! retracting one rebuilds without the cone, asserts E′, and runs
+//! strata whose heads lost facts in full; a fallback resets and does
+//! exactly what `solve` does, over E′.
 //!
 //! # Example
 //!
@@ -89,19 +94,14 @@
 // like `solver.rs`; it is boxed inside `SolveFailure` at the API boundary.
 #![allow(clippy::result_large_err)]
 
-use crate::database::{Database, InsertOutcome, PredData, Row};
-use crate::guard::Guard;
-use crate::observe::StratumStats;
 use crate::program::{CItem, Program};
 use crate::provenance::{pattern_matches, Event, Source};
-use crate::solver::{accumulate_change, insert_fault_error, make_solution, FactSource};
-use crate::stratify::{stratify, Strata};
-use crate::trace::{SpanKind, Tracer};
-use crate::{PredId, Solution, SolveError, SolveFailure, SolveStats, Solver, Strategy, Value};
+use crate::solver::{Run, Seed};
+use crate::trace::SpanKind;
+use crate::{PredId, Solution, SolveError, SolveFailure, Solver, Value};
 use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::sync::Arc;
-use std::time::Instant;
 
 /// One update to the extensional store: an assertion added or removed.
 ///
@@ -299,10 +299,6 @@ pub enum DeltaError {
     /// The prior solution was not produced from the program being
     /// resumed: predicate names, order, or kinds differ.
     SolutionMismatch,
-    /// The delta retracts or lowers, but the prior solution's
-    /// extensional store is unknown (it was loaded from a version-1
-    /// snapshot), so the net effect of a removal cannot be determined.
-    NoExtensionalBase,
 }
 
 impl fmt::Display for DeltaError {
@@ -323,12 +319,6 @@ impl fmt::Display for DeltaError {
                 f,
                 "prior solution does not match the program being resumed \
                  (was it produced by solving a different program?)"
-            ),
-            DeltaError::NoExtensionalBase => write!(
-                f,
-                "delta retracts facts but the prior solution's extensional \
-                 store is unknown (was it loaded from a version-1 snapshot?); \
-                 solve from scratch instead"
             ),
         }
     }
@@ -371,7 +361,7 @@ impl Solver {
     /// Resumed work is observable like any other solve: rounds, rule
     /// evaluations, and net insertions (including the delta's own
     /// insertions and any re-asserted survivors, counted like fact
-    /// loads) appear in [`SolveStats`], the per-rule/per-stratum
+    /// loads) appear in [`crate::SolveStats`], the per-rule/per-stratum
     /// profiles, and the attached [`crate::Observer`], and the
     /// configured [`crate::Budget`] governs the resumed rounds.
     /// Statistics describe the *resumed* run only; `per_stratum` holds
@@ -397,672 +387,217 @@ impl Solver {
         prior: &Solution,
         delta: &Delta,
     ) -> Result<Solution, Box<SolveFailure>> {
-        let wall_start = Instant::now();
-        let guard = Guard::new(&self.config.budget);
-        let tracer = Tracer::new(self.config.trace.as_ref());
+        // The run starts on the prior model itself, shared: the exits
+        // that change nothing hand that same database back, and the
+        // warm-start copy is taken only when something is written.
+        let mut run = Run::new(self, program, prior.database_arc(), Arc::clone(prior.edb()));
         if let Some(obs) = &self.config.observer {
             obs.resume_started(delta.len());
         }
-        let mut stats = SolveStats::for_program(program);
 
         // Validate the prior solution and the delta before touching
         // anything; on a validation error the partial model is the
         // unmodified prior model.
-        let validated = check_prior(program, prior)
-            .and_then(|()| resolve_delta(program, delta))
-            .and_then(|ops| {
-                if prior.edb().is_none() && ops.iter().any(|op| !op.add) {
-                    Err(DeltaError::NoExtensionalBase)
-                } else {
-                    Ok(ops)
-                }
-            });
-        let resolved = match validated {
-            Ok(resolved) => resolved,
-            Err(e) => {
-                // Rejected before anything was touched: share the prior
-                // database rather than copying a model only to return it.
-                let db = prior.database_arc();
-                stats.total_facts = db.total_facts() as u64;
-                stats.wall_ns = wall_start.elapsed().as_nanos() as u64;
-                if let Some(obs) = &self.config.observer {
-                    obs.solve_finished(&stats);
-                }
-                let mut partial = make_solution(program, db, stats.clone(), None, None);
-                partial.set_edb(prior.edb().cloned());
-                return Err(Box::new(SolveFailure {
-                    error: e.into(),
-                    partial,
-                    stats,
-                }));
-            }
+        let ops = match check_prior(program, prior).and_then(|()| resolve_delta(program, delta)) {
+            Ok(ops) => ops,
+            Err(e) => return run.finish(Err(e.into())),
         };
+        run.carry_log(prior);
 
-        // An empty delta cannot change a complete fixed point: hand back
-        // a solution sharing the prior database — no clone, no
-        // stratification, no per-stratum bookkeeping. Skipped when ascent
-        // instrumentation is requested, since enabling counters mutates
-        // the database and needs the warm-start copy below.
+        // An empty delta cannot change a complete fixed point. Skipped
+        // when ascent instrumentation is requested, since enabling
+        // counters mutates the database and needs the warm-start copy.
         if delta.is_empty() && self.config.ascent.is_none() {
-            stats.total_facts = prior.database().total_facts() as u64;
-            stats.wall_ns = wall_start.elapsed().as_nanos() as u64;
-            tracer.record(0, SpanKind::Solve, 0);
-            let trace = tracer.finish(crate::solver::rule_heads(program));
-            if let Some(obs) = &self.config.observer {
-                obs.solve_finished(&stats);
-            }
-            let events = self
-                .config
-                .record_provenance
-                .then(|| prior.events().cloned().unwrap_or_default());
-            let log_ok = prior.events().is_some() && prior.events_complete();
-            let mut solution = make_solution(program, prior.database_arc(), stats, events, trace);
-            solution.set_edb(prior.edb().cloned());
-            let has_log = solution.provenance().is_some();
-            solution.set_events_complete(has_log && log_ok);
-            return Ok(solution);
+            return run.finish(Ok(()));
         }
 
-        // The updated extensional store E′, the assertions the delta
-        // effectively removed from it (present before, absent after),
-        // and the assertions it effectively added (absent before,
-        // present after); insert-then-retract and retract-then-reinsert
-        // within one delta both cancel out here. Without an extensional
-        // base no removals exist (validated above), so the raw add ops
-        // are exactly the net additions.
-        let (eprime, removed, added) = match prior.edb() {
-            Some(base) => {
-                let (entries, removed, added) = apply_ops(base, &resolved);
-                (Some(Arc::new(entries)), removed, Some(added))
-            }
-            None => (None, Vec::new(), None),
+        let outcome = update(&mut run, program, prior, &ops);
+        run.finish(outcome)
+    }
+}
+
+/// Brings `run`, which starts on the `prior` model, to the model of the
+/// updated store: the warm monotone path, the over-delete/re-derive
+/// path, or the from-scratch fallback — each a composition of
+/// [`Run::assert`] and [`Run::run_stratum`].
+fn update(
+    run: &mut Run<'_>,
+    program: &Program,
+    prior: &Solution,
+    ops: &[ResolvedOp],
+) -> Result<(), SolveError> {
+    // The updated extensional store E′, the assertions the delta
+    // effectively removed from it (present before, absent after), and
+    // the assertions it effectively added (absent before, present
+    // after); insert-then-retract and retract-then-reinsert within one
+    // delta both cancel out here.
+    let (eprime, removed, added) = apply_ops(prior.edb(), ops);
+    let eprime = Arc::new(eprime);
+    run.set_store(Arc::clone(&eprime));
+    let strata = run.strata()?;
+    let npreds = program.num_predicates();
+
+    // Predicates the delta has a net effect on: insertions (possibly
+    // already absorbed) and effective removals. A change reaching a
+    // predicate a negated body atom (transitively) depends on cannot
+    // be expressed by either warm path: an insertion into a negated
+    // predicate invalidates derivations without leaving a trace in
+    // the positive-premise proof forest, and a retraction creates
+    // derivations out of nothing. Exact over-deletion additionally needs
+    // the prior log to cover every insertion since the empty database.
+    // Otherwise: a from-scratch solve of the updated store — same
+    // model, no warm-start speedup.
+    let mut touched = vec![false; npreds];
+    for op in ops.iter().filter(|op| op.add) {
+        touched[op.pred.0 as usize] = true;
+    }
+    for (pred, _) in &removed {
+        touched[pred.0 as usize] = true;
+    }
+    let log = prior.events().filter(|_| prior.events_complete());
+    if negation_reaches(program, &touched) || (!removed.is_empty() && log.is_none()) {
+        run.reset();
+        return run.scratch(&strata);
+    }
+
+    let seed_start = run.tracer().now_ns();
+    run.warm();
+    let lost = if removed.is_empty() {
+        // Monotone: apply the *net* store change E′ \ E on top of the
+        // prior fixed point, not the raw add ops — an insertion
+        // cancelled by a later retraction of the same tuple (reachable
+        // via WAL recovery, which folds frames from separate runs into
+        // one delta) must not reach the warm database, or the model
+        // diverges from a scratch solve of E′. Already-subsumed entries
+        // are no-ops.
+        for (pred, tuple) in &added {
+            run.assert(*pred, tuple)?;
+        }
+        vec![false; npreds]
+    } else {
+        // Over-delete/re-derive (DESIGN §16). Rebuilding without the
+        // cone of the removed assertions leaves only facts justified by
+        // a chain of surviving events grounded in E′ — a sound
+        // under-approximation of the target model — and re-asserting E′
+        // seeds the re-derivation: survivors absorb most of it; net
+        // changes are restored assertions and insertions the delta
+        // carried alongside the removals.
+        let log = log.expect("removals without a complete log solved from scratch above");
+        let cone = Cone::taint(program, log, &removed);
+        run.rebuild(|pred, fact| !cone.kills(pred, fact), &cone.dead_events)?;
+        for (pred, tuple) in eprime.iter() {
+            run.assert(*pred, tuple)?;
+        }
+        cone.lost()
+    };
+    run.tracer().record(0, SpanKind::ResumeSeed, seed_start);
+
+    // Re-run exactly the strata a change can reach, in stratum order.
+    // Stratification guarantees a stratum's body predicates are final
+    // before it runs, so accumulating changes front to back seeds every
+    // affected stratum with its complete delta. A stratum whose rule
+    // heads lost facts re-evaluates fully; iterating rules to
+    // quiescence from a sound under-approximation yields exactly the
+    // least fixed point over E′, and lattice cells land on the lub of
+    // their surviving and re-derived justifications.
+    for (stratum, group) in strata.rule_groups.iter().enumerate() {
+        let heads_lost = group
+            .iter()
+            .any(|&r| lost[program.rules[r].head_pred.0 as usize]);
+        let seed = if heads_lost {
+            Seed::Rederive
+        } else if run.reads_pending(group) {
+            Seed::Delta
+        } else {
+            continue;
         };
-
-        // Warm start: clone the prior fixed point and extend its event
-        // log when provenance is on (the prior log may be absent if the
-        // prior solve ran without recording).
-        let mut db = prior.database().clone();
-        if self.config.ascent.is_some() {
-            // Counters carried over from a prior ascent-enabled solve are
-            // kept; otherwise heights are measured from the resume start.
-            db.enable_ascent();
-        }
-        let mut events: Option<Vec<Event>> = self
-            .config
-            .record_provenance
-            .then(|| prior.events().cloned().unwrap_or_default());
-        // The prior log, only when it covers every insertion since the
-        // empty database — the precondition for exact over-deletion.
-        let prior_log = prior
-            .events()
-            .filter(|_| prior.events_complete())
-            .map(|v| v.as_slice());
-        let mut rebuilt = false;
-
-        let outcome = self.resume_inner(
-            program,
-            &guard,
-            &mut db,
-            resolved,
-            eprime.as_ref().map(|v| v.as_slice()),
-            added,
-            &removed,
-            prior_log,
-            &mut rebuilt,
-            &mut stats,
-            &mut events,
-            &tracer,
-        );
-
-        stats.total_facts = db.total_facts() as u64;
-        stats.wall_ns = wall_start.elapsed().as_nanos() as u64;
-        tracer.record(0, SpanKind::Solve, 0);
-        let trace = tracer.finish(crate::solver::rule_heads(program));
-        if let Some(obs) = &self.config.observer {
-            obs.solve_finished(&stats);
-        }
-        let mut solution = make_solution(program, db, stats.clone(), events, trace);
-        solution.set_edb(eprime);
-        // A rebuilt log covers the run from the empty database; a
-        // carried-over one is complete only if the prior's was.
-        let log_ok = rebuilt || (prior.events().is_some() && prior.events_complete());
-        let has_log = solution.provenance().is_some();
-        solution.set_events_complete(has_log && log_ok);
-        match outcome {
-            Ok(()) => Ok(solution),
-            Err(mut error) => {
-                // Refresh the stats snapshot embedded at the failure
-                // site, exactly as `solve` does.
-                if let SolveError::RoundLimitExceeded { stats: s, .. }
-                | SolveError::BudgetExceeded { stats: s, .. } = &mut error
-                {
-                    *s = stats.clone();
-                }
-                Err(Box::new(SolveFailure {
-                    error,
-                    partial: solution,
-                    stats,
-                }))
-            }
-        }
+        run.run_stratum(stratum, group, seed)?;
     }
+    Ok(())
+}
 
-    /// Dispatches a validated resume to the warm monotone path, the
-    /// over-delete/re-derive path, or the from-scratch fallback. Sets
-    /// `rebuilt` when the event log was rebuilt from the empty database
-    /// (fallback paths), even on failure part-way through.
-    #[allow(clippy::too_many_arguments)]
-    fn resume_inner(
-        &self,
-        program: &Program,
-        guard: &Guard<'_>,
-        db: &mut Database,
-        resolved: Vec<ResolvedOp>,
-        eprime: Option<&[(PredId, Vec<Value>)]>,
-        added: Option<Vec<(PredId, Vec<Value>)>>,
-        removed: &[(PredId, Vec<Value>)],
-        prior_log: Option<&[Event]>,
-        rebuilt: &mut bool,
-        stats: &mut SolveStats,
-        events: &mut Option<Vec<Event>>,
-        tracer: &Tracer,
-    ) -> Result<(), SolveError> {
-        let strata = stratify(program)?;
-        let npreds = program.num_predicates();
+/// The cone of consequences of a set of removed assertions in a
+/// complete event log (DESIGN §16, phase 1).
+///
+/// The log is a well-founded proof forest — premises are recorded before
+/// the conclusions they support — so a single forward pass computes it:
+/// an event dies when its own fact was removed, when any positive
+/// premise matches an already-dead fact, or (for lattice cells, whose
+/// logged values are running joins) when any earlier event of the same
+/// cell died.
+struct Cone {
+    /// Dead relational tuples, per predicate.
+    deleted: Vec<HashSet<Vec<Value>>>,
+    /// Keys of dead lattice cells, per predicate. A contaminated cell
+    /// drops entirely — its clean prefix of justifications survives in
+    /// the kept log and re-derivation restores their lub.
+    dead_cells: Vec<HashSet<Vec<Value>>>,
+    /// Which events of the log died, by position.
+    dead_events: Vec<bool>,
+}
 
-        // Predicates the delta has a net effect on: insertions (possibly
-        // already absorbed) and effective removals. A change reaching a
-        // predicate a negated body atom (transitively) depends on cannot
-        // be expressed by either warm path: an insertion into a negated
-        // predicate invalidates derivations without leaving a trace in
-        // the positive-premise proof forest, and a retraction creates
-        // derivations out of nothing. Fall back to a from-scratch solve
-        // of the updated store — same model, no warm-start speedup.
-        let mut delta_preds = vec![false; npreds];
-        for op in &resolved {
-            if op.add {
-                delta_preds[op.pred.0 as usize] = true;
-            }
-        }
-        for (pred, _) in removed {
-            delta_preds[pred.0 as usize] = true;
-        }
-        let negated = negation_reaches(program, &delta_preds);
-
-        if removed.is_empty() {
-            if negated {
-                *rebuilt = true;
-                self.reset_for_scratch(program, db, events);
-                return match eprime {
-                    // The store is known: solve it exactly. This also
-                    // covers insertions absorbed by earlier resumes.
-                    Some(store) => self.solve_inner(
-                        program,
-                        guard,
-                        db,
-                        FactSource::Exact(store),
-                        stats,
-                        events,
-                        tracer,
-                    ),
-                    // Unknown store (version-1 snapshot prior): the best
-                    // reconstruction is the program's facts plus this
-                    // delta's insertions.
-                    None => {
-                        let adds: Vec<(PredId, Vec<Value>)> =
-                            resolved.into_iter().map(|op| (op.pred, op.tuple)).collect();
-                        self.solve_inner(
-                            program,
-                            guard,
-                            db,
-                            FactSource::ProgramPlus(&adds),
-                            stats,
-                            events,
-                            tracer,
-                        )
-                    }
-                };
-            }
-            // Seed the warm path from the *net* store change E′ \ E, not
-            // the raw add ops: an insertion cancelled by a later
-            // retraction of the same tuple (reachable via WAL recovery,
-            // which folds frames from separate runs into one delta) must
-            // not reach the warm database, or the model diverges from a
-            // scratch solve of E′. Without an extensional base the raw
-            // add ops are the net additions (removals were rejected).
-            let adds: Vec<ResolvedOp> = match added {
-                Some(net) => net
-                    .into_iter()
-                    .map(|(pred, tuple)| ResolvedOp {
-                        add: true,
-                        pred,
-                        tuple,
-                    })
-                    .collect(),
-                None => resolved.into_iter().filter(|op| op.add).collect(),
-            };
-            return self.resume_monotone(program, guard, db, &strata, adds, stats, events, tracer);
-        }
-
-        let store = eprime.expect("retracting deltas are rejected without an extensional store");
-        if negated || prior_log.is_none() {
-            *rebuilt = true;
-            self.reset_for_scratch(program, db, events);
-            return self.solve_inner(
-                program,
-                guard,
-                db,
-                FactSource::Exact(store),
-                stats,
-                events,
-                tracer,
-            );
-        }
-        self.resume_retract(
-            program,
-            guard,
-            db,
-            &strata,
-            store,
-            removed,
-            prior_log.expect("checked above"),
-            stats,
-            events,
-            tracer,
-        )
-    }
-
-    /// Resets the database (and event log, when recording) for a
-    /// from-scratch fallback solve.
-    fn reset_for_scratch(
-        &self,
-        program: &Program,
-        db: &mut Database,
-        events: &mut Option<Vec<Event>>,
-    ) {
-        *db = Database::for_program(program, self.config.use_indexes);
-        if self.config.ascent.is_some() {
-            db.enable_ascent();
-        }
-        if let Some(log) = events.as_mut() {
-            log.clear();
-        }
-    }
-
-    /// The warm monotone path: applies the insertions on top of the
-    /// prior fixed point and re-runs exactly the strata a change can
-    /// reach, seeding the semi-naïve worklist with the changed cells.
-    #[allow(clippy::too_many_arguments)]
-    fn resume_monotone(
-        &self,
-        program: &Program,
-        guard: &Guard<'_>,
-        db: &mut Database,
-        strata: &Strata,
-        adds: Vec<ResolvedOp>,
-        stats: &mut SolveStats,
-        events: &mut Option<Vec<Event>>,
-        tracer: &Tracer,
-    ) -> Result<(), SolveError> {
-        let npreds = program.num_predicates();
-
-        // Apply the delta as extensional updates, tracking net changes
-        // per predicate; already-subsumed entries are no-ops.
-        let seed_start = tracer.now_ns();
-        let mut pending: Vec<Vec<Row>> = vec![Vec::new(); npreds];
-        let mut dirty = vec![false; npreds];
-        for op in adds {
-            let (pred, values) = (op.pred, op.tuple);
-            match db
-                .insert(pred, values.clone())
-                .map_err(|fault| insert_fault_error(program, pred, None, fault))?
-            {
-                InsertOutcome::Unchanged => {}
-                outcome => {
-                    stats.facts_inserted += 1;
-                    dirty[pred.0 as usize] = true;
-                    if let InsertOutcome::LatIncrease(key, _) = &outcome {
-                        self.check_ascent(program, db, pred, key);
-                    }
-                    accumulate_change(&mut pending, pred, &outcome);
-                    if let Some(log) = events.as_mut() {
-                        log.push(Event {
-                            pred,
-                            tuple: match &outcome {
-                                // Log the joined cell value, as fact
-                                // loading does via the insert outcome.
-                                InsertOutcome::LatIncrease(key, value) => {
-                                    let mut full = key.to_vec();
-                                    full.push(value.clone());
-                                    full
-                                }
-                                _ => values.clone(),
-                            },
-                            source: Source::Fact,
-                        });
-                    }
-                }
-            }
-        }
-        tracer.record(0, SpanKind::ResumeSeed, seed_start);
-
-        let kernels = self.compile_kernels(program, db);
-
-        // Re-run exactly the strata a change can reach, in stratum
-        // order. Stratification guarantees a stratum's body predicates
-        // are final before it runs, so accumulating changes front to
-        // back seeds every affected stratum with its complete delta.
-        for (stratum, group) in strata.rule_groups.iter().enumerate() {
-            let reads_dirty = group.iter().any(|&r| {
-                program.rules[r]
-                    .body
-                    .iter()
-                    .any(|item| matches!(item, CItem::Atom { pred, .. } if dirty[pred.0 as usize]))
-            });
-            if !reads_dirty {
-                continue;
-            }
-            stats.strata += 1;
-            stats.per_stratum.push(StratumStats {
-                stratum,
-                rounds: 0,
-                delta_sizes: Vec::new(),
-            });
-            let mut changes: Vec<Vec<Row>> = vec![Vec::new(); npreds];
-            let stratum_start = tracer.now_ns();
-            let result = match self.config.strategy {
-                Strategy::Naive => self.run_naive(
-                    program,
-                    guard,
-                    db,
-                    &kernels,
-                    group,
-                    stratum,
-                    stats,
-                    events,
-                    Some(&mut changes),
-                    tracer,
-                ),
-                Strategy::SemiNaive => {
-                    let seed = seed_delta(program, db, group, &pending, npreds);
-                    self.run_semi_naive_rounds(
-                        program,
-                        guard,
-                        db,
-                        &kernels,
-                        group,
-                        stratum,
-                        npreds,
-                        stats,
-                        events,
-                        seed,
-                        Some(&mut changes),
-                        tracer,
-                    )
-                }
-            };
-            tracer.record(0, SpanKind::Stratum { stratum }, stratum_start);
-            result?;
-            for (pred, rows) in changes.into_iter().enumerate() {
-                if !rows.is_empty() {
-                    dirty[pred] = true;
-                    pending[pred].extend(rows);
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// The over-delete/re-derive path (DESIGN §16). Precondition: the
-    /// prior event log is complete and no removal reaches a negated
-    /// cone.
-    ///
-    /// Phase 1 walks the prior log once, forward. The log is a
-    /// well-founded proof forest — premises are recorded before the
-    /// conclusions they support — so a single pass computes the cone of
-    /// consequences of the removed assertions: an event dies when its
-    /// own fact was removed, when any positive premise matches an
-    /// already-dead fact, or (for lattice cells, whose logged values are
-    /// running joins) when any earlier event of the same cell died.
-    ///
-    /// Phase 2 rebuilds the database without the cone and re-asserts the
-    /// updated store E′. Every survivor is justified by a chain of
-    /// surviving events grounded in E′, so the result is ⊑ the target
-    /// model — a sound under-approximation.
-    ///
-    /// Phase 3 re-runs the strata to the fixed point: strata whose rule
-    /// heads lost facts re-evaluate fully (an over-deleted fact may have
-    /// an alternative derivation the first-derivation-only log never
-    /// recorded), the rest seed from net changes as in the monotone
-    /// path. Iterating rules to quiescence from a sound
-    /// under-approximation yields exactly the least fixed point over
-    /// E′; lattice cells land on the lub of their surviving and
-    /// re-derived justifications.
-    #[allow(clippy::too_many_arguments)]
-    fn resume_retract(
-        &self,
-        program: &Program,
-        guard: &Guard<'_>,
-        db: &mut Database,
-        strata: &Strata,
-        eprime: &[(PredId, Vec<Value>)],
-        removed: &[(PredId, Vec<Value>)],
-        prior_log: &[Event],
-        stats: &mut SolveStats,
-        events: &mut Option<Vec<Event>>,
-        tracer: &Tracer,
-    ) -> Result<(), SolveError> {
-        let seed_start = tracer.now_ns();
+impl Cone {
+    fn taint(program: &Program, log: &[Event], removed: &[(PredId, Vec<Value>)]) -> Cone {
         let npreds = program.num_predicates();
         let is_lat: Vec<bool> = program.predicates().map(|(_, d)| d.is_lattice()).collect();
-
-        // Phase 1: taint the cone. `deleted` holds dead relational
-        // tuples; `dead_cells` holds the keys of dead lattice cells (a
-        // contaminated cell drops entirely — its clean prefix of
-        // justifications survives in the kept log and re-derivation
-        // restores their lub).
-        let mut deleted: Vec<HashSet<Vec<Value>>> = vec![HashSet::new(); npreds];
-        let mut dead_cells: Vec<HashSet<Vec<Value>>> = vec![HashSet::new(); npreds];
+        let mut cone = Cone {
+            deleted: vec![HashSet::new(); npreds],
+            dead_cells: vec![HashSet::new(); npreds],
+            dead_events: Vec::with_capacity(log.len()),
+        };
         for (pred, tuple) in removed {
             let p = pred.0 as usize;
             if is_lat[p] {
-                dead_cells[p].insert(tuple[..tuple.len() - 1].to_vec());
+                cone.dead_cells[p].insert(tuple[..tuple.len() - 1].to_vec());
             } else {
-                deleted[p].insert(tuple.clone());
+                cone.deleted[p].insert(tuple.clone());
             }
         }
-        let keep = events.is_some();
-        let mut kept: Vec<Event> = Vec::new();
-        for event in prior_log {
+        for event in log {
             let p = event.pred.0 as usize;
             let mut dead = if is_lat[p] {
-                dead_cells[p].contains(&event.tuple[..event.tuple.len() - 1])
+                cone.dead_cells[p].contains(&event.tuple[..event.tuple.len() - 1])
             } else {
-                deleted[p].contains(event.tuple.as_slice())
+                cone.deleted[p].contains(event.tuple.as_slice())
             };
             if !dead {
                 if let Source::Rule { premises, .. } = &event.source {
                     dead = premises.iter().any(|premise| {
                         let q = premise.pred.0 as usize;
                         if is_lat[q] {
-                            key_pattern_hits(&premise.pattern, &dead_cells[q])
+                            key_pattern_hits(&premise.pattern, &cone.dead_cells[q])
                         } else {
-                            pattern_hits(&premise.pattern, &deleted[q])
+                            pattern_hits(&premise.pattern, &cone.deleted[q])
                         }
                     });
                 }
             }
             if dead {
                 if is_lat[p] {
-                    dead_cells[p].insert(event.tuple[..event.tuple.len() - 1].to_vec());
+                    cone.dead_cells[p].insert(event.tuple[..event.tuple.len() - 1].to_vec());
                 } else {
-                    deleted[p].insert(event.tuple.clone());
+                    cone.deleted[p].insert(event.tuple.clone());
                 }
-            } else if keep {
-                kept.push(event.clone());
             }
+            cone.dead_events.push(dead);
         }
+        cone
+    }
 
-        // Phase 2: rebuild without the cone, then re-assert E′. The
-        // columnar store has no in-place deletion — rebuilding also
-        // keeps the per-predicate indexes dense.
-        let mut fresh = Database::for_program(program, self.config.use_indexes);
-        if self.config.ascent.is_some() {
-            fresh.enable_ascent();
-        }
-        for i in 0..npreds {
-            let pred = PredId(i as u32);
-            match db.pred(pred) {
-                PredData::Rel(rel) => {
-                    for row in rel.rows() {
-                        if !deleted[i].is_empty() && deleted[i].contains(row) {
-                            continue;
-                        }
-                        fresh
-                            .insert(pred, row.to_vec())
-                            .map_err(|fault| insert_fault_error(program, pred, None, fault))?;
-                    }
-                }
-                PredData::Lat(lat) => {
-                    for (key, cell) in lat.iter() {
-                        if !dead_cells[i].is_empty() && dead_cells[i].contains(key) {
-                            continue;
-                        }
-                        let mut tuple = key.to_vec();
-                        tuple.push(cell.clone());
-                        fresh
-                            .insert(pred, tuple)
-                            .map_err(|fault| insert_fault_error(program, pred, None, fault))?;
-                    }
-                }
-            }
-        }
-        *db = fresh;
-        if let Some(log) = events.as_mut() {
-            *log = kept;
-        }
+    /// Whether the cone holds the relational tuple, or the lattice cell
+    /// with the key, `fact` of `pred`.
+    fn kills(&self, pred: PredId, fact: &[Value]) -> bool {
+        let p = pred.0 as usize;
+        self.deleted[p].contains(fact) || self.dead_cells[p].contains(fact)
+    }
 
-        // Re-assert the updated store. Survivors absorb most of it;
-        // net changes (restored assertions, and insertions the delta
-        // carried alongside the removals) seed the re-derivation.
-        let mut pending: Vec<Vec<Row>> = vec![Vec::new(); npreds];
-        let mut dirty = vec![false; npreds];
-        for (pred, values) in eprime {
-            match db
-                .insert(*pred, values.clone())
-                .map_err(|fault| insert_fault_error(program, *pred, None, fault))?
-            {
-                InsertOutcome::Unchanged => {}
-                outcome => {
-                    stats.facts_inserted += 1;
-                    dirty[pred.0 as usize] = true;
-                    if let InsertOutcome::LatIncrease(key, _) = &outcome {
-                        self.check_ascent(program, db, *pred, key);
-                    }
-                    accumulate_change(&mut pending, *pred, &outcome);
-                    if let Some(log) = events.as_mut() {
-                        log.push(Event {
-                            pred: *pred,
-                            tuple: match &outcome {
-                                InsertOutcome::LatIncrease(key, value) => {
-                                    let mut full = key.to_vec();
-                                    full.push(value.clone());
-                                    full
-                                }
-                                _ => values.clone(),
-                            },
-                            source: Source::Fact,
-                        });
-                    }
-                }
-            }
-        }
-        tracer.record(0, SpanKind::ResumeSeed, seed_start);
-
-        let kernels = self.compile_kernels(program, db);
-
-        // Phase 3: re-run the strata. A stratum re-evaluates fully when
-        // any of its rule heads lost facts (the log records only first
-        // derivations, so an over-deleted fact may be restorable through
-        // a derivation no event witnesses); otherwise the monotone
-        // change-seeded path applies.
-        let mut del_dirty = vec![false; npreds];
-        for i in 0..npreds {
-            del_dirty[i] = !deleted[i].is_empty() || !dead_cells[i].is_empty();
-        }
-        for (stratum, group) in strata.rule_groups.iter().enumerate() {
-            let heads_deleted = group
-                .iter()
-                .any(|&r| del_dirty[program.rules[r].head_pred.0 as usize]);
-            let reads_dirty = group.iter().any(|&r| {
-                program.rules[r]
-                    .body
-                    .iter()
-                    .any(|item| matches!(item, CItem::Atom { pred, .. } if dirty[pred.0 as usize]))
-            });
-            if !heads_deleted && !reads_dirty {
-                continue;
-            }
-            stats.strata += 1;
-            stats.per_stratum.push(StratumStats {
-                stratum,
-                rounds: 0,
-                delta_sizes: Vec::new(),
-            });
-            let mut changes: Vec<Vec<Row>> = vec![Vec::new(); npreds];
-            let stratum_start = tracer.now_ns();
-            // Full re-evaluation needs every rule to have a delta
-            // variant to hang its first full join on; a (degenerate)
-            // rule without positive body atoms falls back to the naïve
-            // loop for the stratum.
-            let seminaive_covers = group
-                .iter()
-                .all(|&r| !program.rules[r].delta_variants.is_empty());
-            let result = match self.config.strategy {
-                Strategy::SemiNaive if !heads_deleted || seminaive_covers => {
-                    let seed = if heads_deleted {
-                        full_seed(program, db, group, npreds)
-                    } else {
-                        seed_delta(program, db, group, &pending, npreds)
-                    };
-                    self.run_semi_naive_rounds(
-                        program,
-                        guard,
-                        db,
-                        &kernels,
-                        group,
-                        stratum,
-                        npreds,
-                        stats,
-                        events,
-                        seed,
-                        Some(&mut changes),
-                        tracer,
-                    )
-                }
-                _ => self.run_naive(
-                    program,
-                    guard,
-                    db,
-                    &kernels,
-                    group,
-                    stratum,
-                    stats,
-                    events,
-                    Some(&mut changes),
-                    tracer,
-                ),
-            };
-            tracer.record(0, SpanKind::Stratum { stratum }, stratum_start);
-            result?;
-            for (pred, rows) in changes.into_iter().enumerate() {
-                if !rows.is_empty() {
-                    dirty[pred] = true;
-                    pending[pred].extend(rows);
-                }
-            }
-        }
-        Ok(())
+    /// Per predicate: did it lose any fact?
+    fn lost(&self) -> Vec<bool> {
+        self.deleted
+            .iter()
+            .zip(&self.dead_cells)
+            .map(|(rows, cells)| !rows.is_empty() || !cells.is_empty())
+            .collect()
     }
 }
 
@@ -1103,23 +638,13 @@ impl Program {
     /// [`DeltaError::UnknownPredicate`] / [`DeltaError::ArityMismatch`]
     /// if the delta does not fit this program's declarations.
     pub fn with_delta(&self, delta: &Delta) -> Result<Program, DeltaError> {
-        let ops = resolve_delta(self, delta)?;
-        let mut facts = self.facts.clone();
-        for op in ops {
-            if op.add {
-                if !facts.iter().any(|(p, t)| *p == op.pred && *t == op.tuple) {
-                    facts.push((op.pred, op.tuple));
-                }
-            } else {
-                facts.retain(|(p, t)| !(*p == op.pred && *t == op.tuple));
-            }
-        }
+        let (facts, _, _) = apply_ops(&self.facts, &resolve_delta(self, delta)?);
         Ok(Program {
             preds: self.preds.clone(),
             pred_names: self.pred_names.clone(),
             funcs: self.funcs.clone(),
             rules: self.rules.clone(),
-            facts,
+            facts: Arc::new(facts),
             index_requests: self.index_requests.clone(),
         })
     }
@@ -1266,88 +791,6 @@ fn negation_reaches(program: &Program, delta_preds: &[bool]) -> bool {
             .iter()
             .any(|item| matches!(item, CItem::NegAtom { pred, .. } if dirty[pred.0 as usize]))
     })
-}
-
-/// Builds the warm-start `∆` for one stratum: the pending changes of
-/// every predicate the stratum's rules read positively. Relational rows
-/// pass through as-is; lattice keys are deduplicated and re-read from
-/// the database so the delta row carries the *current* cell value
-/// (intermediate values a cell climbed through in earlier strata must
-/// not leak into this stratum's witnesses — a from-scratch solve would
-/// only ever see the settled value).
-fn seed_delta(
-    program: &Program,
-    db: &Database,
-    group: &[usize],
-    pending: &[Vec<Row>],
-    npreds: usize,
-) -> Vec<Vec<Row>> {
-    let mut read_preds = vec![false; npreds];
-    for &r in group {
-        for item in &program.rules[r].body {
-            if let CItem::Atom { pred, .. } = item {
-                read_preds[pred.0 as usize] = true;
-            }
-        }
-    }
-    let mut seed: Vec<Vec<Row>> = vec![Vec::new(); npreds];
-    for (pred, rows) in pending.iter().enumerate() {
-        if !read_preds[pred] || rows.is_empty() {
-            continue;
-        }
-        match db.pred(PredId(pred as u32)) {
-            PredData::Rel(_) => seed[pred] = rows.clone(),
-            PredData::Lat(lat) => {
-                let mut seen: HashSet<&[Value]> = HashSet::new();
-                for row in rows {
-                    let key = &row[..row.len() - 1];
-                    if !seen.insert(key) {
-                        continue;
-                    }
-                    let value = lat
-                        .value(key, db.spill())
-                        .expect("pending lattice key has a stored cell");
-                    let mut full = key.to_vec();
-                    full.push(value.clone());
-                    seed[pred].push(full.into());
-                }
-            }
-        }
-    }
-    seed
-}
-
-/// Builds a full re-evaluation `∆` for one stratum: the complete current
-/// contents of the *first* delta-variant predicate of each rule. One
-/// variant with a full delta joins against full relations everywhere
-/// else, so every rule is evaluated completely in the first round;
-/// subsequent rounds proceed semi-naïvely over genuine changes.
-fn full_seed(program: &Program, db: &Database, group: &[usize], npreds: usize) -> Vec<Vec<Row>> {
-    let mut want = vec![false; npreds];
-    for &r in group {
-        if let Some((pred, _)) = program.rules[r].delta_variants.first() {
-            want[pred.0 as usize] = true;
-        }
-    }
-    let mut seed: Vec<Vec<Row>> = vec![Vec::new(); npreds];
-    for (pred, wanted) in want.iter().enumerate() {
-        if !*wanted {
-            continue;
-        }
-        match db.pred(PredId(pred as u32)) {
-            PredData::Rel(rel) => {
-                seed[pred] = rel.rows().map(|row| Row::from(row.to_vec())).collect();
-            }
-            PredData::Lat(lat) => {
-                for (key, cell) in lat.iter() {
-                    let mut full = key.to_vec();
-                    full.push(cell.clone());
-                    seed[pred].push(full.into());
-                }
-            }
-        }
-    }
-    seed
 }
 
 /// Does any tuple in `set` match the (possibly wildcarded) premise

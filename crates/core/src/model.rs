@@ -48,7 +48,7 @@ pub fn is_model(program: &Program, solution: &Solution) -> bool {
 fn violation_against(program: &Program, db: &Database) -> Option<(String, Vec<Value>)> {
     // The explicit facts must be satisfied (they are rules with empty
     // bodies).
-    for (pred, values) in &program.facts {
+    for (pred, values) in program.facts.iter() {
         if !satisfied(program, db, *pred, values) {
             return Some((program.decl(*pred).name().to_string(), values.clone()));
         }
@@ -145,7 +145,7 @@ pub fn is_locally_minimal(program: &Program, solution: &Solution) -> bool {
         }
         // Values asserted by facts are candidate cell values too: the
         // stored cell may strictly dominate every fact it absorbed.
-        for (fact_pred, values) in &program.facts {
+        for (fact_pred, values) in program.facts.iter() {
             if fact_pred == pred {
                 let v = values.last().expect("lattice arity >= 1");
                 candidates.push(v.clone());

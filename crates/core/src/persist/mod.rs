@@ -27,12 +27,9 @@
 //! already reflects is a no-op. That is what makes the crash windows
 //! safe — in particular, a crash between writing the compaction
 //! snapshot and truncating the log merely replays absorbed deltas on
-//! the next recovery. Retracting deltas additionally need the snapshot
-//! to record the extensional store (snapshot format version 2); when a
-//! version-1 snapshot is recovered under a WAL containing retractions,
-//! recovery degrades to a scratch solve of the program with the
-//! combined delta applied, reported in
-//! [`RecoveryReport::scratch_solve`].
+//! the next recovery. Retracting deltas additionally need the
+//! extensional store the model is the fixed point of, which every
+//! snapshot records.
 //!
 //! Both formats embed a [`program_fingerprint`] of the program they
 //! were produced against, and loading rejects a mismatch: replaying
@@ -99,12 +96,12 @@
 //! # }
 //! ```
 
-use crate::database::Database;
 use crate::incremental::Delta;
-use crate::solver::make_solution;
-use crate::{Program, Solution, SolveFailure, SolveStats, Solver};
+use crate::solver::Run;
+use crate::{Program, Solution, SolveFailure, Solver};
 use std::fmt;
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 #[cfg(any(test, feature = "test-internals"))]
 mod faultfs;
@@ -115,10 +112,9 @@ mod wire;
 #[cfg(any(test, feature = "test-internals"))]
 pub use faultfs::{corrupt_file, save_snapshot_with_fault, Fault, FaultPlan};
 pub use snapshot::{
-    load_snapshot, save_snapshot, snapshot_from_bytes, snapshot_to_bytes, SNAPSHOT_MIN_VERSION,
-    SNAPSHOT_VERSION,
+    load_snapshot, save_snapshot, snapshot_from_bytes, snapshot_to_bytes, SNAPSHOT_VERSION,
 };
-pub use wal::{DeltaLog, WalRecovery, WAL_MIN_VERSION, WAL_VERSION};
+pub use wal::{DeltaLog, WalRecovery, WAL_VERSION};
 pub use wire::program_fingerprint;
 
 /// A persistence failure: file I/O, or a corruption the checksums and
@@ -346,51 +342,18 @@ impl Solver {
         }
         report.wal_entries_replayed = combined.len();
 
-        let delta_failure = |e: crate::incremental::DeltaError| {
-            // Unreachable when the fingerprint matched (the entries
-            // were validated when appended), but a recovery path does
-            // not get to assume that.
-            let stats = SolveStats::default();
-            let partial = make_solution(
-                program,
-                Database::for_program(program, self.config.use_indexes),
-                stats.clone(),
-                None,
-                None,
-            );
-            Box::new(SolveFailure {
-                error: e.into(),
-                partial,
-                stats,
-            })
-        };
-        let scratch = |report: &mut RecoveryReport| -> Result<Solution, Box<SolveFailure>> {
-            report.scratch_solve = true;
-            if combined.is_empty() {
-                self.solve(program)
-            } else {
-                let extended = program.with_delta(&combined).map_err(delta_failure)?;
-                self.solve(&extended)
-            }
-        };
         let solution = match base {
-            Some(prior) => match self.resume(program, &prior, &combined) {
-                Ok(solution) => solution,
-                // A pre-version-2 snapshot records no extensional store,
-                // so a WAL that retracts facts cannot be replayed against
-                // it exactly; the sound degradation is a scratch solve of
-                // the program with the combined delta applied.
-                Err(failure)
-                    if matches!(
-                        failure.error,
-                        crate::SolveError::Delta(crate::incremental::DeltaError::NoExtensionalBase)
-                    ) =>
-                {
-                    scratch(&mut report)?
-                }
-                Err(failure) => return Err(failure),
-            },
-            None => scratch(&mut report)?,
+            Some(prior) => self.resume(program, &prior, &combined)?,
+            None => {
+                report.scratch_solve = true;
+                // Rejection is unreachable when the fingerprint matched
+                // (the entries were validated when appended), but a
+                // recovery path does not get to assume that.
+                let extended = program.with_delta(&combined).map_err(|e| {
+                    Run::fresh(self, program, Arc::clone(&program.facts)).reject(e.into())
+                })?;
+                self.solve(&extended)?
+            }
         };
         Ok((solution, report))
     }

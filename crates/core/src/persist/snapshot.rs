@@ -11,45 +11,36 @@
 //! payload  := name str  kind u8 (0 rel | 1 lat)  arity u32  count u32
 //!             row*count
 //! row      := value*arity        -- lattice rows: key columns, then cell
-//! edb      := count u32  assertion*count       -- version 2: one extra
-//! assertion:= pred u32  width u32  value*width --   frame after the rows
+//! edb      := count u32  assertion*count       -- one extra frame
+//! assertion:= pred u32  width u32  value*width --   after the rows
 //! ```
 //!
 //! Predicate frames appear in predicate-id order and `frame_count`
 //! equals the program's predicate count, so a loaded model always
-//! covers exactly the program's declarations. Version 2 appends one
-//! more frame carrying the extensional store the model is the fixed
-//! point of (the program's facts composed with every absorbed delta) —
-//! what makes retracting deltas resumable after a restart. A solution
-//! whose store is unknown (itself loaded from a version-1 snapshot)
-//! saves as version 1 again, so v1 fixtures round-trip byte-identically
-//! and nothing fabricates a store it does not know. Rows are written in
+//! covers exactly the program's declarations. One more frame follows,
+//! carrying the extensional store the model is the fixed point of (the
+//! program's facts composed with every absorbed delta) — what makes
+//! retracting deltas resumable after a restart. Rows are written in
 //! database iteration order and re-inserted in that order on load,
 //! which is what makes save → load → save byte-identical without any
-//! canonicalization pass.
+//! canonicalization pass. Files of any other format version are
+//! rejected with [`PersistError::UnsupportedVersion`].
 
 use super::wire::{crc32, program_fingerprint, ByteReader, ByteWriter};
 use super::PersistError;
 use crate::database::{Database, InsertFault, PredData};
-use crate::solver::make_solution;
 use crate::{PredId, Program, Solution, SolveStats};
 use std::io::Write;
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 pub(crate) const SNAPSHOT_MAGIC: &[u8; 8] = b"FLIXSNP\0";
 
-/// The snapshot format version this build writes for solutions with a
-/// known extensional store; versions back to [`SNAPSHOT_MIN_VERSION`]
-/// are read. Bump it — and regenerate the golden fixture — whenever
-/// the wire format changes shape; older snapshots are then rejected
-/// with [`PersistError::UnsupportedVersion`] instead of misparsed.
+/// The snapshot format version this build reads and writes. Bump it —
+/// and regenerate the golden fixture — whenever the wire format changes
+/// shape; other versions are then rejected with
+/// [`PersistError::UnsupportedVersion`] instead of misparsed.
 pub const SNAPSHOT_VERSION: u32 = 2;
-
-/// The oldest snapshot format version this build still reads. Version-1
-/// snapshots carry no extensional-store frame; solutions loaded from
-/// them reject retracting deltas with
-/// [`DeltaError::NoExtensionalBase`](crate::DeltaError).
-pub const SNAPSHOT_MIN_VERSION: u32 = 1;
 
 /// Header length in bytes: magic + version + fingerprint + frame count
 /// + header CRC.
@@ -60,18 +51,12 @@ pub(crate) const HEADER_LEN: usize = 8 + 4 + 8 + 4 + 4;
 /// trigger a huge allocation.
 pub(crate) const MAX_FRAME_LEN: usize = 1 << 30;
 
-/// Serializes a solved model to the snapshot wire format: version 2
-/// with an extensional-store frame when the solution knows its store,
-/// version 1 (rows only) when it does not.
+/// Serializes a solved model to the snapshot wire format: one frame
+/// per predicate, then the extensional-store frame.
 pub fn snapshot_to_bytes(program: &Program, solution: &Solution) -> Vec<u8> {
-    let edb = solution.edb();
-    let version = match edb {
-        Some(_) => SNAPSHOT_VERSION,
-        None => 1,
-    };
     let mut out = ByteWriter::new();
     out.bytes(SNAPSHOT_MAGIC);
-    out.u32(version);
+    out.u32(SNAPSHOT_VERSION);
     out.u64(program_fingerprint(program));
     out.u32(program.num_predicates() as u32);
     let header = out.into_bytes();
@@ -106,42 +91,40 @@ pub fn snapshot_to_bytes(program: &Program, solution: &Solution) -> Vec<u8> {
                 }
             }
         }
-        let payload = frame.into_bytes();
-        bytes.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        let crc = crc32(&payload);
-        bytes.extend_from_slice(&payload);
-        bytes.extend_from_slice(&crc.to_le_bytes());
+        push_frame(&mut bytes, &frame.into_bytes());
     }
-    if let Some(edb) = edb {
-        let mut frame = ByteWriter::new();
-        frame.u32(edb.len() as u32);
-        for (pred, tuple) in edb.iter() {
-            frame.u32(pred.0);
-            frame.u32(tuple.len() as u32);
-            for v in tuple {
-                frame.value(v);
-            }
+    let edb = solution.edb();
+    let mut frame = ByteWriter::new();
+    frame.u32(edb.len() as u32);
+    for (pred, tuple) in edb.iter() {
+        frame.u32(pred.0);
+        frame.u32(tuple.len() as u32);
+        for v in tuple {
+            frame.value(v);
         }
-        let payload = frame.into_bytes();
-        bytes.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        let crc = crc32(&payload);
-        bytes.extend_from_slice(&payload);
-        bytes.extend_from_slice(&crc.to_le_bytes());
     }
+    push_frame(&mut bytes, &frame.into_bytes());
     bytes
 }
 
+/// Appends one `len + payload + crc` frame — the framing snapshots and
+/// the WAL share, undone by [`check_frame`].
+pub(crate) fn push_frame(bytes: &mut Vec<u8>, payload: &[u8]) {
+    bytes.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    bytes.extend_from_slice(payload);
+    bytes.extend_from_slice(&crc32(payload).to_le_bytes());
+}
+
 /// Validates a snapshot's header against `program`, returning the
-/// stored format version and the declared frame count. Shared with the
-/// WAL, which uses the same header shape (different magic, frame count
-/// fixed at 0).
+/// declared frame count. Shared with the WAL, which uses the same
+/// header shape (different magic, frame count fixed at 0).
 pub(crate) fn check_header(
     bytes: &[u8],
     kind: &'static str,
     magic: &[u8; 8],
-    versions: std::ops::RangeInclusive<u32>,
+    version: u32,
     fingerprint: u64,
-) -> Result<(u32, u32), PersistError> {
+) -> Result<u32, PersistError> {
     if bytes.len() < HEADER_LEN {
         return Err(PersistError::CorruptHeader { kind });
     }
@@ -154,11 +137,11 @@ pub(crate) fn check_header(
     }
     let mut r = ByteReader::new(&bytes[8..HEADER_LEN - 4]);
     let found_version = r.u32().expect("header length checked");
-    if !versions.contains(&found_version) {
+    if found_version != version {
         return Err(PersistError::UnsupportedVersion {
             kind,
             found: found_version,
-            supported: *versions.end(),
+            supported: version,
         });
     }
     let found_fingerprint = r.u64().expect("header length checked");
@@ -168,7 +151,7 @@ pub(crate) fn check_header(
             found: found_fingerprint,
         });
     }
-    Ok((found_version, r.u32().expect("header length checked")))
+    Ok(r.u32().expect("header length checked"))
 }
 
 /// Splits one `len + payload + crc` frame off `bytes` at `offset`,
@@ -215,11 +198,11 @@ pub(crate) fn check_frame(
 /// would not accept.
 pub fn snapshot_from_bytes(program: &Program, bytes: &[u8]) -> Result<Solution, PersistError> {
     let fingerprint = program_fingerprint(program);
-    let (version, frame_count) = check_header(
+    let frame_count = check_header(
         bytes,
         "snapshot",
         SNAPSHOT_MAGIC,
-        SNAPSHOT_MIN_VERSION..=SNAPSHOT_VERSION,
+        SNAPSHOT_VERSION,
         fingerprint,
     )?;
     if frame_count as usize != program.num_predicates() {
@@ -245,24 +228,14 @@ pub fn snapshot_from_bytes(program: &Program, bytes: &[u8]) -> Result<Solution, 
         )?;
         offset = next;
     }
-    let edb = if version >= 2 {
-        let frame_idx = program.num_predicates();
-        let (payload, next) = check_frame(bytes, offset, frame_idx)?;
-        let entries =
-            decode_edb_frame(program, payload).map_err(|reason| PersistError::CorruptFrame {
-                frame: frame_idx,
-                at: offset,
-                reason,
-            })?;
-        offset = next;
-        Some(std::sync::Arc::new(entries))
-    } else {
-        // A version-1 snapshot does not record the extensional store;
-        // the loaded solution must not pretend the program's own facts
-        // are it (absorbed deltas would be lost), so it carries None
-        // and rejects retracting deltas.
-        None
-    };
+    let frame_idx = program.num_predicates();
+    let (payload, next) = check_frame(bytes, offset, frame_idx)?;
+    let edb = decode_edb_frame(program, payload).map_err(|reason| PersistError::CorruptFrame {
+        frame: frame_idx,
+        at: offset,
+        reason,
+    })?;
+    offset = next;
     if offset != bytes.len() {
         return Err(PersistError::TrailingBytes { at: offset });
     }
@@ -271,12 +244,17 @@ pub fn snapshot_from_bytes(program: &Program, bytes: &[u8]) -> Result<Solution, 
         total_facts: db.total_facts() as u64,
         ..SolveStats::default()
     };
-    let mut solution = make_solution(program, db, stats, None, None);
-    solution.set_edb(edb);
-    Ok(solution)
+    Ok(Solution::new(
+        program,
+        Arc::new(db),
+        Arc::new(edb),
+        stats,
+        None,
+        None,
+    ))
 }
 
-/// Decodes the version-2 extensional-store frame: the exact set of
+/// Decodes the extensional-store frame: the exact set of
 /// assertions the stored model is the least fixed point of.
 fn decode_edb_frame(
     program: &Program,

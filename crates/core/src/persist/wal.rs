@@ -14,10 +14,8 @@
 //!                        -- raise/lower: key columns, then the element
 //! ```
 //!
-//! Version 1 entries had no `op` tag (every entry was an insert); v1
-//! logs are still read, and [`DeltaLog::open`] upgrades them to the
-//! current version in place (atomically) so that later appends — always
-//! current-version frames — stay readable.
+//! A log of any other format version is rejected by [`DeltaLog::open`]
+//! with [`PersistError::UnsupportedVersion`] and left untouched.
 //!
 //! Opening scans the longest valid frame prefix and **truncates the
 //! file** at the first torn or corrupt frame — whatever follows a bad
@@ -25,7 +23,7 @@
 //! the lengths) and replay of the intact prefix is exactly the state
 //! the writer had durably reached.
 
-use super::snapshot::{check_frame, check_header, save_snapshot, write_atomic, HEADER_LEN};
+use super::snapshot::{check_frame, check_header, push_frame, save_snapshot, HEADER_LEN};
 use super::wire::{crc32, program_fingerprint, ByteReader, ByteWriter};
 use super::PersistError;
 use crate::incremental::{Delta, DeltaOp};
@@ -36,14 +34,9 @@ use std::path::{Path, PathBuf};
 
 pub(crate) const WAL_MAGIC: &[u8; 8] = b"FLIXWAL\0";
 
-/// The WAL format version this build writes; versions back to
-/// [`WAL_MIN_VERSION`] are read. See [`super::SNAPSHOT_VERSION`] for
-/// the bump discipline.
+/// The WAL format version this build reads and writes. See
+/// [`super::SNAPSHOT_VERSION`] for the bump discipline.
 pub const WAL_VERSION: u32 = 2;
-
-/// The oldest WAL format version this build still reads (and upgrades
-/// in place on open).
-pub const WAL_MIN_VERSION: u32 = 1;
 
 /// What [`DeltaLog::open`] salvaged from an existing log file.
 #[derive(Debug, Default)]
@@ -94,7 +87,7 @@ fn header_bytes(fingerprint: u64) -> Vec<u8> {
     bytes
 }
 
-/// The op tag of a version-2 entry.
+/// The op tag of an entry.
 fn op_tag(op: &DeltaOp) -> u8 {
     match op {
         DeltaOp::Insert { .. } => 0,
@@ -138,9 +131,7 @@ fn encode_frame(delta: &Delta) -> Vec<u8> {
     }
     let payload = w.into_bytes();
     let mut frame = Vec::with_capacity(payload.len() + 8);
-    frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    frame.extend_from_slice(&payload);
-    frame.extend_from_slice(&crc32(&payload).to_le_bytes());
+    push_frame(&mut frame, &payload);
     frame
 }
 
@@ -202,33 +193,6 @@ fn decode_frame(payload: &[u8]) -> Result<Delta, String> {
     Ok(delta)
 }
 
-/// Decodes a version-1 frame: untagged entries, every one an insert.
-fn decode_frame_v1(payload: &[u8]) -> Result<Delta, String> {
-    let mut r = ByteReader::new(payload);
-    let fail = |e: super::wire::WireError| format!("{} at byte {}", e.what, e.at);
-    let count = r.u32().map_err(fail)? as usize;
-    if count > r.remaining() && count > 0 {
-        return Err("entry count exceeds frame payload".to_string());
-    }
-    let mut delta = Delta::new();
-    for _ in 0..count {
-        let name = r.string().map_err(fail)?.to_string();
-        let width = r.u32().map_err(fail)? as usize;
-        if width > r.remaining() && width > 0 {
-            return Err("entry width exceeds frame payload".to_string());
-        }
-        let mut tuple = Vec::with_capacity(width);
-        for _ in 0..width {
-            tuple.push(r.value().map_err(fail)?);
-        }
-        delta.push(name, tuple);
-    }
-    if !r.is_done() {
-        return Err("frame payload has trailing bytes".to_string());
-    }
-    Ok(delta)
-}
-
 impl DeltaLog {
     /// Opens (or creates) the log at `path` for `program`.
     ///
@@ -250,11 +214,11 @@ impl DeltaLog {
 
         let bytes =
             std::fs::read(path).map_err(|e| PersistError::io("read write-ahead log", path, e))?;
-        let (version, _) = check_header(
+        check_header(
             &bytes,
             "write-ahead log",
             WAL_MAGIC,
-            WAL_MIN_VERSION..=WAL_VERSION,
+            WAL_VERSION,
             fingerprint,
         )?;
 
@@ -262,12 +226,7 @@ impl DeltaLog {
         let mut offset = HEADER_LEN;
         while offset < bytes.len() {
             let parsed = check_frame(&bytes, offset, deltas.len()).and_then(|(payload, next)| {
-                let decoded = if version < 2 {
-                    decode_frame_v1(payload)
-                } else {
-                    decode_frame(payload)
-                };
-                match decoded {
+                match decode_frame(payload) {
                     Ok(delta) => Ok((delta, next)),
                     Err(reason) => Err(PersistError::CorruptFrame {
                         frame: deltas.len(),
@@ -287,37 +246,6 @@ impl DeltaLog {
             }
         }
         let dropped_bytes = (bytes.len() - offset) as u64;
-
-        if version < WAL_VERSION {
-            // Upgrade in place: appends always write current-version
-            // frames, which a stale header would mislabel. The rewrite
-            // (re-encoded valid prefix under a fresh header) is atomic,
-            // so a crash leaves either the old v1 log or the new one —
-            // and it drops the corruption tail as a side effect.
-            let mut upgraded = header_bytes(fingerprint);
-            for delta in &deltas {
-                upgraded.extend_from_slice(&encode_frame(delta));
-            }
-            write_atomic(path, &upgraded)?;
-            let file = OpenOptions::new()
-                .read(true)
-                .write(true)
-                .open(path)
-                .map_err(|e| PersistError::io("open write-ahead log", path, e))?;
-            let frames = deltas.len() as u64;
-            return Ok((
-                DeltaLog {
-                    path: path.to_path_buf(),
-                    file,
-                    end: upgraded.len() as u64,
-                    frames,
-                },
-                WalRecovery {
-                    deltas,
-                    dropped_bytes,
-                },
-            ));
-        }
 
         let file = OpenOptions::new()
             .read(true)

@@ -76,7 +76,9 @@ pub struct Program {
     pub(crate) pred_names: HashMap<Arc<str>, PredId>,
     pub(crate) funcs: Vec<FuncDef>,
     pub(crate) rules: Vec<CRule>,
-    pub(crate) facts: Vec<(PredId, Vec<Value>)>,
+    /// Shared, so every [`Solution`](crate::Solution) of the program
+    /// names its extensional store without copying it.
+    pub(crate) facts: Arc<Vec<(PredId, Vec<Value>)>>,
     /// Index requests: for each predicate, the distinct bound-column sets
     /// occurring in rule bodies (the index-selection strategy of DESIGN.md
     /// decision 4).
@@ -159,7 +161,7 @@ impl Program {
             pred_names,
             funcs,
             rules,
-            facts,
+            facts: Arc::new(facts),
             index_requests,
         })
     }

@@ -21,15 +21,16 @@ use crate::guard::{panic_payload, Budget, BudgetKind, EvalGuard, Guard};
 use crate::kernel::{self, KernelSet};
 use crate::observe::{Observer, RuleEvaluated, RuleStats, StratumStats};
 use crate::ops::OpsPanic;
-use crate::program::Program;
+use crate::program::{CItem, Program};
 use crate::provenance::{key_matches, pattern_matches, DerivationTree, Event, Premise, Source};
-use crate::stratify::stratify;
+use crate::stratify::{stratify, Strata};
 use crate::trace::{
     AscentCell, AscentConfig, AscentReport, AscentWarning, ExecutionTrace, Ring, SpanKind,
     TraceConfig, TraceEvent, Tracer,
 };
 use crate::verify::Violation;
 use crate::{PredId, Value};
+use std::collections::HashSet;
 use std::fmt;
 use std::sync::Arc;
 use std::time::Instant;
@@ -594,34 +595,673 @@ impl Solver {
     /// - [`SolveError::BudgetExceeded`] if the configured [`Budget`] runs
     ///   out.
     pub fn solve(&self, program: &Program) -> Result<Solution, Box<SolveFailure>> {
-        let wall_start = Instant::now();
-        let guard = Guard::new(&self.config.budget);
-        let tracer = Tracer::new(self.config.trace.as_ref());
+        let mut run = Run::fresh(self, program, Arc::clone(&program.facts));
+        let outcome = run.strata().and_then(|strata| run.scratch(&strata));
+        run.finish(outcome)
+    }
+
+    /// An empty database for `program` under this configuration.
+    fn empty_db(&self, program: &Program) -> Database {
         let mut db = Database::for_program(program, self.config.use_indexes);
         if self.config.ascent.is_some() {
             db.enable_ascent();
         }
-        let mut stats = SolveStats::for_program(program);
-        let mut events: Option<Vec<Event>> = self.config.record_provenance.then(Vec::new);
+        db
+    }
 
-        let outcome = self.solve_inner(
-            program,
-            &guard,
-            &mut db,
-            FactSource::ProgramPlus(&[]),
-            &mut stats,
-            &mut events,
-            &tracer,
-        );
-
-        stats.total_facts = db.total_facts() as u64;
-        stats.wall_ns = wall_start.elapsed().as_nanos() as u64;
-        tracer.record(0, SpanKind::Solve, 0);
-        let trace = tracer.finish(rule_heads(program));
+    /// Fires a non-fatal [`AscentWarning`] when the cell at `pred`/`key`
+    /// first crosses the configured chain-height threshold.
+    fn check_ascent(&self, program: &Program, db: &mut Database, pred: PredId, key: &[Value]) {
+        let Some(threshold) = self.config.ascent.as_ref().and_then(|c| c.warn_height) else {
+            return;
+        };
+        let Some(height) = db.ascent_crossed(pred, key, threshold) else {
+            return;
+        };
         if let Some(obs) = &self.config.observer {
+            obs.ascent_warning(&AscentWarning {
+                predicate: program.decl(pred).name.to_string(),
+                key: key.to_vec(),
+                height,
+                threshold,
+            });
+        }
+    }
+
+    /// Folds one finished task's counters into the per-rule profile and
+    /// the global totals, and fires the rule-evaluated observer event.
+    fn note_task(&self, stats: &mut SolveStats, stratum: usize, round: u64, report: &TaskReport) {
+        let r = &mut stats.per_rule[report.rule];
+        r.evaluations += 1;
+        r.derived += report.derived;
+        r.probes += report.probes;
+        r.scans += report.scans;
+        r.eval_ns += report.eval_ns;
+        stats.index_probes += report.probes;
+        stats.scan_fallbacks += report.scans;
+        // Suppressed derivations never reach the per-item counting in the
+        // insert loop; credit them here so `facts_derived` stays the
+        // gross count.
+        stats.facts_derived += report.suppressed;
+        if let Some(obs) = &self.config.observer {
+            obs.rule_evaluated(&RuleEvaluated {
+                stratum,
+                round,
+                rule: report.rule,
+                variant: report.variant,
+                derived: report.derived,
+                probes: report.probes,
+                scans: report.scans,
+                eval_ns: report.eval_ns,
+            });
+        }
+    }
+}
+
+/// How [`Run::run_stratum`] starts a stratum's fixed point.
+#[derive(Clone, Copy, Debug)]
+pub(crate) enum Seed {
+    /// One full evaluation of every rule, then semi-naïve rounds over
+    /// what it changed — the from-scratch start.
+    Full,
+    /// Warm start after an over-deletion: every rule is re-evaluated
+    /// completely against the surviving database, by handing the first
+    /// delta variant of each rule the whole current contents of its
+    /// predicate as `∆` (an over-deleted fact may have an alternative
+    /// derivation the first-derivation-only log never recorded).
+    Rederive,
+    /// Warm start: `∆` is the run's pending net changes of the
+    /// predicates the stratum reads.
+    Delta,
+}
+
+/// Everything a run produced, as handed to the epilogue. `solve_query`
+/// rewrites it into the original program's terms before the observer and
+/// the [`Solution`] see it.
+pub(crate) struct Finished {
+    pub(crate) db: Arc<Database>,
+    pub(crate) edb: ExtensionalStore,
+    pub(crate) stats: SolveStats,
+    pub(crate) events: Option<Vec<Event>>,
+    pub(crate) trace: Option<ExecutionTrace>,
+    pub(crate) outcome: Result<(), SolveError>,
+}
+
+/// One evaluation in progress, and the only code that inserts into a
+/// database under construction.
+///
+/// Paper §3.7 defines one thing — the least fixed point of the rules over
+/// an extensional store E, stratum by stratum — and an update is that
+/// same fixed point started from a different seed. Every entry point is
+/// therefore a composition of three primitives over one `Run`:
+/// [`Run::assert`] (the one extensional insert), [`Run::run_stratum`]
+/// (the one stratum dispatcher over the one round body) and
+/// [`Run::finish`] (the one epilogue). `solve` asserts the program's
+/// facts and runs every stratum [`Seed::Full`]; the resume paths of
+/// [`crate::incremental`] assert a net change and re-run the strata it
+/// reaches; every fallback is [`Run::scratch`] over the updated store.
+pub(crate) struct Run<'a> {
+    solver: &'a Solver,
+    program: &'a Program,
+    guard: Guard<'a>,
+    tracer: Tracer,
+    wall_start: Instant,
+    /// Copy-on-write: a resume starts on the prior model's shared
+    /// database and takes its warm-start copy at the first write, so the
+    /// exits that change nothing (rejected or empty delta) copy nothing.
+    db: Arc<Database>,
+    /// The extensional store the result is the least fixed point of.
+    edb: ExtensionalStore,
+    /// Compiled by the first stratum that runs: body literals are
+    /// interned against the database then, after every assertion, so
+    /// their encodings stay canonical for the run.
+    kernels: Option<KernelSet>,
+    stats: SolveStats,
+    events: Option<Vec<Event>>,
+    /// Whether `events` covers every insertion since the empty database.
+    events_complete: bool,
+    /// Warm runs only: every net change so far, per predicate — what
+    /// [`Seed::Delta`] strata are seeded from.
+    pending: Option<Vec<Vec<Row>>>,
+}
+
+impl<'a> Run<'a> {
+    /// A run over an existing database (shared until first written),
+    /// with no event log yet.
+    pub(crate) fn new(
+        solver: &'a Solver,
+        program: &'a Program,
+        db: Arc<Database>,
+        edb: ExtensionalStore,
+    ) -> Run<'a> {
+        Run {
+            solver,
+            program,
+            guard: Guard::new(&solver.config.budget),
+            tracer: Tracer::new(solver.config.trace.as_ref()),
+            wall_start: Instant::now(),
+            db,
+            edb,
+            kernels: None,
+            stats: SolveStats::for_program(program),
+            events: None,
+            events_complete: false,
+            pending: None,
+        }
+    }
+
+    /// A run from the empty database, logging from the start when the
+    /// solver records provenance.
+    pub(crate) fn fresh(
+        solver: &'a Solver,
+        program: &'a Program,
+        edb: ExtensionalStore,
+    ) -> Run<'a> {
+        let mut run = Run::new(solver, program, Arc::new(solver.empty_db(program)), edb);
+        run.events = solver.config.record_provenance.then(Vec::new);
+        run.events_complete = true;
+        run
+    }
+
+    /// Backdates the run to a clock started earlier: `solve_query` times
+    /// and traces its rewrite before the rewritten program — which the
+    /// run borrows — exists.
+    pub(crate) fn started(mut self, wall_start: Instant, tracer: Tracer) -> Run<'a> {
+        self.wall_start = wall_start;
+        self.tracer = tracer;
+        self
+    }
+
+    /// Starts over from the empty database: the first step of every
+    /// from-scratch fallback of a resume.
+    pub(crate) fn reset(&mut self) {
+        self.db = Arc::new(self.solver.empty_db(self.program));
+        self.events = self.solver.config.record_provenance.then(Vec::new);
+        self.events_complete = true;
+        self.kernels = None;
+        self.pending = None;
+    }
+
+    /// Continues the prior solution's event log, when the solver records
+    /// one (the prior log may be absent if that solve ran without
+    /// recording; the continued log is then incomplete).
+    ///
+    ///
+    /// The copy gets the power-of-two capacity a log grown by pushes
+    /// has. It is about to be extended, and an exact copy doubles on its
+    /// first push: `2 × len` is, for a log that creeps up by a few
+    /// events per update, a block a little larger than any before, every
+    /// update. glibc maps such ever-new maxima outside its heaps
+    /// whenever a heap is short of room, and releasing a mapped block —
+    /// unlike a large heap block — does not hand the log's ~10⁵ small
+    /// freed entries back to the system: a resident server's footprint
+    /// then depended on which arena its next writer thread landed in
+    /// (EXPERIMENTS.md, "Peak memory of the resident server").
+    pub(crate) fn carry_log(&mut self, prior: &Solution) {
+        self.events = self.solver.config.record_provenance.then(|| {
+            let carried = prior.events().map_or(&[][..], Vec::as_slice);
+            let mut log = Vec::with_capacity(carried.len().next_power_of_two());
+            log.extend_from_slice(carried);
+            log
+        });
+        self.events_complete = prior.events().is_some() && prior.events_complete();
+    }
+
+    /// Replaces the extensional store the result will be attributed to.
+    pub(crate) fn set_store(&mut self, edb: ExtensionalStore) {
+        self.edb = edb;
+    }
+
+    /// Makes this a warm run: net changes are remembered from here on,
+    /// and ascent counters are enabled on the warm database (counters
+    /// carried over from a prior ascent-enabled solve are kept; otherwise
+    /// heights are measured from the resume start).
+    pub(crate) fn warm(&mut self) {
+        if self.solver.config.ascent.is_some() {
+            Arc::make_mut(&mut self.db).enable_ascent();
+        }
+        self.pending = Some(vec![Vec::new(); self.program.preds.len()]);
+    }
+
+    /// The run's tracer, for the phase spans a composition records
+    /// around its own steps.
+    pub(crate) fn tracer(&self) -> &Tracer {
+        &self.tracer
+    }
+
+    /// The strata of the program, in evaluation order.
+    pub(crate) fn strata(&self) -> Result<Strata, SolveError> {
+        Ok(stratify(self.program)?)
+    }
+
+    /// Asserts one extensional fact: the only way an asserted tuple
+    /// enters the database. A net change counts into `facts_inserted`,
+    /// is checked against the ascent threshold, is remembered as a
+    /// pending change on a warm run, and is logged as a [`Source::Fact`]
+    /// event carrying the state the database reached — for a lattice
+    /// cell the *joined* value, as rule events do.
+    pub(crate) fn assert(&mut self, pred: PredId, values: &[Value]) -> Result<(), SolveError> {
+        let db = Arc::make_mut(&mut self.db);
+        let outcome = db
+            .insert(pred, values.to_vec())
+            .map_err(|fault| insert_fault_error(self.program, pred, None, fault))?;
+        if matches!(outcome, InsertOutcome::Unchanged) {
+            return Ok(());
+        }
+        self.stats.facts_inserted += 1;
+        if let InsertOutcome::LatIncrease(key, _) = &outcome {
+            self.solver.check_ascent(self.program, db, pred, key);
+        }
+        if self.pending.is_none() && self.events.is_none() {
+            return Ok(());
+        }
+        let row = change_row(outcome).expect("the outcome is a change");
+        if let Some(log) = self.events.as_mut() {
+            log.push(Event {
+                pred,
+                tuple: row.to_vec(),
+                source: Source::Fact,
+            });
+        }
+        if let Some(pending) = self.pending.as_mut() {
+            pending[pred.0 as usize].push(row);
+        }
+        Ok(())
+    }
+
+    /// The from-scratch composition: asserts the whole extensional store,
+    /// then runs every stratum in full. `solve` is this over the
+    /// program's facts; every resume fallback is this over the updated
+    /// store, after [`Run::reset`].
+    pub(crate) fn scratch(&mut self, strata: &Strata) -> Result<(), SolveError> {
+        let load_start = self.tracer.now_ns();
+        let store = Arc::clone(&self.edb);
+        for (pred, values) in store.iter() {
+            self.assert(*pred, values)?;
+        }
+        self.tracer.record(0, SpanKind::LoadFacts, load_start);
+        for (stratum, group) in strata.rule_groups.iter().enumerate() {
+            self.run_stratum(stratum, group, Seed::Full)?;
+        }
+        Ok(())
+    }
+
+    /// Whether any rule of `group` reads, positively, a predicate with
+    /// pending changes.
+    pub(crate) fn reads_pending(&self, group: &[usize]) -> bool {
+        let Some(pending) = &self.pending else {
+            return false;
+        };
+        group.iter().any(|&r| {
+            self.program.rules[r].body.iter().any(
+                |item| matches!(item, CItem::Atom { pred, .. } if !pending[pred.0 as usize].is_empty()),
+            )
+        })
+    }
+
+    /// The over-deletion step of a retracting resume: replaces the
+    /// database by its restriction to the facts `survives` accepts
+    /// (relational rows by tuple, lattice cells by key) and drops the
+    /// `dead` entries of the carried event log, which must still be the
+    /// prior solution's. The columnar store has no in-place deletion —
+    /// rebuilding also keeps the per-predicate indexes dense.
+    pub(crate) fn rebuild(
+        &mut self,
+        survives: impl Fn(PredId, &[Value]) -> bool,
+        dead: &[bool],
+    ) -> Result<(), SolveError> {
+        let program = self.program;
+        let mut fresh = self.solver.empty_db(program);
+        let mut keep = |pred: PredId, tuple: Vec<Value>| match fresh.insert(pred, tuple) {
+            Ok(_) => Ok(()),
+            Err(fault) => Err(insert_fault_error(program, pred, None, fault)),
+        };
+        for (pred, _) in program.predicates() {
+            match self.db.pred(pred) {
+                PredData::Rel(rel) => {
+                    for row in rel.rows().filter(|row| survives(pred, row)) {
+                        keep(pred, row.to_vec())?;
+                    }
+                }
+                PredData::Lat(lat) => {
+                    for (key, cell) in lat.iter().filter(|(key, _)| survives(pred, key)) {
+                        let mut tuple = key.to_vec();
+                        tuple.push(cell.clone());
+                        keep(pred, tuple)?;
+                    }
+                }
+            }
+        }
+        self.db = Arc::new(fresh);
+        self.kernels = None;
+        if let Some(log) = self.events.as_mut() {
+            let mut dead = dead.iter();
+            log.retain(|_| !dead.next().expect("the carried log is the tainted one"));
+        }
+        Ok(())
+    }
+
+    /// Runs one stratum to its fixed point from `seed`, under the
+    /// configured strategy. The naïve strategy ignores the seed: it
+    /// re-evaluates every rule each round whatever changed.
+    pub(crate) fn run_stratum(
+        &mut self,
+        stratum: usize,
+        group: &[usize],
+        seed: Seed,
+    ) -> Result<(), SolveError> {
+        if self.kernels.is_none() {
+            let config = &self.solver.config;
+            self.kernels = Some(KernelSet::compile(
+                self.program,
+                Arc::make_mut(&mut self.db),
+                config.ascent.is_none(),
+                config.record_provenance,
+            ));
+        }
+        self.stats.strata += 1;
+        self.stats.per_stratum.push(StratumStats {
+            stratum,
+            rounds: 0,
+            delta_sizes: Vec::new(),
+        });
+        let stratum_start = self.tracer.now_ns();
+        let result = self.iterate(stratum, group, seed);
+        // Record the stratum span even when the stratum failed, so a
+        // guarded failure still carries the partial trace.
+        self.tracer
+            .record(0, SpanKind::Stratum { stratum }, stratum_start);
+        result
+    }
+
+    fn iterate(&mut self, stratum: usize, group: &[usize], seed: Seed) -> Result<(), SolveError> {
+        let full: Vec<Task> = group
+            .iter()
+            .map(|&r| Task {
+                rule: r,
+                variant: None,
+            })
+            .collect();
+        // Reused across rounds, so the (often tens of megabytes of)
+        // derivation storage is allocated once per stratum.
+        let mut buf: Vec<Derived> = Vec::new();
+        match self.solver.config.strategy {
+            Strategy::Naive => loop {
+                let changes = self.round(stratum, &full, &[], &mut buf)?;
+                if drained(&changes) {
+                    break;
+                }
+            },
+            Strategy::SemiNaive => {
+                // A rule without positive body atoms has no delta variant
+                // to hang a complete re-evaluation on; the full seed
+                // round covers it.
+                let rederivable = group
+                    .iter()
+                    .all(|&r| !self.program.rules[r].delta_variants.is_empty());
+                let mut delta = match seed {
+                    Seed::Rederive if rederivable => self.contents_of(group),
+                    Seed::Full | Seed::Rederive => self.round(stratum, &full, &[], &mut buf)?,
+                    Seed::Delta => self.pending_for(group),
+                };
+                // The incremental rounds of §3.7.
+                while !drained(&delta) {
+                    let mut tasks = Vec::new();
+                    for &r in group {
+                        let variants = &self.program.rules[r].delta_variants;
+                        for (vi, (pred, _)) in variants.iter().enumerate() {
+                            if !delta[pred.0 as usize].is_empty() {
+                                tasks.push(Task {
+                                    rule: r,
+                                    variant: Some(vi),
+                                });
+                            }
+                        }
+                    }
+                    delta = self.round(stratum, &tasks, &delta, &mut buf)?;
+                }
+            }
+        }
+        if let Some(obs) = &self.solver.config.observer {
+            let rounds = self.stats.per_stratum.last().map_or(0, |st| st.rounds);
+            obs.stratum_converged(stratum, rounds);
+        }
+        Ok(())
+    }
+
+    /// The warm-start `∆` of [`Seed::Delta`]: the pending changes of
+    /// every predicate the stratum's rules read positively. Relational
+    /// rows pass through as-is; lattice keys are deduplicated and re-read
+    /// from the database so the delta row carries the *current* cell
+    /// value (intermediate values a cell climbed through in earlier
+    /// strata must not leak into this stratum's witnesses — a
+    /// from-scratch solve would only ever see the settled value).
+    fn pending_for(&self, group: &[usize]) -> Vec<Vec<Row>> {
+        let pending = self.pending.as_ref().expect("Seed::Delta is for warm runs");
+        let mut seed: Vec<Vec<Row>> = vec![Vec::new(); pending.len()];
+        for &r in group {
+            for item in &self.program.rules[r].body {
+                let CItem::Atom { pred, .. } = item else {
+                    continue;
+                };
+                let p = pred.0 as usize;
+                if !seed[p].is_empty() {
+                    continue;
+                }
+                match self.db.pred(*pred) {
+                    PredData::Rel(_) => seed[p] = pending[p].clone(),
+                    PredData::Lat(lat) => {
+                        let mut seen: HashSet<&[Value]> = HashSet::new();
+                        for row in &pending[p] {
+                            let key = &row[..row.len() - 1];
+                            if !seen.insert(key) {
+                                continue;
+                            }
+                            let value = lat
+                                .value(key, self.db.spill())
+                                .expect("pending lattice key has a stored cell");
+                            let mut full = key.to_vec();
+                            full.push(value.clone());
+                            seed[p].push(full.into());
+                        }
+                    }
+                }
+            }
+        }
+        seed
+    }
+
+    /// The `∆` of [`Seed::Rederive`]: the complete current contents of
+    /// the *first* delta-variant predicate of each rule. One variant with
+    /// a full delta joins against full relations everywhere else, so
+    /// every rule is evaluated completely in the first round; subsequent
+    /// rounds proceed semi-naïvely over genuine changes.
+    fn contents_of(&self, group: &[usize]) -> Vec<Vec<Row>> {
+        let mut seed: Vec<Vec<Row>> = vec![Vec::new(); self.program.preds.len()];
+        for &r in group {
+            let Some((pred, _)) = self.program.rules[r].delta_variants.first() else {
+                continue;
+            };
+            let p = pred.0 as usize;
+            if !seed[p].is_empty() {
+                continue;
+            }
+            seed[p] = match self.db.pred(*pred) {
+                PredData::Rel(rel) => rel.rows().map(|row| Row::from(row.to_vec())).collect(),
+                PredData::Lat(lat) => lat
+                    .iter()
+                    .map(|(key, cell)| {
+                        let mut full = key.to_vec();
+                        full.push(cell.clone());
+                        full.into()
+                    })
+                    .collect(),
+            };
+        }
+        seed
+    }
+
+    fn check_round(&self, stratum: usize) -> Result<(), SolveError> {
+        let config = &self.solver.config;
+        if let Some(limit) = config.max_rounds {
+            if self.stats.rounds >= limit {
+                return Err(SolveError::RoundLimitExceeded {
+                    limit,
+                    stratum,
+                    stats: self.stats.clone(),
+                });
+            }
+        }
+        let exceeded = self
+            .guard
+            .exceeded(self.stats.facts_derived, self.db.total_facts() as u64);
+        if let Some(obs) = &config.observer {
+            obs.budget_checked(stratum, exceeded.as_ref());
+        }
+        if let Some(kind) = exceeded {
+            return Err(SolveError::BudgetExceeded {
+                kind,
+                stats: self.stats.clone(),
+            });
+        }
+        Ok(())
+    }
+
+    /// One fixed-point round: evaluates `tasks` against `delta` and
+    /// absorbs what they derived. Returns the round's net changes per
+    /// predicate — the next `∆` — which a warm run also remembers as
+    /// pending for the strata above.
+    fn round(
+        &mut self,
+        stratum: usize,
+        tasks: &[Task],
+        delta: &[Vec<Row>],
+        buf: &mut Vec<Derived>,
+    ) -> Result<Vec<Vec<Row>>, SolveError> {
+        self.check_round(stratum)?;
+        self.stats.rounds += 1;
+        let round = self.stats.rounds;
+        if let Some(st) = self.stats.per_stratum.last_mut() {
+            st.rounds += 1;
+        }
+        if let Some(obs) = &self.solver.config.observer {
+            obs.round_started(stratum, round, self.db.total_facts() as u64);
+        }
+        let round_start = self.tracer.now_ns();
+        let outcome = self
+            .run_tasks(stratum, round, tasks, delta, buf)
+            .and_then(|()| self.absorb(buf));
+        // Recorded on the error paths too (partial traces on guarded
+        // failures).
+        self.tracer
+            .record(0, SpanKind::Round { stratum, round }, round_start);
+        let changes = outcome?;
+        if let Some(pending) = self.pending.as_mut() {
+            for (pred, rows) in changes.iter().enumerate() {
+                pending[pred].extend(rows.iter().cloned());
+            }
+        }
+        Ok(changes)
+    }
+
+    /// Drains one round's derivations into the database: the only place a
+    /// derived fact is inserted. Counts gross derivations and net
+    /// changes, credits the first changing rule, checks ascent, logs the
+    /// rule event, and collects the change rows.
+    fn absorb(&mut self, buf: &mut Vec<Derived>) -> Result<Vec<Vec<Row>>, SolveError> {
+        let db = Arc::make_mut(&mut self.db);
+        let mut changes: Vec<Vec<Row>> = vec![Vec::new(); self.program.preds.len()];
+        let mut changed = 0u64;
+        let mut touched = TouchedCells::new();
+        for mut d in buf.drain(..) {
+            self.stats.facts_derived += 1;
+            let outcome = insert_derived(db, &mut d)
+                .map_err(|fault| insert_fault_error(self.program, d.pred, Some(d.rule), fault))?;
+            if matches!(outcome, InsertOutcome::Unchanged) {
+                continue;
+            }
+            if touched.first_change(d.pred, &outcome) {
+                self.stats.facts_inserted += 1;
+                self.stats.per_rule[d.rule].inserted += 1;
+                changed += 1;
+            }
+            if let InsertOutcome::LatIncrease(key, _) = &outcome {
+                self.solver.check_ascent(self.program, db, d.pred, key);
+            }
+            let row = change_row(outcome).expect("the outcome is a change");
+            if let Some(log) = self.events.as_mut() {
+                log.push(Event {
+                    pred: d.pred,
+                    tuple: row.to_vec(),
+                    source: Source::Rule {
+                        rule: d.rule,
+                        premises: d.premises.take().unwrap_or_default(),
+                    },
+                });
+            }
+            changes[d.pred.0 as usize].push(row);
+        }
+        if let Some(st) = self.stats.per_stratum.last_mut() {
+            st.delta_sizes.push(changed);
+        }
+        Ok(changes)
+    }
+
+    /// The epilogue of every entry point: final counters, the `Solve`
+    /// span, the observer's `solve_finished`, and the [`Solution`] — as
+    /// the result, or as the partial model of a [`SolveFailure`].
+    pub(crate) fn finish(
+        self,
+        outcome: Result<(), SolveError>,
+    ) -> Result<Solution, Box<SolveFailure>> {
+        let program = self.program;
+        self.finish_as(program, outcome, |finished| finished)
+    }
+
+    /// Finishes a run that was refused before it evaluated anything.
+    pub(crate) fn reject(self, error: SolveError) -> Box<SolveFailure> {
+        self.finish(Err(error))
+            .expect_err("an error outcome finishes as a failure")
+    }
+
+    /// [`Run::finish`] for a run whose program is not the one the caller
+    /// asked about: `rewrite` translates what the run produced into
+    /// `program`'s terms first.
+    pub(crate) fn finish_as(
+        mut self,
+        program: &Program,
+        outcome: Result<(), SolveError>,
+        rewrite: impl FnOnce(Finished) -> Finished,
+    ) -> Result<Solution, Box<SolveFailure>> {
+        self.stats.total_facts = self.db.total_facts() as u64;
+        self.stats.wall_ns = self.wall_start.elapsed().as_nanos() as u64;
+        self.tracer.record(0, SpanKind::Solve, 0);
+        let Finished {
+            db,
+            edb,
+            stats,
+            events,
+            trace,
+            outcome,
+        } = rewrite(Finished {
+            trace: self.tracer.finish(rule_heads(self.program)),
+            db: self.db,
+            edb: self.edb,
+            stats: self.stats,
+            events: self.events,
+            outcome,
+        });
+        if let Some(obs) = &self.solver.config.observer {
             obs.solve_finished(&stats);
         }
-        let solution = make_solution(program, db, stats.clone(), events, trace);
+        let solution = Solution::new(
+            program,
+            db,
+            edb,
+            stats.clone(),
+            events.map(|log| (log, self.events_complete)),
+            trace,
+        );
         match outcome {
             Ok(()) => Ok(solution),
             Err(mut error) => {
@@ -641,475 +1281,25 @@ impl Solver {
         }
     }
 
-    /// Runs the full from-scratch fixed point: loads the extensional
-    /// store described by `base_facts`, then evaluates every stratum in
-    /// order.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn solve_inner(
-        &self,
-        program: &Program,
-        guard: &Guard<'_>,
-        db: &mut Database,
-        base_facts: FactSource<'_>,
-        stats: &mut SolveStats,
-        events: &mut Option<Vec<Event>>,
-        tracer: &Tracer,
-    ) -> Result<(), SolveError> {
-        let strata = stratify(program)?;
-        let npreds = program.preds.len();
-
-        // Load the extensional facts.
-        let load_start = tracer.now_ns();
-        let (own, extra_facts) = match base_facts {
-            FactSource::ProgramPlus(extra) => (program.facts.as_slice(), extra),
-            FactSource::Exact(store) => (&[][..], store),
-        };
-        let program_facts = own.iter().map(|(p, v)| (*p, v));
-        let extra = extra_facts.iter().map(|(p, v)| (*p, v));
-        for (pred, values) in program_facts.chain(extra) {
-            match db.insert(pred, values.clone()) {
-                Ok(InsertOutcome::Unchanged) => {}
-                Ok(outcome) => {
-                    stats.facts_inserted += 1;
-                    if let InsertOutcome::LatIncrease(key, _) = &outcome {
-                        self.check_ascent(program, db, pred, key);
-                    }
-                    if let Some(log) = events.as_mut() {
-                        log.push(Event {
-                            pred,
-                            tuple: values.clone(),
-                            source: Source::Fact,
-                        });
-                    }
-                }
-                Err(fault) => return Err(insert_fault_error(program, pred, None, fault)),
-            }
-        }
-        tracer.record(0, SpanKind::LoadFacts, load_start);
-
-        let kernels = self.compile_kernels(program, db);
-
-        for (stratum, group) in strata.rule_groups.iter().enumerate() {
-            stats.strata += 1;
-            stats.per_stratum.push(StratumStats {
-                stratum,
-                rounds: 0,
-                delta_sizes: Vec::new(),
-            });
-            let stratum_start = tracer.now_ns();
-            let result = match self.config.strategy {
-                Strategy::Naive => self.run_naive(
-                    program, guard, db, &kernels, group, stratum, stats, events, None, tracer,
-                ),
-                Strategy::SemiNaive => self.run_semi_naive(
-                    program, guard, db, &kernels, group, stratum, npreds, stats, events, tracer,
-                ),
-            };
-            // Record the stratum span even when the stratum failed, so a
-            // guarded failure still carries the partial trace.
-            tracer.record(0, SpanKind::Stratum { stratum }, stratum_start);
-            result?;
-        }
-        Ok(())
-    }
-
-    /// Compiles the join plans of `program` against `db`. Call after the
-    /// facts are loaded: body literals are interned here, so their
-    /// encodings stay canonical for the run.
-    pub(crate) fn compile_kernels(&self, program: &Program, db: &mut Database) -> KernelSet {
-        KernelSet::compile(
-            program,
-            db,
-            self.config.ascent.is_none(),
-            self.config.record_provenance,
-        )
-    }
-
-    /// Fires a non-fatal [`AscentWarning`] when the cell at `pred`/`key`
-    /// first crosses the configured chain-height threshold.
-    pub(crate) fn check_ascent(
-        &self,
-        program: &Program,
-        db: &mut Database,
-        pred: PredId,
-        key: &[Value],
-    ) {
-        let Some(threshold) = self.config.ascent.as_ref().and_then(|c| c.warn_height) else {
-            return;
-        };
-        let Some(height) = db.ascent_crossed(pred, key, threshold) else {
-            return;
-        };
-        if let Some(obs) = &self.config.observer {
-            obs.ascent_warning(&AscentWarning {
-                predicate: program.decl(pred).name.to_string(),
-                key: key.to_vec(),
-                height,
-                threshold,
-            });
-        }
-    }
-
-    pub(crate) fn check_round(
-        &self,
-        guard: &Guard<'_>,
-        db: &Database,
-        stratum: usize,
-        stats: &SolveStats,
-    ) -> Result<(), SolveError> {
-        if let Some(limit) = self.config.max_rounds {
-            if stats.rounds >= limit {
-                return Err(SolveError::RoundLimitExceeded {
-                    limit,
-                    stratum,
-                    stats: stats.clone(),
-                });
-            }
-        }
-        let exceeded = guard.exceeded(stats.facts_derived, db.total_facts() as u64);
-        if let Some(obs) = &self.config.observer {
-            obs.budget_checked(stratum, exceeded.as_ref());
-        }
-        if let Some(kind) = exceeded {
-            return Err(SolveError::BudgetExceeded {
-                kind,
-                stats: stats.clone(),
-            });
-        }
-        Ok(())
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn run_naive(
-        &self,
-        program: &Program,
-        guard: &Guard<'_>,
-        db: &mut Database,
-        kernels: &KernelSet,
-        group: &[usize],
-        stratum: usize,
-        stats: &mut SolveStats,
-        events: &mut Option<Vec<Event>>,
-        mut accumulate: Option<&mut Vec<Vec<Row>>>,
-        tracer: &Tracer,
-    ) -> Result<(), SolveError> {
-        let mut derived_buf: Vec<Derived> = Vec::new();
-        loop {
-            self.check_round(guard, db, stratum, stats)?;
-            stats.rounds += 1;
-            let round = stats.rounds;
-            self.note_round_started(stats, stratum, round, db.total_facts() as u64);
-            let round_start = tracer.now_ns();
-            let tasks: Vec<Task> = group
-                .iter()
-                .map(|&r| Task {
-                    rule: r,
-                    variant: None,
-                })
-                .collect();
-            // A labelled block so the round span is recorded on the error
-            // paths too (partial traces on guarded failures).
-            let outcome: Result<u64, SolveError> = 'round: {
-                if let Err(error) = self.run_tasks(
-                    program,
-                    guard,
-                    db,
-                    kernels,
-                    &tasks,
-                    &[],
-                    stats,
-                    stratum,
-                    round,
-                    tracer,
-                    &mut derived_buf,
-                ) {
-                    break 'round Err(error);
-                }
-                let mut changed = 0u64;
-                let mut touched = TouchedCells::new();
-                for mut d in derived_buf.drain(..) {
-                    stats.facts_derived += 1;
-                    match insert_derived(db, &mut d, events.is_some()) {
-                        Ok(InsertOutcome::Unchanged) => {}
-                        Ok(outcome) => {
-                            if touched.first_change(&d, &outcome) {
-                                stats.facts_inserted += 1;
-                                stats.per_rule[d.rule].inserted += 1;
-                                changed += 1;
-                            }
-                            if let InsertOutcome::LatIncrease(key, _) = &outcome {
-                                self.check_ascent(program, db, d.pred, key);
-                            }
-                            if let Some(acc) = accumulate.as_deref_mut() {
-                                accumulate_change(acc, d.pred, &outcome);
-                            }
-                            log_event(events, &d, outcome);
-                        }
-                        Err(fault) => {
-                            break 'round Err(insert_fault_error(
-                                program,
-                                d.pred,
-                                Some(d.rule),
-                                fault,
-                            ))
-                        }
-                    }
-                }
-                Ok(changed)
-            };
-            tracer.record(0, SpanKind::Round { stratum, round }, round_start);
-            let changed = outcome?;
-            if let Some(st) = stats.per_stratum.last_mut() {
-                st.delta_sizes.push(changed);
-            }
-            if changed == 0 {
-                self.note_stratum_converged(stats, stratum);
-                return Ok(());
-            }
-        }
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn run_semi_naive(
-        &self,
-        program: &Program,
-        guard: &Guard<'_>,
-        db: &mut Database,
-        kernels: &KernelSet,
-        group: &[usize],
-        stratum: usize,
-        npreds: usize,
-        stats: &mut SolveStats,
-        events: &mut Option<Vec<Event>>,
-        tracer: &Tracer,
-    ) -> Result<(), SolveError> {
-        // Seed round: one full (naïve) evaluation of the stratum's rules.
-        self.check_round(guard, db, stratum, stats)?;
-        stats.rounds += 1;
-        let round = stats.rounds;
-        self.note_round_started(stats, stratum, round, db.total_facts() as u64);
-        let round_start = tracer.now_ns();
-        let seed_tasks: Vec<Task> = group
-            .iter()
-            .map(|&r| Task {
-                rule: r,
-                variant: None,
-            })
-            .collect();
-        let mut derived_buf: Vec<Derived> = Vec::new();
-        let outcome: Result<Vec<Vec<Row>>, SolveError> = 'round: {
-            if let Err(error) = self.run_tasks(
-                program,
-                guard,
-                db,
-                kernels,
-                &seed_tasks,
-                &[],
-                stats,
-                stratum,
-                round,
-                tracer,
-                &mut derived_buf,
-            ) {
-                break 'round Err(error);
-            }
-            let mut delta: Vec<Vec<Row>> = vec![Vec::new(); npreds];
-            let mut changed = 0u64;
-            let mut touched = TouchedCells::new();
-            for d in derived_buf.drain(..) {
-                stats.facts_derived += 1;
-                if let Err(error) = self.record_insert(
-                    program,
-                    db,
-                    d,
-                    &mut delta,
-                    &mut touched,
-                    &mut changed,
-                    stats,
-                    events,
-                ) {
-                    break 'round Err(error);
-                }
-            }
-            if let Some(st) = stats.per_stratum.last_mut() {
-                st.delta_sizes.push(changed);
-            }
-            Ok(delta)
-        };
-        tracer.record(0, SpanKind::Round { stratum, round }, round_start);
-        let delta = outcome?;
-
-        self.run_semi_naive_rounds(
-            program, guard, db, kernels, group, stratum, npreds, stats, events, delta, None, tracer,
-        )
-    }
-
-    /// The incremental rounds of §3.7, starting from an explicit `∆`.
-    ///
-    /// [`Solver::run_semi_naive`] enters here after its seed round; the
-    /// warm-start path of [`crate::incremental`] enters directly, with
-    /// `delta` holding the changed cells of a resumed solve (skipping the
-    /// full seed evaluation entirely). When `accumulate` is set, every
-    /// net database change is also appended there, so a resume can seed
-    /// later strata with this stratum's output.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn run_semi_naive_rounds(
-        &self,
-        program: &Program,
-        guard: &Guard<'_>,
-        db: &mut Database,
-        kernels: &KernelSet,
-        group: &[usize],
-        stratum: usize,
-        npreds: usize,
-        stats: &mut SolveStats,
-        events: &mut Option<Vec<Event>>,
-        mut delta: Vec<Vec<Row>>,
-        mut accumulate: Option<&mut Vec<Vec<Row>>>,
-        tracer: &Tracer,
-    ) -> Result<(), SolveError> {
-        let mut derived_buf: Vec<Derived> = Vec::new();
-        while delta.iter().any(|d| !d.is_empty()) {
-            self.check_round(guard, db, stratum, stats)?;
-            stats.rounds += 1;
-            let round = stats.rounds;
-            self.note_round_started(stats, stratum, round, db.total_facts() as u64);
-            let round_start = tracer.now_ns();
-            let mut tasks = Vec::new();
-            for &r in group {
-                let rule = &program.rules[r];
-                for (vi, (pred, _)) in rule.delta_variants.iter().enumerate() {
-                    if !delta[pred.0 as usize].is_empty() {
-                        tasks.push(Task {
-                            rule: r,
-                            variant: Some(vi),
-                        });
-                    }
-                }
-            }
-            let outcome: Result<Vec<Vec<Row>>, SolveError> = 'round: {
-                if let Err(error) = self.run_tasks(
-                    program,
-                    guard,
-                    db,
-                    kernels,
-                    &tasks,
-                    &delta,
-                    stats,
-                    stratum,
-                    round,
-                    tracer,
-                    &mut derived_buf,
-                ) {
-                    break 'round Err(error);
-                }
-                let mut new_delta: Vec<Vec<Row>> = vec![Vec::new(); npreds];
-                let mut changed = 0u64;
-                let mut touched = TouchedCells::new();
-                for d in derived_buf.drain(..) {
-                    stats.facts_derived += 1;
-                    if let Err(error) = self.record_insert(
-                        program,
-                        db,
-                        d,
-                        &mut new_delta,
-                        &mut touched,
-                        &mut changed,
-                        stats,
-                        events,
-                    ) {
-                        break 'round Err(error);
-                    }
-                }
-                if let Some(st) = stats.per_stratum.last_mut() {
-                    st.delta_sizes.push(changed);
-                }
-                Ok(new_delta)
-            };
-            tracer.record(0, SpanKind::Round { stratum, round }, round_start);
-            let new_delta = outcome?;
-            if let Some(acc) = accumulate.as_deref_mut() {
-                for (pred, rows) in new_delta.iter().enumerate() {
-                    acc[pred].extend(rows.iter().cloned());
-                }
-            }
-            delta = new_delta;
-        }
-        self.note_stratum_converged(stats, stratum);
-        Ok(())
-    }
-
-    /// Fires the round-started observer event and counts the round on the
-    /// current stratum's profile entry.
-    fn note_round_started(&self, stats: &mut SolveStats, stratum: usize, round: u64, facts: u64) {
-        if let Some(st) = stats.per_stratum.last_mut() {
-            st.rounds += 1;
-        }
-        if let Some(obs) = &self.config.observer {
-            obs.round_started(stratum, round, facts);
-        }
-    }
-
-    /// Fires the stratum-converged observer event.
-    fn note_stratum_converged(&self, stats: &SolveStats, stratum: usize) {
-        if let Some(obs) = &self.config.observer {
-            let rounds = stats.per_stratum.last().map_or(0, |st| st.rounds);
-            obs.stratum_converged(stratum, rounds);
-        }
-    }
-
-    /// Folds one finished task's counters into the per-rule profile and
-    /// the global totals, and fires the rule-evaluated observer event.
-    fn note_task(&self, stats: &mut SolveStats, stratum: usize, round: u64, report: &TaskReport) {
-        let r = &mut stats.per_rule[report.rule];
-        r.evaluations += 1;
-        r.derived += report.derived;
-        r.probes += report.probes;
-        r.scans += report.scans;
-        r.eval_ns += report.eval_ns;
-        stats.index_probes += report.probes;
-        stats.scan_fallbacks += report.scans;
-        // Suppressed derivations never reach the per-item counting in the
-        // insert loops; credit them here so `facts_derived` stays the
-        // gross count.
-        stats.facts_derived += report.suppressed;
-        if let Some(obs) = &self.config.observer {
-            obs.rule_evaluated(&RuleEvaluated {
-                stratum,
-                round,
-                rule: report.rule,
-                variant: report.variant,
-                derived: report.derived,
-                probes: report.probes,
-                scans: report.scans,
-                eval_ns: report.eval_ns,
-            });
-        }
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    /// Evaluates one round's tasks, appending their derivations to `out`
-    /// — a caller-owned buffer reused across rounds, so the (often tens
-    /// of megabytes of) derivation storage is allocated once per stratum
-    /// instead of once per round.
-    #[allow(clippy::too_many_arguments)]
+    /// Evaluates one round's tasks, appending their derivations to `out`.
     fn run_tasks(
-        &self,
-        program: &Program,
-        guard: &Guard<'_>,
-        db: &Database,
-        kernels: &KernelSet,
-        tasks: &[Task],
-        delta: &[Vec<Row>],
-        stats: &mut SolveStats,
+        &mut self,
         stratum: usize,
         round: u64,
-        tracer: &Tracer,
+        tasks: &[Task],
+        delta: &[Vec<Row>],
         out: &mut Vec<Derived>,
     ) -> Result<(), SolveError> {
+        let solver = self.solver;
+        let program = self.program;
+        let guard = &self.guard;
+        let tracer = &self.tracer;
+        let db: &Database = &self.db;
+        let kernels = self.kernels.as_ref().expect("compiled by run_stratum");
+        let stats = &mut self.stats;
         out.clear();
         stats.rule_evaluations += tasks.len() as u64;
-        if self.config.threads <= 1 || tasks.len() <= 1 {
+        if solver.config.threads <= 1 || tasks.len() <= 1 {
             let eval_guard = guard.eval_guard();
             let mut ring = tracer.local_ring();
             let mut scratch = kernel::KernelScratch::new();
@@ -1133,7 +1323,7 @@ impl Solver {
                     &mut span,
                     &mut scratch,
                 ) {
-                    Ok(report) => self.note_task(stats, stratum, round, &report),
+                    Ok(report) => solver.note_task(stats, stratum, round, &report),
                     Err(error) => {
                         failure = Some(error);
                         break;
@@ -1156,9 +1346,9 @@ impl Solver {
         // poll period divided by the worker count, so the aggregate
         // deadline-check frequency matches the sequential path. A fault in
         // any worker fails the whole round.
-        let chunk = tasks.len().div_ceil(self.config.threads);
-        let inject_panic = self.inject_worker_panic;
-        let threads = self.config.threads;
+        let threads = solver.config.threads;
+        let chunk = tasks.len().div_ceil(threads);
+        let inject_panic = solver.inject_worker_panic;
         let mut joined: Vec<std::thread::Result<WorkerResult>> = Vec::new();
         std::thread::scope(|scope| {
             let handles: Vec<_> = tasks
@@ -1234,7 +1424,7 @@ impl Solver {
             match result {
                 Ok(Ok((chunk_out, reports))) => {
                     for report in &reports {
-                        self.note_task(stats, stratum, round, report);
+                        solver.note_task(stats, stratum, round, report);
                     }
                     out.extend(chunk_out);
                 }
@@ -1355,19 +1545,6 @@ fn run_one_task(
     })
 }
 
-/// The extensional store a from-scratch run loads before the strata.
-pub(crate) enum FactSource<'a> {
-    /// The program's own facts plus extras: plain solves, and the resume
-    /// fallback when the prior's extensional store is unknown (the extras
-    /// are then the delta's insertions).
-    ProgramPlus(&'a [(PredId, Vec<Value>)]),
-    /// An explicit store replacing the program's facts entirely — the
-    /// retraction paths of [`Solver::resume`](crate::incremental) solve
-    /// from the updated store E′, where a retracted program fact must
-    /// *not* be re-loaded.
-    Exact(&'a [(PredId, Vec<Value>)]),
-}
-
 /// Attributes an [`InsertFault`] (from [`Database::insert`]) to the
 /// predicate and rule it happened under.
 pub(crate) fn insert_fault_error(
@@ -1412,36 +1589,6 @@ fn eval_fault_error(program: &Program, rule: usize, fault: EvalFault) -> SolveEr
             kind,
             stats: SolveStats::default(),
         },
-    }
-}
-
-/// Assembles the queryable [`Solution`] from the (possibly partial)
-/// database.
-pub(crate) fn make_solution(
-    program: &Program,
-    db: impl Into<Arc<Database>>,
-    stats: SolveStats,
-    events: Option<Vec<Event>>,
-    trace: Option<ExecutionTrace>,
-) -> Solution {
-    Solution {
-        names: program
-            .preds
-            .iter()
-            .enumerate()
-            .map(|(i, d)| (d.name.to_string(), PredId(i as u32)))
-            .collect(),
-        kinds: program
-            .preds
-            .iter()
-            .map(|d| matches!(d.kind, PredKind::Lattice(_)))
-            .collect(),
-        db: db.into(),
-        stats,
-        events_complete: events.is_some(),
-        events,
-        edb: Some(Arc::new(program.facts.clone())),
-        trace,
     }
 }
 
@@ -1502,25 +1649,12 @@ pub(crate) enum Payload {
     },
 }
 
-/// Feeds a derived fact into the database, consuming the payload unless
-/// the event log will still need it (`keep_for_events`). Encoded lattice
-/// payloads never need keeping: a database change is always a
-/// `LatIncrease`, and [`log_event`] rebuilds the logged tuple from that
-/// outcome.
-fn insert_derived(
-    db: &mut Database,
-    d: &mut Derived,
-    keep_for_events: bool,
-) -> Result<InsertOutcome, InsertFault> {
+/// Feeds a derived fact into the database, consuming the payload: a
+/// database change is reported back through the [`InsertOutcome`], which
+/// is all the event log and the next `∆` need.
+fn insert_derived(db: &mut Database, d: &mut Derived) -> Result<InsertOutcome, InsertFault> {
     match &mut d.payload {
-        Payload::Tuple(t) => {
-            let tuple = if keep_for_events {
-                t.clone()
-            } else {
-                std::mem::take(t)
-            };
-            db.insert(d.pred, tuple)
-        }
+        Payload::Tuple(t) => db.insert(d.pred, std::mem::take(t)),
         Payload::LatEnc {
             arity,
             id,
@@ -1531,6 +1665,27 @@ fn insert_derived(
             db.insert_lat_encoded(d.pred, &key[..*arity as usize], *id, value)
         }
     }
+}
+
+/// The full tuple of one net database change — the paper's `∆P` element
+/// `ga(P', S)` (§3.7): a new row as inserted, or a raised cell's key
+/// columns plus its *joined* value, the state the database actually
+/// reached. `None` for [`InsertOutcome::Unchanged`].
+fn change_row(outcome: InsertOutcome) -> Option<Row> {
+    match outcome {
+        InsertOutcome::Unchanged => None,
+        InsertOutcome::NewRow(row) => Some(row),
+        InsertOutcome::LatIncrease(key, value) => {
+            let mut full = key.to_vec();
+            full.push(value);
+            Some(full.into())
+        }
+    }
+}
+
+/// Whether a per-predicate `∆` holds no rows: the fixed-point test.
+fn drained(delta: &[Vec<Row>]) -> bool {
+    delta.iter().all(Vec::is_empty)
 }
 
 /// Lattice cells already credited with a net change in the current
@@ -1546,111 +1701,21 @@ fn insert_derived(
 /// (see the "Strategy invariance" section on [`SolveStats`]). Relational
 /// tuples change at most once ever, so only lattice increases are
 /// tracked.
-pub(crate) struct TouchedCells(crate::fxhash::FxHashSet<(PredId, Row)>);
+struct TouchedCells(crate::fxhash::FxHashSet<(PredId, Row)>);
 
 impl TouchedCells {
-    pub(crate) fn new() -> TouchedCells {
+    fn new() -> TouchedCells {
         TouchedCells(crate::fxhash::FxHashSet::default())
     }
 
     /// Returns `true` when `outcome` is the first net change of its fact
     /// in this round (always true for new relational rows).
-    fn first_change(&mut self, d: &Derived, outcome: &InsertOutcome) -> bool {
+    fn first_change(&mut self, pred: PredId, outcome: &InsertOutcome) -> bool {
         match outcome {
-            InsertOutcome::LatIncrease(key, _) => self.0.insert((d.pred, key.clone())),
+            InsertOutcome::LatIncrease(key, _) => self.0.insert((pred, key.clone())),
             _ => true,
         }
     }
-}
-
-impl Solver {
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn record_insert(
-        &self,
-        program: &Program,
-        db: &mut Database,
-        mut d: Derived,
-        delta: &mut [Vec<Row>],
-        touched: &mut TouchedCells,
-        changed: &mut u64,
-        stats: &mut SolveStats,
-        events: &mut Option<Vec<Event>>,
-    ) -> Result<(), SolveError> {
-        let pred = d.pred;
-        match insert_derived(db, &mut d, events.is_some())
-            .map_err(|fault| insert_fault_error(program, pred, Some(d.rule), fault))?
-        {
-            InsertOutcome::Unchanged => {}
-            outcome => {
-                if touched.first_change(&d, &outcome) {
-                    stats.facts_inserted += 1;
-                    stats.per_rule[d.rule].inserted += 1;
-                    *changed += 1;
-                }
-                match &outcome {
-                    InsertOutcome::NewRow(row) => {
-                        delta[pred.0 as usize].push(row.clone());
-                    }
-                    InsertOutcome::LatIncrease(key, value) => {
-                        self.check_ascent(program, db, pred, key);
-                        // Delta rows carry the full tuple: key columns plus
-                        // the *new* cell value (§3.7's ga(P', S)).
-                        let mut full: Vec<Value> = key.to_vec();
-                        full.push(value.clone());
-                        delta[pred.0 as usize].push(full.into());
-                    }
-                    InsertOutcome::Unchanged => unreachable!("outer match excludes Unchanged"),
-                }
-                log_event(events, &d, outcome);
-            }
-        }
-        Ok(())
-    }
-}
-
-/// Appends one net database change to a per-predicate accumulator, in
-/// the same row format [`record_insert`] uses for `∆` rows: the full
-/// tuple, with a lattice increase carrying the new cell value.
-pub(crate) fn accumulate_change(acc: &mut [Vec<Row>], pred: PredId, outcome: &InsertOutcome) {
-    match outcome {
-        InsertOutcome::NewRow(row) => acc[pred.0 as usize].push(row.clone()),
-        InsertOutcome::LatIncrease(key, value) => {
-            let mut full: Vec<Value> = key.to_vec();
-            full.push(value.clone());
-            acc[pred.0 as usize].push(full.into());
-        }
-        InsertOutcome::Unchanged => {}
-    }
-}
-
-/// Appends a provenance event for a database-changing insertion.
-fn log_event(events: &mut Option<Vec<Event>>, d: &Derived, outcome: InsertOutcome) {
-    let Some(log) = events.as_mut() else {
-        return;
-    };
-    // For lattice increases, log the *joined* cell value so explanations
-    // show the state the database actually reached.
-    let tuple = match outcome {
-        InsertOutcome::LatIncrease(key, value) => {
-            let mut full = key.to_vec();
-            full.push(value);
-            full
-        }
-        _ => match &d.payload {
-            Payload::Tuple(t) => t.clone(),
-            // A lattice insert that changed the database is always a
-            // `LatIncrease`, handled above.
-            Payload::LatEnc { .. } => unreachable!("lattice changes are logged from the outcome"),
-        },
-    };
-    log.push(Event {
-        pred: d.pred,
-        tuple,
-        source: Source::Rule {
-            rule: d.rule,
-            premises: d.premises.clone().unwrap_or_default(),
-        },
-    });
 }
 
 /// A fault raised while evaluating one rule body: a caught panic in user
@@ -1720,13 +1785,48 @@ pub struct Solution {
     events_complete: bool,
     // The extensional store E this model is the least fixed point of:
     // the program's facts composed with every delta absorbed by resumes.
-    // `None` when unknown (solutions loaded from version-1 snapshots),
-    // in which case retracting deltas are rejected.
-    edb: Option<ExtensionalStore>,
+    edb: ExtensionalStore,
     trace: Option<ExecutionTrace>,
 }
 
 impl Solution {
+    /// Assembles the queryable solution over `program`'s declarations
+    /// from a (possibly partial) database and the store it was computed
+    /// from. `events` pairs a recorded log with whether it covers every
+    /// insertion since the empty database.
+    pub(crate) fn new(
+        program: &Program,
+        db: Arc<Database>,
+        edb: ExtensionalStore,
+        stats: SolveStats,
+        events: Option<(Vec<Event>, bool)>,
+        trace: Option<ExecutionTrace>,
+    ) -> Solution {
+        let (events, events_complete) = match events {
+            Some((log, complete)) => (Some(log), complete),
+            None => (None, false),
+        };
+        Solution {
+            names: program
+                .preds
+                .iter()
+                .enumerate()
+                .map(|(i, d)| (d.name.to_string(), PredId(i as u32)))
+                .collect(),
+            kinds: program
+                .preds
+                .iter()
+                .map(|d| matches!(d.kind, PredKind::Lattice(_)))
+                .collect(),
+            db,
+            stats,
+            events,
+            events_complete,
+            edb,
+            trace,
+        }
+    }
+
     /// Looks up a predicate id by name.
     pub fn predicate(&self, name: &str) -> Option<PredId> {
         self.names.get(name).copied()
@@ -1993,18 +2093,9 @@ impl Solution {
         self.events_complete
     }
 
-    pub(crate) fn set_events_complete(&mut self, complete: bool) {
-        self.events_complete = complete;
-    }
-
-    /// The extensional store this model is the fixed point of, or `None`
-    /// when unknown (version-1 snapshot loads).
-    pub(crate) fn edb(&self) -> Option<&ExtensionalStore> {
-        self.edb.as_ref()
-    }
-
-    pub(crate) fn set_edb(&mut self, edb: Option<ExtensionalStore>) {
-        self.edb = edb;
+    /// The extensional store this model is the fixed point of.
+    pub(crate) fn edb(&self) -> &ExtensionalStore {
+        &self.edb
     }
 
     /// A cheap, immutable, shareable read view of this solution's fact

@@ -882,3 +882,43 @@ fn delta_op_builder_and_wrappers_agree() {
     }
     assert!(Delta::new().is_empty());
 }
+
+/// Two facts asserted into one cell of a non-total lattice: a scratch
+/// solve and a resume of the same store must write the same event log.
+/// Every database change is logged with the state the cell *reached* —
+/// `Cst(1)`, then `Cst(2)` joining it to `⊤` — whichever entry point
+/// asserted it.
+#[test]
+fn fact_events_carry_the_joined_cell_on_every_entry_point() {
+    use flix_core::provenance::{Event, Source};
+    use flix_lattice::Constant;
+
+    let program_with = |values: &[i64]| {
+        let mut b = ProgramBuilder::new();
+        let val = b.lattice("Val", 2, LatticeOps::of::<Constant>());
+        for v in values {
+            b.fact(val, vec![Value::from("x"), Constant::cst(*v).to_value()]);
+        }
+        b.build().expect("valid program")
+    };
+    let solver = Solver::new().record_provenance(true);
+    let fact_tuples = |solution: &Solution| -> Vec<Vec<Value>> {
+        let log: &[Event] = solution.provenance().expect("recorded");
+        assert!(log.iter().all(|e| e.source == Source::Fact));
+        log.iter().map(|e| e.tuple.clone()).collect()
+    };
+    let expected = vec![
+        vec![Value::from("x"), Constant::cst(1).to_value()],
+        vec![Value::from("x"), Constant::top_const().to_value()],
+    ];
+
+    let scratch = solver.solve(&program_with(&[1, 2])).expect("solves");
+    assert_eq!(fact_tuples(&scratch), expected, "scratch solve");
+
+    let one = program_with(&[1]);
+    let prior = solver.solve(&one).expect("solves");
+    let second = Delta::new().raise("Val", vec![Value::from("x")], Constant::cst(2).to_value());
+    let resumed = solver.resume(&one, &prior, &second).expect("resumes");
+    assert_eq!(fact_tuples(&resumed), expected, "monotone resume");
+    assert_eq!(dump(&one, &resumed), dump(&program_with(&[1, 2]), &scratch));
+}

@@ -578,19 +578,29 @@ fn golden_program() -> Program {
     program
 }
 
-const GOLDEN: &[u8] = include_bytes!("fixtures/golden_v1.snap");
+const GOLDEN_V1: &[u8] = include_bytes!("fixtures/golden_v1.snap");
 const GOLDEN_V2: &[u8] = include_bytes!("fixtures/golden_v2.snap");
 
+/// The one thing this build still knows about format version 1: it is
+/// refused, by name, rather than misparsed. The frozen fixture is a real
+/// file an older build wrote for this very program.
 #[test]
-fn golden_v1_snapshot_keeps_loading() {
-    let program = golden_program();
-    let loaded = snapshot_from_bytes(&program, GOLDEN)
-        .expect("committed golden snapshot must load; format changes need a version bump");
-    let scratch = Solver::new().solve(&program).expect("solvable");
-    assert_eq!(dump(&program, &scratch), dump(&program, &loaded));
-    // And the legacy fixture is canonical for what it knows: a v1 load
-    // carries no extensional store, so it re-saves as v1, byte-exactly.
-    assert_eq!(GOLDEN, snapshot_to_bytes(&program, &loaded).as_slice());
+fn v1_snapshot_is_rejected_as_unsupported() {
+    let scratch = Scratch::new("v1-snapshot");
+    let snap = scratch.path("model.snap");
+    std::fs::write(&snap, GOLDEN_V1).expect("writes the v1 snapshot");
+    let error = load_snapshot(&snap, &golden_program()).expect_err("version 1 is not read");
+    assert!(
+        matches!(
+            error,
+            PersistError::UnsupportedVersion {
+                kind: "snapshot",
+                found: 1,
+                supported: 2,
+            }
+        ),
+        "{error:?}"
+    );
 }
 
 #[test]
@@ -612,8 +622,8 @@ fn golden_v2_snapshot_keeps_loading() {
 #[test]
 #[ignore = "regenerates the golden fixture; run after a deliberate format change"]
 fn regenerate_golden_snapshot() {
-    // Only the current-version fixture can be regenerated; golden_v1.snap
-    // is a frozen legacy artifact no current writer produces.
+    // golden_v1.snap is a frozen legacy artifact no current writer
+    // produces; only this fixture can be regenerated.
     let program = golden_program();
     let solution = Solver::new().solve(&program).expect("solvable");
     let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/golden_v2.snap");
@@ -626,8 +636,8 @@ fn regenerate_golden_snapshot() {
 // extensional-store frame.
 // ---------------------------------------------------------------------
 
-/// Reference CRC-32 (bitwise, IEEE 802.3) for handcrafting legacy
-/// fixtures without reaching into the crate's private wire module.
+/// Reference CRC-32 (bitwise, IEEE 802.3) for handcrafting a legacy
+/// header without reaching into the crate's private wire module.
 fn crc32_ref(bytes: &[u8]) -> u32 {
     let mut crc = !0u32;
     for &b in bytes {
@@ -641,37 +651,6 @@ fn crc32_ref(bytes: &[u8]) -> u32 {
         }
     }
     !crc
-}
-
-/// Handcrafts a version-1 (pre-retraction) WAL: untagged insert-only
-/// entries, exactly the bytes an older build would have written. Only
-/// `Int` values are needed by the tests that use this.
-fn v1_wal_bytes(program: &Program, deltas: &[Vec<(&str, Vec<i64>)>]) -> Vec<u8> {
-    let mut bytes = Vec::new();
-    bytes.extend_from_slice(b"FLIXWAL\0");
-    bytes.extend_from_slice(&1u32.to_le_bytes());
-    bytes.extend_from_slice(&flix_core::program_fingerprint(program).to_le_bytes());
-    bytes.extend_from_slice(&0u32.to_le_bytes());
-    let crc = crc32_ref(&bytes);
-    bytes.extend_from_slice(&crc.to_le_bytes());
-    for entries in deltas {
-        let mut payload = Vec::new();
-        payload.extend_from_slice(&(entries.len() as u32).to_le_bytes());
-        for (name, tuple) in entries {
-            payload.extend_from_slice(&(name.len() as u32).to_le_bytes());
-            payload.extend_from_slice(name.as_bytes());
-            payload.extend_from_slice(&(tuple.len() as u32).to_le_bytes());
-            for v in tuple {
-                payload.push(2); // Value::Int tag
-                payload.extend_from_slice(&v.to_le_bytes());
-            }
-        }
-        bytes.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        let crc = crc32_ref(&payload);
-        bytes.extend_from_slice(&payload);
-        bytes.extend_from_slice(&crc.to_le_bytes());
-    }
-    bytes
 }
 
 /// A mixed-op delta over the shortest-paths workload's program:
@@ -721,51 +700,37 @@ fn wal_v2_round_trips_mixed_ops_byte_identically() {
 }
 
 #[test]
-fn v1_wal_upgrades_in_place_and_accepts_mixed_appends() {
-    let scratch = Scratch::new("wal-v1-upgrade");
+fn v1_wal_is_rejected_as_unsupported_and_left_untouched() {
+    let scratch = Scratch::new("wal-v1");
     let (program, _) = paths_workload();
     let wal = scratch.path("model.wal");
-    let legacy = v1_wal_bytes(
-        &program,
-        &[
-            vec![("Edge", vec![3, 4]), ("Edge", vec![4, 5])],
-            vec![("Edge", vec![5, 6])],
-        ],
-    );
-    std::fs::write(&wal, &legacy).expect("writes legacy log");
+    // A version-1 header, exactly as an older build wrote it, followed
+    // by bytes that stand for its (untagged, insert-only) frames.
+    let mut legacy = Vec::new();
+    legacy.extend_from_slice(b"FLIXWAL\0");
+    legacy.extend_from_slice(&1u32.to_le_bytes());
+    legacy.extend_from_slice(&flix_core::program_fingerprint(&program).to_le_bytes());
+    legacy.extend_from_slice(&0u32.to_le_bytes());
+    let crc = crc32_ref(&legacy);
+    legacy.extend_from_slice(&crc.to_le_bytes());
+    legacy.extend_from_slice(b"frames of a format this build does not read");
+    std::fs::write(&wal, &legacy).expect("writes the legacy log");
 
-    // Open reads the untagged entries as inserts and upgrades the file
-    // to the current version so later tagged appends stay readable.
-    let expected_first = Delta::new()
-        .insert("Edge", vec![3.into(), 4.into()])
-        .insert("Edge", vec![4.into(), 5.into()]);
-    let expected_second = Delta::new().insert("Edge", vec![5.into(), 6.into()]);
-    {
-        let (mut log, recovery) = DeltaLog::open(&wal, &program).expect("opens v1");
-        assert_eq!(recovery.dropped_bytes, 0);
-        assert_eq!(
-            recovery.deltas,
-            vec![expected_first.clone(), expected_second.clone()]
-        );
-        let upgraded = std::fs::read(&wal).expect("readable");
-        assert_eq!(
-            u32::from_le_bytes(upgraded[8..12].try_into().unwrap()),
-            flix_core::persist::WAL_VERSION,
-            "open must upgrade a v1 log in place"
-        );
-        log.append(&Delta::new().retract("Edge", vec![3.into(), 4.into()]))
-            .expect("appends a retraction");
-    }
-    let (_log, recovery) = DeltaLog::open(&wal, &program).expect("reopens upgraded");
-    assert_eq!(recovery.dropped_bytes, 0);
-    assert_eq!(
-        recovery.deltas,
-        vec![
-            expected_first,
-            expected_second,
-            Delta::new().retract("Edge", vec![3.into(), 4.into()]),
-        ]
+    let error = DeltaLog::open(&wal, &program).expect_err("version 1 is not read");
+    assert!(
+        matches!(
+            error,
+            PersistError::UnsupportedVersion {
+                kind: "write-ahead log",
+                found: 1,
+                supported: 2,
+            }
+        ),
+        "{error:?}"
     );
+    // No truncation, no rewrite: what to do with the file is the
+    // caller's decision (`DeltaLog::create_truncated`).
+    assert_eq!(std::fs::read(&wal).expect("readable"), legacy);
 }
 
 #[test]
@@ -833,61 +798,6 @@ fn wal_v2_fault_sweep_with_mixed_ops_recovers_surviving_prefix() {
             let _ = std::fs::remove_file(&wal);
         }
     }
-}
-
-#[test]
-fn v1_snapshot_loads_reject_retracting_deltas() {
-    use flix_core::{DeltaError, SolveError};
-    let program = golden_program();
-    let loaded = snapshot_from_bytes(&program, GOLDEN).expect("golden loads");
-    let solver = Solver::new();
-    // Monotone resumes still work from a v1 snapshot...
-    let grow = Delta::new().insert("Edge", vec![7.into(), 8.into()]);
-    solver
-        .resume(&program, &loaded, &grow)
-        .expect("monotone resume from a v1 snapshot");
-    // ...but a retracting delta is rejected up front: the v1 format
-    // does not record the extensional store the model is a fixed point
-    // of, so exact removal is impossible.
-    let shrink = Delta::new().retract("Edge", vec![1.into(), 2.into()]);
-    let failure = solver
-        .resume(&program, &loaded, &shrink)
-        .expect_err("retraction rejected");
-    assert!(
-        matches!(
-            &failure.error,
-            SolveError::Delta(DeltaError::NoExtensionalBase)
-        ),
-        "{:?}",
-        failure.error
-    );
-    assert_eq!(dump(&program, &failure.partial), dump(&program, &loaded));
-}
-
-#[test]
-fn recover_degrades_v1_snapshot_with_retracting_wal_to_scratch() {
-    let scratch = Scratch::new("v1-snap-retract-wal");
-    let program = golden_program();
-    let snap = scratch.path("model.snap");
-    let wal = scratch.path("model.wal");
-    std::fs::write(&snap, GOLDEN).expect("writes v1 snapshot");
-    let shrink = Delta::new().retract("Edge", vec![1.into(), 2.into()]);
-    {
-        let (mut log, _) = DeltaLog::open(&wal, &program).expect("creates");
-        log.append(&shrink).expect("appends");
-    }
-    let solver = Solver::new();
-    let (recovered, report) = solver
-        .recover(&program, &snap, &wal)
-        .expect("recovery degrades, not fails");
-    assert!(report.snapshot_loaded);
-    assert!(
-        report.scratch_solve,
-        "a v1 snapshot cannot replay retractions exactly; report={report:?}"
-    );
-    let extended = program.with_delta(&shrink).expect("fits");
-    let expected = solver.solve(&extended).expect("solvable");
-    assert_eq!(dump(&program, &recovered), dump(&extended, &expected));
 }
 
 #[test]

@@ -597,6 +597,13 @@ fn run(args: Vec<String>) -> Result<(), Failure> {
         });
     }
 
+    let report = FailureReport {
+        program: &program,
+        print: print.as_deref(),
+        stats,
+        emit: &emit,
+    };
+
     // The base model: a usable `--load` snapshot, otherwise a scratch
     // solve. Snapshot problems degrade — a stale or corrupt snapshot
     // costs a warning and a re-solve, never the run.
@@ -616,30 +623,7 @@ fn run(args: Vec<String>) -> Result<(), Failure> {
         Some(base) => base,
         None => match solver.solve(&program) {
             Ok(solution) => solution,
-            Err(failure) => {
-                let code = match &failure.error {
-                    SolveError::BudgetExceeded { .. } | SolveError::RoundLimitExceeded { .. } => {
-                        EXIT_BUDGET
-                    }
-                    _ => EXIT_SOLVE,
-                };
-                let retained = failure.partial.total_facts();
-                eprintln!("flixr: {}", failure.error);
-                eprintln!(
-                    "flixr: printing the partial model \
-                     ({retained} fact{} derived before the failure)",
-                    if retained == 1 { "" } else { "s" }
-                );
-                print_model(&program, &failure.partial, print.as_deref());
-                if stats {
-                    print_stats(&failure.stats);
-                }
-                emit_observability(&emit, &failure.stats, &failure.partial)?;
-                return Err(Failure {
-                    code,
-                    message: None,
-                });
-            }
+            Err(failure) => return Err(report_solve_failure(&report, failure, FailedAt::Base)),
         },
     };
 
@@ -692,33 +676,7 @@ fn run(args: Vec<String>) -> Result<(), Failure> {
     } else {
         match solver.resume(&program, &base, &replayed) {
             Ok(solution) => solution,
-            Err(failure) => {
-                let code = match &failure.error {
-                    SolveError::BudgetExceeded { .. } | SolveError::RoundLimitExceeded { .. } => {
-                        EXIT_BUDGET
-                    }
-                    _ => EXIT_SOLVE,
-                };
-                let retained = failure.partial.total_facts();
-                eprintln!(
-                    "flixr: {} (while replaying the write-ahead log)",
-                    failure.error
-                );
-                eprintln!(
-                    "flixr: printing the partial replayed model \
-                     ({retained} fact{} retained or derived before the failure)",
-                    if retained == 1 { "" } else { "s" }
-                );
-                print_model(&program, &failure.partial, print.as_deref());
-                if stats {
-                    print_stats(&failure.stats);
-                }
-                emit_observability(&emit, &failure.stats, &failure.partial)?;
-                return Err(Failure {
-                    code,
-                    message: None,
-                });
-            }
+            Err(failure) => return Err(report_solve_failure(&report, failure, FailedAt::Replay)),
         }
     };
 
@@ -739,40 +697,8 @@ fn run(args: Vec<String>) -> Result<(), Failure> {
         let updated = match solver.resume(&program, &base, &combined) {
             Ok(updated) => updated,
             Err(failure) => {
-                eprintln!("flixr: {}", failure.error);
-                if let SolveError::Delta(_) = &failure.error {
-                    // The delta was rejected before any re-solving
-                    // happened; this is a static mismatch between the
-                    // update file and the program, like a type error.
-                    return Err(Failure {
-                        code: EXIT_LANG,
-                        message: None,
-                    });
-                }
-                let code = match &failure.error {
-                    SolveError::BudgetExceeded { .. } | SolveError::RoundLimitExceeded { .. } => {
-                        EXIT_BUDGET
-                    }
-                    _ => EXIT_SOLVE,
-                };
-                let retained = failure.partial.total_facts();
-                eprintln!(
-                    "flixr: printing the partial updated model \
-                     ({retained} fact{} retained or derived before the failure)",
-                    if retained == 1 { "" } else { "s" }
-                );
-                println!("== initial model ==");
-                print_model(&program, &initial, print.as_deref());
-                println!("== updated model ==");
-                print_model(&program, &failure.partial, print.as_deref());
-                if stats {
-                    print_stats(&failure.stats);
-                }
-                emit_observability(&emit, &failure.stats, &failure.partial)?;
-                return Err(Failure {
-                    code,
-                    message: None,
-                });
+                let at = FailedAt::Update { initial: &initial };
+                return Err(report_solve_failure(&report, failure, at));
             }
         };
         persist_finish(&mut log, compact_every, save.as_deref(), &program, &updated)?;
@@ -1237,36 +1163,13 @@ fn run_queries(cx: RunQueries<'_>) -> Result<(), Failure> {
     let result = match cx.solver.solve_query(&program, &parsed) {
         Ok(result) => result,
         Err(failure) => {
-            eprintln!("flixr: {}", failure.error);
-            if let SolveError::Demand(_) = &failure.error {
-                // The query was rejected before any solving happened; a
-                // static mismatch like a type error.
-                return Err(Failure {
-                    code: EXIT_LANG,
-                    message: None,
-                });
-            }
-            let code = match &failure.error {
-                SolveError::BudgetExceeded { .. } | SolveError::RoundLimitExceeded { .. } => {
-                    EXIT_BUDGET
-                }
-                _ => EXIT_SOLVE,
+            let report = FailureReport {
+                program: &program,
+                print: cx.print,
+                stats: cx.stats,
+                emit: cx.emit,
             };
-            let retained = failure.partial.total_facts();
-            eprintln!(
-                "flixr: printing the partial demanded model \
-                 ({retained} fact{} derived before the failure)",
-                if retained == 1 { "" } else { "s" }
-            );
-            print_model(&program, &failure.partial, cx.print);
-            if cx.stats {
-                print_stats(&failure.stats);
-            }
-            emit_observability(cx.emit, &failure.stats, &failure.partial)?;
-            return Err(Failure {
-                code,
-                message: None,
-            });
+            return Err(report_solve_failure(&report, failure, FailedAt::Query));
         }
     };
 
@@ -1318,6 +1221,82 @@ struct Emit<'a> {
     name: &'a str,
     strategy: Strategy,
     threads: usize,
+}
+
+/// What a failed solve was computing, which decides how its partial
+/// model is named and framed.
+enum FailedAt<'a> {
+    /// The scratch solve of the program.
+    Base,
+    /// The replay of the write-ahead log onto the base model.
+    Replay,
+    /// The `--update` resume; the initial model is printed beside the
+    /// partial updated one.
+    Update { initial: &'a Solution },
+    /// A `--query` demand-restricted solve.
+    Query,
+}
+
+/// What reporting a failed solve needs from the command line.
+struct FailureReport<'a> {
+    program: &'a flix_core::Program,
+    print: Option<&'a [String]>,
+    stats: bool,
+    emit: &'a Emit<'a>,
+}
+
+/// Reports a failed solve the one way flixr does: the error on stderr,
+/// then the partial model, statistics and observability outputs as a
+/// successful run would have printed them. A delta or query the program
+/// rejects before any solving is a static mismatch, like a type error;
+/// a budget or round limit exits [`EXIT_BUDGET`]; anything else
+/// [`EXIT_SOLVE`].
+fn report_solve_failure(
+    cx: &FailureReport<'_>,
+    failure: Box<flix_core::SolveFailure>,
+    at: FailedAt<'_>,
+) -> Failure {
+    let silent = |code| Failure {
+        code,
+        message: None,
+    };
+    match at {
+        FailedAt::Replay => eprintln!(
+            "flixr: {} (while replaying the write-ahead log)",
+            failure.error
+        ),
+        _ => eprintln!("flixr: {}", failure.error),
+    }
+    let (model, how) = match (&at, &failure.error) {
+        (FailedAt::Update { .. }, SolveError::Delta(_))
+        | (FailedAt::Query, SolveError::Demand(_)) => return silent(EXIT_LANG),
+        (FailedAt::Base, _) => ("", "derived"),
+        (FailedAt::Replay, _) => (" replayed", "retained or derived"),
+        (FailedAt::Update { .. }, _) => (" updated", "retained or derived"),
+        (FailedAt::Query, _) => (" demanded", "derived"),
+    };
+    let retained = failure.partial.total_facts();
+    eprintln!(
+        "flixr: printing the partial{model} model \
+         ({retained} fact{} {how} before the failure)",
+        if retained == 1 { "" } else { "s" }
+    );
+    if let FailedAt::Update { initial } = at {
+        println!("== initial model ==");
+        print_model(cx.program, initial, cx.print);
+        println!("== updated model ==");
+    }
+    print_model(cx.program, &failure.partial, cx.print);
+    if cx.stats {
+        print_stats(&failure.stats);
+    }
+    if let Err(failed) = emit_observability(cx.emit, &failure.stats, &failure.partial) {
+        return failed;
+    }
+    silent(match &failure.error {
+        SolveError::BudgetExceeded { .. } | SolveError::RoundLimitExceeded { .. } => EXIT_BUDGET,
+        _ => EXIT_SOLVE,
+    })
 }
 
 /// Writes the `--profile` table (stderr), the `--metrics-json` report,

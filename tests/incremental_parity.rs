@@ -1,6 +1,8 @@
 //! Incremental parity: `Solver::resume` must agree **cell-for-cell** with
 //! a from-scratch solve after every update in a randomized sequence of
-//! monotone deltas, under every evaluation strategy.
+//! monotone deltas, under every evaluation strategy — and, since the two
+//! share their evaluation code, must independently be the least model of
+//! the updated program (`model::is_model` / `model::is_locally_minimal`).
 //!
 //! The workloads are the paper's case studies: single-source shortest
 //! paths (§4.4, with both edge insertions and direct `Dist` lattice
@@ -18,6 +20,7 @@ use flix::analyses::dataflow::{self, DataflowInput};
 use flix::analyses::ifds::{self, problems::Taint};
 use flix::analyses::points_to::PointsToInput;
 use flix::analyses::workloads::jvm_program::{self, GenParams};
+use flix::core::model::{is_locally_minimal, is_model};
 use flix::lattice::MinCost;
 use flix::{
     BodyItem, Delta, Head, HeadTerm, LatticeOps, Program, ProgramBuilder, Solution, Solver,
@@ -56,23 +59,51 @@ fn dump(program: &Program, solution: &Solution) -> Vec<String> {
     lines
 }
 
-/// Runs one update sequence under every configuration: solve the base
+/// `solve` and `resume` share all of their evaluation code, so agreeing
+/// with each other proves little: every resumed solution is also held
+/// against the paper's definition. It must be a model of the base
+/// program with every delta so far applied, and no one-step reduction of
+/// it may still be one.
+fn assert_least_model(label: &str, base: &Program, applied: &Delta, resumed: &Solution) {
+    let updated = base
+        .with_delta(applied)
+        .expect("the deltas fit the program");
+    assert!(
+        is_model(&updated, resumed),
+        "{label}: the resumed solution is not a model of the updated program"
+    );
+    assert!(
+        is_locally_minimal(&updated, resumed),
+        "{label}: the resumed solution is not minimal"
+    );
+}
+
+/// Runs one update sequence under one configuration: solve the base
 /// program, then apply each delta with `resume` and assert the result is
-/// identical to solving the matching scratch program from nothing.
+/// identical to solving the matching scratch program from nothing, and
+/// is the least model of the base program plus the deltas.
+fn assert_sequence(label: &str, solver: &Solver, base: &Program, steps: &[(Delta, Program)]) {
+    let mut current = solver.solve(base).expect("base solves");
+    let mut applied = Delta::new();
+    for (i, (delta, scratch_program)) in steps.iter().enumerate() {
+        current = solver
+            .resume(base, &current, delta)
+            .unwrap_or_else(|f| panic!("{label} step {i}: {}", f.error));
+        let scratch = solver.solve(scratch_program).expect("scratch solves");
+        assert_eq!(
+            dump(base, &current),
+            dump(scratch_program, &scratch),
+            "{label}: resume diverged from scratch at step {i}"
+        );
+        applied.extend_from(delta);
+        assert_least_model(&format!("{label} step {i}"), base, &applied, &current);
+    }
+}
+
+/// [`assert_sequence`] under every configuration.
 fn assert_incremental_parity(label: &str, base: &Program, steps: &[(Delta, Program)]) {
     for (config, solver) in configurations() {
-        let mut current = solver.solve(base).expect("base solves");
-        for (i, (delta, scratch_program)) in steps.iter().enumerate() {
-            current = solver
-                .resume(base, &current, delta)
-                .unwrap_or_else(|f| panic!("{label}/{config} step {i}: {}", f.error));
-            let scratch = solver.solve(scratch_program).expect("scratch solves");
-            assert_eq!(
-                dump(base, &current),
-                dump(scratch_program, &scratch),
-                "{label}/{config}: resume diverged from scratch at step {i}"
-            );
-        }
+        assert_sequence(&format!("{label}/{config}"), &solver, base, steps);
     }
 }
 
@@ -450,19 +481,12 @@ fn mixed_update_sequences_match_scratch() {
         }
 
         for (config, solver) in mixed_configurations() {
-            let label = format!("mixed seed {seed}/{config}");
-            let mut current = solver.solve(&base).expect("base solves");
-            for (i, (delta, scratch_program)) in steps.iter().enumerate() {
-                current = solver
-                    .resume(&base, &current, delta)
-                    .unwrap_or_else(|f| panic!("{label} step {i}: {}", f.error));
-                let scratch = solver.solve(scratch_program).expect("scratch solves");
-                assert_eq!(
-                    dump(&base, &current),
-                    dump(scratch_program, &scratch),
-                    "{label}: resume diverged from scratch at step {i}"
-                );
-            }
+            assert_sequence(
+                &format!("mixed seed {seed}/{config}"),
+                &solver,
+                &base,
+                &steps,
+            );
         }
     }
 }

@@ -13,7 +13,16 @@
 //! iterators, the model checker, and the persistence layer read.
 //! Membership is a [`RowSet`]: an open-addressing set of `u32` row ids
 //! whose hashes and equality read the encoded columns, so a row is stored
-//! once and *referenced* by the set — not duplicated into it.
+//! once and *referenced* by the set — not duplicated into it. Row ids are
+//! also how a change is reported ([`InsertOutcome`]) and how the solver
+//! holds a semi-naïve `∆`: nothing outside the store copies a tuple.
+//!
+//! Each kind has one insertion body that takes *encoded* slots
+//! ([`RelationData::insert_encoded`], [`LatticeData::join_inner`]), which
+//! is what the evaluator's plans hand over; the decoded entries — asserted
+//! facts, rebuilds, snapshot loads, heads with a never-seen value —
+//! encode on the write path and call the same body. Both grow the shared
+//! [`Columns`] store in one place, [`Columns::append`].
 //!
 //! `lat` predicates are stored as *compact* cell maps from key tuples
 //! (the first `n-1` columns, §3.2's cell partition) to a single lattice
@@ -29,8 +38,6 @@ use crate::program::Program;
 use crate::symbol;
 use crate::verify::Violation;
 use crate::{LatticeOps, PredId, Value};
-use std::collections::HashMap;
-use std::sync::Arc;
 
 /// Why an insert failed: the user's lattice operations either panicked or
 /// were caught violating a lattice law by the runtime sentinels (§7).
@@ -48,21 +55,41 @@ impl From<OpsPanic> for InsertFault {
     }
 }
 
-/// A materialized tuple, shared. Deltas, ascent telemetry, and the
-/// provenance log alias rows without copying; the store itself keeps
-/// tuples in flat columns instead.
-pub(crate) type Row = Arc<[Value]>;
-
-/// Outcome of inserting one derived fact.
+/// Outcome of inserting one derived fact. A change names the row it
+/// made or raised by id: the store holds the tuple, and whoever needs it
+/// decoded reads it there ([`Database::fact_tuple`]).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub(crate) enum InsertOutcome {
     /// The fact was already present (or was a lattice `⊥`): no change.
     Unchanged,
-    /// A new relational tuple was added.
-    NewRow(Row),
-    /// A lattice cell strictly increased; carries the key and the *new*
-    /// cell value — exactly the paper's `∆P` element `ga(P', S)` (§3.7).
-    LatIncrease(Row, Value),
+    /// A new relational tuple was added, as this row.
+    NewRow(u32),
+    /// The lattice cell with this id strictly increased (or was created);
+    /// carries the *new* cell value — with the cell's key, exactly the
+    /// paper's `∆P` element `ga(P', S)` (§3.7).
+    LatIncrease(u32, Value),
+}
+
+impl InsertOutcome {
+    /// The change made, if any: the row or cell id, and for a raised
+    /// cell the value it reached.
+    pub(crate) fn into_change(self) -> Option<(u32, Option<Value>)> {
+        match self {
+            InsertOutcome::Unchanged => None,
+            InsertOutcome::NewRow(id) => Some((id, None)),
+            InsertOutcome::LatIncrease(id, value) => Some((id, Some(value))),
+        }
+    }
+
+    fn of_row(new: Option<u32>) -> InsertOutcome {
+        new.map_or(InsertOutcome::Unchanged, InsertOutcome::NewRow)
+    }
+
+    fn of_cell(raised: Option<(u32, Value)>) -> InsertOutcome {
+        raised.map_or(InsertOutcome::Unchanged, |(id, value)| {
+            InsertOutcome::LatIncrease(id, value)
+        })
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -173,6 +200,9 @@ pub(crate) struct RowSet {
 
 const EMPTY_SLOT: u32 = u32::MAX;
 
+/// Sentinel for "row id unknown" on the encoded lattice insert path.
+pub(crate) const NO_ID: u32 = u32::MAX;
+
 impl RowSet {
     /// Finds the id of the row with `hash` for which `eq` holds.
     #[inline]
@@ -223,56 +253,58 @@ impl RowSet {
     }
 }
 
-/// Hash indexes keyed by column set; values are row ids grouped by the
-/// encoded key slots of those columns.
-type Indexes = HashMap<Vec<usize>, FxHashMap<Box<[u64]>, Vec<u32>>>;
+/// Hash indexes of one predicate: a handful (a predicate has at most a
+/// few) of `(column set, encoded key → row ids)` pairs, searched linearly
+/// when registered and addressed by position afterwards — plans resolve
+/// the position once at compile time, so a probe hashes the key and
+/// nothing else.
+type Indexes = Vec<(Vec<usize>, FxHashMap<Box<[u64]>, Vec<u32>>)>;
 
 // ---------------------------------------------------------------------------
-// Relations
+// The shared column store
 // ---------------------------------------------------------------------------
 
-/// Storage for one relational predicate.
+/// The columnar store both predicate kinds are built on: the tuples of a
+/// relation, or the key tuples of a lattice predicate. Encoded columns,
+/// the decoded read arena, the membership set and the indexes all grow
+/// in one place, [`Columns::append`].
 #[derive(Clone, Debug, Default)]
-pub(crate) struct RelationData {
+pub(crate) struct Columns {
     arity: usize,
     len: usize,
-    /// Struct-of-arrays encoded columns: `cols[c][row]`.
+    /// Struct-of-arrays encoded columns: `cols[c][row]` — the join
+    /// kernels' working representation.
     cols: Vec<Vec<u64>>,
-    /// Row-major decoded arena: row `i` is `rows_flat[i*arity..][..arity]`.
-    /// This is the borrowed `&[Value]` read view; the encoded columns
-    /// above are the join kernels' working representation.
-    rows_flat: Vec<Value>,
+    /// Row-major decoded arena: row `i` is `flat[i*arity..][..arity]`,
+    /// the borrowed `&[Value]` read view.
+    flat: Vec<Value>,
     set: RowSet,
     indexes: Indexes,
-    /// Reused encode buffer for the insert path.
+    /// Reused encode buffer for the decoded insert entries.
     scratch: Vec<u64>,
+    /// Reused index-key buffer for [`Columns::append`].
+    index_key: Vec<u64>,
 }
 
-impl RelationData {
-    pub(crate) fn new(arity: usize) -> RelationData {
-        RelationData {
+impl Columns {
+    fn new(arity: usize) -> Columns {
+        Columns {
             arity,
             cols: vec![Vec::new(); arity],
-            ..RelationData::default()
+            ..Columns::default()
         }
     }
 
+    #[inline]
     pub(crate) fn len(&self) -> usize {
         self.len
     }
 
+    /// The decoded tuple of row `id`.
     #[inline]
-    pub(crate) fn row(&self, i: u32) -> &[Value] {
-        let start = i as usize * self.arity;
-        &self.rows_flat[start..start + self.arity]
-    }
-
-    /// Iterates the stored tuples in insertion order.
-    pub(crate) fn rows(&self) -> RowsIter<'_> {
-        RowsIter {
-            rel: self,
-            range: 0..self.len as u32,
-        }
+    pub(crate) fn row(&self, id: u32) -> &[Value] {
+        let start = id as usize * self.arity;
+        &self.flat[start..start + self.arity]
     }
 
     /// The encoded slots of one column (kernel access).
@@ -282,95 +314,104 @@ impl RelationData {
     }
 
     #[inline]
-    fn row_eq_encoded(&self, id: u32, enc: &[u64]) -> bool {
-        self.cols
-            .iter()
-            .zip(enc)
-            .all(|(col, &e)| col[id as usize] == e)
+    fn lookup(&self, hash: u64, enc: &[u64]) -> Option<u32> {
+        self.set.lookup(hash, |id| {
+            self.cols
+                .iter()
+                .zip(enc)
+                .all(|(col, &e)| col[id as usize] == e)
+        })
     }
 
-    pub(crate) fn contains(&self, row: &[Value], spill: &SpillTable) -> bool {
+    /// The id of an encoded tuple, if stored (kernel access).
+    #[inline]
+    pub(crate) fn id_of_encoded(&self, enc: &[u64]) -> Option<u32> {
+        self.lookup(hash_slots(enc), enc)
+    }
+
+    /// The id of a decoded tuple, if stored. A tuple of the wrong width,
+    /// or holding a value the store has never seen, is not.
+    fn id_of(&self, row: &[Value], spill: &SpillTable) -> Option<u32> {
         if row.len() != self.arity {
-            return false;
+            return None;
         }
         let mut enc = Vec::with_capacity(row.len());
         for v in row {
-            match try_encode(v, spill) {
-                Some(e) => enc.push(e),
-                None => return false,
-            }
+            enc.push(try_encode(v, spill)?);
         }
-        self.contains_encoded(&enc)
+        self.id_of_encoded(&enc)
     }
 
-    pub(crate) fn contains_encoded(&self, enc: &[u64]) -> bool {
-        self.set
-            .lookup(hash_slots(enc), |id| self.row_eq_encoded(id, enc))
-            .is_some()
-    }
-
-    /// Inserts a tuple; returns the new row id, or `None` when the tuple
-    /// was already stored.
-    fn insert(
-        &mut self,
-        tuple: Vec<Value>,
-        spill: &mut SpillTable,
-    ) -> Result<Option<u32>, InsertFault> {
-        debug_assert_eq!(tuple.len(), self.arity);
+    /// Encodes `row` on the write path — interning strings, spilling
+    /// structured values — into the reused scratch buffer, which the
+    /// caller hands back through [`Columns::put_scratch`].
+    fn encode_row(&mut self, row: &[Value], spill: &mut SpillTable) -> Vec<u64> {
+        debug_assert_eq!(row.len(), self.arity);
         let mut scratch = std::mem::take(&mut self.scratch);
         scratch.clear();
-        for v in &tuple {
-            scratch.push(encode_mut(v, spill));
-        }
-        let hash = hash_slots(&scratch);
-        if self
-            .set
-            .lookup(hash, |id| self.row_eq_encoded(id, &scratch))
-            .is_some()
-        {
-            self.scratch = scratch;
-            return Ok(None);
-        }
+        scratch.extend(row.iter().map(|v| encode_mut(v, spill)));
+        scratch
+    }
+
+    fn put_scratch(&mut self, scratch: Vec<u64>) {
+        self.scratch = scratch;
+    }
+
+    /// Appends an encoded tuple known to be absent (its `hash` missed in
+    /// [`Columns::lookup`]) and returns its id: the one place a row or a
+    /// lattice key enters the store. Every slot must be a canonical
+    /// encoding against `spill`; the decoded arena is filled by decoding
+    /// this one new row.
+    fn append(&mut self, enc: &[u64], hash: u64, spill: &SpillTable) -> Result<u32, InsertFault> {
+        debug_assert_eq!(enc.len(), self.arity);
         // `u32::MAX` is the row-set's empty sentinel, so the last usable
         // id is `u32::MAX - 1`: a checked bound instead of the silent
         // `len as u32` truncation that would corrupt every index.
         if self.len >= u32::MAX as usize {
-            self.scratch = scratch;
             return Err(InsertFault::Safety(Violation::StoreFull(self.len as u64)));
         }
         let id = self.len as u32;
+        let key = &mut self.index_key;
         for (cols, index) in &mut self.indexes {
-            let key: Box<[u64]> = cols.iter().map(|&c| scratch[c]).collect();
-            index.entry(key).or_default().push(id);
-        }
-        for (c, &e) in scratch.iter().enumerate() {
-            self.cols[c].push(e);
-        }
-        self.rows_flat.extend(tuple);
-        self.len += 1;
-        {
-            let cols = &self.cols;
-            let arity = self.arity;
-            self.set.insert_new(hash, id, |rid| {
-                let mut h = crate::fxhash::FxHasher::default();
-                use std::hash::Hasher;
-                for col in cols {
-                    h.write_u64(col[rid as usize]);
+            key.clear();
+            key.extend(cols.iter().map(|&c| enc[c]));
+            // The boxed key is built for a key's first row only.
+            match index.get_mut(key.as_slice()) {
+                Some(ids) => ids.push(id),
+                None => {
+                    index.insert(key.as_slice().into(), vec![id]);
                 }
-                h.write_u64(arity as u64);
-                h.finish()
-            });
+            }
         }
-        self.scratch = scratch;
-        Ok(Some(id))
+        for (col, &e) in self.cols.iter_mut().zip(enc) {
+            col.push(e);
+        }
+        self.flat.extend(enc.iter().map(|&e| decode(e, spill)));
+        self.len += 1;
+        let cols = &self.cols;
+        let arity = self.arity;
+        self.set.insert_new(hash, id, |rid| {
+            let mut h = crate::fxhash::FxHasher::default();
+            use std::hash::Hasher;
+            for col in cols {
+                h.write_u64(col[rid as usize]);
+            }
+            h.write_u64(arity as u64);
+            h.finish()
+        });
+        Ok(id)
     }
 
-    pub(crate) fn register_index(&mut self, cols: Vec<usize>) {
-        self.indexes.entry(cols).or_default();
+    fn register_index(&mut self, cols: Vec<usize>) {
+        if self.index_of(&cols).is_none() {
+            self.indexes.push((cols, FxHashMap::default()));
+        }
     }
 
-    pub(crate) fn has_index(&self, cols: &[usize]) -> bool {
-        self.indexes.contains_key(cols)
+    /// The position of the index on `cols`, if one was registered. Plans
+    /// resolve it once and probe by position.
+    pub(crate) fn index_of(&self, cols: &[usize]) -> Option<usize> {
+        self.indexes.iter().position(|(c, _)| c == cols)
     }
 
     /// Returns the row ids matching `key` on `cols`, or `None` if no
@@ -382,7 +423,7 @@ impl RelationData {
         key: &[Value],
         spill: &SpillTable,
     ) -> Option<&[u32]> {
-        let index = self.indexes.get(cols)?;
+        let index = self.index_of(cols)?;
         let mut enc = Vec::with_capacity(key.len());
         for v in key {
             match try_encode(v, spill) {
@@ -390,14 +431,91 @@ impl RelationData {
                 None => return Some(&[]),
             }
         }
-        Some(index.get(enc.as_slice()).map_or(&[][..], |v| &v[..]))
+        Some(self.probe_encoded(index, &enc))
     }
 
-    /// Index probe with a pre-encoded key (kernel access).
-    pub(crate) fn probe_encoded(&self, cols: &[usize], key: &[u64]) -> Option<&[u32]> {
-        self.indexes
-            .get(cols)
-            .map(|index| index.get(key).map_or(&[][..], |v| &v[..]))
+    /// Index probe by position with a pre-encoded key (kernel access).
+    #[inline]
+    pub(crate) fn probe_encoded(&self, index: usize, key: &[u64]) -> &[u32] {
+        self.indexes[index].1.get(key).map_or(&[], Vec::as_slice)
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Relations
+// ---------------------------------------------------------------------------
+
+/// Storage for one relational predicate: its tuples.
+#[derive(Clone, Debug, Default)]
+pub(crate) struct RelationData {
+    rows: Columns,
+}
+
+impl RelationData {
+    pub(crate) fn new(arity: usize) -> RelationData {
+        RelationData {
+            rows: Columns::new(arity),
+        }
+    }
+
+    /// The column store (kernel access).
+    #[inline]
+    pub(crate) fn columns(&self) -> &Columns {
+        &self.rows
+    }
+
+    pub(crate) fn len(&self) -> usize {
+        self.rows.len()
+    }
+
+    #[inline]
+    pub(crate) fn row(&self, i: u32) -> &[Value] {
+        self.rows.row(i)
+    }
+
+    /// Iterates the stored tuples in insertion order.
+    pub(crate) fn rows(&self) -> RowsIter<'_> {
+        RowsIter {
+            rel: self,
+            range: 0..self.len() as u32,
+        }
+    }
+
+    pub(crate) fn contains(&self, row: &[Value], spill: &SpillTable) -> bool {
+        self.rows.id_of(row, spill).is_some()
+    }
+
+    pub(crate) fn contains_encoded(&self, enc: &[u64]) -> bool {
+        self.rows.id_of_encoded(enc).is_some()
+    }
+
+    /// Inserts a decoded tuple — the entry of asserted facts, rebuilds
+    /// and heads the kernel could not encode: encodes on the write path,
+    /// then takes the encoded entry.
+    fn insert(
+        &mut self,
+        tuple: &[Value],
+        spill: &mut SpillTable,
+    ) -> Result<Option<u32>, InsertFault> {
+        let enc = self.rows.encode_row(tuple, spill);
+        let result = self.insert_encoded(&enc, spill);
+        self.rows.put_scratch(enc);
+        result
+    }
+
+    /// Inserts an encoded tuple; returns the new row id, or `None` when
+    /// the tuple was already stored. Every slot must be a canonical
+    /// encoding against `spill`, so nothing is interned.
+    fn insert_encoded(
+        &mut self,
+        enc: &[u64],
+        spill: &SpillTable,
+    ) -> Result<Option<u32>, InsertFault> {
+        let hash = hash_slots(enc);
+        if self.rows.lookup(hash, enc).is_some() {
+            return Ok(None);
+        }
+        self.rows.append(enc, hash, spill).map(Some)
     }
 }
 
@@ -457,35 +575,21 @@ fn note_ascent(ascent: &mut Option<FxHashMap<u32, AscentEntry>>, id: u32, increa
 #[derive(Clone, Debug)]
 pub(crate) struct LatticeData {
     ops: LatticeOps,
-    key_arity: usize,
-    len: usize,
-    /// Struct-of-arrays encoded key columns: `key_cols[c][id]`.
-    key_cols: Vec<Vec<u64>>,
-    /// Row-major decoded key arena.
-    keys_flat: Vec<Value>,
+    keys: Columns,
     /// The cell element per key id; never `⊥` (compactness).
     cells: Vec<Value>,
-    set: RowSet,
-    indexes: Indexes,
     /// `Some` only when ascent telemetry is enabled for this solve; the
     /// hot path then pays one map update per join, and nothing otherwise.
     ascent: Option<FxHashMap<u32, AscentEntry>>,
-    scratch: Vec<u64>,
 }
 
 impl LatticeData {
     fn new(ops: LatticeOps, key_arity: usize) -> LatticeData {
         LatticeData {
             ops,
-            key_arity,
-            len: 0,
-            key_cols: vec![Vec::new(); key_arity],
-            keys_flat: Vec::new(),
+            keys: Columns::new(key_arity),
             cells: Vec::new(),
-            set: RowSet::default(),
-            indexes: Indexes::default(),
             ascent: None,
-            scratch: Vec::new(),
         }
     }
 
@@ -493,14 +597,19 @@ impl LatticeData {
         &self.ops
     }
 
+    /// The key column store (kernel access).
+    #[inline]
+    pub(crate) fn columns(&self) -> &Columns {
+        &self.keys
+    }
+
     pub(crate) fn len(&self) -> usize {
-        self.len
+        self.keys.len()
     }
 
     #[inline]
     pub(crate) fn key(&self, id: u32) -> &[Value] {
-        let start = id as usize * self.key_arity;
-        &self.keys_flat[start..start + self.key_arity]
+        self.keys.row(id)
     }
 
     #[inline]
@@ -508,97 +617,83 @@ impl LatticeData {
         &self.cells[id as usize]
     }
 
-    /// The encoded slots of one key column (kernel access).
-    #[inline]
-    pub(crate) fn key_col(&self, c: usize) -> &[u64] {
-        &self.key_cols[c]
-    }
-
-    #[inline]
-    fn key_eq_encoded(&self, id: u32, enc: &[u64]) -> bool {
-        self.key_cols
-            .iter()
-            .zip(enc)
-            .all(|(col, &e)| col[id as usize] == e)
-    }
-
     /// The id of an encoded key, if stored (kernel access).
     #[inline]
     pub(crate) fn id_of_encoded(&self, enc: &[u64]) -> Option<u32> {
-        self.set
-            .lookup(hash_slots(enc), |id| self.key_eq_encoded(id, enc))
-    }
-
-    fn key_id(&self, key: &[Value], spill: &SpillTable) -> Option<u32> {
-        if key.len() != self.key_arity {
-            return None;
-        }
-        let mut enc = Vec::with_capacity(key.len());
-        for v in key {
-            enc.push(try_encode(v, spill)?);
-        }
-        self.id_of_encoded(&enc)
+        self.keys.id_of_encoded(enc)
     }
 
     pub(crate) fn value<'a>(&'a self, key: &[Value], spill: &SpillTable) -> Option<&'a Value> {
-        self.key_id(key, spill).map(|id| self.cell(id))
+        self.keys.id_of(key, spill).map(|id| self.cell(id))
     }
 
-    /// Joins `value` into the cell at `key`. Returns the new cell value on
-    /// strict increase.
-    ///
-    /// This is the one place every lattice element passes through, so the
-    /// runtime safety sentinels live here: after each `lub` the result must
-    /// be an upper bound of both operands (otherwise the cell could
-    /// *decrease*, breaking monotonicity of the fixpoint iteration), and a
-    /// fresh cell value must satisfy `leq(v, v)` (reflexivity — a `leq`
-    /// that fails it would later mis-classify the cell as increased).
+    /// Joins `value` into the cell at the decoded `key` — the entry of
+    /// asserted facts, rebuilds and heads the kernel could not encode:
+    /// encodes on the write path, then takes the encoded body. Returns
+    /// the cell id and the new cell value on strict increase.
     fn join(
         &mut self,
         key: &[Value],
         value: Value,
         spill: &mut SpillTable,
-    ) -> Result<Option<Value>, InsertFault> {
+    ) -> Result<Option<(u32, Value)>, InsertFault> {
         if self.ops.is_bottom(&value) {
             return Ok(None);
         }
-        debug_assert_eq!(key.len(), self.key_arity);
-        let mut scratch = std::mem::take(&mut self.scratch);
-        scratch.clear();
-        for v in key {
-            scratch.push(encode_mut(v, spill));
-        }
-        let result = self.join_inner(&scratch, value, spill, Some(key));
-        self.scratch = scratch;
+        let enc = self.keys.encode_row(key, spill);
+        let result = self.join_inner(&enc, NO_ID, value, spill);
+        self.keys.put_scratch(enc);
         result
     }
 
     /// [`LatticeData::join`] with a pre-encoded key (kernel fast path).
     /// Every slot must be a canonical encoding already present in the
-    /// store, so no interning happens; the decoded key columns are
-    /// reconstructed from `spill` only when the cell is new.
+    /// store, so no interning happens. When the kernel already resolved
+    /// the target cell, `id` names it and the hash lookup is skipped
+    /// ([`NO_ID`] otherwise).
     pub(crate) fn join_encoded(
         &mut self,
         enc: &[u64],
+        id: u32,
         value: Value,
         spill: &SpillTable,
-    ) -> Result<Option<Value>, InsertFault> {
+    ) -> Result<Option<(u32, Value)>, InsertFault> {
         if self.ops.is_bottom(&value) {
             return Ok(None);
         }
-        debug_assert_eq!(enc.len(), self.key_arity);
-        self.join_inner(enc, value, spill, None)
+        self.join_inner(enc, id, value, spill)
     }
 
-    /// [`LatticeData::join_encoded`] addressed directly at a known cell:
-    /// when the kernel already resolved the target row id, the hash
-    /// lookup is skipped and the candidate joins `cells[id]` with the
-    /// same `leq`/`lub`/sentinel sequence as every other insert.
-    pub(crate) fn join_at(&mut self, id: u32, value: Value) -> Result<Option<Value>, InsertFault> {
-        if self.ops.is_bottom(&value) {
-            return Ok(None);
+    /// The one insertion body: every non-`⊥` lattice element passes
+    /// through here, so the runtime safety sentinels live here. After
+    /// each `lub` the result must be an upper bound of both operands
+    /// (otherwise the cell could *decrease*, breaking monotonicity of the
+    /// fixpoint iteration), and a fresh cell value must satisfy
+    /// `leq(v, v)` (reflexivity — a `leq` that fails it would later
+    /// mis-classify the cell as increased).
+    fn join_inner(
+        &mut self,
+        enc: &[u64],
+        id: u32,
+        value: Value,
+        spill: &SpillTable,
+    ) -> Result<Option<(u32, Value)>, InsertFault> {
+        let (hash, known) = if id == NO_ID {
+            let hash = hash_slots(enc);
+            (hash, self.keys.lookup(hash, enc))
+        } else {
+            (0, Some(id))
+        };
+        if let Some(id) = known {
+            return Ok(self.join_existing(id, value)?.map(|joined| (id, joined)));
         }
-        self.join_existing(id, value)
+        if !self.ops.try_leq(&value, &value)? {
+            return Err(InsertFault::Safety(Violation::NotReflexive(value)));
+        }
+        let id = self.keys.append(enc, hash, spill)?;
+        self.cells.push(value.clone());
+        note_ascent(&mut self.ascent, id, true);
+        Ok(Some((id, value)))
     }
 
     fn join_existing(&mut self, id: u32, value: Value) -> Result<Option<Value>, InsertFault> {
@@ -620,55 +715,6 @@ impl LatticeData {
         Ok(Some(joined))
     }
 
-    fn join_inner(
-        &mut self,
-        enc: &[u64],
-        value: Value,
-        spill: &SpillTable,
-        key: Option<&[Value]>,
-    ) -> Result<Option<Value>, InsertFault> {
-        let hash = hash_slots(enc);
-        let existing = self.set.lookup(hash, |id| self.key_eq_encoded(id, enc));
-        if let Some(id) = existing {
-            return self.join_existing(id, value);
-        }
-        if !self.ops.try_leq(&value, &value)? {
-            return Err(InsertFault::Safety(Violation::NotReflexive(value)));
-        }
-        if self.len >= u32::MAX as usize {
-            return Err(InsertFault::Safety(Violation::StoreFull(self.len as u64)));
-        }
-        let id = self.len as u32;
-        for (cols, index) in &mut self.indexes {
-            let ikey: Box<[u64]> = cols.iter().map(|&c| enc[c]).collect();
-            index.entry(ikey).or_default().push(id);
-        }
-        for (c, &e) in enc.iter().enumerate() {
-            self.key_cols[c].push(e);
-        }
-        match key {
-            Some(values) => self.keys_flat.extend(values.iter().cloned()),
-            None => self.keys_flat.extend(enc.iter().map(|&e| decode(e, spill))),
-        }
-        self.cells.push(value.clone());
-        self.len += 1;
-        {
-            let key_cols = &self.key_cols;
-            let key_arity = self.key_arity;
-            self.set.insert_new(hash, id, |rid| {
-                let mut h = crate::fxhash::FxHasher::default();
-                use std::hash::Hasher;
-                for col in key_cols {
-                    h.write_u64(col[rid as usize]);
-                }
-                h.write_u64(key_arity as u64);
-                h.finish()
-            });
-        }
-        note_ascent(&mut self.ascent, id, true);
-        Ok(Some(value))
-    }
-
     /// Turns on per-cell ascent counting (idempotent; counters that
     /// already exist — e.g. cloned from a prior resume — are kept).
     pub(crate) fn enable_ascent(&mut self) {
@@ -677,41 +723,9 @@ impl LatticeData {
         }
     }
 
-    pub(crate) fn register_index(&mut self, cols: Vec<usize>) {
-        self.indexes.entry(cols).or_default();
-    }
-
-    pub(crate) fn has_index(&self, cols: &[usize]) -> bool {
-        self.indexes.contains_key(cols)
-    }
-
-    pub(crate) fn probe(
-        &self,
-        cols: &[usize],
-        key: &[Value],
-        spill: &SpillTable,
-    ) -> Option<&[u32]> {
-        let index = self.indexes.get(cols)?;
-        let mut enc = Vec::with_capacity(key.len());
-        for v in key {
-            match try_encode(v, spill) {
-                Some(e) => enc.push(e),
-                None => return Some(&[]),
-            }
-        }
-        Some(index.get(enc.as_slice()).map_or(&[][..], |v| &v[..]))
-    }
-
-    /// Index probe with a pre-encoded key (kernel access).
-    pub(crate) fn probe_encoded(&self, cols: &[usize], key: &[u64]) -> Option<&[u32]> {
-        self.indexes
-            .get(cols)
-            .map(|index| index.get(key).map_or(&[][..], |v| &v[..]))
-    }
-
     /// Iterates `(key, cell)` pairs in first-derived key order.
     pub(crate) fn iter(&self) -> impl Iterator<Item = (&[Value], &Value)> {
-        (0..self.len as u32).map(move |id| (self.key(id), self.cell(id)))
+        (0..self.len() as u32).map(move |id| (self.key(id), self.cell(id)))
     }
 }
 
@@ -720,6 +734,25 @@ impl LatticeData {
 pub(crate) enum PredData {
     Rel(RelationData),
     Lat(LatticeData),
+}
+
+impl PredData {
+    /// The predicate's column store: a relation's tuples, or a lattice
+    /// predicate's key tuples (kernel access).
+    #[inline]
+    pub(crate) fn columns(&self) -> &Columns {
+        match self {
+            PredData::Rel(r) => &r.rows,
+            PredData::Lat(l) => &l.keys,
+        }
+    }
+
+    fn columns_mut(&mut self) -> &mut Columns {
+        match self {
+            PredData::Rel(r) => &mut r.rows,
+            PredData::Lat(l) => &mut l.keys,
+        }
+    }
 }
 
 /// The fact database: one [`PredData`] per declared predicate, plus the
@@ -760,10 +793,9 @@ impl Database {
         if use_indexes {
             for (pred, col_sets) in &program.index_requests {
                 for cols in col_sets {
-                    match &mut preds[pred.0 as usize] {
-                        PredData::Rel(r) => r.register_index(cols.clone()),
-                        PredData::Lat(l) => l.register_index(cols.clone()),
-                    }
+                    preds[pred.0 as usize]
+                        .columns_mut()
+                        .register_index(cols.clone());
                 }
             }
         }
@@ -788,35 +820,50 @@ impl Database {
         encode_mut(v, &mut self.spill)
     }
 
-    /// Inserts a derived tuple, interpreting the last column as a lattice
-    /// element for `lat` predicates. Fails when the lattice operations
-    /// panic or trip a safety sentinel (see [`LatticeData::join`]), or
-    /// when the predicate's `u32` row-id space is exhausted.
+    /// Inserts a decoded tuple, interpreting the last column as a lattice
+    /// element for `lat` predicates: the entry of asserted facts,
+    /// rebuilds, snapshot loads, and derived heads the kernel could not
+    /// hand over encoded. Fails when the lattice operations panic or trip
+    /// a safety sentinel (see [`LatticeData::join_inner`]), or when the
+    /// predicate's `u32` row-id space is exhausted.
     pub(crate) fn insert(
         &mut self,
         pred: PredId,
-        mut tuple: Vec<Value>,
+        tuple: &[Value],
     ) -> Result<InsertOutcome, InsertFault> {
         let spill = &mut self.spill;
         match &mut self.preds[pred.0 as usize] {
-            PredData::Rel(r) => match r.insert(tuple, spill)? {
-                Some(id) => Ok(InsertOutcome::NewRow(r.row(id).into())),
-                None => Ok(InsertOutcome::Unchanged),
-            },
+            PredData::Rel(r) => r.insert(tuple, spill).map(InsertOutcome::of_row),
             PredData::Lat(l) => {
-                let value = tuple.pop().expect("lattice predicates have arity >= 1");
-                match l.join(&tuple, value, spill)? {
-                    Some(new_value) => Ok(InsertOutcome::LatIncrease(tuple.into(), new_value)),
-                    None => Ok(InsertOutcome::Unchanged),
-                }
+                let (value, key) = tuple
+                    .split_last()
+                    .expect("lattice predicates have arity >= 1");
+                l.join(key, value.clone(), spill)
+                    .map(InsertOutcome::of_cell)
             }
         }
+    }
+
+    /// [`Database::insert`] for a relational head already in encoded form
+    /// (the kernel fast path). The slots must be canonical encodings
+    /// produced against this database's spill table.
+    pub(crate) fn insert_rel_encoded(
+        &mut self,
+        pred: PredId,
+        enc: &[u64],
+    ) -> Result<InsertOutcome, InsertFault> {
+        let PredData::Rel(r) = &mut self.preds[pred.0 as usize] else {
+            unreachable!("compiled against predicate kinds");
+        };
+        r.insert_encoded(enc, &self.spill)
+            .map(InsertOutcome::of_row)
     }
 
     /// [`Database::insert`] for a lattice head whose key is already in
     /// encoded form (the kernel fast path). The key slots must be
     /// canonical encodings produced against this database's spill table;
-    /// the materialized key row in the outcome is rebuilt by decoding.
+    /// `id` names the target cell when the kernel resolved it
+    /// ([`NO_ID`] otherwise).
     pub(crate) fn insert_lat_encoded(
         &mut self,
         pred: PredId,
@@ -824,24 +871,11 @@ impl Database {
         id: u32,
         value: Value,
     ) -> Result<InsertOutcome, InsertFault> {
-        let spill = &self.spill;
-        match &mut self.preds[pred.0 as usize] {
-            PredData::Lat(l) => {
-                let changed = if id == crate::kernel::NO_ID {
-                    l.join_encoded(key, value, spill)?
-                } else {
-                    l.join_at(id, value)?
-                };
-                match changed {
-                    Some(new_value) => {
-                        let full: Vec<Value> = key.iter().map(|&e| decode(e, spill)).collect();
-                        Ok(InsertOutcome::LatIncrease(full.into(), new_value))
-                    }
-                    None => Ok(InsertOutcome::Unchanged),
-                }
-            }
-            PredData::Rel(_) => unreachable!("encoded inserts target lattice predicates"),
-        }
+        let PredData::Lat(l) = &mut self.preds[pred.0 as usize] else {
+            unreachable!("compiled against predicate kinds");
+        };
+        l.join_encoded(key, id, value, &self.spill)
+            .map(InsertOutcome::of_cell)
     }
 
     /// Drops every predicate at or past `keep`, returning the truncated
@@ -856,20 +890,11 @@ impl Database {
     /// Total number of stored facts (rows plus non-bottom lattice cells) —
     /// the database-size proxy reported by the benchmark tables.
     pub(crate) fn total_facts(&self) -> usize {
-        self.preds
-            .iter()
-            .map(|p| match p {
-                PredData::Rel(r) => r.len(),
-                PredData::Lat(l) => l.len(),
-            })
-            .sum()
+        self.preds.iter().map(|p| p.columns().len()).sum()
     }
 
     pub(crate) fn len_of(&self, pred: PredId) -> usize {
-        match &self.preds[pred.0 as usize] {
-            PredData::Rel(r) => r.len(),
-            PredData::Lat(l) => l.len(),
-        }
+        self.preds[pred.0 as usize].columns().len()
     }
 
     /// Turns on ascent counting for every lattice predicate.
@@ -888,23 +913,30 @@ impl Database {
             .any(|p| matches!(p, PredData::Lat(l) if l.ascent.is_some()))
     }
 
-    /// If the cell at `pred`/`key` has reached `threshold` strict
+    /// The decoded tuple of one stored fact: row `id` of a relation, or
+    /// the key of lattice cell `id` followed by `raised` — the value one
+    /// particular change reached — or, without it, by the cell's current
+    /// value. For the one reader of a change that wants it boxed: the
+    /// provenance log.
+    pub(crate) fn fact_tuple(&self, pred: PredId, id: u32, raised: Option<&Value>) -> Vec<Value> {
+        match &self.preds[pred.0 as usize] {
+            PredData::Rel(r) => r.row(id).to_vec(),
+            PredData::Lat(l) => {
+                let mut tuple = Vec::with_capacity(l.keys.arity + 1);
+                tuple.extend_from_slice(l.key(id));
+                tuple.push(raised.unwrap_or_else(|| l.cell(id)).clone());
+                tuple
+            }
+        }
+    }
+
+    /// If lattice cell `id` of `pred` has reached `threshold` strict
     /// increases and has not warned yet, marks it warned and returns its
     /// height. The solver turns this into an
     /// [`crate::trace::AscentWarning`].
-    pub(crate) fn ascent_crossed(
-        &mut self,
-        pred: PredId,
-        key: &[Value],
-        threshold: u64,
-    ) -> Option<u64> {
-        let spill = &self.spill;
+    pub(crate) fn ascent_crossed(&mut self, pred: PredId, id: u32, threshold: u64) -> Option<u64> {
         let PredData::Lat(l) = &mut self.preds[pred.0 as usize] else {
             return None;
-        };
-        let id = {
-            let l: &LatticeData = l;
-            l.key_id(key, spill)?
         };
         let entry = l.ascent.as_mut()?.get_mut(&id)?;
         if entry.warned || entry.height < threshold {
@@ -916,19 +948,13 @@ impl Database {
 
     /// Snapshot of every cell's ascent counters:
     /// `(predicate, key, joins, height, lattice-type name)`.
-    pub(crate) fn ascent_cells(&self) -> Vec<(PredId, Row, u64, u64, &str)> {
+    pub(crate) fn ascent_cells(&self) -> Vec<(PredId, &[Value], u64, u64, &str)> {
         let mut out = Vec::new();
         for (i, p) in self.preds.iter().enumerate() {
             let PredData::Lat(l) = p else { continue };
             let Some(map) = &l.ascent else { continue };
             for (&id, e) in map {
-                out.push((
-                    PredId(i as u32),
-                    l.key(id).into(),
-                    e.joins,
-                    e.height,
-                    l.ops.name(),
-                ));
+                out.push((PredId(i as u32), l.key(id), e.joins, e.height, l.ops.name()));
             }
         }
         out
@@ -946,17 +972,18 @@ mod tests {
         vals.iter().map(|&n| Value::Int(n)).collect()
     }
 
-    fn rel_insert(r: &mut RelationData, spill: &mut SpillTable, vals: &[i64]) -> bool {
-        r.insert(row(vals), spill).expect("no overflow").is_some()
+    /// Inserts through the decoded entry; the new row's id, if any.
+    fn rel_insert(r: &mut RelationData, spill: &mut SpillTable, vals: &[i64]) -> Option<u32> {
+        r.insert(&row(vals), spill).expect("no overflow")
     }
 
     #[test]
     fn relation_insert_dedups() {
         let mut spill = SpillTable::default();
         let mut r = RelationData::new(2);
-        assert!(rel_insert(&mut r, &mut spill, &[1, 2]));
-        assert!(!rel_insert(&mut r, &mut spill, &[1, 2]));
-        assert!(rel_insert(&mut r, &mut spill, &[1, 3]));
+        assert_eq!(rel_insert(&mut r, &mut spill, &[1, 2]), Some(0));
+        assert_eq!(rel_insert(&mut r, &mut spill, &[1, 2]), None);
+        assert_eq!(rel_insert(&mut r, &mut spill, &[1, 3]), Some(1));
         assert_eq!(r.len(), 2);
         assert!(r.contains(&[Value::Int(1), Value::Int(2)], &spill));
         assert_eq!(r.rows().count(), 2);
@@ -967,21 +994,52 @@ mod tests {
     fn relation_index_tracks_inserts() {
         let mut spill = SpillTable::default();
         let mut r = RelationData::new(2);
-        r.register_index(vec![0]);
+        r.rows.register_index(vec![0]);
+        r.rows.register_index(vec![0]);
+        assert_eq!(r.rows.indexes.len(), 1, "registering twice is one index");
         rel_insert(&mut r, &mut spill, &[1, 2]);
         rel_insert(&mut r, &mut spill, &[1, 3]);
         rel_insert(&mut r, &mut spill, &[2, 4]);
-        let hits = r
+        let cols = r.columns();
+        let hits = cols
             .probe(&[0], &[Value::Int(1)], &spill)
             .expect("index exists");
-        assert_eq!(hits.len(), 2);
-        let misses = r
+        assert_eq!(hits, &[0, 1]);
+        let misses = cols
             .probe(&[0], &[Value::Int(9)], &spill)
             .expect("index exists");
         assert!(misses.is_empty());
         assert!(
-            r.probe(&[1], &[Value::Int(2)], &spill).is_none(),
+            cols.probe(&[1], &[Value::Int(2)], &spill).is_none(),
             "no such index"
+        );
+        // The position a plan resolves once probes the same rows.
+        let index = cols.index_of(&[0]).expect("registered");
+        assert_eq!(cols.index_of(&[1]), None);
+        let key = [try_encode(&Value::Int(2), &spill).expect("stored")];
+        assert_eq!(cols.probe_encoded(index, &key), &[2]);
+    }
+
+    #[test]
+    fn encoded_and_decoded_inserts_share_one_body() {
+        // A row that went in decoded is found by the encoded entry and
+        // the other way round; the arena is filled by decoding.
+        let mut spill = SpillTable::default();
+        let mut r = RelationData::new(2);
+        let tuple = [Value::from("a"), Value::tag("T", Value::Int(1))];
+        assert_eq!(r.insert(&tuple, &mut spill).expect("insert"), Some(0));
+        let enc: Vec<u64> = tuple
+            .iter()
+            .map(|v| try_encode(v, &spill).expect("stored"))
+            .collect();
+        assert_eq!(r.insert_encoded(&enc, &spill).expect("insert"), None);
+        let swapped = [enc[0], encode_mut(&Value::Int(9), &mut spill)];
+        assert_eq!(r.insert_encoded(&swapped, &spill).expect("insert"), Some(1));
+        assert_eq!(r.row(1), &[Value::from("a"), Value::Int(9)][..]);
+        assert_eq!(
+            r.insert(&[Value::from("a"), Value::Int(9)], &mut spill)
+                .expect("insert"),
+            None
         );
     }
 
@@ -991,8 +1049,15 @@ mod tests {
         let mut r = RelationData::new(1);
         // Simulate an at-capacity store; the guard fires before any
         // column is touched, so the inconsistent `len` is harmless here.
-        r.len = u32::MAX as usize;
-        let fault = r.insert(row(&[1]), &mut spill).unwrap_err();
+        r.rows.len = u32::MAX as usize;
+        let fault = r.insert(&row(&[1]), &mut spill).unwrap_err();
+        assert!(
+            matches!(fault, InsertFault::Safety(Violation::StoreFull(_))),
+            "got {fault:?}"
+        );
+        // The encoded entry is the same body, so the same guard.
+        let enc = [encode_mut(&Value::Int(2), &mut spill)];
+        let fault = r.insert_encoded(&enc, &spill).unwrap_err();
         assert!(
             matches!(fault, InsertFault::Safety(Violation::StoreFull(_))),
             "got {fault:?}"
@@ -1034,7 +1099,7 @@ mod tests {
         spill: &mut SpillTable,
         key: &[Value],
         value: Value,
-    ) -> Option<Value> {
+    ) -> Option<(u32, Value)> {
         l.join(key, value, spill).expect("lattice ops are sound")
     }
 
@@ -1045,7 +1110,7 @@ mod tests {
         let key = row(&[7]);
         assert_eq!(
             join_ok(&mut l, &mut spill, &key, Parity::Even.to_value()),
-            Some(Parity::Even.to_value())
+            Some((0, Parity::Even.to_value()))
         );
         // Re-joining a smaller or equal element changes nothing.
         assert_eq!(
@@ -1059,7 +1124,7 @@ mod tests {
         // Joining an incomparable element lifts the single cell to Top.
         assert_eq!(
             join_ok(&mut l, &mut spill, &key, Parity::Odd.to_value()),
-            Some(Parity::Top.to_value())
+            Some((0, Parity::Top.to_value()))
         );
         assert_eq!(l.len(), 1, "one cell per key: compactness");
         assert_eq!(l.value(&key, &spill), Some(&Parity::Top.to_value()));
@@ -1174,7 +1239,7 @@ mod tests {
         join_ok(&mut l, &mut spill, &key, Parity::Even.to_value()); // no change
         join_ok(&mut l, &mut spill, &key, Parity::Odd.to_value()); // -> Top, height 2
         {
-            let id = l.key_id(&key, &spill).expect("stored");
+            let id = l.keys.id_of(&key, &spill).expect("stored");
             let map = l.ascent.as_ref().expect("enabled");
             let entry = map.get(&id).expect("tracked");
             assert_eq!(entry.joins, 3);
@@ -1193,16 +1258,20 @@ mod tests {
         let mut db = Database::for_program(&prog, true);
         db.enable_ascent();
         assert!(db.ascent_enabled());
-        db.insert(iv, vec![Value::from("x"), Parity::Odd.to_value()])
+        let first = db
+            .insert(iv, &[Value::from("x"), Parity::Odd.to_value()])
             .expect("insert");
-        db.insert(iv, vec![Value::from("x"), Parity::Even.to_value()])
+        let InsertOutcome::LatIncrease(id, _) = first else {
+            panic!("a new cell is an increase, got {first:?}");
+        };
+        db.insert(iv, &[Value::from("x"), Parity::Even.to_value()])
             .expect("insert");
-        let key = [Value::from("x")];
-        assert_eq!(db.ascent_crossed(iv, &key, 3), None, "below threshold");
-        assert_eq!(db.ascent_crossed(iv, &key, 2), Some(2));
-        assert_eq!(db.ascent_crossed(iv, &key, 2), None, "warns once");
+        assert_eq!(db.ascent_crossed(iv, id, 3), None, "below threshold");
+        assert_eq!(db.ascent_crossed(iv, id, 2), Some(2));
+        assert_eq!(db.ascent_crossed(iv, id, 2), None, "warns once");
         let cells = db.ascent_cells();
         assert_eq!(cells.len(), 1);
+        assert_eq!(cells[0].1, &[Value::from("x")][..], "key");
         assert_eq!(cells[0].2, 2, "joins");
         assert_eq!(cells[0].3, 2, "height");
         assert_eq!(cells[0].4, "Parity");
@@ -1215,22 +1284,69 @@ mod tests {
         let iv = b.lattice("IntVar", 2, crate::LatticeOps::of::<Parity>());
         let prog = b.build().expect("valid");
         let mut db = Database::for_program(&prog, true);
+        let outcome = |r: Result<InsertOutcome, InsertFault>| r.expect("sound ops");
 
-        assert!(matches!(
-            db.insert(e, vec![Value::Int(1), Value::Int(2)]),
-            Ok(InsertOutcome::NewRow(_))
-        ));
-        assert!(matches!(
-            db.insert(e, vec![Value::Int(1), Value::Int(2)]),
-            Ok(InsertOutcome::Unchanged)
-        ));
-        assert!(matches!(
-            db.insert(iv, vec![Value::from("x"), Parity::Odd.to_value()]),
-            Ok(InsertOutcome::LatIncrease(_, _))
-        ));
-        assert_eq!(db.total_facts(), 2);
-        assert_eq!(db.len_of(e), 1);
-        assert_eq!(db.len_of(iv), 1);
+        let one_two = [Value::Int(1), Value::Int(2)];
+        assert_eq!(outcome(db.insert(e, &one_two)), InsertOutcome::NewRow(0));
+        assert_eq!(outcome(db.insert(e, &one_two)), InsertOutcome::Unchanged);
+        assert_eq!(
+            outcome(db.insert(e, &[Value::Int(2), Value::Int(3)])),
+            InsertOutcome::NewRow(1)
+        );
+        // A change carries the id of its row, and — for a cell — the
+        // value it reached; the tuple is read back from the store.
+        let x_odd = [Value::from("x"), Parity::Odd.to_value()];
+        assert_eq!(
+            outcome(db.insert(iv, &x_odd)),
+            InsertOutcome::LatIncrease(0, Parity::Odd.to_value())
+        );
+        assert_eq!(outcome(db.insert(iv, &x_odd)), InsertOutcome::Unchanged);
+        assert_eq!(
+            outcome(db.insert(iv, &[Value::from("x"), Parity::Even.to_value()])),
+            InsertOutcome::LatIncrease(0, Parity::Top.to_value())
+        );
+        assert_eq!(
+            db.fact_tuple(e, 1, None),
+            vec![Value::Int(2), Value::Int(3)]
+        );
+        assert_eq!(
+            db.fact_tuple(iv, 0, None),
+            vec![Value::from("x"), Parity::Top.to_value()]
+        );
+        assert_eq!(
+            db.fact_tuple(iv, 0, Some(&Parity::Odd.to_value())),
+            x_odd.to_vec(),
+            "the value one change reached, not the current cell"
+        );
+        // The encoded entries report the same ids.
+        let enc: Vec<u64> = one_two
+            .iter()
+            .map(|v| try_encode(v, db.spill()).expect("stored"))
+            .collect();
+        assert_eq!(
+            outcome(db.insert_rel_encoded(e, &enc)),
+            InsertOutcome::Unchanged
+        );
+        assert_eq!(
+            outcome(db.insert_rel_encoded(e, &[enc[1], enc[0]])),
+            InsertOutcome::NewRow(2)
+        );
+        let y = [db.encode_literal(&Value::from("y"))];
+        assert_eq!(
+            outcome(db.insert_lat_encoded(iv, &y, NO_ID, Parity::Even.to_value())),
+            InsertOutcome::LatIncrease(1, Parity::Even.to_value())
+        );
+        assert_eq!(
+            outcome(db.insert_lat_encoded(iv, &y, 1, Parity::Odd.to_value())),
+            InsertOutcome::LatIncrease(1, Parity::Top.to_value())
+        );
+        assert_eq!(
+            outcome(db.insert_lat_encoded(iv, &y, NO_ID, Parity::Bot.to_value())),
+            InsertOutcome::Unchanged
+        );
+        assert_eq!(db.total_facts(), 5);
+        assert_eq!(db.len_of(e), 3);
+        assert_eq!(db.len_of(iv), 2);
     }
 
     #[test]
@@ -1243,11 +1359,11 @@ mod tests {
         let prog = b.build().expect("valid");
         let mut db = Database::for_program(&prog, true);
         let v = Value::tag("Wrapped", Value::Int(1 << 62));
-        db.insert(p, vec![v.clone()]).expect("insert");
-        db.insert(q, vec![v.clone()]).expect("insert");
+        db.insert(p, std::slice::from_ref(&v)).expect("insert");
+        db.insert(q, std::slice::from_ref(&v)).expect("insert");
         let (PredData::Rel(rp), PredData::Rel(rq)) = (db.pred(p), db.pred(q)) else {
             unreachable!()
         };
-        assert_eq!(rp.col(0)[0], rq.col(0)[0]);
+        assert_eq!(rp.columns().col(0)[0], rq.columns().col(0)[0]);
     }
 }

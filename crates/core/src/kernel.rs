@@ -12,6 +12,10 @@
 //!   position follows from the scheduled body order, so each atom
 //!   compiles to exactly one access step (ground membership test, index
 //!   probe, scan, or delta iteration) with a fixed op list per row;
+//! * **`∆` is a list of row ids** — a delta step walks the ids a round
+//!   changed and reads them through the same encoded columns, with the
+//!   same row ops, as a probe or a scan does (a lattice `∆` also carries
+//!   the value each change reached);
 //! * **values are single words** — relational columns and lattice *key*
 //!   columns compare as encoded `u64` slots (see [`crate::database`]),
 //!   so a join key is a handful of word moves, not `Value` clones;
@@ -29,11 +33,17 @@
 //!   each derivation carries its positive body atoms with the registers'
 //!   values filled in (glb-rebound lattice witnesses included), in body
 //!   order, which is exactly what DRed retraction later replays;
+//! * **heads leave encoded** — a head whose columns all encode against
+//!   the store and fit the inline width is handed to the insert loop as
+//!   the `u64` slots the registers hold ([`Payload::RelEnc`],
+//!   [`Payload::LatEnc`]); only a head with a value the store has never
+//!   seen, or a wider one, is materialized ([`Payload::Tuple`]) for the
+//!   insert path to intern;
 //! * **subsumed derivations are suppressed at the emit site** — a head
 //!   tuple the database already contains (or whose lattice candidate is
-//!   `⊑` its stored cell) would be materialized, re-encoded, and dropped
-//!   as `Unchanged` by the insert loop; the plan checks membership on
-//!   the already-encoded columns and skips the allocation round trip.
+//!   `⊑` its stored cell) would be dropped as `Unchanged` by the insert
+//!   loop; the plan checks membership on the already-encoded columns
+//!   and skips the round trip.
 //!   Suppressed tuples are still counted as derived, head functions are
 //!   still applied (so a panicking transfer function still fires), and
 //!   the check is skipped for lattice heads when ascent telemetry is on
@@ -46,13 +56,13 @@
 //! statistics, traces, event logs and snapshot bytes all depend on it;
 //! the strategy-parity suite and the golden snapshots pin it.
 
-use crate::database::{decode, try_encode, Database, PredData, Row};
+use crate::database::{decode, try_encode, Columns, Database, PredData, NO_ID};
 use crate::fxhash::{FxHashMap, FxHashSet};
 use crate::guard::{panic_payload, EvalGuard};
 use crate::ops::OpsPanic;
 use crate::program::{CHead, CItem, CRule, CTerm, Program};
 use crate::provenance::Premise;
-use crate::solver::{Derived, EvalCounters, EvalFault, Payload, ENC_KEY};
+use crate::solver::{DeltaRows, Derived, EvalCounters, EvalFault, Payload, ENC_KEY};
 use crate::verify::Violation;
 use crate::{LatticeOps, PredId, Value};
 use std::collections::HashSet;
@@ -80,8 +90,8 @@ enum RowOp {
     CheckLit { col: usize, enc: u64 },
     /// Column must equal an encoded register.
     CheckSlot { col: usize, slot: usize },
-    /// Column must equal a boxed register (compared via encoding for
-    /// stored rows, by value for decoded delta rows).
+    /// Column must equal a boxed register, compared via its encoding (a
+    /// value that does not encode was never stored and equals no row).
     CheckBoxed { col: usize, slot: usize },
     /// First occurrence of an encoded variable: bind the register.
     Bind { col: usize, slot: usize },
@@ -130,10 +140,11 @@ enum HeadSrc {
 enum Step {
     /// Fully ground relational atom: a membership test.
     RelGround { pred: PredId, key: Vec<KeySrc> },
-    /// Index probe on `cols`; `ops` match the remaining columns.
+    /// Probe of the predicate's `index`-th index (the position is
+    /// resolved at compile time); `ops` match the remaining columns.
     RelProbe {
         pred: PredId,
-        cols: Vec<usize>,
+        index: usize,
         key: Vec<KeySrc>,
         ops: Vec<RowOp>,
     },
@@ -143,7 +154,8 @@ enum Step {
         ops: Vec<RowOp>,
         count: bool,
     },
-    /// The delta atom of a semi-naïve variant: iterate `∆pred`.
+    /// The delta atom of a semi-naïve variant: iterate the rows `∆pred`
+    /// names.
     RelDelta { pred: PredId, ops: Vec<RowOp> },
     /// Lattice atom with a fully ground key: one cell lookup.
     LatGround {
@@ -154,7 +166,7 @@ enum Step {
     /// Lattice key-column index probe.
     LatProbe {
         pred: PredId,
-        cols: Vec<usize>,
+        index: usize,
         key: Vec<KeySrc>,
         ops: Vec<RowOp>,
         val: ValSpec,
@@ -166,8 +178,8 @@ enum Step {
         val: ValSpec,
         count: bool,
     },
-    /// The delta atom of a lattice variant: rows are key columns plus the
-    /// new cell value.
+    /// The delta atom of a lattice variant: the cells `∆pred` names, each
+    /// at the value its change reached.
     LatDelta {
         pred: PredId,
         ops: Vec<RowOp>,
@@ -209,10 +221,9 @@ pub(crate) struct Plan {
     /// dropped there as `Unchanged`). Off for lattice heads when ascent
     /// telemetry is on — a subsumed join must still count on its cell.
     precheck: bool,
-    /// Lattice head whose key fits the inline encoded width: emit may
-    /// hand the insert loop a [`Payload::LatEnc`] instead of a
-    /// materialized tuple, skipping decode + re-encode round trips.
-    lat_enc: bool,
+    /// The head's encoded columns: all of a relational head, the key
+    /// columns of a lattice head.
+    key_cols: usize,
     /// When provenance is recorded: one template per positive body atom,
     /// in body order, instantiated from the registers at emit (`None`
     /// columns are wildcards).
@@ -233,7 +244,9 @@ struct RulePlans {
 impl KernelSet {
     /// Compiles a plan for every rule body and delta variant. Takes the
     /// database mutably to encode literals up front (interning them, so
-    /// their encodings stay valid as the store grows). `lat_precheck`
+    /// their encodings stay valid as the store grows). Literal encodings
+    /// and index positions are those of `db`: a run that replaces its
+    /// database compiles again. `lat_precheck`
     /// permits the emit-side subsumption check for lattice heads; it must
     /// be false when ascent telemetry is on, because a subsumed join
     /// still counts against its cell's join counter there. `premises`
@@ -354,18 +367,16 @@ fn compile_body(
                         Step::RelGround { pred: *pred, key }
                     }
                 } else {
-                    let has_index = !index_cols.is_empty()
-                        && match db.pred(*pred) {
-                            PredData::Rel(r) => r.has_index(index_cols),
-                            PredData::Lat(l) => l.has_index(index_cols),
-                        };
-                    if has_index {
+                    let index = (!index_cols.is_empty())
+                        .then(|| db.pred(*pred).columns().index_of(index_cols))
+                        .flatten();
+                    if let Some(index) = index {
                         let key = key_srcs(terms, index_cols, &boxed_class, db);
                         let ops = row_ops(terms, ncols, index_cols, &bound, &boxed_class, db);
                         if is_lat {
                             Step::LatProbe {
                                 pred: *pred,
-                                cols: index_cols.clone(),
+                                index,
                                 key,
                                 ops,
                                 val,
@@ -373,7 +384,7 @@ fn compile_body(
                         } else {
                             Step::RelProbe {
                                 pred: *pred,
-                                cols: index_cols.clone(),
+                                index,
                                 key,
                                 ops,
                             }
@@ -464,14 +475,14 @@ fn compile_body(
     });
 
     let is_lattice = program.decl(rule.head_pred).is_lattice();
-    let lat_enc = is_lattice && head.len() - 1 <= ENC_KEY;
+    let key_cols = head.len() - is_lattice as usize;
     Plan {
         steps,
         head_pred: rule.head_pred,
         head,
         num_slots: rule.num_vars,
         precheck: lat_precheck || !is_lattice,
-        lat_enc,
+        key_cols,
         premises,
     }
 }
@@ -574,7 +585,7 @@ fn arg_srcs(args: &[CTerm], boxed_class: &HashSet<usize>) -> Vec<ArgSrc> {
 struct State<'a, 'o> {
     program: &'a Program,
     db: &'a Database,
-    delta: &'a [Vec<Row>],
+    delta: &'a [DeltaRows],
     guard: &'a EvalGuard<'a>,
     rule: usize,
     enc: Vec<u64>,
@@ -613,12 +624,9 @@ struct State<'a, 'o> {
     fault: Option<EvalFault>,
 }
 
-/// Sentinel for "cell id unknown" on the encoded lattice fast path.
-pub(crate) const NO_ID: u32 = u32::MAX;
-
 /// Width of the inline shadow-table keys: covers every head up to this
 /// many encoded columns (lattice heads: key columns) without per-entry
-/// allocation. Shared with [`Payload::LatEnc`] so a key that fits the
+/// allocation. Shared with the encoded payloads so a key that fits the
 /// shadow also fits the encoded emit path.
 const SHADOW_KEY: usize = ENC_KEY;
 
@@ -672,7 +680,7 @@ pub(crate) fn run_plan(
     db: &Database,
     plan: &Plan,
     rule: usize,
-    delta: &[Vec<Row>],
+    delta: &[DeltaRows],
     guard: &EvalGuard<'_>,
     counters: &mut EvalCounters,
     out: &mut Vec<Derived>,
@@ -757,98 +765,30 @@ fn build_key(key: &[KeySrc], st: &mut State<'_, '_>) -> bool {
     true
 }
 
-/// Applies the per-row ops against a stored relation row.
-fn rel_ops_match(
-    ops: &[RowOp],
-    rel: &crate::database::RelationData,
-    id: u32,
-    st: &mut State<'_, '_>,
-) -> bool {
+/// Applies the per-row ops against stored row `id` of `cols` — a
+/// relation's tuples or a lattice predicate's keys.
+fn ops_match(ops: &[RowOp], cols: &Columns, id: u32, st: &mut State<'_, '_>) -> bool {
     for op in ops {
         match op {
             RowOp::CheckLit { col, enc } => {
-                if rel.col(*col)[id as usize] != *enc {
+                if cols.col(*col)[id as usize] != *enc {
                     return false;
                 }
             }
             RowOp::CheckSlot { col, slot } => {
-                if rel.col(*col)[id as usize] != st.enc[*slot] {
+                if cols.col(*col)[id as usize] != st.enc[*slot] {
                     return false;
                 }
             }
             RowOp::CheckBoxed { col, slot } => {
                 let v = st.boxed[*slot].as_ref().expect("statically bound");
                 match try_encode(v, st.db.spill()) {
-                    Some(e) if e == rel.col(*col)[id as usize] => {}
+                    Some(e) if e == cols.col(*col)[id as usize] => {}
                     _ => return false,
                 }
             }
-            RowOp::Bind { col, slot } => st.enc[*slot] = rel.col(*col)[id as usize],
-            RowOp::BindBoxed { col, slot } => st.boxed[*slot] = Some(rel.row(id)[*col].clone()),
-        }
-    }
-    true
-}
-
-/// Applies the per-row ops against a stored lattice key.
-fn lat_ops_match(
-    ops: &[RowOp],
-    lat: &crate::database::LatticeData,
-    id: u32,
-    st: &mut State<'_, '_>,
-) -> bool {
-    for op in ops {
-        match op {
-            RowOp::CheckLit { col, enc } => {
-                if lat.key_col(*col)[id as usize] != *enc {
-                    return false;
-                }
-            }
-            RowOp::CheckSlot { col, slot } => {
-                if lat.key_col(*col)[id as usize] != st.enc[*slot] {
-                    return false;
-                }
-            }
-            RowOp::CheckBoxed { col, slot } => {
-                let v = st.boxed[*slot].as_ref().expect("statically bound");
-                match try_encode(v, st.db.spill()) {
-                    Some(e) if e == lat.key_col(*col)[id as usize] => {}
-                    _ => return false,
-                }
-            }
-            RowOp::Bind { col, slot } => st.enc[*slot] = lat.key_col(*col)[id as usize],
-            RowOp::BindBoxed { col, slot } => st.boxed[*slot] = Some(lat.key(id)[*col].clone()),
-        }
-    }
-    true
-}
-
-/// Applies the per-row ops against a decoded delta row. Delta rows are
-/// stored rows (or stored keys plus a fresh cell value), so their key
-/// columns always encode; a decoded value that does not is unequal to
-/// every stored slot.
-fn delta_ops_match(ops: &[RowOp], row: &[Value], st: &mut State<'_, '_>) -> bool {
-    for op in ops {
-        match op {
-            RowOp::CheckLit { col, enc } => match try_encode(&row[*col], st.db.spill()) {
-                Some(e) if e == *enc => {}
-                _ => return false,
-            },
-            RowOp::CheckSlot { col, slot } => match try_encode(&row[*col], st.db.spill()) {
-                Some(e) if e == st.enc[*slot] => {}
-                _ => return false,
-            },
-            RowOp::CheckBoxed { col, slot } => {
-                let v = st.boxed[*slot].as_ref().expect("statically bound");
-                if row[*col] != *v {
-                    return false;
-                }
-            }
-            RowOp::Bind { col, slot } => {
-                st.enc[*slot] = try_encode(&row[*col], st.db.spill())
-                    .expect("delta key columns are stored values");
-            }
-            RowOp::BindBoxed { col, slot } => st.boxed[*slot] = Some(row[*col].clone()),
+            RowOp::Bind { col, slot } => st.enc[*slot] = cols.col(*col)[id as usize],
+            RowOp::BindBoxed { col, slot } => st.boxed[*slot] = Some(cols.row(id)[*col].clone()),
         }
     }
     true
@@ -960,48 +900,41 @@ fn compute_apps(plan: &Plan, st: &mut State<'_, '_>) -> bool {
 /// stored row, so the tuple is certainly not subsumed.
 fn build_head_key(srcs: &[HeadSrc], st: &mut State<'_, '_>) -> bool {
     st.key_buf.clear();
-    let mut app_i = 0;
     for h in srcs {
         let enc = match h {
-            HeadSrc::Lit(_, enc) => *enc,
-            HeadSrc::Slot(s) => st.enc[*s],
+            HeadSrc::Lit(_, enc) => Some(*enc),
+            HeadSrc::Slot(s) => Some(st.enc[*s]),
             HeadSrc::Boxed(s) => {
                 let v = st.boxed[*s].as_ref().expect("statically bound");
-                match try_encode(v, st.db.spill()) {
-                    Some(e) => e,
-                    None => return false,
-                }
+                try_encode(v, st.db.spill())
             }
             HeadSrc::App(..) => {
-                let v = &st.app_buf[app_i];
-                app_i += 1;
-                match try_encode(v, st.db.spill()) {
-                    Some(e) => e,
-                    None => return false,
-                }
+                let v = st.app_buf.last().expect("apps computed");
+                try_encode(v, st.db.spill())
             }
         };
-        st.key_buf.push(enc);
+        match enc {
+            Some(enc) => st.key_buf.push(enc),
+            None => return false,
+        }
     }
     true
 }
 
-/// Would inserting the current head tuple leave the database unchanged?
+/// Would inserting the current head tuple — its encoded columns already
+/// in the key buffer — leave the database unchanged?
 /// Mirrors [`Database::insert`] against the evaluation-time snapshot — a
 /// stored relational row, or a lattice candidate `⊑` its stored cell —
 /// plus the plan-local shadow of what this execution has already
 /// emitted, which catches within-round duplicates (the dominant case in
 /// fixed-point workloads like shortest paths, where each round derives
 /// many successively better candidates per cell). Conservative on every
-/// edge (unencodable value, missing cell, a `leq`/`lub` that errs):
-/// answer `false` and let the real insert decide — inserts are monotone
-/// within a round, so a tuple subsumed now stays subsumed.
+/// edge (missing cell, a `leq`/`lub` that errs): answer `false` and let
+/// the real insert decide — inserts are monotone within a round, so a
+/// tuple subsumed now stays subsumed.
 fn is_subsumed(plan: &Plan, st: &mut State<'_, '_>) -> bool {
     match st.db.pred(plan.head_pred) {
         PredData::Rel(rel) => {
-            if !build_head_key(&plan.head, st) {
-                return false;
-            }
             if rel.contains_encoded(&st.key_buf) {
                 return true;
             }
@@ -1011,12 +944,8 @@ fn is_subsumed(plan: &Plan, st: &mut State<'_, '_>) -> bool {
             }
         }
         PredData::Lat(lat) => {
-            let (key_srcs, val_src) = plan.head.split_at(plan.head.len() - 1);
-            if !build_head_key(key_srcs, st) {
-                return false;
-            }
             let decoded;
-            let cand: &Value = match &val_src[0] {
+            let cand: &Value = match &plan.head[plan.key_cols] {
                 HeadSrc::Lit(v, _) => v,
                 HeadSrc::Boxed(s) => st.boxed[*s].as_ref().expect("statically bound"),
                 HeadSrc::Slot(s) => {
@@ -1085,58 +1014,55 @@ fn is_subsumed(plan: &Plan, st: &mut State<'_, '_>) -> bool {
     }
 }
 
+/// The current value of one head column. Program validation admits a
+/// function application only as the final head term, so a head has at
+/// most one and it is the last (only) one computed.
+fn head_value(h: &HeadSrc, st: &State<'_, '_>) -> Value {
+    match h {
+        HeadSrc::Lit(v, _) => v.clone(),
+        HeadSrc::Slot(s) => decode(st.enc[*s], st.db.spill()),
+        HeadSrc::Boxed(s) => st.boxed[*s].clone().expect("statically bound"),
+        HeadSrc::App(..) => st.app_buf.last().expect("apps computed").clone(),
+    }
+}
+
 fn emit(plan: &Plan, st: &mut State<'_, '_>) {
     if !compute_apps(plan, st) {
         return;
     }
     st.lat_hit_id = NO_ID;
+    // The head's encoded columns are built once: the subsumption
+    // pre-check reads them, and so does the encoded payload. A value the
+    // store has never seen (`build_head_key` fails) cannot equal any
+    // stored row, so the tuple is certainly not subsumed — and must take
+    // the materialized payload, whose insert interns it.
+    let encoded = build_head_key(&plan.head[..plan.key_cols], st);
     // Emit-side dedup: a tuple the database already subsumes would be
-    // materialized, re-encoded, and dropped as `Unchanged` by the insert
-    // loop; suppress it here instead. Counted, so `facts_derived` stays
-    // the gross count.
-    if plan.precheck && is_subsumed(plan, st) {
+    // dropped as `Unchanged` by the insert loop; suppress it here
+    // instead. Counted, so `facts_derived` stays the gross count.
+    if encoded && plan.precheck && is_subsumed(plan, st) {
         st.suppressed += 1;
         return;
     }
-    // Lattice fast path: hand the insert loop the already-encoded key
-    // instead of decoding it here just so `Database::insert` can re-encode
-    // it. Falls back to the materialized tuple when a key value is not yet
-    // interned (`build_head_key` fails) so the insert path interns it.
-    if plan.lat_enc {
-        let (key_srcs, val_src) = plan.head.split_at(plan.head.len() - 1);
-        if build_head_key(key_srcs, st) {
-            let mut key = [0u64; ENC_KEY];
-            key[..st.key_buf.len()].copy_from_slice(&st.key_buf);
-            let cell = match &val_src[0] {
-                HeadSrc::Lit(v, _) => v.clone(),
-                HeadSrc::Slot(s) => decode(st.enc[*s], st.db.spill()),
-                HeadSrc::Boxed(s) => st.boxed[*s].clone().expect("statically bound"),
-                HeadSrc::App(..) => st.app_buf.last().expect("apps computed").clone(),
-            };
-            let payload = Payload::LatEnc {
-                arity: key_srcs.len() as u8,
+    let payload = if encoded && plan.key_cols <= ENC_KEY {
+        // Hand the insert loop the already-encoded columns instead of
+        // decoding them here just so `Database::insert` can re-encode.
+        let mut key = [0u64; ENC_KEY];
+        key[..plan.key_cols].copy_from_slice(&st.key_buf);
+        let arity = plan.key_cols as u8;
+        match plan.head.get(plan.key_cols) {
+            None => Payload::RelEnc { arity, key },
+            Some(val_src) => Payload::LatEnc {
+                arity,
                 id: st.lat_hit_id,
                 key,
-                cell,
-            };
-            push_derived(plan, payload, st);
-            return;
+                cell: head_value(val_src, st),
+            },
         }
-    }
-    let mut tuple = Vec::with_capacity(plan.head.len());
-    let mut app_i = 0;
-    for h in &plan.head {
-        match h {
-            HeadSrc::Lit(v, _) => tuple.push(v.clone()),
-            HeadSrc::Slot(s) => tuple.push(decode(st.enc[*s], st.db.spill())),
-            HeadSrc::Boxed(s) => tuple.push(st.boxed[*s].clone().expect("statically bound")),
-            HeadSrc::App(..) => {
-                tuple.push(st.app_buf[app_i].clone());
-                app_i += 1;
-            }
-        }
-    }
-    push_derived(plan, Payload::Tuple(tuple), st);
+    } else {
+        Payload::Tuple(plan.head.iter().map(|h| head_value(h, st)).collect())
+    };
+    push_derived(plan, payload, st);
 }
 
 /// Appends one derivation, instantiating the plan's premise templates
@@ -1195,7 +1121,7 @@ fn neg_exists(
     match st.db.pred(pred) {
         PredData::Rel(rel) => Ok(match keyed {
             Some(encodable) => encodable && rel.contains_encoded(&st.key_buf),
-            None => (0..rel.len() as u32).any(|id| rel_ops_match(ops, rel, id, st)),
+            None => (0..rel.len() as u32).any(|id| ops_match(ops, rel.columns(), id, st)),
         }),
         PredData::Lat(lat) => {
             if let Some(encodable) = keyed {
@@ -1206,7 +1132,9 @@ fn neg_exists(
                 };
             }
             for id in 0..lat.len() as u32 {
-                if lat_ops_match(ops, lat, id, st) && val_holds(val, lat.cell(id), lat.ops(), st)? {
+                if ops_match(ops, lat.columns(), id, st)
+                    && val_holds(val, lat.cell(id), lat.ops(), st)?
+                {
                     return Ok(true);
                 }
             }
@@ -1242,7 +1170,7 @@ fn step(plan: &Plan, i: usize, st: &mut State<'_, '_>) {
         }
         Step::RelProbe {
             pred,
-            cols,
+            index,
             key,
             ops,
         } => {
@@ -1255,14 +1183,12 @@ fn step(plan: &Plan, i: usize, st: &mut State<'_, '_>) {
                 // counted), but matches nothing.
                 return;
             }
-            let hits = rel
-                .probe_encoded(cols, &st.key_buf)
-                .expect("index presence checked at compile time");
+            let hits = rel.columns().probe_encoded(*index, &st.key_buf);
             for &id in hits {
                 if st.fault.is_some() {
                     return;
                 }
-                if rel_ops_match(ops, rel, id, st) {
+                if ops_match(ops, rel.columns(), id, st) {
                     step(plan, i + 1, st);
                 }
             }
@@ -1278,18 +1204,20 @@ fn step(plan: &Plan, i: usize, st: &mut State<'_, '_>) {
                 if st.fault.is_some() {
                     return;
                 }
-                if rel_ops_match(ops, rel, id, st) {
+                if ops_match(ops, rel.columns(), id, st) {
                     step(plan, i + 1, st);
                 }
             }
         }
         Step::RelDelta { pred, ops } => {
-            let rows = &st.delta[pred.0 as usize];
-            for row in rows {
+            let PredData::Rel(rel) = st.db.pred(*pred) else {
+                unreachable!("compiled against predicate kinds");
+            };
+            for &id in &st.delta[pred.0 as usize].ids {
                 if st.fault.is_some() {
                     return;
                 }
-                if delta_ops_match(ops, row, st) {
+                if ops_match(ops, rel.columns(), id, st) {
                     step(plan, i + 1, st);
                 }
             }
@@ -1309,7 +1237,7 @@ fn step(plan: &Plan, i: usize, st: &mut State<'_, '_>) {
         }
         Step::LatProbe {
             pred,
-            cols,
+            index,
             key,
             ops,
             val,
@@ -1321,15 +1249,13 @@ fn step(plan: &Plan, i: usize, st: &mut State<'_, '_>) {
             if !build_key(key, st) {
                 return;
             }
-            let hits = lat
-                .probe_encoded(cols, &st.key_buf)
-                .expect("index presence checked at compile time");
+            let hits = lat.columns().probe_encoded(*index, &st.key_buf);
             let lops = lat.ops();
             for &id in hits {
                 if st.fault.is_some() {
                     return;
                 }
-                if lat_ops_match(ops, lat, id, st) {
+                if ops_match(ops, lat.columns(), id, st) {
                     apply_val(plan, i + 1, val, lat.cell(id), lops, st);
                 }
             }
@@ -1351,7 +1277,7 @@ fn step(plan: &Plan, i: usize, st: &mut State<'_, '_>) {
                 if st.fault.is_some() {
                     return;
                 }
-                if lat_ops_match(ops, lat, id, st) {
+                if ops_match(ops, lat.columns(), id, st) {
                     apply_val(plan, i + 1, val, lat.cell(id), lops, st);
                 }
             }
@@ -1362,13 +1288,15 @@ fn step(plan: &Plan, i: usize, st: &mut State<'_, '_>) {
             };
             let lops = lat.ops();
             let rows = &st.delta[pred.0 as usize];
-            for row in rows {
+            for (n, &id) in rows.ids.iter().enumerate() {
                 if st.fault.is_some() {
                     return;
                 }
-                let (keypart, cell) = row.split_at(row.len() - 1);
-                if delta_ops_match(ops, keypart, st) {
-                    apply_val(plan, i + 1, val, &cell[0], lops, st);
+                if ops_match(ops, lat.columns(), id, st) {
+                    // The value this change reached; a seed `∆` carries
+                    // none and reads the cell as stored.
+                    let cell = rows.values.get(n).unwrap_or_else(|| lat.cell(id));
+                    apply_val(plan, i + 1, val, cell, lops, st);
                 }
             }
         }

@@ -187,7 +187,7 @@ fn rebuild_without(
                             continue;
                         }
                     }
-                    let _ = out.insert(pred, row.to_vec());
+                    let _ = out.insert(pred, row);
                 }
             }
             PredData::Lat(lat) => {
@@ -201,7 +201,7 @@ fn rebuild_without(
                     // ⊥ replacements are intentionally dropped; the model
                     // checker assumes sound lattice ops, so insertion
                     // faults cannot occur here.
-                    let _ = out.insert(pred, tuple);
+                    let _ = out.insert(pred, &tuple);
                 }
             }
         }
@@ -322,7 +322,7 @@ fn for_each_match(
                 if rel.contains(&key, db.spill()) {
                     visit(&key, None);
                 }
-            } else if let Some(hits) = rel.probe(&cols, &key, db.spill()) {
+            } else if let Some(hits) = rel.columns().probe(&cols, &key, db.spill()) {
                 hits.iter().for_each(|&i| visit(rel.row(i), None));
             } else {
                 rel.rows().for_each(|row| visit(row, None));
@@ -333,7 +333,7 @@ fn for_each_match(
                 if let Some(cell) = lat.value(&key, db.spill()) {
                     visit(&key, Some(cell));
                 }
-            } else if let Some(hits) = lat.probe(&cols, &key, db.spill()) {
+            } else if let Some(hits) = lat.columns().probe(&cols, &key, db.spill()) {
                 hits.iter()
                     .for_each(|&i| visit(lat.key(i), Some(lat.cell(i))));
             } else {

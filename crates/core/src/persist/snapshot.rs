@@ -341,7 +341,7 @@ fn decode_predicate_frame(
         }
         // Duplicate relational rows and already-subsumed lattice cells
         // are tolerated: insertion is idempotent, exactly like replay.
-        db.insert(pred, row).map_err(FrameFault::Cell)?;
+        db.insert(pred, &row).map_err(FrameFault::Cell)?;
     }
     if !r.is_done() {
         return Err(wire("frame payload has trailing bytes"));

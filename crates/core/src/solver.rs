@@ -16,7 +16,8 @@
 #![allow(clippy::result_large_err)]
 
 use crate::ast::{PredKind, ProgramError};
-use crate::database::{Database, InsertFault, InsertOutcome, PredData, Row};
+use crate::database::{Database, InsertFault, InsertOutcome, PredData};
+use crate::fxhash::FxHashSet;
 use crate::guard::{panic_payload, Budget, BudgetKind, EvalGuard, Guard};
 use crate::kernel::{self, KernelSet};
 use crate::observe::{Observer, RuleEvaluated, RuleStats, StratumStats};
@@ -30,7 +31,6 @@ use crate::trace::{
 };
 use crate::verify::Violation;
 use crate::{PredId, Value};
-use std::collections::HashSet;
 use std::fmt;
 use std::sync::Arc;
 use std::time::Instant;
@@ -609,19 +609,20 @@ impl Solver {
         db
     }
 
-    /// Fires a non-fatal [`AscentWarning`] when the cell at `pred`/`key`
-    /// first crosses the configured chain-height threshold.
-    fn check_ascent(&self, program: &Program, db: &mut Database, pred: PredId, key: &[Value]) {
+    /// Fires a non-fatal [`AscentWarning`] when lattice cell `id` of `pred`
+    /// first crosses the configured chain-height threshold. The cell's
+    /// key is decoded only for a warning that fires.
+    fn check_ascent(&self, program: &Program, db: &mut Database, pred: PredId, id: u32) {
         let Some(threshold) = self.config.ascent.as_ref().and_then(|c| c.warn_height) else {
             return;
         };
-        let Some(height) = db.ascent_crossed(pred, key, threshold) else {
+        let Some(height) = db.ascent_crossed(pred, id, threshold) else {
             return;
         };
         if let Some(obs) = &self.config.observer {
             obs.ascent_warning(&AscentWarning {
                 predicate: program.decl(pred).name.to_string(),
-                key: key.to_vec(),
+                key: db.pred(pred).columns().row(id).to_vec(),
                 height,
                 threshold,
             });
@@ -720,9 +721,10 @@ pub(crate) struct Run<'a> {
     events: Option<Vec<Event>>,
     /// Whether `events` covers every insertion since the empty database.
     events_complete: bool,
-    /// Warm runs only: every net change so far, per predicate — what
-    /// [`Seed::Delta`] strata are seeded from.
-    pending: Option<Vec<Vec<Row>>>,
+    /// Warm runs only: the row id of every net change so far, per
+    /// predicate — what [`Seed::Delta`] strata are seeded from. Recorded
+    /// after any [`Run::rebuild`], so the ids index the run's database.
+    pending: Option<Vec<Vec<u32>>>,
 }
 
 impl<'a> Run<'a> {
@@ -843,28 +845,24 @@ impl<'a> Run<'a> {
     pub(crate) fn assert(&mut self, pred: PredId, values: &[Value]) -> Result<(), SolveError> {
         let db = Arc::make_mut(&mut self.db);
         let outcome = db
-            .insert(pred, values.to_vec())
+            .insert(pred, values)
             .map_err(|fault| insert_fault_error(self.program, pred, None, fault))?;
-        if matches!(outcome, InsertOutcome::Unchanged) {
+        let Some((id, raised)) = outcome.into_change() else {
             return Ok(());
-        }
+        };
         self.stats.facts_inserted += 1;
-        if let InsertOutcome::LatIncrease(key, _) = &outcome {
-            self.solver.check_ascent(self.program, db, pred, key);
+        if raised.is_some() {
+            self.solver.check_ascent(self.program, db, pred, id);
         }
-        if self.pending.is_none() && self.events.is_none() {
-            return Ok(());
-        }
-        let row = change_row(outcome).expect("the outcome is a change");
         if let Some(log) = self.events.as_mut() {
             log.push(Event {
                 pred,
-                tuple: row.to_vec(),
+                tuple: db.fact_tuple(pred, id, raised.as_ref()),
                 source: Source::Fact,
             });
         }
         if let Some(pending) = self.pending.as_mut() {
-            pending[pred.0 as usize].push(row);
+            pending[pred.0 as usize].push(id);
         }
         Ok(())
     }
@@ -912,7 +910,7 @@ impl<'a> Run<'a> {
     ) -> Result<(), SolveError> {
         let program = self.program;
         let mut fresh = self.solver.empty_db(program);
-        let mut keep = |pred: PredId, tuple: Vec<Value>| match fresh.insert(pred, tuple) {
+        let mut keep = |pred: PredId, tuple: &[Value]| match fresh.insert(pred, tuple) {
             Ok(_) => Ok(()),
             Err(fault) => Err(insert_fault_error(program, pred, None, fault)),
         };
@@ -920,14 +918,14 @@ impl<'a> Run<'a> {
             match self.db.pred(pred) {
                 PredData::Rel(rel) => {
                     for row in rel.rows().filter(|row| survives(pred, row)) {
-                        keep(pred, row.to_vec())?;
+                        keep(pred, row)?;
                     }
                 }
                 PredData::Lat(lat) => {
                     for (key, cell) in lat.iter().filter(|(key, _)| survives(pred, key)) {
                         let mut tuple = key.to_vec();
                         tuple.push(cell.clone());
-                        keep(pred, tuple)?;
+                        keep(pred, &tuple)?;
                     }
                 }
             }
@@ -1010,7 +1008,7 @@ impl<'a> Run<'a> {
                     for &r in group {
                         let variants = &self.program.rules[r].delta_variants;
                         for (vi, (pred, _)) in variants.iter().enumerate() {
-                            if !delta[pred.0 as usize].is_empty() {
+                            if !delta[pred.0 as usize].ids.is_empty() {
                                 tasks.push(Task {
                                     rule: r,
                                     variant: Some(vi),
@@ -1030,73 +1028,50 @@ impl<'a> Run<'a> {
     }
 
     /// The warm-start `∆` of [`Seed::Delta`]: the pending changes of
-    /// every predicate the stratum's rules read positively. Relational
-    /// rows pass through as-is; lattice keys are deduplicated and re-read
-    /// from the database so the delta row carries the *current* cell
-    /// value (intermediate values a cell climbed through in earlier
-    /// strata must not leak into this stratum's witnesses — a
-    /// from-scratch solve would only ever see the settled value).
-    fn pending_for(&self, group: &[usize]) -> Vec<Vec<Row>> {
+    /// every predicate the stratum's rules read positively, each read at
+    /// its stored state. Relational row ids pass through as-is; lattice
+    /// cell ids are deduplicated and carry no value, so the delta step
+    /// reads the *current* cell (intermediate values a cell climbed
+    /// through in earlier strata must not leak into this stratum's
+    /// witnesses — a from-scratch solve would only ever see the settled
+    /// value).
+    fn pending_for(&self, group: &[usize]) -> Vec<DeltaRows> {
         let pending = self.pending.as_ref().expect("Seed::Delta is for warm runs");
-        let mut seed: Vec<Vec<Row>> = vec![Vec::new(); pending.len()];
+        let mut seed = vec![DeltaRows::default(); pending.len()];
         for &r in group {
             for item in &self.program.rules[r].body {
                 let CItem::Atom { pred, .. } = item else {
                     continue;
                 };
                 let p = pred.0 as usize;
-                if !seed[p].is_empty() {
+                if !seed[p].ids.is_empty() {
                     continue;
                 }
-                match self.db.pred(*pred) {
-                    PredData::Rel(_) => seed[p] = pending[p].clone(),
-                    PredData::Lat(lat) => {
-                        let mut seen: HashSet<&[Value]> = HashSet::new();
-                        for row in &pending[p] {
-                            let key = &row[..row.len() - 1];
-                            if !seen.insert(key) {
-                                continue;
-                            }
-                            let value = lat
-                                .value(key, self.db.spill())
-                                .expect("pending lattice key has a stored cell");
-                            let mut full = key.to_vec();
-                            full.push(value.clone());
-                            seed[p].push(full.into());
-                        }
+                seed[p].ids = match self.db.pred(*pred) {
+                    PredData::Rel(_) => pending[p].clone(),
+                    PredData::Lat(_) => {
+                        let mut seen = FxHashSet::default();
+                        let first = pending[p].iter().filter(|&&id| seen.insert(id));
+                        first.copied().collect()
                     }
-                }
+                };
             }
         }
         seed
     }
 
-    /// The `∆` of [`Seed::Rederive`]: the complete current contents of
-    /// the *first* delta-variant predicate of each rule. One variant with
-    /// a full delta joins against full relations everywhere else, so
-    /// every rule is evaluated completely in the first round; subsequent
-    /// rounds proceed semi-naïvely over genuine changes.
-    fn contents_of(&self, group: &[usize]) -> Vec<Vec<Row>> {
-        let mut seed: Vec<Vec<Row>> = vec![Vec::new(); self.program.preds.len()];
+    /// The `∆` of [`Seed::Rederive`]: the complete current contents —
+    /// every row id, read at its stored state — of the *first*
+    /// delta-variant predicate of each rule. One variant with a full
+    /// delta joins against full relations everywhere else, so every rule
+    /// is evaluated completely in the first round; subsequent rounds
+    /// proceed semi-naïvely over genuine changes.
+    fn contents_of(&self, group: &[usize]) -> Vec<DeltaRows> {
+        let mut seed = vec![DeltaRows::default(); self.program.preds.len()];
         for &r in group {
-            let Some((pred, _)) = self.program.rules[r].delta_variants.first() else {
-                continue;
-            };
-            let p = pred.0 as usize;
-            if !seed[p].is_empty() {
-                continue;
+            if let Some((pred, _)) = self.program.rules[r].delta_variants.first() {
+                seed[pred.0 as usize].ids = (0..self.db.len_of(*pred) as u32).collect();
             }
-            seed[p] = match self.db.pred(*pred) {
-                PredData::Rel(rel) => rel.rows().map(|row| Row::from(row.to_vec())).collect(),
-                PredData::Lat(lat) => lat
-                    .iter()
-                    .map(|(key, cell)| {
-                        let mut full = key.to_vec();
-                        full.push(cell.clone());
-                        full.into()
-                    })
-                    .collect(),
-            };
         }
         seed
     }
@@ -1135,9 +1110,9 @@ impl<'a> Run<'a> {
         &mut self,
         stratum: usize,
         tasks: &[Task],
-        delta: &[Vec<Row>],
+        delta: &[DeltaRows],
         buf: &mut Vec<Derived>,
-    ) -> Result<Vec<Vec<Row>>, SolveError> {
+    ) -> Result<Vec<DeltaRows>, SolveError> {
         self.check_round(stratum)?;
         self.stats.rounds += 1;
         let round = self.stats.rounds;
@@ -1157,8 +1132,8 @@ impl<'a> Run<'a> {
             .record(0, SpanKind::Round { stratum, round }, round_start);
         let changes = outcome?;
         if let Some(pending) = self.pending.as_mut() {
-            for (pred, rows) in changes.iter().enumerate() {
-                pending[pred].extend(rows.iter().cloned());
+            for (pending, rows) in pending.iter_mut().zip(&changes) {
+                pending.extend_from_slice(&rows.ids);
             }
         }
         Ok(changes)
@@ -1167,39 +1142,52 @@ impl<'a> Run<'a> {
     /// Drains one round's derivations into the database: the only place a
     /// derived fact is inserted. Counts gross derivations and net
     /// changes, credits the first changing rule, checks ascent, logs the
-    /// rule event, and collects the change rows.
-    fn absorb(&mut self, buf: &mut Vec<Derived>) -> Result<Vec<Vec<Row>>, SolveError> {
+    /// rule event, and collects the round's changes — the next `∆`.
+    ///
+    /// Within one round a lattice cell can climb through several
+    /// intermediate values, and *how many* strict increases it takes
+    /// depends on the order candidate values are merged — which differs
+    /// between naïve and semi-naïve evaluation. Counting only the first
+    /// increase per cell per round (`touched`) makes `facts_inserted`,
+    /// the per-rule `inserted` credit, and the per-round `delta_sizes`
+    /// *net* quantities (distinct facts changed between round
+    /// boundaries), which are strategy-invariant (see the "Strategy
+    /// invariance" section on [`SolveStats`]). Relational tuples change
+    /// at most once ever, so only lattice increases are tracked. The `∆`
+    /// still gets one entry per increase, each with the value it reached.
+    fn absorb(&mut self, buf: &mut Vec<Derived>) -> Result<Vec<DeltaRows>, SolveError> {
         let db = Arc::make_mut(&mut self.db);
-        let mut changes: Vec<Vec<Row>> = vec![Vec::new(); self.program.preds.len()];
+        let mut changes = vec![DeltaRows::default(); self.program.preds.len()];
         let mut changed = 0u64;
-        let mut touched = TouchedCells::new();
-        for mut d in buf.drain(..) {
+        let mut touched: FxHashSet<(PredId, u32)> = FxHashSet::default();
+        for d in buf.drain(..) {
             self.stats.facts_derived += 1;
-            let outcome = insert_derived(db, &mut d)
+            let outcome = insert_derived(db, d.pred, d.payload)
                 .map_err(|fault| insert_fault_error(self.program, d.pred, Some(d.rule), fault))?;
-            if matches!(outcome, InsertOutcome::Unchanged) {
+            let Some((id, raised)) = outcome.into_change() else {
                 continue;
-            }
-            if touched.first_change(d.pred, &outcome) {
+            };
+            if raised.is_none() || touched.insert((d.pred, id)) {
                 self.stats.facts_inserted += 1;
                 self.stats.per_rule[d.rule].inserted += 1;
                 changed += 1;
             }
-            if let InsertOutcome::LatIncrease(key, _) = &outcome {
-                self.solver.check_ascent(self.program, db, d.pred, key);
+            if raised.is_some() {
+                self.solver.check_ascent(self.program, db, d.pred, id);
             }
-            let row = change_row(outcome).expect("the outcome is a change");
             if let Some(log) = self.events.as_mut() {
                 log.push(Event {
                     pred: d.pred,
-                    tuple: row.to_vec(),
+                    tuple: db.fact_tuple(d.pred, id, raised.as_ref()),
                     source: Source::Rule {
                         rule: d.rule,
-                        premises: d.premises.take().unwrap_or_default(),
+                        premises: d.premises.unwrap_or_default(),
                     },
                 });
             }
-            changes[d.pred.0 as usize].push(row);
+            let rows = &mut changes[d.pred.0 as usize];
+            rows.ids.push(id);
+            rows.values.extend(raised);
         }
         if let Some(st) = self.stats.per_stratum.last_mut() {
             st.delta_sizes.push(changed);
@@ -1287,7 +1275,7 @@ impl<'a> Run<'a> {
         stratum: usize,
         round: u64,
         tasks: &[Task],
-        delta: &[Vec<Row>],
+        delta: &[DeltaRows],
         out: &mut Vec<Derived>,
     ) -> Result<(), SolveError> {
         let solver = self.solver;
@@ -1489,7 +1477,7 @@ fn run_one_task(
     db: &Database,
     kernels: &KernelSet,
     task: &Task,
-    delta: &[Vec<Row>],
+    delta: &[DeltaRows],
     eval_guard: &EvalGuard<'_>,
     out: &mut Vec<Derived>,
     span: &mut TaskSpan<'_, '_>,
@@ -1620,25 +1608,36 @@ pub(crate) struct Derived {
 }
 
 /// Width of the inline encoded-key representation shared by the kernel's
-/// shadow tables and the [`Payload::LatEnc`] fast path. Wider heads fall
-/// back to materialized tuples.
+/// shadow tables and the encoded payloads ([`Payload::RelEnc`],
+/// [`Payload::LatEnc`]). Wider heads fall back to materialized tuples.
 pub(crate) const ENC_KEY: usize = 4;
 
-/// The content of a [`Derived`] fact: a materialized head tuple, or — on
-/// the kernel fast path — a lattice head kept in encoded form so the
-/// insert loop can skip re-materializing and re-encoding the key columns.
+/// The content of a [`Derived`] fact: the head kept in the encoded form
+/// the plan's registers hold it in, so the insert loop neither decodes
+/// nor re-encodes it — or, for what the plan could not encode, a
+/// materialized head tuple.
 #[derive(Clone, Debug)]
 pub(crate) enum Payload {
     /// A fully materialized head tuple (lattice heads carry the cell
-    /// value as the last column).
+    /// value as the last column): a head with a value the store has not
+    /// interned or spilled yet — the insert path does that — or one
+    /// wider than [`ENC_KEY`] columns.
     Tuple(Vec<Value>),
+    /// A relational head whose slots are canonical encodings against the
+    /// database the kernel probed.
+    RelEnc {
+        /// Number of live slots in `key`.
+        arity: u8,
+        /// Encoded columns, zero-padded past `arity`.
+        key: [u64; ENC_KEY],
+    },
     /// A lattice head whose key slots are canonical encodings against the
     /// database the kernel probed; only the cell value is materialized.
     LatEnc {
         /// Number of live slots in `key`.
         arity: u8,
         /// Row id of the target cell when the kernel resolved it
-        /// ([`crate::kernel::NO_ID`] otherwise). Ids are append-only, so
+        /// ([`crate::database::NO_ID`] otherwise). Ids are append-only, so
         /// a resolved id is still the same cell at insert time; the
         /// insert skips the hash lookup and joins the cell directly.
         id: u32,
@@ -1649,73 +1648,44 @@ pub(crate) enum Payload {
     },
 }
 
+/// The changes of one predicate that a semi-naïve round reads as `∆P`
+/// (§3.7): row ids into the predicate's columnar store, never copies of
+/// the tuples — delta steps read them through the same encoded columns
+/// as probes and scans do.
+#[derive(Clone, Debug, Default)]
+pub(crate) struct DeltaRows {
+    /// The changed rows (relations) or cells (lattice predicates), in
+    /// change order. A cell raised twice in one round is listed twice.
+    pub(crate) ids: Vec<u32>,
+    /// Lattice predicates, round-produced `∆` only: parallel to `ids`,
+    /// the value each change reached — the paper's `ga(P', S)`. Empty
+    /// for a seed `∆`, whose cells are read at their current value.
+    pub(crate) values: Vec<Value>,
+}
+
 /// Feeds a derived fact into the database, consuming the payload: a
 /// database change is reported back through the [`InsertOutcome`], which
-/// is all the event log and the next `∆` need.
-fn insert_derived(db: &mut Database, d: &mut Derived) -> Result<InsertOutcome, InsertFault> {
-    match &mut d.payload {
-        Payload::Tuple(t) => db.insert(d.pred, std::mem::take(t)),
+/// names the row — all the event log and the next `∆` need.
+fn insert_derived(
+    db: &mut Database,
+    pred: PredId,
+    payload: Payload,
+) -> Result<InsertOutcome, InsertFault> {
+    match payload {
+        Payload::Tuple(t) => db.insert(pred, &t),
+        Payload::RelEnc { arity, key } => db.insert_rel_encoded(pred, &key[..arity as usize]),
         Payload::LatEnc {
             arity,
             id,
             key,
             cell,
-        } => {
-            let value = std::mem::replace(cell, Value::Unit);
-            db.insert_lat_encoded(d.pred, &key[..*arity as usize], *id, value)
-        }
-    }
-}
-
-/// The full tuple of one net database change — the paper's `∆P` element
-/// `ga(P', S)` (§3.7): a new row as inserted, or a raised cell's key
-/// columns plus its *joined* value, the state the database actually
-/// reached. `None` for [`InsertOutcome::Unchanged`].
-fn change_row(outcome: InsertOutcome) -> Option<Row> {
-    match outcome {
-        InsertOutcome::Unchanged => None,
-        InsertOutcome::NewRow(row) => Some(row),
-        InsertOutcome::LatIncrease(key, value) => {
-            let mut full = key.to_vec();
-            full.push(value);
-            Some(full.into())
-        }
+        } => db.insert_lat_encoded(pred, &key[..arity as usize], id, cell),
     }
 }
 
 /// Whether a per-predicate `∆` holds no rows: the fixed-point test.
-fn drained(delta: &[Vec<Row>]) -> bool {
-    delta.iter().all(Vec::is_empty)
-}
-
-/// Lattice cells already credited with a net change in the current
-/// round.
-///
-/// Within one round a lattice cell can climb through several
-/// intermediate values, and *how many* strict increases it takes depends
-/// on the order candidate values are merged — which differs between
-/// naïve and semi-naïve evaluation. Counting only the first increase per
-/// cell per round makes `facts_inserted`, the per-rule `inserted`
-/// credit, and the per-round `delta_sizes` *net* quantities (distinct
-/// facts changed between round boundaries), which are strategy-invariant
-/// (see the "Strategy invariance" section on [`SolveStats`]). Relational
-/// tuples change at most once ever, so only lattice increases are
-/// tracked.
-struct TouchedCells(crate::fxhash::FxHashSet<(PredId, Row)>);
-
-impl TouchedCells {
-    fn new() -> TouchedCells {
-        TouchedCells(crate::fxhash::FxHashSet::default())
-    }
-
-    /// Returns `true` when `outcome` is the first net change of its fact
-    /// in this round (always true for new relational rows).
-    fn first_change(&mut self, pred: PredId, outcome: &InsertOutcome) -> bool {
-        match outcome {
-            InsertOutcome::LatIncrease(key, _) => self.0.insert((pred, key.clone())),
-            _ => true,
-        }
-    }
+fn drained(delta: &[DeltaRows]) -> bool {
+    delta.iter().all(|rows| rows.ids.is_empty())
 }
 
 /// A fault raised while evaluating one rule body: a caught panic in user
@@ -1966,7 +1936,7 @@ impl Solution {
             b.2.cmp(&a.2) // joins, descending
                 .then(b.3.cmp(&a.3)) // height, descending
                 .then(a.0.cmp(&b.0)) // predicate id
-                .then(a.1.cmp(&b.1)) // key, for determinism
+                .then(a.1.cmp(b.1)) // key, for determinism
         });
         let hottest = ranked
             .into_iter()

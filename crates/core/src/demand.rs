@@ -1005,19 +1005,15 @@ fn remap_stats(
 /// translated to original rules, and guard premises are removed — so
 /// [`Solution::explain`] renders derivations exactly as a full solve
 /// would have.
-fn remap_events(rw: &Rewritten, events: Vec<Event>) -> Vec<Event> {
+fn remap_events(rw: &Rewritten, events: &mut Vec<Event>) {
     let n = rw.num_original_preds as u32;
-    events
-        .into_iter()
-        .filter(|e| e.pred.0 < n)
-        .map(|mut e| {
-            if let Source::Rule { rule, premises } = &mut e.source {
-                *rule = rw.rule_origin[*rule];
-                premises.retain(|p| p.pred.0 < n);
-            }
-            e
-        })
-        .collect()
+    events.retain_mut(|e| {
+        if let Source::Rule { rule, premises } = &mut e.source {
+            *rule = rw.rule_origin[*rule];
+            premises.retain(|p| p.pred.0 < n);
+        }
+        e.pred.0 < n
+    });
 }
 
 /// Rewrites failure details recorded against the rewritten program back
@@ -1143,7 +1139,12 @@ impl Solver {
                 stats: remap_stats(program, &rw, out.stats, &db),
                 db,
                 edb: Arc::clone(&program.facts),
-                events: out.events.map(|ev| remap_events(&rw, ev)),
+                // The run started fresh, so the events it recorded are
+                // the whole log.
+                events: out.events.map(|mut log| {
+                    remap_events(&rw, log.tail_mut());
+                    log
+                }),
                 trace: out.trace.map(|mut t| {
                     t.remap_rules(&rw.rule_origin, rule_heads(program));
                     t

@@ -22,10 +22,13 @@
 //!   DRed-style over-delete/re-derive pass adapted to lattice semantics
 //!   (see DESIGN §16). The provenance event log of the prior solve is a
 //!   well-founded proof forest: premises are logged before conclusions.
-//!   One forward pass over it marks the *cone of consequences* of the
-//!   removed assertions — every derivation with a removed or already-
-//!   marked premise, and for lattice cells every join at or after the
-//!   first contaminated one. The database is rebuilt without the cone
+//!   A worklist over the log's fact-to-event indexes, in log order,
+//!   marks the *cone of consequences* of the removed assertions — every
+//!   derivation with a removed or already-marked premise, and for
+//!   lattice cells every join at or after the first contaminated one —
+//!   touching the cone's events, not the log's. The log itself is shared
+//!   with the prior solution; the cone's events are masked out of the
+//!   resumed history, not deleted. The database is rebuilt without the cone
 //!   (an over-deletion: survivors are provably derivable from E′, so
 //!   the result is a sound under-approximation), E′ is re-asserted, and
 //!   the affected strata re-run to the fixed point, restoring every
@@ -94,12 +97,14 @@
 // like `solver.rs`; it is boxed inside `SolveFailure` at the API boundary.
 #![allow(clippy::result_large_err)]
 
+use crate::fxhash::{FxHashMap, FxHashSet};
 use crate::program::{CItem, Program};
-use crate::provenance::{pattern_matches, Event, Source};
+use crate::provenance::{fact_key, EventLog, Pos};
 use crate::solver::{Run, Seed};
 use crate::trace::SpanKind;
 use crate::{PredId, Solution, SolveError, SolveFailure, Solver, Value};
-use std::collections::{HashMap, HashSet};
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 use std::fmt;
 use std::sync::Arc;
 
@@ -367,9 +372,10 @@ impl Solver {
     /// Statistics describe the *resumed* run only; `per_stratum` holds
     /// entries just for re-run strata (tagged with their original
     /// stratum indices). When provenance recording is on, the prior
-    /// solution's event log is carried over — pruned of the retracted
-    /// cone when the delta removes assertions — and extended, so
-    /// [`Solution::explain`] spans both runs.
+    /// solution's event log is carried over — shared with the prior, not
+    /// copied, and without the retracted cone when the delta removes
+    /// assertions — and extended, so [`Solution::explain`] spans both
+    /// runs.
     ///
     /// # Errors
     ///
@@ -397,12 +403,12 @@ impl Solver {
 
         // Validate the prior solution and the delta before touching
         // anything; on a validation error the partial model is the
-        // unmodified prior model.
+        // unmodified prior model, log included — carrying it shares it.
+        run.carry_log(prior);
         let ops = match check_prior(program, prior).and_then(|()| resolve_delta(program, delta)) {
             Ok(ops) => ops,
             Err(e) => return run.finish(Err(e.into())),
         };
-        run.carry_log(prior);
 
         // An empty delta cannot change a complete fixed point. Skipped
         // when ascent instrumentation is requested, since enabling
@@ -520,84 +526,67 @@ fn update(
 /// complete event log (DESIGN §16, phase 1).
 ///
 /// The log is a well-founded proof forest — premises are recorded before
-/// the conclusions they support — so a single forward pass computes it:
-/// an event dies when its own fact was removed, when any positive
-/// premise matches an already-dead fact, or (for lattice cells, whose
-/// logged values are running joins) when any earlier event of the same
-/// cell died.
+/// the conclusions they support. An event dies when its own fact was
+/// removed, when any positive premise matches a fact that died *earlier
+/// in the log*, or (for lattice cells, whose logged values are running
+/// joins) when any earlier event of the same cell died. A fact is
+/// therefore dead *from* a position: that of its first dead event, or
+/// the start of the log when it was removed outright.
 struct Cone {
-    /// Dead relational tuples, per predicate.
-    deleted: Vec<HashSet<Vec<Value>>>,
-    /// Keys of dead lattice cells, per predicate. A contaminated cell
-    /// drops entirely — its clean prefix of justifications survives in
-    /// the kept log and re-derivation restores their lub.
-    dead_cells: Vec<HashSet<Vec<Value>>>,
-    /// Which events of the log died, by position.
-    dead_events: Vec<bool>,
+    /// Dead facts, per predicate: relational tuples, and keys of lattice
+    /// cells. A contaminated cell drops entirely — its clean prefix of
+    /// justifications survives in the kept log and re-derivation restores
+    /// their lub.
+    dead: Vec<FxHashSet<Vec<Value>>>,
+    /// The log positions of the events that died, ascending.
+    dead_events: Vec<Pos>,
 }
 
 impl Cone {
-    fn taint(program: &Program, log: &[Event], removed: &[(PredId, Vec<Value>)]) -> Cone {
-        let npreds = program.num_predicates();
+    /// Walks the cone through the log's indexes. The frontier holds facts
+    /// by the position they are dead from, earliest first; taking one
+    /// kills the later events that conclude or consume it, and each of
+    /// those puts its own fact on the frontier at its own — later —
+    /// position. Positions only grow, so the first time a fact is taken
+    /// is the earliest position it is dead from, exactly as a forward
+    /// pass over the whole log would find it.
+    fn taint(program: &Program, log: &EventLog, removed: &[(PredId, Vec<Value>)]) -> Cone {
         let is_lat: Vec<bool> = program.predicates().map(|(_, d)| d.is_lattice()).collect();
-        let mut cone = Cone {
-            deleted: vec![HashSet::new(); npreds],
-            dead_cells: vec![HashSet::new(); npreds],
-            dead_events: Vec::with_capacity(log.len()),
-        };
-        for (pred, tuple) in removed {
-            let p = pred.0 as usize;
-            if is_lat[p] {
-                cone.dead_cells[p].insert(tuple[..tuple.len() - 1].to_vec());
-            } else {
-                cone.deleted[p].insert(tuple.clone());
+        let mut dead = vec![FxHashSet::default(); is_lat.len()];
+        let mut dead_events: FxHashSet<Pos> = FxHashSet::default();
+        // (Dead from: `None` sorts first. The fact's predicate. Its key.)
+        let mut frontier: BinaryHeap<_> = removed
+            .iter()
+            .map(|(pred, tuple)| {
+                let key = fact_key(&is_lat, *pred, tuple).to_vec();
+                Reverse((None::<Pos>, *pred, key))
+            })
+            .collect();
+        while let Some(Reverse((from, pred, key))) = frontier.pop() {
+            if !dead[pred.0 as usize].insert(key.clone()) {
+                continue;
             }
-        }
-        for event in log {
-            let p = event.pred.0 as usize;
-            let mut dead = if is_lat[p] {
-                cone.dead_cells[p].contains(&event.tuple[..event.tuple.len() - 1])
-            } else {
-                cone.deleted[p].contains(event.tuple.as_slice())
-            };
-            if !dead {
-                if let Source::Rule { premises, .. } = &event.source {
-                    dead = premises.iter().any(|premise| {
-                        let q = premise.pred.0 as usize;
-                        if is_lat[q] {
-                            key_pattern_hits(&premise.pattern, &cone.dead_cells[q])
-                        } else {
-                            pattern_hits(&premise.pattern, &cone.deleted[q])
-                        }
-                    });
+            log.touching(&is_lat, pred, &key, from, |at, event| {
+                let fact = fact_key(&is_lat, event.pred, &event.tuple);
+                if dead_events.insert(at) && !dead[event.pred.0 as usize].contains(fact) {
+                    frontier.push(Reverse((Some(at), event.pred, fact.to_vec())));
                 }
-            }
-            if dead {
-                if is_lat[p] {
-                    cone.dead_cells[p].insert(event.tuple[..event.tuple.len() - 1].to_vec());
-                } else {
-                    cone.deleted[p].insert(event.tuple.clone());
-                }
-            }
-            cone.dead_events.push(dead);
+            });
         }
-        cone
+        let mut dead_events: Vec<Pos> = dead_events.into_iter().collect();
+        dead_events.sort_unstable();
+        Cone { dead, dead_events }
     }
 
     /// Whether the cone holds the relational tuple, or the lattice cell
     /// with the key, `fact` of `pred`.
     fn kills(&self, pred: PredId, fact: &[Value]) -> bool {
-        let p = pred.0 as usize;
-        self.deleted[p].contains(fact) || self.dead_cells[p].contains(fact)
+        self.dead[pred.0 as usize].contains(fact)
     }
 
     /// Per predicate: did it lose any fact?
     fn lost(&self) -> Vec<bool> {
-        self.deleted
-            .iter()
-            .zip(&self.dead_cells)
-            .map(|(rows, cells)| !rows.is_empty() || !cells.is_empty())
-            .collect()
+        self.dead.iter().map(|facts| !facts.is_empty()).collect()
     }
 }
 
@@ -664,14 +653,12 @@ fn resolve_delta(program: &Program, delta: &Delta) -> Result<Vec<ResolvedOp>, De
                 (predicate, false)
             }
         };
-        let Some((pred, decl)) = program
-            .predicates()
-            .find(|(_, d)| d.name() == name.as_str())
-        else {
+        let Some(pred) = program.predicate(name) else {
             return Err(DeltaError::UnknownPredicate {
                 predicate: name.clone(),
             });
         };
+        let decl = program.decl(pred);
         let tuple: Vec<Value> = match op {
             DeltaOp::Insert { tuple, .. } | DeltaOp::Retract { tuple, .. } => tuple.clone(),
             DeltaOp::Raise { key, element, .. } | DeltaOp::Lower { key, element, .. } => {
@@ -710,22 +697,24 @@ fn apply_ops(
     Vec<(PredId, Vec<Value>)>,
     Vec<(PredId, Vec<Value>)>,
 ) {
-    let mut entries: Vec<(PredId, Vec<Value>)> = base.to_vec();
-    let mut alive = vec![true; entries.len()];
+    // Entry `i` is `base[i]`, or past the base the op that pushed it;
+    // nothing is copied until it lands in one of the results.
+    let mut alive = vec![true; base.len()];
+    let mut pushed: Vec<&ResolvedOp> = Vec::new();
     // Indices of the currently-live copies of each assertion (the base
     // store may hold duplicates).
-    let mut live: HashMap<(PredId, Vec<Value>), Vec<usize>> = HashMap::new();
-    for (i, entry) in entries.iter().enumerate() {
-        live.entry(entry.clone()).or_default().push(i);
+    let mut live: FxHashMap<(PredId, &[Value]), Vec<usize>> = FxHashMap::default();
+    for (i, (pred, tuple)) in base.iter().enumerate() {
+        live.entry((*pred, tuple)).or_default().push(i);
     }
     for op in ops {
-        let key = (op.pred, op.tuple.clone());
+        let key = (op.pred, op.tuple.as_slice());
         if op.add {
             let slot = live.entry(key).or_default();
             if slot.is_empty() {
-                entries.push((op.pred, op.tuple.clone()));
+                slot.push(alive.len());
                 alive.push(true);
-                slot.push(entries.len() - 1);
+                pushed.push(op);
             }
         } else if let Some(slot) = live.get_mut(&key) {
             for i in slot.drain(..) {
@@ -734,29 +723,30 @@ fn apply_ops(
         }
     }
     let mut removed = Vec::new();
-    let mut seen: HashSet<&(PredId, Vec<Value>)> = HashSet::new();
-    for entry in base {
-        let gone = live.get(entry).is_none_or(|slot| slot.is_empty());
-        if gone && seen.insert(entry) {
-            removed.push(entry.clone());
+    let mut seen = FxHashSet::default();
+    for (pred, tuple) in base {
+        let key = (*pred, tuple.as_slice());
+        if live[&key].is_empty() && seen.insert(key) {
+            removed.push((*pred, tuple.clone()));
         }
     }
-    // Net additions: entries the ops pushed (index past the base) that
-    // survived every later op. A push happens only while no live copy of
-    // the key exists, so at most one pushed copy per key is alive and no
-    // deduplication is needed.
-    let added = entries
+    // Net additions: entries the ops pushed that survived every later
+    // op. A push happens only while no live copy of the key exists, so at
+    // most one pushed copy per key is alive and no deduplication is
+    // needed.
+    let (base_alive, pushed_alive) = alive.split_at(base.len());
+    let added: Vec<(PredId, Vec<Value>)> = pushed
         .iter()
-        .zip(&alive)
-        .skip(base.len())
+        .zip(pushed_alive)
+        .filter(|(_, alive)| **alive)
+        .map(|(op, _)| (op.pred, op.tuple.clone()))
+        .collect();
+    let eprime = base
+        .iter()
+        .zip(base_alive)
         .filter(|(_, alive)| **alive)
         .map(|(entry, _)| entry.clone())
-        .collect();
-    let eprime = entries
-        .into_iter()
-        .zip(alive)
-        .filter(|(_, alive)| *alive)
-        .map(|(entry, _)| entry)
+        .chain(added.iter().cloned())
         .collect();
     (eprime, removed, added)
 }
@@ -793,50 +783,25 @@ fn negation_reaches(program: &Program, delta_preds: &[bool]) -> bool {
     })
 }
 
-/// Does any tuple in `set` match the (possibly wildcarded) premise
-/// pattern? Ground patterns are a hash lookup; wildcards scan.
-fn pattern_hits(pattern: &[Option<Value>], set: &HashSet<Vec<Value>>) -> bool {
-    if set.is_empty() {
-        return false;
-    }
-    if pattern.iter().all(|col| col.is_some()) {
-        let tuple: Vec<Value> = pattern.iter().map(|col| col.clone().unwrap()).collect();
-        return set.contains(&tuple);
-    }
-    set.iter().any(|tuple| pattern_matches(pattern, tuple))
-}
-
-/// Does any lattice *key* in `keys` match the key columns of the
-/// premise pattern? The pattern spans the full tuple (key plus
-/// element); the element column is ignored — any event of a dead cell
-/// contaminates its consumers regardless of the value read.
-fn key_pattern_hits(pattern: &[Option<Value>], keys: &HashSet<Vec<Value>>) -> bool {
-    if keys.is_empty() {
-        return false;
-    }
-    let key_pat = &pattern[..pattern.len() - 1];
-    if key_pat.iter().all(|col| col.is_some()) {
-        let key: Vec<Value> = key_pat.iter().map(|col| col.clone().unwrap()).collect();
-        return keys.contains(&key);
-    }
-    keys.iter().any(|key| pattern_matches(key_pat, key))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ProgramBuilder;
+    use crate::provenance::{pattern_matches, Event, Source};
+    use crate::{BodyItem, Head, HeadTerm, LatticeOps, ProgramBuilder, Term, ValueLattice};
+    use flix_lattice::rng::SmallRng;
+    use flix_lattice::MinCost;
 
     /// A delta the program rejects returns the prior model as the partial
     /// *without copying it* — `flixd` takes this exit on every malformed
-    /// update.
+    /// update — and that partial still answers `explain`, from the prior's
+    /// own log segments.
     #[test]
     fn rejected_delta_shares_the_prior_database() {
         let mut b = ProgramBuilder::new();
         let edge = b.relation("Edge", 2);
         b.fact(edge, vec![1.into(), 2.into()]);
         let program = b.build().expect("valid");
-        let solver = Solver::new();
+        let solver = Solver::new().record_provenance(true);
         let prior = solver.solve(&program).expect("solves");
         for delta in [
             Delta::new().insert("Nope", vec![1.into()]),
@@ -846,11 +811,328 @@ mod tests {
                 .resume(&program, &prior, &delta)
                 .expect_err("the delta does not fit the program");
             assert!(matches!(failure.error, SolveError::Delta(_)));
-            assert!(Arc::ptr_eq(
-                &failure.partial.database_arc(),
-                &prior.database_arc()
-            ));
-            assert!(failure.partial.contains("Edge", &[1.into(), 2.into()]));
+            let partial = &failure.partial;
+            assert!(Arc::ptr_eq(&partial.database_arc(), &prior.database_arc()));
+            assert!(partial.contains("Edge", &[1.into(), 2.into()]));
+            assert_shares_segments(partial, &prior);
+            assert!(partial.explain("Edge", &[1.into(), 2.into()]).is_some());
         }
+    }
+
+    /// Every log segment of `prior` is, by identity, a segment of
+    /// `resumed`, at the same place.
+    fn assert_shares_segments(resumed: &Solution, prior: &Solution) {
+        let resumed = resumed.events().expect("recorded").segments();
+        let prior = prior.events().expect("recorded").segments();
+        assert!(!prior.is_empty() && prior.len() <= resumed.len());
+        for (ours, theirs) in resumed.iter().zip(&prior) {
+            assert!(Arc::ptr_eq(ours, theirs));
+        }
+    }
+
+    type Edge = (u32, u32, u64);
+
+    fn edge_tuple((x, y, c): Edge) -> Vec<Value> {
+        vec![(x as i64).into(), (y as i64).into(), (c as i64).into()]
+    }
+
+    /// Single-source shortest paths (§4.4) from node 0, plus consumers of
+    /// every premise shape the log indexes apart: a relation derived from
+    /// a lattice cell, a wildcard over relational key columns, a wildcard
+    /// over a lattice key, and premises that are part ground, part
+    /// wildcard.
+    fn paths_program(edges: &[Edge]) -> Program {
+        let mut b = ProgramBuilder::new();
+        let edge = b.relation("Edge", 3);
+        let dist = b.lattice("Dist", 2, LatticeOps::of::<MinCost>());
+        let reach = b.relation("Reach", 1);
+        let has_out = b.relation("HasOut", 1);
+        let link = b.relation("Link", 2);
+        let best = b.lattice("Best", 1, LatticeOps::of::<MinCost>());
+        let extend = b.function("extend", |args| {
+            let d = MinCost::expect_from(&args[0]);
+            d.add_weight(args[1].as_int().expect("weight") as u64)
+                .to_value()
+        });
+        for &e in edges {
+            b.fact(edge, edge_tuple(e));
+        }
+        b.fact(dist, vec![0.into(), MinCost::finite(0).to_value()]);
+        let var = Term::var;
+        b.rule(
+            Head::new(
+                dist,
+                [
+                    HeadTerm::var("y"),
+                    HeadTerm::app(extend, [var("d"), var("c")]),
+                ],
+            ),
+            [
+                BodyItem::atom(dist, [var("x"), var("d")]),
+                BodyItem::atom(edge, [var("x"), var("y"), var("c")]),
+            ],
+        );
+        b.rule(
+            Head::new(reach, [HeadTerm::var("y")]),
+            [BodyItem::atom(dist, [var("y"), Term::Wildcard])],
+        );
+        b.rule(
+            Head::new(has_out, [HeadTerm::var("x")]),
+            [BodyItem::atom(
+                edge,
+                [var("x"), Term::Wildcard, Term::Wildcard],
+            )],
+        );
+        b.rule(
+            Head::new(link, [HeadTerm::var("x"), HeadTerm::var("z")]),
+            [
+                BodyItem::atom(edge, [var("x"), var("y"), Term::Wildcard]),
+                BodyItem::atom(edge, [var("y"), var("z"), Term::Wildcard]),
+            ],
+        );
+        b.rule(
+            Head::new(best, [HeadTerm::var("d")]),
+            [
+                BodyItem::atom(dist, [Term::Wildcard, var("d")]),
+                BodyItem::atom(reach, [Term::Wildcard]),
+            ],
+        );
+        b.build().expect("valid program")
+    }
+
+    fn random_edges(rng: &mut SmallRng, nodes: u32, count: usize) -> Vec<Edge> {
+        let mut edges: Vec<Edge> = Vec::new();
+        while edges.len() < count {
+            let (x, y) = (rng.gen_range(0..nodes), rng.gen_range(0..nodes));
+            if x != y && !edges.iter().any(|&(a, b, _)| (a, b) == (x, y)) {
+                edges.push((x, y, rng.gen_range(1..10u64)));
+            }
+        }
+        edges
+    }
+
+    /// The cone as one forward pass over the whole flattened log computes
+    /// it — the definition [`Cone::taint`] is checked against: an event
+    /// dies when its own fact is dead or a premise matches a dead fact,
+    /// and its fact is dead from there on.
+    fn forward_scan(
+        program: &Program,
+        log: &[Event],
+        removed: &[(PredId, Vec<Value>)],
+    ) -> (Vec<FxHashSet<Vec<Value>>>, Vec<bool>) {
+        let is_lat: Vec<bool> = program.predicates().map(|(_, d)| d.is_lattice()).collect();
+        let mut dead: Vec<FxHashSet<Vec<Value>>> = vec![FxHashSet::default(); is_lat.len()];
+        for (pred, tuple) in removed {
+            dead[pred.0 as usize].insert(fact_key(&is_lat, *pred, tuple).to_vec());
+        }
+        let mut dead_events = Vec::with_capacity(log.len());
+        for event in log {
+            let fact = fact_key(&is_lat, event.pred, &event.tuple);
+            let mut dies = dead[event.pred.0 as usize].contains(fact);
+            if let (false, Source::Rule { premises, .. }) = (dies, &event.source) {
+                dies = premises.iter().any(|premise| {
+                    let pattern = fact_key(&is_lat, premise.pred, &premise.pattern);
+                    let facts = dead[premise.pred.0 as usize].iter();
+                    facts.into_iter().any(|fact| pattern_matches(pattern, fact))
+                });
+            }
+            if dies {
+                dead[event.pred.0 as usize].insert(fact.to_vec());
+            }
+            dead_events.push(dies);
+        }
+        (dead, dead_events)
+    }
+
+    /// Both ways of computing the cone of `delta`'s net removals in
+    /// `prior`'s log agree: the same dead facts, the same dead events.
+    /// Returns the flattened log the retraction must leave behind.
+    fn assert_taints_agree(program: &Program, prior: &Solution, delta: &Delta) -> Vec<Event> {
+        let ops = resolve_delta(program, delta).expect("the delta fits");
+        let (_, removed, _) = apply_ops(prior.edb(), &ops);
+        let log = prior.events().expect("recorded");
+        let cone = Cone::taint(program, log, &removed);
+        let (dead, dead_events) = forward_scan(program, log.as_slice(), &removed);
+        assert_eq!(cone.dead, dead, "dead facts of {delta:?}");
+        let positions = log.positions();
+        assert_eq!(positions.len(), dead_events.len());
+        let flagged = |flag: bool| {
+            positions
+                .iter()
+                .zip(&dead_events)
+                .filter(move |(_, d)| **d == flag)
+        };
+        let expected: Vec<Pos> = flagged(true).map(|(at, _)| *at).collect();
+        assert_eq!(cone.dead_events, expected, "dead events of {delta:?}");
+        flagged(false)
+            .map(|(at, _)| log.event(*at).clone())
+            .collect()
+    }
+
+    fn sorted_model(program: &Program, solution: &Solution) -> Vec<String> {
+        let mut lines = Vec::new();
+        for (_, decl) in program.predicates() {
+            for fact in solution.facts(decl.name()).expect("declared") {
+                lines.push(format!("{}({fact})", decl.name()));
+            }
+        }
+        lines.sort();
+        lines
+    }
+
+    /// The indexed worklist against the forward scan, on chained mixed
+    /// updates: every step inserts an edge, retracts one, and raises or
+    /// lowers a `Dist` cell out of band, so later steps taint logs that
+    /// are already masked and spread over several segments, and `Dist`
+    /// cells (whose logged values are running joins) are contaminated in
+    /// the middle of their histories.
+    #[test]
+    fn indexed_taint_is_the_forward_scan_on_mixed_update_sequences() {
+        const NODES: u32 = 14;
+        for strategy in [crate::Strategy::SemiNaive, crate::Strategy::Naive] {
+            for seed in 0..12u64 {
+                let mut rng = SmallRng::seed_from_u64(seed + 977);
+                let mut pool = random_edges(&mut rng, NODES, 40);
+                let mut present = pool.split_off(10);
+                let program = paths_program(&present);
+                let solver = Solver::new().record_provenance(true).strategy(strategy);
+                let mut current = solver.solve(&program).expect("solves");
+                let mut applied = Delta::new();
+                let mut raises: Vec<(u32, u64)> = Vec::new();
+                let (mut tainted, mut in_pieces) = (0, 0);
+                for step in 0..8 {
+                    let mut delta = Delta::new();
+                    if let Some(edge) = pool.pop() {
+                        present.push(edge);
+                        delta = delta.insert("Edge", edge_tuple(edge));
+                    }
+                    let victim = present.swap_remove(rng.index(present.len()));
+                    delta = delta.retract("Edge", edge_tuple(victim));
+                    if step % 2 == 0 {
+                        let raise = (rng.gen_range(0..NODES), rng.gen_range(1..5u64));
+                        raises.push(raise);
+                        let cost = MinCost::finite(raise.1).to_value();
+                        delta = delta.raise("Dist", vec![(raise.0 as i64).into()], cost);
+                    } else if let Some((node, cost)) = raises.pop() {
+                        let cost = MinCost::finite(cost).to_value();
+                        delta = delta.lower("Dist", vec![(node as i64).into()], cost);
+                    }
+                    let kept = assert_taints_agree(&program, &current, &delta);
+                    tainted += current.provenance().expect("recorded").len() - kept.len();
+                    in_pieces +=
+                        usize::from(current.events().expect("recorded").segments().len() > 1);
+                    current = solver.resume(&program, &current, &delta).expect("resumes");
+                    let log = current.provenance().expect("recorded");
+                    assert_eq!(log[..kept.len()], kept[..], "seed {seed} step {step}");
+                    applied.extend_from(&delta);
+                    let scratch = program.with_delta(&applied).expect("the deltas fit");
+                    assert_eq!(
+                        sorted_model(&program, &current),
+                        sorted_model(&scratch, &solver.solve(&scratch).expect("solves")),
+                        "seed {seed} step {step}"
+                    );
+                }
+                assert!(tainted > 0, "seed {seed}: no retraction reached the log");
+                assert!(in_pieces > 0, "seed {seed}: only one-segment logs tainted");
+            }
+        }
+    }
+
+    /// A graph of `nodes` nodes in a ring with chords, and two edges to
+    /// node `nodes` — a leaf nothing else reaches: the second, cheaper
+    /// one changes one `Dist` cell whatever the size of the graph.
+    fn ring_with_leaf(nodes: u32) -> (Vec<Edge>, Edge) {
+        let mut edges: Vec<Edge> = (0..nodes).map(|x| (x, (x + 1) % nodes, 3)).collect();
+        edges.extend((0..nodes).step_by(3).map(|x| (x, (x + 7) % nodes, 5)));
+        edges.push((1, nodes, 9));
+        (edges, (2, nodes, 1))
+    }
+
+    /// What ROADMAP item 1 asks of a resume — cost that follows the
+    /// change, not the model — stated without a clock: after a monotone
+    /// and after a retracting resume every segment of the prior's log is
+    /// in the resumed log by identity, whatever the size of the model.
+    #[test]
+    fn a_resume_shares_every_prior_segment_at_any_model_size() {
+        for nodes in [50, 200] {
+            let (edges, shortcut) = ring_with_leaf(nodes);
+            let program = paths_program(&edges);
+            let solver = Solver::new().record_provenance(true);
+            let base = solver.solve(&program).expect("solves");
+            let insert = Delta::new().insert("Edge", edge_tuple(shortcut));
+            let grown = solver.resume(&program, &base, &insert).expect("resumes");
+            assert_shares_segments(&grown, &base);
+            let grown_log = grown.events().expect("recorded");
+            assert_eq!(grown_log.segments().len(), 2, "{nodes} nodes");
+
+            let retract = Delta::new().retract("Edge", edge_tuple(shortcut));
+            let kept = assert_taints_agree(&program, &grown, &retract);
+            assert!(kept.len() < grown.provenance().expect("recorded").len());
+            let shrunk = solver.resume(&program, &grown, &retract).expect("resumes");
+            assert_shares_segments(&shrunk, &grown);
+            assert_eq!(
+                sorted_model(&program, &shrunk),
+                sorted_model(&program, &base)
+            );
+            // The prior still reads its own history in full.
+            let last_edge = |solution: &Solution| {
+                let tree = solution.explain("Dist", &[(nodes as i64).into()]);
+                let mut premises = tree.expect("derived").children.into_iter();
+                let edge = premises.find(|child| child.predicate == "Edge");
+                edge.expect("an edge premise").tuple
+            };
+            assert_eq!(last_edge(&grown), edge_tuple(shortcut));
+            assert_eq!(last_edge(&shrunk), edge_tuple((1, nodes, 9)));
+        }
+    }
+
+    /// 1 000 one-edge resumes in a chain: the log stays what carrying one
+    /// flat vector forward would have made it — the prior's log without
+    /// the cone, then the run's own events — while the number of segments
+    /// stays logarithmic: each is at least twice as long as the next.
+    #[test]
+    fn a_thousand_chained_resumes_keep_the_log_exact_and_its_segments_few() {
+        const NODES: u32 = 12;
+        let mut rng = SmallRng::seed_from_u64(0x5E6);
+        let mut absent = random_edges(&mut rng, NODES, 60);
+        let mut present = absent.split_off(30);
+        let program = paths_program(&present);
+        let solver = Solver::new().record_provenance(true);
+        let mut current = solver.solve(&program).expect("solves");
+        let mut most_segments = 0;
+        for step in 0..1000 {
+            let (from, to, retract) = if step % 2 == 0 {
+                (&mut present, &mut absent, true)
+            } else {
+                (&mut absent, &mut present, false)
+            };
+            let edge = from.swap_remove(rng.index(from.len()));
+            to.push(edge);
+            let delta = if retract {
+                Delta::new().retract("Edge", edge_tuple(edge))
+            } else {
+                Delta::new().insert("Edge", edge_tuple(edge))
+            };
+            let kept = assert_taints_agree(&program, &current, &delta);
+            current = solver.resume(&program, &current, &delta).expect("resumes");
+            let flat = current.provenance().expect("recorded");
+            assert_eq!(flat[..kept.len()], kept[..], "step {step}");
+
+            let log = current.events().expect("recorded");
+            let lengths: Vec<usize> = log.segments().iter().map(|s| s.len()).collect();
+            for pair in lengths.windows(2) {
+                assert!(pair[0] >= 2 * pair[1], "step {step}: {lengths:?}");
+            }
+            let total: usize = lengths.iter().sum();
+            assert!(lengths.len() <= total.ilog2() as usize + 1, "{lengths:?}");
+            most_segments = most_segments.max(lengths.len());
+        }
+        assert!(most_segments >= 3, "the chain never built up segments");
+        let scratch = paths_program(&present);
+        let expected = solver.solve(&scratch).expect("solves");
+        assert_eq!(
+            sorted_model(&program, &current),
+            sorted_model(&scratch, &expected)
+        );
     }
 }

@@ -23,7 +23,9 @@ use crate::kernel::{self, KernelSet};
 use crate::observe::{Observer, RuleEvaluated, RuleStats, StratumStats};
 use crate::ops::OpsPanic;
 use crate::program::{CItem, Program};
-use crate::provenance::{key_matches, pattern_matches, DerivationTree, Event, Premise, Source};
+use crate::provenance::{
+    fact_key, pattern_matches, DerivationTree, Event, EventLog, OpenLog, Pos, Premise, Source,
+};
 use crate::stratify::{stratify, Strata};
 use crate::trace::{
     AscentCell, AscentConfig, AscentReport, AscentWarning, ExecutionTrace, Ring, SpanKind,
@@ -683,7 +685,8 @@ pub(crate) struct Finished {
     pub(crate) db: Arc<Database>,
     pub(crate) edb: ExtensionalStore,
     pub(crate) stats: SolveStats,
-    pub(crate) events: Option<Vec<Event>>,
+    /// Not yet frozen: a rewrite edits the events the run recorded.
+    pub(crate) events: Option<OpenLog>,
     pub(crate) trace: Option<ExecutionTrace>,
     pub(crate) outcome: Result<(), SolveError>,
 }
@@ -718,7 +721,7 @@ pub(crate) struct Run<'a> {
     /// their encodings stay canonical for the run.
     kernels: Option<KernelSet>,
     stats: SolveStats,
-    events: Option<Vec<Event>>,
+    events: Option<OpenLog>,
     /// Whether `events` covers every insertion since the empty database.
     events_complete: bool,
     /// Warm runs only: the row id of every net change so far, per
@@ -760,7 +763,7 @@ impl<'a> Run<'a> {
         edb: ExtensionalStore,
     ) -> Run<'a> {
         let mut run = Run::new(solver, program, Arc::new(solver.empty_db(program)), edb);
-        run.events = solver.config.record_provenance.then(Vec::new);
+        run.events = solver.config.record_provenance.then(OpenLog::default);
         run.events_complete = true;
         run
     }
@@ -778,7 +781,7 @@ impl<'a> Run<'a> {
     /// from-scratch fallback of a resume.
     pub(crate) fn reset(&mut self) {
         self.db = Arc::new(self.solver.empty_db(self.program));
-        self.events = self.solver.config.record_provenance.then(Vec::new);
+        self.events = self.solver.config.record_provenance.then(OpenLog::default);
         self.events_complete = true;
         self.kernels = None;
         self.pending = None;
@@ -786,25 +789,13 @@ impl<'a> Run<'a> {
 
     /// Continues the prior solution's event log, when the solver records
     /// one (the prior log may be absent if that solve ran without
-    /// recording; the continued log is then incomplete).
-    ///
-    ///
-    /// The copy gets the power-of-two capacity a log grown by pushes
-    /// has. It is about to be extended, and an exact copy doubles on its
-    /// first push: `2 × len` is, for a log that creeps up by a few
-    /// events per update, a block a little larger than any before, every
-    /// update. glibc maps such ever-new maxima outside its heaps
-    /// whenever a heap is short of room, and releasing a mapped block —
-    /// unlike a large heap block — does not hand the log's ~10⁵ small
-    /// freed entries back to the system: a resident server's footprint
-    /// then depended on which arena its next writer thread landed in
-    /// (EXPERIMENTS.md, "Peak memory of the resident server").
+    /// recording; the continued log is then incomplete). The prior's
+    /// segments are shared, not copied, so this costs the same whatever
+    /// the size of the model.
     pub(crate) fn carry_log(&mut self, prior: &Solution) {
         self.events = self.solver.config.record_provenance.then(|| {
-            let carried = prior.events().map_or(&[][..], Vec::as_slice);
-            let mut log = Vec::with_capacity(carried.len().next_power_of_two());
-            log.extend_from_slice(carried);
-            log
+            let prior = prior.events();
+            prior.map_or_else(OpenLog::default, OpenLog::continuing)
         });
         self.events_complete = prior.events().is_some() && prior.events_complete();
     }
@@ -899,14 +890,14 @@ impl<'a> Run<'a> {
 
     /// The over-deletion step of a retracting resume: replaces the
     /// database by its restriction to the facts `survives` accepts
-    /// (relational rows by tuple, lattice cells by key) and drops the
-    /// `dead` entries of the carried event log, which must still be the
-    /// prior solution's. The columnar store has no in-place deletion —
-    /// rebuilding also keeps the per-predicate indexes dense.
+    /// (relational rows by tuple, lattice cells by key) and takes the
+    /// events at `dead` — ascending positions in the prior solution's log
+    /// — out of the carried one. The columnar store has no in-place
+    /// deletion — rebuilding also keeps the per-predicate indexes dense.
     pub(crate) fn rebuild(
         &mut self,
         survives: impl Fn(PredId, &[Value]) -> bool,
-        dead: &[bool],
+        dead: &[Pos],
     ) -> Result<(), SolveError> {
         let program = self.program;
         let mut fresh = self.solver.empty_db(program);
@@ -933,8 +924,7 @@ impl<'a> Run<'a> {
         self.db = Arc::new(fresh);
         self.kernels = None;
         if let Some(log) = self.events.as_mut() {
-            let mut dead = dead.iter();
-            log.retain(|_| !dead.next().expect("the carried log is the tainted one"));
+            log.kill(dead);
         }
         Ok(())
     }
@@ -1247,7 +1237,7 @@ impl<'a> Run<'a> {
             db,
             edb,
             stats.clone(),
-            events.map(|log| (log, self.events_complete)),
+            events.map(|log| (log.freeze(), self.events_complete)),
             trace,
         );
         match outcome {
@@ -1737,9 +1727,9 @@ pub(crate) type ExtensionalStore = Arc<Vec<(PredId, Vec<Value>)>>;
 ///
 /// Query by predicate name; relations yield tuples, lattice predicates
 /// yield `(key, element)` cells.
-// Clone shares the database (it is behind an `Arc`), so cloning a
-// solution is cheap even for large models; only the stats and any
-// recorded provenance/trace are deep-copied.
+// Clone shares the database and the provenance log's segments (both are
+// behind `Arc`s), so cloning a solution is cheap even for large models;
+// only the stats and any recorded trace are deep-copied.
 #[derive(Clone, Debug)]
 pub struct Solution {
     names: std::collections::HashMap<String, PredId>,
@@ -1748,7 +1738,7 @@ pub struct Solution {
     // round-trip both hand back the same database without copying it.
     db: Arc<Database>,
     stats: SolveStats,
-    events: Option<Vec<Event>>,
+    events: Option<EventLog>,
     // Whether `events` covers every insertion since the empty database —
     // the precondition for exact retraction handling in `resume`. False
     // when a recording resume extended a prior that had no log.
@@ -1769,7 +1759,7 @@ impl Solution {
         db: Arc<Database>,
         edb: ExtensionalStore,
         stats: SolveStats,
-        events: Option<(Vec<Event>, bool)>,
+        events: Option<(EventLog, bool)>,
         trace: Option<ExecutionTrace>,
     ) -> Solution {
         let (events, events_complete) = match events {
@@ -1898,8 +1888,12 @@ impl Solution {
     /// The provenance event log, if the solver ran with
     /// [`Solver::record_provenance`] — one entry per database-changing
     /// insertion, in insertion order.
+    ///
+    /// The log of a resumed solution is stored in pieces shared with the
+    /// solution it resumed; the first call on such a solution copies it
+    /// into one slice, which later calls return.
     pub fn provenance(&self) -> Option<&[Event]> {
-        self.events.as_deref()
+        self.events.as_ref().map(EventLog::as_slice)
     }
 
     /// The merged execution trace, if the solver ran with
@@ -1977,26 +1971,20 @@ impl Solution {
     /// positive atoms, per the provenance model documented in
     /// [`crate::provenance`].
     pub fn explain(&self, name: &str, row: &[Value]) -> Option<DerivationTree> {
-        let events = self.events.as_deref()?;
+        let log = self.events.as_ref()?;
         let pred = self.predicate(name)?;
-        let is_lattice = self.kinds[pred.0 as usize];
-        let idx = events.iter().rposition(|e| {
-            e.pred == pred
-                && if is_lattice {
-                    if row.len() == e.tuple.len() {
-                        e.tuple == row
-                    } else {
-                        row.len() + 1 == e.tuple.len() && e.tuple[..row.len()] == *row
-                    }
-                } else {
-                    e.tuple == row
-                }
+        let kinds = &self.kinds;
+        // A lattice row is the cell's key, or the key and a value the
+        // cell once held; the arity is fixed, so one reading can hit.
+        let at = log.latest(kinds, pred, row, None, |_| true).or_else(|| {
+            let (_, key) = row.split_last().filter(|_| kinds[pred.0 as usize])?;
+            log.latest(kinds, pred, key, None, |e| e.tuple == row)
         })?;
-        Some(self.build_tree(events, idx))
+        Some(self.build_tree(log, at))
     }
 
-    fn build_tree(&self, events: &[Event], idx: usize) -> DerivationTree {
-        let event = &events[idx];
+    fn build_tree(&self, log: &EventLog, at: Pos) -> DerivationTree {
+        let event = log.event(at);
         let name = self
             .names
             .iter()
@@ -2010,20 +1998,22 @@ impl Solution {
         let children = premises
             .iter()
             .filter_map(|premise| {
-                let is_lattice = self.kinds[premise.pred.0 as usize];
                 // Resolve to the latest earlier event establishing the
-                // premise; indices strictly decrease, so this terminates.
-                events[..idx]
-                    .iter()
-                    .rposition(|e| {
+                // premise; positions strictly decrease, so this
+                // terminates. For a lattice premise the witnessed value
+                // may be below the stored cell value: the key columns
+                // decide, whatever the value.
+                let pattern = fact_key(&self.kinds, premise.pred, &premise.pattern);
+                let established = if pattern.iter().all(Option::is_some) {
+                    let key: Vec<Value> = pattern.iter().flatten().cloned().collect();
+                    log.latest(&self.kinds, premise.pred, &key, Some(at), |_| true)
+                } else {
+                    log.latest_scanned(at, |e| {
                         e.pred == premise.pred
-                            && if is_lattice {
-                                key_matches(&premise.pattern, &e.tuple)
-                            } else {
-                                pattern_matches(&premise.pattern, &e.tuple)
-                            }
+                            && pattern_matches(pattern, fact_key(&self.kinds, e.pred, &e.tuple))
                     })
-                    .map(|j| self.build_tree(events, j))
+                };
+                established.map(|earlier| self.build_tree(log, earlier))
             })
             .collect();
         DerivationTree {
@@ -2046,7 +2036,7 @@ impl Solution {
         Arc::clone(&self.db)
     }
 
-    pub(crate) fn events(&self) -> Option<&Vec<Event>> {
+    pub(crate) fn events(&self) -> Option<&EventLog> {
         self.events.as_ref()
     }
 
@@ -2078,9 +2068,8 @@ impl Solution {
     /// predicate name table (one `String` + id per declared predicate,
     /// `O(#predicates)`, independent of fact count). Contrast with
     /// cloning the whole [`Solution`], which additionally deep-copies
-    /// the run statistics, any recorded provenance event log (one entry
-    /// per insertion — easily larger than the model itself), and any
-    /// execution trace. Cloning the returned [`Snapshot`] is `O(1)`:
+    /// the run statistics and any execution trace. Cloning the returned
+    /// [`Snapshot`] is `O(1)`:
     /// two `Arc` bumps.
     ///
     /// The view is immutable: the solver never mutates a database behind

@@ -1,9 +1,12 @@
 //! Tests of derivation provenance: the event log and the reconstructed
 //! derivation trees.
 
-use flix_core::provenance::Source;
-use flix_core::{BodyItem, Head, HeadTerm, LatticeOps, ProgramBuilder, Solver, Term, ValueLattice};
-use flix_lattice::Parity;
+use flix_core::provenance::{DerivationTree, Event, Source};
+use flix_core::{
+    BodyItem, Delta, Head, HeadTerm, LatticeOps, Program, ProgramBuilder, Solution, Solver, Term,
+    Value, ValueLattice,
+};
+use flix_lattice::{MinCost, Parity};
 
 fn closure() -> flix_core::Program {
     let mut b = ProgramBuilder::new();
@@ -155,4 +158,162 @@ fn wildcard_premises_are_recorded_as_unknown() {
     // The wildcard premise still resolves to the matching Edge fact.
     assert_eq!(tree.children.len(), 1);
     assert_eq!(tree.children[0].tuple, vec![1.into(), 2.into()]);
+}
+
+/// `explain` as a scan of the flattened log defines it: a fact is
+/// explained by its latest event, and each premise of an event by the
+/// latest *earlier* event whose fact the premise matches — relations on
+/// every column, lattice cells on their key columns. What the indexed
+/// lookup in `Solution::explain` must return, whatever the log's layout.
+fn explain_by_scan(
+    program: &Program,
+    log: &[Event],
+    before: usize,
+    goal: &Goal,
+) -> Option<DerivationTree> {
+    let at = log[..before].iter().rposition(|e| goal.matches(e))?;
+    let event = &log[at];
+    let (rule, premises) = match &event.source {
+        Source::Fact => (None, &[][..]),
+        Source::Rule { rule, premises } => (Some(*rule), premises.as_slice()),
+    };
+    let children = premises.iter().filter_map(|premise| {
+        let mut pattern = premise.pattern.clone();
+        if program.decl(premise.pred).is_lattice() {
+            *pattern.last_mut().expect("a value column") = None;
+        }
+        explain_by_scan(program, log, at, &Goal(premise.pred, pattern))
+    });
+    Some(DerivationTree {
+        predicate: program.decl(event.pred).name().to_string(),
+        tuple: event.tuple.clone(),
+        rule,
+        children: children.collect(),
+    })
+}
+
+/// A predicate and a tuple pattern (`None`: any value).
+struct Goal(flix_core::PredId, Vec<Option<Value>>);
+
+impl Goal {
+    fn matches(&self, event: &Event) -> bool {
+        let columns = self.1.iter().zip(&event.tuple);
+        event.pred == self.0
+            && self.1.len() == event.tuple.len()
+            && columns
+                .into_iter()
+                .all(|(p, v)| p.as_ref().is_none_or(|p| p == v))
+    }
+}
+
+/// Single-source shortest paths with a relation derived from the cells
+/// and a wildcard premise, so trees mix every kind of premise lookup.
+fn shortest_paths(edges: &[(i64, i64, i64)]) -> Program {
+    let mut b = ProgramBuilder::new();
+    let edge = b.relation("Edge", 3);
+    let dist = b.lattice("Dist", 2, LatticeOps::of::<MinCost>());
+    let far = b.relation("Beyond", 2);
+    let extend = b.function("extend", |args| {
+        let d = MinCost::expect_from(&args[0]);
+        d.add_weight(args[1].as_int().expect("weight") as u64)
+            .to_value()
+    });
+    for &(x, y, c) in edges {
+        b.fact(edge, vec![x.into(), y.into(), c.into()]);
+    }
+    b.fact(dist, vec![0.into(), MinCost::finite(0).to_value()]);
+    b.rule(
+        Head::new(
+            dist,
+            [
+                HeadTerm::var("y"),
+                HeadTerm::app(extend, [Term::var("d"), Term::var("c")]),
+            ],
+        ),
+        [
+            BodyItem::atom(dist, [Term::var("x"), Term::var("d")]),
+            BodyItem::atom(edge, [Term::var("x"), Term::var("y"), Term::var("c")]),
+        ],
+    );
+    b.rule(
+        Head::new(far, [HeadTerm::var("x"), HeadTerm::var("z")]),
+        [
+            BodyItem::atom(dist, [Term::var("x"), Term::Wildcard]),
+            BodyItem::atom(edge, [Term::var("x"), Term::Wildcard, Term::Wildcard]),
+            BodyItem::atom(edge, [Term::Wildcard, Term::var("z"), Term::Wildcard]),
+        ],
+    );
+    b.build().expect("valid")
+}
+
+/// Every fact of the model explains to the tree a scan of the flattened
+/// log gives.
+fn assert_explains_like_a_scan(label: &str, program: &Program, solution: &Solution) {
+    let log = solution.provenance().expect("recorded");
+    let mut explained = 0;
+    for (pred, decl) in program.predicates() {
+        for fact in solution.facts(decl.name()).expect("declared") {
+            // By key alone, and for cells also by key and current value.
+            let mut rows = vec![fact.key().to_vec()];
+            if let Some(value) = fact.value() {
+                rows.push([fact.key(), std::slice::from_ref(value)].concat());
+            }
+            for row in rows {
+                let mut pattern: Vec<Option<Value>> = row.iter().cloned().map(Some).collect();
+                if fact.value().is_some() && row.len() == fact.key().len() {
+                    pattern.push(None);
+                }
+                let expected = explain_by_scan(program, log, log.len(), &Goal(pred, pattern));
+                let tree = solution.explain(decl.name(), &row);
+                assert!(
+                    tree.is_some(),
+                    "{label}: {}{row:?} unexplained",
+                    decl.name()
+                );
+                assert_eq!(tree, expected, "{label}: {}{row:?}", decl.name());
+                explained += 1;
+            }
+        }
+    }
+    assert!(explained > 20, "{label}: {explained} facts explained");
+}
+
+#[test]
+fn explain_on_a_resumed_log_matches_a_scan_of_the_flattened_log() {
+    let edges = [
+        (0, 1, 4),
+        (0, 2, 1),
+        (2, 1, 1),
+        (1, 3, 2),
+        (3, 4, 1),
+        (2, 4, 9),
+        (4, 5, 1),
+        (5, 0, 3),
+    ];
+    let program = shortest_paths(&edges);
+    let solver = Solver::new().record_provenance(true);
+    let mut current = solver.solve(&program).expect("solves");
+    assert_explains_like_a_scan("scratch", &program, &current);
+    // Small changes first, so the base segment is continued rather than
+    // absorbed; the retractions leave it masked.
+    let edge = |x: i64, y: i64, c: i64| vec![x.into(), y.into(), c.into()];
+    let steps = [
+        ("insert", Delta::new().insert("Edge", edge(5, 6, 2))),
+        ("retract", Delta::new().retract("Edge", edge(5, 6, 2))),
+        ("reinsert", Delta::new().insert("Edge", edge(5, 6, 1))),
+        (
+            "retract mid-history",
+            Delta::new().retract("Edge", edge(2, 1, 1)),
+        ),
+        (
+            "mixed",
+            Delta::new()
+                .insert("Edge", edge(6, 3, 1))
+                .retract("Edge", edge(0, 1, 4)),
+        ),
+    ];
+    for (label, delta) in steps {
+        current = solver.resume(&program, &current, &delta).expect("resumes");
+        assert_explains_like_a_scan(label, &program, &current);
+    }
 }

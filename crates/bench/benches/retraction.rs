@@ -3,15 +3,18 @@
 //! the shrunk program from scratch.
 //!
 //! The resume path over-deletes the cone of consequences reachable from
-//! the retracted edge (walking the provenance event log), re-derives the
-//! survivors semi-naïvely, and re-settles lattice cells at the lub of
-//! their remaining justifications. It still pays to rebuild the
-//! surviving database (O(model)), so the win over scratch is a constant
-//! factor — the joins it skips — not an order of magnitude like the
-//! monotone resume in `benches/incremental.rs`. The interesting number
-//! is the ratio against the from-scratch reference on the 400-node
-//! graph; at the 50-node scale the rebuild overhead can exceed the
-//! solve it saves, and the pinned baseline records that honestly.
+//! the retracted edge (walking the provenance event log), deleting its
+//! facts from the warm-start copy of the model in place, looks each
+//! deleted fact up again through the rules that derive it, and
+//! re-settles lattice cells at the lub of their remaining justifications
+//! (DESIGN §16). Its work follows the cone, so it beats the from-scratch
+//! reference at every size here. Two of the three rows measure the floor
+//! of a retraction rather than a re-derivation: at 150 and 400 nodes the
+//! retracted edge supports no logged derivation (whatever it derived, a
+//! cheaper route was already known), the cone is the edge alone, and the
+//! resume runs no stratum — `rounds: 0` in the baseline. What those rows
+//! time is the update's pass over the extensional store, the copy of the
+//! model, and one deletion. The 50-node row has a cone to restore.
 //!
 //! Both sides run with provenance recording on: the retraction path
 //! needs the justification log, and a fair scratch reference must also

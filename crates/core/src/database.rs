@@ -20,9 +20,24 @@
 //! Each kind has one insertion body that takes *encoded* slots
 //! ([`RelationData::insert_encoded`], [`LatticeData::join_inner`]), which
 //! is what the evaluator's plans hand over; the decoded entries — asserted
-//! facts, rebuilds, snapshot loads, heads with a never-seen value —
-//! encode on the write path and call the same body. Both grow the shared
-//! [`Columns`] store in one place, [`Columns::append`].
+//! facts, snapshot loads, heads with a never-seen value — encode on the
+//! write path and call the same body. Both grow the shared [`Columns`]
+//! store in one place, [`Columns::append`].
+//!
+//! A row also leaves in one place, [`Columns::remove`] — a swap-remove:
+//! the predicate's last row moves into the hole in every encoded column
+//! and in the arena (a lattice cell's value and ascent counters with it),
+//! the row set deletes by backward shift, so there are no tombstones for
+//! a lookup to step over, and each index drops the id from its key's list
+//! and files the moved row under it. Ids stay dense and every reader —
+//! lookups, probes, scans, the iterators — works as on a store that only
+//! ever grew; what changes is that an id is stable only between removals.
+//! The one caller, a retracting resume, removes before it evaluates
+//! anything (`Run::delete` in `solver.rs`), so during evaluation ids are
+//! append-only as they always were. What a removal does not give back:
+//! the spill table's entries (append-only, which is what keeps encodings
+//! taken before a removal valid after it) and the capacity of the hash
+//! tables; a snapshot reload rebuilds both.
 //!
 //! `lat` predicates are stored as *compact* cell maps from key tuples
 //! (the first `n-1` columns, §3.2's cell partition) to a single lattice
@@ -251,14 +266,86 @@ impl RowSet {
         self.slots[i] = id;
         self.len += 1;
     }
+
+    /// The slot holding `id`, whose row hashes to `hash`.
+    fn slot_of(&self, hash: u64, id: u32) -> usize {
+        let mask = self.slots.len() - 1;
+        let mut i = (hash as usize) & mask;
+        while self.slots[i] != id {
+            assert_ne!(self.slots[i], EMPTY_SLOT, "row {id} is in the set");
+            i = (i + 1) & mask;
+        }
+        i
+    }
+
+    /// Removes `id`, whose row hashes to `hash`, by backward shift: each
+    /// later entry of the probe run moves up into the hole unless that
+    /// would put it before its home slot. No tombstone is left behind,
+    /// so [`RowSet::lookup`] and [`RowSet::insert_new`] need not know
+    /// that rows can go.
+    fn remove(&mut self, hash: u64, id: u32, hash_of: impl Fn(u32) -> u64) {
+        let mask = self.slots.len() - 1;
+        let mut hole = self.slot_of(hash, id);
+        let mut i = hole;
+        loop {
+            i = (i + 1) & mask;
+            let later = self.slots[i];
+            if later == EMPTY_SLOT {
+                break;
+            }
+            // Cyclic distances back from `i`: `later` stays reachable
+            // from its home slot only if the hole is no further.
+            let home = (hash_of(later) as usize) & mask;
+            if (i.wrapping_sub(home) & mask) >= (i.wrapping_sub(hole) & mask) {
+                self.slots[hole] = later;
+                hole = i;
+            }
+        }
+        self.slots[hole] = EMPTY_SLOT;
+        self.len -= 1;
+    }
+}
+
+/// The hash the row set files stored row `id` under: [`hash_slots`] of
+/// its encoded columns, read in place.
+#[inline]
+fn stored_hash(cols: &[Vec<u64>], id: u32) -> u64 {
+    let mut h = crate::fxhash::FxHasher::default();
+    use std::hash::Hasher;
+    for col in cols {
+        h.write_u64(col[id as usize]);
+    }
+    h.write_u64(cols.len() as u64);
+    h.finish()
 }
 
 /// Hash indexes of one predicate: a handful (a predicate has at most a
 /// few) of `(column set, encoded key → row ids)` pairs, searched linearly
 /// when registered and addressed by position afterwards — plans resolve
 /// the position once at compile time, so a probe hashes the key and
-/// nothing else.
+/// nothing else. The ids under a key are ascending: a probe visits its
+/// hits in the order a scan would.
 type Indexes = Vec<(Vec<usize>, FxHashMap<Box<[u64]>, Vec<u32>>)>;
+
+/// Fills `key` with stored row `id`'s slots in the columns `on`: the key
+/// an index on those columns files the row under.
+#[inline]
+fn stored_key(key: &mut Vec<u64>, on: &[usize], cols: &[Vec<u64>], id: u32) {
+    key.clear();
+    key.extend(on.iter().map(|&c| cols[c][id as usize]));
+}
+
+/// Files `id` — greater than every id under `key` — at the end of
+/// `key`'s list. The boxed key is built for a key's first row only.
+#[inline]
+fn file_under(index: &mut FxHashMap<Box<[u64]>, Vec<u32>>, key: &[u64], id: u32) {
+    match index.get_mut(key) {
+        Some(ids) => ids.push(id),
+        None => {
+            index.insert(key.into(), vec![id]);
+        }
+    }
+}
 
 // ---------------------------------------------------------------------------
 // The shared column store
@@ -311,6 +398,11 @@ impl Columns {
     #[inline]
     pub(crate) fn col(&self, c: usize) -> &[u64] {
         &self.cols[c]
+    }
+
+    /// The encoded slots of row `id`, one per column.
+    pub(crate) fn encoded(&self, id: u32) -> Box<[u64]> {
+        self.cols.iter().map(|col| col[id as usize]).collect()
     }
 
     #[inline]
@@ -375,13 +467,7 @@ impl Columns {
         for (cols, index) in &mut self.indexes {
             key.clear();
             key.extend(cols.iter().map(|&c| enc[c]));
-            // The boxed key is built for a key's first row only.
-            match index.get_mut(key.as_slice()) {
-                Some(ids) => ids.push(id),
-                None => {
-                    index.insert(key.as_slice().into(), vec![id]);
-                }
-            }
+            file_under(index, key, id);
         }
         for (col, &e) in self.cols.iter_mut().zip(enc) {
             col.push(e);
@@ -389,23 +475,76 @@ impl Columns {
         self.flat.extend(enc.iter().map(|&e| decode(e, spill)));
         self.len += 1;
         let cols = &self.cols;
-        let arity = self.arity;
-        self.set.insert_new(hash, id, |rid| {
-            let mut h = crate::fxhash::FxHasher::default();
-            use std::hash::Hasher;
-            for col in cols {
-                h.write_u64(col[rid as usize]);
-            }
-            h.write_u64(arity as u64);
-            h.finish()
-        });
+        self.set.insert_new(hash, id, |rid| stored_hash(cols, rid));
         Ok(id)
     }
 
-    fn register_index(&mut self, cols: Vec<usize>) {
-        if self.index_of(&cols).is_none() {
-            self.indexes.push((cols, FxHashMap::default()));
+    /// Deletes row `id` by swap-remove and returns the id of the last
+    /// row, which moved into the hole (`id` itself when it was the last):
+    /// in every encoded column and in the decoded arena the last row
+    /// takes the place of the deleted one, the membership set forgets
+    /// `id`'s row and points the moved row's slot at `id`, and every
+    /// index drops `id` from its key's list (freeing a list that empties)
+    /// and files the moved row under `id` in its own. Ids stay dense, so
+    /// nothing that reads the store needs to know rows can go — but an id
+    /// held across a removal may name another row afterwards: see
+    /// `Run::delete` for when this runs.
+    fn remove(&mut self, id: u32) -> u32 {
+        assert!((id as usize) < self.len, "row {id} is stored");
+        let last = (self.len - 1) as u32;
+        let key = &mut self.index_key;
+        for (on, index) in &mut self.indexes {
+            stored_key(key, on, &self.cols, id);
+            let ids = index.get_mut(key.as_slice()).expect("indexed when stored");
+            let at = ids.binary_search(&id).expect("indexed when stored");
+            ids.remove(at);
+            if ids.is_empty() {
+                index.remove(key.as_slice());
+            }
+            if last != id {
+                stored_key(key, on, &self.cols, last);
+                let ids = index.get_mut(key.as_slice()).expect("indexed when stored");
+                // The greatest id of the store ends its list.
+                let moved = ids.pop();
+                debug_assert_eq!(moved, Some(last));
+                let at = ids.partition_point(|&other| other < id);
+                ids.insert(at, id);
+            }
         }
+        let cols = &self.cols;
+        self.set
+            .remove(stored_hash(cols, id), id, |rid| stored_hash(cols, rid));
+        if last != id {
+            let slot = self.set.slot_of(stored_hash(cols, last), last);
+            self.set.slots[slot] = id;
+        }
+        for col in &mut self.cols {
+            col.swap_remove(id as usize);
+        }
+        let (hole, end) = (id as usize * self.arity, last as usize * self.arity);
+        for c in 0..self.arity {
+            self.flat.swap(hole + c, end + c);
+        }
+        self.flat.truncate(end);
+        self.len -= 1;
+        last
+    }
+
+    /// The position of the index on `cols`, built from the stored rows
+    /// first if there is none yet. From then on [`Columns::append`] and
+    /// [`Columns::remove`] keep it up like any other.
+    fn ensure_index(&mut self, cols: &[usize]) -> usize {
+        if let Some(at) = self.index_of(cols) {
+            return at;
+        }
+        let mut index: FxHashMap<Box<[u64]>, Vec<u32>> = FxHashMap::default();
+        let key = &mut self.index_key;
+        for id in 0..self.len as u32 {
+            stored_key(key, cols, &self.cols, id);
+            file_under(&mut index, key, id);
+        }
+        self.indexes.push((cols.to_vec(), index));
+        self.indexes.len() - 1
     }
 
     /// The position of the index on `cols`, if one was registered. Plans
@@ -473,7 +612,8 @@ impl RelationData {
         self.rows.row(i)
     }
 
-    /// Iterates the stored tuples in insertion order.
+    /// Iterates the stored tuples in id order: insertion order, but for
+    /// rows a removal moved ([`Columns::remove`]).
     pub(crate) fn rows(&self) -> RowsIter<'_> {
         RowsIter {
             rel: self,
@@ -489,9 +629,9 @@ impl RelationData {
         self.rows.id_of_encoded(enc).is_some()
     }
 
-    /// Inserts a decoded tuple — the entry of asserted facts, rebuilds
-    /// and heads the kernel could not encode: encodes on the write path,
-    /// then takes the encoded entry.
+    /// Inserts a decoded tuple — the entry of asserted facts and heads
+    /// the kernel could not encode: encodes on the write path, then takes
+    /// the encoded entry.
     fn insert(
         &mut self,
         tuple: &[Value],
@@ -519,7 +659,7 @@ impl RelationData {
     }
 }
 
-/// Iterator over a relation's tuples, in insertion order.
+/// Iterator over a relation's tuples, in id order.
 #[derive(Clone, Debug)]
 pub(crate) struct RowsIter<'a> {
     rel: &'a RelationData,
@@ -628,9 +768,9 @@ impl LatticeData {
     }
 
     /// Joins `value` into the cell at the decoded `key` — the entry of
-    /// asserted facts, rebuilds and heads the kernel could not encode:
-    /// encodes on the write path, then takes the encoded body. Returns
-    /// the cell id and the new cell value on strict increase.
+    /// asserted facts and heads the kernel could not encode: encodes on
+    /// the write path, then takes the encoded body. Returns the cell id
+    /// and the new cell value on strict increase.
     fn join(
         &mut self,
         key: &[Value],
@@ -715,6 +855,22 @@ impl LatticeData {
         Ok(Some(joined))
     }
 
+    /// Deletes cell `id` ([`Columns::remove`]): the last cell moves into
+    /// its place, value and ascent counters with it.
+    fn remove(&mut self, id: u32) {
+        let last = self.keys.remove(id);
+        self.cells.swap_remove(id as usize);
+        if let Some(ascent) = &mut self.ascent {
+            let moved = ascent.remove(&last);
+            if last != id {
+                match moved {
+                    Some(entry) => ascent.insert(id, entry),
+                    None => ascent.remove(&id),
+                };
+            }
+        }
+    }
+
     /// Turns on per-cell ascent counting (idempotent; counters that
     /// already exist — e.g. cloned from a prior resume — are kept).
     pub(crate) fn enable_ascent(&mut self) {
@@ -723,7 +879,8 @@ impl LatticeData {
         }
     }
 
-    /// Iterates `(key, cell)` pairs in first-derived key order.
+    /// Iterates `(key, cell)` pairs in id order: first-derived key order,
+    /// but for cells a removal moved.
     pub(crate) fn iter(&self) -> impl Iterator<Item = (&[Value], &Value)> {
         (0..self.len() as u32).map(move |id| (self.key(id), self.cell(id)))
     }
@@ -793,9 +950,7 @@ impl Database {
         if use_indexes {
             for (pred, col_sets) in &program.index_requests {
                 for cols in col_sets {
-                    preds[pred.0 as usize]
-                        .columns_mut()
-                        .register_index(cols.clone());
+                    preds[pred.0 as usize].columns_mut().ensure_index(cols);
                 }
             }
         }
@@ -822,8 +977,8 @@ impl Database {
 
     /// Inserts a decoded tuple, interpreting the last column as a lattice
     /// element for `lat` predicates: the entry of asserted facts,
-    /// rebuilds, snapshot loads, and derived heads the kernel could not
-    /// hand over encoded. Fails when the lattice operations panic or trip
+    /// snapshot loads, and derived heads the kernel could not hand over
+    /// encoded. Fails when the lattice operations panic or trip
     /// a safety sentinel (see [`LatticeData::join_inner`]), or when the
     /// predicate's `u32` row-id space is exhausted.
     pub(crate) fn insert(
@@ -876,6 +1031,31 @@ impl Database {
         };
         l.join_encoded(key, id, value, &self.spill)
             .map(InsertOutcome::of_cell)
+    }
+
+    /// The id of a stored fact, by its decoded identifying columns: a
+    /// relation's whole tuple, a lattice cell's key.
+    pub(crate) fn id_of(&self, pred: PredId, fact: &[Value]) -> Option<u32> {
+        self.pred(pred).columns().id_of(fact, &self.spill)
+    }
+
+    /// Deletes row or cell `id` of `pred` in place; the predicate's last
+    /// row takes over the id ([`Columns::remove`]). The spill table keeps
+    /// what the row had spilled — it is append-only, which is what keeps
+    /// every encoding taken before the removal canonical after it.
+    pub(crate) fn remove(&mut self, pred: PredId, id: u32) {
+        match &mut self.preds[pred.0 as usize] {
+            PredData::Rel(r) => {
+                r.rows.remove(id);
+            }
+            PredData::Lat(l) => l.remove(id),
+        }
+    }
+
+    /// The position of `pred`'s index on `cols`, built now if the
+    /// program never requested one ([`Columns::ensure_index`]).
+    pub(crate) fn ensure_index(&mut self, pred: PredId, cols: &[usize]) -> usize {
+        self.preds[pred.0 as usize].columns_mut().ensure_index(cols)
     }
 
     /// Drops every predicate at or past `keep`, returning the truncated
@@ -994,8 +1174,8 @@ mod tests {
     fn relation_index_tracks_inserts() {
         let mut spill = SpillTable::default();
         let mut r = RelationData::new(2);
-        r.rows.register_index(vec![0]);
-        r.rows.register_index(vec![0]);
+        r.rows.ensure_index(&[0]);
+        r.rows.ensure_index(&[0]);
         assert_eq!(r.rows.indexes.len(), 1, "registering twice is one index");
         rel_insert(&mut r, &mut spill, &[1, 2]);
         rel_insert(&mut r, &mut spill, &[1, 3]);
@@ -1347,6 +1527,206 @@ mod tests {
         assert_eq!(db.total_facts(), 5);
         assert_eq!(db.len_of(e), 3);
         assert_eq!(db.len_of(iv), 2);
+    }
+
+    /// A relation `R(a, b, c)` and a lattice predicate `L(k1, k2; MinCost)`,
+    /// each with two indexes — on column 0 and on column 1 — and ascent
+    /// counters on: the store [`Columns::remove`] is checked on.
+    fn removal_store() -> (Database, PredId, PredId) {
+        let mut b = ProgramBuilder::new();
+        let r = b.relation("R", 3);
+        let l = b.lattice("L", 3, crate::LatticeOps::of::<flix_lattice::MinCost>());
+        let prog = b.build().expect("valid");
+        let mut db = Database::for_program(&prog, true);
+        for pred in [r, l] {
+            db.ensure_index(pred, &[0]);
+            db.ensure_index(pred, &[1]);
+        }
+        db.enable_ascent();
+        (db, r, l)
+    }
+
+    /// One column value out of a small domain that covers every encoding:
+    /// inline integers and symbols, and spilled tags and tuples.
+    fn column_value(n: usize) -> Value {
+        match n % 4 {
+            0 => Value::Int(n as i64),
+            1 => Value::from(format!("s{n}")),
+            2 => Value::tag("T", Value::Int(n as i64)),
+            _ => Value::tuple([Value::Int(n as i64), Value::from("t")]),
+        }
+    }
+
+    /// What the store must hold: per identifying tuple, the cell value
+    /// (lattice predicates) and the joins the cell has absorbed.
+    type Mirror = std::collections::BTreeMap<Vec<Value>, (Option<Value>, u64)>;
+
+    /// Every invariant of one predicate's store against its mirror, and
+    /// against the tuples `gone` that were removed and not put back.
+    fn assert_store_is(db: &Database, pred: PredId, mirror: &Mirror, gone: &[Vec<Value>]) {
+        let cols = db.pred(pred).columns();
+        assert_eq!(cols.len(), mirror.len());
+        assert_eq!(cols.set.len, mirror.len());
+        assert_eq!(cols.flat.len(), mirror.len() * cols.arity);
+        assert!(cols.cols.iter().all(|col| col.len() == mirror.len()));
+        let mut ids = Vec::new();
+        for (fact, (cell, joins)) in mirror {
+            let id = db.id_of(pred, fact).expect("a surviving tuple is found");
+            assert_eq!(cols.row(id), fact.as_slice());
+            for (c, v) in fact.iter().enumerate() {
+                assert_eq!(Some(cols.col(c)[id as usize]), try_encode(v, db.spill()));
+            }
+            if let PredData::Lat(lat) = db.pred(pred) {
+                assert_eq!(Some(lat.cell(id)), cell.as_ref(), "cell of {fact:?}");
+                let entry = &lat.ascent.as_ref().expect("enabled")[&id];
+                assert_eq!(entry.joins, *joins, "joins of {fact:?}");
+            }
+            ids.push(id);
+        }
+        ids.sort_unstable();
+        assert!(
+            ids.iter().copied().eq(0..mirror.len() as u32),
+            "ids are dense"
+        );
+        if let PredData::Lat(lat) = db.pred(pred) {
+            assert_eq!(lat.cells.len(), mirror.len());
+            assert_eq!(lat.ascent.as_ref().expect("enabled").len(), mirror.len());
+        }
+        for fact in gone {
+            assert_eq!(db.id_of(pred, fact), None, "{fact:?} was removed");
+        }
+        // Every index files exactly the matching rows, ascending.
+        assert_eq!(cols.indexes.len(), 2);
+        for (at, (on, index)) in cols.indexes.iter().enumerate() {
+            let mut expected: FxHashMap<Vec<u64>, Vec<u32>> = FxHashMap::default();
+            for id in 0..cols.len() as u32 {
+                let key = on.iter().map(|&c| cols.col(c)[id as usize]).collect();
+                expected.entry(key).or_default().push(id);
+            }
+            assert_eq!(index.len(), expected.len(), "no emptied list is kept");
+            for (key, ids) in &expected {
+                assert_eq!(cols.probe_encoded(at, key), ids.as_slice());
+            }
+        }
+        // Set-equal to a store the survivors were inserted into.
+        let (mut fresh, r, l) = removal_store();
+        let same = if pred == r { r } else { l };
+        for (fact, (cell, _)) in mirror {
+            let mut tuple = fact.clone();
+            tuple.extend(cell.clone());
+            fresh.insert(same, &tuple).expect("insert");
+        }
+        let contents = |db: &Database| {
+            let cols = db.pred(same).columns();
+            let mut rows: Vec<Vec<Value>> = (0..cols.len() as u32)
+                .map(|id| db.fact_tuple(same, id, None))
+                .collect();
+            rows.sort();
+            rows
+        };
+        assert_eq!(contents(db), contents(&fresh));
+    }
+
+    /// Inserts `fact` (for the lattice predicate: joins `cost` into its
+    /// cell) into the store and the mirror.
+    fn mirrored_insert(
+        db: &mut Database,
+        pred: PredId,
+        mirror: &mut Mirror,
+        fact: &[Value],
+        cost: Option<u64>,
+    ) {
+        use flix_lattice::MinCost;
+        let mut tuple = fact.to_vec();
+        tuple.extend(cost.map(|c| MinCost::finite(c).to_value()));
+        db.insert(pred, &tuple).expect("insert");
+        let (cell, joins) = mirror.entry(fact.to_vec()).or_insert((None, 0));
+        *joins += 1;
+        if let Some(cost) = cost {
+            let held = cell.as_ref().map(MinCost::expect_from);
+            let best = held.map_or(cost, |h| h.value().expect("finite").min(cost));
+            *cell = Some(MinCost::finite(best).to_value());
+        }
+    }
+
+    fn mirrored_remove(db: &mut Database, pred: PredId, mirror: &mut Mirror, fact: &[Value]) {
+        let id = db.id_of(pred, fact).expect("stored");
+        db.remove(pred, id);
+        mirror.remove(fact).expect("mirrored");
+    }
+
+    #[test]
+    fn removal_of_the_last_the_only_and_a_bucket_sharing_row() {
+        let (mut db, r, l) = removal_store();
+        let fact = |a: usize, b: usize, c: usize| {
+            vec![column_value(a), column_value(b), Value::Int(c as i64)]
+        };
+        for pred in [r, l] {
+            let cost = (pred == l).then_some(3);
+            let width = if pred == l { 2 } else { 3 };
+            let fact = |a, b, c| -> Vec<Value> { fact(a, b, c)[..width].to_vec() };
+            let mut mirror = Mirror::new();
+            // The only row.
+            let only = fact(2, 3, 0);
+            mirrored_insert(&mut db, pred, &mut mirror, &only, cost);
+            mirrored_remove(&mut db, pred, &mut mirror, &only);
+            assert_store_is(&db, pred, &mirror, std::slice::from_ref(&only));
+            // The last row: nothing moves.
+            let rows = [fact(1, 5, 1), fact(1, 6, 2), fact(2, 6, 3), fact(1, 7, 4)];
+            for row in &rows {
+                mirrored_insert(&mut db, pred, &mut mirror, row, cost);
+            }
+            mirrored_remove(&mut db, pred, &mut mirror, &rows[3]);
+            assert_store_is(&db, pred, &mirror, &[only.clone(), rows[3].clone()]);
+            // Row 0 shares its column-0 list with the row that moves into
+            // its place (row 1 does, too, and stays), and shares nothing
+            // on column 1.
+            mirrored_insert(&mut db, pred, &mut mirror, &rows[3], cost);
+            mirrored_remove(&mut db, pred, &mut mirror, &rows[0]);
+            assert_store_is(&db, pred, &mirror, &[only.clone(), rows[0].clone()]);
+            assert_eq!(db.id_of(pred, &rows[3]), Some(0), "the last row moved");
+            // Room left by removals is taken up again.
+            mirrored_insert(&mut db, pred, &mut mirror, &rows[0], cost);
+            assert_store_is(&db, pred, &mirror, &[only]);
+        }
+    }
+
+    #[test]
+    fn random_inserts_and_removals_keep_the_store_consistent() {
+        use flix_lattice::rng::SmallRng;
+        for seed in 0..6u64 {
+            let mut rng = SmallRng::seed_from_u64(seed + 0xDE1);
+            let (mut db, r, l) = removal_store();
+            let mut mirrors = [Mirror::new(), Mirror::new()];
+            let mut gone: [Vec<Vec<Value>>; 2] = [Vec::new(), Vec::new()];
+            let mut removals = 0;
+            for _ in 0..400 {
+                let which = rng.index(2);
+                let (pred, mirror, gone) = ([r, l][which], &mut mirrors[which], &mut gone[which]);
+                // Few distinct values per column: index lists fill up, and
+                // an insert often hits a stored tuple.
+                let mut fact = vec![column_value(rng.index(6)), column_value(rng.index(6))];
+                if pred == r {
+                    fact.push(Value::Int(rng.gen_range(0..3i64)));
+                }
+                if !mirror.is_empty() && rng.gen_bool(0.45) {
+                    let victim = mirror
+                        .keys()
+                        .nth(rng.index(mirror.len()))
+                        .expect("in range");
+                    let victim = victim.clone();
+                    mirrored_remove(&mut db, pred, mirror, &victim);
+                    gone.push(victim);
+                    removals += 1;
+                } else {
+                    let cost = (pred == l).then(|| rng.gen_range(1..9u64));
+                    mirrored_insert(&mut db, pred, mirror, &fact, cost);
+                    gone.retain(|g| *g != fact);
+                }
+                assert_store_is(&db, pred, mirror, gone);
+            }
+            assert!(removals > 100, "seed {seed}: {removals} removals");
+        }
     }
 
     #[test]

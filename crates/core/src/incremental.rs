@@ -28,13 +28,19 @@
 //!   lattice cells every join at or after the first contaminated one —
 //!   touching the cone's events, not the log's. The log itself is shared
 //!   with the prior solution; the cone's events are masked out of the
-//!   resumed history, not deleted. The database is rebuilt without the cone
-//!   (an over-deletion: survivors are provably derivable from E′, so
-//!   the result is a sound under-approximation), E′ is re-asserted, and
-//!   the affected strata re-run to the fixed point, restoring every
-//!   over-deleted fact that has an alternative derivation. Lattice
-//!   cells converge to the lub of their *surviving* justifications
-//!   rather than keeping a stale upper bound.
+//!   resumed history, not deleted. The cone's facts are deleted from the
+//!   warm-start copy of the database, in place (an over-deletion:
+//!   survivors are provably derivable from E′, so the result is a sound
+//!   under-approximation), the assertions E′ makes of deleted facts are
+//!   put back, and the affected strata re-run to the fixed point. A
+//!   stratum whose heads lost facts first evaluates each rule that
+//!   derives into them *with its head bound to the deleted facts* — an
+//!   over-deleted fact may have a derivation the log, which records the
+//!   first one only, never saw — so re-derivation looks up what could
+//!   restore a deleted fact instead of re-evaluating rules over the whole
+//!   model; the cost of a retraction follows its cone. Lattice cells
+//!   converge to the lub of their *surviving* justifications rather than
+//!   keeping a stale upper bound.
 //!
 //! * **Fallback.** Deltas the warm paths cannot handle exactly degrade
 //!   to a from-scratch solve of E′ — the same model, without the
@@ -47,9 +53,10 @@
 //! in — assert extensional facts, run a stratum from a seed, finish
 //! (`Run` in `solver.rs`): a monotone resume asserts the net additions
 //! and runs the strata they reach from their pending changes; a
-//! retracting one rebuilds without the cone, asserts E′, and runs
-//! strata whose heads lost facts in full; a fallback resets and does
-//! exactly what `solve` does, over E′.
+//! retracting one first deletes the cone, asserts what E′ still says of
+//! the deleted facts as well, and starts the strata whose heads lost
+//! facts with a head-bound round; a fallback resets and does exactly
+//! what `solve` does, over E′.
 //!
 //! # Example
 //!
@@ -365,8 +372,8 @@ impl Solver {
     ///
     /// Resumed work is observable like any other solve: rounds, rule
     /// evaluations, and net insertions (including the delta's own
-    /// insertions and any re-asserted survivors, counted like fact
-    /// loads) appear in [`crate::SolveStats`], the per-rule/per-stratum
+    /// insertions and the assertions a retraction restores, counted like
+    /// fact loads) appear in [`crate::SolveStats`], the per-rule/per-stratum
     /// profiles, and the attached [`crate::Observer`], and the
     /// configured [`crate::Budget`] governs the resumed rounds.
     /// Statistics describe the *resumed* run only; `per_stratum` holds
@@ -443,8 +450,10 @@ fn update(
     let strata = run.strata()?;
     let npreds = program.num_predicates();
 
-    // Predicates the delta has a net effect on: insertions (possibly
-    // already absorbed) and effective removals. A change reaching a
+    // Predicates the delta has a net effect on: net additions (which the
+    // model may already subsume — conservative) and net removals. An op
+    // that leaves the store as it was — a re-sent insert, a retraction of
+    // something never asserted — touches nothing. A change reaching a
     // predicate a negated body atom (transitively) depends on cannot
     // be expressed by either warm path: an insertion into a negated
     // predicate invalidates derivations without leaving a trace in
@@ -454,10 +463,7 @@ fn update(
     // Otherwise: a from-scratch solve of the updated store — same
     // model, no warm-start speedup.
     let mut touched = vec![false; npreds];
-    for op in ops.iter().filter(|op| op.add) {
-        touched[op.pred.0 as usize] = true;
-    }
-    for (pred, _) in &removed {
+    for (pred, _) in added.iter().chain(&removed) {
         touched[pred.0 as usize] = true;
     }
     let log = prior.events().filter(|_| prior.events_complete());
@@ -468,48 +474,46 @@ fn update(
 
     let seed_start = run.tracer().now_ns();
     run.warm();
-    let lost = if removed.is_empty() {
-        // Monotone: apply the *net* store change E′ \ E on top of the
-        // prior fixed point, not the raw add ops — an insertion
-        // cancelled by a later retraction of the same tuple (reachable
-        // via WAL recovery, which folds frames from separate runs into
-        // one delta) must not reach the warm database, or the model
-        // diverges from a scratch solve of E′. Already-subsumed entries
-        // are no-ops.
-        for (pred, tuple) in &added {
-            run.assert(*pred, tuple)?;
-        }
-        vec![false; npreds]
-    } else {
-        // Over-delete/re-derive (DESIGN §16). Rebuilding without the
-        // cone of the removed assertions leaves only facts justified by
-        // a chain of surviving events grounded in E′ — a sound
-        // under-approximation of the target model — and re-asserting E′
-        // seeds the re-derivation: survivors absorb most of it; net
-        // changes are restored assertions and insertions the delta
-        // carried alongside the removals.
+    if !removed.is_empty() {
+        // Over-delete/re-derive (DESIGN §16). Deleting the cone of the
+        // removed assertions leaves only facts justified by a chain of
+        // surviving events grounded in E′ — a sound under-approximation
+        // of the target model. A surviving fact still holds every
+        // assertion E′ makes of it; the facts the cone killed get theirs
+        // back here, and the strata below re-derive the rest.
         let log = log.expect("removals without a complete log solved from scratch above");
+        let taint_start = run.tracer().now_ns();
         let cone = Cone::taint(program, log, &removed);
-        run.rebuild(|pred, fact| !cone.kills(pred, fact), &cone.dead_events)?;
-        for (pred, tuple) in eprime.iter() {
+        run.tracer().record(0, SpanKind::ResumeTaint, taint_start);
+        run.delete(&cone);
+        for (pred, tuple) in eprime
+            .iter()
+            .filter(|(pred, tuple)| cone.kills(*pred, tuple))
+        {
             run.assert(*pred, tuple)?;
         }
-        cone.lost()
-    };
+    }
+    // The *net* store change E′ \ E, not the raw add ops — an insertion
+    // cancelled by a later retraction of the same tuple (reachable via
+    // WAL recovery, which folds frames from separate runs into one
+    // delta) must not reach the warm database, or the model diverges
+    // from a scratch solve of E′. Already-subsumed entries are no-ops.
+    for (pred, tuple) in &added {
+        run.assert(*pred, tuple)?;
+    }
     run.tracer().record(0, SpanKind::ResumeSeed, seed_start);
 
     // Re-run exactly the strata a change can reach, in stratum order.
     // Stratification guarantees a stratum's body predicates are final
     // before it runs, so accumulating changes front to back seeds every
     // affected stratum with its complete delta. A stratum whose rule
-    // heads lost facts re-evaluates fully; iterating rules to
+    // heads lost facts first re-derives, head-bound, what of them still
+    // follows from the surviving database; iterating rules to
     // quiescence from a sound under-approximation yields exactly the
     // least fixed point over E′, and lattice cells land on the lub of
     // their surviving and re-derived justifications.
     for (stratum, group) in strata.rule_groups.iter().enumerate() {
-        let heads_lost = group
-            .iter()
-            .any(|&r| lost[program.rules[r].head_pred.0 as usize]);
+        let heads_lost = group.iter().any(|&r| run.lost(program.rules[r].head_pred));
         let seed = if heads_lost {
             Seed::Rederive
         } else if run.reads_pending(group) {
@@ -532,14 +536,16 @@ fn update(
 /// joins) when any earlier event of the same cell died. A fact is
 /// therefore dead *from* a position: that of its first dead event, or
 /// the start of the log when it was removed outright.
-struct Cone {
+pub(crate) struct Cone {
+    /// Per predicate: is it a lattice predicate?
+    is_lat: Vec<bool>,
     /// Dead facts, per predicate: relational tuples, and keys of lattice
     /// cells. A contaminated cell drops entirely — its clean prefix of
     /// justifications survives in the kept log and re-derivation restores
     /// their lub.
-    dead: Vec<FxHashSet<Vec<Value>>>,
+    pub(crate) dead: Vec<FxHashSet<Vec<Value>>>,
     /// The log positions of the events that died, ascending.
-    dead_events: Vec<Pos>,
+    pub(crate) dead_events: Vec<Pos>,
 }
 
 impl Cone {
@@ -575,18 +581,17 @@ impl Cone {
         }
         let mut dead_events: Vec<Pos> = dead_events.into_iter().collect();
         dead_events.sort_unstable();
-        Cone { dead, dead_events }
+        Cone {
+            is_lat,
+            dead,
+            dead_events,
+        }
     }
 
-    /// Whether the cone holds the relational tuple, or the lattice cell
-    /// with the key, `fact` of `pred`.
-    fn kills(&self, pred: PredId, fact: &[Value]) -> bool {
-        self.dead[pred.0 as usize].contains(fact)
-    }
-
-    /// Per predicate: did it lose any fact?
-    fn lost(&self) -> Vec<bool> {
-        self.dead.iter().map(|facts| !facts.is_empty()).collect()
+    /// Whether the cone holds the fact `tuple` of `pred` asserts: the
+    /// relational tuple itself, or the lattice cell it contributes to.
+    fn kills(&self, pred: PredId, tuple: &[Value]) -> bool {
+        self.dead[pred.0 as usize].contains(fact_key(&self.is_lat, pred, tuple))
     }
 }
 

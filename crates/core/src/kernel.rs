@@ -16,6 +16,12 @@
 //!   changed and reads them through the same encoded columns, with the
 //!   same row ops, as a probe or a scan does (a lattice `∆` also carries
 //!   the value each change reached);
+//! * **a retraction binds the head first** — a run that deleted facts of
+//!   a rule's head predicate compiles one more plan for it, whose first
+//!   step binds the head's variables to the deleted keys and whose body
+//!   is ordered, for this one database, from there: re-deriving what was
+//!   over-deleted costs lookups per deleted fact, not a pass over the
+//!   model (DESIGN §16);
 //! * **values are single words** — relational columns and lattice *key*
 //!   columns compare as encoded `u64` slots (see [`crate::database`]),
 //!   so a join key is a handful of word moves, not `Value` clones;
@@ -60,7 +66,9 @@ use crate::database::{decode, try_encode, Columns, Database, PredData, NO_ID};
 use crate::fxhash::{FxHashMap, FxHashSet};
 use crate::guard::{panic_payload, EvalGuard};
 use crate::ops::OpsPanic;
-use crate::program::{CHead, CItem, CRule, CTerm, Program};
+use crate::program::{
+    order_for_delta, recompute_index_cols, CHead, CItem, CRule, CTerm, OrderFrom, Program,
+};
 use crate::provenance::Premise;
 use crate::solver::{DeltaRows, Derived, EvalCounters, EvalFault, Payload, ENC_KEY};
 use crate::verify::Violation;
@@ -207,6 +215,29 @@ enum Step {
         args: Vec<ArgSrc>,
         binds: Vec<usize>,
     },
+    /// The first step of a head-bound plan (DESIGN §16): the sub-join
+    /// runs once per entry of `seeds`, its slots written to the encoded
+    /// `binds` registers — the head variables, bound before the body runs
+    /// to the facts a retraction took out of the head predicate. Counts
+    /// nothing, like delta iteration.
+    HeadSeed {
+        binds: Vec<usize>,
+        seeds: Vec<Box<[u64]>>,
+    },
+}
+
+/// What a compiled body starts from.
+enum Start {
+    /// Nothing bound: the rule body as scheduled.
+    Body,
+    /// A semi-naïve variant: the first item is the delta atom.
+    Delta,
+    /// A head-bound plan: a [`Step::HeadSeed`] of these fields goes
+    /// before the body and binds its registers.
+    Seed {
+        binds: Vec<usize>,
+        seeds: Vec<Box<[u64]>>,
+    },
 }
 
 /// A compiled join plan for one (rule, variant) body.
@@ -231,7 +262,8 @@ pub(crate) struct Plan {
 }
 
 /// The compiled plans of a whole program: `plans[rule]` holds the full
-/// body's plan plus one per delta variant.
+/// body's plan plus one per delta variant — and, in a run that deleted
+/// facts of the rule's head predicate, the head-bound plan after those.
 pub(crate) struct KernelSet {
     plans: Vec<RulePlans>,
 }
@@ -239,6 +271,8 @@ pub(crate) struct KernelSet {
 struct RulePlans {
     full: Plan,
     variants: Vec<Plan>,
+    /// Whether the last of `variants` is the rule's head-bound plan.
+    head_bound: bool,
 }
 
 impl KernelSet {
@@ -251,54 +285,66 @@ impl KernelSet {
     /// be false when ascent telemetry is on, because a subsumed join
     /// still counts against its cell's join counter there. `premises`
     /// makes every derivation carry its instantiated positive body atoms
-    /// for the provenance log.
+    /// for the provenance log. `lost[pred]` holds the encoded keys of the
+    /// facts the run deleted from `pred` (`Run::delete`; all empty in a
+    /// run that deleted nothing): a rule whose head predicate lost facts
+    /// gets a head-bound plan seeded with them, and `use_indexes` lets
+    /// that plan build the indexes its order wants.
     pub(crate) fn compile(
         program: &Program,
         db: &mut Database,
         lat_precheck: bool,
         premises: bool,
+        use_indexes: bool,
+        lost: &[Vec<Box<[u64]>>],
     ) -> KernelSet {
-        let mut compile = |rule: &CRule, body: &[CItem], delta_first: bool| {
-            compile_body(program, db, rule, body, delta_first, lat_precheck, premises)
-        };
         let plans = program
             .rules
             .iter()
-            .map(|rule| RulePlans {
-                full: compile(rule, &rule.body, false),
-                variants: rule
-                    .delta_variants
-                    .iter()
-                    .map(|(_, body)| compile(rule, body, true))
-                    .collect(),
+            .map(|rule| {
+                let lost = &lost[rule.head_pred.0 as usize];
+                let seeded = head_bound(program, db, rule, lost, use_indexes);
+                let mut compile = |body: &[CItem], start: Start| {
+                    compile_body(program, db, rule, body, start, lat_precheck, premises)
+                };
+                let full = compile(&rule.body, Start::Body);
+                let delta = rule.delta_variants.iter();
+                let mut variants: Vec<Plan> =
+                    delta.map(|(_, body)| compile(body, Start::Delta)).collect();
+                let head_bound = seeded.is_some();
+                variants.extend(seeded.map(|(body, start)| compile(&body, start)));
+                RulePlans {
+                    full,
+                    variants,
+                    head_bound,
+                }
             })
             .collect();
         KernelSet { plans }
     }
 
-    /// The plan for a rule evaluation: the full body, or a delta variant.
+    /// The plan for a rule evaluation: the full body, or a variant.
     pub(crate) fn plan(&self, rule: usize, variant: Option<usize>) -> &Plan {
         match variant {
             None => &self.plans[rule].full,
             Some(vi) => &self.plans[rule].variants[vi],
         }
     }
+
+    /// The variant number of the rule's head-bound plan, if this run
+    /// compiled one: it comes after the delta variants.
+    pub(crate) fn head_bound(&self, rule: usize) -> Option<usize> {
+        let plans = &self.plans[rule];
+        plans.head_bound.then(|| plans.variants.len() - 1)
+    }
 }
 
-/// Compiles one body into a [`Plan`].
-fn compile_body(
-    program: &Program,
-    db: &mut Database,
-    rule: &CRule,
-    body: &[CItem],
-    delta_first: bool,
-    lat_precheck: bool,
-    premises: bool,
-) -> Plan {
-    // A slot is boxed iff it ever stands in a lattice *value* position in
-    // this body (there it must flow through leq/glb as a Value) or is
-    // bound by a choice (its values come from user code and may never
-    // have been stored). All other slots live as encoded words.
+/// The variable slots of `body` that live boxed: a slot is boxed iff it
+/// ever stands in a lattice *value* position in this body (there it must
+/// flow through leq/glb as a Value) or is bound by a choice (its values
+/// come from user code and may never have been stored). All other slots
+/// live as encoded words.
+fn boxed_class(program: &Program, body: &[CItem]) -> HashSet<usize> {
     let mut boxed_class: HashSet<usize> = HashSet::new();
     for item in body {
         match item {
@@ -313,9 +359,104 @@ fn compile_body(
             CItem::Filter { .. } => {}
         }
     }
+    boxed_class
+}
 
-    let mut steps = Vec::with_capacity(body.len());
+/// The body order and the seed step of `rule`'s head-bound plan, for a
+/// run that deleted the facts with the encoded keys `lost` from the
+/// rule's head predicate: what re-derives those of them the rule still
+/// derives (DESIGN §16).
+///
+/// A head key column is *bindable* when it holds a literal — a lost key
+/// that differs there is not this rule's to derive — or a variable of the
+/// encoded class, which a positive body atom binds: the seed binds it
+/// before the body runs instead. A column that repeats a variable must
+/// repeat the value. Every other column — a choice-bound or boxed
+/// variable, a function application — is left for the body to produce.
+/// `None` when there is nothing to re-derive or no column is bindable;
+/// the rule's full plan covers the second case.
+fn head_bound(
+    program: &Program,
+    db: &mut Database,
+    rule: &CRule,
+    lost: &[Box<[u64]>],
+    use_indexes: bool,
+) -> Option<(Vec<CItem>, Start)> {
+    if lost.is_empty() {
+        return None;
+    }
+    let boxed_class = boxed_class(program, &rule.body);
+    let key_cols = rule.head.len() - program.decl(rule.head_pred).is_lattice() as usize;
+    // The bindable columns: those that must equal a literal, and those
+    // that bind or repeat a variable — by its position in `binds`.
+    let mut binds: Vec<usize> = Vec::new();
+    let mut literals: Vec<(usize, u64)> = Vec::new();
+    let mut variables: Vec<(usize, usize)> = Vec::new();
+    for (col, h) in rule.head[..key_cols].iter().enumerate() {
+        match h {
+            CHead::Lit(v) => literals.push((col, db.encode_literal(v))),
+            CHead::Var(slot) if !boxed_class.contains(slot) => {
+                let at = binds.iter().position(|b| b == slot).unwrap_or_else(|| {
+                    binds.push(*slot);
+                    binds.len() - 1
+                });
+                variables.push((col, at));
+            }
+            CHead::Var(_) | CHead::App(..) => {}
+        }
+    }
+    if literals.is_empty() && variables.is_empty() {
+        return None;
+    }
+    // The distinct projections of the lost keys onto the bound variables.
+    let mut seen: FxHashSet<Box<[u64]>> = FxHashSet::default();
+    let mut seeds = Vec::new();
+    for key in lost {
+        let mut seed: Vec<Option<u64>> = vec![None; binds.len()];
+        let fits = literals.iter().all(|&(col, literal)| key[col] == literal)
+            && variables
+                .iter()
+                .all(|&(col, at)| *seed[at].get_or_insert(key[col]) == key[col]);
+        if fits {
+            let seed: Box<[u64]> = seed.into_iter().flatten().collect();
+            if seen.insert(seed.clone()) {
+                seeds.push(seed);
+            }
+        }
+    }
+    let bound: HashSet<usize> = binds.iter().copied().collect();
+    let len_of = |pred| db.len_of(pred);
+    let from = OrderFrom::Bound(&bound, &len_of);
+    let mut body = order_for_delta(&rule.body, &program.preds, from);
+    // An index this order wants and the program never asked for is built
+    // on this run's database alone; no other solve pays for it.
+    recompute_index_cols(&mut body, &program.preds, bound, |pred, cols| {
+        if use_indexes {
+            db.ensure_index(pred, cols);
+        }
+    });
+    Some((body, Start::Seed { binds, seeds }))
+}
+
+/// Compiles one body into a [`Plan`].
+fn compile_body(
+    program: &Program,
+    db: &mut Database,
+    rule: &CRule,
+    body: &[CItem],
+    start: Start,
+    lat_precheck: bool,
+    premises: bool,
+) -> Plan {
+    let boxed_class = boxed_class(program, body);
+
+    let mut steps = Vec::with_capacity(body.len() + 1);
     let mut bound: HashSet<usize> = HashSet::new();
+    let delta_first = matches!(start, Start::Delta);
+    if let Start::Seed { binds, seeds } = start {
+        bound.extend(&binds);
+        steps.push(Step::HeadSeed { binds, seeds });
+    }
     for (idx, item) in body.iter().enumerate() {
         match item {
             CItem::Atom {
@@ -619,7 +760,10 @@ struct State<'a, 'o> {
     shadow_cells: FxHashMap<[u64; SHADOW_KEY], (u32, Value)>,
     /// Row id of the lattice cell the last `is_subsumed` call resolved
     /// ([`NO_ID`] when unknown); lets `emit` address the insert directly
-    /// at the cell. Ids are append-only, so a resolved id stays valid.
+    /// at the cell. Ids are append-only during evaluation — a retraction
+    /// deletes rows before its run's first stratum (`Run::delete`), never
+    /// between an evaluation and its inserts — so a resolved id stays
+    /// valid.
     lat_hit_id: u32,
     fault: Option<EvalFault>,
 }
@@ -1362,6 +1506,17 @@ fn step(plan: &Plan, i: usize, st: &mut State<'_, '_>) {
             }
             for (&b, old) in binds.iter().zip(outer) {
                 st.boxed[b] = old;
+            }
+        }
+        Step::HeadSeed { binds, seeds } => {
+            for seed in seeds {
+                if st.fault.is_some() {
+                    return;
+                }
+                for (&slot, &enc) in binds.iter().zip(seed.iter()) {
+                    st.enc[slot] = enc;
+                }
+                step(plan, i + 1, st);
             }
         }
     }

@@ -68,8 +68,12 @@ pub struct RuleEvaluated {
     pub round: u64,
     /// The rule index within the program.
     pub rule: usize,
-    /// The semi-naïve delta variant evaluated, or `None` for a full
-    /// (naïve or seed-round) evaluation.
+    /// The semi-naïve delta variant evaluated — `i` drives the join from
+    /// the ∆ of the rule's `i`-th positive body atom — or `None` for a
+    /// full (naïve or seed-round) evaluation. A retracting `resume`
+    /// re-derives what it deleted through the rule's head-bound plan and
+    /// reports it under the number after the last delta variant (the
+    /// count of the rule's positive body atoms), which names no body atom.
     pub variant: Option<usize>,
     /// Head tuples produced by this evaluation.
     pub derived: u64,

@@ -3,6 +3,7 @@
 
 use crate::ast::{BodyItem, FuncDef, HeadTerm, PredDecl, ProgramError, RawRule, Term};
 use crate::{PredId, Value};
+use std::cmp::Reverse;
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
@@ -469,8 +470,11 @@ fn compile_rule(
             unreachable!("atom_positions only indexes atoms")
         };
         let pred = *pred;
-        let mut permuted = order_for_delta(&body, pos);
-        recompute_index_cols(&mut permuted, preds, index_requests);
+        let mut permuted = order_for_delta(&body, preds, OrderFrom::Delta(pos));
+        recompute_index_cols(&mut permuted, preds, HashSet::new(), |pred, cols| {
+            let requests = index_requests.entry(pred).or_default();
+            requests.insert(cols.to_vec());
+        });
         delta_variants.push((pred, permuted));
     }
 
@@ -484,12 +488,31 @@ fn compile_rule(
     })
 }
 
-/// Orders a rule body for delta evaluation: the delta atom first, then a
-/// greedy join order — ready filters and negations as soon as their
-/// variables are bound, then the atom sharing the most bound columns
-/// (avoiding accidental cross products), then ready choice bindings, and
-/// only as a last resort an unconnected atom.
-fn order_for_delta(body: &[CItem], delta_idx: usize) -> Vec<CItem> {
+/// What a greedy body order ([`order_for_delta`]) starts from.
+#[derive(Clone, Copy)]
+pub(crate) enum OrderFrom<'a> {
+    /// A semi-naïve variant: this positive atom goes first.
+    Delta(usize),
+    /// A head-bound plan (DESIGN §16): these variables are bound before
+    /// the first item runs, and the function tells how many rows each
+    /// predicate stores right now.
+    Bound(&'a HashSet<usize>, &'a dyn Fn(PredId) -> usize),
+}
+
+/// Orders a rule body for evaluation from a delta atom or from bound head
+/// variables: whatever `from` puts first, then a greedy join order —
+/// ready filters and negations as soon as their variables are bound, then
+/// the atom sharing the most bound columns (avoiding accidental cross
+/// products), then ready choice bindings, and only as a last resort an
+/// unconnected atom. A head-bound order — which, unlike a delta variant,
+/// is made for one database — also prefers an atom whose key columns are
+/// all bound (one lookup) to any other, and of two atoms with as many
+/// bound columns the one whose predicate stores fewer rows.
+pub(crate) fn order_for_delta(
+    body: &[CItem],
+    preds: &[PredDecl],
+    from: OrderFrom<'_>,
+) -> Vec<CItem> {
     fn item_vars(item: &CItem, out: &mut Vec<usize>) {
         let terms = match item {
             CItem::Atom { terms, .. } | CItem::NegAtom { terms, .. } => terms,
@@ -518,9 +541,11 @@ fn order_for_delta(body: &[CItem], delta_idx: usize) -> Vec<CItem> {
         }
         out.push(item.clone());
     };
-    push(&body[delta_idx], &mut out, &mut bound);
-
-    let mut remaining: Vec<usize> = (0..body.len()).filter(|&i| i != delta_idx).collect();
+    let mut remaining: Vec<usize> = (0..body.len()).collect();
+    match from {
+        OrderFrom::Delta(idx) => push(&body[remaining.remove(idx)], &mut out, &mut bound),
+        OrderFrom::Bound(vars, _) => bound.extend(vars),
+    }
     while !remaining.is_empty() {
         // 1. Pure tests whose variables are all bound.
         if let Some(k) = remaining.iter().position(|&i| {
@@ -539,21 +564,27 @@ fn order_for_delta(body: &[CItem], delta_idx: usize) -> Vec<CItem> {
             .enumerate()
             .filter(|&(_, &i)| matches!(body[i], CItem::Atom { .. }))
             .map(|(k, &i)| {
-                let CItem::Atom { terms, .. } = &body[i] else {
+                let CItem::Atom { pred, terms, .. } = &body[i] else {
                     unreachable!("filtered to atoms")
                 };
-                let score = terms
-                    .iter()
-                    .filter(|t| match t {
-                        CTerm::Lit(_) => true,
-                        CTerm::Var(slot) => bound.contains(slot),
-                        CTerm::Wild => false,
-                    })
-                    .count();
-                (k, score)
+                let is_bound = |t: &CTerm| match t {
+                    CTerm::Lit(_) => true,
+                    CTerm::Var(slot) => bound.contains(slot),
+                    CTerm::Wild => false,
+                };
+                let score = terms.iter().filter(|t| is_bound(t)).count();
+                let (ground, rows) = match from {
+                    OrderFrom::Delta(_) => (false, 0),
+                    OrderFrom::Bound(_, rows) => {
+                        let decl = &preds[pred.0 as usize];
+                        let key = decl.arity - decl.is_lattice() as usize;
+                        (terms[..key].iter().all(is_bound), rows(*pred))
+                    }
+                };
+                (k, ground, score, rows)
             })
-            .max_by_key(|&(k, score)| (score, std::cmp::Reverse(k)));
-        if let Some((k, score)) = best {
+            .max_by_key(|&(k, ground, score, rows)| (ground, score, Reverse(rows), Reverse(k)));
+        if let Some((k, _, score, _)) = best {
             if score > 0 {
                 push(&body[remaining.remove(k)], &mut out, &mut bound);
                 continue;
@@ -581,13 +612,14 @@ fn order_for_delta(body: &[CItem], delta_idx: usize) -> Vec<CItem> {
 }
 
 /// Recomputes the index columns of every atom in `items` for their
-/// current order, registering the needed indexes.
-fn recompute_index_cols(
+/// current order, with the variables in `bound` bound from the start,
+/// and hands `request` each (predicate, columns) an index is wanted on.
+pub(crate) fn recompute_index_cols(
     items: &mut [CItem],
     preds: &[PredDecl],
-    index_requests: &mut HashMap<PredId, HashSet<Vec<usize>>>,
+    mut bound: HashSet<usize>,
+    mut request: impl FnMut(PredId, &[usize]),
 ) {
-    let mut bound: HashSet<usize> = HashSet::new();
     for item in items {
         match item {
             CItem::Atom {
@@ -610,10 +642,7 @@ fn recompute_index_cols(
                     }
                 }
                 if !index_cols.is_empty() && index_cols.len() < indexable {
-                    index_requests
-                        .entry(*pred)
-                        .or_default()
-                        .insert(index_cols.clone());
+                    request(*pred, index_cols);
                 }
                 for t in terms.iter() {
                     if let CTerm::Var(slot) = t {

@@ -19,6 +19,7 @@ use crate::ast::{PredKind, ProgramError};
 use crate::database::{Database, InsertFault, InsertOutcome, PredData};
 use crate::fxhash::FxHashSet;
 use crate::guard::{panic_payload, Budget, BudgetKind, EvalGuard, Guard};
+use crate::incremental::Cone;
 use crate::kernel::{self, KernelSet};
 use crate::observe::{Observer, RuleEvaluated, RuleStats, StratumStats};
 use crate::ops::OpsPanic;
@@ -545,8 +546,9 @@ impl Solver {
     }
 
     /// Enables execution-span tracing: the solve records solve → stratum
-    /// → round → rule-eval spans (plus resume-seed and demand-rewrite
-    /// phases) into bounded per-worker ring buffers, merged at solve end
+    /// → round → rule-eval spans (plus resume-seed — a retraction's taint
+    /// and delete steps inside it — and demand-rewrite phases) into
+    /// bounded per-worker ring buffers, merged at solve end
     /// into [`Solution::trace`]. Export with
     /// [`ExecutionTrace::to_chrome_json`] or
     /// [`ExecutionTrace::to_folded`]. Disabled tracing (the default) adds
@@ -667,11 +669,13 @@ pub(crate) enum Seed {
     /// One full evaluation of every rule, then semi-naïve rounds over
     /// what it changed — the from-scratch start.
     Full,
-    /// Warm start after an over-deletion: every rule is re-evaluated
-    /// completely against the surviving database, by handing the first
-    /// delta variant of each rule the whole current contents of its
-    /// predicate as `∆` (an over-deleted fact may have an alternative
-    /// derivation the first-derivation-only log never recorded).
+    /// Warm start of a stratum whose heads lost facts to an
+    /// over-deletion: first one round of the head-bound plans of the
+    /// rules that derive into a predicate [`Run::delete`] took facts
+    /// from — each evaluated with its head bound to those facts, since
+    /// an over-deleted fact may have a derivation the
+    /// first-derivation-only log never recorded — then on as
+    /// [`Seed::Delta`], that round's changes included.
     Rederive,
     /// Warm start: `∆` is the run's pending net changes of the
     /// predicates the stratum reads.
@@ -726,8 +730,14 @@ pub(crate) struct Run<'a> {
     events_complete: bool,
     /// Warm runs only: the row id of every net change so far, per
     /// predicate — what [`Seed::Delta`] strata are seeded from. Recorded
-    /// after any [`Run::rebuild`], so the ids index the run's database.
+    /// after any [`Run::delete`]: ids are append-only from there on, so
+    /// they keep naming the rows they were recorded for.
     pending: Option<Vec<Vec<u32>>>,
+    /// Per predicate, the encoded key of every fact [`Run::delete`] took
+    /// out, in the order of the ids they had: what the head-bound plans
+    /// of a [`Seed::Rederive`] stratum are seeded with. All empty in a
+    /// run that deleted nothing.
+    lost: Vec<Vec<Box<[u64]>>>,
 }
 
 impl<'a> Run<'a> {
@@ -752,6 +762,7 @@ impl<'a> Run<'a> {
             events: None,
             events_complete: false,
             pending: None,
+            lost: vec![Vec::new(); program.preds.len()],
         }
     }
 
@@ -785,6 +796,7 @@ impl<'a> Run<'a> {
         self.events_complete = true;
         self.kernels = None;
         self.pending = None;
+        self.lost.iter_mut().for_each(Vec::clear);
     }
 
     /// Continues the prior solution's event log, when the solver records
@@ -888,45 +900,44 @@ impl<'a> Run<'a> {
         })
     }
 
-    /// The over-deletion step of a retracting resume: replaces the
-    /// database by its restriction to the facts `survives` accepts
-    /// (relational rows by tuple, lattice cells by key) and takes the
-    /// events at `dead` — ascending positions in the prior solution's log
-    /// — out of the carried one. The columnar store has no in-place
-    /// deletion — rebuilding also keeps the per-predicate indexes dense.
-    pub(crate) fn rebuild(
-        &mut self,
-        survives: impl Fn(PredId, &[Value]) -> bool,
-        dead: &[Pos],
-    ) -> Result<(), SolveError> {
-        let program = self.program;
-        let mut fresh = self.solver.empty_db(program);
-        let mut keep = |pred: PredId, tuple: &[Value]| match fresh.insert(pred, tuple) {
-            Ok(_) => Ok(()),
-            Err(fault) => Err(insert_fault_error(program, pred, None, fault)),
-        };
-        for (pred, _) in program.predicates() {
-            match self.db.pred(pred) {
-                PredData::Rel(rel) => {
-                    for row in rel.rows().filter(|row| survives(pred, row)) {
-                        keep(pred, row)?;
-                    }
-                }
-                PredData::Lat(lat) => {
-                    for (key, cell) in lat.iter().filter(|(key, _)| survives(pred, key)) {
-                        let mut tuple = key.to_vec();
-                        tuple.push(cell.clone());
-                        keep(pred, &tuple)?;
-                    }
-                }
+    /// Whether [`Run::delete`] took any fact out of `pred`.
+    pub(crate) fn lost(&self, pred: PredId) -> bool {
+        !self.lost[pred.0 as usize].is_empty()
+    }
+
+    /// The over-deletion step of a retracting resume: deletes the cone's
+    /// facts — relational rows by tuple, lattice cells by key — from the
+    /// run's own copy of the database, in place, and masks the cone's
+    /// events out of the carried log.
+    ///
+    /// A deletion moves the predicate's last row into the hole
+    /// ([`Database::remove`]), so the greatest id goes first: the row
+    /// that moves is then never one still to be deleted. For the same
+    /// reason this runs only between [`Run::warm`] and the run's first
+    /// stratum — before a plan is compiled against the database and
+    /// before any pending id is recorded — which is what keeps ids
+    /// append-only *during evaluation*. The encoded keys of the deleted
+    /// facts are kept for the head-bound plans; the spill table is
+    /// append-only, so they stay canonical.
+    pub(crate) fn delete(&mut self, cone: &Cone) {
+        debug_assert!(self.kernels.is_none(), "no plan holds an id yet");
+        debug_assert!(self.pending.iter().flatten().all(Vec::is_empty));
+        let db = Arc::make_mut(&mut self.db);
+        let delete_start = self.tracer.now_ns();
+        for (p, (facts, lost)) in cone.dead.iter().zip(&mut self.lost).enumerate() {
+            let pred = PredId(p as u32);
+            let mut ids: Vec<u32> = facts.iter().filter_map(|f| db.id_of(pred, f)).collect();
+            ids.sort_unstable();
+            let cols = db.pred(pred).columns();
+            lost.extend(ids.iter().map(|&id| cols.encoded(id)));
+            for &id in ids.iter().rev() {
+                db.remove(pred, id);
             }
         }
-        self.db = Arc::new(fresh);
-        self.kernels = None;
         if let Some(log) = self.events.as_mut() {
-            log.kill(dead);
+            log.kill(&cone.dead_events);
         }
-        Ok(())
+        self.tracer.record(0, SpanKind::ResumeDelete, delete_start);
     }
 
     /// Runs one stratum to its fixed point from `seed`, under the
@@ -945,6 +956,8 @@ impl<'a> Run<'a> {
                 Arc::make_mut(&mut self.db),
                 config.ascent.is_none(),
                 config.record_provenance,
+                config.use_indexes,
+                &self.lost,
             ));
         }
         self.stats.strata += 1;
@@ -981,15 +994,14 @@ impl<'a> Run<'a> {
                 }
             },
             Strategy::SemiNaive => {
-                // A rule without positive body atoms has no delta variant
-                // to hang a complete re-evaluation on; the full seed
-                // round covers it.
-                let rederivable = group
-                    .iter()
-                    .all(|&r| !self.program.rules[r].delta_variants.is_empty());
                 let mut delta = match seed {
-                    Seed::Rederive if rederivable => self.contents_of(group),
-                    Seed::Full | Seed::Rederive => self.round(stratum, &full, &[], &mut buf)?,
+                    Seed::Full => self.round(stratum, &full, &[], &mut buf)?,
+                    Seed::Rederive => {
+                        let tasks = self.head_bound_tasks(group);
+                        // What this round changes is pending, too.
+                        self.round(stratum, &tasks, &[], &mut buf)?;
+                        self.pending_for(group)
+                    }
                     Seed::Delta => self.pending_for(group),
                 };
                 // The incremental rounds of §3.7.
@@ -1026,7 +1038,7 @@ impl<'a> Run<'a> {
     /// witnesses — a from-scratch solve would only ever see the settled
     /// value).
     fn pending_for(&self, group: &[usize]) -> Vec<DeltaRows> {
-        let pending = self.pending.as_ref().expect("Seed::Delta is for warm runs");
+        let pending = self.pending.as_ref().expect("seeded on warm runs only");
         let mut seed = vec![DeltaRows::default(); pending.len()];
         for &r in group {
             for item in &self.program.rules[r].body {
@@ -1050,20 +1062,19 @@ impl<'a> Run<'a> {
         seed
     }
 
-    /// The `∆` of [`Seed::Rederive`]: the complete current contents —
-    /// every row id, read at its stored state — of the *first*
-    /// delta-variant predicate of each rule. One variant with a full
-    /// delta joins against full relations everywhere else, so every rule
-    /// is evaluated completely in the first round; subsequent rounds
-    /// proceed semi-naïvely over genuine changes.
-    fn contents_of(&self, group: &[usize]) -> Vec<DeltaRows> {
-        let mut seed = vec![DeltaRows::default(); self.program.preds.len()];
-        for &r in group {
-            if let Some((pred, _)) = self.program.rules[r].delta_variants.first() {
-                seed[pred.0 as usize].ids = (0..self.db.len_of(*pred) as u32).collect();
-            }
-        }
-        seed
+    /// The first round of [`Seed::Rederive`]: every rule of the stratum
+    /// whose head predicate lost facts, evaluated through its head-bound
+    /// plan — or, when no head column can be bound, in full.
+    fn head_bound_tasks(&self, group: &[usize]) -> Vec<Task> {
+        let kernels = self.kernels.as_ref().expect("compiled by run_stratum");
+        let rules = group.iter().copied();
+        rules
+            .filter(|&r| self.lost(self.program.rules[r].head_pred))
+            .map(|rule| Task {
+                rule,
+                variant: kernels.head_bound(rule),
+            })
+            .collect()
     }
 
     fn check_round(&self, stratum: usize) -> Result<(), SolveError> {
@@ -1581,7 +1592,8 @@ pub(crate) fn rule_heads(program: &Program) -> Vec<String> {
 }
 
 /// One rule evaluation within a round: the full body (seed/naïve), or a
-/// delta variant (delta atom first).
+/// variant — a delta variant (delta atom first) or, numbered after
+/// those, the rule's head-bound plan.
 #[derive(Clone, Copy, Debug)]
 struct Task {
     rule: usize,
@@ -1627,9 +1639,11 @@ pub(crate) enum Payload {
         /// Number of live slots in `key`.
         arity: u8,
         /// Row id of the target cell when the kernel resolved it
-        /// ([`crate::database::NO_ID`] otherwise). Ids are append-only, so
-        /// a resolved id is still the same cell at insert time; the
-        /// insert skips the hash lookup and joins the cell directly.
+        /// ([`crate::database::NO_ID`] otherwise). Ids are append-only
+        /// during evaluation ([`Run::delete`] runs before a run's first
+        /// stratum), so a resolved id is still the same cell at insert
+        /// time; the insert skips the hash lookup and joins the cell
+        /// directly.
         id: u32,
         /// Encoded key columns, zero-padded past `arity`.
         key: [u64; ENC_KEY],
@@ -2184,8 +2198,10 @@ const _: () = {
 };
 
 /// Iterator over the tuples of a relational predicate, returned by
-/// [`Solution::relation`]. Tuples come back in insertion order, which is
-/// deterministic for a given program and solver configuration.
+/// [`Solution::relation`]. Tuples come back in insertion order — after a
+/// retracting [`Solver::resume`](crate::incremental), with the last
+/// tuples in the places of the deleted ones — which is deterministic for
+/// a given program, update history and solver configuration.
 #[derive(Clone, Debug)]
 pub struct RelationIter<'a> {
     rows: crate::database::RowsIter<'a>,
@@ -2207,7 +2223,8 @@ impl ExactSizeIterator for RelationIter<'_> {}
 
 /// Iterator over the `(key, element)` cells of a lattice predicate,
 /// returned by [`Solution::lattice`]. Cells come back in first-derived
-/// key order; `⊥` cells are never stored, so never yielded.
+/// key order (a retracting resume puts the last cells in the places of
+/// the deleted ones); `⊥` cells are never stored, so never yielded.
 #[derive(Clone, Debug)]
 pub struct LatticeIter<'a> {
     lat: &'a crate::database::LatticeData,

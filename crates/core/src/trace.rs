@@ -5,7 +5,8 @@
 //!
 //! * **Span tracing** ([`TraceConfig`], [`ExecutionTrace`]): the solver
 //!   records hierarchical spans — solve → stratum → round → rule-eval,
-//!   plus resume-seeding and demand-rewrite phases — into bounded
+//!   plus resume-seeding (with a retraction's taint and delete steps
+//!   inside it) and demand-rewrite phases — into bounded
 //!   per-worker ring buffers (drop-oldest, with a [`dropped_events`]
 //!   counter) that are merged when the solve ends. The merged trace
 //!   exports as Chrome trace-event JSON ([`ExecutionTrace::to_chrome_json`],
@@ -60,6 +61,13 @@ pub enum SpanKind {
     LoadFacts,
     /// `resume`: applying the delta and seeding the warm-start worklist.
     ResumeSeed,
+    /// Inside [`SpanKind::ResumeSeed`], a retracting `resume` only:
+    /// finding the cone of consequences of the removed assertions.
+    ResumeTaint,
+    /// Inside [`SpanKind::ResumeSeed`], a retracting `resume` only:
+    /// deleting the cone's facts from the warm-start copy of the
+    /// database (taking the copy is not part of it).
+    ResumeDelete,
     /// `solve_query`: running the magic-set rewrite and re-stratifying.
     DemandRewrite,
     /// One stratum of the fixed-point computation.
@@ -74,7 +82,8 @@ pub enum SpanKind {
         /// The global round number (1-based, counting across strata).
         round: u64,
     },
-    /// One rule evaluation (one delta variant, or a full evaluation).
+    /// One rule evaluation (one delta variant, a full evaluation, or a
+    /// retracting `resume`'s head-bound re-derivation).
     RuleEval {
         /// The enclosing stratum.
         stratum: usize,
@@ -82,7 +91,11 @@ pub enum SpanKind {
         round: u64,
         /// The rule index within the program.
         rule: usize,
-        /// The semi-naïve delta variant, or `None` for a full evaluation.
+        /// The semi-naïve delta variant (an index into the rule's
+        /// positive body atoms), or `None` for a full evaluation. The
+        /// head-bound plan of a retracting `resume` is reported under the
+        /// number after the last delta variant — the count of the rule's
+        /// positive body atoms.
         variant: Option<usize>,
         /// Head tuples produced by this evaluation.
         derived: u64,
@@ -309,6 +322,8 @@ impl ExecutionTrace {
             SpanKind::Solve => "solve".to_string(),
             SpanKind::LoadFacts => "load facts".to_string(),
             SpanKind::ResumeSeed => "resume seed".to_string(),
+            SpanKind::ResumeTaint => "taint".to_string(),
+            SpanKind::ResumeDelete => "delete".to_string(),
             SpanKind::DemandRewrite => "demand rewrite".to_string(),
             SpanKind::Stratum { stratum } => format!("stratum {stratum}"),
             SpanKind::Round { round, .. } => format!("round {round}"),
@@ -367,7 +382,11 @@ impl ExecutionTrace {
             crate::observe::push_json_string(&mut body, &self.span_name(&event.kind));
             let cat = match &event.kind {
                 SpanKind::Solve => "solve",
-                SpanKind::LoadFacts | SpanKind::ResumeSeed | SpanKind::DemandRewrite => "phase",
+                SpanKind::LoadFacts
+                | SpanKind::ResumeSeed
+                | SpanKind::ResumeTaint
+                | SpanKind::ResumeDelete
+                | SpanKind::DemandRewrite => "phase",
                 SpanKind::Stratum { .. } => "stratum",
                 SpanKind::Round { .. } => "round",
                 SpanKind::RuleEval { .. } => "rule",
@@ -384,6 +403,8 @@ impl ExecutionTrace {
                 SpanKind::Solve
                 | SpanKind::LoadFacts
                 | SpanKind::ResumeSeed
+                | SpanKind::ResumeTaint
+                | SpanKind::ResumeDelete
                 | SpanKind::DemandRewrite => {}
                 SpanKind::Stratum { stratum } => {
                     let _ = write!(body, "\"stratum\": {stratum}");
@@ -421,14 +442,28 @@ impl ExecutionTrace {
     /// output to `flamegraph.pl` or `inferno-flamegraph`.
     ///
     /// Only leaf spans (rule evaluations and the load/seed/rewrite
-    /// phases) contribute values, so frame totals are not double
+    /// phases) contribute values — the resume-seed phase what its taint
+    /// and delete steps leave of it — so frame totals are not double
     /// counted.
     pub fn to_folded(&self) -> String {
         let mut stacks: BTreeMap<String, u64> = BTreeMap::new();
+        let seed_steps = self
+            .events
+            .iter()
+            .filter(|e| matches!(e.kind, SpanKind::ResumeTaint | SpanKind::ResumeDelete));
+        let in_seed_steps: u64 = seed_steps.map(|e| e.dur_ns).sum();
         for event in &self.events {
+            let mut self_ns = event.dur_ns;
             let stack = match &event.kind {
                 SpanKind::Solve | SpanKind::Stratum { .. } | SpanKind::Round { .. } => continue,
-                SpanKind::LoadFacts | SpanKind::ResumeSeed | SpanKind::DemandRewrite => {
+                SpanKind::ResumeSeed => {
+                    self_ns = self_ns.saturating_sub(in_seed_steps);
+                    "solve;resume seed".to_string()
+                }
+                SpanKind::ResumeTaint | SpanKind::ResumeDelete => {
+                    format!("solve;resume seed;{}", self.span_name(&event.kind))
+                }
+                SpanKind::LoadFacts | SpanKind::DemandRewrite => {
                     format!("solve;{}", self.span_name(&event.kind))
                 }
                 SpanKind::RuleEval { stratum, round, .. } => format!(
@@ -436,7 +471,7 @@ impl ExecutionTrace {
                     self.span_name(&event.kind)
                 ),
             };
-            *stacks.entry(stack).or_insert(0) += event.dur_ns;
+            *stacks.entry(stack).or_insert(0) += self_ns;
         }
         let mut out = String::new();
         for (stack, ns) in stacks {

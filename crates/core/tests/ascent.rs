@@ -74,6 +74,11 @@ fn tall_chain_builder(limit: i64) -> ProgramBuilder {
 /// The §4.4 shortest-paths program on a cyclic graph where two cells
 /// are first reached on an expensive path and later improved.
 fn dist_builder() -> ProgramBuilder {
+    dist_builder_with(&[])
+}
+
+/// [`dist_builder`] with more edges.
+fn dist_builder_with(more_edges: &[(&str, &str, i64)]) -> ProgramBuilder {
     let mut b = ProgramBuilder::new();
     let edge = b.relation("Edge", 3);
     let dist = b.lattice("Dist", 2, LatticeOps::of::<MinCost>());
@@ -83,13 +88,14 @@ fn dist_builder() -> ProgramBuilder {
         d.add_weight(c).to_value()
     });
     b.fact(dist, vec![Value::from("a"), MinCost::finite(0).to_value()]);
-    for (x, y, c) in [
+    let edges = [
         ("a", "b", 1),
         ("b", "c", 1),
         ("c", "d", 2),
         ("c", "a", 1),
         ("a", "c", 5),
-    ] {
+    ];
+    for &(x, y, c) in edges.iter().chain(more_edges) {
         b.fact(edge, vec![x.into(), y.into(), c.into()]);
     }
     b.rule(
@@ -227,4 +233,48 @@ fn resume_continues_ascent_accounting() {
         Some(Value::Int(20)),
         "the raise sticks (20 is above the filter bound, so no rule re-fires)"
     );
+}
+
+#[test]
+fn a_retraction_keeps_the_counters_of_the_cells_it_leaves_alone() {
+    // `t` is first reached on the direct edge and then improved three
+    // times, one hop further round by round; `w` is reached directly and
+    // improved once, through `u`.
+    let more_edges = [
+        ("a", "t", 20),
+        ("b", "t", 10),
+        ("c", "t", 5),
+        ("d", "t", 1),
+        ("a", "u", 1),
+        ("u", "w", 1),
+        ("a", "w", 7),
+    ];
+    let program = dist_builder_with(&more_edges).build().expect("valid");
+    let solver = Solver::new()
+        .ascent(AscentConfig::default())
+        .record_provenance(true);
+    let height_of = |solution: &flix_core::Solution, node: &str| {
+        let report = solution.ascent_report(20).expect("ascent was enabled");
+        let key = format!("(\"{node}\")");
+        let cell = report.hottest.iter().find(|cell| cell.key == key);
+        cell.map(|cell| cell.height)
+    };
+    let prior = solver.solve(&program).expect("solves");
+    let climbed = height_of(&prior, "t").expect("reached");
+    assert!(climbed >= 3, "t climbed {climbed} times");
+    assert_eq!(height_of(&prior, "w"), Some(2));
+
+    // Taking `a → u` away kills `u` and `w` — a cone, but not one `t` is
+    // in: its cell, wherever the deletion moved it, keeps its history.
+    // `w` comes back on its direct edge and starts over; `u` is gone.
+    let delta = flix_core::Delta::new().retract("Edge", vec!["a".into(), "u".into(), 1.into()]);
+    let resumed = solver.resume(&program, &prior, &delta).expect("resumes");
+    assert_eq!(
+        resumed.lattice_value("Dist", &[Value::from("w")]),
+        Some(MinCost::finite(7).to_value())
+    );
+    assert_eq!(height_of(&resumed, "t"), Some(climbed));
+    assert_eq!(height_of(&resumed, "w"), Some(1));
+    assert_eq!(height_of(&resumed, "u"), None);
+    assert_eq!(height_of(&resumed, "b"), height_of(&prior, "b"));
 }

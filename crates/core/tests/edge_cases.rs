@@ -646,11 +646,12 @@ fn a_cell_raised_twice_in_one_round_yields_two_delta_entries() {
 }
 
 #[test]
-fn pending_ids_of_a_retract_and_insert_delta_index_the_rebuilt_database() {
-    // Retracting the *first* edge drops early rows of every predicate,
-    // so after the over-delete rebuild every surviving row has a new id;
-    // the insertion the same delta carries is then seeded by the id it
-    // got in the rebuilt database.
+fn pending_ids_of_a_retract_and_insert_delta_name_rows_after_the_deletion() {
+    // Retracting the *first* edge deletes early rows of every predicate,
+    // and each deletion moves the predicate's last row into the hole: the
+    // edge the same delta inserts is appended under an id that named
+    // another row of the prior model — and seeds its strata by that id,
+    // recorded after the deletion, in the database it was deleted from.
     let build = |edges: &[(i64, i64, i64)]| {
         let mut b = ProgramBuilder::new();
         let edge = b.relation("Edge", 3);

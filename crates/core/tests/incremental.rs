@@ -275,6 +275,14 @@ fn negation_fallback_retracts_like_a_scratch_solve() {
             !resumed.contains("C", &[Value::from(1)]),
             "C(1) must be retracted once B(1) arrives"
         );
+        assert!(resumed.stats().rounds > 0, "solved from scratch");
+        // B(2) is asserted already — a client's retry, a WAL frame folded
+        // twice: the store does not change, so nothing reaches the
+        // negation and nothing runs.
+        let resent = Delta::new().insert("B", vec![Value::from(2)]);
+        let unchanged = solver.resume(&base, &prior, &resent).expect("resumes");
+        assert_eq!(unchanged.stats().rounds, 0, "no fallback, no stratum");
+        assert_eq!(dump(&base, &unchanged), dump(&base, &prior));
     }
 }
 
@@ -921,4 +929,440 @@ fn fact_events_carry_the_joined_cell_on_every_entry_point() {
     let resumed = solver.resume(&one, &prior, &second).expect("resumes");
     assert_eq!(fact_tuples(&resumed), expected, "monotone resume");
     assert_eq!(dump(&one, &resumed), dump(&program_with(&[1, 2]), &scratch));
+}
+
+// ---------------------------------------------------------------------
+// Head-bound re-derivation: the rule shapes it is compiled from, and its
+// cost (DESIGN §16).
+// ---------------------------------------------------------------------
+
+use flix_core::model::{is_locally_minimal, is_model};
+
+/// The provenance-recording configurations, plus one without indexes:
+/// a head-bound plan then scans where it would have built an index.
+fn retraction_configurations() -> Vec<Solver> {
+    let mut all = provenance_configurations();
+    all.push(Solver::new().use_indexes(false).record_provenance(true));
+    all
+}
+
+/// Resumes `base`'s model with `delta` under every retraction
+/// configuration and holds the result against a scratch solve of the
+/// updated program and against the definition of its least model.
+/// Returns the last resumed solution.
+fn assert_retraction_is_exact(base: &Program, delta: &Delta) -> Solution {
+    let updated = base.with_delta(delta).expect("the delta fits");
+    let mut last = None;
+    for solver in retraction_configurations() {
+        let prior = solver.solve(base).expect("solves");
+        let resumed = solver.resume(base, &prior, delta).expect("resumes");
+        let scratch = solver.solve(&updated).expect("solves");
+        assert_eq!(dump(base, &resumed), dump(&updated, &scratch));
+        assert!(is_model(&updated, &resumed), "a model");
+        assert!(is_locally_minimal(&updated, &resumed), "minimal");
+        assert!(resumed.stats().strata > 0, "the cone reached a rule head");
+        last = Some(resumed);
+    }
+    last.expect("there are configurations")
+}
+
+#[test]
+fn retraction_under_non_linear_recursion_matches_scratch() {
+    // Path(x, z) :- Path(x, y), Path(y, z): both body atoms are the head
+    // predicate, so a deleted Path(x, z) is looked for through every
+    // midpoint y the survivors still offer.
+    let mut b = ProgramBuilder::new();
+    let edge = b.relation("Edge", 2);
+    let path = b.relation("Path", 2);
+    for (x, y) in [(1, 2), (2, 3), (3, 4), (4, 5), (1, 3), (5, 2), (6, 1)] {
+        b.fact(edge, vec![Value::from(x), Value::from(y)]);
+    }
+    b.rule(
+        Head::new(path, [HeadTerm::var("x"), HeadTerm::var("y")]),
+        [BodyItem::atom(edge, [Term::var("x"), Term::var("y")])],
+    );
+    b.rule(
+        Head::new(path, [HeadTerm::var("x"), HeadTerm::var("z")]),
+        [
+            BodyItem::atom(path, [Term::var("x"), Term::var("y")]),
+            BodyItem::atom(path, [Term::var("y"), Term::var("z")]),
+        ],
+    );
+    let base = b.build().expect("valid program");
+    let delta = Delta::new().retract("Edge", vec![Value::from(2), Value::from(3)]);
+    let resumed = assert_retraction_is_exact(&base, &delta);
+    // 2 no longer reaches anything; 1 still reaches 3 and on, directly.
+    assert!(!resumed.contains("Path", &[Value::from(2), Value::from(4)]));
+    assert!(resumed.contains("Path", &[Value::from(6), Value::from(5)]));
+    assert!(resumed.contains("Path", &[Value::from(5), Value::from(2)]));
+}
+
+#[test]
+fn retraction_with_literal_head_keys_rederives_only_the_matching_rule() {
+    // Two rules derive into Tag under different literal first columns,
+    // and Cost's only key column is a literal: its head-bound plan has
+    // nothing to bind and runs once if the cell was deleted at all.
+    let mut b = ProgramBuilder::new();
+    let edge = b.relation("Edge", 3);
+    let root = b.relation("Root", 1);
+    let leaf = b.relation("Leaf", 1);
+    let tag = b.relation("Tag", 2);
+    let cost = b.lattice("Cost", 2, LatticeOps::of::<MinCost>());
+    let of_weight = b.function("of_weight", |args| {
+        MinCost::finite(args[0].as_int().expect("weight") as u64).to_value()
+    });
+    for (x, y, w) in [(1, 10, 4), (1, 11, 2), (2, 11, 6), (2, 12, 9), (3, 10, 1)] {
+        b.fact(edge, vec![x.into(), y.into(), w.into()]);
+    }
+    for r in [1, 2] {
+        b.fact(root, vec![r.into()]);
+    }
+    for l in [10, 12] {
+        b.fact(leaf, vec![l.into()]);
+    }
+    b.rule(
+        Head::new(tag, [HeadTerm::lit("src"), HeadTerm::var("y")]),
+        [
+            BodyItem::atom(root, [Term::var("x")]),
+            BodyItem::atom(edge, [Term::var("x"), Term::var("y"), Term::Wildcard]),
+        ],
+    );
+    b.rule(
+        Head::new(tag, [HeadTerm::lit("dst"), HeadTerm::var("x")]),
+        [
+            BodyItem::atom(edge, [Term::var("x"), Term::var("y"), Term::Wildcard]),
+            BodyItem::atom(leaf, [Term::var("y")]),
+        ],
+    );
+    // Cost("min", w) :- Tag("src", y), Edge(_, y, w): the cheapest edge
+    // into anything a root points at.
+    b.rule(
+        Head::new(
+            cost,
+            [
+                HeadTerm::lit("min"),
+                HeadTerm::app(of_weight, [Term::var("w")]),
+            ],
+        ),
+        [
+            BodyItem::atom(tag, [Term::lit("src"), Term::var("y")]),
+            BodyItem::atom(edge, [Term::Wildcard, Term::var("y"), Term::var("w")]),
+        ],
+    );
+    let base = b.build().expect("valid program");
+    assert_eq!(
+        Solver::new()
+            .solve(&base)
+            .expect("solves")
+            .lattice_value("Cost", &["min".into()]),
+        Some(MinCost::finite(1).to_value())
+    );
+    // Without root 1 nothing points at 10, whose edge from 3 was the
+    // cheapest; 11 stays tagged through root 2.
+    let delta = Delta::new().retract("Root", vec![Value::from(1)]);
+    let resumed = assert_retraction_is_exact(&base, &delta);
+    assert!(!resumed.contains("Tag", &["src".into(), 10.into()]));
+    assert!(resumed.contains("Tag", &["src".into(), 11.into()]));
+    assert!(resumed.contains("Tag", &["dst".into(), 1.into()]));
+    assert_eq!(
+        resumed.lattice_value("Cost", &["min".into()]),
+        Some(MinCost::finite(2).to_value())
+    );
+}
+
+#[test]
+fn a_cell_rederived_at_another_value_reaches_the_stratum_above_as_a_change() {
+    // Level(c, y) :- Dist(y, d), Band(d, c), !Blocked(y) reads the settled
+    // cost into a relational join one stratum up (the negation, which the
+    // delta does not reach, puts it there). Retracting the short route
+    // leaves Dist(2) re-derived at 9, not 7: Level("near", 2) is deleted,
+    // but what replaces it is Level("far", 2) — a key no deleted fact has,
+    // so no head-bound plan looks for it. It is derived because the
+    // stratum also starts from the changes of the stratum below.
+    let mut b = ProgramBuilder::new();
+    let edge = b.relation("Edge", 3);
+    let dist = b.lattice("Dist", 2, LatticeOps::of::<MinCost>());
+    let band = b.relation("Band", 2);
+    let blocked = b.relation("Blocked", 1);
+    let level = b.relation("Level", 2);
+    let extend = b.function("extend", |args| {
+        let d = MinCost::expect_from(&args[0]);
+        d.add_weight(args[1].as_int().expect("weight") as u64)
+            .to_value()
+    });
+    b.fact(dist, vec![Value::from(0), MinCost::finite(0).to_value()]);
+    b.fact(blocked, vec![Value::from(0)]);
+    for (x, y, w) in [(0, 1, 4), (1, 2, 3), (0, 2, 9), (2, 3, 1)] {
+        b.fact(edge, vec![x.into(), y.into(), w.into()]);
+    }
+    for cost in 0..12u64 {
+        let name = if cost < 8 { "near" } else { "far" };
+        b.fact(band, vec![MinCost::finite(cost).to_value(), name.into()]);
+    }
+    b.rule(
+        Head::new(
+            dist,
+            [
+                HeadTerm::var("y"),
+                HeadTerm::app(extend, [Term::var("d"), Term::var("c")]),
+            ],
+        ),
+        [
+            BodyItem::atom(dist, [Term::var("x"), Term::var("d")]),
+            BodyItem::atom(edge, [Term::var("x"), Term::var("y"), Term::var("c")]),
+        ],
+    );
+    b.rule(
+        Head::new(level, [HeadTerm::var("c"), HeadTerm::var("y")]),
+        [
+            BodyItem::atom(dist, [Term::var("y"), Term::var("d")]),
+            BodyItem::atom(band, [Term::var("d"), Term::var("c")]),
+            BodyItem::not(blocked, [Term::var("y")]),
+        ],
+    );
+    let base = b.build().expect("valid program");
+    let delta = Delta::new().retract("Edge", vec![1.into(), 2.into(), 3.into()]);
+    let resumed = assert_retraction_is_exact(&base, &delta);
+    assert_eq!(resumed.stats().strata, 2, "Dist's, then Level's");
+    assert!(resumed.contains("Level", &["far".into(), 2.into()]));
+    assert!(!resumed.contains("Level", &["near".into(), 2.into()]));
+    assert!(resumed.contains("Level", &["near".into(), 1.into()]));
+    assert!(!resumed.contains("Level", &["near".into(), 0.into()]));
+}
+
+#[test]
+fn lowering_one_of_two_assertions_of_a_cell_restores_the_other() {
+    // Dist(2) is asserted at 3 and at 5 and derived at 7. Lowering the 3
+    // deletes the cell whole; the store still asserts 5, which is put
+    // back before anything is re-derived — the surviving assertion of a
+    // deleted cell is not in the database for a rule to find.
+    let mut b = ProgramBuilder::new();
+    let edge = b.relation("Edge", 3);
+    let dist = b.lattice("Dist", 2, LatticeOps::of::<MinCost>());
+    let extend = b.function("extend", |args| {
+        let d = MinCost::expect_from(&args[0]);
+        d.add_weight(args[1].as_int().expect("weight") as u64)
+            .to_value()
+    });
+    b.fact(dist, vec![Value::from(0), MinCost::finite(0).to_value()]);
+    b.fact(dist, vec![Value::from(2), MinCost::finite(3).to_value()]);
+    b.fact(dist, vec![Value::from(2), MinCost::finite(5).to_value()]);
+    for (x, y, w) in [(0, 1, 4), (1, 2, 3), (2, 3, 1)] {
+        b.fact(edge, vec![x.into(), y.into(), w.into()]);
+    }
+    b.rule(
+        Head::new(
+            dist,
+            [
+                HeadTerm::var("y"),
+                HeadTerm::app(extend, [Term::var("d"), Term::var("c")]),
+            ],
+        ),
+        [
+            BodyItem::atom(dist, [Term::var("x"), Term::var("d")]),
+            BodyItem::atom(edge, [Term::var("x"), Term::var("y"), Term::var("c")]),
+        ],
+    );
+    let base = b.build().expect("valid program");
+    let delta = Delta::new().lower("Dist", vec![Value::from(2)], MinCost::finite(3).to_value());
+    let resumed = assert_retraction_is_exact(&base, &delta);
+    assert_eq!(
+        resumed.lattice_value("Dist", &[Value::from(2)]),
+        Some(MinCost::finite(5).to_value())
+    );
+    assert_eq!(
+        resumed.lattice_value("Dist", &[Value::from(3)]),
+        Some(MinCost::finite(6).to_value())
+    );
+}
+
+#[test]
+fn budget_exhausted_inside_the_head_bound_round_returns_a_partial_below_scratch() {
+    use flix_core::CancelToken;
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::Arc;
+
+    // A chain with a dear way round its first edge: retracting that edge
+    // deletes every cell past node 0. The head-bound round re-derives
+    // Dist(1) first — calling `extend`, which flips the token — and then
+    // looks at a thousand more deleted cells, long enough for the
+    // evaluation's own poll to notice.
+    let n = 1000i64;
+    let token = CancelToken::new();
+    let armed = Arc::new(AtomicBool::new(false));
+    let build = |edges: &[(i64, i64, i64)]| {
+        let mut b = ProgramBuilder::new();
+        let edge = b.relation("Edge", 3);
+        let dist = b.lattice("Dist", 2, LatticeOps::of::<MinCost>());
+        let (token, armed) = (token.clone(), armed.clone());
+        let extend = b.function("extend", move |args| {
+            if armed.load(Ordering::SeqCst) {
+                token.cancel();
+            }
+            let d = MinCost::expect_from(&args[0]);
+            d.add_weight(args[1].as_int().expect("weight") as u64)
+                .to_value()
+        });
+        b.fact(dist, vec![Value::from(0), MinCost::finite(0).to_value()]);
+        for &(x, y, w) in edges {
+            b.fact(edge, vec![x.into(), y.into(), w.into()]);
+        }
+        b.rule(
+            Head::new(
+                dist,
+                [
+                    HeadTerm::var("y"),
+                    HeadTerm::app(extend, [Term::var("d"), Term::var("c")]),
+                ],
+            ),
+            [
+                BodyItem::atom(dist, [Term::var("x"), Term::var("d")]),
+                BodyItem::atom(edge, [Term::var("x"), Term::var("y"), Term::var("c")]),
+            ],
+        );
+        b.build().expect("valid program")
+    };
+    let mut edges: Vec<(i64, i64, i64)> = (0..n).map(|i| (i, i + 1, 10)).collect();
+    edges.push((0, 1, 100));
+    let base = build(&edges);
+    let scratch = Solver::new().solve(&build(&edges[1..])).expect("solves");
+    let prior = Solver::new()
+        .record_provenance(true)
+        .solve(&base)
+        .expect("solves");
+
+    let guarded = Solver::new()
+        .record_provenance(true)
+        .budget(Budget::new().cancel_token(token.clone()));
+    let delta = Delta::new().retract("Edge", vec![0.into(), 1.into(), 10.into()]);
+    armed.store(true, Ordering::SeqCst);
+    let failure = guarded
+        .resume(&base, &prior, &delta)
+        .expect_err("cancelled");
+    armed.store(false, Ordering::SeqCst);
+    assert!(
+        matches!(&failure.error, SolveError::BudgetExceeded { .. }),
+        "{:?}",
+        failure.error
+    );
+    assert_eq!(failure.stats.rounds, 1, "stopped in the first round");
+    assert_eq!(failure.stats.facts_inserted, 0, "which absorbed nothing");
+
+    // Sound, not complete: every cell the partial holds is at or below
+    // the least model's, every row is in it, and the retracted edge and
+    // the cells that hung on it are gone.
+    let partial = &failure.partial;
+    assert!(partial.total_facts() < scratch.total_facts());
+    for fact in partial.facts("Dist").expect("lattice") {
+        let (key, value) = (fact.key(), fact.value().expect("a cell"));
+        let settled = scratch.lattice_value("Dist", key).expect("declared");
+        let ops = LatticeOps::of::<MinCost>();
+        assert!(ops.leq(value, &settled), "Dist({key:?}) = {value}");
+    }
+    for fact in partial.facts("Edge").expect("relation") {
+        assert!(scratch.contains("Edge", fact.key()));
+    }
+    assert_eq!(partial.len("Dist"), Some(1), "only the source survived");
+}
+
+/// All-pairs shortest paths over `edges`; every node in `0..nodes` is a
+/// source.
+fn all_pairs_program(nodes: i64, edges: &[(i64, i64, i64)]) -> Program {
+    let mut b = ProgramBuilder::new();
+    let edge = b.relation("Edge", 3);
+    let dist = b.lattice("Dist", 3, LatticeOps::of::<MinCost>());
+    let extend = b.function("extend", |args| {
+        let d = MinCost::expect_from(&args[0]);
+        d.add_weight(args[1].as_int().expect("weight") as u64)
+            .to_value()
+    });
+    for &(x, y, w) in edges {
+        b.fact(edge, vec![x.into(), y.into(), w.into()]);
+    }
+    for v in 0..nodes {
+        b.fact(
+            dist,
+            vec![v.into(), v.into(), MinCost::finite(0).to_value()],
+        );
+    }
+    b.rule(
+        Head::new(
+            dist,
+            [
+                HeadTerm::var("s"),
+                HeadTerm::var("y"),
+                HeadTerm::app(extend, [Term::var("d"), Term::var("c")]),
+            ],
+        ),
+        [
+            BodyItem::atom(dist, [Term::var("s"), Term::var("x"), Term::var("d")]),
+            BodyItem::atom(edge, [Term::var("x"), Term::var("y"), Term::var("c")]),
+        ],
+    );
+    b.build().expect("valid program")
+}
+
+/// A ring over `nodes` nodes starting at `first`, with chords.
+fn ring(first: i64, nodes: i64) -> Vec<(i64, i64, i64)> {
+    let at = |i: i64| first + i % nodes;
+    let mut edges: Vec<(i64, i64, i64)> = (0..nodes).map(|i| (at(i), at(i + 1), 3)).collect();
+    edges.extend((0..nodes).step_by(3).map(|i| (at(i), at(i + 4), 5)));
+    edges
+}
+
+#[test]
+fn a_retraction_costs_its_cone_whatever_else_the_model_holds() {
+    // The same edge leaves the same 8-node graph twice: alone, and next
+    // to an 80-node component nothing connects it to, whose 6 400 cells
+    // make the model 88 times the size. Everything the resume counts
+    // is equal: no step of it reads a fact outside the cone's reach.
+    let small = ring(0, 8);
+    let mut large = small.clone();
+    large.extend(ring(8, 80));
+    let delta = Delta::new().retract("Edge", vec![2.into(), 3.into(), 3.into()]);
+    let solver = Solver::new().record_provenance(true);
+    let work = |nodes: i64, edges: &[(i64, i64, i64)]| {
+        let base = all_pairs_program(nodes, edges);
+        let prior = solver.solve(&base).expect("solves");
+        let resumed = solver.resume(&base, &prior, &delta).expect("resumes");
+        let updated = base.with_delta(&delta).expect("fits");
+        let scratch = solver.solve(&updated).expect("solves");
+        assert_eq!(dump(&base, &resumed), dump(&updated, &scratch));
+        let stats = resumed.stats();
+        assert!(stats.facts_inserted > 0, "a cone with cells to restore");
+        let counted = [
+            stats.facts_derived,
+            stats.index_probes,
+            stats.scan_fallbacks,
+            stats.rule_evaluations,
+            stats.facts_inserted,
+            stats.rounds,
+        ];
+        (prior.total_facts(), counted)
+    };
+    let (small_facts, small_work) = work(8, &small);
+    let (large_facts, large_work) = work(88, &large);
+    assert!(large_facts > 50 * small_facts);
+    assert_eq!(small_work, large_work);
+}
+
+#[test]
+fn retracting_an_edge_no_derivation_used_runs_no_stratum() {
+    // The dear parallel edge comes second: whatever it derives, the cheap
+    // one derived better just before, so no logged derivation names it
+    // and its cone is the edge alone.
+    let mut edges = ring(0, 8);
+    edges.push((2, 3, 50));
+    let base = all_pairs_program(8, &edges);
+    let solver = Solver::new().record_provenance(true);
+    let prior = solver.solve(&base).expect("solves");
+    let delta = Delta::new().retract("Edge", vec![2.into(), 3.into(), 50.into()]);
+    let resumed = solver.resume(&base, &prior, &delta).expect("resumes");
+    assert_eq!(resumed.stats().strata, 0);
+    assert_eq!(resumed.stats().rounds, 0);
+    assert_eq!(resumed.stats().facts_inserted, 0);
+    assert!(!resumed.contains("Edge", &[2.into(), 3.into(), 50.into()]));
+    let updated = base.with_delta(&delta).expect("fits");
+    let scratch = solver.solve(&updated).expect("solves");
+    assert_eq!(dump(&base, &resumed), dump(&updated, &scratch));
 }

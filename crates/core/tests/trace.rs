@@ -266,6 +266,33 @@ fn resume_traces_the_seed_phase() {
         count(trace, |k| matches!(k, SpanKind::RuleEval { .. })) > 0,
         "the warm-start rounds are traced"
     );
+    let steps = |k: &SpanKind| matches!(k, SpanKind::ResumeTaint | SpanKind::ResumeDelete);
+    assert_eq!(count(trace, steps), 0, "a monotone resume deletes nothing");
+
+    // A retracting resume finds its cone and deletes it inside the seed
+    // phase, once each, one after the other.
+    let solver = solver.record_provenance(true);
+    let prior = solver.solve(&program).expect("solves");
+    let delta = Delta::new().retract("Edge", vec![Value::from(2), Value::from(3)]);
+    let resumed = solver.resume(&program, &prior, &delta).expect("resumes");
+    let trace = resumed.trace().expect("resume records a trace");
+    assert_well_nested(trace);
+    let only = |kind: SpanKind| {
+        let mut spans = trace.events().iter().filter(|e| e.kind == kind);
+        let span = spans.next().unwrap_or_else(|| panic!("no {kind:?} span"));
+        assert!(spans.next().is_none(), "more than one {kind:?} span");
+        (span.start_ns, span.start_ns + span.dur_ns)
+    };
+    let seed = only(SpanKind::ResumeSeed);
+    let taint = only(SpanKind::ResumeTaint);
+    let delete = only(SpanKind::ResumeDelete);
+    assert!(seed.0 <= taint.0 && taint.1 <= delete.0 && delete.1 <= seed.1);
+    // The flamegraph form charges the seed phase its own time only.
+    let folded = trace.to_folded();
+    for stack in ["resume seed", "resume seed;taint", "resume seed;delete"] {
+        let line = format!("solve;{stack} ");
+        assert!(folded.lines().any(|l| l.starts_with(&line)), "{folded}");
+    }
 }
 
 #[test]

@@ -16,6 +16,8 @@
 //! (naive, semi-naive, semi-naive x4) = 105 sequences total, each with
 //! 2–3 chained resume steps compared against a scratch solve.
 
+mod common;
+
 use flix::analyses::dataflow::{self, DataflowInput};
 use flix::analyses::ifds::{self, problems::Taint};
 use flix::analyses::points_to::PointsToInput;
@@ -489,4 +491,90 @@ fn mixed_update_sequences_match_scratch() {
             );
         }
     }
+}
+
+// ---------------------------------------------------------------------
+// Workload 5: retractions on random programs of many rule shapes.
+// ---------------------------------------------------------------------
+
+/// What re-derives an over-deleted fact is compiled per rule from the
+/// shape of its head, so the shapes matter: the positive core of
+/// `strategy_parity`'s random programs brings a lattice key past the
+/// plans' inline width, a head that repeats one variable in every key
+/// column, a filter, a head one of whose columns a choice binds
+/// (`Hop(x, z)`), a head a choice binds whole (`Hop(p, q)` — no column
+/// to bind, so the rule runs in full), and optionally the choice inside
+/// the recursion. Each seed chains three steps that retract one edge and
+/// insert another.
+#[test]
+fn random_program_retractions_match_scratch() {
+    let (mut wide_keys, mut half_bound, mut whole_bound, mut reached) = (0, 0, 0, 0);
+    for seed in 0..30u64 {
+        let drawn = common::random_program(seed, false);
+        let base = drawn.program;
+        wide_keys += usize::from(drawn.key_width > 4);
+        whole_bound += usize::from(drawn.choice_binds_whole_head);
+        half_bound += usize::from(!drawn.choice_binds_whole_head);
+        let edge = base.predicate("Edge").expect("declared");
+        let mut present: Vec<Vec<Value>> = base
+            .facts()
+            .filter(|(pred, _)| *pred == edge)
+            .map(|(_, tuple)| tuple.to_vec())
+            .collect();
+        let nodes = 1 + present
+            .iter()
+            .flat_map(|e| [e[0].as_int(), e[1].as_int()])
+            .flatten()
+            .max()
+            .expect("a graph has edges");
+
+        let mut rng = Rng::new(seed + 4242);
+        let mut applied = Delta::new();
+        let mut steps = Vec::new();
+        for _ in 0..3 {
+            let victim = present.swap_remove(rng.below(present.len() as u64) as usize);
+            present.retain(|e| *e != victim);
+            let arrival: Vec<Value> = vec![
+                (rng.below(nodes as u64) as i64).into(),
+                (rng.below(nodes as u64) as i64).into(),
+                (rng.below(9) as i64 + 1).into(),
+            ];
+            present.push(arrival.clone());
+            let delta = Delta::new().retract("Edge", victim).insert("Edge", arrival);
+            applied.extend_from(&delta);
+            let scratch = base.with_delta(&applied).expect("the deltas fit");
+            steps.push((delta, scratch));
+        }
+        for (config, solver) in mixed_configurations() {
+            assert_sequence(
+                &format!("random seed {seed}/{config}"),
+                &solver,
+                &base,
+                &steps,
+            );
+        }
+
+        // The retractions are not all trivial: a cone that reaches a rule
+        // head runs strata.
+        let solver = Solver::new().record_provenance(true);
+        let solved = solver.solve(&base).expect("solves");
+        let resumed = solver.resume(&base, &solved, &steps[0].0).expect("resumes");
+        reached += usize::from(resumed.stats().strata > 0);
+    }
+    assert!(
+        wide_keys >= 3,
+        "{wide_keys} seeds with a key past the inline width"
+    );
+    assert!(
+        half_bound >= 5,
+        "{half_bound} seeds with a half choice-bound head"
+    );
+    assert!(
+        whole_bound >= 5,
+        "{whole_bound} seeds with a fully choice-bound head"
+    );
+    assert!(
+        reached >= 15,
+        "{reached} seeds whose first retraction re-ran a stratum"
+    );
 }

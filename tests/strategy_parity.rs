@@ -10,14 +10,13 @@
 //! the Figure 2 combined dataflow analysis, and the Figure 5 IFDS
 //! encoding on a generated JVM-shaped supergraph.
 
+mod common;
+
 use flix::analyses::ifds::{self, problems::Taint};
 use flix::analyses::workloads::graphs;
 use flix::analyses::workloads::jvm_program::{self, GenParams};
 use flix::analyses::{dataflow, shortest_paths};
-use flix::{
-    BodyItem, Head, HeadTerm, LatticeOps, Program, ProgramBuilder, Solution, Solver, Strategy,
-    Term, Value,
-};
+use flix::{Program, Solution, Solver, Strategy, Value};
 use std::sync::Arc;
 
 /// The three configurations under comparison.
@@ -154,193 +153,9 @@ fn figure_2_dataflow_parity() {
 // back into the recursion).
 // ---------------------------------------------------------------------------
 
+use common::random_program;
 use flix::core::model::{is_locally_minimal, is_model};
 use flix::core::provenance::{Event, Source};
-use flix::lattice::rng::SmallRng;
-use flix::lattice::MinCost;
-use flix::ValueLattice;
-
-/// One random weighted digraph plus derived-predicate program. The shape
-/// is drawn from the seed: node/edge counts, weights, the lattice key
-/// width, an optional weight filter, an optional second seed fact, and
-/// the forms of the negated and choice rules.
-fn random_program(seed: u64) -> Program {
-    let mut rng = SmallRng::seed_from_u64(seed);
-    let nodes = rng.gen_range(4i64..11);
-    let num_edges = rng.gen_range(nodes..3 * nodes);
-    let key_width = *[1usize, 1, 2, 2, 5]
-        .get(rng.gen_range(0usize..5))
-        .expect("in range");
-    let with_filter = rng.gen_bool(0.5);
-    let two_sources = rng.gen_bool(0.4);
-
-    let mut b = ProgramBuilder::new();
-    let edge = b.relation("Edge", 3);
-    let reach = b.relation("Reach", 1);
-    let dist = b.lattice("Dist", key_width + 1, LatticeOps::of::<MinCost>());
-    let extend = b.function("extend", |args| {
-        let d = MinCost::expect_from(&args[0]);
-        let c = args[1].as_int().expect("weight") as u64;
-        d.add_weight(c).to_value()
-    });
-    let cheap = b.function("cheap", |args| {
-        (args[0].as_int().expect("weight") <= 7).into()
-    });
-
-    for _ in 0..num_edges {
-        let x = rng.gen_range(0i64..nodes);
-        let y = rng.gen_range(0i64..nodes);
-        let c = rng.gen_range(1i64..10);
-        b.fact(edge, vec![x.into(), y.into(), c.into()]);
-    }
-    let mut sources = vec![rng.gen_range(0i64..nodes)];
-    if two_sources {
-        sources.push(rng.gen_range(0i64..nodes));
-    }
-    for &s in &sources {
-        b.fact(reach, vec![s.into()]);
-        let mut key: Vec<Value> = vec![Value::from(s); key_width];
-        key.push(MinCost::finite(0).to_value());
-        b.fact(dist, key);
-    }
-
-    // Reach(y) :- Reach(x), Edge(x, y, c) [, cheap(c)].
-    let mut body = vec![
-        BodyItem::atom(reach, [Term::var("x")]),
-        BodyItem::atom(edge, [Term::var("x"), Term::var("y"), Term::var("c")]),
-    ];
-    if with_filter {
-        body.push(BodyItem::filter(cheap, [Term::var("c")]));
-    }
-    b.rule(Head::new(reach, [HeadTerm::var("y")]), body);
-
-    // Dist(y…, d + c) :- Dist(x…, d), Edge(x, y, c) — the key repeats
-    // one node variable `key_width` times, so width 5 exercises the
-    // plans' wide-key fallback while staying a shortest-path fixpoint.
-    let mut head_terms: Vec<HeadTerm> = (0..key_width).map(|_| HeadTerm::var("y")).collect();
-    head_terms.push(HeadTerm::app(extend, [Term::var("d"), Term::var("c")]));
-    let mut dist_atom: Vec<Term> = vec![Term::var("x")];
-    dist_atom.extend((1..key_width).map(|i| Term::var(format!("k{i}"))));
-    dist_atom.push(Term::var("d"));
-    b.rule(
-        Head::new(dist, head_terms),
-        [
-            BodyItem::atom(dist, dist_atom),
-            BodyItem::atom(edge, [Term::var("x"), Term::var("y"), Term::var("c")]),
-        ],
-    );
-
-    // The negated upper stratum. All draws sit after the ones above, so
-    // the positive core of each seed is the program it always was.
-    let node = b.relation("Node", 1);
-    let unreached = b.relation("Unreached", 1);
-    let unsettled = b.relation("Unsettled", 1);
-    let far = b.relation("Far", 2);
-    for n in 0..nodes {
-        b.fact(node, vec![n.into()]);
-    }
-    // Unreached(x) :- Node(x), !Reach(x).
-    b.rule(
-        Head::new(unreached, [HeadTerm::var("x")]),
-        [
-            BodyItem::atom(node, [Term::var("x")]),
-            BodyItem::not(reach, [Term::var("x")]),
-        ],
-    );
-    // Unsettled(x) :- Node(x), !Dist(x…, _): the key is either fully
-    // ground (one cell lookup) or wildcarded past its first column (a
-    // scan of the settled cells).
-    let ground_key = key_width == 1 || rng.gen_bool(0.5);
-    let neg_key = |var: &str| -> Vec<Term> {
-        let mut key = vec![Term::var(var)];
-        key.extend((1..key_width).map(|_| {
-            if ground_key {
-                Term::var(var)
-            } else {
-                Term::Wildcard
-            }
-        }));
-        key
-    };
-    let mut neg_dist = neg_key("x");
-    neg_dist.push(Term::Wildcard);
-    b.rule(
-        Head::new(unsettled, [HeadTerm::var("x")]),
-        [
-            BodyItem::atom(node, [Term::var("x")]),
-            BodyItem::not(dist, neg_dist),
-        ],
-    );
-    // Far(x, y) :- Dist(x…, d), Edge(x, y, _), !Dist(y…, v) with v a
-    // literal cost or the bound witness d.
-    let mut far_dist: Vec<Term> = vec![Term::var("x"); key_width];
-    far_dist.push(Term::var("d"));
-    let mut neg_far = neg_key("y");
-    neg_far.push(if rng.gen_bool(0.5) {
-        Term::lit(MinCost::finite(rng.gen_range(1u64..12)).to_value())
-    } else {
-        Term::var("d")
-    });
-    b.rule(
-        Head::new(far, [HeadTerm::var("x"), HeadTerm::var("y")]),
-        [
-            BodyItem::atom(dist, far_dist),
-            BodyItem::atom(edge, [Term::var("x"), Term::var("y"), Term::Wildcard]),
-            BodyItem::not(dist, neg_far),
-        ],
-    );
-
-    // The choice rule: Hop(x, z) :- Reach(x), Edge(x, y, c), z <- spread(y, c)
-    // or, destructuring, Hop(p, q) :- …, (p, q) <- pairs(y, c).
-    let hop = b.relation("Hop", 2);
-    let hop_body = |choice: BodyItem| {
-        [
-            BodyItem::atom(reach, [Term::var("x")]),
-            BodyItem::atom(edge, [Term::var("x"), Term::var("y"), Term::var("c")]),
-            choice,
-        ]
-    };
-    if rng.gen_bool(0.5) {
-        let spread = b.function("spread", move |args| {
-            let (y, c) = (
-                args[0].as_int().expect("node"),
-                args[1].as_int().expect("w"),
-            );
-            Value::set([Value::from(y), Value::from((y + c) % nodes)])
-        });
-        b.rule(
-            Head::new(hop, [HeadTerm::var("x"), HeadTerm::var("z")]),
-            hop_body(BodyItem::choose(
-                spread,
-                [Term::var("y"), Term::var("c")],
-                "z",
-            )),
-        );
-    } else {
-        let pairs = b.function("pairs", |args| {
-            let (y, c) = (args[0].clone(), args[1].clone());
-            Value::set([Value::tuple([y.clone(), c.clone()]), Value::tuple([c, y])])
-        });
-        b.rule(
-            Head::new(hop, [HeadTerm::var("p"), HeadTerm::var("q")]),
-            hop_body(BodyItem::choose_tuple(
-                pairs,
-                [Term::var("y"), Term::var("c")],
-                ["p", "q"],
-            )),
-        );
-    }
-    // Optionally close the loop, Reach(z) :- Hop(_, z), so the choice
-    // sits inside the recursion and its delta variants run.
-    if rng.gen_bool(0.5) {
-        b.rule(
-            Head::new(reach, [HeadTerm::var("z")]),
-            [BodyItem::atom(hop, [Term::Wildcard, Term::var("z")])],
-        );
-    }
-
-    b.build().expect("the generated program is well-formed")
-}
 
 /// Checks that a recorded event log is a well-founded proof forest over
 /// the final model: every premise of every rule event holds in the model
@@ -410,8 +225,7 @@ fn work(solution: &Solution) -> (u64, u64, u64, u64) {
 /// definition; strategy-invariant statistics across all runs; gross
 /// counters equal within a strategy; and, with provenance on, a grounded
 /// event log that does not depend on the thread count.
-fn assert_differential_parity(seed: u64) {
-    let program = random_program(seed);
+fn assert_differential_parity(seed: u64, program: &Program) {
     let mut runs: Vec<(String, Strategy, Solution)> = Vec::new();
     for strategy in [Strategy::Naive, Strategy::SemiNaive] {
         for threads in [1, 4] {
@@ -424,23 +238,23 @@ fn assert_differential_parity(seed: u64) {
                     "seed {seed}: {} x{threads} provenance={provenance}",
                     strategy.name()
                 );
-                runs.push((name, strategy, solver.solve(&program).expect("solves")));
+                runs.push((name, strategy, solver.solve(program).expect("solves")));
             }
         }
     }
     let (base_name, _, base) = &runs[0];
     assert!(
-        is_model(&program, base),
+        is_model(program, base),
         "{base_name}: the result is a model"
     );
     assert!(
-        is_locally_minimal(&program, base),
+        is_locally_minimal(program, base),
         "{base_name}: the result is minimal"
     );
-    let base_dump = dump(&program, base);
+    let base_dump = dump(program, base);
     for (name, strategy, solution) in &runs {
         assert_eq!(
-            dump(&program, solution),
+            dump(program, solution),
             base_dump,
             "{name} and {base_name} disagree on the minimal model"
         );
@@ -468,7 +282,7 @@ fn assert_differential_parity(seed: u64) {
             .expect("the run itself");
         assert_eq!(work(solution), work(peer), "{name} vs {peer_name} work");
         if solution.provenance().is_some() {
-            assert_log_is_grounded(name, &program, solution);
+            assert_log_is_grounded(name, program, solution);
             let (logged_name, _, logged) = runs
                 .iter()
                 .find(|(_, s, sol)| s == strategy && sol.provenance().is_some())
@@ -484,9 +298,27 @@ fn assert_differential_parity(seed: u64) {
 
 #[test]
 fn differential_random_programs_agree() {
+    let (mut wide_keys, mut whole_heads) = (0, 0);
     for seed in 0..40 {
-        assert_differential_parity(seed);
+        let drawn = random_program(seed, true);
+        wide_keys += usize::from(drawn.key_width > 4);
+        whole_heads += usize::from(drawn.choice_binds_whole_head);
+        assert_differential_parity(seed, &drawn.program);
+        // What `incremental_parity` retracts from is this seed's program
+        // without its negated stratum, not another draw.
+        let core = random_program(seed, false).program;
+        let solver = Solver::new();
+        assert_eq!(
+            dump(&core, &solver.solve(&core).expect("solves")),
+            dump(&core, &solver.solve(&drawn.program).expect("solves")),
+            "seed {seed}: the positive core with and without negation"
+        );
     }
+    assert!(wide_keys > 0, "no seed drew a key past the inline width");
+    assert!(
+        (1..40).contains(&whole_heads),
+        "{whole_heads} of 40 seeds drew the destructuring choice rule"
+    );
 }
 
 #[test]

@@ -12,7 +12,7 @@
 
 use crate::workloads::graphs::WeightedGraph;
 use flix_core::{
-    BodyItem, Head, HeadTerm, LatticeOps, Program, ProgramBuilder, Query, SolveStats, Solver, Term,
+    BodyItem, Head, HeadTerm, LatticeOps, Program, ProgramBuilder, Query, Solver, Term,
     ValueLattice,
 };
 use flix_lattice::MinCost;
@@ -118,28 +118,6 @@ pub fn single_source_with(graph: &WeightedGraph, source: u32, solver: &Solver) -
 /// Solves single-source shortest paths with the default solver.
 pub fn single_source(graph: &WeightedGraph, source: u32) -> Vec<Option<u64>> {
     single_source_with(graph, source, &Solver::new())
-}
-
-/// Solves single-source shortest paths and returns the solver's full
-/// work profile alongside the distances.
-///
-/// This is the profiling demo for the observability layer: the returned
-/// [`SolveStats`] carries the per-rule and per-stratum breakdowns that
-/// the benchmark harness records into its `--metrics-json` report (the
-/// same `flix-metrics/1` document `flixr --metrics-json` writes).
-pub fn single_source_profiled(
-    graph: &WeightedGraph,
-    source: u32,
-) -> (Vec<Option<u64>>, SolveStats) {
-    let solution = Solver::new()
-        .solve(&build_single_source(graph, source))
-        .expect("finite lattice height on a finite graph");
-    let mut out = vec![None; graph.num_nodes as usize];
-    for (key, value) in solution.lattice("Dist").expect("declared") {
-        let node = key[0].as_int().expect("node") as usize;
-        out[node] = MinCost::expect_from(value).value();
-    }
-    (out, solution.stats().clone())
 }
 
 /// Demand-driven single-target query on the *all-pairs* program: the

@@ -22,9 +22,21 @@ use flix_analyses::ide::linear_constant::LinearConstant;
 use flix_analyses::ifds::problems::Taint;
 use flix_analyses::workloads::{c_program, graphs, jvm_program};
 use flix_analyses::{ide, ifds, shortest_paths, strong_update};
-use flix_bench::{secs, timed};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
+
+/// Times one invocation of `f`, returning its result and the elapsed time.
+fn timed<T>(f: impl FnOnce() -> T) -> (T, Duration) {
+    let start = Instant::now();
+    let out = f();
+    (out, start.elapsed())
+}
+
+/// Formats a duration in seconds with millisecond resolution, matching
+/// the paper's "Time (s)" columns.
+fn secs(d: Duration) -> String {
+    format!("{:.3}", d.as_secs_f64())
+}
 
 fn main() -> std::process::ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();

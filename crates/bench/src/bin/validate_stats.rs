@@ -12,7 +12,7 @@
 //! workload, so a telemetry regression that silently stops counting
 //! fails the build.
 
-use flix_bench::json::{parse, Json};
+use flix_core::json::{parse, Json};
 use std::io::Read;
 use std::process::ExitCode;
 

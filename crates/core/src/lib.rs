@@ -81,6 +81,7 @@ pub mod demand;
 mod fxhash;
 mod guard;
 pub mod incremental;
+pub mod json;
 mod kernel;
 pub mod model;
 pub mod observe;
@@ -103,8 +104,8 @@ pub use demand::{DemandError, Query, QueryResult};
 pub use guard::{Budget, BudgetKind, CancelToken};
 pub use incremental::{Delta, DeltaError, DeltaOp};
 pub use observe::{
-    render_metrics_json, render_profile_table, write_metrics_json, MetricsReport, Observer,
-    OwnedMetricsReport, RuleEvaluated, RuleStats, StratumStats, METRICS_SCHEMA,
+    render_metrics_json, render_profile_table, MetricsReport, Observer, RuleEvaluated, RuleStats,
+    StratumStats, METRICS_SCHEMA,
 };
 pub use ops::{LatticeOps, ValueLattice};
 pub use persist::{

@@ -7,10 +7,11 @@
 //! [`SolveStats::per_rule`] and [`SolveStats::per_stratum`] so callers can
 //! see *which* rule or stratum burns the time, and [`MetricsReport`]
 //! renders the whole profile as a stable machine-readable JSON document
-//! (schema `flix-metrics/1`, specified in DESIGN.md §10) consumed by
-//! `flixr --metrics-json`, the benchmark harness, and CI.
+//! (schema `flix-metrics/1`, specified in DESIGN.md §10) produced by
+//! `flixr --metrics-json` and `flixd`'s `metrics` op.
 
 use crate::guard::BudgetKind;
+use crate::json::write_escaped;
 use crate::solver::SolveStats;
 use crate::trace::AscentWarning;
 use std::fmt::Write as _;
@@ -174,7 +175,7 @@ pub const METRICS_SCHEMA: &str = "flix-metrics/1";
 pub fn render_metrics_json(reports: &[MetricsReport<'_>]) -> String {
     let mut out = String::new();
     out.push_str("{\n  \"schema\": ");
-    push_json_string(&mut out, METRICS_SCHEMA);
+    write_escaped(&mut out, METRICS_SCHEMA);
     out.push_str(",\n  \"runs\": [");
     for (i, report) in reports.iter().enumerate() {
         if i > 0 {
@@ -190,9 +191,9 @@ pub fn render_metrics_json(reports: &[MetricsReport<'_>]) -> String {
 fn push_run(out: &mut String, report: &MetricsReport<'_>) {
     let s = report.stats;
     out.push_str("{\"name\": ");
-    push_json_string(out, report.name);
+    write_escaped(out, report.name);
     out.push_str(", \"strategy\": ");
-    push_json_string(out, report.strategy);
+    write_escaped(out, report.strategy);
     let _ = write!(
         out,
         ", \"threads\": {}, \"wall_ns\": {}, \"rounds\": {}, \
@@ -218,7 +219,7 @@ fn push_run(out: &mut String, report: &MetricsReport<'_>) {
         out.push_str("{\"rule\": ");
         let _ = write!(out, "{}", r.rule);
         out.push_str(", \"head\": ");
-        push_json_string(out, &r.head);
+        write_escaped(out, &r.head);
         let _ = write!(
             out,
             ", \"evaluations\": {}, \"derived\": {}, \"inserted\": {}, \
@@ -245,62 +246,6 @@ fn push_run(out: &mut String, report: &MetricsReport<'_>) {
         out.push_str("]}");
     }
     out.push_str("]}");
-}
-
-/// Escapes and quotes `s` as a JSON string.
-pub(crate) fn push_json_string(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
-/// An owned [`MetricsReport`]: one recorded run that outlives the solve
-/// that produced it. Both `flixr --metrics-json` and the benchmark
-/// harness's metrics registry collect these and render them through
-/// [`write_metrics_json`], so the `flix-metrics/1` schema has a single
-/// producer and cannot drift.
-#[derive(Clone, Debug)]
-pub struct OwnedMetricsReport {
-    /// A label identifying the run (an input file, a benchmark id, ...).
-    pub name: String,
-    /// The evaluation strategy, as reported by [`crate::Strategy::name`].
-    pub strategy: String,
-    /// The worker-thread count the solver ran with.
-    pub threads: usize,
-    /// The run's statistics.
-    pub stats: SolveStats,
-}
-
-impl OwnedMetricsReport {
-    /// Borrows this record as a renderable [`MetricsReport`].
-    pub fn as_report(&self) -> MetricsReport<'_> {
-        MetricsReport {
-            name: &self.name,
-            strategy: &self.strategy,
-            threads: self.threads,
-            stats: &self.stats,
-        }
-    }
-}
-
-/// Renders `reports` as one `flix-metrics/1` document and writes it to
-/// `path` — the single exit point for every metrics file the project
-/// produces (`flixr --metrics-json`, bench `--metrics-json`, CI).
-pub fn write_metrics_json(path: &str, reports: &[OwnedMetricsReport]) -> std::io::Result<()> {
-    let borrowed: Vec<MetricsReport<'_>> = reports.iter().map(|r| r.as_report()).collect();
-    std::fs::write(path, render_metrics_json(&borrowed))
 }
 
 /// Renders the per-rule profile as a ranked, human-readable table
@@ -365,11 +310,19 @@ fn format_ns(ns: u64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::json::{parse, Json};
+
+    fn keys(object: &Json) -> Vec<&str> {
+        match object {
+            Json::Obj(fields) => fields.iter().map(|(key, _)| key.as_str()).collect(),
+            other => panic!("expected an object, got {other:?}"),
+        }
+    }
 
     #[test]
     fn json_string_escaping() {
         let mut s = String::new();
-        push_json_string(&mut s, "a\"b\\c\nd\u{1}");
+        write_escaped(&mut s, "a\"b\\c\nd\u{1}");
         assert_eq!(s, "\"a\\\"b\\\\c\\nd\\u0001\"");
     }
 
@@ -391,8 +344,9 @@ mod tests {
             rounds: 2,
             delta_sizes: vec![4, 0],
         });
+        let name = "unit \"quoted\" back\\slash\nnewline\rreturn\ttab \u{1} control — π";
         let json = render_metrics_json(&[MetricsReport {
-            name: "unit",
+            name,
             strategy: "semi-naive",
             threads: 1,
             stats: &stats,
@@ -400,18 +354,58 @@ mod tests {
         assert!(json.contains("\"schema\": \"flix-metrics/1\""), "{json}");
         assert!(json.contains("\"head\": \"Path\""), "{json}");
         assert!(json.contains("\"delta_sizes\": [4, 0]"), "{json}");
-        // No trailing commas, balanced brackets.
-        assert!(!json.contains(",]") && !json.contains(",}"), "{json}");
+
+        // The document is JSON, and every object carries exactly the
+        // keys `flix-metrics/1` promises (DESIGN.md §10).
+        let doc = parse(&json).expect("the report is valid JSON");
+        assert_eq!(keys(&doc), ["schema", "runs"]);
         assert_eq!(
-            json.matches('{').count(),
-            json.matches('}').count(),
-            "{json}"
+            doc.get("schema").and_then(Json::as_str),
+            Some(METRICS_SCHEMA)
         );
+        let runs = doc.get("runs").and_then(Json::as_array).expect("runs");
+        assert_eq!(runs.len(), 1);
         assert_eq!(
-            json.matches('[').count(),
-            json.matches(']').count(),
-            "{json}"
+            keys(&runs[0]),
+            [
+                "name",
+                "strategy",
+                "threads",
+                "wall_ns",
+                "rounds",
+                "rule_evaluations",
+                "facts_derived",
+                "facts_inserted",
+                "index_probes",
+                "scan_fallbacks",
+                "strata",
+                "total_facts",
+                "per_rule",
+                "per_stratum",
+            ]
         );
+        let rules = runs[0].get("per_rule").and_then(Json::as_array);
+        assert_eq!(
+            keys(&rules.expect("per_rule")[0]),
+            [
+                "rule",
+                "head",
+                "evaluations",
+                "derived",
+                "inserted",
+                "probes",
+                "scans",
+                "eval_ns"
+            ]
+        );
+        let strata = runs[0].get("per_stratum").and_then(Json::as_array);
+        assert_eq!(
+            keys(&strata.expect("per_stratum")[0]),
+            ["stratum", "rounds", "delta_sizes"]
+        );
+        // The name needs every escape class the writer has; it reads
+        // back as written.
+        assert_eq!(runs[0].get("name").and_then(Json::as_str), Some(name));
     }
 
     #[test]

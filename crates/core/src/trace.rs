@@ -379,7 +379,7 @@ impl ExecutionTrace {
         for event in &self.events {
             let mut body = String::new();
             body.push_str("{\"name\": ");
-            crate::observe::push_json_string(&mut body, &self.span_name(&event.kind));
+            crate::json::write_escaped(&mut body, &self.span_name(&event.kind));
             let cat = match &event.kind {
                 SpanKind::Solve => "solve",
                 SpanKind::LoadFacts

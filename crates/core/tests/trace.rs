@@ -3,6 +3,7 @@
 //! and thread counts, ring-buffer bounding, export formats, and trace
 //! capture through `resume`, `solve_query`, and guarded failures.
 
+use flix_core::json::{self, Json};
 use flix_core::{
     BodyItem, Delta, ExecutionTrace, Head, HeadTerm, LatticeOps, ProgramBuilder, Query, Solver,
     SpanKind, Strategy, Term, TraceConfig, Value, ValueLattice,
@@ -230,15 +231,28 @@ fn chrome_export_is_schema_shaped() {
         .solve(&program)
         .expect("solves");
     let trace = solution.trace().expect("trace was recorded");
-    let json = trace.to_chrome_json();
-    assert!(json.contains("\"traceEvents\""));
-    assert!(json.contains("\"ph\": \"X\""));
-    assert!(json.contains("\"ph\": \"M\""));
-    assert!(json.contains("\"coordinator\""));
-    assert!(json.contains("\"displayTimeUnit\": \"ms\""));
-    // One thread_name metadata record per track.
-    let name_count = json.matches("\"thread_name\"").count() as u32;
-    assert_eq!(name_count, trace.workers() + 1);
+    let doc = json::parse(&trace.to_chrome_json()).expect("the export is valid JSON");
+    assert_eq!(
+        doc.get("displayTimeUnit").and_then(Json::as_str),
+        Some("ms")
+    );
+    let events = doc.get("traceEvents").and_then(Json::as_array);
+    let events = events.expect("a traceEvents array");
+    fn field<'a>(event: &'a Json, key: &str) -> Option<&'a str> {
+        event.get(key).and_then(Json::as_str)
+    }
+    let count = |key: &str, value: &str| {
+        let matching = events.iter().filter(|e| field(e, key) == Some(value));
+        matching.count()
+    };
+    // Every recorded span is a complete ("X") event; the rest is
+    // metadata ("M"), with one thread_name record per track.
+    assert_eq!(count("ph", "X"), trace.events().len());
+    assert_eq!(count("ph", "X") + count("ph", "M"), events.len());
+    assert_eq!(count("name", "thread_name") as u32, trace.workers() + 1);
+    assert!(events
+        .iter()
+        .any(|e| e.get("args").and_then(|args| field(args, "name")) == Some("coordinator")));
 
     let folded = trace.to_folded();
     for line in folded.lines() {

@@ -2,8 +2,7 @@
 //! needs but cannot link against directly.
 //!
 //! `flixd` sits *below* `flix-lang` in the dependency graph (the
-//! `flixr` client mode lives in `flix-lang`, and `flix-bench` — a
-//! `flix-lang` dependency — benchmarks the daemon), so the surface
+//! `flixr` client mode lives in `flix-lang`), so the surface
 //! language cannot be a dependency of this crate. Everything that needs
 //! the language — turning `--query` atoms into demand patterns, update
 //! files into deltas — is injected here as boxed closures. The `flixd`

@@ -75,13 +75,13 @@
 pub mod client;
 pub mod events;
 pub mod hooks;
-pub mod json;
 pub mod proto;
 pub mod server;
 pub mod telemetry;
 
 pub use client::{Client, ClientError};
 pub use events::{EventLevel, EventLogConfig};
+pub use flix_core::json;
 pub use hooks::{GroundAtom, Hooks, QueryPattern};
 pub use proto::{ErrorCode, Hello, Reply, ReplyBody, Request, Status, MAX_FRAME, PROTOCOL};
 pub use server::{Server, ServerConfig, StartError};

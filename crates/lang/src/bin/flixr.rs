@@ -145,10 +145,11 @@
 //! results instead of nothing.
 
 use flix_core::{
-    load_snapshot, render_ascent_report, save_snapshot, write_metrics_json, AscentConfig,
-    AscentWarning, Budget, Delta, DeltaLog, Observer, OwnedMetricsReport, PersistError, Query,
-    Solution, SolveError, Solver, SolverConfig, Strategy, TraceConfig,
+    load_snapshot, render_ascent_report, render_metrics_json, save_snapshot, AscentConfig,
+    AscentWarning, Budget, Delta, DeltaLog, MetricsReport, Observer, PersistError, Query, Solution,
+    SolveError, Solver, SolverConfig, Strategy, TraceConfig,
 };
+use flixd::telemetry::HistogramSnapshot;
 use flixd::{Client, ErrorCode, Reply, ReplyBody, Request};
 use std::collections::BTreeSet;
 use std::process::ExitCode;
@@ -936,7 +937,7 @@ struct WatchSample {
     batches: u64,
     pending: u64,
     debt: u64,
-    query_latency: (u64, Vec<u64>, u64),
+    query_latency: HistogramSnapshot,
 }
 
 fn watch_extract(doc: &flixd::json::Json) -> Option<WatchSample> {
@@ -964,34 +965,13 @@ fn watch_extract(doc: &flixd::json::Json) -> Option<WatchSample> {
         batches: num(writer, "batches_applied").unwrap_or(0),
         pending: num(writer, "pending_updates").unwrap_or(0),
         debt: num(writer, "unapplied_durable").unwrap_or(0),
-        query_latency: (
-            num(latency, "count").unwrap_or(0),
+        query_latency: HistogramSnapshot {
+            count: num(latency, "count").unwrap_or(0),
+            sum: num(latency, "sum").unwrap_or(0),
+            max: num(latency, "max").unwrap_or(0),
             buckets,
-            num(latency, "max").unwrap_or(0),
-        ),
+        },
     })
-}
-
-/// Estimates the `q`-quantile of a log-scale histogram (bucket `i`
-/// holds samples below `2^(i+1)` ns) as the upper bound of the bucket
-/// where the cumulative count crosses `q * count`.
-fn watch_quantile_ns(count: u64, buckets: &[u64], max: u64, q: f64) -> Option<u64> {
-    if count == 0 {
-        return None;
-    }
-    let target = (q * count as f64).ceil().max(1.0) as u64;
-    let mut seen = 0u64;
-    for (i, &c) in buckets.iter().enumerate() {
-        seen += c;
-        if seen >= target {
-            return if i + 1 >= buckets.len() {
-                Some(max)
-            } else {
-                Some(1u64 << (i + 1))
-            };
-        }
-    }
-    Some(max)
 }
 
 fn watch_format_ns(ns: u64) -> String {
@@ -1041,9 +1021,10 @@ fn watch_stats(
             // against; rates start on the second line.
             None => (0.0, 0.0, 0.0),
         };
-        let (count, buckets, max) = &sample.query_latency;
         let quant = |q: f64| {
-            watch_quantile_ns(*count, buckets, *max, q)
+            sample
+                .query_latency
+                .quantile(q)
                 .map(watch_format_ns)
                 .unwrap_or_else(|| "-".into())
         };
@@ -1313,13 +1294,13 @@ fn emit_observability(
         eprint!("{}", flix_core::render_profile_table(stats));
     }
     if let Some(path) = cx.metrics_json {
-        let report = OwnedMetricsReport {
-            name: cx.name.to_string(),
-            strategy: cx.strategy.name().to_string(),
+        let report = render_metrics_json(&[MetricsReport {
+            name: cx.name,
+            strategy: cx.strategy.name(),
             threads: cx.threads,
-            stats: stats.clone(),
-        };
-        write_metrics_json(path, &[report])
+            stats,
+        }]);
+        std::fs::write(path, report)
             .map_err(|e| Failure::usage(format!("cannot write {path}: {e}")))?;
     }
     if let Some(path) = cx.trace {
@@ -1481,16 +1462,24 @@ mod tests {
 
     #[test]
     fn watch_quantiles_estimate_from_log_buckets() {
+        // What `--watch` reads out of a `flixd-stats/1` document, cut
+        // down to the fields `watch_extract` insists on.
+        let latency_of = |count: u64, max: u64, buckets: &[u64]| {
+            let doc = flixd::json::parse(&format!(
+                r#"{{"epoch": 1, "writer": {{}}, "requests": {{"query": {{"latency_ns":
+                {{"count": {count}, "sum": 0, "max": {max}, "buckets": {buckets:?}}}}}}}}}"#
+            ))
+            .expect("valid JSON");
+            watch_extract(&doc).expect("extracts").query_latency
+        };
         // 90 samples in bucket 6 (≤128 ns), 10 in bucket 19 (≤2^20 ns).
         let mut buckets = vec![0u64; 40];
         buckets[6] = 90;
         buckets[19] = 10;
-        assert_eq!(watch_quantile_ns(100, &buckets, 900_000, 0.5), Some(128));
-        assert_eq!(
-            watch_quantile_ns(100, &buckets, 900_000, 0.99),
-            Some(1 << 20)
-        );
-        assert_eq!(watch_quantile_ns(0, &buckets, 0, 0.5), None);
+        let latency = latency_of(100, 900_000, &buckets);
+        assert_eq!(latency.quantile(0.5), Some(128));
+        assert_eq!(latency.quantile(0.99), Some(1 << 20));
+        assert_eq!(latency_of(0, 0, &[0; 40]).quantile(0.5), None);
     }
 
     #[test]

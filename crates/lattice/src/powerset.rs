@@ -10,9 +10,9 @@ use std::hash::Hash;
 /// The paper's introduction observes that Datalog is "inherently limited to
 /// rules on relations, i.e. powersets of tuples"; this type makes that
 /// implicit lattice explicit so it can be compared head-to-head with richer
-/// domains (the `ablation` bench measures the §1 claim that embedding the
-/// constant propagation lattice in a powerset gives "the worst of both
-/// worlds").
+/// domains (Table 1's DLV column — `tables table1`, flixbench's
+/// `su_table1` — measures the §1 claim that embedding a lattice in a
+/// powerset gives "the worst of both worlds").
 ///
 /// Because the universe of `T` may be unbounded, `⊤` is a distinguished
 /// [`PowerSet::Univ`] marker absorbing all joins, mirroring the paper's

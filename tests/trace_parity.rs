@@ -2,7 +2,7 @@
 //! the §4.4 shortest-paths lattice program and the Figure 5 IFDS
 //! analysis, each solved naïvely, semi-naïvely, and on four threads
 //! with tracing enabled. The Chrome trace-event export is parsed back
-//! with the bench crate's JSON reader and schema-validated — valid
+//! with `flix_core::json` and schema-validated — valid
 //! `ph:"X"` events, per-track metadata, rule-evals nested inside
 //! rounds inside strata — and span counts must agree with the solver's
 //! own statistics in every configuration.
@@ -10,8 +10,8 @@
 use flix::analyses::ifds::{self, problems};
 use flix::analyses::shortest_paths;
 use flix::analyses::workloads::{graphs, jvm_program};
+use flix::core::json::{self, Json};
 use flix::{Program, Solver, Strategy, TraceConfig};
-use flix_bench::json::{self, Json};
 use std::sync::Arc;
 
 fn shortest_paths_program() -> Program {

@@ -311,10 +311,11 @@ pub fn program_fingerprint(program: &Program) -> u64 {
 }
 
 /// Functions are opaque closures; their registered name is the best
-/// identity available. Deliberately *not* the registration index:
-/// `flix_lang` assigns function ids in hash-map iteration order, so
-/// the index permutes between two compilations of identical source,
-/// and the fingerprint must not.
+/// identity available. Deliberately *not* the registration index: a
+/// front end is free to register the same functions in another order
+/// (`flix_lang` registers them by name; it once followed hash-map
+/// iteration order, which permuted the index between two compilations
+/// of identical source), and the fingerprint must not move with it.
 fn write_func(w: &mut ByteWriter, program: &Program, func: usize) {
     w.string(&program.funcs[func].name);
 }

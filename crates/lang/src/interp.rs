@@ -1,29 +1,158 @@
-//! The AST interpreter for the pure functional fragment of FLIX.
+//! The evaluator for the pure functional fragment of FLIX.
 //!
 //! The paper's implementation evaluates functions "using an AST-based
-//! interpreter" (§4.5); this module is the same design. Values are the
-//! engine's dynamic [`Value`]s, so interpreted lattice operations and
+//! interpreter" (§4.5). This module keeps that language and its semantics
+//! but reads the AST once: [`Interpreter::new`] compiles every `def` into
+//! a tree of closures in which the work a tree-walker repeats on each
+//! call is already done — callees are indexes into the compiled table,
+//! variables are numbered slots of a frame whose size is known, constant
+//! subterms are prebuilt values and constructor tags are interned, so a
+//! pattern tests a tag by pointer before it compares content. Values are
+//! the engine's dynamic [`Value`]s, so compiled lattice operations and
 //! transfer functions plug directly into [`flix_core::LatticeOps`] and
 //! [`flix_core::ProgramBuilder::function`].
 
-use crate::ast::{BinOp, Expr, Lit, Pattern, UnOp};
+use crate::ast::{BinOp, Expr, Lit, MatchArm, Pattern, UnOp};
+use crate::token::Pos;
 use crate::typeck::CheckedProgram;
-use flix_core::Value;
+use flix_core::{symbol, Value};
+use std::fmt;
 use std::sync::Arc;
 
-/// An interpreter over a checked program's function table.
+/// The deepest permitted nesting of `def` calls. One call more panics
+/// with `recursion limit exceeded in <def>`, which the guarded solver
+/// reports as a function panic, where running out of machine stack
+/// aborts the process. Fixed, and small on purpose: a level of recursion
+/// costs a machine frame per closure between one call and the next —
+/// measured at 1–2 KiB a level in a debug build (0.5–1 KiB in release)
+/// for bodies nesting up to seven expressions — so the limit is reached
+/// within a quarter of a 2 MiB thread stack (the default of
+/// `std::thread::spawn`, which solver workers and the `flixd` writer run
+/// on), and bodies nesting four times deeper still fit.
+const MAX_CALL_DEPTH: usize = 256;
+
+/// Compiled code for one expression: evaluates it in a frame.
+type Code = Box<dyn Fn(&mut Frame<'_>) -> Value + Send + Sync>;
+
+/// The compiled test of one pattern. Binding is separate (see [`Bind`]),
+/// so a test reads the matched value and nothing else.
+type Test = Box<dyn Fn(&Value) -> bool + Send + Sync>;
+
+/// One compiled `def`.
+struct Def {
+    name: String,
+    arity: usize,
+    /// The frame size: parameters first, then the most `let`, pattern and
+    /// scrutinee slots live at once.
+    slots: usize,
+    body: Code,
+}
+
+/// One frame slot. The arguments of an outermost call — the engine's
+/// borrowed operands — stay borrowed, and so does whatever a pattern
+/// binds inside them; only computed values are owned.
+#[derive(Clone)]
+enum Slot<'v> {
+    Own(Value),
+    Ref(&'v Value),
+}
+
+impl Slot<'_> {
+    fn value(&self) -> &Value {
+        match self {
+            Slot::Own(value) => value,
+            Slot::Ref(value) => value,
+        }
+    }
+}
+
+/// The activation state of one outermost call: a slot stack shared by
+/// the nested calls, the running call's window into it, and the depth.
+struct Frame<'v> {
+    defs: &'v [Def],
+    stack: Vec<Slot<'v>>,
+    /// Where the running call's slots start in `stack`.
+    base: usize,
+    depth: usize,
+}
+
+impl<'v> Frame<'v> {
+    fn get(&self, slot: usize) -> &Value {
+        self.stack[self.base + slot].value()
+    }
+
+    fn set(&mut self, slot: usize, value: Slot<'v>) {
+        let at = self.base + slot;
+        self.stack[at] = value;
+    }
+
+    /// Runs `callee` on the arguments the caller pushed from `base` up.
+    fn enter(&mut self, callee: usize, base: usize) -> Value {
+        let defs = self.defs;
+        let def = &defs[callee];
+        assert_eq!(
+            def.arity,
+            self.stack.len() - base,
+            "function {} called with wrong arity",
+            def.name
+        );
+        if self.depth == MAX_CALL_DEPTH {
+            panic!("recursion limit exceeded in {}", def.name);
+        }
+        self.stack.resize(base + def.slots, Slot::Own(Value::Unit));
+        let caller = std::mem::replace(&mut self.base, base);
+        self.depth += 1;
+        let result = (def.body)(self);
+        self.depth -= 1;
+        self.base = caller;
+        self.stack.truncate(base);
+        result
+    }
+}
+
+/// An evaluator over a checked program's function table.
 ///
-/// Cloning is cheap (the program is shared); the interpreter is `Send +
-/// Sync` so closures built from it can run inside the parallel solver.
-#[derive(Clone, Debug)]
+/// Cloning is cheap (the compiled table is shared); the interpreter is
+/// `Send + Sync` so closures built from it can run inside the parallel
+/// solver.
+#[derive(Clone)]
 pub struct Interpreter {
-    program: Arc<CheckedProgram>,
+    /// Sorted by name: [`Interpreter::call`] finds a `def` by binary
+    /// search, compiled code by its index.
+    defs: Arc<[Def]>,
+}
+
+impl fmt::Debug for Interpreter {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let names: Vec<&str> = self.names().collect();
+        f.debug_struct("Interpreter").field("defs", &names).finish()
+    }
 }
 
 impl Interpreter {
-    /// Creates an interpreter for the checked program.
+    /// Creates an interpreter for the checked program, compiling each of
+    /// its `def`s.
     pub fn new(program: Arc<CheckedProgram>) -> Interpreter {
-        Interpreter { program }
+        let mut names: Vec<&str> = program.defs.keys().map(String::as_str).collect();
+        names.sort_unstable();
+        let defs = names
+            .iter()
+            .map(|&name| {
+                let info = &program.defs[name];
+                let mut cx = Compiler::new(&names);
+                for (param, _) in &info.params {
+                    cx.bind(param);
+                }
+                let body = cx.expr(&info.body);
+                Def {
+                    name: name.to_string(),
+                    arity: info.params.len(),
+                    slots: cx.slots,
+                    body,
+                }
+            })
+            .collect();
+        Interpreter { defs }
     }
 
     /// Calls a named function with the given argument values.
@@ -32,12 +161,548 @@ impl Interpreter {
     ///
     /// Panics on unknown function names or arity mismatches — both are
     /// ruled out by the type checker, so hitting one indicates a caller
-    /// bug, and on a `match` expression with no matching arm (the surface
+    /// bug; on a `match` expression with no matching arm (the surface
     /// language does not check exhaustiveness, mirroring the paper's
-    /// implementation).
+    /// implementation); and on `def` calls nested deeper than a fixed
+    /// limit (`recursion limit exceeded in <def>`).
     pub fn call(&self, name: &str, args: &[Value]) -> Value {
-        let def = self
-            .program
+        self.call_at(self.resolve(name), args)
+    }
+
+    /// The `def`s by name, each at the index [`Interpreter::call_at`]
+    /// takes for it.
+    pub(crate) fn names(&self) -> impl Iterator<Item = &str> {
+        self.defs.iter().map(|def| def.name.as_str())
+    }
+
+    /// The index [`Interpreter::call_at`] takes for a named function.
+    ///
+    /// # Panics
+    ///
+    /// Panics on an unknown function name.
+    pub(crate) fn resolve(&self, name: &str) -> usize {
+        self.defs
+            .binary_search_by(|def| def.name.as_str().cmp(name))
+            .unwrap_or_else(|_| panic!("call to unknown function {name}"))
+    }
+
+    /// [`Interpreter::call`] without the lookup, on borrowed arguments.
+    pub(crate) fn call_at<'v>(
+        &'v self,
+        def: usize,
+        args: impl IntoIterator<Item = &'v Value>,
+    ) -> Value {
+        let mut frame = Frame {
+            defs: &self.defs,
+            stack: Vec::with_capacity(self.defs[def].slots),
+            base: 0,
+            depth: 0,
+        };
+        frame.stack.extend(args.into_iter().map(Slot::Ref));
+        frame.enter(def, 0)
+    }
+
+    /// Evaluates a closed expression (no free variables).
+    pub fn eval_closed(&self, expr: &Expr) -> Value {
+        let names: Vec<&str> = self.names().collect();
+        let mut cx = Compiler::new(&names);
+        let code = cx.expr(expr);
+        let mut frame = Frame {
+            defs: &self.defs,
+            stack: vec![Slot::Own(Value::Unit); cx.slots],
+            base: 0,
+            depth: 0,
+        };
+        code(&mut frame)
+    }
+}
+
+/// Converts a surface literal to a runtime value.
+pub fn lit_value(l: &Lit) -> Value {
+    match l {
+        Lit::Unit => Value::Unit,
+        Lit::Bool(b) => Value::Bool(*b),
+        Lit::Int(n) => Value::Int(*n),
+        Lit::Str(s) => Value::str(s.as_str()),
+    }
+}
+
+/// The value of constructor `case` applied to `fields`, its tag interned
+/// in the engine's symbol table: every `Dist.Fin` of the process shares
+/// one `Arc<str>`, which is what lets a compiled pattern recognise the
+/// tag by pointer.
+pub(crate) fn ctor_value(case: &str, fields: impl ExactSizeIterator<Item = Value>) -> Value {
+    Value::Tag(intern_tag(case), Arc::new(payload(fields)))
+}
+
+fn intern_tag(case: &str) -> Arc<str> {
+    symbol::intern(case).1
+}
+
+/// A constructor's payload: unit, the one field, or a tuple of them.
+fn payload(mut fields: impl ExactSizeIterator<Item = Value>) -> Value {
+    match fields.len() {
+        0 => Value::Unit,
+        1 => fields.next().expect("one field"),
+        _ => Value::tuple(fields),
+    }
+}
+
+fn same_tag(a: &Arc<str>, b: &Arc<str>) -> bool {
+    Arc::ptr_eq(a, b) || a == b
+}
+
+/// The value of an expression built from literals and constructors only.
+fn constant(expr: &Expr) -> Option<Value> {
+    let all = |items: &[Expr]| items.iter().map(constant).collect::<Option<Vec<Value>>>();
+    match expr {
+        Expr::Lit(l, _) => Some(lit_value(l)),
+        Expr::Ctor { case, args, .. } => Some(ctor_value(case, all(args)?.into_iter())),
+        Expr::Tuple(items, _) => Some(Value::tuple(all(items)?)),
+        Expr::SetLit(items, _) => Some(Value::set(all(items)?)),
+        _ => None,
+    }
+}
+
+/// One step from a matched value to the part a pattern variable binds.
+#[derive(Clone, Copy)]
+enum Step {
+    /// A constructor's payload.
+    Payload,
+    /// A tuple's component.
+    Item(usize),
+}
+
+/// Where a value is read from once an arm's tests have passed.
+enum Source {
+    /// The slot's value, followed down `steps`.
+    Part(usize, Vec<Step>),
+    /// The tuple of the slots' values: a tuple-literal scrutinee, built
+    /// only by an arm that binds it whole and by the no-arm panic.
+    Tuple(Vec<usize>),
+}
+
+impl Source {
+    fn read<'v>(&self, frame: &Frame<'v>) -> Slot<'v> {
+        match self {
+            Source::Part(slot, steps) => match &frame.stack[frame.base + slot] {
+                Slot::Own(value) => Slot::Own(part(value, steps).clone()),
+                Slot::Ref(value) => Slot::Ref(part(value, steps)),
+            },
+            Source::Tuple(slots) => {
+                Slot::Own(Value::tuple(slots.iter().map(|&s| frame.get(s).clone())))
+            }
+        }
+    }
+}
+
+/// The part of `value` that `steps` lead to.
+fn part<'v>(mut value: &'v Value, steps: &[Step]) -> &'v Value {
+    for step in steps {
+        value = match (step, value) {
+            (Step::Payload, Value::Tag(_, payload)) => payload,
+            (Step::Item(i), Value::Tuple(items)) => &items[*i],
+            _ => unreachable!("the arm's tests passed"),
+        };
+    }
+    value
+}
+
+/// A pattern variable: the slot it gets and where its value comes from.
+struct Bind {
+    from: Source,
+    to: usize,
+}
+
+/// One compiled `match` arm: every test must pass on its slot, then the
+/// binds run, then the body.
+struct Arm {
+    tests: Vec<(usize, Test)>,
+    binds: Vec<Bind>,
+    body: Code,
+}
+
+/// Compiles one `def` body or closed expression.
+struct Compiler<'a> {
+    /// Every `def`, sorted: a callee's position is its index in the
+    /// compiled table, whether or not it is compiled yet.
+    names: &'a [&'a str],
+    /// The variables in scope, innermost last, with their slots.
+    scope: Vec<(&'a str, usize)>,
+    /// Slots in use at this point of the expression.
+    live: usize,
+    /// The most slots in use at once: the frame size.
+    slots: usize,
+}
+
+impl<'a> Compiler<'a> {
+    fn new(names: &'a [&'a str]) -> Compiler<'a> {
+        Compiler {
+            names,
+            scope: Vec::new(),
+            live: 0,
+            slots: 0,
+        }
+    }
+
+    fn alloc(&mut self) -> usize {
+        let slot = self.live;
+        self.live += 1;
+        self.slots = self.slots.max(self.live);
+        slot
+    }
+
+    /// Brings `name` into scope in a fresh slot.
+    fn bind(&mut self, name: &'a str) -> usize {
+        let slot = self.alloc();
+        self.scope.push((name, slot));
+        slot
+    }
+
+    fn lookup(&self, name: &str) -> Option<usize> {
+        let (_, slot) = self.scope.iter().rev().find(|(n, _)| *n == name)?;
+        Some(*slot)
+    }
+
+    fn exprs(&mut self, items: &'a [Expr]) -> Vec<Code> {
+        items.iter().map(|e| self.expr(e)).collect()
+    }
+
+    fn expr(&mut self, expr: &'a Expr) -> Code {
+        if let Some(value) = constant(expr) {
+            return Box::new(move |_| value.clone());
+        }
+        match expr {
+            Expr::Lit(..) => unreachable!("a literal is a constant"),
+            Expr::Var(name, _) => match self.lookup(name) {
+                Some(slot) => Box::new(move |f| f.get(slot).clone()),
+                None => {
+                    let name = name.clone();
+                    Box::new(move |_| panic!("unbound variable {name} (checker bug)"))
+                }
+            },
+            Expr::Ctor { case, args, .. } => {
+                let tag = intern_tag(case);
+                let fields = self.exprs(args);
+                Box::new(move |f| {
+                    Value::Tag(tag.clone(), Arc::new(payload(fields.iter().map(|c| c(f)))))
+                })
+            }
+            Expr::Call { func, args, .. } => {
+                let Ok(callee) = self.names.binary_search(&func.as_str()) else {
+                    let name = func.clone();
+                    return Box::new(move |_| panic!("call to unknown function {name}"));
+                };
+                let args = self.exprs(args);
+                Box::new(move |f| {
+                    let base = f.stack.len();
+                    for arg in &args {
+                        let value = arg(f);
+                        f.stack.push(Slot::Own(value));
+                    }
+                    f.enter(callee, base)
+                })
+            }
+            Expr::Tuple(items, _) => {
+                let items = self.exprs(items);
+                Box::new(move |f| Value::tuple(items.iter().map(|c| c(f))))
+            }
+            Expr::SetLit(items, _) => {
+                let items = self.exprs(items);
+                Box::new(move |f| Value::set(items.iter().map(|c| c(f))))
+            }
+            Expr::Unary { op, expr, .. } => {
+                let operand = self.expr(expr);
+                match op {
+                    UnOp::Not => Box::new(move |f| {
+                        Value::Bool(!operand(f).as_bool().expect("typechecked Bool"))
+                    }),
+                    UnOp::Neg => Box::new(move |f| {
+                        Value::Int(-operand(f).as_int().expect("typechecked Int"))
+                    }),
+                }
+            }
+            Expr::Binary { op, lhs, rhs, .. } => {
+                let (l, r) = (self.expr(lhs), self.expr(rhs));
+                match op {
+                    // The boolean connectives short-circuit.
+                    BinOp::And => Box::new(move |f| {
+                        if l(f).is_true() {
+                            r(f)
+                        } else {
+                            Value::Bool(false)
+                        }
+                    }),
+                    BinOp::Or => Box::new(move |f| {
+                        if l(f).is_true() {
+                            Value::Bool(true)
+                        } else {
+                            r(f)
+                        }
+                    }),
+                    BinOp::Eq => Box::new(move |f| Value::Bool(l(f) == r(f))),
+                    BinOp::Ne => Box::new(move |f| Value::Bool(l(f) != r(f))),
+                    BinOp::Add => int_op(l, r, |x, y| Value::Int(x.wrapping_add(y))),
+                    BinOp::Sub => int_op(l, r, |x, y| Value::Int(x.wrapping_sub(y))),
+                    BinOp::Mul => int_op(l, r, |x, y| Value::Int(x.wrapping_mul(y))),
+                    // Total semantics: division by zero yields zero.
+                    BinOp::Div => int_op(l, r, |x, y| {
+                        Value::Int(if y == 0 { 0 } else { x.wrapping_div(y) })
+                    }),
+                    BinOp::Rem => int_op(l, r, |x, y| {
+                        Value::Int(if y == 0 { 0 } else { x.wrapping_rem(y) })
+                    }),
+                    BinOp::Lt => int_op(l, r, |x, y| Value::Bool(x < y)),
+                    BinOp::Le => int_op(l, r, |x, y| Value::Bool(x <= y)),
+                    BinOp::Gt => int_op(l, r, |x, y| Value::Bool(x > y)),
+                    BinOp::Ge => int_op(l, r, |x, y| Value::Bool(x >= y)),
+                }
+            }
+            Expr::If {
+                cond,
+                then,
+                otherwise,
+                ..
+            } => {
+                let (cond, then, otherwise) =
+                    (self.expr(cond), self.expr(then), self.expr(otherwise));
+                Box::new(move |f| {
+                    if cond(f).is_true() {
+                        then(f)
+                    } else {
+                        otherwise(f)
+                    }
+                })
+            }
+            Expr::Let {
+                name, bound, body, ..
+            } => {
+                // The bound expression is outside the binding's scope.
+                let bound = self.expr(bound);
+                let mark = (self.scope.len(), self.live);
+                let slot = self.bind(name);
+                let body = self.expr(body);
+                self.release(mark);
+                Box::new(move |f| {
+                    let value = bound(f);
+                    f.set(slot, Slot::Own(value));
+                    body(f)
+                })
+            }
+            Expr::Match {
+                scrutinee,
+                arms,
+                pos,
+            } => self.match_expr(scrutinee, arms, *pos),
+        }
+    }
+
+    /// Leaves the scopes entered since `mark` and frees their slots.
+    fn release(&mut self, (scope, live): (usize, usize)) {
+        self.scope.truncate(scope);
+        self.live = live;
+    }
+
+    fn match_expr(&mut self, scrutinee: &'a Expr, arms: &'a [MatchArm], pos: Pos) -> Code {
+        let mark = (self.scope.len(), self.live);
+        // `match (a, b)` against tuple patterns is matched component by
+        // component, so the tuple is never built on the way to an arm.
+        let splits = |pat: &Pattern, n: usize| match pat {
+            Pattern::Wildcard(_) | Pattern::Var(..) => true,
+            Pattern::Tuple(pats, _) => pats.len() == n,
+            Pattern::Lit(..) | Pattern::Ctor { .. } => false,
+        };
+        let components = match scrutinee {
+            Expr::Tuple(items, _) if arms.iter().all(|arm| splits(&arm.pat, items.len())) => {
+                Some(items.as_slice())
+            }
+            _ => None,
+        };
+        let split = components.is_some();
+        let parts = components.unwrap_or(std::slice::from_ref(scrutinee));
+
+        // Each part is matched where it lies: a variable in its own slot,
+        // anything else in a temporary one.
+        let mut evals: Vec<(Code, usize)> = Vec::new();
+        let mut places: Vec<usize> = Vec::with_capacity(parts.len());
+        for part in parts {
+            let bound = match part {
+                Expr::Var(name, _) => self.lookup(name),
+                _ => None,
+            };
+            places.push(bound.unwrap_or_else(|| {
+                let code = self.expr(part);
+                let slot = self.alloc();
+                evals.push((code, slot));
+                slot
+            }));
+        }
+        let matched = if split {
+            Source::Tuple(places.clone())
+        } else {
+            Source::Part(places[0], Vec::new())
+        };
+
+        let arms: Vec<Arm> = arms
+            .iter()
+            .map(|arm| {
+                let arm_mark = (self.scope.len(), self.live);
+                let (mut tests, mut binds) = (Vec::new(), Vec::new());
+                match &arm.pat {
+                    Pattern::Tuple(pats, _) if split => {
+                        for (pat, &place) in pats.iter().zip(&places) {
+                            self.pattern(pat, place, &mut tests, &mut binds);
+                        }
+                    }
+                    Pattern::Var(name, _) if split => binds.push(Bind {
+                        from: Source::Tuple(places.clone()),
+                        to: self.bind(name),
+                    }),
+                    pat => self.pattern(pat, places[0], &mut tests, &mut binds),
+                }
+                let body = self.expr(&arm.body);
+                self.release(arm_mark);
+                Arm { tests, binds, body }
+            })
+            .collect();
+        self.release(mark);
+
+        Box::new(move |f| {
+            for (code, slot) in &evals {
+                let value = code(f);
+                f.set(*slot, Slot::Own(value));
+            }
+            // Arms are tried in order; the first whose tests pass runs.
+            for arm in &arms {
+                if arm.tests.iter().all(|(place, test)| test(f.get(*place))) {
+                    for bind in &arm.binds {
+                        let value = bind.from.read(f);
+                        f.set(bind.to, value);
+                    }
+                    return (arm.body)(f);
+                }
+            }
+            let value = matched.read(f);
+            panic!(
+                "non-exhaustive match at {pos}: no arm matches {}",
+                value.value()
+            )
+        })
+    }
+
+    /// Compiles `pat` against the value in slot `place`: its test, if it
+    /// can fail, and a bind per variable.
+    fn pattern(
+        &mut self,
+        pat: &'a Pattern,
+        place: usize,
+        tests: &mut Vec<(usize, Test)>,
+        binds: &mut Vec<Bind>,
+    ) {
+        if let Some(test) = pattern_test(pat) {
+            tests.push((place, test));
+        }
+        self.pattern_binds(pat, place, &mut Vec::new(), binds);
+    }
+
+    fn pattern_binds(
+        &mut self,
+        pat: &'a Pattern,
+        place: usize,
+        path: &mut Vec<Step>,
+        binds: &mut Vec<Bind>,
+    ) {
+        match pat {
+            Pattern::Wildcard(_) | Pattern::Lit(..) => {}
+            Pattern::Var(name, _) => binds.push(Bind {
+                from: Source::Part(place, path.clone()),
+                to: self.bind(name),
+            }),
+            Pattern::Ctor { args, .. } => {
+                path.push(Step::Payload);
+                match args.as_slice() {
+                    [only] => self.pattern_binds(only, place, path, binds),
+                    fields => self.item_binds(fields, place, path, binds),
+                }
+                path.pop();
+            }
+            Pattern::Tuple(pats, _) => self.item_binds(pats, place, path, binds),
+        }
+    }
+
+    fn item_binds(
+        &mut self,
+        pats: &'a [Pattern],
+        place: usize,
+        path: &mut Vec<Step>,
+        binds: &mut Vec<Bind>,
+    ) {
+        for (i, pat) in pats.iter().enumerate() {
+            path.push(Step::Item(i));
+            self.pattern_binds(pat, place, path, binds);
+            path.pop();
+        }
+    }
+}
+
+fn int_op(l: Code, r: Code, op: impl Fn(i64, i64) -> Value + Send + Sync + 'static) -> Code {
+    Box::new(move |f| {
+        let x = l(f).as_int().expect("typechecked Int");
+        let y = r(f).as_int().expect("typechecked Int");
+        op(x, y)
+    })
+}
+
+/// The test `pat` makes of a value; `None` if it matches every value.
+fn pattern_test(pat: &Pattern) -> Option<Test> {
+    match pat {
+        Pattern::Wildcard(_) | Pattern::Var(..) => None,
+        Pattern::Lit(l, _) => {
+            let lit = lit_value(l);
+            Some(Box::new(move |v| *v == lit))
+        }
+        Pattern::Ctor { case, args, .. } => {
+            let tag = intern_tag(case);
+            let on_payload = match args.as_slice() {
+                [] => Some(Box::new(|payload: &Value| *payload == Value::Unit) as Test),
+                [only] => pattern_test(only),
+                fields => Some(items_test(fields)),
+            };
+            Some(match on_payload {
+                None => Box::new(move |v| matches!(v, Value::Tag(name, _) if same_tag(name, &tag))),
+                Some(test) => Box::new(move |v| match v {
+                    Value::Tag(name, payload) => same_tag(name, &tag) && test(payload),
+                    _ => false,
+                }),
+            })
+        }
+        Pattern::Tuple(pats, _) => Some(items_test(pats)),
+    }
+}
+
+/// The test of a tuple of `pats.len()` components, one pattern each.
+fn items_test(pats: &[Pattern]) -> Test {
+    let tests: Vec<Option<Test>> = pats.iter().map(pattern_test).collect();
+    Box::new(move |v| match v {
+        Value::Tuple(items) if items.len() == tests.len() => tests
+            .iter()
+            .zip(items.iter())
+            .all(|(test, item)| test.as_ref().is_none_or(|test| test(item))),
+        _ => false,
+    })
+}
+/// The tree-walking evaluator this module's compiled form replaced: one
+/// `match` on the AST per node per call, variables found by name. Kept
+/// as the oracle of the differential test below.
+#[cfg(test)]
+mod reference {
+    use super::lit_value;
+    use crate::ast::{BinOp, Expr, Pattern, UnOp};
+    use crate::typeck::CheckedProgram;
+    use flix_core::Value;
+
+    pub(super) fn call(program: &CheckedProgram, name: &str, args: &[Value]) -> Value {
+        let def = program
             .defs
             .get(name)
             .unwrap_or_else(|| panic!("call to unknown function {name}"));
@@ -52,15 +717,10 @@ impl Interpreter {
             .map(|(p, _)| p.clone())
             .zip(args.iter().cloned())
             .collect();
-        self.eval(&def.body, &mut env)
+        eval(program, &def.body, &mut env)
     }
 
-    /// Evaluates a closed expression (no free variables).
-    pub fn eval_closed(&self, expr: &Expr) -> Value {
-        self.eval(expr, &mut Vec::new())
-    }
-
-    fn eval(&self, expr: &Expr, env: &mut Vec<(String, Value)>) -> Value {
+    fn eval(program: &CheckedProgram, expr: &Expr, env: &mut Vec<(String, Value)>) -> Value {
         match expr {
             Expr::Lit(l, _) => lit_value(l),
             Expr::Var(name, _) => env
@@ -72,19 +732,19 @@ impl Interpreter {
             Expr::Ctor { case, args, .. } => {
                 let payload = match args.len() {
                     0 => Value::Unit,
-                    1 => self.eval(&args[0], env),
-                    _ => Value::tuple(args.iter().map(|a| self.eval(a, env))),
+                    1 => eval(program, &args[0], env),
+                    _ => Value::tuple(args.iter().map(|a| eval(program, a, env))),
                 };
                 Value::tag(case.as_str(), payload)
             }
             Expr::Call { func, args, .. } => {
-                let vals: Vec<Value> = args.iter().map(|a| self.eval(a, env)).collect();
-                self.call(func, &vals)
+                let vals: Vec<Value> = args.iter().map(|a| eval(program, a, env)).collect();
+                call(program, func, &vals)
             }
-            Expr::Tuple(items, _) => Value::tuple(items.iter().map(|e| self.eval(e, env))),
-            Expr::SetLit(items, _) => Value::set(items.iter().map(|e| self.eval(e, env))),
+            Expr::Tuple(items, _) => Value::tuple(items.iter().map(|e| eval(program, e, env))),
+            Expr::SetLit(items, _) => Value::set(items.iter().map(|e| eval(program, e, env))),
             Expr::Unary { op, expr, .. } => {
-                let v = self.eval(expr, env);
+                let v = eval(program, expr, env);
                 match op {
                     UnOp::Not => Value::Bool(!v.as_bool().expect("typechecked Bool")),
                     UnOp::Neg => Value::Int(-v.as_int().expect("typechecked Int")),
@@ -94,23 +754,23 @@ impl Interpreter {
                 // Short-circuit the boolean connectives.
                 match op {
                     BinOp::And => {
-                        return if self.eval(lhs, env).is_true() {
-                            self.eval(rhs, env)
+                        return if eval(program, lhs, env).is_true() {
+                            eval(program, rhs, env)
                         } else {
                             Value::Bool(false)
                         }
                     }
                     BinOp::Or => {
-                        return if self.eval(lhs, env).is_true() {
+                        return if eval(program, lhs, env).is_true() {
                             Value::Bool(true)
                         } else {
-                            self.eval(rhs, env)
+                            eval(program, rhs, env)
                         }
                     }
                     _ => {}
                 }
-                let a = self.eval(lhs, env);
-                let b = self.eval(rhs, env);
+                let a = eval(program, lhs, env);
+                let b = eval(program, rhs, env);
                 match op {
                     BinOp::Eq => Value::Bool(a == b),
                     BinOp::Ne => Value::Bool(a != b),
@@ -140,29 +800,29 @@ impl Interpreter {
                 otherwise,
                 ..
             } => {
-                if self.eval(cond, env).is_true() {
-                    self.eval(then, env)
+                if eval(program, cond, env).is_true() {
+                    eval(program, then, env)
                 } else {
-                    self.eval(otherwise, env)
+                    eval(program, otherwise, env)
                 }
             }
             Expr::Let {
                 name, bound, body, ..
             } => {
-                let value = self.eval(bound, env);
+                let value = eval(program, bound, env);
                 env.push((name.clone(), value));
-                let result = self.eval(body, env);
+                let result = eval(program, body, env);
                 env.pop();
                 result
             }
             Expr::Match {
                 scrutinee, arms, ..
             } => {
-                let value = self.eval(scrutinee, env);
+                let value = eval(program, scrutinee, env);
                 for arm in arms {
                     let mark = env.len();
                     if match_pattern(&arm.pat, &value, env) {
-                        let result = self.eval(&arm.body, env);
+                        let result = eval(program, &arm.body, env);
                         env.truncate(mark);
                         return result;
                     }
@@ -175,53 +835,43 @@ impl Interpreter {
             }
         }
     }
-}
 
-/// Converts a surface literal to a runtime value.
-pub fn lit_value(l: &Lit) -> Value {
-    match l {
-        Lit::Unit => Value::Unit,
-        Lit::Bool(b) => Value::Bool(*b),
-        Lit::Int(n) => Value::Int(*n),
-        Lit::Str(s) => Value::str(s.as_str()),
-    }
-}
-
-fn match_pattern(pat: &Pattern, value: &Value, env: &mut Vec<(String, Value)>) -> bool {
-    match pat {
-        Pattern::Wildcard(_) => true,
-        Pattern::Var(name, _) => {
-            env.push((name.clone(), value.clone()));
-            true
-        }
-        Pattern::Lit(l, _) => lit_value(l) == *value,
-        Pattern::Ctor { case, args, .. } => {
-            let Some(tag) = value.tag_name() else {
-                return false;
-            };
-            if tag != case {
-                return false;
+    fn match_pattern(pat: &Pattern, value: &Value, env: &mut Vec<(String, Value)>) -> bool {
+        match pat {
+            Pattern::Wildcard(_) => true,
+            Pattern::Var(name, _) => {
+                env.push((name.clone(), value.clone()));
+                true
             }
-            let payload = value.tag_payload().expect("tags carry payloads");
-            match args.len() {
-                0 => *payload == Value::Unit,
-                1 => match_pattern(&args[0], payload, env),
-                n => match payload.as_tuple() {
-                    Some(items) if items.len() == n => args
-                        .iter()
-                        .zip(items)
-                        .all(|(p, v)| match_pattern(p, v, env)),
-                    _ => false,
-                },
+            Pattern::Lit(l, _) => lit_value(l) == *value,
+            Pattern::Ctor { case, args, .. } => {
+                let Some(tag) = value.tag_name() else {
+                    return false;
+                };
+                if tag != case {
+                    return false;
+                }
+                let payload = value.tag_payload().expect("tags carry payloads");
+                match args.len() {
+                    0 => *payload == Value::Unit,
+                    1 => match_pattern(&args[0], payload, env),
+                    n => match payload.as_tuple() {
+                        Some(items) if items.len() == n => args
+                            .iter()
+                            .zip(items)
+                            .all(|(p, v)| match_pattern(p, v, env)),
+                        _ => false,
+                    },
+                }
             }
+            Pattern::Tuple(pats, _) => match value.as_tuple() {
+                Some(items) if items.len() == pats.len() => pats
+                    .iter()
+                    .zip(items)
+                    .all(|(p, v)| match_pattern(p, v, env)),
+                _ => false,
+            },
         }
-        Pattern::Tuple(pats, _) => match value.as_tuple() {
-            Some(items) if items.len() == pats.len() => pats
-                .iter()
-                .zip(items)
-                .all(|(p, v)| match_pattern(p, v, env)),
-            _ => false,
-        },
     }
 }
 
@@ -230,6 +880,8 @@ mod tests {
     use super::*;
     use crate::parser::parse;
     use crate::typeck::check;
+    use flix_lattice::rng::SmallRng;
+    use std::collections::BTreeSet;
 
     fn interp_of(src: &str) -> Interpreter {
         let checked = check(&parse(src).expect("parses")).expect("checks");
@@ -328,5 +980,514 @@ mod tests {
     fn non_exhaustive_match_panics() {
         let i = interp_of("def f(x: Int): Int = match x with { case 0 => 1 }");
         i.call("f", &[Value::Int(5)]);
+    }
+
+    /// What a call did: the value it returned or the message it
+    /// panicked with.
+    fn outcome(call: impl FnOnce() -> Value) -> Result<Value, String> {
+        std::panic::catch_unwind(std::panic::AssertUnwindSafe(call)).map_err(
+            |payload| match payload.downcast::<String>() {
+                Ok(message) => *message,
+                Err(payload) => payload
+                    .downcast_ref::<&str>()
+                    .expect("a panic with a message")
+                    .to_string(),
+            },
+        )
+    }
+
+    #[test]
+    fn recursion_limit_is_reached_before_a_thread_stack_overflows() {
+        // `deep` puts seven closures between one call and the next.
+        let i = interp_of(
+            "def count(n: Int): Int = if (n <= 0) 0 else 1 + count(n - 1)
+             def deep(n: Int): Int = match (n, n) with {
+               case (0, _) => 0
+               case (m, _) => let k = m - 1; if (k >= 0 && true) (1 + (0 + deep(k))) else 0
+             }",
+        );
+        // `count(n)` nests n + 1 calls.
+        let deepest = MAX_CALL_DEPTH as i64 - 1;
+        let worker = i.clone();
+        let reached = std::thread::spawn(move || {
+            let arg = [Value::Int(deepest)];
+            (worker.call("count", &arg), worker.call("deep", &arg))
+        })
+        .join()
+        .expect("the deepest permitted recursion fits a default thread stack");
+        assert_eq!(reached, (Value::Int(deepest), Value::Int(deepest)));
+        assert_eq!(
+            outcome(|| i.call("count", &[Value::Int(deepest + 1)])),
+            Err("recursion limit exceeded in count".to_string())
+        );
+    }
+
+    // ---- compiled against reference, differentially ----------------------
+
+    /// The types the generator draws expressions, patterns and values of.
+    #[derive(Clone, Copy, PartialEq, Debug)]
+    enum Ty {
+        Int,
+        Bool,
+        Str,
+        Unit,
+        Shape,
+        Ints,
+        Pair,
+        Shapes,
+        IntSet,
+    }
+
+    const TYPES: [Ty; 9] = [
+        Ty::Int,
+        Ty::Bool,
+        Ty::Str,
+        Ty::Unit,
+        Ty::Shape,
+        Ty::Ints,
+        Ty::Pair,
+        Ty::Shapes,
+        Ty::IntSet,
+    ];
+
+    impl Ty {
+        fn source(self) -> &'static str {
+            match self {
+                Ty::Int => "Int",
+                Ty::Bool => "Bool",
+                Ty::Str => "Str",
+                Ty::Unit => "Unit",
+                Ty::Shape => "Shape",
+                Ty::Ints => "(Int, Int)",
+                Ty::Pair => "(Int, Shape)",
+                Ty::Shapes => "(Shape, Shape)",
+                Ty::IntSet => "Set(Int)",
+            }
+        }
+
+        fn components(self) -> Option<[Ty; 2]> {
+            match self {
+                Ty::Ints => Some([Ty::Int, Ty::Int]),
+                Ty::Pair => Some([Ty::Int, Ty::Shape]),
+                Ty::Shapes => Some([Ty::Shape, Ty::Shape]),
+                _ => None,
+            }
+        }
+    }
+
+    /// `Shape`'s cases: nullary, unary, binary, unary over a tuple, and
+    /// recursive. `ev`/`od` are mutually recursive, `ev` ahead of `od`.
+    const CASES: [(&str, &[Ty]); 5] = [
+        ("Dot", &[]),
+        ("Circle", &[Ty::Int]),
+        ("Rect", &[Ty::Int, Ty::Bool]),
+        ("Seg", &[Ty::Ints]),
+        ("Group", &[Ty::Shape, Ty::Shape]),
+    ];
+    const PRELUDE: &str = "
+        enum Shape {
+          case Dot, case Circle(Int), case Rect(Int, Bool),
+          case Seg((Int, Int)), case Group(Shape, Shape)
+        }
+        def ev(n: Int): Bool = if (n <= 0 || n > 40) true else od(n - 1)
+        def od(n: Int): Bool = if (n <= 0 || n > 40) false else ev(n - 1)
+    ";
+    const PARAMS: [&str; 3] = ["p0", "p1", "p2"];
+    /// Few names, one of them a parameter's, so bindings shadow.
+    const NAMES: [&str; 4] = ["a", "b", "c", "p0"];
+    /// Everything the generator must have emitted by the end of the test.
+    const LABELS: [&str; 28] = [
+        "expr.lit",
+        "expr.var",
+        "expr.ctor0",
+        "expr.ctor1",
+        "expr.ctor2",
+        "expr.call",
+        "expr.tuple",
+        "expr.set",
+        "expr.not",
+        "expr.neg",
+        "expr.arith",
+        "expr.div0",
+        "expr.compare",
+        "expr.equal",
+        "expr.connective",
+        "expr.if",
+        "expr.let",
+        "expr.let.shadow",
+        "expr.match",
+        "match.split",
+        "match.split.whole",
+        "match.open",
+        "pat.wildcard",
+        "pat.var",
+        "pat.lit",
+        "pat.ctor",
+        "pat.ctor.nested",
+        "pat.tuple",
+    ];
+
+    /// A seeded generator of well-typed source text.
+    struct Gen {
+        rng: SmallRng,
+        /// Variables in scope, innermost last; a later entry shadows an
+        /// earlier one of its name.
+        env: Vec<(&'static str, Ty)>,
+        /// The defs so far, callable from the next: name, parameter
+        /// types, return type.
+        defs: Vec<(String, Vec<Ty>, Ty)>,
+        seen: BTreeSet<&'static str>,
+    }
+
+    impl Gen {
+        fn pick<T: Copy>(&mut self, items: &[T]) -> T {
+            items[self.rng.index(items.len())]
+        }
+
+        fn var(&mut self, ty: Ty) -> Option<&'static str> {
+            let visible: Vec<&'static str> = NAMES
+                .iter()
+                .chain(&PARAMS[1..])
+                .copied()
+                .filter(|name| {
+                    let binding = self.env.iter().rev().find(|(n, _)| n == name);
+                    binding.is_some_and(|(_, t)| *t == ty)
+                })
+                .collect();
+            (!visible.is_empty()).then(|| self.pick(&visible))
+        }
+
+        fn pair(&mut self, ty: Ty, mut part: impl FnMut(&mut Gen, Ty) -> String) -> String {
+            let [a, b] = ty.components().expect("a tuple type");
+            format!("({}, {})", part(self, a), part(self, b))
+        }
+
+        fn leaf(&mut self, ty: Ty) -> String {
+            if self.rng.gen_bool(0.6) {
+                if let Some(name) = self.var(ty) {
+                    self.seen.insert("expr.var");
+                    return name.to_string();
+                }
+            }
+            match ty {
+                Ty::Int => {
+                    self.seen.insert("expr.lit");
+                    self.pick(&["0", "1", "2", "7", "100", "9223372036854775807"])
+                        .to_string()
+                }
+                Ty::Bool => self.pick(&["true", "false"]).to_string(),
+                Ty::Str => self.pick(&["\"a\"", "\"b\""]).to_string(),
+                Ty::Unit => "()".to_string(),
+                Ty::Shape => {
+                    self.seen.insert("expr.ctor0");
+                    "Shape.Dot".to_string()
+                }
+                Ty::IntSet => {
+                    self.seen.insert("expr.set");
+                    format!("Set({}, {})", self.leaf(Ty::Int), self.leaf(Ty::Int))
+                }
+                Ty::Ints | Ty::Pair | Ty::Shapes => {
+                    self.seen.insert("expr.tuple");
+                    self.pair(ty, Gen::leaf)
+                }
+            }
+        }
+
+        fn expr(&mut self, ty: Ty, depth: usize) -> String {
+            let Some(d) = depth.checked_sub(1) else {
+                return self.leaf(ty);
+            };
+            match self.rng.index(8) {
+                0 => self.leaf(ty),
+                1 => {
+                    self.seen.insert("expr.if");
+                    let cond = self.expr(Ty::Bool, d);
+                    format!(
+                        "(if ({cond}) {} else {})",
+                        self.expr(ty, d),
+                        self.expr(ty, d)
+                    )
+                }
+                2 => {
+                    let (name, bound_ty) = (self.pick(&NAMES), self.pick(&TYPES));
+                    let bound = self.expr(bound_ty, d);
+                    let shadows = self.env.iter().any(|(n, _)| *n == name);
+                    self.seen.insert(if shadows {
+                        "expr.let.shadow"
+                    } else {
+                        "expr.let"
+                    });
+                    self.env.push((name, bound_ty));
+                    let body = self.expr(ty, d);
+                    self.env.pop();
+                    format!("(let {name} = {bound}; {body})")
+                }
+                3 => self.match_expr(ty, d),
+                4 => {
+                    let callable: Vec<usize> = (0..self.defs.len())
+                        .filter(|&i| self.defs[i].2 == ty)
+                        .collect();
+                    if callable.is_empty() {
+                        return self.specific(ty, d);
+                    }
+                    self.seen.insert("expr.call");
+                    let callee = self.pick(&callable);
+                    let (name, params, _) = self.defs[callee].clone();
+                    let args: Vec<String> = params.iter().map(|t| self.expr(*t, d)).collect();
+                    format!("{name}({})", args.join(", "))
+                }
+                _ => self.specific(ty, d),
+            }
+        }
+
+        /// An expression only `ty` has: its operators or its constructors.
+        fn specific(&mut self, ty: Ty, d: usize) -> String {
+            match ty {
+                Ty::Int if self.rng.gen_bool(0.2) => {
+                    self.seen.insert("expr.neg");
+                    format!("(-{})", self.expr(Ty::Int, d))
+                }
+                Ty::Int => {
+                    let op = self.pick(&["+", "-", "*", "/", "%"]);
+                    let lhs = self.expr(Ty::Int, d);
+                    let rhs = if "/%".contains(op) && self.rng.gen_bool(0.3) {
+                        self.seen.insert("expr.div0");
+                        "0".to_string()
+                    } else {
+                        self.seen.insert("expr.arith");
+                        self.expr(Ty::Int, d)
+                    };
+                    format!("({lhs} {op} {rhs})")
+                }
+                Ty::Bool => match self.rng.index(4) {
+                    0 => {
+                        self.seen.insert("expr.not");
+                        format!("(!{})", self.expr(Ty::Bool, d))
+                    }
+                    1 => {
+                        self.seen.insert("expr.compare");
+                        let op = self.pick(&["<", "<=", ">", ">="]);
+                        format!("({} {op} {})", self.expr(Ty::Int, d), self.expr(Ty::Int, d))
+                    }
+                    2 => {
+                        self.seen.insert("expr.equal");
+                        let (of, op) = (self.pick(&TYPES), self.pick(&["==", "!="]));
+                        format!("({} {op} {})", self.expr(of, d), self.expr(of, d))
+                    }
+                    _ => {
+                        // The right operand is a `match` with no arm for
+                        // the one value of `lhs` on which it must not run.
+                        self.seen.insert("expr.connective");
+                        let (op, skip_on) = self.pick(&[("&&", "true"), ("||", "false")]);
+                        let (lhs, rhs) = (self.expr(Ty::Bool, d), self.expr(Ty::Bool, d));
+                        format!("({lhs} {op} (match {lhs} with {{ case {skip_on} => {rhs} }}))")
+                    }
+                },
+                Ty::Shape => {
+                    let (case, fields) = self.pick(&CASES);
+                    self.seen
+                        .insert(["expr.ctor0", "expr.ctor1", "expr.ctor2"][fields.len()]);
+                    if fields.is_empty() {
+                        return format!("Shape.{case}");
+                    }
+                    let args: Vec<String> = fields.iter().map(|t| self.expr(*t, d)).collect();
+                    format!("Shape.{case}({})", args.join(", "))
+                }
+                Ty::IntSet => {
+                    self.seen.insert("expr.set");
+                    let items: Vec<String> = (0..1 + self.rng.index(3))
+                        .map(|_| self.expr(Ty::Int, d))
+                        .collect();
+                    format!("Set({})", items.join(", "))
+                }
+                Ty::Ints | Ty::Pair | Ty::Shapes => {
+                    self.seen.insert("expr.tuple");
+                    self.pair(ty, |g, t| g.expr(t, d))
+                }
+                Ty::Str | Ty::Unit => self.leaf(ty),
+            }
+        }
+
+        fn match_expr(&mut self, ty: Ty, d: usize) -> String {
+            self.seen.insert("expr.match");
+            let of = self.pick(&TYPES);
+            // A tuple literal is what the compiler matches by component.
+            let split = of.components().is_some() && self.rng.gen_bool(0.7);
+            let scrutinee = if split {
+                self.seen.insert("match.split");
+                self.pair(of, |g, t| g.expr(t, d))
+            } else {
+                self.expr(of, d)
+            };
+            let mut text = format!("(match {scrutinee} with {{");
+            // Arms overlap freely: the first that matches must win.
+            for _ in 0..1 + self.rng.index(3) {
+                if split && self.rng.gen_bool(0.3) {
+                    // An arm that binds the tuple whole, and whose value
+                    // depends on the binding being the tuple.
+                    self.seen.insert("match.split.whole");
+                    let (body, other) = (self.expr(ty, d), self.leaf(ty));
+                    text.push_str(&format!(
+                        " case whole => (if (whole == {scrutinee}) {body} else {other})"
+                    ));
+                    continue;
+                }
+                let mark = self.env.len();
+                let pat = self.pattern(of, 2);
+                let body = self.expr(ty, d);
+                self.env.truncate(mark);
+                text.push_str(&format!(" case {pat} => {body}"));
+            }
+            if self.rng.gen_bool(0.7) {
+                text.push_str(&format!(" case _ => {}", self.leaf(ty)));
+            } else {
+                self.seen.insert("match.open");
+            }
+            text.push_str(" })");
+            text
+        }
+
+        /// A pattern for `ty`; its variables come into scope.
+        fn pattern(&mut self, ty: Ty, depth: usize) -> String {
+            let pick = self.rng.index(10);
+            if pick < 2 || (pick >= 5 && (depth == 0 || ty == Ty::IntSet)) {
+                self.seen.insert("pat.wildcard");
+                return "_".to_string();
+            }
+            if pick < 5 {
+                self.seen.insert("pat.var");
+                let name = self.pick(&NAMES);
+                self.env.push((name, ty));
+                return name.to_string();
+            }
+            match ty {
+                Ty::Int | Ty::Bool | Ty::Str | Ty::Unit | Ty::IntSet => {
+                    self.seen.insert("pat.lit");
+                    let literals: &[&str] = match ty {
+                        Ty::Int => &["0", "1", "-1", "7"],
+                        Ty::Bool => &["true", "false"],
+                        Ty::Str => &["\"a\"", "\"b\""],
+                        _ => &["()"],
+                    };
+                    self.pick(literals).to_string()
+                }
+                Ty::Shape => {
+                    self.seen.insert("pat.ctor");
+                    let (case, fields) = self.pick(&CASES);
+                    if fields.is_empty() {
+                        return format!("Shape.{case}");
+                    }
+                    if depth == 1 {
+                        self.seen.insert("pat.ctor.nested");
+                    }
+                    let args: Vec<String> =
+                        fields.iter().map(|t| self.pattern(*t, depth - 1)).collect();
+                    format!("Shape.{case}({})", args.join(", "))
+                }
+                Ty::Ints | Ty::Pair | Ty::Shapes => {
+                    self.seen.insert("pat.tuple");
+                    self.pair(ty, |g, t| g.pattern(t, depth - 1))
+                }
+            }
+        }
+
+        /// Five defs over the prelude, each free to call the ones before.
+        fn program(&mut self) -> String {
+            let mut source = PRELUDE.to_string();
+            for i in 0..5 {
+                let params: Vec<Ty> = (0..self.rng.index(4)).map(|_| self.pick(&TYPES)).collect();
+                let ret = self.pick(&TYPES);
+                self.env = PARAMS.iter().copied().zip(params.iter().copied()).collect();
+                let body = self.expr(ret, 4);
+                let declared: Vec<String> = self
+                    .env
+                    .iter()
+                    .map(|(name, ty)| format!("{name}: {}", ty.source()))
+                    .collect();
+                source.push_str(&format!(
+                    "def f{i}({}): {} = {body}\n",
+                    declared.join(", "),
+                    ret.source()
+                ));
+                self.defs.push((format!("f{i}"), params, ret));
+            }
+            source
+        }
+
+        /// An argument value. Half the `Shape`s carry a tag of their own
+        /// allocation, as values built outside the compiler do, so patterns
+        /// also compare tags by content.
+        fn value(&mut self, ty: Ty, depth: usize) -> Value {
+            match ty {
+                Ty::Int => Value::Int(self.pick(&[0, 1, -1, 2, 7, 41, i64::MAX, i64::MIN])),
+                Ty::Bool => Value::Bool(self.rng.gen_bool(0.5)),
+                Ty::Str => Value::from(self.pick(&["a", "b"])),
+                Ty::Unit => Value::Unit,
+                Ty::Shape => {
+                    let (case, fields) = if depth == 0 {
+                        CASES[0]
+                    } else {
+                        self.pick(&CASES)
+                    };
+                    let fields: Vec<Value> =
+                        fields.iter().map(|t| self.value(*t, depth - 1)).collect();
+                    if self.rng.gen_bool(0.5) {
+                        ctor_value(case, fields.into_iter())
+                    } else {
+                        Value::tag(case, payload(fields.into_iter()))
+                    }
+                }
+                Ty::IntSet => Value::set((0..self.rng.index(3)).map(|n| Value::Int(n as i64))),
+                Ty::Ints | Ty::Pair | Ty::Shapes => {
+                    let [a, b] = ty.components().expect("a tuple type");
+                    Value::tuple([self.value(a, depth), self.value(b, depth)])
+                }
+            }
+        }
+    }
+
+    /// SNIPPETS.md's `pattern_match_deterministic` and
+    /// `expr_eval_deterministic` obligations, executable: on generated
+    /// well-typed defs the compiled code returns what the tree-walker
+    /// returns and panics with the message it panics with.
+    #[test]
+    fn compiled_code_agrees_with_the_reference_evaluator() {
+        let mut seen = BTreeSet::new();
+        let (mut returned, mut panicked) = (0, 0);
+        for seed in 0..200 {
+            let mut gen = Gen {
+                rng: SmallRng::seed_from_u64(0x1A06_2100 + seed),
+                env: Vec::new(),
+                defs: vec![
+                    ("ev".to_string(), vec![Ty::Int], Ty::Bool),
+                    ("od".to_string(), vec![Ty::Int], Ty::Bool),
+                ],
+                seen: BTreeSet::new(),
+            };
+            let source = gen.program();
+            let parsed = parse(&source).unwrap_or_else(|e| panic!("{e} in\n{source}"));
+            let checked = Arc::new(check(&parsed).unwrap_or_else(|e| panic!("{e} in\n{source}")));
+            let compiled = Interpreter::new(checked.clone());
+            for (name, params, _) in gen.defs.clone() {
+                for _ in 0..6 {
+                    let args: Vec<Value> = params.iter().map(|t| gen.value(*t, 2)).collect();
+                    let got = outcome(|| compiled.call(&name, &args));
+                    let expected = outcome(|| reference::call(&checked, &name, &args));
+                    assert_eq!(got, expected, "{name}({args:?}) in\n{source}");
+                    match got {
+                        Ok(_) => returned += 1,
+                        Err(_) => panicked += 1,
+                    }
+                }
+            }
+            seen.extend(gen.seen);
+        }
+        for label in LABELS {
+            assert!(seen.contains(label), "the generator never emitted {label}");
+        }
+        assert!(
+            returned > 5_000 && panicked > 100,
+            "{returned} calls returned, {panicked} panicked"
+        );
     }
 }

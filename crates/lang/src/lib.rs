@@ -101,8 +101,7 @@ pub fn parse_ground_atom(text: &str) -> Result<(String, Vec<flix_core::Value>), 
     let values = terms
         .iter()
         .map(|t| match t {
-            ast::RuleTerm::Lit(l, _) => Ok(interp::lit_value(l)),
-            ast::RuleTerm::Ctor { .. } => Ok(ground_ctor(t)),
+            ast::RuleTerm::Lit(..) | ast::RuleTerm::Ctor { .. } => Ok(lower::ground_value(t)),
             ast::RuleTerm::Wildcard(pos) => Err(LangError::parse(
                 *pos,
                 "explain queries must be ground; replace `_` with a value \
@@ -132,8 +131,7 @@ pub fn parse_query_atom(text: &str) -> Result<(String, Vec<Option<flix_core::Val
         .iter()
         .map(|t| match t {
             ast::RuleTerm::Wildcard(_) => Ok(None),
-            ast::RuleTerm::Lit(l, _) => Ok(Some(interp::lit_value(l))),
-            ast::RuleTerm::Ctor { .. } => Ok(Some(ground_ctor(t))),
+            ast::RuleTerm::Lit(..) | ast::RuleTerm::Ctor { .. } => Ok(Some(lower::ground_value(t))),
             other => Err(LangError::parse(
                 other.pos(),
                 "query atoms take literals and `_` wildcards (no variables)",
@@ -200,21 +198,6 @@ pub fn compile_update(source: &str) -> Result<flix_core::Delta, LangError> {
         delta.push_op(flix_core::DeltaOp::Retract { predicate, tuple });
     }
     Ok(delta)
-}
-
-fn ground_ctor(t: &ast::RuleTerm) -> flix_core::Value {
-    match t {
-        ast::RuleTerm::Lit(l, _) => interp::lit_value(l),
-        ast::RuleTerm::Ctor { case, args, .. } => {
-            let payload = match args.len() {
-                0 => flix_core::Value::Unit,
-                1 => ground_ctor(&args[0]),
-                _ => flix_core::Value::tuple(args.iter().map(ground_ctor)),
-            };
-            flix_core::Value::tag(case.as_str(), payload)
-        }
-        _ => unreachable!("caller checks groundness"),
-    }
 }
 
 /// Compiles and solves FLIX source text with the default solver.

@@ -1,13 +1,13 @@
 //! Lowering a checked surface program to the fixed-point engine.
 //!
-//! Lattice bindings become [`LatticeOps`] whose operations call the AST
-//! interpreter; `def` functions are registered as engine functions the
-//! same way; predicates, facts, and rules map one-to-one onto the
-//! [`flix_core::ProgramBuilder`] API.
+//! Lattice bindings become [`LatticeOps`] whose operations call the
+//! compiled `def`s of [`crate::interp`] by index; `def` functions are
+//! registered as engine functions the same way; predicates, facts, and
+//! rules map one-to-one onto the [`flix_core::ProgramBuilder`] API.
 
 use crate::ast::{Atom, LatticeBind, RuleTerm};
 use crate::error::LangError;
-use crate::interp::{lit_value, Interpreter};
+use crate::interp::{ctor_value, lit_value, Interpreter};
 use crate::typeck::{CheckedBodyItem, CheckedProgram};
 use flix_core::{
     BodyItem, FuncId, Head, HeadTerm, LatticeOps, PredId, Program, ProgramBuilder, Term, Value,
@@ -54,14 +54,15 @@ pub fn lower(checked: Arc<CheckedProgram>) -> Result<Program, LangError> {
         pred_ids.insert(name.clone(), id);
     }
 
-    // Every def becomes an engine function (transfer, filter, or choice).
+    // Every def becomes an engine function (transfer, filter, or choice),
+    // registered in name order so that function ids are the same on
+    // every compilation of one source.
     let mut func_ids: HashMap<String, FuncId> = HashMap::new();
-    for name in checked.defs.keys() {
+    for (def, name) in interp.names().enumerate() {
         let i = interp.clone();
-        let n = name.clone();
         func_ids.insert(
-            name.clone(),
-            b.function(name.as_str(), move |args| i.call(&n, args)),
+            name.to_string(),
+            b.function(name, move |args| i.call_at(def, args)),
         );
     }
 
@@ -97,33 +98,33 @@ pub fn lower(checked: Arc<CheckedProgram>) -> Result<Program, LangError> {
 pub(crate) fn ops_for_binding(interp: &Interpreter, ty: &str, bind: &LatticeBind) -> LatticeOps {
     let bot = interp.eval_closed(&bind.bot);
     let top = interp.eval_closed(&bind.top);
-    let (leq_i, leq_n) = (interp.clone(), bind.leq.clone());
-    let (lub_i, lub_n) = (interp.clone(), bind.lub.clone());
-    let (glb_i, glb_n) = (interp.clone(), bind.glb.clone());
+    let op = |name: &str| {
+        let (interp, def) = (interp.clone(), interp.resolve(name));
+        move |a: &Value, b: &Value| interp.call_at(def, [a, b])
+    };
+    let leq = op(&bind.leq);
     LatticeOps::from_fns(
         ty.to_string(),
         bot,
         Some(top),
-        move |a, b| leq_i.call(&leq_n, &[a.clone(), b.clone()]).is_true(),
-        move |a, b| lub_i.call(&lub_n, &[a.clone(), b.clone()]),
-        move |a, b| glb_i.call(&glb_n, &[a.clone(), b.clone()]),
+        move |a, b| leq(a, b).is_true(),
+        op(&bind.lub),
+        op(&bind.glb),
     )
 }
 
 /// Evaluates a ground rule term (literal or constructor) to a value.
-fn ground_value(t: &RuleTerm) -> Value {
+///
+/// # Panics
+///
+/// Panics on a variable, wildcard or application: callers check
+/// groundness first.
+pub(crate) fn ground_value(t: &RuleTerm) -> Value {
     match t {
         RuleTerm::Lit(l, _) => lit_value(l),
-        RuleTerm::Ctor { case, args, .. } => {
-            let payload = match args.len() {
-                0 => Value::Unit,
-                1 => ground_value(&args[0]),
-                _ => Value::tuple(args.iter().map(ground_value)),
-            };
-            Value::tag(case.as_str(), payload)
-        }
+        RuleTerm::Ctor { case, args, .. } => ctor_value(case, args.iter().map(ground_value)),
         RuleTerm::Var(..) | RuleTerm::Wildcard(_) | RuleTerm::App { .. } => {
-            unreachable!("checker enforces groundness of facts")
+            unreachable!("callers check groundness")
         }
     }
 }

@@ -28,10 +28,13 @@ const MAX_SAMPLES: usize = 12;
 ///
 /// # Errors
 ///
-/// Returns a [`LangError`] naming the lattice type and the violated law.
+/// Returns a [`LangError`] naming the lattice type and the violated law;
+/// of several broken bindings, the one whose type name sorts first.
 pub fn check_lattices(checked: &Arc<CheckedProgram>) -> Result<(), LangError> {
     let interp = Interpreter::new(Arc::clone(checked));
-    for (ty, bind) in &checked.lattices {
+    let mut bindings: Vec<_> = checked.lattices.iter().collect();
+    bindings.sort_unstable_by_key(|(ty, _)| *ty);
+    for (ty, bind) in bindings {
         let ops = lower::ops_for_binding(&interp, ty, bind);
         let samples = sample_elements(checked, ty);
         if let Err(violation) = verify::check_lattice_ops(&ops, &samples) {

@@ -262,6 +262,66 @@ fn panicking_function_exits_with_code_3_and_names_the_function() {
 }
 
 #[test]
+fn unbounded_recursion_exits_with_code_3_and_prints_the_partial_model() {
+    // `spin` never returns. The evaluator's recursion limit turns what
+    // would be a stack overflow (SIGABRT, no model) into a function panic.
+    let file = write_temp(
+        "spin.flix",
+        "
+        def spin(x: Int): Int = spin(x + 1)
+        rel P(x: Int);
+        rel Q(x: Int);
+        P(1).
+        Q(spin(x)) :- P(x).
+        ",
+    );
+    let output = flixr().arg(&file).output().expect("runs");
+    assert_eq!(output.status.code(), Some(3), "solve failures exit with 3");
+    let stderr = String::from_utf8(output.stderr).expect("utf8");
+    assert!(stderr.contains("spin panicked"), "{stderr}");
+    assert!(
+        stderr.contains("recursion limit exceeded in spin"),
+        "{stderr}"
+    );
+    let stdout = String::from_utf8(output.stdout).expect("utf8");
+    assert_eq!(stdout.lines().collect::<Vec<_>>(), vec!["P(1)"]);
+}
+
+#[test]
+fn verify_names_the_same_broken_binding_on_every_run() {
+    // Two unlawful bindings (each `lub` ignores an argument): which one
+    // is reported must not depend on a hash map's iteration order.
+    let broken = |ty: &str| {
+        format!(
+            "
+            enum {ty} {{ case Top, case Bot }}
+            def leq{ty}(x: {ty}, y: {ty}): Bool = match (x, y) with {{
+              case ({ty}.Bot, _) => true
+              case (_, {ty}.Top) => true
+              case _ => false
+            }}
+            def lub{ty}(x: {ty}, y: {ty}): {ty} = x
+            def glb{ty}(x: {ty}, y: {ty}): {ty} = y
+            let {ty}<> = ({ty}.Bot, {ty}.Top, leq{ty}, lub{ty}, glb{ty});
+            "
+        )
+    };
+    let file = write_temp(
+        "two-broken.flix",
+        &format!("{}{}", broken("Zed"), broken("Abc")),
+    );
+    for run in 0..20 {
+        let output = flixr().arg("--verify").arg(&file).output().expect("runs");
+        assert!(!output.status.success());
+        let stderr = String::from_utf8(output.stderr).expect("utf8");
+        assert!(
+            stderr.contains("the Abc<> binding is not a lattice"),
+            "run {run}: {stderr}"
+        );
+    }
+}
+
+#[test]
 fn verify_rejects_unlawful_lattices() {
     let file = write_temp(
         "broken.flix",

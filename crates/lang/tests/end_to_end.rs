@@ -332,3 +332,39 @@ fn unstratifiable_surface_program_fails_at_solve_time() {
     let err = Solver::new().solve(&program).expect_err("not stratifiable");
     assert!(err.to_string().contains("not stratifiable"));
 }
+
+/// Engine function ids are positions in registration order, and they
+/// appear in compiled rules: two compilations of one source must number
+/// the `def`s alike, whatever order a hash map hands them over in.
+#[test]
+fn two_compilations_register_functions_in_the_same_order() {
+    let source = "
+        def zeta(x: Int): Int = x + 1
+        def alpha(x: Int): Bool = x > 0
+        def mid(x: Int): Int = x * 2
+        def kappa(x: Int): Int = x - 1
+        def beta(x: Int): Bool = x < 9
+        def omega(x: Int): Int = x
+        def delta(x: Int): Int = x / 2
+        def gamma(x: Int): Int = x % 3
+        rel P(x: Int);
+        rel Q(x: Int);
+        P(1).
+        Q(zeta(x)) :- P(x), alpha(x), beta(x).
+    ";
+    // `Program` prints its function table in id order.
+    let function_order = |program: &flix_core::Program| -> Vec<String> {
+        let printed = format!("{program:?}");
+        let names = printed.split("FuncDef(").skip(1);
+        names
+            .map(|rest| rest[..rest.find(')').expect("closing paren")].to_string())
+            .collect()
+    };
+    let first = function_order(&flix_lang::compile(source).expect("compiles"));
+    let second = function_order(&flix_lang::compile(source).expect("compiles"));
+    assert_eq!(first, second);
+    assert_eq!(
+        first,
+        ["alpha", "beta", "delta", "gamma", "kappa", "mid", "omega", "zeta"]
+    );
+}

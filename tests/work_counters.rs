@@ -7,9 +7,10 @@
 //! wall-clock gate on workloads this small trips on the host's drift
 //! more often than on a change. The first 26 vectors were recorded by
 //! the `--quick` benches this test replaced (PR 20; same generators,
-//! same seeds, the default solver on one thread); the last three rows
-//! are the design ablations — naïve against semi-naïve evaluation, and
-//! scans against index probes.
+//! same seeds, the default solver on one thread); then come the
+//! surface-language pair — one program compiled from `.flix` text and
+//! built from native closures — and the design ablations — naïve against
+//! semi-naïve evaluation, and scans against index probes.
 //!
 //! A pin that moves is a finding: either the engine now does different
 //! work for the same answer (say which, and why, where the pin is
@@ -26,9 +27,10 @@ use flix::analyses::workloads::jvm_program::{self, GenParams};
 use flix::core::SolveStats;
 use flix::lattice::rng::SmallRng;
 use flix::{
-    AscentConfig, BodyItem, Delta, Head, HeadTerm, Program, ProgramBuilder, Query, Solver,
-    Strategy, Term, TraceConfig, Value,
+    AscentConfig, BodyItem, Delta, Head, HeadTerm, LatticeOps, Program, ProgramBuilder, Query,
+    Solver, Strategy, Term, TraceConfig, Value,
 };
+use std::fmt::Write as _;
 use std::sync::Arc;
 
 /// `[rounds, rule_evaluations, facts_derived, facts_inserted,
@@ -181,6 +183,88 @@ fn traced(solver: Solver) -> SolveStats {
     solution.stats().clone()
 }
 
+/// The declarations of `examples/flix/shortest_paths.flix` — the `Dist`
+/// lattice and `plus`, written in FLIX — over the 400-node graph, from
+/// source text: every `leq`, `lub` and `plus` of the solve runs in
+/// `flix_lang`'s evaluator.
+fn surface_compiled_400() -> SolveStats {
+    let example = include_str!("../examples/flix/shortest_paths.flix");
+    let (declarations, _) = example
+        .split_once("Reach(\"a\"")
+        .expect("the example's first fact");
+    let mut text = declarations.to_string();
+    text.push_str("Reach(y, plus(d, c)) :- Reach(x, d), Edge(x, y, c).\n");
+    text.push_str("Reach(\"n0\", Dist.Fin(0)).\n");
+    for (x, y, c) in graph(400).edges {
+        writeln!(text, "Edge(\"n{x}\", \"n{y}\", {c}).").expect("write to a string");
+    }
+    let program = flix::compile(&text).expect("compiles");
+    let solution = Solver::new().solve(&program).expect("solves");
+    solution.stats().clone()
+}
+
+/// The same program through `ProgramBuilder`, its lattice and `plus` as
+/// Rust closures over the same `Fin(n)` / `Inf` values. The evaluator
+/// decides how fast an operation runs, never which ones run: this row
+/// and the one above share a pin.
+fn surface_native_400() -> SolveStats {
+    fn fin(n: i64) -> Value {
+        Value::tag("Fin", Value::Int(n))
+    }
+    /// `None` is `Inf`.
+    fn cost(d: &Value) -> Option<i64> {
+        d.tag_payload().and_then(Value::as_int)
+    }
+    let ops = LatticeOps::from_fns(
+        "Dist",
+        Value::tag0("Inf"),
+        Some(fin(0)),
+        |a, b| match (cost(a), cost(b)) {
+            (None, _) => true,
+            (_, None) => false,
+            (Some(x), Some(y)) => x >= y,
+        },
+        |a, b| match (cost(a), cost(b)) {
+            (None, _) => b.clone(),
+            (_, None) => a.clone(),
+            (Some(x), Some(y)) => fin(x.min(y)),
+        },
+        |a, b| match (cost(a), cost(b)) {
+            (Some(x), Some(y)) => fin(x.max(y)),
+            _ => Value::tag0("Inf"),
+        },
+    );
+    let mut b = ProgramBuilder::new();
+    let edge = b.relation("Edge", 3);
+    let reach = b.lattice("Reach", 2, ops);
+    let plus = b.function("plus", |args| match cost(&args[0]) {
+        None => Value::tag0("Inf"),
+        Some(x) => fin(x + args[1].as_int().expect("weight")),
+    });
+    b.rule(
+        Head::new(
+            reach,
+            [
+                HeadTerm::var("y"),
+                HeadTerm::app(plus, [Term::var("d"), Term::var("c")]),
+            ],
+        ),
+        [
+            BodyItem::atom(reach, [Term::var("x"), Term::var("d")]),
+            BodyItem::atom(edge, [Term::var("x"), Term::var("y"), Term::var("c")]),
+        ],
+    );
+    b.fact(reach, vec!["n0".into(), fin(0)]);
+    for (x, y, c) in graph(400).edges {
+        let node = |n: u32| Value::from(format!("n{n}"));
+        b.fact(edge, vec![node(x), node(y), (c as i64).into()]);
+    }
+    let solution = Solver::new()
+        .solve(&b.build().expect("valid"))
+        .expect("solves");
+    solution.stats().clone()
+}
+
 /// Transitive closure over a chain plus random edges: the canonical
 /// engine micro-workload of the design ablations (DESIGN.md §2, E9).
 fn closure_program(nodes: i64, extra: usize, seed: u64) -> Program {
@@ -252,6 +336,10 @@ const ROWS: &[Row] = &[
     ("trace/sp_untraced/150", || traced(Solver::new()), TRACE_PIN),
     ("trace/sp_traced/150", || traced(Solver::new().trace(TraceConfig::default())), TRACE_PIN),
     ("trace/sp_ascent/150", || traced(Solver::new().ascent(AscentConfig::default())), TRACE_PIN),
+    // How a lattice's operations are evaluated must not change which
+    // are asked for.
+    ("surface/compiled_defs/400", surface_compiled_400, SURFACE_PIN),
+    ("surface/native_closures/400", surface_native_400, SURFACE_PIN),
     // The design ablations: one program, three ways of evaluating it.
     ("ablation/semi_naive/60", || ablation(Solver::new()), [16, 17, 6960, 3656, 3540, 0, 1, 3656]),
     ("ablation/naive/60", || ablation(Solver::new().strategy(Strategy::Naive)), [16, 32, 72313, 3656, 36278, 0, 1, 3656]),
@@ -259,6 +347,7 @@ const ROWS: &[Row] = &[
 ];
 
 const TRACE_PIN: Counters = [10, 10, 1581, 914, 372, 0, 1, 795];
+const SURFACE_PIN: Counters = [11, 11, 4723, 2616, 982, 0, 1, 2292];
 
 #[test]
 fn seeded_workloads_report_exactly_the_pinned_work() {

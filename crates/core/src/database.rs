@@ -72,7 +72,8 @@ impl From<OpsPanic> for InsertFault {
 
 /// Outcome of inserting one derived fact. A change names the row it
 /// made or raised by id: the store holds the tuple, and whoever needs it
-/// decoded reads it there ([`Database::fact_tuple`]).
+/// decoded reads it there ([`Columns::row`], [`LatticeData::cell`]); the
+/// provenance log copies the row's encoded slots ([`Columns::slots`]).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub(crate) enum InsertOutcome {
     /// The fact was already present (or was a lattice `⊥`): no change.
@@ -118,6 +119,13 @@ const TAG_BOOL: u64 = 1;
 const TAG_INT: u64 = 2;
 const TAG_SYM: u64 = 3;
 const TAG_SPILL: u64 = 4;
+
+/// Two of the slot tags no value encodes to, for the provenance log's
+/// words ([`crate::provenance`]): a premise column that matched without
+/// binding, and a column whose value has no slot and sits in the log's
+/// side column instead. Neither is ever stored in a [`Columns`].
+pub(crate) const SLOT_WILDCARD: u64 = 5;
+pub(crate) const SLOT_SIDE: u64 = 6;
 
 /// Integers representable inline in a slot: 61 bits, sign-extended on
 /// decode. Anything outside spills.
@@ -184,6 +192,20 @@ pub(crate) fn try_encode(v: &Value, spill: &SpillTable) -> Option<u64> {
         Value::Str(s) => Some(pack(TAG_SYM, symbol::lookup(s)? as u64)),
         other => Some(pack(TAG_SPILL, spill.lookup(other)? as u64)),
     }
+}
+
+/// [`try_encode`] for every value of `row`, into `enc` (cleared first).
+/// `false` when one of them is unknown to the store: then no stored row
+/// or key equals `row`.
+pub(crate) fn try_encode_row(row: &[Value], spill: &SpillTable, enc: &mut Vec<u64>) -> bool {
+    enc.clear();
+    for v in row {
+        match try_encode(v, spill) {
+            Some(slot) => enc.push(slot),
+            None => return false,
+        }
+    }
+    true
 }
 
 /// Decodes a slot back into a [`Value`].
@@ -401,8 +423,8 @@ impl Columns {
     }
 
     /// The encoded slots of row `id`, one per column.
-    pub(crate) fn encoded(&self, id: u32) -> Box<[u64]> {
-        self.cols.iter().map(|col| col[id as usize]).collect()
+    pub(crate) fn slots(&self, id: u32) -> impl Iterator<Item = u64> + '_ {
+        self.cols.iter().map(move |col| col[id as usize])
     }
 
     #[inline]
@@ -1035,6 +1057,7 @@ impl Database {
 
     /// The id of a stored fact, by its decoded identifying columns: a
     /// relation's whole tuple, a lattice cell's key.
+    #[cfg(test)]
     pub(crate) fn id_of(&self, pred: PredId, fact: &[Value]) -> Option<u32> {
         self.pred(pred).columns().id_of(fact, &self.spill)
     }
@@ -1093,23 +1116,6 @@ impl Database {
             .any(|p| matches!(p, PredData::Lat(l) if l.ascent.is_some()))
     }
 
-    /// The decoded tuple of one stored fact: row `id` of a relation, or
-    /// the key of lattice cell `id` followed by `raised` — the value one
-    /// particular change reached — or, without it, by the cell's current
-    /// value. For the one reader of a change that wants it boxed: the
-    /// provenance log.
-    pub(crate) fn fact_tuple(&self, pred: PredId, id: u32, raised: Option<&Value>) -> Vec<Value> {
-        match &self.preds[pred.0 as usize] {
-            PredData::Rel(r) => r.row(id).to_vec(),
-            PredData::Lat(l) => {
-                let mut tuple = Vec::with_capacity(l.keys.arity + 1);
-                tuple.extend_from_slice(l.key(id));
-                tuple.push(raised.unwrap_or_else(|| l.cell(id)).clone());
-                tuple
-            }
-        }
-    }
-
     /// If lattice cell `id` of `pred` has reached `threshold` strict
     /// increases and has not warned yet, marks it warned and returns its
     /// height. The solver turns this into an
@@ -1150,6 +1156,18 @@ mod tests {
 
     fn row(vals: &[i64]) -> Vec<Value> {
         vals.iter().map(|&n| Value::Int(n)).collect()
+    }
+
+    /// The decoded tuple of one stored fact: row `id` of a relation, or
+    /// the key of lattice cell `id` followed by `raised` — the value one
+    /// particular change reached — or, without it, by the cell's current
+    /// value.
+    fn fact_tuple(db: &Database, pred: PredId, id: u32, raised: Option<&Value>) -> Vec<Value> {
+        let mut tuple = db.pred(pred).columns().row(id).to_vec();
+        if let PredData::Lat(l) = db.pred(pred) {
+            tuple.push(raised.unwrap_or_else(|| l.cell(id)).clone());
+        }
+        tuple
     }
 
     /// Inserts through the decoded entry; the new row's id, if any.
@@ -1486,15 +1504,15 @@ mod tests {
             InsertOutcome::LatIncrease(0, Parity::Top.to_value())
         );
         assert_eq!(
-            db.fact_tuple(e, 1, None),
+            fact_tuple(&db, e, 1, None),
             vec![Value::Int(2), Value::Int(3)]
         );
         assert_eq!(
-            db.fact_tuple(iv, 0, None),
+            fact_tuple(&db, iv, 0, None),
             vec![Value::from("x"), Parity::Top.to_value()]
         );
         assert_eq!(
-            db.fact_tuple(iv, 0, Some(&Parity::Odd.to_value())),
+            fact_tuple(&db, iv, 0, Some(&Parity::Odd.to_value())),
             x_odd.to_vec(),
             "the value one change reached, not the current cell"
         );
@@ -1619,7 +1637,7 @@ mod tests {
         let contents = |db: &Database| {
             let cols = db.pred(same).columns();
             let mut rows: Vec<Vec<Value>> = (0..cols.len() as u32)
-                .map(|id| db.fact_tuple(same, id, None))
+                .map(|id| fact_tuple(db, same, id, None))
                 .collect();
             rows.sort();
             rows

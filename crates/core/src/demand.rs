@@ -107,7 +107,6 @@ use crate::database::Database;
 use crate::observe::{Observer, RuleEvaluated};
 use crate::program::CTerm;
 use crate::program::{CHead, CItem, CRule, Program};
-use crate::provenance::{Event, Source};
 use crate::solver::{rule_heads, Fact, Finished, Run};
 use crate::stratify::check_stratifiable;
 use crate::trace::{AscentWarning, SpanKind, Tracer};
@@ -1000,22 +999,6 @@ fn remap_stats(
     }
 }
 
-/// Strips and remaps a provenance log recorded over the rewritten
-/// program: events on demand relations are dropped, rule indices are
-/// translated to original rules, and guard premises are removed — so
-/// [`Solution::explain`] renders derivations exactly as a full solve
-/// would have.
-fn remap_events(rw: &Rewritten, events: &mut Vec<Event>) {
-    let n = rw.num_original_preds as u32;
-    events.retain_mut(|e| {
-        if let Source::Rule { rule, premises } = &mut e.source {
-            *rule = rw.rule_origin[*rule];
-            premises.retain(|p| p.pred.0 < n);
-        }
-        e.pred.0 < n
-    });
-}
-
 /// Rewrites failure details recorded against the rewritten program back
 /// into the original program's terms.
 fn remap_error(original: &Program, rw: &Rewritten, mut error: SolveError) -> SolveError {
@@ -1139,11 +1122,15 @@ impl Solver {
                 stats: remap_stats(program, &rw, out.stats, &db),
                 db,
                 edb: Arc::clone(&program.facts),
-                // The run started fresh, so the events it recorded are
-                // the whole log.
-                events: out.events.map(|mut log| {
-                    remap_events(&rw, log.tail_mut());
-                    log
+                // The log was recorded over the rewritten program: events
+                // on demand relations are dropped, rule indices translated
+                // to original rules and guard premises removed — so
+                // [`Solution::explain`] renders derivations exactly as a
+                // full solve would have. The run started fresh, so the
+                // events it recorded are the whole log.
+                events: out.events.map(|log| {
+                    let original = |pred: PredId| (pred.0 as usize) < rw.num_original_preds;
+                    log.rewritten(program, original, |rule| rw.rule_origin[rule])
                 }),
                 trace: out.trace.map(|mut t| {
                     t.remap_rules(&rw.rule_origin, rule_heads(program));

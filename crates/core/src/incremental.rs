@@ -104,6 +104,7 @@
 // like `solver.rs`; it is boxed inside `SolveFailure` at the API boundary.
 #![allow(clippy::result_large_err)]
 
+use crate::database::{try_encode_row, SpillTable};
 use crate::fxhash::{FxHashMap, FxHashSet};
 use crate::program::{CItem, Program};
 use crate::provenance::{fact_key, EventLog, Pos};
@@ -482,15 +483,19 @@ fn update(
         // assertion E′ makes of it; the facts the cone killed get theirs
         // back here, and the strata below re-derive the rest.
         let log = log.expect("removals without a complete log solved from scratch above");
+        let facts = Facts {
+            is_lat: log.shape().is_lat(),
+            spill: prior.database().spill(),
+        };
         let taint_start = run.tracer().now_ns();
-        let cone = Cone::taint(program, log, &removed);
+        let cone = Cone::taint(log, &facts, &removed);
         run.tracer().record(0, SpanKind::ResumeTaint, taint_start);
         run.delete(&cone);
-        for (pred, tuple) in eprime
-            .iter()
-            .filter(|(pred, tuple)| cone.kills(*pred, tuple))
-        {
-            run.assert(*pred, tuple)?;
+        let mut key = Vec::new();
+        for (pred, tuple) in eprime.iter() {
+            if cone.kills(&facts, *pred, tuple, &mut key) {
+                run.assert(*pred, tuple)?;
+            }
         }
     }
     // The *net* store change E′ \ E, not the raw add ops — an insertion
@@ -537,15 +542,31 @@ fn update(
 /// therefore dead *from* a position: that of its first dead event, or
 /// the start of the log when it was removed outright.
 pub(crate) struct Cone {
-    /// Per predicate: is it a lattice predicate?
-    is_lat: Vec<bool>,
-    /// Dead facts, per predicate: relational tuples, and keys of lattice
-    /// cells. A contaminated cell drops entirely — its clean prefix of
-    /// justifications survives in the kept log and re-derivation restores
-    /// their lub.
-    pub(crate) dead: Vec<FxHashSet<Vec<Value>>>,
+    /// Dead facts, per predicate, as encoded keys: relational tuples, and
+    /// keys of lattice cells. A contaminated cell drops entirely — its
+    /// clean prefix of justifications survives in the kept log and
+    /// re-derivation restores their lub.
+    pub(crate) dead: Vec<FxHashSet<Box<[u64]>>>,
     /// The log positions of the events that died, ascending.
     pub(crate) dead_events: Vec<Pos>,
+}
+
+/// What turns an assertion into the encoded key of the fact it asserts:
+/// which predicates are lattice predicates, and the spill table of the
+/// database the log's solution holds.
+struct Facts<'a> {
+    is_lat: &'a [bool],
+    spill: &'a SpillTable,
+}
+
+impl Facts<'_> {
+    /// The encoded key of the fact `tuple` of `pred` asserts — the
+    /// relational tuple itself, or the lattice cell it contributes to —
+    /// into `key`. `false` when the store has never seen one of its
+    /// values: then it holds no such fact.
+    fn encode_key(&self, pred: PredId, tuple: &[Value], key: &mut Vec<u64>) -> bool {
+        try_encode_row(fact_key(self.is_lat, pred, tuple), self.spill, key)
+    }
 }
 
 impl Cone {
@@ -555,43 +576,42 @@ impl Cone {
     /// those puts its own fact on the frontier at its own — later —
     /// position. Positions only grow, so the first time a fact is taken
     /// is the earliest position it is dead from, exactly as a forward
-    /// pass over the whole log would find it.
-    fn taint(program: &Program, log: &EventLog, removed: &[(PredId, Vec<Value>)]) -> Cone {
-        let is_lat: Vec<bool> = program.predicates().map(|(_, d)| d.is_lattice()).collect();
-        let mut dead = vec![FxHashSet::default(); is_lat.len()];
+    /// pass over the whole log would find it. Facts are their encoded
+    /// keys throughout, so the walk hashes and compares words.
+    fn taint(log: &EventLog, facts: &Facts<'_>, removed: &[(PredId, Vec<Value>)]) -> Cone {
+        let mut dead = vec![FxHashSet::default(); facts.is_lat.len()];
         let mut dead_events: FxHashSet<Pos> = FxHashSet::default();
         // (Dead from: `None` sorts first. The fact's predicate. Its key.)
-        let mut frontier: BinaryHeap<_> = removed
-            .iter()
-            .map(|(pred, tuple)| {
-                let key = fact_key(&is_lat, *pred, tuple).to_vec();
-                Reverse((None::<Pos>, *pred, key))
-            })
-            .collect();
+        let mut frontier = BinaryHeap::new();
+        let mut key = Vec::new();
+        for (pred, tuple) in removed {
+            // An assertion the store never saw a value of made no fact.
+            if facts.encode_key(*pred, tuple, &mut key) {
+                let key: Box<[u64]> = key.as_slice().into();
+                frontier.push(Reverse((None::<Pos>, *pred, key)));
+            }
+        }
         while let Some(Reverse((from, pred, key))) = frontier.pop() {
             if !dead[pred.0 as usize].insert(key.clone()) {
                 continue;
             }
-            log.touching(&is_lat, pred, &key, from, |at, event| {
-                let fact = fact_key(&is_lat, event.pred, &event.tuple);
-                if dead_events.insert(at) && !dead[event.pred.0 as usize].contains(fact) {
-                    frontier.push(Reverse((Some(at), event.pred, fact.to_vec())));
+            log.touching(pred, &key, from, facts.spill, |at, event| {
+                if dead_events.insert(at) && !dead[event.pred.0 as usize].contains(event.key) {
+                    frontier.push(Reverse((Some(at), event.pred, event.key.into())));
                 }
             });
         }
         let mut dead_events: Vec<Pos> = dead_events.into_iter().collect();
         dead_events.sort_unstable();
-        Cone {
-            is_lat,
-            dead,
-            dead_events,
-        }
+        Cone { dead, dead_events }
     }
 
-    /// Whether the cone holds the fact `tuple` of `pred` asserts: the
-    /// relational tuple itself, or the lattice cell it contributes to.
-    fn kills(&self, pred: PredId, tuple: &[Value]) -> bool {
-        self.dead[pred.0 as usize].contains(fact_key(&self.is_lat, pred, tuple))
+    /// Whether the cone holds the fact `tuple` of `pred` asserts. `key`
+    /// is a buffer: a predicate that lost nothing — nearly every one —
+    /// answers without looking at the tuple, and the rest probe words.
+    fn kills(&self, facts: &Facts<'_>, pred: PredId, tuple: &[Value], key: &mut Vec<u64>) -> bool {
+        let dead = &self.dead[pred.0 as usize];
+        !dead.is_empty() && facts.encode_key(pred, tuple, key) && dead.contains(key.as_slice())
     }
 }
 
@@ -791,7 +811,8 @@ fn negation_reaches(program: &Program, delta_preds: &[bool]) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::provenance::{pattern_matches, Event, Source};
+    use crate::database::decode;
+    use crate::provenance::{Event, Source};
     use crate::{BodyItem, Head, HeadTerm, LatticeOps, ProgramBuilder, Term, ValueLattice};
     use flix_lattice::rng::SmallRng;
     use flix_lattice::MinCost;
@@ -916,7 +937,16 @@ mod tests {
         edges
     }
 
-    /// The cone as one forward pass over the whole flattened log computes
+    /// Does `pattern` (with `None` wildcards) match `tuple`?
+    fn pattern_matches(pattern: &[Option<Value>], tuple: &[Value]) -> bool {
+        pattern.len() == tuple.len()
+            && pattern
+                .iter()
+                .zip(tuple)
+                .all(|(p, v)| p.as_ref().is_none_or(|p| p == v))
+    }
+
+    /// The cone as one forward pass over the whole decoded log computes
     /// it — the definition [`Cone::taint`] is checked against: an event
     /// dies when its own fact is dead or a premise matches a dead fact,
     /// and its fact is dead from there on.
@@ -956,9 +986,16 @@ mod tests {
         let ops = resolve_delta(program, delta).expect("the delta fits");
         let (_, removed, _) = apply_ops(prior.edb(), &ops);
         let log = prior.events().expect("recorded");
-        let cone = Cone::taint(program, log, &removed);
-        let (dead, dead_events) = forward_scan(program, log.as_slice(), &removed);
-        assert_eq!(cone.dead, dead, "dead facts of {delta:?}");
+        let spill = prior.database().spill();
+        let is_lat = log.shape().is_lat();
+        let cone = Cone::taint(log, &Facts { is_lat, spill }, &removed);
+        let (dead, dead_events) = forward_scan(program, log.decoded(spill), &removed);
+        let decoded = |keys: &FxHashSet<Box<[u64]>>| -> FxHashSet<Vec<Value>> {
+            let decoded = |key: &[u64]| key.iter().map(|&slot| decode(slot, spill)).collect();
+            keys.iter().map(|key| decoded(key)).collect()
+        };
+        let cone_dead: Vec<_> = cone.dead.iter().map(decoded).collect();
+        assert_eq!(cone_dead, dead, "dead facts of {delta:?}");
         let positions = log.positions();
         assert_eq!(positions.len(), dead_events.len());
         let flagged = |flag: bool| {
@@ -970,7 +1007,7 @@ mod tests {
         let expected: Vec<Pos> = flagged(true).map(|(at, _)| *at).collect();
         assert_eq!(cone.dead_events, expected, "dead events of {delta:?}");
         flagged(false)
-            .map(|(at, _)| log.event(*at).clone())
+            .map(|(at, _)| log.event(*at).decode(spill))
             .collect()
     }
 

@@ -35,10 +35,15 @@
 //! * **choice is a fan-out** — a `<-` binding calls its function once and
 //!   recurses per element of the returned set, the elements held in boxed
 //!   registers because user code may return values the store never saw;
-//! * **premises are instantiated at emit** — when provenance is recorded,
-//!   each derivation carries its positive body atoms with the registers'
-//!   values filled in (glb-rebound lattice witnesses included), in body
-//!   order, which is exactly what DRed retraction later replays;
+//! * **premises are copied at emit** — when provenance is recorded, each
+//!   derivation carries its positive body atoms, in body order, as the
+//!   words the registers already hold: per atom its predicate and one
+//!   encoded slot per column (a marker for a wildcard), appended to the
+//!   round's premise arena. Only what has no slot — a lattice witness,
+//!   glb-rebound ones included, or a choice-bound value the store never
+//!   saw — goes, cloned, to the arena's side column. Nothing is decoded
+//!   and nothing is allocated per derivation; this is exactly what DRed
+//!   retraction later replays, and `explain` decodes;
 //! * **heads leave encoded** — a head whose columns all encode against
 //!   the store and fit the inline width is handed to the insert loop as
 //!   the `u64` slots the registers hold ([`Payload::RelEnc`],
@@ -62,15 +67,16 @@
 //! statistics, traces, event logs and snapshot bytes all depend on it;
 //! the strategy-parity suite and the golden snapshots pin it.
 
-use crate::database::{decode, try_encode, Columns, Database, PredData, NO_ID};
+use crate::database::{
+    decode, try_encode, Columns, Database, PredData, NO_ID, SLOT_SIDE, SLOT_WILDCARD,
+};
 use crate::fxhash::{FxHashMap, FxHashSet};
 use crate::guard::{panic_payload, EvalGuard};
 use crate::ops::OpsPanic;
 use crate::program::{
     order_for_delta, recompute_index_cols, CHead, CItem, CRule, CTerm, OrderFrom, Program,
 };
-use crate::provenance::Premise;
-use crate::solver::{DeltaRows, Derived, EvalCounters, EvalFault, Payload, ENC_KEY};
+use crate::solver::{DeltaRows, Derivations, Derived, EvalCounters, EvalFault, Payload, ENC_KEY};
 use crate::verify::Violation;
 use crate::{LatticeOps, PredId, Value};
 use std::collections::HashSet;
@@ -138,6 +144,24 @@ enum HeadSrc {
     Slot(usize),
     Boxed(usize),
     App(usize, Vec<ArgSrc>),
+}
+
+/// One word of a premise template: where [`push_derived`] takes it from.
+#[derive(Clone, Debug)]
+enum PremiseSrc {
+    /// Known at compile time: a premise's predicate, a pre-encoded
+    /// literal, or the wildcard marker.
+    Word(u64),
+    /// An encoded variable register.
+    Slot(usize),
+    /// A boxed register in a key column — a choice-bound variable:
+    /// encoded when the store knows the value, a side value otherwise.
+    BoxedKey(usize),
+    /// A boxed register in a lattice value column: always a side value
+    /// (an element is not a join key; looking it up would cost a hash).
+    BoxedValue(usize),
+    /// A literal lattice element: a side value.
+    Side(Value),
 }
 
 /// One step of a compiled body. Atom steps carry their whole access
@@ -255,10 +279,10 @@ pub(crate) struct Plan {
     /// The head's encoded columns: all of a relational head, the key
     /// columns of a lattice head.
     key_cols: usize,
-    /// When provenance is recorded: one template per positive body atom,
-    /// in body order, instantiated from the registers at emit (`None`
-    /// columns are wildcards).
-    premises: Option<Vec<(PredId, Vec<Option<ArgSrc>>)>>,
+    /// When provenance is recorded: per positive body atom, in body
+    /// order, its predicate and then one source per column — the words
+    /// (and side values) each derivation appends to the premise arena.
+    premises: Option<Vec<PremiseSrc>>,
 }
 
 /// The compiled plans of a whole program: `plans[rule]` holds the full
@@ -601,18 +625,29 @@ fn compile_body(
         })
         .collect();
     let premises = premises.then(|| {
-        body.iter()
-            .filter_map(|item| match item {
-                CItem::Atom { pred, terms, .. } => Some((
-                    *pred,
-                    terms
-                        .iter()
-                        .map(|t| (!matches!(t, CTerm::Wild)).then(|| arg_src(t, &boxed_class)))
-                        .collect(),
-                )),
-                _ => None,
-            })
-            .collect()
+        let atoms = body.iter().filter_map(|item| match item {
+            CItem::Atom { pred, terms, .. } => Some((pred, terms)),
+            _ => None,
+        });
+        let words = atoms.clone().map(|(_, terms)| 1 + terms.len()).sum();
+        let mut template = Vec::with_capacity(words);
+        for (pred, terms) in atoms {
+            template.push(PremiseSrc::Word(pred.0 as u64));
+            let value_col = program.decl(*pred).is_lattice().then(|| terms.len() - 1);
+            for (col, t) in terms.iter().enumerate() {
+                let is_value = Some(col) == value_col;
+                template.push(match t {
+                    CTerm::Wild => PremiseSrc::Word(SLOT_WILDCARD),
+                    CTerm::Lit(v) if is_value => PremiseSrc::Side(v.clone()),
+                    // Encoded by the atom's step already: interns nothing.
+                    CTerm::Lit(v) => PremiseSrc::Word(db.encode_literal(v)),
+                    CTerm::Var(slot) if !boxed_class.contains(slot) => PremiseSrc::Slot(*slot),
+                    CTerm::Var(slot) if is_value => PremiseSrc::BoxedValue(*slot),
+                    CTerm::Var(slot) => PremiseSrc::BoxedKey(*slot),
+                });
+            }
+        }
+        template
     });
 
     let is_lattice = program.decl(rule.head_pred).is_lattice();
@@ -737,7 +772,7 @@ struct State<'a, 'o> {
     app_buf: Vec<Value>,
     /// Reused for function-call arguments (filters and applications).
     args_buf: Vec<Value>,
-    out: &'o mut Vec<Derived>,
+    out: &'o mut Derivations,
     probes: u64,
     scans: u64,
     /// Derivations suppressed by the emit-side subsumption pre-check;
@@ -827,7 +862,7 @@ pub(crate) fn run_plan(
     delta: &[DeltaRows],
     guard: &EvalGuard<'_>,
     counters: &mut EvalCounters,
-    out: &mut Vec<Derived>,
+    out: &mut Derivations,
     scratch: &mut KernelScratch,
 ) -> Result<(), EvalFault> {
     let mut enc = std::mem::take(&mut scratch.enc);
@@ -1209,28 +1244,53 @@ fn emit(plan: &Plan, st: &mut State<'_, '_>) {
     push_derived(plan, payload, st);
 }
 
-/// Appends one derivation, instantiating the plan's premise templates
-/// from the registers — glb-rebound lattice witnesses included — when
-/// provenance is recorded.
+/// Appends one derivation and — when provenance is recorded — its
+/// premises to the arena.
 fn push_derived(plan: &Plan, payload: Payload, st: &mut State<'_, '_>) {
-    let premises = plan.premises.as_ref().map(|templates| {
-        templates
-            .iter()
-            .map(|(pred, cols)| Premise {
-                pred: *pred,
-                pattern: cols
-                    .iter()
-                    .map(|col| col.as_ref().map(|src| arg_value(src, st)))
-                    .collect(),
-            })
-            .collect()
-    });
-    st.out.push(Derived {
+    let (premise_words, premise_side) = match &plan.premises {
+        Some(template) => copy_premises(template, st),
+        None => (0, 0),
+    };
+    st.out.items.push(Derived {
         pred: plan.head_pred,
         payload,
         rule: st.rule,
-        premises,
+        premise_words,
+        premise_side,
     });
+}
+
+/// Fills a plan's premise template in from the registers — glb-rebound
+/// lattice witnesses included — at the end of the arena; returns how many
+/// words and side values that took.
+fn copy_premises(template: &[PremiseSrc], st: &mut State<'_, '_>) -> (u32, u32) {
+    let out = &mut *st.out;
+    let (words, side) = (out.premise_words.len(), out.premise_side.len());
+    for src in template {
+        let boxed = |slot: &usize| st.boxed[*slot].as_ref().expect("statically bound");
+        let word = match src {
+            PremiseSrc::Word(word) => *word,
+            PremiseSrc::Slot(slot) => st.enc[*slot],
+            PremiseSrc::BoxedKey(slot) => {
+                try_encode(boxed(slot), st.db.spill()).unwrap_or_else(|| {
+                    out.premise_side.push(boxed(slot).clone());
+                    SLOT_SIDE
+                })
+            }
+            PremiseSrc::BoxedValue(slot) => {
+                out.premise_side.push(boxed(slot).clone());
+                SLOT_SIDE
+            }
+            PremiseSrc::Side(value) => {
+                out.premise_side.push(value.clone());
+                SLOT_SIDE
+            }
+        };
+        out.premise_words.push(word);
+    }
+    let words = out.premise_words.len() - words;
+    let side = out.premise_side.len() - side;
+    (words as u32, side as u32)
 }
 
 /// Does `cell` satisfy the value column of a negated lattice atom? The

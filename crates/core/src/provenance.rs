@@ -16,6 +16,39 @@
 //! without binding) appear as `None` in the premise pattern and unify
 //! with anything during reconstruction.
 //!
+//! # The log is words, decoded on request
+//!
+//! An [`Event`] is what [`Solution::provenance`](crate::Solution::provenance)
+//! hands out, not what is stored. The log holds each event as a row of
+//! struct-of-arrays columns — its predicate, its rule, and a run of `u64`
+//! words: the slots of the head's key, then per premise the premise's
+//! predicate and one slot per pattern column, in the fact store's own
+//! slot encoding (`database.rs`). Two slot tags that no value
+//! encodes to mark a wildcard column and a column whose value has no
+//! slot; that value sits, in order, in a side column of [`Value`]s beside
+//! the words. The side column holds the joined cell value of a lattice
+//! head, the value column of a lattice premise, and — rarely — a
+//! choice-bound premise column the store had never seen. Recording an
+//! event therefore copies words the evaluator already holds and allocates
+//! nothing beyond the columns' growth — which comes a block of 4 096
+//! events at a time, each allocated at the size the last one reached, so
+//! a growing log never copies what it holds. `explain` walks the encoded
+//! log and decodes only the nodes of the tree it returns; `provenance()`
+//! decodes the live log once, on first request.
+//!
+//! **Slots decode against the lineage that wrote them.** String symbols
+//! are global to the process. A spill slot is an index into one
+//! database's spill table, which is append-only and copied whole into the
+//! warm-start copy a resume takes — so an index keeps its meaning in
+//! every solution resumed, directly or not, from the run that wrote it,
+//! and those are exactly the solutions its segment is shared with: a
+//! solution decodes every segment of its log, shared or its own, against
+//! its own database. Two sibling resumes of one prior may give one fresh
+//! index two meanings, each in its own tail segment and its own table; the
+//! shared segments hold no such index. A run that starts a new database
+//! (`Run::reset`, the scratch fallback) starts a new spill table and with
+//! it a new log.
+//!
 //! # The log is shared between solutions
 //!
 //! A solution's log is a list of immutable, reference-counted
@@ -26,16 +59,19 @@
 //! recording into a tail of its own; a retraction sets mask bits instead
 //! of rewriting anything. Each segment builds, on first use, an index
 //! from a fact to the events that concluded it and to the events that
-//! consumed it; the index lives inside the shared segment, so it is
-//! built once however many solutions the segment outlives. Retraction
-//! (`Cone` in `incremental.rs`) and `explain` both walk those indexes
-//! instead of scanning the log. DESIGN §16 states the merge policy that
-//! keeps the segment count logarithmic.
+//! consumed it, hashing and comparing encoded keys; the index lives
+//! inside the shared segment, so it is built once however many solutions
+//! the segment outlives. Retraction (`Cone` in `incremental.rs`) and
+//! `explain` both walk those indexes instead of scanning the log.
+//! DESIGN §16 states the merge policy that keeps the segment count
+//! logarithmic.
 
+use crate::database::{decode, Columns, SpillTable, SLOT_SIDE, SLOT_WILDCARD};
 use crate::fxhash::FxHasher;
+use crate::program::Program;
 use crate::{PredId, Value};
 use std::fmt;
-use std::hash::{Hash, Hasher};
+use std::hash::Hasher;
 use std::sync::{Arc, OnceLock};
 
 /// One positive body atom as instantiated at derivation time.
@@ -129,15 +165,6 @@ impl fmt::Display for DerivationTree {
     }
 }
 
-/// Does `pattern` (with `None` wildcards) match `tuple`?
-pub(crate) fn pattern_matches(pattern: &[Option<Value>], tuple: &[Value]) -> bool {
-    pattern.len() == tuple.len()
-        && pattern
-            .iter()
-            .zip(tuple)
-            .all(|(p, v)| p.as_ref().is_none_or(|p| p == v))
-}
-
 /// The columns that identify the fact `tuple` of `pred`: the whole tuple
 /// of a relation, the key columns of a lattice cell (the logged cell value
 /// is the running join, not part of the cell's identity).
@@ -153,35 +180,106 @@ pub(crate) fn fact_key<'a, T>(is_lat: &[bool], pred: PredId, tuple: &'a [T]) -> 
 /// offset within it. The derived order is the order of the flattened log.
 pub(crate) type Pos = (u32, u32);
 
-fn fact_hash<'a>(pred: PredId, key: impl IntoIterator<Item = &'a Value>) -> u64 {
+/// What the words of a log mean: per predicate, how many key slots a
+/// fact of it has and whether a lattice value follows them.
+#[derive(Debug)]
+pub(crate) struct Shape {
+    key_cols: Vec<usize>,
+    is_lat: Vec<bool>,
+}
+
+impl Shape {
+    pub(crate) fn of(program: &Program) -> Arc<Shape> {
+        let is_lat: Vec<bool> = program.preds.iter().map(|d| d.is_lattice()).collect();
+        let arities = program.preds.iter().map(|d| d.arity());
+        Arc::new(Shape {
+            key_cols: arities
+                .zip(&is_lat)
+                .map(|(n, &lat)| n - lat as usize)
+                .collect(),
+            is_lat,
+        })
+    }
+
+    /// Per predicate: is it a lattice predicate?
+    pub(crate) fn is_lat(&self) -> &[bool] {
+        &self.is_lat
+    }
+
+    fn key_cols(&self, pred: PredId) -> usize {
+        self.key_cols[pred.0 as usize]
+    }
+}
+
+/// The `rule` column of an event that asserted an extensional fact.
+const NO_RULE: u32 = u32::MAX;
+
+/// The `rule` column of an event.
+fn rule_column(rule: Option<usize>) -> u32 {
+    rule.map_or(NO_RULE, |rule| {
+        u32::try_from(rule).expect("fewer than 2^32 - 1 rules")
+    })
+}
+
+fn is_value_slot(slot: u64) -> bool {
+    slot != SLOT_WILDCARD && slot != SLOT_SIDE
+}
+
+fn fact_hash(pred: PredId, key: &[u64]) -> u64 {
     let mut hasher = FxHasher::default();
     hasher.write_u32(pred.0);
-    for value in key {
-        value.hash(&mut hasher);
+    for &slot in key {
+        hasher.write_u64(slot);
     }
     hasher.finish()
 }
 
-/// The events one run recorded, frozen: shared by every solution whose
-/// history contains them.
-#[derive(Debug)]
+/// An offset into a block's words or side values.
+fn offset(len: usize) -> u32 {
+    u32::try_from(len).expect("a log block holds fewer than 2^32 words")
+}
+
+/// How many events a [`Block`] holds before the next one is opened.
+const BLOCK_EVENTS: usize = 1 << 12;
+
+/// The events one run recorded, as columns (see the module docs); once
+/// frozen, shared by every solution whose history contains them. The
+/// columns come in blocks of [`BLOCK_EVENTS`] events — every block but
+/// the last is full — so that a growing log never moves what it already
+/// holds: a new block is allocated at the size the last one reached.
+#[derive(Debug, Default)]
 pub(crate) struct Segment {
-    events: Vec<Event>,
+    blocks: Vec<Block>,
     index: OnceLock<Index>,
 }
 
+/// The columns of up to [`BLOCK_EVENTS`] consecutive events.
+#[derive(Debug, Default)]
+struct Block {
+    /// Per event: the predicate inserted into.
+    pred: Vec<u32>,
+    /// Per event: the rule that derived it, or [`NO_RULE`].
+    rule: Vec<u32>,
+    /// Per event: where its words and its side values end (they start
+    /// where the previous event's end).
+    ends: Vec<(u32, u32)>,
+    words: Vec<u64>,
+    side: Vec<Value>,
+}
+
 /// What [`Segment::index`] builds: offsets into the segment's events by
-/// the hash of a fact `(predicate, key columns)`. Hashes can collide, so
+/// the hash of a fact `(predicate, key slots)`. Hashes can collide, so
 /// every hit is checked against the event it names.
 #[derive(Debug)]
 struct Index {
     /// `(hash of the fact an event concluded, offset)`, sorted.
     conclusions: Vec<(u64, u32)>,
     /// `(hash of a fact an event consumed, offset)`, sorted: one entry
-    /// per premise whose key columns are all ground.
+    /// per premise whose key columns all hold a slot.
     consumers: Vec<(u64, u32)>,
     /// Per predicate, ascending: the events with a premise on it whose
-    /// key columns hold a wildcard — these have no one fact to hash.
+    /// key columns hold a wildcard or a side value — these have no one
+    /// encoded fact to hash.
     wildcards: Vec<Vec<u32>>,
 }
 
@@ -192,38 +290,252 @@ fn filed(sorted: &[(u64, u32)], hash: u64) -> &[(u64, u32)] {
     &sorted[start..start + len]
 }
 
-impl Segment {
-    fn new(events: Vec<Event>) -> Arc<Segment> {
-        Arc::new(Segment {
-            events,
-            index: OnceLock::new(),
+/// One stored event, read in place.
+#[derive(Clone, Copy)]
+pub(crate) struct EventRef<'a> {
+    pub(crate) pred: PredId,
+    rule: u32,
+    /// The slots that identify the concluded fact: a relation's tuple, a
+    /// lattice cell's key.
+    pub(crate) key: &'a [u64],
+    /// The value the cell was joined to, for a lattice predicate.
+    pub(crate) value: Option<&'a Value>,
+    premise_words: &'a [u64],
+    premise_side: &'a [Value],
+    shape: &'a Shape,
+}
+
+impl<'a> EventRef<'a> {
+    pub(crate) fn rule(&self) -> Option<usize> {
+        (self.rule != NO_RULE).then_some(self.rule as usize)
+    }
+
+    /// The positive body atoms the event was derived from, in body order.
+    pub(crate) fn premises(&self) -> Premises<'a> {
+        Premises {
+            words: self.premise_words,
+            side: self.premise_side,
+            shape: self.shape,
+        }
+    }
+
+    /// The inserted tuple, decoded.
+    pub(crate) fn tuple(&self, spill: &SpillTable) -> Vec<Value> {
+        let key = self.key.iter().map(|&slot| decode(slot, spill));
+        key.chain(self.value.cloned()).collect()
+    }
+
+    pub(crate) fn decode(&self, spill: &SpillTable) -> Event {
+        Event {
+            pred: self.pred,
+            tuple: self.tuple(spill),
+            source: match self.rule() {
+                None => Source::Fact,
+                Some(rule) => Source::Rule {
+                    rule,
+                    premises: self.premises().map(|p| p.decode(spill)).collect(),
+                },
+            },
+        }
+    }
+}
+
+/// The premises of one stored event.
+pub(crate) struct Premises<'a> {
+    words: &'a [u64],
+    side: &'a [Value],
+    shape: &'a Shape,
+}
+
+impl<'a> Iterator for Premises<'a> {
+    type Item = PremiseRef<'a>;
+
+    fn next(&mut self) -> Option<PremiseRef<'a>> {
+        let (&pred, rest) = self.words.split_first()?;
+        let pred = PredId(pred as u32);
+        let key_cols = self.shape.key_cols(pred);
+        let width = key_cols + self.shape.is_lat[pred.0 as usize] as usize;
+        let (pattern, rest) = rest.split_at(width);
+        let in_side = pattern.iter().filter(|&&slot| slot == SLOT_SIDE).count();
+        let (side, later) = self.side.split_at(in_side);
+        (self.words, self.side) = (rest, later);
+        Some(PremiseRef {
+            pred,
+            pattern,
+            side,
+            key_cols,
         })
     }
+}
 
-    #[cfg(test)]
-    pub(crate) fn len(&self) -> usize {
-        self.events.len()
+/// One stored premise, read in place.
+pub(crate) struct PremiseRef<'a> {
+    pub(crate) pred: PredId,
+    /// One slot per column of the premise's predicate.
+    pattern: &'a [u64],
+    /// The values of the columns marked [`SLOT_SIDE`], in column order.
+    side: &'a [Value],
+    key_cols: usize,
+}
+
+impl PremiseRef<'_> {
+    /// The slots of the key columns when each holds a value's encoding:
+    /// the one fact the premise consumed. `None` when a key column is a
+    /// wildcard or has its value in the side column.
+    pub(crate) fn ground_key(&self) -> Option<&[u64]> {
+        let key = &self.pattern[..self.key_cols];
+        key.iter().all(|&slot| is_value_slot(slot)).then_some(key)
     }
 
-    fn index(&self, is_lat: &[bool]) -> &Index {
+    /// Do the key columns match the fact with the encoded key `fact`? A
+    /// side value — the store had not seen it when the premise was
+    /// recorded — is compared decoded: the store may have seen it since.
+    pub(crate) fn key_matches(&self, fact: &[u64], spill: &SpillTable) -> bool {
+        let mut side = self.side.iter();
+        self.key_cols == fact.len()
+            && self.pattern.iter().zip(fact).all(|(&slot, &f)| match slot {
+                SLOT_WILDCARD => true,
+                SLOT_SIDE => *side.next().expect("one per marker") == decode(f, spill),
+                slot => slot == f,
+            })
+    }
+
+    fn decode(&self, spill: &SpillTable) -> Premise {
+        let mut side = self.side.iter();
+        let column = |&slot: &u64| match slot {
+            SLOT_WILDCARD => None,
+            SLOT_SIDE => Some(side.next().expect("one per marker").clone()),
+            slot => Some(decode(slot, spill)),
+        };
+        Premise {
+            pred: self.pred,
+            pattern: self.pattern.iter().map(column).collect(),
+        }
+    }
+}
+
+impl Block {
+    fn len(&self) -> usize {
+        self.pred.len()
+    }
+
+    /// An empty block with room for what `like`, a full one, holds, and
+    /// an eighth more.
+    fn sized_like(like: &Block) -> Block {
+        let room = |len: usize| len + len / 8;
+        Block {
+            pred: Vec::with_capacity(BLOCK_EVENTS),
+            rule: Vec::with_capacity(BLOCK_EVENTS),
+            ends: Vec::with_capacity(BLOCK_EVENTS),
+            words: Vec::with_capacity(room(like.words.len())),
+            side: Vec::with_capacity(room(like.side.len())),
+        }
+    }
+
+    /// Where the words and the side values of event `at` start.
+    fn starts(&self, at: usize) -> (u32, u32) {
+        at.checked_sub(1).map_or((0, 0), |before| self.ends[before])
+    }
+
+    fn event<'a>(&'a self, shape: &'a Shape, at: usize) -> EventRef<'a> {
+        let (words, side) = self.starts(at);
+        let (words_end, side_end) = self.ends[at];
+        let pred = PredId(self.pred[at]);
+        let words = &self.words[words as usize..words_end as usize];
+        let side = &self.side[side as usize..side_end as usize];
+        let (key, premise_words) = words.split_at(shape.key_cols(pred));
+        let (value, premise_side) = if shape.is_lat[pred.0 as usize] {
+            let (value, rest) = side.split_first().expect("a lattice event has its value");
+            (Some(value), rest)
+        } else {
+            (None, side)
+        };
+        EventRef {
+            pred,
+            rule: self.rule[at],
+            key,
+            value,
+            premise_words,
+            premise_side,
+            shape,
+        }
+    }
+
+    /// Ends the event whose predicate, rule, words and side values were
+    /// just appended.
+    fn close_event(&mut self) {
+        self.ends
+            .push((offset(self.words.len()), offset(self.side.len())));
+    }
+
+    /// Appends the events `events` of `other`: column concatenation.
+    fn extend_from(&mut self, other: &Block, events: std::ops::Range<usize>) {
+        let (words, side) = other.starts(events.start);
+        let (words_end, side_end) = other.starts(events.end);
+        let (to_words, to_side) = (self.words.len(), self.side.len());
+        self.pred.extend_from_slice(&other.pred[events.clone()]);
+        self.rule.extend_from_slice(&other.rule[events.clone()]);
+        self.words
+            .extend_from_slice(&other.words[words as usize..words_end as usize]);
+        self.side
+            .extend_from_slice(&other.side[side as usize..side_end as usize]);
+        let rebased = |&(w, s): &(u32, u32)| {
+            let (w, s) = ((w - words) as usize, (s - side) as usize);
+            (offset(to_words + w), offset(to_side + s))
+        };
+        self.ends.extend(other.ends[events].iter().map(rebased));
+    }
+}
+
+impl Segment {
+    pub(crate) fn len(&self) -> usize {
+        let full = self.blocks.len().saturating_sub(1) * BLOCK_EVENTS;
+        full + self.blocks.last().map_or(0, Block::len)
+    }
+
+    fn event<'a>(&'a self, shape: &'a Shape, at: u32) -> EventRef<'a> {
+        let at = at as usize;
+        self.blocks[at / BLOCK_EVENTS].event(shape, at % BLOCK_EVENTS)
+    }
+
+    /// The block the next event goes to.
+    fn open_block(&mut self) -> &mut Block {
+        match self.blocks.last() {
+            Some(last) if last.len() < BLOCK_EVENTS => {}
+            Some(full) => self.blocks.push(Block::sized_like(full)),
+            None => self.blocks.push(Block::default()),
+        }
+        self.blocks.last_mut().expect("just ensured")
+    }
+
+    /// Appends the events `events` of `other`, block run by block run.
+    fn append(&mut self, other: &Segment, mut events: std::ops::Range<usize>) {
+        while !events.is_empty() {
+            let from = &other.blocks[events.start / BLOCK_EVENTS];
+            let first = events.start % BLOCK_EVENTS;
+            let block = self.open_block();
+            let run = events.len().min(from.len() - first);
+            let run = run.min(BLOCK_EVENTS - block.len());
+            block.extend_from(from, first..first + run);
+            events.start += run;
+        }
+    }
+
+    fn index(&self, shape: &Shape) -> &Index {
         self.index.get_or_init(|| {
             let mut index = Index {
-                conclusions: Vec::with_capacity(self.events.len()),
+                conclusions: Vec::with_capacity(self.len()),
                 consumers: Vec::new(),
-                wildcards: vec![Vec::new(); is_lat.len()],
+                wildcards: vec![Vec::new(); shape.is_lat.len()],
             };
-            for (at, event) in self.events.iter().enumerate() {
-                let at = at as u32;
-                let key = fact_key(is_lat, event.pred, &event.tuple);
-                index.conclusions.push((fact_hash(event.pred, key), at));
-                let Source::Rule { premises, .. } = &event.source else {
-                    continue;
-                };
-                for premise in premises {
-                    let key = fact_key(is_lat, premise.pred, &premise.pattern);
-                    if key.iter().all(Option::is_some) {
-                        let hash = fact_hash(premise.pred, key.iter().flatten());
-                        index.consumers.push((hash, at));
+            for at in 0..self.len() as u32 {
+                let event = self.event(shape, at);
+                index
+                    .conclusions
+                    .push((fact_hash(event.pred, event.key), at));
+                for premise in event.premises() {
+                    if let Some(key) = premise.ground_key() {
+                        index.consumers.push((fact_hash(premise.pred, key), at));
                     } else {
                         let list = &mut index.wildcards[premise.pred.0 as usize];
                         if list.last() != Some(&at) {
@@ -255,12 +567,9 @@ impl Part {
             .is_none_or(|dead| dead[at as usize / 64] & (1 << (at % 64)) == 0)
     }
 
-    /// The live events with their offsets, in log order.
-    fn live_events(&self) -> impl DoubleEndedIterator<Item = (u32, &Event)> {
-        let events = self.segment.events.iter().enumerate();
-        events
-            .map(|(at, event)| (at as u32, event))
-            .filter(|&(at, _)| self.is_live(at))
+    /// The offsets of the live events, in log order.
+    fn live(&self) -> impl DoubleEndedIterator<Item = u32> + '_ {
+        (0..self.segment.len() as u32).filter(|&at| self.is_live(at))
     }
 }
 
@@ -268,53 +577,55 @@ impl Part {
 /// insertion still part of this history, in insertion order.
 #[derive(Clone, Debug)]
 pub(crate) struct EventLog {
+    shape: Arc<Shape>,
     parts: Vec<Part>,
-    /// The log as one slice, built on the first request that a lone
-    /// unmasked segment cannot serve by itself.
-    flat: OnceLock<Arc<[Event]>>,
+    /// The live log decoded, on the first request for it.
+    decoded: OnceLock<Arc<[Event]>>,
 }
 
 impl EventLog {
-    /// The whole log, in insertion order.
-    pub(crate) fn as_slice(&self) -> &[Event] {
-        match self.parts.as_slice() {
-            [] => &[],
-            [lone] if lone.dead.is_none() => &lone.segment.events,
-            parts => self.flat.get_or_init(|| {
-                let live = parts.iter().flat_map(Part::live_events);
-                live.map(|(_, event)| event.clone()).collect()
-            }),
-        }
+    pub(crate) fn shape(&self) -> &Shape {
+        &self.shape
     }
 
-    pub(crate) fn event(&self, (part, at): Pos) -> &Event {
-        &self.parts[part as usize].segment.events[at as usize]
+    /// The whole log, in insertion order, decoded against `spill` — the
+    /// spill table of the database of the solution that holds this log.
+    pub(crate) fn decoded(&self, spill: &SpillTable) -> &[Event] {
+        self.decoded.get_or_init(|| {
+            let live = self.parts.iter().flat_map(|part| {
+                let events = part.live().map(|at| part.segment.event(&self.shape, at));
+                events.map(|event| event.decode(spill))
+            });
+            live.collect()
+        })
+    }
+
+    pub(crate) fn event(&self, (part, at): Pos) -> EventRef<'_> {
+        self.parts[part as usize].segment.event(&self.shape, at)
     }
 
     /// Visits every live event later than `after` (`None`: every live
-    /// event) that concludes the fact `(pred, key)` or consumes it — has
-    /// a premise on `pred` whose key columns match `key`. An event that
-    /// does both, or consumes the fact twice, may be visited twice.
+    /// event) that concludes the fact of `pred` with the encoded key
+    /// `key` or consumes it — has a premise on `pred` whose key columns
+    /// match `key`. An event that does both, or consumes the fact twice,
+    /// may be visited twice.
     pub(crate) fn touching(
         &self,
-        is_lat: &[bool],
         pred: PredId,
-        key: &[Value],
+        key: &[u64],
         after: Option<Pos>,
-        mut visit: impl FnMut(Pos, &Event),
+        spill: &SpillTable,
+        mut visit: impl FnMut(Pos, EventRef<'_>),
     ) {
         let hash = fact_hash(pred, key);
         let (first, start) = after.map_or((0, 0), |(part, at)| (part as usize, at + 1));
         for (no, part) in self.parts.iter().enumerate().skip(first) {
             let start = if no == first { start } else { 0 };
-            let events = &part.segment.events;
-            let index = part.segment.index(is_lat);
-            let concludes = |e: &Event| e.pred == pred && fact_key(is_lat, e.pred, &e.tuple) == key;
-            let consumes = |e: &Event| match &e.source {
-                Source::Fact => false,
-                Source::Rule { premises, .. } => premises.iter().any(|p| {
-                    p.pred == pred && pattern_matches(fact_key(is_lat, p.pred, &p.pattern), key)
-                }),
+            let index = part.segment.index(&self.shape);
+            let concludes = |e: &EventRef<'_>| e.pred == pred && e.key == key;
+            let consumes = |e: &EventRef<'_>| {
+                e.premises()
+                    .any(|p| p.pred == pred && p.key_matches(key, spill))
             };
             let concluding = filed(&index.conclusions, hash).iter();
             let consuming = filed(&index.consumers, hash).iter().map(|&(_, at)| at);
@@ -326,11 +637,11 @@ impl EventLog {
                 if at < start || !part.is_live(at) {
                     continue;
                 }
-                let event = &events[at as usize];
+                let event = part.segment.event(&self.shape, at);
                 let touches = if concluded {
-                    concludes(event)
+                    concludes(&event)
                 } else {
-                    consumes(event)
+                    consumes(&event)
                 };
                 if touches {
                     visit((no as u32, at), event);
@@ -349,25 +660,25 @@ impl EventLog {
     }
 
     /// The latest live event — before `before`, when given — that
-    /// concluded the fact `(pred, key)` and that `accept` takes.
+    /// concluded the fact of `pred` with the encoded key `key` and that
+    /// `accept` takes.
     pub(crate) fn latest(
         &self,
-        is_lat: &[bool],
         pred: PredId,
-        key: &[Value],
+        key: &[u64],
         before: Option<Pos>,
-        accept: impl Fn(&Event) -> bool,
+        accept: impl Fn(&EventRef<'_>) -> bool,
     ) -> Option<Pos> {
         let hash = fact_hash(pred, key);
         for (no, part, end) in self.parts_before(before) {
-            let index = part.segment.index(is_lat);
+            let index = part.segment.index(&self.shape);
             for &(_, at) in filed(&index.conclusions, hash).iter().rev() {
-                let event = &part.segment.events[at as usize];
+                let event = part.segment.event(&self.shape, at);
                 if at < end
                     && part.is_live(at)
                     && event.pred == pred
-                    && fact_key(is_lat, pred, &event.tuple) == key
-                    && accept(event)
+                    && event.key == key
+                    && accept(&event)
                 {
                     return Some((no, at));
                 }
@@ -381,11 +692,12 @@ impl EventLog {
     pub(crate) fn latest_scanned(
         &self,
         before: Pos,
-        accept: impl Fn(&Event) -> bool,
+        accept: impl Fn(&EventRef<'_>) -> bool,
     ) -> Option<Pos> {
         for (no, part, end) in self.parts_before(Some(before)) {
-            let mut earlier = part.live_events().rev().filter(|&(at, _)| at < end);
-            if let Some((at, _)) = earlier.find(|(_, event)| accept(event)) {
+            let mut earlier = part.live().rev().filter(|&at| at < end);
+            let accept = |&at: &u32| accept(&part.segment.event(&self.shape, at));
+            if let Some(at) = earlier.find(accept) {
                 return Some((no, at));
             }
         }
@@ -393,12 +705,12 @@ impl EventLog {
     }
 
     /// The position of every live event, in log order: entry `i` is where
-    /// event `i` of [`EventLog::as_slice`] sits.
+    /// event `i` of [`EventLog::decoded`] sits.
     #[cfg(test)]
     pub(crate) fn positions(&self) -> Vec<Pos> {
         let parts = self.parts.iter().enumerate();
         parts
-            .flat_map(|(no, part)| part.live_events().map(move |(at, _)| (no as u32, at)))
+            .flat_map(|(no, part)| part.live().map(move |at| (no as u32, at)))
             .collect()
     }
 
@@ -411,28 +723,110 @@ impl EventLog {
 
 /// The log of a run in progress: the segments it continues, shared with
 /// the solution it resumed, and the events it recorded itself.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub(crate) struct OpenLog {
+    shape: Arc<Shape>,
     parts: Vec<Part>,
-    tail: Vec<Event>,
+    tail: Segment,
 }
 
 impl OpenLog {
-    /// A log that continues `prior`: every segment shared, none copied.
-    pub(crate) fn continuing(prior: &EventLog) -> OpenLog {
+    /// An empty log of a run of `program`.
+    pub(crate) fn new(program: &Program) -> OpenLog {
         OpenLog {
-            parts: prior.parts.clone(),
-            tail: Vec::new(),
+            shape: Shape::of(program),
+            parts: Vec::new(),
+            tail: Segment::default(),
         }
     }
 
-    pub(crate) fn push(&mut self, event: Event) {
-        self.tail.push(event);
+    /// A log that continues `prior`: every segment shared, none copied.
+    /// The run must record against a copy of the database `prior` was
+    /// recorded against (see the module docs).
+    pub(crate) fn continuing(prior: &EventLog) -> OpenLog {
+        OpenLog {
+            shape: Arc::clone(&prior.shape),
+            parts: prior.parts.clone(),
+            tail: Segment::default(),
+        }
     }
 
-    /// The events this run recorded itself.
-    pub(crate) fn tail_mut(&mut self) -> &mut Vec<Event> {
-        &mut self.tail
+    /// Makes room for the events that asserting `facts` is about to
+    /// record, so that the first block of a from-scratch run is allocated
+    /// once instead of grown from nothing.
+    pub(crate) fn expect_facts(&mut self, facts: &[(PredId, Vec<Value>)]) {
+        let facts = &facts[..facts.len().min(BLOCK_EVENTS)];
+        if !self.tail.blocks.is_empty() || facts.is_empty() {
+            return;
+        }
+        let words = facts.iter().map(|(pred, _)| self.shape.key_cols(*pred));
+        let valued = facts
+            .iter()
+            .filter(|(pred, _)| self.shape.is_lat[pred.0 as usize]);
+        self.tail.blocks.push(Block {
+            pred: Vec::with_capacity(facts.len()),
+            rule: Vec::with_capacity(facts.len()),
+            ends: Vec::with_capacity(facts.len()),
+            words: Vec::with_capacity(words.sum()),
+            side: Vec::with_capacity(valued.count()),
+        });
+    }
+
+    /// Records one database-changing insertion: the head's key slots,
+    /// read from row `id` of its predicate's columns; for a lattice cell
+    /// the value it was `raised` to; and the premise words and side
+    /// values the evaluator recorded (the values are moved out, leaving
+    /// units behind).
+    pub(crate) fn record(
+        &mut self,
+        pred: PredId,
+        rule: Option<usize>,
+        (head, id): (&Columns, u32),
+        raised: Option<&Value>,
+        (premise_words, premise_side): (&[u64], &mut [Value]),
+    ) {
+        let block = self.tail.open_block();
+        block.pred.push(pred.0);
+        block.rule.push(rule_column(rule));
+        block.words.extend(head.slots(id));
+        block.words.extend_from_slice(premise_words);
+        block.side.extend(raised.cloned());
+        let premise_side = premise_side.iter_mut().map(std::mem::take);
+        block.side.extend(premise_side);
+        block.close_event();
+    }
+
+    /// The log of a run of a *rewriting* of `program`, in `program`'s
+    /// terms: a filtering copy that keeps the events and the premises on
+    /// the predicates `keep` takes — `program`'s own, which the rewriting
+    /// must number as `program` does — each under the rule `origin` maps
+    /// its rule to. Only for a log that continues none.
+    pub(crate) fn rewritten(
+        self,
+        program: &Program,
+        keep: impl Fn(PredId) -> bool,
+        origin: impl Fn(usize) -> usize,
+    ) -> OpenLog {
+        debug_assert!(self.parts.is_empty(), "a rewritten run starts fresh");
+        let mut log = OpenLog::new(program);
+        for at in 0..self.tail.len() as u32 {
+            let event = self.tail.event(&self.shape, at);
+            if !keep(event.pred) {
+                continue;
+            }
+            let block = log.tail.open_block();
+            block.pred.push(event.pred.0);
+            block.rule.push(rule_column(event.rule().map(&origin)));
+            block.words.extend_from_slice(event.key);
+            block.side.extend(event.value.cloned());
+            for premise in event.premises().filter(|p| keep(p.pred)) {
+                block.words.push(premise.pred.0 as u64);
+                block.words.extend_from_slice(premise.pattern);
+                block.side.extend_from_slice(premise.side);
+            }
+            block.close_event();
+        }
+        log
     }
 
     /// Takes the events at `dead` — ascending positions in the continued
@@ -442,7 +836,7 @@ impl OpenLog {
             let part = &mut self.parts[of_part[0].0 as usize];
             let mut mask = match &part.dead {
                 Some(mask) => mask.to_vec(),
-                None => vec![0; part.segment.events.len().div_ceil(64)],
+                None => vec![0; part.segment.len().div_ceil(64)],
             };
             for &(_, at) in of_part {
                 mask[at as usize / 64] |= 1 << (at % 64);
@@ -453,36 +847,259 @@ impl OpenLog {
 
     /// Closes the log: the tail becomes a segment. To keep the segment
     /// count logarithmic, it first absorbs — copying their live events in
-    /// front of its own — the trailing segments shorter than twice what
-    /// it has grown to so far (DESIGN §16, "Segments"). Lengths count
-    /// masked events too, so a segment's length never changes and every
-    /// segment stays at least twice as long as its successor.
+    /// front of its own, column by column — the trailing segments shorter
+    /// than twice what it has grown to so far (DESIGN §16, "Segments").
+    /// Lengths count masked events too, so a segment's length never
+    /// changes and every segment stays at least twice as long as its
+    /// successor. The absorbed segments' slots keep their meaning: this
+    /// run's database is a copy of the one they were recorded against.
     pub(crate) fn freeze(self) -> EventLog {
         let OpenLog {
+            shape,
             mut parts,
             mut tail,
         } = self;
-        if !tail.is_empty() {
+        if tail.len() > 0 {
             let (mut keep, mut length) = (parts.len(), tail.len());
-            while keep > 0 && parts[keep - 1].segment.events.len() < 2 * length {
+            while keep > 0 && parts[keep - 1].segment.len() < 2 * length {
                 keep -= 1;
-                length += parts[keep].segment.events.len();
+                length += parts[keep].segment.len();
             }
             if keep < parts.len() {
-                let absorbed = parts.drain(keep..).collect::<Vec<_>>();
-                let live = absorbed.iter().flat_map(Part::live_events);
-                let mut events: Vec<Event> = live.map(|(_, event)| event.clone()).collect();
-                events.append(&mut tail);
-                tail = events;
+                let mut merged = Segment::default();
+                for absorbed in parts.drain(keep..) {
+                    let segment = &absorbed.segment;
+                    match absorbed.dead {
+                        None => merged.append(segment, 0..segment.len()),
+                        Some(_) => {
+                            let live = absorbed.live().map(|at| at as usize);
+                            live.for_each(|at| merged.append(segment, at..at + 1));
+                        }
+                    }
+                }
+                merged.append(&tail, 0..tail.len());
+                tail = merged;
             }
             parts.push(Part {
-                segment: Segment::new(tail),
+                segment: Arc::new(tail),
                 dead: None,
             });
         }
         EventLog {
+            shape,
             parts,
-            flat: OnceLock::new(),
+            decoded: OnceLock::new(),
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::database::try_encode;
+    use crate::{BodyItem, Delta, Head, HeadTerm, ProgramBuilder, Solution, Solver, Term};
+
+    /// `Seen(x) :- Item(x).` over twenty items, and a negated stratum
+    /// `Free(x) :- Item(x), !Blocked(x).` — an insertion into `Blocked`
+    /// is what a resume cannot do warm.
+    fn program() -> Program {
+        let mut b = ProgramBuilder::new();
+        let item = b.relation("Item", 1);
+        let seen = b.relation("Seen", 1);
+        let blocked = b.relation("Blocked", 1);
+        let free = b.relation("Free", 1);
+        for n in 0..20 {
+            b.fact(item, vec![Value::from(n)]);
+        }
+        b.fact(blocked, vec![Value::from(3)]);
+        b.rule(
+            Head::new(seen, [HeadTerm::var("x")]),
+            [BodyItem::atom(item, [Term::var("x")])],
+        );
+        b.rule(
+            Head::new(free, [HeadTerm::var("x")]),
+            [
+                BodyItem::atom(item, [Term::var("x")]),
+                BodyItem::not(blocked, [Term::var("x")]),
+            ],
+        );
+        b.build().expect("valid")
+    }
+
+    fn decoded(solution: &Solution) -> Vec<Event> {
+        // On a clone, so the solution itself decodes afresh next time.
+        let solution = solution.clone();
+        solution.provenance().expect("recorded").to_vec()
+    }
+
+    fn slot_of(value: &Value, solution: &Solution) -> Option<u64> {
+        try_encode(value, solution.database().spill())
+    }
+
+    /// `Seen(value)` is explained by `Item(value)`, a fact — decoded from
+    /// `solution`'s own words.
+    fn assert_explains(solution: &Solution, value: &Value) {
+        let fact = std::slice::from_ref(value);
+        let tree = solution.explain("Seen", fact).expect("derived and logged");
+        assert_eq!(tree.tuple, fact);
+        assert_eq!(tree.children.len(), 1);
+        assert_eq!(tree.children[0].predicate, "Item");
+        assert_eq!(tree.children[0].tuple, fact);
+        assert_eq!(tree.children[0].rule, None);
+        let logged = decoded(solution);
+        assert!(logged.iter().any(|e| e.tuple == fact));
+    }
+
+    /// The lineage invariant of the module docs, from both sides: two
+    /// sibling resumes of one prior give the same fresh spill slot two
+    /// meanings, and each solution — the prior included — reads every
+    /// segment it holds, shared or its own, as it was written.
+    #[test]
+    fn slots_decode_against_the_lineage_that_wrote_them() {
+        let program = program();
+        let solver = Solver::new().record_provenance(true);
+        let prior = solver.solve(&program).expect("solves");
+        let prior_log = decoded(&prior);
+
+        // Neither value has a slot of its own: both spill.
+        let pair = Value::tuple([Value::from(1), Value::from("x")]);
+        let wide = Value::from(i64::MAX);
+        let insert = |value: &Value| Delta::new().insert("Item", vec![value.clone()]);
+        let with_pair = solver.resume(&program, &prior, &insert(&pair));
+        let with_pair = with_pair.expect("resumes");
+        let with_wide = solver.resume(&program, &prior, &insert(&wide));
+        let with_wide = with_wide.expect("resumes");
+        let slot = slot_of(&pair, &with_pair).expect("stored");
+        assert_eq!(slot_of(&wide, &with_wide), Some(slot), "one index, twice");
+        assert_eq!(slot_of(&pair, &with_wide), None);
+        assert_eq!(slot_of(&wide, &with_pair), None);
+        assert_eq!(slot_of(&pair, &prior), None);
+
+        // Both share the prior's segment and read their own tail.
+        for sibling in [&with_pair, &with_wide] {
+            let segments = sibling.events().expect("recorded").segments();
+            let shared = prior.events().expect("recorded").segments();
+            assert!(Arc::ptr_eq(segments[0], shared[0]));
+            assert_eq!(decoded(sibling)[..prior_log.len()], prior_log[..]);
+        }
+        assert_explains(&with_pair, &pair);
+        assert_explains(&with_wide, &wide);
+        assert!(with_pair
+            .explain("Seen", std::slice::from_ref(&wide))
+            .is_none());
+        assert!(with_wide
+            .explain("Seen", std::slice::from_ref(&pair))
+            .is_none());
+        assert_eq!(decoded(&prior), prior_log, "the prior reads as before");
+        assert_explains(&prior, &Value::from(7));
+
+        // A retraction in one sibling masks events of the shared segment
+        // in that history alone.
+        let retract = Delta::new().retract("Item", vec![Value::from(7)]);
+        let without_7 = solver.resume(&program, &with_pair, &retract);
+        let without_7 = without_7.expect("resumes");
+        let segments = without_7.events().expect("recorded").segments();
+        assert!(Arc::ptr_eq(
+            segments[0],
+            prior.events().expect("recorded").segments()[0]
+        ));
+        let seven = [Value::from(7)];
+        assert!(decoded(&without_7).iter().all(|e| e.tuple != seven));
+        assert!(without_7.explain("Seen", &seven).is_none());
+        assert_explains(&without_7, &pair);
+        for untouched in [&prior, &with_pair, &with_wide] {
+            assert_explains(untouched, &seven[0]);
+        }
+        assert_eq!(decoded(&prior), prior_log);
+        assert_eq!(decoded(&with_wide)[..prior_log.len()], prior_log[..]);
+    }
+
+    /// A premise column with a side value in a *key* position: `Q(z)`
+    /// binds `z`, the choice rebinds it to a tuple the store has not seen
+    /// when the derivation is emitted, and the premise is logged — as
+    /// before the log was encoded — at the rebound value. Such a premise
+    /// has no slot to hash; it is matched by decoding, also against a
+    /// fact the store came to hold later.
+    #[test]
+    fn a_side_value_in_a_key_column_is_matched_decoded() {
+        let mut b = ProgramBuilder::new();
+        let p = b.relation("P", 1);
+        let q = b.relation("Q", 1);
+        let r = b.relation("R", 2);
+        let twice = b.function("twice", |args| {
+            Value::set([Value::tuple([args[0].clone(), args[0].clone()])])
+        });
+        b.fact(p, vec![Value::from(1)]);
+        b.fact(q, vec![Value::from(5)]);
+        b.rule(
+            Head::new(r, [HeadTerm::var("x"), HeadTerm::var("z")]),
+            [
+                BodyItem::atom(p, [Term::var("x")]),
+                BodyItem::atom(q, [Term::var("z")]),
+                BodyItem::choose(twice, [Term::var("x")], "z"),
+            ],
+        );
+        let program = b.build().expect("valid");
+        let solver = Solver::new().record_provenance(true);
+        let solved = solver.solve(&program).expect("solves");
+        let pair = Value::tuple([Value::from(1), Value::from(1)]);
+        let derived = [Value::from(1), pair.clone()];
+        let logged = decoded(&solved);
+        let event = logged.iter().find(|e| e.tuple == derived);
+        let Source::Rule { premises, .. } = &event.expect("logged").source else {
+            panic!("derived by the rule");
+        };
+        assert_eq!(premises[1].pattern, [Some(pair.clone())]);
+        // No `Q((1, 1))` was ever concluded: the premise has no subtree.
+        let tree = solved.explain("R", &derived).expect("logged");
+        assert_eq!(tree.children.len(), 1);
+
+        // Once the store holds `Q((1, 1))`, the fact has a slot, and the
+        // walk a retraction of it would make reaches the event whose
+        // premise names it by value.
+        let insert = Delta::new().insert("Q", vec![pair.clone()]);
+        let held = solver.resume(&program, &solved, &insert).expect("resumes");
+        let spill = held.database().spill();
+        let key = [slot_of(&pair, &held).expect("stored")];
+        let mut consumers = Vec::new();
+        let log = held.events().expect("recorded");
+        log.touching(q, &key, None, spill, |_, event| {
+            consumers.extend((event.pred == r).then(|| event.tuple(spill)));
+        });
+        assert_eq!(consumers, [derived.to_vec()]);
+    }
+
+    /// The scratch fallback starts a new database — a new spill table —
+    /// and so a new log: no segment of the prior's is carried into it.
+    #[test]
+    fn a_run_that_resets_its_database_starts_a_new_log() {
+        let program = program();
+        let solver = Solver::new().record_provenance(true);
+        let pair = Value::tuple([Value::from(1), Value::from("x")]);
+        let wide = Value::from(i64::MAX);
+        let first = Delta::new().insert("Item", vec![wide.clone()]);
+        let prior = solver.resume(&program, &solver.solve(&program).expect("solves"), &first);
+        let prior = prior.expect("resumes");
+        // Reaches the negated atom: solved from scratch over the new store.
+        let delta = Delta::new()
+            .insert("Blocked", vec![Value::from(5)])
+            .retract("Item", vec![wide.clone()])
+            .insert("Item", vec![pair.clone()]);
+        let fallen_back = solver.resume(&program, &prior, &delta);
+        let fallen_back = fallen_back.expect("resumes");
+        assert!(!fallen_back.contains("Free", &[Value::from(5)]));
+        let new = fallen_back.events().expect("recorded").segments();
+        for old in prior.events().expect("recorded").segments() {
+            assert!(new.iter().all(|segment| !Arc::ptr_eq(segment, old)));
+        }
+        // The new table spills what the new store asserts, in its order:
+        // `wide`'s slot in the prior's table is `pair`'s in this one.
+        assert_eq!(slot_of(&pair, &fallen_back), slot_of(&wide, &prior));
+        assert_eq!(slot_of(&wide, &fallen_back), None);
+        assert_explains(&fallen_back, &pair);
+        assert!(fallen_back
+            .explain("Seen", std::slice::from_ref(&wide))
+            .is_none());
+        assert_explains(&prior, &wide);
     }
 }

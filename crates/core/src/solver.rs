@@ -16,7 +16,7 @@
 #![allow(clippy::result_large_err)]
 
 use crate::ast::{PredKind, ProgramError};
-use crate::database::{Database, InsertFault, InsertOutcome, PredData};
+use crate::database::{try_encode_row, Database, InsertFault, InsertOutcome, PredData};
 use crate::fxhash::FxHashSet;
 use crate::guard::{panic_payload, Budget, BudgetKind, EvalGuard, Guard};
 use crate::incremental::Cone;
@@ -24,9 +24,7 @@ use crate::kernel::{self, KernelSet};
 use crate::observe::{Observer, RuleEvaluated, RuleStats, StratumStats};
 use crate::ops::OpsPanic;
 use crate::program::{CItem, Program};
-use crate::provenance::{
-    fact_key, pattern_matches, DerivationTree, Event, EventLog, OpenLog, Pos, Premise, Source,
-};
+use crate::provenance::{DerivationTree, Event, EventLog, OpenLog, Pos};
 use crate::stratify::{stratify, Strata};
 use crate::trace::{
     AscentCell, AscentConfig, AscentReport, AscentWarning, ExecutionTrace, Ring, SpanKind,
@@ -774,7 +772,7 @@ impl<'a> Run<'a> {
         edb: ExtensionalStore,
     ) -> Run<'a> {
         let mut run = Run::new(solver, program, Arc::new(solver.empty_db(program)), edb);
-        run.events = solver.config.record_provenance.then(OpenLog::default);
+        run.events = run.new_log();
         run.events_complete = true;
         run
     }
@@ -788,11 +786,19 @@ impl<'a> Run<'a> {
         self
     }
 
+    /// An empty log, when the solver records provenance.
+    fn new_log(&self) -> Option<OpenLog> {
+        let record = self.solver.config.record_provenance;
+        record.then(|| OpenLog::new(self.program))
+    }
+
     /// Starts over from the empty database: the first step of every
-    /// from-scratch fallback of a resume.
+    /// from-scratch fallback of a resume. A new database has a new spill
+    /// table, which the slots of a carried log would not decode against:
+    /// the log starts over too.
     pub(crate) fn reset(&mut self) {
         self.db = Arc::new(self.solver.empty_db(self.program));
-        self.events = self.solver.config.record_provenance.then(OpenLog::default);
+        self.events = self.new_log();
         self.events_complete = true;
         self.kernels = None;
         self.pending = None;
@@ -803,12 +809,13 @@ impl<'a> Run<'a> {
     /// one (the prior log may be absent if that solve ran without
     /// recording; the continued log is then incomplete). The prior's
     /// segments are shared, not copied, so this costs the same whatever
-    /// the size of the model.
+    /// the size of the model. The run is on the prior's database (or its
+    /// copy), so the slots it records decode like the ones it carries.
     pub(crate) fn carry_log(&mut self, prior: &Solution) {
-        self.events = self.solver.config.record_provenance.then(|| {
-            let prior = prior.events();
-            prior.map_or_else(OpenLog::default, OpenLog::continuing)
-        });
+        self.events = match prior.events() {
+            Some(log) if self.solver.config.record_provenance => Some(OpenLog::continuing(log)),
+            _ => self.new_log(),
+        };
         self.events_complete = prior.events().is_some() && prior.events_complete();
     }
 
@@ -842,9 +849,10 @@ impl<'a> Run<'a> {
     /// Asserts one extensional fact: the only way an asserted tuple
     /// enters the database. A net change counts into `facts_inserted`,
     /// is checked against the ascent threshold, is remembered as a
-    /// pending change on a warm run, and is logged as a [`Source::Fact`]
-    /// event carrying the state the database reached — for a lattice
-    /// cell the *joined* value, as rule events do.
+    /// pending change on a warm run, and is logged as a
+    /// [`Source::Fact`](crate::provenance::Source::Fact) event carrying
+    /// the state the database reached — for a lattice cell the *joined*
+    /// value, as rule events do.
     pub(crate) fn assert(&mut self, pred: PredId, values: &[Value]) -> Result<(), SolveError> {
         let db = Arc::make_mut(&mut self.db);
         let outcome = db
@@ -858,11 +866,8 @@ impl<'a> Run<'a> {
             self.solver.check_ascent(self.program, db, pred, id);
         }
         if let Some(log) = self.events.as_mut() {
-            log.push(Event {
-                pred,
-                tuple: db.fact_tuple(pred, id, raised.as_ref()),
-                source: Source::Fact,
-            });
+            let head = (db.pred(pred).columns(), id);
+            log.record(pred, None, head, raised.as_ref(), (&[], &mut []));
         }
         if let Some(pending) = self.pending.as_mut() {
             pending[pred.0 as usize].push(id);
@@ -877,6 +882,9 @@ impl<'a> Run<'a> {
     pub(crate) fn scratch(&mut self, strata: &Strata) -> Result<(), SolveError> {
         let load_start = self.tracer.now_ns();
         let store = Arc::clone(&self.edb);
+        if let Some(log) = self.events.as_mut() {
+            log.expect_facts(&store);
+        }
         for (pred, values) in store.iter() {
             self.assert(*pred, values)?;
         }
@@ -916,9 +924,10 @@ impl<'a> Run<'a> {
     /// reason this runs only between [`Run::warm`] and the run's first
     /// stratum — before a plan is compiled against the database and
     /// before any pending id is recorded — which is what keeps ids
-    /// append-only *during evaluation*. The encoded keys of the deleted
-    /// facts are kept for the head-bound plans; the spill table is
-    /// append-only, so they stay canonical.
+    /// append-only *during evaluation*. The cone's keys are encoded
+    /// against this run's database already (its spill table is the
+    /// prior's, append-only); those of the facts found are kept, as they
+    /// are, for the head-bound plans.
     pub(crate) fn delete(&mut self, cone: &Cone) {
         debug_assert!(self.kernels.is_none(), "no plan holds an id yet");
         debug_assert!(self.pending.iter().flatten().all(Vec::is_empty));
@@ -926,11 +935,14 @@ impl<'a> Run<'a> {
         let delete_start = self.tracer.now_ns();
         for (p, (facts, lost)) in cone.dead.iter().zip(&mut self.lost).enumerate() {
             let pred = PredId(p as u32);
-            let mut ids: Vec<u32> = facts.iter().filter_map(|f| db.id_of(pred, f)).collect();
-            ids.sort_unstable();
             let cols = db.pred(pred).columns();
-            lost.extend(ids.iter().map(|&id| cols.encoded(id)));
-            for &id in ids.iter().rev() {
+            let stored = facts
+                .iter()
+                .filter_map(|key| Some((cols.id_of_encoded(key)?, key)));
+            let mut found: Vec<(u32, &Box<[u64]>)> = stored.collect();
+            found.sort_unstable_by_key(|&(id, _)| id);
+            lost.extend(found.iter().map(|&(_, key)| key.clone()));
+            for &(id, _) in found.iter().rev() {
                 db.remove(pred, id);
             }
         }
@@ -985,7 +997,7 @@ impl<'a> Run<'a> {
             .collect();
         // Reused across rounds, so the (often tens of megabytes of)
         // derivation storage is allocated once per stratum.
-        let mut buf: Vec<Derived> = Vec::new();
+        let mut buf = Derivations::default();
         match self.solver.config.strategy {
             Strategy::Naive => loop {
                 let changes = self.round(stratum, &full, &[], &mut buf)?;
@@ -1112,7 +1124,7 @@ impl<'a> Run<'a> {
         stratum: usize,
         tasks: &[Task],
         delta: &[DeltaRows],
-        buf: &mut Vec<Derived>,
+        buf: &mut Derivations,
     ) -> Result<Vec<DeltaRows>, SolveError> {
         self.check_round(stratum)?;
         self.stats.rounds += 1;
@@ -1143,7 +1155,9 @@ impl<'a> Run<'a> {
     /// Drains one round's derivations into the database: the only place a
     /// derived fact is inserted. Counts gross derivations and net
     /// changes, credits the first changing rule, checks ascent, logs the
-    /// rule event, and collects the round's changes — the next `∆`.
+    /// rule event — the row's slots as the store now holds them and the
+    /// derivation's premise words, copied — and collects the round's
+    /// changes, the next `∆`.
     ///
     /// Within one round a lattice cell can climb through several
     /// intermediate values, and *how many* strict increases it takes
@@ -1156,13 +1170,18 @@ impl<'a> Run<'a> {
     /// invariance" section on [`SolveStats`]). Relational tuples change
     /// at most once ever, so only lattice increases are tracked. The `∆`
     /// still gets one entry per increase, each with the value it reached.
-    fn absorb(&mut self, buf: &mut Vec<Derived>) -> Result<Vec<DeltaRows>, SolveError> {
+    fn absorb(&mut self, buf: &mut Derivations) -> Result<Vec<DeltaRows>, SolveError> {
         let db = Arc::make_mut(&mut self.db);
         let mut changes = vec![DeltaRows::default(); self.program.preds.len()];
         let mut changed = 0u64;
         let mut touched: FxHashSet<(PredId, u32)> = FxHashSet::default();
-        for d in buf.drain(..) {
+        // Where the next derivation's premises start in the arena.
+        let (mut words, mut side) = (0, 0);
+        for d in buf.items.drain(..) {
             self.stats.facts_derived += 1;
+            let premises = (words, side);
+            words += d.premise_words as usize;
+            side += d.premise_side as usize;
             let outcome = insert_derived(db, d.pred, d.payload)
                 .map_err(|fault| insert_fault_error(self.program, d.pred, Some(d.rule), fault))?;
             let Some((id, raised)) = outcome.into_change() else {
@@ -1177,14 +1196,12 @@ impl<'a> Run<'a> {
                 self.solver.check_ascent(self.program, db, d.pred, id);
             }
             if let Some(log) = self.events.as_mut() {
-                log.push(Event {
-                    pred: d.pred,
-                    tuple: db.fact_tuple(d.pred, id, raised.as_ref()),
-                    source: Source::Rule {
-                        rule: d.rule,
-                        premises: d.premises.unwrap_or_default(),
-                    },
-                });
+                let head = (db.pred(d.pred).columns(), id);
+                let premises = (
+                    &buf.premise_words[premises.0..words],
+                    &mut buf.premise_side[premises.1..side],
+                );
+                log.record(d.pred, Some(d.rule), head, raised.as_ref(), premises);
             }
             let rows = &mut changes[d.pred.0 as usize];
             rows.ids.push(id);
@@ -1277,7 +1294,7 @@ impl<'a> Run<'a> {
         round: u64,
         tasks: &[Task],
         delta: &[DeltaRows],
-        out: &mut Vec<Derived>,
+        out: &mut Derivations,
     ) -> Result<(), SolveError> {
         let solver = self.solver;
         let program = self.program;
@@ -1354,7 +1371,7 @@ impl<'a> Run<'a> {
                             panic!("injected worker panic (test hook)");
                         }
                         let eval_guard = guard.eval_guard_scaled(threads);
-                        let mut out = Vec::new();
+                        let mut out = Derivations::default();
                         let mut reports = Vec::with_capacity(task_chunk.len());
                         let mut ring = tracer.local_ring();
                         let mut scratch = kernel::KernelScratch::new();
@@ -1415,7 +1432,7 @@ impl<'a> Run<'a> {
                     for report in &reports {
                         solver.note_task(stats, stratum, round, report);
                     }
-                    out.extend(chunk_out);
+                    out.append(chunk_out);
                 }
                 Ok(Err(error)) => failure = Some(error),
                 // A panic that escaped the worker's guarded paths is an
@@ -1441,7 +1458,7 @@ impl<'a> Run<'a> {
 
 /// What one parallel worker returns: its derivations plus one
 /// [`TaskReport`] per task it ran.
-type WorkerResult = Result<(Vec<Derived>, Vec<TaskReport>), SolveError>;
+type WorkerResult = Result<(Derivations, Vec<TaskReport>), SolveError>;
 
 /// Counters for one rule evaluation, reported back to the coordinating
 /// thread (which owns the [`SolveStats`] and the [`Observer`]).
@@ -1480,7 +1497,7 @@ fn run_one_task(
     task: &Task,
     delta: &[DeltaRows],
     eval_guard: &EvalGuard<'_>,
-    out: &mut Vec<Derived>,
+    out: &mut Derivations,
     span: &mut TaskSpan<'_, '_>,
     scratch: &mut kernel::KernelScratch,
 ) -> Result<TaskReport, SolveError> {
@@ -1490,7 +1507,7 @@ fn run_one_task(
             kind,
             stats: SolveStats::default(),
         })?;
-    let before = out.len();
+    let before = out.items.len();
     let mut counters = EvalCounters::default();
     let start = Instant::now();
     let result = kernel::run_plan(
@@ -1515,7 +1532,7 @@ fn run_one_task(
                 round: span.round,
                 rule: task.rule,
                 variant: task.variant,
-                derived: (out.len() - before) as u64 + counters.suppressed,
+                derived: (out.items.len() - before) as u64 + counters.suppressed,
             },
             tid: span.tid,
             start_ns: span.tracer.at_ns(start),
@@ -1526,7 +1543,7 @@ fn run_one_task(
     Ok(TaskReport {
         rule: task.rule,
         variant: task.variant,
-        derived: (out.len() - before) as u64 + counters.suppressed,
+        derived: (out.items.len() - before) as u64 + counters.suppressed,
         suppressed: counters.suppressed,
         probes: counters.probes,
         scans: counters.scans,
@@ -1600,13 +1617,45 @@ struct Task {
     variant: Option<usize>,
 }
 
-/// One derived head tuple, optionally with instantiated premises.
+/// One derived head tuple. With provenance recorded, its premises are
+/// the next `premise_words` words and `premise_side` values of the
+/// [`Derivations`] it sits in.
 #[derive(Clone, Debug)]
 pub(crate) struct Derived {
     pub(crate) pred: PredId,
     pub(crate) payload: Payload,
     pub(crate) rule: usize,
-    pub(crate) premises: Option<Vec<Premise>>,
+    pub(crate) premise_words: u32,
+    pub(crate) premise_side: u32,
+}
+
+/// The derivations of one round (or of one worker's share of it), in
+/// derivation order, and the arena their premises are recorded in: per
+/// derivation a run of words — a premise's predicate, then one slot per
+/// column — and the values of the columns that have no slot (see
+/// [`crate::provenance`]). Both stay empty when provenance is off.
+#[derive(Default)]
+pub(crate) struct Derivations {
+    pub(crate) items: Vec<Derived>,
+    pub(crate) premise_words: Vec<u64>,
+    pub(crate) premise_side: Vec<Value>,
+}
+
+impl Derivations {
+    fn clear(&mut self) {
+        self.items.clear();
+        self.premise_words.clear();
+        self.premise_side.clear();
+    }
+
+    /// Appends `later`'s derivations after these. A derivation holds the
+    /// lengths of its premise runs, not their offsets, so nothing is
+    /// rebased.
+    fn append(&mut self, mut later: Derivations) {
+        self.items.append(&mut later.items);
+        self.premise_words.append(&mut later.premise_words);
+        self.premise_side.append(&mut later.premise_side);
+    }
 }
 
 /// Width of the inline encoded-key representation shared by the kernel's
@@ -1747,7 +1796,8 @@ pub(crate) type ExtensionalStore = Arc<Vec<(PredId, Vec<Value>)>>;
 #[derive(Clone, Debug)]
 pub struct Solution {
     names: std::collections::HashMap<String, PredId>,
-    kinds: Vec<bool>, // true = lattice
+    pred_names: Vec<String>, // by predicate id
+    kinds: Vec<bool>,        // true = lattice
     // Shared, not owned: an empty-delta resume and a persistence
     // round-trip both hand back the same database without copying it.
     db: Arc<Database>,
@@ -1787,6 +1837,7 @@ impl Solution {
                 .enumerate()
                 .map(|(i, d)| (d.name.to_string(), PredId(i as u32)))
                 .collect(),
+            pred_names: program.preds.iter().map(|d| d.name.to_string()).collect(),
             kinds: program
                 .preds
                 .iter()
@@ -1903,11 +1954,13 @@ impl Solution {
     /// [`Solver::record_provenance`] — one entry per database-changing
     /// insertion, in insertion order.
     ///
-    /// The log of a resumed solution is stored in pieces shared with the
-    /// solution it resumed; the first call on such a solution copies it
-    /// into one slice, which later calls return.
+    /// The log is stored encoded, in pieces a resumed solution shares
+    /// with the solution it resumed; the first call decodes it into one
+    /// slice, which later calls return. [`Solution::explain`] does not
+    /// need that slice and does not build it.
     pub fn provenance(&self) -> Option<&[Event]> {
-        self.events.as_ref().map(EventLog::as_slice)
+        let log = self.events.as_ref()?;
+        Some(log.decoded(self.db.spill()))
     }
 
     /// The merged execution trace, if the solver ran with
@@ -1987,53 +2040,48 @@ impl Solution {
     pub fn explain(&self, name: &str, row: &[Value]) -> Option<DerivationTree> {
         let log = self.events.as_ref()?;
         let pred = self.predicate(name)?;
-        let kinds = &self.kinds;
+        // A value the store has never seen is in no logged fact.
+        let spill = self.db.spill();
+        let encoded = |row: &[Value]| {
+            let mut key = Vec::with_capacity(row.len());
+            try_encode_row(row, spill, &mut key).then_some(key)
+        };
         // A lattice row is the cell's key, or the key and a value the
         // cell once held; the arity is fixed, so one reading can hit.
-        let at = log.latest(kinds, pred, row, None, |_| true).or_else(|| {
-            let (_, key) = row.split_last().filter(|_| kinds[pred.0 as usize])?;
-            log.latest(kinds, pred, key, None, |e| e.tuple == row)
+        let as_key = encoded(row).and_then(|key| log.latest(pred, &key, None, |_| true));
+        let at = as_key.or_else(|| {
+            let (value, key) = row.split_last().filter(|_| self.kinds[pred.0 as usize])?;
+            log.latest(pred, &encoded(key)?, None, |e| e.value == Some(value))
         })?;
         Some(self.build_tree(log, at))
     }
 
+    /// Decodes the event at `at` and, recursively, the events that
+    /// established its premises: the nodes of the tree and nothing else.
     fn build_tree(&self, log: &EventLog, at: Pos) -> DerivationTree {
+        let spill = self.db.spill();
         let event = log.event(at);
-        let name = self
-            .names
-            .iter()
-            .find(|(_, &p)| p == event.pred)
-            .map(|(n, _)| n.clone())
-            .unwrap_or_default();
-        let (rule, premises) = match &event.source {
-            Source::Fact => (None, &[][..]),
-            Source::Rule { rule, premises } => (Some(*rule), premises.as_slice()),
-        };
-        let children = premises
-            .iter()
+        let children = event
+            .premises()
             .filter_map(|premise| {
                 // Resolve to the latest earlier event establishing the
                 // premise; positions strictly decrease, so this
                 // terminates. For a lattice premise the witnessed value
                 // may be below the stored cell value: the key columns
                 // decide, whatever the value.
-                let pattern = fact_key(&self.kinds, premise.pred, &premise.pattern);
-                let established = if pattern.iter().all(Option::is_some) {
-                    let key: Vec<Value> = pattern.iter().flatten().cloned().collect();
-                    log.latest(&self.kinds, premise.pred, &key, Some(at), |_| true)
-                } else {
-                    log.latest_scanned(at, |e| {
-                        e.pred == premise.pred
-                            && pattern_matches(pattern, fact_key(&self.kinds, e.pred, &e.tuple))
-                    })
+                let established = match premise.ground_key() {
+                    Some(key) => log.latest(premise.pred, key, Some(at), |_| true),
+                    None => log.latest_scanned(at, |e| {
+                        e.pred == premise.pred && premise.key_matches(e.key, spill)
+                    }),
                 };
                 established.map(|earlier| self.build_tree(log, earlier))
             })
             .collect();
         DerivationTree {
-            predicate: name,
-            tuple: event.tuple.clone(),
-            rule,
+            predicate: self.pred_names[event.pred.0 as usize].clone(),
+            tuple: event.tuple(spill),
+            rule: event.rule(),
             children,
         }
     }

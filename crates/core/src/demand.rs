@@ -105,8 +105,9 @@ use crate::ast::{
 };
 use crate::database::Database;
 use crate::observe::{Observer, RuleEvaluated};
-use crate::program::CTerm;
-use crate::program::{CHead, CItem, CRule, Program};
+use crate::program::{
+    bind_item, key_cols, order_for_delta, CHead, CItem, CRule, CTerm, OrderFrom, Program,
+};
 use crate::solver::{rule_heads, Fact, Finished, Run};
 use crate::stratify::check_stratifiable;
 use crate::trace::{AscentWarning, SpanKind, Tracer};
@@ -379,144 +380,32 @@ fn make_full(state: &mut [DemandState], pred: PredId) -> bool {
     true
 }
 
-/// The number of demandable (key) columns of a predicate: all columns
-/// for relations, all but the value column for lattices.
-fn key_width(decl: &PredDecl) -> usize {
-    if decl.is_lattice() {
-        decl.arity - 1
-    } else {
-        decl.arity
-    }
-}
-
-/// Computes the sideways-information-passing order of a rule body given
-/// an initial set of bound variable slots (the guard's bindings): ready
-/// tests first, then the atom with the most bound columns, then ready
-/// choice bindings — the same greedy heuristic the semi-naïve delta
-/// planner uses, seeded from the demand guard instead of a delta atom.
-/// Returns body item indices; deterministic, so the adornment fixed
-/// point (phase A) and rule emission (phase B) see identical orders.
-fn sip_order(body: &[CItem], seed_bound: &HashSet<usize>) -> Vec<usize> {
-    fn item_vars(item: &CItem, out: &mut Vec<usize>) {
-        let terms = match item {
-            CItem::Atom { terms, .. } | CItem::NegAtom { terms, .. } => terms,
-            CItem::Filter { args, .. } | CItem::Choose { args, .. } => args,
-        };
-        for t in terms {
-            if let CTerm::Var(slot) = t {
-                out.push(*slot);
-            }
-        }
-    }
-
-    let mut bound = seed_bound.clone();
-    let mut out: Vec<usize> = Vec::with_capacity(body.len());
-    let mut remaining: Vec<usize> = (0..body.len()).collect();
-    let take = |k: usize, remaining: &mut Vec<usize>, bound: &mut HashSet<usize>| {
-        let i = remaining.remove(k);
-        match &body[i] {
-            CItem::Atom { terms, .. } => {
-                for t in terms {
-                    if let CTerm::Var(slot) = t {
-                        bound.insert(*slot);
-                    }
-                }
-            }
-            CItem::Choose { binds, .. } => bound.extend(binds.iter().copied()),
-            CItem::NegAtom { .. } | CItem::Filter { .. } => {}
-        }
-        i
-    };
-    while !remaining.is_empty() {
-        // 1. Pure tests whose variables are all bound.
-        if let Some(k) = remaining.iter().position(|&i| {
-            matches!(body[i], CItem::NegAtom { .. } | CItem::Filter { .. }) && {
-                let mut vars = Vec::new();
-                item_vars(&body[i], &mut vars);
-                vars.iter().all(|v| bound.contains(v))
-            }
-        }) {
-            let i = take(k, &mut remaining, &mut bound);
-            out.push(i);
-            continue;
-        }
-        // 2. The atom with the most bound columns (literals count).
-        let best = remaining
-            .iter()
-            .enumerate()
-            .filter(|&(_, &i)| matches!(body[i], CItem::Atom { .. }))
-            .map(|(k, &i)| {
-                let CItem::Atom { terms, .. } = &body[i] else {
-                    unreachable!("filtered to atoms")
-                };
-                let score = terms
-                    .iter()
-                    .filter(|t| match t {
-                        CTerm::Lit(_) => true,
-                        CTerm::Var(slot) => bound.contains(slot),
-                        CTerm::Wild => false,
-                    })
-                    .count();
-                (k, score)
-            })
-            .max_by_key(|&(k, score)| (score, std::cmp::Reverse(k)));
-        if let Some((k, score)) = best {
-            if score > 0 {
-                let i = take(k, &mut remaining, &mut bound);
-                out.push(i);
-                continue;
-            }
-        }
-        // 3. A choice binding whose arguments are bound.
-        if let Some(k) = remaining.iter().position(|&i| {
-            matches!(body[i], CItem::Choose { .. }) && {
-                let mut vars = Vec::new();
-                item_vars(&body[i], &mut vars);
-                vars.iter().all(|v| bound.contains(v))
-            }
-        }) {
-            let i = take(k, &mut remaining, &mut bound);
-            out.push(i);
-            continue;
-        }
-        // 4. An unconnected atom: unavoidable cross product.
-        if let Some(k) = remaining
-            .iter()
-            .position(|&i| matches!(body[i], CItem::Atom { .. }))
-        {
-            let i = take(k, &mut remaining, &mut bound);
-            out.push(i);
-            continue;
-        }
-        // 5. Nothing is ready: append the rest in original (compiled)
-        // order, which is a valid schedule by construction.
-        out.append(&mut remaining);
-    }
-    out
-}
-
-/// Walks one rule under a bound head adornment, reporting the demand
-/// each positive intensional atom receives: `visit(body_idx, pred,
-/// bound_cols)` fires for every positive atom, in SIP order, with the
-/// columns that are literals or bound by the guard / *earlier positive
-/// atoms* (choice bindings are excluded: demand rules do not replay
-/// choice functions, so their bindings cannot be part of an adornment).
+/// Walks one rule under a bound head adornment in its
+/// sideways-information-passing order — the plan compiler's one greedy
+/// order ([`order_for_delta`]), started from the variables the guard
+/// binds — and returns that order, as body item indices. On the way it
+/// reports the demand each positive atom receives: `visit(body_idx,
+/// pred, bound_cols)` fires for every positive atom, in order, with the
+/// key columns that are literals or bound by the guard / *earlier
+/// positive atoms* (choice bindings are excluded: demand rules do not
+/// replay choice functions, so their bindings cannot be part of an
+/// adornment).
 fn walk_demands(
     program: &Program,
     rule: &CRule,
     head_adornment: &BTreeSet<usize>,
     mut visit: impl FnMut(usize, PredId, BTreeSet<usize>),
-) {
+) -> Vec<usize> {
     let mut bound: HashSet<usize> = HashSet::new();
     for &col in head_adornment {
         if let CHead::Var(slot) = &rule.head[col] {
             bound.insert(*slot);
         }
     }
-    let order = sip_order(&rule.body, &bound);
-    for idx in order {
+    let order = order_for_delta(&rule.body, &program.preds, OrderFrom::Bound(&bound, None));
+    for &idx in &order {
         if let CItem::Atom { pred, terms, .. } = &rule.body[idx] {
-            let kw = key_width(program.decl(*pred));
+            let kw = key_cols(program.decl(*pred));
             let cols: BTreeSet<usize> = terms
                 .iter()
                 .take(kw)
@@ -529,13 +418,10 @@ fn walk_demands(
                 .map(|(c, _)| c)
                 .collect();
             visit(idx, *pred, cols);
-            for t in terms {
-                if let CTerm::Var(slot) = t {
-                    bound.insert(*slot);
-                }
-            }
+            bind_item(&rule.body[idx], &mut bound);
         }
     }
+    order
 }
 
 /// Phase A: the adornment fixed point. Starts from the query patterns
@@ -552,7 +438,7 @@ fn compute_states(
     for (pred, pattern) in queries {
         let cols: BTreeSet<usize> = pattern
             .iter()
-            .take(key_width(program.decl(*pred)))
+            .take(key_cols(program.decl(*pred)))
             .enumerate()
             .filter(|(_, p)| p.is_some())
             .map(|(c, _)| c)
@@ -779,27 +665,11 @@ pub(crate) fn rewrite(
                     terms: guard_terms.clone(),
                 };
 
-                // The guarded copy: guard first, body in SIP order.
-                let mut seed_bound: HashSet<usize> = HashSet::new();
-                for &col in adornment {
-                    if let CHead::Var(slot) = &rule.head[col] {
-                        seed_bound.insert(*slot);
-                    }
-                }
-                let order = sip_order(&rule.body, &seed_bound);
-                let mut body: Vec<BodyItem> = Vec::with_capacity(rule.body.len() + 1);
-                body.push(guard.clone());
-                body.extend(order.iter().map(|&idx| dec_item(&rule.body[idx], names)));
-                raw_rules.push(RawRule {
-                    head: dec_head(rule, names),
-                    body,
-                });
-                rule_origin.push(i);
-
                 // Demand rules: for every demanded intensional atom, the
                 // bindings available before matching it.
-                let mut prefix: Vec<BodyItem> = vec![guard];
-                walk_demands(program, rule, adornment, |idx, pred, _| {
+                let mut demand_rules: Vec<RawRule> = Vec::new();
+                let mut prefix: Vec<BodyItem> = vec![guard.clone()];
+                let order = walk_demands(program, rule, adornment, |idx, pred, _| {
                     let CItem::Atom { terms, .. } = &rule.body[idx] else {
                         unreachable!("walk_demands visits positive atoms")
                     };
@@ -818,18 +688,29 @@ pub(crate) fn rewrite(
                             && *qid == *guard_id
                             && same_pattern(&head_terms, &guard_terms);
                         if !tautology {
-                            raw_rules.push(RawRule {
+                            demand_rules.push(RawRule {
                                 head: Head {
                                     pred: *qid,
                                     terms: head_terms,
                                 },
                                 body: prefix.clone(),
                             });
-                            rule_origin.push(i);
                         }
                     }
                     prefix.push(dec_item(&rule.body[idx], names));
                 });
+
+                // The guarded copy — guard first, body in SIP order — and
+                // after it the demand rules that order gave rise to.
+                let mut body: Vec<BodyItem> = Vec::with_capacity(rule.body.len() + 1);
+                body.push(guard);
+                body.extend(order.iter().map(|&idx| dec_item(&rule.body[idx], names)));
+                raw_rules.push(RawRule {
+                    head: dec_head(rule, names),
+                    body,
+                });
+                rule_origin.resize(rule_origin.len() + 1 + demand_rules.len(), i);
+                raw_rules.append(&mut demand_rules);
             }
         }
         for item in &rule.body {

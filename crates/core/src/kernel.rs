@@ -10,8 +10,10 @@
 //!
 //! * **boundness is static** — which variables are bound at each body
 //!   position follows from the scheduled body order, so each atom
-//!   compiles to exactly one access step (ground membership test, index
-//!   probe, scan, or delta iteration) with a fixed op list per row;
+//!   compiles to one step with exactly one access form (ground lookup,
+//!   index probe, scan, or delta iteration) and a fixed op list per row
+//!   — the same step for a relation and for a lattice predicate, which
+//!   only adds a value column to match afterwards;
 //! * **`∆` is a list of row ids** — a delta step walks the ids a round
 //!   changed and reads them through the same encoded columns, with the
 //!   same row ops, as a probe or a scan does (a lattice `∆` also carries
@@ -32,16 +34,19 @@
 //!   predicate of a lower, fully settled stratum, so it compiles to one
 //!   membership / cell lookup when its key is ground and to a scan of the
 //!   settled facts otherwise, binding nothing;
-//! * **choice is a fan-out** — a `<-` binding calls its function once and
-//!   recurses per element of the returned set, the elements held in boxed
-//!   registers because user code may return values the store never saw;
+//! * **choice is a fan-out, or a test** — a `<-` binding calls its
+//!   function once and recurses per element of the returned set, the
+//!   elements held in boxed registers because user code may return values
+//!   the store never saw; a bind that this body order has already bound
+//!   is compared, not overwritten, so a body means the same conjunction
+//!   in every order;
 //! * **premises are copied at emit** — when provenance is recorded, each
 //!   derivation carries its positive body atoms, in body order, as the
 //!   words the registers already hold: per atom its predicate and one
 //!   encoded slot per column (a marker for a wildcard), appended to the
 //!   round's premise arena. Only what has no slot — a lattice witness,
-//!   glb-rebound ones included, or a choice-bound value the store never
-//!   saw — goes, cloned, to the arena's side column. Nothing is decoded
+//!   glb-rebound ones included, also where one stands in a key column —
+//!   goes, cloned, to the arena's side column. Nothing is decoded
 //!   and nothing is allocated per derivation; this is exactly what DRed
 //!   retraction later replays, and `explain` decodes;
 //! * **heads leave encoded** — a head whose columns all encode against
@@ -74,7 +79,7 @@ use crate::fxhash::{FxHashMap, FxHashSet};
 use crate::guard::{panic_payload, EvalGuard};
 use crate::ops::OpsPanic;
 use crate::program::{
-    order_for_delta, recompute_index_cols, CHead, CItem, CRule, CTerm, OrderFrom, Program,
+    bind_item, key_cols, ordered_body_from, CHead, CItem, CRule, CTerm, OrderFrom, Program,
 };
 use crate::solver::{DeltaRows, Derivations, Derived, EvalCounters, EvalFault, Payload, ENC_KEY};
 use crate::verify::Violation;
@@ -154,8 +159,10 @@ enum PremiseSrc {
     Word(u64),
     /// An encoded variable register.
     Slot(usize),
-    /// A boxed register in a key column — a choice-bound variable:
-    /// encoded when the store knows the value, a side value otherwise.
+    /// A boxed register in a key column — a choice-bound variable, or a
+    /// lattice witness also used as a key: encoded when the store knows
+    /// the value, a side value otherwise (a witness a later atom
+    /// glb-rebound to an element no key column ever held).
     BoxedKey(usize),
     /// A boxed register in a lattice value column: always a side value
     /// (an element is not a join key; looking it up would cost a hash).
@@ -164,56 +171,36 @@ enum PremiseSrc {
     Side(Value),
 }
 
-/// One step of a compiled body. Atom steps carry their whole access
-/// strategy and define the work counters: ground tests and delta
-/// iteration count nothing, probes count one probe per visit, scans
-/// count one fallback per visit when an index was wanted.
+/// How an atom step reaches the stored rows it tries: decided once, at
+/// compile time, from what is bound when the atom runs. The access form
+/// is also where the work counters are charged: a ground lookup and delta
+/// iteration count nothing, a probe counts one probe per visit, a scan
+/// one fallback per visit when an index was wanted.
+#[derive(Clone, Debug)]
+enum Access {
+    /// Every (key) column ground: one membership test or cell lookup.
+    Ground(Vec<KeySrc>),
+    /// Probe of the predicate's `index`-th index (the position is
+    /// resolved at compile time); the step's ops match the other columns.
+    Probe { index: usize, key: Vec<KeySrc> },
+    /// Every stored row; `count` is set when an index was wanted but
+    /// missing.
+    Scan { count: bool },
+    /// The delta atom of a semi-naïve variant: the rows `∆pred` names, a
+    /// lattice cell at the value its change reached.
+    Delta,
+}
+
+/// One step of a compiled body.
 #[derive(Clone, Debug)]
 enum Step {
-    /// Fully ground relational atom: a membership test.
-    RelGround { pred: PredId, key: Vec<KeySrc> },
-    /// Probe of the predicate's `index`-th index (the position is
-    /// resolved at compile time); `ops` match the remaining columns.
-    RelProbe {
+    /// A positive atom: the rows `access` reaches whose (key) columns
+    /// match `ops` continue the sub-join, a lattice atom's through `val`.
+    /// A relational atom is the case with no value column to match: its
+    /// `val` is `Wild`.
+    Atom {
         pred: PredId,
-        index: usize,
-        key: Vec<KeySrc>,
-        ops: Vec<RowOp>,
-    },
-    /// Full scan; `count` is set when an index was wanted but missing.
-    RelScan {
-        pred: PredId,
-        ops: Vec<RowOp>,
-        count: bool,
-    },
-    /// The delta atom of a semi-naïve variant: iterate the rows `∆pred`
-    /// names.
-    RelDelta { pred: PredId, ops: Vec<RowOp> },
-    /// Lattice atom with a fully ground key: one cell lookup.
-    LatGround {
-        pred: PredId,
-        key: Vec<KeySrc>,
-        val: ValSpec,
-    },
-    /// Lattice key-column index probe.
-    LatProbe {
-        pred: PredId,
-        index: usize,
-        key: Vec<KeySrc>,
-        ops: Vec<RowOp>,
-        val: ValSpec,
-    },
-    /// Lattice cell scan.
-    LatScan {
-        pred: PredId,
-        ops: Vec<RowOp>,
-        val: ValSpec,
-        count: bool,
-    },
-    /// The delta atom of a lattice variant: the cells `∆pred` names, each
-    /// at the value its change reached.
-    LatDelta {
-        pred: PredId,
+        access: Access,
         ops: Vec<RowOp>,
         val: ValSpec,
     },
@@ -221,23 +208,28 @@ enum Step {
     Filter { func: usize, args: Vec<ArgSrc> },
     /// A negated atom: the sub-join continues only when no stored fact
     /// matches. Every variable is bound by validation, so `ops` only
-    /// check and `val` never binds. With `key` set, every (key) column is
-    /// ground and the test is one membership / cell lookup (`ops` is then
-    /// empty); otherwise the predicate is scanned. Sound because stratification settles the
-    /// negated predicate before this rule's stratum runs. Counts neither
-    /// probes nor scans.
+    /// check and `val` never binds. `access` is a ground lookup when no
+    /// (key) column is a wildcard and an uncounted scan otherwise: a
+    /// negation counts neither probes nor scans. Sound because
+    /// stratification settles the negated predicate before this rule's
+    /// stratum runs.
     Neg {
         pred: PredId,
-        key: Option<Vec<KeySrc>>,
+        access: Access,
         ops: Vec<RowOp>,
         val: ValSpec,
     },
     /// A choice binding `binds <- func(args)`: the function's set result
-    /// fans out, each element bound into the (boxed) `binds` registers.
+    /// fans out, each element's components going to the (boxed) `binds`
+    /// registers. A bind flagged `true` is bound by the time the step
+    /// runs — an earlier atom of this body order joins on it — and is a
+    /// membership test instead: only elements equal to the register
+    /// continue. A body is a conjunction; where the choice falls in the
+    /// order must not change what it means.
     Choose {
         func: usize,
         args: Vec<ArgSrc>,
-        binds: Vec<usize>,
+        binds: Vec<(usize, bool)>,
     },
     /// The first step of a head-bound plan (DESIGN §16): the sub-join
     /// runs once per entry of `seeds`, its slots written to the encoded
@@ -449,12 +441,13 @@ fn head_bound(
         }
     }
     let bound: HashSet<usize> = binds.iter().copied().collect();
-    let len_of = |pred| db.len_of(pred);
-    let from = OrderFrom::Bound(&bound, &len_of);
-    let mut body = order_for_delta(&rule.body, &program.preds, from);
+    let rows: Vec<usize> = (0..program.preds.len())
+        .map(|pred| db.len_of(PredId(pred as u32)))
+        .collect();
+    let from = OrderFrom::Bound(&bound, Some(&rows));
     // An index this order wants and the program never asked for is built
     // on this run's database alone; no other solve pays for it.
-    recompute_index_cols(&mut body, &program.preds, bound, |pred, cols| {
+    let body = ordered_body_from(&rule.body, &program.preds, from, |pred, cols| {
         if use_indexes {
             db.ensure_index(pred, cols);
         }
@@ -488,10 +481,7 @@ fn compile_body(
                 terms,
                 index_cols,
             } => {
-                let decl = program.decl(*pred);
-                let is_lat = decl.is_lattice();
-                let ncols = if is_lat { terms.len() - 1 } else { terms.len() };
-
+                let ncols = key_cols(program.decl(*pred));
                 // The value spec is resolved before the key ops mark the
                 // atom's variables bound — but a value variable first
                 // bound by this atom's *own* key columns is bound by the
@@ -503,82 +493,20 @@ fn compile_body(
                         _ => None,
                     })
                     .collect();
-                let val = val_spec(terms, is_lat, |slot| {
+                let val = val_spec(terms, ncols, |slot| {
                     bound.contains(slot) || key_binds.contains(slot)
                 });
-
-                let is_delta = delta_first && idx == 0;
-                let step = if is_delta {
-                    let ops = row_ops(terms, ncols, &[], &bound, &boxed_class, db);
-                    if is_lat {
-                        Step::LatDelta {
-                            pred: *pred,
-                            ops,
-                            val,
-                        }
-                    } else {
-                        Step::RelDelta { pred: *pred, ops }
-                    }
-                } else if index_cols.len() == ncols {
-                    // Every (key) column ground: membership / cell lookup.
-                    let key = key_srcs(terms, index_cols, &boxed_class, db);
-                    if is_lat {
-                        Step::LatGround {
-                            pred: *pred,
-                            key,
-                            val,
-                        }
-                    } else {
-                        Step::RelGround { pred: *pred, key }
-                    }
-                } else {
-                    let index = (!index_cols.is_empty())
-                        .then(|| db.pred(*pred).columns().index_of(index_cols))
-                        .flatten();
-                    if let Some(index) = index {
-                        let key = key_srcs(terms, index_cols, &boxed_class, db);
-                        let ops = row_ops(terms, ncols, index_cols, &bound, &boxed_class, db);
-                        if is_lat {
-                            Step::LatProbe {
-                                pred: *pred,
-                                index,
-                                key,
-                                ops,
-                                val,
-                            }
-                        } else {
-                            Step::RelProbe {
-                                pred: *pred,
-                                index,
-                                key,
-                                ops,
-                            }
-                        }
-                    } else {
-                        let count = !index_cols.is_empty();
-                        let ops = row_ops(terms, ncols, &[], &bound, &boxed_class, db);
-                        if is_lat {
-                            Step::LatScan {
-                                pred: *pred,
-                                ops,
-                                val,
-                                count,
-                            }
-                        } else {
-                            Step::RelScan {
-                                pred: *pred,
-                                ops,
-                                count,
-                            }
-                        }
-                    }
-                };
-                steps.push(step);
-                for t in terms {
-                    if let CTerm::Var(slot) = t {
-                        bound.insert(*slot);
-                    }
-                }
+                let from_delta = delta_first && idx == 0;
+                let index_cols = (!from_delta).then_some(&index_cols[..]);
+                let (access, ops) =
+                    access(db, *pred, terms, ncols, index_cols, &bound, &boxed_class);
+                steps.push(Step::Atom {
+                    pred: *pred,
+                    access,
+                    ops,
+                    val,
+                });
+                bind_item(item, &mut bound);
             }
             CItem::Filter { func, args } => {
                 steps.push(Step::Filter {
@@ -587,29 +515,32 @@ fn compile_body(
                 });
             }
             CItem::NegAtom { pred, terms } => {
-                let is_lat = program.decl(*pred).is_lattice();
-                let ncols = if is_lat { terms.len() - 1 } else { terms.len() };
+                // One lookup when no (key) column is a wildcard, a scan
+                // nobody counts otherwise: never an index.
+                let ncols = key_cols(program.decl(*pred));
                 let ground = !terms[..ncols].iter().any(|t| matches!(t, CTerm::Wild));
-                let all: Vec<usize> = (0..ncols).collect();
-                let (key, ops) = if ground {
-                    (Some(key_srcs(terms, &all, &boxed_class, db)), Vec::new())
+                let key: Vec<usize> = if ground {
+                    (0..ncols).collect()
                 } else {
-                    (None, row_ops(terms, ncols, &[], &bound, &boxed_class, db))
+                    Vec::new()
                 };
+                let (access, ops) =
+                    access(db, *pred, terms, ncols, Some(&key), &bound, &boxed_class);
                 steps.push(Step::Neg {
                     pred: *pred,
-                    key,
+                    access,
                     ops,
-                    val: val_spec(terms, is_lat, |_| true),
+                    val: val_spec(terms, ncols, |_| true),
                 });
             }
             CItem::Choose { func, args, binds } => {
                 steps.push(Step::Choose {
                     func: *func,
                     args: arg_srcs(args, &boxed_class),
-                    binds: binds.clone(),
+                    // Statically: whether an earlier step (or an earlier
+                    // component of this tuple) binds the variable.
+                    binds: binds.iter().map(|&b| (b, !bound.insert(b))).collect(),
                 });
-                bound.extend(binds);
             }
         }
     }
@@ -663,16 +594,50 @@ fn compile_body(
     }
 }
 
-/// How the value column of a (possibly negated) lattice atom is matched;
-/// `is_bound` tells whether a value variable is bound by the time the
-/// value is matched. Unused (`Wild`) for relations.
-fn val_spec(terms: &[CTerm], is_lat: bool, is_bound: impl Fn(&usize) -> bool) -> ValSpec {
-    match terms.last() {
-        Some(CTerm::Lit(v)) if is_lat => ValSpec::Lit(v.clone()),
-        Some(CTerm::Var(slot)) if is_lat && is_bound(slot) => ValSpec::Meet(*slot),
-        Some(CTerm::Var(slot)) if is_lat => ValSpec::Bind(*slot),
-        _ => ValSpec::Wild,
+/// How the value column of a (possibly negated) atom with `ncols` key
+/// columns is matched; `is_bound` tells whether a value variable is bound
+/// by the time the value is matched. A relation has no value column:
+/// `Wild`.
+fn val_spec(terms: &[CTerm], ncols: usize, is_bound: impl Fn(&usize) -> bool) -> ValSpec {
+    match terms.get(ncols) {
+        Some(CTerm::Lit(v)) => ValSpec::Lit(v.clone()),
+        Some(CTerm::Var(slot)) if is_bound(slot) => ValSpec::Meet(*slot),
+        Some(CTerm::Var(slot)) => ValSpec::Bind(*slot),
+        Some(CTerm::Wild) | None => ValSpec::Wild,
     }
+}
+
+/// Picks the access form of one atom and compiles the ops for the (key)
+/// columns its key does not cover. `index_cols` are the columns ground
+/// when the atom runs — `None` for the delta atom, which walks `∆`
+/// whatever is bound: all of them ground is a lookup, some of them a
+/// probe when the database has that index and a counted scan when it has
+/// not, none of them a scan.
+fn access(
+    db: &mut Database,
+    pred: PredId,
+    terms: &[CTerm],
+    ncols: usize,
+    index_cols: Option<&[usize]>,
+    bound: &HashSet<usize>,
+    boxed_class: &HashSet<usize>,
+) -> (Access, Vec<RowOp>) {
+    let (access, keyed): (Access, &[usize]) = match index_cols {
+        None => (Access::Delta, &[]),
+        Some(cols) if cols.len() == ncols => {
+            (Access::Ground(key_srcs(terms, cols, boxed_class, db)), cols)
+        }
+        Some([]) => (Access::Scan { count: false }, &[]),
+        Some(cols) => match db.pred(pred).columns().index_of(cols) {
+            Some(index) => {
+                let key = key_srcs(terms, cols, boxed_class, db);
+                (Access::Probe { index, key }, cols)
+            }
+            None => (Access::Scan { count: true }, &[]),
+        },
+    };
+    let ops = row_ops(terms, ncols, keyed, bound, boxed_class, db);
+    (access, ops)
 }
 
 /// Compiles the probe-key sources for `index_cols` (all of which are
@@ -1312,37 +1277,74 @@ fn val_holds(
     }
 }
 
-/// Does any stored fact match the negated atom?
-fn neg_exists(
+/// What a value spec is matched against in stored row `id` — `None` for
+/// `Wild`, which needs no cell: every relational atom, whose predicate
+/// has no value column, and a lattice atom that ignores it.
+#[inline(always)]
+fn cell_for<'a>(val: &ValSpec, data: &'a PredData, id: u32) -> Option<(&'a Value, &'a LatticeOps)> {
+    match (val, data) {
+        (ValSpec::Wild, _) => None,
+        (_, PredData::Lat(lat)) => Some((lat.cell(id), lat.ops())),
+        (_, PredData::Rel(_)) => unreachable!("compiled against predicate kinds"),
+    }
+}
+
+/// Hands `visit` the stored rows of `pred` that `access` reaches and `ops`
+/// match, in iteration order — insertion order for a scan, a probe's hits
+/// and `∆` alike — with the value a `∆` row carries; `visit` returns
+/// whether to go on. The one place the work counters are charged.
+/// Inlined with its visitor, so each access form is a loop of its own
+/// around the step that follows, as if written out per form.
+#[inline(always)]
+fn for_each_row<'a, 'o>(
     pred: PredId,
-    key: Option<&[KeySrc]>,
+    access: &Access,
     ops: &[RowOp],
-    val: &ValSpec,
-    st: &mut State<'_, '_>,
-) -> Result<bool, OpsPanic> {
-    // An unencodable key component was never stored: nothing matches.
-    let keyed = key.map(|key| build_key(key, st));
-    match st.db.pred(pred) {
-        PredData::Rel(rel) => Ok(match keyed {
-            Some(encodable) => encodable && rel.contains_encoded(&st.key_buf),
-            None => (0..rel.len() as u32).any(|id| ops_match(ops, rel.columns(), id, st)),
-        }),
-        PredData::Lat(lat) => {
-            if let Some(encodable) = keyed {
-                let id = encodable.then(|| lat.id_of_encoded(&st.key_buf)).flatten();
-                return match id {
-                    Some(id) => val_holds(val, lat.cell(id), lat.ops(), st),
-                    None => Ok(false),
-                };
-            }
-            for id in 0..lat.len() as u32 {
-                if ops_match(ops, lat.columns(), id, st)
-                    && val_holds(val, lat.cell(id), lat.ops(), st)?
-                {
-                    return Ok(true);
+    st: &mut State<'a, 'o>,
+    mut visit: impl FnMut(&mut State<'a, 'o>, &'a PredData, u32, Option<&'a Value>) -> bool,
+) {
+    let data = st.db.pred(pred);
+    let cols = data.columns();
+    match access {
+        Access::Ground(key) => {
+            // A membership test, not an index probe: nothing counted. An
+            // unencodable key component was never stored: no row.
+            if build_key(key, st) {
+                if let Some(id) = cols.id_of_encoded(&st.key_buf) {
+                    visit(st, data, id, None);
                 }
             }
-            Ok(false)
+        }
+        Access::Probe { index, key } => {
+            st.probes += 1;
+            if !build_key(key, st) {
+                // Unencodable key component: the probe happened (and was
+                // counted), but matches nothing.
+                return;
+            }
+            for &id in cols.probe_encoded(*index, &st.key_buf) {
+                if ops_match(ops, cols, id, st) && !visit(st, data, id, None) {
+                    return;
+                }
+            }
+        }
+        Access::Scan { count } => {
+            st.scans += *count as u64;
+            for id in 0..cols.len() as u32 {
+                if ops_match(ops, cols, id, st) && !visit(st, data, id, None) {
+                    return;
+                }
+            }
+        }
+        Access::Delta => {
+            let rows = &st.delta[pred.0 as usize];
+            for (n, &id) in rows.ids.iter().enumerate() {
+                // The value this change reached; a seed `∆` carries none
+                // and the cell is read as stored.
+                if ops_match(ops, cols, id, st) && !visit(st, data, id, rows.values.get(n)) {
+                    return;
+                }
+            }
         }
     }
 }
@@ -1360,150 +1362,29 @@ fn step(plan: &Plan, i: usize, st: &mut State<'_, '_>) {
         return;
     };
     match s {
-        Step::RelGround { pred, key } => {
-            let PredData::Rel(rel) = st.db.pred(*pred) else {
-                unreachable!("compiled against predicate kinds");
-            };
-            if !build_key(key, st) {
-                return;
-            }
-            // A membership test, not an index probe: nothing counted.
-            if rel.contains_encoded(&st.key_buf) {
-                step(plan, i + 1, st);
-            }
-        }
-        Step::RelProbe {
+        Step::Atom {
             pred,
-            index,
-            key,
-            ops,
-        } => {
-            let PredData::Rel(rel) = st.db.pred(*pred) else {
-                unreachable!("compiled against predicate kinds");
-            };
-            st.probes += 1;
-            if !build_key(key, st) {
-                // Unencodable key component: the probe happened (and was
-                // counted), but matches nothing.
-                return;
-            }
-            let hits = rel.columns().probe_encoded(*index, &st.key_buf);
-            for &id in hits {
-                if st.fault.is_some() {
-                    return;
-                }
-                if ops_match(ops, rel.columns(), id, st) {
-                    step(plan, i + 1, st);
-                }
-            }
-        }
-        Step::RelScan { pred, ops, count } => {
-            let PredData::Rel(rel) = st.db.pred(*pred) else {
-                unreachable!("compiled against predicate kinds");
-            };
-            if *count {
-                st.scans += 1;
-            }
-            for id in 0..rel.len() as u32 {
-                if st.fault.is_some() {
-                    return;
-                }
-                if ops_match(ops, rel.columns(), id, st) {
-                    step(plan, i + 1, st);
-                }
-            }
-        }
-        Step::RelDelta { pred, ops } => {
-            let PredData::Rel(rel) = st.db.pred(*pred) else {
-                unreachable!("compiled against predicate kinds");
-            };
-            for &id in &st.delta[pred.0 as usize].ids {
-                if st.fault.is_some() {
-                    return;
-                }
-                if ops_match(ops, rel.columns(), id, st) {
-                    step(plan, i + 1, st);
-                }
-            }
-        }
-        Step::LatGround { pred, key, val } => {
-            let PredData::Lat(lat) = st.db.pred(*pred) else {
-                unreachable!("compiled against predicate kinds");
-            };
-            if !build_key(key, st) {
-                return;
-            }
-            let Some(id) = lat.id_of_encoded(&st.key_buf) else {
-                return;
-            };
-            let ops = lat.ops();
-            apply_val(plan, i + 1, val, lat.cell(id), ops, st);
-        }
-        Step::LatProbe {
-            pred,
-            index,
-            key,
+            access,
             ops,
             val,
-        } => {
-            let PredData::Lat(lat) = st.db.pred(*pred) else {
-                unreachable!("compiled against predicate kinds");
-            };
-            st.probes += 1;
-            if !build_key(key, st) {
-                return;
-            }
-            let hits = lat.columns().probe_encoded(*index, &st.key_buf);
-            let lops = lat.ops();
-            for &id in hits {
-                if st.fault.is_some() {
-                    return;
-                }
-                if ops_match(ops, lat.columns(), id, st) {
-                    apply_val(plan, i + 1, val, lat.cell(id), lops, st);
-                }
-            }
-        }
-        Step::LatScan {
-            pred,
+        } => for_each_row(
+            *pred,
+            access,
             ops,
-            val,
-            count,
-        } => {
-            let PredData::Lat(lat) = st.db.pred(*pred) else {
-                unreachable!("compiled against predicate kinds");
-            };
-            if *count {
-                st.scans += 1;
-            }
-            let lops = lat.ops();
-            for id in 0..lat.len() as u32 {
-                if st.fault.is_some() {
-                    return;
+            st,
+            #[inline(always)]
+            |st, data, id, reached| {
+                // A matched row continues the sub-join: straight on, or
+                // through the cell its value column is matched against.
+                match cell_for(val, data, id) {
+                    None => step(plan, i + 1, st),
+                    Some((cell, lops)) => {
+                        apply_val(plan, i + 1, val, reached.unwrap_or(cell), lops, st)
+                    }
                 }
-                if ops_match(ops, lat.columns(), id, st) {
-                    apply_val(plan, i + 1, val, lat.cell(id), lops, st);
-                }
-            }
-        }
-        Step::LatDelta { pred, ops, val } => {
-            let PredData::Lat(lat) = st.db.pred(*pred) else {
-                unreachable!("compiled against predicate kinds");
-            };
-            let lops = lat.ops();
-            let rows = &st.delta[pred.0 as usize];
-            for (n, &id) in rows.ids.iter().enumerate() {
-                if st.fault.is_some() {
-                    return;
-                }
-                if ops_match(ops, lat.columns(), id, st) {
-                    // The value this change reached; a seed `∆` carries
-                    // none and reads the cell as stored.
-                    let cell = rows.values.get(n).unwrap_or_else(|| lat.cell(id));
-                    apply_val(plan, i + 1, val, cell, lops, st);
-                }
-            }
-        }
+                st.fault.is_none()
+            },
+        ),
         Step::Filter { func, args } => {
             let mut vals = std::mem::take(&mut st.args_buf);
             vals.clear();
@@ -1525,14 +1406,33 @@ fn step(plan: &Plan, i: usize, st: &mut State<'_, '_>) {
         }
         Step::Neg {
             pred,
-            key,
+            access,
             ops,
             val,
-        } => match neg_exists(*pred, key.as_deref(), ops, val, st) {
-            Ok(false) => step(plan, i + 1, st),
-            Ok(true) => {}
-            Err(p) => st.fail(p),
-        },
+        } => {
+            // Does any stored fact match? The first that does ends the
+            // search, and so does a lattice operation that panics.
+            let mut exists = Ok(false);
+            for_each_row(
+                *pred,
+                access,
+                ops,
+                st,
+                #[inline(always)]
+                |st, data, id, _| {
+                    exists = match cell_for(val, data, id) {
+                        None => Ok(true),
+                        Some((cell, lops)) => val_holds(val, cell, lops, st),
+                    };
+                    matches!(exists, Ok(false))
+                },
+            );
+            match exists {
+                Ok(false) => step(plan, i + 1, st),
+                Ok(true) => {}
+                Err(p) => st.fail(p),
+            }
+        }
         Step::Choose { func, args, binds } => {
             let vals: Vec<Value> = args.iter().map(|a| arg_value(a, st)).collect();
             let Some(result) = call_fn(*func, &vals, st) else {
@@ -1542,30 +1442,34 @@ fn step(plan: &Plan, i: usize, st: &mut State<'_, '_>) {
                 st.fail(EvalFault::Safety(Violation::ChoiceMalformed(vals, result)));
                 return;
             };
-            // A bind may shadow a variable an enclosing atom still checks
-            // sibling rows against; put the outer bindings back afterwards.
-            let outer: Vec<Option<Value>> = binds.iter().map(|&b| st.boxed[b].clone()).collect();
             for elem in elems.iter() {
                 if st.fault.is_some() {
                     break;
                 }
-                match elem.as_tuple() {
-                    _ if binds.len() == 1 => st.boxed[binds[0]] = Some(elem.clone()),
-                    Some(items) if items.len() == binds.len() => {
-                        for (&b, item) in binds.iter().zip(items) {
-                            st.boxed[b] = Some(item.clone());
-                        }
-                    }
+                let items = match elem.as_tuple() {
+                    _ if binds.len() == 1 => std::slice::from_ref(elem),
+                    Some(items) if items.len() == binds.len() => items,
                     _ => {
                         let malformed = Violation::ChoiceMalformed(vals.clone(), elem.clone());
                         st.fail(EvalFault::Safety(malformed));
                         break;
                     }
+                };
+                // A bound component is a membership test, in whatever
+                // order the body runs; an unbound one binds. Nothing is
+                // overwritten, so there is nothing to put back.
+                let mut member = true;
+                for (&(b, bound), item) in binds.iter().zip(items) {
+                    if !bound {
+                        st.boxed[b] = Some(item.clone());
+                    } else if st.boxed[b].as_ref() != Some(item) {
+                        member = false;
+                        break;
+                    }
                 }
-                step(plan, i + 1, st);
-            }
-            for (&b, old) in binds.iter().zip(outer) {
-                st.boxed[b] = old;
+                if member {
+                    step(plan, i + 1, st);
+                }
             }
         }
         Step::HeadSeed { binds, seeds } => {

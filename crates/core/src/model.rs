@@ -265,18 +265,23 @@ fn consequences(
             let Value::Set(elems) = &result else {
                 unsafe_function(Violation::ChoiceMalformed(vals, result));
             };
+            // `binds <- f(…)` is true for the `binds` that are an element
+            // of the set: a variable an earlier item bound must equal its
+            // component, a free one takes it.
             let mut chosen = env.clone();
             for elem in elems.iter() {
-                match elem.as_tuple() {
-                    _ if binds.len() == 1 => chosen[binds[0]] = Some(elem.clone()),
-                    Some(items) if items.len() == binds.len() => {
-                        for (&b, item) in binds.iter().zip(items) {
-                            chosen[b] = Some(item.clone());
-                        }
-                    }
+                let items = match elem.as_tuple() {
+                    _ if binds.len() == 1 => std::slice::from_ref(elem),
+                    Some(items) if items.len() == binds.len() => items,
                     _ => unsafe_function(Violation::ChoiceMalformed(vals, elem.clone())),
+                };
+                chosen.clone_from(env);
+                let mut components = binds.iter().zip(items);
+                if components
+                    .all(|(&b, item)| chosen[b].get_or_insert_with(|| item.clone()) == item)
+                {
+                    rest(&chosen);
                 }
-                rest(&chosen);
             }
         }
     }

@@ -250,6 +250,12 @@ fn schedule_body(items: &[BodyItem]) -> Vec<&BodyItem> {
     scheduled
 }
 
+/// The columns of a predicate that encode and index: all of a relation's,
+/// all but the value column of a lattice predicate's.
+pub(crate) fn key_cols(decl: &PredDecl) -> usize {
+    decl.arity - decl.is_lattice() as usize
+}
+
 fn compile_rule(
     raw: &RawRule,
     preds: &[PredDecl],
@@ -257,29 +263,55 @@ fn compile_rule(
 ) -> Result<CRule, ProgramError> {
     let head_decl = &preds[raw.head.pred.0 as usize];
     let head_name = head_decl.name.to_string();
-    if raw.head.terms.len() != head_decl.arity {
-        return Err(ProgramError::ArityMismatch {
-            predicate: head_name,
-            declared: head_decl.arity,
-            found: raw.head.terms.len(),
-        });
-    }
+    let check_arity = |pred: &PredId, found: usize| {
+        let decl = &preds[pred.0 as usize];
+        if found == decl.arity {
+            return Ok(());
+        }
+        Err(ProgramError::ArityMismatch {
+            predicate: decl.name.to_string(),
+            declared: decl.arity,
+            found,
+        })
+    };
+    check_arity(&raw.head.pred, raw.head.terms.len())?;
 
     let mut scope = VarScope::new();
     // `bound[slot]` tracks whether a positive item has bound the slot,
     // processing the body left to right.
     let mut bound: Vec<bool> = Vec::new();
 
-    let intern_term = |scope: &mut VarScope, bound: &mut Vec<bool>, t: &Term| match t {
-        Term::Var(name) => {
-            let slot = scope.intern(name);
-            if slot >= bound.len() {
-                bound.push(false);
-            }
-            CTerm::Var(slot)
+    let intern_var = |scope: &mut VarScope, bound: &mut Vec<bool>, name: &Arc<str>| {
+        let slot = scope.intern(name);
+        if slot >= bound.len() {
+            bound.push(false);
         }
-        Term::Lit(v) => CTerm::Lit(v.clone()),
-        Term::Wildcard => CTerm::Wild,
+        slot
+    };
+    let intern_terms = |scope: &mut VarScope, bound: &mut Vec<bool>, terms: &[Term]| {
+        let intern = |t: &Term| match t {
+            Term::Var(name) => CTerm::Var(intern_var(scope, bound, name)),
+            Term::Lit(v) => CTerm::Lit(v.clone()),
+            Term::Wildcard => CTerm::Wild,
+        };
+        terms.iter().map(intern).collect::<Vec<CTerm>>()
+    };
+    // Safety of a test, a choice or a head application: every variable it
+    // reads must already be bound. The first that is not, by name.
+    let unbound = |bound: &[bool], cterms: &[CTerm], terms: &[Term]| {
+        let mut pairs = cterms.iter().zip(terms);
+        pairs.find_map(|pair| match pair {
+            (CTerm::Var(slot), Term::Var(name)) if !bound[*slot] => Some(name.to_string()),
+            _ => None,
+        })
+    };
+    let require_bound = |bound: &[bool], cterms: &[CTerm], terms: &[Term]| {
+        unbound(bound, cterms, terms).map_or(Ok(()), |variable| {
+            Err(ProgramError::UnboundBodyVariable {
+                variable,
+                predicate: head_name.clone(),
+            })
+        })
     };
 
     let ordered_body = schedule_body(&raw.body);
@@ -288,41 +320,10 @@ fn compile_rule(
     for (pos, item) in ordered_body.iter().copied().enumerate() {
         match item {
             BodyItem::Atom { pred, terms } => {
-                let decl = &preds[pred.0 as usize];
-                if terms.len() != decl.arity {
-                    return Err(ProgramError::ArityMismatch {
-                        predicate: decl.name.to_string(),
-                        declared: decl.arity,
-                        found: terms.len(),
-                    });
-                }
-                let cterms: Vec<CTerm> = terms
-                    .iter()
-                    .map(|t| intern_term(&mut scope, &mut bound, t))
-                    .collect();
-                // Index columns: literals plus already-bound variables.
-                // For lattice predicates the value column is excluded.
-                let indexable_cols = if decl.is_lattice() {
-                    decl.arity - 1
-                } else {
-                    decl.arity
-                };
-                let mut index_cols = Vec::new();
-                for (col, t) in cterms.iter().enumerate().take(indexable_cols) {
-                    match t {
-                        CTerm::Lit(_) => index_cols.push(col),
-                        CTerm::Var(slot) if bound[*slot] => index_cols.push(col),
-                        _ => {}
-                    }
-                }
-                if !index_cols.is_empty() && index_cols.len() < indexable_cols {
-                    index_requests
-                        .entry(*pred)
-                        .or_default()
-                        .insert(index_cols.clone());
-                }
+                check_arity(pred, terms.len())?;
+                let terms = intern_terms(&mut scope, &mut bound, terms);
                 // After matching, every variable of the atom is bound.
-                for t in &cterms {
+                for t in &terms {
                     if let CTerm::Var(slot) = t {
                         bound[*slot] = true;
                     }
@@ -330,85 +331,36 @@ fn compile_rule(
                 atom_positions.push(pos);
                 body.push(CItem::Atom {
                     pred: *pred,
-                    terms: cterms,
-                    index_cols,
+                    terms,
+                    index_cols: Vec::new(),
                 });
             }
             BodyItem::NegAtom { pred, terms } => {
-                let decl = &preds[pred.0 as usize];
-                if terms.len() != decl.arity {
-                    return Err(ProgramError::ArityMismatch {
-                        predicate: decl.name.to_string(),
-                        declared: decl.arity,
-                        found: terms.len(),
-                    });
-                }
-                let cterms: Vec<CTerm> = terms
-                    .iter()
-                    .map(|t| intern_term(&mut scope, &mut bound, t))
-                    .collect();
-                // Safety: every variable must already be bound.
-                for (t, raw_t) in cterms.iter().zip(terms) {
-                    if let (CTerm::Var(slot), Term::Var(name)) = (t, raw_t) {
-                        if !bound[*slot] {
-                            return Err(ProgramError::UnboundBodyVariable {
-                                variable: name.to_string(),
-                                predicate: head_name,
-                            });
-                        }
-                    }
-                }
+                check_arity(pred, terms.len())?;
+                let cterms = intern_terms(&mut scope, &mut bound, terms);
+                require_bound(&bound, &cterms, terms)?;
                 body.push(CItem::NegAtom {
                     pred: *pred,
                     terms: cterms,
                 });
             }
             BodyItem::Filter { func, args } => {
-                let cargs: Vec<CTerm> = args
-                    .iter()
-                    .map(|t| intern_term(&mut scope, &mut bound, t))
-                    .collect();
-                for (t, raw_t) in cargs.iter().zip(args) {
-                    if let (CTerm::Var(slot), Term::Var(name)) = (t, raw_t) {
-                        if !bound[*slot] {
-                            return Err(ProgramError::UnboundBodyVariable {
-                                variable: name.to_string(),
-                                predicate: head_name,
-                            });
-                        }
-                    }
-                }
+                let cargs = intern_terms(&mut scope, &mut bound, args);
+                require_bound(&bound, &cargs, args)?;
                 body.push(CItem::Filter {
                     func: func.0 as usize,
                     args: cargs,
                 });
             }
             BodyItem::Choose { func, args, binds } => {
-                let cargs: Vec<CTerm> = args
-                    .iter()
-                    .map(|t| intern_term(&mut scope, &mut bound, t))
-                    .collect();
-                for (t, raw_t) in cargs.iter().zip(args) {
-                    if let (CTerm::Var(slot), Term::Var(name)) = (t, raw_t) {
-                        if !bound[*slot] {
-                            return Err(ProgramError::UnboundBodyVariable {
-                                variable: name.to_string(),
-                                predicate: head_name,
-                            });
-                        }
-                    }
+                let cargs = intern_terms(&mut scope, &mut bound, args);
+                require_bound(&bound, &cargs, args)?;
+                let mut bind_slots = Vec::with_capacity(binds.len());
+                for name in binds {
+                    let slot = intern_var(&mut scope, &mut bound, name);
+                    bound[slot] = true;
+                    bind_slots.push(slot);
                 }
-                let bind_slots: Vec<usize> = binds
-                    .iter()
-                    .map(|name| {
-                        let slot = scope.intern(name);
-                        if slot >= bound.len() {
-                            bound.push(false);
-                        }
-                        bound[slot] = true;
-                        slot
-                    })
-                    .collect();
                 body.push(CItem::Choose {
                     func: func.0 as usize,
                     args: cargs,
@@ -421,18 +373,16 @@ fn compile_rule(
     // Compile the head; check range restriction and app placement.
     let mut head = Vec::with_capacity(raw.head.terms.len());
     let last = raw.head.terms.len().saturating_sub(1);
+    let unbound_in_head = |variable: String| ProgramError::UnboundHeadVariable {
+        variable,
+        predicate: head_name.clone(),
+    };
     for (i, t) in raw.head.terms.iter().enumerate() {
         match t {
             HeadTerm::Var(name) => {
-                let slot = scope.intern(name);
-                if slot >= bound.len() {
-                    bound.push(false);
-                }
+                let slot = intern_var(&mut scope, &mut bound, name);
                 if !bound[slot] {
-                    return Err(ProgramError::UnboundHeadVariable {
-                        variable: name.to_string(),
-                        predicate: head_name,
-                    });
+                    return Err(unbound_in_head(name.to_string()));
                 }
                 head.push(CHead::Var(slot));
             }
@@ -440,42 +390,33 @@ fn compile_rule(
             HeadTerm::App(func, args) => {
                 if i != last {
                     return Err(ProgramError::AppNotLast {
-                        predicate: head_name,
+                        predicate: head_name.clone(),
                     });
                 }
-                let mut cargs = Vec::with_capacity(args.len());
-                for arg in args {
-                    let ct = intern_term(&mut scope, &mut bound, arg);
-                    if let (CTerm::Var(slot), Term::Var(name)) = (&ct, arg) {
-                        if !bound[*slot] {
-                            return Err(ProgramError::UnboundHeadVariable {
-                                variable: name.to_string(),
-                                predicate: head_name,
-                            });
-                        }
-                    }
-                    cargs.push(ct);
+                let cargs = intern_terms(&mut scope, &mut bound, args);
+                if let Some(variable) = unbound(&bound, &cargs, args) {
+                    return Err(unbound_in_head(variable));
                 }
                 head.push(CHead::App(func.0 as usize, cargs));
             }
         }
     }
 
-    // Build the delta variants: move each positive atom to the front,
-    // greedily order the rest by join connectivity, and recompute the
-    // index columns for the new order.
+    // The index columns of the scheduled body, then the delta variants:
+    // each positive atom moved to the front, the rest in the greedy join
+    // order, the index columns computed for that order the same way.
+    let mut request = |pred: PredId, cols: &[usize]| {
+        let requests = index_requests.entry(pred).or_default();
+        requests.insert(cols.to_vec());
+    };
+    recompute_index_cols(&mut body, preds, &HashSet::new(), &mut request);
     let mut delta_variants = Vec::with_capacity(atom_positions.len());
     for &pos in &atom_positions {
         let CItem::Atom { pred, .. } = &body[pos] else {
             unreachable!("atom_positions only indexes atoms")
         };
-        let pred = *pred;
-        let mut permuted = order_for_delta(&body, preds, OrderFrom::Delta(pos));
-        recompute_index_cols(&mut permuted, preds, HashSet::new(), |pred, cols| {
-            let requests = index_requests.entry(pred).or_default();
-            requests.insert(cols.to_vec());
-        });
-        delta_variants.push((pred, permuted));
+        let variant = ordered_body_from(&body, preds, OrderFrom::Delta(pos), &mut request);
+        delta_variants.push((*pred, variant));
     }
 
     Ok(CRule {
@@ -493,79 +434,79 @@ fn compile_rule(
 pub(crate) enum OrderFrom<'a> {
     /// A semi-naïve variant: this positive atom goes first.
     Delta(usize),
-    /// A head-bound plan (DESIGN §16): these variables are bound before
-    /// the first item runs, and the function tells how many rows each
-    /// predicate stores right now.
-    Bound(&'a HashSet<usize>, &'a dyn Fn(PredId) -> usize),
+    /// These variables are bound before the first item runs: the head
+    /// variables a demand guard binds (the sideways information passing
+    /// of [`crate::demand`]) or a head-bound plan's seed does (DESIGN
+    /// §16). Only the latter — made for one database, not for a program —
+    /// also says how many rows each predicate stores right now.
+    Bound(&'a HashSet<usize>, Option<&'a [usize]>),
 }
 
-/// Orders a rule body for evaluation from a delta atom or from bound head
-/// variables: whatever `from` puts first, then a greedy join order —
-/// ready filters and negations as soon as their variables are bound, then
-/// the atom sharing the most bound columns (avoiding accidental cross
-/// products), then ready choice bindings, and only as a last resort an
-/// unconnected atom. A head-bound order — which, unlike a delta variant,
-/// is made for one database — also prefers an atom whose key columns are
-/// all bound (one lookup) to any other, and of two atoms with as many
-/// bound columns the one whose predicate stores fewer rows.
+/// The variables an item reads: all of an atom's or a test's, the
+/// arguments of a choice.
+fn item_vars(item: &CItem) -> impl Iterator<Item = usize> + '_ {
+    let terms = match item {
+        CItem::Atom { terms, .. } | CItem::NegAtom { terms, .. } => terms,
+        CItem::Filter { args, .. } | CItem::Choose { args, .. } => args,
+    };
+    terms.iter().filter_map(|t| match t {
+        CTerm::Var(slot) => Some(*slot),
+        _ => None,
+    })
+}
+
+/// Marks what running `item` binds: an atom its variables, a choice its
+/// binds, a test nothing.
+pub(crate) fn bind_item(item: &CItem, bound: &mut HashSet<usize>) {
+    match item {
+        CItem::Atom { .. } => bound.extend(item_vars(item)),
+        CItem::Choose { binds, .. } => bound.extend(binds),
+        CItem::NegAtom { .. } | CItem::Filter { .. } => {}
+    }
+}
+
+/// The engine's one join order, as indices into `body`: whatever `from`
+/// puts first, then greedily — ready filters and negations as soon as
+/// their variables are bound, then the atom sharing the most bound
+/// columns (avoiding accidental cross products; the earliest on a tie),
+/// then ready choice bindings, and only as a last resort an unconnected
+/// atom. Delta variants, head-bound plans and the demand rewrite's
+/// guarded rules are all ordered here, so a change of heuristic reaches
+/// all three. The one data-dependent input is a head-bound plan's row
+/// counts: with them an atom whose key columns are all bound (one lookup)
+/// is preferred to any other, and of two atoms with as many bound columns
+/// the one whose predicate stores fewer rows. Deterministic: the demand
+/// rewrite's two phases rely on seeing the same order twice.
 pub(crate) fn order_for_delta(
     body: &[CItem],
     preds: &[PredDecl],
     from: OrderFrom<'_>,
-) -> Vec<CItem> {
-    fn item_vars(item: &CItem, out: &mut Vec<usize>) {
-        let terms = match item {
-            CItem::Atom { terms, .. } | CItem::NegAtom { terms, .. } => terms,
-            CItem::Filter { args, .. } | CItem::Choose { args, .. } => args,
-        };
-        for t in terms {
-            if let CTerm::Var(slot) = t {
-                out.push(*slot);
-            }
-        }
-    }
-
+) -> Vec<usize> {
     let mut out = Vec::with_capacity(body.len());
     let mut bound: HashSet<usize> = HashSet::new();
-    let push = |item: &CItem, out: &mut Vec<CItem>, bound: &mut HashSet<usize>| {
-        match item {
-            CItem::Atom { terms, .. } => {
-                for t in terms {
-                    if let CTerm::Var(slot) = t {
-                        bound.insert(*slot);
-                    }
-                }
-            }
-            CItem::Choose { binds, .. } => bound.extend(binds.iter().copied()),
-            CItem::NegAtom { .. } | CItem::Filter { .. } => {}
-        }
-        out.push(item.clone());
-    };
     let mut remaining: Vec<usize> = (0..body.len()).collect();
+    let mut rows = None;
     match from {
-        OrderFrom::Delta(idx) => push(&body[remaining.remove(idx)], &mut out, &mut bound),
-        OrderFrom::Bound(vars, _) => bound.extend(vars),
+        OrderFrom::Delta(idx) => {
+            out.push(remaining.remove(idx));
+            bind_item(&body[idx], &mut bound);
+        }
+        OrderFrom::Bound(vars, stored) => {
+            bound.extend(vars);
+            rows = stored;
+        }
     }
     while !remaining.is_empty() {
+        let ready = |i: usize| item_vars(&body[i]).all(|v| bound.contains(&v));
         // 1. Pure tests whose variables are all bound.
-        if let Some(k) = remaining.iter().position(|&i| {
-            matches!(body[i], CItem::NegAtom { .. } | CItem::Filter { .. }) && {
-                let mut vars = Vec::new();
-                item_vars(&body[i], &mut vars);
-                vars.iter().all(|v| bound.contains(v))
-            }
-        }) {
-            push(&body[remaining.remove(k)], &mut out, &mut bound);
-            continue;
-        }
+        let test = remaining.iter().position(|&i| {
+            matches!(body[i], CItem::NegAtom { .. } | CItem::Filter { .. }) && ready(i)
+        });
         // 2. The atom with the most bound columns (literals count).
-        let best = remaining
-            .iter()
-            .enumerate()
-            .filter(|&(_, &i)| matches!(body[i], CItem::Atom { .. }))
-            .map(|(k, &i)| {
+        let atom = || {
+            let scored = remaining.iter().enumerate().filter_map(|(k, &i)| {
                 let CItem::Atom { pred, terms, .. } = &body[i] else {
-                    unreachable!("filtered to atoms")
+                    return None;
                 };
                 let is_bound = |t: &CTerm| match t {
                     CTerm::Lit(_) => true,
@@ -573,88 +514,86 @@ pub(crate) fn order_for_delta(
                     CTerm::Wild => false,
                 };
                 let score = terms.iter().filter(|t| is_bound(t)).count();
-                let (ground, rows) = match from {
-                    OrderFrom::Delta(_) => (false, 0),
-                    OrderFrom::Bound(_, rows) => {
-                        let decl = &preds[pred.0 as usize];
-                        let key = decl.arity - decl.is_lattice() as usize;
-                        (terms[..key].iter().all(is_bound), rows(*pred))
-                    }
-                };
-                (k, ground, score, rows)
-            })
-            .max_by_key(|&(k, ground, score, rows)| (ground, score, Reverse(rows), Reverse(k)));
-        if let Some((k, _, score, _)) = best {
-            if score > 0 {
-                push(&body[remaining.remove(k)], &mut out, &mut bound);
-                continue;
-            }
-        }
+                let (ground, rows) = rows.map_or((false, 0), |rows| {
+                    let key = key_cols(&preds[pred.0 as usize]);
+                    (terms[..key].iter().all(is_bound), rows[pred.0 as usize])
+                });
+                Some((ground, score, Reverse(rows), Reverse(k)))
+            });
+            let best = scored.max().filter(|&(_, score, ..)| score > 0);
+            best.map(|(.., Reverse(k))| k)
+        };
         // 3. A choice binding whose arguments are bound.
-        if let Some(k) = remaining.iter().position(|&i| {
-            matches!(body[i], CItem::Choose { .. }) && {
-                let mut vars = Vec::new();
-                item_vars(&body[i], &mut vars);
-                vars.iter().all(|v| bound.contains(v))
-            }
-        }) {
-            push(&body[remaining.remove(k)], &mut out, &mut bound);
-            continue;
-        }
+        let choice = || {
+            let choice = |&i: &usize| matches!(body[i], CItem::Choose { .. }) && ready(i);
+            remaining.iter().position(choice)
+        };
         // 4. Unconnected atom: unavoidable cross product; take the first.
-        let k = remaining
-            .iter()
-            .position(|&i| matches!(body[i], CItem::Atom { .. }))
-            .unwrap_or(0);
-        push(&body[remaining.remove(k)], &mut out, &mut bound);
+        let any_atom = || {
+            let atom = |&i: &usize| matches!(body[i], CItem::Atom { .. });
+            remaining.iter().position(atom)
+        };
+        // (A validated body always has one of the four.)
+        let k = test.or_else(atom).or_else(choice).or_else(any_atom);
+        let i = remaining.remove(k.unwrap_or(0));
+        bind_item(&body[i], &mut bound);
+        out.push(i);
     }
     out
 }
 
-/// Recomputes the index columns of every atom in `items` for their
-/// current order, with the variables in `bound` bound from the start,
-/// and hands `request` each (predicate, columns) an index is wanted on.
+/// `body` in the order [`order_for_delta`] gives it from `from`, with the
+/// index columns of that order; `request` as in [`recompute_index_cols`].
+pub(crate) fn ordered_body_from(
+    body: &[CItem],
+    preds: &[PredDecl],
+    from: OrderFrom<'_>,
+    request: impl FnMut(PredId, &[usize]),
+) -> Vec<CItem> {
+    let order = order_for_delta(body, preds, from);
+    let mut items: Vec<CItem> = order.iter().map(|&i| body[i].clone()).collect();
+    let none = HashSet::new();
+    let bound = match from {
+        OrderFrom::Delta(_) => &none,
+        OrderFrom::Bound(bound, _) => bound,
+    };
+    recompute_index_cols(&mut items, preds, bound, request);
+    items
+}
+
+/// Computes the index columns of every atom in `items` for their current
+/// order — the literal columns plus the variable columns an earlier item
+/// or `bound`, the variables bound from the start, binds; key columns
+/// only — and hands `request` each (predicate, columns) an index is
+/// wanted on: some but not all of the key columns.
 pub(crate) fn recompute_index_cols(
     items: &mut [CItem],
     preds: &[PredDecl],
-    mut bound: HashSet<usize>,
+    bound: &HashSet<usize>,
     mut request: impl FnMut(PredId, &[usize]),
 ) {
+    let mut bound = bound.clone();
     for item in items {
-        match item {
-            CItem::Atom {
-                pred,
-                terms,
-                index_cols,
-            } => {
-                let decl = &preds[pred.0 as usize];
-                let indexable = if decl.is_lattice() {
-                    decl.arity - 1
-                } else {
-                    decl.arity
-                };
-                index_cols.clear();
-                for (col, t) in terms.iter().enumerate().take(indexable) {
-                    match t {
-                        CTerm::Lit(_) => index_cols.push(col),
-                        CTerm::Var(slot) if bound.contains(slot) => index_cols.push(col),
-                        _ => {}
-                    }
-                }
-                if !index_cols.is_empty() && index_cols.len() < indexable {
-                    request(*pred, index_cols);
-                }
-                for t in terms.iter() {
-                    if let CTerm::Var(slot) = t {
-                        bound.insert(*slot);
-                    }
+        if let CItem::Atom {
+            pred,
+            terms,
+            index_cols,
+        } = item
+        {
+            let indexable = key_cols(&preds[pred.0 as usize]);
+            index_cols.clear();
+            for (col, t) in terms.iter().enumerate().take(indexable) {
+                match t {
+                    CTerm::Lit(_) => index_cols.push(col),
+                    CTerm::Var(slot) if bound.contains(slot) => index_cols.push(col),
+                    _ => {}
                 }
             }
-            CItem::Choose { binds, .. } => {
-                bound.extend(binds.iter().copied());
+            if !index_cols.is_empty() && index_cols.len() < indexable {
+                request(*pred, index_cols);
             }
-            CItem::NegAtom { .. } | CItem::Filter { .. } => {}
         }
+        bind_item(item, &mut bound);
     }
 }
 

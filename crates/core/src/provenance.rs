@@ -1014,53 +1014,64 @@ mod tests {
         assert_eq!(decoded(&with_wide)[..prior_log.len()], prior_log[..]);
     }
 
-    /// A premise column with a side value in a *key* position: `Q(z)`
-    /// binds `z`, the choice rebinds it to a tuple the store has not seen
-    /// when the derivation is emitted, and the premise is logged — as
-    /// before the log was encoded — at the rebound value. Such a premise
-    /// has no slot to hash; it is matched by decoding, also against a
-    /// fact the store came to hold later.
+    /// A premise column with a side value in a *key* position, which a
+    /// glb-rebound lattice witness makes: `Q(v)` is looked up at the `v`
+    /// that `L` bound, `M(v)` then narrows `v` to `v ⊓ M`, a set the
+    /// store has never seen when the derivation is emitted, and the
+    /// premise is logged at the registers' final values. Such a
+    /// premise has no slot to hash; it is matched by decoding, also
+    /// against a fact the store came to hold later.
     #[test]
     fn a_side_value_in_a_key_column_is_matched_decoded() {
+        use crate::{LatticeOps, ValueLattice};
+        use flix_lattice::PowerSet;
+        let set = |items: &[i64]| -> Value {
+            let items = items.iter().map(|&n| Value::from(n));
+            items.collect::<PowerSet<Value>>().to_value()
+        };
         let mut b = ProgramBuilder::new();
         let p = b.relation("P", 1);
+        let l = b.lattice("L", 1, LatticeOps::of::<PowerSet<Value>>());
         let q = b.relation("Q", 1);
-        let r = b.relation("R", 2);
-        let twice = b.function("twice", |args| {
-            Value::set([Value::tuple([args[0].clone(), args[0].clone()])])
-        });
+        let m = b.lattice("M", 1, LatticeOps::of::<PowerSet<Value>>());
+        let r = b.lattice("R", 2, LatticeOps::of::<PowerSet<Value>>());
         b.fact(p, vec![Value::from(1)]);
-        b.fact(q, vec![Value::from(5)]);
+        b.fact(l, vec![set(&[1, 2])]);
+        b.fact(q, vec![set(&[1, 2])]);
+        b.fact(m, vec![set(&[2, 3])]);
         b.rule(
-            Head::new(r, [HeadTerm::var("x"), HeadTerm::var("z")]),
+            Head::new(r, [HeadTerm::var("x"), HeadTerm::var("v")]),
             [
                 BodyItem::atom(p, [Term::var("x")]),
-                BodyItem::atom(q, [Term::var("z")]),
-                BodyItem::choose(twice, [Term::var("x")], "z"),
+                BodyItem::atom(l, [Term::var("v")]),
+                BodyItem::atom(q, [Term::var("v")]),
+                BodyItem::atom(m, [Term::var("v")]),
             ],
         );
         let program = b.build().expect("valid");
         let solver = Solver::new().record_provenance(true);
         let solved = solver.solve(&program).expect("solves");
-        let pair = Value::tuple([Value::from(1), Value::from(1)]);
-        let derived = [Value::from(1), pair.clone()];
+        let met = set(&[2]);
+        let derived = [Value::from(1), met.clone()];
+        assert_eq!(slot_of(&met, &solved), None, "never a key: no slot");
         let logged = decoded(&solved);
         let event = logged.iter().find(|e| e.tuple == derived);
         let Source::Rule { premises, .. } = &event.expect("logged").source else {
             panic!("derived by the rule");
         };
-        assert_eq!(premises[1].pattern, [Some(pair.clone())]);
-        // No `Q((1, 1))` was ever concluded: the premise has no subtree.
+        assert_eq!(premises[2].pred, q);
+        assert_eq!(premises[2].pattern, [Some(met.clone())]);
+        // No `Q({2})` was ever concluded: the premise has no subtree.
         let tree = solved.explain("R", &derived).expect("logged");
-        assert_eq!(tree.children.len(), 1);
+        assert!(tree.children.iter().all(|child| child.predicate != "Q"));
 
-        // Once the store holds `Q((1, 1))`, the fact has a slot, and the
+        // Once the store holds `Q({2})`, the fact has a slot, and the
         // walk a retraction of it would make reaches the event whose
         // premise names it by value.
-        let insert = Delta::new().insert("Q", vec![pair.clone()]);
+        let insert = Delta::new().insert("Q", vec![met.clone()]);
         let held = solver.resume(&program, &solved, &insert).expect("resumes");
         let spill = held.database().spill();
-        let key = [slot_of(&pair, &held).expect("stored")];
+        let key = [slot_of(&met, &held).expect("stored")];
         let mut consumers = Vec::new();
         let log = held.events().expect("recorded");
         log.touching(q, &key, None, spill, |_, event| {

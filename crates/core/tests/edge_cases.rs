@@ -160,32 +160,37 @@ fn choose_from_non_set_is_a_safety_violation() {
 }
 
 #[test]
-fn choice_shadowing_a_bound_variable_is_scoped_to_its_sub_join() {
-    // Out(y) :- B(y), A(x, y), y <- succ(x). The choice rebinds `y` for
-    // the head only: each further A row must still be checked against the
-    // `y` that B bound, whatever the provenance setting or strategy.
+fn choice_on_a_bound_variable_is_a_test_and_sibling_rows_see_the_binding() {
+    // Out(x) :- B(y), A(x, y), y <- near(x). A body is a conjunction: `y`
+    // is bound by B when the choice runs, so the choice *tests* that `y`
+    // is one of near(x); rebinding it would derive from a `y` that B never
+    // held. near(x) = {x % 10 + 1, x + 5} puts a non-member last, so an
+    // evaluator that left the last element tried in `y` would check the
+    // next A row against 5, not against the 1 that B bound.
     let mut b = ProgramBuilder::new();
     let bb = b.relation("B", 1);
     let a = b.relation("A", 2);
     let out = b.relation("Out", 1);
-    let succ = b.function("succ", |args| {
-        Value::set([Value::Int(args[0].as_int().expect("int") + 1)])
+    let near = b.function("near", |args| {
+        let x = args[0].as_int().expect("int");
+        Value::set([Value::Int(x % 10 + 1), Value::Int(x + 5)])
     });
     b.fact(bb, vec![1.into()]);
-    b.fact(a, vec![10.into(), 1.into()]);
-    b.fact(a, vec![20.into(), 1.into()]);
-    b.fact(a, vec![30.into(), 2.into()]);
+    b.fact(a, vec![0.into(), 1.into()]); // near = {1, 5}: holds
+    b.fact(a, vec![43.into(), 1.into()]); // near = {4, 48}: 1 is not in it
+    b.fact(a, vec![20.into(), 1.into()]); // near = {1, 25}: holds
+    b.fact(a, vec![30.into(), 2.into()]); // B has no 2
     b.rule(
-        Head::new(out, [HeadTerm::var("y")]),
+        Head::new(out, [HeadTerm::var("x")]),
         [
             BodyItem::atom(bb, [Term::var("y")]),
             BodyItem::atom(a, [Term::var("x"), Term::var("y")]),
-            BodyItem::choose(succ, [Term::var("x")], "y"),
+            BodyItem::choose(near, [Term::var("x")], "y"),
         ],
     );
     let program = b.build().expect("valid");
     for provenance in [false, true] {
-        for strategy in [flix_core::Strategy::Naive, flix_core::Strategy::SemiNaive] {
+        for strategy in [Strategy::Naive, Strategy::SemiNaive] {
             let solution = Solver::new()
                 .strategy(strategy)
                 .record_provenance(provenance)
@@ -197,7 +202,9 @@ fn choice_shadowing_a_bound_variable_is_scoped_to_its_sub_join() {
                 .map(|row| row[0].as_int().expect("int"))
                 .collect();
             got.sort_unstable();
-            assert_eq!(got, vec![11, 21], "{strategy:?} provenance={provenance}");
+            assert_eq!(got, vec![0, 20], "{strategy:?} provenance={provenance}");
+            assert!(is_model(&program, &solution));
+            assert!(is_locally_minimal(&program, &solution));
         }
     }
 }

@@ -6,6 +6,12 @@
 //! workloads, `Solver::recover` must return a model cell-for-cell equal
 //! to a from-scratch solve of the base program plus the *surviving*
 //! delta prefix — and must never panic or return a corrupt model.
+//!
+//! The golden fixtures (`fixtures/golden_v2.snap`, `golden_v2.wal`) pin
+//! the wire format, and with it the engine's iteration order, from the
+//! other side: the committed bytes must keep loading and re-encode to
+//! themselves. A wire-format change bumps the version and regenerates
+//! the fixture deliberately — the tests fail otherwise.
 
 use flix_core::incremental::Delta;
 use flix_core::persist::{

@@ -1,5 +1,7 @@
 //! Helpers shared by the facade's parity suites.
 
+pub mod golden;
+
 use flix::lattice::rng::SmallRng;
 use flix::lattice::MinCost;
 use flix::{

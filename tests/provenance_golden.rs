@@ -21,23 +21,10 @@
 
 mod common;
 
+use common::golden::{all_pairs_40, fnv1a, ifds_taint_8x16, pair, sequences, FNV_OFFSET};
 use common::random_program;
-use flix::analyses::ifds::{self, problems::Taint};
-use flix::analyses::shortest_paths;
-use flix::analyses::workloads::graphs;
-use flix::analyses::workloads::jvm_program::{self, GenParams};
-use flix::lattice::rng::SmallRng;
-use flix::lattice::MinCost;
-use flix::{Delta, Program, Query, Solution, Solver, Strategy, Value, ValueLattice};
+use flix::{Delta, Program, Query, Solution, Solver, Value};
 use std::fmt::Write as _;
-use std::sync::Arc;
-
-fn fnv1a(hash: &mut u64, bytes: &[u8]) {
-    for &b in bytes {
-        *hash ^= b as u64;
-        *hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-}
 
 /// The digest of one solution's log and explanations.
 fn digest(program: &Program, solution: &Solution) -> u64 {
@@ -62,32 +49,14 @@ fn digest(program: &Program, solution: &Solution) -> u64 {
             }
         }
     }
-    let mut hash = 0xCBF2_9CE4_8422_2325;
+    let mut hash = FNV_OFFSET;
     fnv1a(&mut hash, text.as_bytes());
     hash
 }
 
-const STRATEGIES: [Strategy; 2] = [Strategy::SemiNaive, Strategy::Naive];
-
-fn solver(strategy: Strategy, threads: usize) -> Solver {
-    Solver::new()
-        .record_provenance(true)
-        .strategy(strategy)
-        .threads(threads)
-}
-
-/// `[semi-naïve, naïve]` digests of `run`, each taken at one thread and
-/// checked at four.
+/// `[semi-naïve, naïve]` digests of `run`, provenance recorded.
 fn per_strategy(label: &str, run: impl Fn(&Solver) -> u64) -> [u64; 2] {
-    STRATEGIES.map(|strategy| {
-        let one = run(&solver(strategy, 1));
-        let four = run(&solver(strategy, 4));
-        assert_eq!(
-            one, four,
-            "{label}/{strategy:?}: four threads logged differently"
-        );
-        one
-    })
+    common::golden::per_strategy(label, true, run)
 }
 
 fn solve_digest(program: &Program, solver: &Solver) -> u64 {
@@ -112,22 +81,6 @@ fn random_digests(seed: u64) -> [[u64; 2]; 2] {
 // The two `work_counters.rs` programs, and one demand query.
 // ---------------------------------------------------------------------
 
-fn all_pairs_40() -> Program {
-    shortest_paths::build_all_pairs(&graphs::generate(40, 120, 0x5907))
-}
-
-fn ifds_taint_8x16() -> Program {
-    let model = Arc::new(jvm_program::generate(GenParams {
-        num_procs: 8,
-        nodes_per_proc: 16,
-        vars_per_proc: 6,
-        call_percent: 15,
-        seed: 0xDACA90,
-    }));
-    let taint = Arc::new(Taint::new(model.clone()));
-    ifds::flix::build_program(&model.graph, taint)
-}
-
 /// `Dist(0, _, _)` on the all-pairs program: the log of a demand solve is
 /// recorded over the rewritten program and translated back.
 fn demand_digest(solver: &Solver) -> u64 {
@@ -140,59 +93,6 @@ fn demand_digest(solver: &Solver) -> u64 {
 // ---------------------------------------------------------------------
 // Resume sequences.
 // ---------------------------------------------------------------------
-
-type Edge = Vec<Value>;
-
-/// The asserted `Edge` tuples of `program`, deduplicated, and an edge it
-/// does not hold.
-fn edges_of(program: &Program, rng: &mut SmallRng) -> (Vec<Edge>, Edge) {
-    let mut edges: Vec<Edge> = Vec::new();
-    for (pred, values) in program.facts() {
-        if program.decl(pred).name() == "Edge" && !edges.iter().any(|e| e == values) {
-            edges.push(values.to_vec());
-        }
-    }
-    let fresh = loop {
-        let edge: Edge = vec![
-            rng.gen_range(0i64..4).into(),
-            rng.gen_range(0i64..4).into(),
-            rng.gen_range(1i64..10).into(),
-        ];
-        if !edges.contains(&edge) {
-            break edge;
-        }
-    };
-    (edges, fresh)
-}
-
-/// The three kinds of sequence, as the deltas of their steps.
-fn sequences(program: &Program, key_width: usize, seed: u64) -> [Vec<Delta>; 3] {
-    let mut rng = SmallRng::seed_from_u64(seed ^ 0x90_1DE2);
-    let (edges, fresh) = edges_of(program, &mut rng);
-    let pick = |rng: &mut SmallRng| edges[rng.index(edges.len())].clone();
-    let node = fresh[1].clone();
-    let cost = MinCost::finite(2).to_value();
-    let inserts = vec![
-        Delta::new().insert("Edge", fresh.clone()),
-        Delta::new().raise("Dist", vec![node.clone(); key_width], cost),
-        Delta::new().insert("Edge", vec![node, fresh[0].clone(), 1.into()]),
-    ];
-    let (first, second) = (pick(&mut rng), pick(&mut rng));
-    let retracts = vec![
-        Delta::new().retract("Edge", first),
-        Delta::new()
-            .retract("Edge", second)
-            .insert("Edge", fresh.clone()),
-        Delta::new().retract("Edge", fresh),
-    ];
-    let victim = pick(&mut rng);
-    let again = vec![
-        Delta::new().retract("Edge", victim.clone()),
-        Delta::new().insert("Edge", victim.clone()),
-        Delta::new().retract("Edge", victim),
-    ];
-    [inserts, retracts, again]
-}
 
 /// Runs one sequence, each step resumed from the previous solution, and
 /// folds the digest of every step. The solution a step resumed from
@@ -400,10 +300,6 @@ fn a_demand_query_logs_what_it_logged() {
         per_strategy("demand/all_pairs_40", demand_digest),
         DEMAND_ALL_PAIRS_40
     );
-}
-
-fn pair(digests: [u64; 2]) -> String {
-    format!("[{:#018x}, {:#018x}]", digests[0], digests[1])
 }
 
 /// Prints the constants above as Rust source.

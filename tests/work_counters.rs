@@ -10,7 +10,10 @@
 //! same seeds, the default solver on one thread); then come the
 //! surface-language pair — one program compiled from `.flix` text and
 //! built from native closures — and the design ablations — naïve against
-//! semi-naïve evaluation, and scans against index probes.
+//! semi-naïve evaluation, and scans against index probes. Two rows were
+//! added and pinned at the parent of PR 23, which merged the plan
+//! compiler's forks: a demand query that binds a non-first column, and
+//! negated lattice atoms with a wildcard key.
 //!
 //! A pin that moves is a finding: either the engine now does different
 //! work for the same answer (say which, and why, where the pin is
@@ -26,9 +29,10 @@ use flix::analyses::workloads::graphs::{self, WeightedGraph};
 use flix::analyses::workloads::jvm_program::{self, GenParams};
 use flix::core::SolveStats;
 use flix::lattice::rng::SmallRng;
+use flix::lattice::MinCost;
 use flix::{
     AscentConfig, BodyItem, Delta, Head, HeadTerm, LatticeOps, Program, ProgramBuilder, Query,
-    Solver, Strategy, Term, TraceConfig, Value,
+    Solver, Strategy, Term, TraceConfig, Value, ValueLattice,
 };
 use std::fmt::Write as _;
 use std::sync::Arc;
@@ -175,6 +179,60 @@ fn demand_query(nodes: u32, target: Option<u32>) -> SolveStats {
         .solve_query(&program, &[query])
         .expect("queries");
     result.stats().clone()
+}
+
+/// `Dist(_, target, _)`: the query binds the *second* column, so the
+/// guard binds `y` in `Dist(s, y, d + c) :- Dist(s, x, d), Edge(x, y, c)`
+/// and the body runs `Edge` first — the guard's bound set, not the order
+/// the atoms were written in, decides the join order.
+fn demand_into(nodes: u32, target: u32) -> SolveStats {
+    let program = shortest_paths::build_all_pairs(&graph(nodes));
+    let query = Query::new("Dist", vec![None, Some(Value::from(target as i64)), None]);
+    let result = Solver::new()
+        .solve_query(&program, &[query])
+        .expect("queries");
+    result.stats().clone()
+}
+
+/// Negated *lattice* atoms with a wildcard in the key: the cheapest edge
+/// `Cost(x, y, c)` per pair of the 50-node graph, then the nodes with no
+/// outgoing edge at all (`!Cost(x, _, _)`) and those with none at cost
+/// ≤ 3 (`!Cost(x, _, 3)`; a literal `l` matches a cell when `l ⊑ cell`).
+/// Neither negation has a ground key, so each is a scan of the settled
+/// cells — which, like every negation, counts neither a probe nor a
+/// scan fallback.
+fn negated_lattice_scan() -> SolveStats {
+    let graph = graph(50);
+    let mut b = ProgramBuilder::new();
+    let node = b.relation("Node", 1);
+    let cost = b.lattice("Cost", 3, LatticeOps::of::<MinCost>());
+    let sink = b.relation("Sink", 1);
+    let pricey = b.relation("Pricey", 1);
+    for v in 0..graph.num_nodes {
+        b.fact(node, vec![(v as i64).into()]);
+    }
+    for &(x, y, c) in graph.edges.iter().filter(|&&(x, _, _)| x % 3 != 0) {
+        let c = MinCost::finite(c).to_value();
+        b.fact(cost, vec![(x as i64).into(), (y as i64).into(), c]);
+    }
+    let negated = |value: Term| {
+        [
+            BodyItem::atom(node, [Term::var("x")]),
+            BodyItem::not(cost, [Term::var("x"), Term::Wildcard, value]),
+        ]
+    };
+    b.rule(
+        Head::new(sink, [HeadTerm::var("x")]),
+        negated(Term::Wildcard),
+    );
+    b.rule(
+        Head::new(pricey, [HeadTerm::var("x")]),
+        negated(Term::lit(MinCost::finite(3).to_value())),
+    );
+    let solution = Solver::new()
+        .solve(&b.build().expect("valid"))
+        .expect("solves");
+    solution.stats().clone()
 }
 
 fn traced(solver: Solver) -> SolveStats {
@@ -331,6 +389,8 @@ const ROWS: &[Row] = &[
     ("demand/single_source/150", || demand_query(150, None), [10, 10, 1581, 1064, 373, 0, 1, 944]),
     ("demand/single_target/400", || demand_query(400, Some(399)), [11, 11, 4723, 3016, 983, 0, 1, 2691]),
     ("demand/single_source/400", || demand_query(400, None), [11, 11, 4723, 3016, 983, 0, 1, 2691]),
+    ("demand/any_source_single_target/50", || demand_into(50, 49), [14, 25, 21810, 4464, 5628, 0, 1, 2697]),
+    ("negation/lattice_wildcard_key/50", negated_lattice_scan, [2, 2, 50, 227, 0, 0, 1, 226]),
     // Tracing and ascent tracking observe the solve; they must not
     // change what it does.
     ("trace/sp_untraced/150", || traced(Solver::new()), TRACE_PIN),

@@ -104,13 +104,12 @@ use crate::ast::{
     BodyItem, FuncId, Head, HeadTerm, PredDecl, PredKind, ProgramError, RawRule, Term,
 };
 use crate::database::Database;
-use crate::observe::{Observer, RuleEvaluated};
 use crate::program::{
     bind_item, key_cols, order_for_delta, CHead, CItem, CRule, CTerm, OrderFrom, Program,
 };
 use crate::solver::{rule_heads, Fact, Finished, Run};
 use crate::stratify::check_stratifiable;
-use crate::trace::{AscentWarning, SpanKind, Tracer};
+use crate::trace::{SpanKind, Tracer};
 use crate::{PredId, Solution, SolveError, SolveFailure, SolveStats, Solver, Value};
 use std::collections::{BTreeSet, HashSet};
 use std::fmt;
@@ -247,8 +246,8 @@ impl From<DemandError> for SolveError {
 ///
 /// Wraps a [`Solution`] over the *original* program's predicates (the
 /// rewrite's internal `demand$` machinery is stripped before the result
-/// is assembled): statistics, profiles, provenance, and [`Observer`]
-/// callbacks all speak in user-facing rule indices and predicate names.
+/// is assembled): statistics, profiles and provenance all speak in
+/// user-facing rule indices and predicate names.
 /// The solution is *demand-restricted*: demanded facts and cells carry
 /// exactly their full-model values, while undemanded predicates are
 /// simply absent (empty), not falsified.
@@ -807,50 +806,6 @@ pub(crate) fn resolve_queries(
     Ok(resolved)
 }
 
-/// Rewrite-invisibility shim for [`Observer`]: rule-evaluated events
-/// fired while solving the rewritten program are translated back to the
-/// original rule indices before reaching the user's observer (demand
-/// rules report as the rule whose body they propagate through).
-struct RemapObserver {
-    inner: Arc<dyn Observer>,
-    origin: Vec<usize>,
-}
-
-impl Observer for RemapObserver {
-    fn round_started(&self, stratum: usize, round: u64, facts: u64) {
-        self.inner.round_started(stratum, round, facts);
-    }
-
-    fn rule_evaluated(&self, event: &RuleEvaluated) {
-        let mut mapped = event.clone();
-        mapped.rule = self.origin[event.rule];
-        self.inner.rule_evaluated(&mapped);
-    }
-
-    fn stratum_converged(&self, stratum: usize, rounds: u64) {
-        self.inner.stratum_converged(stratum, rounds);
-    }
-
-    fn budget_checked(&self, stratum: usize, exceeded: Option<&crate::BudgetKind>) {
-        self.inner.budget_checked(stratum, exceeded);
-    }
-
-    fn resume_started(&self, delta_entries: usize) {
-        self.inner.resume_started(delta_entries);
-    }
-
-    fn solve_finished(&self, stats: &SolveStats) {
-        // Already folded onto the original rules by the time it fires.
-        self.inner.solve_finished(stats);
-    }
-
-    fn ascent_warning(&self, warning: &AscentWarning) {
-        // Lattice predicates keep their names through the rewrite, so
-        // the warning is already in the original program's terms.
-        self.inner.ascent_warning(warning);
-    }
-}
-
 /// Folds the rewritten run's per-rule profile onto the original rules
 /// via the origin map: a guarded copy's and its demand rules' work all
 /// accrue to the one user-facing rule (so `render_profile_table` groups
@@ -918,10 +873,9 @@ impl Solver {
     /// full minimal model (pinned by the demand parity suite across all
     /// strategies and thread counts); undemanded predicates are left
     /// empty. An empty query set demands nothing and yields an empty
-    /// model. Statistics, profiles, provenance, and [`Observer`]
-    /// callbacks are reported in the *original* program's rule indices
-    /// and predicate names — the rewrite is invisible outside this
-    /// method. The configured [`crate::Budget`], round limit, strategy,
+    /// model. Statistics, profiles and provenance are reported in the
+    /// *original* program's rule indices and predicate names — the
+    /// rewrite is invisible outside this method. The configured [`crate::Budget`], round limit, strategy,
     /// and thread count all apply as in [`Solver::solve`].
     ///
     /// # Errors
@@ -977,17 +931,8 @@ impl Solver {
             });
         };
 
-        // Solve the rewritten program — the same composition as `solve`
-        // — with an observer shim translating rule indices back to the
-        // original program.
-        let mut sub = self.clone();
-        if let Some(obs) = &self.config.observer {
-            sub.config.observer = Some(Arc::new(RemapObserver {
-                inner: obs.clone(),
-                origin: rw.rule_origin.clone(),
-            }));
-        }
-        let mut run = Run::fresh(&sub, &rw.program, Arc::clone(&rw.program.facts))
+        // Solve the rewritten program — the same composition as `solve`.
+        let mut run = Run::fresh(self, &rw.program, Arc::clone(&rw.program.facts))
             .started(wall_start, tracer);
         let outcome = run.strata().and_then(|strata| run.scratch(&strata));
 

@@ -405,9 +405,6 @@ impl Solver {
         // that change nothing hand that same database back, and the
         // warm-start copy is taken only when something is written.
         let mut run = Run::new(self, program, prior.database_arc(), Arc::clone(prior.edb()));
-        if let Some(obs) = &self.config.observer {
-            obs.resume_started(delta.len());
-        }
 
         // Validate the prior solution and the delta before touching
         // anything; on a validation error the partial model is the

@@ -104,13 +104,13 @@ pub use demand::{DemandError, Query, QueryResult};
 pub use guard::{Budget, BudgetKind, CancelToken};
 pub use incremental::{Delta, DeltaError, DeltaOp};
 pub use observe::{
-    render_metrics_json, render_profile_table, MetricsReport, Observer, RuleEvaluated, RuleStats,
-    StratumStats, METRICS_SCHEMA,
+    render_metrics_json, render_profile_table, MetricsReport, Observer, RuleStats, StratumStats,
+    METRICS_SCHEMA,
 };
 pub use ops::{LatticeOps, ValueLattice};
 pub use persist::{
-    load_snapshot, program_fingerprint, save_snapshot, DeltaLog, PersistError, RecoveryReport,
-    WalRecovery,
+    load_snapshot, program_fingerprint, save_snapshot, CompactError, DeltaLog, DurableFiles,
+    DurableModel, OpenError, PersistError, RecoveryReport, UpdateError, WalRecovery,
 };
 pub use program::Program;
 pub use solver::{

@@ -10,7 +10,6 @@
 //! (schema `flix-metrics/1`, specified in DESIGN.md §10) produced by
 //! `flixr --metrics-json` and `flixd`'s `metrics` op.
 
-use crate::guard::BudgetKind;
 use crate::json::write_escaped;
 use crate::solver::SolveStats;
 use crate::trace::AscentWarning;
@@ -60,70 +59,21 @@ pub struct StratumStats {
     pub delta_sizes: Vec<u64>,
 }
 
-/// One rule evaluation, as reported to [`Observer::rule_evaluated`].
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct RuleEvaluated {
-    /// The stratum being evaluated.
-    pub stratum: usize,
-    /// The global round number (counting across strata, 1-based).
-    pub round: u64,
-    /// The rule index within the program.
-    pub rule: usize,
-    /// The semi-naïve delta variant evaluated — `i` drives the join from
-    /// the ∆ of the rule's `i`-th positive body atom — or `None` for a
-    /// full (naïve or seed-round) evaluation. A retracting `resume`
-    /// re-derives what it deleted through the rule's head-bound plan and
-    /// reports it under the number after the last delta variant (the
-    /// count of the rule's positive body atoms), which names no body atom.
-    pub variant: Option<usize>,
-    /// Head tuples produced by this evaluation.
-    pub derived: u64,
-    /// Index probes performed.
-    pub probes: u64,
-    /// Full-scan fallbacks.
-    pub scans: u64,
-    /// Wall-clock time of the evaluation, in nanoseconds.
-    pub eval_ns: u64,
-}
-
 /// A pluggable listener for solver progress events.
 ///
 /// Attach one with [`crate::Solver::observer`]. All callbacks fire on the
-/// thread driving the solve (never from worker threads: parallel rule
-/// evaluations are reported after their round is merged, in deterministic
-/// task order), so implementations need no internal ordering logic. Every
-/// method has a no-op default body, and the solver skips all bookkeeping
-/// branches when no observer is attached, keeping the hot path free.
+/// thread driving the solve, never from worker threads, so
+/// implementations need no internal ordering logic. Every method has a
+/// no-op default body, and the solver skips all bookkeeping branches when
+/// no observer is attached, keeping the hot path free. Per-rule work is
+/// not an event: read [`SolveStats::per_rule`] or the `RuleEval` spans of
+/// a recorded trace.
 pub trait Observer: Send + Sync {
     /// A fixed-point round is starting. `round` is the global round
     /// number (1-based, counting across strata); `facts` is the database
     /// size (rows plus non-bottom lattice cells) entering the round.
     fn round_started(&self, stratum: usize, round: u64, facts: u64) {
         let _ = (stratum, round, facts);
-    }
-
-    /// One rule evaluation finished (full body or one delta variant).
-    fn rule_evaluated(&self, event: &RuleEvaluated) {
-        let _ = event;
-    }
-
-    /// A stratum reached its fixed point after `rounds` rounds.
-    fn stratum_converged(&self, stratum: usize, rounds: u64) {
-        let _ = stratum;
-        let _ = rounds;
-    }
-
-    /// The round-granularity budget check ran; `exceeded` carries the
-    /// tripped limit, or `None` when the solve may continue.
-    fn budget_checked(&self, stratum: usize, exceeded: Option<&BudgetKind>) {
-        let _ = stratum;
-        let _ = exceeded;
-    }
-
-    /// A `resume` run is starting, before the delta is applied.
-    /// `delta_entries` is the number of entries in the update.
-    fn resume_started(&self, delta_entries: usize) {
-        let _ = delta_entries;
     }
 
     /// The run finished — fired exactly once per `solve`, `resume`, or

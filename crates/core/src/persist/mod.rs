@@ -12,14 +12,18 @@
 //!    [`load_snapshot`]): a versioned binary file with a CRC-32 per
 //!    frame, written atomically (temp file + rename) so a crash during
 //!    a save can never destroy the previous snapshot;
-//! 2. a **write-ahead log** ([`DeltaLog`]): each [`Delta`] is appended
-//!    as a checksummed, length-prefixed frame *before*
+//! 2. a **write-ahead log** ([`DeltaLog`]): each [`crate::Delta`] is
+//!    appended as a checksummed, length-prefixed frame *before*
 //!    [`Solver::resume`] runs, so a crash mid-resume loses no update;
-//! 3. **recovery** ([`Solver::recover`]): load the snapshot, replay
-//!    the valid WAL prefix through `resume`, and degrade gracefully —
-//!    a corrupt snapshot falls back to a scratch solve, a corrupt WAL
-//!    tail is truncated and only the intact prefix replays, and every
-//!    degradation is reported in a [`RecoveryReport`].
+//! 3. the **durable model** ([`DurableModel`]) that puts the two
+//!    together, once, for every caller: `open` loads the snapshot and
+//!    replays the valid WAL prefix through `resume`, degrading
+//!    gracefully — a corrupt snapshot falls back to a scratch solve, a
+//!    corrupt WAL tail is truncated, a destroyed WAL header means a
+//!    fresh log, and every degradation is reported in a
+//!    [`RecoveryReport`]; `update` logs, then applies; `compact` folds
+//!    the log into the snapshot. [`Solver::recover`] is its read-only
+//!    form.
 //!
 //! Replay is *idempotent* because every delta op — insert, retract,
 //! raise, or lower ([`crate::incremental::DeltaOp`]) — is a set
@@ -96,19 +100,18 @@
 //! # }
 //! ```
 
-use crate::incremental::Delta;
-use crate::solver::Run;
 use crate::{Program, Solution, SolveFailure, Solver};
 use std::fmt;
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
 
+mod durable;
 #[cfg(any(test, feature = "test-internals"))]
 mod faultfs;
 mod snapshot;
 mod wal;
 mod wire;
 
+pub use durable::{Applied, CompactError, DurableFiles, DurableModel, OpenError, UpdateError};
 #[cfg(any(test, feature = "test-internals"))]
 pub use faultfs::{corrupt_file, save_snapshot_with_fault, Fault, FaultPlan};
 pub use snapshot::{
@@ -288,24 +291,46 @@ impl RecoveryReport {
             && self.wal_error.is_none()
             && self.wal_bytes_dropped == 0
     }
+
+    /// One line per degradation [`DurableModel::open`] on `files` went
+    /// through, for an operator's stderr (no program-name prefix).
+    pub fn warnings(&self, files: &DurableFiles) -> Vec<String> {
+        let snapshot = files.load.as_deref().unwrap_or(Path::new("")).display();
+        let wal = files.wal.as_deref().unwrap_or(Path::new("")).display();
+        let mut lines = Vec::new();
+        if let Some(e) = &self.snapshot_error {
+            lines.push(format!(
+                "warning: snapshot {snapshot} is unusable ({e}); solving from scratch"
+            ));
+        }
+        if let Some(e) = &self.wal_error {
+            lines.push(format!(
+                "warning: write-ahead log {wal} is unusable ({e}); starting a fresh log"
+            ));
+        }
+        if self.wal_bytes_dropped > 0 {
+            lines.push(format!(
+                "warning: write-ahead log {wal}: truncated {} corrupt trailing byte(s); \
+                 replaying the {} intact frame(s)",
+                self.wal_bytes_dropped, self.wal_frames_replayed
+            ));
+        }
+        lines
+    }
 }
 
 impl Solver {
-    /// Recovers a model from a snapshot plus a write-ahead log, the
-    /// crash-restart path of a persistent solver:
-    ///
-    /// 1. load `snapshot` (corrupt or missing → scratch-solve `program`
-    ///    instead, reported in [`RecoveryReport::scratch_solve`]);
-    /// 2. open `log`, truncating any corrupt tail to the longest valid
-    ///    frame prefix (reported in
-    ///    [`RecoveryReport::wal_bytes_dropped`]);
-    /// 3. replay the surviving deltas through [`Solver::resume`] in a
-    ///    single combined application — exactly the model a scratch
-    ///    solve of `program` + surviving deltas would produce.
+    /// Recovers a model from a snapshot plus a write-ahead log without
+    /// taking ownership of either: [`DurableModel::open`]'s recovery
+    /// for a caller that will not append. The snapshot, else a scratch
+    /// solve, plus the valid frame prefix of the log (a corrupt tail is
+    /// truncated) applied in one step — exactly the model a scratch
+    /// solve of `program` + surviving deltas would produce.
     ///
     /// Neither file is created: a missing WAL simply replays nothing.
-    /// Corruption never makes this method fail — it degrades and
-    /// reports. The only errors are genuine solve failures (budget,
+    /// No state of the files makes this method fail — a log `open`
+    /// would refuse is reported in [`RecoveryReport::wal_error`] and
+    /// left alone. The only errors are genuine solve failures (budget,
     /// panicking functions, …), returned exactly as [`Solver::solve`]
     /// returns them.
     pub fn recover(
@@ -315,46 +340,10 @@ impl Solver {
         log: impl AsRef<Path>,
     ) -> Result<(Solution, RecoveryReport), Box<SolveFailure>> {
         let mut report = RecoveryReport::default();
-
-        let base = match load_snapshot(snapshot.as_ref(), program) {
-            Ok(solution) => {
-                report.snapshot_loaded = true;
-                Some(solution)
-            }
-            Err(e) => {
-                report.snapshot_error = Some(e);
-                None
-            }
-        };
-
-        let mut combined = Delta::new();
-        if log.as_ref().exists() {
-            match DeltaLog::open(log.as_ref(), program) {
-                Ok((_log, recovery)) => {
-                    report.wal_frames_replayed = recovery.deltas.len();
-                    report.wal_bytes_dropped = recovery.dropped_bytes;
-                    for delta in &recovery.deltas {
-                        combined.extend_from(delta);
-                    }
-                }
-                Err(e) => report.wal_error = Some(e),
-            }
-        }
-        report.wal_entries_replayed = combined.len();
-
-        let solution = match base {
-            Some(prior) => self.resume(program, &prior, &combined)?,
-            None => {
-                report.scratch_solve = true;
-                // Rejection is unreachable when the fingerprint matched
-                // (the entries were validated when appended), but a
-                // recovery path does not get to assume that.
-                let extended = program.with_delta(&combined).map_err(|e| {
-                    Run::fresh(self, program, Arc::clone(&program.facts)).reject(e.into())
-                })?;
-                self.solve(&extended)?
-            }
-        };
+        let (_, replay) = durable::salvage(program, Some(log.as_ref()), false, &mut report)
+            .expect("a salvage that will not own the log reports instead of failing");
+        let solution =
+            durable::settle(self, program, Some(snapshot.as_ref()), &replay, &mut report)?;
         Ok((solution, report))
     }
 }

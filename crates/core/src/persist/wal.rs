@@ -52,19 +52,9 @@ pub struct WalRecovery {
 /// An append-only, checksummed log of [`Delta`]s tied to one program
 /// (by fingerprint) — the durability half of [`crate::incremental`].
 ///
-/// The intended write path is *log, then apply*:
-///
-/// 1. [`DeltaLog::append`] the delta (durable after this returns);
-/// 2. [`Solver::resume`](crate::Solver::resume) it onto the live model;
-/// 3. once [`DeltaLog::frames`] crosses the caller's compaction
-///    threshold, absorb the log into a fresh snapshot with
-///    [`DeltaLog::compact_into`].
-///
-/// A crash anywhere in that sequence is recoverable by
-/// [`Solver::recover`](crate::Solver::recover): replay is idempotent
-/// (deltas are monotone), so replaying a delta the snapshot already
-/// absorbed — the window between compaction's snapshot write and log
-/// truncation — is harmless.
+/// This is the file only. The write path that uses it — log, then
+/// apply, then compact — and the recovery that replays it are
+/// [`DurableModel`](super::DurableModel)'s.
 #[derive(Debug)]
 pub struct DeltaLog {
     path: PathBuf,
@@ -207,10 +197,11 @@ impl DeltaLog {
         program: &Program,
     ) -> Result<(DeltaLog, WalRecovery), PersistError> {
         let path = path.as_ref();
-        let fingerprint = program_fingerprint(program);
         if !path.exists() {
-            return Ok((DeltaLog::create(path, fingerprint)?, WalRecovery::default()));
+            let fresh = DeltaLog::create_truncated(path, program)?;
+            return Ok((fresh, WalRecovery::default()));
         }
+        let fingerprint = program_fingerprint(program);
 
         let bytes =
             std::fs::read(path).map_err(|e| PersistError::io("read write-ahead log", path, e))?;
@@ -280,11 +271,8 @@ impl DeltaLog {
         path: impl AsRef<Path>,
         program: &Program,
     ) -> Result<DeltaLog, PersistError> {
-        DeltaLog::create(path.as_ref(), program_fingerprint(program))
-    }
-
-    fn create(path: &Path, fingerprint: u64) -> Result<DeltaLog, PersistError> {
-        let header = header_bytes(fingerprint);
+        let path = path.as_ref();
+        let header = header_bytes(program_fingerprint(program));
         let mut file = OpenOptions::new()
             .read(true)
             .write(true)
@@ -334,11 +322,6 @@ impl DeltaLog {
     /// (`flixr --compact-every N` compacts once this reaches `N`).
     pub fn frames(&self) -> u64 {
         self.frames
-    }
-
-    /// The log's file path.
-    pub fn path(&self) -> &Path {
-        &self.path
     }
 
     /// Compacts the log into `snapshot`: saves `solution` (which must

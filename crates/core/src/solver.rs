@@ -21,7 +21,7 @@ use crate::fxhash::FxHashSet;
 use crate::guard::{panic_payload, Budget, BudgetKind, EvalGuard, Guard};
 use crate::incremental::Cone;
 use crate::kernel::{self, KernelSet};
-use crate::observe::{Observer, RuleEvaluated, RuleStats, StratumStats};
+use crate::observe::{Observer, RuleStats, StratumStats};
 use crate::ops::OpsPanic;
 use crate::program::{CItem, Program};
 use crate::provenance::{DerivationTree, Event, EventLog, OpenLog, Pos};
@@ -371,8 +371,8 @@ pub struct SolverConfig {
     /// The resource budget: deadline, fact/derivation limits,
     /// cancellation (default: unlimited).
     pub budget: Budget,
-    /// A progress observer receiving round/rule/stratum/budget events
-    /// (default: none; the event paths are skipped entirely).
+    /// A progress observer receiving round-started, solve-finished and
+    /// ascent-warning events (default: none; the event paths are skipped).
     pub observer: Option<Arc<dyn Observer>>,
     /// Execution-span tracing: when set, the solve records hierarchical
     /// spans into bounded per-worker ring buffers and the resulting
@@ -534,8 +534,8 @@ impl Solver {
     }
 
     /// Attaches a progress [`Observer`] that receives round-started,
-    /// rule-evaluated, stratum-converged, and budget-checked events during
-    /// the solve. All callbacks fire on the thread driving the solve.
+    /// solve-finished and ascent-warning events during the solve. All
+    /// callbacks fire on the thread driving the solve.
     /// With no observer attached (the default), the event paths are
     /// skipped entirely.
     pub fn observer(mut self, observer: Arc<dyn Observer>) -> Solver {
@@ -632,8 +632,8 @@ impl Solver {
     }
 
     /// Folds one finished task's counters into the per-rule profile and
-    /// the global totals, and fires the rule-evaluated observer event.
-    fn note_task(&self, stats: &mut SolveStats, stratum: usize, round: u64, report: &TaskReport) {
+    /// the global totals.
+    fn note_task(stats: &mut SolveStats, report: &TaskReport) {
         let r = &mut stats.per_rule[report.rule];
         r.evaluations += 1;
         r.derived += report.derived;
@@ -646,18 +646,6 @@ impl Solver {
         // insert loop; credit them here so `facts_derived` stays the
         // gross count.
         stats.facts_derived += report.suppressed;
-        if let Some(obs) = &self.config.observer {
-            obs.rule_evaluated(&RuleEvaluated {
-                stratum,
-                round,
-                rule: report.rule,
-                variant: report.variant,
-                derived: report.derived,
-                probes: report.probes,
-                scans: report.scans,
-                eval_ns: report.eval_ns,
-            });
-        }
     }
 }
 
@@ -1034,10 +1022,6 @@ impl<'a> Run<'a> {
                 }
             }
         }
-        if let Some(obs) = &self.solver.config.observer {
-            let rounds = self.stats.per_stratum.last().map_or(0, |st| st.rounds);
-            obs.stratum_converged(stratum, rounds);
-        }
         Ok(())
     }
 
@@ -1103,9 +1087,6 @@ impl<'a> Run<'a> {
         let exceeded = self
             .guard
             .exceeded(self.stats.facts_derived, self.db.total_facts() as u64);
-        if let Some(obs) = &config.observer {
-            obs.budget_checked(stratum, exceeded.as_ref());
-        }
         if let Some(kind) = exceeded {
             return Err(SolveError::BudgetExceeded {
                 kind,
@@ -1329,7 +1310,7 @@ impl<'a> Run<'a> {
                     &mut span,
                     &mut scratch,
                 ) {
-                    Ok(report) => solver.note_task(stats, stratum, round, &report),
+                    Ok(report) => Solver::note_task(stats, &report),
                     Err(error) => {
                         failure = Some(error);
                         break;
@@ -1430,7 +1411,7 @@ impl<'a> Run<'a> {
             match result {
                 Ok(Ok((chunk_out, reports))) => {
                     for report in &reports {
-                        solver.note_task(stats, stratum, round, report);
+                        Solver::note_task(stats, report);
                     }
                     out.append(chunk_out);
                 }
@@ -1465,7 +1446,6 @@ type WorkerResult = Result<(Derivations, Vec<TaskReport>), SolveError>;
 #[derive(Clone, Copy, Debug)]
 struct TaskReport {
     rule: usize,
-    variant: Option<usize>,
     /// All derivations of this evaluation, suppressed ones included.
     derived: u64,
     /// The suppressed subset of `derived`: counted into `facts_derived`
@@ -1542,7 +1522,6 @@ fn run_one_task(
     result.map_err(|fault| eval_fault_error(program, task.rule, fault))?;
     Ok(TaskReport {
         rule: task.rule,
-        variant: task.variant,
         derived: (out.items.len() - before) as u64 + counters.suppressed,
         suppressed: counters.suppressed,
         probes: counters.probes,

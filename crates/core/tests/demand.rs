@@ -3,14 +3,13 @@
 //! negation, compose with the incremental engine (query after delta),
 //! degrade to a partial model ⊑ the full model on budget exhaustion,
 //! reject malformed queries up front, and keep the rewrite invisible in
-//! stats, profiles, observers, and provenance.
+//! stats, profiles, and provenance.
 
 use flix_core::{
-    BodyItem, Budget, Delta, DemandError, Head, HeadTerm, LatticeOps, Observer, Program,
-    ProgramBuilder, Query, RuleEvaluated, SolveError, Solver, Term, Value, ValueLattice,
+    BodyItem, Budget, Delta, DemandError, Head, HeadTerm, LatticeOps, Program, ProgramBuilder,
+    Query, SolveError, Solver, Term, Value, ValueLattice,
 };
 use flix_lattice::MinCost;
-use std::sync::{Arc, Mutex};
 
 /// The Edge/Path transitive-closure program over the given edges.
 fn paths_program(edges: &[(i64, i64)]) -> Program {
@@ -323,39 +322,8 @@ fn malformed_queries_fail_fast_with_empty_partial() {
 }
 
 // ---------------------------------------------------------------------
-// Rewrite invisibility: observers, profiles, provenance.
+// Rewrite invisibility: profiles, provenance.
 // ---------------------------------------------------------------------
-
-#[derive(Default)]
-struct Recorder {
-    rules: Mutex<Vec<usize>>,
-}
-
-impl Observer for Recorder {
-    fn rule_evaluated(&self, event: &RuleEvaluated) {
-        self.rules.lock().expect("poisoned").push(event.rule);
-    }
-}
-
-#[test]
-fn observer_sees_only_original_rule_indices() {
-    let program = paths_program(&chain(10, &[]));
-    let recorder = Arc::new(Recorder::default());
-    let result = Solver::new()
-        .observer(recorder.clone() as Arc<dyn Observer>)
-        .solve_query(
-            &program,
-            &[Query::new("Path", vec![Some(Value::from(0)), None])],
-        )
-        .expect("query solves");
-    assert!(result.stats().rule_evaluations > 0);
-    let rules = recorder.rules.lock().expect("poisoned");
-    assert!(!rules.is_empty(), "the observer fired");
-    assert!(
-        rules.iter().all(|&r| r < program.num_rules()),
-        "a rewritten rule index leaked: {rules:?}"
-    );
-}
 
 #[test]
 fn profile_table_groups_rewritten_variants_under_original_rules() {

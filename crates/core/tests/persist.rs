@@ -14,16 +14,20 @@
 //! the fixture deliberately — the tests fail otherwise.
 
 use flix_core::incremental::Delta;
+use flix_core::model::{is_locally_minimal, is_model};
 use flix_core::persist::{
     corrupt_file, load_snapshot, save_snapshot, save_snapshot_with_fault, snapshot_from_bytes,
-    snapshot_to_bytes, DeltaLog, Fault, FaultPlan, PersistError,
+    snapshot_to_bytes, CompactError, DeltaLog, DurableFiles, DurableModel, Fault, FaultPlan,
+    PersistError, UpdateError,
 };
 use flix_core::{
-    BodyItem, Head, HeadTerm, LatticeOps, Program, ProgramBuilder, Solution, Solver, Term, Value,
-    ValueLattice,
+    BodyItem, Budget, Head, HeadTerm, LatticeOps, Program, ProgramBuilder, Solution, Solver,
+    SolverConfig, Term, Value, ValueLattice,
 };
 use flix_lattice::MinCost;
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
+use std::time::Duration;
 
 /// Canonical sorted dump of every fact of every predicate, used to
 /// compare models for exact equality.
@@ -912,4 +916,81 @@ fn regenerate_golden_wal() {
     let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/golden_v2.wal");
     std::fs::copy(&wal, &path).expect("writes fixture");
     println!("wrote {}", path.display());
+}
+
+// ---------------------------------------------------------------------
+// The durable model: debt carrying. A delta whose guarded resume failed
+// is durable but unapplied; it must ride the next update, block
+// compaction until then, and be replayed by a reopen at any point —
+// each time landing on *the* least model of program + every
+// acknowledged delta, not merely on what another configuration computes.
+// ---------------------------------------------------------------------
+
+/// `solution` is the least model of `program` plus the first `m` deltas.
+fn assert_least_model(program: &Program, deltas: &[Delta], m: usize, solution: &Solution) {
+    let extended = program
+        .with_delta(&combined(deltas, m))
+        .expect("deltas fit program");
+    assert_eq!(expected_dump(program, deltas, m), dump(program, solution));
+    assert!(is_model(&extended, solution), "a model after {m} deltas");
+    assert!(
+        is_locally_minimal(&extended, solution),
+        "minimal after {m} deltas"
+    );
+}
+
+#[test]
+fn a_failed_update_is_durable_carried_and_paid_by_the_next() {
+    let scratch = Scratch::new("debt");
+    let (program, deltas) = paths_workload();
+    let program = Arc::new(program);
+    let files = DurableFiles {
+        load: Some(scratch.path("model.snap")),
+        save: Some(scratch.path("model.snap")),
+        wal: Some(scratch.path("model.wal")),
+    };
+    let solver = Solver::new();
+    let reopen = || {
+        DurableModel::open(&solver, &program, &files)
+            .expect("reopens")
+            .0
+    };
+
+    let (mut durable, report) = DurableModel::open(&solver, &program, &files).expect("first boot");
+    assert!(report.scratch_solve && report.snapshot_error.is_some());
+    assert!(report.wal_error.is_none(), "a missing log is just created");
+    assert_least_model(&program, &deltas, 0, durable.model());
+
+    // The budget trips: logged, not applied, carried.
+    let hurried = Solver::with_config(SolverConfig {
+        budget: Budget::new().deadline(Duration::from_nanos(1)),
+        ..SolverConfig::default()
+    })
+    .expect("valid configuration");
+    let failed = durable.update(&hurried, &deltas[0]);
+    assert!(
+        matches!(failed, Err(UpdateError::Carried { .. })),
+        "{failed:?}"
+    );
+    assert_eq!(durable.debt(), deltas[0].len());
+    assert_eq!(durable.frames(), 1, "the delta is durable");
+    assert_least_model(&program, &deltas, 0, durable.model());
+    assert!(matches!(durable.compact(), Err(CompactError::Debt(n)) if n == deltas[0].len()));
+    // A crash here loses nothing that was acknowledged as logged.
+    assert_least_model(&program, &deltas, 1, reopen().model());
+
+    // The next update, unhurried, pays the debt along with its own delta.
+    let applied = durable.update(&solver, &deltas[1]).expect("applies");
+    assert_eq!(applied.entries, deltas[0].len() + deltas[1].len());
+    assert!(applied.append.is_some());
+    assert_eq!(durable.debt(), 0);
+    assert_least_model(&program, &deltas, 2, durable.model());
+    assert_least_model(&program, &deltas, 2, reopen().model());
+
+    assert_eq!(durable.compact().expect("compacts"), 2);
+    assert_eq!(durable.frames(), 0);
+    let (reopened, report) = DurableModel::open(&solver, &program, &files).expect("reopens");
+    assert!(report.clean(), "{report:?}");
+    assert_eq!(report.wal_frames_replayed, 0);
+    assert_least_model(&program, &deltas, 2, reopened.model());
 }

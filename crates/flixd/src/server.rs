@@ -9,31 +9,29 @@
 //!   observes exactly one published fixed point, never a mid-update
 //!   state, and its reply names the epoch it saw.
 //! * **Writes** (`update`, `compact`) are serialized through a single
-//!   writer thread. Updates queued while a resume is in flight are
-//!   *batched*: the writer drains its queue, folds the deltas into one,
-//!   appends that combined delta to the write-ahead log, **then** runs
-//!   [`Solver::resume`] from the last clean model and publishes the new
-//!   fixed point atomically as the next epoch (log-then-apply, so a
-//!   crash between the append and the publish replays the delta at
-//!   restart instead of losing it).
+//!   writer thread, which owns the [`DurableModel`]. Updates queued
+//!   while a resume is in flight are *batched*: the writer drains its
+//!   queue, folds the deltas into one, hands it to
+//!   [`DurableModel::update`] (log, then apply) and publishes the new
+//!   fixed point atomically as the next epoch.
 //!
-//! When a guarded resume fails (deadline, budget), the WAL is already
-//! ahead of the resident model. The writer keeps those durable entries
-//! as an *unapplied carry-over* folded into the next batch, readers keep
-//! the old epoch, and `status` exposes the debt as `unapplied_durable`;
-//! `compact` refuses (`busy`) while the debt is non-zero, since folding
-//! the WAL into a snapshot of the clean model would silently drop it.
-//! DESIGN.md §17 walks the full crash-window analysis.
+//! When a guarded resume fails (deadline, budget), the delta is durable
+//! but not applied: the durable model carries it as debt into the next
+//! batch, readers keep the old epoch, `status` exposes the debt as
+//! `unapplied_durable`, and `compact` is refused (`busy`) until it is
+//! paid. DESIGN.md §14 states the model's crash windows once; §17 adds
+//! what the service layers on top.
 
 use crate::events::{
     field, field_num, Event, EventLevel, EventLogConfig, EventLogger, LoggerThread,
 };
 use crate::hooks::Hooks;
 use crate::proto::{self, ErrorCode, Hello, Reply, ReplyBody, Request, Status};
-use crate::telemetry::{RecoveryStats, RequestKind, RequestSample, StatsContext, Telemetry};
+use crate::telemetry::{RequestKind, RequestSample, StatsContext, Telemetry};
 use flix_core::{
-    render_metrics_json, Budget, ConfigError, Delta, DeltaLog, MetricsReport, PersistError,
-    Program, Query, RecoveryReport, Solution, SolveError, SolveFailure, Solver, SolverConfig,
+    render_metrics_json, Budget, CompactError, ConfigError, Delta, DurableFiles, DurableModel,
+    MetricsReport, OpenError, PersistError, Program, Query, RecoveryReport, Solution, SolveError,
+    SolveFailure, Solver, SolverConfig, UpdateError,
 };
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
@@ -82,6 +80,16 @@ pub struct ServerConfig {
 }
 
 impl ServerConfig {
+    /// Where the server's durable model lives: `snapshot` is both what
+    /// startup loads and what `compact` rewrites.
+    pub fn files(&self) -> DurableFiles {
+        DurableFiles {
+            load: self.snapshot.clone(),
+            save: self.snapshot.clone(),
+            wal: self.wal.clone(),
+        }
+    }
+
     /// A volatile server on `socket`: no persistence, default solver,
     /// at most 64 queued updates, no deadline cap.
     pub fn new(socket: impl Into<PathBuf>) -> ServerConfig {
@@ -107,7 +115,8 @@ pub enum StartError {
     Config(ConfigError),
     /// The startup solve (or WAL replay) failed.
     Solve(Box<SolveFailure>),
-    /// The write-ahead log could not be opened for appending.
+    /// The write-ahead log belongs to another program or format version,
+    /// or could not be read or created. Nothing was solved.
     Persist(PersistError),
     /// The socket could not be bound.
     Io(std::io::Error),
@@ -162,7 +171,6 @@ struct Shared {
     provenance: bool,
     max_update_secs: Option<f64>,
     max_pending: u64,
-    persistent: bool,
     fingerprint: String,
     socket: PathBuf,
 }
@@ -229,7 +237,7 @@ pub struct Server {
     socket: PathBuf,
     /// What startup recovery found on disk, when the server was started
     /// with persistence paths (absent for a volatile scratch solve).
-    pub recovery: Option<RecoveryReport>,
+    pub recovery: Option<Arc<RecoveryReport>>,
 }
 
 impl Server {
@@ -243,34 +251,15 @@ impl Server {
     ) -> Result<Server, StartError> {
         let solver = Solver::with_config(config.solver.clone()).map_err(StartError::Config)?;
 
-        // Resolve the startup model: recover from snapshot + WAL when
-        // either is configured, scratch-solve otherwise. `recover`
-        // degrades (missing/corrupt files → scratch solve + truncated
-        // replay) rather than failing, so a first boot needs no special
-        // case.
-        let (initial, recovery) = match (&config.snapshot, &config.wal) {
-            (None, None) => (solver.solve(&program).map_err(StartError::Solve)?, None),
-            (snap, wal) => {
-                let missing = |stem: &str| config.socket.with_extension(stem);
-                let snap = snap.clone().unwrap_or_else(|| missing("no-snapshot"));
-                let wal_path = wal.clone().unwrap_or_else(|| missing("no-wal"));
-                let (solution, report) = solver
-                    .recover(&program, &snap, &wal_path)
-                    .map_err(StartError::Solve)?;
-                (solution, Some(report))
-            }
-        };
-
-        // Reopen the WAL for appending. Recovery already truncated any
-        // corrupt tail, so this open sees a valid log.
-        let log = match &config.wal {
-            Some(path) => Some(
-                DeltaLog::open(path, &program)
-                    .map(|(log, _)| log)
-                    .map_err(StartError::Persist)?,
-            ),
-            None => None,
-        };
+        // Recover the startup model; a first boot — no files yet — needs
+        // no special case. A volatile server has nothing to report.
+        let files = config.files();
+        let (durable, report) =
+            DurableModel::open(&solver, &program, &files).map_err(|e| match e {
+                OpenError::Persist(e) => StartError::Persist(e),
+                OpenError::Solve { failure, .. } => StartError::Solve(failure),
+            })?;
+        let recovery = (files.load.is_some() || files.wal.is_some()).then(|| Arc::new(report));
 
         if config.socket.exists() {
             // A stale socket from a dead daemon refuses `bind`; a live
@@ -280,21 +269,7 @@ impl Server {
         }
         let listener = UnixListener::bind(&config.socket).map_err(StartError::Io)?;
 
-        let telemetry = if config.telemetry {
-            Telemetry::new(match &recovery {
-                Some(report) => RecoveryStats {
-                    performed: true,
-                    snapshot_loaded: report.snapshot_loaded,
-                    scratch_solve: report.scratch_solve,
-                    wal_frames_replayed: report.wal_frames_replayed as u64,
-                    wal_entries_replayed: report.wal_entries_replayed as u64,
-                    wal_bytes_dropped: report.wal_bytes_dropped,
-                },
-                None => RecoveryStats::default(),
-            })
-        } else {
-            Telemetry::disabled()
-        };
+        let telemetry = Telemetry::new(config.telemetry, recovery.clone());
 
         let (events, logger) = match &config.event_log {
             Some(log_config) => {
@@ -308,7 +283,7 @@ impl Server {
             hooks,
             published: RwLock::new(Arc::new(Published {
                 epoch: 1,
-                model: Arc::new(initial),
+                model: Arc::clone(durable.model()),
             })),
             shutting_down: AtomicBool::new(false),
             queries_served: AtomicU64::new(0),
@@ -330,7 +305,6 @@ impl Server {
             provenance: config.solver.record_provenance,
             max_update_secs: config.max_update_secs,
             max_pending: config.max_pending as u64,
-            persistent: config.snapshot.is_some() && config.wal.is_some(),
             fingerprint: format!("{:#018x}", flix_core::program_fingerprint(&program)),
             socket: config.socket.clone(),
             program,
@@ -366,10 +340,7 @@ impl Server {
         let writer = {
             let shared = Arc::clone(&shared);
             let state = WriterState {
-                clean: shared.current().model.clone(),
-                unapplied: Delta::new(),
-                log,
-                snapshot: config.snapshot.clone(),
+                durable,
                 compact_every: config.compact_every,
                 base: config.solver.clone(),
                 epoch: 1,
@@ -884,67 +855,45 @@ fn handle_update(
         (None, cap) => cap.map(Duration::from_secs_f64),
     };
     let entries = delta.len() as u64;
-    let (reply_tx, reply_rx) = mpsc::sync_channel(1);
-    let job = WriterJob::Update {
+    let job = |reply| WriterJob::Update {
         delta,
         entries,
         deadline,
-        reply: reply_tx,
+        reply,
     };
-    if writer_tx.send(job).is_err() {
+    ask_writer(shared, writer_tx, job, "applying the update").unwrap_or_else(|refused| {
         shared.pending_updates.fetch_sub(1, Ordering::SeqCst);
-        return error_reply(
-            shared,
-            ErrorCode::ShuttingDown,
-            "the server is shutting down".into(),
-        );
-    }
-    reply_rx.recv().unwrap_or_else(|_| {
-        error_reply(
-            shared,
-            ErrorCode::ShuttingDown,
-            "the server shut down before applying the update".into(),
-        )
+        refused
     })
 }
 
 fn handle_compact(shared: &Shared, writer_tx: &Sender<WriterJob>) -> Reply {
-    if !shared.persistent {
-        return error_reply(
-            shared,
-            ErrorCode::Unsupported,
-            "compaction requires the server to run with both --snapshot and --wal".into(),
-        );
-    }
+    let job = |reply| WriterJob::Compact { reply };
+    ask_writer(shared, writer_tx, job, "compacting").unwrap_or_else(|refused| refused)
+}
+
+/// Queues a job for the writer and waits for its reply. `Err` is the
+/// refusal of a job that was never queued: the writer is gone, so the
+/// server is shutting down.
+fn ask_writer(
+    shared: &Shared,
+    writer_tx: &Sender<WriterJob>,
+    job: impl FnOnce(SyncSender<Reply>) -> WriterJob,
+    before: &str,
+) -> Result<Reply, Reply> {
+    let gone = |message: String| error_reply(shared, ErrorCode::ShuttingDown, message);
     let (reply_tx, reply_rx) = mpsc::sync_channel(1);
-    if writer_tx
-        .send(WriterJob::Compact { reply: reply_tx })
-        .is_err()
-    {
-        return error_reply(
-            shared,
-            ErrorCode::ShuttingDown,
-            "the server is shutting down".into(),
-        );
+    if writer_tx.send(job(reply_tx)).is_err() {
+        return Err(gone("the server is shutting down".into()));
     }
-    reply_rx.recv().unwrap_or_else(|_| {
-        error_reply(
-            shared,
-            ErrorCode::ShuttingDown,
-            "the server shut down before compacting".into(),
-        )
-    })
+    let reply = reply_rx.recv();
+    Ok(reply.unwrap_or_else(|_| gone(format!("the server shut down before {before}"))))
 }
 
 /// State owned by the writer thread.
 struct WriterState {
-    /// The last successfully published model — resumes start here.
-    clean: Arc<Solution>,
-    /// Durable (WAL-logged) delta entries not yet in `clean`; non-empty
-    /// only after a guarded resume failure.
-    unapplied: Delta,
-    log: Option<DeltaLog>,
-    snapshot: Option<PathBuf>,
+    /// The model resumes start from, its log, and its unapplied debt.
+    durable: DurableModel,
     compact_every: Option<u64>,
     base: SolverConfig,
     epoch: u64,
@@ -993,56 +942,36 @@ type PendingUpdate = (Delta, u64, Option<Duration>, SyncSender<Reply>);
 
 fn apply_batch(shared: &Shared, state: &mut WriterState, updates: Vec<PendingUpdate>) {
     let batched = updates.len() as u64;
-    let mut combined_new = Delta::new();
+    let mut combined = Delta::new();
     for (delta, _, _, _) in &updates {
-        combined_new.extend_from(delta);
+        combined.extend_from(delta);
     }
 
-    let finish = |reply: Reply, updates: &[PendingUpdate]| {
-        for (_, _, _, tx) in updates {
+    // A batch that did not publish: every rider gets the same error.
+    let epoch = state.epoch;
+    let refuse = |code: ErrorCode, message: String| {
+        let reply = Reply {
+            epoch,
+            body: ReplyBody::Error { code, message },
+        };
+        for (_, _, _, tx) in &updates {
             let _ = tx.send(reply.clone());
         }
-        shared
-            .pending_updates
-            .fetch_sub(updates.len() as u64, Ordering::SeqCst);
+        shared.pending_updates.fetch_sub(batched, Ordering::SeqCst);
     };
-
-    // Log-then-apply: the combined delta becomes durable *before* the
-    // resume runs, so a crash mid-resume replays it at restart. An
-    // append failure aborts the batch before any solving — durability
-    // and the resident model stay in lockstep.
-    if let Some(log) = &mut state.log {
-        let wal_started = Instant::now();
-        let appended = log.append(&combined_new);
-        shared
-            .telemetry
-            .record_wal_append(wal_started.elapsed().as_nanos() as u64);
-        if let Err(e) = appended {
-            let reply = Reply {
-                epoch: state.epoch,
-                body: ReplyBody::Error {
-                    code: ErrorCode::Persist,
-                    message: format!("write-ahead log append failed: {e}"),
-                },
-            };
-            shared.emit(Event {
-                level: EventLevel::Warn,
-                name: "batch_failed",
-                fields: vec![
-                    field("code", ErrorCode::Persist.as_str()),
-                    field_num("epoch", state.epoch as f64),
-                    field_num("riders", batched as f64),
-                    field("error", e.to_string()),
-                ],
-            });
-            finish(reply, &updates);
-            return;
-        }
-    }
-
-    // The resume covers the durable debt of earlier failed batches too.
-    let mut full = state.unapplied.clone();
-    full.extend_from(&combined_new);
+    let failed = |code: ErrorCode, entries: usize, error: String| {
+        shared.emit(Event {
+            level: EventLevel::Warn,
+            name: "batch_failed",
+            fields: vec![
+                field("code", code.as_str()),
+                field_num("epoch", epoch as f64),
+                field_num("entries", entries as f64),
+                field_num("riders", batched as f64),
+                field("error", error),
+            ],
+        });
+    };
 
     // The batch deadline is the tightest requested by any rider: a
     // caller who asked for 2 s should not wait 30 because a slow
@@ -1054,32 +983,25 @@ fn apply_batch(shared: &Shared, state: &mut WriterState, updates: Vec<PendingUpd
     }
     let solver = match Solver::with_config(config) {
         Ok(solver) => solver,
-        Err(e) => {
-            // Unreachable: `base` was validated at startup and the only
-            // edit was the budget. Handled anyway — a writer must not
-            // panic with replies outstanding.
-            let reply = Reply {
-                epoch: state.epoch,
-                body: ReplyBody::Error {
-                    code: ErrorCode::Solve,
-                    message: e.to_string(),
-                },
-            };
-            finish(reply, &updates);
-            return;
-        }
+        // Unreachable: `base` was validated at startup and the only
+        // edit was the budget. Handled anyway — a writer must not
+        // panic with replies outstanding.
+        Err(e) => return refuse(ErrorCode::Solve, e.to_string()),
     };
 
-    let total_entries = full.len() as u64;
-    let resume_started = Instant::now();
-    match solver.resume(&shared.program, &state.clean, &full) {
-        Ok(next) => {
-            let resume_ns = resume_started.elapsed().as_nanos() as u64;
-            state.clean = Arc::new(next);
-            state.unapplied = Delta::new();
+    let record_append = |append: Option<Duration>| {
+        if let Some(append) = append {
+            shared.telemetry.record_wal_append(append.as_nanos() as u64);
+        }
+    };
+    match state.durable.update(&solver, &combined) {
+        Ok(applied) => {
+            record_append(applied.append);
+            let resume_ns = applied.resume.as_nanos() as u64;
+            let total_entries = applied.entries as u64;
             state.epoch += 1;
             shared.unapplied_durable.store(0, Ordering::SeqCst);
-            shared.publish(state.epoch, Arc::clone(&state.clean));
+            shared.publish(state.epoch, Arc::clone(state.durable.model()));
             shared.updates_applied.fetch_add(batched, Ordering::Relaxed);
             shared.batches_applied.fetch_add(1, Ordering::Relaxed);
             shared
@@ -1105,12 +1027,25 @@ fn apply_batch(shared: &Shared, state: &mut WriterState, updates: Vec<PendingUpd
                 });
             }
             shared.pending_updates.fetch_sub(batched, Ordering::SeqCst);
-            maybe_autocompact(shared, state);
+            let frames = state.durable.frames();
+            if state.compact_every.is_some_and(|every| frames >= every) {
+                // Best-effort: a failed auto-compaction leaves the WAL
+                // longer than ideal, never incorrect. The explicit
+                // `compact` op surfaces errors to a caller who can act.
+                let _ = compact(shared, state);
+            }
         }
-        Err(failure) => {
-            // The entries are durable but not applied: carry them into
-            // the next batch (and into restart replay) rather than
-            // letting the WAL run ahead of what we ever apply.
+        // Nothing became durable and nothing was applied: durability and
+        // the resident model stay in lockstep.
+        Err(UpdateError::Append(e)) => {
+            failed(ErrorCode::Persist, combined.len(), e.to_string());
+            refuse(
+                ErrorCode::Persist,
+                format!("write-ahead log append failed: {e}"),
+            );
+        }
+        Err(UpdateError::Carried { failure, append }) => {
+            record_append(append);
             let code = match &failure.error {
                 SolveError::BudgetExceeded { .. } | SolveError::RoundLimitExceeded { .. } => {
                     ErrorCode::Budget
@@ -1118,112 +1053,60 @@ fn apply_batch(shared: &Shared, state: &mut WriterState, updates: Vec<PendingUpd
                 SolveError::Delta(_) => ErrorCode::Delta,
                 _ => ErrorCode::Solve,
             };
-            state.unapplied = full;
+            let debt = state.durable.debt();
             shared
                 .unapplied_durable
-                .store(state.unapplied.len() as u64, Ordering::SeqCst);
+                .store(debt as u64, Ordering::SeqCst);
             shared.telemetry.record_batch_failed();
-            shared.emit(Event {
-                level: EventLevel::Warn,
-                name: "batch_failed",
-                fields: vec![
-                    field("code", code.as_str()),
-                    field_num("epoch", state.epoch as f64),
-                    field_num("entries", total_entries as f64),
-                    field_num("riders", batched as f64),
-                    field("error", failure.error.to_string()),
-                ],
-            });
-            let reply = Reply {
-                epoch: state.epoch,
-                body: ReplyBody::Error {
-                    code,
-                    message: format!(
-                        "update logged but not applied (will retry with the next batch): {}",
-                        failure.error
-                    ),
-                },
-            };
-            finish(reply, &updates);
+            failed(code, debt, failure.error.to_string());
+            refuse(
+                code,
+                format!(
+                    "update logged but not applied (will retry with the next batch): {}",
+                    failure.error
+                ),
+            );
         }
     }
 }
 
 fn compact(shared: &Shared, state: &mut WriterState) -> Reply {
-    if !state.unapplied.is_empty() {
-        return Reply {
-            epoch: state.epoch,
-            body: ReplyBody::Error {
-                code: ErrorCode::Busy,
-                message: format!(
-                    "{} durable delta entries await application; retry after the next \
-                     successful update",
-                    state.unapplied.len()
-                ),
-            },
-        };
-    }
-    let (Some(log), Some(snapshot)) = (&mut state.log, &state.snapshot) else {
-        return Reply {
-            epoch: state.epoch,
-            body: ReplyBody::Error {
-                code: ErrorCode::Unsupported,
-                message: "compaction requires both --snapshot and --wal".into(),
-            },
-        };
-    };
-    let frames = log.frames();
-    match log.compact_into(snapshot, &shared.program, &state.clean) {
-        Ok(()) => {
+    let epoch = state.epoch;
+    let body = match state.durable.compact() {
+        Ok(frames_absorbed) => {
             shared.telemetry.record_compaction(true);
             shared.emit(Event {
                 level: EventLevel::Info,
                 name: "compaction",
                 fields: vec![
-                    field_num("epoch", state.epoch as f64),
-                    field_num("frames_absorbed", frames as f64),
+                    field_num("epoch", epoch as f64),
+                    field_num("frames_absorbed", frames_absorbed as f64),
                 ],
             });
-            Reply {
-                epoch: state.epoch,
-                body: ReplyBody::Compacted {
-                    frames_absorbed: frames,
-                },
-            }
+            ReplyBody::Compacted { frames_absorbed }
         }
         Err(e) => {
-            shared.telemetry.record_compaction(false);
-            shared.emit(Event {
-                level: EventLevel::Warn,
-                name: "compaction_failed",
-                fields: vec![
-                    field_num("epoch", state.epoch as f64),
-                    field("error", e.to_string()),
-                ],
-            });
-            Reply {
-                epoch: state.epoch,
-                body: ReplyBody::Error {
-                    code: ErrorCode::Persist,
-                    message: format!("compaction failed: {e}"),
-                },
-            }
+            let (code, message) = match &e {
+                CompactError::Debt(_) => (ErrorCode::Busy, e.to_string()),
+                CompactError::Unconfigured => (
+                    ErrorCode::Unsupported,
+                    "compaction requires the server to run with both --snapshot and --wal".into(),
+                ),
+                CompactError::Persist(cause) => {
+                    shared.telemetry.record_compaction(false);
+                    shared.emit(Event {
+                        level: EventLevel::Warn,
+                        name: "compaction_failed",
+                        fields: vec![
+                            field_num("epoch", epoch as f64),
+                            field("error", cause.to_string()),
+                        ],
+                    });
+                    (ErrorCode::Persist, e.to_string())
+                }
+            };
+            ReplyBody::Error { code, message }
         }
-    }
-}
-
-fn maybe_autocompact(shared: &Shared, state: &mut WriterState) {
-    let Some(threshold) = state.compact_every else {
-        return;
     };
-    if !state.unapplied.is_empty() {
-        return;
-    }
-    let due = state.log.as_ref().is_some_and(|l| l.frames() >= threshold);
-    if due && state.snapshot.is_some() {
-        // Best-effort: a failed auto-compaction leaves the WAL longer
-        // than ideal, never incorrect. The explicit `compact` op
-        // surfaces errors to a caller who can act on them.
-        let _ = compact(shared, state);
-    }
+    Reply { epoch, body }
 }

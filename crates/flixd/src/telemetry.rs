@@ -10,7 +10,7 @@
 //! allocation, no locks on the record path); the only mutexes guard the
 //! two rarely-touched wall-clock anchors (last publish, carry-over
 //! start). When the registry is built disabled
-//! ([`Telemetry::disabled`]), every record method returns after one
+//! (`Telemetry::new(false, …)`), every record method returns after one
 //! branch — the compiled-off path the idle-overhead A/B in CI pins
 //! against the instrumented one.
 //!
@@ -20,8 +20,9 @@
 
 use crate::json::Json;
 use crate::proto::ErrorCode;
+use flix_core::RecoveryReport;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 /// The schema identifier carried by every rendered stats document.
@@ -265,24 +266,6 @@ pub struct RequestSample {
     pub error: Option<ErrorCode>,
 }
 
-/// What startup recovery found, copied out of the core
-/// [`RecoveryReport`](flix_core::RecoveryReport) once, before serving.
-#[derive(Debug, Clone, Default)]
-pub struct RecoveryStats {
-    /// Recovery ran at all (the server was started with persistence).
-    pub performed: bool,
-    /// The snapshot loaded and verified cleanly.
-    pub snapshot_loaded: bool,
-    /// The base model came from a scratch solve.
-    pub scratch_solve: bool,
-    /// Checksummed frames replayed from the WAL.
-    pub wal_frames_replayed: u64,
-    /// Delta entries those frames carried.
-    pub wal_entries_replayed: u64,
-    /// Bytes truncated from a corrupt WAL tail.
-    pub wal_bytes_dropped: u64,
-}
-
 /// Live service-level gauges the registry does not own — the caller
 /// (the server) passes them at render time so the document is one
 /// consistent pull.
@@ -331,23 +314,16 @@ pub struct Telemetry {
     // Compaction & recovery.
     compactions: AtomicU64,
     compaction_failures: AtomicU64,
-    recovery: RecoveryStats,
+    /// What startup recovery found; `None` for a volatile server.
+    recovery: Option<Arc<RecoveryReport>>,
 }
 
 impl Telemetry {
-    /// An enabled registry, optionally primed with what startup
-    /// recovery found.
-    pub fn new(recovery: RecoveryStats) -> Telemetry {
-        Telemetry::build(true, recovery)
-    }
-
-    /// The compiled-off path: every record method returns after one
-    /// branch, and `stats` requests are refused upstream.
-    pub fn disabled() -> Telemetry {
-        Telemetry::build(false, RecoveryStats::default())
-    }
-
-    fn build(enabled: bool, recovery: RecoveryStats) -> Telemetry {
+    /// A registry primed with what startup recovery found. With
+    /// `enabled` false it is the compiled-off path: every record method
+    /// returns after one branch, and `stats` requests are refused
+    /// upstream.
+    pub fn new(enabled: bool, recovery: Option<Arc<RecoveryReport>>) -> Telemetry {
         Telemetry {
             enabled,
             started: Instant::now(),
@@ -373,7 +349,7 @@ impl Telemetry {
         }
     }
 
-    /// Whether recording is live (`false` for [`Telemetry::disabled`]).
+    /// Whether recording is live.
     pub fn enabled(&self) -> bool {
         self.enabled
     }
@@ -576,27 +552,23 @@ impl Telemetry {
                 self.publish_gap_ns.snapshot().to_json(),
             ),
         ]);
+        let blank = RecoveryReport::default();
+        let found = self.recovery.as_deref().unwrap_or(&blank);
         let recovery = Json::Obj(vec![
-            ("performed".into(), Json::Bool(self.recovery.performed)),
-            (
-                "snapshot_loaded".into(),
-                Json::Bool(self.recovery.snapshot_loaded),
-            ),
-            (
-                "scratch_solve".into(),
-                Json::Bool(self.recovery.scratch_solve),
-            ),
+            ("performed".into(), Json::Bool(self.recovery.is_some())),
+            ("snapshot_loaded".into(), Json::Bool(found.snapshot_loaded)),
+            ("scratch_solve".into(), Json::Bool(found.scratch_solve)),
             (
                 "wal_frames_replayed".into(),
-                Json::Num(self.recovery.wal_frames_replayed as f64),
+                Json::Num(found.wal_frames_replayed as f64),
             ),
             (
                 "wal_entries_replayed".into(),
-                Json::Num(self.recovery.wal_entries_replayed as f64),
+                Json::Num(found.wal_entries_replayed as f64),
             ),
             (
                 "wal_bytes_dropped".into(),
-                Json::Num(self.recovery.wal_bytes_dropped as f64),
+                Json::Num(found.wal_bytes_dropped as f64),
             ),
         ]);
         Json::Obj(vec![
@@ -896,7 +868,7 @@ mod tests {
 
     #[test]
     fn disabled_registry_records_nothing() {
-        let t = Telemetry::disabled();
+        let t = Telemetry::new(false, None);
         t.connection_opened();
         t.record_request(RequestSample {
             kind: RequestKind::Query,
@@ -914,7 +886,7 @@ mod tests {
 
     #[test]
     fn stats_document_carries_the_schema_and_counters() {
-        let t = Telemetry::new(RecoveryStats::default());
+        let t = Telemetry::new(true, None);
         t.connection_opened();
         t.record_request(RequestSample {
             kind: RequestKind::Query,
@@ -961,7 +933,7 @@ mod tests {
 
     #[test]
     fn prometheus_exposition_includes_counters_and_histograms() {
-        let t = Telemetry::new(RecoveryStats::default());
+        let t = Telemetry::new(true, None);
         t.record_request(RequestSample {
             kind: RequestKind::Query,
             latency_ns: 1_000,

@@ -8,9 +8,9 @@
 mod common;
 
 use common::{build_program, parse_update, render_model, scratch_dir, test_hooks};
-use flix_core::persist::{corrupt_file, save_snapshot, DeltaLog, Fault, FaultPlan};
-use flix_core::{Delta, Program, Solver};
-use flixd::{Client, ReplyBody, Request, Server, ServerConfig};
+use flix_core::persist::{corrupt_file, save_snapshot, DeltaLog, Fault, FaultPlan, PersistError};
+use flix_core::{Budget, Delta, Program, Solver, SolverConfig};
+use flixd::{Client, ReplyBody, Request, Server, ServerConfig, StartError};
 use std::path::Path;
 use std::sync::Arc;
 
@@ -236,6 +236,123 @@ fn corrupt_snapshot_falls_back_to_scratch_and_replays_the_log() {
     assert_eq!(report.wal_frames_replayed, deltas.len());
     let (_, lines) = dump(&server);
     assert_eq!(lines, expected_after(&program, &deltas, deltas.len()));
+    server.shutdown();
+    server.join();
+}
+
+/// A write-ahead log whose *header* is destroyed holds nothing
+/// salvageable. The daemon does what `flixr --load --wal` and
+/// `Solver::recover` do with it: warns, starts on the snapshot alone
+/// with a fresh log, and keeps serving — durably.
+#[test]
+fn destroyed_wal_header_degrades_to_the_snapshot_and_a_fresh_log() {
+    let program = Arc::new(build_program(EDGES));
+    let deltas = updates();
+    let base_model = Solver::new().solve(&program).expect("solves");
+
+    let dir = scratch_dir("recovery-header");
+    save_snapshot(dir.join("model.snap"), &program, &base_model).expect("snapshot saves");
+    let wal = dir.join("model.wal");
+    let (mut log, _) = DeltaLog::open(&wal, &program).expect("opens");
+    log.append(&deltas[0]).expect("appends");
+    drop(log);
+    corrupt_file(
+        &wal,
+        FaultPlan {
+            fault: Fault::BitFlip,
+            at: 3,
+        },
+    )
+    .expect("corrupts");
+
+    let server = start_on(&dir, "header", &program);
+    let report = server.recovery.as_ref().expect("persistent start");
+    assert!(report.wal_error.is_some(), "{report:?}");
+    assert!(report.snapshot_loaded);
+    assert_eq!(report.wal_frames_replayed, 0);
+    assert_eq!(dump(&server).1, expected_after(&program, &deltas, 0));
+
+    // The fresh log takes the next update, and a restart replays it.
+    let mut client = Client::connect(server.socket()).expect("connects");
+    let reply = client
+        .request(&Request::Update {
+            text: "+Edge 3 4\n+Edge 4 5\n".into(),
+            timeout_secs: None,
+        })
+        .expect("update");
+    assert!(matches!(reply.body, ReplyBody::Updated { .. }), "{reply:?}");
+    server.shutdown();
+    server.join();
+
+    let restarted = start_on(&dir, "header-again", &program);
+    let report = restarted.recovery.as_ref().expect("persistent start");
+    assert!(report.clean(), "{report:?}");
+    assert_eq!(report.wal_frames_replayed, 1);
+    assert_eq!(dump(&restarted).1, expected_after(&program, &deltas, 1));
+    restarted.shutdown();
+    restarted.join();
+}
+
+/// A log that belongs to another program is somebody else's durable
+/// data: the start is refused *before* anything is solved — shown by a
+/// budget no solve survives — and the file is left as it was.
+#[test]
+fn foreign_wal_is_refused_before_solving_and_left_untouched() {
+    let program = Arc::new(build_program(EDGES));
+    let other = build_program(&[(7, 8)]);
+    let dir = scratch_dir("recovery-foreign");
+    let wal = dir.join("model.wal");
+    let (mut log, _) = DeltaLog::open(&wal, &other).expect("opens");
+    log.append(&updates()[0]).expect("appends");
+    drop(log);
+    let before = std::fs::read(&wal).expect("readable");
+
+    let mut config = ServerConfig::new(dir.join("foreign.sock"));
+    config.snapshot = Some(dir.join("model.snap"));
+    config.wal = Some(wal.clone());
+    config.solver = SolverConfig {
+        budget: Budget::new().deadline(std::time::Duration::from_nanos(1)),
+        ..SolverConfig::default()
+    };
+    match Server::start(Arc::clone(&program), config, test_hooks()) {
+        Err(StartError::Persist(PersistError::ProgramMismatch { .. })) => {}
+        Err(other) => panic!("expected a refused log, got {other}"),
+        Ok(_) => panic!("expected a refused log, got a running server"),
+    }
+    assert_eq!(std::fs::read(&wal).expect("readable"), before);
+}
+
+/// Recovery reports on the files the operator named, and only those: a
+/// daemon given just `--wal` (or just `--snapshot`) has no opinion on a
+/// path nobody gave it.
+#[test]
+fn a_path_nobody_gave_is_not_reported_on() {
+    let program = Arc::new(build_program(EDGES));
+    let deltas = updates();
+
+    let dir = scratch_dir("recovery-wal-only");
+    let (mut log, _) = DeltaLog::open(dir.join("model.wal"), &program).expect("opens");
+    log.append(&deltas[0]).expect("appends");
+    drop(log);
+    let mut config = ServerConfig::new(dir.join("wal-only.sock"));
+    config.wal = Some(dir.join("model.wal"));
+    let server = Server::start(Arc::clone(&program), config, test_hooks()).expect("starts");
+    let report = server.recovery.as_ref().expect("persistent start");
+    assert!(report.snapshot_error.is_none(), "{report:?}");
+    assert!(report.scratch_solve && !report.snapshot_loaded);
+    assert_eq!(report.wal_frames_replayed, 1);
+    assert_eq!(dump(&server).1, expected_after(&program, &deltas, 1));
+    server.shutdown();
+    server.join();
+
+    let dir = scratch_dir("recovery-snap-only");
+    let base_model = Solver::new().solve(&program).expect("solves");
+    save_snapshot(dir.join("model.snap"), &program, &base_model).expect("snapshot saves");
+    let mut config = ServerConfig::new(dir.join("snap-only.sock"));
+    config.snapshot = Some(dir.join("model.snap"));
+    let server = Server::start(Arc::clone(&program), config, test_hooks()).expect("starts");
+    let report = server.recovery.as_ref().expect("persistent start");
+    assert!(report.clean(), "{report:?}");
     server.shutdown();
     server.join();
 }

@@ -39,50 +39,34 @@
 //! | code | meaning                                              |
 //! |------|------------------------------------------------------|
 //! | 0    | clean shutdown via the `shutdown` op                 |
-//! | 1    | usage error, unbindable socket, or unusable log      |
+//! | 1    | usage error, unbindable socket, or a foreign log     |
 //! | 2    | the program failed to parse or type-check            |
 //! | 3    | the startup solve failed                             |
 //! | 4    | the startup solve exhausted a budget                 |
+//!
+//! Damage on disk degrades and is reported on stderr, exactly as `flixr
+//! --load --wal` on the same files does (both run on
+//! `flix_core::persist::DurableModel`): an unusable snapshot means a
+//! scratch solve, a torn log tail is truncated, and a log whose header
+//! is destroyed is replaced by a fresh one — the daemon starts and keeps
+//! serving. Only a log that belongs to another program or format
+//! version refuses the start (exit 1), before anything is solved and
+//! with the file untouched.
 
-use flix_core::{SolveError, SolverConfig, Strategy, TraceConfig};
+use flix_core::{SolverConfig, Strategy, TraceConfig};
+use flix_lang::cli::{
+    compact_every_arg, number_arg, path_arg, read_source, seconds_arg, solve_exit, value_arg,
+    Failure, EXIT_USAGE,
+};
 use flixd::{EventLevel, EventLogConfig, Hooks, Server, ServerConfig, StartError};
 use std::process::ExitCode;
 use std::sync::Arc;
-
-const EXIT_USAGE: u8 = 1;
-const EXIT_LANG: u8 = 2;
-const EXIT_SOLVE: u8 = 3;
-const EXIT_BUDGET: u8 = 4;
-
-struct Failure {
-    code: u8,
-    message: String,
-}
-
-impl Failure {
-    fn usage(message: impl Into<String>) -> Failure {
-        Failure {
-            code: EXIT_USAGE,
-            message: message.into(),
-        }
-    }
-
-    fn lang(message: impl Into<String>) -> Failure {
-        Failure {
-            code: EXIT_LANG,
-            message: message.into(),
-        }
-    }
-}
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match run(args) {
         Ok(()) => ExitCode::SUCCESS,
-        Err(failure) => {
-            eprintln!("flixd: {}", failure.message);
-            ExitCode::from(failure.code)
-        }
+        Err(failure) => failure.exit("flixd"),
     }
 }
 
@@ -110,57 +94,20 @@ fn run(args: Vec<String>) -> Result<(), Failure> {
             "--snapshot" => snapshot = Some(path_arg(&mut it, "--snapshot", "a snapshot path")?),
             "--wal" => wal = Some(path_arg(&mut it, "--wal", "a log path")?),
             "--naive" => strategy = Strategy::Naive,
-            "--threads" => {
-                let n = it
-                    .next()
-                    .ok_or_else(|| Failure::usage("--threads requires a number"))?;
-                threads = n
-                    .parse()
-                    .map_err(|_| Failure::usage(format!("invalid thread count {n}")))?;
-            }
+            "--threads" => threads = number_arg(&mut it, "--threads", "a number", "thread count")?,
             "--explainable" => explainable = true,
             "--traced" => traced = true,
             "--max-update-secs" => {
-                let s = it
-                    .next()
-                    .ok_or_else(|| Failure::usage("--max-update-secs requires seconds"))?;
-                let secs: f64 = s
-                    .parse()
-                    .map_err(|_| Failure::usage(format!("invalid deadline {s}")))?;
-                if !secs.is_finite() || secs <= 0.0 {
-                    return Err(Failure::usage(format!(
-                        "--max-update-secs must be a positive number of seconds, got {s}"
-                    )));
-                }
-                max_update_secs = Some(secs);
+                let flag = "--max-update-secs";
+                max_update_secs = Some(seconds_arg(&mut it, flag, "deadline", flag)?);
             }
             "--max-pending" => {
-                let n = it
-                    .next()
-                    .ok_or_else(|| Failure::usage("--max-pending requires a count"))?;
-                max_pending = n
-                    .parse()
-                    .map_err(|_| Failure::usage(format!("invalid pending bound {n}")))?;
+                max_pending = number_arg(&mut it, "--max-pending", "a count", "pending bound")?
             }
-            "--compact-every" => {
-                let n = it
-                    .next()
-                    .ok_or_else(|| Failure::usage("--compact-every requires a frame count"))?;
-                let every: u64 = n
-                    .parse()
-                    .map_err(|_| Failure::usage(format!("invalid compaction threshold {n}")))?;
-                if every == 0 {
-                    return Err(Failure::usage(
-                        "--compact-every must be at least 1 (0 would compact an empty log)",
-                    ));
-                }
-                compact_every = Some(every);
-            }
+            "--compact-every" => compact_every = Some(compact_every_arg(&mut it)?),
             "--log-json" => log_json = Some(path_arg(&mut it, "--log-json", "a log path")?),
             "--log-level" => {
-                let level = it
-                    .next()
-                    .ok_or_else(|| Failure::usage("--log-level requires debug, info, or warn"))?;
+                let level = value_arg(&mut it, "--log-level", "debug, info, or warn")?;
                 log_level = EventLevel::parse(&level).ok_or_else(|| {
                     Failure::usage(format!(
                         "unknown log level {level:?} (expected debug, info, or warn)"
@@ -168,18 +115,14 @@ fn run(args: Vec<String>) -> Result<(), Failure> {
                 })?;
             }
             "--slow-query-ms" => {
-                let ms = it
-                    .next()
-                    .ok_or_else(|| Failure::usage("--slow-query-ms requires milliseconds"))?;
-                let threshold: f64 = ms
-                    .parse()
-                    .map_err(|_| Failure::usage(format!("invalid threshold {ms}")))?;
-                if !threshold.is_finite() || threshold < 0.0 {
+                let flag = "--slow-query-ms";
+                let ms: f64 = number_arg(&mut it, flag, "milliseconds", "threshold")?;
+                if !ms.is_finite() || ms < 0.0 {
                     return Err(Failure::usage(format!(
-                        "--slow-query-ms must be a non-negative number of milliseconds, got {ms}"
+                        "{flag} must be a non-negative number of milliseconds, got {ms}"
                     )));
                 }
-                slow_query_ms = Some(threshold);
+                slow_query_ms = Some(ms);
             }
             "--no-telemetry" => telemetry = false,
             "--help" | "-h" => {
@@ -215,9 +158,7 @@ fn run(args: Vec<String>) -> Result<(), Failure> {
 
     let mut source = String::new();
     for path in &files {
-        let text = std::fs::read_to_string(path)
-            .map_err(|e| Failure::usage(format!("cannot read {path}: {e}")))?;
-        source.push_str(&text);
+        source.push_str(&read_source(path)?);
         source.push('\n');
     }
     let program = Arc::new(flix_lang::compile(&source).map_err(|e| Failure::lang(e.to_string()))?);
@@ -249,34 +190,18 @@ fn run(args: Vec<String>) -> Result<(), Failure> {
         compile_update: Box::new(|text| flix_lang::compile_update(text).map_err(|e| e.to_string())),
     };
 
-    let server = Server::start(program, config, hooks).map_err(|e| {
-        let code = match &e {
-            StartError::Solve(failure) => match &failure.error {
-                SolveError::BudgetExceeded { .. } | SolveError::RoundLimitExceeded { .. } => {
-                    EXIT_BUDGET
-                }
-                _ => EXIT_SOLVE,
-            },
+    let store = config.files();
+    let server = Server::start(program, config, hooks).map_err(|e| Failure {
+        code: match &e {
+            StartError::Solve(failure) => solve_exit(&failure.error),
             _ => EXIT_USAGE,
-        };
-        Failure {
-            code,
-            message: e.to_string(),
-        }
+        },
+        message: Some(e.to_string()),
     })?;
 
     if let Some(report) = &server.recovery {
-        if let Some(e) = &report.snapshot_error {
-            eprintln!("flixd: warning: snapshot unusable ({e}); solved from scratch");
-        }
-        if let Some(e) = &report.wal_error {
-            eprintln!("flixd: warning: write-ahead log unusable ({e}); nothing replayed");
-        }
-        if report.wal_bytes_dropped > 0 {
-            eprintln!(
-                "flixd: warning: truncated {} corrupt trailing byte(s) from the write-ahead log",
-                report.wal_bytes_dropped
-            );
+        for line in report.warnings(&store) {
+            eprintln!("flixd: {line}");
         }
         if report.wal_entries_replayed > 0 {
             eprintln!(
@@ -301,20 +226,4 @@ fn run(args: Vec<String>) -> Result<(), Failure> {
     server.join();
     eprintln!("flixd: shut down");
     Ok(())
-}
-
-fn path_arg(
-    it: &mut impl Iterator<Item = String>,
-    flag: &str,
-    what: &str,
-) -> Result<String, Failure> {
-    let path = it
-        .next()
-        .ok_or_else(|| Failure::usage(format!("{flag} requires {what}")))?;
-    if path.starts_with('-') {
-        return Err(Failure::usage(format!(
-            "{flag} requires {what}, got option {path}"
-        )));
-    }
-    Ok(path)
 }

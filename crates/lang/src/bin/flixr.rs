@@ -81,10 +81,13 @@
 //! whose header is destroyed is recreated empty. `--compact-every N`
 //! (requires `--wal` and `--save`) absorbs the log into a fresh
 //! snapshot once it holds at least `N` deltas, instead of letting it
-//! grow forever. All replays resume from the base model with every
+//! grow forever. The replay resumes from the base model with every
 //! surviving delta combined, so recovery always reproduces exactly the
-//! fixed point of the base program plus the logged updates. The
-//! persistence flags describe complete models and therefore cannot be
+//! fixed point of the base program plus the logged updates, and an
+//! `--update` resumes from that replayed model. A log that belongs to
+//! another program or format version is refused (exit 1) before
+//! anything is solved. All of this is `flix_core::persist::DurableModel`,
+//! which `flixd` runs on too. The persistence flags describe complete models and therefore cannot be
 //! combined with `--query` (whose demanded model is deliberately
 //! partial). Wire formats are specified byte-by-byte in DESIGN.md §14.
 //!
@@ -145,9 +148,13 @@
 //! results instead of nothing.
 
 use flix_core::{
-    load_snapshot, render_ascent_report, render_metrics_json, save_snapshot, AscentConfig,
-    AscentWarning, Budget, Delta, DeltaLog, MetricsReport, Observer, PersistError, Query, Solution,
-    SolveError, Solver, SolverConfig, Strategy, TraceConfig,
+    render_ascent_report, render_metrics_json, save_snapshot, AscentConfig, AscentWarning, Budget,
+    Delta, DurableFiles, DurableModel, MetricsReport, Observer, OpenError, Query, RecoveryReport,
+    Solution, SolveError, Solver, SolverConfig, Strategy, TraceConfig, UpdateError,
+};
+use flix_lang::cli::{
+    compact_every_arg, number_arg, path_arg, read_source, seconds_arg, solve_exit, value_arg,
+    Failure, EXIT_BUDGET, EXIT_LANG, EXIT_SOLVE, EXIT_USAGE,
 };
 use flixd::telemetry::HistogramSnapshot;
 use flixd::{Client, ErrorCode, Reply, ReplyBody, Request};
@@ -155,40 +162,6 @@ use std::collections::BTreeSet;
 use std::process::ExitCode;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
-
-/// Usage or I/O problem (bad flag, unreadable input file).
-const EXIT_USAGE: u8 = 1;
-/// The program failed to parse or type-check, or the `--update` file was
-/// rejected (parse error, unknown predicate, arity mismatch).
-const EXIT_LANG: u8 = 2;
-/// Solving failed: a user function panicked, a runtime safety sentinel
-/// tripped, or the program was rejected by stratification.
-const EXIT_SOLVE: u8 = 3;
-/// A configured budget (deadline, round limit, fact or derivation cap)
-/// was exhausted before the fixed point was reached.
-const EXIT_BUDGET: u8 = 4;
-
-struct Failure {
-    code: u8,
-    /// `None` when the diagnostic was already written to stderr.
-    message: Option<String>,
-}
-
-impl Failure {
-    fn usage(message: impl Into<String>) -> Failure {
-        Failure {
-            code: EXIT_USAGE,
-            message: Some(message.into()),
-        }
-    }
-
-    fn lang(message: impl Into<String>) -> Failure {
-        Failure {
-            code: EXIT_LANG,
-            message: Some(message.into()),
-        }
-    }
-}
 
 fn main() -> ExitCode {
     // The guarded solver catches panics in user-supplied functions and
@@ -200,12 +173,7 @@ fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match std::panic::catch_unwind(|| run(args)) {
         Ok(Ok(())) => ExitCode::SUCCESS,
-        Ok(Err(failure)) => {
-            if let Some(message) = failure.message {
-                eprintln!("flixr: {message}");
-            }
-            ExitCode::from(failure.code)
-        }
+        Ok(Err(failure)) => failure.exit("flixr"),
         Err(payload) => {
             let message = payload
                 .downcast_ref::<&str>()
@@ -218,235 +186,115 @@ fn main() -> ExitCode {
     }
 }
 
-fn run(args: Vec<String>) -> Result<(), Failure> {
-    let mut files: Vec<String> = Vec::new();
-    let mut stats = false;
-    let mut profile = false;
-    let mut metrics_json: Option<String> = None;
-    let mut trace: Option<String> = None;
-    let mut trace_folded: Option<String> = None;
-    let mut ascent_report = false;
-    let mut ascent_threshold: Option<u64> = None;
-    let mut progress = false;
-    let mut verify = false;
-    let mut strategy = Strategy::SemiNaive;
-    let mut threads = 1usize;
-    let mut max_rounds: Option<u64> = None;
-    let mut timeout: Option<Duration> = None;
-    let mut print: Option<Vec<String>> = None;
-    let mut explain: Option<String> = None;
-    let mut queries: Vec<String> = Vec::new();
-    let mut update: Option<String> = None;
-    let mut save: Option<String> = None;
-    let mut load: Option<String> = None;
-    let mut wal: Option<String> = None;
-    let mut compact_every: Option<u64> = None;
-    let mut quiet_model = false;
-    let mut connect: Option<String> = None;
-    let mut status = false;
-    let mut compact = false;
-    let mut shutdown = false;
-    let mut prom = false;
-    let mut watch = false;
-    let mut interval = 2.0f64;
-    let mut watch_count: Option<u64> = None;
+/// The command line, parsed: one field per flag, the input files last.
+#[derive(Default)]
+struct Options {
+    stats: bool,
+    profile: bool,
+    metrics_json: Option<String>,
+    trace: Option<String>,
+    trace_folded: Option<String>,
+    ascent_report: bool,
+    ascent_threshold: Option<u64>,
+    progress: bool,
+    verify: bool,
+    strategy: Strategy,
+    threads: usize,
+    max_rounds: Option<u64>,
+    timeout: Option<Duration>,
+    print: Option<Vec<String>>,
+    explain: Option<String>,
+    queries: Vec<String>,
+    update: Option<String>,
+    save: Option<String>,
+    load: Option<String>,
+    wal: Option<String>,
+    compact_every: Option<u64>,
+    quiet_model: bool,
+    connect: Option<String>,
+    status: bool,
+    compact: bool,
+    shutdown: bool,
+    prom: bool,
+    watch: bool,
+    interval: f64,
+    watch_count: Option<u64>,
+    files: Vec<String>,
+}
 
+fn run(args: Vec<String>) -> Result<(), Failure> {
+    let mut o = Options {
+        threads: 1,
+        interval: 2.0,
+        ..Options::default()
+    };
     let mut it = args.into_iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
-            "--stats" => stats = true,
-            "--profile" => profile = true,
+            "--stats" => o.stats = true,
+            "--profile" => o.profile = true,
             "--metrics-json" => {
-                let path = it
-                    .next()
-                    .ok_or_else(|| Failure::usage("--metrics-json requires an output path"))?;
-                if path.starts_with('-') {
-                    return Err(Failure::usage(format!(
-                        "--metrics-json requires an output path, got option {path}"
-                    )));
-                }
-                metrics_json = Some(path);
+                o.metrics_json = Some(path_arg(&mut it, "--metrics-json", "an output path")?)
             }
-            "--trace" => {
-                let path = it
-                    .next()
-                    .ok_or_else(|| Failure::usage("--trace requires an output path"))?;
-                if path.starts_with('-') {
-                    return Err(Failure::usage(format!(
-                        "--trace requires an output path, got option {path}"
-                    )));
-                }
-                trace = Some(path);
-            }
+            "--trace" => o.trace = Some(path_arg(&mut it, "--trace", "an output path")?),
             "--trace-folded" => {
-                let path = it
-                    .next()
-                    .ok_or_else(|| Failure::usage("--trace-folded requires an output path"))?;
-                if path.starts_with('-') {
-                    return Err(Failure::usage(format!(
-                        "--trace-folded requires an output path, got option {path}"
-                    )));
-                }
-                trace_folded = Some(path);
+                o.trace_folded = Some(path_arg(&mut it, "--trace-folded", "an output path")?)
             }
-            "--ascent-report" => ascent_report = true,
+            "--ascent-report" => o.ascent_report = true,
             "--ascent-threshold" => {
-                let n = it
-                    .next()
-                    .ok_or_else(|| Failure::usage("--ascent-threshold requires a height"))?;
-                ascent_threshold = Some(
-                    n.parse()
-                        .map_err(|_| Failure::usage(format!("invalid ascent threshold {n}")))?,
-                );
+                let flag = "--ascent-threshold";
+                o.ascent_threshold =
+                    Some(number_arg(&mut it, flag, "a height", "ascent threshold")?)
             }
-            "--progress" => progress = true,
-            "--verify" => verify = true,
-            "--naive" => strategy = Strategy::Naive,
+            "--progress" => o.progress = true,
+            "--verify" => o.verify = true,
+            "--naive" => o.strategy = Strategy::Naive,
             "--threads" => {
-                let n = it
-                    .next()
-                    .ok_or_else(|| Failure::usage("--threads requires a number"))?;
-                threads = n
-                    .parse()
-                    .map_err(|_| Failure::usage(format!("invalid thread count {n}")))?;
+                o.threads = number_arg(&mut it, "--threads", "a number", "thread count")?
             }
             "--max-rounds" => {
-                let n = it
-                    .next()
-                    .ok_or_else(|| Failure::usage("--max-rounds requires a number"))?;
-                max_rounds = Some(
-                    n.parse()
-                        .map_err(|_| Failure::usage(format!("invalid round limit {n}")))?,
-                );
+                o.max_rounds = Some(number_arg(
+                    &mut it,
+                    "--max-rounds",
+                    "a number",
+                    "round limit",
+                )?)
             }
             "--timeout" => {
-                let s = it
-                    .next()
-                    .ok_or_else(|| Failure::usage("--timeout requires seconds"))?;
-                let secs: f64 = s
-                    .parse()
-                    .map_err(|_| Failure::usage(format!("invalid timeout {s}")))?;
-                if !secs.is_finite() || secs <= 0.0 {
-                    return Err(Failure::usage(format!(
-                        "timeout must be a positive number of seconds, got {s}"
-                    )));
-                }
-                timeout = Some(Duration::from_secs_f64(secs));
+                let secs = seconds_arg(&mut it, "--timeout", "timeout", "timeout")?;
+                o.timeout = Some(Duration::from_secs_f64(secs));
             }
             "--print" => {
-                let list = it
-                    .next()
-                    .ok_or_else(|| Failure::usage("--print requires predicate names"))?;
-                print = Some(list.split(',').map(str::to_string).collect());
+                let list = value_arg(&mut it, "--print", "predicate names")?;
+                o.print = Some(list.split(',').map(str::to_string).collect());
             }
-            "--explain" => {
-                explain = Some(
-                    it.next()
-                        .ok_or_else(|| Failure::usage("--explain requires a ground atom"))?,
-                );
-            }
+            "--explain" => o.explain = Some(value_arg(&mut it, "--explain", "a ground atom")?),
             "--query" => {
-                queries.push(it.next().ok_or_else(|| {
-                    Failure::usage("--query requires an atom pattern, e.g. 'Dist(\"a\", _)'")
-                })?);
+                let what = "an atom pattern, e.g. 'Dist(\"a\", _)'";
+                o.queries.push(value_arg(&mut it, "--query", what)?);
             }
-            "--update" => {
-                let path = it
-                    .next()
-                    .ok_or_else(|| Failure::usage("--update requires a .flix file of facts"))?;
-                if path.starts_with('-') {
-                    return Err(Failure::usage(format!(
-                        "--update requires a .flix file of facts, got option {path}"
-                    )));
-                }
-                update = Some(path);
-            }
-            "--save" => {
-                let path = it
-                    .next()
-                    .ok_or_else(|| Failure::usage("--save requires a snapshot path"))?;
-                if path.starts_with('-') {
-                    return Err(Failure::usage(format!(
-                        "--save requires a snapshot path, got option {path}"
-                    )));
-                }
-                save = Some(path);
-            }
-            "--load" => {
-                let path = it
-                    .next()
-                    .ok_or_else(|| Failure::usage("--load requires a snapshot path"))?;
-                if path.starts_with('-') {
-                    return Err(Failure::usage(format!(
-                        "--load requires a snapshot path, got option {path}"
-                    )));
-                }
-                load = Some(path);
-            }
-            "--wal" => {
-                let path = it
-                    .next()
-                    .ok_or_else(|| Failure::usage("--wal requires a log path"))?;
-                if path.starts_with('-') {
-                    return Err(Failure::usage(format!(
-                        "--wal requires a log path, got option {path}"
-                    )));
-                }
-                wal = Some(path);
-            }
-            "--compact-every" => {
-                let n = it
-                    .next()
-                    .ok_or_else(|| Failure::usage("--compact-every requires a frame count"))?;
-                let every: u64 = n
-                    .parse()
-                    .map_err(|_| Failure::usage(format!("invalid compaction threshold {n}")))?;
-                if every == 0 {
-                    return Err(Failure::usage(
-                        "--compact-every must be at least 1 (0 would compact an empty log)",
-                    ));
-                }
-                compact_every = Some(every);
-            }
-            "--quiet-model" => quiet_model = true,
-            "--connect" => {
-                let path = it
-                    .next()
-                    .ok_or_else(|| Failure::usage("--connect requires a flixd socket path"))?;
-                if path.starts_with('-') {
-                    return Err(Failure::usage(format!(
-                        "--connect requires a flixd socket path, got option {path}"
-                    )));
-                }
-                connect = Some(path);
-            }
-            "--status" => status = true,
-            "--compact" => compact = true,
-            "--shutdown" => shutdown = true,
-            "--prom" => prom = true,
-            "--watch" => watch = true,
+            "--update" => o.update = Some(path_arg(&mut it, "--update", "a .flix file of facts")?),
+            "--save" => o.save = Some(path_arg(&mut it, "--save", "a snapshot path")?),
+            "--load" => o.load = Some(path_arg(&mut it, "--load", "a snapshot path")?),
+            "--wal" => o.wal = Some(path_arg(&mut it, "--wal", "a log path")?),
+            "--compact-every" => o.compact_every = Some(compact_every_arg(&mut it)?),
+            "--quiet-model" => o.quiet_model = true,
+            "--connect" => o.connect = Some(path_arg(&mut it, "--connect", "a flixd socket path")?),
+            "--status" => o.status = true,
+            "--compact" => o.compact = true,
+            "--shutdown" => o.shutdown = true,
+            "--prom" => o.prom = true,
+            "--watch" => o.watch = true,
             "--interval" => {
-                let s = it
-                    .next()
-                    .ok_or_else(|| Failure::usage("--interval requires seconds"))?;
-                let secs: f64 = s
-                    .parse()
-                    .map_err(|_| Failure::usage(format!("invalid interval {s}")))?;
-                if !secs.is_finite() || secs <= 0.0 {
-                    return Err(Failure::usage(format!(
-                        "--interval must be a positive number of seconds, got {s}"
-                    )));
-                }
-                interval = secs;
+                o.interval = seconds_arg(&mut it, "--interval", "interval", "--interval")?
             }
             "--watch-count" => {
-                let n = it
-                    .next()
-                    .ok_or_else(|| Failure::usage("--watch-count requires a poll count"))?;
-                watch_count = Some(
-                    n.parse()
-                        .map_err(|_| Failure::usage(format!("invalid poll count {n}")))?,
-                );
+                o.watch_count = Some(number_arg(
+                    &mut it,
+                    "--watch-count",
+                    "a poll count",
+                    "poll count",
+                )?)
             }
             "--help" | "-h" => {
                 println!(
@@ -471,75 +319,59 @@ fn run(args: Vec<String>) -> Result<(), Failure> {
             other if other.starts_with('-') => {
                 return Err(Failure::usage(format!("unknown option {other}")));
             }
-            path => files.push(path.to_string()),
+            path => o.files.push(path.to_string()),
         }
     }
 
-    if let Some(socket) = connect {
-        if save.is_some() || load.is_some() || wal.is_some() || verify {
+    let persists = o.save.is_some() || o.load.is_some() || o.wal.is_some();
+    if let Some(socket) = &o.connect {
+        if persists || o.verify {
             return Err(Failure::usage(
                 "--save/--load/--wal/--verify are local-mode flags; the daemon owns \
                  persistence when using --connect (see --compact)",
             ));
         }
-        if !files.is_empty() {
+        if !o.files.is_empty() {
             return Err(Failure::usage(
                 "--connect talks to a daemon that already loaded its program; \
                  drop the .flix file arguments",
             ));
         }
-        if prom && !stats {
+        if o.prom && !o.stats {
             return Err(Failure::usage(
                 "--prom selects the Prometheus form of --stats; add --stats",
             ));
         }
-        return run_connect(RunConnect {
-            socket: &socket,
-            queries: &queries,
-            print: print.as_deref(),
-            explain: explain.as_deref(),
-            update: update.as_deref(),
-            timeout,
-            metrics_json: metrics_json.as_deref(),
-            status,
-            stats,
-            prom,
-            watch,
-            interval,
-            watch_count,
-            compact,
-            shutdown,
-            quiet_model,
-        });
+        return run_connect(&o, socket);
     }
-    if status || compact || shutdown || prom || watch || watch_count.is_some() {
+    if o.status || o.compact || o.shutdown || o.prom || o.watch || o.watch_count.is_some() {
         return Err(Failure::usage(
             "--status/--compact/--shutdown/--prom/--watch/--watch-count are client-mode \
              flags and require --connect SOCKET",
         ));
     }
-    if files.is_empty() {
+    if o.files.is_empty() {
         return Err(Failure::usage("no input file; see --help"));
     }
-    if !queries.is_empty() && (save.is_some() || load.is_some() || wal.is_some()) {
+    if !o.queries.is_empty() && persists {
         return Err(Failure::usage(
             "--save/--load/--wal describe complete models and cannot be combined \
              with --query, whose demanded model is deliberately partial",
         ));
     }
-    if compact_every.is_some() && (wal.is_none() || save.is_none()) {
+    if o.compact_every.is_some() && (o.wal.is_none() || o.save.is_none()) {
         return Err(Failure::usage(
             "--compact-every requires both --wal (the log to compact) and \
              --save (the snapshot to compact it into)",
         ));
     }
     let mut source = String::new();
-    for path in &files {
+    for path in &o.files {
         let text = read_source(path)?;
         source.push_str(&text);
         source.push('\n');
     }
-    if verify {
+    if o.verify {
         let parsed = flix_lang::parse(&source).map_err(|e| Failure::lang(e.to_string()))?;
         let checked = std::sync::Arc::new(
             flix_lang::check(&parsed).map_err(|e| Failure::lang(e.to_string()))?,
@@ -550,23 +382,23 @@ fn run(args: Vec<String>) -> Result<(), Failure> {
         })?;
         eprintln!("flixr: all lattice bindings satisfy the lattice laws");
     }
-    let program = flix_lang::compile(&source).map_err(|e| Failure::lang(e.to_string()))?;
+    let program = Arc::new(flix_lang::compile(&source).map_err(|e| Failure::lang(e.to_string()))?);
 
     let mut budget = Budget::new();
-    if let Some(deadline) = timeout {
+    if let Some(deadline) = o.timeout {
         budget = budget.deadline(deadline);
     }
-    let observer: Option<Arc<dyn Observer>> = (progress || ascent_threshold.is_some())
-        .then(|| Arc::new(CliObserver::new(progress)) as Arc<dyn Observer>);
+    let observer: Option<Arc<dyn Observer>> = (o.progress || o.ascent_threshold.is_some())
+        .then(|| Arc::new(CliObserver::new(o.progress)) as Arc<dyn Observer>);
     let solver = Solver::with_config(SolverConfig {
-        strategy,
-        threads,
-        max_rounds,
+        strategy: o.strategy,
+        threads: o.threads,
+        max_rounds: o.max_rounds,
         budget,
-        record_provenance: explain.is_some(),
-        trace: (trace.is_some() || trace_folded.is_some()).then(TraceConfig::default),
-        ascent: (ascent_report || ascent_threshold.is_some()).then(|| AscentConfig {
-            warn_height: ascent_threshold,
+        record_provenance: o.explain.is_some(),
+        trace: (o.trace.is_some() || o.trace_folded.is_some()).then(TraceConfig::default),
+        ascent: (o.ascent_report || o.ascent_threshold.is_some()).then(|| AscentConfig {
+            warn_height: o.ascent_threshold,
             ..AscentConfig::default()
         }),
         observer,
@@ -574,189 +406,96 @@ fn run(args: Vec<String>) -> Result<(), Failure> {
     })
     .map_err(|e| Failure::usage(format!("--{e}")))?;
 
-    let emit = Emit {
-        profile,
-        metrics_json: metrics_json.as_deref(),
-        trace: trace.as_deref(),
-        trace_folded: trace_folded.as_deref(),
-        ascent_report,
-        name: &files[0],
-        strategy,
-        threads,
-    };
-
-    if !queries.is_empty() {
-        return run_queries(RunQueries {
-            program,
-            solver,
-            queries: &queries,
-            explain: explain.as_deref(),
-            update: update.as_deref(),
-            stats,
-            emit: &emit,
-            print: print.as_deref(),
-        });
+    if !o.queries.is_empty() {
+        return run_queries(&o, program, &solver);
     }
 
-    let report = FailureReport {
-        program: &program,
-        print: print.as_deref(),
-        stats,
-        emit: &emit,
+    // Recover the model (snapshot, log, or a scratch solve), apply the
+    // update through the log, then compact or save: every step is the
+    // durable model's, so `flixd` on the same files does the same.
+    let files = DurableFiles {
+        load: o.load.as_ref().map(Into::into),
+        save: o.save.as_ref().map(Into::into),
+        wal: o.wal.as_ref().map(Into::into),
     };
+    let warn = |recovery: &RecoveryReport| {
+        for line in recovery.warnings(&files) {
+            eprintln!("flixr: {line}");
+        }
+    };
+    let (mut durable, recovery) = match DurableModel::open(&solver, &program, &files) {
+        Ok(opened) => opened,
+        Err(OpenError::Persist(e)) => return Err(Failure::usage(e.to_string())),
+        Err(OpenError::Solve { failure, report }) => {
+            warn(&report);
+            let at = match report.wal_entries_replayed {
+                0 => FailedAt::Base,
+                _ => FailedAt::Replay,
+            };
+            return Err(report_solve_failure(&o, &program, failure, at));
+        }
+    };
+    warn(&recovery);
+    let initial = Arc::clone(durable.model());
 
-    // The base model: a usable `--load` snapshot, otherwise a scratch
-    // solve. Snapshot problems degrade — a stale or corrupt snapshot
-    // costs a warning and a re-solve, never the run.
-    let loaded = match &load {
-        Some(path) => match load_snapshot(path, &program) {
-            Ok(base) => Some(base),
-            Err(e) => {
-                eprintln!(
-                    "flixr: warning: snapshot {path} is unusable ({e}); solving from scratch"
-                );
-                None
+    let updated = match &o.update {
+        Some(update_path) => {
+            let delta = compile_update(update_path)?;
+            match durable.update(&solver, &delta) {
+                Ok(_) => Some(Arc::clone(durable.model())),
+                Err(UpdateError::Append(e)) => return Err(Failure::usage(e.to_string())),
+                Err(UpdateError::Carried { failure, .. }) => {
+                    let at = FailedAt::Update { initial: &initial };
+                    return Err(report_solve_failure(&o, &program, failure, at));
+                }
             }
-        },
+        }
         None => None,
     };
-    let base = match loaded {
-        Some(base) => base,
-        None => match solver.solve(&program) {
-            Ok(solution) => solution,
-            Err(failure) => return Err(report_solve_failure(&report, failure, FailedAt::Base)),
-        },
-    };
+    let last = updated.as_ref().unwrap_or(&initial);
 
-    // The write-ahead log: salvage the valid frame prefix and fold it
-    // into one combined delta to replay onto the base.
-    let mut log: Option<DeltaLog> = None;
-    let mut replayed = Delta::new();
-    if let Some(wal_path) = &wal {
-        match DeltaLog::open(wal_path, &program) {
-            Ok((opened, recovery)) => {
-                if recovery.dropped_bytes > 0 {
-                    eprintln!(
-                        "flixr: warning: write-ahead log {wal_path}: truncated {} corrupt \
-                         trailing byte(s); replaying the {} intact frame(s)",
-                        recovery.dropped_bytes,
-                        recovery.deltas.len()
-                    );
-                }
-                for delta in &recovery.deltas {
-                    replayed.extend_from(delta);
-                }
-                log = Some(opened);
-            }
-            Err(e @ (PersistError::BadMagic { .. } | PersistError::CorruptHeader { .. })) => {
-                // Nothing after a destroyed header is salvageable
-                // (frame boundaries are only known by walking the
-                // lengths), so recreating the log empty loses nothing
-                // that was recoverable.
-                eprintln!(
-                    "flixr: warning: write-ahead log {wal_path} is unusable ({e}); \
-                     starting a fresh log"
-                );
-                let fresh = DeltaLog::create_truncated(wal_path, &program)
-                    .map_err(|e| Failure::usage(e.to_string()))?;
-                log = Some(fresh);
-            }
-            // A version or fingerprint mismatch means the log belongs
-            // to another program or build; silently recreating it
-            // would destroy someone else's durable data.
-            Err(e) => return Err(Failure::usage(e.to_string())),
-        }
+    // Reached only by fully successful solves: a guarded failure's
+    // partial model never overwrites a good snapshot.
+    if o.compact_every
+        .is_some_and(|every| durable.frames() >= every)
+    {
+        durable
+            .compact()
+            .map_err(|e| Failure::usage(e.to_string()))?;
+        eprintln!(
+            "flixr: compacted the write-ahead log into snapshot {} (the log is empty again)",
+            o.save.as_deref().unwrap_or_default()
+        );
+    } else if let Some(path) = &o.save {
+        save_snapshot(path, &program, last).map_err(|e| Failure::usage(e.to_string()))?;
     }
 
-    // Replay resumes from the *base* with every surviving delta
-    // combined — never chained one resume at a time — so the result is
-    // exactly the fixed point of the base program plus the log, even
-    // when stratified negation forces a fallback re-solve.
-    let initial = if replayed.is_empty() {
-        base.clone()
-    } else {
-        match solver.resume(&program, &base, &replayed) {
-            Ok(solution) => solution,
-            Err(failure) => return Err(report_solve_failure(&report, failure, FailedAt::Replay)),
-        }
-    };
-
-    if let Some(update_path) = &update {
-        let delta = compile_update(update_path)?;
-        // Log before applying: once `append` returns, the delta is
-        // durable, so a crash anywhere past this point is recoverable
-        // by the next run's `--wal` replay.
-        if let Some(log) = log.as_mut() {
-            log.append(&delta)
-                .map_err(|e| Failure::usage(e.to_string()))?;
-        }
-        // Like replay, the updated model resumes from the base with
-        // everything combined (log + update), not from the replayed
-        // model, for the same fallback-correctness reason.
-        let mut combined = replayed;
-        combined.extend_from(&delta);
-        let updated = match solver.resume(&program, &base, &combined) {
-            Ok(updated) => updated,
-            Err(failure) => {
-                let at = FailedAt::Update { initial: &initial };
-                return Err(report_solve_failure(&report, failure, at));
-            }
+    if let Some(query) = &o.explain {
+        let model = match updated {
+            Some(_) => "updated model",
+            None => "minimal model",
         };
-        persist_finish(&mut log, compact_every, save.as_deref(), &program, &updated)?;
-        if let Some(query) = &explain {
-            return explain_fact(&updated, query, "updated model");
-        }
-        if !quiet_model {
+        return explain_fact(last, query, model);
+    }
+    if updated.is_some() {
+        if !o.quiet_model {
             println!("== initial model ==");
-            print_model(&program, &initial, print.as_deref());
+            print_model(&program, &initial, o.print.as_deref());
         }
-        if stats {
+        if o.stats {
             print_stats(initial.stats());
         }
-        if !quiet_model {
+        if !o.quiet_model {
             println!("== updated model ==");
-            print_model(&program, &updated, print.as_deref());
         }
-        if stats {
-            print_stats(updated.stats());
-        }
-        emit_observability(&emit, updated.stats(), &updated)?;
-        return Ok(());
     }
-
-    persist_finish(&mut log, compact_every, save.as_deref(), &program, &initial)?;
-    if let Some(query) = &explain {
-        return explain_fact(&initial, query, "minimal model");
+    if !o.quiet_model {
+        print_model(&program, last, o.print.as_deref());
     }
-
-    if !quiet_model {
-        print_model(&program, &initial, print.as_deref());
+    if o.stats {
+        print_stats(last.stats());
     }
-    if stats {
-        print_stats(initial.stats());
-    }
-    emit_observability(&emit, initial.stats(), &initial)?;
-    Ok(())
-}
-
-/// Everything the `--connect` client mode needs from `run`.
-struct RunConnect<'a> {
-    socket: &'a str,
-    queries: &'a [String],
-    print: Option<&'a [String]>,
-    explain: Option<&'a str>,
-    update: Option<&'a str>,
-    timeout: Option<Duration>,
-    metrics_json: Option<&'a str>,
-    status: bool,
-    stats: bool,
-    prom: bool,
-    watch: bool,
-    interval: f64,
-    watch_count: Option<u64>,
-    compact: bool,
-    shutdown: bool,
-    quiet_model: bool,
+    emit_observability(&o, last.stats(), last)
 }
 
 /// Maps a daemon error reply onto the local-mode exit codes, so scripts
@@ -786,9 +525,9 @@ fn connect_failure(code: ErrorCode, message: String) -> Failure {
 /// and fact dumps, explain, metrics, status, shutdown — and rendering
 /// the replies exactly as local mode renders its own output (fact lines
 /// on stdout, diagnostics on stderr).
-fn run_connect(cx: RunConnect<'_>) -> Result<(), Failure> {
-    let mut client = Client::connect(cx.socket)
-        .map_err(|e| Failure::usage(format!("cannot connect to flixd at {}: {e}", cx.socket)))?;
+fn run_connect(o: &Options, socket: &str) -> Result<(), Failure> {
+    let mut client = Client::connect(socket)
+        .map_err(|e| Failure::usage(format!("cannot connect to flixd at {socket}: {e}")))?;
 
     fn call(client: &mut Client, request: Request) -> Result<Reply, Failure> {
         let reply = client
@@ -800,13 +539,23 @@ fn run_connect(cx: RunConnect<'_>) -> Result<(), Failure> {
         Ok(reply)
     }
 
-    if let Some(path) = cx.update {
+    /// Sends a request that is answered with fact lines and prints them.
+    fn print_lines(client: &mut Client, request: Request) -> Result<(), Failure> {
+        if let ReplyBody::Facts(lines) | ReplyBody::Answers(lines) = call(client, request)?.body {
+            for line in lines {
+                println!("{line}");
+            }
+        }
+        Ok(())
+    }
+
+    if let Some(path) = &o.update {
         let text = read_source(path)?;
         let reply = call(
             &mut client,
             Request::Update {
                 text,
-                timeout_secs: cx.timeout.map(|d| d.as_secs_f64()),
+                timeout_secs: o.timeout.map(|d| d.as_secs_f64()),
             },
         )?;
         if let ReplyBody::Updated { applied, batched } = reply.body {
@@ -821,17 +570,12 @@ fn run_connect(cx: RunConnect<'_>) -> Result<(), Failure> {
         }
         // Local mode prints the updated model after an update; the
         // client asks the daemon for it instead, unless --quiet-model.
-        if !cx.quiet_model && cx.queries.is_empty() && cx.print.is_none() {
-            let reply = call(&mut client, Request::Facts { predicate: None })?;
-            if let ReplyBody::Facts(lines) = reply.body {
-                for line in lines {
-                    println!("{line}");
-                }
-            }
+        if !o.quiet_model && o.queries.is_empty() && o.print.is_none() {
+            print_lines(&mut client, Request::Facts { predicate: None })?;
         }
     }
 
-    if cx.compact {
+    if o.compact {
         let reply = call(&mut client, Request::Compact)?;
         if let ReplyBody::Compacted { frames_absorbed } = reply.body {
             eprintln!(
@@ -841,44 +585,26 @@ fn run_connect(cx: RunConnect<'_>) -> Result<(), Failure> {
         }
     }
 
-    for pattern in cx.queries {
-        let reply = call(
-            &mut client,
-            Request::Query {
-                atom: pattern.clone(),
-            },
-        )?;
-        if let ReplyBody::Answers(lines) = reply.body {
-            for line in lines {
-                println!("{line}");
-            }
-        }
+    for pattern in &o.queries {
+        let atom = pattern.clone();
+        print_lines(&mut client, Request::Query { atom })?;
     }
 
-    if let Some(preds) = cx.print {
+    if let Some(preds) = &o.print {
         for pred in preds {
-            let reply = call(
-                &mut client,
-                Request::Facts {
-                    predicate: Some(pred.clone()),
-                },
-            )?;
-            if let ReplyBody::Facts(lines) = reply.body {
-                for line in lines {
-                    println!("{line}");
-                }
-            }
+            let predicate = Some(pred.clone());
+            print_lines(&mut client, Request::Facts { predicate })?;
         }
     }
 
-    if let Some(atom) = cx.explain {
-        let reply = call(&mut client, Request::Explain { atom: atom.into() })?;
+    if let Some(atom) = &o.explain {
+        let reply = call(&mut client, Request::Explain { atom: atom.clone() })?;
         if let ReplyBody::Explain(tree) = reply.body {
             print!("{tree}");
         }
     }
 
-    if let Some(path) = cx.metrics_json {
+    if let Some(path) = &o.metrics_json {
         let reply = call(&mut client, Request::Metrics)?;
         if let ReplyBody::Metrics(doc) = reply.body {
             std::fs::write(path, doc)
@@ -886,7 +612,7 @@ fn run_connect(cx: RunConnect<'_>) -> Result<(), Failure> {
         }
     }
 
-    if cx.status {
+    if o.status {
         let reply = call(&mut client, Request::Status)?;
         if let ReplyBody::Status(s) = reply.body {
             println!("epoch: {}", reply.epoch);
@@ -900,13 +626,8 @@ fn run_connect(cx: RunConnect<'_>) -> Result<(), Failure> {
         }
     }
 
-    if cx.stats {
-        let reply = call(
-            &mut client,
-            Request::Stats {
-                prometheus: cx.prom,
-            },
-        )?;
+    if o.stats {
+        let reply = call(&mut client, Request::Stats { prometheus: o.prom })?;
         match reply.body {
             ReplyBody::Stats(doc) => println!("{doc}"),
             ReplyBody::Prom(text) => print!("{text}"),
@@ -914,11 +635,11 @@ fn run_connect(cx: RunConnect<'_>) -> Result<(), Failure> {
         }
     }
 
-    if cx.watch {
-        watch_stats(&mut client, cx.interval, cx.watch_count)?;
+    if o.watch {
+        watch_stats(&mut client, o.interval, o.watch_count)?;
     }
 
-    if cx.shutdown {
+    if o.shutdown {
         call(&mut client, Request::Shutdown)?;
         eprintln!("flixr: flixd acknowledged shutdown");
     }
@@ -1050,13 +771,6 @@ fn watch_stats(
     }
 }
 
-/// Reads a source or fact file, wrapping failures with the path and
-/// operation so the message pins down exactly what could not be done;
-/// the format (`cannot read <path>: <cause>`) is pinned by a CLI test.
-fn read_source(path: &str) -> Result<String, Failure> {
-    std::fs::read_to_string(path).map_err(|e| Failure::usage(format!("cannot read {path}: {e}")))
-}
-
 /// Compiles an `--update` file into a [`Delta`]. Plain facts become
 /// insertions (for lattice predicates: lub-raises). A line of the form
 /// `-Edge(1, 2).` or `retract Edge(1, 2).` becomes a retraction — for
@@ -1071,58 +785,17 @@ fn compile_update(path: &str) -> Result<Delta, Failure> {
     flix_lang::compile_update(&source).map_err(|e| Failure::lang(format!("{path}: {e}")))
 }
 
-/// The end-of-run persistence work: compact the write-ahead log into
-/// the `--save` snapshot once it holds `--compact-every` frames, or
-/// plainly save the final model when `--save` was given without a
-/// pending compaction. Runs only on fully successful solves — a
-/// guarded failure's partial model never overwrites a good snapshot.
-fn persist_finish(
-    log: &mut Option<DeltaLog>,
-    compact_every: Option<u64>,
-    save: Option<&str>,
-    program: &flix_core::Program,
-    model: &Solution,
-) -> Result<(), Failure> {
-    let mut saved = false;
-    if let (Some(log), Some(every)) = (log.as_mut(), compact_every) {
-        if log.frames() >= every {
-            let path = save.expect("--compact-every requires --save; validated at parse");
-            log.compact_into(path, program, model)
-                .map_err(|e| Failure::usage(e.to_string()))?;
-            eprintln!(
-                "flixr: compacted the write-ahead log into snapshot {path} \
-                 (the log is empty again)"
-            );
-            saved = true;
-        }
-    }
-    if let Some(path) = save {
-        if !saved {
-            save_snapshot(path, program, model).map_err(|e| Failure::usage(e.to_string()))?;
-        }
-    }
-    Ok(())
-}
-
-/// Everything the demand-driven `--query` path needs from `run`.
-struct RunQueries<'a> {
-    program: flix_core::Program,
-    solver: Solver,
-    queries: &'a [String],
-    explain: Option<&'a str>,
-    update: Option<&'a str>,
-    stats: bool,
-    emit: &'a Emit<'a>,
-    print: Option<&'a [String]>,
-}
-
 /// The demand-driven path: parse the `--query` patterns, optionally fold
 /// an `--update` delta into the program, run the query-directed solve,
 /// and print only the matching answers (or the `--explain` derivation
 /// within the demanded model).
-fn run_queries(cx: RunQueries<'_>) -> Result<(), Failure> {
-    let mut parsed: Vec<Query> = Vec::with_capacity(cx.queries.len());
-    for text in cx.queries {
+fn run_queries(
+    o: &Options,
+    program: Arc<flix_core::Program>,
+    solver: &Solver,
+) -> Result<(), Failure> {
+    let mut parsed: Vec<Query> = Vec::with_capacity(o.queries.len());
+    for text in &o.queries {
         let (pred, pattern) =
             flix_lang::parse_query_atom(text).map_err(|e| Failure::lang(e.to_string()))?;
         parsed.push(Query::new(pred, pattern));
@@ -1131,30 +804,21 @@ fn run_queries(cx: RunQueries<'_>) -> Result<(), Failure> {
     // With --update, the queries ask about the updated world: fold the
     // delta's facts into the program and let the rewrite restrict the
     // combined solve — neither full model is ever materialized.
-    let program = match cx.update {
+    let program = match &o.update {
         Some(update_path) => {
             let delta = compile_update(update_path)?;
-            cx.program
-                .with_delta(&delta)
-                .map_err(|e| Failure::lang(e.to_string()))?
+            let updated = program.with_delta(&delta);
+            Arc::new(updated.map_err(|e| Failure::lang(e.to_string()))?)
         }
-        None => cx.program,
+        None => program,
     };
 
-    let result = match cx.solver.solve_query(&program, &parsed) {
+    let result = match solver.solve_query(&program, &parsed) {
         Ok(result) => result,
-        Err(failure) => {
-            let report = FailureReport {
-                program: &program,
-                print: cx.print,
-                stats: cx.stats,
-                emit: cx.emit,
-            };
-            return Err(report_solve_failure(&report, failure, FailedAt::Query));
-        }
+        Err(failure) => return Err(report_solve_failure(o, &program, failure, FailedAt::Query)),
     };
 
-    if let Some(query) = cx.explain {
+    if let Some(query) = &o.explain {
         return explain_fact(result.solution(), query, "demanded model");
     }
 
@@ -1169,11 +833,10 @@ fn run_queries(cx: RunQueries<'_>) -> Result<(), Failure> {
     for line in &lines {
         println!("{line}");
     }
-    if cx.stats {
+    if o.stats {
         print_stats(result.stats());
     }
-    emit_observability(cx.emit, result.stats(), result.solution())?;
-    Ok(())
+    emit_observability(o, result.stats(), result.solution())
 }
 
 /// Parses `query` as a ground atom and prints its derivation tree in
@@ -1191,19 +854,6 @@ fn explain_fact(solution: &Solution, query: &str, model: &str) -> Result<(), Fai
     }
 }
 
-/// The observability outputs requested on the command line, resolved
-/// once in `run` and threaded to every exit path.
-struct Emit<'a> {
-    profile: bool,
-    metrics_json: Option<&'a str>,
-    trace: Option<&'a str>,
-    trace_folded: Option<&'a str>,
-    ascent_report: bool,
-    name: &'a str,
-    strategy: Strategy,
-    threads: usize,
-}
-
 /// What a failed solve was computing, which decides how its partial
 /// model is named and framed.
 enum FailedAt<'a> {
@@ -1218,14 +868,6 @@ enum FailedAt<'a> {
     Query,
 }
 
-/// What reporting a failed solve needs from the command line.
-struct FailureReport<'a> {
-    program: &'a flix_core::Program,
-    print: Option<&'a [String]>,
-    stats: bool,
-    emit: &'a Emit<'a>,
-}
-
 /// Reports a failed solve the one way flixr does: the error on stderr,
 /// then the partial model, statistics and observability outputs as a
 /// successful run would have printed them. A delta or query the program
@@ -1233,7 +875,8 @@ struct FailureReport<'a> {
 /// a budget or round limit exits [`EXIT_BUDGET`]; anything else
 /// [`EXIT_SOLVE`].
 fn report_solve_failure(
-    cx: &FailureReport<'_>,
+    o: &Options,
+    program: &flix_core::Program,
     failure: Box<flix_core::SolveFailure>,
     at: FailedAt<'_>,
 ) -> Failure {
@@ -1264,20 +907,17 @@ fn report_solve_failure(
     );
     if let FailedAt::Update { initial } = at {
         println!("== initial model ==");
-        print_model(cx.program, initial, cx.print);
+        print_model(program, initial, o.print.as_deref());
         println!("== updated model ==");
     }
-    print_model(cx.program, &failure.partial, cx.print);
-    if cx.stats {
+    print_model(program, &failure.partial, o.print.as_deref());
+    if o.stats {
         print_stats(&failure.stats);
     }
-    if let Err(failed) = emit_observability(cx.emit, &failure.stats, &failure.partial) {
+    if let Err(failed) = emit_observability(o, &failure.stats, &failure.partial) {
         return failed;
     }
-    silent(match &failure.error {
-        SolveError::BudgetExceeded { .. } | SolveError::RoundLimitExceeded { .. } => EXIT_BUDGET,
-        _ => EXIT_SOLVE,
-    })
+    silent(solve_exit(&failure.error))
 }
 
 /// Writes the `--profile` table (stderr), the `--metrics-json` report,
@@ -1286,38 +926,38 @@ fn report_solve_failure(
 /// paths so partial runs are observable too — a budget-killed solve
 /// still writes the trace of the work it did.
 fn emit_observability(
-    cx: &Emit<'_>,
+    o: &Options,
     stats: &flix_core::SolveStats,
     solution: &Solution,
 ) -> Result<(), Failure> {
-    if cx.profile {
+    if o.profile {
         eprint!("{}", flix_core::render_profile_table(stats));
     }
-    if let Some(path) = cx.metrics_json {
+    if let Some(path) = &o.metrics_json {
         let report = render_metrics_json(&[MetricsReport {
-            name: cx.name,
-            strategy: cx.strategy.name(),
-            threads: cx.threads,
+            name: &o.files[0],
+            strategy: o.strategy.name(),
+            threads: o.threads,
             stats,
         }]);
         std::fs::write(path, report)
             .map_err(|e| Failure::usage(format!("cannot write {path}: {e}")))?;
     }
-    if let Some(path) = cx.trace {
+    if let Some(path) = &o.trace {
         match solution.trace() {
             Some(trace) => std::fs::write(path, trace.to_chrome_json())
                 .map_err(|e| Failure::usage(format!("cannot write {path}: {e}")))?,
             None => eprintln!("flixr: no trace was recorded; not writing {path}"),
         }
     }
-    if let Some(path) = cx.trace_folded {
+    if let Some(path) = &o.trace_folded {
         match solution.trace() {
             Some(trace) => std::fs::write(path, trace.to_folded())
                 .map_err(|e| Failure::usage(format!("cannot write {path}: {e}")))?,
             None => eprintln!("flixr: no trace was recorded; not writing {path}"),
         }
     }
-    if cx.ascent_report {
+    if o.ascent_report {
         match solution.ascent_report(10) {
             Some(report) => eprint!("{}", render_ascent_report(&report)),
             None => eprintln!("flixr: no ascent data was recorded (no lattice predicates?)"),

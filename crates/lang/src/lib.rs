@@ -36,6 +36,7 @@
 #![warn(missing_docs)]
 
 pub mod ast;
+pub mod cli;
 pub mod error;
 pub mod interp;
 mod lexer;

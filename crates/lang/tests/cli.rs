@@ -1,5 +1,10 @@
 //! End-to-end tests of the `flixr` command-line interface.
 
+/// The recovery damage classes `tests/persist_parity.rs` holds the
+/// in-process ways of recovering against; here they meet the binary.
+#[path = "../../../tests/common/damage.rs"]
+mod damage;
+
 use std::process::Command;
 
 fn flixr() -> Command {
@@ -896,6 +901,210 @@ fn compaction_absorbs_the_log_into_the_snapshot() {
     assert!(stdout.contains("Path(1, 4)"), "{stdout}");
     let stderr = String::from_utf8(output.stderr).expect("utf8");
     assert!(!stderr.contains("warning"), "{stderr}");
+}
+
+/// Runs `flixr --load --wal` (plus `extra`) on the pair in `dir`;
+/// returns the sorted model lines and the warning lines of stderr.
+fn flixr_recovers(
+    dir: &std::path::Path,
+    file: &std::path::Path,
+    extra: &[&str],
+) -> [Vec<String>; 2] {
+    let output = flixr()
+        .arg("--load")
+        .arg(dir.join(damage::SNAPSHOT))
+        .arg("--wal")
+        .arg(dir.join(damage::WAL))
+        .args(extra)
+        .arg(file)
+        .output()
+        .expect("runs");
+    assert!(
+        output.status.success(),
+        "damage never aborts a run: {output:?}"
+    );
+    let mut model: Vec<String> = String::from_utf8(output.stdout)
+        .expect("utf8")
+        .lines()
+        .map(str::to_string)
+        .collect();
+    model.sort();
+    let warnings = String::from_utf8(output.stderr)
+        .expect("utf8")
+        .lines()
+        .filter(|line| line.contains("warning"))
+        .map(str::to_string)
+        .collect();
+    [model, warnings]
+}
+
+/// The `flixr` leg of the four-way recovery parity: on every damage
+/// class, `flixr --load --wal` prints the model `Solver::recover`
+/// reaches on a copy of the same files and warns about exactly the
+/// degradations its report names; one more update through the log and
+/// a plain re-run then round-trips without a warning about the log.
+#[test]
+fn load_and_wal_recover_every_damage_class_as_the_library_does() {
+    use flix_core::{DurableFiles, Solver};
+    let file = write_temp("four-way.flix", PATHS);
+    let upd = write_temp(
+        "four-way-upd.flix",
+        "rel Edge(x: Int, y: Int);\nEdge(6, 7).",
+    );
+    let program = flix_lang::compile(PATHS).expect("compiles");
+    let solver = Solver::new();
+    let base = solver.solve(&program).expect("solves");
+    let edge = |x: i64, y: i64| {
+        let text = format!("rel Edge(x: Int, y: Int);\nEdge({x}, {y}).");
+        flix_lang::compile_update(&text).expect("compiles")
+    };
+    let deltas = [edge(3, 4), edge(4, 5), edge(5, 6)];
+    let dump = |solution: &flix_core::Solution| {
+        let mut lines = Vec::new();
+        for name in ["Edge", "Path"] {
+            let facts = solution.facts(name).expect("declared predicate");
+            lines.extend(facts.map(|fact| format!("{name}({fact})")));
+        }
+        lines.sort();
+        lines
+    };
+
+    for class in damage::CLASSES {
+        let scratch = Scratch::new(&format!("four-way-{class}"));
+        let made = scratch.path("made");
+        std::fs::create_dir_all(&made).expect("create the damaged pair's directory");
+        let survivors = damage::inflict(class, &made, &program, &base, &deltas);
+        let library = damage::copy_pair(&made, scratch.path("library"));
+        let binary = damage::copy_pair(&made, scratch.path("binary"));
+
+        let (snapshot, wal) = (library.join(damage::SNAPSHOT), library.join(damage::WAL));
+        let (recovered, report) = solver.recover(&program, &snapshot, &wal).expect("recovers");
+        let pair = DurableFiles {
+            load: Some(snapshot),
+            wal: Some(wal),
+            save: None,
+        };
+        // The two copies differ in their directory, and so do the
+        // paths the warnings name.
+        let expected: Vec<String> = report
+            .warnings(&pair)
+            .iter()
+            .map(|line| format!("flixr: {line}").replace(library.to_str().unwrap(), "DIR"))
+            .collect();
+        let [model, warnings] = flixr_recovers(&binary, &file, &[]);
+        assert_eq!(model, dump(&recovered), "{class}");
+        let warnings: Vec<String> = warnings
+            .iter()
+            .map(|line| line.replace(binary.to_str().unwrap(), "DIR"))
+            .collect();
+        assert_eq!(warnings, expected, "{class}");
+
+        flixr_recovers(
+            &binary,
+            &file,
+            &["--quiet-model", "--update", upd.to_str().unwrap()],
+        );
+        let [model, warnings] = flixr_recovers(&binary, &file, &[]);
+        let mut all = flix_core::Delta::new();
+        for delta in deltas[..survivors].iter().chain([&edge(6, 7)]) {
+            all.extend_from(delta);
+        }
+        let updated = program.with_delta(&all).expect("the deltas fit");
+        assert_eq!(
+            model,
+            dump(&solver.solve(&updated).expect("solves")),
+            "{class}"
+        );
+        assert!(
+            warnings.iter().all(|line| line.contains("snapshot")),
+            "{class}: the log was repaired by the first run: {warnings:?}"
+        );
+    }
+}
+
+/// `--update` through a log resumes from the *replayed* model, as the
+/// daemon's writer does — not from the base snapshot with log and
+/// update re-combined. Same models; the visible difference is that the
+/// updated model's `--stats` line describes the update alone, which a
+/// no-op update after a non-empty replay makes observable.
+#[test]
+fn update_through_a_log_resumes_from_the_replayed_model() {
+    let scratch = Scratch::new("resume-base");
+    let snap = scratch.path("base.snap");
+    let wal = scratch.path("deltas.wal");
+    let file = write_temp("resume-base.flix", PATHS);
+    let upd = write_temp(
+        "resume-base-upd.flix",
+        "rel Edge(x: Int, y: Int);\nEdge(3, 4).",
+    );
+    let output = flixr().arg("--save").arg(&snap).arg(&file).output();
+    assert!(output.expect("runs").status.success());
+    let run = || {
+        let output = flixr()
+            .arg("--load")
+            .arg(&snap)
+            .arg("--wal")
+            .arg(&wal)
+            .args(["--stats", "--update"])
+            .arg(&upd)
+            .arg(&file)
+            .output()
+            .expect("runs");
+        assert!(output.status.success(), "{output:?}");
+        let stats: Vec<String> = String::from_utf8(output.stderr)
+            .expect("utf8")
+            .lines()
+            .filter(|line| line.starts_with("rounds: "))
+            .map(str::to_string)
+            .collect();
+        (String::from_utf8(output.stdout).expect("utf8"), stats)
+    };
+    // First run: an empty log; the update logs and applies Edge(3, 4).
+    let (first, stats) = run();
+    assert!(stats[1].contains("facts inserted: 4"), "{stats:?}");
+    // Second run, same stale snapshot: Edge(3, 4) is replayed from the
+    // log, so applying it again is a no-op on the replayed model.
+    let (second, stats) = run();
+    assert!(second.contains("Path(1, 4)"), "{second}");
+    assert_eq!(
+        first.split("== updated model ==").nth(1),
+        second.split("== updated model ==").nth(1),
+        "the updated models are identical"
+    );
+    assert!(
+        stats[1].contains("facts inserted: 0"),
+        "the update alone inserted nothing: {stats:?}"
+    );
+}
+
+/// A log that belongs to another program is refused — exit 1, file
+/// untouched — before anything is solved: the refusal wins over a
+/// timeout no solve survives.
+#[test]
+fn foreign_wal_is_refused_before_solving() {
+    let scratch = Scratch::new("foreign-wal");
+    let wal = scratch.path("deltas.wal");
+    let theirs = write_temp(
+        "foreign-theirs.flix",
+        "rel Edge(x: Int, y: Int);\nEdge(7, 8).",
+    );
+    let ours = write_temp("foreign-ours.flix", PATHS);
+    let output = flixr().arg("--wal").arg(&wal).arg(&theirs).output();
+    assert!(output.expect("runs").status.success());
+    let before = std::fs::read(&wal).expect("their log");
+
+    let output = flixr()
+        .arg("--wal")
+        .arg(&wal)
+        .args(["--timeout", "0.000000001"])
+        .arg(&ours)
+        .output()
+        .expect("runs");
+    assert_eq!(output.status.code(), Some(1), "{output:?}");
+    let stderr = String::from_utf8(output.stderr).expect("utf8");
+    assert!(stderr.contains("different program"), "{stderr}");
+    assert!(output.stdout.is_empty(), "nothing was solved");
+    assert_eq!(std::fs::read(&wal).expect("their log"), before);
 }
 
 #[test]

@@ -2,12 +2,21 @@
 //! the Figure 2 worked example and the Figure 5 IFDS encoding — must
 //! survive a save → load → save round trip byte-identically, and
 //! on-disk corruption (inflicted with plain `std::fs`, no internal
-//! fault hooks) must recover to exactly what a scratch solve produces.
+//! fault hooks) must recover to exactly what a scratch solve produces —
+//! whichever way the files are recovered: the last test holds
+//! `Solver::recover`, `DurableModel::open` and a started `flixd` server
+//! against every damage class of `common/damage.rs` (`flixr --load
+//! --wal` is held against the same classes in `crates/lang/tests/cli.rs`).
+
+#[path = "common/damage.rs"]
+mod damage;
 
 use flix::analyses::dataflow;
 use flix::analyses::ifds::{self, problems};
 use flix::analyses::workloads::jvm_program::{self, GenParams};
+use flix::core::persist::{DurableFiles, DurableModel};
 use flix::{load_snapshot, save_snapshot, Delta, DeltaLog, Program, Solution, Solver};
+use flixd::{Client, Hooks, ReplyBody, Request, Server, ServerConfig};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -171,4 +180,120 @@ fn truncated_wal_recovery_replays_the_surviving_prefix() {
     let lines = dump(&program, &recovered);
     assert!(lines.contains(&"Path(1, 4)".to_string()), "{lines:?}");
     assert!(!lines.contains(&"Path(1, 5)".to_string()), "{lines:?}");
+}
+
+/// Starts a daemon on the snapshot + log pair in `dir` and returns it
+/// with its whole model, as the `facts` op renders it.
+fn serve(dir: &Path, program: &Arc<Program>) -> (Server, Vec<String>) {
+    let mut config = ServerConfig::new(dir.join("flixd.sock"));
+    config.snapshot = Some(dir.join(damage::SNAPSHOT));
+    config.wal = Some(dir.join(damage::WAL));
+    let hooks = Hooks {
+        parse_query: Box::new(|t| flix::lang::parse_query_atom(t).map_err(|e| e.to_string())),
+        parse_atom: Box::new(|t| flix::lang::parse_ground_atom(t).map_err(|e| e.to_string())),
+        compile_update: Box::new(|t| flix::lang::compile_update(t).map_err(|e| e.to_string())),
+    };
+    let server = Server::start(Arc::clone(program), config, hooks).expect("the daemon starts");
+    let mut client = Client::connect(server.socket()).expect("connects");
+    let reply = client.request(&Request::Facts { predicate: None });
+    match reply.expect("facts").body {
+        ReplyBody::Facts(lines) => (server, lines),
+        other => panic!("expected facts, got {other:?}"),
+    }
+}
+
+/// The four-way recovery parity (three ways here, `flixr` in `cli.rs`):
+/// on every damage class, every way of turning the files back into a
+/// model reaches the same model — the scratch solve of the program plus
+/// the surviving deltas — and reports the same degradations; and after
+/// each owner of the files acknowledges one more update, a restart
+/// still round-trips.
+#[test]
+fn every_way_of_recovering_agrees_on_every_damage_class() {
+    let program = Arc::new(paths_program());
+    let solver = Solver::new();
+    let base = solver.solve(&program).expect("solves");
+    let deltas = [edge_delta(3, 4), edge_delta(4, 5), edge_delta(5, 6)];
+    let further = edge_delta(6, 7);
+    let scratch_of = |applied: &[&Delta]| {
+        let mut all = Delta::new();
+        for delta in applied {
+            all.extend_from(delta);
+        }
+        let extended = program.with_delta(&all).expect("with delta");
+        dump(&program, &solver.solve(&extended).expect("solves"))
+    };
+    let files_in = |dir: &Path| DurableFiles {
+        load: Some(dir.join(damage::SNAPSHOT)),
+        save: Some(dir.join(damage::SNAPSHOT)),
+        wal: Some(dir.join(damage::WAL)),
+    };
+    let recover_in = |dir: &Path| {
+        let pair = (dir.join(damage::SNAPSHOT), dir.join(damage::WAL));
+        let (solution, report) = solver.recover(&program, pair.0, pair.1).expect("recovers");
+        (dump(&program, &solution), damage::signature(&report))
+    };
+
+    for class in damage::CLASSES {
+        let dir = Scratch::new(&format!("four-way-{class}"));
+        let made = dir.path("made");
+        std::fs::create_dir_all(&made).expect("create the damaged pair's directory");
+        let survivors = damage::inflict(class, &made, &program, &base, &deltas);
+        let mut applied: Vec<&Delta> = deltas[..survivors].iter().collect();
+        let expected = scratch_of(&applied);
+
+        let (recovered, found) = recover_in(&damage::copy_pair(&made, dir.path("recover")));
+        assert_eq!(recovered, expected, "{class}: Solver::recover");
+
+        let opened = damage::copy_pair(&made, dir.path("open"));
+        let (mut durable, report) =
+            DurableModel::open(&solver, &program, &files_in(&opened)).expect("opens");
+        assert_eq!(dump(&program, durable.model()), expected, "{class}: open");
+        assert_eq!(damage::signature(&report), found, "{class}: open");
+
+        let served = damage::copy_pair(&made, dir.path("serve"));
+        let (server, lines) = serve(&served, &program);
+        let report = server.recovery.as_ref().expect("persistent start");
+        assert_eq!(lines, expected, "{class}: flixd");
+        assert_eq!(damage::signature(report), found, "{class}: flixd");
+
+        // One more acknowledged update through each owner, then a restart.
+        applied.push(&further);
+        let expected = scratch_of(&applied);
+        durable.update(&solver, &further).expect("applies");
+        drop(durable);
+        let (reopened, report) =
+            DurableModel::open(&solver, &program, &files_in(&opened)).expect("reopens");
+        assert_eq!(
+            dump(&program, reopened.model()),
+            expected,
+            "{class}: reopen"
+        );
+        assert_eq!(report.wal_frames_replayed, survivors + 1, "{class}: reopen");
+        assert_eq!(report.wal_bytes_dropped, 0, "{class}: the log was repaired");
+        drop(reopened);
+        // The read-only way sees what the owner's restart saw.
+        let (recovered, found) = recover_in(&opened);
+        assert_eq!(recovered, expected, "{class}: recover after the update");
+        assert_eq!(
+            damage::signature(&report),
+            found,
+            "{class}: after the update"
+        );
+
+        let mut client = Client::connect(server.socket()).expect("connects");
+        let text = "rel Edge(x: Int, y: Int);\nEdge(6, 7).".to_string();
+        let timeout_secs = None;
+        let reply = client.request(&Request::Update { text, timeout_secs });
+        let reply = reply.expect("update");
+        assert!(matches!(reply.body, ReplyBody::Updated { .. }), "{reply:?}");
+        server.shutdown();
+        server.join();
+        let (restarted, lines) = serve(&served, &program);
+        let report = restarted.recovery.as_ref().expect("persistent start");
+        assert_eq!(lines, expected, "{class}: flixd restart");
+        assert_eq!(damage::signature(report), found, "{class}: flixd restart");
+        restarted.shutdown();
+        restarted.join();
+    }
 }

@@ -4,7 +4,7 @@
 use super::{obj_name, parse_obj, SuInput, SuResult};
 use flix_core::{
     BodyItem, Head, HeadTerm, LatticeOps, Program, ProgramBuilder, Solver, Term, Value,
-    ValueLattice,
+    ValueLattice, WordType, FLAT_TOP, WORD_FALSE, WORD_TRUE,
 };
 use flix_lattice::SuLattice;
 
@@ -27,18 +27,32 @@ pub fn build_program(input: &SuInput) -> Program {
     let pt = b.relation("Pt", 2);
     let pt_h = b.relation("PtH", 2);
     let pt_su = b.relation("PtSU", 3);
-    let su_before = b.lattice("SUBefore", 3, LatticeOps::of::<SuLattice>());
-    let su_after = b.lattice("SUAfter", 3, LatticeOps::of::<SuLattice>());
+    let su = LatticeOps::of::<SuLattice>();
+    let su_before = b.lattice("SUBefore", 3, su.clone());
+    let su_after = b.lattice("SUAfter", 3, su.clone());
 
+    // `SULattice` is flat: its cells are words — ⊥, ⊤, or the object's
+    // symbol for `Single(object)` — and so are the two functions' forms
+    // over them.
+    let elem = WordType::Elem(su.kind().expect("SULattice is flat").clone());
     // def single(b: Str): SULattice = SULattice.Single(b)
     let single = b.function("single", |args| {
         SuLattice::single(args[0].as_str().expect("object name")).to_value()
     });
+    b.word_form(single, [WordType::Slot], elem.clone(), |words| words[0]);
     // The monotone filter function of Figure 4.
     let filter = b.function("filter", |args| {
         let t = SuLattice::expect_from(&args[0]);
         let obj = args[1].as_str().expect("object name");
         Value::Bool(t.filter(obj))
+    });
+    b.word_form(filter, [elem, WordType::Slot], WordType::Slot, |words| {
+        let (t, obj) = (words[0], words[1]);
+        if t == FLAT_TOP || t == obj {
+            WORD_TRUE
+        } else {
+            WORD_FALSE
+        }
     });
 
     // Facts.

@@ -7,7 +7,7 @@
 //! monotone filter applications, and `<-` choice bindings, and whose head
 //! may apply a monotone transfer function in its last term.
 
-use crate::{LatticeOps, Value};
+use crate::{LatticeKind, LatticeOps, Value};
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
@@ -240,11 +240,40 @@ impl PredDecl {
 /// The shared closure type of registered functions.
 pub(crate) type FuncBody = Arc<dyn Fn(&[Value]) -> Value + Send + Sync>;
 
+/// The shared closure type of word forms.
+pub(crate) type WordBody = Arc<dyn Fn(&[u64]) -> u64 + Send + Sync>;
+
+/// How a word form ([`ProgramBuilder::word_form`]) reads one argument, or
+/// writes its result: as which word.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum WordType {
+    /// The fact store's slot of the value — any value. A string's slot is
+    /// its symbol's, `Value::Bool` is [`WORD_FALSE`](crate::WORD_FALSE) or
+    /// [`WORD_TRUE`](crate::WORD_TRUE), a small integer is inline; what
+    /// the store spills has a slot only once stored.
+    Slot,
+    /// The word of an element of a lattice of this kind: for the flat kind
+    /// [`FLAT_BOTTOM`](crate::FLAT_BOTTOM), [`FLAT_TOP`](crate::FLAT_TOP),
+    /// or, for `tag(x)`, the slot of `x`.
+    Elem(LatticeKind),
+}
+
+/// A function's word form: its body over words, and the words it reads
+/// and writes.
+#[derive(Clone)]
+pub(crate) struct WordForm {
+    pub(crate) params: Vec<WordType>,
+    pub(crate) result: WordType,
+    pub(crate) body: WordBody,
+}
+
 /// A registered function (transfer, filter, or choice).
 #[derive(Clone)]
 pub(crate) struct FuncDef {
     pub(crate) name: Arc<str>,
     pub(crate) body: FuncBody,
+    /// The word form, when one was registered.
+    pub(crate) word: Option<WordForm>,
 }
 
 impl fmt::Debug for FuncDef {
@@ -471,8 +500,46 @@ impl ProgramBuilder {
         self.funcs.push(FuncDef {
             name: name.into(),
             body: Arc::new(body),
+            word: None,
         });
         id
+    }
+
+    /// Registers `body` as the word form of `func`: the same function
+    /// over words — its arguments read as `params` say, its result
+    /// written as `result` says ([`WordType`]). A filter's word form
+    /// returns [`WORD_TRUE`](crate::WORD_TRUE) or
+    /// [`WORD_FALSE`](crate::WORD_FALSE).
+    ///
+    /// A filter or a head application calls the word form where each of
+    /// its arguments is a literal or a variable the plan holds as a word
+    /// of the declared type — a join column for [`WordType::Slot`], the
+    /// value of a lattice of the declared kind for [`WordType::Elem`] — and
+    /// where the result goes to a column of the declared type; everywhere
+    /// else, and for choices, it calls the boxed form. Both must compute
+    /// the same function: which one runs is the plan's choice. The word
+    /// form runs under the same panic isolation as the boxed one; a
+    /// result that is not a word of its type (for a filter: neither
+    /// boolean) is dropped, and the boxed form decides that call.
+    ///
+    /// For Figure 4, `filter(t, b)` is `t == FLAT_TOP || t == b` and
+    /// `single(b)` is `b`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `func` was not registered by this builder.
+    pub fn word_form(
+        &mut self,
+        func: FuncId,
+        params: impl IntoIterator<Item = WordType>,
+        result: WordType,
+        body: impl Fn(&[u64]) -> u64 + Send + Sync + 'static,
+    ) {
+        self.funcs[func.0 as usize].word = Some(WordForm {
+            params: params.into_iter().collect(),
+            result,
+            body: Arc::new(body),
+        });
     }
 
     /// Adds a ground fact.

@@ -42,9 +42,13 @@
 //! `lat` predicates are stored as *compact* cell maps from key tuples
 //! (the first `n-1` columns, §3.2's cell partition) to a single lattice
 //! element, so the per-cell least-upper-bound compaction of the immediate
-//! consequence operator is a constant-time map update. Cell *values* stay
-//! boxed: they are never join keys, and the lattice operations consume
-//! `&Value` anyway.
+//! consequence operator is a constant-time map update. A cell value has
+//! one of two representations, fixed per predicate by its lattice: the
+//! element *boxed* — a closure-defined lattice, whose `leq` / `lub` /
+//! `glb` consume `&Value` — or, for a lattice that declares a built-in
+//! kind ([`crate::LatticeKind`]), one *word* ([`FlatWords`]) that those
+//! operations read directly; word cells are decoded only for the public
+//! reads ([`LatticeData::decoded`]).
 
 use crate::ast::PredKind;
 use crate::fxhash::{hash_slots, FxHashMap};
@@ -52,7 +56,9 @@ use crate::ops::OpsPanic;
 use crate::program::Program;
 use crate::symbol;
 use crate::verify::Violation;
-use crate::{LatticeOps, PredId, Value};
+use crate::{LatticeKind, LatticeOps, PredId, Value};
+use std::borrow::Cow;
+use std::sync::{Arc, OnceLock};
 
 /// Why an insert failed: the user's lattice operations either panicked or
 /// were caught violating a lattice law by the runtime sentinels (§7).
@@ -83,13 +89,13 @@ pub(crate) enum InsertOutcome {
     /// The lattice cell with this id strictly increased (or was created);
     /// carries the *new* cell value — with the cell's key, exactly the
     /// paper's `∆P` element `ga(P', S)` (§3.7).
-    LatIncrease(u32, Value),
+    LatIncrease(u32, Elem),
 }
 
 impl InsertOutcome {
     /// The change made, if any: the row or cell id, and for a raised
     /// cell the value it reached.
-    pub(crate) fn into_change(self) -> Option<(u32, Option<Value>)> {
+    pub(crate) fn into_change(self) -> Option<(u32, Option<Elem>)> {
         match self {
             InsertOutcome::Unchanged => None,
             InsertOutcome::NewRow(id) => Some((id, None)),
@@ -101,7 +107,7 @@ impl InsertOutcome {
         new.map_or(InsertOutcome::Unchanged, InsertOutcome::NewRow)
     }
 
-    fn of_cell(raised: Option<(u32, Value)>) -> InsertOutcome {
+    fn of_cell(raised: Option<(u32, Elem)>) -> InsertOutcome {
         raised.map_or(InsertOutcome::Unchanged, |(id, value)| {
             InsertOutcome::LatIncrease(id, value)
         })
@@ -119,6 +125,9 @@ const TAG_BOOL: u64 = 1;
 const TAG_INT: u64 = 2;
 const TAG_SYM: u64 = 3;
 const TAG_SPILL: u64 = 4;
+/// The third tag no value encodes to: the two reserved words of a flat
+/// lattice ([`FlatWords`]).
+const TAG_FLAT: u64 = 7;
 
 /// Two of the slot tags no value encodes to, for the provenance log's
 /// words ([`crate::provenance`]): a premise column that matched without
@@ -127,13 +136,25 @@ const TAG_SPILL: u64 = 4;
 pub(crate) const SLOT_WILDCARD: u64 = 5;
 pub(crate) const SLOT_SIDE: u64 = 6;
 
+/// The word of ⊥ in a lattice of the flat kind ([`LatticeKind::Flat`]):
+/// one of two words no value's slot equals.
+pub const FLAT_BOTTOM: u64 = pack(TAG_FLAT, 0);
+/// The word of ⊤ in a lattice of the flat kind ([`LatticeKind::Flat`]).
+pub const FLAT_TOP: u64 = pack(TAG_FLAT, 1);
+/// The slot of `Value::Bool(false)`: what a word-form filter returns to
+/// reject ([`crate::ProgramBuilder::word_form`]).
+pub const WORD_FALSE: u64 = pack(TAG_BOOL, 0);
+/// The slot of `Value::Bool(true)`: what a word-form filter returns to
+/// accept.
+pub const WORD_TRUE: u64 = pack(TAG_BOOL, 1);
+
 /// Integers representable inline in a slot: 61 bits, sign-extended on
 /// decode. Anything outside spills.
 const INT_INLINE_MIN: i64 = -(1 << 60);
 const INT_INLINE_MAX: i64 = (1 << 60) - 1;
 
 #[inline]
-fn pack(tag: u64, payload: u64) -> u64 {
+const fn pack(tag: u64, payload: u64) -> u64 {
     (payload << TAG_BITS) | tag
 }
 
@@ -163,6 +184,10 @@ impl SpillTable {
 
     pub(crate) fn get(&self, idx: u32) -> &Value {
         &self.values[idx as usize]
+    }
+
+    fn len(&self) -> usize {
+        self.values.len()
     }
 }
 
@@ -217,6 +242,168 @@ pub(crate) fn decode(slot: u64, spill: &SpillTable) -> Value {
         TAG_SYM => Value::Str(symbol::resolve((slot >> TAG_BITS) as u32)),
         TAG_SPILL => spill.get((slot >> TAG_BITS) as u32).clone(),
         _ => unreachable!("unused slot tag"),
+    }
+}
+
+/// Whether `slot` is the canonical slot of a value against `spill` — one
+/// [`decode`] reads back and [`try_encode`] would give again: what a word
+/// form hands back is held to this before the engine keeps it. (A word
+/// form makes a string's slot through [`crate::symbol::intern`].)
+pub(crate) fn is_slot(slot: u64, spill: &SpillTable) -> bool {
+    let payload = slot >> TAG_BITS;
+    match slot & TAG_MASK {
+        TAG_UNIT => payload == 0,
+        TAG_BOOL => payload <= 1,
+        TAG_INT => true,
+        TAG_SYM => u32::try_from(payload).is_ok_and(symbol::issued),
+        TAG_SPILL => (payload as usize) < spill.len(),
+        _ => false,
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Lattice elements as words
+// ---------------------------------------------------------------------------
+
+/// The words of a flat lattice ([`LatticeKind::Flat`]): ⊥ and ⊤ are the
+/// two reserved words [`FLAT_BOTTOM`] and [`FLAT_TOP`], and `tag(x)` is
+/// the slot of `x` — so encoded equality stays value equality, and the
+/// lattice operations are a compare or two ([`flat_leq`], [`flat_lub`],
+/// [`flat_glb`]) that never decode. A shared handle: a plan keeps one per
+/// register that decodes through it.
+#[derive(Clone, Debug, PartialEq)]
+pub(crate) struct FlatWords(Arc<FlatElems>);
+
+#[derive(Debug, PartialEq)]
+struct FlatElems {
+    tag: Arc<str>,
+    bot: Value,
+    top: Value,
+}
+
+impl FlatWords {
+    /// The words of `ops`'s elements, when `ops` declares the flat kind
+    /// (and has a top, which the kind's check requires).
+    pub(crate) fn of(ops: &LatticeOps) -> Option<FlatWords> {
+        let LatticeKind::Flat { tag } = ops.kind()?;
+        Some(FlatWords(Arc::new(FlatElems {
+            tag: Arc::clone(tag),
+            bot: ops.bottom().clone(),
+            top: ops.top()?.clone(),
+        })))
+    }
+
+    /// Whether these are the words of a lattice of `kind`.
+    pub(crate) fn is(&self, kind: &LatticeKind) -> bool {
+        matches!(kind, LatticeKind::Flat { tag } if *tag == self.0.tag)
+    }
+
+    /// The `x` of an element `tag(x)`.
+    fn payload<'v>(&self, v: &'v Value) -> Option<&'v Value> {
+        match v {
+            Value::Tag(tag, x) if **tag == *self.0.tag => Some(x),
+            _ => None,
+        }
+    }
+
+    /// The word of `v` on the write path (interning `x` as [`encode_mut`]
+    /// does); `None` when `v` is not an element.
+    pub(crate) fn encode_mut(&self, v: &Value, spill: &mut SpillTable) -> Option<u64> {
+        self.word(v, |x| Some(encode_mut(x, spill)))
+    }
+
+    /// The word of `v`, read-only as [`try_encode`]: `None` when `v` is not
+    /// an element or its `x` was never stored.
+    pub(crate) fn try_encode(&self, v: &Value, spill: &SpillTable) -> Option<u64> {
+        self.word(v, |x| try_encode(x, spill))
+    }
+
+    fn word(&self, v: &Value, slot: impl FnOnce(&Value) -> Option<u64>) -> Option<u64> {
+        if *v == self.0.bot {
+            Some(FLAT_BOTTOM)
+        } else if *v == self.0.top {
+            Some(FLAT_TOP)
+        } else {
+            slot(self.payload(v)?)
+        }
+    }
+
+    pub(crate) fn decode(&self, word: u64, spill: &SpillTable) -> Value {
+        match word {
+            FLAT_BOTTOM => self.0.bot.clone(),
+            FLAT_TOP => self.0.top.clone(),
+            slot => Value::Tag(Arc::clone(&self.0.tag), Arc::new(decode(slot, spill))),
+        }
+    }
+
+    /// Whether `word` is one of these words: [`is_slot`], or ⊥ or ⊤.
+    pub(crate) fn holds(&self, word: u64, spill: &SpillTable) -> bool {
+        word == FLAT_BOTTOM || word == FLAT_TOP || is_slot(word, spill)
+    }
+}
+
+/// The flat order on words: ⊥ below everything, ⊤ above, `tag(x)` only
+/// below itself.
+#[inline]
+pub(crate) fn flat_leq(a: u64, b: u64) -> bool {
+    a == b || a == FLAT_BOTTOM || b == FLAT_TOP
+}
+
+#[inline]
+pub(crate) fn flat_lub(a: u64, b: u64) -> u64 {
+    if a == b || b == FLAT_BOTTOM {
+        a
+    } else if a == FLAT_BOTTOM {
+        b
+    } else {
+        FLAT_TOP
+    }
+}
+
+#[inline]
+pub(crate) fn flat_glb(a: u64, b: u64) -> u64 {
+    if a == b || b == FLAT_TOP {
+        a
+    } else if a == FLAT_TOP {
+        b
+    } else {
+        FLAT_BOTTOM
+    }
+}
+
+/// A lattice element as the engine holds it: boxed, or — in a lattice
+/// whose cells are words ([`FlatWords`]) — its word. Which one is fixed
+/// by the lattice: an element always arrives in its lattice's own
+/// representation.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub(crate) enum Elem {
+    Boxed(Value),
+    Word(u64),
+}
+
+/// A borrowed [`Elem`].
+#[derive(Clone, Copy, Debug)]
+pub(crate) enum ElemRef<'a> {
+    Boxed(&'a Value),
+    Word(u64),
+}
+
+impl Elem {
+    #[inline]
+    pub(crate) fn as_ref(&self) -> ElemRef<'_> {
+        match self {
+            Elem::Boxed(v) => ElemRef::Boxed(v),
+            Elem::Word(w) => ElemRef::Word(*w),
+        }
+    }
+}
+
+impl ElemRef<'_> {
+    pub(crate) fn to_owned(self) -> Elem {
+        match self {
+            ElemRef::Boxed(v) => Elem::Boxed(v.clone()),
+            ElemRef::Word(w) => Elem::Word(w),
+        }
     }
 }
 
@@ -733,30 +920,81 @@ fn note_ascent(ascent: &mut Option<FxHashMap<u32, AscentEntry>>, id: u32, increa
 
 /// Storage for one lattice predicate: the compact cell map, with the key
 /// tuples stored columnar exactly like a relation and the cell elements
-/// boxed per key id.
+/// per key id, boxed or as words.
 #[derive(Clone, Debug)]
 pub(crate) struct LatticeData {
     ops: LatticeOps,
     keys: Columns,
     /// The cell element per key id; never `⊥` (compactness).
-    cells: Vec<Value>,
+    cells: Cells,
     /// `Some` only when ascent telemetry is enabled for this solve; the
     /// hot path then pays one map update per join, and nothing otherwise.
     ascent: Option<FxHashMap<u32, AscentEntry>>,
 }
 
+/// The cell elements of one lattice predicate, in the representation its
+/// lattice selects: declaring a built-in kind selects words.
+#[derive(Clone, Debug)]
+enum Cells {
+    /// A closure-defined lattice: the elements, boxed.
+    Boxed(Vec<Value>),
+    /// A flat lattice: the elements' words, and their decoded view.
+    Words {
+        flat: FlatWords,
+        words: Vec<u64>,
+        decoded: Decoded,
+    },
+}
+
+/// The decoded elements of word cells, built by the first public read
+/// that lends `&Value`s and dropped by any change. A copy of the store —
+/// a resume's warm start — starts without it.
+#[derive(Debug, Default)]
+struct Decoded(OnceLock<Vec<Value>>);
+
+impl Clone for Decoded {
+    fn clone(&self) -> Decoded {
+        Decoded::default()
+    }
+}
+
+impl Decoded {
+    fn forget(&mut self) {
+        if self.0.get().is_some() {
+            self.0 = OnceLock::new();
+        }
+    }
+}
+
 impl LatticeData {
     fn new(ops: LatticeOps, key_arity: usize) -> LatticeData {
+        let cells = match FlatWords::of(&ops) {
+            Some(flat) => Cells::Words {
+                flat,
+                words: Vec::new(),
+                decoded: Decoded::default(),
+            },
+            None => Cells::Boxed(Vec::new()),
+        };
         LatticeData {
             ops,
             keys: Columns::new(key_arity),
-            cells: Vec::new(),
+            cells,
             ascent: None,
         }
     }
 
     pub(crate) fn ops(&self) -> &LatticeOps {
         &self.ops
+    }
+
+    /// The words of this lattice's elements, when its cells are words.
+    #[inline]
+    pub(crate) fn flat(&self) -> Option<&FlatWords> {
+        match &self.cells {
+            Cells::Words { flat, .. } => Some(flat),
+            Cells::Boxed(_) => None,
+        }
     }
 
     /// The key column store (kernel access).
@@ -774,9 +1012,39 @@ impl LatticeData {
         self.keys.row(id)
     }
 
+    /// Cell `id`'s element as stored (kernel access).
     #[inline]
-    pub(crate) fn cell(&self, id: u32) -> &Value {
-        &self.cells[id as usize]
+    pub(crate) fn elem(&self, id: u32) -> ElemRef<'_> {
+        match &self.cells {
+            Cells::Boxed(cells) => ElemRef::Boxed(&cells[id as usize]),
+            Cells::Words { words, .. } => ElemRef::Word(words[id as usize]),
+        }
+    }
+
+    /// Every cell's element, decoded, by id: the read of the public edge
+    /// (iterators, the model checker, snapshots). Word cells are decoded
+    /// on the first call after a change, against `spill`, the spill table
+    /// of the database that holds them.
+    pub(crate) fn decoded(&self, spill: &SpillTable) -> &[Value] {
+        match &self.cells {
+            Cells::Boxed(cells) => cells,
+            Cells::Words {
+                flat,
+                words,
+                decoded,
+            } => decoded
+                .0
+                .get_or_init(|| words.iter().map(|&w| flat.decode(w, spill)).collect()),
+        }
+    }
+
+    /// The element `e` of this lattice as a value: borrowed when boxed.
+    pub(crate) fn value_of<'e>(&self, e: ElemRef<'e>, spill: &SpillTable) -> Cow<'e, Value> {
+        match (e, &self.cells) {
+            (ElemRef::Boxed(v), _) => Cow::Borrowed(v),
+            (ElemRef::Word(w), Cells::Words { flat, .. }) => Cow::Owned(flat.decode(w, spill)),
+            (ElemRef::Word(_), Cells::Boxed(_)) => unreachable!("words only in a lattice of words"),
+        }
     }
 
     /// The id of an encoded key, if stored (kernel access).
@@ -785,8 +1053,98 @@ impl LatticeData {
         self.keys.id_of_encoded(enc)
     }
 
-    pub(crate) fn value<'a>(&'a self, key: &[Value], spill: &SpillTable) -> Option<&'a Value> {
-        self.keys.id_of(key, spill).map(|id| self.cell(id))
+    pub(crate) fn value<'a>(&'a self, key: &[Value], spill: &'a SpillTable) -> Option<&'a Value> {
+        let id = self.keys.id_of(key, spill)?;
+        Some(&self.decoded(spill)[id as usize])
+    }
+
+    pub(crate) fn is_bottom(&self, e: ElemRef<'_>) -> bool {
+        match e {
+            ElemRef::Boxed(v) => self.ops.is_bottom(v),
+            ElemRef::Word(w) => w == FLAT_BOTTOM,
+        }
+    }
+
+    /// The partial order on elements of this lattice, with the closures'
+    /// panic isolation: on words a compare, otherwise the closure — on
+    /// the decoded element where one side is a word (a boxed register
+    /// met a word cell).
+    #[inline]
+    pub(crate) fn leq(
+        &self,
+        a: ElemRef<'_>,
+        b: ElemRef<'_>,
+        spill: &SpillTable,
+    ) -> Result<bool, OpsPanic> {
+        match (a, b) {
+            (ElemRef::Word(a), ElemRef::Word(b)) => Ok(flat_leq(a, b)),
+            (ElemRef::Boxed(a), ElemRef::Boxed(b)) => self.ops.try_leq(a, b),
+            (a, b) => {
+                let (a, b) = (self.value_of(a, spill), self.value_of(b, spill));
+                self.ops.try_leq(&a, &b)
+            }
+        }
+    }
+
+    /// The least upper bound, as [`LatticeData::leq`] reads its operands.
+    #[inline]
+    pub(crate) fn lub(
+        &self,
+        a: ElemRef<'_>,
+        b: ElemRef<'_>,
+        spill: &SpillTable,
+    ) -> Result<Elem, OpsPanic> {
+        self.combine(a, b, spill, flat_lub, LatticeOps::try_lub)
+    }
+
+    /// The greatest lower bound, as [`LatticeData::leq`] reads its
+    /// operands.
+    #[inline]
+    pub(crate) fn glb(
+        &self,
+        a: ElemRef<'_>,
+        b: ElemRef<'_>,
+        spill: &SpillTable,
+    ) -> Result<Elem, OpsPanic> {
+        self.combine(a, b, spill, flat_glb, LatticeOps::try_glb)
+    }
+
+    #[inline(always)]
+    fn combine(
+        &self,
+        a: ElemRef<'_>,
+        b: ElemRef<'_>,
+        spill: &SpillTable,
+        words: fn(u64, u64) -> u64,
+        boxed: fn(&LatticeOps, &Value, &Value) -> Result<Value, OpsPanic>,
+    ) -> Result<Elem, OpsPanic> {
+        match (a, b) {
+            (ElemRef::Word(a), ElemRef::Word(b)) => Ok(Elem::Word(words(a, b))),
+            (ElemRef::Boxed(a), ElemRef::Boxed(b)) => boxed(&self.ops, a, b).map(Elem::Boxed),
+            (a, b) => {
+                let (a, b) = (self.value_of(a, spill), self.value_of(b, spill));
+                boxed(&self.ops, &a, &b).map(Elem::Boxed)
+            }
+        }
+    }
+
+    /// The element `value` is in this lattice's representation, interning
+    /// what a word needs. A value that is not an element of a declared
+    /// kind is refused as the closures refuse it — `leq` is what a join
+    /// calls first — or, if they take it, as a [`Violation::KindMismatch`].
+    fn elem_mut(&self, value: Value, spill: &mut SpillTable) -> Result<Elem, InsertFault> {
+        let Cells::Words { flat, .. } = &self.cells else {
+            return Ok(Elem::Boxed(value));
+        };
+        if let Some(word) = flat.encode_mut(&value, spill) {
+            return Ok(Elem::Word(word));
+        }
+        self.ops.try_leq(&value, &value)?;
+        Err(InsertFault::Safety(Violation::KindMismatch {
+            lattice: self.ops.name().to_string(),
+            kind: self.ops.kind().expect("words come from a kind").clone(),
+            found: format!("{value} is not one of its elements"),
+        }))
     }
 
     /// Joins `value` into the cell at the decoded `key` — the entry of
@@ -798,48 +1156,53 @@ impl LatticeData {
         key: &[Value],
         value: Value,
         spill: &mut SpillTable,
-    ) -> Result<Option<(u32, Value)>, InsertFault> {
+    ) -> Result<Option<(u32, Elem)>, InsertFault> {
         if self.ops.is_bottom(&value) {
             return Ok(None);
         }
         let enc = self.keys.encode_row(key, spill);
-        let result = self.join_inner(&enc, NO_ID, value, spill);
+        let result = self
+            .elem_mut(value, spill)
+            .and_then(|elem| self.join_inner(&enc, NO_ID, elem, spill));
         self.keys.put_scratch(enc);
         result
     }
 
-    /// [`LatticeData::join`] with a pre-encoded key (kernel fast path).
-    /// Every slot must be a canonical encoding already present in the
-    /// store, so no interning happens. When the kernel already resolved
-    /// the target cell, `id` names it and the hash lookup is skipped
-    /// ([`NO_ID`] otherwise).
+    /// [`LatticeData::join`] with a pre-encoded key and an element in
+    /// this lattice's representation (kernel fast path). Every slot must
+    /// be a canonical encoding already present in the store, so no
+    /// interning happens. When the kernel already resolved the target
+    /// cell, `id` names it and the hash lookup is skipped ([`NO_ID`]
+    /// otherwise).
     pub(crate) fn join_encoded(
         &mut self,
         enc: &[u64],
         id: u32,
-        value: Value,
+        elem: Elem,
         spill: &SpillTable,
-    ) -> Result<Option<(u32, Value)>, InsertFault> {
-        if self.ops.is_bottom(&value) {
+    ) -> Result<Option<(u32, Elem)>, InsertFault> {
+        if self.is_bottom(elem.as_ref()) {
             return Ok(None);
         }
-        self.join_inner(enc, id, value, spill)
+        self.join_inner(enc, id, elem, spill)
     }
 
     /// The one insertion body: every non-`⊥` lattice element passes
-    /// through here, so the runtime safety sentinels live here. After
-    /// each `lub` the result must be an upper bound of both operands
-    /// (otherwise the cell could *decrease*, breaking monotonicity of the
-    /// fixpoint iteration), and a fresh cell value must satisfy
-    /// `leq(v, v)` (reflexivity — a `leq` that fails it would later
-    /// mis-classify the cell as increased).
+    /// through here, so the runtime safety sentinels of a boxed lattice
+    /// live here. After each `lub` the result must be an upper bound of
+    /// both operands (otherwise the cell could *decrease*, breaking
+    /// monotonicity of the fixpoint iteration), and a fresh cell value
+    /// must satisfy `leq(v, v)` (reflexivity — a `leq` that fails it would
+    /// later mis-classify the cell as increased). A word lattice's
+    /// operations are the kind's, which were held to its closures before
+    /// the solve ([`crate::verify::check_kind`]): nothing to watch here.
     fn join_inner(
         &mut self,
         enc: &[u64],
         id: u32,
-        value: Value,
+        elem: Elem,
         spill: &SpillTable,
-    ) -> Result<Option<(u32, Value)>, InsertFault> {
+    ) -> Result<Option<(u32, Elem)>, InsertFault> {
         let (hash, known) = if id == NO_ID {
             let hash = hash_slots(enc);
             (hash, self.keys.lookup(hash, enc))
@@ -847,41 +1210,74 @@ impl LatticeData {
             (0, Some(id))
         };
         if let Some(id) = known {
-            return Ok(self.join_existing(id, value)?.map(|joined| (id, joined)));
+            return Ok(self.join_existing(id, elem)?.map(|joined| (id, joined)));
         }
-        if !self.ops.try_leq(&value, &value)? {
-            return Err(InsertFault::Safety(Violation::NotReflexive(value)));
+        if let Elem::Boxed(value) = &elem {
+            if !self.ops.try_leq(value, value)? {
+                return Err(InsertFault::Safety(Violation::NotReflexive(value.clone())));
+            }
         }
         let id = self.keys.append(enc, hash, spill)?;
-        self.cells.push(value.clone());
+        match (&mut self.cells, &elem) {
+            (Cells::Boxed(cells), Elem::Boxed(value)) => cells.push(value.clone()),
+            (Cells::Words { words, decoded, .. }, &Elem::Word(word)) => {
+                words.push(word);
+                decoded.forget();
+            }
+            _ => unreachable!("an element arrives in its lattice's representation"),
+        }
         note_ascent(&mut self.ascent, id, true);
-        Ok(Some((id, value)))
+        Ok(Some((id, elem)))
     }
 
-    fn join_existing(&mut self, id: u32, value: Value) -> Result<Option<Value>, InsertFault> {
+    fn join_existing(&mut self, id: u32, elem: Elem) -> Result<Option<Elem>, InsertFault> {
         let ops = &self.ops;
-        let cell = &mut self.cells[id as usize];
-        if ops.try_leq(&value, cell)? {
-            note_ascent(&mut self.ascent, id, false);
-            return Ok(None);
+        match (&mut self.cells, elem) {
+            (Cells::Boxed(cells), Elem::Boxed(value)) => {
+                let cell = &mut cells[id as usize];
+                if ops.try_leq(&value, cell)? {
+                    note_ascent(&mut self.ascent, id, false);
+                    return Ok(None);
+                }
+                let joined = ops.try_lub(cell, &value)?;
+                if !ops.try_leq(cell, &joined)? || !ops.try_leq(&value, &joined)? {
+                    return Err(InsertFault::Safety(Violation::LubNotUpperBound(
+                        cell.clone(),
+                        value,
+                    )));
+                }
+                *cell = joined.clone();
+                note_ascent(&mut self.ascent, id, true);
+                Ok(Some(Elem::Boxed(joined)))
+            }
+            (Cells::Words { words, decoded, .. }, Elem::Word(word)) => {
+                let cell = &mut words[id as usize];
+                if flat_leq(word, *cell) {
+                    note_ascent(&mut self.ascent, id, false);
+                    return Ok(None);
+                }
+                *cell = flat_lub(*cell, word);
+                decoded.forget();
+                note_ascent(&mut self.ascent, id, true);
+                Ok(Some(Elem::Word(*cell)))
+            }
+            _ => unreachable!("an element arrives in its lattice's representation"),
         }
-        let joined = ops.try_lub(cell, &value)?;
-        if !ops.try_leq(cell, &joined)? || !ops.try_leq(&value, &joined)? {
-            return Err(InsertFault::Safety(Violation::LubNotUpperBound(
-                cell.clone(),
-                value,
-            )));
-        }
-        *cell = joined.clone();
-        note_ascent(&mut self.ascent, id, true);
-        Ok(Some(joined))
     }
 
     /// Deletes cell `id` ([`Columns::remove`]): the last cell moves into
     /// its place, value and ascent counters with it.
     fn remove(&mut self, id: u32) {
         let last = self.keys.remove(id);
-        self.cells.swap_remove(id as usize);
+        match &mut self.cells {
+            Cells::Boxed(cells) => {
+                cells.swap_remove(id as usize);
+            }
+            Cells::Words { words, decoded, .. } => {
+                words.swap_remove(id as usize);
+                decoded.forget();
+            }
+        }
         if let Some(ascent) = &mut self.ascent {
             let moved = ascent.remove(&last);
             if last != id {
@@ -901,14 +1297,21 @@ impl LatticeData {
         }
     }
 
-    /// Iterates `(key, cell)` pairs in id order: first-derived key order,
-    /// but for cells a removal moved.
-    pub(crate) fn iter(&self) -> impl Iterator<Item = (&[Value], &Value)> {
-        (0..self.len() as u32).map(move |id| (self.key(id), self.cell(id)))
+    /// Iterates `(key, cell)` pairs, decoded, in id order: first-derived
+    /// key order, but for cells a removal moved.
+    pub(crate) fn iter<'a>(
+        &'a self,
+        spill: &'a SpillTable,
+    ) -> impl Iterator<Item = (&'a [Value], &'a Value)> {
+        let cells = self.decoded(spill);
+        (0..self.len() as u32).map(move |id| (self.key(id), &cells[id as usize]))
     }
 }
 
-/// Storage for one predicate.
+/// Storage for one predicate. (A lattice predicate's is the larger, by
+/// its operations and cells; a database holds one per predicate in one
+/// `Vec`, and boxing it would add an indirection to every atom step.)
+#[allow(clippy::large_enum_variant)]
 #[derive(Clone, Debug)]
 pub(crate) enum PredData {
     Rel(RelationData),
@@ -997,6 +1400,12 @@ impl Database {
         encode_mut(v, &mut self.spill)
     }
 
+    /// [`Database::encode_literal`] for an element of a word lattice:
+    /// its word, `None` when `v` is not an element.
+    pub(crate) fn encode_elem(&mut self, flat: &FlatWords, v: &Value) -> Option<u64> {
+        flat.encode_mut(v, &mut self.spill)
+    }
+
     /// Inserts a decoded tuple, interpreting the last column as a lattice
     /// element for `lat` predicates: the entry of asserted facts,
     /// snapshot loads, and derived heads the kernel could not hand over
@@ -1037,21 +1446,22 @@ impl Database {
     }
 
     /// [`Database::insert`] for a lattice head whose key is already in
-    /// encoded form (the kernel fast path). The key slots must be
-    /// canonical encodings produced against this database's spill table;
-    /// `id` names the target cell when the kernel resolved it
+    /// encoded form and whose element is in its lattice's representation
+    /// (the kernel fast path). The key slots — and a word element's — must
+    /// be canonical encodings produced against this database's spill
+    /// table; `id` names the target cell when the kernel resolved it
     /// ([`NO_ID`] otherwise).
     pub(crate) fn insert_lat_encoded(
         &mut self,
         pred: PredId,
         key: &[u64],
         id: u32,
-        value: Value,
+        elem: Elem,
     ) -> Result<InsertOutcome, InsertFault> {
         let PredData::Lat(l) = &mut self.preds[pred.0 as usize] else {
             unreachable!("compiled against predicate kinds");
         };
-        l.join_encoded(key, id, value, &self.spill)
+        l.join_encoded(key, id, elem, &self.spill)
             .map(InsertOutcome::of_cell)
     }
 
@@ -1165,7 +1575,11 @@ mod tests {
     fn fact_tuple(db: &Database, pred: PredId, id: u32, raised: Option<&Value>) -> Vec<Value> {
         let mut tuple = db.pred(pred).columns().row(id).to_vec();
         if let PredData::Lat(l) = db.pred(pred) {
-            tuple.push(raised.unwrap_or_else(|| l.cell(id)).clone());
+            tuple.push(
+                raised
+                    .unwrap_or_else(|| &l.decoded(db.spill())[id as usize])
+                    .clone(),
+            );
         }
         tuple
     }
@@ -1297,7 +1711,7 @@ mod tests {
         spill: &mut SpillTable,
         key: &[Value],
         value: Value,
-    ) -> Option<(u32, Value)> {
+    ) -> Option<(u32, Elem)> {
         l.join(key, value, spill).expect("lattice ops are sound")
     }
 
@@ -1308,7 +1722,7 @@ mod tests {
         let key = row(&[7]);
         assert_eq!(
             join_ok(&mut l, &mut spill, &key, Parity::Even.to_value()),
-            Some((0, Parity::Even.to_value()))
+            Some((0, Elem::Boxed(Parity::Even.to_value())))
         );
         // Re-joining a smaller or equal element changes nothing.
         assert_eq!(
@@ -1322,7 +1736,7 @@ mod tests {
         // Joining an incomparable element lifts the single cell to Top.
         assert_eq!(
             join_ok(&mut l, &mut spill, &key, Parity::Odd.to_value()),
-            Some((0, Parity::Top.to_value()))
+            Some((0, Elem::Boxed(Parity::Top.to_value())))
         );
         assert_eq!(l.len(), 1, "one cell per key: compactness");
         assert_eq!(l.value(&key, &spill), Some(&Parity::Top.to_value()));
@@ -1494,14 +1908,15 @@ mod tests {
         // A change carries the id of its row, and — for a cell — the
         // value it reached; the tuple is read back from the store.
         let x_odd = [Value::from("x"), Parity::Odd.to_value()];
+        let boxed = |p: Parity| Elem::Boxed(p.to_value());
         assert_eq!(
             outcome(db.insert(iv, &x_odd)),
-            InsertOutcome::LatIncrease(0, Parity::Odd.to_value())
+            InsertOutcome::LatIncrease(0, boxed(Parity::Odd))
         );
         assert_eq!(outcome(db.insert(iv, &x_odd)), InsertOutcome::Unchanged);
         assert_eq!(
             outcome(db.insert(iv, &[Value::from("x"), Parity::Even.to_value()])),
-            InsertOutcome::LatIncrease(0, Parity::Top.to_value())
+            InsertOutcome::LatIncrease(0, boxed(Parity::Top))
         );
         assert_eq!(
             fact_tuple(&db, e, 1, None),
@@ -1531,15 +1946,15 @@ mod tests {
         );
         let y = [db.encode_literal(&Value::from("y"))];
         assert_eq!(
-            outcome(db.insert_lat_encoded(iv, &y, NO_ID, Parity::Even.to_value())),
-            InsertOutcome::LatIncrease(1, Parity::Even.to_value())
+            outcome(db.insert_lat_encoded(iv, &y, NO_ID, boxed(Parity::Even))),
+            InsertOutcome::LatIncrease(1, boxed(Parity::Even))
         );
         assert_eq!(
-            outcome(db.insert_lat_encoded(iv, &y, 1, Parity::Odd.to_value())),
-            InsertOutcome::LatIncrease(1, Parity::Top.to_value())
+            outcome(db.insert_lat_encoded(iv, &y, 1, boxed(Parity::Odd))),
+            InsertOutcome::LatIncrease(1, boxed(Parity::Top))
         );
         assert_eq!(
-            outcome(db.insert_lat_encoded(iv, &y, NO_ID, Parity::Bot.to_value())),
+            outcome(db.insert_lat_encoded(iv, &y, NO_ID, boxed(Parity::Bot))),
             InsertOutcome::Unchanged
         );
         assert_eq!(db.total_facts(), 5);
@@ -1595,7 +2010,8 @@ mod tests {
                 assert_eq!(Some(cols.col(c)[id as usize]), try_encode(v, db.spill()));
             }
             if let PredData::Lat(lat) = db.pred(pred) {
-                assert_eq!(Some(lat.cell(id)), cell.as_ref(), "cell of {fact:?}");
+                let decoded = &lat.decoded(db.spill())[id as usize];
+                assert_eq!(Some(decoded), cell.as_ref(), "cell of {fact:?}");
                 let entry = &lat.ascent.as_ref().expect("enabled")[&id];
                 assert_eq!(entry.joins, *joins, "joins of {fact:?}");
             }
@@ -1607,7 +2023,7 @@ mod tests {
             "ids are dense"
         );
         if let PredData::Lat(lat) = db.pred(pred) {
-            assert_eq!(lat.cells.len(), mirror.len());
+            assert_eq!(lat.decoded(db.spill()).len(), mirror.len());
             assert_eq!(lat.ascent.as_ref().expect("enabled").len(), mirror.len());
         }
         for fact in gone {
@@ -1763,5 +2179,81 @@ mod tests {
             unreachable!()
         };
         assert_eq!(rp.columns().col(0)[0], rq.columns().col(0)[0]);
+    }
+
+    #[test]
+    fn flat_words_round_trip_and_order_as_the_lattice_does() {
+        use flix_lattice::{Lattice, SuLattice};
+        let flat = FlatWords::of(&crate::LatticeOps::of::<SuLattice>()).expect("SULattice is flat");
+        let mut spill = SpillTable::default();
+        let elems = [
+            SuLattice::Bottom,
+            SuLattice::single("a"),
+            SuLattice::single("b"),
+            SuLattice::Top,
+        ];
+        let word = |e: &SuLattice, spill: &mut SpillTable| flat.encode_mut(&e.to_value(), spill);
+        let words: Vec<u64> = elems
+            .iter()
+            .map(|e| word(e, &mut spill).expect("an element"))
+            .collect();
+        assert_eq!((words[0], words[3]), (FLAT_BOTTOM, FLAT_TOP));
+        let a = try_encode(&Value::from("a"), &spill);
+        assert_eq!(Some(words[1]), a, "Single(a) is the slot of a");
+        for (x, &wx) in elems.iter().zip(&words) {
+            assert_eq!(flat.decode(wx, &spill), x.to_value());
+            assert!(flat.holds(wx, &spill));
+            for (y, &wy) in elems.iter().zip(&words) {
+                assert_eq!(flat_leq(wx, wy), x.leq(y), "{x} ⊑ {y}");
+                assert_eq!(flat.decode(flat_lub(wx, wy), &spill), x.lub(y).to_value());
+                assert_eq!(flat.decode(flat_glb(wx, wy), &spill), x.glb(y).to_value());
+            }
+        }
+        // Not an element; an element whose `x` was never stored.
+        assert_eq!(flat.encode_mut(&Value::tag0("Nope"), &mut spill), None);
+        let unseen = SuLattice::single("flat-words-never-interned-x9").to_value();
+        assert_eq!(flat.try_encode(&unseen, &spill), None);
+        // What a word form may hand back: canonical slots only.
+        assert!(is_slot(WORD_TRUE, &spill) && is_slot(WORD_FALSE, &spill));
+        assert!(is_slot(words[1], &spill) && !is_slot(FLAT_TOP, &spill));
+        for bad in [
+            pack(TAG_UNIT, 1),
+            pack(TAG_BOOL, 2),
+            pack(TAG_SPILL, 0),
+            pack(TAG_SYM, u32::MAX as u64 + 1),
+            SLOT_SIDE,
+        ] {
+            assert!(!is_slot(bad, &spill), "{bad:#x}");
+        }
+    }
+
+    #[test]
+    fn word_cells_join_by_words_and_decode_on_request() {
+        use flix_lattice::SuLattice;
+        let mut spill = SpillTable::default();
+        let mut l = LatticeData::new(crate::LatticeOps::of::<SuLattice>(), 1);
+        let key = row(&[7]);
+        let single = |o: &str| SuLattice::single(o).to_value();
+        let joined = join_ok(&mut l, &mut spill, &key, single("o1"));
+        let o1 = try_encode(&Value::from("o1"), &spill).expect("interned");
+        assert_eq!(joined, Some((0, Elem::Word(o1))));
+        assert_eq!(l.value(&key, &spill), Some(&single("o1")));
+        assert_eq!(join_ok(&mut l, &mut spill, &key, single("o1")), None);
+        assert_eq!(
+            join_ok(&mut l, &mut spill, &key, SuLattice::Bottom.to_value()),
+            None
+        );
+        // The decoded view is dropped by the change that follows it.
+        assert_eq!(
+            join_ok(&mut l, &mut spill, &key, single("o2")),
+            Some((0, Elem::Word(FLAT_TOP)))
+        );
+        assert_eq!(l.value(&key, &spill), Some(&SuLattice::Top.to_value()));
+        // A value of another constructor is refused as the closures refuse it.
+        let fault = l.join(&key, Value::Int(3), &mut spill).unwrap_err();
+        assert!(
+            matches!(fault, InsertFault::Panic(ref p) if p.function == "SULattice.leq"),
+            "{fault:?}"
+        );
     }
 }

@@ -27,9 +27,22 @@
 //! * **values are single words** — relational columns and lattice *key*
 //!   columns compare as encoded `u64` slots (see [`crate::database`]),
 //!   so a join key is a handful of word moves, not `Value` clones;
-//! * **lattice elements stay boxed** — cell values flow through the
-//!   `leq`/`glb` lattice operations, so the glb-matching semantics of
-//!   §3.2 (and the runtime law sentinels behind them) are untouched;
+//! * **a lattice element is boxed or a word, as its lattice says** — the
+//!   elements of a closure-defined lattice are boxed registers that flow
+//!   through the `leq` / `glb` closures (and the runtime law sentinels
+//!   behind them); those of a lattice that declares a built-in kind are
+//!   words in the encoded registers, and `leq` / `lub` / `glb` are word
+//!   compares (DESIGN §15). Either way a lattice atom is matched by the
+//!   glb semantics of §3.2. A variable lives in the encoded registers
+//!   unless it stands for an element of a boxed lattice, is bound by a
+//!   choice, or mixes representations (a word element also used as a
+//!   join key); then it is boxed ([`Classes`]);
+//! * **a function runs on words where it can** — a filter or a head
+//!   application whose arguments are all encoded registers or literals
+//!   of the types its word form reads, and whose result its column takes
+//!   as a word, calls the word form ([`crate::ProgramBuilder::word_form`]);
+//!   any other call — and every choice — decodes and calls the boxed
+//!   form;
 //! * **negation is an absence test** — a negated atom only ever reads a
 //!   predicate of a lower, fully settled stratum, so it compiles to one
 //!   membership / cell lookup when its key is ground and to a scan of the
@@ -43,18 +56,19 @@
 //! * **premises are copied at emit** — when provenance is recorded, each
 //!   derivation carries its positive body atoms, in body order, as the
 //!   words the registers already hold: per atom its predicate and one
-//!   encoded slot per column (a marker for a wildcard), appended to the
-//!   round's premise arena. Only what has no slot — a lattice witness,
-//!   glb-rebound ones included, also where one stands in a key column —
-//!   goes, cloned, to the arena's side column. Nothing is decoded
-//!   and nothing is allocated per derivation; this is exactly what DRed
-//!   retraction later replays, and `explain` decodes;
-//! * **heads leave encoded** — a head whose columns all encode against
-//!   the store and fit the inline width is handed to the insert loop as
-//!   the `u64` slots the registers hold ([`Payload::RelEnc`],
-//!   [`Payload::LatEnc`]); only a head with a value the store has never
-//!   seen, or a wider one, is materialized ([`Payload::Tuple`]) for the
-//!   insert path to intern;
+//!   encoded slot per column (a marker for a wildcard; a word lattice's
+//!   element as its word), appended to the round's premise arena. Only
+//!   what has no word — a boxed lattice witness, glb-rebound ones
+//!   included, also where one stands in a key column — goes, cloned, to
+//!   the arena's side column. Nothing is decoded and nothing is allocated
+//!   per derivation; this is exactly what DRed retraction later replays,
+//!   and `explain` decodes;
+//! * **heads leave encoded** — a head whose key columns all encode
+//!   against the store and fit the inline width is handed to the insert
+//!   loop as the `u64` slots the registers hold ([`Payload::RelEnc`],
+//!   [`Payload::LatEnc`], a word lattice's element as its word); only a
+//!   head with a value the store has never seen, or a wider one, is
+//!   materialized ([`Payload::Tuple`]) for the insert path to intern;
 //! * **subsumed derivations are suppressed at the emit site** — a head
 //!   tuple the database already contains (or whose lattice candidate is
 //!   `⊑` its stored cell) would be dropped as `Unchanged` by the insert
@@ -73,7 +87,8 @@
 //! the strategy-parity suite and the golden snapshots pin it.
 
 use crate::database::{
-    decode, try_encode, Columns, Database, PredData, NO_ID, SLOT_SIDE, SLOT_WILDCARD,
+    decode, is_slot, try_encode, Columns, Database, Elem, ElemRef, FlatWords, LatticeData,
+    PredData, NO_ID, SLOT_SIDE, SLOT_WILDCARD, WORD_FALSE, WORD_TRUE,
 };
 use crate::fxhash::{FxHashMap, FxHashSet};
 use crate::guard::{panic_payload, EvalGuard};
@@ -83,8 +98,8 @@ use crate::program::{
 };
 use crate::solver::{DeltaRows, Derivations, Derived, EvalCounters, EvalFault, Payload, ENC_KEY};
 use crate::verify::Violation;
-use crate::{LatticeOps, PredId, Value};
-use std::collections::HashSet;
+use crate::{PredId, Value, WordType};
+use std::collections::{HashMap, HashSet};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 /// One component of an encoded probe or membership key.
@@ -124,31 +139,59 @@ enum RowOp {
 enum ValSpec {
     /// Wildcard: any cell matches.
     Wild,
-    /// Literal `l`: matches when `l ⊑ cell`.
-    Lit(Value),
+    /// Literal `l`: matches when `l ⊑ cell`; in the lattice's own
+    /// representation (boxed, for a value a word lattice has no word for).
+    Lit(Elem),
     /// Unbound variable: binds to the cell (the greatest witness).
-    Bind(usize),
+    Bind(Reg),
     /// Bound variable `w`: rebinds to `w ⊓ cell` unless that is `⊥`.
     /// The rebind is restored after the sub-join returns.
-    Meet(usize),
+    Meet(Reg),
 }
 
-/// A function-argument source (filters and head applications).
+/// The register of a lattice atom's value variable: a word register when
+/// the variable is a word lattice's element, a boxed one otherwise.
+#[derive(Clone, Copy, Debug)]
+enum Reg {
+    Word(usize),
+    Boxed(usize),
+}
+
+/// A variable or literal as a function argument, or where a head column
+/// converts it through its value: an encoded register holding a store
+/// slot, one holding a word of a flat lattice, a boxed register.
 #[derive(Clone, Debug)]
 enum ArgSrc {
     Lit(Value),
     Slot(usize),
+    Flat(usize, FlatWords),
     Boxed(usize),
 }
 
-/// A head-column source. Literals carry their compile-time encoding so
-/// the emit-side membership pre-check never re-interns them.
+/// A call of a registered function (filters and head applications): its
+/// boxed argument list, and — where the function's word form reads what
+/// the registers hold and writes what the caller takes — the word form's.
+#[derive(Clone, Debug)]
+struct Call {
+    func: usize,
+    args: Vec<ArgSrc>,
+    /// Literals (pre-encoded) and encoded registers: never boxed.
+    words: Option<Vec<KeySrc>>,
+}
+
+/// A head-column source. A literal carries its word in the column's
+/// representation — a key column's slot, a word lattice's element —
+/// compiled once, so the emit-side pre-check never re-interns it.
 #[derive(Clone, Debug)]
 enum HeadSrc {
-    Lit(Value, u64),
-    Slot(usize),
-    Boxed(usize),
-    App(usize, Vec<ArgSrc>),
+    Lit(Value, Option<u64>),
+    /// An encoded register holding the column's own word: a join
+    /// variable in a key column, a word lattice's element in its value
+    /// column.
+    Word(usize),
+    /// Any other variable: converted through its value.
+    Var(ArgSrc),
+    App(Call),
 }
 
 /// One word of a premise template: where [`push_derived`] takes it from.
@@ -205,7 +248,7 @@ enum Step {
         val: ValSpec,
     },
     /// A boolean filter function over bound arguments.
-    Filter { func: usize, args: Vec<ArgSrc> },
+    Filter(Call),
     /// A negated atom: the sub-join continues only when no stored fact
     /// matches. Every variable is bound by validation, so `ops` only
     /// check and `val` never binds. `access` is a ground lookup when no
@@ -262,6 +305,9 @@ pub(crate) struct Plan {
     steps: Vec<Step>,
     head_pred: PredId,
     head: Vec<HeadSrc>,
+    /// The words of the head's lattice, when its cells are words: what
+    /// the value column leaves as.
+    cell: Option<FlatWords>,
     num_slots: usize,
     /// Suppress derivations the database already subsumes at emit time
     /// instead of materializing them for the insert loop (they would be
@@ -355,27 +401,84 @@ impl KernelSet {
     }
 }
 
-/// The variable slots of `body` that live boxed: a slot is boxed iff it
-/// ever stands in a lattice *value* position in this body (there it must
-/// flow through leq/glb as a Value) or is bound by a choice (its values
-/// come from user code and may never have been stored). All other slots
-/// live as encoded words.
-fn boxed_class(program: &Program, body: &[CItem]) -> HashSet<usize> {
-    let mut boxed_class: HashSet<usize> = HashSet::new();
-    for item in body {
-        match item {
-            CItem::Atom { pred, terms, .. } | CItem::NegAtom { pred, terms } => {
-                if program.decl(*pred).is_lattice() {
-                    if let Some(CTerm::Var(slot)) = terms.last() {
-                        boxed_class.insert(*slot);
+/// Where the variables of one body live while its plan runs (DESIGN
+/// §15). A variable is *boxed* when it ever stands for an element of a
+/// boxed lattice (there it must flow through `leq` / `glb` as a `Value`),
+/// is bound by a choice (its values come from user code and may never
+/// have been stored), or stands for an element of a word lattice and for
+/// anything else besides — a join column, an element of another lattice.
+/// A variable that only ever stands for the elements of one word lattice
+/// lives as that lattice's word; every other one as its store slot.
+struct Classes {
+    boxed: HashSet<usize>,
+    flat: HashMap<usize, FlatWords>,
+}
+
+impl Classes {
+    fn of(program: &Program, db: &Database, body: &[CItem]) -> Classes {
+        let mut boxed: HashSet<usize> = HashSet::new();
+        let mut keyed: HashSet<usize> = HashSet::new();
+        // `None`: elements of two different lattices.
+        let mut flat: HashMap<usize, Option<&FlatWords>> = HashMap::new();
+        for item in body {
+            match item {
+                CItem::Atom { pred, terms, .. } | CItem::NegAtom { pred, terms } => {
+                    let ncols = key_cols(program.decl(*pred));
+                    keyed.extend(terms[..ncols].iter().filter_map(|t| match t {
+                        CTerm::Var(slot) => Some(*slot),
+                        _ => None,
+                    }));
+                    let (PredData::Lat(lat), Some(CTerm::Var(slot))) =
+                        (db.pred(*pred), terms.get(ncols))
+                    else {
+                        continue;
+                    };
+                    match lat.flat() {
+                        Some(words) => {
+                            let seen = flat.entry(*slot).or_insert(Some(words));
+                            if *seen != Some(words) {
+                                *seen = None;
+                            }
+                        }
+                        None => {
+                            boxed.insert(*slot);
+                        }
                     }
                 }
+                CItem::Choose { binds, .. } => boxed.extend(binds),
+                CItem::Filter { .. } => {}
             }
-            CItem::Choose { binds, .. } => boxed_class.extend(binds),
-            CItem::Filter { .. } => {}
+        }
+        let mut words = HashMap::new();
+        for (slot, flat) in flat {
+            match flat {
+                Some(flat) if !keyed.contains(&slot) && !boxed.contains(&slot) => {
+                    words.insert(slot, flat.clone());
+                }
+                _ => {
+                    boxed.insert(slot);
+                }
+            }
+        }
+        Classes { boxed, flat: words }
+    }
+
+    fn is_boxed(&self, slot: usize) -> bool {
+        self.boxed.contains(&slot)
+    }
+
+    /// Whether the variable lives as its store slot.
+    fn is_slot(&self, slot: usize) -> bool {
+        !self.boxed.contains(&slot) && !self.flat.contains_key(&slot)
+    }
+
+    fn arg(&self, slot: usize) -> ArgSrc {
+        match self.flat.get(&slot) {
+            _ if self.is_boxed(slot) => ArgSrc::Boxed(slot),
+            Some(words) => ArgSrc::Flat(slot, words.clone()),
+            None => ArgSrc::Slot(slot),
         }
     }
-    boxed_class
 }
 
 /// The body order and the seed step of `rule`'s head-bound plan, for a
@@ -384,9 +487,9 @@ fn boxed_class(program: &Program, body: &[CItem]) -> HashSet<usize> {
 /// derives (DESIGN §16).
 ///
 /// A head key column is *bindable* when it holds a literal — a lost key
-/// that differs there is not this rule's to derive — or a variable of the
-/// encoded class, which a positive body atom binds: the seed binds it
-/// before the body runs instead. A column that repeats a variable must
+/// that differs there is not this rule's to derive — or a variable that
+/// lives as its store slot, which a positive body atom binds: the seed
+/// binds it before the body runs instead. A column that repeats a variable must
 /// repeat the value. Every other column — a choice-bound or boxed
 /// variable, a function application — is left for the body to produce.
 /// `None` when there is nothing to re-derive or no column is bindable;
@@ -401,7 +504,7 @@ fn head_bound(
     if lost.is_empty() {
         return None;
     }
-    let boxed_class = boxed_class(program, &rule.body);
+    let classes = Classes::of(program, db, &rule.body);
     let key_cols = rule.head.len() - program.decl(rule.head_pred).is_lattice() as usize;
     // The bindable columns: those that must equal a literal, and those
     // that bind or repeat a variable — by its position in `binds`.
@@ -411,7 +514,7 @@ fn head_bound(
     for (col, h) in rule.head[..key_cols].iter().enumerate() {
         match h {
             CHead::Lit(v) => literals.push((col, db.encode_literal(v))),
-            CHead::Var(slot) if !boxed_class.contains(slot) => {
+            CHead::Var(slot) if classes.is_slot(*slot) => {
                 let at = binds.iter().position(|b| b == slot).unwrap_or_else(|| {
                     binds.push(*slot);
                     binds.len() - 1
@@ -465,7 +568,7 @@ fn compile_body(
     lat_precheck: bool,
     premises: bool,
 ) -> Plan {
-    let boxed_class = boxed_class(program, body);
+    let classes = Classes::of(program, db, body);
 
     let mut steps = Vec::with_capacity(body.len() + 1);
     let mut bound: HashSet<usize> = HashSet::new();
@@ -493,13 +596,12 @@ fn compile_body(
                         _ => None,
                     })
                     .collect();
-                let val = val_spec(terms, ncols, |slot| {
+                let val = val_spec(db, *pred, terms, ncols, &classes, |slot| {
                     bound.contains(slot) || key_binds.contains(slot)
                 });
                 let from_delta = delta_first && idx == 0;
                 let index_cols = (!from_delta).then_some(&index_cols[..]);
-                let (access, ops) =
-                    access(db, *pred, terms, ncols, index_cols, &bound, &boxed_class);
+                let (access, ops) = access(db, *pred, terms, ncols, index_cols, &bound, &classes);
                 steps.push(Step::Atom {
                     pred: *pred,
                     access,
@@ -509,10 +611,15 @@ fn compile_body(
                 bind_item(item, &mut bound);
             }
             CItem::Filter { func, args } => {
-                steps.push(Step::Filter {
-                    func: *func,
-                    args: arg_srcs(args, &boxed_class),
-                });
+                // A filter's result is tested, not stored: any word type.
+                steps.push(Step::Filter(call(
+                    program,
+                    db,
+                    &classes,
+                    *func,
+                    args,
+                    |_| true,
+                )));
             }
             CItem::NegAtom { pred, terms } => {
                 // One lookup when no (key) column is a wildcard, a scan
@@ -524,19 +631,18 @@ fn compile_body(
                 } else {
                     Vec::new()
                 };
-                let (access, ops) =
-                    access(db, *pred, terms, ncols, Some(&key), &bound, &boxed_class);
+                let (access, ops) = access(db, *pred, terms, ncols, Some(&key), &bound, &classes);
                 steps.push(Step::Neg {
                     pred: *pred,
                     access,
                     ops,
-                    val: val_spec(terms, ncols, |_| true),
+                    val: val_spec(db, *pred, terms, ncols, &classes, |_| true),
                 });
             }
             CItem::Choose { func, args, binds } => {
                 steps.push(Step::Choose {
                     func: *func,
-                    args: arg_srcs(args, &boxed_class),
+                    args: arg_srcs(args, &classes),
                     // Statically: whether an earlier step (or an earlier
                     // component of this tuple) binds the variable.
                     binds: binds.iter().map(|&b| (b, !bound.insert(b))).collect(),
@@ -545,14 +651,43 @@ fn compile_body(
         }
     }
 
+    let is_lattice = program.decl(rule.head_pred).is_lattice();
+    let key_cols = rule.head.len() - is_lattice as usize;
+    let cell = lattice_words(db, rule.head_pred);
     let head: Vec<HeadSrc> = rule
         .head
         .iter()
-        .map(|h| match h {
-            CHead::Lit(v) => HeadSrc::Lit(v.clone(), db.encode_literal(v)),
-            CHead::Var(slot) if boxed_class.contains(slot) => HeadSrc::Boxed(*slot),
-            CHead::Var(slot) => HeadSrc::Slot(*slot),
-            CHead::App(func, args) => HeadSrc::App(*func, arg_srcs(args, &boxed_class)),
+        .enumerate()
+        .map(|(col, h)| {
+            let column = match &cell {
+                _ if col < key_cols => Column::Slots,
+                Some(flat) => Column::Elems(flat),
+                None => Column::Values,
+            };
+            match h {
+                CHead::Lit(v) => HeadSrc::Lit(
+                    v.clone(),
+                    match column {
+                        Column::Slots => Some(db.encode_literal(v)),
+                        Column::Elems(flat) => db.encode_elem(flat, v),
+                        Column::Values => None,
+                    },
+                ),
+                CHead::Var(slot) => match (column, classes.arg(*slot)) {
+                    (Column::Slots, ArgSrc::Slot(s)) => HeadSrc::Word(s),
+                    (Column::Elems(flat), ArgSrc::Flat(s, of)) if of == *flat => HeadSrc::Word(s),
+                    (_, arg) => HeadSrc::Var(arg),
+                },
+                CHead::App(func, args) => {
+                    HeadSrc::App(call(program, db, &classes, *func, args, |result| {
+                        match (column, result) {
+                            (Column::Slots, WordType::Slot) => true,
+                            (Column::Elems(flat), WordType::Elem(kind)) => flat.is(kind),
+                            _ => false,
+                        }
+                    }))
+                }
+            }
         })
         .collect();
     let premises = premises.then(|| {
@@ -565,28 +700,35 @@ fn compile_body(
         for (pred, terms) in atoms {
             template.push(PremiseSrc::Word(pred.0 as u64));
             let value_col = program.decl(*pred).is_lattice().then(|| terms.len() - 1);
+            let elems = lattice_words(db, *pred);
             for (col, t) in terms.iter().enumerate() {
                 let is_value = Some(col) == value_col;
                 template.push(match t {
                     CTerm::Wild => PremiseSrc::Word(SLOT_WILDCARD),
-                    CTerm::Lit(v) if is_value => PremiseSrc::Side(v.clone()),
+                    // A word lattice's element is logged as its word.
+                    CTerm::Lit(v) if is_value => elems
+                        .as_ref()
+                        .and_then(|flat| db.encode_elem(flat, v))
+                        .map_or_else(|| PremiseSrc::Side(v.clone()), PremiseSrc::Word),
                     // Encoded by the atom's step already: interns nothing.
                     CTerm::Lit(v) => PremiseSrc::Word(db.encode_literal(v)),
-                    CTerm::Var(slot) if !boxed_class.contains(slot) => PremiseSrc::Slot(*slot),
-                    CTerm::Var(slot) if is_value => PremiseSrc::BoxedValue(*slot),
-                    CTerm::Var(slot) => PremiseSrc::BoxedKey(*slot),
+                    CTerm::Var(slot) => match classes.arg(*slot) {
+                        ArgSrc::Slot(s) | ArgSrc::Flat(s, _) => PremiseSrc::Slot(s),
+                        ArgSrc::Boxed(s) if is_value => PremiseSrc::BoxedValue(s),
+                        ArgSrc::Boxed(s) => PremiseSrc::BoxedKey(s),
+                        ArgSrc::Lit(_) => unreachable!("a variable's source"),
+                    },
                 });
             }
         }
         template
     });
 
-    let is_lattice = program.decl(rule.head_pred).is_lattice();
-    let key_cols = head.len() - is_lattice as usize;
     Plan {
         steps,
         head_pred: rule.head_pred,
         head,
+        cell,
         num_slots: rule.num_vars,
         precheck: lat_precheck || !is_lattice,
         key_cols,
@@ -594,15 +736,49 @@ fn compile_body(
     }
 }
 
-/// How the value column of a (possibly negated) atom with `ncols` key
-/// columns is matched; `is_bound` tells whether a value variable is bound
-/// by the time the value is matched. A relation has no value column:
-/// `Wild`.
-fn val_spec(terms: &[CTerm], ncols: usize, is_bound: impl Fn(&usize) -> bool) -> ValSpec {
+/// What one head column takes as a word: a key column its value's store
+/// slot, a word lattice's value column its element's word; a boxed
+/// lattice's value column takes no word.
+#[derive(Clone, Copy)]
+enum Column<'a> {
+    Slots,
+    Elems(&'a FlatWords),
+    Values,
+}
+
+/// The words of `pred`'s lattice, when its cells are words.
+fn lattice_words(db: &Database, pred: PredId) -> Option<FlatWords> {
+    match db.pred(pred) {
+        PredData::Lat(lat) => lat.flat().cloned(),
+        PredData::Rel(_) => None,
+    }
+}
+
+/// How the value column of a (possibly negated) atom of `pred` with
+/// `ncols` key columns is matched; `is_bound` tells whether a value
+/// variable is bound by the time the value is matched. A relation has no
+/// value column: `Wild`.
+fn val_spec(
+    db: &mut Database,
+    pred: PredId,
+    terms: &[CTerm],
+    ncols: usize,
+    classes: &Classes,
+    is_bound: impl Fn(&usize) -> bool,
+) -> ValSpec {
+    let reg = |slot: usize| match classes.flat.get(&slot) {
+        Some(_) => Reg::Word(slot),
+        None => Reg::Boxed(slot),
+    };
     match terms.get(ncols) {
-        Some(CTerm::Lit(v)) => ValSpec::Lit(v.clone()),
-        Some(CTerm::Var(slot)) if is_bound(slot) => ValSpec::Meet(*slot),
-        Some(CTerm::Var(slot)) => ValSpec::Bind(*slot),
+        Some(CTerm::Lit(v)) => ValSpec::Lit(match lattice_words(db, pred) {
+            Some(flat) => db
+                .encode_elem(&flat, v)
+                .map_or_else(|| Elem::Boxed(v.clone()), Elem::Word),
+            None => Elem::Boxed(v.clone()),
+        }),
+        Some(CTerm::Var(slot)) if is_bound(slot) => ValSpec::Meet(reg(*slot)),
+        Some(CTerm::Var(slot)) => ValSpec::Bind(reg(*slot)),
         Some(CTerm::Wild) | None => ValSpec::Wild,
     }
 }
@@ -620,39 +796,40 @@ fn access(
     ncols: usize,
     index_cols: Option<&[usize]>,
     bound: &HashSet<usize>,
-    boxed_class: &HashSet<usize>,
+    classes: &Classes,
 ) -> (Access, Vec<RowOp>) {
     let (access, keyed): (Access, &[usize]) = match index_cols {
         None => (Access::Delta, &[]),
         Some(cols) if cols.len() == ncols => {
-            (Access::Ground(key_srcs(terms, cols, boxed_class, db)), cols)
+            (Access::Ground(key_srcs(terms, cols, classes, db)), cols)
         }
         Some([]) => (Access::Scan { count: false }, &[]),
         Some(cols) => match db.pred(pred).columns().index_of(cols) {
             Some(index) => {
-                let key = key_srcs(terms, cols, boxed_class, db);
+                let key = key_srcs(terms, cols, classes, db);
                 (Access::Probe { index, key }, cols)
             }
             None => (Access::Scan { count: true }, &[]),
         },
     };
-    let ops = row_ops(terms, ncols, keyed, bound, boxed_class, db);
+    let ops = row_ops(terms, ncols, keyed, bound, classes, db);
     (access, ops)
 }
 
 /// Compiles the probe-key sources for `index_cols` (all of which are
-/// literals or bound variables, by construction).
+/// literals or bound variables, by construction; never a word lattice's
+/// element, which [`Classes`] boxes where it is a key).
 fn key_srcs(
     terms: &[CTerm],
     index_cols: &[usize],
-    boxed_class: &HashSet<usize>,
+    classes: &Classes,
     db: &mut Database,
 ) -> Vec<KeySrc> {
     index_cols
         .iter()
         .map(|&col| match &terms[col] {
             CTerm::Lit(v) => KeySrc::Lit(db.encode_literal(v)),
-            CTerm::Var(slot) if boxed_class.contains(slot) => KeySrc::Boxed(*slot),
+            CTerm::Var(slot) if classes.is_boxed(*slot) => KeySrc::Boxed(*slot),
             CTerm::Var(slot) => KeySrc::Slot(*slot),
             CTerm::Wild => unreachable!("index columns are never wildcards"),
         })
@@ -666,7 +843,7 @@ fn row_ops(
     ncols: usize,
     skip: &[usize],
     bound: &HashSet<usize>,
-    boxed_class: &HashSet<usize>,
+    classes: &Classes,
     db: &mut Database,
 ) -> Vec<RowOp> {
     let mut ops = Vec::new();
@@ -689,7 +866,7 @@ fn row_ops(
             }),
             CTerm::Var(slot) => {
                 let is_bound = bound.contains(slot) || atom_bound.contains(slot);
-                let is_boxed = boxed_class.contains(slot);
+                let is_boxed = classes.is_boxed(*slot);
                 ops.push(match (is_bound, is_boxed) {
                     (true, true) => RowOp::CheckBoxed { col, slot: *slot },
                     (true, false) => RowOp::CheckSlot { col, slot: *slot },
@@ -703,17 +880,52 @@ fn row_ops(
     ops
 }
 
-fn arg_src(term: &CTerm, boxed_class: &HashSet<usize>) -> ArgSrc {
-    match term {
+fn arg_srcs(args: &[CTerm], classes: &Classes) -> Vec<ArgSrc> {
+    let arg = |term: &CTerm| match term {
         CTerm::Lit(v) => ArgSrc::Lit(v.clone()),
-        CTerm::Var(slot) if boxed_class.contains(slot) => ArgSrc::Boxed(*slot),
-        CTerm::Var(slot) => ArgSrc::Slot(*slot),
+        CTerm::Var(slot) => classes.arg(*slot),
         CTerm::Wild => panic!("wildcard cannot be a function argument"),
-    }
+    };
+    args.iter().map(arg).collect()
 }
 
-fn arg_srcs(args: &[CTerm], boxed_class: &HashSet<usize>) -> Vec<ArgSrc> {
-    args.iter().map(|t| arg_src(t, boxed_class)).collect()
+/// Compiles a call of `func`: the boxed form always, and the word form
+/// when the function has one, every argument is a literal or a register
+/// of the type it reads — a store slot for [`WordType::Slot`], a word of a
+/// lattice of the kind for [`WordType::Elem`] — and `takes` its result.
+/// A literal read as a lattice's element is left to the boxed form: the
+/// word of a ⊥ or ⊤ literal is its lattice's, which the call site does not
+/// know.
+fn call(
+    program: &Program,
+    db: &mut Database,
+    classes: &Classes,
+    func: usize,
+    args: &[CTerm],
+    takes: impl Fn(&WordType) -> bool,
+) -> Call {
+    let words = program.funcs[func].word.as_ref().and_then(|form| {
+        if form.params.len() != args.len() || !takes(&form.result) {
+            return None;
+        }
+        let word = |(t, ty): (&CTerm, &WordType)| match (t, ty) {
+            (CTerm::Lit(v), WordType::Slot) => Some(KeySrc::Lit(db.encode_literal(v))),
+            (CTerm::Var(slot), WordType::Slot) if classes.is_slot(*slot) => {
+                Some(KeySrc::Slot(*slot))
+            }
+            (CTerm::Var(slot), WordType::Elem(kind)) => {
+                let words = classes.flat.get(slot)?;
+                words.is(kind).then_some(KeySrc::Slot(*slot))
+            }
+            _ => None,
+        };
+        args.iter().zip(&form.params).map(word).collect()
+    });
+    Call {
+        func,
+        args: arg_srcs(args, classes),
+        words,
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -721,8 +933,9 @@ fn arg_srcs(args: &[CTerm], boxed_class: &HashSet<usize>) -> Vec<ArgSrc> {
 // ---------------------------------------------------------------------------
 
 /// The mutable state of one plan execution: the variable registers
-/// (encoded words for join variables, boxed values for lattice-element
-/// variables), the reusable key buffer, and the thread-local counters.
+/// (encoded words — store slots and word lattices' elements — and boxed
+/// values, as [`Classes`] assigns them), the reusable key buffer, and the
+/// thread-local counters.
 struct State<'a, 'o> {
     program: &'a Program,
     db: &'a Database,
@@ -731,10 +944,12 @@ struct State<'a, 'o> {
     rule: usize,
     enc: Vec<u64>,
     boxed: Vec<Option<Value>>,
-    /// Reused for probe keys; never held across a recursive call.
+    /// Reused for probe keys and word-form arguments; never held across a
+    /// recursive call.
     key_buf: Vec<u64>,
-    /// Reused for the head's computed function applications per emit.
-    app_buf: Vec<Value>,
+    /// The head's function application, computed once per emit: a word
+    /// in its column's representation, or a boxed value.
+    app: Option<Elem>,
     /// Reused for function-call arguments (filters and applications).
     args_buf: Vec<Value>,
     out: &'o mut Derivations,
@@ -757,7 +972,7 @@ struct State<'a, 'o> {
     /// be `Unchanged` and the candidate can be suppressed. The `u32` is
     /// the cell's row id ([`NO_ID`] while the cell is not stored yet),
     /// captured so flowing candidates can skip the insert-side lookup.
-    shadow_cells: FxHashMap<[u64; SHADOW_KEY], (u32, Value)>,
+    shadow_cells: FxHashMap<[u64; SHADOW_KEY], (u32, Elem)>,
     /// Row id of the lattice cell the last `is_subsumed` call resolved
     /// ([`NO_ID`] when unknown); lets `emit` address the insert directly
     /// at the cell. Ids are append-only during evaluation — a retraction
@@ -803,10 +1018,9 @@ pub(crate) struct KernelScratch {
     enc: Vec<u64>,
     boxed: Vec<Option<Value>>,
     key_buf: Vec<u64>,
-    app_buf: Vec<Value>,
     args_buf: Vec<Value>,
     shadow_rows: FxHashSet<[u64; SHADOW_KEY]>,
-    shadow_cells: FxHashMap<[u64; SHADOW_KEY], (u32, Value)>,
+    shadow_cells: FxHashMap<[u64; SHADOW_KEY], (u32, Elem)>,
 }
 
 impl KernelScratch {
@@ -849,7 +1063,7 @@ pub(crate) fn run_plan(
         enc,
         boxed,
         key_buf: std::mem::take(&mut scratch.key_buf),
-        app_buf: std::mem::take(&mut scratch.app_buf),
+        app: None,
         args_buf: std::mem::take(&mut scratch.args_buf),
         out,
         probes: 0,
@@ -868,7 +1082,6 @@ pub(crate) fn run_plan(
         enc,
         boxed,
         key_buf,
-        app_buf,
         args_buf,
         shadow_rows,
         shadow_cells,
@@ -878,7 +1091,6 @@ pub(crate) fn run_plan(
     scratch.enc = enc;
     scratch.boxed = boxed;
     scratch.key_buf = key_buf;
-    scratch.app_buf = app_buf;
     scratch.args_buf = args_buf;
     scratch.shadow_rows = shadow_rows;
     scratch.shadow_cells = shadow_cells;
@@ -951,42 +1163,77 @@ fn apply_val(
     plan: &Plan,
     next: usize,
     val: &ValSpec,
-    cell: &Value,
-    ops: &LatticeOps,
+    cell: ElemRef<'_>,
+    lat: &LatticeData,
     st: &mut State<'_, '_>,
 ) {
+    let spill = st.db.spill();
     match val {
         ValSpec::Wild => step(plan, next, st),
-        ValSpec::Lit(l) => match ops.try_leq(l, cell) {
+        ValSpec::Lit(l) => match lat.leq(l.as_ref(), cell, spill) {
             Ok(true) => step(plan, next, st),
             Ok(false) => {}
             Err(p) => st.fail(p),
         },
-        ValSpec::Bind(slot) => {
-            st.boxed[*slot] = Some(cell.clone());
+        ValSpec::Bind(reg) => {
+            match (*reg, cell) {
+                (Reg::Word(slot), cell) => st.enc[slot] = word_of(cell),
+                (Reg::Boxed(slot), ElemRef::Boxed(v)) => st.boxed[slot] = Some(v.clone()),
+                (Reg::Boxed(slot), cell) => {
+                    st.boxed[slot] = Some(lat.value_of(cell, spill).into_owned());
+                }
+            }
             step(plan, next, st);
         }
-        ValSpec::Meet(slot) => {
-            let bound = st.boxed[*slot].clone().expect("statically bound");
-            let met = match ops.try_glb(&bound, cell) {
+        ValSpec::Meet(reg) => {
+            let bound = reg_elem(*reg, st).to_owned();
+            let met = match lat.glb(bound.as_ref(), cell, spill) {
                 Ok(met) => met,
                 Err(p) => {
                     st.fail(p);
                     return;
                 }
             };
-            if ops.is_bottom(&met) {
+            if lat.is_bottom(met.as_ref()) {
                 return;
             }
             if met != bound {
-                st.boxed[*slot] = Some(met);
+                set_reg(*reg, met, lat, st);
                 step(plan, next, st);
                 // Restore: sibling rows of the enclosing scan must see
                 // the pre-meet binding.
-                st.boxed[*slot] = Some(bound);
+                set_reg(*reg, bound, lat, st);
             } else {
                 step(plan, next, st);
             }
+        }
+    }
+}
+
+/// The word of an element a word register holds: a word lattice's.
+#[inline(always)]
+fn word_of(e: ElemRef<'_>) -> u64 {
+    match e {
+        ElemRef::Word(word) => word,
+        ElemRef::Boxed(_) => unreachable!("a word register holds its lattice's words"),
+    }
+}
+
+/// What a value variable's register holds, as an element.
+fn reg_elem<'s>(reg: Reg, st: &'s State<'_, '_>) -> ElemRef<'s> {
+    match reg {
+        Reg::Word(slot) => ElemRef::Word(st.enc[slot]),
+        Reg::Boxed(slot) => ElemRef::Boxed(st.boxed[slot].as_ref().expect("statically bound")),
+    }
+}
+
+fn set_reg(reg: Reg, e: Elem, lat: &LatticeData, st: &mut State<'_, '_>) {
+    match (reg, e) {
+        (Reg::Word(slot), e) => st.enc[slot] = word_of(e.as_ref()),
+        (Reg::Boxed(slot), Elem::Boxed(v)) => st.boxed[slot] = Some(v),
+        (Reg::Boxed(slot), Elem::Word(w)) => {
+            let v = lat.value_of(ElemRef::Word(w), st.db.spill()).into_owned();
+            st.boxed[slot] = Some(v);
         }
     }
 }
@@ -995,6 +1242,7 @@ fn arg_value(arg: &ArgSrc, st: &State<'_, '_>) -> Value {
     match arg {
         ArgSrc::Lit(v) => v.clone(),
         ArgSrc::Slot(s) => decode(st.enc[*s], st.db.spill()),
+        ArgSrc::Flat(s, flat) => flat.decode(st.enc[*s], st.db.spill()),
         ArgSrc::Boxed(s) => st.boxed[*s].clone().expect("statically bound"),
     }
 }
@@ -1015,28 +1263,108 @@ fn call_fn(func: usize, vals: &[Value], st: &mut State<'_, '_>) -> Option<Value>
     }
 }
 
-/// Computes the head's function applications once into `st.app_buf`, in
-/// head-column order. Returns `false` when one panicked (fault recorded).
+/// Runs `call`'s word form, when the plan compiled one, under the same
+/// panic isolation as [`call_fn`]. `None` when there is none — or it
+/// panicked: then the fault is recorded.
+fn call_word(call: &Call, st: &mut State<'_, '_>) -> Option<u64> {
+    let words = call.words.as_ref()?;
+    build_key(words, st);
+    let fdef = &st.program.funcs[call.func];
+    let form = fdef.word.as_ref().expect("compiled against a word form");
+    match catch_unwind(AssertUnwindSafe(|| (form.body)(&st.key_buf))) {
+        Ok(word) => Some(word),
+        Err(payload) => {
+            st.fail(EvalFault::Panic {
+                function: fdef.name.to_string(),
+                payload: panic_payload(payload),
+            });
+            None
+        }
+    }
+}
+
+/// Runs `call`'s boxed form: decodes the arguments and calls the closure.
+fn call_boxed(call: &Call, st: &mut State<'_, '_>) -> Option<Value> {
+    let mut vals = std::mem::take(&mut st.args_buf);
+    vals.clear();
+    for a in &call.args {
+        vals.push(arg_value(a, st));
+    }
+    let result = call_fn(call.func, &vals, st);
+    st.args_buf = vals;
+    result
+}
+
+/// Computes the head's function application — program validation admits
+/// one, as the last head term — once into `st.app`: the word form's word
+/// when it answers with a word its column takes, otherwise the boxed
+/// form's value. Returns `false` when one panicked (fault recorded).
 /// Always runs before the subsumption pre-check so a panicking transfer
 /// function fires whether or not its result would have been stored.
 fn compute_apps(plan: &Plan, st: &mut State<'_, '_>) -> bool {
-    st.app_buf.clear();
-    for h in &plan.head {
-        if let HeadSrc::App(func, args) = h {
-            let mut vals = std::mem::take(&mut st.args_buf);
-            vals.clear();
-            for a in args {
-                vals.push(arg_value(a, st));
-            }
-            let result = call_fn(*func, &vals, st);
-            st.args_buf = vals;
-            match result {
-                Some(v) => st.app_buf.push(v),
-                None => return false,
-            }
+    let Some(HeadSrc::App(call)) = plan.head.last() else {
+        return true;
+    };
+    if let Some(word) = call_word(call, st) {
+        let spill = st.db.spill();
+        // The application is the value column of a lattice head, or a key
+        // column.
+        let holds = if plan.head.len() > plan.key_cols {
+            plan.cell
+                .as_ref()
+                .is_some_and(|flat| flat.holds(word, spill))
+        } else {
+            is_slot(word, spill)
+        };
+        if holds {
+            st.app = Some(Elem::Word(word));
+            return true;
         }
     }
-    true
+    if st.fault.is_some() {
+        return false;
+    }
+    st.app = call_boxed(call, st).map(Elem::Boxed);
+    st.app.is_some()
+}
+
+/// The word head column `h` takes — a key column's slot, or, given the
+/// head lattice's `flat` words, its element's word — or `None` for a
+/// value the store has never seen or no element has.
+fn head_word(h: &HeadSrc, flat: Option<&FlatWords>, st: &State<'_, '_>) -> Option<u64> {
+    let spill = st.db.spill();
+    let encode = |v: &Value| match flat {
+        None => try_encode(v, spill),
+        Some(flat) => flat.try_encode(v, spill),
+    };
+    match h {
+        HeadSrc::Lit(_, word) => *word,
+        HeadSrc::Word(s) => Some(st.enc[*s]),
+        HeadSrc::Var(ArgSrc::Boxed(s)) => encode(st.boxed[*s].as_ref().expect("statically bound")),
+        HeadSrc::Var(arg) => encode(&arg_value(arg, st)),
+        HeadSrc::App(_) => match st.app.as_ref().expect("apps computed") {
+            Elem::Word(word) => Some(*word),
+            Elem::Boxed(v) => encode(v),
+        },
+    }
+}
+
+/// The value of head column `h` — `flat` as for [`head_word`].
+fn head_value(h: &HeadSrc, flat: Option<&FlatWords>, st: &State<'_, '_>) -> Value {
+    let spill = st.db.spill();
+    let decoded = |word: u64| match flat {
+        None => decode(word, spill),
+        Some(flat) => flat.decode(word, spill),
+    };
+    match h {
+        HeadSrc::Lit(v, _) => v.clone(),
+        HeadSrc::Word(s) => decoded(st.enc[*s]),
+        HeadSrc::Var(arg) => arg_value(arg, st),
+        HeadSrc::App(_) => match st.app.as_ref().expect("apps computed") {
+            Elem::Word(word) => decoded(*word),
+            Elem::Boxed(v) => v.clone(),
+        },
+    }
 }
 
 /// Encodes the head columns in `srcs` into the key buffer. Returns
@@ -1045,19 +1373,11 @@ fn compute_apps(plan: &Plan, st: &mut State<'_, '_>) -> bool {
 fn build_head_key(srcs: &[HeadSrc], st: &mut State<'_, '_>) -> bool {
     st.key_buf.clear();
     for h in srcs {
-        let enc = match h {
-            HeadSrc::Lit(_, enc) => Some(*enc),
-            HeadSrc::Slot(s) => Some(st.enc[*s]),
-            HeadSrc::Boxed(s) => {
-                let v = st.boxed[*s].as_ref().expect("statically bound");
-                try_encode(v, st.db.spill())
-            }
-            HeadSrc::App(..) => {
-                let v = st.app_buf.last().expect("apps computed");
-                try_encode(v, st.db.spill())
-            }
+        let word = match h {
+            HeadSrc::Word(s) => Some(st.enc[*s]),
+            h => head_word(h, None, st),
         };
-        match enc {
+        match word {
             Some(enc) => st.key_buf.push(enc),
             None => return false,
         }
@@ -1066,7 +1386,8 @@ fn build_head_key(srcs: &[HeadSrc], st: &mut State<'_, '_>) -> bool {
 }
 
 /// Would inserting the current head tuple — its encoded columns already
-/// in the key buffer — leave the database unchanged?
+/// in the key buffer, a word lattice's element as `word` — leave the
+/// database unchanged?
 /// Mirrors [`Database::insert`] against the evaluation-time snapshot — a
 /// stored relational row, or a lattice candidate `⊑` its stored cell —
 /// plus the plan-local shadow of what this execution has already
@@ -1076,8 +1397,9 @@ fn build_head_key(srcs: &[HeadSrc], st: &mut State<'_, '_>) -> bool {
 /// edge (missing cell, a `leq`/`lub` that errs): answer `false` and let
 /// the real insert decide — inserts are monotone within a round, so a
 /// tuple subsumed now stays subsumed.
-fn is_subsumed(plan: &Plan, st: &mut State<'_, '_>) -> bool {
-    match st.db.pred(plan.head_pred) {
+fn is_subsumed(plan: &Plan, word: Option<u64>, st: &mut State<'_, '_>) -> bool {
+    let db = st.db;
+    match db.pred(plan.head_pred) {
         PredData::Rel(rel) => {
             if rel.contains_encoded(&st.key_buf) {
                 return true;
@@ -1089,14 +1411,22 @@ fn is_subsumed(plan: &Plan, st: &mut State<'_, '_>) -> bool {
         }
         PredData::Lat(lat) => {
             let decoded;
-            let cand: &Value = match &plan.head[plan.key_cols] {
-                HeadSrc::Lit(v, _) => v,
-                HeadSrc::Boxed(s) => st.boxed[*s].as_ref().expect("statically bound"),
-                HeadSrc::Slot(s) => {
-                    decoded = decode(st.enc[*s], st.db.spill());
-                    &decoded
-                }
-                HeadSrc::App(..) => st.app_buf.last().expect("apps computed before pre-check"),
+            let cand = match word {
+                Some(word) => ElemRef::Word(word),
+                None => ElemRef::Boxed(match &plan.head[plan.key_cols] {
+                    HeadSrc::Lit(v, _) => v,
+                    HeadSrc::Var(ArgSrc::Boxed(s)) => {
+                        st.boxed[*s].as_ref().expect("statically bound")
+                    }
+                    HeadSrc::App(_) => match st.app.as_ref() {
+                        Some(Elem::Boxed(v)) => v,
+                        _ => unreachable!("a boxed lattice's application is boxed"),
+                    },
+                    other => {
+                        decoded = head_value(other, None, st);
+                        &decoded
+                    }
+                }),
             };
             // The shadow cell is what this cell is at least going to
             // hold by the time the insert loop reaches the current
@@ -1106,7 +1436,7 @@ fn is_subsumed(plan: &Plan, st: &mut State<'_, '_>) -> bool {
             // candidate. Every `leq`/`lub` error leaves the shadow
             // untouched and lets the tuple flow, so the real insert
             // reproduces the fault with proper attribution.
-            let ops = lat.ops();
+            let spill = db.spill();
             let Some(skey) = shadow_key(&st.key_buf) else {
                 // Key too wide for the inline shadow: frozen-cell check
                 // only.
@@ -1114,14 +1444,14 @@ fn is_subsumed(plan: &Plan, st: &mut State<'_, '_>) -> bool {
                     return false;
                 };
                 st.lat_hit_id = id;
-                return matches!(ops.try_leq(cand, lat.cell(id)), Ok(true));
+                return matches!(lat.leq(cand, lat.elem(id), spill), Ok(true));
             };
             if let Some((id, shadow)) = st.shadow_cells.get_mut(&skey) {
                 st.lat_hit_id = *id;
-                return match ops.try_leq(cand, shadow) {
+                return match lat.leq(cand, shadow.as_ref(), spill) {
                     Ok(true) => true,
                     Ok(false) => {
-                        if let Ok(joined) = ops.try_lub(shadow, cand) {
+                        if let Ok(joined) = lat.lub(shadow.as_ref(), cand, spill) {
                             *shadow = joined;
                         }
                         false
@@ -1132,16 +1462,16 @@ fn is_subsumed(plan: &Plan, st: &mut State<'_, '_>) -> bool {
             // First sighting of this cell: seed the shadow from the
             // stored cell (or the candidate itself when there is none).
             let hit = lat.id_of_encoded(&st.key_buf);
-            match hit.map(|id| (id, lat.cell(id))) {
+            match hit.map(|id| (id, lat.elem(id))) {
                 Some((id, cell)) => {
                     st.lat_hit_id = id;
-                    match ops.try_leq(cand, cell) {
+                    match lat.leq(cand, cell, spill) {
                         Ok(true) => {
-                            st.shadow_cells.insert(skey, (id, cell.clone()));
+                            st.shadow_cells.insert(skey, (id, cell.to_owned()));
                             true
                         }
                         Ok(false) => {
-                            if let Ok(joined) = ops.try_lub(cell, cand) {
+                            if let Ok(joined) = lat.lub(cell, cand, spill) {
                                 st.shadow_cells.insert(skey, (id, joined));
                             }
                             false
@@ -1150,23 +1480,11 @@ fn is_subsumed(plan: &Plan, st: &mut State<'_, '_>) -> bool {
                     }
                 }
                 None => {
-                    st.shadow_cells.insert(skey, (NO_ID, cand.clone()));
+                    st.shadow_cells.insert(skey, (NO_ID, cand.to_owned()));
                     false
                 }
             }
         }
-    }
-}
-
-/// The current value of one head column. Program validation admits a
-/// function application only as the final head term, so a head has at
-/// most one and it is the last (only) one computed.
-fn head_value(h: &HeadSrc, st: &State<'_, '_>) -> Value {
-    match h {
-        HeadSrc::Lit(v, _) => v.clone(),
-        HeadSrc::Slot(s) => decode(st.enc[*s], st.db.spill()),
-        HeadSrc::Boxed(s) => st.boxed[*s].clone().expect("statically bound"),
-        HeadSrc::App(..) => st.app_buf.last().expect("apps computed").clone(),
     }
 }
 
@@ -1179,12 +1497,22 @@ fn emit(plan: &Plan, st: &mut State<'_, '_>) {
     // pre-check reads them, and so does the encoded payload. A value the
     // store has never seen (`build_head_key` fails) cannot equal any
     // stored row, so the tuple is certainly not subsumed — and must take
-    // the materialized payload, whose insert interns it.
-    let encoded = build_head_key(&plan.head[..plan.key_cols], st);
+    // the materialized payload, whose insert interns it. A word lattice's
+    // element leaves as its word, or — with no word yet — materialized
+    // the same way.
+    let mut encoded = build_head_key(&plan.head[..plan.key_cols], st);
+    let word = match &plan.cell {
+        Some(flat) if encoded => {
+            let word = head_word(&plan.head[plan.key_cols], Some(flat), st);
+            encoded = word.is_some();
+            word
+        }
+        _ => None,
+    };
     // Emit-side dedup: a tuple the database already subsumes would be
     // dropped as `Unchanged` by the insert loop; suppress it here
     // instead. Counted, so `facts_derived` stays the gross count.
-    if encoded && plan.precheck && is_subsumed(plan, st) {
+    if encoded && plan.precheck && is_subsumed(plan, word, st) {
         st.suppressed += 1;
         return;
     }
@@ -1200,11 +1528,18 @@ fn emit(plan: &Plan, st: &mut State<'_, '_>) {
                 arity,
                 id: st.lat_hit_id,
                 key,
-                cell: head_value(val_src, st),
+                // The head's application is spent here: moved, not cloned.
+                cell: match (word, st.app.take()) {
+                    (Some(word), _) => Elem::Word(word),
+                    (None, Some(app)) => app,
+                    (None, None) => Elem::Boxed(head_value(val_src, None, st)),
+                },
             },
         }
     } else {
-        Payload::Tuple(plan.head.iter().map(|h| head_value(h, st)).collect())
+        let flat = |col: usize| plan.cell.as_ref().filter(|_| col >= plan.key_cols);
+        let head = plan.head.iter().enumerate();
+        Payload::Tuple(head.map(|(col, h)| head_value(h, flat(col), st)).collect())
     };
     push_derived(plan, payload, st);
 }
@@ -1262,16 +1597,17 @@ fn copy_premises(template: &[PremiseSrc], st: &mut State<'_, '_>) -> (u32, u32) 
 /// existence-only form of [`apply_val`]: nothing is rebound.
 fn val_holds(
     val: &ValSpec,
-    cell: &Value,
-    ops: &LatticeOps,
+    cell: ElemRef<'_>,
+    lat: &LatticeData,
     st: &State<'_, '_>,
 ) -> Result<bool, OpsPanic> {
+    let spill = st.db.spill();
     match val {
         ValSpec::Wild => Ok(true),
-        ValSpec::Lit(l) => ops.try_leq(l, cell),
-        ValSpec::Meet(slot) => {
-            let bound = st.boxed[*slot].as_ref().expect("statically bound");
-            Ok(!ops.is_bottom(&ops.try_glb(bound, cell)?))
+        ValSpec::Lit(l) => lat.leq(l.as_ref(), cell, spill),
+        ValSpec::Meet(reg) => {
+            let met = lat.glb(reg_elem(*reg, st), cell, spill)?;
+            Ok(!lat.is_bottom(met.as_ref()))
         }
         ValSpec::Bind(_) => unreachable!("negated atoms bind nothing"),
     }
@@ -1281,10 +1617,14 @@ fn val_holds(
 /// `Wild`, which needs no cell: every relational atom, whose predicate
 /// has no value column, and a lattice atom that ignores it.
 #[inline(always)]
-fn cell_for<'a>(val: &ValSpec, data: &'a PredData, id: u32) -> Option<(&'a Value, &'a LatticeOps)> {
+fn cell_for<'a>(
+    val: &ValSpec,
+    data: &'a PredData,
+    id: u32,
+) -> Option<(ElemRef<'a>, &'a LatticeData)> {
     match (val, data) {
         (ValSpec::Wild, _) => None,
-        (_, PredData::Lat(lat)) => Some((lat.cell(id), lat.ops())),
+        (_, PredData::Lat(lat)) => Some((lat.elem(id), lat)),
         (_, PredData::Rel(_)) => unreachable!("compiled against predicate kinds"),
     }
 }
@@ -1301,7 +1641,7 @@ fn for_each_row<'a, 'o>(
     access: &Access,
     ops: &[RowOp],
     st: &mut State<'a, 'o>,
-    mut visit: impl FnMut(&mut State<'a, 'o>, &'a PredData, u32, Option<&'a Value>) -> bool,
+    mut visit: impl FnMut(&mut State<'a, 'o>, &'a PredData, u32, Option<&'a Elem>) -> bool,
 ) {
     let data = st.db.pred(pred);
     let cols = data.columns();
@@ -1378,20 +1718,29 @@ fn step(plan: &Plan, i: usize, st: &mut State<'_, '_>) {
                 // through the cell its value column is matched against.
                 match cell_for(val, data, id) {
                     None => step(plan, i + 1, st),
-                    Some((cell, lops)) => {
-                        apply_val(plan, i + 1, val, reached.unwrap_or(cell), lops, st)
+                    Some((cell, lat)) => {
+                        let cell = reached.map_or(cell, Elem::as_ref);
+                        apply_val(plan, i + 1, val, cell, lat, st)
                     }
                 }
                 st.fault.is_none()
             },
         ),
-        Step::Filter { func, args } => {
+        Step::Filter(call) => {
+            // The word form answers with a boolean; anything else — or no
+            // word form — and the boxed form decides.
+            match call_word(call, st) {
+                Some(WORD_TRUE) => return step(plan, i + 1, st),
+                Some(WORD_FALSE) => return,
+                _ if st.fault.is_some() => return,
+                _ => {}
+            }
             let mut vals = std::mem::take(&mut st.args_buf);
             vals.clear();
-            for a in args {
+            for a in &call.args {
                 vals.push(arg_value(a, st));
             }
-            let result = call_fn(*func, &vals, st);
+            let result = call_fn(call.func, &vals, st);
             match result {
                 None => st.args_buf = vals,
                 Some(Value::Bool(true)) => {
@@ -1422,7 +1771,7 @@ fn step(plan: &Plan, i: usize, st: &mut State<'_, '_>) {
                 |st, data, id, _| {
                     exists = match cell_for(val, data, id) {
                         None => Ok(true),
-                        Some((cell, lops)) => val_holds(val, cell, lops, st),
+                        Some((cell, lat)) => val_holds(val, cell, lat, st),
                     };
                     matches!(exists, Ok(false))
                 },

@@ -98,8 +98,9 @@ pub mod verify;
 
 pub use ast::{
     BodyItem, FuncId, Head, HeadTerm, PredDecl, PredId, PredKind, ProgramBuilder, ProgramError,
-    Term,
+    Term, WordType,
 };
+pub use database::{FLAT_BOTTOM, FLAT_TOP, WORD_FALSE, WORD_TRUE};
 pub use demand::{DemandError, Query, QueryResult};
 pub use guard::{Budget, BudgetKind, CancelToken};
 pub use incremental::{Delta, DeltaError, DeltaOp};
@@ -107,7 +108,7 @@ pub use observe::{
     render_metrics_json, render_profile_table, MetricsReport, Observer, RuleStats, StratumStats,
     METRICS_SCHEMA,
 };
-pub use ops::{LatticeOps, ValueLattice};
+pub use ops::{LatticeKind, LatticeOps, ValueLattice};
 pub use persist::{
     load_snapshot, program_fingerprint, save_snapshot, CompactError, DeltaLog, DurableFiles,
     DurableModel, OpenError, PersistError, RecoveryReport, UpdateError, WalRecovery,

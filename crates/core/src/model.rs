@@ -138,7 +138,7 @@ pub fn is_locally_minimal(program: &Program, solution: &Solution) -> bool {
         let ops = program.decl(*pred).lattice_ops().expect("lattice");
         let mut candidates: Vec<Value> = vec![ops.bottom().clone()];
         if let PredData::Lat(lat) = db.pred(*pred) {
-            for (_, other) in lat.iter() {
+            for (_, other) in lat.iter(db.spill()) {
                 candidates.push(other.clone());
                 candidates.push(ops.glb(other, cell));
             }
@@ -191,7 +191,7 @@ fn rebuild_without(
                 }
             }
             PredData::Lat(lat) => {
-                for (key, cell) in lat.iter() {
+                for (key, cell) in lat.iter(db.spill()) {
                     let mut tuple = key.to_vec();
                     let value = match replace_lat {
                         Some((p, k, v)) if p == pred && k == key => v.clone(),
@@ -339,10 +339,12 @@ fn for_each_match(
                     visit(&key, Some(cell));
                 }
             } else if let Some(hits) = lat.columns().probe(&cols, &key, db.spill()) {
+                let cells = lat.decoded(db.spill());
                 hits.iter()
-                    .for_each(|&i| visit(lat.key(i), Some(lat.cell(i))));
+                    .for_each(|&i| visit(lat.key(i), Some(&cells[i as usize])));
             } else {
-                lat.iter().for_each(|(key, cell)| visit(key, Some(cell)));
+                lat.iter(db.spill())
+                    .for_each(|(key, cell)| visit(key, Some(cell)));
             }
         }
     }

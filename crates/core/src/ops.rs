@@ -1,13 +1,14 @@
 //! Runtime lattice operations over dynamic [`Value`]s.
 
 use crate::guard::panic_payload;
+use crate::verify::Violation;
 use crate::Value;
 use flix_lattice::{
     Constant, Flat, Interval, Lattice, MinCost, Parity, PowerSet, Sign, SuLattice, Transformer,
 };
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// A panic caught inside a user-supplied lattice operation or function.
 ///
@@ -26,6 +27,44 @@ pub(crate) struct OpsPanic {
 /// Shared closure type for the components of a [`LatticeOps`].
 type BinOp = Arc<dyn Fn(&Value, &Value) -> Value + Send + Sync>;
 type BinPred = Arc<dyn Fn(&Value, &Value) -> bool + Send + Sync>;
+
+/// A built-in shape of lattice, whose operations the engine runs on the
+/// fact store's words instead of calling the closures of a
+/// [`LatticeOps`] (DESIGN §15). A lattice *declares* its kind
+/// ([`LatticeOps::with_kind`], [`ValueLattice::kind`]); the declaration
+/// is held to the lattice's own closures on sampled elements once, before
+/// the first solve that uses it, and a lattice whose closures disagree is
+/// refused with [`Violation::KindMismatch`].
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
+pub enum LatticeKind {
+    /// The flat lattice over one constructor: `⊥ ⊑ tag(x) ⊑ ⊤` for every
+    /// value `x`, and two elements `tag(x)`, `tag(y)` with `x ≠ y`
+    /// incomparable. Its elements are single words: ⊥ and ⊤ are
+    /// [`FLAT_BOTTOM`](crate::FLAT_BOTTOM) and [`FLAT_TOP`](crate::FLAT_TOP),
+    /// `tag(x)` is the slot of `x`. `SULattice` (`Single`) and `Constant`
+    /// (`Cst`) are flat.
+    Flat {
+        /// The constructor of the elements between ⊥ and ⊤.
+        tag: Arc<str>,
+    },
+}
+
+impl fmt::Display for LatticeKind {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            LatticeKind::Flat { tag } => write!(f, "flat {tag}(_)"),
+        }
+    }
+}
+
+/// A declared kind, the elements it is checked on, and — once checked —
+/// the verdict, shared by every clone of the [`LatticeOps`].
+#[derive(Clone, Debug)]
+struct Declared {
+    kind: LatticeKind,
+    samples: Arc<[Value]>,
+    checked: Arc<OnceLock<Result<(), Violation>>>,
+}
 
 /// The runtime representation of a lattice over dynamic [`Value`]s.
 ///
@@ -59,12 +98,14 @@ pub struct LatticeOps {
     leq: BinPred,
     lub: BinOp,
     glb: BinOp,
+    kind: Option<Declared>,
 }
 
 impl LatticeOps {
-    /// Builds the runtime operations for a statically typed lattice `L`.
+    /// Builds the runtime operations for a statically typed lattice `L`,
+    /// of the built-in kind `L` declares, if any ([`ValueLattice::kind`]).
     pub fn of<L: ValueLattice>() -> LatticeOps {
-        LatticeOps {
+        let ops = LatticeOps {
             name: L::lattice_name().into(),
             bot: L::bottom().to_value(),
             top: L::top_value(),
@@ -98,6 +139,11 @@ impl LatticeOps {
                 }
                 m.to_value()
             }),
+            kind: None,
+        };
+        match L::kind() {
+            Some((kind, samples)) => ops.with_kind(kind, samples.iter().map(L::to_value)),
+            None => ops,
         }
     }
 
@@ -123,7 +169,55 @@ impl LatticeOps {
             leq: Arc::new(leq),
             lub: Arc::new(lub),
             glb: Arc::new(glb),
+            kind: None,
         }
+    }
+
+    /// Declares that these operations are those of the built-in `kind`:
+    /// the engine then stores this lattice's cells as words and runs its
+    /// `leq`, `lub` and `glb` on them, calling the closures no more. The
+    /// claim is checked against the closures on `samples` — which must
+    /// include two elements between ⊥ and ⊤ — plus ⊥ and ⊤, once, before
+    /// the first solve of a program that declares a predicate over these
+    /// operations; a claim that fails the check makes that solve fail
+    /// with [`Violation::KindMismatch`] before it evaluates anything.
+    pub fn with_kind(
+        mut self,
+        kind: LatticeKind,
+        samples: impl IntoIterator<Item = Value>,
+    ) -> Self {
+        self.kind = Some(Declared {
+            kind,
+            samples: samples.into_iter().collect(),
+            checked: Arc::default(),
+        });
+        self
+    }
+
+    /// The same closures, declaring no kind: run boxed.
+    #[cfg(any(test, feature = "test-internals"))]
+    pub(crate) fn without_kind(&self) -> LatticeOps {
+        LatticeOps {
+            kind: None,
+            ..self.clone()
+        }
+    }
+
+    /// The built-in kind these operations declare, if any.
+    pub fn kind(&self) -> Option<&LatticeKind> {
+        self.kind.as_ref().map(|declared| &declared.kind)
+    }
+
+    /// Holds a declared kind to the closures, once per declaration (its
+    /// clones share the verdict): see [`crate::verify::check_kind`].
+    pub(crate) fn check_kind(&self) -> Result<(), Violation> {
+        let Some(declared) = &self.kind else {
+            return Ok(());
+        };
+        let verdict = declared
+            .checked
+            .get_or_init(|| crate::verify::check_kind(self, &declared.kind, &declared.samples));
+        verdict.clone()
     }
 
     /// The human-readable lattice name (for diagnostics).
@@ -191,6 +285,7 @@ impl fmt::Debug for LatticeOps {
             .field("name", &self.name)
             .field("bot", &self.bot)
             .field("top", &self.top)
+            .field("kind", &self.kind())
             .finish_non_exhaustive()
     }
 }
@@ -212,6 +307,12 @@ pub trait ValueLattice: Lattice {
 
     /// The top element as a value, when the lattice has one.
     fn top_value() -> Option<Value> {
+        None
+    }
+
+    /// The built-in kind this lattice is an instance of, if any, and
+    /// elements to check that claim on (see [`LatticeOps::with_kind`]).
+    fn kind() -> Option<(LatticeKind, Vec<Self>)> {
         None
     }
 
@@ -318,6 +419,14 @@ impl ValueLattice for Constant {
     fn top_value() -> Option<Value> {
         Some(Flat::Top.to_value())
     }
+
+    fn kind() -> Option<(LatticeKind, Vec<Self>)> {
+        let tag = "Cst".into();
+        Some((
+            LatticeKind::Flat { tag },
+            vec![Flat::Val(-1), Flat::Val(0), Flat::Val(1)],
+        ))
+    }
 }
 
 impl ValueLattice for Interval {
@@ -404,6 +513,16 @@ impl ValueLattice for SuLattice {
 
     fn top_value() -> Option<Value> {
         Some(SuLattice::Top.to_value())
+    }
+
+    fn kind() -> Option<(LatticeKind, Vec<Self>)> {
+        let samples = ["a", "b", "c"].map(SuLattice::single).to_vec();
+        Some((
+            LatticeKind::Flat {
+                tag: "Single".into(),
+            },
+            samples,
+        ))
     }
 }
 

@@ -83,7 +83,7 @@ pub fn snapshot_to_bytes(program: &Program, solution: &Solution) -> Vec<u8> {
                 frame.u8(1);
                 frame.u32(decl.arity() as u32);
                 frame.u32(lat.len() as u32);
-                for (key, cell) in lat.iter() {
+                for (key, cell) in lat.iter(db.spill()) {
                     for v in key.iter() {
                         frame.value(v);
                     }

@@ -128,6 +128,33 @@ impl Program {
             .map(|(i, d)| (PredId(i as u32), d))
     }
 
+    /// This program with every lattice's declared kind and every word form
+    /// taken away: the same closures, all run boxed — the reference the
+    /// word path is held to in tests.
+    #[doc(hidden)]
+    #[cfg(any(test, feature = "test-internals"))]
+    pub fn boxed_reference(&self) -> Program {
+        use crate::ast::PredKind;
+        let mut preds = self.preds.clone();
+        for decl in &mut preds {
+            if let PredKind::Lattice(ops) = &mut decl.kind {
+                *ops = ops.without_kind();
+            }
+        }
+        let funcs = self.funcs.iter().map(|f| FuncDef {
+            word: None,
+            ..f.clone()
+        });
+        Program {
+            preds,
+            pred_names: self.pred_names.clone(),
+            funcs: funcs.collect(),
+            rules: self.rules.clone(),
+            facts: Arc::clone(&self.facts),
+            index_requests: self.index_requests.clone(),
+        }
+    }
+
     pub(crate) fn from_parts(
         preds: Vec<PredDecl>,
         funcs: Vec<FuncDef>,

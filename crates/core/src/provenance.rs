@@ -23,12 +23,15 @@
 //! struct-of-arrays columns — its predicate, its rule, and a run of `u64`
 //! words: the slots of the head's key, then per premise the premise's
 //! predicate and one slot per pattern column, in the fact store's own
-//! slot encoding (`database.rs`). Two slot tags that no value
-//! encodes to mark a wildcard column and a column whose value has no
-//! slot; that value sits, in order, in a side column of [`Value`]s beside
-//! the words. The side column holds the joined cell value of a lattice
-//! head, the value column of a lattice premise, and — rarely — a
-//! choice-bound premise column the store had never seen. Recording an
+//! slot encoding (`database.rs`). A lattice whose cells are words (a
+//! declared built-in kind) has its elements logged as their words too:
+//! the joined cell value after the head's key, a premise's value column
+//! in place. Two slot tags that no value encodes to mark a wildcard
+//! column and a column whose value has no word; that value sits, in
+//! order, in a side column of [`Value`]s beside the words. The side column
+//! holds the joined cell value of a boxed lattice's head, the value
+//! column of a boxed lattice's premise, and — rarely — a choice-bound
+//! premise column the store had never seen. Recording an
 //! event therefore copies words the evaluator already holds and allocates
 //! nothing beyond the columns' growth — which comes a block of 4 096
 //! events at a time, each allocated at the size the last one reached, so
@@ -66,7 +69,9 @@
 //! DESIGN §16 states the merge policy that keeps the segment count
 //! logarithmic.
 
-use crate::database::{decode, Columns, SpillTable, SLOT_SIDE, SLOT_WILDCARD};
+use crate::database::{
+    decode, Columns, Elem, ElemRef, FlatWords, SpillTable, SLOT_SIDE, SLOT_WILDCARD,
+};
 use crate::fxhash::FxHasher;
 use crate::program::Program;
 use crate::{PredId, Value};
@@ -181,11 +186,13 @@ pub(crate) fn fact_key<'a, T>(is_lat: &[bool], pred: PredId, tuple: &'a [T]) -> 
 pub(crate) type Pos = (u32, u32);
 
 /// What the words of a log mean: per predicate, how many key slots a
-/// fact of it has and whether a lattice value follows them.
+/// fact of it has, whether a lattice value follows them, and whether that
+/// value is a word — of these words — or a side value.
 #[derive(Debug)]
 pub(crate) struct Shape {
     key_cols: Vec<usize>,
     is_lat: Vec<bool>,
+    flat: Vec<Option<FlatWords>>,
 }
 
 impl Shape {
@@ -198,6 +205,11 @@ impl Shape {
                 .map(|(n, &lat)| n - lat as usize)
                 .collect(),
             is_lat,
+            flat: program
+                .preds
+                .iter()
+                .map(|d| d.lattice_ops().and_then(FlatWords::of))
+                .collect(),
         })
     }
 
@@ -208,6 +220,29 @@ impl Shape {
 
     fn key_cols(&self, pred: PredId) -> usize {
         self.key_cols[pred.0 as usize]
+    }
+
+    /// The words of `pred`'s lattice, when its elements are logged as
+    /// words.
+    fn flat(&self, pred: PredId) -> Option<&FlatWords> {
+        self.flat[pred.0 as usize].as_ref()
+    }
+
+    /// How many words a fact of `pred` concludes with: its key's, and a
+    /// word lattice's element.
+    fn head_words(&self, pred: PredId) -> usize {
+        self.key_cols(pred) + self.flat(pred).is_some() as usize
+    }
+
+    /// A logged element of `pred`'s lattice, decoded.
+    fn decode(&self, pred: PredId, value: ElemRef<'_>, spill: &SpillTable) -> Value {
+        match value {
+            ElemRef::Boxed(v) => v.clone(),
+            ElemRef::Word(w) => self
+                .flat(pred)
+                .expect("words of a word lattice")
+                .decode(w, spill),
+        }
     }
 }
 
@@ -299,7 +334,7 @@ pub(crate) struct EventRef<'a> {
     /// lattice cell's key.
     pub(crate) key: &'a [u64],
     /// The value the cell was joined to, for a lattice predicate.
-    pub(crate) value: Option<&'a Value>,
+    value: Option<ElemRef<'a>>,
     premise_words: &'a [u64],
     premise_side: &'a [Value],
     shape: &'a Shape,
@@ -322,7 +357,17 @@ impl<'a> EventRef<'a> {
     /// The inserted tuple, decoded.
     pub(crate) fn tuple(&self, spill: &SpillTable) -> Vec<Value> {
         let key = self.key.iter().map(|&slot| decode(slot, spill));
-        key.chain(self.value.cloned()).collect()
+        let value = self.value.map(|v| self.shape.decode(self.pred, v, spill));
+        key.chain(value).collect()
+    }
+
+    /// Whether the cell was joined to `value`.
+    pub(crate) fn joined_to(&self, value: &Value, spill: &SpillTable) -> bool {
+        match self.value {
+            Some(ElemRef::Boxed(v)) => v == value,
+            Some(word) => self.shape.decode(self.pred, word, spill) == *value,
+            None => false,
+        }
     }
 
     pub(crate) fn decode(&self, spill: &SpillTable) -> Event {
@@ -364,6 +409,7 @@ impl<'a> Iterator for Premises<'a> {
             pattern,
             side,
             key_cols,
+            flat: self.shape.flat(pred),
         })
     }
 }
@@ -376,6 +422,9 @@ pub(crate) struct PremiseRef<'a> {
     /// The values of the columns marked [`SLOT_SIDE`], in column order.
     side: &'a [Value],
     key_cols: usize,
+    /// The words of the predicate's lattice, when its value column holds
+    /// its element's word.
+    flat: Option<&'a FlatWords>,
 }
 
 impl PremiseRef<'_> {
@@ -402,14 +451,20 @@ impl PremiseRef<'_> {
 
     fn decode(&self, spill: &SpillTable) -> Premise {
         let mut side = self.side.iter();
-        let column = |&slot: &u64| match slot {
+        let column = |(col, &slot): (usize, &u64)| match slot {
             SLOT_WILDCARD => None,
             SLOT_SIDE => Some(side.next().expect("one per marker").clone()),
+            word if col == self.key_cols => {
+                let flat = self
+                    .flat
+                    .expect("a value column's word is a word lattice's");
+                Some(flat.decode(word, spill))
+            }
             slot => Some(decode(slot, spill)),
         };
         Premise {
             pred: self.pred,
-            pattern: self.pattern.iter().map(column).collect(),
+            pattern: self.pattern.iter().enumerate().map(column).collect(),
         }
     }
 }
@@ -443,12 +498,15 @@ impl Block {
         let pred = PredId(self.pred[at]);
         let words = &self.words[words as usize..words_end as usize];
         let side = &self.side[side as usize..side_end as usize];
-        let (key, premise_words) = words.split_at(shape.key_cols(pred));
-        let (value, premise_side) = if shape.is_lat[pred.0 as usize] {
-            let (value, rest) = side.split_first().expect("a lattice event has its value");
-            (Some(value), rest)
-        } else {
-            (None, side)
+        let (head, premise_words) = words.split_at(shape.head_words(pred));
+        let key = &head[..shape.key_cols(pred)];
+        let (value, premise_side) = match head.get(key.len()) {
+            Some(&word) => (Some(ElemRef::Word(word)), side),
+            None if shape.is_lat[pred.0 as usize] => {
+                let (value, rest) = side.split_first().expect("a lattice event has its value");
+                (Some(ElemRef::Boxed(value)), rest)
+            }
+            None => (None, side),
         };
         EventRef {
             pred,
@@ -458,6 +516,16 @@ impl Block {
             premise_words,
             premise_side,
             shape,
+        }
+    }
+
+    /// Appends a head's lattice value: a word lattice's after the key's
+    /// words, a boxed one to the side values.
+    fn push_value(&mut self, value: Option<ElemRef<'_>>) {
+        match value {
+            Some(ElemRef::Word(word)) => self.words.push(word),
+            Some(ElemRef::Boxed(v)) => self.side.push(v.clone()),
+            None => {}
         }
     }
 
@@ -759,10 +827,10 @@ impl OpenLog {
         if !self.tail.blocks.is_empty() || facts.is_empty() {
             return;
         }
-        let words = facts.iter().map(|(pred, _)| self.shape.key_cols(*pred));
-        let valued = facts
-            .iter()
-            .filter(|(pred, _)| self.shape.is_lat[pred.0 as usize]);
+        let words = facts.iter().map(|(pred, _)| self.shape.head_words(*pred));
+        let valued = facts.iter().filter(|(pred, _)| {
+            self.shape.is_lat[pred.0 as usize] && self.shape.flat(*pred).is_none()
+        });
         self.tail.blocks.push(Block {
             pred: Vec::with_capacity(facts.len()),
             rule: Vec::with_capacity(facts.len()),
@@ -782,15 +850,15 @@ impl OpenLog {
         pred: PredId,
         rule: Option<usize>,
         (head, id): (&Columns, u32),
-        raised: Option<&Value>,
+        raised: Option<&Elem>,
         (premise_words, premise_side): (&[u64], &mut [Value]),
     ) {
         let block = self.tail.open_block();
         block.pred.push(pred.0);
         block.rule.push(rule_column(rule));
         block.words.extend(head.slots(id));
+        block.push_value(raised.map(Elem::as_ref));
         block.words.extend_from_slice(premise_words);
-        block.side.extend(raised.cloned());
         let premise_side = premise_side.iter_mut().map(std::mem::take);
         block.side.extend(premise_side);
         block.close_event();
@@ -818,7 +886,7 @@ impl OpenLog {
             block.pred.push(event.pred.0);
             block.rule.push(rule_column(event.rule().map(&origin)));
             block.words.extend_from_slice(event.key);
-            block.side.extend(event.value.cloned());
+            block.push_value(event.value);
             for premise in event.premises().filter(|p| keep(p.pred)) {
                 block.words.push(premise.pred.0 as u64);
                 block.words.extend_from_slice(premise.pattern);

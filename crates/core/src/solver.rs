@@ -16,7 +16,7 @@
 #![allow(clippy::result_large_err)]
 
 use crate::ast::{PredKind, ProgramError};
-use crate::database::{try_encode_row, Database, InsertFault, InsertOutcome, PredData};
+use crate::database::{try_encode_row, Database, Elem, InsertFault, InsertOutcome, PredData};
 use crate::fxhash::FxHashSet;
 use crate::guard::{panic_payload, Budget, BudgetKind, EvalGuard, Guard};
 use crate::incremental::Cone;
@@ -829,9 +829,26 @@ impl<'a> Run<'a> {
         &self.tracer
     }
 
-    /// The strata of the program, in evaluation order.
+    /// The strata of the program, in evaluation order — for a program
+    /// whose lattices are what they declare: a lattice of a built-in kind
+    /// runs the kind's word operations, not its closures, so the
+    /// declaration is held to the closures first (once per declaration,
+    /// [`LatticeOps::check_kind`](crate::LatticeOps)), and a false one
+    /// refuses the run before it evaluates anything.
     pub(crate) fn strata(&self) -> Result<Strata, SolveError> {
-        Ok(stratify(self.program)?)
+        let strata = stratify(self.program)?;
+        for decl in &self.program.preds {
+            let Some(ops) = decl.lattice_ops() else {
+                continue;
+            };
+            ops.check_kind()
+                .map_err(|violation| SolveError::SafetyViolation {
+                    predicate: decl.name.to_string(),
+                    rule: None,
+                    violation,
+                })?;
+        }
+        Ok(strata)
     }
 
     /// Asserts one extensional fact: the only way an asserted tuple
@@ -1662,7 +1679,8 @@ pub(crate) enum Payload {
         key: [u64; ENC_KEY],
     },
     /// A lattice head whose key slots are canonical encodings against the
-    /// database the kernel probed; only the cell value is materialized.
+    /// database the kernel probed; the cell value is a word lattice's word
+    /// (canonical the same way), or materialized.
     LatEnc {
         /// Number of live slots in `key`.
         arity: u8,
@@ -1676,7 +1694,7 @@ pub(crate) enum Payload {
         /// Encoded key columns, zero-padded past `arity`.
         key: [u64; ENC_KEY],
         /// The candidate cell value.
-        cell: Value,
+        cell: Elem,
     },
 }
 
@@ -1690,9 +1708,10 @@ pub(crate) struct DeltaRows {
     /// change order. A cell raised twice in one round is listed twice.
     pub(crate) ids: Vec<u32>,
     /// Lattice predicates, round-produced `∆` only: parallel to `ids`,
-    /// the value each change reached — the paper's `ga(P', S)`. Empty
-    /// for a seed `∆`, whose cells are read at their current value.
-    pub(crate) values: Vec<Value>,
+    /// the value each change reached — the paper's `ga(P', S)` — in its
+    /// lattice's representation. Empty for a seed `∆`, whose cells are
+    /// read at their current value.
+    pub(crate) values: Vec<Elem>,
 }
 
 /// Feeds a derived fact into the database, consuming the payload: a
@@ -1853,10 +1872,7 @@ impl Solution {
     pub fn lattice(&self, name: &str) -> Option<LatticeIter<'_>> {
         let pred = self.predicate(name)?;
         match self.db.pred(pred) {
-            PredData::Lat(lat) => Some(LatticeIter {
-                lat,
-                ids: 0..lat.len() as u32,
-            }),
+            PredData::Lat(lat) => Some(LatticeIter::of(lat, self.db.spill())),
             PredData::Rel(_) => None,
         }
     }
@@ -1871,10 +1887,7 @@ impl Solution {
         let pred = self.predicate(name)?;
         let inner = match self.db.pred(pred) {
             PredData::Rel(rel) => FactsInner::Rel(RelationIter { rows: rel.rows() }),
-            PredData::Lat(lat) => FactsInner::Lat(LatticeIter {
-                lat,
-                ids: 0..lat.len() as u32,
-            }),
+            PredData::Lat(lat) => FactsInner::Lat(LatticeIter::of(lat, self.db.spill())),
         };
         Some(FactsIter { inner })
     }
@@ -2030,7 +2043,7 @@ impl Solution {
         let as_key = encoded(row).and_then(|key| log.latest(pred, &key, None, |_| true));
         let at = as_key.or_else(|| {
             let (value, key) = row.split_last().filter(|_| self.kinds[pred.0 as usize])?;
-            log.latest(pred, &encoded(key)?, None, |e| e.value == Some(value))
+            log.latest(pred, &encoded(key)?, None, |e| e.joined_to(value, spill))
         })?;
         Some(self.build_tree(log, at))
     }
@@ -2163,10 +2176,7 @@ impl Snapshot {
         let pred = self.predicate(name)?;
         let inner = match self.db.pred(pred) {
             PredData::Rel(rel) => FactsInner::Rel(RelationIter { rows: rel.rows() }),
-            PredData::Lat(lat) => FactsInner::Lat(LatticeIter {
-                lat,
-                ids: 0..lat.len() as u32,
-            }),
+            PredData::Lat(lat) => FactsInner::Lat(LatticeIter::of(lat, self.db.spill())),
         };
         Some(FactsIter { inner })
     }
@@ -2255,7 +2265,19 @@ impl ExactSizeIterator for RelationIter<'_> {}
 #[derive(Clone, Debug)]
 pub struct LatticeIter<'a> {
     lat: &'a crate::database::LatticeData,
+    /// The elements, decoded (a word lattice's on first read).
+    cells: &'a [Value],
     ids: std::ops::Range<u32>,
+}
+
+impl<'a> LatticeIter<'a> {
+    fn of(lat: &'a crate::database::LatticeData, spill: &'a crate::database::SpillTable) -> Self {
+        LatticeIter {
+            lat,
+            cells: lat.decoded(spill),
+            ids: 0..lat.len() as u32,
+        }
+    }
 }
 
 impl<'a> Iterator for LatticeIter<'a> {
@@ -2263,7 +2285,7 @@ impl<'a> Iterator for LatticeIter<'a> {
 
     fn next(&mut self) -> Option<(&'a [Value], &'a Value)> {
         let id = self.ids.next()?;
-        Some((self.lat.key(id), self.lat.cell(id)))
+        Some((self.lat.key(id), &self.cells[id as usize]))
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {

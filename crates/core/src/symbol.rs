@@ -136,6 +136,12 @@ pub fn resolve(id: u32) -> Arc<str> {
     Arc::clone(names().get(id).expect("symbol id issued by intern"))
 }
 
+/// Whether `id` was issued by [`intern`]: what [`resolve`] takes without
+/// panicking. Takes no lock.
+pub(crate) fn issued(id: u32) -> bool {
+    names().get(id).is_some()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

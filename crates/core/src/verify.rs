@@ -15,7 +15,9 @@
 //! exactly like [`flix_lattice::checks`] but at the dynamic-value level
 //! where the surface language's interpreted lattices live.
 
-use crate::{LatticeOps, Value};
+use crate::database::{flat_glb, flat_leq, flat_lub, FlatWords, SpillTable};
+use crate::ops::OpsPanic;
+use crate::{LatticeKind, LatticeOps, Value};
 use std::fmt;
 
 /// A violation found by [`check_lattice_ops`] or the function checkers.
@@ -67,6 +69,18 @@ pub enum Violation {
     /// addresses rows with `u32` indices). Carries the row count at
     /// which the insert was refused.
     StoreFull(u64),
+    /// A lattice declares a built-in [`LatticeKind`] its own operations do
+    /// not implement — found, before any solve, on the elements sampled
+    /// with the declaration ([`LatticeOps::with_kind`]) — or a value that
+    /// is not one of the kind's elements reached a cell of it.
+    KindMismatch {
+        /// The lattice's name.
+        lattice: String,
+        /// The kind it declares.
+        kind: LatticeKind,
+        /// What disagrees.
+        found: String,
+    },
 }
 
 impl fmt::Display for Violation {
@@ -118,6 +132,11 @@ impl fmt::Display for Violation {
                     "fact store is full: row-id capacity reached at {rows} rows"
                 )
             }
+            KindMismatch {
+                lattice,
+                kind,
+                found,
+            } => write!(f, "lattice {lattice} declares the {kind} kind, but {found}"),
         }
     }
 }
@@ -260,6 +279,67 @@ pub fn check_filter_function(
                         lo: args.clone(),
                         hi: bumped,
                     });
+                }
+            }
+        }
+    }
+    Ok(())
+}
+
+/// Holds `ops`'s declared `kind` to its own closures, on ⊥, ⊤ and the
+/// `samples`: for every sampled pair, `leq`, `lub` and `glb` must be what
+/// the kind computes on the pair's words. This is where the runtime law
+/// sentinels of §7 go for a lattice whose cells are words — the engine
+/// no longer calls its closures, so it checks once, up front, that they
+/// are the kind's (DESIGN §7). [`LatticeOps::check_kind`] runs it once
+/// per declaration, before the first solve of a program that uses it.
+pub(crate) fn check_kind(
+    ops: &LatticeOps,
+    kind: &LatticeKind,
+    samples: &[Value],
+) -> Result<(), Violation> {
+    let mismatch = |found: String| Violation::KindMismatch {
+        lattice: ops.name().to_string(),
+        kind: kind.clone(),
+        found,
+    };
+    let Some(words) = FlatWords::of(ops) else {
+        return Err(mismatch("it has no top element".to_string()));
+    };
+    let mut spill = SpillTable::default();
+    let mut elems: Vec<(&Value, u64)> = Vec::new();
+    for e in [ops.bottom()].into_iter().chain(ops.top()).chain(samples) {
+        let Some(word) = words.encode_mut(e, &mut spill) else {
+            return Err(mismatch(format!(
+                "the sample {e} is not one of its elements"
+            )));
+        };
+        if elems.iter().all(|&(_, w)| w != word) {
+            elems.push((e, word));
+        }
+    }
+    if elems.len() < 4 {
+        let found = "fewer than two samples lie strictly between ⊥ and ⊤";
+        return Err(mismatch(found.to_string()));
+    }
+    let panicked = |p: OpsPanic| mismatch(format!("{} panicked: {}", p.function, p.payload));
+    for &(a, wa) in &elems {
+        for &(b, wb) in &elems {
+            let leq = ops.try_leq(a, b).map_err(panicked)?;
+            if leq != flat_leq(wa, wb) {
+                return Err(mismatch(format!("its leq({a}, {b}) is {leq}")));
+            }
+            let lub = ops.try_lub(a, b).map_err(panicked)?;
+            let glb = ops.try_glb(a, b).map_err(panicked)?;
+            for (op, got, word) in [
+                ("lub", lub, flat_lub(wa, wb)),
+                ("glb", glb, flat_glb(wa, wb)),
+            ] {
+                let expected = words.decode(word, &spill);
+                if got != expected {
+                    return Err(mismatch(format!(
+                        "its {op}({a}, {b}) is {got}, not {expected}"
+                    )));
                 }
             }
         }

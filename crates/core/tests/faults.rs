@@ -772,3 +772,236 @@ fn cancellation_mid_plan_with_provenance_keeps_a_consistent_partial() {
     );
     assert_eq!(failure.partial.len("Out"), Some(0));
 }
+
+// ---------------------------------------------------------------------
+// Built-in lattice kinds and word forms: the engine stops calling the
+// closures of a lattice that declares a kind, so a declaration its
+// closures do not keep is refused before anything runs, and a word form
+// that misbehaves is contained like a closure.
+// ---------------------------------------------------------------------
+
+/// `Dist(k, c) :- Start(k, c)` over `ops`, with two facts.
+fn dist_program(ops: LatticeOps) -> Program {
+    use flix_core::ValueLattice;
+    use flix_lattice::MinCost;
+    let mut b = ProgramBuilder::new();
+    let start = b.relation("Start", 2);
+    let dist = b.lattice("Dist", 2, ops);
+    for (k, c) in [(1, 3), (1, 5)] {
+        b.fact(start, vec![Value::Int(k), MinCost::finite(c).to_value()]);
+    }
+    b.rule(
+        Head::new(dist, [HeadTerm::var("k"), HeadTerm::var("c")]),
+        [BodyItem::atom(start, [Term::var("k"), Term::var("c")])],
+    );
+    b.build().expect("valid")
+}
+
+#[test]
+fn a_declared_kind_the_closures_do_not_keep_is_refused_before_any_solve() {
+    use flix_core::{LatticeKind, Query, ValueLattice};
+    use flix_lattice::MinCost;
+    let flat = LatticeKind::Flat { tag: "Fin".into() };
+    let fin = |c: u64| MinCost::finite(c).to_value();
+    let lying = |samples: Vec<Value>| LatticeOps::of::<MinCost>().with_kind(flat.clone(), samples);
+    // `MinCost` is a chain: Fin(1) ⊔ Fin(2) is Fin(1), where the flat
+    // kind has ⊤ (`Fin(0)`).
+    // Too few samples, or one that is no element of the kind, cannot
+    // establish the claim either.
+    let cases = [
+        (
+            lying(vec![fin(1), fin(2), fin(3)]),
+            "lub(Fin(1), Fin(2)) is Fin(1), not Fin(0)",
+        ),
+        (lying(vec![fin(1)]), "fewer than two samples"),
+        (
+            lying(vec![fin(1), Value::Int(2)]),
+            "the sample 2 is not one of its elements",
+        ),
+    ];
+    for (ops, found) in cases {
+        let program = dist_program(ops);
+        let solver = Solver::new().record_provenance(true);
+        let failures = [
+            solver.solve(&program).expect_err("refused"),
+            solver
+                .solve_query(&program, &[Query::new("Dist", vec![None, None])])
+                .expect_err("refused"),
+        ];
+        for failure in failures {
+            let SolveError::SafetyViolation {
+                predicate,
+                rule: None,
+                violation:
+                    Violation::KindMismatch {
+                        lattice,
+                        kind,
+                        found: got,
+                    },
+            } = &failure.error
+            else {
+                panic!("expected a refused kind, got {:?}", failure.error);
+            };
+            assert_eq!((predicate.as_str(), lattice.as_str()), ("Dist", "MinCost"));
+            assert_eq!(kind, &flat);
+            assert!(got.contains(found), "{got:?} names {found:?}");
+            assert_eq!(failure.stats.rounds, 0, "nothing ran");
+            assert_eq!(failure.partial.total_facts(), 0, "nothing was asserted");
+            assert!(failure
+                .error
+                .to_string()
+                .contains("declares the flat Fin(_) kind"));
+        }
+    }
+    // Without the claim, the same closures solve: ⊑ on the chain.
+    let honest = Solver::new().solve(&dist_program(LatticeOps::of::<MinCost>()));
+    let honest = honest.expect("solves");
+    assert_eq!(honest.lattice_value("Dist", &[Value::Int(1)]), Some(fin(3)));
+}
+
+/// Counts calls of one form of a function.
+fn counter() -> (
+    std::sync::Arc<std::sync::atomic::AtomicUsize>,
+    impl Fn() -> usize,
+) {
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    let calls = std::sync::Arc::new(AtomicUsize::new(0));
+    let read = {
+        let calls = calls.clone();
+        move || calls.load(Ordering::Relaxed)
+    };
+    (calls, read)
+}
+
+#[test]
+fn word_forms_run_where_the_plan_holds_words_and_misbehaving_ones_are_contained() {
+    use flix_core::{ValueLattice, WordType, FLAT_TOP, WORD_FALSE, WORD_TRUE};
+    use flix_lattice::Constant;
+    use std::sync::atomic::Ordering;
+    // Val(k, cst(n)) :- Seed(k, n).          — a word-form head application
+    // Top(k) :- Val(k, v), is_top(v).         — a word-form filter
+    // Echo(k) :- Val(k, v), Mark(v), is_top(v). — `v` is also a join key:
+    //                                            boxed, so the boxed form
+    let build = |word: fn(&[u64]) -> u64, test: fn(&[u64]) -> u64| {
+        let (cst_boxed, cst_boxed_n) = counter();
+        let (cst_word, cst_word_n) = counter();
+        let (top_boxed, top_boxed_n) = counter();
+        let (top_word, top_word_n) = counter();
+        let consts = LatticeOps::of::<Constant>();
+        let elem = WordType::Elem(consts.kind().expect("Constant is flat").clone());
+        let mut b = ProgramBuilder::new();
+        let seed = b.relation("Seed", 2);
+        let mark = b.relation("Mark", 1);
+        let val = b.lattice("Val", 2, consts);
+        let top = b.relation("Top", 1);
+        let echo = b.relation("Echo", 1);
+        let cst = b.function("cst", move |args| {
+            cst_boxed.fetch_add(1, Ordering::Relaxed);
+            Constant::cst(args[0].as_int().expect("int")).to_value()
+        });
+        b.word_form(cst, [WordType::Slot], elem.clone(), move |w| {
+            cst_word.fetch_add(1, Ordering::Relaxed);
+            word(w)
+        });
+        let is_top = b.function("is_top", move |args| {
+            top_boxed.fetch_add(1, Ordering::Relaxed);
+            Value::Bool(Constant::expect_from(&args[0]) == Constant::top_const())
+        });
+        b.word_form(is_top, [elem], WordType::Slot, move |w| {
+            top_word.fetch_add(1, Ordering::Relaxed);
+            test(w)
+        });
+        for (k, n) in [(1, 3), (1, 4), (2, 5)] {
+            b.fact(seed, vec![Value::Int(k), Value::Int(n)]);
+        }
+        b.fact(mark, vec![Constant::top_const().to_value()]);
+        let v = Term::var;
+        b.rule(
+            Head::new(val, [HeadTerm::var("k"), HeadTerm::app(cst, [v("n")])]),
+            [BodyItem::atom(seed, [v("k"), v("n")])],
+        );
+        b.rule(
+            Head::new(top, [HeadTerm::var("k")]),
+            [
+                BodyItem::atom(val, [v("k"), v("v")]),
+                BodyItem::filter(is_top, [v("v")]),
+            ],
+        );
+        b.rule(
+            Head::new(echo, [HeadTerm::var("k")]),
+            [
+                BodyItem::atom(val, [v("k"), v("v")]),
+                BodyItem::atom(mark, [v("v")]),
+                BodyItem::filter(is_top, [v("v")]),
+            ],
+        );
+        let program = b.build().expect("valid");
+        let counts = move || [cst_word_n(), cst_boxed_n(), top_word_n(), top_boxed_n()];
+        (program, counts)
+    };
+    let model = |solution: &flix_core::Solution| {
+        let mut facts: Vec<String> = ["Val", "Top", "Echo"]
+            .iter()
+            .flat_map(|name| {
+                solution
+                    .facts(name)
+                    .expect("declared")
+                    .map(move |f| format!("{name}({f})"))
+            })
+            .collect();
+        facts.sort();
+        facts
+    };
+    let expected = ["Echo(1)", "Top(1)", "Val(1, Top)", "Val(2, Cst(5))"];
+
+    // Well-behaved word forms: the filter and the application run on
+    // words; only the `Echo` rule's filter, whose argument is boxed,
+    // calls a boxed form.
+    let (program, counts) = build(
+        |w| w[0],
+        |w| {
+            if w[0] == FLAT_TOP {
+                WORD_TRUE
+            } else {
+                WORD_FALSE
+            }
+        },
+    );
+    let solution = Solver::new().solve(&program).expect("solves");
+    assert_eq!(model(&solution), expected);
+    let [cst_word, cst_boxed, top_word, echo] = counts();
+    assert_eq!((cst_word, cst_boxed), (3, 0), "cst: word form only");
+    assert!(top_word > 0, "is_top on a word register: word form");
+    assert!(echo > 0, "is_top on the boxed register of `Echo`'s rule");
+    // The boxed reference makes the same calls, all boxed, and agrees.
+    let reference = Solver::new()
+        .solve(&program.boxed_reference())
+        .expect("solves");
+    assert_eq!(model(&reference), expected);
+    assert_eq!(counts(), [cst_word, 3, top_word, echo + top_word + echo]);
+
+    // A word that is no word of its type — an application's that no
+    // element has, a filter's that is no boolean — is dropped, and the
+    // boxed form decides that call.
+    let (program, counts) = build(|_| FLAT_TOP + 8, |_| 12345);
+    let solution = Solver::new().solve(&program).expect("solves");
+    assert_eq!(model(&solution), expected);
+    assert_eq!(counts(), [3, 3, top_word, top_word + echo]);
+
+    // A word form that panics is reported like the boxed form would be.
+    let (program, _) = build(|_| panic!("word form exploded"), |w| w[0]);
+    let failure = Solver::new().solve(&program).expect_err("fails");
+    let SolveError::FunctionPanicked {
+        function,
+        payload,
+        rule,
+        ..
+    } = &failure.error
+    else {
+        panic!("expected a caught panic, got {:?}", failure.error);
+    };
+    assert_eq!(
+        (function.as_str(), payload.as_str(), *rule),
+        ("cst", "word form exploded", Some(0))
+    );
+}

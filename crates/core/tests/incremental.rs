@@ -1366,3 +1366,95 @@ fn retracting_an_edge_no_derivation_used_runs_no_stratum() {
     let scratch = solver.solve(&updated).expect("solves");
     assert_eq!(dump(&base, &resumed), dump(&updated, &scratch));
 }
+
+/// Constant propagation over a flow graph, in the flat `Constant` lattice
+/// — whose cells are words — with a word-form head application:
+/// `Val(n, x, cst(c)) :- Assign(n, x, c)` and
+/// `Val(m, x, v) :- Flow(n, m), Val(n, x, v), !Kill(m, x)`. Node 0 sets
+/// `x = 1`, node 1 sets `x = 2`; both reach node 3, where they meet at ⊤
+/// while both paths stand.
+fn constant_program() -> Program {
+    use flix_core::WordType;
+    use flix_lattice::Constant;
+    let consts = LatticeOps::of::<Constant>();
+    let elem = WordType::Elem(consts.kind().expect("Constant is flat").clone());
+    let mut b = ProgramBuilder::new();
+    let flow = b.relation("Flow", 2);
+    let assign = b.relation("Assign", 3);
+    let kill = b.relation("Kill", 2);
+    let val = b.lattice("Val", 3, consts);
+    let cst = b.function("cst", |args| {
+        Constant::cst(args[0].as_int().expect("int")).to_value()
+    });
+    b.word_form(cst, [WordType::Slot], elem, |words| words[0]);
+    for (n, m) in [(0, 2), (1, 3), (2, 3), (3, 4), (4, 5)] {
+        b.fact(flow, vec![Value::from(n), Value::from(m)]);
+    }
+    for (n, c) in [(0, 1), (1, 2)] {
+        b.fact(
+            assign,
+            vec![Value::from(n), Value::from("x"), Value::from(c)],
+        );
+        b.fact(kill, vec![Value::from(n), Value::from("x")]);
+    }
+    let v = Term::var;
+    b.rule(
+        Head::new(
+            val,
+            [
+                HeadTerm::var("n"),
+                HeadTerm::var("x"),
+                HeadTerm::app(cst, [v("c")]),
+            ],
+        ),
+        [BodyItem::atom(assign, [v("n"), v("x"), v("c")])],
+    );
+    b.rule(
+        Head::new(
+            val,
+            [HeadTerm::var("m"), HeadTerm::var("x"), HeadTerm::var("v")],
+        ),
+        [
+            BodyItem::atom(flow, [v("n"), v("m")]),
+            BodyItem::atom(val, [v("n"), v("x"), v("v")]),
+            BodyItem::not(kill, [v("m"), v("x")]),
+        ],
+    );
+    b.build().expect("valid program")
+}
+
+#[test]
+fn insert_retract_insert_on_a_word_lattice_matches_scratch() {
+    use flix_lattice::Constant;
+    let base = constant_program();
+    let edge = |n: i64, m: i64| vec![Value::from(n), Value::from(m)];
+    let at = |solution: &Solution, n: i64| {
+        solution.lattice_value("Val", &[Value::from(n), Value::from("x")])
+    };
+    // The new edge brings 2 to node 5 past node 4 as well; the retraction
+    // leaves node 3 to node 1's 2 alone; the re-insertion meets it again.
+    let steps = [
+        Delta::new().insert("Flow", edge(1, 5)),
+        Delta::new().retract("Flow", edge(2, 3)),
+        Delta::new().insert("Flow", edge(2, 3)),
+    ];
+    let cells_at_3 = [
+        Constant::top_const(),
+        Constant::cst(2),
+        Constant::top_const(),
+    ];
+    for solver in retraction_configurations() {
+        let mut current = solver.solve(&base).expect("solves");
+        assert_eq!(at(&current, 5), Some(Constant::top_const().to_value()));
+        let mut store = base.with_delta(&Delta::new()).expect("fits");
+        for (delta, cell) in steps.iter().zip(&cells_at_3) {
+            current = solver.resume(&base, &current, delta).expect("resumes");
+            store = store.with_delta(delta).expect("the delta fits");
+            let scratch = solver.solve(&store).expect("solves");
+            assert_eq!(dump(&base, &current), dump(&store, &scratch));
+            assert!(is_model(&store, &current), "a model");
+            assert!(is_locally_minimal(&store, &current), "minimal");
+            assert_eq!(at(&current, 3), Some(cell.to_value()));
+        }
+    }
+}

@@ -33,7 +33,7 @@
 mod common;
 
 use common::golden::{
-    all_pairs_40, fnv1a, ifds_taint_8x16, pair, per_strategy, sequences, FNV_OFFSET,
+    all_pairs_40, flat_programs, fnv1a, ifds_taint_8x16, pair, per_strategy, sequences, FNV_OFFSET,
 };
 use common::{random_program, RandomProgram};
 use flix::{Delta, Program, Query, Solution, Solver, Value};
@@ -195,8 +195,23 @@ fn resume_digests(seed: u64) -> [[u64; 2]; 3] {
     })
 }
 
+/// Per program over flat lattices: `[solve, insert → retract → insert]`
+/// × strategies (the sequence with provenance on, as above).
+fn flat_digests() -> [[[u64; 2]; 2]; 2] {
+    flat_programs().map(|(label, program, steps)| {
+        let resumed = format!("{label}/resume");
+        [
+            per_strategy(label, false, |solver| solve_digest(&program, solver)),
+            per_strategy(&resumed, true, |solver| {
+                sequence_digest(&program, &steps, solver)
+            }),
+        ]
+    })
+}
+
 // ---------------------------------------------------------------------
-// The constants, recorded at the parent of PR 23.
+// The constants, recorded at the parent of PR 23 — but for `FLAT`,
+// recorded at the parent of PR 25.
 // ---------------------------------------------------------------------
 
 #[rustfmt::skip]
@@ -422,6 +437,12 @@ const RESUME: [[[u64; 2]; 3]; 8] = [
 const ALL_PAIRS_40: [u64; 2] = [0x8a88189165c91196, 0xc287f6ed2df01df6];
 const IFDS_TAINT_8X16: [u64; 2] = [0x60aeed26ce9a5a90, 0xec8db259afc6c3d9];
 
+#[rustfmt::skip]
+const FLAT: [[[u64; 2]; 2]; 2] = [
+    [[0x20b7f276220f1467, 0x127d38437a4b8501], [0xa750f3036c69b6ad, 0x347d2f3790a05574]],
+    [[0x5744ef9e8548ee97, 0xdb8955a248ed64db], [0xf89a718a2f7a069c, 0x1c9ca159d68cef3d]],
+];
+
 #[test]
 fn random_programs_solve_as_captured() {
     for seed in 0..100u64 {
@@ -473,6 +494,15 @@ fn ifds_taint_8x16_solves_as_captured() {
     assert_eq!(digests, IFDS_TAINT_8X16);
 }
 
+#[test]
+fn flat_lattice_programs_solve_as_captured() {
+    assert_eq!(
+        flat_digests(),
+        FLAT,
+        "[Figure 4, Figure 6] × [solve, resume sequence] × [semi-naïve, naïve]"
+    );
+}
+
 /// Prints the constants above as Rust source.
 #[test]
 #[ignore = "records new constants; see the module docs"]
@@ -501,4 +531,9 @@ fn print_golden() {
         solve_digest(&ifds, solver)
     });
     println!("const IFDS_TAINT_8X16: [u64; 2] = {};", pair(ifds));
+    println!("\n#[rustfmt::skip]\nconst FLAT: [[[u64; 2]; 2]; 2] = [");
+    for [solve, resume] in flat_digests() {
+        println!("    [{}, {}],", pair(solve), pair(resume));
+    }
+    println!("];");
 }

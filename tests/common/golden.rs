@@ -1,16 +1,19 @@
 //! What the two golden captures — `provenance_golden.rs` (the decoded
 //! event log) and `capture_golden.rs` (models and work counters) — share:
-//! the digest function, the two `work_counters.rs` programs, and the
-//! three resume sequences per seed. Changing a program or a sequence here
+//! the digest function, the two `work_counters.rs` programs, the three
+//! resume sequences per seed, and the two programs over flat lattices
+//! with their resume sequence. Changing a program or a sequence here
 //! moves the constants of both files.
 #![allow(dead_code)] // the parity suites include `common` for `random_program` alone
 
+use flix::analyses::ide::{self, linear_constant::LinearConstant};
 use flix::analyses::ifds::{self, problems::Taint};
 use flix::analyses::shortest_paths;
-use flix::analyses::workloads::graphs;
+use flix::analyses::strong_update;
 use flix::analyses::workloads::jvm_program::{self, GenParams};
+use flix::analyses::workloads::{c_program, graphs};
 use flix::lattice::rng::SmallRng;
-use flix::lattice::MinCost;
+use flix::lattice::{Constant, MinCost};
 use flix::{Delta, Program, Solver, Strategy, Value, ValueLattice};
 use std::sync::Arc;
 
@@ -109,6 +112,76 @@ pub fn sequences(program: &Program, key_width: usize, seed: u64) -> [Vec<Delta>;
         Delta::new().retract("Edge", victim),
     ];
     [inserts, retracts, again]
+}
+
+/// The programs whose lattices are flat — `random_program` draws
+/// `MinCost` only — each with one insert → retract → insert sequence:
+/// Figure 4 (`SULattice`) on a small seeded row of Table 1, and Figure 6
+/// (IDE, `Constant` values over `Transformer` micro-functions) on a small
+/// supergraph. Every step stays warm: no delta reaches `Kill`, the one
+/// negated predicate.
+pub fn flat_programs() -> [(&'static str, Program, Vec<Delta>); 2] {
+    let int = |n: u32| Value::from(n as i64);
+
+    let row = c_program::TABLE_1
+        .iter()
+        .find(|row| row.name == "456.hmmer")
+        .expect("Table 1 lists 456.hmmer");
+    // 84 `Single` and 53 `Top` cells in `SUAfter`, 9 `Kill` facts.
+    let input = c_program::generate_row(row, 0.002, 1);
+    // A store that writes something, and a new edge out of its label.
+    let pts = input.andersen();
+    let points = |v| pts.get(&v).is_some_and(|objs| !objs.is_empty());
+    let &(l, p, q) = input
+        .store
+        .iter()
+        .rfind(|&&(_, p, q)| points(p) && points(q))
+        .expect("a store writes");
+    let to = (l + 2..input.num_labels)
+        .find(|&to| !input.cfg.contains(&(l, to)))
+        .expect("a label after");
+    let fresh = (l, to);
+    let store = vec![int(l), int(p), int(q)];
+    let su = vec![
+        Delta::new().insert("CFG", vec![int(fresh.0), int(fresh.1)]),
+        Delta::new().retract("Store", store.clone()),
+        Delta::new().insert("Store", store),
+    ];
+
+    let model = Arc::new(jvm_program::generate(GenParams {
+        num_procs: 4,
+        nodes_per_proc: 9,
+        vars_per_proc: 4,
+        call_percent: 25,
+        seed: 0xF1A7,
+    }));
+    let graph = &model.graph;
+    // A loop closed by the edge back from 6 to 5 joins 7 of the 9 `Cst`
+    // cells of `Result` to `Top`.
+    let (from, to) = graph.cfg[6];
+    let (edge, back) = (vec![int(from), int(to)], vec![int(to), int(from)]);
+    let ide = vec![
+        Delta::new().insert("CFG", back).raise(
+            "ResultProc",
+            vec![int(model.main), 1.into()],
+            Constant::cst(5).to_value(),
+        ),
+        Delta::new().retract("CFG", edge.clone()),
+        Delta::new().insert("CFG", edge),
+    ];
+    let problem = Arc::new(LinearConstant::new(model.clone()));
+    [
+        (
+            "su/456.hmmer",
+            strong_update::flix::build_program(&input),
+            su,
+        ),
+        (
+            "ide/linear_constant",
+            ide::flix::build_program(graph, problem),
+            ide,
+        ),
+    ]
 }
 
 pub fn pair(digests: [u64; 2]) -> String {

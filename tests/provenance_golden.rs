@@ -21,7 +21,9 @@
 
 mod common;
 
-use common::golden::{all_pairs_40, fnv1a, ifds_taint_8x16, pair, sequences, FNV_OFFSET};
+use common::golden::{
+    all_pairs_40, flat_programs, fnv1a, ifds_taint_8x16, pair, sequences, FNV_OFFSET,
+};
 use common::random_program;
 use flix::{Delta, Program, Query, Solution, Solver, Value};
 use std::fmt::Write as _;
@@ -128,8 +130,21 @@ fn resume_digests(seed: u64) -> [[u64; 2]; 3] {
     })
 }
 
+/// Per program over flat lattices: `[solve, insert → retract → insert]`
+/// × strategies.
+fn flat_digests() -> [[[u64; 2]; 2]; 2] {
+    flat_programs().map(|(label, program, steps)| {
+        let resumed = format!("{label}/resume");
+        [
+            per_strategy(label, |solver| solve_digest(&program, solver)),
+            per_strategy(&resumed, |solver| sequence_digest(&program, &steps, solver)),
+        ]
+    })
+}
+
 // ---------------------------------------------------------------------
-// The constants, recorded at the parent of PR 22.
+// The constants, recorded at the parent of PR 22 — but for `FLAT`,
+// recorded at the parent of PR 25.
 // ---------------------------------------------------------------------
 
 #[rustfmt::skip]
@@ -252,6 +267,12 @@ const ALL_PAIRS_40: [u64; 2] = [0x2813c38c27a412be, 0x2156b164be69d8c7];
 const IFDS_TAINT_8X16: [u64; 2] = [0x62fcdd217747a1a2, 0x42eabee488a0d3e2];
 const DEMAND_ALL_PAIRS_40: [u64; 2] = [0x8b52f8c305c64345, 0xa1d1ef1052cc2b79];
 
+#[rustfmt::skip]
+const FLAT: [[[u64; 2]; 2]; 2] = [
+    [[0x0969144ea8334e6c, 0x8d8d6e4f2497a532], [0xe308ea17e8f1b965, 0x65f58d92527a3f2c]],
+    [[0x1f0327f1481fe55f, 0xac8eab857ef10f0f], [0x2b55a4a9d0b2cd09, 0x94ffad5e8b9bec1c]],
+];
+
 #[test]
 fn random_programs_log_what_they_logged() {
     for seed in 0..100u64 {
@@ -302,6 +323,15 @@ fn a_demand_query_logs_what_it_logged() {
     );
 }
 
+#[test]
+fn flat_lattice_programs_log_what_they_logged() {
+    assert_eq!(
+        flat_digests(),
+        FLAT,
+        "[Figure 4, Figure 6] × [solve, resume sequence] × [semi-naïve, naïve]"
+    );
+}
+
 /// Prints the constants above as Rust source.
 #[test]
 #[ignore = "records new constants; see the module docs"]
@@ -324,4 +354,9 @@ fn print_golden() {
     println!("const IFDS_TAINT_8X16: [u64; 2] = {};", pair(ifds));
     let demand = per_strategy("demand/all_pairs_40", demand_digest);
     println!("const DEMAND_ALL_PAIRS_40: [u64; 2] = {};", pair(demand));
+    println!("\n#[rustfmt::skip]\nconst FLAT: [[[u64; 2]; 2]; 2] = [");
+    for [solve, resume] in flat_digests() {
+        println!("    [{}, {}],", pair(solve), pair(resume));
+    }
+    println!("];");
 }

@@ -2,12 +2,36 @@
 //!
 //! The flow functions are registered as engine functions returning sets;
 //! the `d3 <- eshIntra(n, d2)` arrow syntax of the figure maps onto the
-//! engine's choice bindings.
+//! engine's choice bindings. Nodes, procedures and facts are integers, so
+//! each flow function also has a choice form over their slots: Figure 5
+//! derives without a `Value` per derivation.
 
-use super::{IfdsProblem, IfdsResult, Node, Supergraph};
-use flix_core::{BodyItem, Head, HeadTerm, Program, ProgramBuilder, Query, Solver, Term, Value};
+use super::{Fact, IfdsProblem, IfdsResult, Node, Supergraph};
+use flix_core::{
+    int_of_slot, slot_of_int, BodyItem, Head, HeadTerm, Program, ProgramBuilder, Query, Solver,
+    Term, Value,
+};
 use std::collections::BTreeSet;
 use std::sync::Arc;
+
+/// An argument of a flow function's choice form: the integer in `slot`.
+fn int(slot: u64) -> i64 {
+    int_of_slot(slot).expect("flow functions read integers")
+}
+
+/// What a flow function's choice form writes: the slots of `facts` in the
+/// order of the set its boxed form returns, each once. Facts are small
+/// integers (variable numbers), held inline; a fact too wide for a slot
+/// would fail the solve as a panic of the flow function.
+fn write_facts(mut facts: Vec<Fact>, out: &mut Vec<u64>) {
+    facts.sort_unstable();
+    facts.dedup();
+    out.extend(
+        facts
+            .into_iter()
+            .map(|d| slot_of_int(d).expect("a fact fits an inline slot")),
+    );
+}
 
 /// Builds the Figure 5 program for a supergraph and problem.
 ///
@@ -30,6 +54,10 @@ pub fn build_program(graph: &Supergraph, problem: Arc<dyn IfdsProblem>) -> Progr
         let d = args[1].as_int().expect("fact");
         Value::set(p1.flow(n, d).into_iter().map(Value::Int))
     });
+    let p1 = Arc::clone(&problem);
+    b.choice_form(esh_intra, 1, move |words, out| {
+        write_facts(p1.flow(int(words[0]) as u32, int(words[1])), out);
+    });
     let p2 = Arc::clone(&problem);
     let esh_call_start_fn = b.function("eshCallStart", move |args| {
         let call = args[0].as_int().expect("node") as u32;
@@ -37,12 +65,22 @@ pub fn build_program(graph: &Supergraph, problem: Arc<dyn IfdsProblem>) -> Progr
         let target = args[2].as_int().expect("proc") as u32;
         Value::set(p2.call_flow(call, d, target).into_iter().map(Value::Int))
     });
+    let p2 = Arc::clone(&problem);
+    b.choice_form(esh_call_start_fn, 1, move |words, out| {
+        let (call, d, target) = (int(words[0]) as u32, int(words[1]), int(words[2]) as u32);
+        write_facts(p2.call_flow(call, d, target), out);
+    });
     let p3 = Arc::clone(&problem);
     let esh_end_return = b.function("eshEndReturn", move |args| {
         let target = args[0].as_int().expect("proc") as u32;
         let d = args[1].as_int().expect("fact");
         let call = args[2].as_int().expect("node") as u32;
         Value::set(p3.return_flow(target, d, call).into_iter().map(Value::Int))
+    });
+    let p3 = Arc::clone(&problem);
+    b.choice_form(esh_end_return, 1, move |words, out| {
+        let (target, d, call) = (int(words[0]) as u32, int(words[1]), int(words[2]) as u32);
+        write_facts(p3.return_flow(target, d, call), out);
     });
 
     // Supergraph facts.

@@ -267,6 +267,17 @@ pub(crate) struct WordForm {
     pub(crate) body: WordBody,
 }
 
+/// The shared closure type of choice forms.
+pub(crate) type ChoiceBody = Arc<dyn Fn(&[u64], &mut Vec<u64>) + Send + Sync>;
+
+/// A choice function's word form: its body over slots, and how many
+/// slots it writes per element.
+#[derive(Clone)]
+pub(crate) struct ChoiceForm {
+    pub(crate) width: usize,
+    pub(crate) body: ChoiceBody,
+}
+
 /// A registered function (transfer, filter, or choice).
 #[derive(Clone)]
 pub(crate) struct FuncDef {
@@ -274,6 +285,8 @@ pub(crate) struct FuncDef {
     pub(crate) body: FuncBody,
     /// The word form, when one was registered.
     pub(crate) word: Option<WordForm>,
+    /// The choice form, when one was registered.
+    pub(crate) choice: Option<ChoiceForm>,
 }
 
 impl fmt::Debug for FuncDef {
@@ -501,6 +514,7 @@ impl ProgramBuilder {
             name: name.into(),
             body: Arc::new(body),
             word: None,
+            choice: None,
         });
         id
     }
@@ -516,11 +530,12 @@ impl ProgramBuilder {
     /// of the declared type — a join column for [`WordType::Slot`], the
     /// value of a lattice of the declared kind for [`WordType::Elem`] — and
     /// where the result goes to a column of the declared type; everywhere
-    /// else, and for choices, it calls the boxed form. Both must compute
-    /// the same function: which one runs is the plan's choice. The word
-    /// form runs under the same panic isolation as the boxed one; a
-    /// result that is not a word of its type (for a filter: neither
-    /// boolean) is dropped, and the boxed form decides that call.
+    /// else it calls the boxed form. Both must compute the same function:
+    /// which one runs is the plan's choice. The word form runs under the
+    /// same panic isolation as the boxed one; a result that is not a word
+    /// of its type (for a filter: neither boolean) is dropped, and the
+    /// boxed form decides that call. A choice calls its
+    /// [`choice_form`](ProgramBuilder::choice_form), not this one.
     ///
     /// For Figure 4, `filter(t, b)` is `t == FLAT_TOP || t == b` and
     /// `single(b)` is `b`.
@@ -538,6 +553,47 @@ impl ProgramBuilder {
         self.funcs[func.0 as usize].word = Some(WordForm {
             params: params.into_iter().collect(),
             result,
+            body: Arc::new(body),
+        });
+    }
+
+    /// Registers `body` as the choice form of the set-valued `func`: the
+    /// same function over slots ([`WordType::Slot`]). It reads one slot
+    /// per argument and appends `width` slots per element of the set the
+    /// boxed form returns — an element's own slot for `width` 1, its
+    /// tuple's components otherwise — in the set's iteration order, each
+    /// element once.
+    ///
+    /// A choice `binds <- func(args)` with `width` binds calls the choice
+    /// form where every argument is a literal or a variable the plan holds
+    /// as a slot; its binds then live as slots too, so the elements go
+    /// from the function to the head without a `Value` in between. Every
+    /// other choice of `func` calls the boxed form. The choice form runs
+    /// under the same panic isolation as the boxed one. A written word
+    /// that is not a slot, or a count that is not a multiple of `width`,
+    /// fails the evaluation with [`Violation::ChoiceWordMalformed`]: the
+    /// binds already hold slots, so there is no boxed form to fall back
+    /// to. [`slot_of_int`](crate::slot_of_int) and
+    /// [`int_of_slot`](crate::int_of_slot) are the slots of integers.
+    ///
+    /// For Figure 5, each flow function maps its node and fact integers
+    /// to the sorted slots of the facts it returns.
+    ///
+    /// [`Violation::ChoiceWordMalformed`]: crate::verify::Violation::ChoiceWordMalformed
+    ///
+    /// # Panics
+    ///
+    /// Panics if `func` was not registered by this builder, or `width` is
+    /// zero.
+    pub fn choice_form(
+        &mut self,
+        func: FuncId,
+        width: usize,
+        body: impl Fn(&[u64], &mut Vec<u64>) + Send + Sync + 'static,
+    ) {
+        assert!(width > 0, "a choice binds at least one variable");
+        self.funcs[func.0 as usize].choice = Some(ChoiceForm {
+            width,
             body: Arc::new(body),
         });
     }

@@ -11,11 +11,12 @@
 //! Alongside the encoded columns each predicate keeps a flat row-major
 //! arena of decoded [`Value`]s — the borrowed `&[Value]` view the public
 //! iterators, the model checker, and the persistence layer read.
-//! Membership is a [`RowSet`]: an open-addressing set of `u32` row ids
-//! whose hashes and equality read the encoded columns, so a row is stored
-//! once and *referenced* by the set — not duplicated into it. Row ids are
-//! also how a change is reported ([`InsertOutcome`]) and how the solver
-//! holds a semi-naïve `∆`: nothing outside the store copies a tuple.
+//! Membership is a [`RowSet`]: an open-addressing set of `u32` row ids,
+//! each beside a 32-bit tag of its row's hash, whose equality reads the
+//! encoded columns, so a row is stored once and *referenced* by the set —
+//! not duplicated into it. Row ids are also how a change is reported
+//! ([`InsertOutcome`]) and how the solver holds a semi-naïve `∆`: nothing
+//! outside the store copies a tuple.
 //!
 //! Each kind has one insertion body that takes *encoded* slots
 //! ([`RelationData::insert_encoded`], [`LatticeData::join_inner`]), which
@@ -152,6 +153,29 @@ pub const WORD_TRUE: u64 = pack(TAG_BOOL, 1);
 /// decode. Anything outside spills.
 const INT_INLINE_MIN: i64 = -(1 << 60);
 const INT_INLINE_MAX: i64 = (1 << 60) - 1;
+
+/// The slot of `Value::Int(n)`, for a word form to read or write: `None`
+/// when `n` is too wide to be held inline (such an integer is spilled,
+/// and its slot is the store's to give).
+#[inline]
+pub const fn slot_of_int(n: i64) -> Option<u64> {
+    if n >= INT_INLINE_MIN && n <= INT_INLINE_MAX {
+        Some(pack(TAG_INT, n as u64))
+    } else {
+        None
+    }
+}
+
+/// The integer whose inline slot is `slot` — the inverse of
+/// [`slot_of_int`]; `None` for the slot of anything else.
+#[inline]
+pub const fn int_of_slot(slot: u64) -> Option<i64> {
+    if slot & TAG_MASK == TAG_INT {
+        Some((slot as i64) >> TAG_BITS)
+    } else {
+        None
+    }
+}
 
 #[inline]
 const fn pack(tag: u64, payload: u64) -> u64 {
@@ -412,79 +436,101 @@ impl ElemRef<'_> {
 // ---------------------------------------------------------------------------
 
 /// An open-addressing hash set of `u32` row ids. It stores *no* row data:
-/// hashing and equality read the owning predicate's encoded columns, so
-/// membership is an index into the columnar store rather than a second
-/// copy of every tuple (the old `HashMap<Row, ()>`).
+/// equality reads the owning predicate's encoded columns, so membership
+/// is an index into the columnar store rather than a second copy of every
+/// tuple (the old `HashMap<Row, ()>`). Each slot is `tag << 32 | id`, the
+/// tag being the high half of the row's hash: the home slot is taken from
+/// the tag, a lookup passes over a slot whose tag differs without reading
+/// its row, and growing and removing rehash from the stored tags alone.
 #[derive(Clone, Debug, Default)]
 pub(crate) struct RowSet {
-    /// Power-of-two slot array; `u32::MAX` marks an empty slot.
-    slots: Vec<u32>,
+    /// Power-of-two slot array; [`EMPTY_SLOT`] marks an empty slot.
+    slots: Vec<u64>,
     len: usize,
 }
 
-const EMPTY_SLOT: u32 = u32::MAX;
+/// No row has the id `u32::MAX` ([`Columns::append`]), so no slot of a
+/// row is all ones.
+const EMPTY_SLOT: u64 = u64::MAX;
 
 /// Sentinel for "row id unknown" on the encoded lattice insert path.
 pub(crate) const NO_ID: u32 = u32::MAX;
 
+/// The slot of row `id`, whose row hashes to `hash`: its tag beside it.
+#[inline]
+fn tagged(hash: u64, id: u32) -> u64 {
+    hash & !(u32::MAX as u64) | id as u64
+}
+
+/// The home slot of a hash — or of a slot, which keeps its hash's tag.
+#[inline]
+fn home(hash: u64, mask: usize) -> usize {
+    (hash >> 32) as usize & mask
+}
+
 impl RowSet {
-    /// Finds the id of the row with `hash` for which `eq` holds.
+    /// Finds the id of the row with `hash` for which `eq` holds. `eq` is
+    /// asked only about rows whose tag is `hash`'s.
     #[inline]
     fn lookup(&self, hash: u64, eq: impl Fn(u32) -> bool) -> Option<u32> {
         if self.slots.is_empty() {
             return None;
         }
         let mask = self.slots.len() - 1;
-        let mut i = (hash as usize) & mask;
+        let tag = hash >> 32;
+        let mut i = home(hash, mask);
         loop {
-            let id = self.slots[i];
-            if id == EMPTY_SLOT {
+            let slot = self.slots[i];
+            if slot == EMPTY_SLOT {
                 return None;
             }
-            if eq(id) {
-                return Some(id);
+            if slot >> 32 == tag && eq(slot as u32) {
+                return Some(slot as u32);
             }
             i = (i + 1) & mask;
         }
     }
 
-    /// Inserts an id known to be absent, growing (and rehashing via
-    /// `hash_of`) at 7/8 load.
-    fn insert_new(&mut self, hash: u64, id: u32, hash_of: impl Fn(u32) -> u64) {
+    /// Inserts an id known to be absent, growing at 7/8 load.
+    fn insert_new(&mut self, hash: u64, id: u32) {
         if self.slots.len() < 8 || self.len + 1 > self.slots.len() / 8 * 7 {
-            let cap = (self.slots.len() * 2).max(8);
-            let mut grown = vec![EMPTY_SLOT; cap];
-            let mask = cap - 1;
-            for &old in &self.slots {
-                if old == EMPTY_SLOT {
-                    continue;
-                }
-                let mut i = (hash_of(old) as usize) & mask;
-                while grown[i] != EMPTY_SLOT {
-                    i = (i + 1) & mask;
-                }
-                grown[i] = old;
+            let grown = vec![EMPTY_SLOT; (self.slots.len() * 2).max(8)];
+            let old = std::mem::replace(&mut self.slots, grown);
+            for slot in old.into_iter().filter(|&slot| slot != EMPTY_SLOT) {
+                self.place(slot);
             }
-            self.slots = grown;
         }
-        let mask = self.slots.len() - 1;
-        let mut i = (hash as usize) & mask;
-        while self.slots[i] != EMPTY_SLOT {
-            i = (i + 1) & mask;
-        }
-        self.slots[i] = id;
+        self.place(tagged(hash, id));
         self.len += 1;
     }
 
-    /// The slot holding `id`, whose row hashes to `hash`.
-    fn slot_of(&self, hash: u64, id: u32) -> usize {
+    /// Puts `slot` at the first empty slot from its home on.
+    fn place(&mut self, slot: u64) {
         let mask = self.slots.len() - 1;
-        let mut i = (hash as usize) & mask;
-        while self.slots[i] != id {
+        let mut i = home(slot, mask);
+        while self.slots[i] != EMPTY_SLOT {
+            i = (i + 1) & mask;
+        }
+        self.slots[i] = slot;
+    }
+
+    /// The position of row `id`, whose row hashes to `hash`.
+    fn position(&self, hash: u64, id: u32) -> usize {
+        let mask = self.slots.len() - 1;
+        let slot = tagged(hash, id);
+        let mut i = home(hash, mask);
+        while self.slots[i] != slot {
             assert_ne!(self.slots[i], EMPTY_SLOT, "row {id} is in the set");
             i = (i + 1) & mask;
         }
         i
+    }
+
+    /// Points the slot of row `from`, whose row hashes to `hash`, at `to`:
+    /// the row moved.
+    fn renumber(&mut self, hash: u64, from: u32, to: u32) {
+        let at = self.position(hash, from);
+        self.slots[at] = tagged(hash, to);
     }
 
     /// Removes `id`, whose row hashes to `hash`, by backward shift: each
@@ -492,9 +538,9 @@ impl RowSet {
     /// would put it before its home slot. No tombstone is left behind,
     /// so [`RowSet::lookup`] and [`RowSet::insert_new`] need not know
     /// that rows can go.
-    fn remove(&mut self, hash: u64, id: u32, hash_of: impl Fn(u32) -> u64) {
+    fn remove(&mut self, hash: u64, id: u32) {
         let mask = self.slots.len() - 1;
-        let mut hole = self.slot_of(hash, id);
+        let mut hole = self.position(hash, id);
         let mut i = hole;
         loop {
             i = (i + 1) & mask;
@@ -504,7 +550,7 @@ impl RowSet {
             }
             // Cyclic distances back from `i`: `later` stays reachable
             // from its home slot only if the hole is no further.
-            let home = (hash_of(later) as usize) & mask;
+            let home = home(later, mask);
             if (i.wrapping_sub(home) & mask) >= (i.wrapping_sub(hole) & mask) {
                 self.slots[hole] = later;
                 hole = i;
@@ -683,8 +729,7 @@ impl Columns {
         }
         self.flat.extend(enc.iter().map(|&e| decode(e, spill)));
         self.len += 1;
-        let cols = &self.cols;
-        self.set.insert_new(hash, id, |rid| stored_hash(cols, rid));
+        self.set.insert_new(hash, id);
         Ok(id)
     }
 
@@ -720,12 +765,9 @@ impl Columns {
                 ids.insert(at, id);
             }
         }
-        let cols = &self.cols;
-        self.set
-            .remove(stored_hash(cols, id), id, |rid| stored_hash(cols, rid));
+        self.set.remove(stored_hash(&self.cols, id), id);
         if last != id {
-            let slot = self.set.slot_of(stored_hash(cols, last), last);
-            self.set.slots[slot] = id;
+            self.set.renumber(stored_hash(&self.cols, last), last, id);
         }
         for col in &mut self.cols {
             col.swap_remove(id as usize);
@@ -2160,6 +2202,112 @@ mod tests {
                 assert_store_is(&db, pred, mirror, gone);
             }
             assert!(removals > 100, "seed {seed}: {removals} removals");
+        }
+    }
+
+    /// A test-only row hash for keys that stand in for rows: sixteen tags,
+    /// `12 + key % 4 + 16 * (key / 4 % 4)`, each shared by every sixteenth
+    /// key, so a lookup also meets rows whose tag matches and whose key
+    /// does not. Up to 16 slots the homes are 12 to 15: one probe run of
+    /// rows from four neighbouring homes, wrapping past the end; at 64,
+    /// four such runs.
+    fn colliding(key: u64) -> u64 {
+        (12 + key % 4 + 16 * (key / 4 % 4)) << 32 | key
+    }
+
+    /// What [`Columns::lookup`] asks of the set, over `keys` as the rows,
+    /// counting the rows read: each must carry `key`'s tag.
+    fn find(set: &RowSet, keys: &[u64], key: u64, reads: &std::cell::Cell<usize>) -> Option<u32> {
+        set.lookup(colliding(key), |id| {
+            let row = keys[id as usize];
+            let tag = |key| colliding(key) >> 32;
+            assert_eq!(tag(row), tag(key), "row {row} read for {key}: another tag");
+            reads.set(reads.get() + 1);
+            row == key
+        })
+    }
+
+    /// Every slot is reachable from its home without crossing an empty one.
+    fn assert_runs_intact(set: &RowSet) {
+        let mask = set.slots.len() - 1;
+        for (at, &slot) in set.slots.iter().enumerate() {
+            if slot == EMPTY_SLOT {
+                continue;
+            }
+            let mut i = home(slot, mask);
+            while i != at {
+                assert_ne!(set.slots[i], EMPTY_SLOT, "slot {at} cut off from its home");
+                i = (i + 1) & mask;
+            }
+        }
+    }
+
+    #[test]
+    fn row_set_lookups_and_growth_under_colliding_tags() {
+        let reads = std::cell::Cell::new(0);
+        let mut set = RowSet::default();
+        let keys: Vec<u64> = (0..48).collect();
+        for (id, &key) in keys.iter().enumerate() {
+            assert_eq!(find(&set, &keys, key, &reads), None);
+            set.insert_new(colliding(key), id as u32);
+            assert_runs_intact(&set);
+            for (other, &stored) in keys[..=id].iter().enumerate() {
+                assert_eq!(find(&set, &keys, stored, &reads), Some(other as u32));
+            }
+        }
+        assert_eq!((set.len, set.slots.len()), (48, 64), "grown at 7/8 load");
+        // A tag no row has reads no row, however long the run it walks;
+        // a tag rows share reads those rows only.
+        let absent = (12 + 16 * 4) << 32;
+        assert_eq!(set.lookup(absent, |_| unreachable!("a row was read")), None);
+        reads.set(0);
+        assert_eq!(find(&set, &keys, 48, &reads), None);
+        assert_eq!(reads.get(), 3, "the rows of key 48's tag: 0, 16, 32");
+    }
+
+    #[test]
+    fn row_set_removal_by_backward_shift_under_colliding_tags() {
+        use flix_lattice::rng::SmallRng;
+        for seed in 0..4u64 {
+            let mut rng = SmallRng::seed_from_u64(seed ^ 0x7A6);
+            let reads = std::cell::Cell::new(0);
+            let mut set = RowSet::default();
+            // Row `id` is `keys[id]`; a removal moves the last row into the
+            // hole and renumbers its slot, as `Columns::remove` does.
+            let mut keys: Vec<u64> = (0..40).collect();
+            for (id, &key) in keys.iter().enumerate() {
+                set.insert_new(colliding(key), id as u32);
+            }
+            let (mut gone, mut refilled) = (Vec::new(), false);
+            while !keys.is_empty() {
+                let id = rng.index(keys.len());
+                let last = keys.len() - 1;
+                set.remove(colliding(keys[id]), id as u32);
+                if id != last {
+                    set.renumber(colliding(keys[last]), last as u32, id as u32);
+                }
+                gone.push(keys.swap_remove(id));
+                assert_runs_intact(&set);
+                assert_eq!(set.len, keys.len());
+                for (id, &key) in keys.iter().enumerate() {
+                    assert_eq!(
+                        find(&set, &keys, key, &reads),
+                        Some(id as u32),
+                        "seed {seed}"
+                    );
+                }
+                for &key in &gone {
+                    assert_eq!(find(&set, &keys, key, &reads), None, "seed {seed}");
+                }
+                // Room left by removals is taken up again.
+                if keys.len() == 20 && !refilled {
+                    refilled = true;
+                    let key = gone.pop().expect("removed");
+                    set.insert_new(colliding(key), keys.len() as u32);
+                    keys.push(key);
+                }
+            }
+            assert!(set.slots.iter().all(|&slot| slot == EMPTY_SLOT));
         }
     }
 

@@ -659,6 +659,18 @@ impl Program {
             index_requests: self.index_requests.clone(),
         })
     }
+
+    /// Whether `delta` fits this program's declarations — what
+    /// [`Solver::resume`] checks before it changes anything — in time
+    /// proportional to the delta alone.
+    ///
+    /// # Errors
+    ///
+    /// [`DeltaError::UnknownPredicate`] / [`DeltaError::ArityMismatch`]
+    /// for the first operation that does not fit.
+    pub fn check_delta(&self, delta: &Delta) -> Result<(), DeltaError> {
+        resolve_delta(self, delta).map(drop)
+    }
 }
 
 /// Resolves a name-based delta against the program's declarations,

@@ -35,22 +35,25 @@
 //!   compares (DESIGN §15). Either way a lattice atom is matched by the
 //!   glb semantics of §3.2. A variable lives in the encoded registers
 //!   unless it stands for an element of a boxed lattice, is bound by a
-//!   choice, or mixes representations (a word element also used as a
-//!   join key); then it is boxed ([`Classes`]);
+//!   choice that runs boxed, or mixes representations (a word element
+//!   also used as a join key); then it is boxed ([`Classes`]);
 //! * **a function runs on words where it can** — a filter or a head
 //!   application whose arguments are all encoded registers or literals
 //!   of the types its word form reads, and whose result its column takes
 //!   as a word, calls the word form ([`crate::ProgramBuilder::word_form`]);
-//!   any other call — and every choice — decodes and calls the boxed
-//!   form;
+//!   a choice whose function has a choice form of its width, and whose
+//!   arguments are all slots or literals, calls the choice form
+//!   ([`crate::ProgramBuilder::choice_form`]) and binds slots; any other
+//!   call decodes and calls the boxed form;
 //! * **negation is an absence test** — a negated atom only ever reads a
 //!   predicate of a lower, fully settled stratum, so it compiles to one
 //!   membership / cell lookup when its key is ground and to a scan of the
 //!   settled facts otherwise, binding nothing;
 //! * **choice is a fan-out, or a test** — a `<-` binding calls its
-//!   function once and recurses per element of the returned set, the
-//!   elements held in boxed registers because user code may return values
-//!   the store never saw; a bind that this body order has already bound
+//!   function once and recurses per element of the returned set: slots
+//!   written by the choice form into encoded registers, or — from the
+//!   boxed form, whose user code may return values the store never saw —
+//!   values in boxed ones; a bind that this body order has already bound
 //!   is compared, not overwritten, so a body means the same conjunction
 //!   in every order;
 //! * **premises are copied at emit** — when provenance is recorded, each
@@ -168,9 +171,10 @@ enum ArgSrc {
     Boxed(usize),
 }
 
-/// A call of a registered function (filters and head applications): its
-/// boxed argument list, and — where the function's word form reads what
-/// the registers hold and writes what the caller takes — the word form's.
+/// A call of a registered function (filters, head applications and
+/// choices): its boxed argument list, and — where the function's word
+/// form (a choice's: its choice form) reads what the registers hold and
+/// writes what the caller takes — the word form's.
 #[derive(Clone, Debug)]
 struct Call {
     func: usize,
@@ -263,15 +267,16 @@ enum Step {
         val: ValSpec,
     },
     /// A choice binding `binds <- func(args)`: the function's set result
-    /// fans out, each element's components going to the (boxed) `binds`
-    /// registers. A bind flagged `true` is bound by the time the step
-    /// runs — an earlier atom of this body order joins on it — and is a
-    /// membership test instead: only elements equal to the register
-    /// continue. A body is a conjunction; where the choice falls in the
-    /// order must not change what it means.
+    /// fans out, each element's components going to the `binds`
+    /// registers — encoded ones, written by the choice form, when the call
+    /// has `words`; boxed ones, from the boxed form's set, otherwise. A
+    /// bind flagged `true` is bound by the time the step runs — an earlier
+    /// atom of this body order joins on it — and is a membership test
+    /// instead: only elements equal to the register continue. A body is a
+    /// conjunction; where the choice falls in the order must not change
+    /// what it means.
     Choose {
-        func: usize,
-        args: Vec<ArgSrc>,
+        call: Call,
         binds: Vec<(usize, bool)>,
     },
     /// The first step of a head-bound plan (DESIGN §16): the sub-join
@@ -404,11 +409,14 @@ impl KernelSet {
 /// Where the variables of one body live while its plan runs (DESIGN
 /// §15). A variable is *boxed* when it ever stands for an element of a
 /// boxed lattice (there it must flow through `leq` / `glb` as a `Value`),
-/// is bound by a choice (its values come from user code and may never
-/// have been stored), or stands for an element of a word lattice and for
-/// anything else besides — a join column, an element of another lattice.
-/// A variable that only ever stands for the elements of one word lattice
-/// lives as that lattice's word; every other one as its store slot.
+/// stands for an element of a word lattice and for anything else besides
+/// — a join column, an element of another lattice — or is bound by a
+/// choice that runs boxed: one whose function has no choice form of its
+/// width ([`crate::ProgramBuilder::choice_form`]), or one with an argument
+/// or a bind that does not live as a slot. The binds of every other
+/// choice are slots, written by the choice form. A variable that only
+/// ever stands for the elements of one word lattice lives as that
+/// lattice's word; every other one as its store slot.
 struct Classes {
     boxed: HashSet<usize>,
     flat: HashMap<usize, FlatWords>,
@@ -445,8 +453,32 @@ impl Classes {
                         }
                     }
                 }
-                CItem::Choose { binds, .. } => boxed.extend(binds),
-                CItem::Filter { .. } => {}
+                CItem::Choose { .. } | CItem::Filter { .. } => {}
+            }
+        }
+        // A variable in `flat` ends up a word or boxed, never a slot. A
+        // choice that runs boxed boxes its binds, which may be another
+        // choice's arguments: until nothing changes.
+        let slot = |boxed: &HashSet<usize>, v: &usize| !boxed.contains(v) && !flat.contains_key(v);
+        loop {
+            let before = boxed.len();
+            for item in body {
+                let CItem::Choose { func, args, binds } = item else {
+                    continue;
+                };
+                let form = program.funcs[*func].choice.as_ref();
+                let words = form.is_some_and(|form| form.width == binds.len())
+                    && args.iter().all(|t| match t {
+                        CTerm::Var(v) => slot(&boxed, v),
+                        _ => true,
+                    })
+                    && binds.iter().all(|v| slot(&boxed, v));
+                if !words {
+                    boxed.extend(binds);
+                }
+            }
+            if boxed.len() == before {
+                break;
             }
         }
         let mut words = HashMap::new();
@@ -488,10 +520,11 @@ impl Classes {
 ///
 /// A head key column is *bindable* when it holds a literal — a lost key
 /// that differs there is not this rule's to derive — or a variable that
-/// lives as its store slot, which a positive body atom binds: the seed
-/// binds it before the body runs instead. A column that repeats a variable must
-/// repeat the value. Every other column — a choice-bound or boxed
-/// variable, a function application — is left for the body to produce.
+/// lives as its store slot, which a positive body atom or a choice form
+/// binds: the seed binds it before the body runs instead (a choice then
+/// tests the seeded slot). A column that repeats a variable must repeat
+/// the value. Every other column — a boxed variable, a function
+/// application — is left for the body to produce.
 /// `None` when there is nothing to re-derive or no column is bindable;
 /// the rule's full plan covers the second case.
 fn head_bound(
@@ -641,8 +674,7 @@ fn compile_body(
             }
             CItem::Choose { func, args, binds } => {
                 steps.push(Step::Choose {
-                    func: *func,
-                    args: arg_srcs(args, &classes),
+                    call: choice_call(program, db, &classes, *func, args, binds),
                     // Statically: whether an earlier step (or an earlier
                     // component of this tuple) binds the variable.
                     binds: binds.iter().map(|&b| (b, !bound.insert(b))).collect(),
@@ -928,6 +960,33 @@ fn call(
     }
 }
 
+/// Compiles the call of a choice `binds <- func(args)`: the boxed form
+/// always, and the choice form where [`Classes`] put the binds in the
+/// encoded registers — which it does only when the function has a choice
+/// form of this width and every argument is a literal or a slot.
+fn choice_call(
+    program: &Program,
+    db: &mut Database,
+    classes: &Classes,
+    func: usize,
+    args: &[CTerm],
+    binds: &[usize],
+) -> Call {
+    let form = program.funcs[func].choice.as_ref();
+    let words = form.is_some_and(|form| form.width == binds.len())
+        && binds.iter().all(|b| classes.is_slot(*b));
+    let word = |t: &CTerm| match t {
+        CTerm::Lit(v) => KeySrc::Lit(db.encode_literal(v)),
+        CTerm::Var(slot) => KeySrc::Slot(*slot),
+        CTerm::Wild => panic!("wildcard cannot be a function argument"),
+    };
+    Call {
+        func,
+        args: arg_srcs(args, classes),
+        words: words.then(|| args.iter().map(word).collect()),
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Interpreter
 // ---------------------------------------------------------------------------
@@ -952,6 +1011,9 @@ struct State<'a, 'o> {
     app: Option<Elem>,
     /// Reused for function-call arguments (filters and applications).
     args_buf: Vec<Value>,
+    /// Reused for what choice forms write: one buffer per choice step
+    /// running, taken while its elements fan out.
+    choice_bufs: Vec<Vec<u64>>,
     out: &'o mut Derivations,
     probes: u64,
     scans: u64,
@@ -1019,6 +1081,7 @@ pub(crate) struct KernelScratch {
     boxed: Vec<Option<Value>>,
     key_buf: Vec<u64>,
     args_buf: Vec<Value>,
+    choice_bufs: Vec<Vec<u64>>,
     shadow_rows: FxHashSet<[u64; SHADOW_KEY]>,
     shadow_cells: FxHashMap<[u64; SHADOW_KEY], (u32, Elem)>,
 }
@@ -1065,6 +1128,7 @@ pub(crate) fn run_plan(
         key_buf: std::mem::take(&mut scratch.key_buf),
         app: None,
         args_buf: std::mem::take(&mut scratch.args_buf),
+        choice_bufs: std::mem::take(&mut scratch.choice_bufs),
         out,
         probes: 0,
         scans: 0,
@@ -1083,6 +1147,7 @@ pub(crate) fn run_plan(
         boxed,
         key_buf,
         args_buf,
+        choice_bufs,
         shadow_rows,
         shadow_cells,
         fault,
@@ -1092,6 +1157,7 @@ pub(crate) fn run_plan(
     scratch.boxed = boxed;
     scratch.key_buf = key_buf;
     scratch.args_buf = args_buf;
+    scratch.choice_bufs = choice_bufs;
     scratch.shadow_rows = shadow_rows;
     scratch.shadow_cells = shadow_cells;
     match fault {
@@ -1782,45 +1848,10 @@ fn step(plan: &Plan, i: usize, st: &mut State<'_, '_>) {
                 Err(p) => st.fail(p),
             }
         }
-        Step::Choose { func, args, binds } => {
-            let vals: Vec<Value> = args.iter().map(|a| arg_value(a, st)).collect();
-            let Some(result) = call_fn(*func, &vals, st) else {
-                return;
-            };
-            let Value::Set(elems) = &result else {
-                st.fail(EvalFault::Safety(Violation::ChoiceMalformed(vals, result)));
-                return;
-            };
-            for elem in elems.iter() {
-                if st.fault.is_some() {
-                    break;
-                }
-                let items = match elem.as_tuple() {
-                    _ if binds.len() == 1 => std::slice::from_ref(elem),
-                    Some(items) if items.len() == binds.len() => items,
-                    _ => {
-                        let malformed = Violation::ChoiceMalformed(vals.clone(), elem.clone());
-                        st.fail(EvalFault::Safety(malformed));
-                        break;
-                    }
-                };
-                // A bound component is a membership test, in whatever
-                // order the body runs; an unbound one binds. Nothing is
-                // overwritten, so there is nothing to put back.
-                let mut member = true;
-                for (&(b, bound), item) in binds.iter().zip(items) {
-                    if !bound {
-                        st.boxed[b] = Some(item.clone());
-                    } else if st.boxed[b].as_ref() != Some(item) {
-                        member = false;
-                        break;
-                    }
-                }
-                if member {
-                    step(plan, i + 1, st);
-                }
-            }
-        }
+        Step::Choose { call, binds } => match &call.words {
+            Some(words) => choose_words(plan, i, call.func, words, binds, st),
+            None => choose_boxed(plan, i, call, binds, st),
+        },
         Step::HeadSeed { binds, seeds } => {
             for seed in seeds {
                 if st.fault.is_some() {
@@ -1831,6 +1862,125 @@ fn step(plan: &Plan, i: usize, st: &mut State<'_, '_>) {
                 }
                 step(plan, i + 1, st);
             }
+        }
+    }
+}
+
+/// A choice step on slots: calls the choice form, under the same panic
+/// isolation as the boxed one, then runs the sub-join once per element —
+/// `binds.len()` slots — it wrote.
+fn choose_words(
+    plan: &Plan,
+    i: usize,
+    func: usize,
+    words: &[KeySrc],
+    binds: &[(usize, bool)],
+    st: &mut State<'_, '_>,
+) {
+    build_key(words, st);
+    let fdef = &st.program.funcs[func];
+    let form = fdef
+        .choice
+        .as_ref()
+        .expect("compiled against a choice form");
+    let mut elems = st.choice_bufs.pop().unwrap_or_default();
+    elems.clear();
+    let called = catch_unwind(AssertUnwindSafe(|| (form.body)(&st.key_buf, &mut elems)));
+    // What the binds take must be slots: a register cannot change its
+    // representation mid-plan, so there is nothing to fall back to.
+    let spill = st.db.spill();
+    let malformed = match called {
+        Err(payload) => {
+            st.fail(EvalFault::Panic {
+                function: fdef.name.to_string(),
+                payload: panic_payload(payload),
+            });
+            None
+        }
+        Ok(()) if !elems.len().is_multiple_of(binds.len()) => Some(format!(
+            "wrote {} words, not a multiple of its width {}",
+            elems.len(),
+            binds.len()
+        )),
+        Ok(()) => elems
+            .iter()
+            .find(|&&word| !is_slot(word, spill))
+            .map(|word| format!("wrote {word:#x}, which is not a slot")),
+    };
+    if let Some(found) = malformed {
+        st.fail(EvalFault::Safety(Violation::ChoiceWordMalformed {
+            function: fdef.name.to_string(),
+            found,
+        }));
+    }
+    for elem in elems.chunks_exact(binds.len()) {
+        if st.fault.is_some() {
+            break;
+        }
+        // As on the boxed path: a bound component is a membership test
+        // (of words, which are equal when their values are), an unbound
+        // one binds.
+        let mut member = true;
+        for (&(b, bound), &word) in binds.iter().zip(elem) {
+            if !bound {
+                st.enc[b] = word;
+            } else if st.enc[b] != word {
+                member = false;
+                break;
+            }
+        }
+        if member {
+            step(plan, i + 1, st);
+        }
+    }
+    st.choice_bufs.push(elems);
+}
+
+/// A choice step on values: calls the boxed form and runs the sub-join
+/// once per element of the set it returns, its components in the boxed
+/// bind registers.
+fn choose_boxed(
+    plan: &Plan,
+    i: usize,
+    call: &Call,
+    binds: &[(usize, bool)],
+    st: &mut State<'_, '_>,
+) {
+    let vals: Vec<Value> = call.args.iter().map(|a| arg_value(a, st)).collect();
+    let Some(result) = call_fn(call.func, &vals, st) else {
+        return;
+    };
+    let Value::Set(elems) = &result else {
+        st.fail(EvalFault::Safety(Violation::ChoiceMalformed(vals, result)));
+        return;
+    };
+    for elem in elems.iter() {
+        if st.fault.is_some() {
+            break;
+        }
+        let items = match elem.as_tuple() {
+            _ if binds.len() == 1 => std::slice::from_ref(elem),
+            Some(items) if items.len() == binds.len() => items,
+            _ => {
+                let malformed = Violation::ChoiceMalformed(vals.clone(), elem.clone());
+                st.fail(EvalFault::Safety(malformed));
+                break;
+            }
+        };
+        // A bound component is a membership test, in whatever order the
+        // body runs; an unbound one binds. Nothing is overwritten, so
+        // there is nothing to put back.
+        let mut member = true;
+        for (&(b, bound), item) in binds.iter().zip(items) {
+            if !bound {
+                st.boxed[b] = Some(item.clone());
+            } else if st.boxed[b].as_ref() != Some(item) {
+                member = false;
+                break;
+            }
+        }
+        if member {
+            step(plan, i + 1, st);
         }
     }
 }

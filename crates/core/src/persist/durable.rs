@@ -10,7 +10,7 @@
 //! no usable snapshot, one [`Solver::solve`]) away from what is on disk.
 
 use super::{load_snapshot, DeltaLog, PersistError, RecoveryReport};
-use crate::incremental::Delta;
+use crate::incremental::{Delta, DeltaError};
 use crate::solver::Run;
 use crate::{Program, Solution, SolveFailure, Solver};
 use std::fmt;
@@ -61,6 +61,10 @@ pub struct Applied {
 /// Why [`DurableModel::update`] left the model as it was.
 #[derive(Debug)]
 pub enum UpdateError {
+    /// The delta does not fit the program (an unknown predicate, a wrong
+    /// arity): it was refused before the append, so nothing became
+    /// durable, nothing was applied, and the log is byte-identical.
+    Rejected(DeltaError),
     /// The append failed: nothing became durable, nothing was applied.
     Append(PersistError),
     /// The delta is durable but the guarded resume failed. It is carried
@@ -233,11 +237,16 @@ impl DurableModel {
         Ok((model, report))
     }
 
-    /// Log, then apply: `delta` is appended and fsynced *before* the
-    /// resume runs, so a crash anywhere after the append replays it at
-    /// the next `open`. The resume starts from the clean model and
-    /// covers the debt of earlier failed updates too.
+    /// Validate, log, then apply: a `delta` the program rejects is
+    /// refused before anything is written — only a delta `resume` can
+    /// apply becomes durable — and any other is appended and fsynced
+    /// *before* the resume runs, so a crash anywhere after the append
+    /// replays it at the next `open`. The resume starts from the clean
+    /// model and covers the debt of earlier failed updates too.
     pub fn update(&mut self, solver: &Solver, delta: &Delta) -> Result<Applied, UpdateError> {
+        self.program
+            .check_delta(delta)
+            .map_err(UpdateError::Rejected)?;
         let mut append = None;
         if let Some(log) = &mut self.log {
             let started = Instant::now();

@@ -128,9 +128,9 @@ impl Program {
             .map(|(i, d)| (PredId(i as u32), d))
     }
 
-    /// This program with every lattice's declared kind and every word form
-    /// taken away: the same closures, all run boxed — the reference the
-    /// word path is held to in tests.
+    /// This program with every lattice's declared kind, every word form and
+    /// every choice form taken away: the same closures, all run boxed — the
+    /// reference the word path is held to in tests.
     #[doc(hidden)]
     #[cfg(any(test, feature = "test-internals"))]
     pub fn boxed_reference(&self) -> Program {
@@ -143,6 +143,7 @@ impl Program {
         }
         let funcs = self.funcs.iter().map(|f| FuncDef {
             word: None,
+            choice: None,
             ..f.clone()
         });
         Program {

@@ -65,6 +65,16 @@ pub enum Violation {
     /// A choice function returned something other than a set of tuples of
     /// the expected arity.
     ChoiceMalformed(Vec<Value>, Value),
+    /// A choice function's word form
+    /// ([`ProgramBuilder::choice_form`](crate::ProgramBuilder::choice_form))
+    /// wrote a word that is not a slot, or a number of words that is not a
+    /// multiple of its width.
+    ChoiceWordMalformed {
+        /// The function's name.
+        function: String,
+        /// What it wrote.
+        found: String,
+    },
     /// A predicate's fact store ran out of row ids (the columnar store
     /// addresses rows with `u32` indices). Carries the row count at
     /// which the insert was refused.
@@ -125,6 +135,9 @@ impl fmt::Display for Violation {
                     f,
                     "choice function returned malformed result {out} on {args:?}"
                 )
+            }
+            ChoiceWordMalformed { function, found } => {
+                write!(f, "choice function {function}'s word form {found}")
             }
             StoreFull(rows) => {
                 write!(

@@ -568,15 +568,22 @@ fn budget_error_display_is_informative() {
 /// `Reach` walks a 4-edge chain one node per round; rule #1, in the same
 /// stratum, feeds every reached node to `choice` and derives `Out` from
 /// the elements it returns.
+/// A choice form: what `pick` runs on slots, when it has one.
+type ChoiceForm = fn(&[u64], &mut Vec<u64>);
+
 fn choice_program(
     binds: &[&'static str],
     choice: impl Fn(&[Value]) -> Value + Send + Sync + 'static,
+    form: Option<ChoiceForm>,
 ) -> Program {
     let mut b = ProgramBuilder::new();
     let edge = b.relation("Edge", 2);
     let reach = b.relation("Reach", 1);
     let out = b.relation("Out", 2);
     let pick = b.function("pick", choice);
+    if let Some(form) = form {
+        b.choice_form(pick, binds.len(), form);
+    }
     for i in 1..5i64 {
         b.fact(edge, vec![i.into(), (i + 1).into()]);
     }
@@ -625,10 +632,14 @@ fn fail_with_consistent_log(solver: Solver, program: &Program) -> Box<flix_core:
 
 #[test]
 fn choice_returning_a_non_set_is_malformed_with_rule_context() {
-    let program = choice_program(&["z"], |args| match args[0].as_int() {
-        Some(n) if n >= 3 => Value::Int(n),
-        _ => Value::set([args[0].clone()]),
-    });
+    let program = choice_program(
+        &["z"],
+        |args| match args[0].as_int() {
+            Some(n) if n >= 3 => Value::Int(n),
+            _ => Value::set([args[0].clone()]),
+        },
+        None,
+    );
     let failure = fail_with_consistent_log(Solver::new(), &program);
     match &failure.error {
         SolveError::SafetyViolation {
@@ -651,13 +662,17 @@ fn choice_returning_a_non_set_is_malformed_with_rule_context() {
 
 #[test]
 fn choice_element_of_the_wrong_arity_is_malformed_with_rule_context() {
-    let program = choice_program(&["p", "q"], |args| {
-        let x = args[0].clone();
-        Value::set([
-            Value::tuple([x.clone(), x.clone()]),
-            Value::tuple([x.clone(), x.clone(), x]),
-        ])
-    });
+    let program = choice_program(
+        &["p", "q"],
+        |args| {
+            let x = args[0].clone();
+            Value::set([
+                Value::tuple([x.clone(), x.clone()]),
+                Value::tuple([x.clone(), x.clone(), x]),
+            ])
+        },
+        None,
+    );
     let failure = fail_with_consistent_log(Solver::new(), &program);
     match &failure.error {
         SolveError::SafetyViolation {
@@ -680,12 +695,16 @@ fn choice_element_of_the_wrong_arity_is_malformed_with_rule_context() {
 
 #[test]
 fn panicking_choice_function_is_named_with_rule_context() {
-    let program = choice_program(&["z"], |args| {
-        if args[0].as_int() == Some(4) {
-            panic!("choice exploded on 4");
-        }
-        Value::set([args[0].clone()])
-    });
+    let program = choice_program(
+        &["z"],
+        |args| {
+            if args[0].as_int() == Some(4) {
+                panic!("choice exploded on 4");
+            }
+            Value::set([args[0].clone()])
+        },
+        None,
+    );
     for threads in [1, 4] {
         let failure = fail_with_consistent_log(Solver::new().threads(threads), &program);
         match &failure.error {
@@ -704,6 +723,91 @@ fn panicking_choice_function_is_named_with_rule_context() {
         }
         assert_eq!(failure.partial.len("Reach"), Some(4));
         assert_eq!(failure.partial.len("Out"), Some(3));
+    }
+}
+
+/// `pick`'s boxed form, where the choice form must run instead.
+fn never_boxed(_: &[Value]) -> Value {
+    panic!("the boxed form ran")
+}
+
+#[test]
+fn panicking_choice_form_is_named_with_rule_context() {
+    use flix_core::int_of_slot;
+    let form: ChoiceForm = |words, out| {
+        if int_of_slot(words[0]) == Some(4) {
+            panic!("choice form exploded on 4");
+        }
+        out.push(words[0]);
+    };
+    let program = choice_program(&["z"], never_boxed, Some(form));
+    for threads in [1, 4] {
+        let failure = fail_with_consistent_log(Solver::new().threads(threads), &program);
+        match &failure.error {
+            SolveError::FunctionPanicked {
+                predicate,
+                rule,
+                function,
+                payload,
+            } => {
+                assert_eq!(predicate, "Out");
+                assert_eq!(*rule, Some(1));
+                assert_eq!(function, "pick");
+                assert_eq!(payload, "choice form exploded on 4");
+            }
+            other => panic!("expected FunctionPanicked, got {other:?}"),
+        }
+        assert_eq!(failure.partial.len("Reach"), Some(4));
+        assert_eq!(failure.partial.len("Out"), Some(3));
+    }
+}
+
+#[test]
+fn choice_form_writing_what_no_bind_takes_is_a_named_violation() {
+    use flix_core::{int_of_slot, FLAT_TOP};
+    // A word no value has a slot for, on reaching 3.
+    let form: ChoiceForm = |words, out| {
+        let word = if int_of_slot(words[0]) == Some(3) {
+            FLAT_TOP
+        } else {
+            words[0]
+        };
+        out.push(word);
+    };
+    let program = choice_program(&["z"], never_boxed, Some(form));
+    let failure = fail_with_consistent_log(Solver::new(), &program);
+    match &failure.error {
+        SolveError::SafetyViolation {
+            predicate,
+            rule,
+            violation: Violation::ChoiceWordMalformed { function, found },
+        } => {
+            assert_eq!((predicate.as_str(), *rule), ("Out", Some(1)));
+            assert_eq!(function, "pick");
+            assert!(found.contains("not a slot"), "{found}");
+        }
+        other => panic!("expected ChoiceWordMalformed, got {other:?}"),
+    }
+    assert_eq!(failure.partial.len("Reach"), Some(3));
+    assert_eq!(failure.partial.len("Out"), Some(2));
+    assert!(failure
+        .error
+        .to_string()
+        .contains("choice function pick's word form"));
+
+    // Three words for elements of two.
+    let form: ChoiceForm = |words, out| out.extend([words[0]; 3]);
+    let program = choice_program(&["p", "q"], never_boxed, Some(form));
+    let failure = fail_with_consistent_log(Solver::new(), &program);
+    match &failure.error {
+        SolveError::SafetyViolation {
+            violation: Violation::ChoiceWordMalformed { function, found },
+            ..
+        } => {
+            assert_eq!(function, "pick");
+            assert!(found.contains("not a multiple of its width 2"), "{found}");
+        }
+        other => panic!("expected ChoiceWordMalformed, got {other:?}"),
     }
 }
 

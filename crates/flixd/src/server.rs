@@ -244,11 +244,16 @@ impl Server {
     /// Loads (or recovers) the model, binds the socket, and starts
     /// serving. Returns once the socket is accepting connections — a
     /// client connecting after `start` returns is never refused.
+    ///
+    /// On glibc the first call also limits the whole process to one
+    /// malloc arena, so that threads the host creates later share the
+    /// server's heap too.
     pub fn start(
         program: Arc<Program>,
         config: ServerConfig,
         hooks: Hooks,
     ) -> Result<Server, StartError> {
+        one_malloc_arena();
         let solver = Solver::with_config(config.solver.clone()).map_err(StartError::Config)?;
 
         // Recover the startup model; a first boot — no files yet — needs
@@ -418,6 +423,39 @@ impl Server {
         }
     }
 }
+
+/// Puts every thread of the process on glibc's one main heap, once,
+/// before the first server's threads start (DESIGN §17.2, "One heap").
+///
+/// Each batch builds a whole model version on the writer thread while
+/// readers pin older ones. Under glibc's default of one malloc arena per
+/// thread, every arena keeps its own high-water mark, and which arena a
+/// new writer or connection thread is handed depends on the order in
+/// which earlier threads happened to exit — so a process that starts
+/// servers, or threads, one after another held a model version's memory
+/// in one arena or in several, and its resident set differed from run
+/// to run. On one heap, what a dropped version frees is there for the
+/// next one, whichever thread allocates it.
+#[cfg(all(target_os = "linux", target_env = "gnu"))]
+#[allow(unsafe_code)]
+fn one_malloc_arena() {
+    extern "C" {
+        fn mallopt(param: i32, value: i32) -> i32;
+    }
+    /// glibc's `M_ARENA_MAX`.
+    const M_ARENA_MAX: i32 = -8;
+    static ONCE: std::sync::Once = std::sync::Once::new();
+    // SAFETY: `mallopt` sets one of the allocator's tuning parameters
+    // under the allocator's own lock; it may be called from any thread
+    // at any time, and an arena limit never invalidates an allocation.
+    ONCE.call_once(|| {
+        unsafe { mallopt(M_ARENA_MAX, 1) };
+    });
+}
+
+/// Other allocators keep their own policy.
+#[cfg(not(all(target_os = "linux", target_env = "gnu")))]
+fn one_malloc_arena() {}
 
 fn accept_loop(
     listener: UnixListener,
@@ -833,10 +871,10 @@ fn handle_update(
         Ok(delta) => delta,
         Err(e) => return error_reply(shared, ErrorCode::Parse, e),
     };
-    // Reject deltas that do not fit the program *before* they reach the
-    // write-ahead log — a bad request must never poison the batch it
-    // would have ridden in.
-    if let Err(e) = shared.program.with_delta(&delta) {
+    // Reject deltas that do not fit the program on their own, in time
+    // proportional to the delta — a bad request must never sink the
+    // batch it would have ridden in.
+    if let Err(e) = shared.program.check_delta(&delta) {
         return error_reply(shared, ErrorCode::Delta, e.to_string());
     }
     // Admission control: bound the queue, not the caller's patience.
@@ -1036,7 +1074,12 @@ fn apply_batch(shared: &Shared, state: &mut WriterState, updates: Vec<PendingUpd
             }
         }
         // Nothing became durable and nothing was applied: durability and
-        // the resident model stay in lockstep.
+        // the resident model stay in lockstep. (Every rider was checked
+        // on its own when it arrived, so a batch is not rejected.)
+        Err(UpdateError::Rejected(e)) => {
+            failed(ErrorCode::Delta, combined.len(), e.to_string());
+            refuse(ErrorCode::Delta, e.to_string());
+        }
         Err(UpdateError::Append(e)) => {
             failed(ErrorCode::Persist, combined.len(), e.to_string());
             refuse(

@@ -8,9 +8,12 @@
 mod common;
 
 use common::{build_program, parse_update, render_model, scratch_dir, test_hooks};
-use flix_core::persist::{corrupt_file, save_snapshot, DeltaLog, Fault, FaultPlan, PersistError};
-use flix_core::{Budget, Delta, Program, Solver, SolverConfig};
-use flixd::{Client, ReplyBody, Request, Server, ServerConfig, StartError};
+use flix_core::persist::{
+    corrupt_file, save_snapshot, DeltaLog, DurableFiles, DurableModel, Fault, FaultPlan,
+    PersistError, UpdateError,
+};
+use flix_core::{Budget, Delta, DeltaError, Program, SolveError, Solver, SolverConfig};
+use flixd::{Client, ErrorCode, ReplyBody, Request, Server, ServerConfig, StartError};
 use std::path::Path;
 use std::sync::Arc;
 
@@ -291,6 +294,85 @@ fn destroyed_wal_header_degrades_to_the_snapshot_and_a_fresh_log() {
     assert_eq!(dump(&restarted).1, expected_after(&program, &deltas, 1));
     restarted.shutdown();
     restarted.join();
+}
+
+/// A delta the program rejects never becomes durable. Through the
+/// durable model both binaries update with, the update is refused before
+/// the append — the log stays byte-identical, carries no debt, and the
+/// daemon started on those files serves what was acknowledged. Through
+/// the daemon, a request is refused on its own, with the reply it always
+/// got, and nothing is appended either. A rejected frame only an older
+/// binary could have written is refused at the start, file untouched.
+#[test]
+fn a_rejected_update_leaves_the_log_as_it_was() {
+    let program = Arc::new(build_program(EDGES));
+    let deltas = updates();
+    let dir = scratch_dir("recovery-rejected");
+    let wal = dir.join("model.wal");
+    let files = DurableFiles {
+        wal: Some(wal.clone()),
+        ..DurableFiles::default()
+    };
+    let solver = Solver::new();
+    let (mut durable, _) = DurableModel::open(&solver, &program, &files).expect("opens");
+    durable.update(&solver, &deltas[0]).expect("applies");
+    let logged = std::fs::read(&wal).expect("readable");
+    let unknown = parse_update("+Nope 9 9\n").expect("parses");
+    match durable.update(&solver, &unknown) {
+        Err(UpdateError::Rejected(DeltaError::UnknownPredicate { predicate })) => {
+            assert_eq!(predicate, "Nope");
+        }
+        other => panic!("expected a rejected delta, got {other:?}"),
+    }
+    assert_eq!(std::fs::read(&wal).expect("readable"), logged);
+    assert_eq!(durable.debt(), 0);
+    durable
+        .update(&solver, &deltas[1])
+        .expect("a later update applies");
+    drop(durable);
+
+    let server = start_on(&dir, "rejected", &program);
+    let report = server.recovery.as_ref().expect("persistent start");
+    assert_eq!(report.wal_frames_replayed, 2);
+    assert_eq!(dump(&server).1, expected_after(&program, &deltas, 2));
+    let logged = std::fs::read(&wal).expect("readable");
+    let mut client = Client::connect(server.socket()).expect("connects");
+    for (text, fragment) in [
+        ("+Nope 9 9\n", "unknown predicate"),
+        ("+Edge 9\n", "declared arity"),
+    ] {
+        let reply = client
+            .request(&Request::Update {
+                text: text.into(),
+                timeout_secs: None,
+            })
+            .expect("update");
+        match reply.body {
+            ReplyBody::Error { code, message } => {
+                assert_eq!(code, ErrorCode::Delta, "{message}");
+                assert!(message.contains(fragment), "{message}");
+            }
+            other => panic!("expected a refusal, got {other:?}"),
+        }
+    }
+    assert_eq!(std::fs::read(&wal).expect("readable"), logged);
+    server.shutdown();
+    server.join();
+
+    let (mut log, _) = DeltaLog::open(&wal, &program).expect("opens");
+    log.append(&unknown).expect("appends");
+    drop(log);
+    let logged = std::fs::read(&wal).expect("readable");
+    let mut config = ServerConfig::new(dir.join("older.sock"));
+    config.wal = Some(wal.clone());
+    match Server::start(Arc::clone(&program), config, test_hooks()) {
+        Err(StartError::Solve(failure)) => {
+            assert!(matches!(failure.error, SolveError::Delta(_)), "{failure:?}");
+        }
+        Err(other) => panic!("expected a refused replay, got {other}"),
+        Ok(_) => panic!("expected a refused replay, got a running server"),
+    }
+    assert_eq!(std::fs::read(&wal).expect("readable"), logged);
 }
 
 /// A log that belongs to another program is somebody else's durable

@@ -443,6 +443,7 @@ fn run(args: Vec<String>) -> Result<(), Failure> {
             let delta = compile_update(update_path)?;
             match durable.update(&solver, &delta) {
                 Ok(_) => Some(Arc::clone(durable.model())),
+                Err(UpdateError::Rejected(e)) => return Err(Failure::lang(e.to_string())),
                 Err(UpdateError::Append(e)) => return Err(Failure::usage(e.to_string())),
                 Err(UpdateError::Carried { failure, .. }) => {
                     let at = FailedAt::Update { initial: &initial };

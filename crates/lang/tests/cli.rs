@@ -852,6 +852,59 @@ fn kill_mid_update_is_recovered_from_the_write_ahead_log() {
 }
 
 #[test]
+fn a_rejected_update_never_reaches_the_write_ahead_log() {
+    let scratch = Scratch::new("rejected-update");
+    let wal = scratch.path("deltas.wal");
+    let file = write_temp("rejected-update.flix", PATHS);
+    let good = write_temp(
+        "rejected-update-good.flix",
+        "rel Edge(x: Int, y: Int);\nEdge(3, 4).",
+    );
+    let bad = write_temp(
+        "rejected-update-bad.flix",
+        "rel Missing(x: Int);\nMissing(1).",
+    );
+    let later = write_temp(
+        "rejected-update-later.flix",
+        "rel Edge(x: Int, y: Int);\nEdge(4, 5).",
+    );
+    let run = |extra: &[&std::path::Path]| {
+        let mut cmd = flixr();
+        cmd.arg("--wal").arg(&wal);
+        for arg in extra {
+            cmd.arg("--update").arg(arg);
+        }
+        cmd.arg(&file).output().expect("runs")
+    };
+    let output = run(&[&good]);
+    assert!(output.status.success(), "{output:?}");
+    let logged = std::fs::read(&wal).expect("log");
+
+    // Refused as before — exit 2, the delta error, no model — and the
+    // log is byte for byte what it was.
+    let output = run(&[&bad]);
+    assert_eq!(output.status.code(), Some(2), "{output:?}");
+    let stderr = String::from_utf8(output.stderr).expect("utf8");
+    assert!(stderr.contains("unknown predicate Missing"), "{stderr}");
+    assert!(output.stdout.is_empty());
+    assert_eq!(
+        std::fs::read(&wal).expect("log"),
+        logged,
+        "nothing appended"
+    );
+
+    // So the next run recovers, and the next update applies.
+    let output = run(&[]);
+    assert!(output.status.success(), "{output:?}");
+    let stdout = String::from_utf8(output.stdout).expect("utf8");
+    assert!(stdout.contains("Path(1, 4)"), "{stdout}");
+    let output = run(&[&later]);
+    assert!(output.status.success(), "{output:?}");
+    let stdout = String::from_utf8(output.stdout).expect("utf8");
+    assert!(stdout.contains("Path(1, 5)"), "{stdout}");
+}
+
+#[test]
 fn compaction_absorbs_the_log_into_the_snapshot() {
     let scratch = Scratch::new("compaction");
     let snap = scratch.path("model.snap");

@@ -198,34 +198,58 @@ fn solver_configuration_matrix_agrees() {
 /// evaluation, the head-bound plan of a retraction and the body order a
 /// demand guard induces all run `Q(z)` before the choice; a choice that
 /// overwrites the `z` it finds bound derives `R(1, 3)` from `Q(2)` there.
-/// One program, every way of producing a model.
+/// One program, every way of producing a model — with `f` boxed, and
+/// with a choice form that binds `z` as a slot and tests it as one.
 #[test]
 fn a_choice_variable_joined_by_a_later_atom_means_the_same_in_every_order() {
+    use flix::core::{int_of_slot, slot_of_int};
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Arc;
+    let build = |form_calls: Option<Arc<AtomicUsize>>| {
+        let mut b = ProgramBuilder::new();
+        let p = b.relation("P", 1);
+        let q0 = b.relation("Q0", 1);
+        let q = b.relation("Q", 1);
+        let r = b.relation("R", 2);
+        let f = b.function("f", |args| {
+            let x = args[0].as_int().expect("int");
+            Value::set([Value::Int(x + 1), Value::Int(x + 2)])
+        });
+        if let Some(calls) = form_calls {
+            b.choice_form(f, 1, move |words, out| {
+                calls.fetch_add(1, Ordering::Relaxed);
+                let x = int_of_slot(words[0]).expect("int");
+                out.extend([x + 1, x + 2].map(|z| slot_of_int(z).expect("inline")));
+            });
+        }
+        b.fact(p, vec![1.into()]);
+        b.fact(q0, vec![2.into()]);
+        b.rule(
+            Head::new(q, [HeadTerm::var("z")]),
+            [BodyItem::atom(q0, [Term::var("z")])],
+        );
+        b.rule(
+            Head::new(r, [HeadTerm::var("x"), HeadTerm::var("z")]),
+            [
+                BodyItem::atom(p, [Term::var("x")]),
+                BodyItem::choose(f, [Term::var("x")], "z"),
+                BodyItem::atom(q, [Term::var("z")]),
+            ],
+        );
+        b.build().expect("valid")
+    };
+    let form_calls = Arc::new(AtomicUsize::new(0));
+    for program in [build(None), build(Some(Arc::clone(&form_calls)))] {
+        every_order_means_the_same(&program);
+    }
+    assert!(
+        form_calls.load(Ordering::Relaxed) > 0,
+        "the choice form ran"
+    );
+}
+
+fn every_order_means_the_same(program: &flix::Program) {
     use flix::{Delta, Query};
-    let mut b = ProgramBuilder::new();
-    let p = b.relation("P", 1);
-    let q0 = b.relation("Q0", 1);
-    let q = b.relation("Q", 1);
-    let r = b.relation("R", 2);
-    let f = b.function("f", |args| {
-        let x = args[0].as_int().expect("int");
-        Value::set([Value::Int(x + 1), Value::Int(x + 2)])
-    });
-    b.fact(p, vec![1.into()]);
-    b.fact(q0, vec![2.into()]);
-    b.rule(
-        Head::new(q, [HeadTerm::var("z")]),
-        [BodyItem::atom(q0, [Term::var("z")])],
-    );
-    b.rule(
-        Head::new(r, [HeadTerm::var("x"), HeadTerm::var("z")]),
-        [
-            BodyItem::atom(p, [Term::var("x")]),
-            BodyItem::choose(f, [Term::var("x")], "z"),
-            BodyItem::atom(q, [Term::var("z")]),
-        ],
-    );
-    let program = b.build().expect("valid");
     let rows = |solution: &flix::Solution| {
         let rows = solution.relation("R").expect("relation");
         let mut rows: Vec<(i64, i64)> = rows
@@ -243,29 +267,29 @@ fn a_choice_variable_joined_by_a_later_atom_means_the_same_in_every_order() {
                     .strategy(strategy)
                     .threads(threads)
                     .record_provenance(provenance);
-                let solved = solver.solve(&program).expect("solves");
+                let solved = solver.solve(program).expect("solves");
                 assert_eq!(rows(&solved), [(1, 2)], "{label}");
-                assert!(model::is_model(&program, &solved), "{label}");
-                assert!(model::is_locally_minimal(&program, &solved), "{label}");
+                assert!(model::is_model(program, &solved), "{label}");
+                assert!(model::is_locally_minimal(program, &solved), "{label}");
 
                 // Insert `Q0(3)`, then take it back: each step equals a
                 // scratch solve of the program it stands for.
                 let three = vec![Value::from(3)];
                 let insert = Delta::new().insert("Q0", three.clone());
-                let with_3 = solver.resume(&program, &solved, &insert).expect("resumes");
+                let with_3 = solver.resume(program, &solved, &insert).expect("resumes");
                 assert_eq!(rows(&with_3), [(1, 2), (1, 3)], "{label}: inserted");
                 let retract = Delta::new().retract("Q0", three);
-                let without_3 = solver.resume(&program, &with_3, &retract);
+                let without_3 = solver.resume(program, &with_3, &retract);
                 let without_3 = without_3.expect("resumes");
                 assert_eq!(rows(&without_3), [(1, 2)], "{label}: retracted");
                 assert!(!without_3.contains("Q", &[3.into()]), "{label}");
-                assert!(model::is_locally_minimal(&program, &without_3), "{label}");
+                assert!(model::is_locally_minimal(program, &without_3), "{label}");
 
                 // A demand guard binds `z`, or `x`, before the body runs.
                 let patterns = [vec![None, Some(Value::from(2))], vec![Some(1.into()), None]];
                 for pattern in patterns {
                     let query = Query::new("R", pattern);
-                    let result = solver.solve_query(&program, std::slice::from_ref(&query));
+                    let result = solver.solve_query(program, std::slice::from_ref(&query));
                     let result = result.expect("queries");
                     let answers: Vec<String> = result.answers(0).map(|f| f.to_string()).collect();
                     assert_eq!(answers, ["1, 2"], "{label}: {query}");

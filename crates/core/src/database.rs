@@ -8,15 +8,19 @@
 //! equality, so membership tests, index probes, and join keys compare
 //! single machine words instead of walking boxed [`Value`] trees.
 //!
-//! Alongside the encoded columns each predicate keeps a flat row-major
-//! arena of decoded [`Value`]s — the borrowed `&[Value]` view the public
-//! iterators, the model checker, and the persistence layer read.
-//! Membership is a [`RowSet`]: an open-addressing set of `u32` row ids,
-//! each beside a 32-bit tag of its row's hash, whose equality reads the
-//! encoded columns, so a row is stored once and *referenced* by the set —
-//! not duplicated into it. Row ids are also how a change is reported
-//! ([`InsertOutcome`]) and how the solver holds a semi-naïve `∆`: nothing
-//! outside the store copies a tuple.
+//! The store keeps words only. The borrowed `&[Value]` view the public
+//! iterators, the model checker, and the persistence layer read is a
+//! flat row-major arena of decoded [`Value`]s per predicate, built by the
+//! first such read after a change and dropped by the next change
+//! ([`Columns::row`]); nothing on the insert path decodes, and no reader
+//! during a solve builds it. Membership is a [`RowSet`]: an
+//! open-addressing set of `u32` row ids, each beside a 32-bit tag of its
+//! row's hash, whose equality reads the encoded columns, so a row is
+//! stored once and *referenced* by the set — not duplicated into it. An
+//! index is the same set over groups of row ids ([`Index`]): no key is
+//! stored beside the columns either. Row ids are also how a change is
+//! reported ([`InsertOutcome`]) and how the solver holds a semi-naïve
+//! `∆`: nothing outside the store copies a tuple.
 //!
 //! Each kind has one insertion body that takes *encoded* slots
 //! ([`RelationData::insert_encoded`], [`LatticeData::join_inner`]), which
@@ -27,10 +31,10 @@
 //!
 //! A row also leaves in one place, [`Columns::remove`] — a swap-remove:
 //! the predicate's last row moves into the hole in every encoded column
-//! and in the arena (a lattice cell's value and ascent counters with it),
-//! the row set deletes by backward shift, so there are no tombstones for
-//! a lookup to step over, and each index drops the id from its key's list
-//! and files the moved row under it. Ids stay dense and every reader —
+//! (a lattice cell's value and ascent counters with it), the row set
+//! deletes by backward shift, so there are no tombstones for a lookup to
+//! step over, and each index drops the id from its group and files the
+//! moved row under it. Ids stay dense and every reader —
 //! lookups, probes, scans, the iterators — works as on a store that only
 //! ever grew; what changes is that an id is stable only between removals.
 //! The one caller, a retracting resume, removes before it evaluates
@@ -52,13 +56,14 @@
 //! reads ([`LatticeData::decoded`]).
 
 use crate::ast::PredKind;
-use crate::fxhash::{hash_slots, FxHashMap};
+use crate::fxhash::{hash_slots, hash_words, FxHashMap};
 use crate::ops::OpsPanic;
 use crate::program::Program;
 use crate::symbol;
 use crate::verify::Violation;
 use crate::{LatticeKind, LatticeOps, PredId, Value};
 use std::borrow::Cow;
+use std::marker::PhantomData;
 use std::sync::{Arc, OnceLock};
 
 /// Why an insert failed: the user's lattice operations either panicked or
@@ -442,6 +447,7 @@ impl ElemRef<'_> {
 /// tag being the high half of the row's hash: the home slot is taken from
 /// the tag, a lookup passes over a slot whose tag differs without reading
 /// its row, and growing and removing rehash from the stored tags alone.
+/// An [`Index`] keeps one over its groups, an id there naming a group.
 #[derive(Clone, Debug, Default)]
 pub(crate) struct RowSet {
     /// Power-of-two slot array; [`EMPTY_SLOT`] marks an empty slot.
@@ -565,39 +571,218 @@ impl RowSet {
 /// its encoded columns, read in place.
 #[inline]
 fn stored_hash(cols: &[Vec<u64>], id: u32) -> u64 {
-    let mut h = crate::fxhash::FxHasher::default();
-    use std::hash::Hasher;
-    for col in cols {
-        h.write_u64(col[id as usize]);
+    hash_words(cols.iter().map(|col| col[id as usize]))
+}
+
+/// One hash index of a predicate: its rows grouped by their slots in the
+/// columns `on`. A group holds the ids of the rows that share one key,
+/// ascending, so a probe visits its hits in the order a scan would;
+/// `keys` is a [`RowSet`] over the groups, each slot `tag << 32 | group`
+/// with the tag of the key's hash, and its equality reads the key off the
+/// group's newest row — the way membership reads a row. No key is stored,
+/// so filing a row allocates nothing unless its group outgrows one id.
+/// A rule derives its heads loop by loop, so a row often shares its key
+/// with the row before it: filing first tries the group the last filing
+/// went to, whose newest row is that row, before it hashes.
+///
+/// A predicate has a handful of indexes at most, searched linearly when
+/// registered and addressed by position afterwards: plans resolve the
+/// position once at compile time, so a probe hashes the key and nothing
+/// else. (`H` is the key hash: [`SlotHash`], but for the tests that make
+/// keys collide.)
+#[derive(Clone, Debug)]
+struct Index<H = SlotHash> {
+    on: Vec<usize>,
+    keys: RowSet,
+    groups: Vec<Ids>,
+    /// The group the last filing went to, or [`NO_GROUP`]: none yet, or
+    /// a removal since.
+    recent: usize,
+    hash: PhantomData<H>,
+}
+
+/// No group, for [`Index::recent`].
+const NO_GROUP: usize = usize::MAX;
+
+/// The ascending row ids of one index group: one inline, more on the
+/// heap. A `Many` holds two ids or more.
+#[derive(Clone, Debug)]
+enum Ids {
+    One(u32),
+    Many(Vec<u32>),
+}
+
+impl Ids {
+    #[inline]
+    fn as_slice(&self) -> &[u32] {
+        match self {
+            Ids::One(id) => std::slice::from_ref(id),
+            Ids::Many(ids) => ids,
+        }
     }
-    h.write_u64(cols.len() as u64);
-    h.finish()
+
+    /// The group's newest row: the one its key is read from.
+    #[inline]
+    fn newest(&self) -> u32 {
+        match self {
+            Ids::One(id) => *id,
+            Ids::Many(ids) => ids[ids.len() - 1],
+        }
+    }
+
+    /// Files `id`, greater than every id here, at the end.
+    fn push(&mut self, id: u32) {
+        match self {
+            Ids::One(first) => {
+                // Room for four, as a `Vec` grown one push at a time has.
+                let mut ids = Vec::with_capacity(4);
+                ids.extend([*first, id]);
+                *self = Ids::Many(ids);
+            }
+            Ids::Many(ids) => ids.push(id),
+        }
+    }
+
+    /// Drops `id`; `false` when that leaves the group empty.
+    fn remove(&mut self, id: u32) -> bool {
+        match self {
+            Ids::One(only) => {
+                debug_assert_eq!(*only, id);
+                false
+            }
+            Ids::Many(ids) => {
+                ids.remove(ids.binary_search(&id).expect("filed"));
+                if let [only] = ids[..] {
+                    *self = Ids::One(only);
+                }
+                true
+            }
+        }
+    }
+
+    /// Renames `from` — the greatest id of the store, so the last here —
+    /// to `to`, where it sorts.
+    fn renumber(&mut self, from: u32, to: u32) {
+        match self {
+            Ids::One(only) => *only = to,
+            Ids::Many(ids) => {
+                let moved = ids.pop();
+                debug_assert_eq!(moved, Some(from));
+                ids.insert(ids.partition_point(|&other| other < to), to);
+            }
+        }
+    }
 }
 
-/// Hash indexes of one predicate: a handful (a predicate has at most a
-/// few) of `(column set, encoded key → row ids)` pairs, searched linearly
-/// when registered and addressed by position afterwards — plans resolve
-/// the position once at compile time, so a probe hashes the key and
-/// nothing else. The ids under a key are ascending: a probe visits its
-/// hits in the order a scan would.
-type Indexes = Vec<(Vec<usize>, FxHashMap<Box<[u64]>, Vec<u32>>)>;
-
-/// Fills `key` with stored row `id`'s slots in the columns `on`: the key
-/// an index on those columns files the row under.
-#[inline]
-fn stored_key(key: &mut Vec<u64>, on: &[usize], cols: &[Vec<u64>], id: u32) {
-    key.clear();
-    key.extend(on.iter().map(|&c| cols[c][id as usize]));
+/// How an [`Index`] hashes a key, given its slots in column order.
+trait KeyHash {
+    fn hash(key: impl ExactSizeIterator<Item = u64>) -> u64;
 }
 
-/// Files `id` — greater than every id under `key` — at the end of
-/// `key`'s list. The boxed key is built for a key's first row only.
-#[inline]
-fn file_under(index: &mut FxHashMap<Box<[u64]>, Vec<u32>>, key: &[u64], id: u32) {
-    match index.get_mut(key) {
-        Some(ids) => ids.push(id),
-        None => {
-            index.insert(key.into(), vec![id]);
+/// The store's key hash: a key's [`hash_slots`], which is what a probe
+/// computes from a key it holds as a slice.
+#[derive(Clone, Debug)]
+struct SlotHash;
+
+impl KeyHash for SlotHash {
+    #[inline]
+    fn hash(key: impl ExactSizeIterator<Item = u64>) -> u64 {
+        hash_words(key)
+    }
+}
+
+impl<H: KeyHash> Index<H> {
+    fn new(on: &[usize]) -> Index<H> {
+        Index {
+            on: on.to_vec(),
+            keys: RowSet::default(),
+            groups: Vec::new(),
+            recent: NO_GROUP,
+            hash: PhantomData,
+        }
+    }
+
+    /// The hash of stored row `id`'s key.
+    #[inline]
+    fn row_hash(&self, cols: &[Vec<u64>], id: u32) -> u64 {
+        H::hash(self.on.iter().map(|&c| cols[c][id as usize]))
+    }
+
+    /// The group whose key hashes to `hash` and has `key(i)` in column
+    /// `on[i]`.
+    #[inline]
+    fn find(&self, cols: &[Vec<u64>], hash: u64, key: impl Fn(usize) -> u64) -> Option<usize> {
+        let group = self.keys.lookup(hash, |g| {
+            let newest = self.groups[g as usize].newest() as usize;
+            let mut on = self.on.iter().enumerate();
+            on.all(|(i, &c)| cols[c][newest] == key(i))
+        });
+        group.map(|g| g as usize)
+    }
+
+    /// The hash of stored row `id`'s key, and the group of that key.
+    #[inline]
+    fn find_row(&self, cols: &[Vec<u64>], id: u32) -> (u64, Option<usize>) {
+        let hash = self.row_hash(cols, id);
+        let group = self.find(cols, hash, |i| cols[self.on[i]][id as usize]);
+        (hash, group)
+    }
+
+    /// The ids of the rows whose slots in the columns `on` are `key`.
+    #[inline]
+    fn probe(&self, cols: &[Vec<u64>], key: &[u64]) -> &[u32] {
+        match self.find(cols, H::hash(key.iter().copied()), |i| key[i]) {
+            Some(group) => self.groups[group].as_slice(),
+            None => &[],
+        }
+    }
+
+    /// Files stored row `id`, greater than every id filed so far: at the
+    /// end of its key's group — the recent group's, when the key is that
+    /// group's — or as a new group.
+    fn file(&mut self, cols: &[Vec<u64>], id: u32) {
+        if let Some(ids) = self.groups.get_mut(self.recent) {
+            let newest = ids.newest() as usize;
+            let same = |&c: &usize| cols[c][newest] == cols[c][id as usize];
+            if self.on.iter().all(same) {
+                ids.push(id);
+                return;
+            }
+        }
+        match self.find_row(cols, id) {
+            (_, Some(group)) => {
+                self.groups[group].push(id);
+                self.recent = group;
+            }
+            (hash, None) => {
+                self.keys.insert_new(hash, self.groups.len() as u32);
+                self.recent = self.groups.len();
+                self.groups.push(Ids::One(id));
+            }
+        }
+    }
+
+    /// Drops row `id` from its group and files row `last` — the store's
+    /// greatest — as `id`, while both are still stored: the swap-remove of
+    /// [`Columns::remove`]. A group left empty leaves `keys` by backward
+    /// shift and `groups` by swap-remove, and the group that moves takes
+    /// its number.
+    fn remove(&mut self, cols: &[Vec<u64>], id: u32, last: u32) {
+        self.recent = NO_GROUP;
+        let (hash, group) = self.find_row(cols, id);
+        let group = group.expect("filed when stored");
+        if !self.groups[group].remove(id) {
+            self.keys.remove(hash, group as u32);
+            self.groups.swap_remove(group);
+            if let Some(moved) = self.groups.get(group) {
+                let hash = self.row_hash(cols, moved.newest());
+                let from = self.groups.len() as u32;
+                self.keys.renumber(hash, from, group as u32);
+            }
+        }
+        if last != id {
+            let group = self.find_row(cols, last).1.expect("filed when stored");
+            self.groups[group].renumber(last, id);
         }
     }
 }
@@ -608,8 +793,9 @@ fn file_under(index: &mut FxHashMap<Box<[u64]>, Vec<u32>>, key: &[u64], id: u32)
 
 /// The columnar store both predicate kinds are built on: the tuples of a
 /// relation, or the key tuples of a lattice predicate. Encoded columns,
-/// the decoded read arena, the membership set and the indexes all grow
-/// in one place, [`Columns::append`].
+/// the membership set and the indexes all grow in one place,
+/// [`Columns::append`]; the decoded read arena is built apart from them,
+/// by the first read that lends `&[Value]` rows ([`Columns::row`]).
 #[derive(Clone, Debug, Default)]
 pub(crate) struct Columns {
     arity: usize,
@@ -617,15 +803,14 @@ pub(crate) struct Columns {
     /// Struct-of-arrays encoded columns: `cols[c][row]` — the join
     /// kernels' working representation.
     cols: Vec<Vec<u64>>,
-    /// Row-major decoded arena: row `i` is `flat[i*arity..][..arity]`,
-    /// the borrowed `&[Value]` read view.
-    flat: Vec<Value>,
+    /// Row-major decoded arena: row `i` is `[i*arity..][..arity]`, the
+    /// borrowed `&[Value]` read view. Empty until a public read builds
+    /// it; any change forgets it.
+    flat: Decoded,
     set: RowSet,
-    indexes: Indexes,
+    indexes: Vec<Index>,
     /// Reused encode buffer for the decoded insert entries.
     scratch: Vec<u64>,
-    /// Reused index-key buffer for [`Columns::append`].
-    index_key: Vec<u64>,
 }
 
 impl Columns {
@@ -642,11 +827,34 @@ impl Columns {
         self.len
     }
 
-    /// The decoded tuple of row `id`.
-    #[inline]
-    pub(crate) fn row(&self, id: u32) -> &[Value] {
+    /// Every row, decoded, row-major — built on the first call after a
+    /// change, against `spill`, the spill table of the database that
+    /// holds the rows. A public read: nothing during a solve calls it.
+    fn decoded(&self, spill: &SpillTable) -> &[Value] {
+        self.flat.get(|| {
+            let mut flat = Vec::with_capacity(self.len * self.arity);
+            for id in 0..self.len as u32 {
+                flat.extend(self.slots(id).map(|slot| decode(slot, spill)));
+            }
+            flat
+        })
+    }
+
+    /// The decoded tuple of row `id`, out of the arena
+    /// ([`Columns::decoded`]).
+    pub(crate) fn row<'a>(&'a self, id: u32, spill: &SpillTable) -> &'a [Value] {
         let start = id as usize * self.arity;
-        &self.flat[start..start + self.arity]
+        &self.decoded(spill)[start..start + self.arity]
+    }
+
+    /// Iterates the rows, decoded, in id order: insertion order, but for
+    /// rows a removal moved ([`Columns::remove`]).
+    fn rows<'a>(&'a self, spill: &SpillTable) -> RowsIter<'a> {
+        RowsIter {
+            flat: self.decoded(spill),
+            arity: self.arity,
+            range: 0..self.len as u32,
+        }
     }
 
     /// The encoded slots of one column (kernel access).
@@ -707,9 +915,8 @@ impl Columns {
     /// Appends an encoded tuple known to be absent (its `hash` missed in
     /// [`Columns::lookup`]) and returns its id: the one place a row or a
     /// lattice key enters the store. Every slot must be a canonical
-    /// encoding against `spill`; the decoded arena is filled by decoding
-    /// this one new row.
-    fn append(&mut self, enc: &[u64], hash: u64, spill: &SpillTable) -> Result<u32, InsertFault> {
+    /// encoding against the database's spill table; nothing is decoded.
+    fn append(&mut self, enc: &[u64], hash: u64) -> Result<u32, InsertFault> {
         debug_assert_eq!(enc.len(), self.arity);
         // `u32::MAX` is the row-set's empty sentinel, so the last usable
         // id is `u32::MAX - 1`: a checked bound instead of the silent
@@ -718,52 +925,32 @@ impl Columns {
             return Err(InsertFault::Safety(Violation::StoreFull(self.len as u64)));
         }
         let id = self.len as u32;
-        let key = &mut self.index_key;
-        for (cols, index) in &mut self.indexes {
-            key.clear();
-            key.extend(cols.iter().map(|&c| enc[c]));
-            file_under(index, key, id);
-        }
         for (col, &e) in self.cols.iter_mut().zip(enc) {
             col.push(e);
         }
-        self.flat.extend(enc.iter().map(|&e| decode(e, spill)));
         self.len += 1;
+        for index in &mut self.indexes {
+            index.file(&self.cols, id);
+        }
         self.set.insert_new(hash, id);
+        self.flat.forget();
         Ok(id)
     }
 
     /// Deletes row `id` by swap-remove and returns the id of the last
     /// row, which moved into the hole (`id` itself when it was the last):
-    /// in every encoded column and in the decoded arena the last row
-    /// takes the place of the deleted one, the membership set forgets
-    /// `id`'s row and points the moved row's slot at `id`, and every
-    /// index drops `id` from its key's list (freeing a list that empties)
-    /// and files the moved row under `id` in its own. Ids stay dense, so
-    /// nothing that reads the store needs to know rows can go — but an id
-    /// held across a removal may name another row afterwards: see
-    /// `Run::delete` for when this runs.
+    /// in every encoded column the last row takes the place of the
+    /// deleted one, the membership set forgets `id`'s row and points the
+    /// moved row's slot at `id`, and every index drops `id` from its group
+    /// (dropping a group that empties) and files the moved row as `id` in
+    /// its own. Ids stay dense, so nothing that reads the store needs to
+    /// know rows can go — but an id held across a removal may name another
+    /// row afterwards: see `Run::delete` for when this runs.
     fn remove(&mut self, id: u32) -> u32 {
         assert!((id as usize) < self.len, "row {id} is stored");
         let last = (self.len - 1) as u32;
-        let key = &mut self.index_key;
-        for (on, index) in &mut self.indexes {
-            stored_key(key, on, &self.cols, id);
-            let ids = index.get_mut(key.as_slice()).expect("indexed when stored");
-            let at = ids.binary_search(&id).expect("indexed when stored");
-            ids.remove(at);
-            if ids.is_empty() {
-                index.remove(key.as_slice());
-            }
-            if last != id {
-                stored_key(key, on, &self.cols, last);
-                let ids = index.get_mut(key.as_slice()).expect("indexed when stored");
-                // The greatest id of the store ends its list.
-                let moved = ids.pop();
-                debug_assert_eq!(moved, Some(last));
-                let at = ids.partition_point(|&other| other < id);
-                ids.insert(at, id);
-            }
+        for index in &mut self.indexes {
+            index.remove(&self.cols, id, last);
         }
         self.set.remove(stored_hash(&self.cols, id), id);
         if last != id {
@@ -772,12 +959,8 @@ impl Columns {
         for col in &mut self.cols {
             col.swap_remove(id as usize);
         }
-        let (hole, end) = (id as usize * self.arity, last as usize * self.arity);
-        for c in 0..self.arity {
-            self.flat.swap(hole + c, end + c);
-        }
-        self.flat.truncate(end);
         self.len -= 1;
+        self.flat.forget();
         last
     }
 
@@ -788,20 +971,18 @@ impl Columns {
         if let Some(at) = self.index_of(cols) {
             return at;
         }
-        let mut index: FxHashMap<Box<[u64]>, Vec<u32>> = FxHashMap::default();
-        let key = &mut self.index_key;
+        let mut index = Index::new(cols);
         for id in 0..self.len as u32 {
-            stored_key(key, cols, &self.cols, id);
-            file_under(&mut index, key, id);
+            index.file(&self.cols, id);
         }
-        self.indexes.push((cols.to_vec(), index));
+        self.indexes.push(index);
         self.indexes.len() - 1
     }
 
     /// The position of the index on `cols`, if one was registered. Plans
     /// resolve it once and probe by position.
     pub(crate) fn index_of(&self, cols: &[usize]) -> Option<usize> {
-        self.indexes.iter().position(|(c, _)| c == cols)
+        self.indexes.iter().position(|index| index.on == cols)
     }
 
     /// Returns the row ids matching `key` on `cols`, or `None` if no
@@ -827,7 +1008,7 @@ impl Columns {
     /// Index probe by position with a pre-encoded key (kernel access).
     #[inline]
     pub(crate) fn probe_encoded(&self, index: usize, key: &[u64]) -> &[u32] {
-        self.indexes[index].1.get(key).map_or(&[], Vec::as_slice)
+        self.indexes[index].probe(&self.cols, key)
     }
 }
 
@@ -858,18 +1039,13 @@ impl RelationData {
         self.rows.len()
     }
 
-    #[inline]
-    pub(crate) fn row(&self, i: u32) -> &[Value] {
-        self.rows.row(i)
+    pub(crate) fn row<'a>(&'a self, i: u32, spill: &SpillTable) -> &'a [Value] {
+        self.rows.row(i, spill)
     }
 
-    /// Iterates the stored tuples in id order: insertion order, but for
-    /// rows a removal moved ([`Columns::remove`]).
-    pub(crate) fn rows(&self) -> RowsIter<'_> {
-        RowsIter {
-            rel: self,
-            range: 0..self.len() as u32,
-        }
+    /// Iterates the stored tuples, decoded ([`Columns::rows`]).
+    pub(crate) fn rows<'a>(&'a self, spill: &SpillTable) -> RowsIter<'a> {
+        self.rows.rows(spill)
     }
 
     pub(crate) fn contains(&self, row: &[Value], spill: &SpillTable) -> bool {
@@ -889,31 +1065,31 @@ impl RelationData {
         spill: &mut SpillTable,
     ) -> Result<Option<u32>, InsertFault> {
         let enc = self.rows.encode_row(tuple, spill);
-        let result = self.insert_encoded(&enc, spill);
+        let result = self.insert_encoded(&enc);
         self.rows.put_scratch(enc);
         result
     }
 
     /// Inserts an encoded tuple; returns the new row id, or `None` when
     /// the tuple was already stored. Every slot must be a canonical
-    /// encoding against `spill`, so nothing is interned.
-    fn insert_encoded(
-        &mut self,
-        enc: &[u64],
-        spill: &SpillTable,
-    ) -> Result<Option<u32>, InsertFault> {
+    /// encoding against the database's spill table, so nothing is
+    /// interned.
+    fn insert_encoded(&mut self, enc: &[u64]) -> Result<Option<u32>, InsertFault> {
         let hash = hash_slots(enc);
         if self.rows.lookup(hash, enc).is_some() {
             return Ok(None);
         }
-        self.rows.append(enc, hash, spill).map(Some)
+        self.rows.append(enc, hash).map(Some)
     }
 }
 
-/// Iterator over a relation's tuples, in id order.
+/// Iterator over the rows of a [`Columns`] — a relation's tuples, a
+/// lattice predicate's keys — decoded, in id order.
 #[derive(Clone, Debug)]
 pub(crate) struct RowsIter<'a> {
-    rel: &'a RelationData,
+    /// The rows' decoded arena.
+    flat: &'a [Value],
+    arity: usize,
     range: std::ops::Range<u32>,
 }
 
@@ -921,7 +1097,8 @@ impl<'a> Iterator for RowsIter<'a> {
     type Item = &'a [Value];
 
     fn next(&mut self) -> Option<&'a [Value]> {
-        self.range.next().map(|i| self.rel.row(i))
+        let start = self.range.next()? as usize * self.arity;
+        Some(&self.flat[start..start + self.arity])
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
@@ -988,9 +1165,10 @@ enum Cells {
     },
 }
 
-/// The decoded elements of word cells, built by the first public read
-/// that lends `&Value`s and dropped by any change. A copy of the store —
-/// a resume's warm start — starts without it.
+/// Decoded values the store lends as `&Value`s — a [`Columns`]' rows, or
+/// the elements of word cells — built by the first public read and
+/// dropped by any change. A copy of the store — a resume's warm start —
+/// starts without it.
 #[derive(Debug, Default)]
 struct Decoded(OnceLock<Vec<Value>>);
 
@@ -1001,10 +1179,22 @@ impl Clone for Decoded {
 }
 
 impl Decoded {
+    /// The values, built by `build` if they are not yet.
+    #[inline]
+    fn get(&self, build: impl FnOnce() -> Vec<Value>) -> &[Value] {
+        self.0.get_or_init(build)
+    }
+
+    #[inline]
     fn forget(&mut self) {
-        if self.0.get().is_some() {
+        if self.is_built() {
             self.0 = OnceLock::new();
         }
+    }
+
+    #[inline]
+    fn is_built(&self) -> bool {
+        self.0.get().is_some()
     }
 }
 
@@ -1049,9 +1239,8 @@ impl LatticeData {
         self.keys.len()
     }
 
-    #[inline]
-    pub(crate) fn key(&self, id: u32) -> &[Value] {
-        self.keys.row(id)
+    pub(crate) fn key<'a>(&'a self, id: u32, spill: &SpillTable) -> &'a [Value] {
+        self.keys.row(id, spill)
     }
 
     /// Cell `id`'s element as stored (kernel access).
@@ -1074,9 +1263,7 @@ impl LatticeData {
                 flat,
                 words,
                 decoded,
-            } => decoded
-                .0
-                .get_or_init(|| words.iter().map(|&w| flat.decode(w, spill)).collect()),
+            } => decoded.get(|| words.iter().map(|&w| flat.decode(w, spill)).collect()),
         }
     }
 
@@ -1205,7 +1392,7 @@ impl LatticeData {
         let enc = self.keys.encode_row(key, spill);
         let result = self
             .elem_mut(value, spill)
-            .and_then(|elem| self.join_inner(&enc, NO_ID, elem, spill));
+            .and_then(|elem| self.join_inner(&enc, NO_ID, elem));
         self.keys.put_scratch(enc);
         result
     }
@@ -1221,12 +1408,11 @@ impl LatticeData {
         enc: &[u64],
         id: u32,
         elem: Elem,
-        spill: &SpillTable,
     ) -> Result<Option<(u32, Elem)>, InsertFault> {
         if self.is_bottom(elem.as_ref()) {
             return Ok(None);
         }
-        self.join_inner(enc, id, elem, spill)
+        self.join_inner(enc, id, elem)
     }
 
     /// The one insertion body: every non-`⊥` lattice element passes
@@ -1243,7 +1429,6 @@ impl LatticeData {
         enc: &[u64],
         id: u32,
         elem: Elem,
-        spill: &SpillTable,
     ) -> Result<Option<(u32, Elem)>, InsertFault> {
         let (hash, known) = if id == NO_ID {
             let hash = hash_slots(enc);
@@ -1259,7 +1444,7 @@ impl LatticeData {
                 return Err(InsertFault::Safety(Violation::NotReflexive(value.clone())));
             }
         }
-        let id = self.keys.append(enc, hash, spill)?;
+        let id = self.keys.append(enc, hash)?;
         match (&mut self.cells, &elem) {
             (Cells::Boxed(cells), Elem::Boxed(value)) => cells.push(value.clone()),
             (Cells::Words { words, decoded, .. }, &Elem::Word(word)) => {
@@ -1341,14 +1526,43 @@ impl LatticeData {
 
     /// Iterates `(key, cell)` pairs, decoded, in id order: first-derived
     /// key order, but for cells a removal moved.
-    pub(crate) fn iter<'a>(
-        &'a self,
-        spill: &'a SpillTable,
-    ) -> impl Iterator<Item = (&'a [Value], &'a Value)> {
-        let cells = self.decoded(spill);
-        (0..self.len() as u32).map(move |id| (self.key(id), &cells[id as usize]))
+    pub(crate) fn iter<'a>(&'a self, spill: &SpillTable) -> CellsIter<'a> {
+        CellsIter {
+            keys: self.keys.rows(spill),
+            cells: self.decoded(spill).iter(),
+        }
+    }
+
+    /// Whether a public read decoded this predicate: its key arena, or
+    /// its word cells.
+    #[cfg(any(test, feature = "test-internals"))]
+    fn is_decoded(&self) -> bool {
+        self.keys.flat.is_built()
+            || matches!(&self.cells, Cells::Words { decoded, .. } if decoded.is_built())
     }
 }
+
+/// Iterator over a lattice predicate's `(key, element)` cells, decoded,
+/// in id order.
+#[derive(Clone, Debug)]
+pub(crate) struct CellsIter<'a> {
+    keys: RowsIter<'a>,
+    cells: std::slice::Iter<'a, Value>,
+}
+
+impl<'a> Iterator for CellsIter<'a> {
+    type Item = (&'a [Value], &'a Value);
+
+    fn next(&mut self) -> Option<(&'a [Value], &'a Value)> {
+        Some((self.keys.next()?, self.cells.next()?))
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        self.keys.size_hint()
+    }
+}
+
+impl ExactSizeIterator for CellsIter<'_> {}
 
 /// Storage for one predicate. (A lattice predicate's is the larger, by
 /// its operations and cells; a database holds one per predicate in one
@@ -1390,6 +1604,8 @@ impl PredData {
 ///
 /// `Clone` is the warm-start path of [`crate::incremental`]: resuming a
 /// solve clones the prior solution's database instead of re-deriving it.
+/// It copies the encoded columns, row sets, index groups and cells, and
+/// never a decoded view: the copy builds its own if a public read asks.
 /// The clone keeps the index configuration it was built with; a resume
 /// under a different `use_indexes` setting stays correct because a
 /// missing index is always a scan fallback, never a wrong probe.
@@ -1483,8 +1699,7 @@ impl Database {
         let PredData::Rel(r) = &mut self.preds[pred.0 as usize] else {
             unreachable!("compiled against predicate kinds");
         };
-        r.insert_encoded(enc, &self.spill)
-            .map(InsertOutcome::of_row)
+        r.insert_encoded(enc).map(InsertOutcome::of_row)
     }
 
     /// [`Database::insert`] for a lattice head whose key is already in
@@ -1503,8 +1718,7 @@ impl Database {
         let PredData::Lat(l) = &mut self.preds[pred.0 as usize] else {
             unreachable!("compiled against predicate kinds");
         };
-        l.join_encoded(key, id, elem, &self.spill)
-            .map(InsertOutcome::of_cell)
+        l.join_encoded(key, id, elem).map(InsertOutcome::of_cell)
     }
 
     /// The id of a stored fact, by its decoded identifying columns: a
@@ -1592,10 +1806,25 @@ impl Database {
             let PredData::Lat(l) = p else { continue };
             let Some(map) = &l.ascent else { continue };
             for (&id, e) in map {
-                out.push((PredId(i as u32), l.key(id), e.joins, e.height, l.ops.name()));
+                let key = l.key(id, &self.spill);
+                out.push((PredId(i as u32), key, e.joins, e.height, l.ops.name()));
             }
         }
         out
+    }
+
+    /// The predicates a public read decoded since their last change
+    /// ([`Columns::row`], [`LatticeData::decoded`]).
+    #[cfg(any(test, feature = "test-internals"))]
+    pub(crate) fn decoded_predicates(&self) -> Vec<PredId> {
+        let decoded = |p: &PredData| match p {
+            PredData::Rel(r) => r.rows.flat.is_built(),
+            PredData::Lat(l) => l.is_decoded(),
+        };
+        (0..self.preds.len() as u32)
+            .map(PredId)
+            .filter(|&pred| decoded(self.pred(pred)))
+            .collect()
     }
 }
 
@@ -1615,7 +1844,7 @@ mod tests {
     /// particular change reached — or, without it, by the cell's current
     /// value.
     fn fact_tuple(db: &Database, pred: PredId, id: u32, raised: Option<&Value>) -> Vec<Value> {
-        let mut tuple = db.pred(pred).columns().row(id).to_vec();
+        let mut tuple = db.pred(pred).columns().row(id, db.spill()).to_vec();
         if let PredData::Lat(l) = db.pred(pred) {
             tuple.push(
                 raised
@@ -1640,8 +1869,8 @@ mod tests {
         assert_eq!(rel_insert(&mut r, &mut spill, &[1, 3]), Some(1));
         assert_eq!(r.len(), 2);
         assert!(r.contains(&[Value::Int(1), Value::Int(2)], &spill));
-        assert_eq!(r.rows().count(), 2);
-        assert_eq!(r.row(1), &[Value::Int(1), Value::Int(3)][..]);
+        assert_eq!(r.rows(&spill).count(), 2);
+        assert_eq!(r.row(1, &spill), &[Value::Int(1), Value::Int(3)][..]);
     }
 
     #[test]
@@ -1677,7 +1906,8 @@ mod tests {
     #[test]
     fn encoded_and_decoded_inserts_share_one_body() {
         // A row that went in decoded is found by the encoded entry and
-        // the other way round; the arena is filled by decoding.
+        // the other way round; neither decodes, and the arena is built by
+        // the first read and dropped by the next change.
         let mut spill = SpillTable::default();
         let mut r = RelationData::new(2);
         let tuple = [Value::from("a"), Value::tag("T", Value::Int(1))];
@@ -1686,15 +1916,21 @@ mod tests {
             .iter()
             .map(|v| try_encode(v, &spill).expect("stored"))
             .collect();
-        assert_eq!(r.insert_encoded(&enc, &spill).expect("insert"), None);
+        assert_eq!(r.insert_encoded(&enc).expect("insert"), None);
+        assert!(!r.rows.flat.is_built());
+        assert_eq!(r.row(0, &spill), &tuple[..]);
+        assert!(r.rows.flat.is_built());
         let swapped = [enc[0], encode_mut(&Value::Int(9), &mut spill)];
-        assert_eq!(r.insert_encoded(&swapped, &spill).expect("insert"), Some(1));
-        assert_eq!(r.row(1), &[Value::from("a"), Value::Int(9)][..]);
+        assert_eq!(r.insert_encoded(&swapped).expect("insert"), Some(1));
+        assert!(!r.rows.flat.is_built(), "a change forgets the arena");
+        assert_eq!(r.row(1, &spill), &[Value::from("a"), Value::Int(9)][..]);
         assert_eq!(
             r.insert(&[Value::from("a"), Value::Int(9)], &mut spill)
                 .expect("insert"),
             None
         );
+        assert!(r.rows.flat.is_built(), "no change, nothing forgotten");
+        assert!(!r.clone().rows.flat.is_built(), "a copy starts without it");
     }
 
     #[test]
@@ -1711,7 +1947,7 @@ mod tests {
         );
         // The encoded entry is the same body, so the same guard.
         let enc = [encode_mut(&Value::Int(2), &mut spill)];
-        let fault = r.insert_encoded(&enc, &spill).unwrap_err();
+        let fault = r.insert_encoded(&enc).unwrap_err();
         assert!(
             matches!(fault, InsertFault::Safety(Violation::StoreFull(_))),
             "got {fault:?}"
@@ -2042,12 +2278,12 @@ mod tests {
         let cols = db.pred(pred).columns();
         assert_eq!(cols.len(), mirror.len());
         assert_eq!(cols.set.len, mirror.len());
-        assert_eq!(cols.flat.len(), mirror.len() * cols.arity);
+        assert_eq!(cols.decoded(db.spill()).len(), mirror.len() * cols.arity);
         assert!(cols.cols.iter().all(|col| col.len() == mirror.len()));
         let mut ids = Vec::new();
         for (fact, (cell, joins)) in mirror {
             let id = db.id_of(pred, fact).expect("a surviving tuple is found");
-            assert_eq!(cols.row(id), fact.as_slice());
+            assert_eq!(cols.row(id, db.spill()), fact.as_slice());
             for (c, v) in fact.iter().enumerate() {
                 assert_eq!(Some(cols.col(c)[id as usize]), try_encode(v, db.spill()));
             }
@@ -2073,14 +2309,10 @@ mod tests {
         }
         // Every index files exactly the matching rows, ascending.
         assert_eq!(cols.indexes.len(), 2);
-        for (at, (on, index)) in cols.indexes.iter().enumerate() {
-            let mut expected: FxHashMap<Vec<u64>, Vec<u32>> = FxHashMap::default();
-            for id in 0..cols.len() as u32 {
-                let key = on.iter().map(|&c| cols.col(c)[id as usize]).collect();
-                expected.entry(key).or_default().push(id);
-            }
-            assert_eq!(index.len(), expected.len(), "no emptied list is kept");
-            for (key, ids) in &expected {
+        for (at, index) in cols.indexes.iter().enumerate() {
+            let scanned = scanned_groups(&index.on, &cols.cols);
+            assert_eq!(groups_by_key(index, &cols.cols), scanned);
+            for (key, ids) in &scanned {
                 assert_eq!(cols.probe_encoded(at, key), ids.as_slice());
             }
         }
@@ -2308,6 +2540,185 @@ mod tests {
                 }
             }
             assert!(set.slots.iter().all(|&slot| slot == EMPTY_SLOT));
+        }
+    }
+
+    /// The key hash of the index tests that make keys collide:
+    /// [`colliding`] of a one-column key.
+    #[derive(Clone, Debug)]
+    struct CollidingHash;
+
+    impl KeyHash for CollidingHash {
+        fn hash(mut key: impl ExactSizeIterator<Item = u64>) -> u64 {
+            assert_eq!(key.len(), 1, "one-column keys");
+            colliding(key.next().expect("one column"))
+        }
+    }
+
+    type Groups = std::collections::BTreeMap<Vec<u64>, Vec<u32>>;
+
+    /// The rows of `cols` grouped by their slots in the columns `on`,
+    /// by scan.
+    fn scanned_groups(on: &[usize], cols: &[Vec<u64>]) -> Groups {
+        let mut groups = Groups::new();
+        for id in 0..cols[0].len() as u32 {
+            let key = on.iter().map(|&c| cols[c][id as usize]).collect();
+            groups.entry(key).or_default().push(id);
+        }
+        groups
+    }
+
+    /// Every group of `index` by its key, once the index's invariants
+    /// hold: one `keys` slot per group, which a probe of the group's key
+    /// finds; ids ascending and sharing that key; no group empty, and no
+    /// `Many` of fewer than two ids.
+    fn groups_by_key<H: KeyHash>(index: &Index<H>, cols: &[Vec<u64>]) -> Groups {
+        assert_eq!(index.keys.len, index.groups.len(), "one slot per group");
+        let mut groups = Groups::new();
+        for ids in &index.groups {
+            if let Ids::Many(many) = ids {
+                assert!(many.len() >= 2, "a Many of {many:?}");
+            }
+            let ids = ids.as_slice();
+            assert!(ids.windows(2).all(|w| w[0] < w[1]), "{ids:?} ascend");
+            let key_of =
+                |id: u32| -> Vec<u64> { index.on.iter().map(|&c| cols[c][id as usize]).collect() };
+            let key = key_of(ids[0]);
+            assert!(
+                ids.iter().all(|&id| key_of(id) == key),
+                "{ids:?} share a key"
+            );
+            assert_eq!(index.probe(cols, &key), ids, "found from its key");
+            assert!(
+                groups.insert(key, ids.to_vec()).is_none(),
+                "one group per key"
+            );
+        }
+        groups
+    }
+
+    /// What [`Columns::remove`] does to one index over one column: the
+    /// index first, while both rows are stored, then the column.
+    fn remove_row(index: &mut Index<CollidingHash>, cols: &mut [Vec<u64>], id: u32) {
+        let last = cols[0].len() as u32 - 1;
+        index.remove(cols, id, last);
+        cols[0].swap_remove(id as usize);
+    }
+
+    #[test]
+    fn index_groups_under_colliding_tags() {
+        // Row `id` has the key `cols[0][id]`. Keys 0, 16, 32 and 48 share
+        // a tag, as do 5, 21 and 37, and the homes of all of them are 12
+        // to 15 up to 16 slots: probe runs of groups whose tags collide.
+        // Rows 2 and 11 share the key of the row before them, and are
+        // filed in the recent group without a lookup.
+        let rows = [
+            0, 16, 16, 0, 32, 5, 21, 16, 0, 37, 5, 5, 48, 3, 19, 7, 1, 2, 0,
+        ];
+        let mut cols = vec![Vec::new()];
+        let mut index = Index::<CollidingHash>::new(&[0]);
+        let absent = [64, 53, 8];
+        for (id, &key) in rows.iter().enumerate() {
+            cols[0].push(key);
+            index.file(&cols, id as u32);
+            assert_eq!(groups_by_key(&index, &cols), scanned_groups(&[0], &cols));
+            for key in absent {
+                assert_eq!(index.probe(&cols, &[key]), &[] as &[u32], "{key}");
+            }
+        }
+        assert_eq!(index.probe(&cols, &[0]), &[0, 3, 8, 18]);
+        assert_eq!(index.probe(&cols, &[5]), &[5, 10, 11]);
+        assert_eq!(index.probe(&cols, &[48]), &[12]);
+        assert_eq!(index.groups.len(), 12);
+
+        // A singleton group that is not the last: the last group takes its
+        // number, and its `keys` slot is renumbered to it.
+        let (_, group) = index.find_row(&cols, 4);
+        let group = group.expect("filed");
+        assert_eq!(index.groups[group].as_slice(), &[4]);
+        let last_group = index.groups.last().expect("groups").as_slice().to_vec();
+        remove_row(&mut index, &mut cols, 4);
+        assert_eq!(groups_by_key(&index, &cols), scanned_groups(&[0], &cols));
+        assert_eq!(
+            index.probe(&cols, &[32]),
+            &[] as &[u32],
+            "32's only row went"
+        );
+        assert_eq!(index.groups[group].as_slice(), last_group);
+        // The row that moved into 4 was the store's last, of key 0.
+        assert_eq!(index.probe(&cols, &[0]), &[0, 3, 4, 8]);
+
+        // The last row of a `Many` group, itself the store's last row:
+        // nothing moves, and the group is left with one row.
+        assert_eq!(cols[0].last(), Some(&2));
+        cols[0].push(2);
+        index.file(&cols, cols[0].len() as u32 - 1);
+        assert_eq!(index.probe(&cols, &[2]), &[17, 18]);
+        remove_row(&mut index, &mut cols, 18);
+        assert_eq!(groups_by_key(&index, &cols), scanned_groups(&[0], &cols));
+        assert!(matches!(
+            index.find_row(&cols, 17).1.map(|g| &index.groups[g]),
+            Some(Ids::One(17))
+        ));
+
+        // Seeded removals down to nothing, with rows put back along the way,
+        // each checked against a scan, and the index built again from the
+        // surviving rows: the same groups, one slot each.
+        for seed in 0..4u64 {
+            let mut rng = flix_lattice::rng::SmallRng::seed_from_u64(seed ^ 0x1D6);
+            let (mut cols, mut index) = (cols.clone(), index.clone());
+            let mut refills = 6;
+            while !cols[0].is_empty() {
+                if refills > 0 && rng.gen_bool(0.3) {
+                    refills -= 1;
+                    cols[0].push(rows[rng.index(rows.len())]);
+                    index.file(&cols, cols[0].len() as u32 - 1);
+                } else {
+                    let id = rng.index(cols[0].len()) as u32;
+                    remove_row(&mut index, &mut cols, id);
+                }
+                let groups = groups_by_key(&index, &cols);
+                assert_eq!(groups, scanned_groups(&[0], &cols), "seed {seed}");
+                let mut rebuilt = Index::<CollidingHash>::new(&[0]);
+                for id in 0..cols[0].len() as u32 {
+                    rebuilt.file(&cols, id);
+                }
+                assert_eq!(groups_by_key(&rebuilt, &cols), groups, "seed {seed}");
+                for key in absent
+                    .iter()
+                    .chain(&[32])
+                    .filter(|k| !groups.contains_key(&vec![**k]))
+                {
+                    assert_eq!(index.probe(&cols, &[*key]), &[] as &[u32], "seed {seed}");
+                }
+            }
+            assert_eq!((index.keys.len, index.groups.len()), (0, 0));
+            assert!(index.keys.slots.iter().all(|&slot| slot == EMPTY_SLOT));
+        }
+    }
+
+    #[test]
+    fn ensure_index_after_removals_equals_one_built_from_scratch() {
+        let (mut db, r, _) = removal_store();
+        let fact = |a: usize, b: usize| vec![column_value(a), column_value(b), Value::Int(0)];
+        for n in 0..24 {
+            db.insert(r, &fact(n % 5, n % 7)).expect("insert");
+        }
+        for (a, b) in [(0, 0), (3, 3), (1, 1), (4, 4), (2, 2)] {
+            let id = db.id_of(r, &fact(a, b)).expect("stored");
+            db.remove(r, id);
+        }
+        let at = db.ensure_index(r, &[0, 1]);
+        let cols = db.pred(r).columns();
+        let grown = groups_by_key(&cols.indexes[at], &cols.cols);
+        assert_eq!(grown, scanned_groups(&[0, 1], &cols.cols));
+        for (on, index) in [(&[0][..], 0), (&[1][..], 1)] {
+            let mut scratch = Index::<SlotHash>::new(on);
+            for id in 0..cols.len() as u32 {
+                scratch.file(&cols.cols, id);
+            }
+            let kept = groups_by_key(&cols.indexes[index], &cols.cols);
+            assert_eq!(kept, groups_by_key(&scratch, &cols.cols), "{on:?}");
         }
     }
 

@@ -75,12 +75,20 @@ pub(crate) type FxHashSet<T> = std::collections::HashSet<T, BuildHasherDefault<F
 /// columnar store's membership set and indexes).
 #[inline]
 pub(crate) fn hash_slots(slots: &[u64]) -> u64 {
+    hash_words(slots.iter().copied())
+}
+
+/// [`hash_slots`] of slots read in place — a stored row's columns, or
+/// the key columns of one — instead of gathered into a slice first.
+#[inline]
+pub(crate) fn hash_words(words: impl ExactSizeIterator<Item = u64>) -> u64 {
+    let len = words.len();
     let mut h = FxHasher::default();
-    for &s in slots {
-        h.add(s);
+    for w in words {
+        h.add(w);
     }
     // Length matters: (a) and (a, 0) must not collide trivially.
-    h.add(slots.len() as u64);
+    h.add(len as u64);
     h.finish()
 }
 
@@ -93,6 +101,11 @@ mod tests {
         assert_ne!(hash_slots(&[1]), hash_slots(&[1, 0]));
         assert_ne!(hash_slots(&[1, 2]), hash_slots(&[2, 1]));
         assert_eq!(hash_slots(&[7, 9]), hash_slots(&[7, 9]));
+        let cols = [vec![5, 7], vec![6, 9]];
+        assert_eq!(
+            hash_words(cols.iter().map(|col| col[1])),
+            hash_slots(&[7, 9])
+        );
     }
 
     #[test]

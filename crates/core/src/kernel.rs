@@ -1210,7 +1210,9 @@ fn ops_match(ops: &[RowOp], cols: &Columns, id: u32, st: &mut State<'_, '_>) -> 
                 }
             }
             RowOp::Bind { col, slot } => st.enc[*slot] = cols.col(*col)[id as usize],
-            RowOp::BindBoxed { col, slot } => st.boxed[*slot] = Some(cols.row(id)[*col].clone()),
+            RowOp::BindBoxed { col, slot } => {
+                st.boxed[*slot] = Some(decode(cols.col(*col)[id as usize], st.db.spill()));
+            }
         }
     }
     true

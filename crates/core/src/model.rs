@@ -181,7 +181,7 @@ fn rebuild_without(
         let pred = PredId(i as u32);
         match db.pred(pred) {
             PredData::Rel(rel) => {
-                for row in rel.rows() {
+                for row in rel.rows(db.spill()) {
                     if let Some((p, t)) = skip_rel {
                         if p == pred && t.as_slice() == row {
                             continue;
@@ -328,9 +328,10 @@ fn for_each_match(
                     visit(&key, None);
                 }
             } else if let Some(hits) = rel.columns().probe(&cols, &key, db.spill()) {
-                hits.iter().for_each(|&i| visit(rel.row(i), None));
+                hits.iter()
+                    .for_each(|&i| visit(rel.row(i, db.spill()), None));
             } else {
-                rel.rows().for_each(|row| visit(row, None));
+                rel.rows(db.spill()).for_each(|row| visit(row, None));
             }
         }
         PredData::Lat(lat) => {
@@ -341,7 +342,7 @@ fn for_each_match(
             } else if let Some(hits) = lat.columns().probe(&cols, &key, db.spill()) {
                 let cells = lat.decoded(db.spill());
                 hits.iter()
-                    .for_each(|&i| visit(lat.key(i), Some(&cells[i as usize])));
+                    .for_each(|&i| visit(lat.key(i, db.spill()), Some(&cells[i as usize])));
             } else {
                 lat.iter(db.spill())
                     .for_each(|(key, cell)| visit(key, Some(cell)));

@@ -332,7 +332,8 @@ impl Solver {
     /// would refuse is reported in [`RecoveryReport::wal_error`] and
     /// left alone. The only errors are genuine solve failures (budget,
     /// panicking functions, …), returned exactly as [`Solver::solve`]
-    /// returns them.
+    /// returns them — and an intact frame the program rejects, which
+    /// [`DurableModel::open`] refuses too: `SolveError::Delta`.
     pub fn recover(
         &self,
         program: &Program,

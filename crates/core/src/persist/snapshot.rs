@@ -73,7 +73,7 @@ pub fn snapshot_to_bytes(program: &Program, solution: &Solution) -> Vec<u8> {
                 frame.u8(0);
                 frame.u32(decl.arity() as u32);
                 frame.u32(rel.len() as u32);
-                for row in rel.rows() {
+                for row in rel.rows(db.spill()) {
                     for v in row.iter() {
                         frame.value(v);
                     }

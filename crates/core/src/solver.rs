@@ -16,7 +16,9 @@
 #![allow(clippy::result_large_err)]
 
 use crate::ast::{PredKind, ProgramError};
-use crate::database::{try_encode_row, Database, Elem, InsertFault, InsertOutcome, PredData};
+use crate::database::{
+    decode, try_encode_row, Database, Elem, InsertFault, InsertOutcome, PredData,
+};
 use crate::fxhash::FxHashSet;
 use crate::guard::{panic_payload, Budget, BudgetKind, EvalGuard, Guard};
 use crate::incremental::Cone;
@@ -622,9 +624,10 @@ impl Solver {
             return;
         };
         if let Some(obs) = &self.config.observer {
+            let slots = db.pred(pred).columns().slots(id);
             obs.ascent_warning(&AscentWarning {
                 predicate: program.decl(pred).name.to_string(),
-                key: db.pred(pred).columns().row(id).to_vec(),
+                key: slots.map(|slot| decode(slot, db.spill())).collect(),
                 height,
                 threshold,
             });
@@ -1861,7 +1864,9 @@ impl Solution {
     pub fn relation(&self, name: &str) -> Option<RelationIter<'_>> {
         let pred = self.predicate(name)?;
         match self.db.pred(pred) {
-            PredData::Rel(rel) => Some(RelationIter { rows: rel.rows() }),
+            PredData::Rel(rel) => Some(RelationIter {
+                rows: rel.rows(self.db.spill()),
+            }),
             PredData::Lat(_) => None,
         }
     }
@@ -1886,7 +1891,9 @@ impl Solution {
     pub fn facts(&self, name: &str) -> Option<FactsIter<'_>> {
         let pred = self.predicate(name)?;
         let inner = match self.db.pred(pred) {
-            PredData::Rel(rel) => FactsInner::Rel(RelationIter { rows: rel.rows() }),
+            PredData::Rel(rel) => FactsInner::Rel(RelationIter {
+                rows: rel.rows(self.db.spill()),
+            }),
             PredData::Lat(lat) => FactsInner::Lat(LatticeIter::of(lat, self.db.spill())),
         };
         Some(FactsIter { inner })
@@ -2082,6 +2089,21 @@ impl Solution {
         &self.db
     }
 
+    /// Test hook: the predicates whose decoded read view — the `&[Value]`
+    /// rows or keys, or the elements of word cells — a read through this
+    /// solution (or another over the same database) has built. A solve or
+    /// a resume builds none; the first read of a predicate builds that
+    /// predicate's. Compiled only for the crate's own tests and under the
+    /// `test-internals` feature.
+    #[doc(hidden)]
+    #[cfg(any(test, feature = "test-internals"))]
+    pub fn decoded_predicates(&self) -> Vec<&str> {
+        let decoded = self.db.decoded_predicates().into_iter();
+        decoded
+            .map(|pred| self.pred_names[pred.0 as usize].as_str())
+            .collect()
+    }
+
     /// The database behind this solution, shared. The empty-delta and
     /// rejected-delta exits of [`Solver::resume`](crate::incremental)
     /// return a new [`Solution`] over the same allocation instead of
@@ -2175,7 +2197,9 @@ impl Snapshot {
     pub fn facts(&self, name: &str) -> Option<FactsIter<'_>> {
         let pred = self.predicate(name)?;
         let inner = match self.db.pred(pred) {
-            PredData::Rel(rel) => FactsInner::Rel(RelationIter { rows: rel.rows() }),
+            PredData::Rel(rel) => FactsInner::Rel(RelationIter {
+                rows: rel.rows(self.db.spill()),
+            }),
             PredData::Lat(lat) => FactsInner::Lat(LatticeIter::of(lat, self.db.spill())),
         };
         Some(FactsIter { inner })
@@ -2264,18 +2288,13 @@ impl ExactSizeIterator for RelationIter<'_> {}
 /// the deleted ones); `⊥` cells are never stored, so never yielded.
 #[derive(Clone, Debug)]
 pub struct LatticeIter<'a> {
-    lat: &'a crate::database::LatticeData,
-    /// The elements, decoded (a word lattice's on first read).
-    cells: &'a [Value],
-    ids: std::ops::Range<u32>,
+    cells: crate::database::CellsIter<'a>,
 }
 
 impl<'a> LatticeIter<'a> {
-    fn of(lat: &'a crate::database::LatticeData, spill: &'a crate::database::SpillTable) -> Self {
+    fn of(lat: &'a crate::database::LatticeData, spill: &crate::database::SpillTable) -> Self {
         LatticeIter {
-            lat,
-            cells: lat.decoded(spill),
-            ids: 0..lat.len() as u32,
+            cells: lat.iter(spill),
         }
     }
 }
@@ -2284,12 +2303,11 @@ impl<'a> Iterator for LatticeIter<'a> {
     type Item = (&'a [Value], &'a Value);
 
     fn next(&mut self) -> Option<(&'a [Value], &'a Value)> {
-        let id = self.ids.next()?;
-        Some((self.lat.key(id), &self.cells[id as usize]))
+        self.cells.next()
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
-        self.ids.size_hint()
+        self.cells.size_hint()
     }
 }
 

@@ -995,7 +995,8 @@ fn flixr_recovers(
 /// class, `flixr --load --wal` prints the model `Solver::recover`
 /// reaches on a copy of the same files and warns about exactly the
 /// degradations its report names; one more update through the log and
-/// a plain re-run then round-trips without a warning about the log.
+/// a plain re-run then round-trips without a warning about the log. On
+/// a frame the program rejects, both refuse and leave the files alone.
 #[test]
 fn load_and_wal_recover_every_damage_class_as_the_library_does() {
     use flix_core::{DurableFiles, Solver};
@@ -1031,6 +1032,33 @@ fn load_and_wal_recover_every_damage_class_as_the_library_does() {
         let binary = damage::copy_pair(&made, scratch.path("binary"));
 
         let (snapshot, wal) = (library.join(damage::SNAPSHOT), library.join(damage::WAL));
+        let Some(survivors) = survivors else {
+            // A frame the program rejects: the library refuses at the
+            // solve, `flixr` exits as a failed solve does, and neither
+            // touches the files.
+            let untouched = damage::pair_bytes(&made);
+            match solver.recover(&program, &snapshot, &wal) {
+                Err(failure) => assert!(
+                    matches!(failure.error, flix_core::SolveError::Delta(_)),
+                    "{class}: {failure:?}"
+                ),
+                Ok(_) => panic!("{class}: Solver::recover replayed a rejected frame"),
+            }
+            let output = flixr()
+                .arg("--load")
+                .arg(binary.join(damage::SNAPSHOT))
+                .arg("--wal")
+                .arg(binary.join(damage::WAL))
+                .arg(&file)
+                .output()
+                .expect("runs");
+            assert_eq!(output.status.code(), Some(3), "{class}: {output:?}");
+            let stderr = String::from_utf8(output.stderr).expect("utf8");
+            assert!(stderr.contains("Undeclared"), "{class}: {stderr}");
+            assert_eq!(damage::pair_bytes(&library), untouched, "{class}");
+            assert_eq!(damage::pair_bytes(&binary), untouched, "{class}");
+            continue;
+        };
         let (recovered, report) = solver.recover(&program, &snapshot, &wal).expect("recovers");
         let pair = DurableFiles {
             load: Some(snapshot),

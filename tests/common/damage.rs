@@ -15,29 +15,32 @@ pub const SNAPSHOT: &str = "model.snap";
 pub const WAL: &str = "model.wal";
 
 /// What can be wrong with a snapshot + write-ahead log pair.
-pub const CLASSES: [&str; 6] = [
+pub const CLASSES: [&str; 7] = [
     "clean",
     "torn-tail",
     "interior-frame",
     "destroyed-header",
     "corrupt-snapshot",
     "no-files",
+    "rejected-frame",
 ];
 
 /// Writes `base` as the snapshot and `deltas` as one log frame each
 /// into `dir`, then inflicts `class` on them. Returns how many leading
-/// deltas a correct recovery still replays.
+/// deltas a correct recovery still replays — or `None` where there is no
+/// correct recovery, and every way of recovering must refuse the pair
+/// and leave both files as they were (DESIGN §14).
 pub fn inflict(
     class: &str,
     dir: &Path,
     program: &Program,
     base: &Solution,
     deltas: &[Delta],
-) -> usize {
+) -> Option<usize> {
     assert!(deltas.len() >= 3, "interior damage needs a frame after it");
     let (snapshot, wal) = (dir.join(SNAPSHOT), dir.join(WAL));
     if class == "no-files" {
-        return 0;
+        return Some(0);
     }
     save_snapshot(&snapshot, program, base).expect("snapshot saves");
     let (mut log, _) = DeltaLog::open(&wal, program).expect("creates the log");
@@ -46,6 +49,13 @@ pub fn inflict(
     for delta in intact {
         log.append(delta).expect("appends");
         ends.push(std::fs::metadata(&wal).expect("the log exists").len());
+        if class == "rejected-frame" && ends.len() == 1 {
+            // An intact frame naming a predicate the program does not
+            // declare: `DeltaLog::append` takes it, as a binary that
+            // appended before validating did.
+            let unknown = Delta::new().insert("Undeclared", vec![9.into(), 9.into()]);
+            log.append(&unknown).expect("appends");
+        }
     }
     let flip = |path: &Path, at: u64| {
         let fault = Fault::BitFlip;
@@ -59,28 +69,34 @@ pub fn inflict(
         };
         let torn = log.append_with_fault(last, plan);
         assert!(torn.is_err(), "a torn append reports the crash");
-        return intact.len();
+        return Some(intact.len());
     }
     log.append(last).expect("appends");
     drop(log);
     match class {
-        "clean" => deltas.len(),
+        "clean" => Some(deltas.len()),
         "interior-frame" => {
             // Inside the second frame: it and everything after it go.
             flip(&wal, (ends[0] + ends[1]) / 2);
-            1
+            Some(1)
         }
         "destroyed-header" => {
             flip(&wal, 3);
-            0
+            Some(0)
         }
         "corrupt-snapshot" => {
             let len = std::fs::metadata(&snapshot).expect("the snapshot exists");
             flip(&snapshot, len.len() / 2);
-            deltas.len()
+            Some(deltas.len())
         }
+        "rejected-frame" => None,
         other => panic!("unknown damage class {other}"),
     }
+}
+
+/// The bytes of the pair in `dir`: what a refusal must leave as it was.
+pub fn pair_bytes(dir: &Path) -> [Option<Vec<u8>>; 2] {
+    [SNAPSHOT, WAL].map(|name| std::fs::read(dir.join(name)).ok())
 }
 
 /// A copy of the (possibly damaged, possibly absent) pair in `from`,

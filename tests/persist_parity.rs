@@ -14,9 +14,9 @@ mod damage;
 use flix::analyses::dataflow;
 use flix::analyses::ifds::{self, problems};
 use flix::analyses::workloads::jvm_program::{self, GenParams};
-use flix::core::persist::{DurableFiles, DurableModel};
-use flix::{load_snapshot, save_snapshot, Delta, DeltaLog, Program, Solution, Solver};
-use flixd::{Client, Hooks, ReplyBody, Request, Server, ServerConfig};
+use flix::core::persist::{DurableFiles, DurableModel, OpenError};
+use flix::{load_snapshot, save_snapshot, Delta, DeltaLog, Program, Solution, SolveError, Solver};
+use flixd::{Client, Hooks, ReplyBody, Request, Server, ServerConfig, StartError};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -182,9 +182,8 @@ fn truncated_wal_recovery_replays_the_surviving_prefix() {
     assert!(!lines.contains(&"Path(1, 5)".to_string()), "{lines:?}");
 }
 
-/// Starts a daemon on the snapshot + log pair in `dir` and returns it
-/// with its whole model, as the `facts` op renders it.
-fn serve(dir: &Path, program: &Arc<Program>) -> (Server, Vec<String>) {
+/// Starts a daemon on the snapshot + log pair in `dir`.
+fn start(dir: &Path, program: &Arc<Program>) -> Result<Server, StartError> {
     let mut config = ServerConfig::new(dir.join("flixd.sock"));
     config.snapshot = Some(dir.join(damage::SNAPSHOT));
     config.wal = Some(dir.join(damage::WAL));
@@ -193,7 +192,13 @@ fn serve(dir: &Path, program: &Arc<Program>) -> (Server, Vec<String>) {
         parse_atom: Box::new(|t| flix::lang::parse_ground_atom(t).map_err(|e| e.to_string())),
         compile_update: Box::new(|t| flix::lang::compile_update(t).map_err(|e| e.to_string())),
     };
-    let server = Server::start(Arc::clone(program), config, hooks).expect("the daemon starts");
+    Server::start(Arc::clone(program), config, hooks)
+}
+
+/// Starts a daemon on the snapshot + log pair in `dir` and returns it
+/// with its whole model, as the `facts` op renders it.
+fn serve(dir: &Path, program: &Arc<Program>) -> (Server, Vec<String>) {
+    let server = start(dir, program).expect("the daemon starts");
     let mut client = Client::connect(server.socket()).expect("connects");
     let reply = client.request(&Request::Facts { predicate: None });
     match reply.expect("facts").body {
@@ -207,7 +212,8 @@ fn serve(dir: &Path, program: &Arc<Program>) -> (Server, Vec<String>) {
 /// model reaches the same model — the scratch solve of the program plus
 /// the surviving deltas — and reports the same degradations; and after
 /// each owner of the files acknowledges one more update, a restart
-/// still round-trips.
+/// still round-trips. Where a frame is one the program rejects, every
+/// way refuses the same way and leaves both files byte-identical.
 #[test]
 fn every_way_of_recovering_agrees_on_every_damage_class() {
     let program = Arc::new(paths_program());
@@ -238,7 +244,41 @@ fn every_way_of_recovering_agrees_on_every_damage_class() {
         let dir = Scratch::new(&format!("four-way-{class}"));
         let made = dir.path("made");
         std::fs::create_dir_all(&made).expect("create the damaged pair's directory");
-        let survivors = damage::inflict(class, &made, &program, &base, &deltas);
+        let Some(survivors) = damage::inflict(class, &made, &program, &base, &deltas) else {
+            // A frame the program rejects: every way refuses at the solve
+            // and leaves the files for the operator.
+            let delta_error = |error: &SolveError| matches!(error, SolveError::Delta(_));
+            let untouched = damage::pair_bytes(&made);
+            let recovered = damage::copy_pair(&made, dir.path("recover"));
+            let pair = (
+                recovered.join(damage::SNAPSHOT),
+                recovered.join(damage::WAL),
+            );
+            match solver.recover(&program, pair.0, pair.1) {
+                Err(failure) => assert!(delta_error(&failure.error), "{class}: {failure:?}"),
+                Ok(_) => panic!("{class}: Solver::recover replayed a rejected frame"),
+            }
+            let opened = damage::copy_pair(&made, dir.path("open"));
+            match DurableModel::open(&solver, &program, &files_in(&opened)) {
+                Err(OpenError::Solve { failure, .. }) => {
+                    assert!(delta_error(&failure.error), "{class}: {failure:?}")
+                }
+                Err(other) => panic!("{class}: open refused with {other:?}"),
+                Ok(_) => panic!("{class}: open replayed a rejected frame"),
+            }
+            let served = damage::copy_pair(&made, dir.path("serve"));
+            match start(&served, &program) {
+                Err(StartError::Solve(failure)) => {
+                    assert!(delta_error(&failure.error), "{class}: {failure:?}")
+                }
+                Err(other) => panic!("{class}: flixd refused with {other}"),
+                Ok(_) => panic!("{class}: flixd replayed a rejected frame"),
+            }
+            for copy in [recovered, opened, served] {
+                assert_eq!(damage::pair_bytes(&copy), untouched, "{class}: {copy:?}");
+            }
+            continue;
+        };
         let mut applied: Vec<&Delta> = deltas[..survivors].iter().collect();
         let expected = scratch_of(&applied);
 

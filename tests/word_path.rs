@@ -13,17 +13,27 @@
 //! and four threads. (Only where Figure 5 re-derives after a retraction
 //! may the word path do less work: there its choice variables are bound
 //! from the lost facts.) Figure 5 is also queried on demand.
+//!
+//! The store, too, keeps words only: the decoded rows the public reads
+//! lend are built by the first read, so a solve or a resume — Figures 2,
+//! 4, 5 and 6 and a join that binds a boxed register, with an ascent
+//! warning on every cell that climbs — builds none of them.
 
 #[path = "common/golden.rs"]
 mod golden;
 
+use flix::analyses::dataflow;
 use flix::analyses::ifds::{self, problems::Taint};
 use flix::analyses::workloads::jvm_program::{self, GenParams};
 use flix::core::SolveStats;
-use flix::{Delta, DeltaOp, Program, Query, Solution, Solver, Value};
+use flix::lattice::MinCost;
+use flix::{
+    AscentConfig, AscentWarning, BodyItem, Delta, DeltaOp, Head, HeadTerm, LatticeOps, Observer,
+    Program, ProgramBuilder, Query, Solution, Solver, Term, Value, ValueLattice,
+};
 use golden::{flat_programs, STRATEGIES};
 use std::fmt::Write as _;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 /// The statistics of a solve with the timings zeroed.
 fn counters(solution: &Solution) -> SolveStats {
@@ -166,5 +176,114 @@ fn figures_4_and_6_agree_with_their_boxed_reference() {
             "{strategy:?}: the node holds facts"
         );
         assert_eq!(words, answered(&reference), "{strategy:?}");
+    }
+}
+
+/// Records every ascent warning the solver fires.
+#[derive(Default)]
+struct Warnings(Mutex<Vec<AscentWarning>>);
+
+impl Observer for Warnings {
+    fn ascent_warning(&self, warning: &AscentWarning) {
+        self.0.lock().expect("log").push(warning.clone());
+    }
+}
+
+/// `Near(k) :- Cost(c), Best(k, c).` over a closure-defined lattice:
+/// `c` is a boxed register (a `MinCost` element), which `Cost(c)` binds
+/// from a stored column when the plan visits it first. With an insert →
+/// retract → insert sequence on `Cost`.
+fn boxed_join() -> (Program, Vec<Delta>) {
+    let mut b = ProgramBuilder::new();
+    let cost = b.relation("Cost", 1);
+    let best = b.lattice("Best", 2, LatticeOps::of::<MinCost>());
+    let near = b.relation("Near", 1);
+    let finite = |c: u64| MinCost::finite(c).to_value();
+    for c in [3, 8] {
+        b.fact(cost, vec![finite(c)]);
+    }
+    b.fact(best, vec!["a".into(), finite(5)]);
+    b.fact(best, vec!["b".into(), finite(9)]);
+    let v = Term::var;
+    b.rule(
+        Head::new(near, [HeadTerm::var("k")]),
+        [
+            BodyItem::atom(cost, [v("c")]),
+            BodyItem::atom(best, [v("k"), v("c")]),
+        ],
+    );
+    let steps = vec![
+        Delta::new().insert("Cost", vec![finite(6)]),
+        Delta::new().retract("Cost", vec![finite(3)]),
+        Delta::new().insert("Cost", vec![finite(3)]),
+    ];
+    (b.build().expect("valid"), steps)
+}
+
+/// Neither a solve nor a resume decodes what the store holds: not the
+/// insert path, not a join that binds a boxed register, not an ascent
+/// warning — which decodes its own cell's key and nothing else. The first
+/// `Solution::relation` then builds the read view of that one predicate.
+#[test]
+fn a_solve_and_a_resume_build_no_decoded_rows() {
+    let int_b = vec![Value::from("b"), Value::from(2)];
+    let figure_2 = (
+        "figure 2",
+        dataflow::build_program(&dataflow::example_input()),
+        vec![
+            Delta::new().insert("Int", int_b.clone()),
+            Delta::new().retract("Int", int_b.clone()),
+            Delta::new().insert("Int", int_b),
+        ],
+    );
+    let (ifds, _, ifds_steps) = figure_5();
+    let (join, join_steps) = boxed_join();
+    let mut programs = vec![
+        figure_2,
+        ("ifds/taint", ifds, ifds_steps),
+        ("boxed join", join, join_steps),
+    ];
+    programs.extend(flat_programs());
+    for (label, program, steps) in &programs {
+        let warnings = Arc::new(Warnings::default());
+        let solver = Solver::new()
+            .ascent(AscentConfig {
+                warn_height: Some(1),
+                top_k: 0,
+            })
+            .observer(warnings.clone());
+        let mut solution = solver.solve(program).expect("solves");
+        assert_eq!(solution.decoded_predicates(), [] as [&str; 0], "{label}");
+        for (n, delta) in steps.iter().enumerate() {
+            solution = solver.resume(program, &solution, delta).expect("resumes");
+            let decoded = solution.decoded_predicates();
+            assert_eq!(decoded, [] as [&str; 0], "{label}, step {n}");
+        }
+        let lattices = program
+            .predicates()
+            .filter(|(_, d)| d.lattice_ops().is_some());
+        assert_eq!(
+            warnings.0.lock().expect("log").is_empty(),
+            lattices.count() == 0,
+            "{label}: every lattice warns"
+        );
+        let (_, relation) = program
+            .predicates()
+            .find(|(_, d)| d.lattice_ops().is_none() && solution.len(d.name()) > Some(0))
+            .expect("a relation holds facts");
+        let name = relation.name();
+        let rows = solution.relation(name).expect("a relation").count();
+        assert_eq!(Some(rows), solution.len(name), "{label}");
+        assert_eq!(solution.decoded_predicates(), [name], "{label}");
+        // Each warning named the key of a cell the model holds.
+        for warning in warnings.0.lock().expect("log").iter() {
+            let cells = solution.lattice(&warning.predicate).expect("a lattice");
+            assert!(
+                cells
+                    .map(|(key, _)| key)
+                    .any(|key| key == warning.key.as_slice()),
+                "{label}: {warning:?}"
+            );
+        }
     }
 }

@@ -371,18 +371,19 @@ fn run(args: Vec<String>) -> Result<(), Failure> {
         source.push_str(&text);
         source.push('\n');
     }
+    // The checked program `--verify` checks is the one lowered.
+    let checked = flix_lang::parse(&source)
+        .and_then(|parsed| flix_lang::check(&parsed))
+        .map_err(|e| Failure::lang(e.to_string()))?;
+    let checked = Arc::new(checked);
     if o.verify {
-        let parsed = flix_lang::parse(&source).map_err(|e| Failure::lang(e.to_string()))?;
-        let checked = std::sync::Arc::new(
-            flix_lang::check(&parsed).map_err(|e| Failure::lang(e.to_string()))?,
-        );
         flix_lang::verify::check_lattices(&checked).map_err(|e| Failure {
             code: EXIT_SOLVE,
             message: Some(e.to_string()),
         })?;
         eprintln!("flixr: all lattice bindings satisfy the lattice laws");
     }
-    let program = Arc::new(flix_lang::compile(&source).map_err(|e| Failure::lang(e.to_string()))?);
+    let program = Arc::new(flix_lang::lower(checked).map_err(|e| Failure::lang(e.to_string()))?);
 
     let mut budget = Budget::new();
     if let Some(deadline) = o.timeout {

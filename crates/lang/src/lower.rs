@@ -4,6 +4,11 @@
 //! compiled `def`s of [`crate::interp`] by index; `def` functions are
 //! registered as engine functions the same way; predicates, facts, and
 //! rules map one-to-one onto the [`flix_core::ProgramBuilder`] API.
+//!
+//! The checker has already evaluated every fact into its tuple
+//! ([`CheckedProgram::facts`]). Lowering moves those tuples into the
+//! builder when it holds the only reference to the checked program, and
+//! clones them when the program is shared.
 
 use crate::ast::{Atom, LatticeBind, RuleTerm};
 use crate::error::LangError;
@@ -22,7 +27,11 @@ use std::sync::Arc;
 /// Returns a [`LangError`] if the engine rejects the rule set (e.g. an
 /// unbound head variable or an unstratifiable use of negation discovered
 /// at solve time is reported by the solver instead).
-pub fn lower(checked: Arc<CheckedProgram>) -> Result<Program, LangError> {
+pub fn lower(mut checked: Arc<CheckedProgram>) -> Result<Program, LangError> {
+    let facts = match Arc::get_mut(&mut checked) {
+        Some(owned) => std::mem::take(&mut owned.facts),
+        None => checked.facts.clone(),
+    };
     let interp = Interpreter::new(checked.clone());
     let mut b = ProgramBuilder::new();
 
@@ -66,13 +75,10 @@ pub fn lower(checked: Arc<CheckedProgram>) -> Result<Program, LangError> {
         );
     }
 
-    // Constraints.
+    for (pred, tuple) in facts {
+        b.fact(pred_ids[&pred], tuple);
+    }
     for c in &checked.constraints {
-        if c.body.is_empty() {
-            let values: Vec<Value> = c.head.terms.iter().map(ground_value).collect();
-            b.fact(pred_ids[&c.head.pred], values);
-            continue;
-        }
         let head = Head::new(
             pred_ids[&c.head.pred],
             c.head

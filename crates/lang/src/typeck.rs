@@ -4,10 +4,18 @@
 //! and predicate schemas; types every function body; and types every
 //! constraint, resolving the parser's ambiguity between body atoms and
 //! filter applications (both look like `name(args)`) by name kind.
+//!
+//! Constraints are checked in source order, so the first error is the
+//! first in the source. A rule becomes a [`CheckedConstraint`]; a fact —
+//! a bodyless constraint — is checked the same way and then evaluated,
+//! once, into its tuple of engine values in [`CheckedProgram::facts`],
+//! which [`crate::lower()`] moves into the engine program.
 
 use crate::ast::*;
 use crate::error::LangError;
+use crate::lower::ground_value;
 use crate::token::Pos;
+use flix_core::Value;
 use std::collections::HashMap;
 
 /// A resolved semantic type.
@@ -130,7 +138,7 @@ pub enum CheckedBodyItem {
     },
 }
 
-/// A type-checked constraint.
+/// A type-checked rule: a constraint with a body.
 #[derive(Clone, Debug)]
 pub struct CheckedConstraint {
     /// The head atom.
@@ -152,8 +160,11 @@ pub struct CheckedProgram {
     pub preds: HashMap<String, PredSig>,
     /// Predicate declaration order (for stable output).
     pub pred_order: Vec<String>,
-    /// The constraints.
+    /// The rules, in source order.
     pub constraints: Vec<CheckedConstraint>,
+    /// The facts, in source order: each one's predicate name and tuple.
+    /// A lattice fact carries its element as the last value.
+    pub facts: Vec<(String, Vec<Value>)>,
 }
 
 /// Type-checks a parsed program.
@@ -356,9 +367,13 @@ pub fn check(program: &SourceProgram) -> Result<CheckedProgram, LangError> {
         }
     }
 
-    // Pass 4: check constraints.
+    // Pass 4: check constraints; evaluate each fact into its tuple.
     for decl in &program.decls {
-        if let Decl::Constraint(c) = decl {
+        let Decl::Constraint(c) = decl else { continue };
+        if c.body.is_empty() {
+            let tuple = cx.check_fact(&c.head)?;
+            cx.out.facts.push((c.head.pred.clone(), tuple));
+        } else {
             let checked = cx.check_constraint(c)?;
             cx.out.constraints.push(checked);
         }
@@ -414,7 +429,7 @@ impl Checker {
                 if enum_name == "Set" {
                     return Err(LangError::ty(*pos, "Set is not an enum type"));
                 }
-                let payload = self.case_payload(enum_name, case, *pos)?.to_vec();
+                let payload = self.case_payload(enum_name, case, *pos)?;
                 if payload.len() != args.len() {
                     return Err(LangError::ty(
                         *pos,
@@ -425,7 +440,7 @@ impl Checker {
                         ),
                     ));
                 }
-                for (arg, want) in args.iter().zip(&payload) {
+                for (arg, want) in args.iter().zip(payload) {
                     let got = self.infer_expr(arg, env)?;
                     if !compatible(&got, want) {
                         return Err(LangError::ty(
@@ -441,8 +456,7 @@ impl Checker {
                     .out
                     .defs
                     .get(func)
-                    .ok_or_else(|| LangError::ty(*pos, format!("unknown function {func}")))?
-                    .clone();
+                    .ok_or_else(|| LangError::ty(*pos, format!("unknown function {func}")))?;
                 if def.params.len() != args.len() {
                     return Err(LangError::ty(
                         *pos,
@@ -462,7 +476,7 @@ impl Checker {
                         ));
                     }
                 }
-                Ok(def.ret)
+                Ok(def.ret.clone())
             }
             Expr::Tuple(items, _) => Ok(Type::Tuple(
                 items
@@ -668,7 +682,7 @@ impl Checker {
                         format!("pattern {enum_name}.{case} cannot match a {expected}"),
                     ));
                 }
-                let payload = self.case_payload(enum_name, case, *pos)?.to_vec();
+                let payload = self.case_payload(enum_name, case, *pos)?;
                 if payload.len() != args.len() {
                     return Err(LangError::ty(
                         *pos,
@@ -679,7 +693,7 @@ impl Checker {
                         ),
                     ));
                 }
-                for (p, t) in args.iter().zip(&payload) {
+                for (p, t) in args.iter().zip(payload) {
                     self.check_pattern(p, t, env)?;
                 }
                 Ok(())
@@ -717,8 +731,8 @@ impl Checker {
         for item in &c.body {
             match item {
                 BodyItem::Atom(atom) => {
-                    if self.out.preds.contains_key(&atom.pred) {
-                        self.check_atom(atom, &mut vars, false)?;
+                    if let Some(sig) = self.out.preds.get(&atom.pred) {
+                        self.check_atom(atom, sig, &mut vars, false)?;
                         body.push(CheckedBodyItem::Atom(atom.clone()));
                     } else if let Some(def) = self.out.defs.get(&atom.pred) {
                         // A filter application.
@@ -744,13 +758,13 @@ impl Checker {
                     }
                 }
                 BodyItem::NegAtom(atom) => {
-                    if !self.out.preds.contains_key(&atom.pred) {
+                    let Some(sig) = self.out.preds.get(&atom.pred) else {
                         return Err(LangError::ty(
                             atom.pos,
                             format!("unknown predicate {}", atom.pred),
                         ));
-                    }
-                    self.check_atom(atom, &mut vars, false)?;
+                    };
+                    self.check_atom(atom, sig, &mut vars, false)?;
                     body.push(CheckedBodyItem::NegAtom(atom.clone()));
                 }
                 BodyItem::Choose {
@@ -811,45 +825,43 @@ impl Checker {
             }
         }
 
-        // The head.
-        if !self.out.preds.contains_key(&c.head.pred) {
-            return Err(LangError::ty(
-                c.head.pos,
-                format!("unknown predicate {}", c.head.pred),
-            ));
-        }
-        self.check_atom(&c.head, &mut vars, true)?;
-        if c.body.is_empty() {
-            // Facts must be ground.
-            for t in &c.head.terms {
-                if !is_ground(t) {
-                    return Err(LangError::ty(
-                        t.pos(),
-                        "facts must be ground (no variables, wildcards, or function \
-                         applications)",
-                    ));
-                }
-            }
-        }
+        self.check_head(&c.head, &mut vars)?;
         Ok(CheckedConstraint {
             head: c.head.clone(),
             body,
         })
     }
 
-    /// Checks an atom's terms against the predicate schema.
+    /// Checks a fact as a bodyless rule, then evaluates its ground terms.
+    fn check_fact(&self, head: &Atom) -> Result<Vec<Value>, LangError> {
+        self.check_head(head, &mut HashMap::new())?;
+        if let Some(t) = head.terms.iter().find(|t| !is_ground(t)) {
+            return Err(LangError::ty(
+                t.pos(),
+                "facts must be ground (no variables, wildcards, or function applications)",
+            ));
+        }
+        Ok(head.terms.iter().map(ground_value).collect())
+    }
+
+    fn check_head(&self, head: &Atom, vars: &mut HashMap<String, Type>) -> Result<(), LangError> {
+        let Some(sig) = self.out.preds.get(&head.pred) else {
+            return Err(LangError::ty(
+                head.pos,
+                format!("unknown predicate {}", head.pred),
+            ));
+        };
+        self.check_atom(head, sig, vars, true)
+    }
+
+    /// Checks an atom's terms against its predicate's schema `sig`.
     fn check_atom(
         &self,
         atom: &Atom,
+        sig: &PredSig,
         vars: &mut HashMap<String, Type>,
         is_head: bool,
     ) -> Result<(), LangError> {
-        let sig = self
-            .out
-            .preds
-            .get(&atom.pred)
-            .expect("caller checked")
-            .clone();
         if sig.attrs.len() != atom.terms.len() {
             return Err(LangError::ty(
                 atom.pos,
@@ -893,7 +905,7 @@ impl Checker {
         vars: &mut HashMap<String, Type>,
         pos: Pos,
     ) -> Result<(), LangError> {
-        let def = self.out.defs.get(func).expect("caller checked").clone();
+        let def = self.out.defs.get(func).expect("caller checked");
         if def.params.len() != args.len() {
             return Err(LangError::ty(
                 pos,
@@ -950,7 +962,7 @@ impl Checker {
                         ),
                     ));
                 }
-                let payload = self.case_payload(enum_name, case, *pos)?.to_vec();
+                let payload = self.case_payload(enum_name, case, *pos)?;
                 if payload.len() != args.len() {
                     return Err(LangError::ty(
                         *pos,
@@ -961,7 +973,7 @@ impl Checker {
                         ),
                     ));
                 }
-                for (arg, want) in args.iter().zip(&payload) {
+                for (arg, want) in args.iter().zip(payload) {
                     self.check_term(arg, want, vars)?;
                 }
                 Ok(())

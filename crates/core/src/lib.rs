@@ -115,8 +115,8 @@ pub use persist::{
 };
 pub use program::Program;
 pub use solver::{
-    ConfigError, Fact, FactsIter, LatticeIter, RelationIter, Snapshot, Solution, SolveError,
-    SolveFailure, SolveStats, Solver, SolverConfig, Strategy,
+    ConfigError, Fact, FactsIter, LatticeIter, RelationIter, Solution, SolveError, SolveFailure,
+    SolveStats, Solver, SolverConfig, Strategy,
 };
 pub use trace::{
     render_ascent_report, AscentCell, AscentConfig, AscentReport, AscentWarning, ExecutionTrace,

@@ -19,6 +19,7 @@ use crate::ast::{PredKind, ProgramError};
 use crate::database::{
     decode, try_encode_row, Database, Elem, InsertFault, InsertOutcome, PredData,
 };
+use crate::demand::Query;
 use crate::fxhash::FxHashSet;
 use crate::guard::{panic_payload, Budget, BudgetKind, EvalGuard, Guard};
 use crate::incremental::Cone;
@@ -1306,44 +1307,49 @@ impl<'a> Run<'a> {
         let stats = &mut self.stats;
         out.clear();
         stats.rule_evaluations += tasks.len() as u64;
-        if solver.config.threads <= 1 || tasks.len() <= 1 {
-            let eval_guard = guard.eval_guard();
+        // The one task loop, on whichever thread runs it: evaluate each
+        // task in order into `out`, hand its report to `note`, stop at
+        // the first fault. The thread's ring merges into its track even
+        // on a fault, so the partial trace keeps the spans recorded
+        // before it.
+        let task_loop = |tasks: &[Task],
+                         tid: u32,
+                         eval_guard: &EvalGuard,
+                         out: &mut Derivations,
+                         note: &mut dyn FnMut(&TaskReport)|
+         -> Result<(), SolveError> {
             let mut ring = tracer.local_ring();
             let mut scratch = kernel::KernelScratch::new();
-            let mut failure = None;
-            for task in tasks {
+            let result = tasks.iter().try_for_each(|task| {
                 let mut span = TaskSpan {
                     tracer,
                     ring: &mut ring,
-                    tid: 0,
+                    tid,
                     stratum,
                     round,
                 };
-                match run_one_task(
+                let report = run_one_task(
                     program,
                     db,
                     kernels,
                     task,
                     delta,
-                    &eval_guard,
+                    eval_guard,
                     out,
                     &mut span,
                     &mut scratch,
-                ) {
-                    Ok(report) => Solver::note_task(stats, &report),
-                    Err(error) => {
-                        failure = Some(error);
-                        break;
-                    }
-                }
-            }
-            // Merge even on failure, so the partial trace keeps the spans
-            // recorded before the fault.
-            tracer.merge(0, ring);
-            return match failure {
-                None => Ok(()),
-                Some(error) => Err(error),
-            };
+                )?;
+                note(&report);
+                Ok(())
+            });
+            tracer.merge(tid, ring);
+            result
+        };
+        if solver.config.threads <= 1 || tasks.len() <= 1 {
+            // On the coordinator: track 0, the unscaled guard, straight
+            // into the round's `out` and `stats`.
+            let mut note = |report: &TaskReport| Solver::note_task(stats, report);
+            return task_loop(tasks, 0, &guard.eval_guard(), out, &mut note);
         }
         // Parallel: rule evaluations within a round only read the database,
         // so they can proceed concurrently; outputs are merged afterwards
@@ -1374,42 +1380,9 @@ impl<'a> Run<'a> {
                         let eval_guard = guard.eval_guard_scaled(threads);
                         let mut out = Derivations::default();
                         let mut reports = Vec::with_capacity(task_chunk.len());
-                        let mut ring = tracer.local_ring();
-                        let mut scratch = kernel::KernelScratch::new();
-                        let mut failure = None;
-                        for task in task_chunk {
-                            let mut span = TaskSpan {
-                                tracer,
-                                ring: &mut ring,
-                                tid,
-                                stratum,
-                                round,
-                            };
-                            match run_one_task(
-                                program,
-                                db,
-                                kernels,
-                                task,
-                                delta,
-                                &eval_guard,
-                                &mut out,
-                                &mut span,
-                                &mut scratch,
-                            ) {
-                                Ok(report) => reports.push(report),
-                                Err(error) => {
-                                    failure = Some(error);
-                                    break;
-                                }
-                            }
-                        }
-                        // Worker-local ring merges into the shared slot
-                        // exactly once per round, off the evaluation path.
-                        tracer.merge(tid, ring);
-                        match failure {
-                            None => Ok((out, reports)),
-                            Some(error) => Err(error),
-                        }
+                        let mut note = |report: &TaskReport| reports.push(*report);
+                        task_loop(task_chunk, tid, &eval_guard, &mut out, &mut note)?;
+                        Ok((out, reports))
                     })
                 })
                 .collect();
@@ -1450,10 +1423,7 @@ impl<'a> Run<'a> {
                 }
             }
         }
-        match failure {
-            None => Ok(()),
-            Some(error) => Err(error),
-        }
+        failure.map_or(Ok(()), Err)
     }
 }
 
@@ -1899,6 +1869,33 @@ impl Solution {
         Some(FactsIter { inner })
     }
 
+    /// The facts of a predicate as sorted `Pred(args)` lines, only those
+    /// matching `pattern` when one is given: the one rendering of a
+    /// model's facts, which `flixr` prints and `flixd` replies with.
+    /// Returns `None` for unknown names.
+    pub fn fact_lines(&self, name: &str, pattern: Option<&Query>) -> Option<Vec<String>> {
+        let facts = self.facts(name)?;
+        let mut lines: Vec<String> = facts
+            .filter(|fact| pattern.is_none_or(|q| q.matches(fact)))
+            .map(|fact| format!("{name}({fact})"))
+            .collect();
+        lines.sort();
+        Some(lines)
+    }
+
+    /// Every fact of the model as [`Solution::fact_lines`] renders it,
+    /// predicate by predicate in name order. For names of identifier
+    /// characters that is sorted order, since `(` sorts below them all.
+    pub fn model_lines(&self) -> Vec<String> {
+        let mut names: Vec<&str> = self.pred_names.iter().map(String::as_str).collect();
+        names.sort_unstable();
+        let mut lines = Vec::with_capacity(self.total_facts());
+        for name in names {
+            lines.extend(self.fact_lines(name, None).expect("a declared predicate"));
+        }
+        lines
+    }
+
     /// The lattice element at `key`, or the lattice's `⊥` when the cell
     /// was never derived. Returns `None` for unknown or relational
     /// predicates.
@@ -2133,129 +2130,13 @@ impl Solution {
     pub(crate) fn edb(&self) -> &ExtensionalStore {
         &self.edb
     }
-
-    /// A cheap, immutable, shareable read view of this solution's fact
-    /// database — the handle a resident service publishes per epoch.
-    ///
-    /// # Cost model
-    ///
-    /// The fact data itself is **never copied**: the snapshot bumps the
-    /// reference count on the `Arc`-shared database and copies only the
-    /// predicate name table (one `String` + id per declared predicate,
-    /// `O(#predicates)`, independent of fact count). Contrast with
-    /// cloning the whole [`Solution`], which additionally deep-copies
-    /// the run statistics and any execution trace. Cloning the returned
-    /// [`Snapshot`] is `O(1)`:
-    /// two `Arc` bumps.
-    ///
-    /// The view is immutable: the solver never mutates a database behind
-    /// a published [`Solution`] (updates build a new database and a new
-    /// solution), so a snapshot taken before an update keeps observing
-    /// the pre-update model — the snapshot-isolation primitive of the
-    /// `flixd` service.
-    pub fn snapshot(&self) -> Snapshot {
-        Snapshot {
-            names: Arc::new(self.names.clone()),
-            kinds: Arc::new(self.kinds.clone()),
-            db: Arc::clone(&self.db),
-        }
-    }
 }
 
-/// An immutable, cheaply cloneable read view of a solved model's facts,
-/// produced by [`Solution::snapshot`].
-///
-/// Offers the read-only query surface of [`Solution`] (facts, membership,
-/// lattice cells) without the statistics, provenance, or trace baggage —
-/// see [`Solution::snapshot`] for the cost model. `Clone` is `O(1)`
-/// (reference-count bumps only), and the type is `Send + Sync`, so many
-/// reader threads can serve queries from one snapshot while a writer
-/// computes the next fixed point.
-#[derive(Clone, Debug)]
-pub struct Snapshot {
-    names: Arc<std::collections::HashMap<String, PredId>>,
-    kinds: Arc<Vec<bool>>,
-    db: Arc<Database>,
-}
-
-impl Snapshot {
-    /// Looks up a predicate id by name.
-    pub fn predicate(&self, name: &str) -> Option<PredId> {
-        self.names.get(name).copied()
-    }
-
-    /// The declared predicate names, in declaration order.
-    pub fn predicate_names(&self) -> Vec<&str> {
-        let mut names: Vec<(&str, PredId)> =
-            self.names.iter().map(|(n, &p)| (n.as_str(), p)).collect();
-        names.sort_by_key(|(_, p)| p.0);
-        names.into_iter().map(|(n, _)| n).collect()
-    }
-
-    /// Iterates every fact of a predicate, relational or lattice, as a
-    /// uniform [`Fact`] view. Returns `None` for unknown names.
-    pub fn facts(&self, name: &str) -> Option<FactsIter<'_>> {
-        let pred = self.predicate(name)?;
-        let inner = match self.db.pred(pred) {
-            PredData::Rel(rel) => FactsInner::Rel(RelationIter {
-                rows: rel.rows(self.db.spill()),
-            }),
-            PredData::Lat(lat) => FactsInner::Lat(LatticeIter::of(lat, self.db.spill())),
-        };
-        Some(FactsIter { inner })
-    }
-
-    /// The lattice element at `key`, or `⊥` when the cell was never
-    /// derived. Returns `None` for unknown or relational predicates.
-    pub fn lattice_value(&self, name: &str, key: &[Value]) -> Option<Value> {
-        let pred = self.predicate(name)?;
-        match self.db.pred(pred) {
-            PredData::Lat(lat) => Some(
-                lat.value(key, self.db.spill())
-                    .cloned()
-                    .unwrap_or_else(|| lat.ops().bottom().clone()),
-            ),
-            PredData::Rel(_) => None,
-        }
-    }
-
-    /// Returns `true` if the relational predicate contains the tuple.
-    pub fn contains(&self, name: &str, row: &[Value]) -> bool {
-        match self.predicate(name).map(|p| self.db.pred(p)) {
-            Some(PredData::Rel(rel)) => rel.contains(row, self.db.spill()),
-            _ => false,
-        }
-    }
-
-    /// The number of facts stored for a predicate (tuples, or non-bottom
-    /// cells for lattice predicates).
-    pub fn len(&self, name: &str) -> Option<usize> {
-        let pred = self.predicate(name)?;
-        Some(self.db.len_of(pred))
-    }
-
-    /// Returns `true` if a predicate holds no facts.
-    pub fn is_empty(&self, name: &str) -> Option<bool> {
-        self.len(name).map(|n| n == 0)
-    }
-
-    /// Returns `true` if the named predicate is a lattice predicate.
-    pub fn is_lattice(&self, name: &str) -> Option<bool> {
-        self.predicate(name).map(|p| self.kinds[p.0 as usize])
-    }
-
-    /// Total facts across all predicates.
-    pub fn total_facts(&self) -> usize {
-        self.db.total_facts()
-    }
-}
-
-// The service shares solutions and snapshots across reader and writer
-// threads; losing either bound is an API break, caught at compile time.
+// The service shares solutions across reader and writer threads; losing
+// either bound is an API break, caught at compile time.
 const _: () = {
     const fn assert_send_sync<T: Send + Sync>() {}
     assert_send_sync::<Solution>();
-    assert_send_sync::<Snapshot>();
 };
 
 /// Iterator over the tuples of a relational predicate, returned by
@@ -2317,8 +2198,8 @@ impl ExactSizeIterator for LatticeIter<'_> {}
 /// a relational tuple or a lattice cell.
 ///
 /// `Display` renders the comma-separated column list (key columns plus
-/// the cell element for lattice facts), so `format!("{name}({fact})")`
-/// reproduces the canonical `Pred(a, b, c)` form used by flixr.
+/// the cell element for lattice facts); [`Solution::fact_lines`] wraps it
+/// in the predicate's name for the canonical `Pred(a, b, c)` line.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum Fact<'a> {
     /// A relational tuple.

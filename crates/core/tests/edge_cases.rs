@@ -5,7 +5,7 @@ use flix_core::model::{is_locally_minimal, is_model};
 use flix_core::provenance::Event;
 use flix_core::{
     AscentConfig, AscentWarning, BodyItem, Delta, Head, HeadTerm, LatticeOps, Observer, Program,
-    ProgramBuilder, Solution, Solver, Strategy, Term, Value, ValueLattice,
+    ProgramBuilder, Query, Solution, Solver, Strategy, Term, Value, ValueLattice,
 };
 use flix_lattice::{MinCost, Parity};
 use std::sync::{Arc, Mutex};
@@ -296,6 +296,43 @@ fn string_and_tuple_values_as_keys() {
     assert_eq!(
         solution.lattice_value("M", &[key]),
         Some(Parity::Even.to_value())
+    );
+}
+
+#[test]
+fn fact_lines_render_sorted_filter_by_pattern_and_refuse_unknown_names() {
+    let mut b = ProgramBuilder::new();
+    let p = b.relation("P", 2);
+    let pa = b.lattice("Pa", 2, LatticeOps::of::<Parity>());
+    for (x, y) in [(2, 1), (1, 3), (1, 2)] {
+        b.fact(p, vec![x.into(), y.into()]);
+    }
+    b.fact(pa, vec![1.into(), Parity::Odd.to_value()]);
+    b.fact(pa, vec![0.into(), Parity::Even.to_value()]);
+    let solution = Solver::new()
+        .solve(&b.build().expect("valid"))
+        .expect("solves");
+
+    let lines = |name: &str, pattern: Option<&Query>| solution.fact_lines(name, pattern);
+    assert_eq!(
+        lines("P", None).expect("declared"),
+        ["P(1, 2)", "P(1, 3)", "P(2, 1)"]
+    );
+    let first_is_1 = Query::new("P", vec![Some(1.into()), None]);
+    assert_eq!(
+        lines("P", Some(&first_is_1)).expect("declared"),
+        ["P(1, 2)", "P(1, 3)"]
+    );
+    // A bound cell value filters by equality with the cell's element.
+    let odd = Query::new("Pa", vec![None, Some(Parity::Odd.to_value())]);
+    assert_eq!(lines("Pa", Some(&odd)).expect("declared"), ["Pa(1, Odd)"]);
+    assert_eq!(lines("Nope", None), None);
+
+    // The whole model is every predicate's lines in name order, which
+    // is sorted order: `P(` before `Pa(`.
+    assert_eq!(
+        solution.model_lines(),
+        ["P(1, 2)", "P(1, 3)", "P(2, 1)", "Pa(0, Even)", "Pa(1, Odd)"]
     );
 }
 

@@ -51,8 +51,8 @@ pub use flix_core::{
     BodyItem, Budget, BudgetKind, CancelToken, ConfigError, Delta, DeltaError, DeltaLog, DeltaOp,
     DemandError, ExecutionTrace, Fact, FactsIter, Head, HeadTerm, LatticeIter, LatticeOps,
     Observer, PersistError, Program, ProgramBuilder, Query, QueryResult, RecoveryReport,
-    RelationIter, Snapshot, Solution, SolveError, SolveFailure, Solver, SolverConfig, SpanKind,
-    Strategy, Term, TraceConfig, Value, ValueLattice, WalRecovery,
+    RelationIter, Solution, SolveError, SolveFailure, Solver, SolverConfig, SpanKind, Strategy,
+    Term, TraceConfig, Value, ValueLattice, WalRecovery,
 };
 pub use flix_lang::compile;
 pub use flix_lattice::{HasTop, Lattice};

@@ -657,20 +657,6 @@ fn trigger_shutdown(shared: &Shared, writer_tx: &Sender<WriterJob>) {
     }
 }
 
-fn render_fact_lines(
-    model: &Solution,
-    predicate: &str,
-    filter: Option<&Query>,
-) -> Option<Vec<String>> {
-    let facts = model.facts(predicate)?;
-    let mut lines: Vec<String> = facts
-        .filter(|f| filter.is_none_or(|q| q.matches(f)))
-        .map(|f| format!("{predicate}({f})"))
-        .collect();
-    lines.sort();
-    Some(lines)
-}
-
 fn handle_query(shared: &Shared, atom: &str) -> Reply {
     shared.queries_served.fetch_add(1, Ordering::Relaxed);
     let (predicate, pattern) = match (shared.hooks.parse_query)(atom) {
@@ -698,10 +684,10 @@ fn handle_query(shared: &Shared, atom: &str) -> Reply {
         );
     }
     let query = Query::new(predicate.clone(), pattern);
-    let lines = render_fact_lines(&published.model, &predicate, Some(&query)).unwrap_or_default();
+    let lines = published.model.fact_lines(&predicate, Some(&query));
     Reply {
         epoch: published.epoch,
-        body: ReplyBody::Answers(lines),
+        body: ReplyBody::Answers(lines.unwrap_or_default()),
     }
 }
 
@@ -709,7 +695,7 @@ fn handle_facts(shared: &Shared, predicate: Option<&str>) -> Reply {
     shared.queries_served.fetch_add(1, Ordering::Relaxed);
     let published = shared.current();
     let lines = match predicate {
-        Some(name) => match render_fact_lines(&published.model, name, None) {
+        Some(name) => match published.model.fact_lines(name, None) {
             Some(lines) => lines,
             None => {
                 return error_reply(
@@ -719,17 +705,7 @@ fn handle_facts(shared: &Shared, predicate: Option<&str>) -> Reply {
                 )
             }
         },
-        None => {
-            let snapshot = published.model.snapshot();
-            let mut lines = Vec::with_capacity(published.model.total_facts());
-            for name in snapshot.predicate_names() {
-                lines.extend(render_fact_lines(&published.model, name, None).unwrap_or_default());
-            }
-            // The per-predicate lists are already sorted; sort the full
-            // dump too so clients see one deterministic order.
-            lines.sort();
-            lines
-        }
+        None => published.model.model_lines(),
     };
     Reply {
         epoch: published.epoch,

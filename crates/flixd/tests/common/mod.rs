@@ -8,8 +8,8 @@
 #![allow(dead_code)]
 
 use flix_core::{
-    BodyItem, Delta, DeltaOp, Head, HeadTerm, LatticeOps, Program, ProgramBuilder, Solution, Term,
-    Value, ValueLattice,
+    BodyItem, Delta, DeltaOp, Head, HeadTerm, LatticeOps, Program, ProgramBuilder, Term, Value,
+    ValueLattice,
 };
 use flix_lattice::MinCost;
 use flixd::Hooks;
@@ -117,20 +117,6 @@ pub fn test_hooks() -> Hooks {
         }),
         compile_update: Box::new(parse_update),
     }
-}
-
-/// Renders every fact of a solution exactly as the daemon's `facts` op
-/// renders its dump, sorted, for order-insensitive parity comparison.
-pub fn render_model(solution: &Solution) -> Vec<String> {
-    let snapshot = solution.snapshot();
-    let mut lines = Vec::with_capacity(snapshot.total_facts());
-    for name in snapshot.predicate_names() {
-        for fact in snapshot.facts(name).expect("listed predicate") {
-            lines.push(format!("{name}({fact})"));
-        }
-    }
-    lines.sort();
-    lines
 }
 
 /// A unique scratch directory per call, under the system temp dir.

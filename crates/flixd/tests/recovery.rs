@@ -7,7 +7,7 @@
 
 mod common;
 
-use common::{build_program, parse_update, render_model, scratch_dir, test_hooks};
+use common::{build_program, parse_update, scratch_dir, test_hooks};
 use flix_core::persist::{
     corrupt_file, save_snapshot, DeltaLog, DurableFiles, DurableModel, Fault, FaultPlan,
     PersistError, UpdateError,
@@ -42,10 +42,8 @@ fn expected_after(base: &Program, deltas: &[Delta], m: usize) -> Vec<String> {
             .expect("fixture updates are valid");
         current = Some(next);
     }
-    match &current {
-        Some(p) => render_model(&solver.solve(p).expect("solves")),
-        None => render_model(&solver.solve(base).expect("solves")),
-    }
+    let program = current.as_ref().unwrap_or(base);
+    solver.solve(program).expect("solves").model_lines()
 }
 
 fn start_on(dir: &Path, tag: &str, program: &Arc<Program>) -> Server {

@@ -5,7 +5,7 @@
 
 mod common;
 
-use common::{build_program, parse_update, render_model, scratch_dir, test_hooks};
+use common::{build_program, parse_update, scratch_dir, test_hooks};
 use flix_core::{Budget, Solver, SolverConfig};
 use flixd::{proto, Client, ErrorCode, Reply, ReplyBody, Request, Server, ServerConfig};
 use std::os::unix::net::UnixStream;
@@ -59,7 +59,7 @@ fn reads_match_a_scratch_solve_and_name_their_epoch() {
         .request(&Request::Facts { predicate: None })
         .expect("facts");
     assert_eq!(reply.epoch, 1);
-    assert_eq!(reply.body, ReplyBody::Facts(render_model(&scratch)));
+    assert_eq!(reply.body, ReplyBody::Facts(scratch.model_lines()));
 
     let reply = client
         .request(&Request::Facts {
@@ -130,7 +130,7 @@ fn update_publishes_a_new_epoch_matching_scratch_parity() {
         .request(&Request::Facts { predicate: None })
         .expect("facts");
     assert_eq!(reply.epoch, 2);
-    assert_eq!(reply.body, ReplyBody::Facts(render_model(&scratch)));
+    assert_eq!(reply.body, ReplyBody::Facts(scratch.model_lines()));
 
     // `updates_applied` counts update *requests* applied, not epochs:
     // one request, one batch, epoch 2.
@@ -369,7 +369,7 @@ fn budget_failed_update_keeps_durable_debt_and_blocks_compaction() {
     let reply = client
         .request(&Request::Facts { predicate: None })
         .expect("facts");
-    assert_eq!(reply.body, ReplyBody::Facts(render_model(&scratch)));
+    assert_eq!(reply.body, ReplyBody::Facts(scratch.model_lines()));
 
     let reply = client.request(&Request::Status).expect("status");
     let ReplyBody::Status(status) = reply.body else {

@@ -7,7 +7,7 @@
 
 mod common;
 
-use common::{build_program, parse_update, render_model, scratch_dir, test_hooks, Rng};
+use common::{build_program, parse_update, scratch_dir, test_hooks, Rng};
 use flix_core::{Program, Solver};
 use flixd::json::{parse, Json};
 use flixd::{Client, EventLogConfig, ReplyBody, Request, Server, ServerConfig};
@@ -67,7 +67,7 @@ fn generate_updates(seed: u64) -> Vec<String> {
 /// folded in. `out[e - 1]` is the only model a reply naming epoch `e`
 /// may carry.
 fn expected_per_epoch(base: &Program, updates: &[String], solver: &Solver) -> Vec<Vec<String>> {
-    let mut out = vec![render_model(&solver.solve(base).expect("base solves"))];
+    let mut out = vec![solver.solve(base).expect("base solves").model_lines()];
     let mut current: Option<Program> = None;
     for update in updates {
         let delta = parse_update(update).expect("generated updates parse");
@@ -76,9 +76,12 @@ fn expected_per_epoch(base: &Program, updates: &[String], solver: &Solver) -> Ve
             .unwrap_or(base)
             .with_delta(&delta)
             .expect("generated updates are valid");
-        out.push(render_model(
-            &solver.solve(&next).expect("every epoch solves"),
-        ));
+        out.push(
+            solver
+                .solve(&next)
+                .expect("every epoch solves")
+                .model_lines(),
+        );
         current = Some(next);
     }
     out

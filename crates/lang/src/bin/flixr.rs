@@ -108,7 +108,11 @@
 //! explains the fact in the *updated* model.
 //!
 //! Prints every relation tuple and lattice cell of the minimal model (or
-//! only the named predicates), one fact per line, in deterministic order.
+//! only the named predicates), one fact per line: the sorted set of
+//! `Pred(args)` lines, each once, as `--query` answers and every reply
+//! of `--connect` are printed too. A `--print` name the program does not
+//! declare exits 2 before anything is solved, as it does through the
+//! daemon.
 //!
 //! `--profile` prints the per-rule work profile (evaluations, derived,
 //! inserted, index probes, scans, cumulative time) as a ranked table on
@@ -158,7 +162,6 @@ use flix_lang::cli::{
 };
 use flixd::telemetry::HistogramSnapshot;
 use flixd::{Client, ErrorCode, Reply, ReplyBody, Request};
-use std::collections::BTreeSet;
 use std::process::ExitCode;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -384,6 +387,15 @@ fn run(args: Vec<String>) -> Result<(), Failure> {
         eprintln!("flixr: all lattice bindings satisfy the lattice laws");
     }
     let program = Arc::new(flix_lang::lower(checked).map_err(|e| Failure::lang(e.to_string()))?);
+    // The daemon's text and exit code for a name it does not know.
+    if let Some(name) = o
+        .print
+        .iter()
+        .flatten()
+        .find(|name| program.predicate(name).is_none())
+    {
+        return Err(Failure::lang(format!("unknown predicate {name:?}")));
+    }
 
     let mut budget = Budget::new();
     if let Some(deadline) = o.timeout {
@@ -433,7 +445,7 @@ fn run(args: Vec<String>) -> Result<(), Failure> {
                 0 => FailedAt::Base,
                 _ => FailedAt::Replay,
             };
-            return Err(report_solve_failure(&o, &program, failure, at));
+            return Err(report_solve_failure(&o, failure, at));
         }
     };
     warn(&recovery);
@@ -448,7 +460,7 @@ fn run(args: Vec<String>) -> Result<(), Failure> {
                 Err(UpdateError::Append(e)) => return Err(Failure::usage(e.to_string())),
                 Err(UpdateError::Carried { failure, .. }) => {
                     let at = FailedAt::Update { initial: &initial };
-                    return Err(report_solve_failure(&o, &program, failure, at));
+                    return Err(report_solve_failure(&o, failure, at));
                 }
             }
         }
@@ -482,7 +494,7 @@ fn run(args: Vec<String>) -> Result<(), Failure> {
     if updated.is_some() {
         if !o.quiet_model {
             println!("== initial model ==");
-            print_model(&program, &initial, o.print.as_deref());
+            print_model(&initial, o.print.as_deref());
         }
         if o.stats {
             print_stats(initial.stats());
@@ -492,7 +504,7 @@ fn run(args: Vec<String>) -> Result<(), Failure> {
         }
     }
     if !o.quiet_model {
-        print_model(&program, last, o.print.as_deref());
+        print_model(last, o.print.as_deref());
     }
     if o.stats {
         print_stats(last.stats());
@@ -541,14 +553,12 @@ fn run_connect(o: &Options, socket: &str) -> Result<(), Failure> {
         Ok(reply)
     }
 
-    /// Sends a request that is answered with fact lines and prints them.
-    fn print_lines(client: &mut Client, request: Request) -> Result<(), Failure> {
-        if let ReplyBody::Facts(lines) | ReplyBody::Answers(lines) = call(client, request)?.body {
-            for line in lines {
-                println!("{line}");
-            }
+    /// Sends a request that is answered with fact lines and returns them.
+    fn fact_lines(client: &mut Client, request: Request) -> Result<Vec<String>, Failure> {
+        match call(client, request)?.body {
+            ReplyBody::Facts(lines) | ReplyBody::Answers(lines) => Ok(lines),
+            _ => Ok(Vec::new()),
         }
-        Ok(())
     }
 
     if let Some(path) = &o.update {
@@ -573,7 +583,7 @@ fn run_connect(o: &Options, socket: &str) -> Result<(), Failure> {
         // Local mode prints the updated model after an update; the
         // client asks the daemon for it instead, unless --quiet-model.
         if !o.quiet_model && o.queries.is_empty() && o.print.is_none() {
-            print_lines(&mut client, Request::Facts { predicate: None })?;
+            print_lines(fact_lines(&mut client, Request::Facts { predicate: None })?);
         }
     }
 
@@ -587,17 +597,18 @@ fn run_connect(o: &Options, socket: &str) -> Result<(), Failure> {
         }
     }
 
+    // Every answer and every `--print` predicate first, then one print,
+    // as local mode prints them.
+    let mut lines = Vec::new();
     for pattern in &o.queries {
         let atom = pattern.clone();
-        print_lines(&mut client, Request::Query { atom })?;
+        lines.extend(fact_lines(&mut client, Request::Query { atom })?);
     }
-
-    if let Some(preds) = &o.print {
-        for pred in preds {
-            let predicate = Some(pred.clone());
-            print_lines(&mut client, Request::Facts { predicate })?;
-        }
+    for pred in o.print.iter().flatten() {
+        let predicate = Some(pred.clone());
+        lines.extend(fact_lines(&mut client, Request::Facts { predicate })?);
     }
+    print_lines(lines);
 
     if let Some(atom) = &o.explain {
         let reply = call(&mut client, Request::Explain { atom: atom.clone() })?;
@@ -817,24 +828,22 @@ fn run_queries(
 
     let result = match solver.solve_query(&program, &parsed) {
         Ok(result) => result,
-        Err(failure) => return Err(report_solve_failure(o, &program, failure, FailedAt::Query)),
+        Err(failure) => return Err(report_solve_failure(o, failure, FailedAt::Query)),
     };
 
     if let Some(query) = &o.explain {
         return explain_fact(result.solution(), query, "demanded model");
     }
 
-    // Only the demanded answers, deduplicated across overlapping queries,
-    // in deterministic order.
-    let mut lines: BTreeSet<String> = BTreeSet::new();
-    for (i, query) in result.queries().iter().enumerate() {
-        for fact in result.answers(i) {
-            lines.insert(format!("{}({fact})", query.predicate()));
-        }
-    }
-    for line in &lines {
-        println!("{line}");
-    }
+    // Only the demanded answers.
+    let solution = result.solution();
+    let lines = result
+        .queries()
+        .iter()
+        .filter_map(|q| solution.fact_lines(q.predicate(), Some(q)))
+        .flatten()
+        .collect();
+    print_lines(lines);
     if o.stats {
         print_stats(result.stats());
     }
@@ -878,7 +887,6 @@ enum FailedAt<'a> {
 /// [`EXIT_SOLVE`].
 fn report_solve_failure(
     o: &Options,
-    program: &flix_core::Program,
     failure: Box<flix_core::SolveFailure>,
     at: FailedAt<'_>,
 ) -> Failure {
@@ -909,10 +917,10 @@ fn report_solve_failure(
     );
     if let FailedAt::Update { initial } = at {
         println!("== initial model ==");
-        print_model(program, initial, o.print.as_deref());
+        print_model(initial, o.print.as_deref());
         println!("== updated model ==");
     }
-    print_model(program, &failure.partial, o.print.as_deref());
+    print_model(&failure.partial, o.print.as_deref());
     if o.stats {
         print_stats(&failure.stats);
     }
@@ -1028,27 +1036,30 @@ impl Observer for CliObserver {
     }
 }
 
-/// Prints the facts of `solution` in deterministic order, optionally
-/// restricted to the named predicates. Used for both the minimal model on
-/// success and the partial model on a guarded failure.
-fn print_model(program: &flix_core::Program, solution: &Solution, print: Option<&[String]>) {
-    let mut names: Vec<String> = program
-        .predicates()
-        .map(|(_, decl)| decl.name().to_string())
-        .collect();
-    names.sort();
-    for name in names {
-        if let Some(filter) = print {
-            if !filter.contains(&name) {
-                continue;
-            }
-        }
-        let facts = solution.facts(&name).expect("declared predicate");
-        let mut lines: Vec<String> = facts.map(|fact| format!("{name}({fact})")).collect();
-        lines.sort();
-        for line in lines {
-            println!("{line}");
-        }
+/// Prints the facts of `solution`, optionally only the named
+/// predicates. Used for both the minimal model on success and the
+/// partial model on a guarded failure.
+fn print_model(solution: &Solution, print: Option<&[String]>) {
+    let lines = match print {
+        None => solution.model_lines(),
+        // An unknown name was refused before solving.
+        Some(names) => names
+            .iter()
+            .filter_map(|name| solution.fact_lines(name, None))
+            .flatten()
+            .collect(),
+    };
+    print_lines(lines);
+}
+
+/// The one printer of fact lines, whichever side computed them: a model,
+/// `--print` predicates, `--query` answers and the replies `--connect`
+/// receives all come out as the sorted set of their lines, each once.
+fn print_lines(mut lines: Vec<String>) {
+    lines.sort();
+    lines.dedup();
+    for line in lines {
+        println!("{line}");
     }
 }
 

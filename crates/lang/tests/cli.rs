@@ -1013,15 +1013,6 @@ fn load_and_wal_recover_every_damage_class_as_the_library_does() {
         flix_lang::compile_update(&text).expect("compiles")
     };
     let deltas = [edge(3, 4), edge(4, 5), edge(5, 6)];
-    let dump = |solution: &flix_core::Solution| {
-        let mut lines = Vec::new();
-        for name in ["Edge", "Path"] {
-            let facts = solution.facts(name).expect("declared predicate");
-            lines.extend(facts.map(|fact| format!("{name}({fact})")));
-        }
-        lines.sort();
-        lines
-    };
 
     for class in damage::CLASSES {
         let scratch = Scratch::new(&format!("four-way-{class}"));
@@ -1073,7 +1064,7 @@ fn load_and_wal_recover_every_damage_class_as_the_library_does() {
             .map(|line| format!("flixr: {line}").replace(library.to_str().unwrap(), "DIR"))
             .collect();
         let [model, warnings] = flixr_recovers(&binary, &file, &[]);
-        assert_eq!(model, dump(&recovered), "{class}");
+        assert_eq!(model, recovered.model_lines(), "{class}");
         let warnings: Vec<String> = warnings
             .iter()
             .map(|line| line.replace(binary.to_str().unwrap(), "DIR"))
@@ -1093,7 +1084,7 @@ fn load_and_wal_recover_every_damage_class_as_the_library_does() {
         let updated = program.with_delta(&all).expect("the deltas fit");
         assert_eq!(
             model,
-            dump(&solver.solve(&updated).expect("solves")),
+            solver.solve(&updated).expect("solves").model_lines(),
             "{class}"
         );
         assert!(
@@ -1489,4 +1480,133 @@ fn connect_shutting_down_refusal_exits_one() {
     assert!(stderr.contains("[shutting-down]"), "{stderr}");
     assert!(stderr.contains("draining connections"), "{stderr}");
     let _ = std::fs::remove_file(&socket);
+}
+
+/// A `flixd` serving one program on a socket of its own; dropping it
+/// shuts the daemon down and reaps it.
+struct Daemon {
+    socket: std::path::PathBuf,
+    child: std::process::Child,
+}
+
+impl Daemon {
+    fn start(tag: &str, file: &std::path::Path) -> Daemon {
+        let socket =
+            std::env::temp_dir().join(format!("flixr-test-{}-{tag}.sock", std::process::id()));
+        let _ = std::fs::remove_file(&socket);
+        let child = Command::new(env!("CARGO_BIN_EXE_flixd"))
+            .arg("--socket")
+            .arg(&socket)
+            .arg(file)
+            .stderr(std::process::Stdio::null())
+            .spawn()
+            .expect("flixd starts");
+        // Built before the wait, so a daemon that never binds is reaped.
+        let daemon = Daemon { socket, child };
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
+        while !daemon.socket.exists() {
+            assert!(
+                std::time::Instant::now() < deadline,
+                "flixd never bound its socket"
+            );
+            std::thread::sleep(std::time::Duration::from_millis(20));
+        }
+        daemon
+    }
+}
+
+impl Drop for Daemon {
+    fn drop(&mut self) {
+        let stopped = flixr()
+            .arg("--connect")
+            .arg(&self.socket)
+            .arg("--shutdown")
+            .output()
+            .is_ok_and(|output| output.status.success());
+        if !stopped {
+            let _ = self.child.kill();
+        }
+        let _ = self.child.wait();
+    }
+}
+
+/// Runs `flixr` with `args` on [`PATHS`] locally and through `flixd`
+/// serving the same file, asserts the two print the same stdout and
+/// exit with the same code, and returns the local run's output.
+fn same_locally_and_through_flixd(tag: &str, args: &[&str]) -> std::process::Output {
+    let file = write_temp(&format!("{tag}.flix"), PATHS);
+    let local = flixr().args(args).arg(&file).output().expect("runs");
+    let daemon = Daemon::start(tag, &file);
+    let remote = flixr()
+        .arg("--connect")
+        .arg(&daemon.socket)
+        .args(args)
+        .output()
+        .expect("runs");
+    assert_eq!(
+        String::from_utf8_lossy(&remote.stdout),
+        String::from_utf8_lossy(&local.stdout),
+        "{args:?}: stdout through flixd, then locally"
+    );
+    assert_eq!(
+        remote.status.code(),
+        local.status.code(),
+        "{args:?}: exit code through flixd, then locally ({remote:?}, {local:?})"
+    );
+    local
+}
+
+fn stdout_lines(output: &std::process::Output) -> Vec<&str> {
+    std::str::from_utf8(&output.stdout)
+        .expect("utf8")
+        .lines()
+        .collect()
+}
+
+#[test]
+fn print_lists_its_predicates_in_name_order_both_ways() {
+    let output = same_locally_and_through_flixd("print-order", &["--print", "Path,Edge"]);
+    assert!(output.status.success(), "{output:?}");
+    assert_eq!(
+        stdout_lines(&output),
+        [
+            "Edge(1, 2)",
+            "Edge(2, 3)",
+            "Path(1, 2)",
+            "Path(1, 3)",
+            "Path(2, 3)"
+        ]
+    );
+}
+
+#[test]
+fn a_name_printed_twice_prints_its_facts_once_both_ways() {
+    let output = same_locally_and_through_flixd("print-twice", &["--print", "Edge,Edge"]);
+    assert!(output.status.success(), "{output:?}");
+    assert_eq!(stdout_lines(&output), ["Edge(1, 2)", "Edge(2, 3)"]);
+}
+
+#[test]
+fn an_answer_to_two_queries_prints_once_both_ways() {
+    let args = ["--query", "Path(1, _)", "--query", "Path(_, 3)"];
+    let output = same_locally_and_through_flixd("query-overlap", &args);
+    assert!(output.status.success(), "{output:?}");
+    assert_eq!(
+        stdout_lines(&output),
+        ["Path(1, 2)", "Path(1, 3)", "Path(2, 3)"]
+    );
+}
+
+#[test]
+fn an_unknown_print_name_exits_2_both_ways() {
+    for (tag, names) in [
+        ("print-unknown", "Nope"),
+        ("print-unknown-too", "Path,Nope"),
+    ] {
+        let output = same_locally_and_through_flixd(tag, &["--print", names]);
+        assert_eq!(output.status.code(), Some(2), "{names}: {output:?}");
+        assert!(output.stdout.is_empty(), "{names}: {output:?}");
+        let stderr = String::from_utf8(output.stderr).expect("utf8");
+        assert!(stderr.contains("unknown predicate \"Nope\""), "{stderr}");
+    }
 }

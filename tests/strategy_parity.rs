@@ -208,15 +208,30 @@ fn assert_log_is_grounded(label: &str, program: &Program, solution: &Solution) {
     }
 }
 
-/// The gross work counters: equal whenever the same strategy ran,
-/// whatever the thread count and whether or not provenance was recorded.
-fn work(solution: &Solution) -> (u64, u64, u64, u64) {
+/// The gross work counters, totals and per rule (timings aside): equal
+/// whenever the same strategy ran, whatever the thread count and whether
+/// or not provenance was recorded.
+fn work(solution: &Solution) -> ([u64; 4], Vec<[u64; 6]>) {
     let s = solution.stats();
+    let per_rule = s.per_rule.iter().map(|r| {
+        let rule = r.rule as u64;
+        [
+            rule,
+            r.evaluations,
+            r.derived,
+            r.inserted,
+            r.probes,
+            r.scans,
+        ]
+    });
     (
-        s.rule_evaluations,
-        s.facts_derived,
-        s.index_probes,
-        s.scan_fallbacks,
+        [
+            s.rule_evaluations,
+            s.facts_derived,
+            s.index_probes,
+            s.scan_fallbacks,
+        ],
+        per_rule.collect(),
     )
 }
 
@@ -228,7 +243,10 @@ fn work(solution: &Solution) -> (u64, u64, u64, u64) {
 fn assert_differential_parity(seed: u64, program: &Program) {
     let mut runs: Vec<(String, Strategy, Solution)> = Vec::new();
     for strategy in [Strategy::Naive, Strategy::SemiNaive] {
-        for threads in [1, 4] {
+        // One thread runs the task loop on the coordinator; 3 splits a
+        // round's tasks into uneven chunks; 64 outnumbers every round's
+        // tasks, so each chunk is one task.
+        for threads in [1, 3, 4, 64] {
             for provenance in [false, true] {
                 let solver = Solver::new()
                     .strategy(strategy)

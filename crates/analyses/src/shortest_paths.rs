@@ -102,9 +102,10 @@ pub fn build_all_pairs(graph: &WeightedGraph) -> Program {
     b.build().expect("the all-pairs program is well-formed")
 }
 
-/// Solves single-source shortest paths; `None` entries are unreachable.
-pub fn single_source_with(graph: &WeightedGraph, source: u32, solver: &Solver) -> Vec<Option<u64>> {
-    let solution = solver
+/// Solves single-source shortest paths with the default solver; `None`
+/// entries are unreachable.
+pub fn single_source(graph: &WeightedGraph, source: u32) -> Vec<Option<u64>> {
+    let solution = Solver::new()
         .solve(&build_single_source(graph, source))
         .expect("finite lattice height on a finite graph");
     let mut out = vec![None; graph.num_nodes as usize];
@@ -113,11 +114,6 @@ pub fn single_source_with(graph: &WeightedGraph, source: u32, solver: &Solver) -
         out[node] = MinCost::expect_from(value).value();
     }
     out
-}
-
-/// Solves single-source shortest paths with the default solver.
-pub fn single_source(graph: &WeightedGraph, source: u32) -> Vec<Option<u64>> {
-    single_source_with(graph, source, &Solver::new())
 }
 
 /// Demand-driven single-target query on the *all-pairs* program: the
@@ -131,12 +127,7 @@ pub fn single_source(graph: &WeightedGraph, source: u32) -> Vec<Option<u64>> {
 /// and only the ~n cells reachable from `source` are ever derived — the
 /// single-target answer still equals the full all-pairs model's
 /// cell-for-cell (the demand parity suite pins this).
-pub fn query_distance_with(
-    graph: &WeightedGraph,
-    source: u32,
-    target: u32,
-    solver: &Solver,
-) -> Option<u64> {
+pub fn query_distance(graph: &WeightedGraph, source: u32, target: u32) -> Option<u64> {
     let program = build_all_pairs(graph);
     let query = Query::new(
         "Dist",
@@ -146,18 +137,13 @@ pub fn query_distance_with(
             None,
         ],
     );
-    let result = solver
+    let result = Solver::new()
         .solve_query(&program, &[query])
         .expect("finite lattice height on a finite graph");
     result
         .solution()
         .lattice_value("Dist", &[(source as i64).into(), (target as i64).into()])
         .and_then(|v| MinCost::expect_from(&v).value())
-}
-
-/// Demand-driven single-target query with the default solver.
-pub fn query_distance(graph: &WeightedGraph, source: u32, target: u32) -> Option<u64> {
-    query_distance_with(graph, source, target, &Solver::new())
 }
 
 /// Demand-driven single-source query on the *all-pairs* program: all

@@ -483,23 +483,12 @@ impl ExecutionTrace {
 
 /// Configuration for lattice-ascent telemetry, attached with
 /// [`crate::Solver::ascent`].
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct AscentConfig {
     /// Fire a non-fatal [`AscentWarning`] through the observer the first
     /// time a cell's chain height reaches this value. `None` disables
     /// warnings (the report is still collected).
     pub warn_height: Option<u64>,
-    /// How many hottest cells (by join count) the report keeps.
-    pub top_k: usize,
-}
-
-impl Default for AscentConfig {
-    fn default() -> AscentConfig {
-        AscentConfig {
-            warn_height: None,
-            top_k: 10,
-        }
-    }
 }
 
 /// A lattice cell crossed the configured chain-height threshold.

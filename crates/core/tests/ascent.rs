@@ -121,7 +121,6 @@ fn tall_chain_warns_at_threshold_without_aborting() {
     let solution = Solver::new()
         .ascent(AscentConfig {
             warn_height: Some(50),
-            top_k: 5,
         })
         .observer(log.clone())
         .solve(&program)
@@ -188,7 +187,6 @@ fn query_path_tracks_ascent_on_demanded_cells() {
     let result = Solver::new()
         .ascent(AscentConfig {
             warn_height: Some(2),
-            top_k: 10,
         })
         .observer(log.clone())
         .solve_query(

@@ -866,7 +866,6 @@ fn ascent_counters_and_warning_keys_survive_the_id_carrying_insert_path() {
             .threads(threads)
             .ascent(AscentConfig {
                 warn_height: Some(3),
-                top_k: 10,
             })
             .observer(log.clone())
             .solve(&program)

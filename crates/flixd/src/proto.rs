@@ -367,7 +367,8 @@ pub struct Status {
     /// Update *batches* published since startup (several queued
     /// requests can fold into one batch).
     pub batches_applied: u64,
-    /// Read requests served since startup.
+    /// Read requests (query, facts, explain, metrics, stats, trace)
+    /// answered since startup.
     pub queries_served: u64,
     /// Update requests currently queued or mid-resume.
     pub pending_updates: u64,

@@ -26,8 +26,8 @@ use crate::events::{
     field, field_num, Event, EventLevel, EventLogConfig, EventLogger, LoggerThread,
 };
 use crate::hooks::Hooks;
-use crate::proto::{self, ErrorCode, Hello, Reply, ReplyBody, Request, Status};
-use crate::telemetry::{RequestKind, RequestSample, StatsContext, Telemetry};
+use crate::proto::{self, ErrorCode, Hello, Reply, ReplyBody, Request};
+use crate::telemetry::{self, RequestKind, RequestSample, StatsContext, Telemetry};
 use flix_core::{
     render_metrics_json, Budget, CompactError, ConfigError, Delta, DurableFiles, DurableModel,
     MetricsReport, OpenError, PersistError, Program, Query, RecoveryReport, Solution, SolveError,
@@ -68,10 +68,6 @@ pub struct ServerConfig {
     /// Auto-compaction: after a publish, fold the WAL into the snapshot
     /// once it holds at least this many frames (requires both paths).
     pub compact_every: Option<u64>,
-    /// Service telemetry (the `stats` op). On by default; `false` takes
-    /// the compiled-off path — every record call returns after one
-    /// branch and `stats` answers [`ErrorCode::Unsupported`].
-    pub telemetry: bool,
     /// Structured JSONL event log; `None` (the default) logs nothing.
     pub event_log: Option<EventLogConfig>,
     /// Read requests (query/facts/explain) slower than this many
@@ -101,7 +97,6 @@ impl ServerConfig {
             max_update_secs: None,
             max_pending: 64,
             compact_every: None,
-            telemetry: true,
             event_log: None,
             slow_query_ms: None,
         }
@@ -148,15 +143,10 @@ struct Shared {
     hooks: Hooks,
     published: RwLock<Arc<Published>>,
     shutting_down: AtomicBool,
-    queries_served: AtomicU64,
     pending_updates: AtomicU64,
     unapplied_durable: AtomicU64,
-    /// Update *requests* folded into successfully published batches.
-    updates_applied: AtomicU64,
-    /// Update *batches* successfully published. `status` reports this
-    /// instead of deriving `epoch - 1`, which misreports on a recovered
-    /// daemon whose epoch did not start at 1.
-    batches_applied: AtomicU64,
+    /// What the daemon has done: the one record `status` and `stats`
+    /// read.
     telemetry: Telemetry,
     events: Option<EventLogger>,
     /// Connection ids for `conn_open`/`conn_close` events.
@@ -165,7 +155,6 @@ struct Shared {
     /// The rendered `flix-metrics/1` document for `(epoch, doc)` —
     /// rebuilt at most once per epoch, invalidated by `publish`.
     metrics_cache: Mutex<Option<(u64, Arc<String>)>>,
-    started: Instant,
     strategy_name: &'static str,
     threads: usize,
     provenance: bool,
@@ -274,7 +263,7 @@ impl Server {
         }
         let listener = UnixListener::bind(&config.socket).map_err(StartError::Io)?;
 
-        let telemetry = Telemetry::new(config.telemetry, recovery.clone());
+        let telemetry = Telemetry::new(recovery.clone());
 
         let (events, logger) = match &config.event_log {
             Some(log_config) => {
@@ -291,11 +280,8 @@ impl Server {
                 model: Arc::clone(durable.model()),
             })),
             shutting_down: AtomicBool::new(false),
-            queries_served: AtomicU64::new(0),
             pending_updates: AtomicU64::new(0),
             unapplied_durable: AtomicU64::new(0),
-            updates_applied: AtomicU64::new(0),
-            batches_applied: AtomicU64::new(0),
             telemetry,
             events,
             next_conn_id: AtomicU64::new(0),
@@ -304,7 +290,6 @@ impl Server {
                 .filter(|ms| ms.is_finite() && *ms >= 0.0)
                 .map(|ms| (ms * 1e6) as u64),
             metrics_cache: Mutex::new(None),
-            started: Instant::now(),
             strategy_name: config.solver.strategy.name(),
             threads: config.solver.threads,
             provenance: config.solver.record_provenance,
@@ -658,7 +643,6 @@ fn trigger_shutdown(shared: &Shared, writer_tx: &Sender<WriterJob>) {
 }
 
 fn handle_query(shared: &Shared, atom: &str) -> Reply {
-    shared.queries_served.fetch_add(1, Ordering::Relaxed);
     let (predicate, pattern) = match (shared.hooks.parse_query)(atom) {
         Ok(parsed) => parsed,
         Err(e) => return error_reply(shared, ErrorCode::Parse, e),
@@ -692,7 +676,6 @@ fn handle_query(shared: &Shared, atom: &str) -> Reply {
 }
 
 fn handle_facts(shared: &Shared, predicate: Option<&str>) -> Reply {
-    shared.queries_served.fetch_add(1, Ordering::Relaxed);
     let published = shared.current();
     let lines = match predicate {
         Some(name) => match published.model.fact_lines(name, None) {
@@ -714,7 +697,6 @@ fn handle_facts(shared: &Shared, predicate: Option<&str>) -> Reply {
 }
 
 fn handle_explain(shared: &Shared, atom: &str) -> Reply {
-    shared.queries_served.fetch_add(1, Ordering::Relaxed);
     if !shared.provenance {
         return error_reply(
             shared,
@@ -748,7 +730,6 @@ fn handle_explain(shared: &Shared, atom: &str) -> Reply {
 }
 
 fn handle_metrics(shared: &Shared) -> Reply {
-    shared.queries_served.fetch_add(1, Ordering::Relaxed);
     let published = shared.current();
     // The report is a pure function of the published model, so render
     // it at most once per epoch; `publish` clears the cache.
@@ -778,19 +759,12 @@ fn handle_metrics(shared: &Shared) -> Reply {
 }
 
 fn handle_stats(shared: &Shared, prometheus: bool) -> Reply {
-    shared.queries_served.fetch_add(1, Ordering::Relaxed);
-    if !shared.telemetry.enabled() {
-        return error_reply(
-            shared,
-            ErrorCode::Unsupported,
-            "the server is not recording telemetry (started with --no-telemetry)".into(),
-        );
-    }
     let cx = shared.stats_context();
+    let doc = shared.telemetry.read(&cx);
     let body = if prometheus {
-        ReplyBody::Prom(shared.telemetry.render_prometheus(&cx))
+        ReplyBody::Prom(telemetry::render_prometheus(&doc))
     } else {
-        ReplyBody::Stats(shared.telemetry.render_stats_json(&cx))
+        ReplyBody::Stats(doc.render())
     };
     Reply {
         epoch: cx.epoch,
@@ -799,7 +773,6 @@ fn handle_stats(shared: &Shared, prometheus: bool) -> Reply {
 }
 
 fn handle_trace(shared: &Shared) -> Reply {
-    shared.queries_served.fetch_add(1, Ordering::Relaxed);
     let published = shared.current();
     match published.model.trace() {
         Some(trace) => Reply {
@@ -815,18 +788,11 @@ fn handle_trace(shared: &Shared) -> Reply {
 }
 
 fn handle_status(shared: &Shared) -> Reply {
-    let published = shared.current();
+    let cx = shared.stats_context();
+    let doc = shared.telemetry.read(&cx);
     Reply {
-        epoch: published.epoch,
-        body: ReplyBody::Status(Status {
-            facts: published.model.total_facts() as u64,
-            updates_applied: shared.updates_applied.load(Ordering::Relaxed),
-            batches_applied: shared.batches_applied.load(Ordering::Relaxed),
-            queries_served: shared.queries_served.load(Ordering::Relaxed),
-            pending_updates: shared.pending_updates.load(Ordering::Relaxed),
-            unapplied_durable: shared.unapplied_durable.load(Ordering::Relaxed),
-            uptime_secs: shared.started.elapsed().as_secs_f64(),
-        }),
+        epoch: cx.epoch,
+        body: ReplyBody::Status(telemetry::status(&doc)),
     }
 }
 
@@ -1016,8 +982,6 @@ fn apply_batch(shared: &Shared, state: &mut WriterState, updates: Vec<PendingUpd
             state.epoch += 1;
             shared.unapplied_durable.store(0, Ordering::SeqCst);
             shared.publish(state.epoch, Arc::clone(state.durable.model()));
-            shared.updates_applied.fetch_add(batched, Ordering::Relaxed);
-            shared.batches_applied.fetch_add(1, Ordering::Relaxed);
             shared
                 .telemetry
                 .record_batch_applied(batched, total_entries, resume_ns);

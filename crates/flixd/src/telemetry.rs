@@ -1,25 +1,25 @@
 //! Service telemetry: a lock-light registry of request, connection, and
-//! write-path metrics, rendered on demand as a `flixd-stats/1` JSON
-//! document or a Prometheus-style text exposition.
+//! write-path metrics — the daemon's one record of what it has done.
+//! `status`, `stats` and `stats --prom` are all readings of it.
 //!
 //! The design follows the discipline the solver's own profiles
-//! established (DESIGN.md §10): recording must be cheap enough to leave
-//! on in production, strategy-invariant, and *zero-cost when off*. Every
-//! counter is an [`AtomicU64`] bumped with relaxed ordering; latencies
-//! and batch shapes go into fixed-size log-scale [`Histogram`]s (no
-//! allocation, no locks on the record path); the only mutexes guard the
-//! two rarely-touched wall-clock anchors (last publish, carry-over
-//! start). When the registry is built disabled
-//! (`Telemetry::new(false, …)`), every record method returns after one
-//! branch — the compiled-off path the idle-overhead A/B in CI pins
-//! against the instrumented one.
+//! established (DESIGN.md §10): recording must be strategy-invariant
+//! and cheap enough to leave on in production, so it is always on.
+//! Every counter is an [`AtomicU64`] bumped with relaxed ordering;
+//! latencies and batch shapes go into fixed-size log-scale
+//! [`Histogram`]s (no allocation, no locks on the record path); the only
+//! mutexes guard the two rarely-touched wall-clock anchors (last
+//! publish, carry-over start).
 //!
-//! Rendering is pull-only: nothing is aggregated in the background. A
-//! `stats` request walks the registry once and renders what it finds,
-//! so an idle daemon does no telemetry work at all.
+//! Reading is pull-only: nothing is aggregated in the background. A
+//! report walks the registry once, into a `flixd-stats/1` document
+//! ([`Telemetry::read`]); the Prometheus text ([`render_prometheus`])
+//! and the `status` counters ([`status`]) are read from that document,
+//! so the three cannot disagree. An idle daemon does no telemetry work
+//! at all.
 
 use crate::json::Json;
-use crate::proto::ErrorCode;
+use crate::proto::{ErrorCode, Status};
 use flix_core::RecoveryReport;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -267,7 +267,7 @@ pub struct RequestSample {
 }
 
 /// Live service-level gauges the registry does not own — the caller
-/// (the server) passes them at render time so the document is one
+/// (the server) passes them at read time so the document is one
 /// consistent pull.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct StatsContext {
@@ -289,7 +289,6 @@ pub struct StatsContext {
 /// thread and the writer.
 #[derive(Debug)]
 pub struct Telemetry {
-    enabled: bool,
     started: Instant,
     // Connection lifecycle.
     connections_opened: AtomicU64,
@@ -319,13 +318,10 @@ pub struct Telemetry {
 }
 
 impl Telemetry {
-    /// A registry primed with what startup recovery found. With
-    /// `enabled` false it is the compiled-off path: every record method
-    /// returns after one branch, and `stats` requests are refused
-    /// upstream.
-    pub fn new(enabled: bool, recovery: Option<Arc<RecoveryReport>>) -> Telemetry {
+    /// A registry primed with what startup recovery found. Its clock,
+    /// the daemon's uptime, starts now.
+    pub fn new(recovery: Option<Arc<RecoveryReport>>) -> Telemetry {
         Telemetry {
-            enabled,
             started: Instant::now(),
             connections_opened: AtomicU64::new(0),
             connections_closed: AtomicU64::new(0),
@@ -349,32 +345,18 @@ impl Telemetry {
         }
     }
 
-    /// Whether recording is live.
-    pub fn enabled(&self) -> bool {
-        self.enabled
-    }
-
     /// A connection was accepted.
     pub fn connection_opened(&self) {
-        if !self.enabled {
-            return;
-        }
         self.connections_opened.fetch_add(1, Ordering::Relaxed);
     }
 
     /// A connection thread finished.
     pub fn connection_closed(&self) {
-        if !self.enabled {
-            return;
-        }
         self.connections_closed.fetch_add(1, Ordering::Relaxed);
     }
 
     /// One request was served (successfully or with an error reply).
     pub fn record_request(&self, sample: RequestSample) {
-        if !self.enabled {
-            return;
-        }
         let slot = &self.requests[sample.kind.index()];
         slot.count.fetch_add(1, Ordering::Relaxed);
         slot.bytes_in.fetch_add(sample.bytes_in, Ordering::Relaxed);
@@ -388,34 +370,22 @@ impl Telemetry {
 
     /// A frame arrived that never parsed into a request.
     pub fn record_proto_error(&self) {
-        if !self.enabled {
-            return;
-        }
         self.proto_errors.fetch_add(1, Ordering::Relaxed);
     }
 
     /// A read op exceeded the slow-query threshold.
     pub fn record_slow_query(&self) {
-        if !self.enabled {
-            return;
-        }
         self.slow_queries.fetch_add(1, Ordering::Relaxed);
     }
 
     /// A `metrics` request was answered from the per-epoch cache.
     pub fn record_metrics_cache_hit(&self) {
-        if !self.enabled {
-            return;
-        }
         self.metrics_cache_hits.fetch_add(1, Ordering::Relaxed);
     }
 
     /// The writer published a batch: `riders` update requests folded
     /// into `entries` delta entries, resumed in `resume_ns`.
     pub fn record_batch_applied(&self, riders: u64, entries: u64, resume_ns: u64) {
-        if !self.enabled {
-            return;
-        }
         self.batches_applied.fetch_add(1, Ordering::Relaxed);
         self.updates_applied.fetch_add(riders, Ordering::Relaxed);
         self.riders_per_batch.record(riders);
@@ -432,9 +402,6 @@ impl Telemetry {
 
     /// A batch's resume failed; its entries stay as durable carry-over.
     pub fn record_batch_failed(&self) {
-        if !self.enabled {
-            return;
-        }
         self.batches_failed.fetch_add(1, Ordering::Relaxed);
         let mut since = self.carryover_since.lock().expect("carryover clock");
         // Keep the *oldest* debt's timestamp: age measures how long any
@@ -444,17 +411,11 @@ impl Telemetry {
 
     /// One WAL append (including its fsync) took `ns`.
     pub fn record_wal_append(&self, ns: u64) {
-        if !self.enabled {
-            return;
-        }
         self.wal_append_ns.record(ns);
     }
 
     /// A compaction finished.
     pub fn record_compaction(&self, ok: bool) {
-        if !self.enabled {
-            return;
-        }
         if ok {
             self.compactions.fetch_add(1, Ordering::Relaxed);
         } else {
@@ -500,9 +461,10 @@ impl Telemetry {
         ])
     }
 
-    /// Renders the whole registry as a `flixd-stats/1` JSON document.
-    /// The schema is specified in DESIGN.md §17.6.
-    pub fn render_stats_json(&self, cx: &StatsContext) -> String {
+    /// Reads the whole registry once, into a `flixd-stats/1` document:
+    /// the one reading every report is made from. The schema is
+    /// specified in DESIGN.md §17.6.
+    pub fn read(&self, cx: &StatsContext) -> Json {
         let opened = self.connections_opened.load(Ordering::Relaxed);
         let closed = self.connections_closed.load(Ordering::Relaxed);
         let requests: Vec<(String, Json)> = RequestKind::ALL
@@ -626,157 +588,154 @@ impl Telemetry {
                 ]),
             ),
         ])
-        .render()
-    }
-
-    /// Renders the registry as a Prometheus-style text exposition —
-    /// the same numbers as [`Telemetry::render_stats_json`], shaped for
-    /// a scrape endpoint (`flixr --connect S --stats --prom`).
-    pub fn render_prometheus(&self, cx: &StatsContext) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::new();
-        let opened = self.connections_opened.load(Ordering::Relaxed);
-        let closed = self.connections_closed.load(Ordering::Relaxed);
-        let _ = writeln!(out, "# TYPE flixd_uptime_seconds gauge");
-        let _ = writeln!(
-            out,
-            "flixd_uptime_seconds {}",
-            self.started.elapsed().as_secs_f64()
-        );
-        let _ = writeln!(out, "# TYPE flixd_epoch gauge\nflixd_epoch {}", cx.epoch);
-        let _ = writeln!(
-            out,
-            "# TYPE flixd_resident_facts gauge\nflixd_resident_facts {}",
-            cx.facts
-        );
-        let _ = writeln!(
-            out,
-            "# TYPE flixd_connections_opened_total counter\n\
-             flixd_connections_opened_total {opened}"
-        );
-        let _ = writeln!(
-            out,
-            "# TYPE flixd_connections_active gauge\nflixd_connections_active {}",
-            opened.saturating_sub(closed)
-        );
-        let _ = writeln!(out, "# TYPE flixd_requests_total counter");
-        for kind in RequestKind::ALL {
-            let slot = &self.requests[kind.index()];
-            let _ = writeln!(
-                out,
-                "flixd_requests_total{{op=\"{}\"}} {}",
-                kind.as_str(),
-                slot.count.load(Ordering::Relaxed)
-            );
-        }
-        let _ = writeln!(out, "# TYPE flixd_request_errors_total counter");
-        for kind in RequestKind::ALL {
-            let slot = &self.requests[kind.index()];
-            for (i, code) in ERROR_CODES.iter().enumerate() {
-                let n = slot.errors[i].load(Ordering::Relaxed);
-                if n > 0 {
-                    let _ = writeln!(
-                        out,
-                        "flixd_request_errors_total{{op=\"{}\",code=\"{}\"}} {n}",
-                        kind.as_str(),
-                        code.as_str()
-                    );
-                }
-            }
-        }
-        let _ = writeln!(out, "# TYPE flixd_request_bytes_total counter");
-        for kind in RequestKind::ALL {
-            let slot = &self.requests[kind.index()];
-            let _ = writeln!(
-                out,
-                "flixd_request_bytes_total{{op=\"{}\",direction=\"in\"}} {}",
-                kind.as_str(),
-                slot.bytes_in.load(Ordering::Relaxed)
-            );
-            let _ = writeln!(
-                out,
-                "flixd_request_bytes_total{{op=\"{}\",direction=\"out\"}} {}",
-                kind.as_str(),
-                slot.bytes_out.load(Ordering::Relaxed)
-            );
-        }
-        let _ = writeln!(out, "# TYPE flixd_request_latency_seconds histogram");
-        for kind in RequestKind::ALL {
-            let snap = self.requests[kind.index()].latency_ns.snapshot();
-            write_prom_histogram(
-                &mut out,
-                "flixd_request_latency_seconds",
-                kind.as_str(),
-                &snap,
-            );
-        }
-        let _ = writeln!(
-            out,
-            "# TYPE flixd_batches_applied_total counter\nflixd_batches_applied_total {}",
-            self.batches_applied.load(Ordering::Relaxed)
-        );
-        let _ = writeln!(
-            out,
-            "# TYPE flixd_batches_failed_total counter\nflixd_batches_failed_total {}",
-            self.batches_failed.load(Ordering::Relaxed)
-        );
-        let _ = writeln!(
-            out,
-            "# TYPE flixd_updates_applied_total counter\nflixd_updates_applied_total {}",
-            self.updates_applied.load(Ordering::Relaxed)
-        );
-        let _ = writeln!(
-            out,
-            "# TYPE flixd_pending_updates gauge\nflixd_pending_updates {}",
-            cx.pending_updates
-        );
-        let _ = writeln!(
-            out,
-            "# TYPE flixd_unapplied_durable gauge\nflixd_unapplied_durable {}",
-            cx.unapplied_durable
-        );
-        let _ = writeln!(
-            out,
-            "# TYPE flixd_carryover_age_seconds gauge\nflixd_carryover_age_seconds {}",
-            self.carryover_age_secs()
-        );
-        let _ = writeln!(out, "# TYPE flixd_resume_seconds histogram");
-        write_prom_histogram(
-            &mut out,
-            "flixd_resume_seconds",
-            "",
-            &self.resume_ns.snapshot(),
-        );
-        let _ = writeln!(out, "# TYPE flixd_wal_append_seconds histogram");
-        write_prom_histogram(
-            &mut out,
-            "flixd_wal_append_seconds",
-            "",
-            &self.wal_append_ns.snapshot(),
-        );
-        let _ = writeln!(
-            out,
-            "# TYPE flixd_slow_queries_total counter\nflixd_slow_queries_total {}",
-            self.slow_queries.load(Ordering::Relaxed)
-        );
-        let _ = writeln!(
-            out,
-            "# TYPE flixd_compactions_total counter\nflixd_compactions_total {}",
-            self.compactions.load(Ordering::Relaxed)
-        );
-        let _ = writeln!(
-            out,
-            "# TYPE flixd_events_dropped_total counter\nflixd_events_dropped_total {}",
-            cx.events_dropped
-        );
-        out
     }
 }
 
+/// The ops whose requests `status` counts as `queries_served`.
+const READS: [RequestKind; 6] = [
+    RequestKind::Query,
+    RequestKind::Facts,
+    RequestKind::Explain,
+    RequestKind::Metrics,
+    RequestKind::Stats,
+    RequestKind::Trace,
+];
+
+/// The node of a `flixd-stats/1` document at a key path. Only
+/// [`Telemetry::read`]'s own documents are read here, so a missing key
+/// is a bug in this module, not bad input.
+fn node<'a>(doc: &'a Json, path: &[&str]) -> &'a Json {
+    path.iter()
+        .try_fold(doc, |node, key| node.get(key))
+        .unwrap_or_else(|| panic!("the stats document has {path:?}"))
+}
+
+fn number(doc: &Json, path: &[&str]) -> f64 {
+    node(doc, path)
+        .as_f64()
+        .unwrap_or_else(|| panic!("{path:?} is a number"))
+}
+
+/// The `status` counters, read from a `flixd-stats/1` document:
+/// `queries_served` is the sum of the read ops' request counts.
+pub fn status(doc: &Json) -> Status {
+    let n = |path: &[&str]| number(doc, path);
+    Status {
+        facts: n(&["facts"]) as u64,
+        updates_applied: n(&["writer", "updates_applied"]) as u64,
+        batches_applied: n(&["writer", "batches_applied"]) as u64,
+        queries_served: READS
+            .iter()
+            .map(|kind| n(&["requests", kind.as_str(), "count"]) as u64)
+            .sum(),
+        pending_updates: n(&["writer", "pending_updates"]) as u64,
+        unapplied_durable: n(&["writer", "unapplied_durable"]) as u64,
+        uptime_secs: n(&["uptime_secs"]),
+    }
+}
+
+/// Writes a `flixd-stats/1` document as a Prometheus-style text
+/// exposition — the same numbers, shaped for a scrape endpoint
+/// (`flixr --connect S --stats --prom`). Every counter is an integer
+/// below 2⁵³, so its `f64` prints exactly as the integer would.
+pub fn render_prometheus(doc: &Json) -> String {
+    use std::fmt::Write as _;
+    let mut out = String::new();
+    let n = |path: &[&str]| number(doc, path);
+    write_prom_scalar(
+        &mut out,
+        "flixd_uptime_seconds",
+        "gauge",
+        n(&["uptime_secs"]),
+    );
+    write_prom_scalar(&mut out, "flixd_epoch", "gauge", n(&["epoch"]));
+    write_prom_scalar(&mut out, "flixd_resident_facts", "gauge", n(&["facts"]));
+    write_prom_scalar(
+        &mut out,
+        "flixd_connections_opened_total",
+        "counter",
+        n(&["connections", "opened"]),
+    );
+    write_prom_scalar(
+        &mut out,
+        "flixd_connections_active",
+        "gauge",
+        n(&["connections", "active"]),
+    );
+    let _ = writeln!(out, "# TYPE flixd_requests_total counter");
+    for kind in RequestKind::ALL {
+        let op = kind.as_str();
+        let count = n(&["requests", op, "count"]);
+        let _ = writeln!(out, "flixd_requests_total{{op=\"{op}\"}} {count}");
+    }
+    let _ = writeln!(out, "# TYPE flixd_request_errors_total counter");
+    for kind in RequestKind::ALL {
+        let op = kind.as_str();
+        // The document lists only the codes that occurred.
+        let errors = node(doc, &["requests", op, "errors"]);
+        for code in ERROR_CODES.map(|code| code.as_str()) {
+            if let Some(count) = errors.get(code).and_then(Json::as_f64) {
+                let _ = writeln!(
+                    out,
+                    "flixd_request_errors_total{{op=\"{op}\",code=\"{code}\"}} {count}"
+                );
+            }
+        }
+    }
+    let _ = writeln!(out, "# TYPE flixd_request_bytes_total counter");
+    for kind in RequestKind::ALL {
+        let op = kind.as_str();
+        for (direction, key) in [("in", "bytes_in"), ("out", "bytes_out")] {
+            let bytes = n(&["requests", op, key]);
+            let _ = writeln!(
+                out,
+                "flixd_request_bytes_total{{op=\"{op}\",direction=\"{direction}\"}} {bytes}"
+            );
+        }
+    }
+    let _ = writeln!(out, "# TYPE flixd_request_latency_seconds histogram");
+    for kind in RequestKind::ALL {
+        let op = kind.as_str();
+        let latency = node(doc, &["requests", op, "latency_ns"]);
+        write_prom_histogram(&mut out, "flixd_request_latency_seconds", op, latency);
+    }
+    for (name, kind, key) in [
+        ("flixd_batches_applied_total", "counter", "batches_applied"),
+        ("flixd_batches_failed_total", "counter", "batches_failed"),
+        ("flixd_updates_applied_total", "counter", "updates_applied"),
+        ("flixd_pending_updates", "gauge", "pending_updates"),
+        ("flixd_unapplied_durable", "gauge", "unapplied_durable"),
+        ("flixd_carryover_age_seconds", "gauge", "carryover_age_secs"),
+    ] {
+        write_prom_scalar(&mut out, name, kind, n(&["writer", key]));
+    }
+    for (name, key) in [
+        ("flixd_resume_seconds", "resume_ns"),
+        ("flixd_wal_append_seconds", "wal_append_ns"),
+    ] {
+        let _ = writeln!(out, "# TYPE {name} histogram");
+        write_prom_histogram(&mut out, name, "", node(doc, &["writer", key]));
+    }
+    for (name, path) in [
+        ("flixd_slow_queries_total", &["slow_queries"][..]),
+        ("flixd_compactions_total", &["compaction", "count"]),
+        ("flixd_events_dropped_total", &["events", "dropped"]),
+    ] {
+        write_prom_scalar(&mut out, name, "counter", n(path));
+    }
+    out
+}
+
+/// Writes one unlabeled Prometheus sample with its `# TYPE` line.
+fn write_prom_scalar(out: &mut String, name: &str, kind: &str, value: f64) {
+    use std::fmt::Write as _;
+    let _ = writeln!(out, "# TYPE {name} {kind}\n{name} {value}");
+}
+
 /// Writes one Prometheus histogram (cumulative `_bucket` lines plus
-/// `_sum`/`_count`), converting nanosecond samples to seconds. An empty
-/// `op` label renders unlabeled series.
-fn write_prom_histogram(out: &mut String, name: &str, op: &str, snap: &HistogramSnapshot) {
+/// `_sum`/`_count`) from a document histogram, converting nanosecond
+/// samples to seconds. An empty `op` label renders unlabeled series.
+fn write_prom_histogram(out: &mut String, name: &str, op: &str, hist: &Json) {
     use std::fmt::Write as _;
     let label = |le: &str| {
         if op.is_empty() {
@@ -790,12 +749,16 @@ fn write_prom_histogram(out: &mut String, name: &str, op: &str, snap: &Histogram
     } else {
         format!("{{op=\"{op}\"}}")
     };
-    let mut cumulative = 0u64;
-    for (i, &c) in snap.buckets.iter().enumerate() {
+    let buckets = node(hist, &["buckets"])
+        .as_array()
+        .expect("buckets is an array");
+    let mut cumulative = 0.0;
+    for (i, bucket) in buckets.iter().enumerate() {
+        let c = bucket.as_f64().expect("a bucket is a number");
         cumulative += c;
         // Only emit the buckets that move the cumulative count (plus
         // +Inf below): full 40-bucket series per op would be noise.
-        if c == 0 {
+        if c == 0.0 {
             continue;
         }
         let le = match bucket_upper_bound(i) {
@@ -805,8 +768,8 @@ fn write_prom_histogram(out: &mut String, name: &str, op: &str, snap: &Histogram
         let _ = writeln!(out, "{name}_bucket{} {cumulative}", label(&le));
     }
     let _ = writeln!(out, "{name}_bucket{} {cumulative}", label("+Inf"));
-    let _ = writeln!(out, "{name}_sum{plain} {}", snap.sum as f64 / 1e9);
-    let _ = writeln!(out, "{name}_count{plain} {}", snap.count);
+    let _ = writeln!(out, "{name}_sum{plain} {}", number(hist, &["sum"]) / 1e9);
+    let _ = writeln!(out, "{name}_count{plain} {}", number(hist, &["count"]));
 }
 
 #[cfg(test)]
@@ -867,26 +830,8 @@ mod tests {
     }
 
     #[test]
-    fn disabled_registry_records_nothing() {
-        let t = Telemetry::new(false, None);
-        t.connection_opened();
-        t.record_request(RequestSample {
-            kind: RequestKind::Query,
-            latency_ns: 123,
-            bytes_in: 10,
-            bytes_out: 20,
-            error: None,
-        });
-        t.record_batch_applied(1, 2, 3);
-        assert!(!t.enabled());
-        assert_eq!(t.connections_opened.load(Ordering::Relaxed), 0);
-        assert_eq!(t.batches_applied.load(Ordering::Relaxed), 0);
-        assert_eq!(t.requests[0].count.load(Ordering::Relaxed), 0);
-    }
-
-    #[test]
     fn stats_document_carries_the_schema_and_counters() {
-        let t = Telemetry::new(true, None);
+        let t = Telemetry::new(None);
         t.connection_opened();
         t.record_request(RequestSample {
             kind: RequestKind::Query,
@@ -902,11 +847,13 @@ mod tests {
             bytes_out: 48,
             error: Some(ErrorCode::Parse),
         });
-        let doc = t.render_stats_json(&StatsContext {
-            epoch: 3,
-            facts: 42,
-            ..StatsContext::default()
-        });
+        let doc = t
+            .read(&StatsContext {
+                epoch: 3,
+                facts: 42,
+                ..StatsContext::default()
+            })
+            .render();
         let parsed = crate::json::parse(&doc).expect("stats render parses");
         assert_eq!(
             parsed.get("schema").and_then(Json::as_str),
@@ -933,7 +880,7 @@ mod tests {
 
     #[test]
     fn prometheus_exposition_includes_counters_and_histograms() {
-        let t = Telemetry::new(true, None);
+        let t = Telemetry::new(None);
         t.record_request(RequestSample {
             kind: RequestKind::Query,
             latency_ns: 1_000,
@@ -942,7 +889,7 @@ mod tests {
             error: None,
         });
         t.record_batch_applied(2, 5, 10_000);
-        let text = t.render_prometheus(&StatsContext::default());
+        let text = render_prometheus(&t.read(&StatsContext::default()));
         assert!(
             text.contains("flixd_requests_total{op=\"query\"} 1"),
             "{text}"

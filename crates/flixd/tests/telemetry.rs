@@ -1,15 +1,17 @@
 //! Telemetry integration tests: the histogram's concurrency contract
 //! under seeded multi-threaded stress, and the `stats` op end to end —
 //! a mixed workload must surface as non-zero per-op counters and
-//! latency histograms, the metrics cache must report its hits, the
-//! Prometheus form must carry the same numbers, and a daemon started
-//! without telemetry must refuse the op entirely.
+//! latency histograms, the metrics cache must report its hits, and
+//! `status`, `stats` and the Prometheus form must read one registry,
+//! rendered byte for byte as before they shared one reading.
 
 mod common;
 
 use common::{build_program, scratch_dir, test_hooks, Rng};
 use flixd::json::{parse, Json};
-use flixd::telemetry::Histogram;
+use flixd::telemetry::{
+    render_prometheus, Histogram, RequestKind, RequestSample, StatsContext, Telemetry,
+};
 use flixd::{Client, ErrorCode, ReplyBody, Request, Server, ServerConfig, STATS_SCHEMA};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -39,13 +41,8 @@ fn fetch_stats(client: &mut Client) -> Json {
 }
 
 fn counter(doc: &Json, path: &[&str]) -> u64 {
-    let mut node = doc;
-    for key in path {
-        node = node
-            .get(key)
-            .unwrap_or_else(|| panic!("stats document has {path:?}"));
-    }
-    node.as_u64()
+    node(doc, path)
+        .as_u64()
         .unwrap_or_else(|| panic!("{path:?} is a counter"))
 }
 
@@ -318,31 +315,309 @@ fn prometheus_exposition_matches_the_workload() {
     server.join();
 }
 
-/// `--no-telemetry` makes `stats` an `unsupported` error and leaves
-/// every other op untouched.
+fn node<'a>(doc: &'a Json, path: &[&str]) -> &'a Json {
+    path.iter()
+        .try_fold(doc, |node, key| node.get(key))
+        .unwrap_or_else(|| panic!("stats document has {path:?}"))
+}
+
+fn number(doc: &Json, path: &[&str]) -> f64 {
+    node(doc, path)
+        .as_f64()
+        .unwrap_or_else(|| panic!("{path:?} is a number"))
+}
+
+/// The document's value for one Prometheus sample, found from the
+/// sample's name and labels alone.
+fn document_value<'a>(doc: &Json, name: &str, label: impl Fn(&str) -> Option<&'a str>) -> f64 {
+    let op = label("op").unwrap_or_default();
+    let histogram = name
+        .rsplit_once('_')
+        .filter(|(_, part)| matches!(*part, "bucket" | "sum" | "count"));
+    if let Some((base, part)) = histogram {
+        let hist = match base {
+            "flixd_request_latency_seconds" => node(doc, &["requests", op, "latency_ns"]),
+            "flixd_resume_seconds" => node(doc, &["writer", "resume_ns"]),
+            "flixd_wal_append_seconds" => node(doc, &["writer", "wal_append_ns"]),
+            other => panic!("unexpected histogram {other}"),
+        };
+        if part != "bucket" {
+            let scale = if part == "sum" { 1e9 } else { 1.0 };
+            return number(hist, &[part]) / scale;
+        }
+        // Cumulative: every bucket whose upper bound, 2^(i+1) ns, is at
+        // most `le`; the saturating top bucket only under +Inf.
+        let le = label("le").expect("a bucket has le");
+        let le_ns = le
+            .parse::<f64>()
+            .map_or(u64::MAX, |secs| (secs * 1e9).round() as u64);
+        let buckets = node(hist, &["buckets"]).as_array().expect("buckets");
+        return buckets
+            .iter()
+            .enumerate()
+            .filter(|&(i, _)| le == "+Inf" || (i + 1 < buckets.len() && 1u64 << (i + 1) <= le_ns))
+            .map(|(_, bucket)| bucket.as_f64().expect("a bucket count"))
+            .sum();
+    }
+    let path: Vec<&str> = match name {
+        "flixd_epoch" => vec!["epoch"],
+        "flixd_resident_facts" => vec!["facts"],
+        "flixd_connections_opened_total" => vec!["connections", "opened"],
+        "flixd_connections_active" => vec!["connections", "active"],
+        "flixd_requests_total" => vec!["requests", op, "count"],
+        "flixd_request_errors_total" => {
+            vec!["requests", op, "errors", label("code").expect("a code")]
+        }
+        "flixd_request_bytes_total" => match label("direction") {
+            Some("in") => vec!["requests", op, "bytes_in"],
+            _ => vec!["requests", op, "bytes_out"],
+        },
+        "flixd_batches_applied_total" => vec!["writer", "batches_applied"],
+        "flixd_batches_failed_total" => vec!["writer", "batches_failed"],
+        "flixd_updates_applied_total" => vec!["writer", "updates_applied"],
+        "flixd_pending_updates" => vec!["writer", "pending_updates"],
+        "flixd_unapplied_durable" => vec!["writer", "unapplied_durable"],
+        "flixd_carryover_age_seconds" => vec!["writer", "carryover_age_secs"],
+        "flixd_slow_queries_total" => vec!["slow_queries"],
+        "flixd_compactions_total" => vec!["compaction", "count"],
+        "flixd_events_dropped_total" => vec!["events", "dropped"],
+        other => panic!("unexpected sample {other}"),
+    };
+    number(doc, &path)
+}
+
+/// `status`, `stats` and `stats --prom` are readings of one registry.
+/// After a fixed sequence — three queries (one naming an unknown
+/// predicate), a facts dump, an `explain` refused without provenance,
+/// one update, one compact, then one each of the other read ops — every
+/// `status` field is the stats document's number, `queries_served` is
+/// the sum of the six read ops' counts, and every Prometheus sample is
+/// the document's value.
 #[test]
-fn disabled_telemetry_refuses_stats_but_serves_everything_else() {
-    let (server, _) = start_server("stats-off", |config| {
-        config.telemetry = false;
+fn status_stats_and_prometheus_read_one_set_of_books() {
+    let files = scratch_dir("stats-books-files");
+    let (server, _) = start_server("stats-books", |config| {
+        config.snapshot = Some(files.join("model.snap"));
+        config.wal = Some(files.join("model.wal"));
     });
     let mut client = Client::connect(server.socket()).expect("connects");
-
+    for atom in ["Path 0 _", "Path 1 _", "Nope 1 2"] {
+        client
+            .request(&Request::Query { atom: atom.into() })
+            .expect("query");
+    }
+    client
+        .request(&Request::Facts { predicate: None })
+        .expect("facts");
     let reply = client
-        .request(&Request::Query {
-            atom: "Path 0 _".into(),
+        .request(&Request::Explain {
+            atom: "Path 0 1".into(),
         })
-        .expect("query");
-    assert!(matches!(reply.body, ReplyBody::Answers(_)));
+        .expect("explain");
+    assert!(matches!(
+        reply.body,
+        ReplyBody::Error {
+            code: ErrorCode::Unsupported,
+            ..
+        }
+    ));
+    let reply = client
+        .request(&Request::Update {
+            text: "+Edge 3 4\n".into(),
+            timeout_secs: None,
+        })
+        .expect("update");
+    assert_eq!(reply.epoch, 2);
+    let reply = client.request(&Request::Compact).expect("compact");
+    assert!(matches!(reply.body, ReplyBody::Compacted { .. }));
+    // One of each other read op, so that each of the six counts.
+    client.request(&Request::Metrics).expect("metrics");
+    let reply = client.request(&Request::Trace).expect("trace");
+    assert!(matches!(reply.body, ReplyBody::Error { .. }));
+    fetch_stats(&mut client);
+
+    let reply = client.request(&Request::Status).expect("status");
+    let ReplyBody::Status(status) = reply.body else {
+        panic!("status body, got {:?}", reply.body);
+    };
+    let doc = fetch_stats(&mut client);
+    assert_eq!(reply.epoch, counter(&doc, &["epoch"]));
+    assert_eq!(status.facts, counter(&doc, &["facts"]));
+    assert_eq!(
+        status.updates_applied,
+        counter(&doc, &["writer", "updates_applied"])
+    );
+    assert_eq!(
+        status.batches_applied,
+        counter(&doc, &["writer", "batches_applied"])
+    );
+    assert_eq!(
+        status.pending_updates,
+        counter(&doc, &["writer", "pending_updates"])
+    );
+    assert_eq!(
+        status.unapplied_durable,
+        counter(&doc, &["writer", "unapplied_durable"])
+    );
+    let reads: u64 = ["query", "facts", "explain", "metrics", "stats", "trace"]
+        .iter()
+        .map(|op| counter(&doc, &["requests", op, "count"]))
+        .sum();
+    assert_eq!(status.queries_served, reads);
+    assert!(status.uptime_secs > 0.0);
+    assert!(status.uptime_secs <= number(&doc, &["uptime_secs"]));
+    // The sequence itself: eight reads, one update in one batch, one
+    // compaction.
+    assert_eq!(
+        (
+            status.queries_served,
+            status.updates_applied,
+            status.batches_applied
+        ),
+        (8, 1, 1)
+    );
+    assert_eq!(counter(&doc, &["compaction", "count"]), 1);
 
     let reply = client
-        .request(&Request::Stats { prometheus: false })
-        .expect("stats");
-    let ReplyBody::Error { code, message } = reply.body else {
-        panic!("expected an error, got {:?}", reply.body);
+        .request(&Request::Stats { prometheus: true })
+        .expect("stats --prom");
+    let ReplyBody::Prom(prom) = reply.body else {
+        panic!("prom body, got {:?}", reply.body);
     };
-    assert_eq!(code, ErrorCode::Unsupported);
-    assert!(message.contains("--no-telemetry"), "{message}");
+    let mut checked = 0;
+    for line in prom.lines().filter(|line| !line.starts_with('#')) {
+        let (series, value) = line.rsplit_once(' ').expect("a sample line");
+        let value: f64 = value.parse().expect("a sample value");
+        let (name, labels) = series
+            .split_once('{')
+            .map_or((series, ""), |(name, labels)| {
+                (name, labels.trim_end_matches('}'))
+            });
+        let label = |key: &str| {
+            labels
+                .split(',')
+                .filter_map(|pair| pair.split_once('='))
+                .find(|(k, _)| *k == key)
+                .map(|(_, v)| v.trim_matches('"'))
+        };
+        if name == "flixd_uptime_seconds" {
+            assert!(value >= number(&doc, &["uptime_secs"]), "{line}");
+            continue;
+        }
+        let mut want = document_value(&doc, name, label);
+        if label("op") == Some("stats") {
+            // The `stats` request that fetched `doc` was recorded after
+            // its reading: it shows here as one more request, with its
+            // own bytes and latency.
+            if name != "flixd_requests_total" {
+                continue;
+            }
+            want += 1.0;
+        }
+        assert_eq!(value, want, "{line}");
+        checked += 1;
+    }
+    assert!(checked > 80, "only {checked} samples checked:\n{prom}");
 
     server.shutdown();
     server.join();
+}
+
+/// A fixed registry state: every kind of sample the server records,
+/// latencies over several buckets (the saturating top one included),
+/// errors on three ops, a failed then an applied batch, and a recovery.
+fn fixed_registry() -> (Telemetry, StatsContext) {
+    let mut report = flix_core::RecoveryReport::default();
+    report.snapshot_loaded = true;
+    report.wal_frames_replayed = 2;
+    report.wal_entries_replayed = 5;
+    report.wal_bytes_dropped = 7;
+    let t = Telemetry::new(Some(Arc::new(report)));
+    for _ in 0..3 {
+        t.connection_opened();
+    }
+    t.connection_closed();
+    let samples = [
+        (RequestKind::Query, 1_500, 40, 120, None),
+        (RequestKind::Query, 900_000, 41, 30, Some(ErrorCode::Query)),
+        (RequestKind::Query, 3, 38, 30, Some(ErrorCode::Parse)),
+        (RequestKind::Facts, 250_000, 20, 4_096, None),
+        (
+            RequestKind::Explain,
+            12_345,
+            50,
+            80,
+            Some(ErrorCode::Unsupported),
+        ),
+        (RequestKind::Metrics, 70_000, 18, 900, None),
+        (RequestKind::Status, 800, 18, 150, None),
+        (RequestKind::Stats, 2_000_000, 30, 3_000, None),
+        (RequestKind::Update, 5_000_000_000, 60, 40, None),
+        (
+            RequestKind::Update,
+            1 << 45,
+            60,
+            40,
+            Some(ErrorCode::Budget),
+        ),
+        (RequestKind::Compact, 40_000_000, 19, 60, None),
+    ];
+    for (kind, latency_ns, bytes_in, bytes_out, error) in samples {
+        t.record_request(RequestSample {
+            kind,
+            latency_ns,
+            bytes_in,
+            bytes_out,
+            error,
+        });
+    }
+    t.record_proto_error();
+    t.record_slow_query();
+    t.record_slow_query();
+    t.record_metrics_cache_hit();
+    t.record_batch_failed();
+    t.record_batch_applied(3, 6, 3_000_000);
+    t.record_wal_append(80_000);
+    t.record_wal_append(1_200_000);
+    t.record_compaction(true);
+    t.record_compaction(false);
+    let cx = StatsContext {
+        epoch: 3,
+        facts: 42,
+        pending_updates: 1,
+        unapplied_durable: 0,
+        events_logged: 17,
+        events_dropped: 2,
+    };
+    (t, cx)
+}
+
+/// The Prometheus text and the JSON document of one fixed registry
+/// state, byte for byte as the two were written when each renderer
+/// still walked the registry on its own. Only the uptime, a wall-clock
+/// reading, is masked.
+#[test]
+fn stats_renderings_match_their_goldens() {
+    let (t, cx) = fixed_registry();
+    let doc = t.read(&cx);
+    let prom: String = render_prometheus(&doc)
+        .lines()
+        .map(|line| match line.strip_prefix("flixd_uptime_seconds ") {
+            Some(_) => "flixd_uptime_seconds MASKED\n".to_string(),
+            None => format!("{line}\n"),
+        })
+        .collect();
+    assert_eq!(prom, include_str!("golden/stats.prom"), "{prom}");
+
+    let mut doc = parse(&doc.render()).expect("stats document parses");
+    let Json::Obj(fields) = &mut doc else {
+        panic!("the document is an object");
+    };
+    for (key, value) in fields {
+        if key == "uptime_secs" {
+            *value = Json::Str("MASKED".into());
+        }
+    }
+    let json = doc.render();
+    assert_eq!(json, include_str!("golden/stats.json").trim_end(), "{json}");
 }

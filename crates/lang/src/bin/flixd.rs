@@ -7,7 +7,7 @@
 //!       [--naive] [--threads N] [--explainable] [--traced]
 //!       [--max-update-secs S] [--max-pending N] [--compact-every N]
 //!       [--log-json PATH] [--log-level debug|info|warn]
-//!       [--slow-query-ms MS] [--no-telemetry]
+//!       [--slow-query-ms MS]
 //!       FILE.flix [MORE.flix ...]
 //! ```
 //!
@@ -28,11 +28,11 @@
 //! (default 64); `--compact-every N` folds the write-ahead log into the
 //! snapshot automatically once it holds `N` frames.
 //!
-//! Telemetry (the `stats` op, DESIGN.md §17.6) is on by default;
-//! `--no-telemetry` disables recording entirely. `--log-json PATH`
-//! appends structured JSONL events to `PATH` (`--log-level` filters;
-//! default `info`); `--slow-query-ms MS` flags read requests slower
-//! than `MS` milliseconds as `slow_query` events.
+//! Telemetry is always on: `status`, `stats` and `stats --prom`
+//! (DESIGN.md §17.6) read one registry. `--log-json PATH` appends
+//! structured JSONL events to `PATH` (`--log-level` filters; default
+//! `info`); `--slow-query-ms MS` flags read requests slower than `MS`
+//! milliseconds as `slow_query` events.
 //!
 //! # Exit codes
 //!
@@ -85,7 +85,6 @@ fn run(args: Vec<String>) -> Result<(), Failure> {
     let mut log_json: Option<String> = None;
     let mut log_level = EventLevel::Info;
     let mut slow_query_ms: Option<f64> = None;
-    let mut telemetry = true;
 
     let mut it = args.into_iter();
     while let Some(arg) = it.next() {
@@ -124,14 +123,13 @@ fn run(args: Vec<String>) -> Result<(), Failure> {
                 }
                 slow_query_ms = Some(ms);
             }
-            "--no-telemetry" => telemetry = false,
             "--help" | "-h" => {
                 println!(
                     "usage: flixd --socket PATH [--snapshot PATH] [--wal LOG] \
                      [--naive] [--threads N] [--explainable] [--traced] \
                      [--max-update-secs S] [--max-pending N] [--compact-every N] \
                      [--log-json PATH] [--log-level debug|info|warn] \
-                     [--slow-query-ms MS] [--no-telemetry] \
+                     [--slow-query-ms MS] \
                      FILE.flix [MORE.flix ...]"
                 );
                 return Ok(());
@@ -177,7 +175,6 @@ fn run(args: Vec<String>) -> Result<(), Failure> {
         max_update_secs,
         max_pending,
         compact_every,
-        telemetry,
         event_log: log_json.map(|path| EventLogConfig {
             path: path.into(),
             level: log_level,

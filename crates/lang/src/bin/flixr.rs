@@ -410,9 +410,8 @@ fn run(args: Vec<String>) -> Result<(), Failure> {
         budget,
         record_provenance: o.explain.is_some(),
         trace: (o.trace.is_some() || o.trace_folded.is_some()).then(TraceConfig::default),
-        ascent: (o.ascent_report || o.ascent_threshold.is_some()).then(|| AscentConfig {
+        ascent: (o.ascent_report || o.ascent_threshold.is_some()).then_some(AscentConfig {
             warn_height: o.ascent_threshold,
-            ..AscentConfig::default()
         }),
         observer,
         ..SolverConfig::default()

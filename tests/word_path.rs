@@ -249,7 +249,6 @@ fn a_solve_and_a_resume_build_no_decoded_rows() {
         let solver = Solver::new()
             .ascent(AscentConfig {
                 warn_height: Some(1),
-                top_k: 0,
             })
             .observer(warnings.clone());
         let mut solution = solver.solve(program).expect("solves");

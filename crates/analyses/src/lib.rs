@@ -8,8 +8,6 @@
 pub mod dataflow;
 pub mod ide;
 pub mod ifds;
-pub mod interval;
-pub mod kcfa;
 pub mod points_to;
 pub mod shortest_paths;
 pub mod strong_update;

@@ -180,10 +180,9 @@ pub enum DeltaOp {
 /// [`DeltaOp`]s, applied in order by [`Solver::resume`].
 ///
 /// The classic builder methods ([`Delta::insert`], [`Delta::raise`],
-/// [`Delta::from_facts`], [`Delta::push`]) are thin wrappers that
-/// construct the corresponding ops; [`Delta::retract`] and
-/// [`Delta::lower`] cover the removing half, and [`Delta::op`] /
-/// [`Delta::push_op`] take a [`DeltaOp`] directly.
+/// [`Delta::push`]) are thin wrappers that construct the corresponding
+/// ops; [`Delta::retract`] and [`Delta::lower`] cover the removing half,
+/// and [`Delta::op`] / [`Delta::push_op`] take a [`DeltaOp`] directly.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct Delta {
     ops: Vec<DeltaOp>,
@@ -259,18 +258,6 @@ impl Delta {
     /// `self; other` (the persistence layer folds WAL frames with it).
     pub fn extend_from(&mut self, other: &Delta) {
         self.ops.extend(other.ops.iter().cloned());
-    }
-
-    /// Builds an inserting delta from every fact of `program` — the
-    /// flixr `--update` path: the update file is compiled as a
-    /// standalone program (its facts re-declare the predicates they
-    /// touch) and its facts become the delta.
-    pub fn from_facts(program: &Program) -> Delta {
-        let mut delta = Delta::new();
-        for (pred, values) in program.facts() {
-            delta.push(program.decl(pred).name(), values.to_vec());
-        }
-        delta
     }
 
     /// The number of operations, of any kind.

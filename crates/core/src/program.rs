@@ -104,8 +104,7 @@ impl Program {
 
     /// Iterates the ground facts as `(predicate, tuple)` pairs, in
     /// declaration order. Lattice facts carry the element as the last
-    /// column. This is how [`crate::incremental::Delta::from_facts`]
-    /// turns a standalone update program into a delta.
+    /// column.
     pub fn facts(&self) -> impl Iterator<Item = (PredId, &[Value])> {
         self.facts.iter().map(|(p, v)| (*p, v.as_slice()))
     }

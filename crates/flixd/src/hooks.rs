@@ -24,8 +24,9 @@ pub type ParseQueryFn = dyn Fn(&str) -> Result<QueryPattern, String> + Send + Sy
 /// Parses an `--explain`-syntax ground atom such as `Path(1, 3)`.
 pub type ParseAtomFn = dyn Fn(&str) -> Result<GroundAtom, String> + Send + Sync;
 
-/// Compiles `--update`-syntax file text (declarations plus fact,
-/// `-Fact(..)`, and `retract Fact(..)` lines) into a [`Delta`].
+/// Compiles `--update`-syntax text into a [`Delta`]: facts only —
+/// `Fact(..).`, `-Fact(..).` and `retract Fact(..).` — typed against the
+/// declarations of the resident program.
 pub type CompileUpdateFn = dyn Fn(&str) -> Result<Delta, String> + Send + Sync;
 
 /// The language callbacks a [`Server`](crate::Server) runs with.

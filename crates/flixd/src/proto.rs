@@ -114,9 +114,10 @@ pub enum Request {
         prometheus: bool,
     },
     /// Apply a delta: the text of an update file in flixr `--update`
-    /// syntax (redeclaring the predicates it touches; `-P(..)` /
-    /// `retract P(..)` lines retract). Batched with concurrently queued
-    /// updates into one resume; the reply carries the published epoch.
+    /// syntax (facts only, typed against the resident program's
+    /// declarations; `-P(..).` / `retract P(..).` retract). Batched with
+    /// concurrently queued updates into one resume; the reply carries
+    /// the published epoch.
     Update {
         /// The update-file text.
         text: String,

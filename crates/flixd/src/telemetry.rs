@@ -591,8 +591,9 @@ impl Telemetry {
     }
 }
 
-/// The ops whose requests `status` counts as `queries_served`.
-const READS: [RequestKind; 6] = [
+/// The read ops: `status` counts their requests as `queries_served`,
+/// and `flixr --watch` as its `read/s`.
+pub const READS: [RequestKind; 6] = [
     RequestKind::Query,
     RequestKind::Facts,
     RequestKind::Explain,
@@ -756,15 +757,13 @@ fn write_prom_histogram(out: &mut String, name: &str, op: &str, hist: &Json) {
     for (i, bucket) in buckets.iter().enumerate() {
         let c = bucket.as_f64().expect("a bucket is a number");
         cumulative += c;
-        // Only emit the buckets that move the cumulative count (plus
-        // +Inf below): full 40-bucket series per op would be noise.
-        if c == 0.0 {
+        // Only emit the buckets that move the cumulative count, and
+        // the saturating top bucket only as the +Inf line below: full
+        // 40-bucket series per op would be noise.
+        let Some(ns) = bucket_upper_bound(i).filter(|_| c > 0.0) else {
             continue;
-        }
-        let le = match bucket_upper_bound(i) {
-            Some(ns) => format!("{}", ns as f64 / 1e9),
-            None => "+Inf".into(),
         };
+        let le = format!("{}", ns as f64 / 1e9);
         let _ = writeln!(out, "{name}_bucket{} {cumulative}", label(&le));
     }
     let _ = writeln!(out, "{name}_bucket{} {cumulative}", label("+Inf"));

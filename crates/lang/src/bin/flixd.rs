@@ -159,7 +159,16 @@ fn run(args: Vec<String>) -> Result<(), Failure> {
         source.push_str(&read_source(path)?);
         source.push('\n');
     }
-    let program = Arc::new(flix_lang::compile(&source).map_err(|e| Failure::lang(e.to_string()))?);
+    let mut checked = flix_lang::parse(&source)
+        .and_then(|parsed| flix_lang::check(&parsed))
+        .map_err(|e| Failure::lang(e.to_string()))?;
+    // Updates are typed against the declarations; the facts move into
+    // the engine, so the hook's copy is taken without them.
+    let facts = std::mem::take(&mut checked.facts);
+    let declarations = checked.clone();
+    checked.facts = facts;
+    let program = flix_lang::lower(Arc::new(checked)).map_err(|e| Failure::lang(e.to_string()))?;
+    let program = Arc::new(program);
 
     let config = ServerConfig {
         socket: socket.clone().into(),
@@ -184,7 +193,9 @@ fn run(args: Vec<String>) -> Result<(), Failure> {
     let hooks = Hooks {
         parse_query: Box::new(|text| flix_lang::parse_query_atom(text).map_err(|e| e.to_string())),
         parse_atom: Box::new(|text| flix_lang::parse_ground_atom(text).map_err(|e| e.to_string())),
-        compile_update: Box::new(|text| flix_lang::compile_update(text).map_err(|e| e.to_string())),
+        compile_update: Box::new(move |text| {
+            flix_lang::compile_update(&declarations, text).map_err(|e| e.to_string())
+        }),
     };
 
     let store = config.files();

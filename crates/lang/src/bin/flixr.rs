@@ -92,19 +92,19 @@
 //! partial). Wire formats are specified byte-by-byte in DESIGN.md §14.
 //!
 //! `--update FILE` applies a delta after the initial solve: the update
-//! file is compiled standalone (it re-declares the predicates its facts
-//! touch) and its facts are fed to [`Solver::resume`], which
-//! warm-starts the fixed point from the initial model instead of
+//! file holds facts only, typed against the program's declarations
+//! before anything is solved, and they are fed to [`Solver::resume`],
+//! which warm-starts the fixed point from the initial model instead of
 //! solving from scratch. Plain facts assert (lattice facts lub-raise);
-//! a line `-Edge(1, 2).` (equivalently `retract Edge(1, 2).`) retracts
-//! an asserted fact, and the resume over-deletes its cone of
-//! consequences and re-derives what survives — for a lattice
-//! predicate the retracted key's cell re-settles at the lub of its
-//! remaining justifications. Retractions apply after the same file's
-//! assertions; a malformed retraction line exits 2 with its file and
-//! line. Both models are printed, separated by `== initial model ==` /
-//! `== updated model ==` headers; without `--update` the model is
-//! printed headerless as before. `--explain` combined with `--update`
+//! `-Edge(1, 2).` (equivalently `retract Edge(1, 2).`) retracts an
+//! asserted fact, and the resume over-deletes its cone of consequences
+//! and re-derives what survives — for a lattice predicate the retracted
+//! key's cell re-settles at the lub of its remaining justifications.
+//! Retractions apply after the same file's assertions. A declaration,
+//! `def` or rule in the file, or a fact the program does not type,
+//! exits 2 with the file and position. Both models are printed,
+//! separated by `== initial model ==` / `== updated model ==` headers;
+//! without `--update` the model is printed headerless as before. `--explain` combined with `--update`
 //! explains the fact in the *updated* model.
 //!
 //! Prints every relation tuple and lattice cell of the minimal model (or
@@ -160,7 +160,7 @@ use flix_lang::cli::{
     compact_every_arg, number_arg, path_arg, read_source, seconds_arg, solve_exit, value_arg,
     Failure, EXIT_BUDGET, EXIT_LANG, EXIT_SOLVE, EXIT_USAGE,
 };
-use flixd::telemetry::HistogramSnapshot;
+use flixd::telemetry::{HistogramSnapshot, READS};
 use flixd::{Client, ErrorCode, Reply, ReplyBody, Request};
 use std::process::ExitCode;
 use std::sync::{Arc, Mutex};
@@ -386,6 +386,15 @@ fn run(args: Vec<String>) -> Result<(), Failure> {
         })?;
         eprintln!("flixr: all lattice bindings satisfy the lattice laws");
     }
+    // An update is typed against the program before anything is solved
+    // or logged.
+    let delta = match &o.update {
+        Some(path) => {
+            let delta = flix_lang::compile_update(&checked, &read_source(path)?);
+            Some(delta.map_err(|e| Failure::lang(format!("{path}: {e}")))?)
+        }
+        None => None,
+    };
     let program = Arc::new(flix_lang::lower(checked).map_err(|e| Failure::lang(e.to_string()))?);
     // The daemon's text and exit code for a name it does not know.
     if let Some(name) = o
@@ -419,7 +428,7 @@ fn run(args: Vec<String>) -> Result<(), Failure> {
     .map_err(|e| Failure::usage(format!("--{e}")))?;
 
     if !o.queries.is_empty() {
-        return run_queries(&o, program, &solver);
+        return run_queries(&o, program, delta.as_ref(), &solver);
     }
 
     // Recover the model (snapshot, log, or a scratch solve), apply the
@@ -450,19 +459,16 @@ fn run(args: Vec<String>) -> Result<(), Failure> {
     warn(&recovery);
     let initial = Arc::clone(durable.model());
 
-    let updated = match &o.update {
-        Some(update_path) => {
-            let delta = compile_update(update_path)?;
-            match durable.update(&solver, &delta) {
-                Ok(_) => Some(Arc::clone(durable.model())),
-                Err(UpdateError::Rejected(e)) => return Err(Failure::lang(e.to_string())),
-                Err(UpdateError::Append(e)) => return Err(Failure::usage(e.to_string())),
-                Err(UpdateError::Carried { failure, .. }) => {
-                    let at = FailedAt::Update { initial: &initial };
-                    return Err(report_solve_failure(&o, failure, at));
-                }
+    let updated = match &delta {
+        Some(delta) => match durable.update(&solver, delta) {
+            Ok(_) => Some(Arc::clone(durable.model())),
+            Err(UpdateError::Rejected(e)) => return Err(Failure::lang(e.to_string())),
+            Err(UpdateError::Append(e)) => return Err(Failure::usage(e.to_string())),
+            Err(UpdateError::Carried { failure, .. }) => {
+                let at = FailedAt::Update { initial: &initial };
+                return Err(report_solve_failure(&o, failure, at));
             }
-        }
+        },
         None => None,
     };
     let last = updated.as_ref().unwrap_or(&initial);
@@ -693,7 +699,7 @@ fn watch_extract(doc: &flixd::json::Json) -> Option<WatchSample> {
             .get("connections")
             .and_then(|c| num(c, "active"))
             .unwrap_or(0),
-        reads: op_count("query") + op_count("facts") + op_count("explain"),
+        reads: READS.iter().map(|kind| op_count(kind.as_str())).sum(),
         updates: op_count("update"),
         batches: num(writer, "batches_applied").unwrap_or(0),
         pending: num(writer, "pending_updates").unwrap_or(0),
@@ -783,20 +789,6 @@ fn watch_stats(
     }
 }
 
-/// Compiles an `--update` file into a [`Delta`]. Plain facts become
-/// insertions (for lattice predicates: lub-raises). A line of the form
-/// `-Edge(1, 2).` or `retract Edge(1, 2).` becomes a retraction — for
-/// a lattice predicate, a lower withdrawing that key's asserted
-/// contribution. Retraction lines are extracted before the rest of the
-/// file is compiled (blanked in place, so error positions in the
-/// remainder keep their line numbers) and are applied *after* the
-/// file's assertions. A malformed retraction line fails with the file
-/// path and line number, exit code 2.
-fn compile_update(path: &str) -> Result<Delta, Failure> {
-    let source = read_source(path)?;
-    flix_lang::compile_update(&source).map_err(|e| Failure::lang(format!("{path}: {e}")))
-}
-
 /// The demand-driven path: parse the `--query` patterns, optionally fold
 /// an `--update` delta into the program, run the query-directed solve,
 /// and print only the matching answers (or the `--explain` derivation
@@ -804,6 +796,7 @@ fn compile_update(path: &str) -> Result<Delta, Failure> {
 fn run_queries(
     o: &Options,
     program: Arc<flix_core::Program>,
+    delta: Option<&Delta>,
     solver: &Solver,
 ) -> Result<(), Failure> {
     let mut parsed: Vec<Query> = Vec::with_capacity(o.queries.len());
@@ -816,10 +809,9 @@ fn run_queries(
     // With --update, the queries ask about the updated world: fold the
     // delta's facts into the program and let the rewrite restrict the
     // combined solve — neither full model is ever materialized.
-    let program = match &o.update {
-        Some(update_path) => {
-            let delta = compile_update(update_path)?;
-            let updated = program.with_delta(&delta);
+    let program = match delta {
+        Some(delta) => {
+            let updated = program.with_delta(delta);
             Arc::new(updated.map_err(|e| Failure::lang(e.to_string()))?)
         }
         None => program,
@@ -1132,6 +1124,30 @@ mod tests {
         assert_eq!(latency.quantile(0.5), Some(128));
         assert_eq!(latency.quantile(0.99), Some(1 << 20));
         assert_eq!(latency_of(0, 0, &[0; 40]).quantile(0.5), None);
+    }
+
+    #[test]
+    fn watch_reads_count_the_read_ops_that_status_counts() {
+        // Op `i` of the wire vocabulary has 2^i requests.
+        let requests: Vec<String> = flixd::telemetry::RequestKind::ALL
+            .iter()
+            .enumerate()
+            .map(|(i, kind)| {
+                let latency = r#""latency_ns": {"count": 0, "sum": 0, "max": 0, "buckets": []}"#;
+                format!(r#""{}": {{"count": {}, {latency}}}"#, kind.as_str(), 1 << i)
+            })
+            .collect();
+        let doc = flixd::json::parse(&format!(
+            r#"{{"epoch": 1, "writer": {{}}, "requests": {{{}}}}}"#,
+            requests.join(", ")
+        ))
+        .expect("valid JSON");
+        // query, facts, explain, metrics, trace and stats: not status,
+        // update, compact or shutdown.
+        assert_eq!(
+            watch_extract(&doc).expect("extracts").reads,
+            1 + 2 + 4 + 8 + 16 + 64
+        );
     }
 
     #[test]

@@ -47,6 +47,7 @@ pub mod token;
 pub mod typeck;
 pub mod verify;
 
+use flix_core::{Delta, DeltaOp};
 use std::sync::Arc;
 
 pub use error::LangError;
@@ -70,23 +71,18 @@ pub fn compile(source: &str) -> Result<flix_core::Program, LangError> {
     lower(Arc::new(checked))
 }
 
-/// Parses `text` as exactly one bodyless atom, returning its predicate
-/// name and terms. Shared by the `flixr --explain` and `--query` atom
-/// syntaxes; errors carry the source position within `text`.
-fn parse_single_atom(text: &str, example: &str) -> Result<(String, Vec<ast::RuleTerm>), LangError> {
-    let trimmed = text.trim().trim_end_matches('.');
-    let source = format!("{trimmed}.");
-    let parsed = parse(&source)?;
-    let [ast::Decl::Constraint(c)] = parsed.decls.as_slice() else {
-        return Err(LangError::parse(
+/// Parses `text` as exactly one atom. Shared by the `flixr --explain` and
+/// `--query` atom syntaxes, which read through the same entry as update
+/// text; errors carry the source position within `text`.
+fn parse_single_atom(text: &str, example: &str) -> Result<ast::Atom, LangError> {
+    let mut facts = parser::parse_facts(text)?;
+    match (facts.pop(), facts.is_empty()) {
+        (Some((false, atom)), true) => Ok(atom),
+        _ => Err(LangError::parse(
             Default::default(),
             format!("expected exactly one atom, e.g. {example}"),
-        ));
-    };
-    if !c.body.is_empty() {
-        return Err(LangError::parse(c.pos, "expected an atom, found a rule"));
+        )),
     }
-    Ok((c.head.pred.clone(), c.head.terms.clone()))
 }
 
 /// Parses a single ground atom like `Path(1, "a")` into its predicate
@@ -98,8 +94,9 @@ fn parse_single_atom(text: &str, example: &str) -> Result<(String, Vec<ast::Rule
 /// `_` wildcard is rejected with its source position and a pointer to
 /// `--query`, which accepts patterns.
 pub fn parse_ground_atom(text: &str) -> Result<(String, Vec<flix_core::Value>), LangError> {
-    let (pred, terms) = parse_single_atom(text, "Path(1, 2)")?;
-    let values = terms
+    let atom = parse_single_atom(text, "Path(1, 2)")?;
+    let values = atom
+        .terms
         .iter()
         .map(|t| match t {
             ast::RuleTerm::Lit(..) | ast::RuleTerm::Ctor { .. } => Ok(lower::ground_value(t)),
@@ -114,7 +111,7 @@ pub fn parse_ground_atom(text: &str) -> Result<(String, Vec<flix_core::Value>), 
             )),
         })
         .collect::<Result<Vec<_>, _>>()?;
-    Ok((pred, values))
+    Ok((atom.pred, values))
 }
 
 /// Parses a query atom like `Path(1, _)` into its predicate name and
@@ -127,8 +124,9 @@ pub fn parse_ground_atom(text: &str) -> Result<(String, Vec<flix_core::Value>), 
 /// Returns a [`LangError`] (with the offending source position) if the
 /// text is not a single atom of literals and wildcards.
 pub fn parse_query_atom(text: &str) -> Result<(String, Vec<Option<flix_core::Value>>), LangError> {
-    let (pred, terms) = parse_single_atom(text, "Path(1, _)")?;
-    let pattern = terms
+    let atom = parse_single_atom(text, "Path(1, _)")?;
+    let pattern = atom
+        .terms
         .iter()
         .map(|t| match t {
             ast::RuleTerm::Wildcard(_) => Ok(None),
@@ -139,66 +137,38 @@ pub fn parse_query_atom(text: &str) -> Result<(String, Vec<Option<flix_core::Val
             )),
         })
         .collect::<Result<Vec<_>, _>>()?;
-    Ok((pred, pattern))
+    Ok((atom.pred, pattern))
 }
 
-/// Compiles update-file text into a [`flix_core::Delta`] — the syntax
-/// of `flixr --update` and of the daemon `update` op. The text is a
-/// standalone FLIX file re-declaring the predicates its facts touch:
-/// plain facts become insertions (lattice facts lub-raise), and a line
-/// of the form `-Edge(1, 2).` or `retract Edge(1, 2).` becomes a
-/// retraction — for a lattice predicate, a lower withdrawing that key's
-/// asserted contribution. Retraction lines are extracted before the
-/// rest of the text is compiled (blanked in place, so error positions
-/// in the remainder keep their line numbers) and are ordered *after*
-/// the text's assertions.
+/// Compiles update text into a [`Delta`] for `program` — the
+/// syntax of `flixr --update` and of the daemon `update` op. The text
+/// holds facts only, typed against `program`'s declarations exactly as
+/// the program's own facts are: a declaration, `def` or rule is refused
+/// where it starts. A fact `Edge(3, 4).` asserts (a lattice fact
+/// lub-raises); `-Edge(1, 2).` or `retract Edge(1, 2).` retracts — for a
+/// lattice predicate, a lower withdrawing that key's asserted
+/// contribution. The assertions apply first, then the retractions, each
+/// in source order.
 ///
 /// # Errors
 ///
-/// Returns a [`LangError`] from compiling the assertions, or a parse
-/// error carrying the line number of a malformed retraction.
-pub fn compile_update(source: &str) -> Result<flix_core::Delta, LangError> {
-    let mut kept = String::with_capacity(source.len());
-    let mut retractions: Vec<(usize, String)> = Vec::new();
-    for (idx, line) in source.lines().enumerate() {
-        let trimmed = line.trim_start();
-        let atom = if let Some(rest) = trimmed.strip_prefix('-') {
-            // Only a minus directly before a predicate name marks a
-            // retraction; anything else (a stray `-1`, say) falls
-            // through to the compiler, whose error will point at it.
-            rest.chars()
-                .next()
-                .is_some_and(|c| c.is_alphabetic())
-                .then_some(rest)
-        } else {
-            trimmed.strip_prefix("retract ")
-        };
-        match atom {
-            Some(text) => {
-                retractions.push((idx + 1, text.trim().to_string()));
-                kept.push('\n');
-            }
-            None => {
-                kept.push_str(line);
-                kept.push('\n');
-            }
-        }
-    }
-    let update_program = compile(&kept)?;
-    let mut delta = flix_core::Delta::from_facts(&update_program);
-    for (lineno, text) in retractions {
-        let (predicate, tuple) = parse_ground_atom(&text).map_err(|e| {
-            LangError::parse(
-                token::Pos {
-                    line: lineno as u32,
-                    col: 1,
-                },
-                format!("in retraction on line {lineno}: {e}"),
-            )
-        })?;
-        delta.push_op(flix_core::DeltaOp::Retract { predicate, tuple });
-    }
-    Ok(delta)
+/// Returns the first [`LangError`] in the text, with its position: a
+/// parse error, or a type error against `program`.
+pub fn compile_update(program: &CheckedProgram, source: &str) -> Result<Delta, LangError> {
+    let mut ops = parser::parse_facts(source)?
+        .into_iter()
+        .map(|(retract, atom)| {
+            let tuple = program.check_fact(&atom)?;
+            let predicate = atom.pred;
+            Ok(match retract {
+                false => DeltaOp::Insert { predicate, tuple },
+                true => DeltaOp::Retract { predicate, tuple },
+            })
+        })
+        .collect::<Result<Vec<_>, LangError>>()?;
+    // A stable sort: the assertions move ahead of the retractions.
+    ops.sort_by_key(|op| matches!(op, DeltaOp::Retract { .. }));
+    Ok(ops.into_iter().fold(Delta::new(), Delta::op))
 }
 
 /// Compiles and solves FLIX source text with the default solver.

@@ -30,20 +30,22 @@ use crate::token::{Pos, Tok, Token};
 ///
 /// Returns the first lexical or syntactic [`LangError`].
 pub fn parse(src: &str) -> Result<SourceProgram, LangError> {
-    let eof = || Token {
-        tok: Tok::Eof,
-        pos: Pos::default(),
-    };
-    let mut parser = Parser {
-        lexer: Lexer::new(src),
-        cur: eof(),
-        next: eof(),
-        lex_error: None,
-        after_minus: false,
-    };
-    parser.cur = parser.pull();
-    parser.next = parser.pull();
+    let mut parser = Parser::new(src);
     let parsed = parser.program();
+    parser.finish(parsed)
+}
+
+/// Parses the text of an update or a query: facts only, each
+/// `[-|retract] Atom .` (the last `.` may be left out), returned with
+/// whether each is retracted. A declaration, `def` or rule is refused at
+/// its first token, so the expression grammar is never entered.
+///
+/// # Errors
+///
+/// Returns the first lexical or syntactic [`LangError`].
+pub(crate) fn parse_facts(src: &str) -> Result<Vec<(bool, Atom)>, LangError> {
+    let mut parser = Parser::new(src);
+    let parsed = parser.facts();
     parser.finish(parsed)
 }
 
@@ -59,6 +61,23 @@ struct Parser<'a> {
 }
 
 impl Parser<'_> {
+    fn new(src: &str) -> Parser<'_> {
+        let eof = || Token {
+            tok: Tok::Eof,
+            pos: Pos::default(),
+        };
+        let mut parser = Parser {
+            lexer: Lexer::new(src),
+            cur: eof(),
+            next: eof(),
+            lex_error: None,
+            after_minus: false,
+        };
+        parser.cur = parser.pull();
+        parser.next = parser.pull();
+        parser
+    }
+
     /// The next token from the lexer; `Eof` at and after a lexical error.
     fn pull(&mut self) -> Token {
         if let Some(e) = &self.lex_error {
@@ -85,10 +104,7 @@ impl Parser<'_> {
 
     /// The outcome of a parse whose result is `parsed`, ranking errors as
     /// if the whole source had been lexed before parsing began.
-    fn finish(
-        mut self,
-        parsed: Result<SourceProgram, LangError>,
-    ) -> Result<SourceProgram, LangError> {
+    fn finish<T>(mut self, parsed: Result<T, LangError>) -> Result<T, LangError> {
         match &parsed {
             // Raised at a token the parser reached, so before any error
             // the lexer has met.
@@ -399,6 +415,37 @@ impl Parser<'_> {
     }
 
     // ---- constraints -----------------------------------------------------
+
+    /// Update or query text: statements `[-|retract] Atom`, each ended
+    /// by `.` or by the end of the text.
+    fn facts(&mut self) -> Result<Vec<(bool, Atom)>, LangError> {
+        let mut facts = Vec::new();
+        while self.peek() != &Tok::Eof {
+            let retract = match self.peek() {
+                Tok::Minus => true,
+                Tok::LowerIdent(word) => word == "retract",
+                _ => false,
+            };
+            if retract {
+                self.bump();
+            }
+            if let Tok::UpperIdent(_) = self.peek() {
+                facts.push((retract, self.atom()?));
+                if self.eat(&Tok::Dot) || self.peek() == &Tok::Eof {
+                    continue;
+                }
+            }
+            return Err(LangError::parse(
+                self.pos(),
+                format!(
+                    "unexpected `{}`: update and query text holds facts only, \
+                     `[-|retract] Atom .`, typed against the program's declarations",
+                    self.peek()
+                ),
+            ));
+        }
+        Ok(facts)
+    }
 
     fn constraint(&mut self) -> Result<Constraint, LangError> {
         let pos = self.pos();

@@ -10,6 +10,8 @@
 //! a bodyless constraint — is checked the same way and then evaluated,
 //! once, into its tuple of engine values in [`CheckedProgram::facts`],
 //! which [`crate::lower()`] moves into the engine program.
+//! [`crate::compile_update`] types an update's facts by the same function,
+//! against the checked program they update.
 
 use crate::ast::*;
 use crate::error::LangError;
@@ -175,16 +177,16 @@ pub struct CheckedProgram {
 /// mismatches, missing lattice bindings for `lat` columns, non-ground
 /// facts, or misplaced function applications.
 pub fn check(program: &SourceProgram) -> Result<CheckedProgram, LangError> {
-    let mut cx = Checker::default();
+    let mut cx = CheckedProgram::default();
 
     // Pass 1: collect enum names (so payloads may reference each other),
     // then their cases; collect def signatures; lattice binds; predicates.
     for decl in &program.decls {
         if let Decl::Enum(e) = decl {
-            if cx.out.enums.contains_key(&e.name) {
+            if cx.enums.contains_key(&e.name) {
                 return Err(LangError::ty(e.pos, format!("duplicate enum {}", e.name)));
             }
-            cx.out.enums.insert(
+            cx.enums.insert(
                 e.name.clone(),
                 EnumInfo {
                     cases: HashMap::new(),
@@ -209,11 +211,7 @@ pub fn check(program: &SourceProgram) -> Result<CheckedProgram, LangError> {
                         ));
                     }
                 }
-                cx.out
-                    .enums
-                    .get_mut(&e.name)
-                    .expect("inserted in pass 1")
-                    .cases = cases;
+                cx.enums.get_mut(&e.name).expect("inserted in pass 1").cases = cases;
             }
             Decl::Def(d) => {
                 let params: Vec<(String, Type)> = d
@@ -223,7 +221,6 @@ pub fn check(program: &SourceProgram) -> Result<CheckedProgram, LangError> {
                     .collect::<Result<_, LangError>>()?;
                 let ret = cx.resolve_type(&d.ret, d.pos)?;
                 if cx
-                    .out
                     .defs
                     .insert(
                         d.name.clone(),
@@ -239,13 +236,13 @@ pub fn check(program: &SourceProgram) -> Result<CheckedProgram, LangError> {
                 }
             }
             Decl::Lattice(l) => {
-                if !cx.out.enums.contains_key(&l.ty) {
+                if !cx.enums.contains_key(&l.ty) {
                     return Err(LangError::ty(
                         l.pos,
                         format!("lattice binding for unknown type {}", l.ty),
                     ));
                 }
-                cx.out.lattices.insert(l.ty.clone(), l.clone());
+                cx.lattices.insert(l.ty.clone(), l.clone());
             }
             Decl::Pred(p) => {
                 let mut attrs = Vec::new();
@@ -284,7 +281,6 @@ pub fn check(program: &SourceProgram) -> Result<CheckedProgram, LangError> {
                     ));
                 }
                 if cx
-                    .out
                     .preds
                     .insert(
                         p.name.clone(),
@@ -301,7 +297,7 @@ pub fn check(program: &SourceProgram) -> Result<CheckedProgram, LangError> {
                         format!("duplicate predicate {}", p.name),
                     ));
                 }
-                cx.out.pred_order.push(p.name.clone());
+                cx.pred_order.push(p.name.clone());
             }
             Decl::Constraint(_) => {}
         }
@@ -309,7 +305,6 @@ pub fn check(program: &SourceProgram) -> Result<CheckedProgram, LangError> {
 
     // Pass 2: check def bodies.
     let defs_snapshot: Vec<(String, DefInfo)> = cx
-        .out
         .defs
         .iter()
         .map(|(k, v)| (k.clone(), v.clone()))
@@ -329,7 +324,7 @@ pub fn check(program: &SourceProgram) -> Result<CheckedProgram, LangError> {
     }
 
     // Pass 3: check lattice bindings.
-    let lattices: Vec<LatticeBind> = cx.out.lattices.values().cloned().collect();
+    let lattices: Vec<LatticeBind> = cx.lattices.values().cloned().collect();
     for l in &lattices {
         let elem = Type::Enum(l.ty.clone());
         let mut env = HashMap::new();
@@ -350,7 +345,7 @@ pub fn check(program: &SourceProgram) -> Result<CheckedProgram, LangError> {
             ("lub", &l.lub, elem.clone()),
             ("glb", &l.glb, elem.clone()),
         ] {
-            let Some(def) = cx.out.defs.get(fname) else {
+            let Some(def) = cx.defs.get(fname) else {
                 return Err(LangError::ty(
                     l.pos,
                     format!("unknown {what} function {fname} in {}<> binding", l.ty),
@@ -372,22 +367,17 @@ pub fn check(program: &SourceProgram) -> Result<CheckedProgram, LangError> {
         let Decl::Constraint(c) = decl else { continue };
         if c.body.is_empty() {
             let tuple = cx.check_fact(&c.head)?;
-            cx.out.facts.push((c.head.pred.clone(), tuple));
+            cx.facts.push((c.head.pred.clone(), tuple));
         } else {
             let checked = cx.check_constraint(c)?;
-            cx.out.constraints.push(checked);
+            cx.constraints.push(checked);
         }
     }
 
-    Ok(cx.out)
+    Ok(cx)
 }
 
-#[derive(Default)]
-struct Checker {
-    out: CheckedProgram,
-}
-
-impl Checker {
+impl CheckedProgram {
     fn resolve_type(&self, t: &TypeExpr, pos: Pos) -> Result<Type, LangError> {
         Ok(match t {
             TypeExpr::Int => Type::Int,
@@ -398,7 +388,7 @@ impl Checker {
                 return Err(LangError::ty(pos, "Set requires an element type: Set(T)"))
             }
             TypeExpr::Named(name) => {
-                if !self.out.enums.contains_key(name) {
+                if !self.enums.contains_key(name) {
                     return Err(LangError::ty(pos, format!("unknown type {name}")));
                 }
                 Type::Enum(name.clone())
@@ -453,7 +443,6 @@ impl Checker {
             }
             Expr::Call { func, args, pos } => {
                 let def = self
-                    .out
                     .defs
                     .get(func)
                     .ok_or_else(|| LangError::ty(*pos, format!("unknown function {func}")))?;
@@ -637,7 +626,6 @@ impl Checker {
 
     fn case_payload(&self, enum_name: &str, case: &str, pos: Pos) -> Result<&[Type], LangError> {
         let info = self
-            .out
             .enums
             .get(enum_name)
             .ok_or_else(|| LangError::ty(pos, format!("unknown enum {enum_name}")))?;
@@ -731,10 +719,10 @@ impl Checker {
         for item in &c.body {
             match item {
                 BodyItem::Atom(atom) => {
-                    if let Some(sig) = self.out.preds.get(&atom.pred) {
+                    if let Some(sig) = self.preds.get(&atom.pred) {
                         self.check_atom(atom, sig, &mut vars, false)?;
                         body.push(CheckedBodyItem::Atom(atom.clone()));
-                    } else if let Some(def) = self.out.defs.get(&atom.pred) {
+                    } else if let Some(def) = self.defs.get(&atom.pred) {
                         // A filter application.
                         if def.ret != Type::Bool {
                             return Err(LangError::ty(
@@ -758,7 +746,7 @@ impl Checker {
                     }
                 }
                 BodyItem::NegAtom(atom) => {
-                    let Some(sig) = self.out.preds.get(&atom.pred) else {
+                    let Some(sig) = self.preds.get(&atom.pred) else {
                         return Err(LangError::ty(
                             atom.pos,
                             format!("unknown predicate {}", atom.pred),
@@ -773,10 +761,10 @@ impl Checker {
                     args,
                     pos,
                 } => {
-                    let def =
-                        self.out.defs.get(func).ok_or_else(|| {
-                            LangError::ty(*pos, format!("unknown function {func}"))
-                        })?;
+                    let def = self
+                        .defs
+                        .get(func)
+                        .ok_or_else(|| LangError::ty(*pos, format!("unknown function {func}")))?;
                     let Type::Set(elem) = &def.ret else {
                         return Err(LangError::ty(
                             *pos,
@@ -832,8 +820,10 @@ impl Checker {
         })
     }
 
-    /// Checks a fact as a bodyless rule, then evaluates its ground terms.
-    fn check_fact(&self, head: &Atom) -> Result<Vec<Value>, LangError> {
+    /// Checks a fact as a bodyless rule against this program's
+    /// declarations, then evaluates its ground terms. The program's own
+    /// facts and an update's are typed by this one function.
+    pub(crate) fn check_fact(&self, head: &Atom) -> Result<Vec<Value>, LangError> {
         self.check_head(head, &mut HashMap::new())?;
         if let Some(t) = head.terms.iter().find(|t| !is_ground(t)) {
             return Err(LangError::ty(
@@ -845,7 +835,7 @@ impl Checker {
     }
 
     fn check_head(&self, head: &Atom, vars: &mut HashMap<String, Type>) -> Result<(), LangError> {
-        let Some(sig) = self.out.preds.get(&head.pred) else {
+        let Some(sig) = self.preds.get(&head.pred) else {
             return Err(LangError::ty(
                 head.pos,
                 format!("unknown predicate {}", head.pred),
@@ -905,7 +895,7 @@ impl Checker {
         vars: &mut HashMap<String, Type>,
         pos: Pos,
     ) -> Result<(), LangError> {
-        let def = self.out.defs.get(func).expect("caller checked");
+        let def = self.defs.get(func).expect("caller checked");
         if def.params.len() != args.len() {
             return Err(LangError::ty(
                 pos,
@@ -980,7 +970,6 @@ impl Checker {
             }
             RuleTerm::App { func, args, pos } => {
                 let def = self
-                    .out
                     .defs
                     .get(func)
                     .ok_or_else(|| LangError::ty(*pos, format!("unknown function {func}")))?;

@@ -374,11 +374,7 @@ fn missing_file_is_reported() {
 #[test]
 fn update_prints_both_models_with_headers() {
     let file = write_temp("update-base.flix", PATHS);
-    let update = write_temp(
-        "update-delta.flix",
-        "rel Edge(x: Int, y: Int);
-         Edge(3, 4).",
-    );
+    let update = write_temp("update-delta.flix", "Edge(3, 4).");
     let output = flixr()
         .arg(&file)
         .arg("--update")
@@ -412,11 +408,7 @@ fn update_prints_both_models_with_headers() {
 #[test]
 fn update_with_unknown_predicate_exits_with_code_2() {
     let file = write_temp("update-unknown-base.flix", PATHS);
-    let update = write_temp(
-        "update-unknown-delta.flix",
-        "rel Missing(x: Int);
-         Missing(1).",
-    );
+    let update = write_temp("update-unknown-delta.flix", "Missing(1).");
     let output = flixr()
         .arg(&file)
         .arg("--update")
@@ -446,11 +438,7 @@ fn update_file_that_fails_to_parse_exits_with_code_2() {
 #[test]
 fn explain_after_update_targets_the_updated_model() {
     let file = write_temp("update-explain-base.flix", PATHS);
-    let update = write_temp(
-        "update-explain-delta.flix",
-        "rel Edge(x: Int, y: Int);
-         Edge(3, 4).",
-    );
+    let update = write_temp("update-explain-delta.flix", "Edge(3, 4).");
     // Path(1, 4) only exists after the update.
     let output = flixr()
         .arg(&file)
@@ -776,10 +764,7 @@ fn kill_mid_update_is_recovered_from_the_write_ahead_log() {
     let snap = scratch.path("base.snap");
     let wal = scratch.path("deltas.wal");
     let file = write_temp("kill-mid.flix", PATHS);
-    let upd = write_temp(
-        "kill-mid-upd.flix",
-        "rel Edge(x: Int, y: Int);\nEdge(3, 4).",
-    );
+    let upd = write_temp("kill-mid-upd.flix", "Edge(3, 4).");
 
     // Save the base model, then apply an update through the log.
     let output = flixr()
@@ -856,18 +841,9 @@ fn a_rejected_update_never_reaches_the_write_ahead_log() {
     let scratch = Scratch::new("rejected-update");
     let wal = scratch.path("deltas.wal");
     let file = write_temp("rejected-update.flix", PATHS);
-    let good = write_temp(
-        "rejected-update-good.flix",
-        "rel Edge(x: Int, y: Int);\nEdge(3, 4).",
-    );
-    let bad = write_temp(
-        "rejected-update-bad.flix",
-        "rel Missing(x: Int);\nMissing(1).",
-    );
-    let later = write_temp(
-        "rejected-update-later.flix",
-        "rel Edge(x: Int, y: Int);\nEdge(4, 5).",
-    );
+    let good = write_temp("rejected-update-good.flix", "Edge(3, 4).");
+    let bad = write_temp("rejected-update-bad.flix", "Missing(1).");
+    let later = write_temp("rejected-update-later.flix", "Edge(4, 5).");
     let run = |extra: &[&std::path::Path]| {
         let mut cmd = flixr();
         cmd.arg("--wal").arg(&wal);
@@ -904,16 +880,71 @@ fn a_rejected_update_never_reaches_the_write_ahead_log() {
     assert!(stdout.contains("Path(1, 5)"), "{stdout}");
 }
 
+/// Update text holds facts only, typed against the program it updates:
+/// a re-declaration (matching or not), an ill-typed retraction, a rule,
+/// a `def` — however deep its body — each exits 2 with a positioned
+/// error, prints no model and leaves the log byte for byte as it was.
+/// Query text is read the same way.
+#[test]
+fn an_update_holds_facts_typed_against_the_program() {
+    let scratch = Scratch::new("facts-only");
+    let wal = scratch.path("deltas.wal");
+    let file = write_temp("facts-only.flix", PATHS);
+    let run = |update: &std::path::Path| {
+        let mut cmd = flixr();
+        cmd.arg("--wal").arg(&wal).arg("--update").arg(update);
+        cmd.arg(&file).output().expect("runs")
+    };
+    let good = write_temp("facts-only-good.flix", "Edge(3, 4).");
+    assert!(run(&good).status.success());
+    let logged = std::fs::read(&wal).expect("log");
+
+    let sum = format!(
+        "def f(x: Int): Int = x{};\nEdge(5, 6).",
+        " + 1".repeat(20_000)
+    );
+    let cases = [
+        (
+            "rel Edge(x: Str, y: Str);\nEdge(\"a\", \"b\").",
+            "parse error at 1:1",
+        ),
+        (
+            "rel Edge(x: Int, y: Int);\nEdge(5, 6).",
+            "parse error at 1:1",
+        ),
+        ("-Edge(\"1\", 2).", "type error at 1:7"),
+        ("Edge(5, 6).\nJunk(x) :- Edge(x, _).", "parse error at 2:9"),
+        ("def g(x: Int): Int = x;\nEdge(5, 6).", "parse error at 1:1"),
+        (sum.as_str(), "parse error at 1:1"),
+    ];
+    for (i, (text, error)) in cases.into_iter().enumerate() {
+        let update = write_temp(&format!("facts-only-{i}.flix"), text);
+        let output = run(&update);
+        assert_eq!(output.status.code(), Some(2), "case {i}: {output:?}");
+        let stderr = String::from_utf8(output.stderr).expect("utf8");
+        assert!(stderr.contains(error), "case {i}: {stderr}");
+        assert!(output.stdout.is_empty(), "case {i}");
+        assert_eq!(std::fs::read(&wal).expect("log"), logged, "case {i}");
+    }
+
+    let parens = format!("def g(): Int = {}1{}", "(".repeat(5_000), ")".repeat(5_000));
+    let output = flixr()
+        .args(["--query", &parens])
+        .arg(&file)
+        .output()
+        .expect("runs");
+    assert_eq!(output.status.code(), Some(2), "{output:?}");
+    let stderr = String::from_utf8(output.stderr).expect("utf8");
+    assert!(stderr.contains("parse error at 1:1"), "{stderr}");
+}
+
 #[test]
 fn compaction_absorbs_the_log_into_the_snapshot() {
     let scratch = Scratch::new("compaction");
     let snap = scratch.path("model.snap");
     let wal = scratch.path("deltas.wal");
     let file = write_temp("compaction.flix", PATHS);
-    let upd = write_temp(
-        "compaction-upd.flix",
-        "rel Edge(x: Int, y: Int);\nEdge(3, 4).",
-    );
+    let upd = write_temp("compaction-upd.flix", "Edge(3, 4).");
 
     let output = flixr()
         .arg("--save")
@@ -1001,16 +1032,14 @@ fn flixr_recovers(
 fn load_and_wal_recover_every_damage_class_as_the_library_does() {
     use flix_core::{DurableFiles, Solver};
     let file = write_temp("four-way.flix", PATHS);
-    let upd = write_temp(
-        "four-way-upd.flix",
-        "rel Edge(x: Int, y: Int);\nEdge(6, 7).",
-    );
+    let upd = write_temp("four-way-upd.flix", "Edge(6, 7).");
     let program = flix_lang::compile(PATHS).expect("compiles");
+    let checked = flix_lang::check(&flix_lang::parse(PATHS).expect("parses")).expect("checks");
     let solver = Solver::new();
     let base = solver.solve(&program).expect("solves");
     let edge = |x: i64, y: i64| {
-        let text = format!("rel Edge(x: Int, y: Int);\nEdge({x}, {y}).");
-        flix_lang::compile_update(&text).expect("compiles")
+        let text = format!("Edge({x}, {y}).");
+        flix_lang::compile_update(&checked, &text).expect("compiles")
     };
     let deltas = [edge(3, 4), edge(4, 5), edge(5, 6)];
 
@@ -1105,10 +1134,7 @@ fn update_through_a_log_resumes_from_the_replayed_model() {
     let snap = scratch.path("base.snap");
     let wal = scratch.path("deltas.wal");
     let file = write_temp("resume-base.flix", PATHS);
-    let upd = write_temp(
-        "resume-base-upd.flix",
-        "rel Edge(x: Int, y: Int);\nEdge(3, 4).",
-    );
+    let upd = write_temp("resume-base-upd.flix", "Edge(3, 4).");
     let output = flixr().arg("--save").arg(&snap).arg(&file).output();
     assert!(output.expect("runs").status.success());
     let run = || {
@@ -1215,11 +1241,7 @@ fn quiet_model_suppresses_model_printing() {
 
     // With --update, neither model nor the `== ... ==` headers print,
     // but explicit --query output still does.
-    let update = write_temp(
-        "quiet-delta.flix",
-        "rel Edge(x: Int, y: Int);
-         Edge(3, 4).",
-    );
+    let update = write_temp("quiet-delta.flix", "Edge(3, 4).");
     let output = flixr()
         .arg("--quiet-model")
         .arg(&file)
@@ -1312,8 +1334,7 @@ fn flixd_serves_flixr_clients_end_to_end() {
     // A live update with a retraction; --quiet-model keeps stdout empty.
     let update = write_temp(
         "daemon-delta.flix",
-        "rel Edge(x: Int, y: Int);
-         Edge(3, 4).
+        "Edge(3, 4).
          -Edge(1, 2)",
     );
     let update = update.to_str().expect("utf8 path").to_string();
@@ -1410,11 +1431,7 @@ fn connect_busy_refusal_exits_one() {
         std::thread::sleep(std::time::Duration::from_millis(20));
     }
 
-    let update = write_temp(
-        "busy-delta.flix",
-        "rel Edge(x: Int, y: Int);
-         Edge(3, 4).",
-    );
+    let update = write_temp("busy-delta.flix", "Edge(3, 4).");
     let output = flixr()
         .arg("--connect")
         .arg(&socket)

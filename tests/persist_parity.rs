@@ -16,7 +16,7 @@ use flix::analyses::ifds::{self, problems};
 use flix::analyses::workloads::jvm_program::{self, GenParams};
 use flix::core::persist::{DurableFiles, DurableModel, OpenError};
 use flix::{load_snapshot, save_snapshot, Delta, DeltaLog, Program, Solution, SolveError, Solver};
-use flixd::{Client, Hooks, ReplyBody, Request, Server, ServerConfig, StartError};
+use flixd::{Client, ErrorCode, Hooks, ReplyBody, Request, Server, ServerConfig, StartError};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -103,15 +103,15 @@ fn figure_5_ifds_model_round_trips_byte_identically() {
     assert!(solution.total_facts() > 0);
 }
 
+const PATHS: &str = "
+    rel Edge(x: Int, y: Int);
+    rel Path(x: Int, y: Int);
+    Edge(1, 2). Edge(2, 3).
+    Path(x, y) :- Edge(x, y).
+    Path(x, z) :- Path(x, y), Edge(y, z).";
+
 fn paths_program() -> Program {
-    flix::compile(
-        "rel Edge(x: Int, y: Int);
-         rel Path(x: Int, y: Int);
-         Edge(1, 2). Edge(2, 3).
-         Path(x, y) :- Edge(x, y).
-         Path(x, z) :- Path(x, y), Edge(y, z).",
-    )
-    .expect("compiles")
+    flix::compile(PATHS).expect("compiles")
 }
 
 fn edge_delta(x: i64, y: i64) -> Delta {
@@ -182,15 +182,21 @@ fn truncated_wal_recovery_replays_the_surviving_prefix() {
     assert!(!lines.contains(&"Path(1, 5)".to_string()), "{lines:?}");
 }
 
-/// Starts a daemon on the snapshot + log pair in `dir`.
+/// Starts a daemon of the `PATHS` program on the snapshot + log pair in
+/// `dir`, with the hooks the `flixd` binary wires: updates are typed
+/// against the program's declarations.
 fn start(dir: &Path, program: &Arc<Program>) -> Result<Server, StartError> {
     let mut config = ServerConfig::new(dir.join("flixd.sock"));
     config.snapshot = Some(dir.join(damage::SNAPSHOT));
     config.wal = Some(dir.join(damage::WAL));
+    let parsed = flix::lang::parse(PATHS).expect("parses");
+    let checked = flix::lang::check(&parsed).expect("checks");
     let hooks = Hooks {
         parse_query: Box::new(|t| flix::lang::parse_query_atom(t).map_err(|e| e.to_string())),
         parse_atom: Box::new(|t| flix::lang::parse_ground_atom(t).map_err(|e| e.to_string())),
-        compile_update: Box::new(|t| flix::lang::compile_update(t).map_err(|e| e.to_string())),
+        compile_update: Box::new(move |t| {
+            flix::lang::compile_update(&checked, t).map_err(|e| e.to_string())
+        }),
     };
     Server::start(Arc::clone(program), config, hooks)
 }
@@ -322,7 +328,7 @@ fn every_way_of_recovering_agrees_on_every_damage_class() {
         );
 
         let mut client = Client::connect(server.socket()).expect("connects");
-        let text = "rel Edge(x: Int, y: Int);\nEdge(6, 7).".to_string();
+        let text = "Edge(6, 7).".to_string();
         let timeout_secs = None;
         let reply = client.request(&Request::Update { text, timeout_secs });
         let reply = reply.expect("update");
@@ -336,4 +342,49 @@ fn every_way_of_recovering_agrees_on_every_damage_class() {
         restarted.shutdown();
         restarted.join();
     }
+}
+
+/// Update and query text is read against the resident program and holds
+/// facts only: a `def` whose body would overflow the parser's stack is
+/// refused at its first token, and the daemon keeps answering, with its
+/// epoch and its log as they were.
+#[test]
+fn a_daemon_refuses_def_bombs_in_update_and_query_text() {
+    let dir = Scratch::new("def-bombs");
+    let program = Arc::new(paths_program());
+    let server = start(&dir.0, &program).expect("the daemon starts");
+    let mut client = Client::connect(server.socket()).expect("connects");
+    let epoch = client.request(&Request::Status).expect("status").epoch;
+    let logged = std::fs::read(dir.path(damage::WAL)).unwrap_or_default();
+
+    let sum = format!(
+        "def f(x: Int): Int = x{}; Edge(3, 4).",
+        " + 1".repeat(20_000)
+    );
+    let parens = format!("def g(): Int = {}1{}", "(".repeat(5_000), ")".repeat(5_000));
+    let update = Request::Update {
+        text: sum,
+        timeout_secs: None,
+    };
+    for request in [update, Request::Query { atom: parens }] {
+        let reply = client.request(&request).expect("a reply");
+        match reply.body {
+            ReplyBody::Error {
+                code: ErrorCode::Parse,
+                message,
+            } => assert!(
+                message.starts_with("parse error at 1:1: ") && message.contains("facts only"),
+                "{message}"
+            ),
+            other => panic!("expected a parse error, got {other:?}"),
+        }
+    }
+
+    let reply = client.request(&Request::Status).expect("status after both");
+    assert!(matches!(reply.body, ReplyBody::Status(_)), "{reply:?}");
+    assert_eq!(reply.epoch, epoch, "nothing was published");
+    let now = std::fs::read(dir.path(damage::WAL)).unwrap_or_default();
+    assert_eq!(now, logged, "nothing was logged");
+    server.shutdown();
+    server.join();
 }

@@ -12,11 +12,42 @@
 
 use crate::workloads::graphs::WeightedGraph;
 use flix_core::{
-    BodyItem, Head, HeadTerm, LatticeOps, Program, ProgramBuilder, Query, Solver, Term,
-    ValueLattice,
+    int_of_slot, slot_of_int, BodyItem, FuncId, Head, HeadTerm, LatticeOps, Program,
+    ProgramBuilder, Query, Solver, Term, ValueLattice, WordType, CHAIN_BOTTOM, WORD_FALSE,
 };
 use flix_lattice::MinCost;
 use std::collections::BTreeMap;
+
+/// Registers `extend(d, c)`, the path `d` extended by an edge of weight
+/// `c`, with its word form [`extend_word`].
+fn extend(b: &mut ProgramBuilder) -> FuncId {
+    let extend = b.function("extend", |args| {
+        let d = MinCost::expect_from(&args[0]);
+        let c = args[1].as_int().expect("weight") as u64;
+        d.add_weight(c).to_value()
+    });
+    let (chain, _) = MinCost::kind().expect("MinCost is a chain");
+    let elem = WordType::Elem(chain);
+    b.word_form(extend, [elem.clone(), WordType::Slot], elem, extend_word);
+    extend
+}
+
+/// `extend` over words: `d`, the word of a `MinCost` element — a chain
+/// ([`flix_core::LatticeKind::Chain`]) — and `c`, the slot of the weight.
+/// ⊥ stays ⊥, and `Fin(d) + c` is the word of the sum while the sum stays
+/// in the chain. Any other call — a negative weight, a sum past
+/// 2⁶⁰ − 1 — answers `WORD_FALSE`, which is no chain word, so the
+/// engine drops it and calls the boxed form instead
+/// ([`ProgramBuilder::word_form`]).
+pub fn extend_word(words: &[u64]) -> u64 {
+    if words[0] == CHAIN_BOTTOM {
+        return CHAIN_BOTTOM;
+    }
+    let sum = int_of_slot(words[0]).zip(int_of_slot(words[1]));
+    sum.filter(|&(_, c)| c >= 0)
+        .and_then(|(d, c)| slot_of_int(d + c))
+        .unwrap_or(WORD_FALSE)
+}
 
 /// Builds the single-source program: `Dist(node, MinCost<>)` seeded with
 /// `Dist(source, 0)`.
@@ -24,11 +55,7 @@ pub fn build_single_source(graph: &WeightedGraph, source: u32) -> Program {
     let mut b = ProgramBuilder::new();
     let edge = b.relation("Edge", 3);
     let dist = b.lattice("Dist", 2, LatticeOps::of::<MinCost>());
-    let extend = b.function("extend", |args| {
-        let d = MinCost::expect_from(&args[0]);
-        let c = args[1].as_int().expect("weight") as u64;
-        d.add_weight(c).to_value()
-    });
+    let extend = extend(&mut b);
     for &(x, y, c) in &graph.edges {
         b.fact(
             edge,
@@ -63,11 +90,7 @@ pub fn build_all_pairs(graph: &WeightedGraph) -> Program {
     let mut b = ProgramBuilder::new();
     let edge = b.relation("Edge", 3);
     let dist = b.lattice("Dist", 3, LatticeOps::of::<MinCost>());
-    let extend = b.function("extend", |args| {
-        let d = MinCost::expect_from(&args[0]);
-        let c = args[1].as_int().expect("weight") as u64;
-        d.add_weight(c).to_value()
-    });
+    let extend = extend(&mut b);
     for &(x, y, c) in &graph.edges {
         b.fact(
             edge,
@@ -208,6 +231,31 @@ mod tests {
             for (n, d) in dist.iter().enumerate() {
                 assert_eq!(apsp.get(&(s, n as u32)), d.as_ref(), "({s}, {n})");
             }
+        }
+    }
+
+    #[test]
+    fn extend_word_is_extend_on_the_chain_and_declines_the_rest() {
+        let word = |c: MinCost| match c.value() {
+            None => CHAIN_BOTTOM,
+            Some(d) => slot_of_int(d as i64).expect("in the chain"),
+        };
+        let last = (1 << 60) - 1;
+        for d in [MinCost::INFINITY, MinCost::finite(0), MinCost::finite(41)] {
+            for c in [0, 1, 17, last - 41] {
+                let weight = slot_of_int(c as i64).expect("inline");
+                let extended = d.add_weight(c);
+                assert_eq!(extend_word(&[word(d), weight]), word(extended), "{d} + {c}");
+            }
+        }
+        let fin = |d: u64| word(MinCost::finite(d));
+        let past_the_chain = slot_of_int(last as i64 - 40).expect("inline");
+        for args in [
+            [fin(41), past_the_chain],
+            [fin(3), slot_of_int(-1).expect("inline")],
+            [fin(3), WORD_FALSE],
+        ] {
+            assert_eq!(extend_word(&args), WORD_FALSE, "{args:?}");
         }
     }
 

@@ -254,7 +254,9 @@ pub enum WordType {
     Slot,
     /// The word of an element of a lattice of this kind: for the flat kind
     /// [`FLAT_BOTTOM`](crate::FLAT_BOTTOM), [`FLAT_TOP`](crate::FLAT_TOP),
-    /// or, for `tag(x)`, the slot of `x`.
+    /// or, for `tag(x)`, the slot of `x`; for the chain kind
+    /// [`CHAIN_BOTTOM`](crate::CHAIN_BOTTOM) or, for `tag(n)`,
+    /// [`slot_of_int(n)`](crate::slot_of_int).
     Elem(LatticeKind),
 }
 

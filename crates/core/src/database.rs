@@ -51,7 +51,7 @@
 //! one of two representations, fixed per predicate by its lattice: the
 //! element *boxed* — a closure-defined lattice, whose `leq` / `lub` /
 //! `glb` consume `&Value` — or, for a lattice that declares a built-in
-//! kind ([`crate::LatticeKind`]), one *word* ([`FlatWords`]) that those
+//! kind ([`crate::LatticeKind`]), one *word* ([`KindWords`]) that those
 //! operations read directly; word cells are decoded only for the public
 //! reads ([`LatticeData::decoded`]).
 
@@ -131,9 +131,9 @@ const TAG_BOOL: u64 = 1;
 const TAG_INT: u64 = 2;
 const TAG_SYM: u64 = 3;
 const TAG_SPILL: u64 = 4;
-/// The third tag no value encodes to: the two reserved words of a flat
-/// lattice ([`FlatWords`]).
-const TAG_FLAT: u64 = 7;
+/// The third tag no value encodes to: the reserved words of a lattice of
+/// a built-in kind ([`KindWords`]).
+const TAG_KIND: u64 = 7;
 
 /// Two of the slot tags no value encodes to, for the provenance log's
 /// words ([`crate::provenance`]): a premise column that matched without
@@ -143,10 +143,16 @@ pub(crate) const SLOT_WILDCARD: u64 = 5;
 pub(crate) const SLOT_SIDE: u64 = 6;
 
 /// The word of ⊥ in a lattice of the flat kind ([`LatticeKind::Flat`]):
-/// one of two words no value's slot equals.
-pub const FLAT_BOTTOM: u64 = pack(TAG_FLAT, 0);
+/// a word no value's slot equals.
+pub const FLAT_BOTTOM: u64 = pack(TAG_KIND, 0);
 /// The word of ⊤ in a lattice of the flat kind ([`LatticeKind::Flat`]).
-pub const FLAT_TOP: u64 = pack(TAG_FLAT, 1);
+pub const FLAT_TOP: u64 = pack(TAG_KIND, 1);
+/// The word of ⊥ in a lattice of the chain kind ([`LatticeKind::Chain`]):
+/// a word no value's slot equals, above the slot of every non-negative
+/// integer, so that the chain's order is the reverse order of the words.
+pub const CHAIN_BOTTOM: u64 = u64::MAX;
+/// The word of ⊤ in a lattice of the chain kind: `tag(0)`, the slot of 0.
+const CHAIN_TOP: u64 = pack(TAG_INT, 0);
 /// The slot of `Value::Bool(false)`: what a word-form filter returns to
 /// reject ([`crate::ProgramBuilder::word_form`]).
 pub const WORD_FALSE: u64 = pack(TAG_BOOL, 0);
@@ -294,44 +300,122 @@ pub(crate) fn is_slot(slot: u64, spill: &SpillTable) -> bool {
 // Lattice elements as words
 // ---------------------------------------------------------------------------
 
-/// The words of a flat lattice ([`LatticeKind::Flat`]): ⊥ and ⊤ are the
-/// two reserved words [`FLAT_BOTTOM`] and [`FLAT_TOP`], and `tag(x)` is
-/// the slot of `x` — so encoded equality stays value equality, and the
-/// lattice operations are a compare or two ([`flat_leq`], [`flat_lub`],
-/// [`flat_glb`]) that never decode. A shared handle: a plan keeps one per
-/// register that decodes through it.
+/// The words of a lattice that declares a built-in kind
+/// ([`LatticeKind`]), and the kind's operations on them — compares that
+/// never decode. A flat lattice's ⊥ and ⊤ are the two reserved words
+/// [`FLAT_BOTTOM`] and [`FLAT_TOP`], and `tag(x)` is the slot of `x`; a
+/// chain's ⊥ is the reserved word [`CHAIN_BOTTOM`], and `tag(n)` is the
+/// slot of `n`, whose order on the naturals is the order of the words.
+/// Either way encoded equality stays value equality. A shared handle: a
+/// lattice's cells keep one, and a plan one per register that decodes
+/// through it.
 #[derive(Clone, Debug, PartialEq)]
-pub(crate) struct FlatWords(Arc<FlatElems>);
+pub(crate) struct KindWords {
+    order: Order,
+    elems: Arc<KindElems>,
+}
+
+/// Which kind's operations a [`KindWords`] runs: the kind's shape, kept
+/// beside the handle's pointer so an operation reads no memory.
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum Order {
+    Flat,
+    Chain,
+}
 
 #[derive(Debug, PartialEq)]
-struct FlatElems {
-    tag: Arc<str>,
+struct KindElems {
+    kind: LatticeKind,
     bot: Value,
     top: Value,
 }
 
-impl FlatWords {
-    /// The words of `ops`'s elements, when `ops` declares the flat kind
-    /// (and has a top, which the kind's check requires).
-    pub(crate) fn of(ops: &LatticeOps) -> Option<FlatWords> {
-        let LatticeKind::Flat { tag } = ops.kind()?;
-        Some(FlatWords(Arc::new(FlatElems {
-            tag: Arc::clone(tag),
-            bot: ops.bottom().clone(),
-            top: ops.top()?.clone(),
-        })))
+impl KindWords {
+    /// The words of `ops`'s elements, when `ops` declares a kind (and,
+    /// for the flat kind, has a top, which the kind's check requires).
+    pub(crate) fn of(ops: &LatticeOps) -> Option<KindWords> {
+        let kind = ops.kind()?;
+        let (order, top) = match kind {
+            LatticeKind::Flat { .. } => (Order::Flat, ops.top()?.clone()),
+            LatticeKind::Chain { tag } => {
+                let top = Value::Tag(Arc::clone(tag), Arc::new(Value::Int(0)));
+                (Order::Chain, top)
+            }
+        };
+        Some(KindWords {
+            order,
+            elems: Arc::new(KindElems {
+                kind: kind.clone(),
+                bot: ops.bottom().clone(),
+                top,
+            }),
+        })
     }
 
     /// Whether these are the words of a lattice of `kind`.
     pub(crate) fn is(&self, kind: &LatticeKind) -> bool {
-        matches!(kind, LatticeKind::Flat { tag } if *tag == self.0.tag)
+        self.elems.kind == *kind
+    }
+
+    /// The word of ⊥.
+    #[inline]
+    pub(crate) fn bottom(&self) -> u64 {
+        match self.order {
+            Order::Flat => FLAT_BOTTOM,
+            Order::Chain => CHAIN_BOTTOM,
+        }
+    }
+
+    /// The word of ⊤.
+    pub(crate) fn top(&self) -> u64 {
+        match self.order {
+            Order::Flat => FLAT_TOP,
+            Order::Chain => CHAIN_TOP,
+        }
+    }
+
+    /// The kind's order on words. Flat: ⊥ below everything, ⊤ above,
+    /// `tag(x)` only below itself. Chain: the reverse order of the words,
+    /// ⊥ being the largest.
+    #[inline]
+    pub(crate) fn leq(&self, a: u64, b: u64) -> bool {
+        match self.order {
+            Order::Flat => a == b || a == FLAT_BOTTOM || b == FLAT_TOP,
+            Order::Chain => a >= b,
+        }
+    }
+
+    #[inline]
+    pub(crate) fn lub(&self, a: u64, b: u64) -> u64 {
+        match self.order {
+            Order::Flat if a == b || b == FLAT_BOTTOM => a,
+            Order::Flat if a == FLAT_BOTTOM => b,
+            Order::Flat => FLAT_TOP,
+            Order::Chain => a.min(b),
+        }
+    }
+
+    #[inline]
+    pub(crate) fn glb(&self, a: u64, b: u64) -> u64 {
+        match self.order {
+            Order::Flat if a == b || b == FLAT_TOP => a,
+            Order::Flat if a == FLAT_TOP => b,
+            Order::Flat => FLAT_BOTTOM,
+            Order::Chain => a.max(b),
+        }
     }
 
     /// The `x` of an element `tag(x)`.
     fn payload<'v>(&self, v: &'v Value) -> Option<&'v Value> {
         match v {
-            Value::Tag(tag, x) if **tag == *self.0.tag => Some(x),
+            Value::Tag(tag, x) if **tag == **self.tag() => Some(x),
             _ => None,
+        }
+    }
+
+    fn tag(&self) -> &Arc<str> {
+        match &self.elems.kind {
+            LatticeKind::Flat { tag } | LatticeKind::Chain { tag } => tag,
         }
     }
 
@@ -347,61 +431,47 @@ impl FlatWords {
         self.word(v, |x| try_encode(x, spill))
     }
 
+    /// Whether `v` is one of the kind's elements — what has a word, or
+    /// will have one once its `x` is stored.
+    pub(crate) fn is_elem(&self, v: &Value) -> bool {
+        self.word(v, |_| Some(0)).is_some()
+    }
+
+    /// The word of `v`, a flat `tag(x)`'s through `slot(x)`.
     fn word(&self, v: &Value, slot: impl FnOnce(&Value) -> Option<u64>) -> Option<u64> {
-        if *v == self.0.bot {
-            Some(FLAT_BOTTOM)
-        } else if *v == self.0.top {
-            Some(FLAT_TOP)
-        } else {
-            slot(self.payload(v)?)
+        let elems = &*self.elems;
+        match self.order {
+            _ if *v == elems.bot => Some(self.bottom()),
+            Order::Flat if *v == elems.top => Some(FLAT_TOP),
+            Order::Flat => slot(self.payload(v)?),
+            Order::Chain => match self.payload(v)? {
+                &Value::Int(n) if n >= 0 => slot_of_int(n),
+                _ => None,
+            },
         }
     }
 
     pub(crate) fn decode(&self, word: u64, spill: &SpillTable) -> Value {
-        match word {
-            FLAT_BOTTOM => self.0.bot.clone(),
-            FLAT_TOP => self.0.top.clone(),
-            slot => Value::Tag(Arc::clone(&self.0.tag), Arc::new(decode(slot, spill))),
+        match (self.order, word) {
+            (_, word) if word == self.bottom() => self.elems.bot.clone(),
+            (Order::Flat, FLAT_TOP) => self.elems.top.clone(),
+            (_, slot) => Value::Tag(Arc::clone(self.tag()), Arc::new(decode(slot, spill))),
         }
     }
 
-    /// Whether `word` is one of these words: [`is_slot`], or ⊥ or ⊤.
+    /// Whether `word` is one of these words: ⊥'s, or, flat, ⊤'s or a
+    /// slot ([`is_slot`]); a chain's, the slot of a natural.
     pub(crate) fn holds(&self, word: u64, spill: &SpillTable) -> bool {
-        word == FLAT_BOTTOM || word == FLAT_TOP || is_slot(word, spill)
-    }
-}
-
-/// The flat order on words: ⊥ below everything, ⊤ above, `tag(x)` only
-/// below itself.
-#[inline]
-pub(crate) fn flat_leq(a: u64, b: u64) -> bool {
-    a == b || a == FLAT_BOTTOM || b == FLAT_TOP
-}
-
-#[inline]
-pub(crate) fn flat_lub(a: u64, b: u64) -> u64 {
-    if a == b || b == FLAT_BOTTOM {
-        a
-    } else if a == FLAT_BOTTOM {
-        b
-    } else {
-        FLAT_TOP
-    }
-}
-
-#[inline]
-pub(crate) fn flat_glb(a: u64, b: u64) -> u64 {
-    if a == b || b == FLAT_TOP {
-        a
-    } else if a == FLAT_TOP {
-        b
-    } else {
-        FLAT_BOTTOM
+        match self.order {
+            _ if word == self.bottom() => true,
+            Order::Flat => word == FLAT_TOP || is_slot(word, spill),
+            Order::Chain => int_of_slot(word).is_some_and(|n| n >= 0),
+        }
     }
 }
 
 /// A lattice element as the engine holds it: boxed, or — in a lattice
-/// whose cells are words ([`FlatWords`]) — its word. Which one is fixed
+/// whose cells are words ([`KindWords`]) — its word. Which one is fixed
 /// by the lattice: an element always arrives in its lattice's own
 /// representation.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -1157,9 +1227,10 @@ pub(crate) struct LatticeData {
 enum Cells {
     /// A closure-defined lattice: the elements, boxed.
     Boxed(Vec<Value>),
-    /// A flat lattice: the elements' words, and their decoded view.
+    /// A lattice of a built-in kind: the elements' words, and their
+    /// decoded view.
     Words {
-        flat: FlatWords,
+        kind: KindWords,
         words: Vec<u64>,
         decoded: Decoded,
     },
@@ -1200,9 +1271,9 @@ impl Decoded {
 
 impl LatticeData {
     fn new(ops: LatticeOps, key_arity: usize) -> LatticeData {
-        let cells = match FlatWords::of(&ops) {
-            Some(flat) => Cells::Words {
-                flat,
+        let cells = match KindWords::of(&ops) {
+            Some(kind) => Cells::Words {
+                kind,
                 words: Vec::new(),
                 decoded: Decoded::default(),
             },
@@ -1222,11 +1293,17 @@ impl LatticeData {
 
     /// The words of this lattice's elements, when its cells are words.
     #[inline]
-    pub(crate) fn flat(&self) -> Option<&FlatWords> {
+    pub(crate) fn kind_words(&self) -> Option<&KindWords> {
         match &self.cells {
-            Cells::Words { flat, .. } => Some(flat),
+            Cells::Words { kind, .. } => Some(kind),
             Cells::Boxed(_) => None,
         }
+    }
+
+    /// The words of this lattice's elements, whose cells are words.
+    #[inline]
+    fn words(&self) -> &KindWords {
+        self.kind_words().expect("words only in a lattice of words")
     }
 
     /// The key column store (kernel access).
@@ -1260,19 +1337,18 @@ impl LatticeData {
         match &self.cells {
             Cells::Boxed(cells) => cells,
             Cells::Words {
-                flat,
+                kind,
                 words,
                 decoded,
-            } => decoded.get(|| words.iter().map(|&w| flat.decode(w, spill)).collect()),
+            } => decoded.get(|| words.iter().map(|&w| kind.decode(w, spill)).collect()),
         }
     }
 
     /// The element `e` of this lattice as a value: borrowed when boxed.
     pub(crate) fn value_of<'e>(&self, e: ElemRef<'e>, spill: &SpillTable) -> Cow<'e, Value> {
-        match (e, &self.cells) {
-            (ElemRef::Boxed(v), _) => Cow::Borrowed(v),
-            (ElemRef::Word(w), Cells::Words { flat, .. }) => Cow::Owned(flat.decode(w, spill)),
-            (ElemRef::Word(_), Cells::Boxed(_)) => unreachable!("words only in a lattice of words"),
+        match e {
+            ElemRef::Boxed(v) => Cow::Borrowed(v),
+            ElemRef::Word(w) => Cow::Owned(self.words().decode(w, spill)),
         }
     }
 
@@ -1290,7 +1366,7 @@ impl LatticeData {
     pub(crate) fn is_bottom(&self, e: ElemRef<'_>) -> bool {
         match e {
             ElemRef::Boxed(v) => self.ops.is_bottom(v),
-            ElemRef::Word(w) => w == FLAT_BOTTOM,
+            ElemRef::Word(w) => w == self.words().bottom(),
         }
     }
 
@@ -1306,7 +1382,7 @@ impl LatticeData {
         spill: &SpillTable,
     ) -> Result<bool, OpsPanic> {
         match (a, b) {
-            (ElemRef::Word(a), ElemRef::Word(b)) => Ok(flat_leq(a, b)),
+            (ElemRef::Word(a), ElemRef::Word(b)) => Ok(self.words().leq(a, b)),
             (ElemRef::Boxed(a), ElemRef::Boxed(b)) => self.ops.try_leq(a, b),
             (a, b) => {
                 let (a, b) = (self.value_of(a, spill), self.value_of(b, spill));
@@ -1323,7 +1399,7 @@ impl LatticeData {
         b: ElemRef<'_>,
         spill: &SpillTable,
     ) -> Result<Elem, OpsPanic> {
-        self.combine(a, b, spill, flat_lub, LatticeOps::try_lub)
+        self.combine(a, b, spill, KindWords::lub, LatticeOps::try_lub)
     }
 
     /// The greatest lower bound, as [`LatticeData::leq`] reads its
@@ -1335,7 +1411,7 @@ impl LatticeData {
         b: ElemRef<'_>,
         spill: &SpillTable,
     ) -> Result<Elem, OpsPanic> {
-        self.combine(a, b, spill, flat_glb, LatticeOps::try_glb)
+        self.combine(a, b, spill, KindWords::glb, LatticeOps::try_glb)
     }
 
     #[inline(always)]
@@ -1344,11 +1420,11 @@ impl LatticeData {
         a: ElemRef<'_>,
         b: ElemRef<'_>,
         spill: &SpillTable,
-        words: fn(u64, u64) -> u64,
+        words: fn(&KindWords, u64, u64) -> u64,
         boxed: fn(&LatticeOps, &Value, &Value) -> Result<Value, OpsPanic>,
     ) -> Result<Elem, OpsPanic> {
         match (a, b) {
-            (ElemRef::Word(a), ElemRef::Word(b)) => Ok(Elem::Word(words(a, b))),
+            (ElemRef::Word(a), ElemRef::Word(b)) => Ok(Elem::Word(words(self.words(), a, b))),
             (ElemRef::Boxed(a), ElemRef::Boxed(b)) => boxed(&self.ops, a, b).map(Elem::Boxed),
             (a, b) => {
                 let (a, b) = (self.value_of(a, spill), self.value_of(b, spill));
@@ -1362,10 +1438,10 @@ impl LatticeData {
     /// kind is refused as the closures refuse it — `leq` is what a join
     /// calls first — or, if they take it, as a [`Violation::KindMismatch`].
     fn elem_mut(&self, value: Value, spill: &mut SpillTable) -> Result<Elem, InsertFault> {
-        let Cells::Words { flat, .. } = &self.cells else {
+        let Cells::Words { kind, .. } = &self.cells else {
             return Ok(Elem::Boxed(value));
         };
-        if let Some(word) = flat.encode_mut(&value, spill) {
+        if let Some(word) = kind.encode_mut(&value, spill) {
             return Ok(Elem::Word(word));
         }
         self.ops.try_leq(&value, &value)?;
@@ -1477,13 +1553,20 @@ impl LatticeData {
                 note_ascent(&mut self.ascent, id, true);
                 Ok(Some(Elem::Boxed(joined)))
             }
-            (Cells::Words { words, decoded, .. }, Elem::Word(word)) => {
+            (
+                Cells::Words {
+                    kind,
+                    words,
+                    decoded,
+                },
+                Elem::Word(word),
+            ) => {
                 let cell = &mut words[id as usize];
-                if flat_leq(word, *cell) {
+                if kind.leq(word, *cell) {
                     note_ascent(&mut self.ascent, id, false);
                     return Ok(None);
                 }
-                *cell = flat_lub(*cell, word);
+                *cell = kind.lub(*cell, word);
                 decoded.forget();
                 note_ascent(&mut self.ascent, id, true);
                 Ok(Some(Elem::Word(*cell)))
@@ -1660,8 +1743,8 @@ impl Database {
 
     /// [`Database::encode_literal`] for an element of a word lattice:
     /// its word, `None` when `v` is not an element.
-    pub(crate) fn encode_elem(&mut self, flat: &FlatWords, v: &Value) -> Option<u64> {
-        flat.encode_mut(v, &mut self.spill)
+    pub(crate) fn encode_elem(&mut self, kind: &KindWords, v: &Value) -> Option<u64> {
+        kind.encode_mut(v, &mut self.spill)
     }
 
     /// Inserts a decoded tuple, interpreting the last column as a lattice
@@ -2743,7 +2826,7 @@ mod tests {
     #[test]
     fn flat_words_round_trip_and_order_as_the_lattice_does() {
         use flix_lattice::{Lattice, SuLattice};
-        let flat = FlatWords::of(&crate::LatticeOps::of::<SuLattice>()).expect("SULattice is flat");
+        let flat = KindWords::of(&crate::LatticeOps::of::<SuLattice>()).expect("SULattice is flat");
         let mut spill = SpillTable::default();
         let elems = [
             SuLattice::Bottom,
@@ -2763,9 +2846,9 @@ mod tests {
             assert_eq!(flat.decode(wx, &spill), x.to_value());
             assert!(flat.holds(wx, &spill));
             for (y, &wy) in elems.iter().zip(&words) {
-                assert_eq!(flat_leq(wx, wy), x.leq(y), "{x} ⊑ {y}");
-                assert_eq!(flat.decode(flat_lub(wx, wy), &spill), x.lub(y).to_value());
-                assert_eq!(flat.decode(flat_glb(wx, wy), &spill), x.glb(y).to_value());
+                assert_eq!(flat.leq(wx, wy), x.leq(y), "{x} ⊑ {y}");
+                assert_eq!(flat.decode(flat.lub(wx, wy), &spill), x.lub(y).to_value());
+                assert_eq!(flat.decode(flat.glb(wx, wy), &spill), x.glb(y).to_value());
             }
         }
         // Not an element; an element whose `x` was never stored.
@@ -2783,6 +2866,47 @@ mod tests {
             SLOT_SIDE,
         ] {
             assert!(!is_slot(bad, &spill), "{bad:#x}");
+        }
+    }
+
+    #[test]
+    fn chain_words_round_trip_and_order_as_the_lattice_does() {
+        use flix_lattice::{Lattice, MinCost};
+        let ops = crate::LatticeOps::of::<MinCost>();
+        let chain = KindWords::of(&ops).expect("MinCost is a chain");
+        let mut spill = SpillTable::default();
+        let last: i64 = (1 << 60) - 1;
+        let elems = [0, 1, 2, 9, last as u64].map(MinCost::finite);
+        let elems = [MinCost::INFINITY].into_iter().chain(elems);
+        let elems: Vec<MinCost> = elems.collect();
+        let word = |e: &MinCost| chain.try_encode(&e.to_value(), &spill).expect("an element");
+        let words: Vec<u64> = elems.iter().map(word).collect();
+        assert_eq!((words[0], words[1]), (CHAIN_BOTTOM, chain.top()));
+        assert_eq!(Some(words[5]), slot_of_int(last), "Fin(n) is the slot of n");
+        for (x, &wx) in elems.iter().zip(&words) {
+            assert_eq!(chain.decode(wx, &spill), x.to_value());
+            assert!(chain.holds(wx, &spill) && chain.is_elem(&x.to_value()));
+            for (y, &wy) in elems.iter().zip(&words) {
+                assert_eq!(chain.leq(wx, wy), x.leq(y), "{x} ⊑ {y}");
+                assert_eq!(chain.decode(chain.lub(wx, wy), &spill), x.lub(y).to_value());
+                assert_eq!(chain.decode(chain.glb(wx, wy), &spill), x.glb(y).to_value());
+            }
+        }
+        // Not elements: out of range, negative, another constructor, or
+        // a word of another kind. None of them is interned either.
+        let fin = |n: i64| Value::tag("Fin", Value::Int(n));
+        let strangers = [fin(1 << 60), fin(-1), fin(i64::MAX), Value::tag0("Nope")];
+        for v in strangers
+            .iter()
+            .chain([&Value::tag("Fin", Value::from("x"))])
+        {
+            assert!(!chain.is_elem(v), "{v}");
+            assert_eq!(chain.encode_mut(v, &mut spill), None, "{v}");
+        }
+        assert_eq!(spill.len(), 0);
+        let negative = slot_of_int(-1).expect("inline");
+        for bad in [negative, FLAT_BOTTOM, FLAT_TOP, WORD_TRUE, SLOT_SIDE] {
+            assert!(!chain.holds(bad, &spill), "{bad:#x}");
         }
     }
 

@@ -104,13 +104,13 @@
 // like `solver.rs`; it is boxed inside `SolveFailure` at the API boundary.
 #![allow(clippy::result_large_err)]
 
-use crate::database::{try_encode_row, SpillTable};
+use crate::database::{try_encode_row, KindWords, SpillTable};
 use crate::fxhash::{FxHashMap, FxHashSet};
 use crate::program::{CItem, Program};
 use crate::provenance::{fact_key, EventLog, Pos};
 use crate::solver::{Run, Seed};
 use crate::trace::SpanKind;
-use crate::{PredId, Solution, SolveError, SolveFailure, Solver, Value};
+use crate::{LatticeOps, PredId, Solution, SolveError, SolveFailure, Solver, Value};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::fmt;
@@ -299,6 +299,18 @@ pub enum DeltaError {
     /// The prior solution was not produced from the program being
     /// resumed: predicate names, order, or kinds differ.
     SolutionMismatch,
+    /// A delta operation inserts or raises a value the predicate's
+    /// lattice refuses as an element: one with no word in the kind the
+    /// lattice declares, or — a lattice of no kind — one its `leq`
+    /// panics on or finds not below itself.
+    NotAnElement {
+        /// The predicate name.
+        predicate: String,
+        /// The lattice's name.
+        lattice: String,
+        /// The refused value.
+        element: Value,
+    },
 }
 
 impl fmt::Display for DeltaError {
@@ -319,6 +331,15 @@ impl fmt::Display for DeltaError {
                 f,
                 "prior solution does not match the program being resumed \
                  (was it produced by solving a different program?)"
+            ),
+            DeltaError::NotAnElement {
+                predicate,
+                lattice,
+                element,
+            } => write!(
+                f,
+                "delta tuple for {predicate} holds {element}, which is not an element \
+                 of the {lattice} lattice"
             ),
         }
     }
@@ -653,16 +674,17 @@ impl Program {
     ///
     /// # Errors
     ///
-    /// [`DeltaError::UnknownPredicate`] / [`DeltaError::ArityMismatch`]
-    /// for the first operation that does not fit.
+    /// [`DeltaError::UnknownPredicate`] / [`DeltaError::ArityMismatch`] /
+    /// [`DeltaError::NotAnElement`] for the first operation that does not
+    /// fit.
     pub fn check_delta(&self, delta: &Delta) -> Result<(), DeltaError> {
         resolve_delta(self, delta).map(drop)
     }
 }
 
 /// Resolves a name-based delta against the program's declarations,
-/// checking arities and normalizing the lattice op forms to full
-/// key-plus-element tuples.
+/// checking arities and the elements it inserts or raises, and
+/// normalizing the lattice op forms to full key-plus-element tuples.
 fn resolve_delta(program: &Program, delta: &Delta) -> Result<Vec<ResolvedOp>, DeltaError> {
     let mut resolved = Vec::with_capacity(delta.len());
     for op in delta.ops() {
@@ -695,9 +717,29 @@ fn resolve_delta(program: &Program, delta: &Delta) -> Result<Vec<ResolvedOp>, De
                 found: tuple.len(),
             });
         }
+        if let (true, Some(ops), Some(element)) = (add, decl.lattice_ops(), tuple.last()) {
+            if !admits(ops, element) {
+                return Err(DeltaError::NotAnElement {
+                    predicate: name.clone(),
+                    lattice: ops.name().to_string(),
+                    element: element.clone(),
+                });
+            }
+        }
         resolved.push(ResolvedOp { add, pred, tuple });
     }
     Ok(resolved)
+}
+
+/// Whether a cell of the lattice `ops` takes `element`: for a declared
+/// kind, whether the element has a word ([`KindWords::is_elem`]), with no
+/// closure call; otherwise the guarded `leq(element, element)` probe a
+/// fresh cell runs.
+fn admits(ops: &LatticeOps, element: &Value) -> bool {
+    match KindWords::of(ops) {
+        Some(words) => words.is_elem(element),
+        None => matches!(ops.try_leq(element, element), Ok(true)),
+    }
 }
 
 /// Applies the ops, in order, to the extensional store `base`. Returns

@@ -90,7 +90,7 @@
 //! the strategy-parity suite and the golden snapshots pin it.
 
 use crate::database::{
-    decode, is_slot, try_encode, Columns, Database, Elem, ElemRef, FlatWords, LatticeData,
+    decode, is_slot, try_encode, Columns, Database, Elem, ElemRef, KindWords, LatticeData,
     PredData, NO_ID, SLOT_SIDE, SLOT_WILDCARD, WORD_FALSE, WORD_TRUE,
 };
 use crate::fxhash::{FxHashMap, FxHashSet};
@@ -162,12 +162,13 @@ enum Reg {
 
 /// A variable or literal as a function argument, or where a head column
 /// converts it through its value: an encoded register holding a store
-/// slot, one holding a word of a flat lattice, a boxed register.
+/// slot, one holding a word of a lattice of a built-in kind, a boxed
+/// register.
 #[derive(Clone, Debug)]
 enum ArgSrc {
     Lit(Value),
     Slot(usize),
-    Flat(usize, FlatWords),
+    Elem(usize, KindWords),
     Boxed(usize),
 }
 
@@ -312,7 +313,7 @@ pub(crate) struct Plan {
     head: Vec<HeadSrc>,
     /// The words of the head's lattice, when its cells are words: what
     /// the value column leaves as.
-    cell: Option<FlatWords>,
+    cell: Option<KindWords>,
     num_slots: usize,
     /// Suppress derivations the database already subsumes at emit time
     /// instead of materializing them for the insert loop (they would be
@@ -419,7 +420,7 @@ impl KernelSet {
 /// lattice's word; every other one as its store slot.
 struct Classes {
     boxed: HashSet<usize>,
-    flat: HashMap<usize, FlatWords>,
+    elems: HashMap<usize, KindWords>,
 }
 
 impl Classes {
@@ -427,7 +428,7 @@ impl Classes {
         let mut boxed: HashSet<usize> = HashSet::new();
         let mut keyed: HashSet<usize> = HashSet::new();
         // `None`: elements of two different lattices.
-        let mut flat: HashMap<usize, Option<&FlatWords>> = HashMap::new();
+        let mut elems: HashMap<usize, Option<&KindWords>> = HashMap::new();
         for item in body {
             match item {
                 CItem::Atom { pred, terms, .. } | CItem::NegAtom { pred, terms } => {
@@ -441,9 +442,9 @@ impl Classes {
                     else {
                         continue;
                     };
-                    match lat.flat() {
+                    match lat.kind_words() {
                         Some(words) => {
-                            let seen = flat.entry(*slot).or_insert(Some(words));
+                            let seen = elems.entry(*slot).or_insert(Some(words));
                             if *seen != Some(words) {
                                 *seen = None;
                             }
@@ -456,10 +457,10 @@ impl Classes {
                 CItem::Choose { .. } | CItem::Filter { .. } => {}
             }
         }
-        // A variable in `flat` ends up a word or boxed, never a slot. A
+        // A variable in `elems` ends up a word or boxed, never a slot. A
         // choice that runs boxed boxes its binds, which may be another
         // choice's arguments: until nothing changes.
-        let slot = |boxed: &HashSet<usize>, v: &usize| !boxed.contains(v) && !flat.contains_key(v);
+        let slot = |boxed: &HashSet<usize>, v: &usize| !boxed.contains(v) && !elems.contains_key(v);
         loop {
             let before = boxed.len();
             for item in body {
@@ -482,17 +483,20 @@ impl Classes {
             }
         }
         let mut words = HashMap::new();
-        for (slot, flat) in flat {
-            match flat {
-                Some(flat) if !keyed.contains(&slot) && !boxed.contains(&slot) => {
-                    words.insert(slot, flat.clone());
+        for (slot, elems) in elems {
+            match elems {
+                Some(elems) if !keyed.contains(&slot) && !boxed.contains(&slot) => {
+                    words.insert(slot, elems.clone());
                 }
                 _ => {
                     boxed.insert(slot);
                 }
             }
         }
-        Classes { boxed, flat: words }
+        Classes {
+            boxed,
+            elems: words,
+        }
     }
 
     fn is_boxed(&self, slot: usize) -> bool {
@@ -501,13 +505,13 @@ impl Classes {
 
     /// Whether the variable lives as its store slot.
     fn is_slot(&self, slot: usize) -> bool {
-        !self.boxed.contains(&slot) && !self.flat.contains_key(&slot)
+        !self.boxed.contains(&slot) && !self.elems.contains_key(&slot)
     }
 
     fn arg(&self, slot: usize) -> ArgSrc {
-        match self.flat.get(&slot) {
+        match self.elems.get(&slot) {
             _ if self.is_boxed(slot) => ArgSrc::Boxed(slot),
-            Some(words) => ArgSrc::Flat(slot, words.clone()),
+            Some(words) => ArgSrc::Elem(slot, words.clone()),
             None => ArgSrc::Slot(slot),
         }
     }
@@ -693,7 +697,7 @@ fn compile_body(
         .map(|(col, h)| {
             let column = match &cell {
                 _ if col < key_cols => Column::Slots,
-                Some(flat) => Column::Elems(flat),
+                Some(elems) => Column::Elems(elems),
                 None => Column::Values,
             };
             match h {
@@ -701,20 +705,20 @@ fn compile_body(
                     v.clone(),
                     match column {
                         Column::Slots => Some(db.encode_literal(v)),
-                        Column::Elems(flat) => db.encode_elem(flat, v),
+                        Column::Elems(elems) => db.encode_elem(elems, v),
                         Column::Values => None,
                     },
                 ),
                 CHead::Var(slot) => match (column, classes.arg(*slot)) {
                     (Column::Slots, ArgSrc::Slot(s)) => HeadSrc::Word(s),
-                    (Column::Elems(flat), ArgSrc::Flat(s, of)) if of == *flat => HeadSrc::Word(s),
+                    (Column::Elems(elems), ArgSrc::Elem(s, of)) if of == *elems => HeadSrc::Word(s),
                     (_, arg) => HeadSrc::Var(arg),
                 },
                 CHead::App(func, args) => {
                     HeadSrc::App(call(program, db, &classes, *func, args, |result| {
                         match (column, result) {
                             (Column::Slots, WordType::Slot) => true,
-                            (Column::Elems(flat), WordType::Elem(kind)) => flat.is(kind),
+                            (Column::Elems(elems), WordType::Elem(kind)) => elems.is(kind),
                             _ => false,
                         }
                     }))
@@ -740,12 +744,12 @@ fn compile_body(
                     // A word lattice's element is logged as its word.
                     CTerm::Lit(v) if is_value => elems
                         .as_ref()
-                        .and_then(|flat| db.encode_elem(flat, v))
+                        .and_then(|elems| db.encode_elem(elems, v))
                         .map_or_else(|| PremiseSrc::Side(v.clone()), PremiseSrc::Word),
                     // Encoded by the atom's step already: interns nothing.
                     CTerm::Lit(v) => PremiseSrc::Word(db.encode_literal(v)),
                     CTerm::Var(slot) => match classes.arg(*slot) {
-                        ArgSrc::Slot(s) | ArgSrc::Flat(s, _) => PremiseSrc::Slot(s),
+                        ArgSrc::Slot(s) | ArgSrc::Elem(s, _) => PremiseSrc::Slot(s),
                         ArgSrc::Boxed(s) if is_value => PremiseSrc::BoxedValue(s),
                         ArgSrc::Boxed(s) => PremiseSrc::BoxedKey(s),
                         ArgSrc::Lit(_) => unreachable!("a variable's source"),
@@ -774,14 +778,14 @@ fn compile_body(
 #[derive(Clone, Copy)]
 enum Column<'a> {
     Slots,
-    Elems(&'a FlatWords),
+    Elems(&'a KindWords),
     Values,
 }
 
 /// The words of `pred`'s lattice, when its cells are words.
-fn lattice_words(db: &Database, pred: PredId) -> Option<FlatWords> {
+fn lattice_words(db: &Database, pred: PredId) -> Option<KindWords> {
     match db.pred(pred) {
-        PredData::Lat(lat) => lat.flat().cloned(),
+        PredData::Lat(lat) => lat.kind_words().cloned(),
         PredData::Rel(_) => None,
     }
 }
@@ -798,14 +802,14 @@ fn val_spec(
     classes: &Classes,
     is_bound: impl Fn(&usize) -> bool,
 ) -> ValSpec {
-    let reg = |slot: usize| match classes.flat.get(&slot) {
+    let reg = |slot: usize| match classes.elems.get(&slot) {
         Some(_) => Reg::Word(slot),
         None => Reg::Boxed(slot),
     };
     match terms.get(ncols) {
         Some(CTerm::Lit(v)) => ValSpec::Lit(match lattice_words(db, pred) {
-            Some(flat) => db
-                .encode_elem(&flat, v)
+            Some(elems) => db
+                .encode_elem(&elems, v)
                 .map_or_else(|| Elem::Boxed(v.clone()), Elem::Word),
             None => Elem::Boxed(v.clone()),
         }),
@@ -946,7 +950,7 @@ fn call(
                 Some(KeySrc::Slot(*slot))
             }
             (CTerm::Var(slot), WordType::Elem(kind)) => {
-                let words = classes.flat.get(slot)?;
+                let words = classes.elems.get(slot)?;
                 words.is(kind).then_some(KeySrc::Slot(*slot))
             }
             _ => None,
@@ -1310,7 +1314,7 @@ fn arg_value(arg: &ArgSrc, st: &State<'_, '_>) -> Value {
     match arg {
         ArgSrc::Lit(v) => v.clone(),
         ArgSrc::Slot(s) => decode(st.enc[*s], st.db.spill()),
-        ArgSrc::Flat(s, flat) => flat.decode(st.enc[*s], st.db.spill()),
+        ArgSrc::Elem(s, elems) => elems.decode(st.enc[*s], st.db.spill()),
         ArgSrc::Boxed(s) => st.boxed[*s].clone().expect("statically bound"),
     }
 }
@@ -1380,7 +1384,7 @@ fn compute_apps(plan: &Plan, st: &mut State<'_, '_>) -> bool {
         let holds = if plan.head.len() > plan.key_cols {
             plan.cell
                 .as_ref()
-                .is_some_and(|flat| flat.holds(word, spill))
+                .is_some_and(|elems| elems.holds(word, spill))
         } else {
             is_slot(word, spill)
         };
@@ -1397,13 +1401,13 @@ fn compute_apps(plan: &Plan, st: &mut State<'_, '_>) -> bool {
 }
 
 /// The word head column `h` takes — a key column's slot, or, given the
-/// head lattice's `flat` words, its element's word — or `None` for a
+/// head lattice's `elems` words, its element's word — or `None` for a
 /// value the store has never seen or no element has.
-fn head_word(h: &HeadSrc, flat: Option<&FlatWords>, st: &State<'_, '_>) -> Option<u64> {
+fn head_word(h: &HeadSrc, elems: Option<&KindWords>, st: &State<'_, '_>) -> Option<u64> {
     let spill = st.db.spill();
-    let encode = |v: &Value| match flat {
+    let encode = |v: &Value| match elems {
         None => try_encode(v, spill),
-        Some(flat) => flat.try_encode(v, spill),
+        Some(elems) => elems.try_encode(v, spill),
     };
     match h {
         HeadSrc::Lit(_, word) => *word,
@@ -1417,12 +1421,12 @@ fn head_word(h: &HeadSrc, flat: Option<&FlatWords>, st: &State<'_, '_>) -> Optio
     }
 }
 
-/// The value of head column `h` — `flat` as for [`head_word`].
-fn head_value(h: &HeadSrc, flat: Option<&FlatWords>, st: &State<'_, '_>) -> Value {
+/// The value of head column `h` — `elems` as for [`head_word`].
+fn head_value(h: &HeadSrc, elems: Option<&KindWords>, st: &State<'_, '_>) -> Value {
     let spill = st.db.spill();
-    let decoded = |word: u64| match flat {
+    let decoded = |word: u64| match elems {
         None => decode(word, spill),
-        Some(flat) => flat.decode(word, spill),
+        Some(elems) => elems.decode(word, spill),
     };
     match h {
         HeadSrc::Lit(v, _) => v.clone(),
@@ -1570,8 +1574,8 @@ fn emit(plan: &Plan, st: &mut State<'_, '_>) {
     // the same way.
     let mut encoded = build_head_key(&plan.head[..plan.key_cols], st);
     let word = match &plan.cell {
-        Some(flat) if encoded => {
-            let word = head_word(&plan.head[plan.key_cols], Some(flat), st);
+        Some(elems) if encoded => {
+            let word = head_word(&plan.head[plan.key_cols], Some(elems), st);
             encoded = word.is_some();
             word
         }
@@ -1605,9 +1609,9 @@ fn emit(plan: &Plan, st: &mut State<'_, '_>) {
             },
         }
     } else {
-        let flat = |col: usize| plan.cell.as_ref().filter(|_| col >= plan.key_cols);
+        let elems = |col: usize| plan.cell.as_ref().filter(|_| col >= plan.key_cols);
         let head = plan.head.iter().enumerate();
-        Payload::Tuple(head.map(|(col, h)| head_value(h, flat(col), st)).collect())
+        Payload::Tuple(head.map(|(col, h)| head_value(h, elems(col), st)).collect())
     };
     push_derived(plan, payload, st);
 }

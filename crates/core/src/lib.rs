@@ -100,7 +100,9 @@ pub use ast::{
     BodyItem, FuncId, Head, HeadTerm, PredDecl, PredId, PredKind, ProgramBuilder, ProgramError,
     Term, WordType,
 };
-pub use database::{int_of_slot, slot_of_int, FLAT_BOTTOM, FLAT_TOP, WORD_FALSE, WORD_TRUE};
+pub use database::{
+    int_of_slot, slot_of_int, CHAIN_BOTTOM, FLAT_BOTTOM, FLAT_TOP, WORD_FALSE, WORD_TRUE,
+};
 pub use demand::{DemandError, Query, QueryResult};
 pub use guard::{Budget, BudgetKind, CancelToken};
 pub use incremental::{Delta, DeltaError, DeltaOp};

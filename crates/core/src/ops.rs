@@ -47,12 +47,25 @@ pub enum LatticeKind {
         /// The constructor of the elements between ⊥ and ⊤.
         tag: Arc<str>,
     },
+    /// The chain over one constructor and the naturals below 2⁶⁰, ordered
+    /// by `≥`: `⊥ ⊑ tag(n) ⊑ tag(m)` whenever `n ≥ m`, so ⊤ is `tag(0)`,
+    /// `lub` is `min` and `glb` is `max` — the §4.4 shortest-paths
+    /// lattice. Its elements are single words: ⊥ is
+    /// [`CHAIN_BOTTOM`](crate::CHAIN_BOTTOM), `tag(n)` is
+    /// [`slot_of_int(n)`](crate::slot_of_int). `MinCost` (`Fin`) is a
+    /// chain; an element `tag(n)` with `n` out of range is not one of the
+    /// kind's.
+    Chain {
+        /// The constructor of the elements above ⊥.
+        tag: Arc<str>,
+    },
 }
 
 impl fmt::Display for LatticeKind {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             LatticeKind::Flat { tag } => write!(f, "flat {tag}(_)"),
+            LatticeKind::Chain { tag } => write!(f, "chain {tag}(_)"),
         }
     }
 }
@@ -483,6 +496,13 @@ impl ValueLattice for MinCost {
 
     fn top_value() -> Option<Value> {
         Some(MinCost::finite(0).to_value())
+    }
+
+    fn kind() -> Option<(LatticeKind, Vec<Self>)> {
+        let tag = "Fin".into();
+        // The last sample is the chain's least finite element.
+        let samples = [1, 2, 7, (1 << 60) - 1].map(MinCost::finite).to_vec();
+        Some((LatticeKind::Chain { tag }, samples))
     }
 }
 

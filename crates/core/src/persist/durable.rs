@@ -62,7 +62,8 @@ pub struct Applied {
 #[derive(Debug)]
 pub enum UpdateError {
     /// The delta does not fit the program (an unknown predicate, a wrong
-    /// arity): it was refused before the append, so nothing became
+    /// arity, a value its lattice refuses as an element): it was refused
+    /// before the append, so nothing became
     /// durable, nothing was applied, and the log is byte-identical.
     Rejected(DeltaError),
     /// The append failed: nothing became durable, nothing was applied.

@@ -70,7 +70,7 @@
 //! logarithmic.
 
 use crate::database::{
-    decode, Columns, Elem, ElemRef, FlatWords, SpillTable, SLOT_SIDE, SLOT_WILDCARD,
+    decode, Columns, Elem, ElemRef, KindWords, SpillTable, SLOT_SIDE, SLOT_WILDCARD,
 };
 use crate::fxhash::FxHasher;
 use crate::program::Program;
@@ -192,7 +192,7 @@ pub(crate) type Pos = (u32, u32);
 pub(crate) struct Shape {
     key_cols: Vec<usize>,
     is_lat: Vec<bool>,
-    flat: Vec<Option<FlatWords>>,
+    elems: Vec<Option<KindWords>>,
 }
 
 impl Shape {
@@ -205,10 +205,10 @@ impl Shape {
                 .map(|(n, &lat)| n - lat as usize)
                 .collect(),
             is_lat,
-            flat: program
+            elems: program
                 .preds
                 .iter()
-                .map(|d| d.lattice_ops().and_then(FlatWords::of))
+                .map(|d| d.lattice_ops().and_then(KindWords::of))
                 .collect(),
         })
     }
@@ -224,14 +224,14 @@ impl Shape {
 
     /// The words of `pred`'s lattice, when its elements are logged as
     /// words.
-    fn flat(&self, pred: PredId) -> Option<&FlatWords> {
-        self.flat[pred.0 as usize].as_ref()
+    fn elems(&self, pred: PredId) -> Option<&KindWords> {
+        self.elems[pred.0 as usize].as_ref()
     }
 
     /// How many words a fact of `pred` concludes with: its key's, and a
     /// word lattice's element.
     fn head_words(&self, pred: PredId) -> usize {
-        self.key_cols(pred) + self.flat(pred).is_some() as usize
+        self.key_cols(pred) + self.elems(pred).is_some() as usize
     }
 
     /// A logged element of `pred`'s lattice, decoded.
@@ -239,7 +239,7 @@ impl Shape {
         match value {
             ElemRef::Boxed(v) => v.clone(),
             ElemRef::Word(w) => self
-                .flat(pred)
+                .elems(pred)
                 .expect("words of a word lattice")
                 .decode(w, spill),
         }
@@ -409,7 +409,7 @@ impl<'a> Iterator for Premises<'a> {
             pattern,
             side,
             key_cols,
-            flat: self.shape.flat(pred),
+            elems: self.shape.elems(pred),
         })
     }
 }
@@ -424,7 +424,7 @@ pub(crate) struct PremiseRef<'a> {
     key_cols: usize,
     /// The words of the predicate's lattice, when its value column holds
     /// its element's word.
-    flat: Option<&'a FlatWords>,
+    elems: Option<&'a KindWords>,
 }
 
 impl PremiseRef<'_> {
@@ -455,10 +455,10 @@ impl PremiseRef<'_> {
             SLOT_WILDCARD => None,
             SLOT_SIDE => Some(side.next().expect("one per marker").clone()),
             word if col == self.key_cols => {
-                let flat = self
-                    .flat
+                let elems = self
+                    .elems
                     .expect("a value column's word is a word lattice's");
-                Some(flat.decode(word, spill))
+                Some(elems.decode(word, spill))
             }
             slot => Some(decode(slot, spill)),
         };
@@ -829,7 +829,7 @@ impl OpenLog {
         }
         let words = facts.iter().map(|(pred, _)| self.shape.head_words(*pred));
         let valued = facts.iter().filter(|(pred, _)| {
-            self.shape.is_lat[pred.0 as usize] && self.shape.flat(*pred).is_none()
+            self.shape.is_lat[pred.0 as usize] && self.shape.elems(*pred).is_none()
         });
         self.tail.blocks.push(Block {
             pred: Vec::with_capacity(facts.len()),

@@ -15,7 +15,7 @@
 //! exactly like [`flix_lattice::checks`] but at the dynamic-value level
 //! where the surface language's interpreted lattices live.
 
-use crate::database::{flat_glb, flat_leq, flat_lub, FlatWords, SpillTable};
+use crate::database::{KindWords, SpillTable};
 use crate::ops::OpsPanic;
 use crate::{LatticeKind, LatticeOps, Value};
 use std::fmt;
@@ -301,7 +301,8 @@ pub fn check_filter_function(
 
 /// Holds `ops`'s declared `kind` to its own closures, on ⊥, ⊤ and the
 /// `samples`: for every sampled pair, `leq`, `lub` and `glb` must be what
-/// the kind computes on the pair's words. This is where the runtime law
+/// the kind computes on the pair's words, and the lattice's top, if it
+/// names one, must be the kind's ⊤. This is where the runtime law
 /// sentinels of §7 go for a lattice whose cells are words — the engine
 /// no longer calls its closures, so it checks once, up front, that they
 /// are the kind's (DESIGN §7). [`LatticeOps::check_kind`] runs it once
@@ -316,7 +317,7 @@ pub(crate) fn check_kind(
         kind: kind.clone(),
         found,
     };
-    let Some(words) = FlatWords::of(ops) else {
+    let Some(words) = KindWords::of(ops) else {
         return Err(mismatch("it has no top element".to_string()));
     };
     let mut spill = SpillTable::default();
@@ -331,6 +332,11 @@ pub(crate) fn check_kind(
             elems.push((e, word));
         }
     }
+    if let Some(top) = ops.top() {
+        if words.try_encode(top, &spill) != Some(words.top()) {
+            return Err(mismatch(format!("its top {top} is not the kind's ⊤")));
+        }
+    }
     if elems.len() < 4 {
         let found = "fewer than two samples lie strictly between ⊥ and ⊤";
         return Err(mismatch(found.to_string()));
@@ -339,14 +345,14 @@ pub(crate) fn check_kind(
     for &(a, wa) in &elems {
         for &(b, wb) in &elems {
             let leq = ops.try_leq(a, b).map_err(panicked)?;
-            if leq != flat_leq(wa, wb) {
+            if leq != words.leq(wa, wb) {
                 return Err(mismatch(format!("its leq({a}, {b}) is {leq}")));
             }
             let lub = ops.try_lub(a, b).map_err(panicked)?;
             let glb = ops.try_glb(a, b).map_err(panicked)?;
             for (op, got, word) in [
-                ("lub", lub, flat_lub(wa, wb)),
-                ("glb", glb, flat_glb(wa, wb)),
+                ("lub", lub, words.lub(wa, wb)),
+                ("glb", glb, words.glb(wa, wb)),
             ] {
                 let expected = words.decode(word, &spill);
                 if got != expected {

@@ -957,10 +957,208 @@ fn a_declared_kind_the_closures_do_not_keep_is_refused_before_any_solve() {
                 .contains("declares the flat Fin(_) kind"));
         }
     }
-    // Without the claim, the same closures solve: ⊑ on the chain.
+    // With the claim they keep — a chain — the same closures solve: ⊑
+    // on the chain.
     let honest = Solver::new().solve(&dist_program(LatticeOps::of::<MinCost>()));
     let honest = honest.expect("solves");
     assert_eq!(honest.lattice_value("Dist", &[Value::Int(1)]), Some(fin(3)));
+}
+
+/// `MinCost`'s closures, declaring no kind, as `name` with the top
+/// `Fin(top)` and — `longest` — `lub` the `max` of two costs.
+fn min_cost_closures(name: &str, top: u64, longest: bool) -> LatticeOps {
+    use flix_core::ValueLattice;
+    use flix_lattice::{Lattice, MinCost};
+    let cost = |v: &Value| MinCost::expect_from(v);
+    let lub = move |a: &Value, b: &Value| match (cost(a).value(), cost(b).value()) {
+        (Some(x), Some(y)) if longest => MinCost::finite(x.max(y)).to_value(),
+        _ => cost(a).lub(&cost(b)).to_value(),
+    };
+    LatticeOps::from_fns(
+        name,
+        MinCost::INFINITY.to_value(),
+        Some(MinCost::finite(top).to_value()),
+        move |a, b| cost(a).leq(&cost(b)),
+        lub,
+        move |a, b| cost(a).glb(&cost(b)).to_value(),
+    )
+}
+
+#[test]
+fn a_chain_the_closures_do_not_keep_is_refused_before_any_solve() {
+    use flix_core::{LatticeKind, ValueLattice};
+    use flix_lattice::MinCost;
+    let chain = LatticeKind::Chain { tag: "Fin".into() };
+    let samples = || [1, 2, 7].map(|c| MinCost::finite(c).to_value());
+    let cases = [
+        (
+            min_cost_closures("Longest", 0, true),
+            "its lub(Fin(0), Fin(1)) is Fin(1), not Fin(0)",
+        ),
+        (
+            min_cost_closures("Capped", 5, false),
+            "its top Fin(5) is not the kind's ⊤",
+        ),
+    ];
+    for (ops, found) in cases {
+        let ops = ops.with_kind(chain.clone(), samples());
+        let failure = Solver::new()
+            .solve(&dist_program(ops))
+            .expect_err("refused");
+        let SolveError::SafetyViolation {
+            rule: None,
+            violation: Violation::KindMismatch {
+                kind, found: got, ..
+            },
+            ..
+        } = &failure.error
+        else {
+            panic!("expected a refused kind, got {:?}", failure.error);
+        };
+        assert_eq!(kind, &chain);
+        assert!(got.contains(found), "{got:?} names {found:?}");
+        assert_eq!(failure.stats.rounds, 0, "nothing ran");
+        assert_eq!(failure.partial.total_facts(), 0, "nothing was asserted");
+        let message = failure.error.to_string();
+        assert!(
+            message.contains("declares the chain Fin(_) kind"),
+            "{message}"
+        );
+    }
+    // The same closures, `lub` the chain's and ⊤ `Fin(0)`, keep the claim.
+    let ops = min_cost_closures("MinCost", 0, false).with_kind(chain, samples());
+    let solution = Solver::new().solve(&dist_program(ops)).expect("solves");
+    let three = MinCost::finite(3).to_value();
+    assert_eq!(
+        solution.lattice_value("Dist", &[Value::Int(1)]),
+        Some(three)
+    );
+}
+
+/// The chain's least finite element, `Fin(2⁶⁰ − 1)`, is a word like any
+/// other: raised by a resume, it round-trips through a snapshot and is
+/// replayed from a write-ahead log.
+#[test]
+fn the_chains_last_element_round_trips_through_a_snapshot_and_the_log() {
+    use flix_core::{load_snapshot, save_snapshot, Delta, DeltaLog, ValueLattice};
+    use flix_lattice::MinCost;
+    let dir = std::env::temp_dir().join(format!("flix-faults-chain-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("a scratch directory");
+    let (snapshot, wal) = (dir.join("model.snap"), dir.join("model.wal"));
+    let last = MinCost::finite((1 << 60) - 1).to_value();
+    let program = dist_program(LatticeOps::of::<MinCost>());
+    let solver = Solver::new();
+    let base = solver.solve(&program).expect("solves");
+    save_snapshot(&snapshot, &program, &base).expect("saves");
+    let delta = Delta::new().raise("Dist", vec![Value::Int(2)], last.clone());
+    let (mut log, _) = DeltaLog::open(&wal, &program).expect("opens a log");
+    log.append(&delta).expect("appends");
+    drop(log);
+    let resumed = solver.resume(&program, &base, &delta).expect("resumes");
+    let (recovered, report) = solver.recover(&program, &snapshot, &wal).expect("recovers");
+    assert_eq!(report.wal_frames_replayed, 1);
+    save_snapshot(&snapshot, &program, &resumed).expect("saves");
+    let loaded = load_snapshot(&snapshot, &program).expect("loads");
+    for solution in [&resumed, &recovered, &loaded] {
+        let cell = solution.lattice_value("Dist", &[Value::Int(2)]);
+        assert_eq!(cell.as_ref(), Some(&last));
+        let three = MinCost::finite(3).to_value();
+        assert_eq!(
+            solution.lattice_value("Dist", &[Value::Int(1)]),
+            Some(three)
+        );
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A value that is not an element of the chain — `Fin(2⁶⁰)`, past its
+/// range; `Fin(-1)`; a foreign tag — is never a cell: asserted, it fails
+/// the solve with a violation naming the lattice, or a panic of the
+/// lattice's own `leq`, which refuses it; returned by a function — whose
+/// word form answers a word that is no chain word, so the boxed form
+/// decides — it fails the solve the same way, with the rule named; in a
+/// delta, it is refused before the resume.
+#[test]
+fn a_value_outside_the_chain_is_a_named_failure_or_a_refused_delta() {
+    use flix_core::{slot_of_int, Delta, DeltaError, WordType};
+    use flix_lattice::MinCost;
+    let fin = |n: i64| Value::tag("Fin", Value::Int(n));
+    let strangers = [fin(1 << 60), fin(-1), Value::tag0("Nope")];
+    let refused = |failure: &flix_core::SolveFailure, rule: Option<usize>, at: &Value| {
+        match &failure.error {
+            SolveError::SafetyViolation {
+                predicate,
+                rule: named,
+                violation: Violation::KindMismatch { lattice, found, .. },
+            } => {
+                assert_eq!((predicate.as_str(), lattice.as_str()), ("Dist", "MinCost"));
+                assert_eq!(*named, rule, "{at}");
+                assert!(found.contains("is not one of its elements"), "{found}");
+            }
+            SolveError::FunctionPanicked {
+                function,
+                payload,
+                rule: named,
+                ..
+            } => {
+                assert_eq!(function, "MinCost.leq", "{at}");
+                assert!(payload.contains("not an element"), "{payload}");
+                assert_eq!(*named, rule, "{at}");
+            }
+            other => panic!("{at}: expected a named failure, got {other:?}"),
+        }
+        let cells = failure.partial.lattice("Dist").expect("declared");
+        assert!(cells.map(|(_, v)| v).all(|v| v != at), "{at} became a cell");
+    };
+    for stranger in &strangers {
+        // Asserted.
+        let mut b = ProgramBuilder::new();
+        let dist = b.lattice("Dist", 2, LatticeOps::of::<MinCost>());
+        b.fact(dist, vec![Value::Int(9), stranger.clone()]);
+        let failure = Solver::new().solve(&b.build().expect("valid"));
+        refused(&failure.expect_err("refused"), None, stranger);
+
+        // Returned by a function with a word form that declines.
+        let mut b = ProgramBuilder::new();
+        let start = b.relation("Start", 1);
+        let ops = LatticeOps::of::<MinCost>();
+        let elem = WordType::Elem(ops.kind().expect("MinCost is a chain").clone());
+        let dist = b.lattice("Dist", 2, ops);
+        let returned = stranger.clone();
+        let bad = b.function("bad", move |_| returned.clone());
+        let negative = slot_of_int(-1).expect("inline");
+        b.word_form(bad, [WordType::Slot], elem, move |_| negative);
+        b.fact(start, vec![Value::Int(1)]);
+        b.rule(
+            Head::new(
+                dist,
+                [HeadTerm::var("k"), HeadTerm::app(bad, [Term::var("k")])],
+            ),
+            [BodyItem::atom(start, [Term::var("k")])],
+        );
+        let failure = Solver::new().solve(&b.build().expect("valid"));
+        refused(&failure.expect_err("refused"), Some(0), stranger);
+
+        // In a delta, inserted or raised.
+        let program = dist_program(LatticeOps::of::<MinCost>());
+        let base = Solver::new().solve(&program).expect("solves");
+        for delta in [
+            Delta::new().insert("Dist", vec![Value::Int(9), stranger.clone()]),
+            Delta::new().raise("Dist", vec![Value::Int(1)], stranger.clone()),
+        ] {
+            let expected = DeltaError::NotAnElement {
+                predicate: "Dist".to_string(),
+                lattice: "MinCost".to_string(),
+                element: stranger.clone(),
+            };
+            assert_eq!(program.check_delta(&delta), Err(expected.clone()));
+            let failure = Solver::new().resume(&program, &base, &delta);
+            match failure.expect_err("refused").error {
+                SolveError::Delta(error) => assert_eq!(error, expected),
+                other => panic!("{stranger}: expected a refused delta, got {other:?}"),
+            }
+        }
+    }
 }
 
 /// Counts calls of one form of a function.

@@ -241,7 +241,8 @@ pub enum ErrorCode {
     /// The fact to explain is not in the resident model.
     Absent,
     /// The update delta does not fit the program (unknown predicate,
-    /// arity mismatch — [`flix_core::DeltaError`]).
+    /// arity mismatch, a value its lattice refuses —
+    /// [`flix_core::DeltaError`]).
     Delta,
     /// The update's resume exhausted its budget/deadline; the delta is
     /// durable (WAL-logged) but not yet published.

@@ -388,3 +388,93 @@ fn a_daemon_refuses_def_bombs_in_update_and_query_text() {
     server.shutdown();
     server.join();
 }
+
+/// A value its lattice refuses as an element — a tag of no constructor of
+/// `SULattice` (flat) or `MinCost` (a chain), a `MinCost` outside the
+/// chain, any of them in a lattice of no kind whose `leq` panics on it —
+/// inserted or raised through `DurableModel::update` is `Rejected` before
+/// the append, naming the predicate and the lattice: the log stays
+/// byte-identical, the model reopens, and the next good update applies.
+/// (Such a delta used to reach the log, fail its resume, and fail every
+/// later `open`.)
+#[test]
+fn a_value_its_lattice_refuses_never_reaches_the_log() {
+    use flix::core::persist::UpdateError;
+    use flix::lattice::{MinCost, SuLattice};
+    use flix::{DeltaError, Lattice, LatticeOps, ProgramBuilder, Value, ValueLattice};
+    let cost = |v: &Value| MinCost::expect_from(v);
+    let no_kind = LatticeOps::from_fns(
+        "MinCost",
+        MinCost::INFINITY.to_value(),
+        MinCost::top_value(),
+        move |a, b| cost(a).leq(&cost(b)),
+        move |a, b| cost(a).lub(&cost(b)).to_value(),
+        move |a, b| cost(a).glb(&cost(b)).to_value(),
+    );
+    let fin = |n: i64| Value::tag("Fin", Value::Int(n));
+    let nope = Value::tag0("Nope");
+    let cases = [
+        (
+            LatticeOps::of::<SuLattice>(),
+            SuLattice::single("o").to_value(),
+            vec![nope.clone()],
+        ),
+        (
+            LatticeOps::of::<MinCost>(),
+            fin(4),
+            vec![nope.clone(), fin(1 << 60), fin(-1)],
+        ),
+        (no_kind, fin(4), vec![nope, fin(-1)]),
+    ];
+    let solver = Solver::new();
+    for (n, (ops, good, refused)) in cases.into_iter().enumerate() {
+        let lattice = ops.name().to_string();
+        let mut b = ProgramBuilder::new();
+        b.lattice("A", 2, ops);
+        b.relation("B", 1);
+        let program = Arc::new(b.build().expect("valid"));
+        let dir = Scratch::new(&format!("refused-element-{n}"));
+        let files = DurableFiles {
+            load: None,
+            save: None,
+            wal: Some(dir.path("model.wal")),
+        };
+        let (mut durable, _) = DurableModel::open(&solver, &program, &files).expect("opens");
+        let good = Delta::new().insert("A", vec![Value::from(1), good]);
+        durable.update(&solver, &good).expect("applies");
+        let logged = std::fs::read(dir.path("model.wal")).expect("the log");
+        for element in refused {
+            let key = vec![Value::from(2)];
+            let mut row = key.clone();
+            row.push(element.clone());
+            for delta in [
+                Delta::new().insert("A", row),
+                Delta::new().raise("A", key, element.clone()),
+            ] {
+                match durable.update(&solver, &delta) {
+                    Err(UpdateError::Rejected(DeltaError::NotAnElement {
+                        predicate,
+                        lattice: named,
+                        element: found,
+                    })) => {
+                        assert_eq!((predicate.as_str(), &*named), ("A", &*lattice));
+                        assert_eq!(found, element);
+                    }
+                    other => panic!("{lattice}: {element} was not refused: {other:?}"),
+                }
+                let now = std::fs::read(dir.path("model.wal")).expect("the log");
+                assert_eq!(now, logged, "{lattice}: {element} reached the log");
+            }
+        }
+        let model = dump(&program, durable.model());
+        drop(durable);
+        let (mut reopened, report) = DurableModel::open(&solver, &program, &files)
+            .unwrap_or_else(|e| panic!("{lattice}: the model reopens: {e:?}"));
+        assert_eq!(report.wal_frames_replayed, 1, "{lattice}");
+        assert_eq!(dump(&program, reopened.model()), model, "{lattice}");
+        let next = Delta::new().insert("B", vec![Value::from(1)]);
+        reopened
+            .update(&solver, &next)
+            .expect("the next update applies");
+    }
+}

@@ -14,6 +14,10 @@
 //! may the word path do less work: there its choice variables are bound
 //! from the lost facts.) Figure 5 is also queried on demand.
 //!
+//! `MinCost`, §4.4's chain, is held to the same closures declared with
+//! no kind, with and without `extend`'s word form, through every entry
+//! point: a solve, a resume, a query on demand and a recovery.
+//!
 //! The store, too, keeps words only: the decoded rows the public reads
 //! lend are built by the first read, so a solve or a resume — Figures 2,
 //! 4, 5 and 6 and a join that binds a boxed register, with an ascent
@@ -24,12 +28,15 @@ mod golden;
 
 use flix::analyses::dataflow;
 use flix::analyses::ifds::{self, problems::Taint};
+use flix::analyses::shortest_paths;
+use flix::analyses::workloads::graphs::{self, WeightedGraph};
 use flix::analyses::workloads::jvm_program::{self, GenParams};
-use flix::core::SolveStats;
-use flix::lattice::MinCost;
+use flix::core::{model, LatticeKind, SolveStats, WordType};
+use flix::lattice::{Lattice, MinCost};
 use flix::{
-    AscentConfig, AscentWarning, BodyItem, Delta, DeltaOp, Head, HeadTerm, LatticeOps, Observer,
-    Program, ProgramBuilder, Query, Solution, Solver, Term, Value, ValueLattice,
+    save_snapshot, AscentConfig, AscentWarning, BodyItem, Delta, DeltaLog, DeltaOp, Head, HeadTerm,
+    LatticeOps, Observer, Program, ProgramBuilder, Query, Solution, Solver, Term, Value,
+    ValueLattice,
 };
 use golden::{flat_programs, STRATEGIES};
 use std::fmt::Write as _;
@@ -179,6 +186,201 @@ fn figures_4_and_6_agree_with_their_boxed_reference() {
     }
 }
 
+/// §4.4's all-pairs shortest paths over `graph`, as
+/// [`shortest_paths::build_all_pairs`] builds it, but for the lattice:
+/// `MinCost` as shipped — a chain, its cells words — or, with `chain`
+/// false, the same operations as closures of no kind
+/// (`LatticeOps::from_fns`), its cells boxed; and `extend` with its word
+/// form or, with `word_form` false, without one.
+fn shortest_paths(graph: &WeightedGraph, chain: bool, word_form: bool) -> Program {
+    let ops = if chain {
+        LatticeOps::of::<MinCost>()
+    } else {
+        let cost = |v: &Value| MinCost::expect_from(v);
+        LatticeOps::from_fns(
+            "MinCost",
+            MinCost::INFINITY.to_value(),
+            MinCost::top_value(),
+            move |a, b| cost(a).leq(&cost(b)),
+            move |a, b| cost(a).lub(&cost(b)).to_value(),
+            move |a, b| cost(a).glb(&cost(b)).to_value(),
+        )
+    };
+    let mut b = ProgramBuilder::new();
+    let edge = b.relation("Edge", 3);
+    let dist = b.lattice("Dist", 3, ops);
+    let extend = b.function("extend", |args| {
+        let d = MinCost::expect_from(&args[0]);
+        let c = args[1].as_int().expect("weight") as u64;
+        d.add_weight(c).to_value()
+    });
+    if word_form {
+        let elem = WordType::Elem(LatticeKind::Chain { tag: "Fin".into() });
+        b.word_form(
+            extend,
+            [elem.clone(), WordType::Slot],
+            elem,
+            shortest_paths::extend_word,
+        );
+    }
+    let int = |n: u32| Value::from(n as i64);
+    for &(x, y, c) in &graph.edges {
+        b.fact(edge, vec![int(x), int(y), Value::from(c as i64)]);
+    }
+    for v in 0..graph.num_nodes {
+        b.fact(dist, vec![int(v), int(v), MinCost::finite(0).to_value()]);
+    }
+    let v = Term::var;
+    b.rule(
+        Head::new(
+            dist,
+            [
+                HeadTerm::var("s"),
+                HeadTerm::var("y"),
+                HeadTerm::app(extend, [v("d"), v("c")]),
+            ],
+        ),
+        [
+            BodyItem::atom(dist, [v("s"), v("x"), v("d")]),
+            BodyItem::atom(edge, [v("x"), v("y"), v("c")]),
+        ],
+    );
+    b.build().expect("valid")
+}
+
+/// Everything one build of the shortest-paths program shows, through
+/// every entry point, rendered: at both strategies and one and four
+/// threads, a solve and a chained resume — an edge in, an edge out, the
+/// edge back, a cell raised to ⊤ and lowered again — each with its model,
+/// counters, event log, `explain` trees and ascent report, each checked a
+/// least model; a query on demand; and a recovery from a snapshot of the
+/// solve plus a log of the resume's deltas, with the bytes of both files.
+fn shortest_paths_seen(label: &str, program: &Program, graph: &WeightedGraph) -> Vec<String> {
+    let int = |n: u32| Value::from(n as i64);
+    let (x, y, c) = graph.edges[3];
+    let edge = vec![int(x), int(y), Value::from(c as i64)];
+    let top = MinCost::finite(0).to_value();
+    let steps = [
+        Delta::new().insert("Edge", vec![int(0), int(graph.num_nodes - 1), int(1)]),
+        Delta::new().retract("Edge", edge.clone()),
+        Delta::new().insert("Edge", edge),
+        Delta::new().raise("Dist", vec![int(1), int(4)], top.clone()),
+        Delta::new().lower("Dist", vec![int(1), int(4)], top),
+    ];
+    let mut seen = Vec::new();
+    // A model after `applied` steps is the least of the program with
+    // them (checked once per step: the check re-runs the model check per
+    // fact).
+    let noted = |at: String, applied: usize, solution: &Solution, minimal: bool| {
+        let mut all = Delta::new();
+        for delta in &steps[..applied] {
+            all.extend_from(delta);
+        }
+        let extended = program.with_delta(&all).expect("fits");
+        assert!(model::is_model(&extended, solution), "{label}: {at}");
+        let minimal = !minimal || model::is_locally_minimal(&extended, solution);
+        assert!(minimal, "{label}: {at}");
+        let report = solution.ascent_report(8);
+        let counters = counters(solution);
+        let observed = observed(program, solution);
+        format!("{at}\n{observed}{counters:?}\n{report:?}")
+    };
+    let query = Query::new("Dist", vec![Some(int(2)), None, None]);
+    for strategy in STRATEGIES {
+        for threads in [1, 4] {
+            let solver = Solver::new()
+                .record_provenance(true)
+                .ascent(AscentConfig { warn_height: None })
+                .strategy(strategy)
+                .threads(threads);
+            let at = format!("{strategy:?}/{threads} threads");
+            let mut solution = solver.solve(program).expect("solves");
+            let first = strategy == STRATEGIES[0] && threads == 1;
+            seen.push(noted(format!("{at}: solve"), 0, &solution, first));
+            for (n, delta) in steps.iter().enumerate() {
+                solution = solver.resume(program, &solution, delta).expect("resumes");
+                seen.push(noted(format!("{at}: step {n}"), n + 1, &solution, first));
+            }
+            let result = solver.solve_query(program, std::slice::from_ref(&query));
+            let result = result.expect("queries");
+            let answers: Vec<String> = result.answers(0).map(|f| f.to_string()).collect();
+            assert!(!answers.is_empty(), "{label}: {at}: node 2 reaches itself");
+            let solution = result.solution();
+            let (stats, log) = (counters(solution), solution.provenance());
+            seen.push(format!("{at}: query\n{answers:?}\n{stats:?}\n{log:?}"));
+        }
+    }
+    let dir = std::env::temp_dir().join(format!(
+        "flix-word-path-{}-{}",
+        std::process::id(),
+        label.replace(' ', "-")
+    ));
+    std::fs::create_dir_all(&dir).expect("create a scratch directory");
+    let (snapshot, wal, resaved) = (dir.join("m.snap"), dir.join("m.wal"), dir.join("r.snap"));
+    let solver = Solver::new().record_provenance(true);
+    let base = solver.solve(program).expect("solves");
+    save_snapshot(&snapshot, program, &base).expect("saves");
+    let (mut log, _) = DeltaLog::open(&wal, program).expect("opens a log");
+    for delta in &steps {
+        log.append(delta).expect("appends");
+    }
+    drop(log);
+    let (recovered, report) = solver.recover(program, &snapshot, &wal).expect("recovers");
+    assert_eq!(report.wal_frames_replayed, steps.len(), "{label}");
+    seen.push(noted("recover".to_string(), steps.len(), &recovered, true));
+    save_snapshot(&resaved, program, &recovered).expect("saves");
+    for file in [&snapshot, &wal, &resaved] {
+        let bytes = std::fs::read(file).expect("reads back");
+        seen.push(format!(
+            "{:?}: {bytes:?}",
+            file.file_name().expect("a file")
+        ));
+    }
+    std::fs::remove_dir_all(&dir).ok();
+    seen
+}
+
+/// `MinCost` on chain words against the same closures of no kind, with
+/// and without `extend`'s word form: one model, one set of counters, one
+/// event log, one `explain` tree per fact, one ascent report, one query
+/// answer and the same snapshot and log bytes, whichever way the cells
+/// are held and `extend` is called.
+#[test]
+fn min_cost_on_chain_words_agrees_with_its_closures() {
+    let graph = graphs::generate(7, 10, 0x44);
+    let shipped = shortest_paths::build_all_pairs(&graph);
+    let kind = |program: &Program| {
+        let mut decls = program.predicates();
+        let (_, dist) = decls.find(|(_, d)| d.name() == "Dist").expect("declared");
+        let ops = dist.lattice_ops().expect("a lattice");
+        ops.kind().cloned()
+    };
+    let chain = LatticeKind::Chain { tag: "Fin".into() };
+    assert_eq!(kind(&shipped), Some(chain.clone()));
+    // The shipped build is the test's own with both.
+    let solver = Solver::new().record_provenance(true);
+    let built = shortest_paths(&graph, true, true);
+    let (a, b) = (solver.solve(&shipped), solver.solve(&built));
+    let (a, b) = (a.expect("solves"), b.expect("solves"));
+    assert_eq!(observed(&shipped, &a), observed(&built, &b));
+    assert_eq!(counters(&a), counters(&b));
+    let reference = shortest_paths_seen("shipped", &shipped, &graph);
+    for (chain_words, word_form) in [(true, false), (false, true), (false, false)] {
+        let label = format!("chain {chain_words}, word form {word_form}");
+        let program = shortest_paths(&graph, chain_words, word_form);
+        assert_eq!(
+            kind(&program),
+            chain_words.then(|| chain.clone()),
+            "{label}"
+        );
+        let seen = shortest_paths_seen(&label, &program, &graph);
+        assert_eq!(seen.len(), reference.len(), "{label}");
+        for (seen, reference) in seen.iter().zip(&reference) {
+            assert_eq!(seen, reference, "{label}");
+        }
+    }
+}
+
 /// Records every ascent warning the solver fires.
 #[derive(Default)]
 struct Warnings(Mutex<Vec<AscentWarning>>);
@@ -189,9 +391,9 @@ impl Observer for Warnings {
     }
 }
 
-/// `Near(k) :- Cost(c), Best(k, c).` over a closure-defined lattice:
-/// `c` is a boxed register (a `MinCost` element), which `Cost(c)` binds
-/// from a stored column when the plan visits it first. With an insert →
+/// `Near(k) :- Cost(c), Best(k, c).`: `c` stands for a stored column and
+/// a `MinCost` element, so it is a boxed register, which `Cost(c)` binds
+/// from the column when the plan visits it first. With an insert →
 /// retract → insert sequence on `Cost`.
 fn boxed_join() -> (Program, Vec<Delta>) {
     let mut b = ProgramBuilder::new();

@@ -351,6 +351,12 @@ pub enum ProgramError {
         /// The number of values supplied.
         found: usize,
     },
+    /// A fact, or a literal in a rule's head, holds a value nested deeper
+    /// than [`MAX_VALUE_DEPTH`](crate::MAX_VALUE_DEPTH).
+    ValueTooDeep {
+        /// The predicate name.
+        predicate: String,
+    },
 }
 
 impl fmt::Display for ProgramError {
@@ -397,6 +403,11 @@ impl fmt::Display for ProgramError {
                 f,
                 "fact for {predicate} supplies {found} values but the predicate has arity \
                  {declared}"
+            ),
+            ValueTooDeep { predicate } => write!(
+                f,
+                "a {predicate} fact or rule head holds a value nested deeper than {} levels",
+                crate::MAX_VALUE_DEPTH
             ),
         }
     }

@@ -2,9 +2,10 @@
 //!
 //! Relations and lattice keys are stored struct-of-arrays: one `Vec<u64>`
 //! of *encoded* slots per column, where a slot packs small values inline
-//! (unit, booleans, up-to-61-bit integers, interned string symbols) and
-//! spills everything else (tags, tuples, sets, huge integers) into a
-//! per-database deduplicated side-table. Encoded equality is value
+//! (unit, booleans, up-to-61-bit integers, interned string symbols, and
+//! constructors applied to one of the first four) and spills everything
+//! else (wider tags, tuples, sets, huge integers) into a per-database
+//! deduplicated side-table. Encoded equality is value
 //! equality, so membership tests, index probes, and join keys compare
 //! single machine words instead of walking boxed [`Value`] trees.
 //!
@@ -57,7 +58,7 @@
 
 use crate::ast::PredKind;
 use crate::fxhash::{hash_slots, hash_words, FxHashMap};
-use crate::ops::OpsPanic;
+use crate::ops::{OpsPanic, SlotForms};
 use crate::program::Program;
 use crate::symbol;
 use crate::verify::Violation;
@@ -131,16 +132,32 @@ const TAG_BOOL: u64 = 1;
 const TAG_INT: u64 = 2;
 const TAG_SYM: u64 = 3;
 const TAG_SPILL: u64 = 4;
-/// The third tag no value encodes to: the reserved words of a lattice of
-/// a built-in kind ([`KindWords`]).
+/// A constructor slot: a `Value::Tag` whose payload has an inline slot
+/// of one of the four tags above, and whose constructor's symbol id is
+/// small. The payload's slot sits in the low [`CTOR_INNER_BITS`] bits,
+/// sign-extended on decode; the bits above hold the symbol id plus one.
+const TAG_CTOR: u64 = 5;
+/// The tag no value encodes to: the reserved words of a lattice of a
+/// built-in kind ([`KindWords`]).
 const TAG_KIND: u64 = 7;
 
-/// Two of the slot tags no value encodes to, for the provenance log's
-/// words ([`crate::provenance`]): a premise column that matched without
+/// Two words no value encodes to, for the provenance log
+/// ([`crate::provenance`]): a premise column that matched without
 /// binding, and a column whose value has no slot and sits in the log's
-/// side column instead. Neither is ever stored in a [`Columns`].
+/// side column instead. Neither is ever stored in a [`Columns`]. The
+/// first carries the constructor tag with a zero payload, which no
+/// constructor slot has: its constructor field is never zero.
 pub(crate) const SLOT_WILDCARD: u64 = 5;
 pub(crate) const SLOT_SIDE: u64 = 6;
+
+/// Width of a constructor slot's payload field ([`TAG_CTOR`]): payload
+/// integers in `[-2³³, 2³³)` and every symbol fit it.
+const CTOR_INNER_BITS: u32 = 37;
+/// Constructor symbol ids below this have a constructor slot; the
+/// constructor field holds the id plus one in the 24 bits left.
+const CTOR_ID_LIMIT: u32 = (1 << (61 - CTOR_INNER_BITS)) - 1;
+const CTOR_INT_MIN: i64 = -(1 << 33);
+const CTOR_INT_MAX: i64 = (1 << 33) - 1;
 
 /// The word of ⊥ in a lattice of the flat kind ([`LatticeKind::Flat`]):
 /// a word no value's slot equals.
@@ -193,6 +210,69 @@ const fn pack(tag: u64, payload: u64) -> u64 {
     (payload << TAG_BITS) | tag
 }
 
+/// The slot of `Value::Tag(c, v)`, for a word form to write, where `ctor`
+/// is the symbol id of `c` ([`crate::symbol::intern`]) and `payload` the
+/// slot of `v`: `None` when that value has no constructor slot — its
+/// payload is not a unit, boolean, symbol or integer in `[-2³³, 2³³)`, or
+/// its constructor's id is too large — and the store spills it.
+#[inline]
+pub const fn slot_of_ctor(ctor: u32, payload: u64) -> Option<u64> {
+    const SHIFT: u32 = 64 - CTOR_INNER_BITS;
+    let inline = payload & TAG_MASK <= TAG_SYM;
+    let fits = (((payload << SHIFT) as i64) >> SHIFT) as u64 == payload;
+    if inline && fits && ctor < CTOR_ID_LIMIT {
+        let field =
+            ((ctor as u64 + 1) << CTOR_INNER_BITS) | (payload & ((1 << CTOR_INNER_BITS) - 1));
+        Some(pack(TAG_CTOR, field))
+    } else {
+        None
+    }
+}
+
+/// The constructor's symbol id and the payload's slot of a constructor
+/// slot — the inverse of [`slot_of_ctor`]; `None` for the slot of
+/// anything else (a spilled `Value::Tag` included).
+#[inline]
+pub const fn ctor_of_slot(slot: u64) -> Option<(u32, u64)> {
+    const SHIFT: u32 = 64 - CTOR_INNER_BITS;
+    let field = slot >> TAG_BITS;
+    let ctor = field >> CTOR_INNER_BITS;
+    if slot & TAG_MASK != TAG_CTOR || ctor == 0 {
+        return None;
+    }
+    Some((
+        (ctor - 1) as u32,
+        (((field << SHIFT) as i64) >> SHIFT) as u64,
+    ))
+}
+
+/// The slot of `v` when it is inline — unit, a boolean, an integer of 61
+/// bits, a string (interned here) or a constructor slot — so that no
+/// store has to spill it: what a word form may take as a constant.
+pub fn inline_slot(v: &Value) -> Option<u64> {
+    match v {
+        Value::Tag(name, payload) if ctor_fits(payload) => {
+            slot_of_ctor(symbol::intern(name).0, inline_slot(payload)?)
+        }
+        Value::Unit | Value::Bool(_) | Value::Int(_) | Value::Str(_) => {
+            let slot = encode_mut(v, &mut SpillTable::default());
+            (slot & TAG_MASK != TAG_SPILL).then_some(slot)
+        }
+        _ => None,
+    }
+}
+
+/// Whether a `Value::Tag` with this payload may have a constructor slot:
+/// whether the payload's slot is inline and fits the payload field.
+#[inline]
+fn ctor_fits(payload: &Value) -> bool {
+    match payload {
+        Value::Unit | Value::Bool(_) | Value::Str(_) => true,
+        Value::Int(n) => (CTOR_INT_MIN..=CTOR_INT_MAX).contains(n),
+        _ => false,
+    }
+}
+
 /// The per-database side-table for values a slot cannot hold inline.
 /// Deduplicated, so spill indices are canonical: two equal values encode
 /// to the same slot, which is what makes encoded equality value equality.
@@ -234,6 +314,11 @@ pub(crate) fn encode_mut(v: &Value, spill: &mut SpillTable) -> u64 {
         Value::Bool(b) => pack(TAG_BOOL, *b as u64),
         Value::Int(n) if (INT_INLINE_MIN..=INT_INLINE_MAX).contains(n) => pack(TAG_INT, *n as u64),
         Value::Str(s) => pack(TAG_SYM, symbol::intern(s).0 as u64),
+        Value::Tag(name, payload) if ctor_fits(payload) => {
+            let payload = encode_mut(payload, spill);
+            slot_of_ctor(symbol::intern(name).0, payload)
+                .unwrap_or_else(|| pack(TAG_SPILL, spill.intern(v) as u64))
+        }
         other => pack(TAG_SPILL, spill.intern(other) as u64),
     }
 }
@@ -250,6 +335,15 @@ pub(crate) fn try_encode(v: &Value, spill: &SpillTable) -> Option<u64> {
             Some(pack(TAG_INT, *n as u64))
         }
         Value::Str(s) => Some(pack(TAG_SYM, symbol::lookup(s)? as u64)),
+        // A constructor whose name was never interned has no slot yet:
+        // [`encode_mut`] interns it before it would spill such a value.
+        Value::Tag(name, payload) if ctor_fits(payload) => {
+            let payload = try_encode(payload, spill)?;
+            match slot_of_ctor(symbol::lookup(name)?, payload) {
+                Some(slot) => Some(slot),
+                None => Some(pack(TAG_SPILL, spill.lookup(v)? as u64)),
+            }
+        }
         other => Some(pack(TAG_SPILL, spill.lookup(other)? as u64)),
     }
 }
@@ -276,6 +370,10 @@ pub(crate) fn decode(slot: u64, spill: &SpillTable) -> Value {
         TAG_INT => Value::Int((slot as i64) >> TAG_BITS),
         TAG_SYM => Value::Str(symbol::resolve((slot >> TAG_BITS) as u32)),
         TAG_SPILL => spill.get((slot >> TAG_BITS) as u32).clone(),
+        TAG_CTOR => {
+            let (ctor, payload) = ctor_of_slot(slot).expect("a constructor slot");
+            Value::Tag(symbol::resolve(ctor), Arc::new(decode(payload, spill)))
+        }
         _ => unreachable!("unused slot tag"),
     }
 }
@@ -292,6 +390,9 @@ pub(crate) fn is_slot(slot: u64, spill: &SpillTable) -> bool {
         TAG_INT => true,
         TAG_SYM => u32::try_from(payload).is_ok_and(symbol::issued),
         TAG_SPILL => (payload as usize) < spill.len(),
+        TAG_CTOR => ctor_of_slot(slot).is_some_and(|(ctor, payload)| {
+            symbol::issued(ctor) && payload & TAG_MASK <= TAG_SYM && is_slot(payload, spill)
+        }),
         _ => false,
     }
 }
@@ -300,41 +401,59 @@ pub(crate) fn is_slot(slot: u64, spill: &SpillTable) -> bool {
 // Lattice elements as words
 // ---------------------------------------------------------------------------
 
-/// The words of a lattice that declares a built-in kind
-/// ([`LatticeKind`]), and the kind's operations on them — compares that
-/// never decode. A flat lattice's ⊥ and ⊤ are the two reserved words
-/// [`FLAT_BOTTOM`] and [`FLAT_TOP`], and `tag(x)` is the slot of `x`; a
-/// chain's ⊥ is the reserved word [`CHAIN_BOTTOM`], and `tag(n)` is the
-/// slot of `n`, whose order on the naturals is the order of the words.
-/// Either way encoded equality stays value equality. A shared handle: a
-/// lattice's cells keep one, and a plan one per register that decodes
-/// through it.
+/// The words of a lattice whose cells are words, and its operations on
+/// them. A lattice that declares a built-in kind ([`LatticeKind`]) has
+/// compares that never decode: a flat lattice's ⊥ and ⊤ are the two
+/// reserved words [`FLAT_BOTTOM`] and [`FLAT_TOP`], and `tag(x)` is the
+/// slot of `x`; a chain's ⊥ is the reserved word [`CHAIN_BOTTOM`], and
+/// `tag(n)` is the slot of `n`, whose order on the naturals is the order
+/// of the words. A lattice of word forms
+/// ([`LatticeOps::with_word_forms`]) has its elements' own slots as its
+/// words, ⊥'s inline, and runs its forms on them; a form that declines
+/// leaves the operation to the closure ([`LatticeData`]). Either way
+/// encoded equality stays value equality. A shared handle: a lattice's
+/// cells keep one, and a plan one per register that decodes through it.
 #[derive(Clone, Debug, PartialEq)]
 pub(crate) struct KindWords {
     order: Order,
-    elems: Arc<KindElems>,
+    elems: Arc<Elems>,
 }
 
-/// Which kind's operations a [`KindWords`] runs: the kind's shape, kept
-/// beside the handle's pointer so an operation reads no memory.
+/// Which order a [`KindWords`] runs: the kind's shape, or the word
+/// forms' with the slot of ⊥, kept beside the handle's pointer so a
+/// kind's operation reads no memory.
 #[derive(Clone, Copy, Debug, PartialEq)]
 enum Order {
     Flat,
     Chain,
+    Slots { bot: u64 },
 }
 
 #[derive(Debug, PartialEq)]
-struct KindElems {
-    kind: LatticeKind,
-    bot: Value,
-    top: Value,
+enum Elems {
+    /// A declared kind, and the values its reserved words stand for.
+    Kind {
+        kind: LatticeKind,
+        bot: Value,
+        top: Value,
+    },
+    /// The word forms.
+    Forms(Arc<SlotForms>),
 }
 
 impl KindWords {
     /// The words of `ops`'s elements, when `ops` declares a kind (and,
-    /// for the flat kind, has a top, which the kind's check requires).
+    /// for the flat kind, has a top, which the kind's check requires) or
+    /// has word forms and a ⊥ with an inline slot.
     pub(crate) fn of(ops: &LatticeOps) -> Option<KindWords> {
-        let kind = ops.kind()?;
+        let Some(kind) = ops.kind() else {
+            let forms = ops.word_forms()?.clone();
+            let bot = inline_slot(ops.bottom())?;
+            return Some(KindWords {
+                order: Order::Slots { bot },
+                elems: Arc::new(Elems::Forms(forms)),
+            });
+        };
         let (order, top) = match kind {
             LatticeKind::Flat { .. } => (Order::Flat, ops.top()?.clone()),
             LatticeKind::Chain { tag } => {
@@ -344,7 +463,7 @@ impl KindWords {
         };
         Some(KindWords {
             order,
-            elems: Arc::new(KindElems {
+            elems: Arc::new(Elems::Kind {
                 kind: kind.clone(),
                 bot: ops.bottom().clone(),
                 top,
@@ -354,7 +473,14 @@ impl KindWords {
 
     /// Whether these are the words of a lattice of `kind`.
     pub(crate) fn is(&self, kind: &LatticeKind) -> bool {
-        self.elems.kind == *kind
+        matches!(&*self.elems, Elems::Kind { kind: k, .. } if k == kind)
+    }
+
+    /// Whether the words are the elements' store slots: a lattice of word
+    /// forms, whose laws the engine still watches.
+    #[inline]
+    pub(crate) fn is_slots(&self) -> bool {
+        matches!(self.order, Order::Slots { .. })
     }
 
     /// The word of ⊥.
@@ -363,106 +489,142 @@ impl KindWords {
         match self.order {
             Order::Flat => FLAT_BOTTOM,
             Order::Chain => CHAIN_BOTTOM,
+            Order::Slots { bot } => bot,
         }
     }
 
-    /// The word of ⊤.
+    /// The word of a declared kind's ⊤.
     pub(crate) fn top(&self) -> u64 {
         match self.order {
             Order::Flat => FLAT_TOP,
             Order::Chain => CHAIN_TOP,
+            Order::Slots { .. } => unreachable!("only a declared kind's ⊤ is reserved"),
         }
     }
 
-    /// The kind's order on words. Flat: ⊥ below everything, ⊤ above,
-    /// `tag(x)` only below itself. Chain: the reverse order of the words,
-    /// ⊥ being the largest.
+    /// The order on words. Flat: ⊥ below everything, ⊤ above, `tag(x)`
+    /// only below itself. Chain: the reverse order of the words, ⊥ being
+    /// the largest. Slots: the `leq` form's answer, `None` where it
+    /// declines.
     #[inline]
-    pub(crate) fn leq(&self, a: u64, b: u64) -> bool {
+    pub(crate) fn leq(&self, a: u64, b: u64) -> Option<bool> {
         match self.order {
-            Order::Flat => a == b || a == FLAT_BOTTOM || b == FLAT_TOP,
-            Order::Chain => a >= b,
+            Order::Flat => Some(a == b || a == FLAT_BOTTOM || b == FLAT_TOP),
+            Order::Chain => Some(a >= b),
+            Order::Slots { .. } => match (self.forms().leq)(a, b) {
+                WORD_TRUE => Some(true),
+                WORD_FALSE => Some(false),
+                _ => None,
+            },
         }
     }
 
+    /// The least upper bound on words; `None` where the `lub` form
+    /// declines — answers with a word that is not a slot in `spill`.
     #[inline]
-    pub(crate) fn lub(&self, a: u64, b: u64) -> u64 {
+    pub(crate) fn lub(&self, a: u64, b: u64, spill: &SpillTable) -> Option<u64> {
         match self.order {
-            Order::Flat if a == b || b == FLAT_BOTTOM => a,
-            Order::Flat if a == FLAT_BOTTOM => b,
-            Order::Flat => FLAT_TOP,
-            Order::Chain => a.min(b),
+            Order::Flat if a == b || b == FLAT_BOTTOM => Some(a),
+            Order::Flat if a == FLAT_BOTTOM => Some(b),
+            Order::Flat => Some(FLAT_TOP),
+            Order::Chain => Some(a.min(b)),
+            Order::Slots { .. } => Some((self.forms().lub)(a, b)).filter(|&w| is_slot(w, spill)),
         }
     }
 
+    /// The greatest lower bound on words, as [`KindWords::lub`].
     #[inline]
-    pub(crate) fn glb(&self, a: u64, b: u64) -> u64 {
+    pub(crate) fn glb(&self, a: u64, b: u64, spill: &SpillTable) -> Option<u64> {
         match self.order {
-            Order::Flat if a == b || b == FLAT_TOP => a,
-            Order::Flat if a == FLAT_TOP => b,
-            Order::Flat => FLAT_BOTTOM,
-            Order::Chain => a.max(b),
+            Order::Flat if a == b || b == FLAT_TOP => Some(a),
+            Order::Flat if a == FLAT_TOP => Some(b),
+            Order::Flat => Some(FLAT_BOTTOM),
+            Order::Chain => Some(a.max(b)),
+            Order::Slots { .. } => Some((self.forms().glb)(a, b)).filter(|&w| is_slot(w, spill)),
         }
     }
 
-    /// The `x` of an element `tag(x)`.
+    fn forms(&self) -> &SlotForms {
+        match &*self.elems {
+            Elems::Forms(forms) => forms,
+            Elems::Kind { .. } => unreachable!("a declared kind has no word forms"),
+        }
+    }
+
+    /// A declared kind's constructor, ⊥ and ⊤.
+    fn kind(&self) -> (&Arc<str>, &Value, &Value) {
+        match &*self.elems {
+            Elems::Kind { kind, bot, top } => match kind {
+                LatticeKind::Flat { tag } | LatticeKind::Chain { tag } => (tag, bot, top),
+            },
+            Elems::Forms(_) => unreachable!("word forms reserve no words"),
+        }
+    }
+
+    /// The `x` of an element `tag(x)` of a declared kind.
     fn payload<'v>(&self, v: &'v Value) -> Option<&'v Value> {
         match v {
-            Value::Tag(tag, x) if **tag == **self.tag() => Some(x),
+            Value::Tag(tag, x) if **tag == **self.kind().0 => Some(x),
             _ => None,
-        }
-    }
-
-    fn tag(&self) -> &Arc<str> {
-        match &self.elems.kind {
-            LatticeKind::Flat { tag } | LatticeKind::Chain { tag } => tag,
         }
     }
 
     /// The word of `v` on the write path (interning `x` as [`encode_mut`]
     /// does); `None` when `v` is not an element.
     pub(crate) fn encode_mut(&self, v: &Value, spill: &mut SpillTable) -> Option<u64> {
-        self.word(v, |x| Some(encode_mut(x, spill)))
+        match self.order {
+            Order::Slots { .. } => Some(encode_mut(v, spill)),
+            _ => self.word(v, |x| Some(encode_mut(x, spill))),
+        }
     }
 
     /// The word of `v`, read-only as [`try_encode`]: `None` when `v` is not
-    /// an element or its `x` was never stored.
+    /// an element or its `x` (for word forms, `v` itself) was never
+    /// stored.
     pub(crate) fn try_encode(&self, v: &Value, spill: &SpillTable) -> Option<u64> {
-        self.word(v, |x| try_encode(x, spill))
+        match self.order {
+            Order::Slots { .. } => try_encode(v, spill),
+            _ => self.word(v, |x| try_encode(x, spill)),
+        }
     }
 
-    /// Whether `v` is one of the kind's elements — what has a word, or
-    /// will have one once its `x` is stored.
+    /// Whether `v` is one of a declared kind's elements — what has a
+    /// word, or will have one once its `x` is stored.
     pub(crate) fn is_elem(&self, v: &Value) -> bool {
         self.word(v, |_| Some(0)).is_some()
     }
 
-    /// The word of `v`, a flat `tag(x)`'s through `slot(x)`.
+    /// The word of `v` in a declared kind, a flat `tag(x)`'s through
+    /// `slot(x)`.
     fn word(&self, v: &Value, slot: impl FnOnce(&Value) -> Option<u64>) -> Option<u64> {
-        let elems = &*self.elems;
+        let (_, bot, top) = self.kind();
         match self.order {
-            _ if *v == elems.bot => Some(self.bottom()),
-            Order::Flat if *v == elems.top => Some(FLAT_TOP),
+            _ if v == bot => Some(self.bottom()),
+            Order::Flat if v == top => Some(FLAT_TOP),
             Order::Flat => slot(self.payload(v)?),
             Order::Chain => match self.payload(v)? {
                 &Value::Int(n) if n >= 0 => slot_of_int(n),
                 _ => None,
             },
+            Order::Slots { .. } => unreachable!("word forms' words are slots"),
         }
     }
 
     pub(crate) fn decode(&self, word: u64, spill: &SpillTable) -> Value {
         match (self.order, word) {
-            (_, word) if word == self.bottom() => self.elems.bot.clone(),
-            (Order::Flat, FLAT_TOP) => self.elems.top.clone(),
-            (_, slot) => Value::Tag(Arc::clone(self.tag()), Arc::new(decode(slot, spill))),
+            (Order::Slots { .. }, slot) => decode(slot, spill),
+            (_, word) if word == self.bottom() => self.kind().1.clone(),
+            (Order::Flat, FLAT_TOP) => self.kind().2.clone(),
+            (_, slot) => Value::Tag(Arc::clone(self.kind().0), Arc::new(decode(slot, spill))),
         }
     }
 
     /// Whether `word` is one of these words: ⊥'s, or, flat, ⊤'s or a
-    /// slot ([`is_slot`]); a chain's, the slot of a natural.
+    /// slot ([`is_slot`]); a chain's, the slot of a natural; word forms',
+    /// a slot.
     pub(crate) fn holds(&self, word: u64, spill: &SpillTable) -> bool {
         match self.order {
+            Order::Slots { .. } => is_slot(word, spill),
             _ if word == self.bottom() => true,
             Order::Flat => word == FLAT_TOP || is_slot(word, spill),
             Order::Chain => int_of_slot(word).is_some_and(|n| n >= 0),
@@ -1207,6 +1369,32 @@ fn note_ascent(ascent: &mut Option<FxHashMap<u32, AscentEntry>>, id: u32, increa
     }
 }
 
+/// The words' order on `a` and `b`, or — where the `leq` form declines
+/// — the closure's on their values.
+#[inline(always)]
+fn word_leq(
+    kind: &KindWords,
+    ops: &LatticeOps,
+    a: u64,
+    b: u64,
+    spill: &SpillTable,
+) -> Result<bool, OpsPanic> {
+    match kind.leq(a, b) {
+        Some(leq) => Ok(leq),
+        None => ops.try_leq(&kind.decode(a, spill), &kind.decode(b, spill)),
+    }
+}
+
+/// Holds what a lattice operation of `ops` answered to
+/// [`MAX_VALUE_DEPTH`](crate::MAX_VALUE_DEPTH) before a cell keeps it.
+fn within_depth(value: &Value, ops: &LatticeOps, op: &str) -> Result<(), InsertFault> {
+    if value.is_too_deep() {
+        let function = format!("{}.{op}", ops.name());
+        return Err(InsertFault::Safety(Violation::ValueTooDeep { function }));
+    }
+    Ok(())
+}
+
 /// Storage for one lattice predicate: the compact cell map, with the key
 /// tuples stored columnar exactly like a relation and the cell elements
 /// per key id, boxed or as words.
@@ -1371,9 +1559,10 @@ impl LatticeData {
     }
 
     /// The partial order on elements of this lattice, with the closures'
-    /// panic isolation: on words a compare, otherwise the closure — on
-    /// the decoded element where one side is a word (a boxed register
-    /// met a word cell).
+    /// panic isolation: on words the words' order, otherwise the closure
+    /// — on the decoded element where one side is a word (a boxed
+    /// register met a word cell), or both are and the `leq` form
+    /// declined.
     #[inline]
     pub(crate) fn leq(
         &self,
@@ -1382,7 +1571,7 @@ impl LatticeData {
         spill: &SpillTable,
     ) -> Result<bool, OpsPanic> {
         match (a, b) {
-            (ElemRef::Word(a), ElemRef::Word(b)) => Ok(self.words().leq(a, b)),
+            (ElemRef::Word(a), ElemRef::Word(b)) => word_leq(self.words(), &self.ops, a, b, spill),
             (ElemRef::Boxed(a), ElemRef::Boxed(b)) => self.ops.try_leq(a, b),
             (a, b) => {
                 let (a, b) = (self.value_of(a, spill), self.value_of(b, spill));
@@ -1392,6 +1581,8 @@ impl LatticeData {
     }
 
     /// The least upper bound, as [`LatticeData::leq`] reads its operands.
+    /// A declined form's answer is the closure's, as a word where `spill`
+    /// has one and boxed where it has none.
     #[inline]
     pub(crate) fn lub(
         &self,
@@ -1402,8 +1593,7 @@ impl LatticeData {
         self.combine(a, b, spill, KindWords::lub, LatticeOps::try_lub)
     }
 
-    /// The greatest lower bound, as [`LatticeData::leq`] reads its
-    /// operands.
+    /// The greatest lower bound, as [`LatticeData::lub`].
     #[inline]
     pub(crate) fn glb(
         &self,
@@ -1420,11 +1610,21 @@ impl LatticeData {
         a: ElemRef<'_>,
         b: ElemRef<'_>,
         spill: &SpillTable,
-        words: fn(&KindWords, u64, u64) -> u64,
+        words: fn(&KindWords, u64, u64, &SpillTable) -> Option<u64>,
         boxed: fn(&LatticeOps, &Value, &Value) -> Result<Value, OpsPanic>,
     ) -> Result<Elem, OpsPanic> {
         match (a, b) {
-            (ElemRef::Word(a), ElemRef::Word(b)) => Ok(Elem::Word(words(self.words(), a, b))),
+            (ElemRef::Word(wa), ElemRef::Word(wb)) => {
+                let kind = self.words();
+                if let Some(word) = words(kind, wa, wb, spill) {
+                    return Ok(Elem::Word(word));
+                }
+                let value = boxed(&self.ops, &kind.decode(wa, spill), &kind.decode(wb, spill))?;
+                Ok(match kind.try_encode(&value, spill) {
+                    Some(word) => Elem::Word(word),
+                    None => Elem::Boxed(value),
+                })
+            }
             (ElemRef::Boxed(a), ElemRef::Boxed(b)) => boxed(&self.ops, a, b).map(Elem::Boxed),
             (a, b) => {
                 let (a, b) = (self.value_of(a, spill), self.value_of(b, spill));
@@ -1468,43 +1668,47 @@ impl LatticeData {
         let enc = self.keys.encode_row(key, spill);
         let result = self
             .elem_mut(value, spill)
-            .and_then(|elem| self.join_inner(&enc, NO_ID, elem));
+            .and_then(|elem| self.join_inner(&enc, NO_ID, elem, spill));
         self.keys.put_scratch(enc);
         result
     }
 
     /// [`LatticeData::join`] with a pre-encoded key and an element in
     /// this lattice's representation (kernel fast path). Every slot must
-    /// be a canonical encoding already present in the store, so no
-    /// interning happens. When the kernel already resolved the target
-    /// cell, `id` names it and the hash lookup is skipped ([`NO_ID`]
-    /// otherwise).
+    /// be a canonical encoding already present in the store; only what a
+    /// declined word form's closure answers is interned. When the kernel
+    /// already resolved the target cell, `id` names it and the hash
+    /// lookup is skipped ([`NO_ID`] otherwise).
     pub(crate) fn join_encoded(
         &mut self,
         enc: &[u64],
         id: u32,
         elem: Elem,
+        spill: &mut SpillTable,
     ) -> Result<Option<(u32, Elem)>, InsertFault> {
         if self.is_bottom(elem.as_ref()) {
             return Ok(None);
         }
-        self.join_inner(enc, id, elem)
+        self.join_inner(enc, id, elem, spill)
     }
 
     /// The one insertion body: every non-`⊥` lattice element passes
-    /// through here, so the runtime safety sentinels of a boxed lattice
-    /// live here. After each `lub` the result must be an upper bound of
-    /// both operands (otherwise the cell could *decrease*, breaking
-    /// monotonicity of the fixpoint iteration), and a fresh cell value
-    /// must satisfy `leq(v, v)` (reflexivity — a `leq` that fails it would
-    /// later mis-classify the cell as increased). A word lattice's
-    /// operations are the kind's, which were held to its closures before
-    /// the solve ([`crate::verify::check_kind`]): nothing to watch here.
+    /// through here, so the runtime safety sentinels live here. After
+    /// each `lub` the result must be an upper bound of both operands
+    /// (otherwise the cell could *decrease*, breaking monotonicity of the
+    /// fixpoint iteration), and a fresh cell value must satisfy
+    /// `leq(v, v)` (reflexivity — a `leq` that fails it would later
+    /// mis-classify the cell as increased). They watch a boxed lattice's
+    /// closures and a lattice of word forms alike, the forms on words. A
+    /// declared kind's operations are the kind's, which were held to its
+    /// closures before the solve ([`crate::verify::check_kind`]): nothing
+    /// to watch there.
     fn join_inner(
         &mut self,
         enc: &[u64],
         id: u32,
         elem: Elem,
+        spill: &mut SpillTable,
     ) -> Result<Option<(u32, Elem)>, InsertFault> {
         let (hash, known) = if id == NO_ID {
             let hash = hash_slots(enc);
@@ -1513,12 +1717,20 @@ impl LatticeData {
             (0, Some(id))
         };
         if let Some(id) = known {
-            return Ok(self.join_existing(id, elem)?.map(|joined| (id, joined)));
+            return Ok(self
+                .join_existing(id, elem, spill)?
+                .map(|joined| (id, joined)));
         }
-        if let Elem::Boxed(value) = &elem {
-            if !self.ops.try_leq(value, value)? {
-                return Err(InsertFault::Safety(Violation::NotReflexive(value.clone())));
+        let reflexive = match &elem {
+            Elem::Boxed(value) => self.ops.try_leq(value, value)?,
+            Elem::Word(word) => {
+                let kind = self.words();
+                !kind.is_slots() || word_leq(kind, &self.ops, *word, *word, spill)?
             }
+        };
+        if !reflexive {
+            let value = self.value_of(elem.as_ref(), spill).into_owned();
+            return Err(InsertFault::Safety(Violation::NotReflexive(value)));
         }
         let id = self.keys.append(enc, hash)?;
         match (&mut self.cells, &elem) {
@@ -1533,7 +1745,12 @@ impl LatticeData {
         Ok(Some((id, elem)))
     }
 
-    fn join_existing(&mut self, id: u32, elem: Elem) -> Result<Option<Elem>, InsertFault> {
+    fn join_existing(
+        &mut self,
+        id: u32,
+        elem: Elem,
+        spill: &mut SpillTable,
+    ) -> Result<Option<Elem>, InsertFault> {
         let ops = &self.ops;
         match (&mut self.cells, elem) {
             (Cells::Boxed(cells), Elem::Boxed(value)) => {
@@ -1549,6 +1766,7 @@ impl LatticeData {
                         value,
                     )));
                 }
+                within_depth(&joined, ops, "lub")?;
                 *cell = joined.clone();
                 note_ascent(&mut self.ascent, id, true);
                 Ok(Some(Elem::Boxed(joined)))
@@ -1561,15 +1779,33 @@ impl LatticeData {
                 },
                 Elem::Word(word),
             ) => {
-                let cell = &mut words[id as usize];
-                if kind.leq(word, *cell) {
+                let cell = words[id as usize];
+                if word_leq(kind, ops, word, cell, spill)? {
                     note_ascent(&mut self.ascent, id, false);
                     return Ok(None);
                 }
-                *cell = kind.lub(*cell, word);
+                let joined = match kind.lub(cell, word, spill) {
+                    Some(joined) => joined,
+                    None => {
+                        let value =
+                            ops.try_lub(&kind.decode(cell, spill), &kind.decode(word, spill))?;
+                        within_depth(&value, ops, "lub")?;
+                        encode_mut(&value, spill)
+                    }
+                };
+                if kind.is_slots()
+                    && (!word_leq(kind, ops, cell, joined, spill)?
+                        || !word_leq(kind, ops, word, joined, spill)?)
+                {
+                    return Err(InsertFault::Safety(Violation::LubNotUpperBound(
+                        kind.decode(cell, spill),
+                        kind.decode(word, spill),
+                    )));
+                }
+                words[id as usize] = joined;
                 decoded.forget();
                 note_ascent(&mut self.ascent, id, true);
-                Ok(Some(Elem::Word(*cell)))
+                Ok(Some(Elem::Word(joined)))
             }
             _ => unreachable!("an element arrives in its lattice's representation"),
         }
@@ -1801,7 +2037,8 @@ impl Database {
         let PredData::Lat(l) = &mut self.preds[pred.0 as usize] else {
             unreachable!("compiled against predicate kinds");
         };
-        l.join_encoded(key, id, elem).map(InsertOutcome::of_cell)
+        l.join_encoded(key, id, elem, &mut self.spill)
+            .map(InsertOutcome::of_cell)
     }
 
     /// The id of a stored fact, by its decoded identifying columns: a
@@ -2846,9 +3083,11 @@ mod tests {
             assert_eq!(flat.decode(wx, &spill), x.to_value());
             assert!(flat.holds(wx, &spill));
             for (y, &wy) in elems.iter().zip(&words) {
-                assert_eq!(flat.leq(wx, wy), x.leq(y), "{x} ⊑ {y}");
-                assert_eq!(flat.decode(flat.lub(wx, wy), &spill), x.lub(y).to_value());
-                assert_eq!(flat.decode(flat.glb(wx, wy), &spill), x.glb(y).to_value());
+                assert_eq!(flat.leq(wx, wy), Some(x.leq(y)), "{x} ⊑ {y}");
+                let lub = flat.lub(wx, wy, &spill).expect("a word");
+                let glb = flat.glb(wx, wy, &spill).expect("a word");
+                assert_eq!(flat.decode(lub, &spill), x.lub(y).to_value());
+                assert_eq!(flat.decode(glb, &spill), x.glb(y).to_value());
             }
         }
         // Not an element; an element whose `x` was never stored.
@@ -2864,6 +3103,77 @@ mod tests {
             pack(TAG_SPILL, 0),
             pack(TAG_SYM, u32::MAX as u64 + 1),
             SLOT_SIDE,
+        ] {
+            assert!(!is_slot(bad, &spill), "{bad:#x}");
+        }
+    }
+
+    #[test]
+    fn constructor_slots_round_trip_and_are_canonical_at_the_inline_boundary() {
+        let mut spill = SpillTable::default();
+        let fin = |n: i64| Value::tag("Fin", Value::Int(n));
+        let inline = [
+            Value::tag0("Inf"),
+            fin(0),
+            fin(-1),
+            fin(CTOR_INT_MIN),
+            fin(CTOR_INT_MAX),
+            Value::tag("Flag", Value::Bool(true)),
+            Value::tag("Name", Value::from("ctor-slot-payload")),
+        ];
+        for v in &inline {
+            let slot = encode_mut(v, &mut spill);
+            assert!(ctor_of_slot(slot).is_some(), "{v} has a constructor slot");
+            assert_eq!(decode(slot, &spill), *v);
+            assert_eq!(try_encode(v, &spill), Some(slot), "{v}");
+            assert_eq!(inline_slot(v), Some(slot), "{v}");
+            assert!(is_slot(slot, &spill), "{v}");
+            assert!(slot != SLOT_WILDCARD && slot != SLOT_SIDE);
+            // A tag whose name is a separate allocation is the same value.
+            let name: Arc<str> = Arc::from(v.tag_name().expect("a tag"));
+            let copy = Value::Tag(name, Arc::new(v.tag_payload().expect("a tag").clone()));
+            assert_eq!(try_encode(&copy, &spill), Some(slot));
+        }
+        assert_eq!(spill.len(), 0, "nothing inline spills");
+        // One past the payload field, a tuple payload, a nested tag: the
+        // store spills them, and encodes each the same way every time.
+        let wide = [
+            fin(CTOR_INT_MIN - 1),
+            fin(CTOR_INT_MAX + 1),
+            fin(i64::MAX),
+            Value::tag("Pair", Value::tuple([Value::Int(1), Value::Int(2)])),
+            Value::tag("Some", fin(1)),
+        ];
+        for v in &wide {
+            assert_eq!(try_encode(v, &spill), None, "{v} is not stored yet");
+            let slot = encode_mut(v, &mut spill);
+            assert_eq!(ctor_of_slot(slot), None, "{v} spills");
+            assert_eq!(slot & TAG_MASK, TAG_SPILL);
+            assert_eq!(encode_mut(v, &mut spill), slot);
+            assert_eq!(try_encode(v, &spill), Some(slot));
+            assert_eq!(decode(slot, &spill), *v);
+            assert_eq!(inline_slot(v), None, "{v}");
+        }
+        assert_eq!(spill.len(), wide.len());
+        // A constructor never interned has no slot until stored.
+        let fresh = Value::tag0("ctor-slot-never-interned-q7");
+        assert_eq!(try_encode(&fresh, &spill), None);
+        // What a word form writes is what the store encodes.
+        let (fin_id, _) = symbol::intern("Fin");
+        let seven = slot_of_int(7).expect("inline");
+        assert_eq!(slot_of_ctor(fin_id, seven), try_encode(&fin(7), &spill));
+        assert_eq!(
+            ctor_of_slot(slot_of_ctor(fin_id, seven).expect("fits")),
+            Some((fin_id, seven))
+        );
+        let wide_int = slot_of_int(CTOR_INT_MAX + 1).expect("inline as an integer");
+        assert_eq!(slot_of_ctor(fin_id, wide_int), None);
+        let spilled = encode_mut(&wide[3], &mut spill);
+        assert_eq!(slot_of_ctor(fin_id, spilled), None, "no spilled payload");
+        assert_eq!(slot_of_ctor(CTOR_ID_LIMIT, seven), None);
+        for bad in [
+            SLOT_WILDCARD,
+            pack(TAG_CTOR, (1 << CTOR_INNER_BITS) | 1 << 3),
         ] {
             assert!(!is_slot(bad, &spill), "{bad:#x}");
         }
@@ -2887,9 +3197,11 @@ mod tests {
             assert_eq!(chain.decode(wx, &spill), x.to_value());
             assert!(chain.holds(wx, &spill) && chain.is_elem(&x.to_value()));
             for (y, &wy) in elems.iter().zip(&words) {
-                assert_eq!(chain.leq(wx, wy), x.leq(y), "{x} ⊑ {y}");
-                assert_eq!(chain.decode(chain.lub(wx, wy), &spill), x.lub(y).to_value());
-                assert_eq!(chain.decode(chain.glb(wx, wy), &spill), x.glb(y).to_value());
+                assert_eq!(chain.leq(wx, wy), Some(x.leq(y)), "{x} ⊑ {y}");
+                let lub = chain.lub(wx, wy, &spill).expect("a word");
+                let glb = chain.glb(wx, wy, &spill).expect("a word");
+                assert_eq!(chain.decode(lub, &spill), x.lub(y).to_value());
+                assert_eq!(chain.decode(glb, &spill), x.glb(y).to_value());
             }
         }
         // Not elements: out of range, negative, another constructor, or

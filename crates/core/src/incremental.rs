@@ -311,6 +311,13 @@ pub enum DeltaError {
         /// The refused value.
         element: Value,
     },
+    /// A delta operation's tuple holds a value nested deeper than
+    /// [`MAX_VALUE_DEPTH`](crate::MAX_VALUE_DEPTH), which no model holds
+    /// and no log could read back.
+    ValueTooDeep {
+        /// The predicate name.
+        predicate: String,
+    },
 }
 
 impl fmt::Display for DeltaError {
@@ -340,6 +347,11 @@ impl fmt::Display for DeltaError {
                 f,
                 "delta tuple for {predicate} holds {element}, which is not an element \
                  of the {lattice} lattice"
+            ),
+            DeltaError::ValueTooDeep { predicate } => write!(
+                f,
+                "delta tuple for {predicate} holds a value nested deeper than {} levels",
+                crate::MAX_VALUE_DEPTH
             ),
         }
     }
@@ -675,8 +687,8 @@ impl Program {
     /// # Errors
     ///
     /// [`DeltaError::UnknownPredicate`] / [`DeltaError::ArityMismatch`] /
-    /// [`DeltaError::NotAnElement`] for the first operation that does not
-    /// fit.
+    /// [`DeltaError::ValueTooDeep`] / [`DeltaError::NotAnElement`] for the
+    /// first operation that does not fit.
     pub fn check_delta(&self, delta: &Delta) -> Result<(), DeltaError> {
         resolve_delta(self, delta).map(drop)
     }
@@ -717,6 +729,11 @@ fn resolve_delta(program: &Program, delta: &Delta) -> Result<Vec<ResolvedOp>, De
                 found: tuple.len(),
             });
         }
+        if tuple.iter().any(Value::is_too_deep) {
+            return Err(DeltaError::ValueTooDeep {
+                predicate: name.clone(),
+            });
+        }
         if let (true, Some(ops), Some(element)) = (add, decl.lattice_ops(), tuple.last()) {
             if !admits(ops, element) {
                 return Err(DeltaError::NotAnElement {
@@ -736,7 +753,7 @@ fn resolve_delta(program: &Program, delta: &Delta) -> Result<Vec<ResolvedOp>, De
 /// closure call; otherwise the guarded `leq(element, element)` probe a
 /// fresh cell runs.
 fn admits(ops: &LatticeOps, element: &Value) -> bool {
-    match KindWords::of(ops) {
+    match ops.kind().and(KindWords::of(ops)) {
         Some(words) => words.is_elem(element),
         None => matches!(ops.try_leq(element, element), Ok(true)),
     }

@@ -416,11 +416,18 @@ impl KernelSet {
 /// width ([`crate::ProgramBuilder::choice_form`]), or one with an argument
 /// or a bind that does not live as a slot. The binds of every other
 /// choice are slots, written by the choice form. A variable that only
-/// ever stands for the elements of one word lattice lives as that
-/// lattice's word; every other one as its store slot.
+/// ever stands for the elements of one word lattice of a declared kind
+/// lives as that lattice's word; every other one as its store slot — a
+/// lattice of word forms' elements included, whose words are their slots,
+/// as long as one atom's value column is all that binds the variable.
+/// (Bound twice, such a variable would be rebound to a `glb` the store
+/// may have no slot for: it is boxed.)
 struct Classes {
     boxed: HashSet<usize>,
     elems: HashMap<usize, KindWords>,
+    /// The variables that stand for elements of a lattice of word forms
+    /// and live as slots: not a head's to seed ([`head_bound`]).
+    slot_elems: HashSet<usize>,
 }
 
 impl Classes {
@@ -429,6 +436,27 @@ impl Classes {
         let mut keyed: HashSet<usize> = HashSet::new();
         // `None`: elements of two different lattices.
         let mut elems: HashMap<usize, Option<&KindWords>> = HashMap::new();
+        let mut slot_elems: HashSet<usize> = HashSet::new();
+        // Per variable, the positive atom columns and choice binds that
+        // bind it wherever they come first.
+        let mut binders: HashMap<usize, usize> = HashMap::new();
+        for item in body {
+            let bound = match item {
+                CItem::Atom { terms, .. } => terms.as_slice(),
+                CItem::Choose { binds, .. } => {
+                    for bind in binds {
+                        *binders.entry(*bind).or_default() += 1;
+                    }
+                    continue;
+                }
+                CItem::NegAtom { .. } | CItem::Filter { .. } => continue,
+            };
+            for term in bound {
+                if let CTerm::Var(slot) = term {
+                    *binders.entry(*slot).or_default() += 1;
+                }
+            }
+        }
         for item in body {
             match item {
                 CItem::Atom { pred, terms, .. } | CItem::NegAtom { pred, terms } => {
@@ -443,6 +471,13 @@ impl Classes {
                         continue;
                     };
                     match lat.kind_words() {
+                        Some(words) if words.is_slots() => {
+                            if binders.get(slot).copied().unwrap_or(0) > 1 {
+                                boxed.insert(*slot);
+                            } else {
+                                slot_elems.insert(*slot);
+                            }
+                        }
                         Some(words) => {
                             let seen = elems.entry(*slot).or_insert(Some(words));
                             if *seen != Some(words) {
@@ -457,6 +492,14 @@ impl Classes {
                 CItem::Choose { .. } | CItem::Filter { .. } => {}
             }
         }
+        // A variable standing for a word lattice's element and anything
+        // else besides is boxed.
+        for slot in &slot_elems {
+            if elems.contains_key(slot) {
+                boxed.insert(*slot);
+            }
+        }
+        slot_elems.retain(|slot| !boxed.contains(slot));
         // A variable in `elems` ends up a word or boxed, never a slot. A
         // choice that runs boxed boxes its binds, which may be another
         // choice's arguments: until nothing changes.
@@ -496,6 +539,7 @@ impl Classes {
         Classes {
             boxed,
             elems: words,
+            slot_elems,
         }
     }
 
@@ -506,6 +550,12 @@ impl Classes {
     /// Whether the variable lives as its store slot.
     fn is_slot(&self, slot: usize) -> bool {
         !self.boxed.contains(&slot) && !self.elems.contains_key(&slot)
+    }
+
+    /// Whether a head-bound plan may bind the variable before the body
+    /// runs: a slot whose body binders are relational.
+    fn is_seedable(&self, slot: usize) -> bool {
+        self.is_slot(slot) && !self.slot_elems.contains(&slot)
     }
 
     fn arg(&self, slot: usize) -> ArgSrc {
@@ -551,7 +601,7 @@ fn head_bound(
     for (col, h) in rule.head[..key_cols].iter().enumerate() {
         match h {
             CHead::Lit(v) => literals.push((col, db.encode_literal(v))),
-            CHead::Var(slot) if classes.is_slot(*slot) => {
+            CHead::Var(slot) if classes.is_seedable(*slot) => {
                 let at = binds.iter().position(|b| b == slot).unwrap_or_else(|| {
                     binds.push(*slot);
                     binds.len() - 1
@@ -711,6 +761,7 @@ fn compile_body(
                 ),
                 CHead::Var(slot) => match (column, classes.arg(*slot)) {
                     (Column::Slots, ArgSrc::Slot(s)) => HeadSrc::Word(s),
+                    (Column::Elems(elems), ArgSrc::Slot(s)) if elems.is_slots() => HeadSrc::Word(s),
                     (Column::Elems(elems), ArgSrc::Elem(s, of)) if of == *elems => HeadSrc::Word(s),
                     (_, arg) => HeadSrc::Var(arg),
                 },
@@ -718,6 +769,7 @@ fn compile_body(
                     HeadSrc::App(call(program, db, &classes, *func, args, |result| {
                         match (column, result) {
                             (Column::Slots, WordType::Slot) => true,
+                            (Column::Elems(elems), WordType::Slot) => elems.is_slots(),
                             (Column::Elems(elems), WordType::Elem(kind)) => elems.is(kind),
                             _ => false,
                         }
@@ -802,9 +854,12 @@ fn val_spec(
     classes: &Classes,
     is_bound: impl Fn(&usize) -> bool,
 ) -> ValSpec {
-    let reg = |slot: usize| match classes.elems.get(&slot) {
-        Some(_) => Reg::Word(slot),
-        None => Reg::Boxed(slot),
+    let reg = |slot: usize| {
+        if classes.is_boxed(slot) {
+            Reg::Boxed(slot)
+        } else {
+            Reg::Word(slot)
+        }
     };
     match terms.get(ncols) {
         Some(CTerm::Lit(v)) => ValSpec::Lit(match lattice_words(db, pred) {
@@ -1396,8 +1451,22 @@ fn compute_apps(plan: &Plan, st: &mut State<'_, '_>) -> bool {
     if st.fault.is_some() {
         return false;
     }
-    st.app = call_boxed(call, st).map(Elem::Boxed);
+    st.app = call_boxed(call, st)
+        .filter(|value| within_depth(value, call.func, st))
+        .map(Elem::Boxed);
     st.app.is_some()
+}
+
+/// Whether a value user code handed the plan nests no deeper than
+/// [`MAX_VALUE_DEPTH`](crate::MAX_VALUE_DEPTH); otherwise the fault is
+/// recorded, naming the function.
+fn within_depth(value: &Value, func: usize, st: &mut State<'_, '_>) -> bool {
+    if !value.is_too_deep() {
+        return true;
+    }
+    let function = st.program.funcs[func].name.to_string();
+    st.fail(EvalFault::Safety(Violation::ValueTooDeep { function }));
+    false
 }
 
 /// The word head column `h` takes — a key column's slot, or, given the
@@ -1976,6 +2045,9 @@ fn choose_boxed(
         // A bound component is a membership test, in whatever order the
         // body runs; an unbound one binds. Nothing is overwritten, so
         // there is nothing to put back.
+        if !items.iter().all(|item| within_depth(item, call.func, st)) {
+            break;
+        }
         let mut member = true;
         for (&(b, bound), item) in binds.iter().zip(items) {
             if !bound {

@@ -101,7 +101,8 @@ pub use ast::{
     Term, WordType,
 };
 pub use database::{
-    int_of_slot, slot_of_int, CHAIN_BOTTOM, FLAT_BOTTOM, FLAT_TOP, WORD_FALSE, WORD_TRUE,
+    ctor_of_slot, inline_slot, int_of_slot, slot_of_ctor, slot_of_int, CHAIN_BOTTOM, FLAT_BOTTOM,
+    FLAT_TOP, WORD_FALSE, WORD_TRUE,
 };
 pub use demand::{DemandError, Query, QueryResult};
 pub use guard::{Budget, BudgetKind, CancelToken};
@@ -124,4 +125,4 @@ pub use trace::{
     render_ascent_report, AscentCell, AscentConfig, AscentReport, AscentWarning, ExecutionTrace,
     SpanKind, TraceConfig, TraceEvent,
 };
-pub use value::Value;
+pub use value::{Value, MAX_VALUE_DEPTH};

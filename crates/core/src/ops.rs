@@ -27,6 +27,30 @@ pub(crate) struct OpsPanic {
 /// Shared closure type for the components of a [`LatticeOps`].
 type BinOp = Arc<dyn Fn(&Value, &Value) -> Value + Send + Sync>;
 type BinPred = Arc<dyn Fn(&Value, &Value) -> bool + Send + Sync>;
+/// Closure type of a word form of a lattice operation.
+type WordOp = Box<dyn Fn(u64, u64) -> u64 + Send + Sync>;
+
+/// The word forms of a lattice's `leq`, `lub` and `glb` over the fact
+/// store's slots ([`LatticeOps::with_word_forms`]), shared by every clone
+/// of the [`LatticeOps`].
+pub(crate) struct SlotForms {
+    pub(crate) leq: WordOp,
+    pub(crate) lub: WordOp,
+    pub(crate) glb: WordOp,
+}
+
+/// The same forms: one registration, shared.
+impl PartialEq for SlotForms {
+    fn eq(&self, other: &SlotForms) -> bool {
+        std::ptr::eq(self, other)
+    }
+}
+
+impl fmt::Debug for SlotForms {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str("SlotForms")
+    }
+}
 
 /// A built-in shape of lattice, whose operations the engine runs on the
 /// fact store's words instead of calling the closures of a
@@ -112,6 +136,7 @@ pub struct LatticeOps {
     lub: BinOp,
     glb: BinOp,
     kind: Option<Declared>,
+    forms: Option<Arc<SlotForms>>,
 }
 
 impl LatticeOps {
@@ -153,6 +178,7 @@ impl LatticeOps {
                 m.to_value()
             }),
             kind: None,
+            forms: None,
         };
         match L::kind() {
             Some((kind, samples)) => ops.with_kind(kind, samples.iter().map(L::to_value)),
@@ -183,6 +209,7 @@ impl LatticeOps {
             lub: Arc::new(lub),
             glb: Arc::new(glb),
             kind: None,
+            forms: None,
         }
     }
 
@@ -207,11 +234,55 @@ impl LatticeOps {
         self
     }
 
-    /// The same closures, declaring no kind: run boxed.
+    /// Registers word forms of `leq`, `lub` and `glb` over the fact
+    /// store's slots — what [`ProgramBuilder::word_form`] is for a
+    /// function, with [`WordType::Slot`] for both arguments and the
+    /// result. Each reads the slots of two elements and returns the slot
+    /// of its answer (`leq`: [`WORD_TRUE`] or [`WORD_FALSE`]), or, where
+    /// it cannot answer exactly — an operand it cannot read, such as a
+    /// spilled slot, or an answer with no slot of its own — any word that
+    /// is not a slot: then the closure decides, on the decoded operands.
+    /// Both must compute the same operation; which one runs is the
+    /// engine's choice.
+    ///
+    /// A lattice that declares no kind, whose ⊥ has an inline slot
+    /// ([`inline_slot`]), and which has these forms keeps its cells as
+    /// slots and joins them with the forms, under the same law sentinels
+    /// as a boxed lattice (DESIGN §15); a variable standing for one of its
+    /// elements is an ordinary slot, which a function's word form reads.
+    /// A declared kind takes precedence over the forms.
+    ///
+    /// [`ProgramBuilder::word_form`]: crate::ProgramBuilder::word_form
+    /// [`WordType::Slot`]: crate::WordType::Slot
+    /// [`WORD_TRUE`]: crate::WORD_TRUE
+    /// [`WORD_FALSE`]: crate::WORD_FALSE
+    /// [`inline_slot`]: crate::inline_slot
+    pub fn with_word_forms(
+        mut self,
+        leq: impl Fn(u64, u64) -> u64 + Send + Sync + 'static,
+        lub: impl Fn(u64, u64) -> u64 + Send + Sync + 'static,
+        glb: impl Fn(u64, u64) -> u64 + Send + Sync + 'static,
+    ) -> Self {
+        self.forms = Some(Arc::new(SlotForms {
+            leq: Box::new(leq),
+            lub: Box::new(lub),
+            glb: Box::new(glb),
+        }));
+        self
+    }
+
+    /// The word forms of the operations, when registered.
+    pub(crate) fn word_forms(&self) -> Option<&Arc<SlotForms>> {
+        self.forms.as_ref()
+    }
+
+    /// The same closures, declaring no kind and with no word forms: run
+    /// boxed.
     #[cfg(any(test, feature = "test-internals"))]
     pub(crate) fn without_kind(&self) -> LatticeOps {
         LatticeOps {
             kind: None,
+            forms: None,
             ..self.clone()
         }
     }
@@ -299,6 +370,7 @@ impl fmt::Debug for LatticeOps {
             .field("bot", &self.bot)
             .field("top", &self.top)
             .field("kind", &self.kind())
+            .field("word_forms", &self.forms.is_some())
             .finish_non_exhaustive()
     }
 }

@@ -9,14 +9,9 @@
 //! specify it exactly and the golden-snapshot fixture can pin it.
 
 use crate::program::{CHead, CItem, CTerm, Program};
-use crate::Value;
+use crate::{Value, MAX_VALUE_DEPTH};
 use std::collections::BTreeSet;
 use std::sync::{Arc, OnceLock};
-
-/// Maximum [`Value`] nesting the decoder accepts. Honest encoders never
-/// get near this; a corrupt or adversarial frame must not be able to
-/// recurse the decoder off the stack.
-pub(crate) const MAX_VALUE_DEPTH: usize = 64;
 
 /// CRC-32 (IEEE 802.3, reflected polynomial `0xEDB88320`) — the frame
 /// checksum of both persistence formats.
@@ -99,7 +94,24 @@ impl ByteWriter {
 
     /// One tag byte per variant, then the payload. Sets iterate in
     /// `BTreeSet` order, so equal values encode to equal bytes.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a value nested deeper than [`MAX_VALUE_DEPTH`], which
+    /// the reader refuses: every way a value enters a model holds it to
+    /// the bound first, so no writer produces a frame the reader cannot
+    /// read back.
     pub(crate) fn value(&mut self, v: &Value) {
+        assert!(
+            !v.is_too_deep(),
+            "a value nested past MAX_VALUE_DEPTH reached the encoder"
+        );
+        self.value_unbounded(v);
+    }
+
+    /// [`ByteWriter::value`] at any depth: what a fingerprint, which is
+    /// hashed and never read back, writes.
+    fn value_unbounded(&mut self, v: &Value) {
         match v {
             Value::Unit => self.u8(0),
             Value::Bool(b) => {
@@ -117,20 +129,20 @@ impl ByteWriter {
             Value::Tag(name, payload) => {
                 self.u8(4);
                 self.string(name);
-                self.value(payload);
+                self.value_unbounded(payload);
             }
             Value::Tuple(items) => {
                 self.u8(5);
                 self.u32(items.len() as u32);
                 for item in items.iter() {
-                    self.value(item);
+                    self.value_unbounded(item);
                 }
             }
             Value::Set(items) => {
                 self.u8(6);
                 self.u32(items.len() as u32);
                 for item in items.iter() {
-                    self.value(item);
+                    self.value_unbounded(item);
                 }
             }
         }
@@ -283,7 +295,7 @@ pub fn program_fingerprint(program: &Program) -> u64 {
             Some(ops) => {
                 w.u8(1);
                 w.string(ops.name());
-                w.value(ops.bottom());
+                w.value_unbounded(ops.bottom());
             }
         }
     }
@@ -304,7 +316,7 @@ pub fn program_fingerprint(program: &Program) -> u64 {
         w.u32(pred.0);
         w.u32(tuple.len() as u32);
         for v in tuple {
-            w.value(v);
+            w.value_unbounded(v);
         }
     }
     fnv1a64(&w.into_bytes())
@@ -328,7 +340,7 @@ fn write_term(w: &mut ByteWriter, term: &CTerm) {
         }
         CTerm::Lit(v) => {
             w.u8(1);
-            w.value(v);
+            w.value_unbounded(v);
         }
         CTerm::Wild => w.u8(2),
     }
@@ -342,7 +354,7 @@ fn write_head(w: &mut ByteWriter, program: &Program, head: &CHead) {
         }
         CHead::Lit(v) => {
             w.u8(1);
-            w.value(v);
+            w.value_unbounded(v);
         }
         CHead::App(func, args) => {
             w.u8(2);
@@ -428,6 +440,33 @@ mod tests {
             assert_eq!(&r.value().expect("decodes"), v);
             assert!(r.is_done());
         }
+    }
+
+    #[test]
+    fn the_encoder_and_the_decoder_share_one_nesting_bound() {
+        // `depth` levels: constructors around unit, or tuples around an
+        // integer; a set and a tuple count as a level each.
+        let tags = |depth: usize| (1..depth).fold(Value::tag0("L"), |v, _| Value::tag("N", v));
+        let tuples = |depth: usize| (0..depth).fold(Value::Int(1), |v, _| Value::tuple([v]));
+        let sets = |depth: usize| (0..depth).fold(Value::Unit, |v, _| Value::set([v]));
+        for build in [tags, tuples, sets] {
+            let at = build(MAX_VALUE_DEPTH);
+            assert!(!at.is_too_deep());
+            let mut w = ByteWriter::new();
+            w.value(&at);
+            let bytes = w.into_bytes();
+            assert_eq!(ByteReader::new(&bytes).value().expect("decodes"), at);
+
+            let past = build(MAX_VALUE_DEPTH + 1);
+            assert!(past.is_too_deep());
+            let mut w = ByteWriter::new();
+            w.value_unbounded(&past);
+            assert!(ByteReader::new(&w.into_bytes()).value().is_err());
+            let refused = std::panic::catch_unwind(|| ByteWriter::new().value(&past));
+            assert!(refused.is_err(), "the encoder asserts the bound");
+        }
+        // Empty collections add no level.
+        assert!(!Value::tuple([tags(MAX_VALUE_DEPTH - 1), Value::set([])]).is_too_deep());
     }
 
     #[test]

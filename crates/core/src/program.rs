@@ -176,6 +176,11 @@ impl Program {
                     found: values.len(),
                 });
             }
+            if values.iter().any(Value::is_too_deep) {
+                return Err(ProgramError::ValueTooDeep {
+                    predicate: decl.name.to_string(),
+                });
+            }
         }
 
         let mut rules = Vec::with_capacity(raw_rules.len());
@@ -302,6 +307,12 @@ fn compile_rule(
         })
     };
     check_arity(&raw.head.pred, raw.head.terms.len())?;
+    let deep = |t: &HeadTerm| matches!(t, HeadTerm::Lit(v) if v.is_too_deep());
+    if raw.head.terms.iter().any(deep) {
+        return Err(ProgramError::ValueTooDeep {
+            predicate: head_name,
+        });
+    }
 
     let mut scope = VarScope::new();
     // `bound[slot]` tracks whether a positive item has bound the slot,

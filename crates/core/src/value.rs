@@ -79,7 +79,31 @@ impl PartialEq for Value {
     }
 }
 
+/// The deepest nesting of [`Value`]s a model holds: a constructor, a
+/// tuple or a non-empty set is one level above the values it holds, so
+/// `Fin(3)` is one level deep. A fact, a delta, a function's result and
+/// a lattice's join are refused past it, and it is the depth the
+/// persistence formats read back (DESIGN §14): what the engine writes,
+/// it reads.
+pub const MAX_VALUE_DEPTH: usize = 64;
+
 impl Value {
+    /// Whether this value nests deeper than [`MAX_VALUE_DEPTH`]. Walks no
+    /// deeper than the bound.
+    pub fn is_too_deep(&self) -> bool {
+        self.deeper_than(MAX_VALUE_DEPTH)
+    }
+
+    fn deeper_than(&self, levels: usize) -> bool {
+        let below = |v: &Value| levels == 0 || v.deeper_than(levels - 1);
+        match self {
+            Value::Tag(_, payload) => below(payload),
+            Value::Tuple(items) => items.iter().any(below),
+            Value::Set(items) => items.iter().any(below),
+            Value::Unit | Value::Bool(_) | Value::Int(_) | Value::Str(_) => false,
+        }
+    }
+
     /// Creates a string value, interning it in the global
     /// [`crate::symbol`] table: equal strings share one canonical
     /// allocation and a stable `u32` symbol id, which the fact store

@@ -91,6 +91,13 @@ pub enum Violation {
         /// What disagrees.
         found: String,
     },
+    /// A function, or a lattice operation, returned a value nested deeper
+    /// than [`MAX_VALUE_DEPTH`](crate::MAX_VALUE_DEPTH): no model holds
+    /// one, since no snapshot or log could read it back.
+    ValueTooDeep {
+        /// The function's name.
+        function: String,
+    },
 }
 
 impl fmt::Display for Violation {
@@ -150,6 +157,11 @@ impl fmt::Display for Violation {
                 kind,
                 found,
             } => write!(f, "lattice {lattice} declares the {kind} kind, but {found}"),
+            ValueTooDeep { function } => write!(
+                f,
+                "{function} returned a value nested deeper than {} levels",
+                crate::MAX_VALUE_DEPTH
+            ),
         }
     }
 }
@@ -345,15 +357,16 @@ pub(crate) fn check_kind(
     for &(a, wa) in &elems {
         for &(b, wb) in &elems {
             let leq = ops.try_leq(a, b).map_err(panicked)?;
-            if leq != words.leq(wa, wb) {
+            if Some(leq) != words.leq(wa, wb) {
                 return Err(mismatch(format!("its leq({a}, {b}) is {leq}")));
             }
             let lub = ops.try_lub(a, b).map_err(panicked)?;
             let glb = ops.try_glb(a, b).map_err(panicked)?;
             for (op, got, word) in [
-                ("lub", lub, words.lub(wa, wb)),
-                ("glb", glb, words.glb(wa, wb)),
+                ("lub", lub, words.lub(wa, wb, &spill)),
+                ("glb", glb, words.glb(wa, wb, &spill)),
             ] {
+                let word = word.expect("a declared kind answers on its words");
                 let expected = words.decode(word, &spill);
                 if got != expected {
                     return Err(mismatch(format!(

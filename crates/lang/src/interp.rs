@@ -11,11 +11,29 @@
 //! the engine's dynamic [`Value`]s, so compiled lattice operations and
 //! transfer functions plug directly into [`flix_core::LatticeOps`] and
 //! [`flix_core::ProgramBuilder::function`].
+//!
+//! The same walk compiles each body a second time, to *word code*:
+//! closures over the fact store's `u64` slots, on a fixed frame of words,
+//! that allocate nothing (DESIGN §6). A slot holds an integer, a boolean,
+//! a string's symbol or a constructor applied to one of those inline
+//! ([`flix_core::slot_of_ctor`]); word code reads and builds those, tests
+//! patterns on them, and compares any two slots for equality, which is
+//! value equality. Where it cannot answer exactly — a spilled operand it
+//! would have to look into, a result with no inline slot, no arm that
+//! matches, the call-depth limit — it declines, and the boxed code runs
+//! the call, with its result or its panic. A `def` has word code when
+//! every construct of its body does and every `def` it calls has word
+//! code too; lowering registers it as the function's word form and, for a
+//! lattice's `leq`, `lub` and `glb`, as the lattice's
+//! ([`flix_core::LatticeOps::with_word_forms`]).
 
 use crate::ast::{BinOp, Expr, Lit, MatchArm, Pattern, UnOp};
 use crate::token::Pos;
 use crate::typeck::CheckedProgram;
-use flix_core::{symbol, Value};
+use flix_core::{
+    ctor_of_slot, inline_slot, int_of_slot, slot_of_ctor, slot_of_int, symbol, Value, WORD_FALSE,
+    WORD_TRUE,
+};
 use std::fmt;
 use std::sync::Arc;
 
@@ -28,15 +46,36 @@ use std::sync::Arc;
 /// for bodies nesting up to seven expressions — so the limit is reached
 /// within a quarter of a 2 MiB thread stack (the default of
 /// `std::thread::spawn`, which solver workers and the `flixd` writer run
-/// on), and bodies nesting four times deeper still fit.
+/// on), and bodies nesting four times deeper still fit. Word code
+/// declines at the same depth.
 const MAX_CALL_DEPTH: usize = 256;
+
+/// The words a word frame holds: the slots of the running calls'
+/// parameters, `let`s, pattern variables and scrutinees. A call that
+/// needs more declines.
+const WORD_STACK: usize = 32;
 
 /// Compiled code for one expression: evaluates it in a frame.
 type Code = Box<dyn Fn(&mut Frame<'_>) -> Value + Send + Sync>;
 
+/// Word code for one expression: the slot of its value in a word frame,
+/// or `None` where it declines.
+type WordCode = Box<dyn Fn(&mut WordFrame<'_>) -> Option<u64> + Send + Sync>;
+
 /// The compiled test of one pattern. Binding is separate (see [`Bind`]),
 /// so a test reads the matched value and nothing else.
 type Test = Box<dyn Fn(&Value) -> bool + Send + Sync>;
+
+/// A pattern's test on a slot: `None` where the slot does not tell — a
+/// spilled value whose constructor the test would have to read.
+type WordTest = Box<dyn Fn(u64) -> Option<bool> + Send + Sync>;
+
+/// One expression compiled both ways: the boxed code, and the word code
+/// where every part of the expression has word code.
+struct Compiled {
+    code: Code,
+    word: Option<WordCode>,
+}
 
 /// One compiled `def`.
 struct Def {
@@ -46,6 +85,8 @@ struct Def {
     /// scrutinee slots live at once.
     slots: usize,
     body: Code,
+    /// The word code, on frames of the same slots.
+    word: Option<WordCode>,
 }
 
 /// One frame slot. The arguments of an outermost call — the engine's
@@ -110,6 +151,60 @@ impl<'v> Frame<'v> {
     }
 }
 
+/// [`Frame`] for word code: the slots live in a fixed array on the
+/// machine stack of the outermost call.
+struct WordFrame<'d> {
+    defs: &'d [Def],
+    stack: [u64; WORD_STACK],
+    /// The words in use: the running call's, and the arguments pushed
+    /// for the next.
+    top: usize,
+    /// Where the running call's slots start in `stack`.
+    base: usize,
+    depth: usize,
+}
+
+impl WordFrame<'_> {
+    #[inline]
+    fn get(&self, slot: usize) -> u64 {
+        self.stack[self.base + slot]
+    }
+
+    #[inline]
+    fn set(&mut self, slot: usize, word: u64) {
+        self.stack[self.base + slot] = word;
+    }
+
+    /// Pushes an argument of the next call; `None` when the frame is full.
+    #[inline]
+    fn push(&mut self, word: u64) -> Option<()> {
+        *self.stack.get_mut(self.top)? = word;
+        self.top += 1;
+        Some(())
+    }
+
+    /// Runs `callee`'s word code on the arguments pushed from `base` up;
+    /// declines where the boxed call would panic on depth or arity, or the
+    /// frame would overflow.
+    fn enter(&mut self, callee: usize, base: usize) -> Option<u64> {
+        let defs = self.defs;
+        let def = &defs[callee];
+        let word = def.word.as_ref()?;
+        let top = base + def.slots;
+        if self.depth == MAX_CALL_DEPTH || self.top - base != def.arity || top > WORD_STACK {
+            return None;
+        }
+        self.top = top;
+        let caller = std::mem::replace(&mut self.base, base);
+        self.depth += 1;
+        let result = word(self);
+        self.depth -= 1;
+        self.base = caller;
+        self.top = base;
+        result
+    }
+}
+
 /// An evaluator over a checked program's function table.
 ///
 /// Cloning is cheap (the compiled table is shared); the interpreter is
@@ -135,7 +230,8 @@ impl Interpreter {
     pub fn new(program: Arc<CheckedProgram>) -> Interpreter {
         let mut names: Vec<&str> = program.defs.keys().map(String::as_str).collect();
         names.sort_unstable();
-        let defs = names
+        let mut calls: Vec<Vec<usize>> = Vec::with_capacity(names.len());
+        let mut defs: Vec<Def> = names
             .iter()
             .map(|&name| {
                 let info = &program.defs[name];
@@ -144,15 +240,31 @@ impl Interpreter {
                     cx.bind(param);
                 }
                 let body = cx.expr(&info.body);
+                calls.push(std::mem::take(&mut cx.calls));
                 Def {
                     name: name.to_string(),
                     arity: info.params.len(),
                     slots: cx.slots,
-                    body,
+                    body: body.code,
+                    word: body.word,
                 }
             })
             .collect();
-        Interpreter { defs }
+        // Word code that calls a def without any would always decline
+        // there: until nothing changes, such a def has none either.
+        loop {
+            let lacking: Vec<usize> = (0..defs.len())
+                .filter(|&d| defs[d].word.is_some())
+                .filter(|&d| calls[d].iter().any(|&callee| defs[callee].word.is_none()))
+                .collect();
+            if lacking.is_empty() {
+                break;
+            }
+            for d in lacking {
+                defs[d].word = None;
+            }
+        }
+        Interpreter { defs: defs.into() }
     }
 
     /// Calls a named function with the given argument values.
@@ -192,6 +304,8 @@ impl Interpreter {
         def: usize,
         args: impl IntoIterator<Item = &'v Value>,
     ) -> Value {
+        #[cfg(test)]
+        tests::BOXED_CALLS.with(|calls| calls.set(calls.get() + 1));
         let mut frame = Frame {
             defs: &self.defs,
             stack: Vec::with_capacity(self.defs[def].slots),
@@ -202,11 +316,36 @@ impl Interpreter {
         frame.enter(def, 0)
     }
 
+    /// The number of parameters of the `def` at index `def`, when it has
+    /// word code.
+    pub(crate) fn word_arity(&self, def: usize) -> Option<usize> {
+        let def = &self.defs[def];
+        def.word.as_ref().map(|_| def.arity)
+    }
+
+    /// Runs the word code of the `def` at index `def` on the slots of its
+    /// arguments: the slot of the result, or `None` where the word code
+    /// declines (or the def has none) and [`Interpreter::call_at`] must
+    /// answer.
+    pub(crate) fn call_words(&self, def: usize, args: &[u64]) -> Option<u64> {
+        let mut frame = WordFrame {
+            defs: &self.defs,
+            stack: [0; WORD_STACK],
+            top: 0,
+            base: 0,
+            depth: 0,
+        };
+        for &arg in args {
+            frame.push(arg)?;
+        }
+        frame.enter(def, 0)
+    }
+
     /// Evaluates a closed expression (no free variables).
     pub fn eval_closed(&self, expr: &Expr) -> Value {
         let names: Vec<&str> = self.names().collect();
         let mut cx = Compiler::new(&names);
-        let code = cx.expr(expr);
+        let code = cx.expr(expr).code;
         let mut frame = Frame {
             defs: &self.defs,
             stack: vec![Slot::Own(Value::Unit); cx.slots],
@@ -294,6 +433,18 @@ impl Source {
             }
         }
     }
+
+    /// Where word code reads the same part: the slot, and how many
+    /// constructor payloads down. `None` for a tuple or a tuple's
+    /// component, which have no inline slot.
+    fn words(&self) -> Option<(usize, usize)> {
+        match self {
+            Source::Part(slot, steps) if steps.iter().all(|s| matches!(s, Step::Payload)) => {
+                Some((*slot, steps.len()))
+            }
+            Source::Part(..) | Source::Tuple(_) => None,
+        }
+    }
 }
 
 /// The part of `value` that `steps` lead to.
@@ -322,6 +473,15 @@ struct Arm {
     body: Code,
 }
 
+/// [`Arm`] for word code: a bind reads its slot `payloads` constructor
+/// payloads down.
+struct WordArm {
+    tests: Vec<(usize, WordTest)>,
+    /// `(slot, payloads, to)`.
+    binds: Vec<(usize, usize, usize)>,
+    body: WordCode,
+}
+
 /// Compiles one `def` body or closed expression.
 struct Compiler<'a> {
     /// Every `def`, sorted: a callee's position is its index in the
@@ -333,6 +493,8 @@ struct Compiler<'a> {
     live: usize,
     /// The most slots in use at once: the frame size.
     slots: usize,
+    /// The callees the word code calls.
+    calls: Vec<usize>,
 }
 
 impl<'a> Compiler<'a> {
@@ -342,6 +504,7 @@ impl<'a> Compiler<'a> {
             scope: Vec::new(),
             live: 0,
             slots: 0,
+            calls: Vec::new(),
         }
     }
 
@@ -364,99 +527,148 @@ impl<'a> Compiler<'a> {
         Some(*slot)
     }
 
-    fn exprs(&mut self, items: &'a [Expr]) -> Vec<Code> {
-        items.iter().map(|e| self.expr(e)).collect()
+    /// The boxed code of every item, and the word code when every item
+    /// has some.
+    fn exprs(&mut self, items: &'a [Expr]) -> (Vec<Code>, Option<Vec<WordCode>>) {
+        let mut codes = Vec::with_capacity(items.len());
+        let mut words = Some(Vec::with_capacity(items.len()));
+        for item in items {
+            let compiled = self.expr(item);
+            codes.push(compiled.code);
+            words = words.zip(compiled.word).map(|(mut words, word)| {
+                words.push(word);
+                words
+            });
+        }
+        (codes, words)
     }
 
-    fn expr(&mut self, expr: &'a Expr) -> Code {
+    fn expr(&mut self, expr: &'a Expr) -> Compiled {
         if let Some(value) = constant(expr) {
-            return Box::new(move |_| value.clone());
+            let word = inline_slot(&value)
+                .map(|slot| Box::new(move |_: &mut WordFrame<'_>| Some(slot)) as WordCode);
+            return Compiled {
+                code: Box::new(move |_| value.clone()),
+                word,
+            };
         }
-        match expr {
+        let (code, word): (Code, Option<WordCode>) = match expr {
             Expr::Lit(..) => unreachable!("a literal is a constant"),
             Expr::Var(name, _) => match self.lookup(name) {
-                Some(slot) => Box::new(move |f| f.get(slot).clone()),
+                Some(slot) => (
+                    Box::new(move |f| f.get(slot).clone()),
+                    Some(Box::new(move |f| Some(f.get(slot)))),
+                ),
                 None => {
                     let name = name.clone();
-                    Box::new(move |_| panic!("unbound variable {name} (checker bug)"))
+                    (
+                        Box::new(move |_| panic!("unbound variable {name} (checker bug)")),
+                        None,
+                    )
                 }
             },
             Expr::Ctor { case, args, .. } => {
-                let tag = intern_tag(case);
-                let fields = self.exprs(args);
-                Box::new(move |f| {
-                    Value::Tag(tag.clone(), Arc::new(payload(fields.iter().map(|c| c(f)))))
-                })
+                let (ctor, tag) = symbol::intern(case);
+                let (fields, words) = self.exprs(args);
+                // One field has a constructor slot where its own slot fits;
+                // a tuple of fields never has one.
+                let word = match words {
+                    Some(mut words) if words.len() == 1 => {
+                        let field = words.pop().expect("one field");
+                        Some(
+                            Box::new(move |f: &mut WordFrame<'_>| slot_of_ctor(ctor, field(f)?))
+                                as WordCode,
+                        )
+                    }
+                    _ => None,
+                };
+                (
+                    Box::new(move |f| {
+                        Value::Tag(tag.clone(), Arc::new(payload(fields.iter().map(|c| c(f)))))
+                    }),
+                    word,
+                )
             }
             Expr::Call { func, args, .. } => {
                 let Ok(callee) = self.names.binary_search(&func.as_str()) else {
                     let name = func.clone();
-                    return Box::new(move |_| panic!("call to unknown function {name}"));
+                    return Compiled {
+                        code: Box::new(move |_| panic!("call to unknown function {name}")),
+                        word: None,
+                    };
                 };
-                let args = self.exprs(args);
-                Box::new(move |f| {
-                    let base = f.stack.len();
-                    for arg in &args {
-                        let value = arg(f);
-                        f.stack.push(Slot::Own(value));
-                    }
-                    f.enter(callee, base)
-                })
+                let (args, words) = self.exprs(args);
+                let word = words.map(|words| {
+                    self.calls.push(callee);
+                    Box::new(move |f: &mut WordFrame<'_>| {
+                        let base = f.top;
+                        for arg in &words {
+                            let word = arg(f)?;
+                            f.push(word)?;
+                        }
+                        f.enter(callee, base)
+                    }) as WordCode
+                });
+                (
+                    Box::new(move |f| {
+                        let base = f.stack.len();
+                        for arg in &args {
+                            let value = arg(f);
+                            f.stack.push(Slot::Own(value));
+                        }
+                        f.enter(callee, base)
+                    }),
+                    word,
+                )
             }
             Expr::Tuple(items, _) => {
-                let items = self.exprs(items);
-                Box::new(move |f| Value::tuple(items.iter().map(|c| c(f))))
+                let (items, _) = self.exprs(items);
+                (
+                    Box::new(move |f| Value::tuple(items.iter().map(|c| c(f)))),
+                    None,
+                )
             }
             Expr::SetLit(items, _) => {
-                let items = self.exprs(items);
-                Box::new(move |f| Value::set(items.iter().map(|c| c(f))))
+                let (items, _) = self.exprs(items);
+                (
+                    Box::new(move |f| Value::set(items.iter().map(|c| c(f)))),
+                    None,
+                )
             }
             Expr::Unary { op, expr, .. } => {
-                let operand = self.expr(expr);
+                let Compiled {
+                    code: operand,
+                    word,
+                } = self.expr(expr);
                 match op {
-                    UnOp::Not => Box::new(move |f| {
-                        Value::Bool(!operand(f).as_bool().expect("typechecked Bool"))
-                    }),
-                    UnOp::Neg => Box::new(move |f| {
-                        Value::Int(-operand(f).as_int().expect("typechecked Int"))
-                    }),
+                    UnOp::Not => (
+                        Box::new(move |f| {
+                            Value::Bool(!operand(f).as_bool().expect("typechecked Bool"))
+                        }),
+                        word.map(|word| {
+                            Box::new(move |f: &mut WordFrame<'_>| match word(f)? {
+                                WORD_TRUE => Some(WORD_FALSE),
+                                WORD_FALSE => Some(WORD_TRUE),
+                                _ => None,
+                            }) as WordCode
+                        }),
+                    ),
+                    UnOp::Neg => (
+                        Box::new(move |f| {
+                            Value::Int(-operand(f).as_int().expect("typechecked Int"))
+                        }),
+                        word.map(|word| {
+                            Box::new(move |f: &mut WordFrame<'_>| {
+                                slot_of_int(int_of_slot(word(f)?)?.wrapping_neg())
+                            }) as WordCode
+                        }),
+                    ),
                 }
             }
             Expr::Binary { op, lhs, rhs, .. } => {
                 let (l, r) = (self.expr(lhs), self.expr(rhs));
-                match op {
-                    // The boolean connectives short-circuit.
-                    BinOp::And => Box::new(move |f| {
-                        if l(f).is_true() {
-                            r(f)
-                        } else {
-                            Value::Bool(false)
-                        }
-                    }),
-                    BinOp::Or => Box::new(move |f| {
-                        if l(f).is_true() {
-                            Value::Bool(true)
-                        } else {
-                            r(f)
-                        }
-                    }),
-                    BinOp::Eq => Box::new(move |f| Value::Bool(l(f) == r(f))),
-                    BinOp::Ne => Box::new(move |f| Value::Bool(l(f) != r(f))),
-                    BinOp::Add => int_op(l, r, |x, y| Value::Int(x.wrapping_add(y))),
-                    BinOp::Sub => int_op(l, r, |x, y| Value::Int(x.wrapping_sub(y))),
-                    BinOp::Mul => int_op(l, r, |x, y| Value::Int(x.wrapping_mul(y))),
-                    // Total semantics: division by zero yields zero.
-                    BinOp::Div => int_op(l, r, |x, y| {
-                        Value::Int(if y == 0 { 0 } else { x.wrapping_div(y) })
-                    }),
-                    BinOp::Rem => int_op(l, r, |x, y| {
-                        Value::Int(if y == 0 { 0 } else { x.wrapping_rem(y) })
-                    }),
-                    BinOp::Lt => int_op(l, r, |x, y| Value::Bool(x < y)),
-                    BinOp::Le => int_op(l, r, |x, y| Value::Bool(x <= y)),
-                    BinOp::Gt => int_op(l, r, |x, y| Value::Bool(x > y)),
-                    BinOp::Ge => int_op(l, r, |x, y| Value::Bool(x >= y)),
-                }
+                let word = l.word.zip(r.word).map(|(l, r)| word_binary(*op, l, r));
+                (binary(*op, l.code, r.code), word)
             }
             Expr::If {
                 cond,
@@ -466,13 +678,27 @@ impl<'a> Compiler<'a> {
             } => {
                 let (cond, then, otherwise) =
                     (self.expr(cond), self.expr(then), self.expr(otherwise));
-                Box::new(move |f| {
-                    if cond(f).is_true() {
-                        then(f)
-                    } else {
-                        otherwise(f)
+                let word = match (cond.word, then.word, otherwise.word) {
+                    (Some(cond), Some(then), Some(otherwise)) => {
+                        Some(Box::new(move |f: &mut WordFrame<'_>| match cond(f)? {
+                            WORD_TRUE => then(f),
+                            WORD_FALSE => otherwise(f),
+                            _ => None,
+                        }) as WordCode)
                     }
-                })
+                    _ => None,
+                };
+                let (cond, then, otherwise) = (cond.code, then.code, otherwise.code);
+                (
+                    Box::new(move |f| {
+                        if cond(f).is_true() {
+                            then(f)
+                        } else {
+                            otherwise(f)
+                        }
+                    }),
+                    word,
+                )
             }
             Expr::Let {
                 name, bound, body, ..
@@ -483,18 +709,30 @@ impl<'a> Compiler<'a> {
                 let slot = self.bind(name);
                 let body = self.expr(body);
                 self.release(mark);
-                Box::new(move |f| {
-                    let value = bound(f);
-                    f.set(slot, Slot::Own(value));
-                    body(f)
-                })
+                let word = bound.word.zip(body.word).map(|(bound, body)| {
+                    Box::new(move |f: &mut WordFrame<'_>| {
+                        let word = bound(f)?;
+                        f.set(slot, word);
+                        body(f)
+                    }) as WordCode
+                });
+                let (bound, body) = (bound.code, body.code);
+                (
+                    Box::new(move |f| {
+                        let value = bound(f);
+                        f.set(slot, Slot::Own(value));
+                        body(f)
+                    }),
+                    word,
+                )
             }
             Expr::Match {
                 scrutinee,
                 arms,
                 pos,
-            } => self.match_expr(scrutinee, arms, *pos),
-        }
+            } => return self.match_expr(scrutinee, arms, *pos),
+        };
+        Compiled { code, word }
     }
 
     /// Leaves the scopes entered since `mark` and frees their slots.
@@ -503,7 +741,7 @@ impl<'a> Compiler<'a> {
         self.live = live;
     }
 
-    fn match_expr(&mut self, scrutinee: &'a Expr, arms: &'a [MatchArm], pos: Pos) -> Code {
+    fn match_expr(&mut self, scrutinee: &'a Expr, arms: &'a [MatchArm], pos: Pos) -> Compiled {
         let mark = (self.scope.len(), self.live);
         // `match (a, b)` against tuple patterns is matched component by
         // component, so the tuple is never built on the way to an arm.
@@ -524,18 +762,25 @@ impl<'a> Compiler<'a> {
         // Each part is matched where it lies: a variable in its own slot,
         // anything else in a temporary one.
         let mut evals: Vec<(Code, usize)> = Vec::new();
+        let mut word_evals: Option<Vec<(WordCode, usize)>> = Some(Vec::new());
         let mut places: Vec<usize> = Vec::with_capacity(parts.len());
         for part in parts {
             let bound = match part {
                 Expr::Var(name, _) => self.lookup(name),
                 _ => None,
             };
-            places.push(bound.unwrap_or_else(|| {
-                let code = self.expr(part);
-                let slot = self.alloc();
-                evals.push((code, slot));
-                slot
-            }));
+            if let Some(slot) = bound {
+                places.push(slot);
+                continue;
+            }
+            let compiled = self.expr(part);
+            let slot = self.alloc();
+            evals.push((compiled.code, slot));
+            word_evals = word_evals.zip(compiled.word).map(|(mut evals, word)| {
+                evals.push((word, slot));
+                evals
+            });
+            places.push(slot);
         }
         let matched = if split {
             Source::Tuple(places.clone())
@@ -543,31 +788,77 @@ impl<'a> Compiler<'a> {
             Source::Part(places[0], Vec::new())
         };
 
+        let mut word_arms: Option<Vec<WordArm>> = Some(Vec::new());
         let arms: Vec<Arm> = arms
             .iter()
             .map(|arm| {
                 let arm_mark = (self.scope.len(), self.live);
                 let (mut tests, mut binds) = (Vec::new(), Vec::new());
+                let mut word_tests = Some(Vec::new());
                 match &arm.pat {
                     Pattern::Tuple(pats, _) if split => {
                         for (pat, &place) in pats.iter().zip(&places) {
-                            self.pattern(pat, place, &mut tests, &mut binds);
+                            self.pattern(pat, place, &mut tests, &mut word_tests, &mut binds);
                         }
                     }
                     Pattern::Var(name, _) if split => binds.push(Bind {
                         from: Source::Tuple(places.clone()),
                         to: self.bind(name),
                     }),
-                    pat => self.pattern(pat, places[0], &mut tests, &mut binds),
+                    pat => self.pattern(pat, places[0], &mut tests, &mut word_tests, &mut binds),
                 }
                 let body = self.expr(&arm.body);
                 self.release(arm_mark);
-                Arm { tests, binds, body }
+                let word_binds: Option<Vec<(usize, usize, usize)>> = binds
+                    .iter()
+                    .map(|bind| {
+                        bind.from
+                            .words()
+                            .map(|(slot, payloads)| (slot, payloads, bind.to))
+                    })
+                    .collect();
+                word_arms = match (word_arms.take(), word_tests, word_binds, body.word) {
+                    (Some(mut arms), Some(tests), Some(binds), Some(body)) => {
+                        arms.push(WordArm { tests, binds, body });
+                        Some(arms)
+                    }
+                    _ => None,
+                };
+                Arm {
+                    tests,
+                    binds,
+                    body: body.code,
+                }
             })
             .collect();
         self.release(mark);
 
-        Box::new(move |f| {
+        let word = word_evals.zip(word_arms).map(|(evals, arms)| {
+            Box::new(move |f: &mut WordFrame<'_>| {
+                for (code, slot) in &evals {
+                    let word = code(f)?;
+                    f.set(*slot, word);
+                }
+                'arms: for arm in &arms {
+                    for (place, test) in &arm.tests {
+                        if !test(f.get(*place))? {
+                            continue 'arms;
+                        }
+                    }
+                    for &(slot, payloads, to) in &arm.binds {
+                        let mut word = f.get(slot);
+                        for _ in 0..payloads {
+                            word = ctor_of_slot(word)?.1;
+                        }
+                        f.set(to, word);
+                    }
+                    return (arm.body)(f);
+                }
+                // No arm matches: the boxed call panics with the value.
+                None
+            }) as WordCode
+        });
+        let code = Box::new(move |f: &mut Frame<'_>| {
             for (code, slot) in &evals {
                 let value = code(f);
                 f.set(*slot, Slot::Own(value));
@@ -587,20 +878,30 @@ impl<'a> Compiler<'a> {
                 "non-exhaustive match at {pos}: no arm matches {}",
                 value.value()
             )
-        })
+        });
+        Compiled { code, word }
     }
 
     /// Compiles `pat` against the value in slot `place`: its test, if it
-    /// can fail, and a bind per variable.
+    /// can fail — boxed, and on words while every test so far has word
+    /// code — and a bind per variable.
     fn pattern(
         &mut self,
         pat: &'a Pattern,
         place: usize,
         tests: &mut Vec<(usize, Test)>,
+        word_tests: &mut Option<Vec<(usize, WordTest)>>,
         binds: &mut Vec<Bind>,
     ) {
         if let Some(test) = pattern_test(pat) {
             tests.push((place, test));
+            *word_tests = word_tests
+                .take()
+                .zip(word_test(pat))
+                .map(|(mut tests, test)| {
+                    tests.push((place, test));
+                    tests
+                });
         }
         self.pattern_binds(pat, place, &mut Vec::new(), binds);
     }
@@ -645,10 +946,94 @@ impl<'a> Compiler<'a> {
     }
 }
 
+/// The boxed code of a binary operator.
+fn binary(op: BinOp, l: Code, r: Code) -> Code {
+    match op {
+        // The boolean connectives short-circuit.
+        BinOp::And => Box::new(move |f| {
+            if l(f).is_true() {
+                r(f)
+            } else {
+                Value::Bool(false)
+            }
+        }),
+        BinOp::Or => Box::new(move |f| {
+            if l(f).is_true() {
+                Value::Bool(true)
+            } else {
+                r(f)
+            }
+        }),
+        BinOp::Eq => Box::new(move |f| Value::Bool(l(f) == r(f))),
+        BinOp::Ne => Box::new(move |f| Value::Bool(l(f) != r(f))),
+        BinOp::Add => int_op(l, r, |x, y| Value::Int(x.wrapping_add(y))),
+        BinOp::Sub => int_op(l, r, |x, y| Value::Int(x.wrapping_sub(y))),
+        BinOp::Mul => int_op(l, r, |x, y| Value::Int(x.wrapping_mul(y))),
+        // Total semantics: division by zero yields zero.
+        BinOp::Div => int_op(l, r, |x, y| {
+            Value::Int(if y == 0 { 0 } else { x.wrapping_div(y) })
+        }),
+        BinOp::Rem => int_op(l, r, |x, y| {
+            Value::Int(if y == 0 { 0 } else { x.wrapping_rem(y) })
+        }),
+        BinOp::Lt => int_op(l, r, |x, y| Value::Bool(x < y)),
+        BinOp::Le => int_op(l, r, |x, y| Value::Bool(x <= y)),
+        BinOp::Gt => int_op(l, r, |x, y| Value::Bool(x > y)),
+        BinOp::Ge => int_op(l, r, |x, y| Value::Bool(x >= y)),
+    }
+}
+
 fn int_op(l: Code, r: Code, op: impl Fn(i64, i64) -> Value + Send + Sync + 'static) -> Code {
     Box::new(move |f| {
         let x = l(f).as_int().expect("typechecked Int");
         let y = r(f).as_int().expect("typechecked Int");
+        op(x, y)
+    })
+}
+
+/// The word code of a binary operator: the boxed code's semantics on
+/// slots. Equality compares slots, which is value equality; an integer
+/// operation reads inline integers and declines where its result has no
+/// inline slot.
+fn word_binary(op: BinOp, l: WordCode, r: WordCode) -> WordCode {
+    let truth = |b: bool| if b { WORD_TRUE } else { WORD_FALSE };
+    match op {
+        BinOp::And => Box::new(move |f| match l(f)? {
+            WORD_TRUE => r(f),
+            WORD_FALSE => Some(WORD_FALSE),
+            _ => None,
+        }),
+        BinOp::Or => Box::new(move |f| match l(f)? {
+            WORD_TRUE => Some(WORD_TRUE),
+            WORD_FALSE => r(f),
+            _ => None,
+        }),
+        BinOp::Eq => Box::new(move |f| Some(truth(l(f)? == r(f)?))),
+        BinOp::Ne => Box::new(move |f| Some(truth(l(f)? != r(f)?))),
+        BinOp::Add => word_int_op(l, r, |x, y| slot_of_int(x.wrapping_add(y))),
+        BinOp::Sub => word_int_op(l, r, |x, y| slot_of_int(x.wrapping_sub(y))),
+        BinOp::Mul => word_int_op(l, r, |x, y| slot_of_int(x.wrapping_mul(y))),
+        BinOp::Div => word_int_op(l, r, |x, y| {
+            slot_of_int(if y == 0 { 0 } else { x.wrapping_div(y) })
+        }),
+        BinOp::Rem => word_int_op(l, r, |x, y| {
+            slot_of_int(if y == 0 { 0 } else { x.wrapping_rem(y) })
+        }),
+        BinOp::Lt => word_int_op(l, r, move |x, y| Some(truth(x < y))),
+        BinOp::Le => word_int_op(l, r, move |x, y| Some(truth(x <= y))),
+        BinOp::Gt => word_int_op(l, r, move |x, y| Some(truth(x > y))),
+        BinOp::Ge => word_int_op(l, r, move |x, y| Some(truth(x >= y))),
+    }
+}
+
+fn word_int_op(
+    l: WordCode,
+    r: WordCode,
+    op: impl Fn(i64, i64) -> Option<u64> + Send + Sync + 'static,
+) -> WordCode {
+    Box::new(move |f| {
+        let x = int_of_slot(l(f)?)?;
+        let y = int_of_slot(r(f)?)?;
         op(x, y)
     })
 }
@@ -690,6 +1075,43 @@ fn items_test(pats: &[Pattern]) -> Test {
             .all(|(test, item)| test.as_ref().is_none_or(|test| test(item))),
         _ => false,
     })
+}
+
+/// [`pattern_test`] on slots, for a pattern that can fail: `None` where
+/// word code has no test for it — a literal with no inline slot, a tuple
+/// (no tuple has one), a constructor of several fields or one whose
+/// values all spill. A literal or a nullary constructor is one slot, and
+/// equal values have equal slots; a constructor of one field reads an
+/// inline constructor slot and does not tell on any other.
+fn word_test(pat: &Pattern) -> Option<WordTest> {
+    match pat {
+        Pattern::Lit(l, _) => {
+            let lit = inline_slot(&lit_value(l))?;
+            Some(Box::new(move |word| Some(word == lit)))
+        }
+        Pattern::Ctor { case, args, .. } => {
+            let ctor = symbol::intern(case).0;
+            let nullary = slot_of_ctor(ctor, inline_slot(&Value::Unit)?)?;
+            match args.as_slice() {
+                [] => Some(Box::new(move |word| Some(word == nullary))),
+                [only] => {
+                    let on_payload = match pattern_test(only) {
+                        Some(_) => Some(word_test(only)?),
+                        None => None,
+                    };
+                    Some(Box::new(move |word| {
+                        let (of, payload) = ctor_of_slot(word)?;
+                        if of != ctor {
+                            return Some(false);
+                        }
+                        on_payload.as_ref().map_or(Some(true), |test| test(payload))
+                    }))
+                }
+                _ => None,
+            }
+        }
+        Pattern::Wildcard(_) | Pattern::Var(..) | Pattern::Tuple(..) => None,
+    }
 }
 /// The tree-walking evaluator this module's compiled form replaced: one
 /// `match` on the AST per node per call, variables found by name. Kept
@@ -882,6 +1304,12 @@ mod tests {
     use crate::typeck::check;
     use flix_lattice::rng::SmallRng;
     use std::collections::BTreeSet;
+
+    thread_local! {
+        /// The boxed calls made on this thread: what a test of the word
+        /// path counts.
+        pub(super) static BOXED_CALLS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+    }
 
     fn interp_of(src: &str) -> Interpreter {
         let checked = check(&parse(src).expect("parses")).expect("checks");
@@ -1449,11 +1877,14 @@ mod tests {
     /// SNIPPETS.md's `pattern_match_deterministic` and
     /// `expr_eval_deterministic` obligations, executable: on generated
     /// well-typed defs the compiled code returns what the tree-walker
-    /// returns and panics with the message it panics with.
+    /// returns and panics with the message it panics with. Where the
+    /// arguments have inline slots, the word code answers with the slot of
+    /// that value or declines — always where the boxed call panics.
     #[test]
     fn compiled_code_agrees_with_the_reference_evaluator() {
         let mut seen = BTreeSet::new();
         let (mut returned, mut panicked) = (0, 0);
+        let (mut answered, mut declined) = (0, 0);
         for seed in 0..200 {
             let mut gen = Gen {
                 rng: SmallRng::seed_from_u64(0x1A06_2100 + seed),
@@ -1474,6 +1905,22 @@ mod tests {
                     let got = outcome(|| compiled.call(&name, &args));
                     let expected = outcome(|| reference::call(&checked, &name, &args));
                     assert_eq!(got, expected, "{name}({args:?}) in\n{source}");
+                    let def = compiled.resolve(&name);
+                    let slots: Option<Vec<u64>> = args.iter().map(inline_slot).collect();
+                    if let (Some(_), Some(slots)) = (compiled.word_arity(def), slots) {
+                        match (compiled.call_words(def, &slots), &got) {
+                            (None, _) => declined += 1,
+                            (Some(word), Ok(value)) => {
+                                let at = format!("{name}({args:?}) = {value} in\n{source}");
+                                assert_eq!(Some(word), inline_slot(value), "{at}");
+                                answered += 1;
+                            }
+                            (Some(word), Err(message)) => panic!(
+                                "word code answered {word:#x} where {name}({args:?}) panics \
+                                 with {message} in\n{source}"
+                            ),
+                        }
+                    }
                     match got {
                         Ok(_) => returned += 1,
                         Err(_) => panicked += 1,
@@ -1489,5 +1936,120 @@ mod tests {
             returned > 5_000 && panicked > 100,
             "{returned} calls returned, {panicked} panicked"
         );
+        assert!(
+            answered > 1_000,
+            "word code answered {answered} calls and declined {declined}"
+        );
+    }
+
+    /// On a program shaped like the `flixr_pipeline` benchmark's — §4.4's
+    /// shortest paths, its lattice and `plus` written in FLIX, over a
+    /// generated graph — every operand of the solve fits a slot, and the
+    /// solve calls no boxed `leq`, `lub`, `glb` or `plus`.
+    #[test]
+    fn a_shortest_paths_solve_runs_on_words_only() {
+        let mut rng = SmallRng::seed_from_u64(0x5107);
+        let mut source = String::from(
+            "enum Dist { case Fin(Int), case Inf }
+             def leq(a: Dist, b: Dist): Bool = match (a, b) with {
+               case (Dist.Inf, _) => true
+               case (_, Dist.Inf) => false
+               case (Dist.Fin(x), Dist.Fin(y)) => x >= y
+             }
+             def lub(a: Dist, b: Dist): Dist = match (a, b) with {
+               case (Dist.Inf, x) => x
+               case (x, Dist.Inf) => x
+               case (Dist.Fin(x), Dist.Fin(y)) => if (x <= y) Dist.Fin(x) else Dist.Fin(y)
+             }
+             def glb(a: Dist, b: Dist): Dist = match (a, b) with {
+               case (Dist.Inf, _) => Dist.Inf
+               case (_, Dist.Inf) => Dist.Inf
+               case (Dist.Fin(x), Dist.Fin(y)) => if (x >= y) Dist.Fin(x) else Dist.Fin(y)
+             }
+             let Dist<> = (Dist.Inf, Dist.Fin(0), leq, lub, glb);
+             def plus(d: Dist, c: Int): Dist = match d with {
+               case Dist.Inf => Dist.Inf
+               case Dist.Fin(x) => Dist.Fin(x + c)
+             }
+             rel Edge(x: Str, y: Str, c: Int);
+             lat Reach(node: Str, Dist<>);
+             Reach(y, plus(d, c)) :- Reach(x, d), Edge(x, y, c).
+             Reach(\"n0\", Dist.Fin(0)).
+            ",
+        );
+        let nodes = 300;
+        for n in 1..nodes {
+            let c = 1 + rng.index(100);
+            source.push_str(&format!("Edge(\"n{}\", \"n{n}\", {c}).\n", n - 1));
+        }
+        for _ in 0..3 * nodes {
+            let (x, y, c) = (rng.index(nodes), rng.index(nodes), 1 + rng.index(100));
+            source.push_str(&format!("Edge(\"n{x}\", \"n{y}\", {c}).\n"));
+        }
+        let program = crate::compile(&source).expect("compiles");
+        let solver = flix_core::Solver::new();
+        let before = BOXED_CALLS.with(|calls| calls.get());
+        let solution = solver.solve(&program).expect("solves");
+        let boxed = BOXED_CALLS.with(|calls| calls.get()) - before;
+        assert_eq!(solution.len("Reach"), Some(nodes));
+        assert!(solution.stats().facts_derived > 2 * nodes as u64);
+        assert_eq!(boxed, 0, "the solve made {boxed} boxed calls");
+        // The same program lowered without word code calls them boxed.
+        let boxed_reference = program.boxed_reference();
+        let before = BOXED_CALLS.with(|calls| calls.get());
+        solver.solve(&boxed_reference).expect("solves");
+        assert!(BOXED_CALLS.with(|calls| calls.get()) - before > 2 * nodes as u64);
+    }
+
+    #[test]
+    fn word_code_declines_where_it_cannot_answer_exactly() {
+        let i = interp_of(
+            "enum Dist { case Fin(Int), case Inf }
+             def plus(d: Dist, c: Int): Dist = match d with {
+               case Dist.Inf => Dist.Inf
+               case Dist.Fin(x) => Dist.Fin(x + c)
+             }
+             def add(x: Int, c: Int): Int = x + c
+             def only(d: Dist): Int = match d with { case Dist.Fin(x) => x }
+             def count(n: Int): Int = if (n <= 0) 0 else 1 + count(n - 1)
+             def pair(x: Int): (Int, Int) = (x, x)
+             def first(x: Int): Int = match pair(x) with { case (a, _) => a }",
+        );
+        let int = |n: i64| inline_slot(&Value::Int(n)).expect("inline");
+        let fin = |n: i64| inline_slot(&Value::tag("Fin", Value::Int(n)));
+        let inf = inline_slot(&Value::tag0("Inf")).expect("inline");
+        let words = |name: &str, args: &[u64]| i.call_words(i.resolve(name), args);
+        assert_eq!(words("plus", &[fin(2).expect("inline"), int(3)]), fin(5));
+        assert_eq!(words("plus", &[inf, int(3)]), Some(inf));
+        // A payload past the inline range, and a sum past the inline
+        // integers or wrapping at `i64::MAX`, decline; the boxed call
+        // answers.
+        let edge = (1 << 33) - 1;
+        assert_eq!(fin(edge + 1), None);
+        assert_eq!(words("plus", &[fin(edge).expect("inline"), int(1)]), None);
+        let widest = (1 << 60) - 1;
+        assert_eq!(words("add", &[int(widest), int(0)]), Some(int(widest)));
+        assert_eq!(words("add", &[int(widest), int(1)]), None);
+        assert_eq!(
+            i.call("add", &[Value::Int(i64::MAX), Value::Int(1)]),
+            Value::Int(i64::MIN)
+        );
+        // No arm matches: declined, and the boxed call panics.
+        assert_eq!(words("only", &[inf]), None);
+        let message = outcome(|| i.call("only", &[Value::tag0("Inf")]));
+        assert!(
+            message
+                .as_ref()
+                .is_err_and(|m| m.starts_with("non-exhaustive match at")),
+            "{message:?}"
+        );
+        // Deep recursion declines before the boxed limit panics.
+        assert_eq!(words("count", &[int(3)]), Some(int(3)));
+        assert_eq!(words("count", &[int(MAX_CALL_DEPTH as i64)]), None);
+        // A def that builds a tuple has no word code, nor its callers.
+        for name in ["pair", "first"] {
+            assert_eq!(i.word_arity(i.resolve(name)), None, "{name}");
+        }
+        assert_eq!(i.word_arity(i.resolve("plus")), Some(2));
     }
 }

@@ -3,7 +3,12 @@
 //! Lattice bindings become [`LatticeOps`] whose operations call the
 //! compiled `def`s of [`crate::interp`] by index; `def` functions are
 //! registered as engine functions the same way; predicates, facts, and
-//! rules map one-to-one onto the [`flix_core::ProgramBuilder`] API.
+//! rules map one-to-one onto the [`flix_core::ProgramBuilder`] API. A
+//! `def` with word code is also registered as its function's word form
+//! over slots ([`flix_core::ProgramBuilder::word_form`]), and a lattice
+//! whose `leq`, `lub` and `glb` all have word code and whose ⊥ has an
+//! inline slot gets them as its word forms
+//! ([`LatticeOps::with_word_forms`]): its cells are then slots.
 //!
 //! The checker has already evaluated every fact into its tuple
 //! ([`CheckedProgram::facts`]). Lowering moves those tuples into the
@@ -15,7 +20,8 @@ use crate::error::LangError;
 use crate::interp::{ctor_value, lit_value, Interpreter};
 use crate::typeck::{CheckedBodyItem, CheckedProgram};
 use flix_core::{
-    BodyItem, FuncId, Head, HeadTerm, LatticeOps, PredId, Program, ProgramBuilder, Term, Value,
+    inline_slot, BodyItem, FuncId, Head, HeadTerm, LatticeOps, PredId, Program, ProgramBuilder,
+    Term, Value, WordType,
 };
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -69,10 +75,15 @@ pub fn lower(mut checked: Arc<CheckedProgram>) -> Result<Program, LangError> {
     let mut func_ids: HashMap<String, FuncId> = HashMap::new();
     for (def, name) in interp.names().enumerate() {
         let i = interp.clone();
-        func_ids.insert(
-            name.to_string(),
-            b.function(name, move |args| i.call_at(def, args)),
-        );
+        let id = b.function(name, move |args| i.call_at(def, args));
+        if let Some(arity) = interp.word_arity(def) {
+            let i = interp.clone();
+            let params = vec![WordType::Slot; arity];
+            b.word_form(id, params, WordType::Slot, move |args| {
+                i.call_words(def, args).unwrap_or(DECLINED)
+            });
+        }
+        func_ids.insert(name.to_string(), id);
     }
 
     for (pred, tuple) in facts {
@@ -99,6 +110,10 @@ pub fn lower(mut checked: Arc<CheckedProgram>) -> Result<Program, LangError> {
         .map_err(|e| LangError::lower(Default::default(), e.to_string()))
 }
 
+/// What a word form answers where the word code declines: a word that is
+/// no slot.
+const DECLINED: u64 = u64::MAX;
+
 /// Builds the runtime [`LatticeOps`] for one surface lattice binding;
 /// shared with the safety checker of [`crate::verify`].
 pub(crate) fn ops_for_binding(interp: &Interpreter, ty: &str, bind: &LatticeBind) -> LatticeOps {
@@ -109,14 +124,29 @@ pub(crate) fn ops_for_binding(interp: &Interpreter, ty: &str, bind: &LatticeBind
         move |a: &Value, b: &Value| interp.call_at(def, [a, b])
     };
     let leq = op(&bind.leq);
-    LatticeOps::from_fns(
+    let inline_bottom = inline_slot(&bot).is_some();
+    let ops = LatticeOps::from_fns(
         ty.to_string(),
         bot,
         Some(top),
         move |a, b| leq(a, b).is_true(),
         op(&bind.lub),
         op(&bind.glb),
-    )
+    );
+    let word = |name: &str| {
+        let (interp, def) = (interp.clone(), interp.resolve(name));
+        (interp.word_arity(def) == Some(2))
+            .then_some(move |a: u64, b: u64| interp.call_words(def, &[a, b]).unwrap_or(DECLINED))
+    };
+    match (
+        inline_bottom,
+        word(&bind.leq),
+        word(&bind.lub),
+        word(&bind.glb),
+    ) {
+        (true, Some(leq), Some(lub), Some(glb)) => ops.with_word_forms(leq, lub, glb),
+        _ => ops,
+    }
 }
 
 /// Evaluates a ground rule term (literal or constructor) to a value.

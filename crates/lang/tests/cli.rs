@@ -880,6 +880,140 @@ fn a_rejected_update_never_reaches_the_write_ahead_log() {
     assert!(stdout.contains("Path(1, 5)"), "{stdout}");
 }
 
+/// `T.Node(` … `T.Leaf` … `)`, `depth` levels deep: a leaf is one level
+/// (a constructor around unit), each `T.Node` one more.
+fn nested(depth: usize) -> String {
+    let nodes = depth - 1;
+    format!("{}T.Leaf{}", "T.Node(".repeat(nodes), ")".repeat(nodes))
+}
+
+const NESTED: &str = "
+    enum T { case Leaf, case Node(T) }
+    rel A(x: T);
+    A(T.Leaf).
+";
+
+/// One bound on nesting, `MAX_VALUE_DEPTH` = 64, applied where a value
+/// enters a model: an update holding a value one level past it exits 2
+/// and leaves the log byte for byte as it was, so the next open replays
+/// every acknowledged update; a value exactly at the bound is logged and
+/// read back; a program whose fact is past it is refused before anything
+/// is written.
+#[test]
+fn a_value_nested_past_the_bound_never_reaches_the_log() {
+    let scratch = Scratch::new("nested-update");
+    let wal = scratch.path("deltas.wal");
+    let file = write_temp("nested-update.flix", NESTED);
+    let run = |update: Option<&std::path::Path>| {
+        let mut cmd = flixr();
+        cmd.arg("--wal").arg(&wal);
+        if let Some(update) = update {
+            cmd.arg("--update").arg(update);
+        }
+        cmd.arg(&file).output().expect("runs")
+    };
+    let at_bound = write_temp("nested-update-64.flix", &format!("A({}).", nested(64)));
+    let output = run(Some(&at_bound));
+    assert!(output.status.success(), "{output:?}");
+    let logged = std::fs::read(&wal).expect("log");
+
+    for depth in [65, 100] {
+        let past = write_temp(
+            &format!("nested-update-{depth}.flix"),
+            &format!("A({}).", nested(depth)),
+        );
+        let output = run(Some(&past));
+        assert_eq!(output.status.code(), Some(2), "{depth}: {output:?}");
+        let stderr = String::from_utf8(output.stderr).expect("utf8");
+        assert!(stderr.contains("nested deeper than 64 levels"), "{stderr}");
+        assert!(output.stdout.is_empty());
+        assert_eq!(
+            std::fs::read(&wal).expect("log"),
+            logged,
+            "{depth}: nothing appended"
+        );
+    }
+
+    // The next open replays the update at the bound, with no warning.
+    let output = run(None);
+    assert!(output.status.success(), "{output:?}");
+    assert!(output.stderr.is_empty(), "{output:?}");
+    let stdout = String::from_utf8(output.stdout).expect("utf8");
+    let deepest = format!("A({})", nested(64).replace("T.", ""));
+    assert!(stdout.contains(&deepest), "{stdout}");
+
+    // A fact past the bound in the program itself: refused at exit 2, and
+    // no log is created.
+    let fresh = scratch.path("fresh.wal");
+    let deep = write_temp(
+        "nested-program.flix",
+        &format!("{NESTED}\nA({}).", nested(65)),
+    );
+    let output = flixr()
+        .arg("--wal")
+        .arg(&fresh)
+        .arg(&deep)
+        .output()
+        .expect("runs");
+    assert_eq!(output.status.code(), Some(2), "{output:?}");
+    assert!(!fresh.exists(), "no log written");
+}
+
+/// A `def` whose result nests past the bound fails the solve with a
+/// named violation (exit 3) instead of putting the value in the model:
+/// the snapshot saved before is not overwritten, so none is left that
+/// the next open cannot read, and the next open, replaying the logged
+/// update, fails the same way rather than dropping it.
+#[test]
+fn a_derived_value_nested_past_the_bound_fails_with_a_named_violation() {
+    let scratch = Scratch::new("nested-derived");
+    let (wal, snapshot) = (scratch.path("deltas.wal"), scratch.path("model.snap"));
+    let file = write_temp(
+        "nested-derived.flix",
+        "
+        enum T { case Leaf, case Node(T) }
+        def wrap(n: Int): T = if (n <= 0) T.Leaf else T.Node(wrap(n - 1))
+        rel B(n: Int);
+        rel A(x: T);
+        B(63).
+        A(wrap(n)) :- B(n).
+        ",
+    );
+    let update = write_temp("nested-derived-update.flix", "B(64).");
+    let run = |update: Option<&std::path::Path>| {
+        let mut cmd = flixr();
+        cmd.arg("--wal").arg(&wal).arg("--save").arg(&snapshot);
+        cmd.args(["--compact-every", "1"]);
+        if let Some(update) = update {
+            cmd.arg("--update").arg(update);
+        }
+        cmd.arg(&file).output().expect("runs")
+    };
+    let output = run(None);
+    assert!(output.status.success(), "{output:?}");
+    let saved = std::fs::read(&snapshot).expect("the model at the bound is saved");
+
+    for update in [Some(&update), None] {
+        let output = run(update.map(|p| p.as_path()));
+        assert_eq!(output.status.code(), Some(3), "{output:?}");
+        let stderr = String::from_utf8(output.stderr).expect("utf8");
+        assert!(
+            stderr.contains("wrap returned a value nested deeper than 64 levels"),
+            "{stderr}"
+        );
+        assert_eq!(
+            std::fs::read(&snapshot).expect("snapshot"),
+            saved,
+            "not overwritten"
+        );
+    }
+    // What is on disk opens.
+    let output = flixr().arg("--load").arg(&snapshot).arg(&file).output();
+    let output = output.expect("runs");
+    assert!(output.status.success(), "{output:?}");
+    assert!(output.stderr.is_empty(), "{output:?}");
+}
+
 /// Update text holds facts only, typed against the program it updates:
 /// a re-declaration (matching or not), an ill-typed retraction, a rule,
 /// a `def` — however deep its body — each exits 2 with a positioned

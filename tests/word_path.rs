@@ -18,6 +18,13 @@
 //! no kind, with and without `extend`'s word form, through every entry
 //! point: a solve, a resume, a query on demand and a recovery.
 //!
+//! Surface lattices and `def`s (DESIGN §6, §15) are held to the same
+//! program lowered with boxed `Interpreter::call` closures only: every
+//! shipped example and generated programs whose lattices carry payloads
+//! agree on models, counters, event logs, `explain` trees and snapshot
+//! and log bytes; where word code declines, the boxed call answers or
+//! fails the same way.
+//!
 //! The store, too, keeps words only: the decoded rows the public reads
 //! lend are built by the first read, so a solve or a resume — Figures 2,
 //! 4, 5 and 6 and a join that binds a boxed register, with an ascent
@@ -32,6 +39,11 @@ use flix::analyses::shortest_paths;
 use flix::analyses::workloads::graphs::{self, WeightedGraph};
 use flix::analyses::workloads::jvm_program::{self, GenParams};
 use flix::core::{model, LatticeKind, SolveStats, WordType};
+use flix::lang::ast::RuleTerm;
+use flix::lang::interp::lit_value;
+use flix::lang::typeck::{CheckedBodyItem, CheckedProgram};
+use flix::lang::Interpreter;
+use flix::lattice::rng::SmallRng;
 use flix::lattice::{Lattice, MinCost};
 use flix::{
     save_snapshot, AscentConfig, AscentWarning, BodyItem, Delta, DeltaLog, DeltaOp, Head, HeadTerm,
@@ -39,6 +51,7 @@ use flix::{
     ValueLattice,
 };
 use golden::{flat_programs, STRATEGIES};
+use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::sync::{Arc, Mutex};
 
@@ -485,6 +498,485 @@ fn a_solve_and_a_resume_build_no_decoded_rows() {
                     .any(|key| key == warning.key.as_slice()),
                 "{label}: {warning:?}"
             );
+        }
+    }
+}
+
+/// A checked surface program lowered with nothing but boxed calls: each
+/// lattice's operations and each `def` call `Interpreter::call`, and no
+/// word form is registered — the reference `flix_lang::lower`'s word
+/// code and word lattices are held to.
+fn lower_boxed(checked: &CheckedProgram) -> Program {
+    let interp = Interpreter::new(Arc::new(checked.clone()));
+    let mut b = ProgramBuilder::new();
+    let binary = |name: &str| {
+        let (interp, name) = (interp.clone(), name.to_string());
+        move |x: &Value, y: &Value| interp.call(&name, &[x.clone(), y.clone()])
+    };
+    let mut lattices: HashMap<&str, LatticeOps> = HashMap::new();
+    for (ty, bind) in &checked.lattices {
+        let leq = binary(&bind.leq);
+        let ops = LatticeOps::from_fns(
+            ty.as_str(),
+            interp.eval_closed(&bind.bot),
+            Some(interp.eval_closed(&bind.top)),
+            move |x, y| leq(x, y).is_true(),
+            binary(&bind.lub),
+            binary(&bind.glb),
+        );
+        lattices.insert(ty, ops);
+    }
+    let mut preds = HashMap::new();
+    for name in &checked.pred_order {
+        let sig = &checked.preds[name];
+        let id = match &sig.lattice_ty {
+            Some(ty) => b.lattice(
+                name.as_str(),
+                sig.attrs.len(),
+                lattices[ty.as_str()].clone(),
+            ),
+            None => b.relation(name.as_str(), sig.attrs.len()),
+        };
+        preds.insert(name.as_str(), id);
+    }
+    let mut names: Vec<&String> = checked.defs.keys().collect();
+    names.sort();
+    let mut funcs = HashMap::new();
+    for name in names {
+        let (interp, called) = (interp.clone(), name.clone());
+        let id = b.function(name.as_str(), move |args| interp.call(&called, args));
+        funcs.insert(name.as_str(), id);
+    }
+    for (pred, tuple) in &checked.facts {
+        b.fact(preds[pred.as_str()], tuple.clone());
+    }
+    fn ground(t: &RuleTerm) -> Value {
+        match t {
+            RuleTerm::Lit(lit, _) => lit_value(lit),
+            RuleTerm::Ctor { case, args, .. } => match args.as_slice() {
+                [] => Value::tag0(case.as_str()),
+                [only] => Value::tag(case.as_str(), ground(only)),
+                args => Value::tag(case.as_str(), Value::tuple(args.iter().map(ground))),
+            },
+            other => unreachable!("not ground: {other:?}"),
+        }
+    }
+    let term = |t: &RuleTerm| match t {
+        RuleTerm::Var(name, _) => Term::var(name.as_str()),
+        RuleTerm::Wildcard(_) => Term::Wildcard,
+        other => Term::Lit(ground(other)),
+    };
+    for rule in &checked.constraints {
+        let head = rule.head.terms.iter().map(|t| match t {
+            RuleTerm::Var(name, _) => HeadTerm::var(name.as_str()),
+            RuleTerm::App { func, args, .. } => {
+                HeadTerm::app(funcs[func.as_str()], args.iter().map(term))
+            }
+            other => HeadTerm::Lit(ground(other)),
+        });
+        let body = rule.body.iter().map(|item| match item {
+            CheckedBodyItem::Atom(atom) => {
+                BodyItem::atom(preds[atom.pred.as_str()], atom.terms.iter().map(term))
+            }
+            CheckedBodyItem::NegAtom(atom) => {
+                BodyItem::not(preds[atom.pred.as_str()], atom.terms.iter().map(term))
+            }
+            CheckedBodyItem::Filter { func, args } => {
+                BodyItem::filter(funcs[func.as_str()], args.iter().map(term))
+            }
+            CheckedBodyItem::Choose { binds, func, args } => BodyItem::Choose {
+                func: funcs[func.as_str()],
+                args: args.iter().map(term).collect(),
+                binds: binds.iter().map(|b| b.as_str().into()).collect(),
+            },
+        });
+        let head = Head::new(preds[rule.head.pred.as_str()], head.collect::<Vec<_>>());
+        b.rule(head, body.collect::<Vec<_>>());
+    }
+    b.build().expect("the checked program lowers")
+}
+
+/// Whether the lattice of predicate `name` runs its cells as slots: its
+/// operations carry word forms.
+fn has_word_forms(program: &Program, name: &str) -> bool {
+    let (_, decl) = program
+        .predicates()
+        .find(|(_, d)| d.name() == name)
+        .expect("declared");
+    let ops = decl.lattice_ops().expect("a lattice");
+    format!("{ops:?}").contains("word_forms: true")
+}
+
+/// §4.4's `Dist`, a flat points-to lattice over strings and an interval
+/// lattice of pairs (no word code: a constructor of two fields), all
+/// written in FLIX, over a graph of `nodes` nodes drawn from `seed`.
+/// Costs are small, past the inline payload range (2³³), or — into sink
+/// nodes that lead nowhere, so no cycle runs through them — near
+/// `i64::MAX`, where `plus` wraps. `Both` meets two cells (its variable is
+/// boxed), `Seen` keeps elements as keys, `Far` negates a cell, and the
+/// `Points` relation runs a flat lattice around cycles.
+fn generated_surface(seed: u64, nodes: usize) -> (String, Vec<String>) {
+    let mut rng = SmallRng::seed_from_u64(seed);
+    let mut text = String::from(
+        r#"
+enum Dist { case Fin(Int), case Inf }
+def leq(a: Dist, b: Dist): Bool = match (a, b) with {
+  case (Dist.Inf, _) => true
+  case (_, Dist.Inf) => false
+  case (Dist.Fin(x), Dist.Fin(y)) => x >= y
+}
+def lub(a: Dist, b: Dist): Dist = match (a, b) with {
+  case (Dist.Inf, x) => x
+  case (x, Dist.Inf) => x
+  case (Dist.Fin(x), Dist.Fin(y)) => if (x <= y) Dist.Fin(x) else Dist.Fin(y)
+}
+def glb(a: Dist, b: Dist): Dist = match (a, b) with {
+  case (Dist.Inf, _) => Dist.Inf
+  case (_, Dist.Inf) => Dist.Inf
+  case (Dist.Fin(x), Dist.Fin(y)) => if (x >= y) Dist.Fin(x) else Dist.Fin(y)
+}
+let Dist<> = (Dist.Inf, Dist.Fin(0), leq, lub, glb);
+def plus(d: Dist, c: Int): Dist = match d with {
+  case Dist.Inf => Dist.Inf
+  case Dist.Fin(x) => Dist.Fin(x + c)
+}
+def small(d: Dist): Bool = match d with {
+  case Dist.Fin(x) => x < 12
+  case _ => false
+}
+
+enum Ptr { case Nil, case Single(Str), case Many }
+def pleq(a: Ptr, b: Ptr): Bool = match (a, b) with {
+  case (Ptr.Nil, _) => true
+  case (_, Ptr.Many) => true
+  case (Ptr.Single(x), Ptr.Single(y)) => x == y
+  case _ => false
+}
+def plub(a: Ptr, b: Ptr): Ptr = match (a, b) with {
+  case (Ptr.Nil, x) => x
+  case (x, Ptr.Nil) => x
+  case (Ptr.Single(x), Ptr.Single(y)) => if (x == y) Ptr.Single(x) else Ptr.Many
+  case _ => Ptr.Many
+}
+def pglb(a: Ptr, b: Ptr): Ptr = match (a, b) with {
+  case (Ptr.Many, x) => x
+  case (x, Ptr.Many) => x
+  case (Ptr.Single(x), Ptr.Single(y)) => if (x == y) Ptr.Single(x) else Ptr.Nil
+  case _ => Ptr.Nil
+}
+let Ptr<> = (Ptr.Nil, Ptr.Many, pleq, plub, pglb);
+def single(s: Str): Ptr = Ptr.Single(s)
+
+enum Iv { case Empty, case Range(Int, Int) }
+def ileq(a: Iv, b: Iv): Bool = match (a, b) with {
+  case (Iv.Empty, _) => true
+  case (Iv.Range(l, h), Iv.Range(m, k)) => m <= l && h <= k
+  case _ => false
+}
+def ilub(a: Iv, b: Iv): Iv = match (a, b) with {
+  case (Iv.Empty, x) => x
+  case (x, Iv.Empty) => x
+  case (Iv.Range(l, h), Iv.Range(m, k)) => Iv.Range(if (l <= m) l else m, if (h >= k) h else k)
+}
+def iglb(a: Iv, b: Iv): Iv = match (a, b) with {
+  case (Iv.Range(l, h), Iv.Range(m, k)) =>
+    let lo = if (l >= m) l else m; let hi = if (h <= k) h else k;
+    if (lo <= hi) Iv.Range(lo, hi) else Iv.Empty
+  case _ => Iv.Empty
+}
+let Iv<> = (Iv.Empty, Iv.Range(-1000000, 1000000), ileq, ilub, iglb);
+def point(c: Int): Iv = Iv.Range(c, c)
+
+rel Edge(x: Str, y: Str, c: Int);
+rel Node(x: Str);
+lat Reach(x: Str, Dist<>);
+lat Alt(x: Str, Dist<>);
+lat Both(x: Str, Dist<>);
+rel Near(x: Str);
+rel Seen(d: Dist);
+rel Far(x: Str);
+rel New(v: Str, o: Str);
+rel Assign(v: Str, w: Str);
+lat Points(v: Str, Ptr<>);
+lat Costs(x: Str, Iv<>);
+
+Reach(y, plus(d, c)) :- Reach(x, d), Edge(x, y, c).
+Alt(y, plus(d, c)) :- Alt(x, d), Edge(x, y, c).
+Both(x, d) :- Reach(x, d), Alt(x, d).
+Near(x) :- Reach(x, d), small(d).
+Seen(d) :- Reach(x, d).
+Node(x) :- Edge(x, _, _).
+Node(y) :- Edge(_, y, _).
+Far(x) :- Node(x), !Reach(x, Dist.Fin(6)).
+Points(v, single(o)) :- New(v, o).
+Points(v, p) :- Assign(v, w), Points(w, p).
+Costs(y, point(c)) :- Edge(_, y, c).
+
+Reach("n0", Dist.Fin(0)).
+Alt("n1", Dist.Fin(2)).
+"#,
+    );
+    let wide = (1i64 << 33) - 3;
+    let mut edges = Vec::new();
+    for _ in 0..nodes * 2 {
+        let (x, y) = (rng.index(nodes), rng.index(nodes));
+        if x == y {
+            continue;
+        }
+        let c = match rng.index(8) {
+            0 => wide,
+            _ => 1 + rng.index(5) as i64,
+        };
+        edges.push(format!("Edge(\"n{x}\", \"n{y}\", {c})."));
+    }
+    for sink in 0..3 {
+        let x = rng.index(nodes);
+        edges.push(format!("Edge(\"n{x}\", \"s{sink}\", {}).", i64::MAX - sink));
+    }
+    for v in 0..nodes {
+        if rng.gen_bool(0.4) {
+            text.push_str(&format!("New(\"v{v}\", \"o{}\").\n", rng.index(3)));
+        }
+        text.push_str(&format!("Assign(\"v{v}\", \"v{}\").\n", rng.index(nodes)));
+    }
+    for edge in &edges {
+        text.push_str(edge);
+        text.push('\n');
+    }
+    let (x, y) = (rng.index(nodes), (rng.index(nodes - 1) + 1) % nodes);
+    let updates = vec![
+        format!("Edge(\"n0\", \"n{y}\", 1). New(\"v{x}\", \"o9\")."),
+        format!("- {}", edges[0]),
+        edges[0].clone(),
+        format!("Reach(\"n{x}\", Dist.Fin(1)). Alt(\"n{y}\", Dist.Fin({wide})). - Assign(\"v{x}\", \"v0\")."),
+    ];
+    (text, updates)
+}
+
+/// What the test-local lowering and `flix_lang::lower` each make of
+/// `source` and its `updates`, side by side: models, counters, event logs
+/// and `explain` trees of a solve at one and four threads and both
+/// strategies, and of every resume of the chain; the model a recovery
+/// from a snapshot and a log of the updates reaches; and the bytes of
+/// both files and of the recovered model's snapshot. Every model is
+/// checked a model of its program.
+fn surface_seen(label: &str, source: &str, updates: &[String], lowered: bool) -> Vec<String> {
+    let checked = flix::lang::check(&flix::lang::parse(source).expect("parses")).expect("checks");
+    let deltas: Vec<Delta> = updates
+        .iter()
+        .map(|text| flix::lang::compile_update(&checked, text).expect("an update"))
+        .collect();
+    let program = if lowered {
+        flix::lang::lower(Arc::new(checked)).expect("lowers")
+    } else {
+        lower_boxed(&checked)
+    };
+    let mut seen = Vec::new();
+    let noted = |at: String, applied: usize, solution: &Solution| {
+        let mut all = Delta::new();
+        for delta in &deltas[..applied] {
+            all.extend_from(delta);
+        }
+        let extended = program.with_delta(&all).expect("fits");
+        assert!(model::is_model(&extended, solution), "{label}: {at}");
+        format!(
+            "{at}\n{}{:?}",
+            observed(&program, solution),
+            counters(solution)
+        )
+    };
+    for strategy in STRATEGIES {
+        for threads in [1, 4] {
+            let solver = Solver::new()
+                .record_provenance(true)
+                .strategy(strategy)
+                .threads(threads);
+            let at = format!("{strategy:?}/{threads} threads");
+            let mut solution = solver.solve(&program).expect("solves");
+            seen.push(noted(format!("{at}: solve"), 0, &solution));
+            for (n, delta) in deltas.iter().enumerate() {
+                solution = solver.resume(&program, &solution, delta).expect("resumes");
+                seen.push(noted(format!("{at}: step {n}"), n + 1, &solution));
+            }
+        }
+    }
+    let dir = std::env::temp_dir().join(format!(
+        "flix-word-path-surface-{}-{label}-{lowered}",
+        std::process::id()
+    ));
+    std::fs::create_dir_all(&dir).expect("create a scratch directory");
+    let (snapshot, wal, resaved) = (dir.join("m.snap"), dir.join("m.wal"), dir.join("r.snap"));
+    let solver = Solver::new().record_provenance(true);
+    let base = solver.solve(&program).expect("solves");
+    save_snapshot(&snapshot, &program, &base).expect("saves");
+    let (mut log, _) = DeltaLog::open(&wal, &program).expect("opens a log");
+    for delta in &deltas {
+        log.append(delta).expect("appends");
+    }
+    drop(log);
+    let (recovered, report) = solver.recover(&program, &snapshot, &wal).expect("recovers");
+    assert_eq!(report.wal_frames_replayed, deltas.len(), "{label}");
+    seen.push(noted("recover".to_string(), deltas.len(), &recovered));
+    save_snapshot(&resaved, &program, &recovered).expect("saves");
+    for file in [&snapshot, &wal, &resaved] {
+        let bytes = std::fs::read(file).expect("reads back");
+        seen.push(format!(
+            "{:?}: {bytes:?}",
+            file.file_name().expect("a file")
+        ));
+    }
+    std::fs::remove_dir_all(&dir).ok();
+    seen
+}
+
+/// Surface lattices and `def`s on words against the same program lowered
+/// with boxed calls only: every shipped example and generated programs
+/// whose lattices carry payloads — inline ones, ones past the inline
+/// range, strings, pairs — agree on everything [`surface_seen`] records.
+#[test]
+fn surface_defs_on_words_agree_with_a_boxed_lowering() {
+    let examples = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../examples/flix");
+    let read = |name: &str| std::fs::read_to_string(examples.join(name)).expect("an example");
+    let graph = format!("{}\n{}", read("graph_rules.flix"), read("graph_facts.flix"));
+    let mut programs = vec![
+        ("graph", graph, Vec::new()),
+        ("parity", read("parity.flix"), Vec::new()),
+        ("tall_chain", read("tall_chain.flix"), Vec::new()),
+        (
+            "shortest_paths",
+            read("shortest_paths.flix"),
+            vec![
+                "Edge(\"d\", \"a\", 1).".to_string(),
+                "- Edge(\"a\", \"b\", 1).".to_string(),
+                "Edge(\"a\", \"b\", 1).".to_string(),
+            ],
+        ),
+    ];
+    let mut listed: Vec<String> = std::fs::read_dir(&examples)
+        .expect("the examples")
+        .map(|entry| {
+            entry
+                .expect("an entry")
+                .file_name()
+                .to_string_lossy()
+                .into_owned()
+        })
+        .collect();
+    listed.sort();
+    assert_eq!(
+        listed,
+        [
+            "graph_facts.flix",
+            "graph_rules.flix",
+            "parity.flix",
+            "shortest_paths.flix",
+            "tall_chain.flix"
+        ],
+        "every example is held here"
+    );
+    for seed in 0..3 {
+        let (source, updates) = generated_surface(0x5EED_0033 + seed, 10);
+        programs.push(("generated", source, updates));
+    }
+    for (n, (label, source, updates)) in programs.iter().enumerate() {
+        let label = format!("{label}-{n}");
+        if *label != *"graph" {
+            let program = flix::lang::compile(source).expect("compiles");
+            let lattices: Vec<String> = program
+                .predicates()
+                .filter(|(_, d)| d.lattice_ops().is_some())
+                .map(|(_, d)| d.name().to_string())
+                .collect();
+            for name in &lattices {
+                let expected = !matches!(name.as_str(), "Costs");
+                assert_eq!(has_word_forms(&program, name), expected, "{label}: {name}");
+            }
+        }
+        let words = surface_seen(&label, source, updates, true);
+        let boxed = surface_seen(&label, source, updates, false);
+        assert_eq!(words.len(), boxed.len(), "{label}");
+        for (words, boxed) in words.iter().zip(&boxed) {
+            assert_eq!(words, boxed, "{label}");
+        }
+    }
+}
+
+/// Where word code declines, the boxed call answers — the same model —
+/// or panics, and the solve fails with the same error: a sum that wraps
+/// at `i64::MAX` (in [`generated_surface`] too), a payload past the
+/// inline range, a non-exhaustive `match`, the recursion limit.
+#[test]
+fn declined_word_code_answers_or_fails_as_the_boxed_call_does() {
+    let prelude = r#"
+enum Dist { case Fin(Int), case Inf }
+def leq(a: Dist, b: Dist): Bool = match (a, b) with {
+  case (Dist.Inf, _) => true
+  case (_, Dist.Inf) => false
+  case (Dist.Fin(x), Dist.Fin(y)) => x >= y
+}
+def lub(a: Dist, b: Dist): Dist = match (a, b) with {
+  case (Dist.Inf, x) => x
+  case (x, Dist.Inf) => x
+  case (Dist.Fin(x), Dist.Fin(y)) => if (x <= y) Dist.Fin(x) else Dist.Fin(y)
+}
+def glb(a: Dist, b: Dist): Dist = match (a, b) with {
+  case (Dist.Inf, _) => Dist.Inf
+  case (_, Dist.Inf) => Dist.Inf
+  case (Dist.Fin(x), Dist.Fin(y)) => if (x >= y) Dist.Fin(x) else Dist.Fin(y)
+}
+let Dist<> = (Dist.Inf, Dist.Fin(0), leq, lub, glb);
+def plus(d: Dist, c: Int): Dist = match d with {
+  case Dist.Inf => Dist.Inf
+  case Dist.Fin(x) => Dist.Fin(x + c)
+}
+def half(d: Dist): Dist = match d with { case Dist.Fin(x) => Dist.Fin(x / 2) }
+def down(n: Int): Int = if (n <= 0) 0 else down(n - 1)
+rel Step(c: Int);
+rel Raw(d: Dist);
+rel Num(n: Int);
+rel Out(d: Dist);
+rel Depth(n: Int);
+lat Reach(x: Int, Dist<>);
+Reach(1, Dist.Fin(3)).
+Reach(2, plus(d, c)) :- Reach(1, d), Step(c).
+"#;
+    let cases = [
+        ("wraps", "Step(9223372036854775807). Step(5).", None),
+        ("wide payload", "Step(8589934590). Step(8589934594).", None),
+        (
+            "non-exhaustive match",
+            "Raw(Dist.Fin(4)). Raw(Dist.Inf). Out(half(d)) :- Raw(d).",
+            Some("non-exhaustive match"),
+        ),
+        (
+            "recursion limit",
+            "Num(3). Num(300). Depth(down(n)) :- Num(n).",
+            Some("recursion limit exceeded in down"),
+        ),
+    ];
+    for (label, extra, fails) in cases {
+        let source = format!("{prelude}{extra}");
+        let checked =
+            flix::lang::check(&flix::lang::parse(&source).expect("parses")).expect("checks");
+        let boxed = lower_boxed(&checked);
+        let words = flix::lang::lower(Arc::new(checked)).expect("lowers");
+        assert!(has_word_forms(&words, "Reach"), "{label}");
+        for threads in [1, 4] {
+            let solver = Solver::new().record_provenance(true).threads(threads);
+            match (solver.solve(&words), solver.solve(&boxed), fails) {
+                (Ok(w), Ok(b), None) => {
+                    assert!(model::is_model(&words, &w), "{label}");
+                    assert_eq!(observed(&words, &w), observed(&boxed, &b), "{label}");
+                    assert_eq!(counters(&w), counters(&b), "{label}");
+                }
+                (Err(w), Err(b), Some(message)) => {
+                    assert_eq!(w.to_string(), b.to_string(), "{label}");
+                    assert!(w.to_string().contains(message), "{label}: {w}");
+                    let (w, b) = (&w.partial, &b.partial);
+                    assert_eq!(observed(&words, w), observed(&boxed, b), "{label}");
+                }
+                (w, b, _) => panic!("{label}: {:?} / {:?}", w.map(drop), b.map(drop)),
+            }
         }
     }
 }

@@ -32,7 +32,7 @@ pub fn build_program(input: &SuInput) -> Program {
     let su_after = b.lattice("SUAfter", 3, su.clone());
 
     // `SULattice` is flat: its cells are words — ⊥, ⊤, or the object's
-    // symbol for `Single(object)` — and so are the two functions' forms
+    // slot for `Single(object)` — and so are the two functions' forms
     // over them.
     let elem = WordType::Elem(su.kind().expect("SULattice is flat").clone());
     // def single(b: Str): SULattice = SULattice.Single(b)

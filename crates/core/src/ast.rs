@@ -7,7 +7,7 @@
 //! monotone filter applications, and `<-` choice bindings, and whose head
 //! may apply a monotone transfer function in its last term.
 
-use crate::{LatticeKind, LatticeOps, Value};
+use crate::{LatticeKind, LatticeOps, Names, Value};
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
@@ -247,10 +247,11 @@ pub(crate) type WordBody = Arc<dyn Fn(&[u64]) -> u64 + Send + Sync>;
 /// writes its result: as which word.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum WordType {
-    /// The fact store's slot of the value — any value. A string's slot is
-    /// its symbol's, `Value::Bool` is [`WORD_FALSE`](crate::WORD_FALSE) or
-    /// [`WORD_TRUE`](crate::WORD_TRUE), a small integer is inline; what
-    /// the store spills has a slot only once stored.
+    /// The fact store's slot of the value — any value. `Value::Bool` is
+    /// [`WORD_FALSE`](crate::WORD_FALSE) or [`WORD_TRUE`](crate::WORD_TRUE),
+    /// a small integer is inline; what the store spills — a string too —
+    /// has a slot only once stored, or, for the program's
+    /// [`Names`], from the start.
     Slot,
     /// The word of an element of a lattice of this kind: for the flat kind
     /// [`FLAT_BOTTOM`](crate::FLAT_BOTTOM), [`FLAT_TOP`](crate::FLAT_TOP),
@@ -460,6 +461,7 @@ pub struct ProgramBuilder {
     funcs: Vec<FuncDef>,
     rules: Vec<RawRule>,
     facts: Vec<(PredId, Vec<Value>)>,
+    names: Names,
 }
 
 impl ProgramBuilder {
@@ -550,6 +552,9 @@ impl ProgramBuilder {
     /// boxed form decides that call. A choice calls its
     /// [`choice_form`](ProgramBuilder::choice_form), not this one.
     ///
+    /// A form that bakes in a constructor's id or a string's slot takes
+    /// it from this builder's [`names`](ProgramBuilder::names).
+    ///
     /// For Figure 4, `filter(t, b)` is `t == FLAT_TOP || t == b` and
     /// `single(b)` is `b`.
     ///
@@ -611,6 +616,16 @@ impl ProgramBuilder {
         });
     }
 
+    /// Gives the program `names`, replacing any given before: every store
+    /// of the program interns them first, so a name's id
+    /// ([`Names::intern`]) is the same in all of them — in a solve, a
+    /// resume, a demand query and a snapshot load — and word forms may
+    /// bake it in ([`slot_of_ctor`](crate::slot_of_ctor),
+    /// [`Names::slot`]).
+    pub fn names(&mut self, names: Names) {
+        self.names = names;
+    }
+
     /// Adds a ground fact.
     pub fn fact(&mut self, pred: PredId, values: Vec<Value>) {
         self.facts.push((pred, values));
@@ -645,7 +660,7 @@ impl ProgramBuilder {
     /// negated atoms. Stratifiability is checked later, by the solver,
     /// because it is a property of the whole rule set.
     pub fn build(self) -> Result<crate::Program, ProgramError> {
-        crate::Program::from_parts(self.preds, self.funcs, self.rules, self.facts)
+        crate::Program::from_parts(self.preds, self.funcs, self.rules, self.facts, self.names)
     }
 }
 

@@ -2,12 +2,13 @@
 //!
 //! Relations and lattice keys are stored struct-of-arrays: one `Vec<u64>`
 //! of *encoded* slots per column, where a slot packs small values inline
-//! (unit, booleans, up-to-61-bit integers, interned string symbols, and
-//! constructors applied to one of the first four) and spills everything
-//! else (wider tags, tuples, sets, huge integers) into a per-database
-//! deduplicated side-table. Encoded equality is value
-//! equality, so membership tests, index probes, and join keys compare
-//! single machine words instead of walking boxed [`Value`] trees.
+//! (unit, booleans, up-to-61-bit integers, and constructors applied to
+//! one of the first three) and spills everything else (strings, wider
+//! tags, tuples, sets, huge integers) into a per-database deduplicated
+//! side-table, the store's one string table too ([`SpillTable`]). Encoded
+//! equality is value equality, so membership tests, index probes, and
+//! join keys compare single machine words instead of walking boxed
+//! [`Value`] trees.
 //!
 //! The store keeps words only. The borrowed `&[Value]` view the public
 //! iterators, the model checker, and the persistence layer read is a
@@ -60,7 +61,6 @@ use crate::ast::PredKind;
 use crate::fxhash::{hash_slots, hash_words, FxHashMap};
 use crate::ops::{OpsPanic, SlotForms};
 use crate::program::Program;
-use crate::symbol;
 use crate::verify::Violation;
 use crate::{LatticeKind, LatticeOps, PredId, Value};
 use std::borrow::Cow;
@@ -130,12 +130,12 @@ const TAG_MASK: u64 = (1 << TAG_BITS) - 1;
 const TAG_UNIT: u64 = 0;
 const TAG_BOOL: u64 = 1;
 const TAG_INT: u64 = 2;
-const TAG_SYM: u64 = 3;
 const TAG_SPILL: u64 = 4;
 /// A constructor slot: a `Value::Tag` whose payload has an inline slot
-/// of one of the four tags above, and whose constructor's symbol id is
-/// small. The payload's slot sits in the low [`CTOR_INNER_BITS`] bits,
-/// sign-extended on decode; the bits above hold the symbol id plus one.
+/// of one of the first three tags, and whose constructor's name has a
+/// small id — its index in the spill table. The payload's slot sits in
+/// the low [`CTOR_INNER_BITS`] bits, sign-extended on decode; the bits
+/// above hold the id plus one.
 const TAG_CTOR: u64 = 5;
 /// The tag no value encodes to: the reserved words of a lattice of a
 /// built-in kind ([`KindWords`]).
@@ -151,9 +151,9 @@ pub(crate) const SLOT_WILDCARD: u64 = 5;
 pub(crate) const SLOT_SIDE: u64 = 6;
 
 /// Width of a constructor slot's payload field ([`TAG_CTOR`]): payload
-/// integers in `[-2³³, 2³³)` and every symbol fit it.
+/// integers in `[-2³³, 2³³)` fit it.
 const CTOR_INNER_BITS: u32 = 37;
-/// Constructor symbol ids below this have a constructor slot; the
+/// Constructor name ids below this have a constructor slot; the
 /// constructor field holds the id plus one in the 24 bits left.
 const CTOR_ID_LIMIT: u32 = (1 << (61 - CTOR_INNER_BITS)) - 1;
 const CTOR_INT_MIN: i64 = -(1 << 33);
@@ -211,14 +211,14 @@ const fn pack(tag: u64, payload: u64) -> u64 {
 }
 
 /// The slot of `Value::Tag(c, v)`, for a word form to write, where `ctor`
-/// is the symbol id of `c` ([`crate::symbol::intern`]) and `payload` the
-/// slot of `v`: `None` when that value has no constructor slot — its
-/// payload is not a unit, boolean, symbol or integer in `[-2³³, 2³³)`, or
-/// its constructor's id is too large — and the store spills it.
+/// is the id of `c` among the program's [`Names`] and `payload` the slot
+/// of `v`: `None` when that value has no constructor slot — its payload
+/// is not a unit, boolean or integer in `[-2³³, 2³³)`, or its
+/// constructor's id is too large — and the store spills it.
 #[inline]
 pub const fn slot_of_ctor(ctor: u32, payload: u64) -> Option<u64> {
     const SHIFT: u32 = 64 - CTOR_INNER_BITS;
-    let inline = payload & TAG_MASK <= TAG_SYM;
+    let inline = payload & TAG_MASK <= TAG_INT;
     let fits = (((payload << SHIFT) as i64) >> SHIFT) as u64 == payload;
     if inline && fits && ctor < CTOR_ID_LIMIT {
         let field =
@@ -229,7 +229,7 @@ pub const fn slot_of_ctor(ctor: u32, payload: u64) -> Option<u64> {
     }
 }
 
-/// The constructor's symbol id and the payload's slot of a constructor
+/// The constructor's name id and the payload's slot of a constructor
 /// slot — the inverse of [`slot_of_ctor`]; `None` for the slot of
 /// anything else (a spilled `Value::Tag` included).
 #[inline]
@@ -246,77 +246,137 @@ pub const fn ctor_of_slot(slot: u64) -> Option<(u32, u64)> {
     ))
 }
 
-/// The slot of `v` when it is inline — unit, a boolean, an integer of 61
-/// bits, a string (interned here) or a constructor slot — so that no
-/// store has to spill it: what a word form may take as a constant.
-pub fn inline_slot(v: &Value) -> Option<u64> {
-    match v {
-        Value::Tag(name, payload) if ctor_fits(payload) => {
-            slot_of_ctor(symbol::intern(name).0, inline_slot(payload)?)
-        }
-        Value::Unit | Value::Bool(_) | Value::Int(_) | Value::Str(_) => {
-            let slot = encode_mut(v, &mut SpillTable::default());
-            (slot & TAG_MASK != TAG_SPILL).then_some(slot)
-        }
-        _ => None,
-    }
-}
-
 /// Whether a `Value::Tag` with this payload may have a constructor slot:
 /// whether the payload's slot is inline and fits the payload field.
 #[inline]
 fn ctor_fits(payload: &Value) -> bool {
     match payload {
-        Value::Unit | Value::Bool(_) | Value::Str(_) => true,
+        Value::Unit | Value::Bool(_) => true,
         Value::Int(n) => (CTOR_INT_MIN..=CTOR_INT_MAX).contains(n),
         _ => false,
     }
 }
 
-/// The per-database side-table for values a slot cannot hold inline.
-/// Deduplicated, so spill indices are canonical: two equal values encode
-/// to the same slot, which is what makes encoded equality value equality.
+/// The strings a program gives fixed ids: the constructor names and
+/// string literals its word code bakes in ([`slot_of_ctor`]). Every
+/// store of the program starts its spill table as a copy of this one, so
+/// a name's id — its index there — is the same in each of them, and word
+/// code needs no store at hand to build or test a slot
+/// ([`ProgramBuilder::names`](crate::ProgramBuilder::names)).
+#[derive(Clone, Debug, Default)]
+pub struct Names(SpillTable);
+
+impl Names {
+    /// The id of `name`, registering it when it is new, and the one
+    /// allocation every store of the program decodes it to.
+    pub fn intern(&mut self, name: &str) -> (u32, Arc<str>) {
+        let id = self
+            .0
+            .lookup_str(name)
+            .unwrap_or_else(|| self.0.intern_str(&Arc::from(name)));
+        (id, Arc::clone(self.0.name(id)))
+    }
+
+    /// The slot `v` has in every store of a program with these names —
+    /// unit, a boolean, an integer of 61 bits, a registered string, or a
+    /// constructor slot of a registered name — so that word code may take
+    /// it as a constant: `None` when its slot is a store's to give.
+    pub fn slot(&self, v: &Value) -> Option<u64> {
+        try_encode(v, &self.0)
+    }
+
+    /// The table every store of the program starts from.
+    pub(crate) fn table(&self) -> &SpillTable {
+        &self.0
+    }
+}
+
+/// The per-store side-table for values a slot cannot hold inline, and
+/// the store's one string table: a string is a spilled value, and a
+/// constructor slot's name id is the index of its name here. Append-only
+/// and deduplicated, so indices are canonical: two equal values encode to
+/// the same slot, which is what makes encoded equality value equality.
 #[derive(Clone, Debug, Default)]
 pub(crate) struct SpillTable {
     values: Vec<Value>,
+    /// Every value but the strings, by content.
     dedup: FxHashMap<Value, u32>,
+    /// The strings, by content: found from a `&str`, with no `Value` built.
+    strings: FxHashMap<Arc<str>, u32>,
 }
 
 impl SpillTable {
     fn intern(&mut self, v: &Value) -> u32 {
+        if let Value::Str(s) = v {
+            return self.intern_str(s);
+        }
         if let Some(&idx) = self.dedup.get(v) {
             return idx;
         }
-        let idx = u32::try_from(self.values.len()).expect("fewer than 2^32 distinct spill values");
-        self.values.push(v.clone());
+        let idx = self.push(v.clone());
         self.dedup.insert(v.clone(), idx);
         idx
     }
 
+    fn intern_str(&mut self, s: &Arc<str>) -> u32 {
+        if let Some(&idx) = self.strings.get(&**s) {
+            return idx;
+        }
+        let idx = self.push(Value::Str(Arc::clone(s)));
+        self.strings.insert(Arc::clone(s), idx);
+        idx
+    }
+
+    fn push(&mut self, v: Value) -> u32 {
+        let idx = u32::try_from(self.values.len()).expect("fewer than 2^32 distinct spill values");
+        self.values.push(v);
+        idx
+    }
+
     fn lookup(&self, v: &Value) -> Option<u32> {
-        self.dedup.get(v).copied()
+        match v {
+            Value::Str(s) => self.lookup_str(s),
+            _ => self.dedup.get(v).copied(),
+        }
+    }
+
+    fn lookup_str(&self, s: &str) -> Option<u32> {
+        self.strings.get(s).copied()
     }
 
     pub(crate) fn get(&self, idx: u32) -> &Value {
         &self.values[idx as usize]
     }
 
+    /// The constructor name whose id is `id`.
+    fn name(&self, id: u32) -> &Arc<str> {
+        match self.get(id) {
+            Value::Str(name) => name,
+            other => panic!("constructor id {id} names {other}, not a string"),
+        }
+    }
+
     fn len(&self) -> usize {
         self.values.len()
     }
+
+    /// How many of the entries are strings.
+    #[cfg(any(test, feature = "test-internals"))]
+    pub(crate) fn strings(&self) -> usize {
+        self.strings.len()
+    }
 }
 
-/// Encodes `v` into a slot, interning strings and spilling structured
-/// values as needed. Insert-path only: mutates the spill table.
+/// Encodes `v` into a slot, interning or spilling it as needed.
+/// Insert-path only: mutates the spill table.
 pub(crate) fn encode_mut(v: &Value, spill: &mut SpillTable) -> u64 {
     match v {
         Value::Unit => pack(TAG_UNIT, 0),
         Value::Bool(b) => pack(TAG_BOOL, *b as u64),
         Value::Int(n) if (INT_INLINE_MIN..=INT_INLINE_MAX).contains(n) => pack(TAG_INT, *n as u64),
-        Value::Str(s) => pack(TAG_SYM, symbol::intern(s).0 as u64),
         Value::Tag(name, payload) if ctor_fits(payload) => {
             let payload = encode_mut(payload, spill);
-            slot_of_ctor(symbol::intern(name).0, payload)
+            slot_of_ctor(spill.intern_str(name), payload)
                 .unwrap_or_else(|| pack(TAG_SPILL, spill.intern(v) as u64))
         }
         other => pack(TAG_SPILL, spill.intern(other) as u64),
@@ -324,7 +384,7 @@ pub(crate) fn encode_mut(v: &Value, spill: &mut SpillTable) -> u64 {
 }
 
 /// Read-only encoding for probe keys and comparisons during evaluation.
-/// `None` means the value is not present in the symbol/spill tables — and
+/// `None` means the value is not present in the spill table — and
 /// therefore cannot equal any *stored* slot, so callers treat it as
 /// matching nothing.
 pub(crate) fn try_encode(v: &Value, spill: &SpillTable) -> Option<u64> {
@@ -334,12 +394,11 @@ pub(crate) fn try_encode(v: &Value, spill: &SpillTable) -> Option<u64> {
         Value::Int(n) if (INT_INLINE_MIN..=INT_INLINE_MAX).contains(n) => {
             Some(pack(TAG_INT, *n as u64))
         }
-        Value::Str(s) => Some(pack(TAG_SYM, symbol::lookup(s)? as u64)),
         // A constructor whose name was never interned has no slot yet:
         // [`encode_mut`] interns it before it would spill such a value.
         Value::Tag(name, payload) if ctor_fits(payload) => {
             let payload = try_encode(payload, spill)?;
-            match slot_of_ctor(symbol::lookup(name)?, payload) {
+            match slot_of_ctor(spill.lookup_str(name)?, payload) {
                 Some(slot) => Some(slot),
                 None => Some(pack(TAG_SPILL, spill.lookup(v)? as u64)),
             }
@@ -368,11 +427,13 @@ pub(crate) fn decode(slot: u64, spill: &SpillTable) -> Value {
         TAG_UNIT => Value::Unit,
         TAG_BOOL => Value::Bool(slot >> TAG_BITS != 0),
         TAG_INT => Value::Int((slot as i64) >> TAG_BITS),
-        TAG_SYM => Value::Str(symbol::resolve((slot >> TAG_BITS) as u32)),
         TAG_SPILL => spill.get((slot >> TAG_BITS) as u32).clone(),
         TAG_CTOR => {
             let (ctor, payload) = ctor_of_slot(slot).expect("a constructor slot");
-            Value::Tag(symbol::resolve(ctor), Arc::new(decode(payload, spill)))
+            Value::Tag(
+                Arc::clone(spill.name(ctor)),
+                Arc::new(decode(payload, spill)),
+            )
         }
         _ => unreachable!("unused slot tag"),
     }
@@ -380,18 +441,18 @@ pub(crate) fn decode(slot: u64, spill: &SpillTable) -> Value {
 
 /// Whether `slot` is the canonical slot of a value against `spill` — one
 /// [`decode`] reads back and [`try_encode`] would give again: what a word
-/// form hands back is held to this before the engine keeps it. (A word
-/// form makes a string's slot through [`crate::symbol::intern`].)
+/// form hands back is held to this before the engine keeps it.
 pub(crate) fn is_slot(slot: u64, spill: &SpillTable) -> bool {
     let payload = slot >> TAG_BITS;
     match slot & TAG_MASK {
         TAG_UNIT => payload == 0,
         TAG_BOOL => payload <= 1,
         TAG_INT => true,
-        TAG_SYM => u32::try_from(payload).is_ok_and(symbol::issued),
         TAG_SPILL => (payload as usize) < spill.len(),
         TAG_CTOR => ctor_of_slot(slot).is_some_and(|(ctor, payload)| {
-            symbol::issued(ctor) && payload & TAG_MASK <= TAG_SYM && is_slot(payload, spill)
+            matches!(spill.values.get(ctor as usize), Some(Value::Str(_)))
+                && payload & TAG_MASK <= TAG_INT
+                && is_slot(payload, spill)
         }),
         _ => false,
     }
@@ -442,13 +503,14 @@ enum Elems {
 }
 
 impl KindWords {
-    /// The words of `ops`'s elements, when `ops` declares a kind (and,
-    /// for the flat kind, has a top, which the kind's check requires) or
-    /// has word forms and a ⊥ with an inline slot.
-    pub(crate) fn of(ops: &LatticeOps) -> Option<KindWords> {
+    /// The words of `ops`'s elements in the stores of a program with
+    /// these `names`, when `ops` declares a kind (and, for the flat kind,
+    /// has a top, which the kind's check requires) or has word forms and
+    /// a ⊥ whose slot the names fix ([`Names::slot`]).
+    pub(crate) fn of(ops: &LatticeOps, names: &Names) -> Option<KindWords> {
         let Some(kind) = ops.kind() else {
             let forms = ops.word_forms()?.clone();
-            let bot = inline_slot(ops.bottom())?;
+            let bot = names.slot(ops.bottom())?;
             return Some(KindWords {
                 order: Order::Slots { bot },
                 elems: Arc::new(Elems::Forms(forms)),
@@ -1458,8 +1520,8 @@ impl Decoded {
 }
 
 impl LatticeData {
-    fn new(ops: LatticeOps, key_arity: usize) -> LatticeData {
-        let cells = match KindWords::of(&ops) {
+    fn new(ops: LatticeOps, key_arity: usize, names: &Names) -> LatticeData {
+        let cells = match KindWords::of(&ops, names) {
             Some(kind) => Cells::Words {
                 kind,
                 words: Vec::new(),
@@ -1946,6 +2008,7 @@ impl Database {
                 PredKind::Lattice(ops) => PredData::Lat(LatticeData::new(
                     ops.clone(),
                     decl.arity().saturating_sub(1),
+                    &program.names,
                 )),
             })
             .collect();
@@ -1958,7 +2021,7 @@ impl Database {
         }
         Database {
             preds,
-            spill: SpillTable::default(),
+            spill: program.names.table().clone(),
         }
     }
 
@@ -2316,7 +2379,7 @@ mod tests {
     #[test]
     fn lattice_join_is_compact() {
         let mut spill = SpillTable::default();
-        let mut l = LatticeData::new(crate::LatticeOps::of::<Parity>(), 1);
+        let mut l = LatticeData::new(crate::LatticeOps::of::<Parity>(), 1, &Names::default());
         let key = row(&[7]);
         assert_eq!(
             join_ok(&mut l, &mut spill, &key, Parity::Even.to_value()),
@@ -2343,7 +2406,7 @@ mod tests {
     #[test]
     fn bottom_is_never_stored() {
         let mut spill = SpillTable::default();
-        let mut l = LatticeData::new(crate::LatticeOps::of::<Parity>(), 1);
+        let mut l = LatticeData::new(crate::LatticeOps::of::<Parity>(), 1, &Names::default());
         assert_eq!(
             join_ok(&mut l, &mut spill, &row(&[1]), Parity::Bot.to_value()),
             None
@@ -2362,7 +2425,7 @@ mod tests {
             |a, _| a.clone(),
         );
         let mut spill = SpillTable::default();
-        let mut l = LatticeData::new(ops, 1);
+        let mut l = LatticeData::new(ops, 1, &Names::default());
         let fault = l.join(&row(&[1]), Value::Int(3), &mut spill).unwrap_err();
         match fault {
             InsertFault::Panic(p) => {
@@ -2393,7 +2456,7 @@ mod tests {
             },
         );
         let mut spill = SpillTable::default();
-        let mut l = LatticeData::new(ops, 1);
+        let mut l = LatticeData::new(ops, 1, &Names::default());
         assert!(l
             .join(&row(&[1]), Value::Int(5), &mut spill)
             .expect("first join")
@@ -2431,7 +2494,7 @@ mod tests {
             },
         );
         let mut spill = SpillTable::default();
-        let mut l = LatticeData::new(ops, 1);
+        let mut l = LatticeData::new(ops, 1, &Names::default());
         let fault = l.join(&row(&[1]), Value::Int(5), &mut spill).unwrap_err();
         assert!(
             matches!(fault, InsertFault::Safety(Violation::NotReflexive(_))),
@@ -2442,7 +2505,7 @@ mod tests {
     #[test]
     fn ascent_counters_track_joins_and_heights() {
         let mut spill = SpillTable::default();
-        let mut l = LatticeData::new(crate::LatticeOps::of::<Parity>(), 1);
+        let mut l = LatticeData::new(crate::LatticeOps::of::<Parity>(), 1, &Names::default());
         l.enable_ascent();
         let key = row(&[7]);
         join_ok(&mut l, &mut spill, &key, Parity::Even.to_value()); // height 1
@@ -2578,7 +2641,7 @@ mod tests {
     }
 
     /// One column value out of a small domain that covers every encoding:
-    /// inline integers and symbols, and spilled tags and tuples.
+    /// inline integers, and spilled strings, tags and tuples.
     fn column_value(n: usize) -> Value {
         match n % 4 {
             0 => Value::Int(n as i64),
@@ -3061,9 +3124,85 @@ mod tests {
     }
 
     #[test]
+    fn intern_is_idempotent_and_canonical() {
+        let mut spill = SpillTable::default();
+        let first = Value::from("spill-string");
+        let slot = encode_mut(&first, &mut spill);
+        // Another allocation of the same string: the same slot, and it
+        // decodes to the allocation stored first.
+        assert_eq!(encode_mut(&Value::from("spill-string"), &mut spill), slot);
+        assert_eq!(try_encode(&Value::from("spill-string"), &spill), Some(slot));
+        assert_eq!(spill.len(), 1);
+        match (decode(slot, &spill), &first) {
+            (Value::Str(a), Value::Str(b)) => assert!(Arc::ptr_eq(&a, b)),
+            _ => unreachable!(),
+        }
+        // A name registered with a program decodes to its one allocation.
+        let mut names = Names::default();
+        let (id, fin) = names.intern("Fin");
+        let (again, shared) = names.intern("Fin");
+        assert!(again == id && Arc::ptr_eq(&fin, &shared));
+        let slot = names
+            .slot(&Value::tag("Fin", Value::Int(3)))
+            .expect("a slot");
+        match decode(slot, names.table()) {
+            Value::Tag(name, _) => assert!(Arc::ptr_eq(&name, &fin)),
+            other => panic!("{other}"),
+        }
+    }
+
+    #[test]
+    fn lookup_does_not_intern() {
+        let spill = SpillTable::default();
+        assert_eq!(try_encode(&Value::from("never-stored"), &spill), None);
+        let tag = Value::tag("NeverStored", Value::Int(1));
+        assert_eq!(try_encode(&tag, &spill), None);
+        assert_eq!(spill.len(), 0);
+        assert_eq!(Names::default().slot(&Value::from("never-stored")), None);
+    }
+
+    #[test]
+    fn distinct_strings_get_distinct_ids() {
+        let mut spill = SpillTable::default();
+        let a = encode_mut(&Value::from("a"), &mut spill);
+        let b = encode_mut(&Value::from("b"), &mut spill);
+        assert_ne!(a, b);
+        // A string and the tuple holding it are different values.
+        let tuple = encode_mut(&Value::tuple([Value::from("a")]), &mut spill);
+        assert!(tuple != a && tuple != b);
+    }
+
+    /// Each store has its own strings: a string one database holds has no
+    /// slot in another of the same program, which starts from the
+    /// program's names alone.
+    #[test]
+    fn a_string_stored_in_one_database_is_unknown_to_another() {
+        let mut b = ProgramBuilder::new();
+        let p = b.relation("P", 1);
+        let mut names = Names::default();
+        names.intern("Named");
+        b.names(names);
+        let prog = b.build().expect("valid");
+        let mut first = Database::for_program(&prog, true);
+        let second = Database::for_program(&prog, true);
+        let only_here = Value::from("stored-in-the-first-database-only");
+        first
+            .insert(p, std::slice::from_ref(&only_here))
+            .expect("insert");
+        assert!(try_encode(&only_here, first.spill()).is_some());
+        assert_eq!(try_encode(&only_here, second.spill()), None);
+        // The program's names have the same slot in both.
+        let named = Value::from("Named");
+        assert_eq!(try_encode(&named, first.spill()), Some(pack(TAG_SPILL, 0)));
+        assert_eq!(try_encode(&named, second.spill()), Some(pack(TAG_SPILL, 0)));
+        assert_eq!((first.spill().strings(), second.spill().strings()), (2, 1));
+    }
+
+    #[test]
     fn flat_words_round_trip_and_order_as_the_lattice_does() {
         use flix_lattice::{Lattice, SuLattice};
-        let flat = KindWords::of(&crate::LatticeOps::of::<SuLattice>()).expect("SULattice is flat");
+        let flat = KindWords::of(&crate::LatticeOps::of::<SuLattice>(), &Names::default())
+            .expect("SULattice is flat");
         let mut spill = SpillTable::default();
         let elems = [
             SuLattice::Bottom,
@@ -3100,8 +3239,8 @@ mod tests {
         for bad in [
             pack(TAG_UNIT, 1),
             pack(TAG_BOOL, 2),
-            pack(TAG_SPILL, 0),
-            pack(TAG_SYM, u32::MAX as u64 + 1),
+            pack(3, 0),
+            pack(TAG_SPILL, spill.len() as u64),
             SLOT_SIDE,
         ] {
             assert!(!is_slot(bad, &spill), "{bad:#x}");
@@ -3110,7 +3249,11 @@ mod tests {
 
     #[test]
     fn constructor_slots_round_trip_and_are_canonical_at_the_inline_boundary() {
-        let mut spill = SpillTable::default();
+        let mut names = Names::default();
+        for name in ["Inf", "Fin", "Flag"] {
+            names.intern(name);
+        }
+        let mut spill = names.table().clone();
         let fin = |n: i64| Value::tag("Fin", Value::Int(n));
         let inline = [
             Value::tag0("Inf"),
@@ -3119,14 +3262,13 @@ mod tests {
             fin(CTOR_INT_MIN),
             fin(CTOR_INT_MAX),
             Value::tag("Flag", Value::Bool(true)),
-            Value::tag("Name", Value::from("ctor-slot-payload")),
         ];
         for v in &inline {
             let slot = encode_mut(v, &mut spill);
             assert!(ctor_of_slot(slot).is_some(), "{v} has a constructor slot");
             assert_eq!(decode(slot, &spill), *v);
             assert_eq!(try_encode(v, &spill), Some(slot), "{v}");
-            assert_eq!(inline_slot(v), Some(slot), "{v}");
+            assert_eq!(names.slot(v), Some(slot), "{v}");
             assert!(is_slot(slot, &spill), "{v}");
             assert!(slot != SLOT_WILDCARD && slot != SLOT_SIDE);
             // A tag whose name is a separate allocation is the same value.
@@ -3134,15 +3276,17 @@ mod tests {
             let copy = Value::Tag(name, Arc::new(v.tag_payload().expect("a tag").clone()));
             assert_eq!(try_encode(&copy, &spill), Some(slot));
         }
-        assert_eq!(spill.len(), 0, "nothing inline spills");
-        // One past the payload field, a tuple payload, a nested tag: the
-        // store spills them, and encodes each the same way every time.
+        assert_eq!(spill.len(), 3, "nothing inline spills");
+        // One past the payload field, a tuple payload, a nested tag, a
+        // string payload: the store spills them, and encodes each the same
+        // way every time.
         let wide = [
             fin(CTOR_INT_MIN - 1),
             fin(CTOR_INT_MAX + 1),
             fin(i64::MAX),
             Value::tag("Pair", Value::tuple([Value::Int(1), Value::Int(2)])),
             Value::tag("Some", fin(1)),
+            Value::tag("Name", Value::from("ctor-slot-payload")),
         ];
         for v in &wide {
             assert_eq!(try_encode(v, &spill), None, "{v} is not stored yet");
@@ -3152,14 +3296,14 @@ mod tests {
             assert_eq!(encode_mut(v, &mut spill), slot);
             assert_eq!(try_encode(v, &spill), Some(slot));
             assert_eq!(decode(slot, &spill), *v);
-            assert_eq!(inline_slot(v), None, "{v}");
+            assert_eq!(names.slot(v), None, "{v}");
         }
-        assert_eq!(spill.len(), wide.len());
+        assert_eq!(spill.len(), 3 + wide.len());
         // A constructor never interned has no slot until stored.
         let fresh = Value::tag0("ctor-slot-never-interned-q7");
         assert_eq!(try_encode(&fresh, &spill), None);
         // What a word form writes is what the store encodes.
-        let (fin_id, _) = symbol::intern("Fin");
+        let (fin_id, _) = names.intern("Fin");
         let seven = slot_of_int(7).expect("inline");
         assert_eq!(slot_of_ctor(fin_id, seven), try_encode(&fin(7), &spill));
         assert_eq!(
@@ -3171,9 +3315,13 @@ mod tests {
         let spilled = encode_mut(&wide[3], &mut spill);
         assert_eq!(slot_of_ctor(fin_id, spilled), None, "no spilled payload");
         assert_eq!(slot_of_ctor(CTOR_ID_LIMIT, seven), None);
+        // A constructor id must name a string of the table.
+        let not_a_name = (spilled >> TAG_BITS) as u32;
         for bad in [
             SLOT_WILDCARD,
             pack(TAG_CTOR, (1 << CTOR_INNER_BITS) | 1 << 3),
+            slot_of_ctor(not_a_name, seven).expect("fits"),
+            slot_of_ctor(spill.len() as u32, seven).expect("fits"),
         ] {
             assert!(!is_slot(bad, &spill), "{bad:#x}");
         }
@@ -3183,7 +3331,7 @@ mod tests {
     fn chain_words_round_trip_and_order_as_the_lattice_does() {
         use flix_lattice::{Lattice, MinCost};
         let ops = crate::LatticeOps::of::<MinCost>();
-        let chain = KindWords::of(&ops).expect("MinCost is a chain");
+        let chain = KindWords::of(&ops, &Names::default()).expect("MinCost is a chain");
         let mut spill = SpillTable::default();
         let last: i64 = (1 << 60) - 1;
         let elems = [0, 1, 2, 9, last as u64].map(MinCost::finite);
@@ -3226,7 +3374,7 @@ mod tests {
     fn word_cells_join_by_words_and_decode_on_request() {
         use flix_lattice::SuLattice;
         let mut spill = SpillTable::default();
-        let mut l = LatticeData::new(crate::LatticeOps::of::<SuLattice>(), 1);
+        let mut l = LatticeData::new(crate::LatticeOps::of::<SuLattice>(), 1, &Names::default());
         let key = row(&[7]);
         let single = |o: &str| SuLattice::single(o).to_value();
         let joined = join_ok(&mut l, &mut spill, &key, single("o1"));

@@ -764,7 +764,13 @@ pub(crate) fn rewrite(
         }
     }
 
-    let program = Program::from_parts(preds, program.funcs.clone(), raw_rules, facts)?;
+    let program = Program::from_parts(
+        preds,
+        program.funcs.clone(),
+        raw_rules,
+        facts,
+        program.names.clone(),
+    )?;
     Ok(Rewritten {
         program,
         rule_origin,

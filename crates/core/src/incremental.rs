@@ -110,7 +110,7 @@ use crate::program::{CItem, Program};
 use crate::provenance::{fact_key, EventLog, Pos};
 use crate::solver::{Run, Seed};
 use crate::trace::SpanKind;
-use crate::{LatticeOps, PredId, Solution, SolveError, SolveFailure, Solver, Value};
+use crate::{LatticeOps, Names, PredId, Solution, SolveError, SolveFailure, Solver, Value};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::fmt;
@@ -677,6 +677,7 @@ impl Program {
             rules: self.rules.clone(),
             facts: Arc::new(facts),
             index_requests: self.index_requests.clone(),
+            names: self.names.clone(),
         })
     }
 
@@ -735,7 +736,7 @@ fn resolve_delta(program: &Program, delta: &Delta) -> Result<Vec<ResolvedOp>, De
             });
         }
         if let (true, Some(ops), Some(element)) = (add, decl.lattice_ops(), tuple.last()) {
-            if !admits(ops, element) {
+            if !admits(ops, element, &program.names) {
                 return Err(DeltaError::NotAnElement {
                     predicate: name.clone(),
                     lattice: ops.name().to_string(),
@@ -752,8 +753,8 @@ fn resolve_delta(program: &Program, delta: &Delta) -> Result<Vec<ResolvedOp>, De
 /// kind, whether the element has a word ([`KindWords::is_elem`]), with no
 /// closure call; otherwise the guarded `leq(element, element)` probe a
 /// fresh cell runs.
-fn admits(ops: &LatticeOps, element: &Value) -> bool {
-    match ops.kind().and(KindWords::of(ops)) {
+fn admits(ops: &LatticeOps, element: &Value, names: &Names) -> bool {
+    match ops.kind().and(KindWords::of(ops, names)) {
         Some(words) => words.is_elem(element),
         None => matches!(ops.try_leq(element, element), Ok(true)),
     }

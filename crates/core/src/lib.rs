@@ -91,7 +91,6 @@ mod program;
 pub mod provenance;
 mod solver;
 mod stratify;
-pub mod symbol;
 pub mod trace;
 mod value;
 pub mod verify;
@@ -101,7 +100,7 @@ pub use ast::{
     Term, WordType,
 };
 pub use database::{
-    ctor_of_slot, inline_slot, int_of_slot, slot_of_ctor, slot_of_int, CHAIN_BOTTOM, FLAT_BOTTOM,
+    ctor_of_slot, int_of_slot, slot_of_ctor, slot_of_int, Names, CHAIN_BOTTOM, FLAT_BOTTOM,
     FLAT_TOP, WORD_FALSE, WORD_TRUE,
 };
 pub use demand::{DemandError, Query, QueryResult};

@@ -245,18 +245,23 @@ impl LatticeOps {
     /// Both must compute the same operation; which one runs is the
     /// engine's choice.
     ///
-    /// A lattice that declares no kind, whose ⊥ has an inline slot
-    /// ([`inline_slot`]), and which has these forms keeps its cells as
-    /// slots and joins them with the forms, under the same law sentinels
-    /// as a boxed lattice (DESIGN §15); a variable standing for one of its
-    /// elements is an ordinary slot, which a function's word form reads.
+    /// A form that bakes in a constructor's id or a string's slot takes
+    /// it from the [`Names`](crate::Names) of the program the lattice is
+    /// declared in: those ids are the program's, not the process's.
+    ///
+    /// A lattice that declares no kind, whose ⊥ has a slot its program's
+    /// names fix ([`Names::slot`]), and which has these forms keeps its
+    /// cells as slots and joins them with the forms, under the same law
+    /// sentinels as a boxed lattice (DESIGN §15); a variable standing for
+    /// one of its elements is an ordinary slot, which a function's word
+    /// form reads.
     /// A declared kind takes precedence over the forms.
     ///
     /// [`ProgramBuilder::word_form`]: crate::ProgramBuilder::word_form
     /// [`WordType::Slot`]: crate::WordType::Slot
     /// [`WORD_TRUE`]: crate::WORD_TRUE
     /// [`WORD_FALSE`]: crate::WORD_FALSE
-    /// [`inline_slot`]: crate::inline_slot
+    /// [`Names::slot`]: crate::Names::slot
     pub fn with_word_forms(
         mut self,
         leq: impl Fn(u64, u64) -> u64 + Send + Sync + 'static,

@@ -2,7 +2,7 @@
 //! index requirements derived from rule bodies.
 
 use crate::ast::{BodyItem, FuncDef, HeadTerm, PredDecl, ProgramError, RawRule, Term};
-use crate::{PredId, Value};
+use crate::{Names, PredId, Value};
 use std::cmp::Reverse;
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
@@ -84,6 +84,9 @@ pub struct Program {
     /// occurring in rule bodies (the index-selection strategy of DESIGN.md
     /// decision 4).
     pub(crate) index_requests: HashMap<PredId, HashSet<Vec<usize>>>,
+    /// The strings every store of the program interns first
+    /// ([`ProgramBuilder::names`](crate::ProgramBuilder::names)).
+    pub(crate) names: Names,
 }
 
 impl Program {
@@ -152,6 +155,7 @@ impl Program {
             rules: self.rules.clone(),
             facts: Arc::clone(&self.facts),
             index_requests: self.index_requests.clone(),
+            names: self.names.clone(),
         }
     }
 
@@ -160,6 +164,7 @@ impl Program {
         funcs: Vec<FuncDef>,
         raw_rules: Vec<RawRule>,
         facts: Vec<(PredId, Vec<Value>)>,
+        names: Names,
     ) -> Result<Program, ProgramError> {
         let pred_names: HashMap<Arc<str>, PredId> = preds
             .iter()
@@ -196,6 +201,7 @@ impl Program {
             rules,
             facts: Arc::new(facts),
             index_requests,
+            names,
         })
     }
 }

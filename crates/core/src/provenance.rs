@@ -39,9 +39,10 @@
 //! log and decodes only the nodes of the tree it returns; `provenance()`
 //! decodes the live log once, on first request.
 //!
-//! **Slots decode against the lineage that wrote them.** String symbols
-//! are global to the process. A spill slot is an index into one
-//! database's spill table, which is append-only and copied whole into the
+//! **Slots decode against the lineage that wrote them.** A spill slot —
+//! a string's, or any other value's a slot does not hold inline — is an
+//! index into one database's spill table, which is append-only and copied
+//! whole into the
 //! warm-start copy a resume takes — so an index keeps its meaning in
 //! every solution resumed, directly or not, from the run that wrote it,
 //! and those are exactly the solutions its segment is shared with: a
@@ -208,7 +209,10 @@ impl Shape {
             elems: program
                 .preds
                 .iter()
-                .map(|d| d.lattice_ops().and_then(KindWords::of))
+                .map(|d| {
+                    d.lattice_ops()
+                        .and_then(|ops| KindWords::of(ops, &program.names))
+                })
                 .collect(),
         })
     }

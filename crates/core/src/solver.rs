@@ -2101,6 +2101,17 @@ impl Solution {
             .collect()
     }
 
+    /// Test hook: how many distinct strings this solution's store has
+    /// interned — the program's names, and every string a fact, a delta
+    /// or a derivation handed it since the store was created. Compiled
+    /// only for the crate's own tests and under the `test-internals`
+    /// feature.
+    #[doc(hidden)]
+    #[cfg(any(test, feature = "test-internals"))]
+    pub fn interned_strings(&self) -> usize {
+        self.db.spill().strings()
+    }
+
     /// The database behind this solution, shared. The empty-delta and
     /// rejected-delta exits of [`Solver::resume`](crate::incremental)
     /// return a new [`Solution`] over the same allocation instead of

@@ -1,6 +1,5 @@
 //! The dynamic value representation of the FLIX engine.
 
-use crate::symbol;
 use std::collections::BTreeSet;
 use std::fmt;
 use std::sync::Arc;
@@ -43,11 +42,9 @@ pub enum Value {
     Bool(bool),
     /// A 64-bit integer.
     Int(i64),
-    /// A string. Strings built through [`Value::str`] (and the `From`
-    /// conversions) are interned in the global [`crate::symbol`] table, so
-    /// equal strings share one allocation and compare by pointer. The
-    /// variant itself accepts any `Arc<str>`; a non-interned string still
-    /// compares correctly (by content), it just skips the fast paths.
+    /// A string. Equal strings compare equal whatever their allocations;
+    /// the strings a solution hands back share the one allocation per
+    /// string of its store's table, and compare by pointer.
     Str(Arc<str>),
     /// A tagged value (an `enum` constructor applied to a payload).
     Tag(Arc<str>, Arc<Value>),
@@ -58,10 +55,11 @@ pub enum Value {
 }
 
 // Equality is structural, with pointer-identity fast paths on the
-// reference-counted variants: interning makes equal strings (and equal
-// rows stored once) share allocations, so the common case is a single
-// pointer compare. The fallback compares content, so hand-built
-// `Value::Str` values that bypassed the interner still behave.
+// reference-counted variants: a store decodes each string and
+// constructor name it holds to one allocation (and equal rows stored
+// once share theirs), so comparing values read back from one store is
+// usually a single pointer compare. The fallback compares content, so
+// equal values built apart still compare equal.
 impl PartialEq for Value {
     fn eq(&self, other: &Value) -> bool {
         match (self, other) {
@@ -104,13 +102,11 @@ impl Value {
         }
     }
 
-    /// Creates a string value, interning it in the global
-    /// [`crate::symbol`] table: equal strings share one canonical
-    /// allocation and a stable `u32` symbol id, which the fact store
-    /// uses to encode string columns as a single machine word.
+    /// Creates a string value in an allocation of its own. The fact
+    /// store interns a string when it first stores it, in its own table:
+    /// an index there is the string's slot, a single machine word.
     pub fn str(s: impl AsRef<str>) -> Value {
-        let (_, name) = symbol::intern(s.as_ref());
-        Value::Str(name)
+        Value::Str(Arc::from(s.as_ref()))
     }
 
     /// Creates a tagged value `Tag(payload)`.
@@ -353,18 +349,21 @@ mod tests {
 
     #[test]
     fn strings_are_interned() {
-        let a = Value::from("interned-via-from");
-        let b = Value::str(String::from("interned-via-from"));
-        match (&a, &b) {
+        use crate::database::{decode, encode_mut, SpillTable};
+        // Built apart, equal by content; one slot and one allocation once
+        // a store holds them.
+        let a = Value::from("interned-by-the-store");
+        let b = Value::str(String::from("interned-by-the-store"));
+        assert_eq!(a, b);
+        let mut spill = SpillTable::default();
+        let slot = encode_mut(&a, &mut spill);
+        assert_eq!(encode_mut(&b, &mut spill), slot);
+        match (decode(slot, &spill), &a) {
             (Value::Str(x), Value::Str(y)) => {
-                assert!(Arc::ptr_eq(x, y), "equal strings share one allocation")
+                assert!(Arc::ptr_eq(&x, y), "the store keeps the first allocation")
             }
             _ => unreachable!(),
         }
-        assert_eq!(a, b);
-        // A hand-built (non-interned) string still compares by content.
-        let c = Value::Str(Arc::from("interned-via-from"));
-        assert_eq!(a, c);
     }
 
     #[test]

@@ -17,7 +17,7 @@
 
 use crate::database::{KindWords, SpillTable};
 use crate::ops::OpsPanic;
-use crate::{LatticeKind, LatticeOps, Value};
+use crate::{LatticeKind, LatticeOps, Names, Value};
 use std::fmt;
 
 /// A violation found by [`check_lattice_ops`] or the function checkers.
@@ -329,7 +329,7 @@ pub(crate) fn check_kind(
         kind: kind.clone(),
         found,
     };
-    let Some(words) = KindWords::of(ops) else {
+    let Some(words) = KindWords::of(ops, &Names::default()) else {
         return Err(mismatch("it has no top element".to_string()));
     };
     let mut spill = SpillTable::default();

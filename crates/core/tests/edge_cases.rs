@@ -455,7 +455,7 @@ fn head_values_the_store_never_saw_are_interned_on_the_write_path() {
     let known = b.relation("Known", 2);
     let labels = b.function("labels", |args| {
         let x = args[0].as_int().expect("node");
-        // `Value::Str` directly: not registered with the symbol table.
+        // Strings no store of the program has held yet.
         Value::set([Value::Str(Arc::from(format!("enc-edge-unseen-{}", x % 2)))])
     });
     let wrap = b.function("wrap", |args| {

@@ -994,3 +994,48 @@ fn a_failed_update_is_durable_carried_and_paid_by_the_next() {
     assert_eq!(report.wal_frames_replayed, 0);
     assert_least_model(&program, &deltas, 2, reopened.model());
 }
+
+/// Strings belong to the store, not the process: a durable model handed
+/// N fresh strings that are then retracted, compacted and reopened
+/// interns only the strings of the live model.
+#[test]
+fn a_reopened_store_interns_only_the_live_models_strings() {
+    const N: i64 = 500;
+    let scratch = Scratch::new("string-churn");
+    let mut b = ProgramBuilder::new();
+    let name = b.relation("Name", 2);
+    let seen = b.relation("Seen", 1);
+    b.fact(name, vec![Value::from(0), Value::from("kept")]);
+    b.rule(
+        Head::new(seen, [HeadTerm::var("s")]),
+        [BodyItem::atom(name, [Term::Wildcard, Term::var("s")])],
+    );
+    let program = Arc::new(b.build().expect("valid"));
+    let files = DurableFiles {
+        load: Some(scratch.path("model.snap")),
+        save: Some(scratch.path("model.snap")),
+        wal: Some(scratch.path("model.wal")),
+    };
+    let solver = Solver::new();
+    let (mut durable, _) = DurableModel::open(&solver, &program, &files).expect("first boot");
+    assert_eq!(durable.model().interned_strings(), 1);
+
+    let fresh = |i: i64| vec![Value::from(i), Value::from(format!("fresh-{i}"))];
+    let (mut insert, mut retract) = (Delta::new(), Delta::new());
+    for i in 1..=N {
+        insert = insert.insert("Name", fresh(i));
+        retract = retract.retract("Name", fresh(i));
+    }
+    durable.update(&solver, &insert).expect("inserts");
+    assert_eq!(durable.model().len("Seen"), Some(N as usize + 1));
+    assert_eq!(durable.model().interned_strings(), N as usize + 1);
+    durable.update(&solver, &retract).expect("retracts");
+    assert_eq!(durable.model().len("Seen"), Some(1));
+
+    durable.compact().expect("compacts");
+    drop(durable);
+    let (reopened, report) = DurableModel::open(&solver, &program, &files).expect("reopens");
+    assert!(report.clean(), "{report:?}");
+    assert_eq!(reopened.model().interned_strings(), 1, "only \"kept\"");
+    assert_eq!(reopened.model().len("Seen"), Some(1));
+}

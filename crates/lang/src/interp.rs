@@ -14,25 +14,27 @@
 //!
 //! The same walk compiles each body a second time, to *word code*:
 //! closures over the fact store's `u64` slots, on a fixed frame of words,
-//! that allocate nothing (DESIGN §6). A slot holds an integer, a boolean,
-//! a string's symbol or a constructor applied to one of those inline
-//! ([`flix_core::slot_of_ctor`]); word code reads and builds those, tests
-//! patterns on them, and compares any two slots for equality, which is
-//! value equality. Where it cannot answer exactly — a spilled operand it
-//! would have to look into, a result with no inline slot, no arm that
-//! matches, the call-depth limit — it declines, and the boxed code runs
-//! the call, with its result or its panic. A `def` has word code when
-//! every construct of its body does and every `def` it calls has word
-//! code too; lowering registers it as the function's word form and, for a
-//! lattice's `leq`, `lub` and `glb`, as the lattice's
+//! that allocate nothing (DESIGN §6). A slot holds an integer, a boolean
+//! or a constructor applied to one of those inline
+//! ([`flix_core::slot_of_ctor`]), or the index of a spilled value — a
+//! string included — in its store. A constructor's id and a string
+//! literal's slot are the program's [`Names`], the same in every store
+//! of the program, so word code bakes them in. Word code reads and builds
+//! slots, tests patterns on them, and compares any two slots for
+//! equality, which is value equality. Where it cannot answer exactly — a
+//! spilled operand it would have to look into, a result with no inline
+//! slot, no arm that matches, the call-depth limit — it declines, and the
+//! boxed code runs the call, with its result or its panic. A `def` has
+//! word code when every construct of its body does and every `def` it
+//! calls has word code too; lowering registers it as the function's word
+//! form and, for a lattice's `leq`, `lub` and `glb`, as the lattice's
 //! ([`flix_core::LatticeOps::with_word_forms`]).
 
 use crate::ast::{BinOp, Expr, Lit, MatchArm, Pattern, UnOp};
 use crate::token::Pos;
 use crate::typeck::CheckedProgram;
 use flix_core::{
-    ctor_of_slot, inline_slot, int_of_slot, slot_of_ctor, slot_of_int, symbol, Value, WORD_FALSE,
-    WORD_TRUE,
+    ctor_of_slot, int_of_slot, slot_of_ctor, slot_of_int, Names, Value, WORD_FALSE, WORD_TRUE,
 };
 use std::fmt;
 use std::sync::Arc;
@@ -215,19 +217,34 @@ pub struct Interpreter {
     /// Sorted by name: [`Interpreter::call`] finds a `def` by binary
     /// search, compiled code by its index.
     defs: Arc<[Def]>,
+    /// The constructor names and string literals the word code bakes in,
+    /// by the ids it bakes in: the program's [`Names`].
+    names: Arc<Names>,
 }
 
 impl fmt::Debug for Interpreter {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let names: Vec<&str> = self.names().collect();
+        let names: Vec<&str> = self.def_names().collect();
         f.debug_struct("Interpreter").field("defs", &names).finish()
     }
 }
 
 impl Interpreter {
     /// Creates an interpreter for the checked program, compiling each of
-    /// its `def`s.
+    /// its `def`s. Every constructor name of the program, then every
+    /// string literal of its `def`s as compiling meets it, gets its id
+    /// among the program's [`Names`]: an order fixed by the program.
     pub fn new(program: Arc<CheckedProgram>) -> Interpreter {
+        let mut strings = Names::default();
+        let mut cases: Vec<&str> = program
+            .enums
+            .values()
+            .flat_map(|e| e.cases.keys().map(String::as_str))
+            .collect();
+        cases.sort_unstable();
+        for case in cases {
+            strings.intern(case);
+        }
         let mut names: Vec<&str> = program.defs.keys().map(String::as_str).collect();
         names.sort_unstable();
         let mut calls: Vec<Vec<usize>> = Vec::with_capacity(names.len());
@@ -235,7 +252,7 @@ impl Interpreter {
             .iter()
             .map(|&name| {
                 let info = &program.defs[name];
-                let mut cx = Compiler::new(&names);
+                let mut cx = Compiler::new(&names, &mut strings);
                 for (param, _) in &info.params {
                     cx.bind(param);
                 }
@@ -264,7 +281,10 @@ impl Interpreter {
                 defs[d].word = None;
             }
         }
-        Interpreter { defs: defs.into() }
+        Interpreter {
+            defs: defs.into(),
+            names: Arc::new(strings),
+        }
     }
 
     /// Calls a named function with the given argument values.
@@ -283,8 +303,14 @@ impl Interpreter {
 
     /// The `def`s by name, each at the index [`Interpreter::call_at`]
     /// takes for it.
-    pub(crate) fn names(&self) -> impl Iterator<Item = &str> {
+    pub(crate) fn def_names(&self) -> impl Iterator<Item = &str> {
         self.defs.iter().map(|def| def.name.as_str())
+    }
+
+    /// The names the word code bakes in, for every store of the program
+    /// to intern first ([`flix_core::ProgramBuilder::names`]).
+    pub(crate) fn names(&self) -> &Names {
+        &self.names
     }
 
     /// The index [`Interpreter::call_at`] takes for a named function.
@@ -343,8 +369,9 @@ impl Interpreter {
 
     /// Evaluates a closed expression (no free variables).
     pub fn eval_closed(&self, expr: &Expr) -> Value {
-        let names: Vec<&str> = self.names().collect();
-        let mut cx = Compiler::new(&names);
+        let names: Vec<&str> = self.def_names().collect();
+        let mut strings = Names::clone(&self.names);
+        let mut cx = Compiler::new(&names, &mut strings);
         let code = cx.expr(expr).code;
         let mut frame = Frame {
             defs: &self.defs,
@@ -366,16 +393,9 @@ pub fn lit_value(l: &Lit) -> Value {
     }
 }
 
-/// The value of constructor `case` applied to `fields`, its tag interned
-/// in the engine's symbol table: every `Dist.Fin` of the process shares
-/// one `Arc<str>`, which is what lets a compiled pattern recognise the
-/// tag by pointer.
+/// The value of constructor `case` applied to `fields`.
 pub(crate) fn ctor_value(case: &str, fields: impl ExactSizeIterator<Item = Value>) -> Value {
-    Value::Tag(intern_tag(case), Arc::new(payload(fields)))
-}
-
-fn intern_tag(case: &str) -> Arc<str> {
-    symbol::intern(case).1
+    Value::Tag(Arc::from(case), Arc::new(payload(fields)))
 }
 
 /// A constructor's payload: unit, the one field, or a tuple of them.
@@ -389,18 +409,6 @@ fn payload(mut fields: impl ExactSizeIterator<Item = Value>) -> Value {
 
 fn same_tag(a: &Arc<str>, b: &Arc<str>) -> bool {
     Arc::ptr_eq(a, b) || a == b
-}
-
-/// The value of an expression built from literals and constructors only.
-fn constant(expr: &Expr) -> Option<Value> {
-    let all = |items: &[Expr]| items.iter().map(constant).collect::<Option<Vec<Value>>>();
-    match expr {
-        Expr::Lit(l, _) => Some(lit_value(l)),
-        Expr::Ctor { case, args, .. } => Some(ctor_value(case, all(args)?.into_iter())),
-        Expr::Tuple(items, _) => Some(Value::tuple(all(items)?)),
-        Expr::SetLit(items, _) => Some(Value::set(all(items)?)),
-        _ => None,
-    }
 }
 
 /// One step from a matched value to the part a pattern variable binds.
@@ -495,16 +503,42 @@ struct Compiler<'a> {
     slots: usize,
     /// The callees the word code calls.
     calls: Vec<usize>,
+    /// The program's names: each constructor's tag and id, and each
+    /// string literal's, interned as compiling meets it.
+    strings: &'a mut Names,
 }
 
 impl<'a> Compiler<'a> {
-    fn new(names: &'a [&'a str]) -> Compiler<'a> {
+    fn new(names: &'a [&'a str], strings: &'a mut Names) -> Compiler<'a> {
         Compiler {
             names,
             scope: Vec::new(),
             live: 0,
             slots: 0,
             calls: Vec::new(),
+            strings,
+        }
+    }
+
+    /// The value of an expression built from literals and constructors
+    /// only, its tags and strings those of the program's names.
+    fn constant(&mut self, expr: &Expr) -> Option<Value> {
+        let mut all = |items: &[Expr]| {
+            items
+                .iter()
+                .map(|item| self.constant(item))
+                .collect::<Option<Vec<Value>>>()
+        };
+        match expr {
+            Expr::Lit(l, _) => Some(literal(self.strings, l)),
+            Expr::Ctor { case, args, .. } => {
+                let fields = all(args)?;
+                let (_, tag) = self.strings.intern(case);
+                Some(Value::Tag(tag, Arc::new(payload(fields.into_iter()))))
+            }
+            Expr::Tuple(items, _) => Some(Value::tuple(all(items)?)),
+            Expr::SetLit(items, _) => Some(Value::set(all(items)?)),
+            _ => None,
         }
     }
 
@@ -544,9 +578,10 @@ impl<'a> Compiler<'a> {
     }
 
     fn expr(&mut self, expr: &'a Expr) -> Compiled {
-        if let Some(value) = constant(expr) {
-            let word = inline_slot(&value)
-                .map(|slot| Box::new(move |_: &mut WordFrame<'_>| Some(slot)) as WordCode);
+        if let Some(value) = self.constant(expr) {
+            let word = self.strings.slot(&value);
+            let word =
+                word.map(|slot| Box::new(move |_: &mut WordFrame<'_>| Some(slot)) as WordCode);
             return Compiled {
                 code: Box::new(move |_| value.clone()),
                 word,
@@ -568,7 +603,7 @@ impl<'a> Compiler<'a> {
                 }
             },
             Expr::Ctor { case, args, .. } => {
-                let (ctor, tag) = symbol::intern(case);
+                let (ctor, tag) = self.strings.intern(case);
                 let (fields, words) = self.exprs(args);
                 // One field has a constructor slot where its own slot fits;
                 // a tuple of fields never has one.
@@ -893,15 +928,13 @@ impl<'a> Compiler<'a> {
         word_tests: &mut Option<Vec<(usize, WordTest)>>,
         binds: &mut Vec<Bind>,
     ) {
-        if let Some(test) = pattern_test(pat) {
+        if let Some(test) = pattern_test(self.strings, pat) {
             tests.push((place, test));
-            *word_tests = word_tests
-                .take()
-                .zip(word_test(pat))
-                .map(|(mut tests, test)| {
-                    tests.push((place, test));
-                    tests
-                });
+            let word = word_test(self.strings, pat);
+            *word_tests = word_tests.take().zip(word).map(|(mut tests, test)| {
+                tests.push((place, test));
+                tests
+            });
         }
         self.pattern_binds(pat, place, &mut Vec::new(), binds);
     }
@@ -1038,20 +1071,31 @@ fn word_int_op(
     })
 }
 
+/// A literal's value, a string one among the program's names: then it
+/// has a slot word code may bake in.
+fn literal(names: &mut Names, l: &Lit) -> Value {
+    match l {
+        Lit::Str(s) => Value::Str(names.intern(s).1),
+        _ => lit_value(l),
+    }
+}
+
 /// The test `pat` makes of a value; `None` if it matches every value.
-fn pattern_test(pat: &Pattern) -> Option<Test> {
+fn pattern_test(names: &mut Names, pat: &Pattern) -> Option<Test> {
     match pat {
         Pattern::Wildcard(_) | Pattern::Var(..) => None,
         Pattern::Lit(l, _) => {
-            let lit = lit_value(l);
+            let lit = literal(names, l);
             Some(Box::new(move |v| *v == lit))
         }
         Pattern::Ctor { case, args, .. } => {
-            let tag = intern_tag(case);
+            // The allocation every store of the program decodes the tag
+            // to: a pattern recognises it by pointer.
+            let (_, tag) = names.intern(case);
             let on_payload = match args.as_slice() {
                 [] => Some(Box::new(|payload: &Value| *payload == Value::Unit) as Test),
-                [only] => pattern_test(only),
-                fields => Some(items_test(fields)),
+                [only] => pattern_test(names, only),
+                fields => Some(items_test(names, fields)),
             };
             Some(match on_payload {
                 None => Box::new(move |v| matches!(v, Value::Tag(name, _) if same_tag(name, &tag))),
@@ -1061,13 +1105,13 @@ fn pattern_test(pat: &Pattern) -> Option<Test> {
                 }),
             })
         }
-        Pattern::Tuple(pats, _) => Some(items_test(pats)),
+        Pattern::Tuple(pats, _) => Some(items_test(names, pats)),
     }
 }
 
 /// The test of a tuple of `pats.len()` components, one pattern each.
-fn items_test(pats: &[Pattern]) -> Test {
-    let tests: Vec<Option<Test>> = pats.iter().map(pattern_test).collect();
+fn items_test(names: &mut Names, pats: &[Pattern]) -> Test {
+    let tests: Vec<Option<Test>> = pats.iter().map(|pat| pattern_test(names, pat)).collect();
     Box::new(move |v| match v {
         Value::Tuple(items) if items.len() == tests.len() => tests
             .iter()
@@ -1083,20 +1127,21 @@ fn items_test(pats: &[Pattern]) -> Test {
 /// values all spill. A literal or a nullary constructor is one slot, and
 /// equal values have equal slots; a constructor of one field reads an
 /// inline constructor slot and does not tell on any other.
-fn word_test(pat: &Pattern) -> Option<WordTest> {
+fn word_test(names: &mut Names, pat: &Pattern) -> Option<WordTest> {
     match pat {
         Pattern::Lit(l, _) => {
-            let lit = inline_slot(&lit_value(l))?;
+            let lit = literal(names, l);
+            let lit = names.slot(&lit)?;
             Some(Box::new(move |word| Some(word == lit)))
         }
         Pattern::Ctor { case, args, .. } => {
-            let ctor = symbol::intern(case).0;
-            let nullary = slot_of_ctor(ctor, inline_slot(&Value::Unit)?)?;
+            let (ctor, _) = names.intern(case);
+            let nullary = slot_of_ctor(ctor, names.slot(&Value::Unit)?)?;
             match args.as_slice() {
                 [] => Some(Box::new(move |word| Some(word == nullary))),
                 [only] => {
-                    let on_payload = match pattern_test(only) {
-                        Some(_) => Some(word_test(only)?),
+                    let on_payload = match pattern_test(names, only) {
+                        Some(_) => Some(word_test(names, only)?),
                         None => None,
                     };
                     Some(Box::new(move |word| {
@@ -1906,13 +1951,14 @@ mod tests {
                     let expected = outcome(|| reference::call(&checked, &name, &args));
                     assert_eq!(got, expected, "{name}({args:?}) in\n{source}");
                     let def = compiled.resolve(&name);
-                    let slots: Option<Vec<u64>> = args.iter().map(inline_slot).collect();
+                    let slot = |value: &Value| compiled.names().slot(value);
+                    let slots: Option<Vec<u64>> = args.iter().map(slot).collect();
                     if let (Some(_), Some(slots)) = (compiled.word_arity(def), slots) {
                         match (compiled.call_words(def, &slots), &got) {
                             (None, _) => declined += 1,
                             (Some(word), Ok(value)) => {
                                 let at = format!("{name}({args:?}) = {value} in\n{source}");
-                                assert_eq!(Some(word), inline_slot(value), "{at}");
+                                assert_eq!(Some(word), slot(value), "{at}");
                                 answered += 1;
                             }
                             (Some(word), Err(message)) => panic!(
@@ -1942,12 +1988,10 @@ mod tests {
         );
     }
 
-    /// On a program shaped like the `flixr_pipeline` benchmark's — §4.4's
+    /// A program shaped like the `flixr_pipeline` benchmark's — §4.4's
     /// shortest paths, its lattice and `plus` written in FLIX, over a
-    /// generated graph — every operand of the solve fits a slot, and the
-    /// solve calls no boxed `leq`, `lub`, `glb` or `plus`.
-    #[test]
-    fn a_shortest_paths_solve_runs_on_words_only() {
+    /// generated graph of `nodes` nodes.
+    fn shortest_paths_source(nodes: usize) -> String {
         let mut rng = SmallRng::seed_from_u64(0x5107);
         let mut source = String::from(
             "enum Dist { case Fin(Int), case Inf }
@@ -1977,7 +2021,6 @@ mod tests {
              Reach(\"n0\", Dist.Fin(0)).
             ",
         );
-        let nodes = 300;
         for n in 1..nodes {
             let c = 1 + rng.index(100);
             source.push_str(&format!("Edge(\"n{}\", \"n{n}\", {c}).\n", n - 1));
@@ -1986,19 +2029,63 @@ mod tests {
             let (x, y, c) = (rng.index(nodes), rng.index(nodes), 1 + rng.index(100));
             source.push_str(&format!("Edge(\"n{x}\", \"n{y}\", {c}).\n"));
         }
-        let program = crate::compile(&source).expect("compiles");
-        let solver = flix_core::Solver::new();
+        source
+    }
+
+    /// The number of boxed calls `program`'s solve makes, and the solution.
+    fn boxed_calls_of(program: &flix_core::Program) -> (u64, flix_core::Solution) {
         let before = BOXED_CALLS.with(|calls| calls.get());
-        let solution = solver.solve(&program).expect("solves");
-        let boxed = BOXED_CALLS.with(|calls| calls.get()) - before;
+        let solution = flix_core::Solver::new().solve(program).expect("solves");
+        (BOXED_CALLS.with(|calls| calls.get()) - before, solution)
+    }
+
+    /// On the shortest-paths program, every operand of the solve fits a
+    /// slot, and the solve calls no boxed `leq`, `lub`, `glb` or `plus`.
+    #[test]
+    fn a_shortest_paths_solve_runs_on_words_only() {
+        let nodes = 300;
+        let program = crate::compile(&shortest_paths_source(nodes)).expect("compiles");
+        let (boxed, solution) = boxed_calls_of(&program);
         assert_eq!(solution.len("Reach"), Some(nodes));
         assert!(solution.stats().facts_derived > 2 * nodes as u64);
         assert_eq!(boxed, 0, "the solve made {boxed} boxed calls");
         // The same program lowered without word code calls them boxed.
-        let boxed_reference = program.boxed_reference();
-        let before = BOXED_CALLS.with(|calls| calls.get());
-        solver.solve(&boxed_reference).expect("solves");
-        assert!(BOXED_CALLS.with(|calls| calls.get()) - before > 2 * nodes as u64);
+        let (boxed, _) = boxed_calls_of(&program.boxed_reference());
+        assert!(boxed > 2 * nodes as u64);
+    }
+
+    /// Constructor names and string literals take their ids in each
+    /// program's stores, not in the process: a program that gives `Fin`
+    /// and `Inf` other ids, and other strings before them, solved first,
+    /// leaves the shortest-paths solve on words, with its own ids.
+    #[test]
+    fn words_only_whatever_another_program_interned_first() {
+        let other = crate::compile(
+            "enum E { case A, case B(Int), case Fin(Int), case Inf }
+             def step(e: E): E = match e with {
+               case E.Fin(x) => if (x < 3) E.Fin(x + 1) else E.Inf
+               case _ => E.A
+             }
+             def tag(s: Str): Str = if (s == \"n0\") \"zero\" else s
+             rel P(s: Str, e: E);
+             rel Q(s: Str, e: E);
+             rel T(s: Str);
+             P(\"n7\", E.Fin(0)). P(\"n0\", E.B(1)).
+             Q(s, step(e)) :- P(s, e).
+             Q(s, step(e)) :- Q(s, e).
+             T(tag(s)) :- Q(s, _).",
+        )
+        .expect("compiles");
+        let (_, solution) = boxed_calls_of(&other);
+        assert!(solution.len("Q").is_some_and(|n| n > 4));
+        let nodes = 50;
+        let program = crate::compile(&shortest_paths_source(nodes)).expect("compiles");
+        let (boxed, solution) = boxed_calls_of(&program);
+        assert_eq!(solution.len("Reach"), Some(nodes));
+        assert_eq!(boxed, 0, "the solve made {boxed} boxed calls");
+        let expected = crate::compile(&shortest_paths_source(nodes)).expect("compiles");
+        let (_, expected) = boxed_calls_of(&expected.boxed_reference());
+        assert_eq!(solution.model_lines(), expected.model_lines());
     }
 
     #[test]
@@ -2015,9 +2102,9 @@ mod tests {
              def pair(x: Int): (Int, Int) = (x, x)
              def first(x: Int): Int = match pair(x) with { case (a, _) => a }",
         );
-        let int = |n: i64| inline_slot(&Value::Int(n)).expect("inline");
-        let fin = |n: i64| inline_slot(&Value::tag("Fin", Value::Int(n)));
-        let inf = inline_slot(&Value::tag0("Inf")).expect("inline");
+        let int = |n: i64| i.names().slot(&Value::Int(n)).expect("inline");
+        let fin = |n: i64| i.names().slot(&Value::tag("Fin", Value::Int(n)));
+        let inf = i.names().slot(&Value::tag0("Inf")).expect("inline");
         let words = |name: &str, args: &[u64]| i.call_words(i.resolve(name), args);
         assert_eq!(words("plus", &[fin(2).expect("inline"), int(3)]), fin(5));
         assert_eq!(words("plus", &[inf, int(3)]), Some(inf));

@@ -6,9 +6,12 @@
 //! rules map one-to-one onto the [`flix_core::ProgramBuilder`] API. A
 //! `def` with word code is also registered as its function's word form
 //! over slots ([`flix_core::ProgramBuilder::word_form`]), and a lattice
-//! whose `leq`, `lub` and `glb` all have word code and whose ⊥ has an
-//! inline slot gets them as its word forms
-//! ([`LatticeOps::with_word_forms`]): its cells are then slots.
+//! whose `leq`, `lub` and `glb` all have word code and whose ⊥ has a slot
+//! the program's names fix gets them as its word forms
+//! ([`LatticeOps::with_word_forms`]): its cells are then slots. Those
+//! names — every enum case and every string literal the word code bakes
+//! in ([`Interpreter::names`]) — are the program's
+//! ([`ProgramBuilder::names`]), so each store of it interns them first.
 //!
 //! The checker has already evaluated every fact into its tuple
 //! ([`CheckedProgram::facts`]). Lowering moves those tuples into the
@@ -20,8 +23,8 @@ use crate::error::LangError;
 use crate::interp::{ctor_value, lit_value, Interpreter};
 use crate::typeck::{CheckedBodyItem, CheckedProgram};
 use flix_core::{
-    inline_slot, BodyItem, FuncId, Head, HeadTerm, LatticeOps, PredId, Program, ProgramBuilder,
-    Term, Value, WordType,
+    BodyItem, FuncId, Head, HeadTerm, LatticeOps, PredId, Program, ProgramBuilder, Term, Value,
+    WordType,
 };
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -40,6 +43,7 @@ pub fn lower(mut checked: Arc<CheckedProgram>) -> Result<Program, LangError> {
     };
     let interp = Interpreter::new(checked.clone());
     let mut b = ProgramBuilder::new();
+    b.names(interp.names().clone());
 
     // Lattice bindings → runtime ops (closures over the interpreter).
     let mut ops_by_ty: HashMap<String, LatticeOps> = HashMap::new();
@@ -73,7 +77,7 @@ pub fn lower(mut checked: Arc<CheckedProgram>) -> Result<Program, LangError> {
     // registered in name order so that function ids are the same on
     // every compilation of one source.
     let mut func_ids: HashMap<String, FuncId> = HashMap::new();
-    for (def, name) in interp.names().enumerate() {
+    for (def, name) in interp.def_names().enumerate() {
         let i = interp.clone();
         let id = b.function(name, move |args| i.call_at(def, args));
         if let Some(arity) = interp.word_arity(def) {
@@ -124,7 +128,7 @@ pub(crate) fn ops_for_binding(interp: &Interpreter, ty: &str, bind: &LatticeBind
         move |a: &Value, b: &Value| interp.call_at(def, [a, b])
     };
     let leq = op(&bind.leq);
-    let inline_bottom = inline_slot(&bot).is_some();
+    let bottom_has_slot = interp.names().slot(&bot).is_some();
     let ops = LatticeOps::from_fns(
         ty.to_string(),
         bot,
@@ -139,7 +143,7 @@ pub(crate) fn ops_for_binding(interp: &Interpreter, ty: &str, bind: &LatticeBind
             .then_some(move |a: u64, b: u64| interp.call_words(def, &[a, b]).unwrap_or(DECLINED))
     };
     match (
-        inline_bottom,
+        bottom_has_slot,
         word(&bind.leq),
         word(&bind.lub),
         word(&bind.glb),

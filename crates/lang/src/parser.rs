@@ -18,11 +18,27 @@
 //! lexical error as it is pulled, and one after an operator `-` is one
 //! when the expression reaches it. A `-` and the magnitude past a parse
 //! error are not reported, as the parser might have folded them.
+//!
+//! Nesting is bounded. Every pass over the tree — this parser, the
+//! checker, the interpreter's compiler, `Drop` — recurses on it, so the
+//! parser counts the levels it opens and fails, at the token where a
+//! level opens past the bound, with a positioned error: an expression,
+//! pattern or type past [`MAX_NESTING`], a rule or fact term past
+//! [`MAX_VALUE_DEPTH`], the depth a value may have. A node's children
+//! are one level below it, and so is what a parenthesis holds; a link of
+//! a left chain such as `x + 1 + 1` puts the chain before it one level
+//! deeper, and counts as that level.
 
 use crate::ast::*;
 use crate::error::{LangError, Phase};
 use crate::lexer::{min_magnitude_out_of_range, Lexer};
 use crate::token::{Pos, Tok, Token};
+use flix_core::MAX_VALUE_DEPTH;
+
+/// The deepest an expression, a pattern or a type may nest. A source
+/// nesting past it is refused; one at it is compiled on the 8 MiB stack
+/// of a main thread, with room to spare in a release build.
+pub(crate) const MAX_NESTING: usize = 256;
 
 /// Parses FLIX source text into a [`SourceProgram`].
 ///
@@ -58,6 +74,10 @@ struct Parser<'a> {
     lex_error: Option<LangError>,
     /// Whether the token pulled last is a `-`.
     after_minus: bool,
+    /// The levels open above the node being parsed.
+    depth: usize,
+    /// The deepest level opened since a left chain last reset it.
+    peak: usize,
 }
 
 impl Parser<'_> {
@@ -72,6 +92,8 @@ impl Parser<'_> {
             next: eof(),
             lex_error: None,
             after_minus: false,
+            depth: 0,
+            peak: 0,
         };
         parser.cur = parser.pull();
         parser.next = parser.pull();
@@ -120,6 +142,47 @@ impl Parser<'_> {
             Some(e) => Err(e),
             None => parsed,
         }
+    }
+
+    /// Parses one level down, failing at the current token when that
+    /// level is past `limit`.
+    fn nested<T>(
+        &mut self,
+        limit: usize,
+        parse: impl FnOnce(&mut Self) -> Result<T, LangError>,
+    ) -> Result<T, LangError> {
+        if self.depth == limit {
+            return Err(self.too_deep(limit));
+        }
+        self.depth += 1;
+        self.peak = self.peak.max(self.depth);
+        let parsed = parse(self);
+        self.depth -= 1;
+        parsed
+    }
+
+    fn too_deep(&self, limit: usize) -> LangError {
+        LangError::parse(self.pos(), format!("nested deeper than {limit} levels"))
+    }
+
+    /// The comma-separated items of a list whose `(` is eaten, through its
+    /// `)`: each item one level down, as [`Parser::nested`] parses it.
+    fn list<T>(
+        &mut self,
+        limit: usize,
+        item: fn(&mut Self) -> Result<T, LangError>,
+    ) -> Result<Vec<T>, LangError> {
+        let mut items = Vec::new();
+        if self.peek() != &Tok::RParen {
+            loop {
+                items.push(self.nested(limit, item)?);
+                if !self.eat(&Tok::Comma) {
+                    break;
+                }
+            }
+        }
+        self.expect(&Tok::RParen)?;
+        Ok(items)
     }
 
     fn peek(&self) -> &Tok {
@@ -377,7 +440,7 @@ impl Parser<'_> {
             Tok::UpperIdent(name) if name == "Set" && self.peek2() == &Tok::LParen => {
                 self.bump();
                 self.bump();
-                let elem = self.type_expr()?;
+                let elem = self.nested(MAX_NESTING, Self::type_expr)?;
                 self.expect(&Tok::RParen)?;
                 Ok(TypeExpr::Set(Box::new(elem)))
             }
@@ -396,11 +459,7 @@ impl Parser<'_> {
                 if self.eat(&Tok::RParen) {
                     return Ok(TypeExpr::Unit);
                 }
-                let mut items = vec![self.type_expr()?];
-                while self.eat(&Tok::Comma) {
-                    items.push(self.type_expr()?);
-                }
-                self.expect(&Tok::RParen)?;
+                let mut items = self.list(MAX_NESTING, Self::type_expr)?;
                 if items.len() == 1 {
                     Ok(items.pop().expect("checked"))
                 } else {
@@ -466,17 +525,7 @@ impl Parser<'_> {
     fn atom(&mut self) -> Result<Atom, LangError> {
         let pos = self.pos();
         let pred = self.upper_ident("a predicate name")?;
-        self.expect(&Tok::LParen)?;
-        let mut terms = Vec::new();
-        if self.peek() != &Tok::RParen {
-            loop {
-                terms.push(self.rule_term()?);
-                if !self.eat(&Tok::Comma) {
-                    break;
-                }
-            }
-        }
-        self.expect(&Tok::RParen)?;
+        let terms = self.call_args()?;
         Ok(Atom { pred, terms, pos })
     }
 
@@ -539,17 +588,7 @@ impl Parser<'_> {
 
     fn call_args(&mut self) -> Result<Vec<RuleTerm>, LangError> {
         self.expect(&Tok::LParen)?;
-        let mut args = Vec::new();
-        if self.peek() != &Tok::RParen {
-            loop {
-                args.push(self.rule_term()?);
-                if !self.eat(&Tok::Comma) {
-                    break;
-                }
-            }
-        }
-        self.expect(&Tok::RParen)?;
-        Ok(args)
+        self.list(MAX_VALUE_DEPTH, Self::rule_term)
     }
 
     fn rule_term(&mut self) -> Result<RuleTerm, LangError> {
@@ -614,102 +653,44 @@ impl Parser<'_> {
     // ---- expressions ------------------------------------------------------
 
     fn expr(&mut self) -> Result<Expr, LangError> {
-        self.or_expr()
+        self.binary(0)
     }
 
-    fn or_expr(&mut self) -> Result<Expr, LangError> {
-        let mut lhs = self.and_expr()?;
-        while self.peek() == &Tok::OrOr {
-            let pos = self.pos();
-            self.bump();
-            let rhs = self.and_expr()?;
-            lhs = Expr::Binary {
-                op: BinOp::Or,
-                lhs: Box::new(lhs),
-                rhs: Box::new(rhs),
-                pos,
-            };
-        }
-        Ok(lhs)
-    }
-
-    fn and_expr(&mut self) -> Result<Expr, LangError> {
-        let mut lhs = self.cmp_expr()?;
-        while self.peek() == &Tok::AndAnd {
-            let pos = self.pos();
-            self.bump();
-            let rhs = self.cmp_expr()?;
-            lhs = Expr::Binary {
-                op: BinOp::And,
-                lhs: Box::new(lhs),
-                rhs: Box::new(rhs),
-                pos,
-            };
-        }
-        Ok(lhs)
-    }
-
-    fn cmp_expr(&mut self) -> Result<Expr, LangError> {
-        let lhs = self.add_expr()?;
-        let op = match self.peek() {
-            Tok::EqEq => BinOp::Eq,
-            Tok::BangEq => BinOp::Ne,
-            Tok::Lt => BinOp::Lt,
-            Tok::Le => BinOp::Le,
-            Tok::Gt => BinOp::Gt,
-            Tok::Ge => BinOp::Ge,
-            _ => return Ok(lhs),
+    /// The binary operators at precedence `level` and tighter, loosest
+    /// first: `||`, `&&`, the comparisons (which do not chain), `+ -`,
+    /// `* / %`; all associate to the left. A link puts the chain so far
+    /// one level deeper, so the chain reaches one level further than the
+    /// deepest of the operands before it, and the bound counts that.
+    fn binary(&mut self, level: usize) -> Result<Expr, LangError> {
+        let operand = |p: &mut Self| match level {
+            4 => p.unary_expr(),
+            _ => p.binary(level + 1),
         };
-        let pos = self.pos();
-        self.bump();
-        let rhs = self.add_expr()?;
-        Ok(Expr::Binary {
-            op,
-            lhs: Box::new(lhs),
-            rhs: Box::new(rhs),
-            pos,
-        })
-    }
-
-    fn add_expr(&mut self) -> Result<Expr, LangError> {
-        let mut lhs = self.mul_expr()?;
-        loop {
-            let op = match self.peek() {
-                Tok::Plus => BinOp::Add,
-                Tok::Minus => BinOp::Sub,
-                _ => return Ok(lhs),
-            };
+        let outer = std::mem::replace(&mut self.peak, self.depth);
+        let mut lhs = operand(self)?;
+        let mut reach = self.peak;
+        while let Some(op) = binary_op(level, self.peek()) {
+            if reach == MAX_NESTING {
+                return Err(self.too_deep(MAX_NESTING));
+            }
+            reach += 1;
             let pos = self.pos();
             self.bump();
-            let rhs = self.mul_expr()?;
+            self.peak = self.depth;
+            let rhs = self.nested(MAX_NESTING, operand)?;
+            reach = reach.max(self.peak);
             lhs = Expr::Binary {
                 op,
                 lhs: Box::new(lhs),
                 rhs: Box::new(rhs),
                 pos,
             };
+            if level == 2 {
+                break;
+            }
         }
-    }
-
-    fn mul_expr(&mut self) -> Result<Expr, LangError> {
-        let mut lhs = self.unary_expr()?;
-        loop {
-            let op = match self.peek() {
-                Tok::Star => BinOp::Mul,
-                Tok::Slash => BinOp::Div,
-                Tok::Percent => BinOp::Rem,
-                _ => return Ok(lhs),
-            };
-            let pos = self.pos();
-            self.bump();
-            let rhs = self.unary_expr()?;
-            lhs = Expr::Binary {
-                op,
-                lhs: Box::new(lhs),
-                rhs: Box::new(rhs),
-                pos,
-            };
-        }
+        self.peak = outer.max(reach);
+        Ok(lhs)
     }
 
     fn unary_expr(&mut self) -> Result<Expr, LangError> {
@@ -719,7 +700,7 @@ impl Parser<'_> {
                 self.bump();
                 Ok(Expr::Unary {
                     op: UnOp::Not,
-                    expr: Box::new(self.unary_expr()?),
+                    expr: Box::new(self.nested(MAX_NESTING, Self::unary_expr)?),
                     pos,
                 })
             }
@@ -727,7 +708,7 @@ impl Parser<'_> {
                 self.bump();
                 Ok(Expr::Unary {
                     op: UnOp::Neg,
-                    expr: Box::new(self.unary_expr()?),
+                    expr: Box::new(self.nested(MAX_NESTING, Self::unary_expr)?),
                     pos,
                 })
             }
@@ -759,11 +740,7 @@ impl Parser<'_> {
                 if self.eat(&Tok::RParen) {
                     return Ok(Expr::Lit(Lit::Unit, pos));
                 }
-                let mut items = vec![self.expr()?];
-                while self.eat(&Tok::Comma) {
-                    items.push(self.expr()?);
-                }
-                self.expect(&Tok::RParen)?;
+                let mut items = self.list(MAX_NESTING, Self::expr)?;
                 if items.len() == 1 {
                     Ok(items.pop().expect("checked"))
                 } else {
@@ -774,16 +751,7 @@ impl Parser<'_> {
                 let name = self.take_string();
                 if self.peek() == &Tok::LParen {
                     self.bump();
-                    let mut args = Vec::new();
-                    if self.peek() != &Tok::RParen {
-                        loop {
-                            args.push(self.expr()?);
-                            if !self.eat(&Tok::Comma) {
-                                break;
-                            }
-                        }
-                    }
-                    self.expect(&Tok::RParen)?;
+                    let args = self.list(MAX_NESTING, Self::expr)?;
                     Ok(Expr::Call {
                         func: name,
                         args,
@@ -796,16 +764,7 @@ impl Parser<'_> {
             Tok::UpperIdent(enum_name) if enum_name == "Set" && self.peek2() == &Tok::LParen => {
                 self.bump();
                 self.bump();
-                let mut items = Vec::new();
-                if self.peek() != &Tok::RParen {
-                    loop {
-                        items.push(self.expr()?);
-                        if !self.eat(&Tok::Comma) {
-                            break;
-                        }
-                    }
-                }
-                self.expect(&Tok::RParen)?;
+                let items = self.list(MAX_NESTING, Self::expr)?;
                 Ok(Expr::SetLit(items, pos))
             }
             Tok::UpperIdent(_) => {
@@ -813,17 +772,8 @@ impl Parser<'_> {
                 self.expect(&Tok::Dot)?;
                 let case = self.upper_ident("an enum case name")?;
                 let mut args = Vec::new();
-                if self.peek() == &Tok::LParen {
-                    self.bump();
-                    if self.peek() != &Tok::RParen {
-                        loop {
-                            args.push(self.expr()?);
-                            if !self.eat(&Tok::Comma) {
-                                break;
-                            }
-                        }
-                    }
-                    self.expect(&Tok::RParen)?;
+                if self.eat(&Tok::LParen) {
+                    args = self.list(MAX_NESTING, Self::expr)?;
                 }
                 Ok(Expr::Ctor {
                     enum_name,
@@ -836,9 +786,9 @@ impl Parser<'_> {
                 self.bump();
                 let name = self.lower_ident("a binding name")?;
                 self.expect(&Tok::Eq)?;
-                let bound = self.expr()?;
+                let bound = self.nested(MAX_NESTING, Self::expr)?;
                 self.expect(&Tok::Semi)?;
-                let body = self.expr()?;
+                let body = self.nested(MAX_NESTING, Self::expr)?;
                 Ok(Expr::Let {
                     name,
                     bound: Box::new(bound),
@@ -849,11 +799,11 @@ impl Parser<'_> {
             Tok::If => {
                 self.bump();
                 self.expect(&Tok::LParen)?;
-                let cond = self.expr()?;
+                let cond = self.nested(MAX_NESTING, Self::expr)?;
                 self.expect(&Tok::RParen)?;
-                let then = self.expr()?;
+                let then = self.nested(MAX_NESTING, Self::expr)?;
                 self.expect(&Tok::Else)?;
-                let otherwise = self.expr()?;
+                let otherwise = self.nested(MAX_NESTING, Self::expr)?;
                 Ok(Expr::If {
                     cond: Box::new(cond),
                     then: Box::new(then),
@@ -863,15 +813,15 @@ impl Parser<'_> {
             }
             Tok::Match => {
                 self.bump();
-                let scrutinee = self.expr()?;
+                let scrutinee = self.nested(MAX_NESTING, Self::expr)?;
                 self.expect(&Tok::With)?;
                 self.expect(&Tok::LBrace)?;
                 let mut arms = Vec::new();
                 while !self.eat(&Tok::RBrace) {
                     self.expect(&Tok::Case)?;
-                    let pat = self.pattern()?;
+                    let pat = self.nested(MAX_NESTING, Self::pattern)?;
                     self.expect(&Tok::FatArrow)?;
-                    let body = self.expr()?;
+                    let body = self.nested(MAX_NESTING, Self::expr)?;
                     arms.push(MatchArm { pat, body });
                     self.eat(&Tok::Comma);
                 }
@@ -918,11 +868,7 @@ impl Parser<'_> {
                 if self.eat(&Tok::RParen) {
                     return Ok(Pattern::Lit(Lit::Unit, pos));
                 }
-                let mut items = vec![self.pattern()?];
-                while self.eat(&Tok::Comma) {
-                    items.push(self.pattern()?);
-                }
-                self.expect(&Tok::RParen)?;
+                let mut items = self.list(MAX_NESTING, Self::pattern)?;
                 if items.len() == 1 {
                     Ok(items.pop().expect("checked"))
                 } else {
@@ -934,17 +880,8 @@ impl Parser<'_> {
                 self.expect(&Tok::Dot)?;
                 let case = self.upper_ident("an enum case name")?;
                 let mut args = Vec::new();
-                if self.peek() == &Tok::LParen {
-                    self.bump();
-                    if self.peek() != &Tok::RParen {
-                        loop {
-                            args.push(self.pattern()?);
-                            if !self.eat(&Tok::Comma) {
-                                break;
-                            }
-                        }
-                    }
-                    self.expect(&Tok::RParen)?;
+                if self.eat(&Tok::LParen) {
+                    args = self.list(MAX_NESTING, Self::pattern)?;
                 }
                 Ok(Pattern::Ctor {
                     enum_name,
@@ -959,6 +896,27 @@ impl Parser<'_> {
             )),
         }
     }
+}
+
+/// The binary operator `tok` stands for at precedence `level`
+/// ([`Parser::binary`]), if any.
+fn binary_op(level: usize, tok: &Tok) -> Option<BinOp> {
+    Some(match (level, tok) {
+        (0, Tok::OrOr) => BinOp::Or,
+        (1, Tok::AndAnd) => BinOp::And,
+        (2, Tok::EqEq) => BinOp::Eq,
+        (2, Tok::BangEq) => BinOp::Ne,
+        (2, Tok::Lt) => BinOp::Lt,
+        (2, Tok::Le) => BinOp::Le,
+        (2, Tok::Gt) => BinOp::Gt,
+        (2, Tok::Ge) => BinOp::Ge,
+        (3, Tok::Plus) => BinOp::Add,
+        (3, Tok::Minus) => BinOp::Sub,
+        (4, Tok::Star) => BinOp::Mul,
+        (4, Tok::Slash) => BinOp::Div,
+        (4, Tok::Percent) => BinOp::Rem,
+        _ => return None,
+    })
 }
 
 #[cfg(test)]
@@ -1127,6 +1085,59 @@ mod tests {
     fn error_messages_carry_positions() {
         let err = parse("rel A(").expect_err("incomplete");
         assert!(err.to_string().contains("parse error"));
+    }
+
+    /// The deepest source of each shape that nests: it parses, checks,
+    /// compiles and solves on the 8 MiB stack of a main thread; one level
+    /// more is a positioned parse error.
+    #[test]
+    fn nesting_at_the_bound_runs_and_one_more_level_is_refused() {
+        let shapes: [fn(usize) -> String; 7] = [
+            |k| format!("x{}", " + 1".repeat(k)),
+            |k| format!("{}x", "-".repeat(k)),
+            |k| format!("{}x{}", "g(".repeat(k), ")".repeat(k)),
+            |k| format!("{}x{}", "(0 + ".repeat(k), ")".repeat(k)),
+            |k| "if (x < 0) 0 else ".repeat(k) + "x",
+            |k| "let y = 1; ".repeat(k) + "x",
+            |k| {
+                format!(
+                    "match x with {{ case {}_{} => x }}",
+                    "(".repeat(k),
+                    ")".repeat(k)
+                )
+            },
+        ];
+        let source = |body: &str| {
+            format!(
+                "def g(x: Int): Int = x\ndef f(x: Int): Int = {body}\n\
+                 rel R(x: Int); rel S(x: Int);\nR(2).\nS(f(x)) :- R(x)."
+            )
+        };
+        let run = move |body: String| {
+            let solved = crate::run(&source(&body));
+            solved.map(|s| s.total_facts()).map_err(|e| e.to_string())
+        };
+        let check = move || {
+            for (i, shape) in shapes.into_iter().enumerate() {
+                let deepest = (1..)
+                    .take_while(|&k| parse(&source(&shape(k))).is_ok())
+                    .last()
+                    .expect("one level parses");
+                assert!(deepest >= MAX_NESTING / 2, "shape {i}: {deepest}");
+                assert_eq!(run(shape(deepest)), Ok(2), "shape {i}");
+                let err = run(shape(deepest + 1)).expect_err("past the bound");
+                assert!(
+                    err.starts_with("parse error at 2:") && err.contains("nested deeper than 256"),
+                    "shape {i}: {err}"
+                );
+            }
+        };
+        std::thread::Builder::new()
+            .stack_size(8 << 20)
+            .spawn(check)
+            .expect("spawns")
+            .join()
+            .expect("no stack overflow");
     }
 
     #[test]

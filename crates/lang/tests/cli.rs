@@ -959,6 +959,57 @@ fn a_value_nested_past_the_bound_never_reaches_the_log() {
     assert!(!fresh.exists(), "no log written");
 }
 
+/// The front end bounds nesting: a fact nested 20 000 deep, a `def` body
+/// of 5 000 nested parentheses and a left chain `x + 1 + … + 1` of
+/// 20 000 terms each exit 2 with a positioned parse error, where the
+/// parser used to run out of stack and abort the process.
+#[test]
+fn source_nested_past_the_bound_exits_2_with_a_position() {
+    let program = |def: &str| format!("rel R(x: Int);\n{def}\nR(1).");
+    let cases = [
+        (
+            format!("{NESTED}\nA({}).", nested(20_000)),
+            "parse error at 6:",
+            "nested deeper than 64 levels",
+        ),
+        (
+            program(&format!(
+                "def f(x: Int): Int = {}x{}",
+                "(".repeat(5_000),
+                ")".repeat(5_000)
+            )),
+            "parse error at 2:",
+            "nested deeper than 256 levels",
+        ),
+        (
+            program(&format!("def f(x: Int): Int = x{}", " + 1".repeat(20_000))),
+            "parse error at 2:",
+            "nested deeper than 256 levels",
+        ),
+    ];
+    for (i, (source, at, why)) in cases.iter().enumerate() {
+        let file = write_temp(&format!("nested-source-{i}.flix"), source);
+        let output = flixr().arg(&file).output().expect("runs");
+        assert_eq!(output.status.code(), Some(2), "case {i}: {output:?}");
+        let stderr = String::from_utf8(output.stderr).expect("utf8");
+        assert!(
+            stderr.contains(at) && stderr.contains(why),
+            "case {i}: {stderr}"
+        );
+        assert!(output.stdout.is_empty(), "case {i}");
+    }
+    // At the bound, the chain parses, checks and runs.
+    let at_bound = program(&format!(
+        "def f(x: Int): Int = x{}\nrel S(x: Int);\nS(f(x)) :- R(x).",
+        " + 1".repeat(255)
+    ));
+    let file = write_temp("nested-source-at-bound.flix", &at_bound);
+    let output = flixr().arg(&file).output().expect("runs");
+    assert!(output.status.success(), "{output:?}");
+    let stdout = String::from_utf8(output.stdout).expect("utf8");
+    assert!(stdout.contains("S(256)"), "{stdout}");
+}
+
 /// A `def` whose result nests past the bound fails the solve with a
 /// named violation (exit 3) instead of putting the value in the model:
 /// the snapshot saved before is not overwritten, so none is left that

@@ -389,6 +389,52 @@ fn a_daemon_refuses_def_bombs_in_update_and_query_text() {
     server.join();
 }
 
+/// An update or a query holding a fact nested 20 000 deep is a parse
+/// error past the term bound, and the daemon keeps answering, with its
+/// epoch and its log as they were — the connection thread used to run out
+/// of stack and take the process with it.
+#[test]
+fn a_daemon_refuses_a_fact_nested_past_the_bound_and_keeps_answering() {
+    let dir = Scratch::new("nested-update");
+    let program = Arc::new(paths_program());
+    let server = start(&dir.0, &program).expect("the daemon starts");
+    let mut client = Client::connect(server.socket()).expect("connects");
+    let epoch = client.request(&Request::Status).expect("status").epoch;
+    let logged = std::fs::read(dir.path(damage::WAL)).unwrap_or_default();
+
+    let deep = format!(
+        "Edge({}T.Leaf{}, 1)",
+        "T.Node(".repeat(20_000),
+        ")".repeat(20_000)
+    );
+    let update = Request::Update {
+        text: format!("{deep}."),
+        timeout_secs: None,
+    };
+    for request in [update, Request::Query { atom: deep }] {
+        let reply = client.request(&request).expect("a reply");
+        match reply.body {
+            ReplyBody::Error {
+                code: ErrorCode::Parse,
+                message,
+            } => assert!(
+                message.starts_with("parse error at 1:")
+                    && message.contains("nested deeper than 64 levels"),
+                "{message}"
+            ),
+            other => panic!("expected a parse error, got {other:?}"),
+        }
+    }
+
+    let reply = client.request(&Request::Status).expect("status after both");
+    assert!(matches!(reply.body, ReplyBody::Status(_)), "{reply:?}");
+    assert_eq!(reply.epoch, epoch, "nothing was published");
+    let now = std::fs::read(dir.path(damage::WAL)).unwrap_or_default();
+    assert_eq!(now, logged, "nothing was logged");
+    server.shutdown();
+    server.join();
+}
+
 /// A value its lattice refuses as an element — a tag of no constructor of
 /// `SULattice` (flat) or `MinCost` (a chain), a `MinCost` outside the
 /// chain, any of them in a lattice of no kind whose `leq` panics on it —

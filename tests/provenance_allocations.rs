@@ -68,7 +68,7 @@ struct Counts {
 
 fn counts(program: &Program, provenance: bool) -> Counts {
     let solver = Solver::new().record_provenance(provenance);
-    // Warm-up: symbols are interned once per process.
+    // Warm-up: the first solve of the process pays its one-time costs.
     drop(solver.solve(program).expect("solves"));
     let before = ALLOCS.get();
     let solution = solver.solve(program).expect("solves");

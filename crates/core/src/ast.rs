@@ -358,6 +358,17 @@ pub enum ProgramError {
         /// The predicate name.
         predicate: String,
     },
+    /// A lattice predicate's word forms bake in the ids of other
+    /// [`Names`](crate::Names) than the program's: the lattice was
+    /// lowered for another program ([`LatticeOps::with_word_forms`]).
+    ///
+    /// [`LatticeOps::with_word_forms`]: crate::LatticeOps::with_word_forms
+    ForeignWordForms {
+        /// The predicate name.
+        predicate: String,
+        /// The lattice's name.
+        lattice: String,
+    },
 }
 
 impl fmt::Display for ProgramError {
@@ -409,6 +420,11 @@ impl fmt::Display for ProgramError {
                 f,
                 "a {predicate} fact or rule head holds a value nested deeper than {} levels",
                 crate::MAX_VALUE_DEPTH
+            ),
+            ForeignWordForms { predicate, lattice } => write!(
+                f,
+                "the word forms of {lattice}, the lattice of {predicate}, were lowered \
+                 against another program's names"
             ),
         }
     }

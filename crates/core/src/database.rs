@@ -29,7 +29,10 @@
 //! is what the evaluator's plans hand over; the decoded entries — asserted
 //! facts, snapshot loads, heads with a never-seen value — encode on the
 //! write path and call the same body. Both grow the shared [`Columns`]
-//! store in one place, [`Columns::append`].
+//! store in one place, [`Columns::append`], after one walk of the row set
+//! that either finds the tuple or ends on the slot it takes. Rows come in
+//! through a [`Batch`], which files them into the indexes when it ends: a
+//! round's derivations are one batch, a single insert a batch of one.
 //!
 //! A row also leaves in one place, [`Columns::remove`] — a swap-remove:
 //! the predicate's last row moves into the hole in every encoded column
@@ -288,6 +291,12 @@ impl Names {
     /// The table every store of the program starts from.
     pub(crate) fn table(&self) -> &SpillTable {
         &self.0
+    }
+
+    /// Whether every id `earlier` gave means the same string here.
+    pub(crate) fn extends(&self, earlier: &Names) -> bool {
+        let (ours, theirs) = (&self.0.values, &earlier.0.values);
+        ours.len() >= theirs.len() && ours.iter().zip(theirs).all(|(a, b)| a == b)
     }
 }
 
@@ -769,12 +778,14 @@ fn home(hash: u64, mask: usize) -> usize {
 }
 
 impl RowSet {
-    /// Finds the id of the row with `hash` for which `eq` holds. `eq` is
-    /// asked only about rows whose tag is `hash`'s.
+    /// Finds the id of the row with `hash` for which `eq` holds — or the
+    /// empty slot the walk ended on, where [`RowSet::fill`] puts the row:
+    /// a membership test and its insert are one walk. `eq` is asked only
+    /// about rows whose tag is `hash`'s.
     #[inline]
-    fn lookup(&self, hash: u64, eq: impl Fn(u32) -> bool) -> Option<u32> {
+    fn find(&self, hash: u64, eq: impl Fn(u32) -> bool) -> Result<u32, usize> {
         if self.slots.is_empty() {
-            return None;
+            return Err(0);
         }
         let mask = self.slots.len() - 1;
         let tag = hash >> 32;
@@ -782,13 +793,19 @@ impl RowSet {
         loop {
             let slot = self.slots[i];
             if slot == EMPTY_SLOT {
-                return None;
+                return Err(i);
             }
             if slot >> 32 == tag && eq(slot as u32) {
-                return Some(slot as u32);
+                return Ok(slot as u32);
             }
             i = (i + 1) & mask;
         }
+    }
+
+    /// [`RowSet::find`], for a test alone.
+    #[inline]
+    fn lookup(&self, hash: u64, eq: impl Fn(u32) -> bool) -> Option<u32> {
+        self.find(hash, eq).ok()
     }
 
     /// Inserts an id known to be absent, growing at 7/8 load.
@@ -801,6 +818,18 @@ impl RowSet {
             }
         }
         self.place(tagged(hash, id));
+        self.len += 1;
+    }
+
+    /// [`RowSet::insert_new`] of absent row `id` at `at`, the empty slot
+    /// a [`RowSet::find`] of `hash` ended on: the slot it would take,
+    /// unless the insert grows the set.
+    #[inline]
+    fn fill(&mut self, at: usize, hash: u64, id: u32) {
+        if self.slots.len() < 8 || self.len + 1 > self.slots.len() / 8 * 7 {
+            return self.insert_new(hash, id);
+        }
+        self.slots[at] = tagged(hash, id);
         self.len += 1;
     }
 
@@ -1086,14 +1115,18 @@ impl<H: KeyHash> Index<H> {
 // ---------------------------------------------------------------------------
 
 /// The columnar store both predicate kinds are built on: the tuples of a
-/// relation, or the key tuples of a lattice predicate. Encoded columns,
-/// the membership set and the indexes all grow in one place,
-/// [`Columns::append`]; the decoded read arena is built apart from them,
-/// by the first read that lends `&[Value]` rows ([`Columns::row`]).
+/// relation, or the key tuples of a lattice predicate. Encoded columns
+/// and the membership set grow in one place, [`Columns::append`]; the
+/// indexes catch up in one place, [`Columns::file_new`], when the
+/// [`Batch`] the rows came in ends. The decoded read arena is built
+/// apart from them, by the first read that lends `&[Value]` rows
+/// ([`Columns::row`]).
 #[derive(Clone, Debug, Default)]
 pub(crate) struct Columns {
     arity: usize,
     len: usize,
+    /// The rows the indexes hold: all but, in a [`Batch`], its new ones.
+    filed: usize,
     /// Struct-of-arrays encoded columns: `cols[c][row]` — the join
     /// kernels' working representation.
     cols: Vec<Vec<u64>>,
@@ -1119,6 +1152,11 @@ impl Columns {
     #[inline]
     pub(crate) fn len(&self) -> usize {
         self.len
+    }
+
+    /// The number of columns.
+    pub(crate) fn arity(&self) -> usize {
+        self.arity
     }
 
     /// Every row, decoded, row-major — built on the first call after a
@@ -1162,9 +1200,11 @@ impl Columns {
         self.cols.iter().map(move |col| col[id as usize])
     }
 
+    /// Finds an encoded tuple that hashes to `hash`: its id, or where
+    /// [`Columns::append`] puts it ([`RowSet::find`]).
     #[inline]
-    fn lookup(&self, hash: u64, enc: &[u64]) -> Option<u32> {
-        self.set.lookup(hash, |id| {
+    fn find(&self, hash: u64, enc: &[u64]) -> Result<u32, usize> {
+        self.set.find(hash, |id| {
             self.cols
                 .iter()
                 .zip(enc)
@@ -1175,7 +1215,7 @@ impl Columns {
     /// The id of an encoded tuple, if stored (kernel access).
     #[inline]
     pub(crate) fn id_of_encoded(&self, enc: &[u64]) -> Option<u32> {
-        self.lookup(hash_slots(enc), enc)
+        self.find(hash_slots(enc), enc).ok()
     }
 
     /// The id of a decoded tuple, if stored. A tuple of the wrong width,
@@ -1206,11 +1246,13 @@ impl Columns {
         self.scratch = scratch;
     }
 
-    /// Appends an encoded tuple known to be absent (its `hash` missed in
-    /// [`Columns::lookup`]) and returns its id: the one place a row or a
-    /// lattice key enters the store. Every slot must be a canonical
-    /// encoding against the database's spill table; nothing is decoded.
-    fn append(&mut self, enc: &[u64], hash: u64) -> Result<u32, InsertFault> {
+    /// Appends an encoded tuple known to be absent — its `hash` missed
+    /// in [`Columns::find`], which ended on the empty slot `at` — and
+    /// returns its id: the one place a row or a lattice key enters the
+    /// store. Every slot must be a canonical encoding against the
+    /// database's spill table; nothing is decoded. The indexes take the
+    /// row when its [`Batch`] ends.
+    fn append(&mut self, enc: &[u64], hash: u64, at: usize) -> Result<u32, InsertFault> {
         debug_assert_eq!(enc.len(), self.arity);
         // `u32::MAX` is the row-set's empty sentinel, so the last usable
         // id is `u32::MAX - 1`: a checked bound instead of the silent
@@ -1223,12 +1265,24 @@ impl Columns {
             col.push(e);
         }
         self.len += 1;
-        for index in &mut self.indexes {
-            index.file(&self.cols, id);
-        }
-        self.set.insert_new(hash, id);
+        self.set.fill(at, hash, id);
         self.flat.forget();
         Ok(id)
+    }
+
+    /// Files the rows appended since the last filing into every index,
+    /// one index at a time, in id order: what filing each row as it came
+    /// would have left.
+    fn file_new(&mut self) {
+        if self.filed == self.len {
+            return;
+        }
+        for index in &mut self.indexes {
+            for id in self.filed..self.len {
+                index.file(&self.cols, id as u32);
+            }
+        }
+        self.filed = self.len;
     }
 
     /// Deletes row `id` by swap-remove and returns the id of the last
@@ -1242,6 +1296,7 @@ impl Columns {
     /// row afterwards: see `Run::delete` for when this runs.
     fn remove(&mut self, id: u32) -> u32 {
         assert!((id as usize) < self.len, "row {id} is stored");
+        debug_assert_eq!(self.filed, self.len, "no batch is open");
         let last = (self.len - 1) as u32;
         for index in &mut self.indexes {
             index.remove(&self.cols, id, last);
@@ -1254,6 +1309,7 @@ impl Columns {
             col.swap_remove(id as usize);
         }
         self.len -= 1;
+        self.filed = self.len;
         self.flat.forget();
         last
     }
@@ -1265,6 +1321,7 @@ impl Columns {
         if let Some(at) = self.index_of(cols) {
             return at;
         }
+        debug_assert_eq!(self.filed, self.len, "no batch is open");
         let mut index = Index::new(cols);
         for id in 0..self.len as u32 {
             index.file(&self.cols, id);
@@ -1302,6 +1359,7 @@ impl Columns {
     /// Index probe by position with a pre-encoded key (kernel access).
     #[inline]
     pub(crate) fn probe_encoded(&self, index: usize, key: &[u64]) -> &[u32] {
+        debug_assert_eq!(self.filed, self.len, "no batch is open");
         self.indexes[index].probe(&self.cols, key)
     }
 }
@@ -1346,13 +1404,10 @@ impl RelationData {
         self.rows.id_of(row, spill).is_some()
     }
 
-    pub(crate) fn contains_encoded(&self, enc: &[u64]) -> bool {
-        self.rows.id_of_encoded(enc).is_some()
-    }
-
     /// Inserts a decoded tuple — the entry of asserted facts and heads
     /// the kernel could not encode: encodes on the write path, then takes
-    /// the encoded entry.
+    /// the encoded entry. A batch of one of its own: it files what the
+    /// relation holds unfiled, in id order as a batch's end would.
     fn insert(
         &mut self,
         tuple: &[Value],
@@ -1361,19 +1416,20 @@ impl RelationData {
         let enc = self.rows.encode_row(tuple, spill);
         let result = self.insert_encoded(&enc);
         self.rows.put_scratch(enc);
+        self.rows.file_new();
         result
     }
 
     /// Inserts an encoded tuple; returns the new row id, or `None` when
-    /// the tuple was already stored. Every slot must be a canonical
-    /// encoding against the database's spill table, so nothing is
-    /// interned.
+    /// the tuple was already stored: one walk of the row set. Every slot
+    /// must be a canonical encoding against the database's spill table,
+    /// so nothing is interned.
     fn insert_encoded(&mut self, enc: &[u64]) -> Result<Option<u32>, InsertFault> {
         let hash = hash_slots(enc);
-        if self.rows.lookup(hash, enc).is_some() {
-            return Ok(None);
+        match self.rows.find(hash, enc) {
+            Ok(_) => Ok(None),
+            Err(at) => self.rows.append(enc, hash, at).map(Some),
         }
-        self.rows.append(enc, hash).map(Some)
     }
 }
 
@@ -1732,6 +1788,7 @@ impl LatticeData {
             .elem_mut(value, spill)
             .and_then(|elem| self.join_inner(&enc, NO_ID, elem, spill));
         self.keys.put_scratch(enc);
+        self.keys.file_new();
         result
     }
 
@@ -1772,17 +1829,20 @@ impl LatticeData {
         elem: Elem,
         spill: &mut SpillTable,
     ) -> Result<Option<(u32, Elem)>, InsertFault> {
-        let (hash, known) = if id == NO_ID {
+        let (hash, found) = if id == NO_ID {
             let hash = hash_slots(enc);
-            (hash, self.keys.lookup(hash, enc))
+            (hash, self.keys.find(hash, enc))
         } else {
-            (0, Some(id))
+            (0, Ok(id))
         };
-        if let Some(id) = known {
-            return Ok(self
-                .join_existing(id, elem, spill)?
-                .map(|joined| (id, joined)));
-        }
+        let at = match found {
+            Ok(id) => {
+                return Ok(self
+                    .join_existing(id, elem, spill)?
+                    .map(|joined| (id, joined)))
+            }
+            Err(at) => at,
+        };
         let reflexive = match &elem {
             Elem::Boxed(value) => self.ops.try_leq(value, value)?,
             Elem::Word(word) => {
@@ -1794,7 +1854,7 @@ impl LatticeData {
             let value = self.value_of(elem.as_ref(), spill).into_owned();
             return Err(InsertFault::Safety(Violation::NotReflexive(value)));
         }
-        let id = self.keys.append(enc, hash)?;
+        let id = self.keys.append(enc, hash, at)?;
         match (&mut self.cells, &elem) {
             (Cells::Boxed(cells), Elem::Boxed(value)) => cells.push(value.clone()),
             (Cells::Words { words, decoded, .. }, &Elem::Word(word)) => {
@@ -2046,62 +2106,18 @@ impl Database {
         kind.encode_mut(v, &mut self.spill)
     }
 
-    /// Inserts a decoded tuple, interpreting the last column as a lattice
-    /// element for `lat` predicates: the entry of asserted facts,
-    /// snapshot loads, and derived heads the kernel could not hand over
-    /// encoded. Fails when the lattice operations panic or trip
-    /// a safety sentinel (see [`LatticeData::join_inner`]), or when the
-    /// predicate's `u32` row-id space is exhausted.
+    /// Opens a [`Batch`]: the one way rows enter the store.
+    pub(crate) fn batch(&mut self) -> Batch<'_> {
+        Batch { db: self }
+    }
+
+    /// [`Batch::insert`], as a batch of one.
     pub(crate) fn insert(
         &mut self,
         pred: PredId,
         tuple: &[Value],
     ) -> Result<InsertOutcome, InsertFault> {
-        let spill = &mut self.spill;
-        match &mut self.preds[pred.0 as usize] {
-            PredData::Rel(r) => r.insert(tuple, spill).map(InsertOutcome::of_row),
-            PredData::Lat(l) => {
-                let (value, key) = tuple
-                    .split_last()
-                    .expect("lattice predicates have arity >= 1");
-                l.join(key, value.clone(), spill)
-                    .map(InsertOutcome::of_cell)
-            }
-        }
-    }
-
-    /// [`Database::insert`] for a relational head already in encoded form
-    /// (the kernel fast path). The slots must be canonical encodings
-    /// produced against this database's spill table.
-    pub(crate) fn insert_rel_encoded(
-        &mut self,
-        pred: PredId,
-        enc: &[u64],
-    ) -> Result<InsertOutcome, InsertFault> {
-        let PredData::Rel(r) = &mut self.preds[pred.0 as usize] else {
-            unreachable!("compiled against predicate kinds");
-        };
-        r.insert_encoded(enc).map(InsertOutcome::of_row)
-    }
-
-    /// [`Database::insert`] for a lattice head whose key is already in
-    /// encoded form and whose element is in its lattice's representation
-    /// (the kernel fast path). The key slots — and a word element's — must
-    /// be canonical encodings produced against this database's spill
-    /// table; `id` names the target cell when the kernel resolved it
-    /// ([`NO_ID`] otherwise).
-    pub(crate) fn insert_lat_encoded(
-        &mut self,
-        pred: PredId,
-        key: &[u64],
-        id: u32,
-        elem: Elem,
-    ) -> Result<InsertOutcome, InsertFault> {
-        let PredData::Lat(l) = &mut self.preds[pred.0 as usize] else {
-            unreachable!("compiled against predicate kinds");
-        };
-        l.join_encoded(key, id, elem, &mut self.spill)
-            .map(InsertOutcome::of_cell)
+        self.batch().insert(pred, tuple)
     }
 
     /// The id of a stored fact, by its decoded identifying columns: a
@@ -2211,12 +2227,124 @@ impl Database {
     }
 }
 
+/// Rows entering a [`Database`], which the batch borrows mutably: a row
+/// is in its membership set at once and in its predicate's indexes when
+/// the batch ends ([`Columns::file_new`]). A round's derivations are one
+/// batch, a single insert a batch of one ([`Database::insert`]). Reads
+/// through the batch are of rows and cells; debug builds refuse a probe.
+pub(crate) struct Batch<'a> {
+    db: &'a mut Database,
+}
+
+impl std::ops::Deref for Batch<'_> {
+    type Target = Database;
+
+    fn deref(&self) -> &Database {
+        self.db
+    }
+}
+
+impl Drop for Batch<'_> {
+    fn drop(&mut self) {
+        for pred in &mut self.db.preds {
+            pred.columns_mut().file_new();
+        }
+    }
+}
+
+impl Batch<'_> {
+    /// Inserts a decoded tuple, interpreting the last column as a lattice
+    /// element for `lat` predicates: the entry of asserted facts,
+    /// snapshot loads, and derived heads the kernel could not hand over
+    /// encoded. Fails when the lattice operations panic or trip
+    /// a safety sentinel (see [`LatticeData::join_inner`]), or when the
+    /// predicate's `u32` row-id space is exhausted.
+    pub(crate) fn insert(
+        &mut self,
+        pred: PredId,
+        tuple: &[Value],
+    ) -> Result<InsertOutcome, InsertFault> {
+        let spill = &mut self.db.spill;
+        match &mut self.db.preds[pred.0 as usize] {
+            PredData::Rel(r) => r.insert(tuple, spill).map(InsertOutcome::of_row),
+            PredData::Lat(l) => {
+                let (value, key) = tuple
+                    .split_last()
+                    .expect("lattice predicates have arity >= 1");
+                l.join(key, value.clone(), spill)
+                    .map(InsertOutcome::of_cell)
+            }
+        }
+    }
+
+    /// [`Batch::insert`] for a relational head already in encoded form
+    /// (the kernel fast path). The slots must be canonical encodings
+    /// produced against this database's spill table.
+    #[inline]
+    pub(crate) fn insert_rel(
+        &mut self,
+        pred: PredId,
+        enc: &[u64],
+    ) -> Result<InsertOutcome, InsertFault> {
+        let PredData::Rel(r) = &mut self.db.preds[pred.0 as usize] else {
+            unreachable!("compiled against predicate kinds");
+        };
+        r.insert_encoded(enc).map(InsertOutcome::of_row)
+    }
+
+    /// [`Batch::insert`] for a lattice head whose key is already in
+    /// encoded form and whose element is in its lattice's representation
+    /// (the kernel fast path). The key slots — and a word element's — must
+    /// be canonical encodings produced against this database's spill
+    /// table; `id` names the target cell when the kernel resolved it
+    /// ([`NO_ID`] otherwise).
+    pub(crate) fn join_lat(
+        &mut self,
+        pred: PredId,
+        key: &[u64],
+        id: u32,
+        elem: Elem,
+    ) -> Result<InsertOutcome, InsertFault> {
+        let PredData::Lat(l) = &mut self.db.preds[pred.0 as usize] else {
+            unreachable!("compiled against predicate kinds");
+        };
+        l.join_encoded(key, id, elem, &mut self.db.spill)
+            .map(InsertOutcome::of_cell)
+    }
+
+    /// [`Database::ascent_crossed`], inside the batch.
+    pub(crate) fn ascent_crossed(&mut self, pred: PredId, id: u32, threshold: u64) -> Option<u64> {
+        self.db.ascent_crossed(pred, id, threshold)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::ops::ValueLattice;
     use crate::ProgramBuilder;
     use flix_lattice::Parity;
+
+    /// The encoded entries, each as a batch of one.
+    impl Database {
+        fn insert_rel_encoded(
+            &mut self,
+            pred: PredId,
+            enc: &[u64],
+        ) -> Result<InsertOutcome, InsertFault> {
+            self.batch().insert_rel(pred, enc)
+        }
+
+        fn insert_lat_encoded(
+            &mut self,
+            pred: PredId,
+            key: &[u64],
+            id: u32,
+            elem: Elem,
+        ) -> Result<InsertOutcome, InsertFault> {
+            self.batch().join_lat(pred, key, id, elem)
+        }
+    }
 
     fn row(vals: &[i64]) -> Vec<Value> {
         vals.iter().map(|&n| Value::Int(n)).collect()
@@ -2830,7 +2958,7 @@ mod tests {
         (12 + key % 4 + 16 * (key / 4 % 4)) << 32 | key
     }
 
-    /// What [`Columns::lookup`] asks of the set, over `keys` as the rows,
+    /// What [`Columns::find`] asks of the set, over `keys` as the rows,
     /// counting the rows read: each must carry `key`'s tag.
     fn find(set: &RowSet, keys: &[u64], key: u64, reads: &std::cell::Cell<usize>) -> Option<u32> {
         set.lookup(colliding(key), |id| {
@@ -3102,6 +3230,99 @@ mod tests {
             }
             let kept = groups_by_key(&cols.indexes[index], &cols.cols);
             assert_eq!(kept, groups_by_key(&scratch, &cols.cols), "{on:?}");
+        }
+    }
+
+    /// Every field of two indexes that filed the same rows.
+    fn assert_same_index(a: &Index, b: &Index, what: &str) {
+        assert_eq!(a.on, b.on, "{what}");
+        assert_eq!(a.keys.len, b.keys.len, "{what}: keys");
+        assert_eq!(a.keys.slots, b.keys.slots, "{what}: keys");
+        let groups = |index: &Index| -> Vec<Vec<u32>> {
+            index
+                .groups
+                .iter()
+                .map(|ids| ids.as_slice().to_vec())
+                .collect()
+        };
+        assert_eq!(groups(a), groups(b), "{what}: groups");
+        assert_eq!(a.recent, b.recent, "{what}: recent");
+    }
+
+    #[test]
+    fn a_batch_leaves_every_index_as_filing_row_by_row_does() {
+        use flix_lattice::rng::SmallRng;
+        use flix_lattice::MinCost;
+        for seed in 0..6u64 {
+            let mut rng = SmallRng::seed_from_u64(seed ^ 0xBA7C);
+            // `batched` takes each batch through the encoded entries of
+            // one `Batch`; `single` takes every row as a batch of one.
+            let (mut batched, r, l) = removal_store();
+            let (mut single, _, _) = removal_store();
+            let kind = match batched.pred(l) {
+                PredData::Lat(lat) => lat.kind_words().expect("MinCost is a chain").clone(),
+                PredData::Rel(_) => unreachable!("a lattice"),
+            };
+            let mut removals = 0;
+            for _ in 0..40 {
+                let mut rows = Vec::new();
+                for _ in 0..rng.index(12) {
+                    let pred = [r, l][rng.index(2)];
+                    let mut fact = vec![column_value(rng.index(6)), column_value(rng.index(6))];
+                    fact.push(match pred == r {
+                        true => Value::Int(rng.gen_range(0..3i64)),
+                        false => MinCost::finite(rng.gen_range(1..9u64)).to_value(),
+                    });
+                    rows.push((pred, fact));
+                }
+                let encoded: Vec<Vec<u64>> = rows
+                    .iter()
+                    .map(|(pred, fact)| {
+                        let (value, key) = fact.split_last().expect("three columns");
+                        let mut enc: Vec<u64> =
+                            key.iter().map(|v| batched.encode_literal(v)).collect();
+                        enc.push(match *pred == r {
+                            true => batched.encode_literal(value),
+                            false => batched.encode_elem(&kind, value).expect("an element"),
+                        });
+                        enc
+                    })
+                    .collect();
+                let filed = |db: &Database, pred| db.pred(pred).columns().filed;
+                let before = [filed(&batched, r), filed(&batched, l)];
+                let mut batch = batched.batch();
+                for ((pred, fact), enc) in rows.iter().zip(&encoded) {
+                    let outcome = match *pred == r {
+                        true => batch.insert_rel(r, enc),
+                        false => batch.join_lat(l, &enc[..2], NO_ID, Elem::Word(enc[2])),
+                    };
+                    let expected = single.insert(*pred, fact).expect("sound ops");
+                    assert_eq!(outcome.expect("sound ops"), expected, "seed {seed}");
+                }
+                // Stored at once, filed at the end.
+                assert_eq!([filed(&batch, r), filed(&batch, l)], before, "seed {seed}");
+                drop(batch);
+                for pred in [r, l] {
+                    let (ours, theirs) =
+                        (batched.pred(pred).columns(), single.pred(pred).columns());
+                    assert_eq!(ours.filed, ours.len(), "seed {seed}");
+                    assert_eq!(ours.cols, theirs.cols, "seed {seed}");
+                    for (a, b) in ours.indexes.iter().zip(&theirs.indexes) {
+                        assert_same_index(a, b, &format!("seed {seed}, {pred:?}"));
+                    }
+                }
+                // Removals between batches, the same in both stores.
+                for pred in [r, l] {
+                    let len = batched.len_of(pred) as u32;
+                    if len > 0 && rng.gen_bool(0.5) {
+                        let id = rng.index(len as usize) as u32;
+                        batched.remove(pred, id);
+                        single.remove(pred, id);
+                        removals += 1;
+                    }
+                }
+            }
+            assert!(removals > 10, "seed {seed}: {removals} removals");
         }
     }
 

@@ -566,6 +566,8 @@ pub(crate) struct Cone {
     pub(crate) dead: Vec<FxHashSet<Box<[u64]>>>,
     /// The log positions of the events that died, ascending.
     pub(crate) dead_events: Vec<Pos>,
+    /// The events the walk examined: its cost.
+    pub(crate) examined: u64,
 }
 
 /// What turns an assertion into the encoded key of the fact it asserts:
@@ -600,6 +602,7 @@ impl Cone {
         let mut dead_events: FxHashSet<Pos> = FxHashSet::default();
         // (Dead from: `None` sorts first. The fact's predicate. Its key.)
         let mut frontier = BinaryHeap::new();
+        let mut examined = 0;
         let mut key = Vec::new();
         for (pred, tuple) in removed {
             // An assertion the store never saw a value of made no fact.
@@ -612,7 +615,7 @@ impl Cone {
             if !dead[pred.0 as usize].insert(key.clone()) {
                 continue;
             }
-            log.touching(pred, &key, from, facts.spill, |at, event| {
+            examined += log.touching(pred, &key, from, facts.spill, |at, event| {
                 if dead_events.insert(at) && !dead[event.pred.0 as usize].contains(event.key) {
                     frontier.push(Reverse((Some(at), event.pred, event.key.into())));
                 }
@@ -620,7 +623,11 @@ impl Cone {
         }
         let mut dead_events: Vec<Pos> = dead_events.into_iter().collect();
         dead_events.sort_unstable();
-        Cone { dead, dead_events }
+        Cone {
+            dead,
+            dead_events,
+            examined,
+        }
     }
 
     /// Whether the cone holds the fact `tuple` of `pred` asserts. `key`

@@ -66,23 +66,29 @@
 //!   the arena's side column. Nothing is decoded and nothing is allocated
 //!   per derivation; this is exactly what DRed retraction later replays,
 //!   and `explain` decodes;
-//! * **heads leave encoded** — a head whose key columns all encode
-//!   against the store and fit the inline width is handed to the insert
-//!   loop as the `u64` slots the registers hold ([`Payload::RelEnc`],
-//!   [`Payload::LatEnc`], a word lattice's element as its word); only a
-//!   head with a value the store has never seen, or a wider one, is
-//!   materialized ([`Payload::Tuple`]) for the insert path to intern;
-//! * **subsumed derivations are suppressed at the emit site** — a head
-//!   tuple the database already contains (or whose lattice candidate is
-//!   `⊑` its stored cell) would be dropped as `Unchanged` by the insert
-//!   loop; the plan checks membership on the already-encoded columns
-//!   and skips the round trip.
-//!   Suppressed tuples are still counted as derived, head functions are
-//!   still applied (so a panicking transfer function still fires), and
-//!   the check is skipped for lattice heads when ascent telemetry is on
-//!   (a subsumed join must count on its cell). Suppression cannot lose a
-//!   provenance event: only database-*changing* inserts are logged, and
-//!   a suppressed tuple is by construction one that changes nothing.
+//! * **heads leave as words** — a head whose key columns all encode
+//!   against the store is appended to the round's word run
+//!   ([`Derivations`]) as the `u64` slots the registers hold, a word
+//!   lattice's element as its word; only a boxed lattice's cell and the
+//!   cell id a lattice head resolved go to side vectors, and only a head
+//!   with a value the store has never seen is materialized, as a tuple,
+//!   for the insert path to intern;
+//! * **a relational head is tested once, where it is inserted** — the
+//!   round's absorb finds the row or inserts it in one walk of the row
+//!   set, so the plan does not test it first;
+//! * **subsumed lattice candidates are suppressed at the emit site** — a
+//!   candidate `⊑` its stored cell, or `⊑` what this execution already
+//!   emitted for the cell (its shadow cell), would be dropped as
+//!   `Unchanged` by the insert loop; the plan checks it on the
+//!   already-encoded key and skips the round trip — the steady state of
+//!   fixed points like shortest paths, where a round derives many
+//!   successively better candidates per cell. Suppressed candidates are
+//!   still counted as derived, head functions are still applied (so a
+//!   panicking transfer function still fires), and the check is skipped
+//!   when ascent telemetry is on (a subsumed join must count on its
+//!   cell). Suppression cannot lose a provenance event: only
+//!   database-*changing* inserts are logged, and a suppressed candidate
+//!   is by construction one that changes nothing.
 //!
 //! Iteration order is part of the contract — insertion-order scans,
 //! insertion-order probe hits, delta atom outermost — because solutions,
@@ -99,7 +105,7 @@ use crate::ops::OpsPanic;
 use crate::program::{
     bind_item, key_cols, ordered_body_from, CHead, CItem, CRule, CTerm, OrderFrom, Program,
 };
-use crate::solver::{DeltaRows, Derivations, Derived, EvalCounters, EvalFault, Payload, ENC_KEY};
+use crate::solver::{DeltaRows, Derivations, EvalCounters, EvalFault, Heads};
 use crate::verify::Violation;
 use crate::{PredId, Value, WordType};
 use std::collections::{HashMap, HashSet};
@@ -199,7 +205,7 @@ enum HeadSrc {
     App(Call),
 }
 
-/// One word of a premise template: where [`push_derived`] takes it from.
+/// One word of a premise template: where [`copy_premises`] takes it from.
 #[derive(Clone, Debug)]
 enum PremiseSrc {
     /// Known at compile time: a premise's predicate, a pre-encoded
@@ -315,10 +321,11 @@ pub(crate) struct Plan {
     /// the value column leaves as.
     cell: Option<KindWords>,
     num_slots: usize,
-    /// Suppress derivations the database already subsumes at emit time
-    /// instead of materializing them for the insert loop (they would be
-    /// dropped there as `Unchanged`). Off for lattice heads when ascent
-    /// telemetry is on — a subsumed join must still count on its cell.
+    /// Suppress lattice candidates the database already subsumes at emit
+    /// time instead of handing them to the insert loop (they would be
+    /// dropped there as `Unchanged`). Off for relational heads, which the
+    /// insert loop tests once, and when ascent telemetry is on — a
+    /// subsumed join must still count on its cell.
     precheck: bool,
     /// The head's encoded columns: all of a relational head, the key
     /// columns of a lattice head.
@@ -818,7 +825,7 @@ fn compile_body(
         head,
         cell,
         num_slots: rule.num_vars,
-        precheck: lat_precheck || !is_lattice,
+        precheck: lat_precheck && is_lattice,
         key_cols,
         premises,
     }
@@ -1059,7 +1066,6 @@ struct State<'a, 'o> {
     db: &'a Database,
     delta: &'a [DeltaRows],
     guard: &'a EvalGuard<'a>,
-    rule: usize,
     enc: Vec<u64>,
     boxed: Vec<Option<Value>>,
     /// Reused for probe keys and word-form arguments; never held across a
@@ -1076,16 +1082,9 @@ struct State<'a, 'o> {
     out: &'o mut Derivations,
     probes: u64,
     scans: u64,
-    /// Derivations suppressed by the emit-side subsumption pre-check;
-    /// they still count as derived in the statistics.
+    /// Lattice candidates suppressed by the emit-side subsumption
+    /// pre-check; they still count as derived in the statistics.
     suppressed: u64,
-    /// Relational head rows already emitted by this plan execution. A
-    /// repeat is guaranteed `Unchanged` at insert time — the earlier
-    /// copy sits before it in the output — so it is suppressed too.
-    /// Keys are zero-padded to [`SHADOW_KEY`] slots so entries stay
-    /// allocation-free; wider heads skip the shadow (suppression is an
-    /// optimization — the insert loop handles whatever flows).
-    shadow_rows: FxHashSet<[u64; SHADOW_KEY]>,
     /// Per-key least upper bound of the lattice head cells this plan
     /// execution has emitted, seeded with the stored cell. Everything
     /// folded into a shadow cell is processed by the insert loop before
@@ -1104,11 +1103,10 @@ struct State<'a, 'o> {
     fault: Option<EvalFault>,
 }
 
-/// Width of the inline shadow-table keys: covers every head up to this
-/// many encoded columns (lattice heads: key columns) without per-entry
-/// allocation. Shared with the encoded payloads so a key that fits the
-/// shadow also fits the encoded emit path.
-const SHADOW_KEY: usize = ENC_KEY;
+/// Width of the inline shadow-cell keys: covers every lattice head up to
+/// this many key columns without per-entry allocation; a wider key is
+/// checked against its stored cell alone.
+const SHADOW_KEY: usize = 4;
 
 /// Zero-pads an encoded key into an inline shadow key. `None` when the
 /// key is too wide for the inline representation.
@@ -1131,7 +1129,7 @@ impl State<'_, '_> {
 }
 
 /// Reusable per-worker buffers for plan execution. Registers, key
-/// buffers, and the shadow tables are cleared — not reallocated —
+/// buffers, and the shadow cells are cleared — not reallocated —
 /// between tasks, so a round with many tasks pays for map growth once
 /// instead of once per task.
 #[derive(Default)]
@@ -1141,7 +1139,6 @@ pub(crate) struct KernelScratch {
     key_buf: Vec<u64>,
     args_buf: Vec<Value>,
     choice_bufs: Vec<Vec<u64>>,
-    shadow_rows: FxHashSet<[u64; SHADOW_KEY]>,
     shadow_cells: FxHashMap<[u64; SHADOW_KEY], (u32, Elem)>,
 }
 
@@ -1151,9 +1148,9 @@ impl KernelScratch {
     }
 }
 
-/// Executes a compiled plan, appending derivations to `out`. The first
-/// fault short-circuits the whole execution; the counters are folded in
-/// on that path too.
+/// Executes a compiled plan, appending derivations to `out` under one
+/// [`Heads`] header. The first fault short-circuits the whole execution;
+/// the counters are folded in on that path too.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn run_plan(
     program: &Program,
@@ -1172,8 +1169,6 @@ pub(crate) fn run_plan(
     let mut boxed = std::mem::take(&mut scratch.boxed);
     boxed.clear();
     boxed.resize(plan.num_slots, None);
-    let mut shadow_rows = std::mem::take(&mut scratch.shadow_rows);
-    shadow_rows.clear();
     let mut shadow_cells = std::mem::take(&mut scratch.shadow_cells);
     shadow_cells.clear();
     let mut st = State {
@@ -1181,7 +1176,6 @@ pub(crate) fn run_plan(
         db,
         delta,
         guard,
-        rule,
         enc,
         boxed,
         key_buf: std::mem::take(&mut scratch.key_buf),
@@ -1192,12 +1186,21 @@ pub(crate) fn run_plan(
         probes: 0,
         scans: 0,
         suppressed: 0,
-        shadow_rows,
         shadow_cells,
         lat_hit_id: NO_ID,
         fault: None,
     };
+    let before = st.out.len;
     step(plan, 0, &mut st);
+    let rows = st.out.len - before;
+    if rows > 0 {
+        st.out.runs.push(Heads {
+            rule: rule as u32,
+            pred: plan.head_pred,
+            rows,
+            premise_words: plan.premises.as_ref().map_or(0, |t| t.len() as u32),
+        });
+    }
     counters.probes += st.probes;
     counters.scans += st.scans;
     counters.suppressed += st.suppressed;
@@ -1207,7 +1210,6 @@ pub(crate) fn run_plan(
         key_buf,
         args_buf,
         choice_bufs,
-        shadow_rows,
         shadow_cells,
         fault,
         ..
@@ -1217,7 +1219,6 @@ pub(crate) fn run_plan(
     scratch.key_buf = key_buf;
     scratch.args_buf = args_buf;
     scratch.choice_bufs = choice_bufs;
-    scratch.shadow_rows = shadow_rows;
     scratch.shadow_cells = shadow_cells;
     match fault {
         None => Ok(()),
@@ -1526,105 +1527,88 @@ fn build_head_key(srcs: &[HeadSrc], st: &mut State<'_, '_>) -> bool {
     true
 }
 
-/// Would inserting the current head tuple — its encoded columns already
+/// Would joining the current lattice candidate — its encoded key already
 /// in the key buffer, a word lattice's element as `word` — leave the
-/// database unchanged?
-/// Mirrors [`Database::insert`] against the evaluation-time snapshot — a
-/// stored relational row, or a lattice candidate `⊑` its stored cell —
-/// plus the plan-local shadow of what this execution has already
-/// emitted, which catches within-round duplicates (the dominant case in
-/// fixed-point workloads like shortest paths, where each round derives
-/// many successively better candidates per cell). Conservative on every
-/// edge (missing cell, a `leq`/`lub` that errs): answer `false` and let
-/// the real insert decide — inserts are monotone within a round, so a
-/// tuple subsumed now stays subsumed.
+/// database unchanged? Mirrors the insert against the evaluation-time
+/// snapshot — a candidate `⊑` its stored cell — plus the plan-local
+/// shadow of what this execution has already emitted for the cell, which
+/// catches within-round repeats. Conservative on every edge (missing
+/// cell, a `leq`/`lub` that errs): answer `false` and let the real
+/// insert decide — inserts are monotone within a round, so a candidate
+/// subsumed now stays subsumed.
 fn is_subsumed(plan: &Plan, word: Option<u64>, st: &mut State<'_, '_>) -> bool {
     let db = st.db;
-    match db.pred(plan.head_pred) {
-        PredData::Rel(rel) => {
-            if rel.contains_encoded(&st.key_buf) {
-                return true;
+    let PredData::Lat(lat) = db.pred(plan.head_pred) else {
+        unreachable!("the pre-check is compiled for lattice heads only");
+    };
+    let decoded;
+    let cand = match word {
+        Some(word) => ElemRef::Word(word),
+        None => ElemRef::Boxed(match &plan.head[plan.key_cols] {
+            HeadSrc::Lit(v, _) => v,
+            HeadSrc::Var(ArgSrc::Boxed(s)) => st.boxed[*s].as_ref().expect("statically bound"),
+            HeadSrc::App(_) => match st.app.as_ref() {
+                Some(Elem::Boxed(v)) => v,
+                _ => unreachable!("a boxed lattice's application is boxed"),
+            },
+            other => {
+                decoded = head_value(other, None, st);
+                &decoded
             }
-            match shadow_key(&st.key_buf) {
-                Some(key) => !st.shadow_rows.insert(key),
-                None => false,
-            }
-        }
-        PredData::Lat(lat) => {
-            let decoded;
-            let cand = match word {
-                Some(word) => ElemRef::Word(word),
-                None => ElemRef::Boxed(match &plan.head[plan.key_cols] {
-                    HeadSrc::Lit(v, _) => v,
-                    HeadSrc::Var(ArgSrc::Boxed(s)) => {
-                        st.boxed[*s].as_ref().expect("statically bound")
-                    }
-                    HeadSrc::App(_) => match st.app.as_ref() {
-                        Some(Elem::Boxed(v)) => v,
-                        _ => unreachable!("a boxed lattice's application is boxed"),
-                    },
-                    other => {
-                        decoded = head_value(other, None, st);
-                        &decoded
-                    }
-                }),
-            };
-            // The shadow cell is what this cell is at least going to
-            // hold by the time the insert loop reaches the current
-            // candidate; it starts as the stored cell and absorbs every
-            // candidate this execution lets through. Checking it first
-            // makes the steady state one map probe and one `leq` per
-            // candidate. Every `leq`/`lub` error leaves the shadow
-            // untouched and lets the tuple flow, so the real insert
-            // reproduces the fault with proper attribution.
-            let spill = db.spill();
-            let Some(skey) = shadow_key(&st.key_buf) else {
-                // Key too wide for the inline shadow: frozen-cell check
-                // only.
-                let Some(id) = lat.id_of_encoded(&st.key_buf) else {
-                    return false;
-                };
-                st.lat_hit_id = id;
-                return matches!(lat.leq(cand, lat.elem(id), spill), Ok(true));
-            };
-            if let Some((id, shadow)) = st.shadow_cells.get_mut(&skey) {
-                st.lat_hit_id = *id;
-                return match lat.leq(cand, shadow.as_ref(), spill) {
-                    Ok(true) => true,
-                    Ok(false) => {
-                        if let Ok(joined) = lat.lub(shadow.as_ref(), cand, spill) {
-                            *shadow = joined;
-                        }
-                        false
-                    }
-                    Err(_) => false,
-                };
-            }
-            // First sighting of this cell: seed the shadow from the
-            // stored cell (or the candidate itself when there is none).
-            let hit = lat.id_of_encoded(&st.key_buf);
-            match hit.map(|id| (id, lat.elem(id))) {
-                Some((id, cell)) => {
-                    st.lat_hit_id = id;
-                    match lat.leq(cand, cell, spill) {
-                        Ok(true) => {
-                            st.shadow_cells.insert(skey, (id, cell.to_owned()));
-                            true
-                        }
-                        Ok(false) => {
-                            if let Ok(joined) = lat.lub(cell, cand, spill) {
-                                st.shadow_cells.insert(skey, (id, joined));
-                            }
-                            false
-                        }
-                        Err(_) => false,
-                    }
+        }),
+    };
+    // The shadow cell is what this cell is at least going to hold by the
+    // time the insert loop reaches the current candidate; it starts as
+    // the stored cell and absorbs every candidate this execution lets
+    // through. Checking it first makes the steady state one map probe
+    // and one `leq` per candidate. Every `leq`/`lub` error leaves the
+    // shadow untouched and lets the candidate flow, so the real insert
+    // reproduces the fault with proper attribution.
+    let spill = db.spill();
+    let Some(skey) = shadow_key(&st.key_buf) else {
+        // Key too wide for the inline shadow: frozen-cell check only.
+        let Some(id) = lat.id_of_encoded(&st.key_buf) else {
+            return false;
+        };
+        st.lat_hit_id = id;
+        return matches!(lat.leq(cand, lat.elem(id), spill), Ok(true));
+    };
+    if let Some((id, shadow)) = st.shadow_cells.get_mut(&skey) {
+        st.lat_hit_id = *id;
+        return match lat.leq(cand, shadow.as_ref(), spill) {
+            Ok(true) => true,
+            Ok(false) => {
+                if let Ok(joined) = lat.lub(shadow.as_ref(), cand, spill) {
+                    *shadow = joined;
                 }
-                None => {
-                    st.shadow_cells.insert(skey, (NO_ID, cand.to_owned()));
+                false
+            }
+            Err(_) => false,
+        };
+    }
+    // First sighting of this cell: seed the shadow from the stored cell
+    // (or the candidate itself when there is none).
+    let hit = lat.id_of_encoded(&st.key_buf);
+    match hit.map(|id| (id, lat.elem(id))) {
+        Some((id, cell)) => {
+            st.lat_hit_id = id;
+            match lat.leq(cand, cell, spill) {
+                Ok(true) => {
+                    st.shadow_cells.insert(skey, (id, cell.to_owned()));
+                    true
+                }
+                Ok(false) => {
+                    if let Ok(joined) = lat.lub(cell, cand, spill) {
+                        st.shadow_cells.insert(skey, (id, joined));
+                    }
                     false
                 }
+                Err(_) => false,
             }
+        }
+        None => {
+            st.shadow_cells.insert(skey, (NO_ID, cand.to_owned()));
+            false
         }
     }
 }
@@ -1634,13 +1618,12 @@ fn emit(plan: &Plan, st: &mut State<'_, '_>) {
         return;
     }
     st.lat_hit_id = NO_ID;
-    // The head's encoded columns are built once: the subsumption
-    // pre-check reads them, and so does the encoded payload. A value the
-    // store has never seen (`build_head_key` fails) cannot equal any
-    // stored row, so the tuple is certainly not subsumed — and must take
-    // the materialized payload, whose insert interns it. A word lattice's
-    // element leaves as its word, or — with no word yet — materialized
-    // the same way.
+    // The head's encoded columns are built once: the lattice pre-check
+    // reads them, and so does the word run. A value the store has never
+    // seen (`build_head_key` fails) cannot equal any stored row — and
+    // must take the materialized tuple, whose insert interns it. A word
+    // lattice's element leaves as its word, or — with no word yet —
+    // materialized the same way.
     let mut encoded = build_head_key(&plan.head[..plan.key_cols], st);
     let word = match &plan.cell {
         Some(elems) if encoded => {
@@ -1650,63 +1633,47 @@ fn emit(plan: &Plan, st: &mut State<'_, '_>) {
         }
         _ => None,
     };
-    // Emit-side dedup: a tuple the database already subsumes would be
-    // dropped as `Unchanged` by the insert loop; suppress it here
-    // instead. Counted, so `facts_derived` stays the gross count.
+    // Emit-side dedup of lattice candidates: one the database already
+    // subsumes would be dropped as `Unchanged` by the insert loop;
+    // suppress it here instead. Counted, so `facts_derived` stays the
+    // gross count.
     if encoded && plan.precheck && is_subsumed(plan, word, st) {
         st.suppressed += 1;
         return;
     }
-    let payload = if encoded && plan.key_cols <= ENC_KEY {
-        // Hand the insert loop the already-encoded columns instead of
-        // decoding them here just so `Database::insert` can re-encode.
-        let mut key = [0u64; ENC_KEY];
-        key[..plan.key_cols].copy_from_slice(&st.key_buf);
-        let arity = plan.key_cols as u8;
-        match plan.head.get(plan.key_cols) {
-            None => Payload::RelEnc { arity, key },
-            Some(val_src) => Payload::LatEnc {
-                arity,
-                id: st.lat_hit_id,
-                key,
-                // The head's application is spent here: moved, not cloned.
-                cell: match (word, st.app.take()) {
-                    (Some(word), _) => Elem::Word(word),
-                    (None, Some(app)) => app,
-                    (None, None) => Elem::Boxed(head_value(val_src, None, st)),
-                },
-            },
+    if encoded {
+        st.out.words.extend_from_slice(&st.key_buf);
+        if let Some(val_src) = plan.head.get(plan.key_cols) {
+            st.out.cell_ids.push(st.lat_hit_id);
+            // The head's application is spent here: moved, not cloned.
+            match (word, st.app.take()) {
+                (Some(word), _) => st.out.words.push(word),
+                (None, Some(Elem::Boxed(value))) => st.out.cells.push(value),
+                (None, _) => {
+                    let value = head_value(val_src, None, st);
+                    st.out.cells.push(value);
+                }
+            }
         }
     } else {
         let elems = |col: usize| plan.cell.as_ref().filter(|_| col >= plan.key_cols);
         let head = plan.head.iter().enumerate();
-        Payload::Tuple(head.map(|(col, h)| head_value(h, elems(col), st)).collect())
-    };
-    push_derived(plan, payload, st);
-}
-
-/// Appends one derivation and — when provenance is recorded — its
-/// premises to the arena.
-fn push_derived(plan: &Plan, payload: Payload, st: &mut State<'_, '_>) {
-    let (premise_words, premise_side) = match &plan.premises {
-        Some(template) => copy_premises(template, st),
-        None => (0, 0),
-    };
-    st.out.items.push(Derived {
-        pred: plan.head_pred,
-        payload,
-        rule: st.rule,
-        premise_words,
-        premise_side,
-    });
+        let tuple = head.map(|(col, h)| head_value(h, elems(col), st)).collect();
+        st.out.tuples.push((st.out.len, tuple));
+    }
+    if let Some(template) = &plan.premises {
+        copy_premises(template, st);
+    }
+    st.out.len += 1;
 }
 
 /// Fills a plan's premise template in from the registers — glb-rebound
-/// lattice witnesses included — at the end of the arena; returns how many
-/// words and side values that took.
-fn copy_premises(template: &[PremiseSrc], st: &mut State<'_, '_>) -> (u32, u32) {
+/// lattice witnesses included — at the end of the arena: one word per
+/// template entry, and — filed under the derivation's number, when there
+/// are any — its side values.
+fn copy_premises(template: &[PremiseSrc], st: &mut State<'_, '_>) {
     let out = &mut *st.out;
-    let (words, side) = (out.premise_words.len(), out.premise_side.len());
+    let side = out.premise_side.len();
     for src in template {
         let boxed = |slot: &usize| st.boxed[*slot].as_ref().expect("statically bound");
         let word = match src {
@@ -1729,9 +1696,10 @@ fn copy_premises(template: &[PremiseSrc], st: &mut State<'_, '_>) -> (u32, u32) 
         };
         out.premise_words.push(word);
     }
-    let words = out.premise_words.len() - words;
     let side = out.premise_side.len() - side;
-    (words as u32, side as u32)
+    if side > 0 {
+        out.premise_sides.push((out.len, side as u32));
+    }
 }
 
 /// Does `cell` satisfy the value column of a negated lattice atom? The

@@ -2,7 +2,7 @@
 
 use crate::guard::panic_payload;
 use crate::verify::Violation;
-use crate::Value;
+use crate::{Names, Value};
 use flix_lattice::{
     Constant, Flat, Interval, Lattice, MinCost, Parity, PowerSet, Sign, SuLattice, Transformer,
 };
@@ -37,6 +37,8 @@ pub(crate) struct SlotForms {
     pub(crate) leq: WordOp,
     pub(crate) lub: WordOp,
     pub(crate) glb: WordOp,
+    /// The names whose ids the forms bake in.
+    pub(crate) names: Names,
 }
 
 /// The same forms: one registration, shared.
@@ -246,8 +248,11 @@ impl LatticeOps {
     /// engine's choice.
     ///
     /// A form that bakes in a constructor's id or a string's slot takes
-    /// it from the [`Names`](crate::Names) of the program the lattice is
-    /// declared in: those ids are the program's, not the process's.
+    /// it from `names`, the [`Names`] of the program the lattice is
+    /// declared in: those ids are the program's, not the process's. A
+    /// program whose names do not give every one of those ids to the
+    /// same string is refused when built
+    /// ([`ProgramError::ForeignWordForms`]).
     ///
     /// A lattice that declares no kind, whose ⊥ has a slot its program's
     /// names fix ([`Names::slot`]), and which has these forms keeps its
@@ -262,8 +267,10 @@ impl LatticeOps {
     /// [`WORD_TRUE`]: crate::WORD_TRUE
     /// [`WORD_FALSE`]: crate::WORD_FALSE
     /// [`Names::slot`]: crate::Names::slot
+    /// [`ProgramError::ForeignWordForms`]: crate::ProgramError::ForeignWordForms
     pub fn with_word_forms(
         mut self,
+        names: &Names,
         leq: impl Fn(u64, u64) -> u64 + Send + Sync + 'static,
         lub: impl Fn(u64, u64) -> u64 + Send + Sync + 'static,
         glb: impl Fn(u64, u64) -> u64 + Send + Sync + 'static,
@@ -272,6 +279,7 @@ impl LatticeOps {
             leq: Box::new(leq),
             lub: Box::new(lub),
             glb: Box::new(glb),
+            names: names.clone(),
         }));
         self
     }

@@ -112,6 +112,13 @@ impl Program {
         self.facts.iter().map(|(p, v)| (*p, v.as_slice()))
     }
 
+    /// The names every store of the program interns first, whose ids
+    /// its word forms may bake in
+    /// ([`ProgramBuilder::names`](crate::ProgramBuilder::names)).
+    pub fn names(&self) -> &Names {
+        &self.names
+    }
+
     /// Looks up a predicate id by name.
     pub fn predicate(&self, name: &str) -> Option<PredId> {
         self.pred_names.get(name).copied()
@@ -171,6 +178,18 @@ impl Program {
             .enumerate()
             .map(|(i, d)| (d.name.clone(), PredId(i as u32)))
             .collect();
+
+        for (decl, ops) in preds.iter().filter_map(|d| Some((d, d.lattice_ops()?))) {
+            if ops
+                .word_forms()
+                .is_some_and(|forms| !names.extends(&forms.names))
+            {
+                return Err(ProgramError::ForeignWordForms {
+                    predicate: decl.name.to_string(),
+                    lattice: ops.name().to_string(),
+                });
+            }
+        }
 
         for (pred, values) in &facts {
             let decl = &preds[pred.0 as usize];

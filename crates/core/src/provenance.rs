@@ -680,7 +680,8 @@ impl EventLog {
     /// event) that concludes the fact of `pred` with the encoded key
     /// `key` or consumes it — has a premise on `pred` whose key columns
     /// match `key`. An event that does both, or consumes the fact twice,
-    /// may be visited twice.
+    /// may be visited twice. Returns how many events it examined: every
+    /// candidate its indexes gave, visited or not — the call's cost.
     pub(crate) fn touching(
         &self,
         pred: PredId,
@@ -688,7 +689,8 @@ impl EventLog {
         after: Option<Pos>,
         spill: &SpillTable,
         mut visit: impl FnMut(Pos, EventRef<'_>),
-    ) {
+    ) -> u64 {
+        let mut examined = 0;
         let hash = fact_hash(pred, key);
         let (first, start) = after.map_or((0, 0), |(part, at)| (part as usize, at + 1));
         for (no, part) in self.parts.iter().enumerate().skip(first) {
@@ -706,6 +708,7 @@ impl EventLog {
                 .map(|&(_, at)| (at, true))
                 .chain(consuming.map(|at| (at, false)));
             for (at, concluded) in candidates {
+                examined += 1;
                 if at < start || !part.is_live(at) {
                     continue;
                 }
@@ -720,6 +723,7 @@ impl EventLog {
                 }
             }
         }
+        examined
     }
 
     /// The parts that hold events before `before` (every part, when

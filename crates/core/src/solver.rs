@@ -17,7 +17,7 @@
 
 use crate::ast::{PredKind, ProgramError};
 use crate::database::{
-    decode, try_encode_row, Database, Elem, InsertFault, InsertOutcome, PredData,
+    decode, try_encode_row, Batch, Database, Elem, InsertFault, InsertOutcome, PredData,
 };
 use crate::demand::Query;
 use crate::fxhash::FxHashSet;
@@ -80,9 +80,9 @@ impl Strategy {
 /// database states and the counters measure *net* changes between round
 /// boundaries (the strategy-parity test suite pins this). The *work*
 /// fields — `rule_evaluations`, `facts_derived`, `index_probes`,
-/// `scan_fallbacks`, `wall_ns`, and the remaining per-rule counters —
-/// describe how much work a particular strategy performed and differ
-/// between strategies by design.
+/// `scan_fallbacks`, `cone_events_examined`, `wall_ns`, and the remaining
+/// per-rule counters — describe how much work a particular strategy
+/// performed and differ between strategies by design.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct SolveStats {
     /// Fixed-point rounds executed (across all strata).
@@ -104,6 +104,11 @@ pub struct SolveStats {
     pub strata: u64,
     /// Total facts in the final database.
     pub total_facts: u64,
+    /// Events of the provenance log a retracting resume's cone walk
+    /// examined: every candidate its log indexes gave for a fact the
+    /// cone took, whether or not the event touched the fact. Zero for a
+    /// run that retracted nothing.
+    pub cone_events_examined: u64,
     /// Wall-clock time of the whole solve, in nanoseconds.
     pub wall_ns: u64,
     /// Per-rule work profile, indexed by rule number.
@@ -617,7 +622,7 @@ impl Solver {
     /// Fires a non-fatal [`AscentWarning`] when lattice cell `id` of `pred`
     /// first crosses the configured chain-height threshold. The cell's
     /// key is decoded only for a warning that fires.
-    fn check_ascent(&self, program: &Program, db: &mut Database, pred: PredId, id: u32) {
+    fn check_ascent(&self, program: &Program, db: &mut Batch<'_>, pred: PredId, id: u32) {
         let Some(threshold) = self.config.ascent.as_ref().and_then(|c| c.warn_height) else {
             return;
         };
@@ -646,9 +651,9 @@ impl Solver {
         r.eval_ns += report.eval_ns;
         stats.index_probes += report.probes;
         stats.scan_fallbacks += report.scans;
-        // Suppressed derivations never reach the per-item counting in the
-        // insert loop; credit them here so `facts_derived` stays the
-        // gross count.
+        // Suppressed lattice derivations never reach the per-item
+        // counting in the insert loop; credit them here so
+        // `facts_derived` stays the gross count.
         stats.facts_derived += report.suppressed;
     }
 }
@@ -863,8 +868,8 @@ impl<'a> Run<'a> {
     /// the state the database reached — for a lattice cell the *joined*
     /// value, as rule events do.
     pub(crate) fn assert(&mut self, pred: PredId, values: &[Value]) -> Result<(), SolveError> {
-        let db = Arc::make_mut(&mut self.db);
-        let outcome = db
+        let mut batch = Arc::make_mut(&mut self.db).batch();
+        let outcome = batch
             .insert(pred, values)
             .map_err(|fault| insert_fault_error(self.program, pred, None, fault))?;
         let Some((id, raised)) = outcome.into_change() else {
@@ -872,10 +877,10 @@ impl<'a> Run<'a> {
         };
         self.stats.facts_inserted += 1;
         if raised.is_some() {
-            self.solver.check_ascent(self.program, db, pred, id);
+            self.solver.check_ascent(self.program, &mut batch, pred, id);
         }
         if let Some(log) = self.events.as_mut() {
-            let head = (db.pred(pred).columns(), id);
+            let head = (batch.pred(pred).columns(), id);
             log.record(pred, None, head, raised.as_ref(), (&[], &mut []));
         }
         if let Some(pending) = self.pending.as_mut() {
@@ -958,6 +963,7 @@ impl<'a> Run<'a> {
         if let Some(log) = self.events.as_mut() {
             log.kill(&cone.dead_events);
         }
+        self.stats.cone_events_examined += cone.examined;
         self.tracer.record(0, SpanKind::ResumeDelete, delete_start);
     }
 
@@ -1154,12 +1160,14 @@ impl<'a> Run<'a> {
         Ok(changes)
     }
 
-    /// Drains one round's derivations into the database: the only place a
-    /// derived fact is inserted. Counts gross derivations and net
-    /// changes, credits the first changing rule, checks ascent, logs the
-    /// rule event — the row's slots as the store now holds them and the
-    /// derivation's premise words, copied — and collects the round's
-    /// changes, the next `∆`.
+    /// Absorbs one round's derivations into the database, as one
+    /// [`Batch`]: the only place a derived fact is inserted, and the only
+    /// membership test a relational head gets. Counts gross derivations
+    /// and net changes, credits the first changing rule, checks ascent,
+    /// logs the rule event — the row's slots as the store now holds them
+    /// and the derivation's premise words, copied — and collects the
+    /// round's changes, the next `∆`. The indexes take the round's new
+    /// rows when the batch ends, before the next round probes them.
     ///
     /// Within one round a lattice cell can climb through several
     /// intermediate values, and *how many* strict increases it takes
@@ -1173,42 +1181,59 @@ impl<'a> Run<'a> {
     /// at most once ever, so only lattice increases are tracked. The `∆`
     /// still gets one entry per increase, each with the value it reached.
     fn absorb(&mut self, buf: &mut Derivations) -> Result<Vec<DeltaRows>, SolveError> {
-        let db = Arc::make_mut(&mut self.db);
+        let mut batch = Arc::make_mut(&mut self.db).batch();
         let mut changes = vec![DeltaRows::default(); self.program.preds.len()];
         let mut changed = 0u64;
         let mut touched: FxHashSet<(PredId, u32)> = FxHashSet::default();
-        // Where the next derivation's premises start in the arena.
-        let (mut words, mut side) = (0, 0);
-        for d in buf.items.drain(..) {
-            self.stats.facts_derived += 1;
-            let premises = (words, side);
-            words += d.premise_words as usize;
-            side += d.premise_side as usize;
-            let outcome = insert_derived(db, d.pred, d.payload)
-                .map_err(|fault| insert_fault_error(self.program, d.pred, Some(d.rule), fault))?;
-            let Some((id, raised)) = outcome.into_change() else {
-                continue;
+        let mut at = Cursor::default();
+        let runs = std::mem::take(&mut buf.runs);
+        for heads in &runs {
+            let (rule, pred) = (heads.rule as usize, heads.pred);
+            let data = batch.pred(pred);
+            let cell = match data {
+                PredData::Rel(_) => None,
+                PredData::Lat(lat) => Some(lat.kind_words().is_some()),
             };
-            if raised.is_none() || touched.insert((d.pred, id)) {
-                self.stats.facts_inserted += 1;
-                self.stats.per_rule[d.rule].inserted += 1;
-                changed += 1;
+            let shape = (pred, data.columns().arity(), cell);
+            for _ in 0..heads.rows {
+                self.stats.facts_derived += 1;
+                // This derivation's premise run (empty with provenance off).
+                let words = at.premise_words..at.premise_words + heads.premise_words as usize;
+                at.premise_words = words.end;
+                let mut side = at.premise_side..at.premise_side;
+                if let Some(&(_, count)) = buf
+                    .premise_sides
+                    .get(at.premise_sides)
+                    .filter(|&&(of, _)| of == at.n)
+                {
+                    side.end += count as usize;
+                    at.premise_sides += 1;
+                    at.premise_side = side.end;
+                }
+                let outcome = insert_next(&mut batch, shape, buf, &mut at)
+                    .map_err(|fault| insert_fault_error(self.program, pred, Some(rule), fault))?;
+                let Some((id, raised)) = outcome.into_change() else {
+                    continue;
+                };
+                if raised.is_none() || touched.insert((pred, id)) {
+                    self.stats.facts_inserted += 1;
+                    self.stats.per_rule[rule].inserted += 1;
+                    changed += 1;
+                }
+                if raised.is_some() {
+                    self.solver.check_ascent(self.program, &mut batch, pred, id);
+                }
+                if let Some(log) = self.events.as_mut() {
+                    let head = (batch.pred(pred).columns(), id);
+                    let premises = (&buf.premise_words[words], &mut buf.premise_side[side]);
+                    log.record(pred, Some(rule), head, raised.as_ref(), premises);
+                }
+                let rows = &mut changes[pred.0 as usize];
+                rows.ids.push(id);
+                rows.values.extend(raised);
             }
-            if raised.is_some() {
-                self.solver.check_ascent(self.program, db, d.pred, id);
-            }
-            if let Some(log) = self.events.as_mut() {
-                let head = (db.pred(d.pred).columns(), id);
-                let premises = (
-                    &buf.premise_words[premises.0..words],
-                    &mut buf.premise_side[premises.1..side],
-                );
-                log.record(d.pred, Some(d.rule), head, raised.as_ref(), premises);
-            }
-            let rows = &mut changes[d.pred.0 as usize];
-            rows.ids.push(id);
-            rows.values.extend(raised);
         }
+        buf.runs = runs;
         if let Some(st) = self.stats.per_stratum.last_mut() {
             st.delta_sizes.push(changed);
         }
@@ -1477,7 +1502,7 @@ fn run_one_task(
             kind,
             stats: SolveStats::default(),
         })?;
-    let before = out.items.len();
+    let before = out.len;
     let mut counters = EvalCounters::default();
     let start = Instant::now();
     let result = kernel::run_plan(
@@ -1502,7 +1527,7 @@ fn run_one_task(
                 round: span.round,
                 rule: task.rule,
                 variant: task.variant,
-                derived: (out.items.len() - before) as u64 + counters.suppressed,
+                derived: (out.len - before) as u64 + counters.suppressed,
             },
             tid: span.tid,
             start_ns: span.tracer.at_ns(start),
@@ -1512,7 +1537,7 @@ fn run_one_task(
     result.map_err(|fault| eval_fault_error(program, task.rule, fault))?;
     Ok(TaskReport {
         rule: task.rule,
-        derived: (out.items.len() - before) as u64 + counters.suppressed,
+        derived: (out.len - before) as u64 + counters.suppressed,
         suppressed: counters.suppressed,
         probes: counters.probes,
         scans: counters.scans,
@@ -1586,89 +1611,130 @@ struct Task {
     variant: Option<usize>,
 }
 
-/// One derived head tuple. With provenance recorded, its premises are
-/// the next `premise_words` words and `premise_side` values of the
-/// [`Derivations`] it sits in.
-#[derive(Clone, Debug)]
-pub(crate) struct Derived {
+/// The derivations one task appended to a [`Derivations`]: its rule, its
+/// head predicate, how many heads it derived and — with provenance
+/// recorded — the words of each one's premise run, which its plan fixes.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Heads {
+    pub(crate) rule: u32,
     pub(crate) pred: PredId,
-    pub(crate) payload: Payload,
-    pub(crate) rule: usize,
+    pub(crate) rows: u32,
     pub(crate) premise_words: u32,
-    pub(crate) premise_side: u32,
 }
 
 /// The derivations of one round (or of one worker's share of it), in
-/// derivation order, and the arena their premises are recorded in: per
-/// derivation a run of words — a premise's predicate, then one slot per
-/// column — and the values of the columns that have no slot (see
-/// [`crate::provenance`]). Both stay empty when provenance is off.
+/// derivation order, as word runs: per task a [`Heads`] header, and per
+/// derived head its slots in `words` — a relation's columns; a lattice
+/// head's key columns and, when its cells are words, the cell's word. A
+/// relational head the store already holds costs its arity in words
+/// here, and one membership test in [`Run::absorb`].
+///
+/// What has no word goes in side vectors, in derivation order, which
+/// the relational word path leaves empty: a boxed lattice's cell; the
+/// cell id the plan resolved, per lattice head ([`NO_ID`] when it did
+/// not); a head with a value the store has never seen, as a tuple with
+/// its derivation's number, and no words. With provenance recorded, each
+/// derivation's premise run is in the arena (see [`crate::provenance`]):
+/// its words, as many as its [`Heads`] says, and its side values, whose
+/// count a derivation that has any files with its number.
+///
+/// [`NO_ID`]: crate::database::NO_ID
 #[derive(Default)]
 pub(crate) struct Derivations {
-    pub(crate) items: Vec<Derived>,
+    pub(crate) runs: Vec<Heads>,
+    pub(crate) words: Vec<u64>,
+    /// How many heads the runs hold, the task in progress's included.
+    pub(crate) len: u32,
+    pub(crate) cells: Vec<Value>,
+    pub(crate) cell_ids: Vec<u32>,
+    pub(crate) tuples: Vec<(u32, Vec<Value>)>,
+    pub(crate) premise_sides: Vec<(u32, u32)>,
     pub(crate) premise_words: Vec<u64>,
     pub(crate) premise_side: Vec<Value>,
 }
 
 impl Derivations {
     fn clear(&mut self) {
-        self.items.clear();
+        self.runs.clear();
+        self.words.clear();
+        self.len = 0;
+        self.cells.clear();
+        self.cell_ids.clear();
+        self.tuples.clear();
+        self.premise_sides.clear();
         self.premise_words.clear();
         self.premise_side.clear();
     }
 
-    /// Appends `later`'s derivations after these. A derivation holds the
-    /// lengths of its premise runs, not their offsets, so nothing is
-    /// rebased.
+    /// Appends `later`'s derivations after these. Only the numbers a
+    /// derivation is filed under are rebased; everything else is read in
+    /// order.
     fn append(&mut self, mut later: Derivations) {
-        self.items.append(&mut later.items);
+        self.runs.append(&mut later.runs);
+        self.words.append(&mut later.words);
+        self.cells.append(&mut later.cells);
+        self.cell_ids.append(&mut later.cell_ids);
+        let base = self.len;
+        let tuples = later.tuples.into_iter().map(|(n, tuple)| (n + base, tuple));
+        self.tuples.extend(tuples);
+        let sides = later
+            .premise_sides
+            .iter()
+            .map(|&(n, side)| (n + base, side));
+        self.premise_sides.extend(sides);
+        self.len += later.len;
         self.premise_words.append(&mut later.premise_words);
         self.premise_side.append(&mut later.premise_side);
     }
 }
 
-/// Width of the inline encoded-key representation shared by the kernel's
-/// shadow tables and the encoded payloads ([`Payload::RelEnc`],
-/// [`Payload::LatEnc`]). Wider heads fall back to materialized tuples.
-pub(crate) const ENC_KEY: usize = 4;
+/// Where [`Run::absorb`] is in a [`Derivations`]: the next head's number,
+/// and its place in `words` and each side vector.
+#[derive(Default)]
+struct Cursor {
+    n: u32,
+    words: usize,
+    cells: usize,
+    cell_ids: usize,
+    tuples: usize,
+    premise_sides: usize,
+    premise_words: usize,
+    premise_side: usize,
+}
 
-/// The content of a [`Derived`] fact: the head kept in the encoded form
-/// the plan's registers hold it in, so the insert loop neither decodes
-/// nor re-encodes it — or, for what the plan could not encode, a
-/// materialized head tuple.
-#[derive(Clone, Debug)]
-pub(crate) enum Payload {
-    /// A fully materialized head tuple (lattice heads carry the cell
-    /// value as the last column): a head with a value the store has not
-    /// interned or spilled yet — the insert path does that — or one
-    /// wider than [`ENC_KEY`] columns.
-    Tuple(Vec<Value>),
-    /// A relational head whose slots are canonical encodings against the
-    /// database the kernel probed.
-    RelEnc {
-        /// Number of live slots in `key`.
-        arity: u8,
-        /// Encoded columns, zero-padded past `arity`.
-        key: [u64; ENC_KEY],
-    },
-    /// A lattice head whose key slots are canonical encodings against the
-    /// database the kernel probed; the cell value is a word lattice's word
-    /// (canonical the same way), or materialized.
-    LatEnc {
-        /// Number of live slots in `key`.
-        arity: u8,
-        /// Row id of the target cell when the kernel resolved it
-        /// ([`crate::database::NO_ID`] otherwise). Ids are append-only
-        /// during evaluation ([`Run::delete`] runs before a run's first
-        /// stratum), so a resolved id is still the same cell at insert
-        /// time; the insert skips the hash lookup and joins the cell
-        /// directly.
-        id: u32,
-        /// Encoded key columns, zero-padded past `arity`.
-        key: [u64; ENC_KEY],
-        /// The candidate cell value.
-        cell: Elem,
-    },
+/// Inserts the head at `at` in `buf` into the store and moves `at` past
+/// it: a tuple through the decoded entry, a relational row through one
+/// find-or-insert walk, a lattice head through the encoded join. `keys`
+/// is the predicate's key columns; `cell` is `None` for a relation, and
+/// for a lattice whether its cells are words. A change names the row —
+/// all the event log and the next `∆` need.
+fn insert_next(
+    batch: &mut Batch<'_>,
+    (pred, keys, cell): (PredId, usize, Option<bool>),
+    buf: &mut Derivations,
+    at: &mut Cursor,
+) -> Result<InsertOutcome, InsertFault> {
+    let n = at.n;
+    at.n += 1;
+    if buf.tuples.get(at.tuples).is_some_and(|&(of, _)| of == n) {
+        let tuple = std::mem::take(&mut buf.tuples[at.tuples].1);
+        at.tuples += 1;
+        return batch.insert(pred, &tuple);
+    }
+    let key = &buf.words[at.words..at.words + keys];
+    at.words += keys;
+    let Some(word) = cell else {
+        return batch.insert_rel(pred, key);
+    };
+    let cell = if word {
+        at.words += 1;
+        Elem::Word(buf.words[at.words - 1])
+    } else {
+        at.cells += 1;
+        Elem::Boxed(std::mem::take(&mut buf.cells[at.cells - 1]))
+    };
+    at.cell_ids += 1;
+    batch.join_lat(pred, key, buf.cell_ids[at.cell_ids - 1], cell)
 }
 
 /// The changes of one predicate that a semi-naïve round reads as `∆P`
@@ -1685,26 +1751,6 @@ pub(crate) struct DeltaRows {
     /// lattice's representation. Empty for a seed `∆`, whose cells are
     /// read at their current value.
     pub(crate) values: Vec<Elem>,
-}
-
-/// Feeds a derived fact into the database, consuming the payload: a
-/// database change is reported back through the [`InsertOutcome`], which
-/// names the row — all the event log and the next `∆` need.
-fn insert_derived(
-    db: &mut Database,
-    pred: PredId,
-    payload: Payload,
-) -> Result<InsertOutcome, InsertFault> {
-    match payload {
-        Payload::Tuple(t) => db.insert(pred, &t),
-        Payload::RelEnc { arity, key } => db.insert_rel_encoded(pred, &key[..arity as usize]),
-        Payload::LatEnc {
-            arity,
-            id,
-            key,
-            cell,
-        } => db.insert_lat_encoded(pred, &key[..arity as usize], id, cell),
-    }
 }
 
 /// Whether a per-predicate `∆` holds no rows: the fixed-point test.
@@ -1745,10 +1791,10 @@ impl From<OpsPanic> for EvalFault {
 pub(crate) struct EvalCounters {
     pub(crate) probes: u64,
     pub(crate) scans: u64,
-    /// Derivations a plan suppressed at emit time because the database
-    /// already subsumed them (the insert loop would have dropped them as
-    /// `Unchanged`). Counted back into `facts_derived`, which stays the
-    /// gross derivation count.
+    /// Lattice derivations a plan suppressed at emit time because the
+    /// database already subsumed them (the insert loop would have dropped
+    /// them as `Unchanged`). Counted back into `facts_derived`, which
+    /// stays the gross derivation count.
     pub(crate) suppressed: u64,
 }
 

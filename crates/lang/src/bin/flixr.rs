@@ -489,27 +489,30 @@ fn run(args: Vec<String>) -> Result<(), Failure> {
         save_snapshot(path, &program, last).map_err(|e| Failure::usage(e.to_string()))?;
     }
 
+    // The derivation tree stands in for the model; statistics and the
+    // observability outputs follow as on any other run.
     if let Some(query) = &o.explain {
         let model = match updated {
             Some(_) => "updated model",
             None => "minimal model",
         };
-        return explain_fact(last, query, model);
-    }
-    if updated.is_some() {
+        explain_fact(last, query, model)?;
+    } else {
+        if updated.is_some() {
+            if !o.quiet_model {
+                println!("== initial model ==");
+                print_model(&initial, o.print.as_deref());
+            }
+            if o.stats {
+                print_stats(initial.stats());
+            }
+            if !o.quiet_model {
+                println!("== updated model ==");
+            }
+        }
         if !o.quiet_model {
-            println!("== initial model ==");
-            print_model(&initial, o.print.as_deref());
+            print_model(last, o.print.as_deref());
         }
-        if o.stats {
-            print_stats(initial.stats());
-        }
-        if !o.quiet_model {
-            println!("== updated model ==");
-        }
-    }
-    if !o.quiet_model {
-        print_model(last, o.print.as_deref());
     }
     if o.stats {
         print_stats(last.stats());
@@ -822,19 +825,19 @@ fn run_queries(
         Err(failure) => return Err(report_solve_failure(o, failure, FailedAt::Query)),
     };
 
-    if let Some(query) = &o.explain {
-        return explain_fact(result.solution(), query, "demanded model");
-    }
-
-    // Only the demanded answers.
+    // The derivation tree, or only the demanded answers.
     let solution = result.solution();
-    let lines = result
-        .queries()
-        .iter()
-        .filter_map(|q| solution.fact_lines(q.predicate(), Some(q)))
-        .flatten()
-        .collect();
-    print_lines(lines);
+    if let Some(query) = &o.explain {
+        explain_fact(solution, query, "demanded model")?;
+    } else {
+        let lines = result
+            .queries()
+            .iter()
+            .filter_map(|q| solution.fact_lines(q.predicate(), Some(q)))
+            .flatten()
+            .collect();
+        print_lines(lines);
+    }
     if o.stats {
         print_stats(result.stats());
     }

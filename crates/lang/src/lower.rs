@@ -148,7 +148,9 @@ pub(crate) fn ops_for_binding(interp: &Interpreter, ty: &str, bind: &LatticeBind
         word(&bind.lub),
         word(&bind.glb),
     ) {
-        (true, Some(leq), Some(lub), Some(glb)) => ops.with_word_forms(leq, lub, glb),
+        (true, Some(leq), Some(lub), Some(glb)) => {
+            ops.with_word_forms(interp.names(), leq, lub, glb)
+        }
         _ => ops,
     }
 }

@@ -477,6 +477,65 @@ fn explain_prints_a_derivation_tree() {
     assert!(stderr.contains("not in the minimal model"), "{stderr}");
 }
 
+/// Runs `--explain` with `extra` in local mode, then with `--query` (the
+/// demanded model), on a source file of its own named after `tag`: each
+/// prints the tree on stdout and exits 0, and is then handed to `check`.
+fn explain_with(tag: &str, extra: &[&str], check: impl Fn(&std::process::Output)) {
+    let file = write_temp(&format!("{tag}.flix"), PATHS);
+    for mode in [&[][..], &["--query", "Path(1, _)"][..]] {
+        let output = flixr()
+            .args(mode)
+            .args(["--explain", "Path(1, 3)"])
+            .args(extra)
+            .arg(&file)
+            .output()
+            .expect("runs");
+        assert!(output.status.success(), "{mode:?}: {output:?}");
+        let stdout = String::from_utf8_lossy(&output.stdout);
+        assert!(
+            stdout.contains("Path(1, 3)  [rule 1]"),
+            "{mode:?}: {stdout}"
+        );
+        check(&output);
+    }
+}
+
+#[test]
+fn explain_still_prints_stats() {
+    explain_with("explain-stats", &["--stats"], |output| {
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert!(stderr.contains("facts inserted:"), "{stderr}");
+    });
+}
+
+#[test]
+fn explain_still_writes_metrics_json() {
+    let out = std::env::temp_dir().join(format!(
+        "flixr-test-{}-explain-metrics.json",
+        std::process::id()
+    ));
+    let args = ["--metrics-json", out.to_str().expect("utf8 path")];
+    explain_with("explain-metrics", &args, |_| {
+        let json = std::fs::read_to_string(&out).expect("metrics file written");
+        assert!(json.contains("\"schema\": \"flix-metrics/1\""), "{json}");
+        std::fs::remove_file(&out).expect("written by this run");
+    });
+}
+
+#[test]
+fn explain_still_writes_folded_stacks() {
+    let out = std::env::temp_dir().join(format!(
+        "flixr-test-{}-explain-trace.folded",
+        std::process::id()
+    ));
+    let args = ["--trace-folded", out.to_str().expect("utf8 path")];
+    explain_with("explain-folded", &args, |_| {
+        let stacks = std::fs::read_to_string(&out).expect("folded file written");
+        assert!(stacks.lines().any(|l| l.starts_with("solve;")), "{stacks}");
+        std::fs::remove_file(&out).expect("written by this run");
+    });
+}
+
 /// The tall-chain example checked into the repo: a max-of-ints counter
 /// that climbs one lattice step per round up to 100.
 const TALL_CHAIN: &str = concat!(

@@ -980,3 +980,70 @@ Reach(2, plus(d, c)) :- Reach(1, d), Step(c).
         }
     }
 }
+
+/// §4.4's `Dist` in FLIX: its operations compile to word code, which
+/// bakes in the ids its program's names give `Fin` and `Inf`.
+const DIST: &str = "
+    enum Dist { case Fin(Int), case Inf }
+    def leq(a: Dist, b: Dist): Bool = match (a, b) with {
+      case (Dist.Inf, _) => true
+      case (_, Dist.Inf) => false
+      case (Dist.Fin(x), Dist.Fin(y)) => x >= y
+    }
+    def lub(a: Dist, b: Dist): Dist = match (a, b) with {
+      case (Dist.Inf, x) => x
+      case (x, Dist.Inf) => x
+      case (Dist.Fin(x), Dist.Fin(y)) => if (x <= y) Dist.Fin(x) else Dist.Fin(y)
+    }
+    def glb(a: Dist, b: Dist): Dist = match (a, b) with {
+      case (Dist.Inf, _) => Dist.Inf
+      case (_, Dist.Inf) => Dist.Inf
+      case (Dist.Fin(x), Dist.Fin(y)) => if (x >= y) Dist.Fin(x) else Dist.Fin(y)
+    }
+    let Dist<> = (Dist.Inf, Dist.Fin(0), leq, lub, glb);
+    lat Reach(node: Str, Dist<>);
+    Reach(\"a\", Dist.Fin(0)).
+";
+
+#[test]
+fn word_forms_lowered_for_another_programs_names_are_refused() {
+    let own = flix::compile(DIST).expect("compiles");
+    assert!(has_word_forms(&own, "Reach"));
+    // Another program, whose names give the first ids to other strings.
+    let other = flix::compile(&format!(
+        "enum Color {{ case Red, case Green }}
+         rel Paint(c: Color, s: Str);
+         Paint(Color.Red, \"red\"). Paint(Color.Green, \"green\").
+         {DIST}"
+    ))
+    .expect("compiles");
+    // `Reach`'s lattice, moved into a program of `names`.
+    let moved = |names: &flix::core::Names| {
+        let reach = own.predicate("Reach").expect("declared");
+        let ops = own.decl(reach).lattice_ops().expect("a lattice").clone();
+        let mut b = ProgramBuilder::new();
+        b.names(names.clone());
+        let reach = b.lattice("Reach", 2, ops);
+        b.fact(reach, vec!["b".into(), Value::tag("Fin", 1.into())]);
+        b.build()
+    };
+    let solution = Solver::new()
+        .solve(&moved(own.names()).expect("its own names"))
+        .expect("solves");
+    assert_eq!(
+        solution.fact_lines("Reach", None).expect("declared"),
+        ["Reach(\"b\", Fin(1))"]
+    );
+    for names in [other.names(), &flix::core::Names::default()] {
+        match moved(names) {
+            Err(flix::core::ProgramError::ForeignWordForms { predicate, lattice }) => {
+                assert_eq!((predicate.as_str(), lattice.as_str()), ("Reach", "Dist"));
+            }
+            other => panic!("expected a refusal, got {:?}", other.map(|_| "a program")),
+        }
+    }
+    // A program that only adds names keeps every id the forms bake in.
+    let mut extended = own.names().clone();
+    extended.intern("Elsewhere");
+    assert!(moved(&extended).is_ok());
+}

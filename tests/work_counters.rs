@@ -23,6 +23,9 @@
 //! `retraction/resume_retract_edge/50`. Wall-clock time at scale is
 //! flixbench's job (`BENCHMARK.json`).
 
+#[path = "common/golden.rs"]
+mod golden;
+
 use flix::analyses::ifds::{self, problems::Taint};
 use flix::analyses::shortest_paths;
 use flix::analyses::workloads::graphs::{self, WeightedGraph};
@@ -447,4 +450,60 @@ fn seeded_workloads_report_exactly_the_pinned_work() {
     assert_eq!(unindexed[total], semi[total]);
     assert_eq!((semi[fallbacks], unindexed[probes]), (0, 0));
     assert!(semi[probes] > 0 && unindexed[fallbacks] > 0);
+}
+
+/// `Seen(s) :- Name(_, s).` over `n` facts `Name(i, "s<i>")`, solved
+/// with provenance, then the first `n / 2` facts retracted: the
+/// cone-walk counter of that resume. Each retracted fact's walk examines
+/// every event whose premise on `Name` holds `_` — all `n` of them — so
+/// the count is quadratic in `n` today.
+fn wildcard_retraction(n: i64) -> u64 {
+    let mut b = ProgramBuilder::new();
+    let name = b.relation("Name", 2);
+    let seen = b.relation("Seen", 1);
+    let fact = |i: i64| vec![Value::from(i), Value::from(format!("s{i}"))];
+    for i in 0..n {
+        b.fact(name, fact(i));
+    }
+    b.rule(
+        Head::new(seen, [HeadTerm::var("s")]),
+        [BodyItem::atom(name, [Term::Wildcard, Term::var("s")])],
+    );
+    let program = b.build().expect("valid");
+    let solver = Solver::new().record_provenance(true);
+    let prior = solver.solve(&program).expect("solves");
+    let delta = (0..n / 2).fold(Delta::new(), |delta, i| delta.retract("Name", fact(i)));
+    let resumed = solver.resume(&program, &prior, &delta).expect("resumes");
+    resumed.stats().cone_events_examined
+}
+
+/// Figure 6's IDE program of the golden suites, solved with provenance,
+/// then the retraction of its sequence — a `CFG` edge — resumed on it.
+fn ide_retraction() -> u64 {
+    let [_, (_, program, deltas)] = golden::flat_programs();
+    let solver = Solver::new().record_provenance(true);
+    let prior = solver.solve(&program).expect("solves");
+    let resumed = solver
+        .resume(&program, &prior, &deltas[1])
+        .expect("resumes");
+    resumed.stats().cone_events_examined
+}
+
+#[test]
+fn the_cone_walk_examines_exactly_the_pinned_events() {
+    // Each of the n / 2 `Name` facts taken examines its own event and
+    // the n events whose premise holds `_`; each `Seen` fact taken, its
+    // own event: (n / 2)(n + 2). Quadratic today: twice the facts, four
+    // times the events examined.
+    let measured = [
+        wildcard_retraction(2_000),
+        wildcard_retraction(4_000),
+        ide_retraction(),
+    ];
+    assert_eq!(measured, [2_002_000, 8_004_000, 156]);
+    // Nothing retracted, nothing walked.
+    let solved = Solver::new()
+        .solve(&golden::all_pairs_40())
+        .expect("solves");
+    assert_eq!(solved.stats().cone_events_examined, 0);
 }

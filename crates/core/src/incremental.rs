@@ -553,8 +553,8 @@ fn update(
 ///
 /// The log is a well-founded proof forest — premises are recorded before
 /// the conclusions they support. An event dies when its own fact was
-/// removed, when any positive premise matches a fact that died *earlier
-/// in the log*, or (for lattice cells, whose logged values are running
+/// removed, when any positive premise — the row its atom matched — died
+/// *earlier in the log*, or (for lattice cells, whose logged values are running
 /// joins) when any earlier event of the same cell died. A fact is
 /// therefore dead *from* a position: that of its first dead event, or
 /// the start of the log when it was removed outright.
@@ -615,7 +615,7 @@ impl Cone {
             if !dead[pred.0 as usize].insert(key.clone()) {
                 continue;
             }
-            examined += log.touching(pred, &key, from, facts.spill, |at, event| {
+            examined += log.touching(pred, &key, from, |at, event| {
                 if dead_events.insert(at) && !dead[event.pred.0 as usize].contains(event.key) {
                     frontier.push(Reverse((Some(at), event.pred, event.key.into())));
                 }
@@ -785,58 +785,62 @@ fn apply_ops(
     Vec<(PredId, Vec<Value>)>,
     Vec<(PredId, Vec<Value>)>,
 ) {
-    // Entry `i` is `base[i]`, or past the base the op that pushed it;
-    // nothing is copied until it lands in one of the results.
-    let mut alive = vec![true; base.len()];
-    let mut pushed: Vec<&ResolvedOp> = Vec::new();
-    // Indices of the currently-live copies of each assertion (the base
-    // store may hold duplicates).
-    let mut live: FxHashMap<(PredId, &[Value]), Vec<usize>> = FxHashMap::default();
-    for (i, (pred, tuple)) in base.iter().enumerate() {
-        live.entry((*pred, tuple)).or_default().push(i);
-    }
-    for op in ops {
-        let key = (op.pred, op.tuple.as_slice());
-        if op.add {
-            let slot = live.entry(key).or_default();
-            if slot.is_empty() {
-                slot.push(alive.len());
-                alive.push(true);
-                pushed.push(op);
-            }
-        } else if let Some(slot) = live.get_mut(&key) {
-            for i in slot.drain(..) {
-                alive[i] = false;
+    // Per key the ops name, how they leave its copies: `[0]` if the base
+    // holds none, `[1]` if it holds some. Base copies live until a
+    // retraction; an insertion pushes one copy when none lives.
+    let mut folds: FxHashMap<(PredId, &[Value]), Fold> = FxHashMap::default();
+    for (at, op) in ops.iter().enumerate() {
+        let fold = folds.entry((op.pred, op.tuple.as_slice())).or_insert(Fold {
+            in_base: false,
+            ends: [(false, None), (true, None)],
+        });
+        for (base, pushed) in &mut fold.ends {
+            if !op.add {
+                (*base, *pushed) = (false, None);
+            } else if !*base && pushed.is_none() {
+                *pushed = Some(at);
             }
         }
     }
+    let mut eprime = Vec::with_capacity(base.len());
     let mut removed = Vec::new();
-    let mut seen = FxHashSet::default();
-    for (pred, tuple) in base {
-        let key = (*pred, tuple.as_slice());
-        if live[&key].is_empty() && seen.insert(key) {
-            removed.push((*pred, tuple.clone()));
+    for fact @ (pred, tuple) in base {
+        let Some(fold) = folds.get_mut(&(*pred, tuple.as_slice())) else {
+            eprime.push(fact.clone());
+            continue;
+        };
+        let (base, pushed) = fold.ends[1];
+        if base {
+            eprime.push(fact.clone());
+        } else if !fold.in_base && pushed.is_none() {
+            removed.push(fact.clone());
         }
+        fold.in_base = true;
     }
-    // Net additions: entries the ops pushed that survived every later
-    // op. A push happens only while no live copy of the key exists, so at
-    // most one pushed copy per key is alive and no deduplication is
-    // needed.
-    let (base_alive, pushed_alive) = alive.split_at(base.len());
+    // Net additions: the copies the ops pushed that survived every later
+    // op, in the order they were pushed. At most one pushed copy per key
+    // is alive, so no deduplication is needed.
+    let mut pushed: Vec<usize> = folds
+        .values()
+        .filter_map(|fold| fold.ends[fold.in_base as usize].1)
+        .collect();
+    pushed.sort_unstable();
     let added: Vec<(PredId, Vec<Value>)> = pushed
-        .iter()
-        .zip(pushed_alive)
-        .filter(|(_, alive)| **alive)
-        .map(|(op, _)| (op.pred, op.tuple.clone()))
+        .into_iter()
+        .map(|at| (ops[at].pred, ops[at].tuple.clone()))
         .collect();
-    let eprime = base
-        .iter()
-        .zip(base_alive)
-        .filter(|(_, alive)| **alive)
-        .map(|(entry, _)| entry.clone())
-        .chain(added.iter().cloned())
-        .collect();
+    eprime.extend(added.iter().cloned());
     (eprime, removed, added)
+}
+
+/// How the ops of one delta leave the copies of one assertion in the
+/// store, folded in op order: per reading of the base — holding no copy,
+/// holding some — whether the base copies live and which op pushed the
+/// live added copy.
+struct Fold {
+    /// The base holds a copy.
+    in_base: bool,
+    ends: [(bool, Option<usize>); 2],
 }
 
 /// Conservative check for the negation fallback: transitively closes the
@@ -926,10 +930,10 @@ mod tests {
     }
 
     /// Single-source shortest paths (§4.4) from node 0, plus consumers of
-    /// every premise shape the log indexes apart: a relation derived from
-    /// a lattice cell, a wildcard over relational key columns, a wildcard
-    /// over a lattice key, and premises that are part ground, part
-    /// wildcard.
+    /// every premise shape: a relation derived from a lattice cell, a `_`
+    /// over relational key columns, a `_` over a lattice key, and premises
+    /// that are part bound, part `_` — each `_` logged as the row it
+    /// matched.
     fn paths_program(edges: &[Edge]) -> Program {
         let mut b = ProgramBuilder::new();
         let edge = b.relation("Edge", 3);
@@ -987,6 +991,89 @@ mod tests {
             ],
         );
         b.build().expect("valid program")
+    }
+
+    type Store = Vec<(PredId, Vec<Value>)>;
+
+    /// The store fold with one map entry per base fact: what
+    /// [`apply_ops`] must return, in the same order.
+    fn apply_ops_per_base_fact(base: &[(PredId, Vec<Value>)], ops: &[ResolvedOp]) -> [Store; 3] {
+        let mut alive = vec![true; base.len()];
+        let mut pushed: Vec<&ResolvedOp> = Vec::new();
+        let mut live: FxHashMap<(PredId, &[Value]), Vec<usize>> = FxHashMap::default();
+        for (i, (pred, tuple)) in base.iter().enumerate() {
+            live.entry((*pred, tuple)).or_default().push(i);
+        }
+        for op in ops {
+            let key = (op.pred, op.tuple.as_slice());
+            if op.add {
+                let slot = live.entry(key).or_default();
+                if slot.is_empty() {
+                    slot.push(alive.len());
+                    alive.push(true);
+                    pushed.push(op);
+                }
+            } else if let Some(slot) = live.get_mut(&key) {
+                for i in slot.drain(..) {
+                    alive[i] = false;
+                }
+            }
+        }
+        let mut removed = Vec::new();
+        let mut seen = FxHashSet::default();
+        for (pred, tuple) in base {
+            let key = (*pred, tuple.as_slice());
+            if live[&key].is_empty() && seen.insert(key) {
+                removed.push((*pred, tuple.clone()));
+            }
+        }
+        let (base_alive, pushed_alive) = alive.split_at(base.len());
+        let added: Store = pushed
+            .iter()
+            .zip(pushed_alive)
+            .filter(|(_, alive)| **alive)
+            .map(|(op, _)| (op.pred, op.tuple.clone()))
+            .collect();
+        let eprime = base
+            .iter()
+            .zip(base_alive)
+            .filter(|(_, alive)| **alive)
+            .map(|(entry, _)| entry.clone())
+            .chain(added.iter().cloned())
+            .collect();
+        [eprime, removed, added]
+    }
+
+    /// Seeded stores over a small domain — so a base holds duplicates and
+    /// the ops insert, retract, re-insert and re-retract what it holds and
+    /// what it does not — folded keyed by the delta and per base fact:
+    /// the same E′, in the same order, and the same net removals and
+    /// additions.
+    #[test]
+    fn the_fold_keyed_by_the_delta_is_the_fold_per_base_fact() {
+        let mut rng = SmallRng::seed_from_u64(0xF01D);
+        let fact = |rng: &mut SmallRng| {
+            let pred = PredId(rng.gen_range(0..2u32));
+            (pred, vec![Value::from(rng.gen_range(0..6i64))])
+        };
+        for case in 0..2_000 {
+            let base: Store = (0..rng.gen_range(0..24usize))
+                .map(|_| fact(&mut rng))
+                .collect();
+            let ops: Vec<ResolvedOp> = (0..rng.gen_range(0..12usize))
+                .map(|_| {
+                    let (pred, tuple) = fact(&mut rng);
+                    let add = rng.gen_bool(0.5);
+                    ResolvedOp { add, pred, tuple }
+                })
+                .collect();
+            let (eprime, removed, added) = apply_ops(&base, &ops);
+            assert_eq!(
+                [eprime, removed, added],
+                apply_ops_per_base_fact(&base, &ops),
+                "case {case}: base {base:?}"
+            );
+        }
     }
 
     fn random_edges(rng: &mut SmallRng, nodes: u32, count: usize) -> Vec<Edge> {

@@ -59,11 +59,12 @@
 //! * **premises are copied at emit** — when provenance is recorded, each
 //!   derivation carries its positive body atoms, in body order, as the
 //!   words the registers already hold: per atom its predicate and one
-//!   encoded slot per column (a marker for a wildcard; a word lattice's
-//!   element as its word), appended to the round's premise arena. Only
-//!   what has no word — a boxed lattice witness, glb-rebound ones
-//!   included, also where one stands in a key column — goes, cloned, to
-//!   the arena's side column. Nothing is decoded and nothing is allocated
+//!   encoded slot per column (a key column as the slot of the row the
+//!   atom matched; a marker for `_` in a value column; a word lattice's
+//!   element as its word), appended to the round's premise arena. Only a
+//!   value column's element that has no word — a boxed lattice witness,
+//!   glb-rebound ones included — goes, cloned, to the arena's side
+//!   column. Nothing is decoded and nothing is allocated
 //!   per derivation; this is exactly what DRed retraction later replays,
 //!   and `explain` decodes;
 //! * **heads leave as words** — a head whose key columns all encode
@@ -209,15 +210,10 @@ enum HeadSrc {
 #[derive(Clone, Debug)]
 enum PremiseSrc {
     /// Known at compile time: a premise's predicate, a pre-encoded
-    /// literal, or the wildcard marker.
+    /// literal, or the wildcard marker of a lattice value column.
     Word(u64),
     /// An encoded variable register.
     Slot(usize),
-    /// A boxed register in a key column — a choice-bound variable, or a
-    /// lattice witness also used as a key: encoded when the store knows
-    /// the value, a side value otherwise (a witness a later atom
-    /// glb-rebound to an element no key column ever held).
-    BoxedKey(usize),
     /// A boxed register in a lattice value column: always a side value
     /// (an element is not a join key; looking it up would cost a hash).
     BoxedValue(usize),
@@ -663,6 +659,15 @@ fn compile_body(
     premises: bool,
 ) -> Plan {
     let classes = Classes::of(program, db, body);
+    // Recording premises, a positive atom's key column that holds `_` or
+    // a boxed variable (a later atom may glb-rebind it) binds a hidden
+    // register after the rule's: the premise logs the matched row's slot.
+    let mut num_slots = rule.num_vars;
+    let hides = |term: &CTerm| match term {
+        CTerm::Wild => true,
+        CTerm::Var(slot) => classes.is_boxed(*slot),
+        CTerm::Lit(_) => false,
+    };
 
     let mut steps = Vec::with_capacity(body.len() + 1);
     let mut bound: HashSet<usize> = HashSet::new();
@@ -695,7 +700,13 @@ fn compile_body(
                 });
                 let from_delta = delta_first && idx == 0;
                 let index_cols = (!from_delta).then_some(&index_cols[..]);
-                let (access, ops) = access(db, *pred, terms, ncols, index_cols, &bound, &classes);
+                let (access, mut ops) =
+                    access(db, *pred, terms, ncols, index_cols, &bound, &classes);
+                for col in (0..ncols).filter(|&c| premises && hides(&terms[c])) {
+                    let slot = num_slots;
+                    ops.push(RowOp::Bind { col, slot });
+                    num_slots += 1;
+                }
                 steps.push(Step::Atom {
                     pred: *pred,
                     access,
@@ -792,6 +803,7 @@ fn compile_body(
         });
         let words = atoms.clone().map(|(_, terms)| 1 + terms.len()).sum();
         let mut template = Vec::with_capacity(words);
+        let mut hidden = rule.num_vars..num_slots;
         for (pred, terms) in atoms {
             template.push(PremiseSrc::Word(pred.0 as u64));
             let value_col = program.decl(*pred).is_lattice().then(|| terms.len() - 1);
@@ -799,6 +811,9 @@ fn compile_body(
             for (col, t) in terms.iter().enumerate() {
                 let is_value = Some(col) == value_col;
                 template.push(match t {
+                    t if !is_value && hides(t) => {
+                        PremiseSrc::Slot(hidden.next().expect("bound by the atom"))
+                    }
                     CTerm::Wild => PremiseSrc::Word(SLOT_WILDCARD),
                     // A word lattice's element is logged as its word.
                     CTerm::Lit(v) if is_value => elems
@@ -809,13 +824,13 @@ fn compile_body(
                     CTerm::Lit(v) => PremiseSrc::Word(db.encode_literal(v)),
                     CTerm::Var(slot) => match classes.arg(*slot) {
                         ArgSrc::Slot(s) | ArgSrc::Elem(s, _) => PremiseSrc::Slot(s),
-                        ArgSrc::Boxed(s) if is_value => PremiseSrc::BoxedValue(s),
-                        ArgSrc::Boxed(s) => PremiseSrc::BoxedKey(s),
+                        ArgSrc::Boxed(s) => PremiseSrc::BoxedValue(s),
                         ArgSrc::Lit(_) => unreachable!("a variable's source"),
                     },
                 });
             }
         }
+        debug_assert!(hidden.next().is_none(), "every hidden register logged");
         template
     });
 
@@ -824,7 +839,7 @@ fn compile_body(
         head_pred: rule.head_pred,
         head,
         cell,
-        num_slots: rule.num_vars,
+        num_slots,
         precheck: lat_precheck && is_lattice,
         key_cols,
         premises,
@@ -1679,12 +1694,6 @@ fn copy_premises(template: &[PremiseSrc], st: &mut State<'_, '_>) {
         let word = match src {
             PremiseSrc::Word(word) => *word,
             PremiseSrc::Slot(slot) => st.enc[*slot],
-            PremiseSrc::BoxedKey(slot) => {
-                try_encode(boxed(slot), st.db.spill()).unwrap_or_else(|| {
-                    out.premise_side.push(boxed(slot).clone());
-                    SLOT_SIDE
-                })
-            }
             PremiseSrc::BoxedValue(slot) => {
                 out.premise_side.push(boxed(slot).clone());
                 SLOT_SIDE
@@ -1759,7 +1768,8 @@ fn for_each_row<'a, 'o>(
             // A membership test, not an index probe: nothing counted. An
             // unencodable key component was never stored: no row.
             if build_key(key, st) {
-                if let Some(id) = cols.id_of_encoded(&st.key_buf) {
+                let id = cols.id_of_encoded(&st.key_buf);
+                if let Some(id) = id.filter(|&id| ops_match(ops, cols, id, st)) {
                     visit(st, data, id, None);
                 }
             }

@@ -12,9 +12,9 @@
 //!
 //! Premises record positive body atoms only; filters, choice bindings,
 //! and negated atoms are conditions on the derivation step rather than
-//! facts with their own derivations. Wildcard columns (which match
-//! without binding) appear as `None` in the premise pattern and unify
-//! with anything during reconstruction.
+//! facts with their own derivations. A premise names the row its atom
+//! matched — a `_` in a key column is logged as that row's value — so a
+//! `None` in its pattern marks only a `_` in a lattice value column.
 //!
 //! # The log is words, decoded on request
 //!
@@ -27,11 +27,11 @@
 //! declared built-in kind) has its elements logged as their words too:
 //! the joined cell value after the head's key, a premise's value column
 //! in place. Two slot tags that no value encodes to mark a wildcard
-//! column and a column whose value has no word; that value sits, in
-//! order, in a side column of [`Value`]s beside the words. The side column
-//! holds the joined cell value of a boxed lattice's head, the value
-//! column of a boxed lattice's premise, and — rarely — a choice-bound
-//! premise column the store had never seen. Recording an
+//! value column and a value column whose value has no word; that value
+//! sits, in order, in a side column of [`Value`]s beside the words. The
+//! side column holds the joined cell value of a boxed lattice's head and
+//! the value column of a boxed lattice's premise; a key column is always
+//! the slot of the row its atom matched. Recording an
 //! event therefore copies words the evaluator already holds and allocates
 //! nothing beyond the columns' growth — which comes a block of 4 096
 //! events at a time, each allocated at the size the last one reached, so
@@ -85,7 +85,8 @@ use std::sync::{Arc, OnceLock};
 pub struct Premise {
     /// The premise's predicate.
     pub pred: PredId,
-    /// The instantiated columns; `None` marks a wildcard position.
+    /// The instantiated columns: the row the atom matched; `None` marks a
+    /// `_` in a lattice value column, which any cell value matches.
     pub pattern: Vec<Option<Value>>,
 }
 
@@ -260,10 +261,6 @@ fn rule_column(rule: Option<usize>) -> u32 {
     })
 }
 
-fn is_value_slot(slot: u64) -> bool {
-    slot != SLOT_WILDCARD && slot != SLOT_SIDE
-}
-
 fn fact_hash(pred: PredId, key: &[u64]) -> u64 {
     let mut hasher = FxHasher::default();
     hasher.write_u32(pred.0);
@@ -311,15 +308,47 @@ struct Block {
 /// every hit is checked against the event it names.
 #[derive(Debug)]
 struct Index {
-    /// `(hash of the fact an event concluded, offset)`, sorted.
-    conclusions: Vec<(u64, u32)>,
-    /// `(hash of a fact an event consumed, offset)`, sorted: one entry
-    /// per premise whose key columns all hold a slot.
-    consumers: Vec<(u64, u32)>,
-    /// Per predicate, ascending: the events with a premise on it whose
-    /// key columns hold a wildcard or a side value — these have no one
-    /// encoded fact to hash.
-    wildcards: Vec<Vec<u32>>,
+    /// The fact each event concluded.
+    conclusions: Filed,
+    /// The facts each event consumed: one entry per premise.
+    consumers: Filed,
+}
+
+/// `(hash, offset)` entries sorted by hash, and a directory over the
+/// hashes' top ⌈log2 n⌉ bits: `starts[b]` is the first entry whose top
+/// bits read at least `b`, so a lookup searches one bucket of about one
+/// hash. The directory has `2^⌈log2 n⌉ + 1` entries: at most 8 bytes an
+/// entry.
+#[derive(Debug)]
+struct Filed {
+    entries: Vec<(u64, u32)>,
+    starts: Vec<u32>,
+}
+
+impl Filed {
+    fn new(mut entries: Vec<(u64, u32)>) -> Filed {
+        entries.sort_unstable();
+        let buckets = entries.len().next_power_of_two();
+        let mut starts = Vec::with_capacity(buckets + 1);
+        for (at, &(hash, _)) in entries.iter().enumerate() {
+            starts.resize(starts.len().max(bucket_of(hash, buckets) + 1), offset(at));
+        }
+        starts.resize(buckets + 1, offset(entries.len()));
+        Filed { entries, starts }
+    }
+
+    /// The entries filed under `hash`.
+    fn get(&self, hash: u64) -> &[(u64, u32)] {
+        let bucket = bucket_of(hash, self.starts.len() - 1);
+        let (start, end) = (self.starts[bucket], self.starts[bucket + 1]);
+        filed(&self.entries[start as usize..end as usize], hash)
+    }
+}
+
+/// The bucket of `hash` among `buckets`, a power of two: its top bits.
+fn bucket_of(hash: u64, buckets: usize) -> usize {
+    let shift = 64 - buckets.trailing_zeros();
+    hash.checked_shr(shift).unwrap_or(0) as usize
 }
 
 /// The entries of `sorted` filed under `hash`.
@@ -432,25 +461,13 @@ pub(crate) struct PremiseRef<'a> {
 }
 
 impl PremiseRef<'_> {
-    /// The slots of the key columns when each holds a value's encoding:
-    /// the one fact the premise consumed. `None` when a key column is a
-    /// wildcard or has its value in the side column.
-    pub(crate) fn ground_key(&self) -> Option<&[u64]> {
+    /// The slots of the key columns: the one fact the premise consumed,
+    /// the row its atom matched.
+    pub(crate) fn key(&self) -> &[u64] {
         let key = &self.pattern[..self.key_cols];
-        key.iter().all(|&slot| is_value_slot(slot)).then_some(key)
-    }
-
-    /// Do the key columns match the fact with the encoded key `fact`? A
-    /// side value — the store had not seen it when the premise was
-    /// recorded — is compared decoded: the store may have seen it since.
-    pub(crate) fn key_matches(&self, fact: &[u64], spill: &SpillTable) -> bool {
-        let mut side = self.side.iter();
-        self.key_cols == fact.len()
-            && self.pattern.iter().zip(fact).all(|(&slot, &f)| match slot {
-                SLOT_WILDCARD => true,
-                SLOT_SIDE => *side.next().expect("one per marker") == decode(f, spill),
-                slot => slot == f,
-            })
+        let marked = |slot: &u64| *slot == SLOT_WILDCARD || *slot == SLOT_SIDE;
+        debug_assert!(!key.iter().any(marked), "a key logs the row it matched");
+        key
     }
 
     fn decode(&self, spill: &SpillTable) -> Premise {
@@ -595,30 +612,19 @@ impl Segment {
 
     fn index(&self, shape: &Shape) -> &Index {
         self.index.get_or_init(|| {
-            let mut index = Index {
-                conclusions: Vec::with_capacity(self.len()),
-                consumers: Vec::new(),
-                wildcards: vec![Vec::new(); shape.is_lat.len()],
-            };
+            let mut conclusions = Vec::with_capacity(self.len());
+            let mut consumers = Vec::new();
             for at in 0..self.len() as u32 {
                 let event = self.event(shape, at);
-                index
-                    .conclusions
-                    .push((fact_hash(event.pred, event.key), at));
+                conclusions.push((fact_hash(event.pred, event.key), at));
                 for premise in event.premises() {
-                    if let Some(key) = premise.ground_key() {
-                        index.consumers.push((fact_hash(premise.pred, key), at));
-                    } else {
-                        let list = &mut index.wildcards[premise.pred.0 as usize];
-                        if list.last() != Some(&at) {
-                            list.push(at);
-                        }
-                    }
+                    consumers.push((fact_hash(premise.pred, premise.key()), at));
                 }
             }
-            index.conclusions.sort_unstable();
-            index.consumers.sort_unstable();
-            index
+            Index {
+                conclusions: Filed::new(conclusions),
+                consumers: Filed::new(consumers),
+            }
         })
     }
 }
@@ -678,16 +684,15 @@ impl EventLog {
 
     /// Visits every live event later than `after` (`None`: every live
     /// event) that concludes the fact of `pred` with the encoded key
-    /// `key` or consumes it — has a premise on `pred` whose key columns
-    /// match `key`. An event that does both, or consumes the fact twice,
-    /// may be visited twice. Returns how many events it examined: every
+    /// `key` or consumes it — has a premise on `pred` whose key is `key`.
+    /// An event that does both, or consumes the fact twice, may be
+    /// visited twice. Returns how many events it examined: every
     /// candidate its indexes gave, visited or not — the call's cost.
     pub(crate) fn touching(
         &self,
         pred: PredId,
         key: &[u64],
         after: Option<Pos>,
-        spill: &SpillTable,
         mut visit: impl FnMut(Pos, EventRef<'_>),
     ) -> u64 {
         let mut examined = 0;
@@ -697,16 +702,13 @@ impl EventLog {
             let start = if no == first { start } else { 0 };
             let index = part.segment.index(&self.shape);
             let concludes = |e: &EventRef<'_>| e.pred == pred && e.key == key;
-            let consumes = |e: &EventRef<'_>| {
-                e.premises()
-                    .any(|p| p.pred == pred && p.key_matches(key, spill))
-            };
-            let concluding = filed(&index.conclusions, hash).iter();
-            let consuming = filed(&index.consumers, hash).iter().map(|&(_, at)| at);
-            let consuming = consuming.chain(index.wildcards[pred.0 as usize].iter().copied());
+            let consumes =
+                |e: &EventRef<'_>| e.premises().any(|p| p.pred == pred && p.key() == key);
+            let concluding = index.conclusions.get(hash).iter();
+            let consuming = index.consumers.get(hash).iter();
             let candidates = concluding
                 .map(|&(_, at)| (at, true))
-                .chain(consuming.map(|at| (at, false)));
+                .chain(consuming.map(|&(_, at)| (at, false)));
             for (at, concluded) in candidates {
                 examined += 1;
                 if at < start || !part.is_live(at) {
@@ -748,7 +750,7 @@ impl EventLog {
         let hash = fact_hash(pred, key);
         for (no, part, end) in self.parts_before(before) {
             let index = part.segment.index(&self.shape);
-            for &(_, at) in filed(&index.conclusions, hash).iter().rev() {
+            for &(_, at) in index.conclusions.get(hash).iter().rev() {
                 let event = part.segment.event(&self.shape, at);
                 if at < end
                     && part.is_live(at)
@@ -758,23 +760,6 @@ impl EventLog {
                 {
                     return Some((no, at));
                 }
-            }
-        }
-        None
-    }
-
-    /// The latest live event before `before` that `accept` takes, by
-    /// scanning backwards: for what no index covers.
-    pub(crate) fn latest_scanned(
-        &self,
-        before: Pos,
-        accept: impl Fn(&EventRef<'_>) -> bool,
-    ) -> Option<Pos> {
-        for (no, part, end) in self.parts_before(Some(before)) {
-            let mut earlier = part.live().rev().filter(|&at| at < end);
-            let accept = |&at: &u32| accept(&part.segment.event(&self.shape, at));
-            if let Some(at) = earlier.find(accept) {
-                return Some((no, at));
             }
         }
         None
@@ -1090,15 +1075,14 @@ mod tests {
         assert_eq!(decoded(&with_wide)[..prior_log.len()], prior_log[..]);
     }
 
-    /// A premise column with a side value in a *key* position, which a
-    /// glb-rebound lattice witness makes: `Q(v)` is looked up at the `v`
-    /// that `L` bound, `M(v)` then narrows `v` to `v ⊓ M`, a set the
-    /// store has never seen when the derivation is emitted, and the
-    /// premise is logged at the registers' final values. Such a
-    /// premise has no slot to hash; it is matched by decoding, also
-    /// against a fact the store came to hold later.
+    /// A key column whose variable a later atom glb-rebinds: `Q(v)` is
+    /// looked up at the `v` that `L` bound, `{1, 2}`, and `M(v)` then
+    /// narrows `v` to `{2}`, a set no key column holds. The premise logs
+    /// the row `Q` matched, not the register's final value: `explain`
+    /// shows `Q({1, 2})`, and retracting it reaches the derivation — the
+    /// resumed model is the scratch one, without `R(1, {2})`.
     #[test]
-    fn a_side_value_in_a_key_column_is_matched_decoded() {
+    fn a_glb_rebound_key_logs_the_row_it_matched() {
         use crate::{LatticeOps, ValueLattice};
         use flix_lattice::PowerSet;
         let set = |items: &[i64]| -> Value {
@@ -1127,7 +1111,7 @@ mod tests {
         let program = b.build().expect("valid");
         let solver = Solver::new().record_provenance(true);
         let solved = solver.solve(&program).expect("solves");
-        let met = set(&[2]);
+        let (matched, met) = (set(&[1, 2]), set(&[2]));
         let derived = [Value::from(1), met.clone()];
         assert_eq!(slot_of(&met, &solved), None, "never a key: no slot");
         let logged = decoded(&solved);
@@ -1136,24 +1120,22 @@ mod tests {
             panic!("derived by the rule");
         };
         assert_eq!(premises[2].pred, q);
-        assert_eq!(premises[2].pattern, [Some(met.clone())]);
-        // No `Q({2})` was ever concluded: the premise has no subtree.
+        assert_eq!(premises[2].pattern, [Some(matched.clone())]);
         let tree = solved.explain("R", &derived).expect("logged");
-        assert!(tree.children.iter().all(|child| child.predicate != "Q"));
+        let q_child = tree.children.iter().find(|child| child.predicate == "Q");
+        let q_child = q_child.expect("the row Q matched");
+        assert_eq!(q_child.tuple, std::slice::from_ref(&matched));
 
-        // Once the store holds `Q({2})`, the fact has a slot, and the
-        // walk a retraction of it would make reaches the event whose
-        // premise names it by value.
-        let insert = Delta::new().insert("Q", vec![met.clone()]);
-        let held = solver.resume(&program, &solved, &insert).expect("resumes");
-        let spill = held.database().spill();
-        let key = [slot_of(&met, &held).expect("stored")];
-        let mut consumers = Vec::new();
-        let log = held.events().expect("recorded");
-        log.touching(q, &key, None, spill, |_, event| {
-            consumers.extend((event.pred == r).then(|| event.tuple(spill)));
-        });
-        assert_eq!(consumers, [derived.to_vec()]);
+        let retract = Delta::new().retract("Q", vec![matched]);
+        let resumed = solver.resume(&program, &solved, &retract).expect("resumes");
+        let scratch = program.with_delta(&retract).expect("fits");
+        let scratch = solver.solve(&scratch).expect("solves");
+        assert!(
+            resumed.stats().cone_events_examined > 0,
+            "a cone was walked"
+        );
+        assert_eq!(resumed.model_lines(), scratch.model_lines());
+        assert!(!resumed.contains("R", &derived));
     }
 
     /// The scratch fallback starts a new database — a new spill table —
@@ -1188,5 +1170,55 @@ mod tests {
             .explain("Seen", std::slice::from_ref(&wide))
             .is_none());
         assert_explains(&prior, &wide);
+    }
+
+    /// Seeded arrays of every shape the directory must handle — empty,
+    /// one entry, a few hashes many times over, hashes that share their
+    /// top bits and so one bucket, and hashes spread over the whole
+    /// range — looked up at every filed hash, at its neighbours and at
+    /// random ones: the same slice as two binary searches over the whole
+    /// array, and a directory of at most 8 bytes an entry.
+    #[test]
+    fn the_directory_finds_what_two_binary_searches_find() {
+        use flix_lattice::rng::SmallRng;
+        let mut rng = SmallRng::seed_from_u64(0xD1EC);
+        for case in 0..600u32 {
+            let len = match case {
+                0 => 0,
+                1 => 1,
+                _ => rng.gen_range(0..400usize),
+            };
+            let draw = |rng: &mut SmallRng| match case % 4 {
+                // A few hashes, each filed many times.
+                0 => rng.gen_range(0..4u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
+                // One top byte: every hash in one bucket or two.
+                1 => 0xA5 << 56 | rng.next_u64() >> 8,
+                // Low bits only: bucket 0.
+                2 => rng.gen_range(0..64u64),
+                _ => rng.next_u64(),
+            };
+            let entries: Vec<(u64, u32)> = (0..len).map(|at| (draw(&mut rng), at as u32)).collect();
+            let filed = Filed::new(entries);
+            let sorted = &filed.entries;
+            assert!(
+                sorted.windows(2).all(|w| w[0] <= w[1]),
+                "case {case}: sorted"
+            );
+            assert!(
+                filed.starts.len() * 4 <= 8 * len.max(1),
+                "case {case}: {} directory entries for {len}",
+                filed.starts.len()
+            );
+            let filed_hashes = sorted.iter().map(|&(h, _)| h);
+            let near = filed_hashes.flat_map(|h| [h, h.wrapping_sub(1), h.wrapping_add(1)]);
+            let random: Vec<u64> = (0..32).map(|_| draw(&mut rng)).collect();
+            for hash in near.chain(random).chain([0, u64::MAX]) {
+                assert_eq!(
+                    filed.get(hash),
+                    super::filed(sorted, hash),
+                    "case {case}: {len} entries, hash {hash:#x}"
+                );
+            }
+        }
     }
 }

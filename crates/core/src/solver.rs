@@ -2111,12 +2111,7 @@ impl Solution {
                 // terminates. For a lattice premise the witnessed value
                 // may be below the stored cell value: the key columns
                 // decide, whatever the value.
-                let established = match premise.ground_key() {
-                    Some(key) => log.latest(premise.pred, key, Some(at), |_| true),
-                    None => log.latest_scanned(at, |e| {
-                        e.pred == premise.pred && premise.key_matches(e.key, spill)
-                    }),
-                };
+                let established = log.latest(premise.pred, premise.key(), Some(at), |_| true);
                 established.map(|earlier| self.build_tree(log, earlier))
             })
             .collect();

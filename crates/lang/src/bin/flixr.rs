@@ -1057,10 +1057,16 @@ fn print_lines(mut lines: Vec<String>) {
     }
 }
 
+/// One line of a run's counters; a retracting resume adds the events its
+/// cone walk examined.
 fn print_stats(s: &flix_core::SolveStats) {
+    let cone = match s.cone_events_examined {
+        0 => String::new(),
+        n => format!("  cone events: {n}"),
+    };
     eprintln!(
         "rounds: {}  rule evaluations: {}  facts derived: {}  facts inserted: {}  \
-         index probes: {}  scans: {}  total facts: {}",
+         index probes: {}  scans: {}  total facts: {}{cone}",
         s.rounds,
         s.rule_evaluations,
         s.facts_derived,

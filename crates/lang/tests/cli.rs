@@ -1549,15 +1549,7 @@ fn flixd_serves_flixr_clients_end_to_end() {
         .spawn()
         .expect("flixd starts");
 
-    // The daemon binds the socket before serving; wait for it.
-    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
-    while !socket.exists() {
-        assert!(
-            std::time::Instant::now() < deadline,
-            "flixd never bound its socket"
-        );
-        std::thread::sleep(std::time::Duration::from_millis(20));
-    }
+    wait_for_daemon(&socket);
 
     let connect = |extra: &[&str]| {
         let mut cmd = flixr();
@@ -1666,14 +1658,7 @@ fn connect_busy_refusal_exits_one() {
         .stderr(std::process::Stdio::piped())
         .spawn()
         .expect("flixd starts");
-    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
-    while !socket.exists() {
-        assert!(
-            std::time::Instant::now() < deadline,
-            "flixd never bound its socket"
-        );
-        std::thread::sleep(std::time::Duration::from_millis(20));
-    }
+    wait_for_daemon(&socket);
 
     let update = write_temp("busy-delta.flix", "Edge(3, 4).");
     let output = flixr()
@@ -1764,15 +1749,22 @@ impl Daemon {
             .expect("flixd starts");
         // Built before the wait, so a daemon that never binds is reaped.
         let daemon = Daemon { socket, child };
-        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
-        while !daemon.socket.exists() {
-            assert!(
-                std::time::Instant::now() < deadline,
-                "flixd never bound its socket"
-            );
-            std::thread::sleep(std::time::Duration::from_millis(20));
-        }
+        wait_for_daemon(&daemon.socket);
         daemon
+    }
+}
+
+/// Waits until a `flixd` accepts a connection on `socket`. The socket
+/// file appears at `bind`, before `listen`: a client that connects in
+/// between is refused, so the file alone does not say the daemon serves.
+fn wait_for_daemon(socket: &std::path::Path) {
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
+    while std::os::unix::net::UnixStream::connect(socket).is_err() {
+        assert!(
+            std::time::Instant::now() < deadline,
+            "flixd never accepted a connection on its socket"
+        );
+        std::thread::sleep(std::time::Duration::from_millis(20));
     }
 }
 
@@ -1804,15 +1796,17 @@ fn same_locally_and_through_flixd(tag: &str, args: &[&str]) -> std::process::Out
         .args(args)
         .output()
         .expect("runs");
+    let remote_stderr = String::from_utf8_lossy(&remote.stderr);
     assert_eq!(
         String::from_utf8_lossy(&remote.stdout),
         String::from_utf8_lossy(&local.stdout),
-        "{args:?}: stdout through flixd, then locally"
+        "{args:?}: stdout through flixd, then locally; stderr through flixd: {remote_stderr}"
     );
     assert_eq!(
         remote.status.code(),
         local.status.code(),
-        "{args:?}: exit code through flixd, then locally ({remote:?}, {local:?})"
+        "{args:?}: exit code through flixd, then locally ({remote:?}, {local:?}); \
+         stderr through flixd: {remote_stderr}"
     );
     local
 }

@@ -23,11 +23,14 @@ use flix::analyses::ifds::{self, problems::Taint};
 use flix::analyses::points_to::PointsToInput;
 use flix::analyses::workloads::jvm_program::{self, GenParams};
 use flix::core::model::{is_locally_minimal, is_model};
+use flix::core::provenance::Source;
+use flix::core::PredId;
 use flix::lattice::MinCost;
 use flix::{
     BodyItem, Delta, Head, HeadTerm, LatticeOps, Program, ProgramBuilder, Solution, Solver,
     SolverConfig, Strategy, Term, Value, ValueLattice,
 };
+use std::collections::HashSet;
 use std::sync::Arc;
 
 /// The three configurations under comparison; the parallel one is built
@@ -577,4 +580,126 @@ fn random_program_retractions_match_scratch() {
         reached >= 15,
         "{reached} seeds whose first retraction re-ran a stratum"
     );
+}
+
+// ---------------------------------------------------------------------
+// Workload 6: retractions through `_` premises.
+// ---------------------------------------------------------------------
+
+/// `Seen(s) :- Name(_, s).` over `Name(i, "s<i mod 40>")` for `i < 64`,
+/// and the retraction of `Name(i, …)` for `i < 32`: `Seen("s24")` to
+/// `Seen("s31")` lose their only row, `Seen("s0")` to `Seen("s23")` keep
+/// another, `Seen("s32")` to `Seen("s39")` lose nothing.
+fn names_program() -> (Program, Delta) {
+    let mut b = ProgramBuilder::new();
+    let name = b.relation("Name", 2);
+    let seen = b.relation("Seen", 1);
+    let row = |i: i64| vec![Value::from(i), Value::from(format!("s{}", i % 40))];
+    for i in 0..64 {
+        b.fact(name, row(i));
+    }
+    b.rule(
+        Head::new(seen, [HeadTerm::var("s")]),
+        [BodyItem::atom(name, [Term::Wildcard, Term::var("s")])],
+    );
+    let retract = (0..32).fold(Delta::new(), |delta, i| delta.retract("Name", row(i)));
+    (b.build().expect("valid"), retract)
+}
+
+/// Figure 5's IFDS encoding on `ifds_taint_8x16`, with one of the
+/// `PathEdge` facts it derives asserted too, and the retraction of that
+/// assertion: its cone runs through `Result(n, d2) :- PathEdge(_, n, d2)`
+/// and the call rule, which read `PathEdge` through `_`, and
+/// re-derivation restores what other paths still derive.
+fn path_edge_retraction() -> (Program, Delta) {
+    let program = common::golden::ifds_taint_8x16();
+    let solved = Solver::new().solve(&program).expect("solves");
+    let derived: Vec<&[Value]> = solved.relation("PathEdge").expect("declared").collect();
+    let edge = derived[derived.len() / 2].to_vec();
+    let asserted = Delta::new().insert("PathEdge", edge.clone());
+    let base = program.with_delta(&asserted).expect("fits");
+    (base, Delta::new().retract("PathEdge", edge))
+}
+
+/// A `_` premise logs the row it matched, so an event dies with that row
+/// alone and re-derivation finds the rows that still match. Each
+/// retraction must still equal a scratch solve and be the least model,
+/// under every configuration that records provenance — the ones that
+/// walk the cone.
+#[test]
+fn retractions_through_wildcard_premises_match_scratch() {
+    let [_, (_, ide, ide_steps)] = common::golden::flat_programs();
+    let cases = [
+        ("Name(_, s)", names_program()),
+        ("Figure 6 IDE", (ide, ide_steps[1].clone())),
+        ("IFDS PathEdge", path_edge_retraction()),
+    ];
+    for (label, (base, retract)) in cases {
+        let scratch_program = base.with_delta(&retract).expect("the delta fits");
+        for (config, solver) in configurations() {
+            let label = format!("{label}/{config}");
+            let solver = solver.record_provenance(true);
+            let solved = solver.solve(&base).expect("solves");
+            let resumed = solver.resume(&base, &solved, &retract).expect("resumes");
+            let scratch = solver.solve(&scratch_program).expect("scratch solves");
+            assert_eq!(
+                dump(&base, &resumed),
+                dump(&scratch_program, &scratch),
+                "{label}: resume diverged from scratch"
+            );
+            let walked = resumed.stats().cone_events_examined;
+            assert!(walked > 0, "{label}: a cone was walked");
+            // The model is the same in every configuration: checked once.
+            if config == "semi-naive" {
+                assert_least_model(&label, &base, &retract, &resumed);
+            }
+        }
+    }
+}
+
+/// Every premise a log holds names a row the store held when its event
+/// was recorded — the row the atom matched, concluded by an earlier live
+/// event — `_` key columns included: a `None` is left only in a lattice
+/// value column. Checked on the solved log and on the log a retraction
+/// leaves.
+#[test]
+fn every_premise_names_a_row_stored_before_its_event() {
+    let [_, (_, ide, ide_steps)] = common::golden::flat_programs();
+    let cases = [
+        ("Name(_, s)", names_program()),
+        ("Figure 6 IDE", (ide, ide_steps[1].clone())),
+        ("IFDS PathEdge", path_edge_retraction()),
+    ];
+    let solver = Solver::new().record_provenance(true);
+    for (label, (program, retract)) in cases {
+        let solved = solver.solve(&program).expect("solves");
+        let resumed = solver.resume(&program, &solved, &retract).expect("resumes");
+        for (when, solution) in [("solved", &solved), ("resumed", &resumed)] {
+            let key_cols =
+                |pred| program.decl(pred).arity() - program.decl(pred).is_lattice() as usize;
+            let mut stored: HashSet<(PredId, Vec<Value>)> = HashSet::new();
+            let mut named = 0;
+            for event in solution.provenance().expect("recorded") {
+                if let Source::Rule { premises, .. } = &event.source {
+                    for premise in premises {
+                        let key: Option<Vec<Value>> = premise.pattern[..key_cols(premise.pred)]
+                            .iter()
+                            .cloned()
+                            .collect();
+                        let key = key.unwrap_or_else(|| {
+                            panic!("{label}/{when}: a key column of {premise:?} is `_`")
+                        });
+                        assert!(
+                            stored.contains(&(premise.pred, key)),
+                            "{label}/{when}: {premise:?} names no stored row"
+                        );
+                        named += 1;
+                    }
+                }
+                let key = event.tuple[..key_cols(event.pred)].to_vec();
+                stored.insert((event.pred, key));
+            }
+            assert!(named > 0, "{label}/{when}: the log holds premises");
+        }
+    }
 }

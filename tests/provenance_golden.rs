@@ -144,33 +144,35 @@ fn flat_digests() -> [[[u64; 2]; 2]; 2] {
 
 // ---------------------------------------------------------------------
 // The constants, recorded at the parent of PR 22 — but for `FLAT`,
-// recorded at the parent of PR 25.
+// recorded at the parent of PR 25. The digests of the programs with a `_`
+// in a positive atom's key column were re-recorded when such a premise
+// began to log the row it matched; every other digest held.
 // ---------------------------------------------------------------------
 
 #[rustfmt::skip]
 const RANDOM: [[[u64; 2]; 2]; 100] = [
     [[0xded1098568e4681c, 0xded1098568e4681c], [0x93eba8a1a35c7b47, 0x93eba8a1a35c7b47]],
     [[0xc63a0c8677ebe42b, 0xc63a0c8677ebe42b], [0xa79248b82593a15d, 0xa79248b82593a15d]],
-    [[0x8c0cb0d528ac9807, 0x8c0cb0d528ac9807], [0xb98c04a325f949e6, 0xb98c04a325f949e6]],
-    [[0x13c7715dadd2a2c5, 0x13c7715dadd2a2c5], [0x167b44477ecf0999, 0x167b44477ecf0999]],
+    [[0x8c0cb0d528ac9807, 0x8c0cb0d528ac9807], [0xbcf15e6746ec51d6, 0xbcf15e6746ec51d6]],
+    [[0xdf5cedf89c348180, 0xdf5cedf89c348180], [0x48034785fff1c4c4, 0x48034785fff1c4c4]],
     [[0xef82c5176bc21173, 0xef82c5176bc21173], [0xd1c5e083584250b0, 0xd1c5e083584250b0]],
-    [[0xf44c040be1a27afc, 0x2ba064bb7a13e461], [0xfa5df94ac5b5b468, 0x17464629dab95ef9]],
-    [[0x49d2cbdf791fd29b, 0x49d2cbdf791fd29b], [0xd31f617ae70f8511, 0xd31f617ae70f8511]],
-    [[0xd5096ca268aba3f0, 0xd5096ca268aba3f0], [0x6f8ca32d46480d9e, 0x6f8ca32d46480d9e]],
-    [[0x91d5ca34f03b6cd6, 0x91d5ca34f03b6cd6], [0x410d31dd79541845, 0x410d31dd79541845]],
+    [[0x16c0d9d6c4d41024, 0xb7246bcb45659bf9], [0x24b7ed8d039994ec, 0xa948647a02dcd88d]],
+    [[0x60bfca1fd1791178, 0x60bfca1fd1791178], [0x2df114f13076e746, 0x2df114f13076e746]],
+    [[0x961b81f488e0ef6a, 0x961b81f488e0ef6a], [0x2b52ad1ad7387288, 0x2b52ad1ad7387288]],
+    [[0x596d33bfd10e2752, 0x596d33bfd10e2752], [0xb84a2ee499599265, 0xb84a2ee499599265]],
     [[0xfe73b3a0190ac11a, 0xfe73b3a0190ac11a], [0xdaea0056469eadad, 0xdaea0056469eadad]],
     [[0x69e5a4a086e3434b, 0x69e5a4a086e3434b], [0x8aa5b094ddc60c4f, 0x8aa5b094ddc60c4f]],
-    [[0xfd00d58e0ce5bf16, 0xfd00d58e0ce5bf16], [0xb9fd3d68a0777dea, 0xb9fd3d68a0777dea]],
-    [[0x3805bbce4a90ccea, 0x3805bbce4a90ccea], [0xd07a4da1f0f7f73c, 0xd07a4da1f0f7f73c]],
-    [[0x361e0f5a41f559b0, 0x361e0f5a41f559b0], [0x04e8f6653564d6d5, 0x04e8f6653564d6d5]],
-    [[0xfb58882ea8b210ab, 0xfb58882ea8b210ab], [0xb602194757b8d62c, 0xb602194757b8d62c]],
-    [[0x777206f63afd6db1, 0x777206f63afd6db1], [0x0783518de683d3d7, 0x0783518de683d3d7]],
-    [[0xbd7e3f006de6fd81, 0xbd7e3f006de6fd81], [0x305d398c362ea720, 0x305d398c362ea720]],
-    [[0x7b052bcc8f6df9b7, 0xa0365430a4bd9593], [0x61a489828e0f61b3, 0x8627c8595972e2c3]],
-    [[0x67517383e548bc71, 0x67517383e548bc71], [0x3befdecf820e9cdd, 0x3befdecf820e9cdd]],
+    [[0xf5c8393b5cc1b539, 0xf5c8393b5cc1b539], [0x4439ba2efd6f176d, 0x4439ba2efd6f176d]],
+    [[0x3805bbce4a90ccea, 0x3805bbce4a90ccea], [0xbc8bf258c25efd60, 0xbc8bf258c25efd60]],
+    [[0x5ac67e089f535b8d, 0x5ac67e089f535b8d], [0x2861b6f8022bc1ac, 0x2861b6f8022bc1ac]],
+    [[0xc900d3f8c247940f, 0xc900d3f8c247940f], [0x40795f6ab5ca4d64, 0x40795f6ab5ca4d64]],
+    [[0x40a5385ca05efb70, 0x40a5385ca05efb70], [0x16aa06ea2329cb0c, 0x16aa06ea2329cb0c]],
+    [[0x344803b8aa7d85af, 0x344803b8aa7d85af], [0xf3b2194c3ff7ef92, 0xf3b2194c3ff7ef92]],
+    [[0xf50e7dce1da138ff, 0xd2ed43ff1be328db], [0xd0f4faa4403bf62b, 0xcf6aeb221281d85b]],
+    [[0x6fbf57729d0ba4f6, 0x6fbf57729d0ba4f6], [0x2a70a65d6c58324a, 0x2a70a65d6c58324a]],
     [[0xc38f1a89041be896, 0xc38f1a89041be896], [0x081a7c0450627de2, 0x081a7c0450627de2]],
     [[0xd911eebd016c52f5, 0xd911eebd016c52f5], [0x29c6da51fbcd1a18, 0x29c6da51fbcd1a18]],
-    [[0xb105bebb119ffc13, 0xb105bebb119ffc13], [0x790efc110a0e37eb, 0x790efc110a0e37eb]],
+    [[0x7674dbc651108260, 0x7674dbc651108260], [0x5f52ea3bcdd7e6b3, 0x5f52ea3bcdd7e6b3]],
     [[0x94dbc6638520584d, 0x94dbc6638520584d], [0xacfa6f906dfa2d8f, 0xacfa6f906dfa2d8f]],
     [[0xbd9aca18e491becf, 0xbd9aca18e491becf], [0xf0651f0b62664859, 0xf0651f0b62664859]],
     [[0x7fe61d7c60c66ed1, 0x7fe61d7c60c66ed1], [0xc8351acd5567e21f, 0xc8351acd5567e21f]],
@@ -179,98 +181,98 @@ const RANDOM: [[[u64; 2]; 2]; 100] = [
     [[0xb7a0b30adf5ebbe3, 0x0ab04dbc465a852f], [0x691100311adcf986, 0x9b7840f34f106c2a]],
     [[0xfa8bf0cf84b194d8, 0xfa8bf0cf84b194d8], [0xb6f2b0dbaee165bc, 0xb6f2b0dbaee165bc]],
     [[0x3e2e5da005423ea8, 0x3e2e5da005423ea8], [0xf515ff3b4e97ed64, 0xf515ff3b4e97ed64]],
-    [[0x0ff43af633077a7b, 0x0ff43af633077a7b], [0x4a3ae749f7c71fc1, 0x4a3ae749f7c71fc1]],
-    [[0xd8d30cb1d76f6f0d, 0xd8d30cb1d76f6f0d], [0x84063bdf309cd2df, 0x84063bdf309cd2df]],
+    [[0x0ff43af633077a7b, 0x0ff43af633077a7b], [0x78eb362bd06d19b6, 0x78eb362bd06d19b6]],
+    [[0x376bdfb0bd44e32d, 0x376bdfb0bd44e32d], [0xd0dcb0b2c3bf272f, 0xd0dcb0b2c3bf272f]],
     [[0xffc82c5d63f573b3, 0xffc82c5d63f573b3], [0x288e7c7650a36a53, 0x288e7c7650a36a53]],
     [[0xa17cac439721dcb2, 0xa17cac439721dcb2], [0xf8ca833a5a487d47, 0xf8ca833a5a487d47]],
-    [[0xfee8be8f9891dd85, 0xfee8be8f9891dd85], [0xb67c605fa9831d33, 0xb67c605fa9831d33]],
+    [[0xfee8be8f9891dd85, 0xfee8be8f9891dd85], [0xe174b4e382cd5309, 0xe174b4e382cd5309]],
     [[0x7beef151c39b8b8c, 0x7beef151c39b8b8c], [0x03758d8a4a2d6db6, 0x03758d8a4a2d6db6]],
-    [[0x5c4ee5922a086339, 0x5c4ee5922a086339], [0x70cc75f7b47dd272, 0x70cc75f7b47dd272]],
-    [[0xc9338b190af06297, 0xc9338b190af06297], [0xd715ae72acf0efe5, 0xd715ae72acf0efe5]],
+    [[0xb3e844976e0ea3d9, 0xb3e844976e0ea3d9], [0x955cfd3a4d43b699, 0x955cfd3a4d43b699]],
+    [[0x85d963301540a07e, 0x85d963301540a07e], [0xb3d5c36596da6360, 0xb3d5c36596da6360]],
     [[0x0db0c392b9935595, 0x0db0c392b9935595], [0x1c2f6b08cdf2b497, 0x1c2f6b08cdf2b497]],
     [[0xbf55cb5dfd285fdc, 0xbf55cb5dfd285fdc], [0xb999202ac7638e3a, 0xb999202ac7638e3a]],
     [[0x339d05688a0011e4, 0x339d05688a0011e4], [0x82061ebee1fea6de, 0x82061ebee1fea6de]],
     [[0x75d1a17ee6a20504, 0x75d1a17ee6a20504], [0xdcac35dfefba3521, 0xdcac35dfefba3521]],
     [[0xcdf55e2a5533743a, 0xcdf55e2a5533743a], [0x51a5168d66c5bc74, 0x51a5168d66c5bc74]],
     [[0x4e6bbbb3f13a57c7, 0xb7bcf19d37ee211c], [0x47d4beba35b11870, 0x2ecde14f474530fb]],
-    [[0x52a013b920d20b71, 0x52a013b920d20b71], [0x79ba4c5c60b3bb48, 0x79ba4c5c60b3bb48]],
+    [[0x3df12a1e4bcd6f87, 0x3df12a1e4bcd6f87], [0xee6085286c762176, 0xee6085286c762176]],
     [[0xd5d236bb93ab4105, 0xd5d236bb93ab4105], [0x677c624fb5f3c77c, 0x677c624fb5f3c77c]],
-    [[0xc3da9da57feadb38, 0xc3da9da57feadb38], [0xb32d14c1830a5d1c, 0xb32d14c1830a5d1c]],
-    [[0xe9f8efe9765ee168, 0xe684862fccf4a9f2], [0xbc33dae6427ab0c2, 0xcfac176f3dcbc796]],
-    [[0x4f6908bd72c7ec3f, 0x4f6908bd72c7ec3f], [0xfa667db654adb15e, 0xfa667db654adb15e]],
-    [[0x03da44657d04d134, 0x03da44657d04d134], [0xc6a349542adf0841, 0xc6a349542adf0841]],
-    [[0xb2ace01ac9ae7b4e, 0xb2ace01ac9ae7b4e], [0x38d3bb16b84ccbee, 0x38d3bb16b84ccbee]],
+    [[0xd1f00a7f2cdbc9be, 0xd1f00a7f2cdbc9be], [0x6bd8ae9a39fb6a76, 0x6bd8ae9a39fb6a76]],
+    [[0xc3953310ee83aedd, 0xc39c5c26ad6efedf], [0x3edf4ad7389a92e7, 0x5102e59812718c8b]],
+    [[0x9848a22538a9bbac, 0x9848a22538a9bbac], [0x35542c74cd2d4115, 0x35542c74cd2d4115]],
+    [[0x03da44657d04d134, 0x03da44657d04d134], [0xe5070e0f55ae5235, 0xe5070e0f55ae5235]],
+    [[0x996b1c81f55787fc, 0x996b1c81f55787fc], [0x15c6a3b6961554e8, 0x15c6a3b6961554e8]],
     [[0x6457588ff539e8cd, 0x6457588ff539e8cd], [0xe692f7abe8de9940, 0xe692f7abe8de9940]],
-    [[0xa8c1349d6b5c2d08, 0xa8c1349d6b5c2d08], [0x1f5c9b9da3d4135a, 0x1f5c9b9da3d4135a]],
-    [[0x4d49c108a03f5863, 0x4d49c108a03f5863], [0x8b8d0b8adc53bf22, 0x8b8d0b8adc53bf22]],
-    [[0xd873d7cbca186b51, 0xd873d7cbca186b51], [0x790a1d7ad7090ed9, 0x790a1d7ad7090ed9]],
-    [[0x58e48540b942a186, 0x58e48540b942a186], [0x4b5fee5e5edf792d, 0x4b5fee5e5edf792d]],
+    [[0x2eb11ea41acfd570, 0x2eb11ea41acfd570], [0x6124065b58b53932, 0x6124065b58b53932]],
+    [[0x2ec6f013d7d37dd2, 0x2ec6f013d7d37dd2], [0x2697410777b4b24b, 0x2697410777b4b24b]],
+    [[0x6d9d29e9178f4dd5, 0x6d9d29e9178f4dd5], [0x65abb09cb375a585, 0x65abb09cb375a585]],
+    [[0x986abcc46a70a927, 0x986abcc46a70a927], [0x7376415d7ada5bfd, 0x7376415d7ada5bfd]],
     [[0x50168b41ab10c08f, 0x50168b41ab10c08f], [0x33bebab43d8b0fd4, 0x33bebab43d8b0fd4]],
     [[0x2fe3a36f95bc2359, 0x8623e9934c251d79], [0x4d6a991c38bfde88, 0x339cfb286b7720e4]],
-    [[0xc214aeb39344ca3c, 0x9d151b206c031102], [0x3068ef5ae3710cf2, 0xf4a0ce79a098fcd0]],
-    [[0xa24f30ecb7d8e268, 0xa24f30ecb7d8e268], [0xc6200f1d0a4c3767, 0xc6200f1d0a4c3767]],
-    [[0x849d9f231542f42b, 0x849d9f231542f42b], [0x3caeb1d276641102, 0x3caeb1d276641102]],
-    [[0xc65e96aabc376b5c, 0xc65e96aabc376b5c], [0x44a28cf010c59278, 0x44a28cf010c59278]],
-    [[0xd101e4d6f9fac406, 0xd101e4d6f9fac406], [0xa69d8a0f1dc033c4, 0xa69d8a0f1dc033c4]],
+    [[0x4338942325d26f40, 0x4c4b080427ebabb6], [0x3c8d2bd290355afb, 0x60ac8b71dfbdb0a1]],
+    [[0xa24f30ecb7d8e268, 0xa24f30ecb7d8e268], [0x04c978bb982998dc, 0x04c978bb982998dc]],
+    [[0x47d939b99094a01d, 0x47d939b99094a01d], [0xd3f9b87f3417c8c0, 0xd3f9b87f3417c8c0]],
+    [[0xe7e633d3d5a2f0f9, 0xe7e633d3d5a2f0f9], [0x19081e07255c63f3, 0x19081e07255c63f3]],
+    [[0xd101e4d6f9fac406, 0xd101e4d6f9fac406], [0x5d41c5944b5b9854, 0x5d41c5944b5b9854]],
     [[0x2be131414c87a76a, 0x2be131414c87a76a], [0x72937c9c55c51ab1, 0x72937c9c55c51ab1]],
     [[0x15fbdd91abbc84dd, 0x15fbdd91abbc84dd], [0xe53988a288bd7460, 0xe53988a288bd7460]],
-    [[0x7698162978398fa9, 0x7698162978398fa9], [0xf2af27056716e647, 0xf2af27056716e647]],
-    [[0xd756846cfc7946de, 0xd756846cfc7946de], [0xa7e4d38150731b7a, 0xa7e4d38150731b7a]],
-    [[0xbb33043c7d1ca104, 0x75584367e4962486], [0xec2fc39ba9d81f70, 0xdab4fe1bac4cc522]],
-    [[0x6bb7a845acfc39aa, 0x6bb7a845acfc39aa], [0x34e54b8932d37f2c, 0x34e54b8932d37f2c]],
-    [[0xaabdef820ae6ea26, 0xaabdef820ae6ea26], [0x415ab1cd69820e1f, 0x415ab1cd69820e1f]],
+    [[0x7698162978398fa9, 0x7698162978398fa9], [0xc17cc85dff333a53, 0xc17cc85dff333a53]],
+    [[0x121094c3956c306f, 0x121094c3956c306f], [0xff4a87a358c2617d, 0xff4a87a358c2617d]],
+    [[0xc51b170477011c2b, 0x309d4e12170bb6dd], [0xc78a23cb6392f7a3, 0x8b7add497adc5119]],
+    [[0x4c0f776774af8bc6, 0x4c0f776774af8bc6], [0xcc4a5151a6465db8, 0xcc4a5151a6465db8]],
+    [[0x6943474794ef2193, 0x6943474794ef2193], [0x3373fb7a1ed79c86, 0x3373fb7a1ed79c86]],
     [[0x346b00a97b4384d0, 0x346b00a97b4384d0], [0xf811b7914d582950, 0xf811b7914d582950]],
     [[0x78b706b7b14f9cb3, 0x78b706b7b14f9cb3], [0x505ada876c92ecd4, 0x505ada876c92ecd4]],
-    [[0x6ba867ab91614656, 0x0953875964d4334f], [0x9ee00e8b443fbff0, 0xab1edb5eec9ed9db]],
-    [[0xf17f4c9aa4f66628, 0xf17f4c9aa4f66628], [0x71003d32958c380f, 0x71003d32958c380f]],
-    [[0x96cc1bc079adbf88, 0x96cc1bc079adbf88], [0x285b43922075e4a0, 0x285b43922075e4a0]],
+    [[0x6ba867ab91614656, 0x0953875964d4334f], [0x9e7e990d3cd90427, 0x7f69b23d9319eab8]],
+    [[0x4c74047c5ec48439, 0x4c74047c5ec48439], [0x897b063c966c5782, 0x897b063c966c5782]],
+    [[0x96cc1bc079adbf88, 0x96cc1bc079adbf88], [0x78351df2499b7c02, 0x78351df2499b7c02]],
     [[0x8587e19d8dc04f9f, 0x8587e19d8dc04f9f], [0xacd51b4bcca0baa8, 0xacd51b4bcca0baa8]],
-    [[0xc729712e9ead6fb9, 0xc729712e9ead6fb9], [0x74de0492d5111194, 0x74de0492d5111194]],
-    [[0x85ec2186b330451b, 0x85ec2186b330451b], [0xa11977ea750b4d32, 0xa11977ea750b4d32]],
-    [[0x73eda45cd6674c6a, 0x73eda45cd6674c6a], [0xa11fb95c56c2c99d, 0xa11fb95c56c2c99d]],
-    [[0x9041778f00e5f1a6, 0x9041778f00e5f1a6], [0xd86630245842e918, 0xd86630245842e918]],
+    [[0x0adaf55d48f4a822, 0x0adaf55d48f4a822], [0x39a4ac5a65e83da3, 0x39a4ac5a65e83da3]],
+    [[0x80b017e3cfa6c538, 0x80b017e3cfa6c538], [0xad39af19912757a1, 0xad39af19912757a1]],
+    [[0xc0ae8e34135df621, 0xc0ae8e34135df621], [0xda0e8d90444fd7ca, 0xda0e8d90444fd7ca]],
+    [[0x7e767b806b191f6c, 0x7e767b806b191f6c], [0xf6fae0d3e9c431f7, 0xf6fae0d3e9c431f7]],
     [[0x2b24ba42b4e62736, 0x2b24ba42b4e62736], [0xb8aa2a7c9ed3c568, 0xb8aa2a7c9ed3c568]],
     [[0xb4b594102366aaed, 0xb4b594102366aaed], [0x45701e3a6202e6af, 0x45701e3a6202e6af]],
     [[0x6f331fefc3d9f4b4, 0x6f331fefc3d9f4b4], [0x5cbf43430fa541f4, 0x5cbf43430fa541f4]],
-    [[0x4ab6e45d6d55c8d7, 0x4ab6e45d6d55c8d7], [0x87b6cfb78a6a7adb, 0x87b6cfb78a6a7adb]],
-    [[0x45a0a73bd8091e28, 0x45a0a73bd8091e28], [0x69f0369308dabb49, 0x69f0369308dabb49]],
-    [[0x33674bc544f5dd06, 0x33674bc544f5dd06], [0x2e7d73570a5e1570, 0x2e7d73570a5e1570]],
-    [[0x7f776834036b4670, 0x7f776834036b4670], [0x1c87054aa13d4449, 0x1c87054aa13d4449]],
-    [[0x73ec53d5ec3ab4af, 0x73ec53d5ec3ab4af], [0xb2f1f84b50cada7f, 0xb2f1f84b50cada7f]],
+    [[0x7626125f4368de38, 0x7626125f4368de38], [0x84b2a945c9d37913, 0x84b2a945c9d37913]],
+    [[0x45a0a73bd8091e28, 0x45a0a73bd8091e28], [0xd43b77e90aac631c, 0xd43b77e90aac631c]],
+    [[0xaa939571d6c04fa7, 0xaa939571d6c04fa7], [0x56d28d84acfee8ed, 0x56d28d84acfee8ed]],
+    [[0x7f776834036b4670, 0x7f776834036b4670], [0x5d57062ac81ed35f, 0x5d57062ac81ed35f]],
+    [[0x9c94038740c8ac71, 0x9c94038740c8ac71], [0xc23ed877bd06be0d, 0xc23ed877bd06be0d]],
     [[0x6d0c66a9e4d73b5c, 0x6d0c66a9e4d73b5c], [0xb90f1833b852fd7e, 0xb90f1833b852fd7e]],
-    [[0x9ab8e4614f5e2b73, 0x2308899c1c103f28], [0xbdf9fcb0890f47ba, 0x2ffd7cbc447eb789]],
-    [[0x4ca604eff4a7ff1c, 0x4ca604eff4a7ff1c], [0xf9acc2752d0e5c51, 0xf9acc2752d0e5c51]],
+    [[0x30de1afbe169604b, 0x99b1edf7a9942b44], [0xa6f6e148f7bcad69, 0xae77d345526651ae]],
+    [[0x0d217bc967fb6caa, 0x0d217bc967fb6caa], [0xa92b4b5aa6043c97, 0xa92b4b5aa6043c97]],
     [[0xbdfce014d4bab807, 0xbdfce014d4bab807], [0x9f70136999e64c2a, 0x9f70136999e64c2a]],
     [[0xf164b3a96ac87e28, 0xf164b3a96ac87e28], [0x11fc4f2413d42aa8, 0x11fc4f2413d42aa8]],
-    [[0xedb49bf4f8566fdd, 0xedb49bf4f8566fdd], [0x8007b9ab64c8bee6, 0x8007b9ab64c8bee6]],
-    [[0xbbf2984630696c68, 0xbbf2984630696c68], [0xe51448fdd432edc0, 0xe51448fdd432edc0]],
+    [[0xedb49bf4f8566fdd, 0xedb49bf4f8566fdd], [0x2691f6a7d9d664b3, 0x2691f6a7d9d664b3]],
+    [[0xbbf2984630696c68, 0xbbf2984630696c68], [0xca2d6650440a668a, 0xca2d6650440a668a]],
     [[0x51d723db3c164e94, 0x51d723db3c164e94], [0x28b65120b180d41d, 0x28b65120b180d41d]],
-    [[0x002f6cb311eea499, 0x002f6cb311eea499], [0x5ff584485aae7d7d, 0x5ff584485aae7d7d]],
-    [[0xced64ed0fbf76e87, 0xced64ed0fbf76e87], [0x8c868c38d8f8ee0c, 0x8c868c38d8f8ee0c]],
+    [[0x002f6cb311eea499, 0x002f6cb311eea499], [0x6dd31bb2fe15f80a, 0x6dd31bb2fe15f80a]],
+    [[0xced64ed0fbf76e87, 0xced64ed0fbf76e87], [0xbd8a32cd9e46d54c, 0xbd8a32cd9e46d54c]],
     [[0x301ad203a7844479, 0x301ad203a7844479], [0x7fdc9276645ab8bf, 0x7fdc9276645ab8bf]],
-    [[0xcae8d8094a7bde09, 0xcae8d8094a7bde09], [0x7fa5e300a0425789, 0x7fa5e300a0425789]],
+    [[0xcae8d8094a7bde09, 0xcae8d8094a7bde09], [0x911f50f9dd2364ae, 0x911f50f9dd2364ae]],
 ];
 
 #[rustfmt::skip]
 const RESUME: [[[u64; 2]; 3]; 8] = [
     [[0xe943137b4cc20ea8, 0x862af52ea4715052], [0x3f190c3cfce589a2, 0x78122572a8e4e157], [0x5f68b9e2d85e2313, 0x5f68b9e2d85e2313]],
-    [[0x596415e68b39aeaf, 0x63449e87e7dc6ca6], [0xf073d5f7efc37a4b, 0x5452ac0594039cbc], [0xc86b554467b4835f, 0x9bb2b7acce9eb2fc]],
+    [[0x596415e68b39aeaf, 0x63449e87e7dc6ca6], [0xe18e06ec413f2f34, 0xbc96de44beeadbb5], [0xc86b554467b4835f, 0x9bb2b7acce9eb2fc]],
     [[0x9f7f8e5a27d19779, 0xa8ff431f9e8b5212], [0x3c0a9495b3aa3091, 0xda260d8cb2199497], [0x8cf3a75b15765f27, 0x8cf3a75b15765f27]],
-    [[0xcdff99c68b96b1b9, 0x24c4ca55ac642865], [0x6827022505c96cd3, 0xb1475ebde6f0b25c], [0x3f350f5810905379, 0xe640f8629a5595bd]],
+    [[0x0fa46bf255b2cef0, 0x0cd1f7e1ac4c1ca7], [0xd97b790f4ed8c729, 0x0ea4197df9e41be0], [0x7748fbb8e9286095, 0x56564760c1e0a427]],
     [[0x45252ecf0fe98762, 0x53380d35a8a65106], [0xc137c1af9fea2c89, 0xc137c1af9fea2c89], [0x73b00c7ace1629cf, 0x66ba5158411cfc66]],
-    [[0x04fd253499c8cbda, 0x372024b515431db8], [0xf9a514c2a3215075, 0xf80a518a7e6d7e62], [0x7b0ac6d395d57b95, 0x8e66bf6bc51f6f52]],
-    [[0xfeafd80f580378b7, 0xe3d97830ee24a81c], [0xc0fc04ec5c7a5cdf, 0x7aff18e2e644f035], [0xaaeeb34691ca09f7, 0xd3873f746970815f]],
-    [[0x2816b97e65d72f1e, 0x14af1eba0b1cc7a5], [0x19b7dda788d2b567, 0x88aed218c758c057], [0x681cd07c86809daf, 0x2ca459c13ed85694]],
+    [[0x61c9971f37c7a28d, 0xf97862d454e646e5], [0xd82316bddcb87292, 0xa08e5694b9119a02], [0xde90cb7ab21f92a2, 0xde5b0712e1863fba]],
+    [[0x8afeb407551d9e35, 0x6ced00a0a6288197], [0x7510b90b06801577, 0x769d6feef10002a1], [0xaeae2ccd0e6b9485, 0xe5c0e877ee29a966]],
+    [[0x81ab0dc9a493e482, 0xc8525f36b73bca94], [0x39e179b9f7b41890, 0x81b6d362c98e7c5c], [0xd2f45e3fcb7cc216, 0x4688f60a09439a52]],
 ];
 
 const ALL_PAIRS_40: [u64; 2] = [0x2813c38c27a412be, 0x2156b164be69d8c7];
-const IFDS_TAINT_8X16: [u64; 2] = [0x62fcdd217747a1a2, 0x42eabee488a0d3e2];
+const IFDS_TAINT_8X16: [u64; 2] = [0x34274966c54fc79e, 0x1b2a6e5e99e36996];
 const DEMAND_ALL_PAIRS_40: [u64; 2] = [0x8b52f8c305c64345, 0xa1d1ef1052cc2b79];
 
 #[rustfmt::skip]
 const FLAT: [[[u64; 2]; 2]; 2] = [
     [[0x0969144ea8334e6c, 0x8d8d6e4f2497a532], [0xe308ea17e8f1b965, 0x65f58d92527a3f2c]],
-    [[0x1f0327f1481fe55f, 0xac8eab857ef10f0f], [0x2b55a4a9d0b2cd09, 0x94ffad5e8b9bec1c]],
+    [[0xf3e66c393689f69f, 0xc4b78070e7dc98bb], [0xcea2194528d3d468, 0xf477efaa3f18d150]],
 ];
 
 #[test]

@@ -454,9 +454,9 @@ fn seeded_workloads_report_exactly_the_pinned_work() {
 
 /// `Seen(s) :- Name(_, s).` over `n` facts `Name(i, "s<i>")`, solved
 /// with provenance, then the first `n / 2` facts retracted: the
-/// cone-walk counter of that resume. Each retracted fact's walk examines
-/// every event whose premise on `Name` holds `_` — all `n` of them — so
-/// the count is quadratic in `n` today.
+/// cone-walk counter of that resume. A premise logs the row its `_`
+/// matched, so each retracted fact's walk examines the one event that
+/// consumed it, not every event whose premise on `Name` holds `_`.
 fn wildcard_retraction(n: i64) -> u64 {
     let mut b = ProgramBuilder::new();
     let name = b.relation("Name", 2);
@@ -492,15 +492,16 @@ fn ide_retraction() -> u64 {
 #[test]
 fn the_cone_walk_examines_exactly_the_pinned_events() {
     // Each of the n / 2 `Name` facts taken examines its own event and
-    // the n events whose premise holds `_`; each `Seen` fact taken, its
-    // own event: (n / 2)(n + 2). Quadratic today: twice the facts, four
-    // times the events examined.
-    let measured = [
-        wildcard_retraction(2_000),
-        wildcard_retraction(4_000),
-        ide_retraction(),
-    ];
-    assert_eq!(measured, [2_002_000, 8_004_000, 156]);
+    // the one event that consumed it; each `Seen` fact taken, its own
+    // event: 3n / 2. Linear: doubling n at most doubles the count, plus
+    // `SLACK`. Figure 6's IDE program has `_` premises too: its walk
+    // examines the consumers of each taken fact, not every event with a
+    // `_` premise on the fact's predicate.
+    const SLACK: u64 = 0;
+    let linear = [2_000, 4_000, 8_000].map(wildcard_retraction);
+    assert_eq!(linear, [3_000, 6_000, 12_000]);
+    assert!(linear.windows(2).all(|n| n[1] <= 2 * n[0] + SLACK));
+    assert_eq!(ide_retraction(), 92);
     // Nothing retracted, nothing walked.
     let solved = Solver::new()
         .solve(&golden::all_pairs_40())

@@ -37,7 +37,7 @@ use std::collections::HashSet;
 ///
 /// The result carries the predicate name and the violating head tuple.
 pub fn model_violation(program: &Program, solution: &Solution) -> Option<(String, Vec<Value>)> {
-    violation_against(program, solution.database())
+    violation_against(program, solution.database(), None)
 }
 
 /// Returns `true` when the solution is a model of the program.
@@ -45,17 +45,34 @@ pub fn is_model(program: &Program, solution: &Solution) -> bool {
     model_violation(program, solution).is_none()
 }
 
-fn violation_against(program: &Program, db: &Database) -> Option<(String, Vec<Value>)> {
+/// The model check, or, with `only = Some(p)`, the part of it that reads
+/// or writes `p`: `p`'s explicit facts and the rules that mention `p` in
+/// the head or in a positive or negated body atom.
+fn violation_against(
+    program: &Program,
+    db: &Database,
+    only: Option<PredId>,
+) -> Option<(String, Vec<Value>)> {
+    let mentions = |rule: &CRule| {
+        let Some(p) = only else { return true };
+        rule.head_pred == p
+            || rule.body.iter().any(|item| {
+                matches!(item, CItem::Atom { pred, .. } | CItem::NegAtom { pred, .. } if *pred == p)
+            })
+    };
     // The explicit facts must be satisfied (they are rules with empty
     // bodies).
     for (pred, values) in program.facts.iter() {
+        if only.is_some_and(|p| p != *pred) {
+            continue;
+        }
         if !satisfied(program, db, *pred, values) {
             return Some((program.decl(*pred).name().to_string(), values.clone()));
         }
     }
     // Every rule-derivable head must be satisfied: T_P(I) ⊑ I.
     let mut derived = Vec::new();
-    for rule in &program.rules {
+    for rule in program.rules.iter().filter(|rule| mentions(rule)) {
         let env = vec![None; rule.num_vars];
         consequences(program, db, rule, 0, &env, &mut derived);
     }
@@ -96,11 +113,33 @@ fn satisfied(program: &Program, db: &Database, pred: PredId, values: &[Value]) -
 /// many cells at once, but the least fixed point is below every model, so
 /// any failure here proves the solver over-approximated.
 ///
-/// Intended for small cross-validation programs; it re-runs the model
-/// check once per stored fact and candidate.
+/// Intended for small cross-validation programs. After one whole model
+/// check, each reduction I′ of the solution I is checked only where it
+/// can differ from I: I′ changes one predicate P, so only P's explicit
+/// facts and the rules that mention P — in the head or in a positive or
+/// negated body atom — are checked again. Every other rule reads and
+/// writes only predicates whose contents are the same in I and I′, and
+/// so does every other fact; I has passed the whole check, so they hold
+/// in I′ too.
 pub fn is_locally_minimal(program: &Program, solution: &Solution) -> bool {
+    locally_minimal(program, solution, true)
+}
+
+/// The reference for [`is_locally_minimal`]: every reduction is checked
+/// against the whole program.
+#[cfg(test)]
+fn is_locally_minimal_by_whole_checks(program: &Program, solution: &Solution) -> bool {
+    locally_minimal(program, solution, false)
+}
+
+/// [`is_locally_minimal`], checking each reduction against the whole
+/// program when `only_perturbed` is false.
+fn locally_minimal(program: &Program, solution: &Solution, only_perturbed: bool) -> bool {
     let db = solution.database();
-    if violation_against(program, db).is_some() {
+    let still_a_model = |reduced: &Database, pred: PredId| {
+        violation_against(program, reduced, only_perturbed.then_some(pred)).is_none()
+    };
+    if violation_against(program, db, None).is_some() {
         return false;
     }
     let explicit: HashSet<(PredId, Vec<Value>)> =
@@ -128,7 +167,7 @@ pub fn is_locally_minimal(program: &Program, solution: &Solution) -> bool {
             continue;
         }
         let reduced = rebuild_without(program, db, Some((*pred, tuple)), None);
-        if violation_against(program, &reduced).is_none() {
+        if still_a_model(&reduced, *pred) {
             return false; // a strictly smaller model exists
         }
     }
@@ -160,7 +199,7 @@ pub fn is_locally_minimal(program: &Program, solution: &Solution) -> bool {
                 continue;
             }
             let reduced = rebuild_without(program, db, None, Some((*pred, key.as_slice(), &cand)));
-            if violation_against(program, &reduced).is_none() {
+            if still_a_model(&reduced, *pred) {
                 return false;
             }
         }
@@ -395,6 +434,14 @@ mod tests {
         p.to_value()
     }
 
+    /// The verdict of [`is_locally_minimal`], held equal to the whole-program
+    /// reference's.
+    fn locally_minimal_agreeing(prog: &Program, solution: &Solution) -> bool {
+        let verdict = is_locally_minimal(prog, solution);
+        assert_eq!(verdict, is_locally_minimal_by_whole_checks(prog, solution));
+        verdict
+    }
+
     /// The worked example of §3.2: facts A(Even), A(Odd), B(Odd); the
     /// minimal compact model is {A(⊤), B(Odd)}.
     fn example_program() -> Program {
@@ -414,7 +461,7 @@ mod tests {
         assert_eq!(solution.lattice_value("A", &[]), Some(parity(Parity::Top)));
         assert_eq!(solution.lattice_value("B", &[]), Some(parity(Parity::Odd)));
         assert!(is_model(&prog, &solution));
-        assert!(is_locally_minimal(&prog, &solution));
+        assert!(locally_minimal_agreeing(&prog, &solution));
     }
 
     #[test]
@@ -438,7 +485,7 @@ mod tests {
         let solution = Solver::new().solve(&prog).expect("solves");
         assert_eq!(solution.lattice_value("R", &[]), Some(parity(Parity::Top)));
         assert!(is_model(&prog, &solution));
-        assert!(is_locally_minimal(&prog, &solution));
+        assert!(locally_minimal_agreeing(&prog, &solution));
 
         // R(x) :- A(x), B(x). gives R(⊥), i.e. no stored cell.
         let mut b = ProgramBuilder::new();
@@ -478,6 +525,100 @@ mod tests {
         // Still a model of the original program (B(Odd) ⊑ B(⊤))...
         assert!(is_model(&prog, &inflated));
         // ...but not minimal.
-        assert!(!is_locally_minimal(&prog, &inflated));
+        assert!(!locally_minimal_agreeing(&prog, &inflated));
+    }
+
+    /// Relations, negation and a derived lattice: a reduction of one
+    /// predicate is checked against its facts and the rules that mention
+    /// it, with the verdict of the whole check, minimal or not.
+    #[test]
+    fn rechecking_the_perturbed_predicate_agrees_with_the_whole_check() {
+        // Path is the closure of Edge, Blocked(x) :- Node(x), !Path(1, x),
+        // and Best carries a parity along edges. `extra` asserts further
+        // facts, to build interpretations that are models of the program
+        // without them but not minimal ones.
+        let build = |extra: &[(&str, Vec<Value>)]| {
+            let mut b = ProgramBuilder::new();
+            let edge = b.relation("Edge", 2);
+            let node = b.relation("Node", 1);
+            let path = b.relation("Path", 2);
+            let blocked = b.relation("Blocked", 1);
+            let best = b.lattice("Best", 2, LatticeOps::of::<Parity>());
+            for (x, y) in [(1, 2), (2, 3), (3, 2)] {
+                b.fact(edge, vec![x.into(), y.into()]);
+            }
+            for x in 1..=4 {
+                b.fact(node, vec![x.into()]);
+            }
+            b.fact(best, vec![1.into(), parity(Parity::Odd)]);
+            let (x, y, z, p) = (
+                Term::var("x"),
+                Term::var("y"),
+                Term::var("z"),
+                Term::var("p"),
+            );
+            b.rule(
+                Head::new(path, [HeadTerm::var("x"), HeadTerm::var("y")]),
+                [BodyItem::atom(edge, [x.clone(), y.clone()])],
+            );
+            b.rule(
+                Head::new(path, [HeadTerm::var("x"), HeadTerm::var("z")]),
+                [
+                    BodyItem::atom(path, [x.clone(), y.clone()]),
+                    BodyItem::atom(edge, [y.clone(), z.clone()]),
+                ],
+            );
+            b.rule(
+                Head::new(blocked, [HeadTerm::var("x")]),
+                [
+                    BodyItem::atom(node, [x.clone()]),
+                    BodyItem::not(path, [Term::lit(1), x.clone()]),
+                ],
+            );
+            b.rule(
+                Head::new(best, [HeadTerm::var("y"), HeadTerm::var("p")]),
+                [
+                    BodyItem::atom(best, [x.clone(), p.clone()]),
+                    BodyItem::atom(edge, [x, y]),
+                ],
+            );
+            for (name, values) in extra {
+                let pred = match *name {
+                    "Path" => path,
+                    "Blocked" => blocked,
+                    _ => best,
+                };
+                b.fact(pred, values.clone());
+            }
+            b.build().expect("valid")
+        };
+        let prog = build(&[]);
+        let cases: [(&str, Vec<Value>); 4] = [
+            ("Path", vec![4.into(), 1.into()]),
+            ("Blocked", vec![2.into()]),
+            ("Best", vec![1.into(), parity(Parity::Top)]),
+            ("Best", vec![4.into(), parity(Parity::Even)]),
+        ];
+        let solution = Solver::new().solve(&prog).expect("solves");
+        assert!(locally_minimal_agreeing(&prog, &solution));
+        for (name, values) in cases {
+            let inflated = Solver::new()
+                .solve(&build(&[(name, values.clone())]))
+                .expect("solves");
+            assert!(is_model(&prog, &inflated), "{name}{values:?}");
+            assert!(
+                !locally_minimal_agreeing(&prog, &inflated),
+                "{name}{values:?}"
+            );
+        }
+        // Path(1, 4) is no consequence, but without it Blocked(4) would
+        // be: only the negated atom sees that this reduction is no model,
+        // so the interpretation is locally minimal (though not the least
+        // model of the strata).
+        let inflated = Solver::new()
+            .solve(&build(&[("Path", vec![1.into(), 4.into()])]))
+            .expect("solves");
+        assert!(is_model(&prog, &inflated));
+        assert!(locally_minimal_agreeing(&prog, &inflated));
     }
 }

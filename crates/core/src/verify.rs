@@ -11,9 +11,14 @@
 //!
 //! The engine cannot see *through* a [`LatticeOps`] closure, so the check
 //! is property-based: exhaustive over the provided samples (a proof when
-//! the samples enumerate a finite lattice, a refutation search otherwise),
-//! exactly like [`flix_lattice::checks`] but at the dynamic-value level
-//! where the surface language's interpreted lattices live.
+//! the samples enumerate a finite lattice, a refutation search otherwise).
+//! It is the repository's one law checker. It runs at the dynamic-value
+//! level, where the engine calls a lattice: on the surface language's
+//! interpreted lattices (`flixr --verify`) and, in this module's tests,
+//! on every typed lattice of `flix_lattice` through its [`ValueLattice`]
+//! adaptor.
+//!
+//! [`ValueLattice`]: crate::ValueLattice
 
 use crate::database::{KindWords, SpillTable};
 use crate::ops::OpsPanic;
@@ -415,7 +420,175 @@ fn combinations(elems: &[Value], arity: usize) -> Vec<Vec<Value>> {
 mod tests {
     use super::*;
     use crate::ops::ValueLattice;
-    use flix_lattice::{FiniteLattice, Parity};
+    use flix_lattice::{
+        Constant, FiniteLattice, Flat, HasTop, Interval, MinCost, Parity, PowerSet, Sign,
+        SuLattice, Transformer,
+    };
+
+    /// A function over one lattice's values, as the engine calls it.
+    type ValueFn = Box<dyn Fn(&[Value]) -> Value>;
+
+    /// One row of the law table: a lattice the engine runs, through its
+    /// [`ValueLattice`] adaptor, the samples its laws are checked on, and
+    /// its strict, monotone transfer functions and monotone filters.
+    struct LawRow {
+        /// The lattice's [`ValueLattice::lattice_name`].
+        lattice: &'static str,
+        ops: LatticeOps,
+        samples: Vec<Value>,
+        transfers: Vec<(&'static str, ValueFn)>,
+        filters: Vec<(String, ValueFn)>,
+    }
+
+    impl LawRow {
+        fn of<L: ValueLattice + 'static>(samples: impl IntoIterator<Item = L>) -> LawRow {
+            LawRow {
+                lattice: L::lattice_name(),
+                ops: LatticeOps::of::<L>(),
+                samples: samples.into_iter().map(|e| e.to_value()).collect(),
+                transfers: Vec::new(),
+                filters: Vec::new(),
+            }
+        }
+
+        fn transfer<L: ValueLattice + 'static>(
+            mut self,
+            name: &'static str,
+            f: fn(&L, &L) -> L,
+        ) -> Self {
+            let f = move |args: &[Value]| {
+                f(&L::expect_from(&args[0]), &L::expect_from(&args[1])).to_value()
+            };
+            self.transfers.push((name, Box::new(f)));
+            self
+        }
+
+        fn filter<L: ValueLattice + 'static>(
+            mut self,
+            name: impl Into<String>,
+            f: impl Fn(&L) -> bool + 'static,
+        ) -> Self {
+            let f = move |args: &[Value]| Value::Bool(f(&L::expect_from(&args[0])));
+            self.filters.push((name.into(), Box::new(f)));
+            self
+        }
+
+        /// Every check of the row, each failure named by row and check.
+        fn failures(&self) -> Vec<String> {
+            let mut out = Vec::new();
+            let mut report = |check: &str, result: Result<(), Violation>| {
+                if let Err(v) = result {
+                    out.push(format!("{} {check}: {v}", self.lattice));
+                }
+            };
+            report("laws", check_lattice_ops(&self.ops, &self.samples));
+            for (name, f) in &self.transfers {
+                report(
+                    name,
+                    check_transfer_function(&self.ops, 2, f, &self.samples),
+                );
+            }
+            for (name, f) in &self.filters {
+                report(name, check_filter_function(&self.ops, 1, f, &self.samples));
+            }
+            out
+        }
+    }
+
+    /// The lattices the engine runs, on the samples their laws are
+    /// checked on: every element of a finite lattice, a neighbourhood of
+    /// ⊥ and ⊤ of an infinite one.
+    fn law_table() -> Vec<LawRow> {
+        let intervals = (-2..=2).flat_map(|lo| (lo..=2).map(move |hi| Interval::of(lo, hi)));
+        let transformers = (-1..=2).flat_map(|a| {
+            (-1..=1).flat_map(move |b| {
+                [
+                    Transformer::linear(a, b),
+                    Transformer::non_bot(a, b, Constant::cst(1)),
+                ]
+            })
+        });
+        let subsets = (1u8..8).map(|mask| {
+            let members = (0..3).filter(|bit| mask & (1 << bit) != 0);
+            members
+                .map(|bit| Value::Int(bit + 1))
+                .collect::<PowerSet<Value>>()
+        });
+        vec![
+            LawRow::of(Parity::elements())
+                .transfer("sum", Parity::sum)
+                .transfer("product", Parity::product)
+                .filter("is_maybe_zero", Parity::is_maybe_zero),
+            LawRow::of(Sign::elements())
+                .transfer("sum", Sign::sum)
+                .transfer("product", Sign::product)
+                .filter("is_maybe_zero", Sign::is_maybe_zero)
+                .filter("is_maybe_negative", Sign::is_maybe_negative),
+            LawRow::of((-1..=2).map(Constant::cst).chain([Flat::Bot, Flat::Top]))
+                .transfer("sum", Constant::sum)
+                .transfer("product", Constant::product)
+                .filter("is_maybe_zero", Constant::is_maybe_zero),
+            LawRow::of(
+                [Interval::Bot, Interval::top()]
+                    .into_iter()
+                    .chain(intervals),
+            )
+            .transfer("sum", Interval::sum)
+            .transfer("product", Interval::product)
+            .filter("is_maybe_zero", Interval::is_maybe_zero),
+            LawRow::of((0..6).map(MinCost::finite).chain([MinCost::INFINITY]))
+                .transfer("add", MinCost::add),
+            ["a", "b", "zzz"].into_iter().fold(
+                LawRow::of([
+                    SuLattice::Bottom,
+                    SuLattice::single("a"),
+                    SuLattice::single("b"),
+                    SuLattice::single("c"),
+                    SuLattice::Top,
+                ]),
+                |row, b| row.filter(format!("filter({b:?})"), move |e: &SuLattice| e.filter(b)),
+            ),
+            LawRow::of(
+                [
+                    Transformer::Bot,
+                    Transformer::top_transformer(),
+                    Transformer::identity(),
+                ]
+                .into_iter()
+                .chain(transformers),
+            ),
+            LawRow::of([PowerSet::Empty, PowerSet::Univ].into_iter().chain(subsets)),
+        ]
+    }
+
+    #[test]
+    fn every_engine_lattice_keeps_its_laws_and_its_functions_are_lawful() {
+        let failures: Vec<String> = law_table().iter().flat_map(LawRow::failures).collect();
+        assert!(failures.is_empty(), "{}", failures.join("\n"));
+    }
+
+    #[test]
+    fn every_value_lattice_impl_has_a_law_row() {
+        let rows: Vec<&str> = law_table().iter().map(|row| row.lattice).collect();
+        let impls: Vec<(&str, &str)> = include_str!("ops.rs")
+            .split("\nimpl ValueLattice for ")
+            .skip(1)
+            .map(|body| {
+                let ty = body.split_once(" {").map_or(body, |(ty, _)| ty);
+                let name = body
+                    .split_once("fn lattice_name")
+                    .and_then(|(_, rest)| rest.split('"').nth(1));
+                (ty, name.expect("every impl names its lattice"))
+            })
+            .collect();
+        assert!(!impls.is_empty(), "ops.rs holds no `impl ValueLattice for`");
+        for (ty, name) in impls {
+            assert!(
+                rows.contains(&name),
+                "`impl ValueLattice for {ty}` ({name}) has no row in the law table: {rows:?}"
+            );
+        }
+    }
 
     fn parity_samples() -> Vec<Value> {
         Parity::elements()

@@ -4,12 +4,12 @@
 //!
 //! This facade crate re-exports the workspace:
 //!
-//! * [`lattice`] — lattice traits, standard abstract domains, combinators,
-//!   and law checkers ([`flix_lattice`]);
+//! * [`lattice`] — lattice traits and the standard abstract domains
+//!   ([`flix_lattice`]);
 //! * [`core`] — the fixed-point engine: Datalog extended with lattices,
 //!   monotone transfer functions, filter functions, choice bindings, and
-//!   stratified negation, solved naïvely or semi-naïvely
-//!   ([`flix_core`]);
+//!   stratified negation, solved naïvely or semi-naïvely, and the
+//!   lattice-law checker ([`flix_core`]);
 //! * [`lang`] — the FLIX surface language: lexer, parser, type checker,
 //!   interpreter, and lowering ([`flix_lang`]);
 //! * [`analyses`] — the paper's case studies: points-to (Fig. 1), combined

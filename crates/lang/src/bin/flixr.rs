@@ -380,11 +380,16 @@ fn run(args: Vec<String>) -> Result<(), Failure> {
         .map_err(|e| Failure::lang(e.to_string()))?;
     let checked = Arc::new(checked);
     if o.verify {
-        flix_lang::verify::check_lattices(&checked).map_err(|e| Failure {
+        let report = flix_lang::verify::check_lattices(&checked).map_err(|e| Failure {
             code: EXIT_SOLVE,
             message: Some(e.to_string()),
         })?;
-        eprintln!("flixr: all lattice bindings satisfy the lattice laws");
+        if report.is_empty() {
+            eprintln!("flixr: no lattice bindings to check");
+        }
+        for coverage in &report {
+            eprintln!("flixr: {coverage}");
+        }
     }
     // An update is typed against the program before anything is solved
     // or logged.

@@ -4,11 +4,13 @@
 //! A `let T<> = (bot, top, leq, lub, glb)` binding is trusted by the
 //! solver; if the user's functions do not form a complete lattice, "the
 //! semantics of the FLIX program is undefined" (§2.2). This module makes
-//! the check §7 proposes: it enumerates sample elements of each lattice
-//! enum (all nullary cases, plus payload-bearing cases instantiated with
+//! the check §7 proposes: it enumerates elements of each lattice enum
+//! (every nullary case, plus payload-bearing cases instantiated with
 //! small sample payloads) and runs the engine-level law checker
 //! [`flix_core::verify::check_lattice_ops`] against the interpreted
-//! operations.
+//! operations. An enum whose cases are all nullary is checked on every
+//! one of its elements, which proves the laws; any other is checked on a
+//! sample.
 //!
 //! Exposed on the CLI as `flixr --verify`.
 
@@ -17,59 +19,99 @@ use crate::lower;
 use crate::typeck::{CheckedProgram, Type};
 use crate::LangError;
 use flix_core::{verify, Value};
+use std::fmt;
 use std::sync::Arc;
 
-/// Maximum number of sample elements generated per lattice (the law check
-/// is cubic in this number).
-const MAX_SAMPLES: usize = 12;
+/// Maximum number of payload instantiations sampled per lattice (the law
+/// check is cubic in the number of elements). Nullary cases are never
+/// capped.
+const MAX_PAYLOAD_SAMPLES: usize = 12;
+
+/// What [`check_lattices`] checked one lattice binding on.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct Coverage {
+    /// The lattice's type name.
+    pub lattice: String,
+    /// Whether the elements were all of the type's elements: every case
+    /// is nullary, so the check is a proof.
+    pub exhaustive: bool,
+    /// How many elements the laws were checked on.
+    pub elements: usize,
+}
+
+impl fmt::Display for Coverage {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let (verdict, how) = match self.exhaustive {
+            true => ("the lattice laws hold", "exhaustive"),
+            false => ("no lattice law broken", "sampled"),
+        };
+        let (lattice, n) = (&self.lattice, self.elements);
+        write!(f, "{lattice}<>: {verdict}, {how} ({n} elements)")
+    }
+}
 
 /// Checks every lattice binding of a checked program against the
-/// complete-lattice laws, over generated sample elements.
+/// complete-lattice laws, over its enum's elements, and reports, in type
+/// name order, what each binding was checked on.
 ///
 /// # Errors
 ///
 /// Returns a [`LangError`] naming the lattice type and the violated law;
 /// of several broken bindings, the one whose type name sorts first.
-pub fn check_lattices(checked: &Arc<CheckedProgram>) -> Result<(), LangError> {
+pub fn check_lattices(checked: &Arc<CheckedProgram>) -> Result<Vec<Coverage>, LangError> {
     let interp = Interpreter::new(Arc::clone(checked));
     let mut bindings: Vec<_> = checked.lattices.iter().collect();
     bindings.sort_unstable_by_key(|(ty, _)| *ty);
+    let mut report = Vec::new();
     for (ty, bind) in bindings {
         let ops = lower::ops_for_binding(&interp, ty, bind);
-        let samples = sample_elements(checked, ty);
+        let (samples, exhaustive) = sample_elements(checked, ty);
         if let Err(violation) = verify::check_lattice_ops(&ops, &samples) {
             return Err(LangError::ty(
                 bind.pos,
                 format!("the {ty}<> binding is not a lattice: {violation}"),
             ));
         }
+        report.push(Coverage {
+            lattice: ty.clone(),
+            exhaustive,
+            elements: samples.len(),
+        });
     }
-    Ok(())
+    Ok(report)
 }
 
-/// Generates sample elements of an enum type: every case, instantiated
-/// with small payload samples, capped at [`MAX_SAMPLES`].
-fn sample_elements(checked: &CheckedProgram, enum_name: &str) -> Vec<Value> {
+/// Generates elements of an enum type, and whether they are all of them
+/// (every case is nullary). Every nullary case is an element. Payload
+/// cases are instantiated with small payload samples, round by round —
+/// each case's first instantiation before any case's second — until
+/// [`MAX_PAYLOAD_SAMPLES`] are taken.
+fn sample_elements(checked: &CheckedProgram, enum_name: &str) -> (Vec<Value>, bool) {
     let Some(info) = checked.enums.get(enum_name) else {
-        return Vec::new();
+        return (Vec::new(), false);
     };
-    let mut out = Vec::new();
     let mut cases: Vec<_> = info.cases.iter().collect();
     cases.sort_by_key(|(name, _)| (*name).clone());
+    let mut out = Vec::new();
+    let mut instantiations = Vec::new();
     for (case, payload) in cases {
-        for combo in payload_samples(checked, payload, 2) {
-            let value = match combo.len() {
-                0 => Value::tag0(case.as_str()),
-                1 => Value::tag(case.as_str(), combo.into_iter().next().expect("len 1")),
-                _ => Value::tag(case.as_str(), Value::tuple(combo)),
-            };
-            out.push(value);
-            if out.len() >= MAX_SAMPLES {
-                return out;
-            }
+        if payload.is_empty() {
+            out.push(Value::tag0(case.as_str()));
+            continue;
         }
+        let values = payload_samples(checked, payload, 2)
+            .into_iter()
+            .map(|combo| match <[Value; 1]>::try_from(combo) {
+                Ok([one]) => Value::tag(case.as_str(), one),
+                Err(combo) => Value::tag(case.as_str(), Value::tuple(combo)),
+            });
+        instantiations.push(values.collect::<Vec<_>>());
     }
-    out
+    let exhaustive = instantiations.is_empty();
+    let rounds = instantiations.iter().map(Vec::len).max().unwrap_or(0);
+    let round_robin = (0..rounds).flat_map(|i| instantiations.iter().filter_map(move |v| v.get(i)));
+    out.extend(round_robin.take(MAX_PAYLOAD_SAMPLES).cloned());
+    (out, exhaustive)
 }
 
 /// Small sample values per type, combined across a payload (odometer over
@@ -164,7 +206,17 @@ mod tests {
 
     #[test]
     fn lawful_lattice_passes() {
-        check_lattices(&checked(GOOD_PARITY)).expect("parity is lawful");
+        let report = check_lattices(&checked(GOOD_PARITY)).expect("parity is lawful");
+        let parity = Coverage {
+            lattice: "Parity".to_string(),
+            exhaustive: true,
+            elements: 4,
+        };
+        assert_eq!(report, vec![parity]);
+        assert_eq!(
+            report[0].to_string(),
+            "Parity<>: the lattice laws hold, exhaustive (4 elements)"
+        );
     }
 
     #[test]
@@ -223,6 +275,27 @@ mod tests {
             }
             let S<> = (S.Bottom, S.Top, leq, lub, glb);
         "#;
-        check_lattices(&checked(src)).expect("SULattice is lawful");
+        let report = check_lattices(&checked(src)).expect("SULattice is lawful");
+        assert_eq!(
+            report[0].to_string(),
+            "S<>: no lattice law broken, sampled (4 elements)"
+        );
+    }
+
+    #[test]
+    fn every_payload_case_is_sampled_once_before_any_twice() {
+        // Thirteen payload cases of two instantiations each, and two
+        // nullary cases: both nullary cases and the first instantiation
+        // of twelve payload cases fill the sample.
+        let cases: Vec<String> = (0..13).map(|i| format!("case C{i:02}(Bool)")).collect();
+        let src = format!("enum E {{ case Bot, {}, case Top }}", cases.join(", "));
+        let (samples, exhaustive) = sample_elements(&checked(&src), "E");
+        assert!(!exhaustive);
+        assert_eq!(samples.len(), 2 + MAX_PAYLOAD_SAMPLES);
+        let mut tags: Vec<&str> = samples.iter().filter_map(Value::tag_name).collect();
+        tags.sort_unstable();
+        tags.dedup();
+        assert_eq!(tags.len(), samples.len(), "{samples:?}");
+        assert!(tags.contains(&"Bot") && tags.contains(&"Top"), "{tags:?}");
     }
 }

@@ -361,6 +361,73 @@ fn verify_rejects_unlawful_lattices() {
 }
 
 #[test]
+fn verify_checks_every_nullary_case_past_the_sample_cap() {
+    // Fifteen nullary cases, a flat lattice but for `Zz`, which is not
+    // even below itself. `Zz` sorts last: a check that stops after the
+    // first twelve cases in name order never looks at it.
+    let middle: Vec<String> = (1..=12).map(|i| format!("case C{i:02}")).collect();
+    let src = format!(
+        "
+        enum Many {{ case Bot, {}, case Top, case Zz }}
+        def leq(x: Many, y: Many): Bool = match (x, y) with {{
+          case (_, Many.Zz) => false
+          case (Many.Bot, _) => true
+          case (_, Many.Top) => true
+          case _ => x == y
+        }}
+        def lub(x: Many, y: Many): Many = match (x, y) with {{
+          case (Many.Bot, z) => z
+          case (z, Many.Bot) => z
+          case _ => if (x == y) x else Many.Top
+        }}
+        def glb(x: Many, y: Many): Many = match (x, y) with {{
+          case (Many.Top, z) => z
+          case (z, Many.Top) => z
+          case _ => if (x == y) x else Many.Bot
+        }}
+        let Many<> = (Many.Bot, Many.Top, leq, lub, glb);
+        ",
+        middle.join(", ")
+    );
+    let file = write_temp("many-cases.flix", &src);
+    let output = flixr().arg("--verify").arg(&file).output().expect("runs");
+    let stderr = String::from_utf8(output.stderr).expect("utf8");
+    assert_eq!(output.status.code(), Some(3), "{stderr}");
+    assert!(
+        stderr.contains("the Many<> binding is not a lattice"),
+        "{stderr}"
+    );
+    assert!(stderr.contains("Zz"), "{stderr}");
+}
+
+#[test]
+fn verify_reports_what_each_binding_was_checked_on() {
+    let parity = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../examples/flix/parity.flix"
+    );
+    let paths = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../examples/flix/shortest_paths.flix"
+    );
+    for (file, line) in [
+        (
+            parity,
+            "flixr: Parity<>: the lattice laws hold, exhaustive (4 elements)",
+        ),
+        (
+            paths,
+            "flixr: Dist<>: no lattice law broken, sampled (3 elements)",
+        ),
+    ] {
+        let output = flixr().arg("--verify").arg(file).output().expect("runs");
+        let stderr = String::from_utf8(output.stderr).expect("utf8");
+        assert!(output.status.success(), "{file}: {stderr}");
+        assert_eq!(stderr.lines().collect::<Vec<_>>(), vec![line], "{file}");
+    }
+}
+
+#[test]
 fn missing_file_is_reported() {
     let output = flixr()
         .arg("/nonexistent/nope.flix")

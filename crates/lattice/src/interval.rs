@@ -184,7 +184,7 @@ impl fmt::Display for Interval {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::checks;
+    use crate::laws;
 
     fn sample() -> Vec<Interval> {
         let mut v = vec![Interval::Bot, Interval::top()];
@@ -198,7 +198,7 @@ mod tests {
 
     #[test]
     fn lattice_laws_on_sample() {
-        checks::assert_lattice_laws(&sample());
+        laws::assert_lattice_laws(&sample());
     }
 
     #[test]
@@ -217,10 +217,10 @@ mod tests {
     #[test]
     fn ops_monotone_on_sample() {
         let s = sample();
-        checks::assert_monotone_binary(&s, |a| a[0].sum(&a[1]));
-        checks::assert_monotone_binary(&s, |a| a[0].product(&a[1]));
-        checks::assert_monotone_filter(&s, |e| e.is_maybe_zero());
-        checks::assert_strict_binary(&s, |a| a[0].sum(&a[1]));
+        laws::assert_monotone_binary(&s, |a| a[0].sum(&a[1]));
+        laws::assert_monotone_binary(&s, |a| a[0].product(&a[1]));
+        laws::assert_monotone_filter(&s, |e| e.is_maybe_zero());
+        laws::assert_strict_binary(&s, |a| a[0].sum(&a[1]));
     }
 
     #[test]

@@ -8,16 +8,20 @@
 //!
 //! * the [`Lattice`] and [`HasTop`] traits describing that 6-tuple,
 //! * the standard abstract domains used throughout the paper — [`Parity`],
-//!   [`Sign`], constant propagation ([`Constant`]), [`Interval`]s, the
-//!   Strong Update lattice [`SuLattice`], the min-cost lattice [`MinCost`]
-//!   for shortest paths, and the IDE micro-function lattice [`Transformer`],
-//! * lattice *combinators* — [`Flat`], [`Lifted`], [`Dual`], products,
-//!   [`PowerSet`], and [`MapLattice`] (the direct product machinery of
-//!   §3.4 of the paper),
-//! * and the law checkers of the [`checks`] module, which implement the
-//!   "Safety" verification sketched in §7 of the paper: exhaustive
-//!   complete-lattice law checking for finite lattices and monotonicity /
-//!   strictness checking for transfer and filter functions.
+//!   [`Sign`], constant propagation ([`Constant`], the [`Flat`] lattice
+//!   over integers), [`Interval`]s, the Strong Update lattice
+//!   [`SuLattice`], the min-cost lattice [`MinCost`] for shortest paths,
+//!   the IDE micro-function lattice [`Transformer`] and [`PowerSet`]s,
+//! * and [`rng`], the deterministic generator behind the workspace's
+//!   seeded tests and workloads.
+//!
+//! The "Safety" verification sketched in §7 of the paper — the
+//! complete-lattice laws, and the strictness and monotonicity of transfer
+//! and filter functions — is `flix_core::verify`, the one checker, which
+//! runs on a lattice's engine operations. Its test module holds every
+//! lattice of this crate that the engine runs to those laws; this crate's
+//! own unit tests hold the typed impls to them through a few test-only
+//! assertions.
 //!
 //! # Example
 //!
@@ -34,30 +38,25 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod checks;
 mod constant;
 mod interval;
-mod map;
+#[cfg(test)]
+mod laws;
 mod mincost;
 mod parity;
 mod powerset;
-mod product;
 pub mod rng;
 mod sign;
 mod su;
 mod traits;
 mod transformer;
-mod wrappers;
 
 pub use constant::{Constant, Flat};
 pub use interval::Interval;
-pub use map::MapLattice;
 pub use mincost::MinCost;
 pub use parity::Parity;
 pub use powerset::PowerSet;
-pub use product::{Pair, Triple};
 pub use sign::Sign;
 pub use su::SuLattice;
 pub use traits::{FiniteLattice, HasTop, Lattice};
 pub use transformer::Transformer;
-pub use wrappers::{BoolLat, Dual, Lifted};

@@ -115,7 +115,7 @@ impl fmt::Display for MinCost {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::checks;
+    use crate::laws;
 
     fn sample() -> Vec<MinCost> {
         let mut v: Vec<MinCost> = (0..6).map(MinCost::finite).collect();
@@ -125,7 +125,7 @@ mod tests {
 
     #[test]
     fn lattice_laws_on_sample() {
-        checks::assert_lattice_laws(&sample());
+        laws::assert_lattice_laws(&sample());
     }
 
     #[test]
@@ -139,8 +139,8 @@ mod tests {
     #[test]
     fn add_is_strict_and_monotone() {
         let s = sample();
-        checks::assert_strict_binary(&s, |a| a[0].add(&a[1]));
-        checks::assert_monotone_binary(&s, |a| a[0].add(&a[1]));
+        laws::assert_strict_binary(&s, |a| a[0].add(&a[1]));
+        laws::assert_monotone_binary(&s, |a| a[0].add(&a[1]));
     }
 
     #[test]

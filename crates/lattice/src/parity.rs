@@ -167,11 +167,11 @@ impl fmt::Display for Parity {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::checks;
+    use crate::laws;
 
     #[test]
     fn lattice_laws_hold() {
-        checks::assert_lattice_laws(&Parity::elements());
+        laws::assert_lattice_laws(&Parity::elements());
     }
 
     #[test]
@@ -203,20 +203,20 @@ mod tests {
     #[test]
     fn sum_is_strict_and_monotone() {
         let f = |args: &[Parity]| args[0].sum(&args[1]);
-        checks::assert_strict_binary(&Parity::elements(), f);
-        checks::assert_monotone_binary(&Parity::elements(), f);
+        laws::assert_strict_binary(&Parity::elements(), f);
+        laws::assert_monotone_binary(&Parity::elements(), f);
     }
 
     #[test]
     fn product_is_strict_and_monotone() {
         let f = |args: &[Parity]| args[0].product(&args[1]);
-        checks::assert_strict_binary(&Parity::elements(), f);
-        checks::assert_monotone_binary(&Parity::elements(), f);
+        laws::assert_strict_binary(&Parity::elements(), f);
+        laws::assert_monotone_binary(&Parity::elements(), f);
     }
 
     #[test]
     fn is_maybe_zero_is_monotone_filter() {
-        checks::assert_monotone_filter(&Parity::elements(), |e| e.is_maybe_zero());
+        laws::assert_monotone_filter(&Parity::elements(), |e| e.is_maybe_zero());
     }
 
     #[test]

@@ -158,7 +158,7 @@ impl<T: Ord + fmt::Display> fmt::Display for PowerSet<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::checks;
+    use crate::laws;
 
     fn sample() -> Vec<PowerSet<u8>> {
         let mut v = vec![PowerSet::empty(), PowerSet::Univ];
@@ -173,7 +173,7 @@ mod tests {
 
     #[test]
     fn lattice_laws_on_subsets_of_three() {
-        checks::assert_lattice_laws(&sample());
+        laws::assert_lattice_laws(&sample());
     }
 
     #[test]

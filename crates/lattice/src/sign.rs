@@ -159,11 +159,11 @@ impl fmt::Display for Sign {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::checks;
+    use crate::laws;
 
     #[test]
     fn lattice_laws_hold() {
-        checks::assert_lattice_laws(&Sign::elements());
+        laws::assert_lattice_laws(&Sign::elements());
     }
 
     #[test]
@@ -192,12 +192,12 @@ mod tests {
     #[test]
     fn ops_strict_and_monotone() {
         let elems = Sign::elements();
-        checks::assert_strict_binary(&elems, |a| a[0].sum(&a[1]));
-        checks::assert_monotone_binary(&elems, |a| a[0].sum(&a[1]));
-        checks::assert_strict_binary(&elems, |a| a[0].product(&a[1]));
-        checks::assert_monotone_binary(&elems, |a| a[0].product(&a[1]));
-        checks::assert_monotone_filter(&elems, |e| e.is_maybe_zero());
-        checks::assert_monotone_filter(&elems, |e| e.is_maybe_negative());
+        laws::assert_strict_binary(&elems, |a| a[0].sum(&a[1]));
+        laws::assert_monotone_binary(&elems, |a| a[0].sum(&a[1]));
+        laws::assert_strict_binary(&elems, |a| a[0].product(&a[1]));
+        laws::assert_monotone_binary(&elems, |a| a[0].product(&a[1]));
+        laws::assert_monotone_filter(&elems, |e| e.is_maybe_zero());
+        laws::assert_monotone_filter(&elems, |e| e.is_maybe_negative());
     }
 
     #[test]

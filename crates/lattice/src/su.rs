@@ -130,7 +130,7 @@ impl fmt::Display for SuLattice {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::checks;
+    use crate::laws;
 
     fn sample() -> Vec<SuLattice> {
         vec![
@@ -144,7 +144,7 @@ mod tests {
 
     #[test]
     fn lattice_laws_on_three_objects() {
-        checks::assert_lattice_laws(&sample());
+        laws::assert_lattice_laws(&sample());
     }
 
     #[test]
@@ -166,7 +166,7 @@ mod tests {
     #[test]
     fn filter_is_monotone() {
         for b in ["a", "b", "zzz"] {
-            checks::assert_monotone_filter(&sample(), |e| e.filter(b));
+            laws::assert_monotone_filter(&sample(), |e| e.filter(b));
         }
     }
 

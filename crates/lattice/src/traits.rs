@@ -9,10 +9,9 @@ use std::hash::Hash;
 /// `ℓ = (E, ⊥, ⊤, ⊑, ⊔, ⊓)` (§3.2), split in two: every [`Lattice`] has a
 /// bottom, a partial order, a least upper bound and a greatest lower bound;
 /// lattices that additionally have a representable greatest element also
-/// implement [`HasTop`]. The split exists because some useful instances —
-/// e.g. [`MapLattice`](crate::MapLattice) over an unbounded key type — have
-/// no finitely representable top, yet the FLIX engine only ever *requires*
-/// `⊥`, `⊑`, `⊔` and `⊓`.
+/// implement [`HasTop`]. The split exists because a lattice need not have
+/// a finitely representable top — a map from an unbounded key type has
+/// none — yet the FLIX engine only ever *requires* `⊥`, `⊑`, `⊔` and `⊓`.
 ///
 /// # Laws
 ///
@@ -23,9 +22,10 @@ use std::hash::Hash;
 /// * `a.lub(&b)` is the *least* upper bound of `a` and `b`;
 /// * `a.glb(&b)` is the *greatest* lower bound of `a` and `b`.
 ///
-/// The checkers in [`checks`](crate::checks) verify these laws exhaustively
-/// for finite lattices and by sampling for infinite ones. A FLIX program run
-/// over a structure violating them has undefined meaning (paper §2.2).
+/// `flix_core::verify` checks these laws on a lattice's engine operations:
+/// exhaustively when its samples enumerate a finite lattice, by sampling
+/// for an infinite one. A FLIX program run over a structure violating them
+/// has undefined meaning (paper §2.2).
 ///
 /// # Example
 ///
@@ -86,8 +86,8 @@ pub trait HasTop: Lattice {
 
 /// A lattice with finitely many elements, all of which can be enumerated.
 ///
-/// Finite lattices admit *exhaustive* law checking (see
-/// [`checks`](crate::checks)) and have finite height, which is the
+/// Finite lattices admit *exhaustive* law checking (`flix_core::verify`
+/// over [`FiniteLattice::elements`]) and have finite height, which is the
 /// termination condition for FLIX's naïve and semi-naïve evaluation (§3.2:
 /// "by insisting that the FLIX lattices be of finite height, we can apply
 /// the same proof").

@@ -234,7 +234,7 @@ impl fmt::Display for Transformer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::checks;
+    use crate::laws;
 
     fn sample() -> Vec<Transformer> {
         let mut v = vec![
@@ -253,7 +253,7 @@ mod tests {
 
     #[test]
     fn lattice_laws_on_sample() {
-        checks::assert_lattice_laws(&sample());
+        laws::assert_lattice_laws(&sample());
     }
 
     #[test]

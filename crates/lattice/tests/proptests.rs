@@ -1,16 +1,13 @@
 //! Property-based tests for the lattice instances whose carriers are too
-//! large to enumerate: intervals, constants, min-costs, powersets, maps,
-//! and IDE micro-functions.
+//! large to enumerate: intervals, constants, min-costs, powersets and IDE
+//! micro-functions.
 //!
 //! Randomised with the in-tree deterministic [`SmallRng`] (seeded loops)
 //! rather than an external property-testing framework, so the suite runs
 //! without network access.
 
 use flix_lattice::rng::SmallRng;
-use flix_lattice::{
-    Constant, Flat, Interval, Lattice, MapLattice, MinCost, Parity, PowerSet, SuLattice,
-    Transformer,
-};
+use flix_lattice::{Constant, Flat, Interval, Lattice, MinCost, PowerSet, SuLattice, Transformer};
 
 const CASES: usize = 300;
 
@@ -49,20 +46,6 @@ fn arb_powerset(rng: &mut SmallRng) -> PowerSet<u8> {
             .map(|_| rng.gen_range(0u8..10))
             .collect::<PowerSet<u8>>()
     }
-}
-
-fn arb_parity(rng: &mut SmallRng) -> Parity {
-    match rng.gen_range(0u8..4) {
-        0 => Parity::Bot,
-        1 => Parity::Even,
-        2 => Parity::Odd,
-        _ => Parity::Top,
-    }
-}
-
-fn arb_map(rng: &mut SmallRng) -> MapLattice<u8, Parity> {
-    let n = rng.gen_range(0usize..8);
-    MapLattice::from_iter((0..n).map(|_| (rng.gen_range(0u8..5), arb_parity(rng))))
 }
 
 fn arb_su(rng: &mut SmallRng) -> SuLattice {
@@ -193,7 +176,6 @@ lattice_props!(constant_laws, super::arb_constant, Constant, 0x01);
 lattice_props!(interval_laws, super::arb_interval, Interval, 0x100);
 lattice_props!(mincost_laws, super::arb_mincost, MinCost, 0x200);
 lattice_props!(powerset_laws, super::arb_powerset, PowerSet<u8>, 0x300);
-lattice_props!(map_laws, super::arb_map, MapLattice<u8, Parity>, 0x400);
 lattice_props!(su_laws, super::arb_su, SuLattice, 0x500);
 lattice_props!(transformer_laws, super::arb_transformer, Transformer, 0x600);
 
@@ -295,20 +277,5 @@ fn mincost_add_algebra() {
         if a.leq(&b) {
             assert!(a.add(&c).leq(&b.add(&c)));
         }
-    }
-}
-
-/// Map lattice join-at agrees with lub of singleton maps.
-#[test]
-fn map_join_at_agrees_with_lub() {
-    let mut rng = SmallRng::seed_from_u64(0x706);
-    for _ in 0..CASES {
-        let k = rng.gen_range(0u8..5);
-        let v = arb_parity(&mut rng);
-        let m = arb_map(&mut rng);
-        let mut via_join = m.clone();
-        via_join.join_at(k, v);
-        let singleton = MapLattice::from_iter([(k, v)]);
-        assert_eq!(via_join, m.lub(&singleton), "k={k:?} v={v:?}");
     }
 }

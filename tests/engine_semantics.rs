@@ -4,7 +4,7 @@
 
 use flix::core::model;
 use flix::core::ValueLattice;
-use flix::lattice::{MinCost, Pair, Parity, Sign};
+use flix::lattice::{MinCost, Parity, Sign};
 use flix::{
     BodyItem, Head, HeadTerm, Lattice, LatticeOps, ProgramBuilder, Solver, Strategy, Term, Value,
 };
@@ -110,37 +110,47 @@ fn section_3_4_composed_analyses_share_predicates() {
 }
 
 /// §3.4: the direct product of two abstract domains as a single lattice
-/// predicate over `Pair<Sign, Parity>`.
+/// predicate over `(Sign, Parity)` pairs, ordered componentwise.
 #[test]
 fn direct_product_of_sign_and_parity() {
-    type Sp = Pair<Sign, Parity>;
-
-    fn to_value(p: &Sp) -> Value {
-        Value::tuple([p.0.to_value(), p.1.to_value()])
+    fn to_value(s: Sign, p: Parity) -> Value {
+        Value::tuple([s.to_value(), p.to_value()])
     }
-    fn from_value(v: &Value) -> Sp {
+    fn from_value(v: &Value) -> (Sign, Parity) {
         let items = v.as_tuple().expect("pair");
-        Pair(Sign::expect_from(&items[0]), Parity::expect_from(&items[1]))
+        (Sign::expect_from(&items[0]), Parity::expect_from(&items[1]))
+    }
+    fn componentwise(
+        a: &Value,
+        b: &Value,
+        sign: fn(&Sign, &Sign) -> Sign,
+        parity: fn(&Parity, &Parity) -> Parity,
+    ) -> Value {
+        let ((sa, pa), (sb, pb)) = (from_value(a), from_value(b));
+        to_value(sign(&sa, &sb), parity(&pa, &pb))
     }
     let ops = LatticeOps::from_fns(
         "Sign×Parity",
-        to_value(&Sp::bottom()),
+        to_value(Sign::bottom(), Parity::bottom()),
         None,
-        |a, b| from_value(a).leq(&from_value(b)),
-        |a, b| to_value(&from_value(a).lub(&from_value(b))),
-        |a, b| to_value(&from_value(a).glb(&from_value(b))),
+        |a, b| {
+            let ((sa, pa), (sb, pb)) = (from_value(a), from_value(b));
+            sa.leq(&sb) && pa.leq(&pb)
+        },
+        |a, b| componentwise(a, b, Sign::lub, Parity::lub),
+        |a, b| componentwise(a, b, Sign::glb, Parity::glb),
     );
 
     let mut b = ProgramBuilder::new();
     let d = b.lattice("D", 2, ops);
-    b.fact(d, vec![1.into(), to_value(&Pair(Sign::Pos, Parity::Even))]);
-    b.fact(d, vec![1.into(), to_value(&Pair(Sign::Pos, Parity::Odd))]);
+    b.fact(d, vec![1.into(), to_value(Sign::Pos, Parity::Even)]);
+    b.fact(d, vec![1.into(), to_value(Sign::Pos, Parity::Odd)]);
     let solution = Solver::new()
         .solve(&b.build().expect("valid"))
         .expect("solves");
     assert_eq!(
         solution.lattice_value("D", &[1.into()]),
-        Some(to_value(&Pair(Sign::Pos, Parity::Top))),
+        Some(to_value(Sign::Pos, Parity::Top)),
         "componentwise join: signs agree, parities disagree"
     );
 }

@@ -52,13 +52,13 @@
 //! `lat` predicates are stored as *compact* cell maps from key tuples
 //! (the first `n-1` columns, §3.2's cell partition) to a single lattice
 //! element, so the per-cell least-upper-bound compaction of the immediate
-//! consequence operator is a constant-time map update. A cell value has
-//! one of two representations, fixed per predicate by its lattice: the
-//! element *boxed* — a closure-defined lattice, whose `leq` / `lub` /
-//! `glb` consume `&Value` — or, for a lattice that declares a built-in
-//! kind ([`crate::LatticeKind`]), one *word* ([`KindWords`]) that those
-//! operations read directly; word cells are decoded only for the public
-//! reads ([`LatticeData::decoded`]).
+//! consequence operator is a constant-time map update. Every cell value
+//! is one *word* ([`KindWords`]): a lattice that declares a built-in kind
+//! ([`crate::LatticeKind`]) has words its operations read directly, and
+//! every other lattice has its elements' own slots, which its word forms
+//! read or — where it has none, or they decline — its closures read
+//! decoded. Cells are decoded only for the public reads
+//! ([`LatticeData::decoded`]).
 
 use crate::ast::PredKind;
 use crate::fxhash::{hash_slots, hash_words, FxHashMap};
@@ -66,7 +66,6 @@ use crate::ops::{OpsPanic, SlotForms};
 use crate::program::Program;
 use crate::verify::Violation;
 use crate::{LatticeKind, LatticeOps, PredId, Value};
-use std::borrow::Cow;
 use std::marker::PhantomData;
 use std::sync::{Arc, OnceLock};
 
@@ -97,15 +96,15 @@ pub(crate) enum InsertOutcome {
     /// A new relational tuple was added, as this row.
     NewRow(u32),
     /// The lattice cell with this id strictly increased (or was created);
-    /// carries the *new* cell value — with the cell's key, exactly the
-    /// paper's `∆P` element `ga(P', S)` (§3.7).
-    LatIncrease(u32, Elem),
+    /// carries the *new* cell value's word — with the cell's key, exactly
+    /// the paper's `∆P` element `ga(P', S)` (§3.7).
+    LatIncrease(u32, u64),
 }
 
 impl InsertOutcome {
     /// The change made, if any: the row or cell id, and for a raised
     /// cell the value it reached.
-    pub(crate) fn into_change(self) -> Option<(u32, Option<Elem>)> {
+    pub(crate) fn into_change(self) -> Option<(u32, Option<u64>)> {
         match self {
             InsertOutcome::Unchanged => None,
             InsertOutcome::NewRow(id) => Some((id, None)),
@@ -117,7 +116,7 @@ impl InsertOutcome {
         new.map_or(InsertOutcome::Unchanged, InsertOutcome::NewRow)
     }
 
-    fn of_cell(raised: Option<(u32, Elem)>) -> InsertOutcome {
+    fn of_cell(raised: Option<(u32, u64)>) -> InsertOutcome {
         raised.map_or(InsertOutcome::Unchanged, |(id, value)| {
             InsertOutcome::LatIncrease(id, value)
         })
@@ -144,14 +143,12 @@ const TAG_CTOR: u64 = 5;
 /// built-in kind ([`KindWords`]).
 const TAG_KIND: u64 = 7;
 
-/// Two words no value encodes to, for the provenance log
-/// ([`crate::provenance`]): a premise column that matched without
-/// binding, and a column whose value has no slot and sits in the log's
-/// side column instead. Neither is ever stored in a [`Columns`]. The
-/// first carries the constructor tag with a zero payload, which no
-/// constructor slot has: its constructor field is never zero.
+/// A word no value encodes to, for the provenance log
+/// ([`crate::provenance`]): a premise's lattice value column that matched
+/// without binding. It is never stored in a [`Columns`]. It carries the
+/// constructor tag with a zero payload, which no constructor slot has:
+/// its constructor field is never zero.
 pub(crate) const SLOT_WILDCARD: u64 = 5;
-pub(crate) const SLOT_SIDE: u64 = 6;
 
 /// Width of a constructor slot's payload field ([`TAG_CTOR`]): payload
 /// integers in `[-2³³, 2³³)` fit it.
@@ -261,9 +258,10 @@ fn ctor_fits(payload: &Value) -> bool {
 }
 
 /// The strings a program gives fixed ids: the constructor names and
-/// string literals its word code bakes in ([`slot_of_ctor`]). Every
-/// store of the program starts its spill table as a copy of this one, so
-/// a name's id — its index there — is the same in each of them, and word
+/// string literals its word code bakes in ([`slot_of_ctor`]), and, once
+/// the program is built, its lattices' ⊥s. Every store of the program
+/// starts its spill table as a copy of this one, so a name's id — its
+/// index there — and ⊥'s slot are the same in each of them, and word
 /// code needs no store at hand to build or test a slot
 /// ([`ProgramBuilder::names`](crate::ProgramBuilder::names)).
 #[derive(Clone, Debug, Default)]
@@ -281,11 +279,17 @@ impl Names {
     }
 
     /// The slot `v` has in every store of a program with these names —
-    /// unit, a boolean, an integer of 61 bits, a registered string, or a
-    /// constructor slot of a registered name — so that word code may take
-    /// it as a constant: `None` when its slot is a store's to give.
+    /// unit, a boolean, an integer of 61 bits, a registered string or ⊥,
+    /// or a constructor slot of a registered name — so that word code may
+    /// take it as a constant: `None` when its slot is a store's to give.
     pub fn slot(&self, v: &Value) -> Option<u64> {
         try_encode(v, &self.0)
+    }
+
+    /// Fixes the slot of `v` — a lattice's ⊥ — in every store of the
+    /// program ([`KindWords::of`]).
+    pub(crate) fn intern_value(&mut self, v: &Value) {
+        encode_mut(v, &mut self.0);
     }
 
     /// The table every store of the program starts from.
@@ -471,27 +475,28 @@ pub(crate) fn is_slot(slot: u64, spill: &SpillTable) -> bool {
 // Lattice elements as words
 // ---------------------------------------------------------------------------
 
-/// The words of a lattice whose cells are words, and its operations on
-/// them. A lattice that declares a built-in kind ([`LatticeKind`]) has
-/// compares that never decode: a flat lattice's ⊥ and ⊤ are the two
-/// reserved words [`FLAT_BOTTOM`] and [`FLAT_TOP`], and `tag(x)` is the
-/// slot of `x`; a chain's ⊥ is the reserved word [`CHAIN_BOTTOM`], and
-/// `tag(n)` is the slot of `n`, whose order on the naturals is the order
-/// of the words. A lattice of word forms
-/// ([`LatticeOps::with_word_forms`]) has its elements' own slots as its
-/// words, ⊥'s inline, and runs its forms on them; a form that declines
-/// leaves the operation to the closure ([`LatticeData`]). Either way
-/// encoded equality stays value equality. A shared handle: a lattice's
-/// cells keep one, and a plan one per register that decodes through it.
+/// The words of a lattice's elements, and its operations on them: every
+/// lattice's cells are words. A lattice that declares a built-in kind
+/// ([`LatticeKind`]) has compares that never decode: a flat lattice's ⊥
+/// and ⊤ are the two reserved words [`FLAT_BOTTOM`] and [`FLAT_TOP`], and
+/// `tag(x)` is the slot of `x`; a chain's ⊥ is the reserved word
+/// [`CHAIN_BOTTOM`], and `tag(n)` is the slot of `n`, whose order on the
+/// naturals is the order of the words. Every other lattice has its
+/// elements' own slots as its words, ⊥'s fixed by the program's
+/// [`Names`], and runs its word forms ([`LatticeOps::with_word_forms`])
+/// on them; where it has none, or a form declines, the operation is the
+/// closure's on the decoded operands ([`LatticeData`]). Either way encoded
+/// equality stays value equality. A shared handle: a lattice's cells keep
+/// one, and a plan one per register that decodes through it.
 #[derive(Clone, Debug, PartialEq)]
 pub(crate) struct KindWords {
     order: Order,
     elems: Arc<Elems>,
 }
 
-/// Which order a [`KindWords`] runs: the kind's shape, or the word
-/// forms' with the slot of ⊥, kept beside the handle's pointer so a
-/// kind's operation reads no memory.
+/// Which order a [`KindWords`] runs: the kind's shape, or the elements'
+/// slots with the slot of ⊥, kept beside the handle's pointer so a kind's
+/// operation reads no memory.
 #[derive(Clone, Copy, Debug, PartialEq)]
 enum Order {
     Flat,
@@ -507,39 +512,44 @@ enum Elems {
         bot: Value,
         top: Value,
     },
-    /// The word forms.
-    Forms(Arc<SlotForms>),
+    /// The elements' slots, and the word forms if the lattice has them.
+    Slots(Option<Arc<SlotForms>>),
 }
 
 impl KindWords {
     /// The words of `ops`'s elements in the stores of a program with
-    /// these `names`, when `ops` declares a kind (and, for the flat kind,
-    /// has a top, which the kind's check requires) or has word forms and
-    /// a ⊥ whose slot the names fix ([`Names::slot`]).
-    pub(crate) fn of(ops: &LatticeOps, names: &Names) -> Option<KindWords> {
-        let Some(kind) = ops.kind() else {
-            let forms = ops.word_forms()?.clone();
-            let bot = names.slot(ops.bottom())?;
-            return Some(KindWords {
-                order: Order::Slots { bot },
-                elems: Arc::new(Elems::Forms(forms)),
-            });
-        };
-        let (order, top) = match kind {
-            LatticeKind::Flat { .. } => (Order::Flat, ops.top()?.clone()),
-            LatticeKind::Chain { tag } => {
-                let top = Value::Tag(Arc::clone(tag), Arc::new(Value::Int(0)));
-                (Order::Chain, top)
+    /// these `names`: a declared kind's (the flat kind needs a top, which
+    /// the kind's check requires), or else the elements' slots, ⊥'s being
+    /// the one the names fix — a program interns every lattice's ⊥ when
+    /// it is built.
+    pub(crate) fn of(ops: &LatticeOps, names: &Names) -> KindWords {
+        let declared = match ops.kind() {
+            Some(kind @ LatticeKind::Flat { .. }) => {
+                ops.top().map(|top| (kind, Order::Flat, top.clone()))
             }
+            Some(kind @ LatticeKind::Chain { tag }) => {
+                let top = Value::Tag(Arc::clone(tag), Arc::new(Value::Int(0)));
+                Some((kind, Order::Chain, top))
+            }
+            None => None,
         };
-        Some(KindWords {
+        let Some((kind, order, top)) = declared else {
+            let bot = names
+                .slot(ops.bottom())
+                .expect("a lattice's ⊥ is among its program's names");
+            return KindWords {
+                order: Order::Slots { bot },
+                elems: Arc::new(Elems::Slots(ops.word_forms().cloned())),
+            };
+        };
+        KindWords {
             order,
             elems: Arc::new(Elems::Kind {
                 kind: kind.clone(),
                 bot: ops.bottom().clone(),
                 top,
             }),
-        })
+        }
     }
 
     /// Whether these are the words of a lattice of `kind`.
@@ -547,8 +557,8 @@ impl KindWords {
         matches!(&*self.elems, Elems::Kind { kind: k, .. } if k == kind)
     }
 
-    /// Whether the words are the elements' store slots: a lattice of word
-    /// forms, whose laws the engine still watches.
+    /// Whether the words are the elements' store slots: a lattice of no
+    /// declared kind, whose laws the engine still watches.
     #[inline]
     pub(crate) fn is_slots(&self) -> bool {
         matches!(self.order, Order::Slots { .. })
@@ -576,13 +586,13 @@ impl KindWords {
     /// The order on words. Flat: ⊥ below everything, ⊤ above, `tag(x)`
     /// only below itself. Chain: the reverse order of the words, ⊥ being
     /// the largest. Slots: the `leq` form's answer, `None` where it
-    /// declines.
+    /// declines or there is none.
     #[inline]
     pub(crate) fn leq(&self, a: u64, b: u64) -> Option<bool> {
         match self.order {
             Order::Flat => Some(a == b || a == FLAT_BOTTOM || b == FLAT_TOP),
             Order::Chain => Some(a >= b),
-            Order::Slots { .. } => match (self.forms().leq)(a, b) {
+            Order::Slots { .. } => match (self.forms()?.leq)(a, b) {
                 WORD_TRUE => Some(true),
                 WORD_FALSE => Some(false),
                 _ => None,
@@ -591,7 +601,8 @@ impl KindWords {
     }
 
     /// The least upper bound on words; `None` where the `lub` form
-    /// declines — answers with a word that is not a slot in `spill`.
+    /// declines — answers with a word that is not a slot in `spill` — or
+    /// there is none.
     #[inline]
     pub(crate) fn lub(&self, a: u64, b: u64, spill: &SpillTable) -> Option<u64> {
         match self.order {
@@ -599,7 +610,7 @@ impl KindWords {
             Order::Flat if a == FLAT_BOTTOM => Some(b),
             Order::Flat => Some(FLAT_TOP),
             Order::Chain => Some(a.min(b)),
-            Order::Slots { .. } => Some((self.forms().lub)(a, b)).filter(|&w| is_slot(w, spill)),
+            Order::Slots { .. } => Some((self.forms()?.lub)(a, b)).filter(|&w| is_slot(w, spill)),
         }
     }
 
@@ -611,13 +622,13 @@ impl KindWords {
             Order::Flat if a == FLAT_TOP => Some(b),
             Order::Flat => Some(FLAT_BOTTOM),
             Order::Chain => Some(a.max(b)),
-            Order::Slots { .. } => Some((self.forms().glb)(a, b)).filter(|&w| is_slot(w, spill)),
+            Order::Slots { .. } => Some((self.forms()?.glb)(a, b)).filter(|&w| is_slot(w, spill)),
         }
     }
 
-    fn forms(&self) -> &SlotForms {
+    fn forms(&self) -> Option<&SlotForms> {
         match &*self.elems {
-            Elems::Forms(forms) => forms,
+            Elems::Slots(forms) => forms.as_deref(),
             Elems::Kind { .. } => unreachable!("a declared kind has no word forms"),
         }
     }
@@ -628,7 +639,7 @@ impl KindWords {
             Elems::Kind { kind, bot, top } => match kind {
                 LatticeKind::Flat { tag } | LatticeKind::Chain { tag } => (tag, bot, top),
             },
-            Elems::Forms(_) => unreachable!("word forms reserve no words"),
+            Elems::Slots(_) => unreachable!("slots reserve no words"),
         }
     }
 
@@ -650,8 +661,7 @@ impl KindWords {
     }
 
     /// The word of `v`, read-only as [`try_encode`]: `None` when `v` is not
-    /// an element or its `x` (for word forms, `v` itself) was never
-    /// stored.
+    /// an element or its `x` (for slots, `v` itself) was never stored.
     pub(crate) fn try_encode(&self, v: &Value, spill: &SpillTable) -> Option<u64> {
         match self.order {
             Order::Slots { .. } => try_encode(v, spill),
@@ -677,7 +687,7 @@ impl KindWords {
                 &Value::Int(n) if n >= 0 => slot_of_int(n),
                 _ => None,
             },
-            Order::Slots { .. } => unreachable!("word forms' words are slots"),
+            Order::Slots { .. } => unreachable!("an element's slot is its word"),
         }
     }
 
@@ -691,8 +701,8 @@ impl KindWords {
     }
 
     /// Whether `word` is one of these words: ⊥'s, or, flat, ⊤'s or a
-    /// slot ([`is_slot`]); a chain's, the slot of a natural; word forms',
-    /// a slot.
+    /// slot ([`is_slot`]); a chain's, the slot of a natural; slots', a
+    /// slot.
     pub(crate) fn holds(&self, word: u64, spill: &SpillTable) -> bool {
         match self.order {
             Order::Slots { .. } => is_slot(word, spill),
@@ -703,10 +713,11 @@ impl KindWords {
     }
 }
 
-/// A lattice element as the engine holds it: boxed, or — in a lattice
-/// whose cells are words ([`KindWords`]) — its word. Which one is fixed
-/// by the lattice: an element always arrives in its lattice's own
-/// representation.
+/// A lattice element a plan's register holds: a word, or — where a
+/// read-only evaluation computed a value the store has no slot for, or a
+/// register is boxed ([`crate::kernel`]) — the value. A cell is always a
+/// word; only the kernel's registers and what [`LatticeData::lub`] and
+/// [`LatticeData::glb`] answer them are ever boxed.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub(crate) enum Elem {
     Boxed(Value),
@@ -1487,22 +1498,6 @@ fn note_ascent(ascent: &mut Option<FxHashMap<u32, AscentEntry>>, id: u32, increa
     }
 }
 
-/// The words' order on `a` and `b`, or — where the `leq` form declines
-/// — the closure's on their values.
-#[inline(always)]
-fn word_leq(
-    kind: &KindWords,
-    ops: &LatticeOps,
-    a: u64,
-    b: u64,
-    spill: &SpillTable,
-) -> Result<bool, OpsPanic> {
-    match kind.leq(a, b) {
-        Some(leq) => Ok(leq),
-        None => ops.try_leq(&kind.decode(a, spill), &kind.decode(b, spill)),
-    }
-}
-
 /// Holds what a lattice operation of `ops` answered to
 /// [`MAX_VALUE_DEPTH`](crate::MAX_VALUE_DEPTH) before a cell keeps it.
 fn within_depth(value: &Value, ops: &LatticeOps, op: &str) -> Result<(), InsertFault> {
@@ -1514,36 +1509,24 @@ fn within_depth(value: &Value, ops: &LatticeOps, op: &str) -> Result<(), InsertF
 }
 
 /// Storage for one lattice predicate: the compact cell map, with the key
-/// tuples stored columnar exactly like a relation and the cell elements
-/// per key id, boxed or as words.
+/// tuples stored columnar exactly like a relation and one word per key
+/// id, the cell's element ([`KindWords`]).
 #[derive(Clone, Debug)]
 pub(crate) struct LatticeData {
     ops: LatticeOps,
+    words: KindWords,
     keys: Columns,
-    /// The cell element per key id; never `⊥` (compactness).
-    cells: Cells,
+    /// The cell element's word per key id; never `⊥`'s (compactness).
+    cells: Vec<u64>,
+    /// The cell elements, decoded for the public reads.
+    decoded: Decoded,
     /// `Some` only when ascent telemetry is enabled for this solve; the
     /// hot path then pays one map update per join, and nothing otherwise.
     ascent: Option<FxHashMap<u32, AscentEntry>>,
 }
 
-/// The cell elements of one lattice predicate, in the representation its
-/// lattice selects: declaring a built-in kind selects words.
-#[derive(Clone, Debug)]
-enum Cells {
-    /// A closure-defined lattice: the elements, boxed.
-    Boxed(Vec<Value>),
-    /// A lattice of a built-in kind: the elements' words, and their
-    /// decoded view.
-    Words {
-        kind: KindWords,
-        words: Vec<u64>,
-        decoded: Decoded,
-    },
-}
-
 /// Decoded values the store lends as `&Value`s — a [`Columns`]' rows, or
-/// the elements of word cells — built by the first public read and
+/// a lattice's cell elements — built by the first public read and
 /// dropped by any change. A copy of the store — a resume's warm start —
 /// starts without it.
 #[derive(Debug, Default)]
@@ -1577,18 +1560,12 @@ impl Decoded {
 
 impl LatticeData {
     fn new(ops: LatticeOps, key_arity: usize, names: &Names) -> LatticeData {
-        let cells = match KindWords::of(&ops, names) {
-            Some(kind) => Cells::Words {
-                kind,
-                words: Vec::new(),
-                decoded: Decoded::default(),
-            },
-            None => Cells::Boxed(Vec::new()),
-        };
         LatticeData {
+            words: KindWords::of(&ops, names),
             ops,
             keys: Columns::new(key_arity),
-            cells,
+            cells: Vec::new(),
+            decoded: Decoded::default(),
             ascent: None,
         }
     }
@@ -1597,19 +1574,10 @@ impl LatticeData {
         &self.ops
     }
 
-    /// The words of this lattice's elements, when its cells are words.
+    /// The words of this lattice's elements.
     #[inline]
-    pub(crate) fn kind_words(&self) -> Option<&KindWords> {
-        match &self.cells {
-            Cells::Words { kind, .. } => Some(kind),
-            Cells::Boxed(_) => None,
-        }
-    }
-
-    /// The words of this lattice's elements, whose cells are words.
-    #[inline]
-    fn words(&self) -> &KindWords {
-        self.kind_words().expect("words only in a lattice of words")
+    pub(crate) fn words(&self) -> &KindWords {
+        &self.words
     }
 
     /// The key column store (kernel access).
@@ -1626,36 +1594,24 @@ impl LatticeData {
         self.keys.row(id, spill)
     }
 
-    /// Cell `id`'s element as stored (kernel access).
+    /// Cell `id`'s word (kernel access).
     #[inline]
-    pub(crate) fn elem(&self, id: u32) -> ElemRef<'_> {
-        match &self.cells {
-            Cells::Boxed(cells) => ElemRef::Boxed(&cells[id as usize]),
-            Cells::Words { words, .. } => ElemRef::Word(words[id as usize]),
-        }
+    pub(crate) fn cell(&self, id: u32) -> u64 {
+        self.cells[id as usize]
     }
 
     /// Every cell's element, decoded, by id: the read of the public edge
-    /// (iterators, the model checker, snapshots). Word cells are decoded
-    /// on the first call after a change, against `spill`, the spill table
-    /// of the database that holds them.
+    /// (iterators, the model checker, snapshots). Decoded on the first
+    /// call after a change, against `spill`, the spill table of the
+    /// database that holds them.
     pub(crate) fn decoded(&self, spill: &SpillTable) -> &[Value] {
-        match &self.cells {
-            Cells::Boxed(cells) => cells,
-            Cells::Words {
-                kind,
-                words,
-                decoded,
-            } => decoded.get(|| words.iter().map(|&w| kind.decode(w, spill)).collect()),
-        }
+        let words = &self.words;
+        (self.decoded).get(|| self.cells.iter().map(|&w| words.decode(w, spill)).collect())
     }
 
-    /// The element `e` of this lattice as a value: borrowed when boxed.
-    pub(crate) fn value_of<'e>(&self, e: ElemRef<'e>, spill: &SpillTable) -> Cow<'e, Value> {
-        match e {
-            ElemRef::Boxed(v) => Cow::Borrowed(v),
-            ElemRef::Word(w) => Cow::Owned(self.words().decode(w, spill)),
-        }
+    /// The element whose word is `word`.
+    pub(crate) fn decode(&self, word: u64, spill: &SpillTable) -> Value {
+        self.words.decode(word, spill)
     }
 
     /// The id of an encoded key, if stored (kernel access).
@@ -1672,53 +1628,52 @@ impl LatticeData {
     pub(crate) fn is_bottom(&self, e: ElemRef<'_>) -> bool {
         match e {
             ElemRef::Boxed(v) => self.ops.is_bottom(v),
-            ElemRef::Word(w) => w == self.words().bottom(),
+            ElemRef::Word(w) => w == self.words.bottom(),
         }
     }
 
-    /// The partial order on elements of this lattice, with the closures'
-    /// panic isolation: on words the words' order, otherwise the closure
-    /// — on the decoded element where one side is a word (a boxed
-    /// register met a word cell), or both are and the `leq` form
-    /// declined.
+    /// The partial order on words, with the closures' panic isolation:
+    /// the words' order, or — where it declines — the closure's on the
+    /// decoded elements.
+    #[inline(always)]
+    fn word_leq(&self, a: u64, b: u64, spill: &SpillTable) -> Result<bool, OpsPanic> {
+        match self.words.leq(a, b) {
+            Some(leq) => Ok(leq),
+            None => self
+                .ops
+                .try_leq(&self.decode(a, spill), &self.decode(b, spill)),
+        }
+    }
+
+    /// Whether a register's element `a` lies below the cell word `b`
+    /// (kernel access): on a word, the words' order; on a boxed value,
+    /// the closure's, on the cell decoded.
     #[inline]
-    pub(crate) fn leq(
-        &self,
-        a: ElemRef<'_>,
-        b: ElemRef<'_>,
-        spill: &SpillTable,
-    ) -> Result<bool, OpsPanic> {
-        match (a, b) {
-            (ElemRef::Word(a), ElemRef::Word(b)) => word_leq(self.words(), &self.ops, a, b, spill),
-            (ElemRef::Boxed(a), ElemRef::Boxed(b)) => self.ops.try_leq(a, b),
-            (a, b) => {
-                let (a, b) = (self.value_of(a, spill), self.value_of(b, spill));
-                self.ops.try_leq(&a, &b)
-            }
+    pub(crate) fn leq(&self, a: ElemRef<'_>, b: u64, spill: &SpillTable) -> Result<bool, OpsPanic> {
+        match a {
+            ElemRef::Word(a) => self.word_leq(a, b, spill),
+            ElemRef::Boxed(a) => self.ops.try_leq(a, &self.decode(b, spill)),
         }
     }
 
-    /// The least upper bound, as [`LatticeData::leq`] reads its operands.
-    /// A declined form's answer is the closure's, as a word where `spill`
+    /// The least upper bound of two words, read-only (kernel access): a
+    /// declined form's answer is the closure's, as a word where `spill`
     /// has one and boxed where it has none.
     #[inline]
-    pub(crate) fn lub(
-        &self,
-        a: ElemRef<'_>,
-        b: ElemRef<'_>,
-        spill: &SpillTable,
-    ) -> Result<Elem, OpsPanic> {
-        self.combine(a, b, spill, KindWords::lub, LatticeOps::try_lub)
+    pub(crate) fn lub(&self, a: u64, b: u64, spill: &SpillTable) -> Result<Elem, OpsPanic> {
+        self.combine(
+            ElemRef::Word(a),
+            b,
+            spill,
+            KindWords::lub,
+            LatticeOps::try_lub,
+        )
     }
 
-    /// The greatest lower bound, as [`LatticeData::lub`].
+    /// The greatest lower bound of a register's element and the cell word
+    /// `b`, as [`LatticeData::lub`]; of a boxed element, boxed.
     #[inline]
-    pub(crate) fn glb(
-        &self,
-        a: ElemRef<'_>,
-        b: ElemRef<'_>,
-        spill: &SpillTable,
-    ) -> Result<Elem, OpsPanic> {
+    pub(crate) fn glb(&self, a: ElemRef<'_>, b: u64, spill: &SpillTable) -> Result<Elem, OpsPanic> {
         self.combine(a, b, spill, KindWords::glb, LatticeOps::try_glb)
     }
 
@@ -1726,46 +1681,39 @@ impl LatticeData {
     fn combine(
         &self,
         a: ElemRef<'_>,
-        b: ElemRef<'_>,
+        b: u64,
         spill: &SpillTable,
         words: fn(&KindWords, u64, u64, &SpillTable) -> Option<u64>,
         boxed: fn(&LatticeOps, &Value, &Value) -> Result<Value, OpsPanic>,
     ) -> Result<Elem, OpsPanic> {
-        match (a, b) {
-            (ElemRef::Word(wa), ElemRef::Word(wb)) => {
-                let kind = self.words();
-                if let Some(word) = words(kind, wa, wb, spill) {
-                    return Ok(Elem::Word(word));
-                }
-                let value = boxed(&self.ops, &kind.decode(wa, spill), &kind.decode(wb, spill))?;
-                Ok(match kind.try_encode(&value, spill) {
-                    Some(word) => Elem::Word(word),
-                    None => Elem::Boxed(value),
-                })
+        let a = match a {
+            ElemRef::Word(a) => match words(&self.words, a, b, spill) {
+                Some(word) => return Ok(Elem::Word(word)),
+                None => self.decode(a, spill),
+            },
+            ElemRef::Boxed(a) => {
+                return boxed(&self.ops, a, &self.decode(b, spill)).map(Elem::Boxed);
             }
-            (ElemRef::Boxed(a), ElemRef::Boxed(b)) => boxed(&self.ops, a, b).map(Elem::Boxed),
-            (a, b) => {
-                let (a, b) = (self.value_of(a, spill), self.value_of(b, spill));
-                boxed(&self.ops, &a, &b).map(Elem::Boxed)
-            }
-        }
+        };
+        let value = boxed(&self.ops, &a, &self.decode(b, spill))?;
+        Ok(match self.words.try_encode(&value, spill) {
+            Some(word) => Elem::Word(word),
+            None => Elem::Boxed(value),
+        })
     }
 
-    /// The element `value` is in this lattice's representation, interning
-    /// what a word needs. A value that is not an element of a declared
-    /// kind is refused as the closures refuse it — `leq` is what a join
-    /// calls first — or, if they take it, as a [`Violation::KindMismatch`].
-    fn elem_mut(&self, value: Value, spill: &mut SpillTable) -> Result<Elem, InsertFault> {
-        let Cells::Words { kind, .. } = &self.cells else {
-            return Ok(Elem::Boxed(value));
-        };
-        if let Some(word) = kind.encode_mut(&value, spill) {
-            return Ok(Elem::Word(word));
+    /// The word of `value`, interning what it needs. A value that is not
+    /// an element of a declared kind is refused as the closures refuse
+    /// it — `leq` is what a join calls first — or, if they take it, as a
+    /// [`Violation::KindMismatch`].
+    fn word_mut(&self, value: &Value, spill: &mut SpillTable) -> Result<u64, InsertFault> {
+        if let Some(word) = self.words.encode_mut(value, spill) {
+            return Ok(word);
         }
-        self.ops.try_leq(&value, &value)?;
+        self.ops.try_leq(value, value)?;
         Err(InsertFault::Safety(Violation::KindMismatch {
             lattice: self.ops.name().to_string(),
-            kind: self.ops.kind().expect("words come from a kind").clone(),
+            kind: self.ops.kind().expect("only a kind refuses").clone(),
             found: format!("{value} is not one of its elements"),
         }))
     }
@@ -1773,42 +1721,42 @@ impl LatticeData {
     /// Joins `value` into the cell at the decoded `key` — the entry of
     /// asserted facts and heads the kernel could not encode: encodes on
     /// the write path, then takes the encoded body. Returns the cell id
-    /// and the new cell value on strict increase.
+    /// and the new cell value's word on strict increase.
     fn join(
         &mut self,
         key: &[Value],
         value: Value,
         spill: &mut SpillTable,
-    ) -> Result<Option<(u32, Elem)>, InsertFault> {
+    ) -> Result<Option<(u32, u64)>, InsertFault> {
         if self.ops.is_bottom(&value) {
             return Ok(None);
         }
         let enc = self.keys.encode_row(key, spill);
         let result = self
-            .elem_mut(value, spill)
-            .and_then(|elem| self.join_inner(&enc, NO_ID, elem, spill));
+            .word_mut(&value, spill)
+            .and_then(|word| self.join_inner(&enc, NO_ID, word, spill));
         self.keys.put_scratch(enc);
         self.keys.file_new();
         result
     }
 
-    /// [`LatticeData::join`] with a pre-encoded key and an element in
-    /// this lattice's representation (kernel fast path). Every slot must
-    /// be a canonical encoding already present in the store; only what a
-    /// declined word form's closure answers is interned. When the kernel
-    /// already resolved the target cell, `id` names it and the hash
-    /// lookup is skipped ([`NO_ID`] otherwise).
+    /// [`LatticeData::join`] with a pre-encoded key and the element's
+    /// word (kernel fast path). Every slot must be a canonical encoding
+    /// already present in the store; only what a declined word form's
+    /// closure answers is interned. When the kernel already resolved the
+    /// target cell, `id` names it and the hash lookup is skipped
+    /// ([`NO_ID`] otherwise).
     pub(crate) fn join_encoded(
         &mut self,
         enc: &[u64],
         id: u32,
-        elem: Elem,
+        word: u64,
         spill: &mut SpillTable,
-    ) -> Result<Option<(u32, Elem)>, InsertFault> {
-        if self.is_bottom(elem.as_ref()) {
+    ) -> Result<Option<(u32, u64)>, InsertFault> {
+        if word == self.words.bottom() {
             return Ok(None);
         }
-        self.join_inner(enc, id, elem, spill)
+        self.join_inner(enc, id, word, spill)
     }
 
     /// The one insertion body: every non-`⊥` lattice element passes
@@ -1817,8 +1765,8 @@ impl LatticeData {
     /// (otherwise the cell could *decrease*, breaking monotonicity of the
     /// fixpoint iteration), and a fresh cell value must satisfy
     /// `leq(v, v)` (reflexivity — a `leq` that fails it would later
-    /// mis-classify the cell as increased). They watch a boxed lattice's
-    /// closures and a lattice of word forms alike, the forms on words. A
+    /// mis-classify the cell as increased). They watch every lattice
+    /// whose words are slots — its word forms and its closures alike. A
     /// declared kind's operations are the kind's, which were held to its
     /// closures before the solve ([`crate::verify::check_kind`]): nothing
     /// to watch there.
@@ -1826,9 +1774,9 @@ impl LatticeData {
         &mut self,
         enc: &[u64],
         id: u32,
-        elem: Elem,
+        word: u64,
         spill: &mut SpillTable,
-    ) -> Result<Option<(u32, Elem)>, InsertFault> {
+    ) -> Result<Option<(u32, u64)>, InsertFault> {
         let (hash, found) = if id == NO_ID {
             let hash = hash_slots(enc);
             (hash, self.keys.find(hash, enc))
@@ -1838,114 +1786,62 @@ impl LatticeData {
         let at = match found {
             Ok(id) => {
                 return Ok(self
-                    .join_existing(id, elem, spill)?
+                    .join_existing(id, word, spill)?
                     .map(|joined| (id, joined)))
             }
             Err(at) => at,
         };
-        let reflexive = match &elem {
-            Elem::Boxed(value) => self.ops.try_leq(value, value)?,
-            Elem::Word(word) => {
-                let kind = self.words();
-                !kind.is_slots() || word_leq(kind, &self.ops, *word, *word, spill)?
-            }
-        };
-        if !reflexive {
-            let value = self.value_of(elem.as_ref(), spill).into_owned();
+        if self.words.is_slots() && !self.word_leq(word, word, spill)? {
+            let value = self.decode(word, spill);
             return Err(InsertFault::Safety(Violation::NotReflexive(value)));
         }
         let id = self.keys.append(enc, hash, at)?;
-        match (&mut self.cells, &elem) {
-            (Cells::Boxed(cells), Elem::Boxed(value)) => cells.push(value.clone()),
-            (Cells::Words { words, decoded, .. }, &Elem::Word(word)) => {
-                words.push(word);
-                decoded.forget();
-            }
-            _ => unreachable!("an element arrives in its lattice's representation"),
-        }
+        self.cells.push(word);
+        self.decoded.forget();
         note_ascent(&mut self.ascent, id, true);
-        Ok(Some((id, elem)))
+        Ok(Some((id, word)))
     }
 
     fn join_existing(
         &mut self,
         id: u32,
-        elem: Elem,
+        word: u64,
         spill: &mut SpillTable,
-    ) -> Result<Option<Elem>, InsertFault> {
-        let ops = &self.ops;
-        match (&mut self.cells, elem) {
-            (Cells::Boxed(cells), Elem::Boxed(value)) => {
-                let cell = &mut cells[id as usize];
-                if ops.try_leq(&value, cell)? {
-                    note_ascent(&mut self.ascent, id, false);
-                    return Ok(None);
-                }
-                let joined = ops.try_lub(cell, &value)?;
-                if !ops.try_leq(cell, &joined)? || !ops.try_leq(&value, &joined)? {
-                    return Err(InsertFault::Safety(Violation::LubNotUpperBound(
-                        cell.clone(),
-                        value,
-                    )));
-                }
-                within_depth(&joined, ops, "lub")?;
-                *cell = joined.clone();
-                note_ascent(&mut self.ascent, id, true);
-                Ok(Some(Elem::Boxed(joined)))
-            }
-            (
-                Cells::Words {
-                    kind,
-                    words,
-                    decoded,
-                },
-                Elem::Word(word),
-            ) => {
-                let cell = words[id as usize];
-                if word_leq(kind, ops, word, cell, spill)? {
-                    note_ascent(&mut self.ascent, id, false);
-                    return Ok(None);
-                }
-                let joined = match kind.lub(cell, word, spill) {
-                    Some(joined) => joined,
-                    None => {
-                        let value =
-                            ops.try_lub(&kind.decode(cell, spill), &kind.decode(word, spill))?;
-                        within_depth(&value, ops, "lub")?;
-                        encode_mut(&value, spill)
-                    }
-                };
-                if kind.is_slots()
-                    && (!word_leq(kind, ops, cell, joined, spill)?
-                        || !word_leq(kind, ops, word, joined, spill)?)
-                {
-                    return Err(InsertFault::Safety(Violation::LubNotUpperBound(
-                        kind.decode(cell, spill),
-                        kind.decode(word, spill),
-                    )));
-                }
-                words[id as usize] = joined;
-                decoded.forget();
-                note_ascent(&mut self.ascent, id, true);
-                Ok(Some(Elem::Word(joined)))
-            }
-            _ => unreachable!("an element arrives in its lattice's representation"),
+    ) -> Result<Option<u64>, InsertFault> {
+        let cell = self.cells[id as usize];
+        if self.word_leq(word, cell, spill)? {
+            note_ascent(&mut self.ascent, id, false);
+            return Ok(None);
         }
+        let joined = match self.words.lub(cell, word, spill) {
+            Some(joined) => joined,
+            None => {
+                let (a, b) = (self.decode(cell, spill), self.decode(word, spill));
+                let value = self.ops.try_lub(&a, &b)?;
+                within_depth(&value, &self.ops, "lub")?;
+                encode_mut(&value, spill)
+            }
+        };
+        if self.words.is_slots()
+            && (!self.word_leq(cell, joined, spill)? || !self.word_leq(word, joined, spill)?)
+        {
+            return Err(InsertFault::Safety(Violation::LubNotUpperBound(
+                self.decode(cell, spill),
+                self.decode(word, spill),
+            )));
+        }
+        self.cells[id as usize] = joined;
+        self.decoded.forget();
+        note_ascent(&mut self.ascent, id, true);
+        Ok(Some(joined))
     }
 
     /// Deletes cell `id` ([`Columns::remove`]): the last cell moves into
-    /// its place, value and ascent counters with it.
+    /// its place, word and ascent counters with it.
     fn remove(&mut self, id: u32) {
         let last = self.keys.remove(id);
-        match &mut self.cells {
-            Cells::Boxed(cells) => {
-                cells.swap_remove(id as usize);
-            }
-            Cells::Words { words, decoded, .. } => {
-                words.swap_remove(id as usize);
-                decoded.forget();
-            }
-        }
+        self.cells.swap_remove(id as usize);
+        self.decoded.forget();
         if let Some(ascent) = &mut self.ascent {
             let moved = ascent.remove(&last);
             if last != id {
@@ -1975,11 +1871,10 @@ impl LatticeData {
     }
 
     /// Whether a public read decoded this predicate: its key arena, or
-    /// its word cells.
+    /// its cells.
     #[cfg(any(test, feature = "test-internals"))]
     fn is_decoded(&self) -> bool {
-        self.keys.flat.is_built()
-            || matches!(&self.cells, Cells::Words { decoded, .. } if decoded.is_built())
+        self.keys.flat.is_built() || self.decoded.is_built()
     }
 }
 
@@ -2100,8 +1995,8 @@ impl Database {
         encode_mut(v, &mut self.spill)
     }
 
-    /// [`Database::encode_literal`] for an element of a word lattice:
-    /// its word, `None` when `v` is not an element.
+    /// [`Database::encode_literal`] for an element of a lattice: its
+    /// word, `None` when `v` is not an element.
     pub(crate) fn encode_elem(&mut self, kind: &KindWords, v: &Value) -> Option<u64> {
         kind.encode_mut(v, &mut self.spill)
     }
@@ -2292,24 +2187,32 @@ impl Batch<'_> {
         r.insert_encoded(enc).map(InsertOutcome::of_row)
     }
 
-    /// [`Batch::insert`] for a lattice head whose key is already in
-    /// encoded form and whose element is in its lattice's representation
-    /// (the kernel fast path). The key slots — and a word element's — must
-    /// be canonical encodings produced against this database's spill
-    /// table; `id` names the target cell when the kernel resolved it
-    /// ([`NO_ID`] otherwise).
+    /// [`Batch::insert`] for a lattice head whose key and element are
+    /// already words (the kernel fast path). They must be canonical
+    /// encodings produced against this database's spill table; `id` names
+    /// the target cell when the kernel resolved it ([`NO_ID`] otherwise).
     pub(crate) fn join_lat(
         &mut self,
         pred: PredId,
         key: &[u64],
         id: u32,
-        elem: Elem,
+        word: u64,
     ) -> Result<InsertOutcome, InsertFault> {
         let PredData::Lat(l) = &mut self.db.preds[pred.0 as usize] else {
             unreachable!("compiled against predicate kinds");
         };
-        l.join_encoded(key, id, elem, &mut self.db.spill)
+        l.join_encoded(key, id, word, &mut self.db.spill)
             .map(InsertOutcome::of_cell)
+    }
+
+    /// The word of `value` in `pred`'s lattice, interned: what the
+    /// provenance log records for a premise's element a plan held boxed.
+    /// Refused as a cell refuses it ([`LatticeData::join`]).
+    pub(crate) fn intern_elem(&mut self, pred: PredId, value: &Value) -> Result<u64, InsertFault> {
+        let PredData::Lat(l) = &self.db.preds[pred.0 as usize] else {
+            unreachable!("a value column is a lattice's");
+        };
+        l.word_mut(value, &mut self.db.spill)
     }
 
     /// [`Database::ascent_crossed`], inside the batch.
@@ -2340,10 +2243,19 @@ mod tests {
             pred: PredId,
             key: &[u64],
             id: u32,
-            elem: Elem,
+            word: u64,
         ) -> Result<InsertOutcome, InsertFault> {
-            self.batch().join_lat(pred, key, id, elem)
+            self.batch().join_lat(pred, key, id, word)
         }
+    }
+
+    /// The cells of one lattice over one key column as a store of a
+    /// program over it keeps them: the store's spill table starts from
+    /// names that hold the lattice's ⊥, as [`Program`]'s do.
+    fn cells_of(ops: LatticeOps) -> (LatticeData, SpillTable) {
+        let mut names = Names::default();
+        names.intern_value(ops.bottom());
+        (LatticeData::new(ops, 1, &names), names.table().clone())
     }
 
     fn row(vals: &[i64]) -> Vec<Value> {
@@ -2495,23 +2407,24 @@ mod tests {
         );
     }
 
+    /// A sound join: the cell it raised, and the value it raised it to.
     fn join_ok(
         l: &mut LatticeData,
         spill: &mut SpillTable,
         key: &[Value],
         value: Value,
-    ) -> Option<(u32, Elem)> {
-        l.join(key, value, spill).expect("lattice ops are sound")
+    ) -> Option<(u32, Value)> {
+        let raised = l.join(key, value, spill).expect("lattice ops are sound");
+        raised.map(|(id, word)| (id, l.decode(word, spill)))
     }
 
     #[test]
     fn lattice_join_is_compact() {
-        let mut spill = SpillTable::default();
-        let mut l = LatticeData::new(crate::LatticeOps::of::<Parity>(), 1, &Names::default());
+        let (mut l, mut spill) = cells_of(crate::LatticeOps::of::<Parity>());
         let key = row(&[7]);
         assert_eq!(
             join_ok(&mut l, &mut spill, &key, Parity::Even.to_value()),
-            Some((0, Elem::Boxed(Parity::Even.to_value())))
+            Some((0, Parity::Even.to_value()))
         );
         // Re-joining a smaller or equal element changes nothing.
         assert_eq!(
@@ -2525,7 +2438,7 @@ mod tests {
         // Joining an incomparable element lifts the single cell to Top.
         assert_eq!(
             join_ok(&mut l, &mut spill, &key, Parity::Odd.to_value()),
-            Some((0, Elem::Boxed(Parity::Top.to_value())))
+            Some((0, Parity::Top.to_value()))
         );
         assert_eq!(l.len(), 1, "one cell per key: compactness");
         assert_eq!(l.value(&key, &spill), Some(&Parity::Top.to_value()));
@@ -2533,8 +2446,7 @@ mod tests {
 
     #[test]
     fn bottom_is_never_stored() {
-        let mut spill = SpillTable::default();
-        let mut l = LatticeData::new(crate::LatticeOps::of::<Parity>(), 1, &Names::default());
+        let (mut l, mut spill) = cells_of(crate::LatticeOps::of::<Parity>());
         assert_eq!(
             join_ok(&mut l, &mut spill, &row(&[1]), Parity::Bot.to_value()),
             None
@@ -2583,8 +2495,7 @@ mod tests {
                 }
             },
         );
-        let mut spill = SpillTable::default();
-        let mut l = LatticeData::new(ops, 1, &Names::default());
+        let (mut l, mut spill) = cells_of(ops);
         assert!(l
             .join(&row(&[1]), Value::Int(5), &mut spill)
             .expect("first join")
@@ -2621,8 +2532,7 @@ mod tests {
                 }
             },
         );
-        let mut spill = SpillTable::default();
-        let mut l = LatticeData::new(ops, 1, &Names::default());
+        let (mut l, mut spill) = cells_of(ops);
         let fault = l.join(&row(&[1]), Value::Int(5), &mut spill).unwrap_err();
         assert!(
             matches!(fault, InsertFault::Safety(Violation::NotReflexive(_))),
@@ -2630,10 +2540,98 @@ mod tests {
         );
     }
 
+    /// Every lattice the engine runs — each `impl ValueLattice`, and one
+    /// of closures only whose ⊥ spills — keeps its cells as words: joining
+    /// a sequence of elements into one cell stores the word of the
+    /// closures' running lub, never ⊥'s, and a cell removed and joined
+    /// again is the same word.
+    #[test]
+    fn every_lattice_stores_words() {
+        use flix_lattice::{
+            Constant, Flat, Interval, MinCost, PowerSet, Sign, SuLattice, Transformer,
+        };
+        fn lattice<L: ValueLattice>(
+            elems: impl IntoIterator<Item = L>,
+        ) -> (LatticeOps, Vec<Value>) {
+            let elems = elems.into_iter().map(|e| e.to_value());
+            (LatticeOps::of::<L>(), elems.collect())
+        }
+        let set =
+            |items: &[i64]| -> PowerSet<Value> { items.iter().map(|&n| Value::Int(n)).collect() };
+        let pick = |take_b: bool, a: &Value, b: &Value| if take_b { b.clone() } else { a.clone() };
+        let max = LatticeOps::from_fns(
+            "Max",
+            Value::Int(i64::MIN),
+            None,
+            |a, b| a.as_int() <= b.as_int(),
+            move |a, b| pick(a.as_int() < b.as_int(), a, b),
+            move |a, b| pick(b.as_int() < a.as_int(), a, b),
+        );
+        let table = [
+            lattice([Parity::Bot, Parity::Even, Parity::Bot, Parity::Odd]),
+            lattice([Sign::Zer, Sign::Bot, Sign::Pos, Sign::Neg]),
+            lattice([
+                Constant::cst(3),
+                Flat::Bot,
+                Constant::cst(3),
+                Constant::cst(4),
+            ]),
+            lattice([
+                Interval::of(0, 1),
+                Interval::Bot,
+                Interval::of(5, 9),
+                Interval::of(-3, 2),
+            ]),
+            lattice([
+                MinCost::finite(9),
+                MinCost::INFINITY,
+                MinCost::finite(4),
+                MinCost::finite(6),
+            ]),
+            lattice([
+                SuLattice::single("a"),
+                SuLattice::Bottom,
+                SuLattice::single("a"),
+                SuLattice::single("b"),
+            ]),
+            lattice([
+                Transformer::linear(2, 1),
+                Transformer::Bot,
+                Transformer::non_bot(2, 1, Constant::cst(1)),
+                Transformer::identity(),
+            ]),
+            lattice([set(&[1]), PowerSet::Empty, set(&[2, 3]), set(&[1, 3])]),
+            (max, [5, i64::MIN, 3, 7].map(Value::Int).to_vec()),
+        ];
+        for (ops, samples) in table {
+            let name = ops.name().to_string();
+            let (mut l, mut spill) = cells_of(ops.clone());
+            let key = row(&[1]);
+            let mut lub = ops.bottom().clone();
+            for v in samples {
+                lub = ops.lub(&lub, &v);
+                l.join(&key, v, &mut spill).expect("lawful");
+                let cells = &l.cells;
+                assert_eq!(cells.len(), !ops.is_bottom(&lub) as usize, "{name}");
+                assert!(cells.iter().all(|&w| w != l.words().bottom()), "{name}: ⊥");
+                let stored = cells.first().map(|&w| l.decode(w, &spill));
+                assert_eq!(
+                    stored.unwrap_or_else(|| ops.bottom().clone()),
+                    lub,
+                    "{name}"
+                );
+            }
+            let cell = l.cell(0);
+            l.remove(0);
+            assert_eq!(l.len(), 0, "{name}");
+            let again = l.join(&key, lub, &mut spill).expect("lawful");
+            assert_eq!(again, Some((0, cell)), "{name}");
+        }
+    }
+
     #[test]
     fn ascent_counters_track_joins_and_heights() {
-        let mut spill = SpillTable::default();
-        let mut l = LatticeData::new(crate::LatticeOps::of::<Parity>(), 1, &Names::default());
+        let (mut l, mut spill) = cells_of(crate::LatticeOps::of::<Parity>());
         l.enable_ascent();
         let key = row(&[7]);
         join_ok(&mut l, &mut spill, &key, Parity::Even.to_value()); // height 1
@@ -2697,15 +2695,17 @@ mod tests {
         // A change carries the id of its row, and — for a cell — the
         // value it reached; the tuple is read back from the store.
         let x_odd = [Value::from("x"), Parity::Odd.to_value()];
-        let boxed = |p: Parity| Elem::Boxed(p.to_value());
+        let word = |db: &mut Database, p: Parity| db.encode_literal(&p.to_value());
+        let outcome_odd = outcome(db.insert(iv, &x_odd));
         assert_eq!(
-            outcome(db.insert(iv, &x_odd)),
-            InsertOutcome::LatIncrease(0, boxed(Parity::Odd))
+            outcome_odd,
+            InsertOutcome::LatIncrease(0, word(&mut db, Parity::Odd))
         );
         assert_eq!(outcome(db.insert(iv, &x_odd)), InsertOutcome::Unchanged);
+        let outcome_top = outcome(db.insert(iv, &[Value::from("x"), Parity::Even.to_value()]));
         assert_eq!(
-            outcome(db.insert(iv, &[Value::from("x"), Parity::Even.to_value()])),
-            InsertOutcome::LatIncrease(0, boxed(Parity::Top))
+            outcome_top,
+            InsertOutcome::LatIncrease(0, word(&mut db, Parity::Top))
         );
         assert_eq!(
             fact_tuple(&db, e, 1, None),
@@ -2734,16 +2734,18 @@ mod tests {
             InsertOutcome::NewRow(2)
         );
         let y = [db.encode_literal(&Value::from("y"))];
+        let [even, odd, top, bot] =
+            [Parity::Even, Parity::Odd, Parity::Top, Parity::Bot].map(|p| word(&mut db, p));
         assert_eq!(
-            outcome(db.insert_lat_encoded(iv, &y, NO_ID, boxed(Parity::Even))),
-            InsertOutcome::LatIncrease(1, boxed(Parity::Even))
+            outcome(db.insert_lat_encoded(iv, &y, NO_ID, even)),
+            InsertOutcome::LatIncrease(1, even)
         );
         assert_eq!(
-            outcome(db.insert_lat_encoded(iv, &y, 1, boxed(Parity::Odd))),
-            InsertOutcome::LatIncrease(1, boxed(Parity::Top))
+            outcome(db.insert_lat_encoded(iv, &y, 1, odd)),
+            InsertOutcome::LatIncrease(1, top)
         );
         assert_eq!(
-            outcome(db.insert_lat_encoded(iv, &y, NO_ID, boxed(Parity::Bot))),
+            outcome(db.insert_lat_encoded(iv, &y, NO_ID, bot)),
             InsertOutcome::Unchanged
         );
         assert_eq!(db.total_facts(), 5);
@@ -3260,7 +3262,7 @@ mod tests {
             let (mut batched, r, l) = removal_store();
             let (mut single, _, _) = removal_store();
             let kind = match batched.pred(l) {
-                PredData::Lat(lat) => lat.kind_words().expect("MinCost is a chain").clone(),
+                PredData::Lat(lat) => lat.words().clone(),
                 PredData::Rel(_) => unreachable!("a lattice"),
             };
             let mut removals = 0;
@@ -3294,7 +3296,7 @@ mod tests {
                 for ((pred, fact), enc) in rows.iter().zip(&encoded) {
                     let outcome = match *pred == r {
                         true => batch.insert_rel(r, enc),
-                        false => batch.join_lat(l, &enc[..2], NO_ID, Elem::Word(enc[2])),
+                        false => batch.join_lat(l, &enc[..2], NO_ID, enc[2]),
                     };
                     let expected = single.insert(*pred, fact).expect("sound ops");
                     assert_eq!(outcome.expect("sound ops"), expected, "seed {seed}");
@@ -3422,8 +3424,8 @@ mod tests {
     #[test]
     fn flat_words_round_trip_and_order_as_the_lattice_does() {
         use flix_lattice::{Lattice, SuLattice};
-        let flat = KindWords::of(&crate::LatticeOps::of::<SuLattice>(), &Names::default())
-            .expect("SULattice is flat");
+        let flat = KindWords::of(&crate::LatticeOps::of::<SuLattice>(), &Names::default());
+        assert!(!flat.is_slots(), "SULattice is flat");
         let mut spill = SpillTable::default();
         let elems = [
             SuLattice::Bottom,
@@ -3462,7 +3464,7 @@ mod tests {
             pack(TAG_BOOL, 2),
             pack(3, 0),
             pack(TAG_SPILL, spill.len() as u64),
-            SLOT_SIDE,
+            pack(6, 0),
         ] {
             assert!(!is_slot(bad, &spill), "{bad:#x}");
         }
@@ -3491,7 +3493,7 @@ mod tests {
             assert_eq!(try_encode(v, &spill), Some(slot), "{v}");
             assert_eq!(names.slot(v), Some(slot), "{v}");
             assert!(is_slot(slot, &spill), "{v}");
-            assert!(slot != SLOT_WILDCARD && slot != SLOT_SIDE);
+            assert!(slot != SLOT_WILDCARD);
             // A tag whose name is a separate allocation is the same value.
             let name: Arc<str> = Arc::from(v.tag_name().expect("a tag"));
             let copy = Value::Tag(name, Arc::new(v.tag_payload().expect("a tag").clone()));
@@ -3552,7 +3554,8 @@ mod tests {
     fn chain_words_round_trip_and_order_as_the_lattice_does() {
         use flix_lattice::{Lattice, MinCost};
         let ops = crate::LatticeOps::of::<MinCost>();
-        let chain = KindWords::of(&ops, &Names::default()).expect("MinCost is a chain");
+        let chain = KindWords::of(&ops, &Names::default());
+        assert!(!chain.is_slots(), "MinCost is a chain");
         let mut spill = SpillTable::default();
         let last: i64 = (1 << 60) - 1;
         let elems = [0, 1, 2, 9, last as u64].map(MinCost::finite);
@@ -3586,7 +3589,7 @@ mod tests {
         }
         assert_eq!(spill.len(), 0);
         let negative = slot_of_int(-1).expect("inline");
-        for bad in [negative, FLAT_BOTTOM, FLAT_TOP, WORD_TRUE, SLOT_SIDE] {
+        for bad in [negative, FLAT_BOTTOM, FLAT_TOP, WORD_TRUE, pack(6, 0)] {
             assert!(!chain.holds(bad, &spill), "{bad:#x}");
         }
     }
@@ -3598,9 +3601,9 @@ mod tests {
         let mut l = LatticeData::new(crate::LatticeOps::of::<SuLattice>(), 1, &Names::default());
         let key = row(&[7]);
         let single = |o: &str| SuLattice::single(o).to_value();
-        let joined = join_ok(&mut l, &mut spill, &key, single("o1"));
+        let joined = l.join(&key, single("o1"), &mut spill).expect("sound");
         let o1 = try_encode(&Value::from("o1"), &spill).expect("interned");
-        assert_eq!(joined, Some((0, Elem::Word(o1))));
+        assert_eq!(joined, Some((0, o1)));
         assert_eq!(l.value(&key, &spill), Some(&single("o1")));
         assert_eq!(join_ok(&mut l, &mut spill, &key, single("o1")), None);
         assert_eq!(
@@ -3609,8 +3612,8 @@ mod tests {
         );
         // The decoded view is dropped by the change that follows it.
         assert_eq!(
-            join_ok(&mut l, &mut spill, &key, single("o2")),
-            Some((0, Elem::Word(FLAT_TOP)))
+            l.join(&key, single("o2"), &mut spill).expect("sound"),
+            Some((0, FLAT_TOP))
         );
         assert_eq!(l.value(&key, &spill), Some(&SuLattice::Top.to_value()));
         // A value of another constructor is refused as the closures refuse it.

@@ -179,10 +179,10 @@ pub enum DeltaOp {
 /// An update to a program's extensional store: a sequence of
 /// [`DeltaOp`]s, applied in order by [`Solver::resume`].
 ///
-/// The classic builder methods ([`Delta::insert`], [`Delta::raise`],
-/// [`Delta::push`]) are thin wrappers that construct the corresponding
-/// ops; [`Delta::retract`] and [`Delta::lower`] cover the removing half,
-/// and [`Delta::op`] / [`Delta::push_op`] take a [`DeltaOp`] directly.
+/// The builder methods ([`Delta::insert`], [`Delta::raise`]) are thin
+/// chaining wrappers that construct the corresponding ops;
+/// [`Delta::retract`] and [`Delta::lower`] cover the removing half, and
+/// [`Delta::op`] takes a [`DeltaOp`] directly.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct Delta {
     ops: Vec<DeltaOp>,
@@ -194,35 +194,25 @@ impl Delta {
         Delta::default()
     }
 
-    /// Appends one operation (chaining form).
+    /// Appends one operation.
     pub fn op(mut self, op: DeltaOp) -> Delta {
         self.ops.push(op);
         self
     }
 
-    /// Appends one operation (mutating form).
-    pub fn push_op(&mut self, op: DeltaOp) {
-        self.ops.push(op);
-    }
-
-    /// Asserts one fact (chaining form): a full tuple for a relational
-    /// predicate, or key columns plus the element for a lattice
-    /// predicate. Wrapper over [`DeltaOp::Insert`].
+    /// Asserts one fact: a full tuple for a relational predicate, or key
+    /// columns plus the element for a lattice predicate. Wrapper over
+    /// [`DeltaOp::Insert`].
     pub fn insert(mut self, predicate: impl Into<String>, tuple: Vec<Value>) -> Delta {
-        self.push(predicate, tuple);
-        self
-    }
-
-    /// Asserts one fact (mutating form). See [`Delta::insert`].
-    pub fn push(&mut self, predicate: impl Into<String>, tuple: Vec<Value>) {
         self.ops.push(DeltaOp::Insert {
             predicate: predicate.into(),
             tuple,
         });
+        self
     }
 
-    /// Removes one previously asserted fact (chaining form). Wrapper
-    /// over [`DeltaOp::Retract`]; see there for the exact semantics.
+    /// Removes one previously asserted fact. Wrapper over
+    /// [`DeltaOp::Retract`]; see there for the exact semantics.
     pub fn retract(mut self, predicate: impl Into<String>, tuple: Vec<Value>) -> Delta {
         self.ops.push(DeltaOp::Retract {
             predicate: predicate.into(),
@@ -761,9 +751,9 @@ fn resolve_delta(program: &Program, delta: &Delta) -> Result<Vec<ResolvedOp>, De
 /// closure call; otherwise the guarded `leq(element, element)` probe a
 /// fresh cell runs.
 fn admits(ops: &LatticeOps, element: &Value, names: &Names) -> bool {
-    match ops.kind().and(KindWords::of(ops, names)) {
-        Some(words) => words.is_elem(element),
-        None => matches!(ops.try_leq(element, element), Ok(true)),
+    match KindWords::of(ops, names) {
+        words if !words.is_slots() => words.is_elem(element),
+        _ => matches!(ops.try_leq(element, element), Ok(true)),
     }
 }
 

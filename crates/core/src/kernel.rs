@@ -27,16 +27,17 @@
 //! * **values are single words** — relational columns and lattice *key*
 //!   columns compare as encoded `u64` slots (see [`crate::database`]),
 //!   so a join key is a handful of word moves, not `Value` clones;
-//! * **a lattice element is boxed or a word, as its lattice says** — the
-//!   elements of a closure-defined lattice are boxed registers that flow
-//!   through the `leq` / `glb` closures (and the runtime law sentinels
-//!   behind them); those of a lattice that declares a built-in kind are
-//!   words in the encoded registers, and `leq` / `lub` / `glb` are word
-//!   compares (DESIGN §15). Either way a lattice atom is matched by the
-//!   glb semantics of §3.2. A variable lives in the encoded registers
-//!   unless it stands for an element of a boxed lattice, is bound by a
-//!   choice that runs boxed, or mixes representations (a word element
-//!   also used as a join key); then it is boxed ([`Classes`]);
+//! * **a lattice element is a word** — every cell is one word
+//!   ([`KindWords`]): a declared kind's, compared without decoding, or
+//!   otherwise the element's slot, which the lattice's word forms read
+//!   and its closures read decoded (DESIGN §15). A lattice atom is
+//!   matched by the glb semantics of §3.2. A variable lives in the
+//!   encoded registers unless it is rebound by a second lattice atom's
+//!   `glb`, is bound by a choice that runs boxed, or mixes
+//!   representations (a kind's word also used as a join key); then it is
+//!   boxed ([`Classes`]), and meets cells as a value: what a read-only
+//!   round computes — a `glb`, a function's result — may have no slot
+//!   yet ([`Elem`]);
 //! * **a function runs on words where it can** — a filter or a head
 //!   application whose arguments are all encoded registers or literals
 //!   of the types its word form reads, and whose result its column takes
@@ -60,20 +61,20 @@
 //!   derivation carries its positive body atoms, in body order, as the
 //!   words the registers already hold: per atom its predicate and one
 //!   encoded slot per column (a key column as the slot of the row the
-//!   atom matched; a marker for `_` in a value column; a word lattice's
+//!   atom matched; a marker for `_` in a value column; a lattice's
 //!   element as its word), appended to the round's premise arena. Only a
-//!   value column's element that has no word — a boxed lattice witness,
-//!   glb-rebound ones included — goes, cloned, to the arena's side
-//!   column. Nothing is decoded and nothing is allocated
-//!   per derivation; this is exactly what DRed retraction later replays,
-//!   and `explain` decodes;
-//! * **heads leave as words** — a head whose key columns all encode
-//!   against the store is appended to the round's word run
-//!   ([`Derivations`]) as the `u64` slots the registers hold, a word
-//!   lattice's element as its word; only a boxed lattice's cell and the
-//!   cell id a lattice head resolved go to side vectors, and only a head
-//!   with a value the store has never seen is materialized, as a tuple,
-//!   for the insert path to intern;
+//!   value column's element a register holds boxed — a glb-rebound
+//!   witness — goes, cloned, beside the arena with the place its word
+//!   takes, for the round's absorb to intern when it logs the
+//!   derivation. Nothing is decoded and nothing else is allocated per
+//!   derivation; this is exactly what DRed retraction later replays, and
+//!   `explain` decodes;
+//! * **heads leave as words** — a head whose columns all encode against
+//!   the store is appended to the round's word run ([`Derivations`]) as
+//!   the `u64` slots the registers hold, a lattice's element as its word,
+//!   with the cell id a lattice head resolved in a side vector; only a
+//!   head with a value the store has never seen is materialized, as a
+//!   tuple, for the insert path to intern;
 //! * **a relational head is tested once, where it is inserted** — the
 //!   round's absorb finds the row or inserts it in one walk of the row
 //!   set, so the plan does not test it first;
@@ -98,7 +99,7 @@
 
 use crate::database::{
     decode, is_slot, try_encode, Columns, Database, Elem, ElemRef, KindWords, LatticeData,
-    PredData, NO_ID, SLOT_SIDE, SLOT_WILDCARD, WORD_FALSE, WORD_TRUE,
+    PredData, NO_ID, SLOT_WILDCARD, WORD_FALSE, WORD_TRUE,
 };
 use crate::fxhash::{FxHashMap, FxHashSet};
 use crate::guard::{panic_payload, EvalGuard};
@@ -149,8 +150,8 @@ enum RowOp {
 enum ValSpec {
     /// Wildcard: any cell matches.
     Wild,
-    /// Literal `l`: matches when `l ⊑ cell`; in the lattice's own
-    /// representation (boxed, for a value a word lattice has no word for).
+    /// Literal `l`: matches when `l ⊑ cell`; its word (boxed, for a value
+    /// a declared kind has no word for).
     Lit(Elem),
     /// Unbound variable: binds to the cell (the greatest witness).
     Bind(Reg),
@@ -159,8 +160,8 @@ enum ValSpec {
     Meet(Reg),
 }
 
-/// The register of a lattice atom's value variable: a word register when
-/// the variable is a word lattice's element, a boxed one otherwise.
+/// The register of a lattice atom's value variable: a word register, or
+/// a boxed one where [`Classes`] boxes the variable.
 #[derive(Clone, Copy, Debug)]
 enum Reg {
     Word(usize),
@@ -192,13 +193,13 @@ struct Call {
 }
 
 /// A head-column source. A literal carries its word in the column's
-/// representation — a key column's slot, a word lattice's element —
+/// representation — a key column's slot, a lattice's element's word —
 /// compiled once, so the emit-side pre-check never re-interns it.
 #[derive(Clone, Debug)]
 enum HeadSrc {
     Lit(Value, Option<u64>),
     /// An encoded register holding the column's own word: a join
-    /// variable in a key column, a word lattice's element in its value
+    /// variable in a key column, a lattice's element in its value
     /// column.
     Word(usize),
     /// Any other variable: converted through its value.
@@ -214,11 +215,11 @@ enum PremiseSrc {
     Word(u64),
     /// An encoded variable register.
     Slot(usize),
-    /// A boxed register in a lattice value column: always a side value
-    /// (an element is not a join key; looking it up would cost a hash).
-    BoxedValue(usize),
-    /// A literal lattice element: a side value.
-    Side(Value),
+    /// The value column of an atom of this lattice predicate, whose
+    /// element may have no word yet: a boxed register, or a literal a
+    /// declared kind has no word for. The round's absorb interns it when
+    /// it logs the derivation ([`Derivations`]).
+    Elem(PredId, ArgSrc),
 }
 
 /// How an atom step reaches the stored rows it tries: decided once, at
@@ -313,8 +314,8 @@ pub(crate) struct Plan {
     steps: Vec<Step>,
     head_pred: PredId,
     head: Vec<HeadSrc>,
-    /// The words of the head's lattice, when its cells are words: what
-    /// the value column leaves as.
+    /// The words of the head's lattice, for a lattice head: what the
+    /// value column leaves as.
     cell: Option<KindWords>,
     num_slots: usize,
     /// Suppress lattice candidates the database already subsumes at emit
@@ -328,7 +329,7 @@ pub(crate) struct Plan {
     key_cols: usize,
     /// When provenance is recorded: per positive body atom, in body
     /// order, its predicate and then one source per column — the words
-    /// (and side values) each derivation appends to the premise arena.
+    /// each derivation appends to the premise arena.
     premises: Option<Vec<PremiseSrc>>,
 }
 
@@ -411,18 +412,17 @@ impl KernelSet {
 }
 
 /// Where the variables of one body live while its plan runs (DESIGN
-/// §15). A variable is *boxed* when it ever stands for an element of a
-/// boxed lattice (there it must flow through `leq` / `glb` as a `Value`),
-/// stands for an element of a word lattice and for anything else besides
-/// — a join column, an element of another lattice — or is bound by a
-/// choice that runs boxed: one whose function has no choice form of its
-/// width ([`crate::ProgramBuilder::choice_form`]), or one with an argument
-/// or a bind that does not live as a slot. The binds of every other
-/// choice are slots, written by the choice form. A variable that only
-/// ever stands for the elements of one word lattice of a declared kind
-/// lives as that lattice's word; every other one as its store slot — a
-/// lattice of word forms' elements included, whose words are their slots,
-/// as long as one atom's value column is all that binds the variable.
+/// §15). A variable is *boxed* when it stands for an element of a
+/// lattice of a declared kind and for anything else besides — a join
+/// column, an element of another lattice — or is bound by a choice that
+/// runs boxed: one whose function has no choice form of its width
+/// ([`crate::ProgramBuilder::choice_form`]), or one with an argument or a
+/// bind that does not live as a slot. The binds of every other choice are
+/// slots, written by the choice form. A variable that only ever stands
+/// for the elements of one lattice of a declared kind lives as that
+/// lattice's word; every other one as its store slot — the element of a
+/// lattice of no declared kind included, whose words are its slots, as
+/// long as one atom's value column is all that binds the variable.
 /// (Bound twice, such a variable would be rebound to a `glb` the store
 /// may have no slot for: it is boxed.)
 struct Classes {
@@ -473,30 +473,23 @@ impl Classes {
                     else {
                         continue;
                     };
-                    match lat.kind_words() {
-                        Some(words) if words.is_slots() => {
-                            if binders.get(slot).copied().unwrap_or(0) > 1 {
-                                boxed.insert(*slot);
-                            } else {
-                                slot_elems.insert(*slot);
-                            }
+                    let words = lat.words();
+                    if !words.is_slots() {
+                        let seen = elems.entry(*slot).or_insert(Some(words));
+                        if *seen != Some(words) {
+                            *seen = None;
                         }
-                        Some(words) => {
-                            let seen = elems.entry(*slot).or_insert(Some(words));
-                            if *seen != Some(words) {
-                                *seen = None;
-                            }
-                        }
-                        None => {
-                            boxed.insert(*slot);
-                        }
+                    } else if binders.get(slot).copied().unwrap_or(0) > 1 {
+                        boxed.insert(*slot);
+                    } else {
+                        slot_elems.insert(*slot);
                     }
                 }
                 CItem::Choose { .. } | CItem::Filter { .. } => {}
             }
         }
-        // A variable standing for a word lattice's element and anything
-        // else besides is boxed.
+        // A variable standing for the elements of a lattice of slots and
+        // of a declared kind is boxed.
         for slot in &slot_elems {
             if elems.contains_key(slot) {
                 boxed.insert(*slot);
@@ -764,9 +757,8 @@ fn compile_body(
         .enumerate()
         .map(|(col, h)| {
             let column = match &cell {
-                _ if col < key_cols => Column::Slots,
-                Some(elems) => Column::Elems(elems),
-                None => Column::Values,
+                Some(elems) if col == key_cols => Column::Elems(elems),
+                _ => Column::Slots,
             };
             match h {
                 CHead::Lit(v) => HeadSrc::Lit(
@@ -774,7 +766,6 @@ fn compile_body(
                     match column {
                         Column::Slots => Some(db.encode_literal(v)),
                         Column::Elems(elems) => db.encode_elem(elems, v),
-                        Column::Values => None,
                     },
                 ),
                 CHead::Var(slot) => match (column, classes.arg(*slot)) {
@@ -806,26 +797,26 @@ fn compile_body(
         let mut hidden = rule.num_vars..num_slots;
         for (pred, terms) in atoms {
             template.push(PremiseSrc::Word(pred.0 as u64));
-            let value_col = program.decl(*pred).is_lattice().then(|| terms.len() - 1);
             let elems = lattice_words(db, *pred);
             for (col, t) in terms.iter().enumerate() {
-                let is_value = Some(col) == value_col;
+                let value = elems.as_ref().filter(|_| col == terms.len() - 1);
                 template.push(match t {
-                    t if !is_value && hides(t) => {
+                    t if value.is_none() && hides(t) => {
                         PremiseSrc::Slot(hidden.next().expect("bound by the atom"))
                     }
                     CTerm::Wild => PremiseSrc::Word(SLOT_WILDCARD),
-                    // A word lattice's element is logged as its word.
-                    CTerm::Lit(v) if is_value => elems
-                        .as_ref()
-                        .and_then(|elems| db.encode_elem(elems, v))
-                        .map_or_else(|| PremiseSrc::Side(v.clone()), PremiseSrc::Word),
-                    // Encoded by the atom's step already: interns nothing.
-                    CTerm::Lit(v) => PremiseSrc::Word(db.encode_literal(v)),
+                    // A lattice's element is logged as its word.
+                    CTerm::Lit(v) => match value {
+                        Some(elems) => db.encode_elem(elems, v).map_or_else(
+                            || PremiseSrc::Elem(*pred, ArgSrc::Lit(v.clone())),
+                            PremiseSrc::Word,
+                        ),
+                        // Encoded by the atom's step already: interns nothing.
+                        None => PremiseSrc::Word(db.encode_literal(v)),
+                    },
                     CTerm::Var(slot) => match classes.arg(*slot) {
                         ArgSrc::Slot(s) | ArgSrc::Elem(s, _) => PremiseSrc::Slot(s),
-                        ArgSrc::Boxed(s) => PremiseSrc::BoxedValue(s),
-                        ArgSrc::Lit(_) => unreachable!("a variable's source"),
+                        boxed => PremiseSrc::Elem(*pred, boxed),
                     },
                 });
             }
@@ -847,19 +838,17 @@ fn compile_body(
 }
 
 /// What one head column takes as a word: a key column its value's store
-/// slot, a word lattice's value column its element's word; a boxed
-/// lattice's value column takes no word.
+/// slot, a lattice's value column its element's word.
 #[derive(Clone, Copy)]
 enum Column<'a> {
     Slots,
     Elems(&'a KindWords),
-    Values,
 }
 
-/// The words of `pred`'s lattice, when its cells are words.
+/// The words of `pred`'s lattice; `None` for a relation.
 fn lattice_words(db: &Database, pred: PredId) -> Option<KindWords> {
     match db.pred(pred) {
-        PredData::Lat(lat) => lat.kind_words().cloned(),
+        PredData::Lat(lat) => Some(lat.words().clone()),
         PredData::Rel(_) => None,
     }
 }
@@ -884,12 +873,11 @@ fn val_spec(
         }
     };
     match terms.get(ncols) {
-        Some(CTerm::Lit(v)) => ValSpec::Lit(match lattice_words(db, pred) {
-            Some(elems) => db
-                .encode_elem(&elems, v)
-                .map_or_else(|| Elem::Boxed(v.clone()), Elem::Word),
-            None => Elem::Boxed(v.clone()),
-        }),
+        Some(CTerm::Lit(v)) => {
+            let elems = lattice_words(db, pred).expect("a value column is a lattice's");
+            let word = db.encode_elem(&elems, v);
+            ValSpec::Lit(word.map_or_else(|| Elem::Boxed(v.clone()), Elem::Word))
+        }
         Some(CTerm::Var(slot)) if is_bound(slot) => ValSpec::Meet(reg(*slot)),
         Some(CTerm::Var(slot)) => ValSpec::Bind(reg(*slot)),
         Some(CTerm::Wild) | None => ValSpec::Wild,
@@ -930,7 +918,7 @@ fn access(
 }
 
 /// Compiles the probe-key sources for `index_cols` (all of which are
-/// literals or bound variables, by construction; never a word lattice's
+/// literals or bound variables, by construction; never a declared kind's
 /// element, which [`Classes`] boxes where it is a key).
 fn key_srcs(
     terms: &[CTerm],
@@ -1073,7 +1061,7 @@ fn choice_call(
 // ---------------------------------------------------------------------------
 
 /// The mutable state of one plan execution: the variable registers
-/// (encoded words — store slots and word lattices' elements — and boxed
+/// (encoded words — store slots and declared kinds' elements — and boxed
 /// values, as [`Classes`] assigns them), the reusable key buffer, and the
 /// thread-local counters.
 struct State<'a, 'o> {
@@ -1107,7 +1095,7 @@ struct State<'a, 'o> {
     /// be `Unchanged` and the candidate can be suppressed. The `u32` is
     /// the cell's row id ([`NO_ID`] while the cell is not stored yet),
     /// captured so flowing candidates can skip the insert-side lookup.
-    shadow_cells: FxHashMap<[u64; SHADOW_KEY], (u32, Elem)>,
+    shadow_cells: FxHashMap<[u64; SHADOW_KEY], (u32, u64)>,
     /// Row id of the lattice cell the last `is_subsumed` call resolved
     /// ([`NO_ID`] when unknown); lets `emit` address the insert directly
     /// at the cell. Ids are append-only during evaluation — a retraction
@@ -1154,7 +1142,7 @@ pub(crate) struct KernelScratch {
     key_buf: Vec<u64>,
     args_buf: Vec<Value>,
     choice_bufs: Vec<Vec<u64>>,
-    shadow_cells: FxHashMap<[u64; SHADOW_KEY], (u32, Elem)>,
+    shadow_cells: FxHashMap<[u64; SHADOW_KEY], (u32, u64)>,
 }
 
 impl KernelScratch {
@@ -1306,7 +1294,7 @@ fn apply_val(
     plan: &Plan,
     next: usize,
     val: &ValSpec,
-    cell: ElemRef<'_>,
+    cell: u64,
     lat: &LatticeData,
     st: &mut State<'_, '_>,
 ) {
@@ -1319,12 +1307,9 @@ fn apply_val(
             Err(p) => st.fail(p),
         },
         ValSpec::Bind(reg) => {
-            match (*reg, cell) {
-                (Reg::Word(slot), cell) => st.enc[slot] = word_of(cell),
-                (Reg::Boxed(slot), ElemRef::Boxed(v)) => st.boxed[slot] = Some(v.clone()),
-                (Reg::Boxed(slot), cell) => {
-                    st.boxed[slot] = Some(lat.value_of(cell, spill).into_owned());
-                }
+            match *reg {
+                Reg::Word(slot) => st.enc[slot] = cell,
+                Reg::Boxed(slot) => st.boxed[slot] = Some(lat.decode(cell, spill)),
             }
             step(plan, next, st);
         }
@@ -1353,15 +1338,6 @@ fn apply_val(
     }
 }
 
-/// The word of an element a word register holds: a word lattice's.
-#[inline(always)]
-fn word_of(e: ElemRef<'_>) -> u64 {
-    match e {
-        ElemRef::Word(word) => word,
-        ElemRef::Boxed(_) => unreachable!("a word register holds its lattice's words"),
-    }
-}
-
 /// What a value variable's register holds, as an element.
 fn reg_elem<'s>(reg: Reg, st: &'s State<'_, '_>) -> ElemRef<'s> {
     match reg {
@@ -1372,12 +1348,12 @@ fn reg_elem<'s>(reg: Reg, st: &'s State<'_, '_>) -> ElemRef<'s> {
 
 fn set_reg(reg: Reg, e: Elem, lat: &LatticeData, st: &mut State<'_, '_>) {
     match (reg, e) {
-        (Reg::Word(slot), e) => st.enc[slot] = word_of(e.as_ref()),
-        (Reg::Boxed(slot), Elem::Boxed(v)) => st.boxed[slot] = Some(v),
-        (Reg::Boxed(slot), Elem::Word(w)) => {
-            let v = lat.value_of(ElemRef::Word(w), st.db.spill()).into_owned();
-            st.boxed[slot] = Some(v);
+        (Reg::Word(slot), Elem::Word(w)) => st.enc[slot] = w,
+        (Reg::Word(_), Elem::Boxed(_)) => {
+            unreachable!("a word register is met by a declared kind, whose glb is a word")
         }
+        (Reg::Boxed(slot), Elem::Boxed(v)) => st.boxed[slot] = Some(v),
+        (Reg::Boxed(slot), Elem::Word(w)) => st.boxed[slot] = Some(lat.decode(w, st.db.spill())),
     }
 }
 
@@ -1543,35 +1519,20 @@ fn build_head_key(srcs: &[HeadSrc], st: &mut State<'_, '_>) -> bool {
 }
 
 /// Would joining the current lattice candidate — its encoded key already
-/// in the key buffer, a word lattice's element as `word` — leave the
-/// database unchanged? Mirrors the insert against the evaluation-time
-/// snapshot — a candidate `⊑` its stored cell — plus the plan-local
-/// shadow of what this execution has already emitted for the cell, which
-/// catches within-round repeats. Conservative on every edge (missing
-/// cell, a `leq`/`lub` that errs): answer `false` and let the real
-/// insert decide — inserts are monotone within a round, so a candidate
-/// subsumed now stays subsumed.
-fn is_subsumed(plan: &Plan, word: Option<u64>, st: &mut State<'_, '_>) -> bool {
+/// in the key buffer, its element's word `word` — leave the database
+/// unchanged? Mirrors the insert against the evaluation-time snapshot — a
+/// candidate `⊑` its stored cell — plus the plan-local shadow of what
+/// this execution has already emitted for the cell, which catches
+/// within-round repeats. Conservative on every edge (missing cell, a
+/// `leq`/`lub` that errs or answers what has no word yet): answer `false`
+/// and let the real insert decide — inserts are monotone within a round,
+/// so a candidate subsumed now stays subsumed.
+fn is_subsumed(plan: &Plan, word: u64, st: &mut State<'_, '_>) -> bool {
     let db = st.db;
     let PredData::Lat(lat) = db.pred(plan.head_pred) else {
         unreachable!("the pre-check is compiled for lattice heads only");
     };
-    let decoded;
-    let cand = match word {
-        Some(word) => ElemRef::Word(word),
-        None => ElemRef::Boxed(match &plan.head[plan.key_cols] {
-            HeadSrc::Lit(v, _) => v,
-            HeadSrc::Var(ArgSrc::Boxed(s)) => st.boxed[*s].as_ref().expect("statically bound"),
-            HeadSrc::App(_) => match st.app.as_ref() {
-                Some(Elem::Boxed(v)) => v,
-                _ => unreachable!("a boxed lattice's application is boxed"),
-            },
-            other => {
-                decoded = head_value(other, None, st);
-                &decoded
-            }
-        }),
-    };
+    let cand = ElemRef::Word(word);
     // The shadow cell is what this cell is at least going to hold by the
     // time the insert loop reaches the current candidate; it starts as
     // the stored cell and absorbs every candidate this execution lets
@@ -1586,14 +1547,14 @@ fn is_subsumed(plan: &Plan, word: Option<u64>, st: &mut State<'_, '_>) -> bool {
             return false;
         };
         st.lat_hit_id = id;
-        return matches!(lat.leq(cand, lat.elem(id), spill), Ok(true));
+        return matches!(lat.leq(cand, lat.cell(id), spill), Ok(true));
     };
     if let Some((id, shadow)) = st.shadow_cells.get_mut(&skey) {
         st.lat_hit_id = *id;
-        return match lat.leq(cand, shadow.as_ref(), spill) {
+        return match lat.leq(cand, *shadow, spill) {
             Ok(true) => true,
             Ok(false) => {
-                if let Ok(joined) = lat.lub(shadow.as_ref(), cand, spill) {
+                if let Ok(Elem::Word(joined)) = lat.lub(*shadow, word, spill) {
                     *shadow = joined;
                 }
                 false
@@ -1604,16 +1565,16 @@ fn is_subsumed(plan: &Plan, word: Option<u64>, st: &mut State<'_, '_>) -> bool {
     // First sighting of this cell: seed the shadow from the stored cell
     // (or the candidate itself when there is none).
     let hit = lat.id_of_encoded(&st.key_buf);
-    match hit.map(|id| (id, lat.elem(id))) {
+    match hit.map(|id| (id, lat.cell(id))) {
         Some((id, cell)) => {
             st.lat_hit_id = id;
             match lat.leq(cand, cell, spill) {
                 Ok(true) => {
-                    st.shadow_cells.insert(skey, (id, cell.to_owned()));
+                    st.shadow_cells.insert(skey, (id, cell));
                     true
                 }
                 Ok(false) => {
-                    if let Ok(joined) = lat.lub(cell, cand, spill) {
+                    if let Ok(Elem::Word(joined)) = lat.lub(cell, word, spill) {
                         st.shadow_cells.insert(skey, (id, joined));
                     }
                     false
@@ -1622,7 +1583,7 @@ fn is_subsumed(plan: &Plan, word: Option<u64>, st: &mut State<'_, '_>) -> bool {
             }
         }
         None => {
-            st.shadow_cells.insert(skey, (NO_ID, cand.to_owned()));
+            st.shadow_cells.insert(skey, (NO_ID, word));
             false
         }
     }
@@ -1636,7 +1597,7 @@ fn emit(plan: &Plan, st: &mut State<'_, '_>) {
     // The head's encoded columns are built once: the lattice pre-check
     // reads them, and so does the word run. A value the store has never
     // seen (`build_head_key` fails) cannot equal any stored row — and
-    // must take the materialized tuple, whose insert interns it. A word
+    // must take the materialized tuple, whose insert interns it. A
     // lattice's element leaves as its word, or — with no word yet —
     // materialized the same way.
     let mut encoded = build_head_key(&plan.head[..plan.key_cols], st);
@@ -1648,28 +1609,20 @@ fn emit(plan: &Plan, st: &mut State<'_, '_>) {
         }
         _ => None,
     };
-    // Emit-side dedup of lattice candidates: one the database already
-    // subsumes would be dropped as `Unchanged` by the insert loop;
-    // suppress it here instead. Counted, so `facts_derived` stays the
-    // gross count.
-    if encoded && plan.precheck && is_subsumed(plan, word, st) {
-        st.suppressed += 1;
-        return;
+    if let Some(word) = word {
+        // Emit-side dedup of lattice candidates: one the database already
+        // subsumes would be dropped as `Unchanged` by the insert loop;
+        // suppress it here instead. Counted, so `facts_derived` stays the
+        // gross count.
+        if plan.precheck && is_subsumed(plan, word, st) {
+            st.suppressed += 1;
+            return;
+        }
+        st.out.cell_ids.push(st.lat_hit_id);
     }
     if encoded {
         st.out.words.extend_from_slice(&st.key_buf);
-        if let Some(val_src) = plan.head.get(plan.key_cols) {
-            st.out.cell_ids.push(st.lat_hit_id);
-            // The head's application is spent here: moved, not cloned.
-            match (word, st.app.take()) {
-                (Some(word), _) => st.out.words.push(word),
-                (None, Some(Elem::Boxed(value))) => st.out.cells.push(value),
-                (None, _) => {
-                    let value = head_value(val_src, None, st);
-                    st.out.cells.push(value);
-                }
-            }
-        }
+        st.out.words.extend(word);
     } else {
         let elems = |col: usize| plan.cell.as_ref().filter(|_| col >= plan.key_cols);
         let head = plan.head.iter().enumerate();
@@ -1684,30 +1637,22 @@ fn emit(plan: &Plan, st: &mut State<'_, '_>) {
 
 /// Fills a plan's premise template in from the registers — glb-rebound
 /// lattice witnesses included — at the end of the arena: one word per
-/// template entry, and — filed under the derivation's number, when there
-/// are any — its side values.
+/// template entry. An element with no word yet holds a placeholder there,
+/// which the round's absorb overwrites with the element's interned word
+/// before it logs the derivation ([`Derivations::premise_elems`]).
 fn copy_premises(template: &[PremiseSrc], st: &mut State<'_, '_>) {
-    let out = &mut *st.out;
-    let side = out.premise_side.len();
     for src in template {
-        let boxed = |slot: &usize| st.boxed[*slot].as_ref().expect("statically bound");
         let word = match src {
             PremiseSrc::Word(word) => *word,
             PremiseSrc::Slot(slot) => st.enc[*slot],
-            PremiseSrc::BoxedValue(slot) => {
-                out.premise_side.push(boxed(slot).clone());
-                SLOT_SIDE
-            }
-            PremiseSrc::Side(value) => {
-                out.premise_side.push(value.clone());
-                SLOT_SIDE
+            PremiseSrc::Elem(pred, arg) => {
+                let at = st.out.premise_words.len();
+                let value = arg_value(arg, st);
+                st.out.premise_elems.push((at, *pred, value));
+                SLOT_WILDCARD
             }
         };
-        out.premise_words.push(word);
-    }
-    let side = out.premise_side.len() - side;
-    if side > 0 {
-        out.premise_sides.push((out.len, side as u32));
+        st.out.premise_words.push(word);
     }
 }
 
@@ -1715,7 +1660,7 @@ fn copy_premises(template: &[PremiseSrc], st: &mut State<'_, '_>) {
 /// existence-only form of [`apply_val`]: nothing is rebound.
 fn val_holds(
     val: &ValSpec,
-    cell: ElemRef<'_>,
+    cell: u64,
     lat: &LatticeData,
     st: &State<'_, '_>,
 ) -> Result<bool, OpsPanic> {
@@ -1735,14 +1680,10 @@ fn val_holds(
 /// `Wild`, which needs no cell: every relational atom, whose predicate
 /// has no value column, and a lattice atom that ignores it.
 #[inline(always)]
-fn cell_for<'a>(
-    val: &ValSpec,
-    data: &'a PredData,
-    id: u32,
-) -> Option<(ElemRef<'a>, &'a LatticeData)> {
+fn cell_for<'a>(val: &ValSpec, data: &'a PredData, id: u32) -> Option<(u64, &'a LatticeData)> {
     match (val, data) {
         (ValSpec::Wild, _) => None,
-        (_, PredData::Lat(lat)) => Some((lat.elem(id), lat)),
+        (_, PredData::Lat(lat)) => Some((lat.cell(id), lat)),
         (_, PredData::Rel(_)) => unreachable!("compiled against predicate kinds"),
     }
 }
@@ -1759,7 +1700,7 @@ fn for_each_row<'a, 'o>(
     access: &Access,
     ops: &[RowOp],
     st: &mut State<'a, 'o>,
-    mut visit: impl FnMut(&mut State<'a, 'o>, &'a PredData, u32, Option<&'a Elem>) -> bool,
+    mut visit: impl FnMut(&mut State<'a, 'o>, &'a PredData, u32, Option<u64>) -> bool,
 ) {
     let data = st.db.pred(pred);
     let cols = data.columns();
@@ -1800,7 +1741,8 @@ fn for_each_row<'a, 'o>(
             for (n, &id) in rows.ids.iter().enumerate() {
                 // The value this change reached; a seed `∆` carries none
                 // and the cell is read as stored.
-                if ops_match(ops, cols, id, st) && !visit(st, data, id, rows.values.get(n)) {
+                if ops_match(ops, cols, id, st) && !visit(st, data, id, rows.values.get(n).copied())
+                {
                     return;
                 }
             }
@@ -1838,7 +1780,7 @@ fn step(plan: &Plan, i: usize, st: &mut State<'_, '_>) {
                 match cell_for(val, data, id) {
                     None => step(plan, i + 1, st),
                     Some((cell, lat)) => {
-                        let cell = reached.map_or(cell, Elem::as_ref);
+                        let cell = reached.unwrap_or(cell);
                         apply_val(plan, i + 1, val, cell, lat, st)
                     }
                 }

@@ -254,12 +254,12 @@ impl LatticeOps {
     /// same string is refused when built
     /// ([`ProgramError::ForeignWordForms`]).
     ///
-    /// A lattice that declares no kind, whose ⊥ has a slot its program's
-    /// names fix ([`Names::slot`]), and which has these forms keeps its
-    /// cells as slots and joins them with the forms, under the same law
-    /// sentinels as a boxed lattice (DESIGN §15); a variable standing for
-    /// one of its elements is an ordinary slot, which a function's word
-    /// form reads.
+    /// A lattice that declares no kind keeps its cells as slots, ⊥'s
+    /// fixed by its program's names ([`Names::slot`]), whether or not it
+    /// has these forms; with them it joins its cells with the forms, under
+    /// the same law sentinels as its closures (DESIGN §15). A variable
+    /// standing for one of its elements is an ordinary slot, which a
+    /// function's word form reads.
     /// A declared kind takes precedence over the forms.
     ///
     /// [`ProgramBuilder::word_form`]: crate::ProgramBuilder::word_form

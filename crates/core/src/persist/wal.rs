@@ -175,7 +175,7 @@ fn decode_frame(payload: &[u8]) -> Result<Delta, String> {
                 }
             }
         };
-        delta.push_op(op);
+        delta = delta.op(op);
     }
     if !r.is_done() {
         return Err("frame payload has trailing bytes".to_string());

@@ -171,7 +171,7 @@ impl Program {
         funcs: Vec<FuncDef>,
         raw_rules: Vec<RawRule>,
         facts: Vec<(PredId, Vec<Value>)>,
-        names: Names,
+        mut names: Names,
     ) -> Result<Program, ProgramError> {
         let pred_names: HashMap<Arc<str>, PredId> = preds
             .iter()
@@ -189,6 +189,11 @@ impl Program {
                     lattice: ops.name().to_string(),
                 });
             }
+        }
+        // Every lattice's ⊥ gets its slot in every store of the program:
+        // a cell's word is compared to it (`KindWords::of`).
+        for ops in preds.iter().filter_map(PredDecl::lattice_ops) {
+            names.intern_value(ops.bottom());
         }
 
         for (pred, values) in &facts {

@@ -23,16 +23,15 @@
 //! struct-of-arrays columns — its predicate, its rule, and a run of `u64`
 //! words: the slots of the head's key, then per premise the premise's
 //! predicate and one slot per pattern column, in the fact store's own
-//! slot encoding (`database.rs`). A lattice whose cells are words (a
-//! declared built-in kind) has its elements logged as their words too:
-//! the joined cell value after the head's key, a premise's value column
-//! in place. Two slot tags that no value encodes to mark a wildcard
-//! value column and a value column whose value has no word; that value
-//! sits, in order, in a side column of [`Value`]s beside the words. The
-//! side column holds the joined cell value of a boxed lattice's head and
-//! the value column of a boxed lattice's premise; a key column is always
-//! the slot of the row its atom matched. Recording an
-//! event therefore copies words the evaluator already holds and allocates
+//! slot encoding (`database.rs`). A lattice's elements are logged as
+//! their words, as its cells hold them: the joined cell value after the
+//! head's key, a premise's value column in place. A slot tag that no
+//! value encodes to marks a wildcard value column; a key column is
+//! always the slot of the row its atom matched. The log holds words
+//! only: a premise's element the evaluator held as a value (a
+//! glb-rebound witness) is interned by the round's absorb, which holds
+//! the store mutably, when it copies the premise in. Recording an event
+//! therefore copies words the evaluator already holds and allocates
 //! nothing beyond the columns' growth — which comes a block of 4 096
 //! events at a time, each allocated at the size the last one reached, so
 //! a growing log never copies what it holds. `explain` walks the encoded
@@ -70,9 +69,7 @@
 //! DESIGN §16 states the merge policy that keeps the segment count
 //! logarithmic.
 
-use crate::database::{
-    decode, Columns, Elem, ElemRef, KindWords, SpillTable, SLOT_SIDE, SLOT_WILDCARD,
-};
+use crate::database::{decode, Columns, KindWords, SpillTable, SLOT_WILDCARD};
 use crate::fxhash::FxHasher;
 use crate::program::Program;
 use crate::{PredId, Value};
@@ -188,8 +185,8 @@ pub(crate) fn fact_key<'a, T>(is_lat: &[bool], pred: PredId, tuple: &'a [T]) -> 
 pub(crate) type Pos = (u32, u32);
 
 /// What the words of a log mean: per predicate, how many key slots a
-/// fact of it has, whether a lattice value follows them, and whether that
-/// value is a word — of these words — or a side value.
+/// fact of it has, whether a lattice value follows them, and the words
+/// of that lattice.
 #[derive(Debug)]
 pub(crate) struct Shape {
     key_cols: Vec<usize>,
@@ -210,10 +207,7 @@ impl Shape {
             elems: program
                 .preds
                 .iter()
-                .map(|d| {
-                    d.lattice_ops()
-                        .and_then(|ops| KindWords::of(ops, &program.names))
-                })
+                .map(|d| Some(KindWords::of(d.lattice_ops()?, &program.names)))
                 .collect(),
         })
     }
@@ -227,27 +221,16 @@ impl Shape {
         self.key_cols[pred.0 as usize]
     }
 
-    /// The words of `pred`'s lattice, when its elements are logged as
-    /// words.
-    fn elems(&self, pred: PredId) -> Option<&KindWords> {
-        self.elems[pred.0 as usize].as_ref()
-    }
-
     /// How many words a fact of `pred` concludes with: its key's, and a
-    /// word lattice's element.
+    /// lattice's element.
     fn head_words(&self, pred: PredId) -> usize {
-        self.key_cols(pred) + self.elems(pred).is_some() as usize
+        self.key_cols(pred) + self.is_lat[pred.0 as usize] as usize
     }
 
     /// A logged element of `pred`'s lattice, decoded.
-    fn decode(&self, pred: PredId, value: ElemRef<'_>, spill: &SpillTable) -> Value {
-        match value {
-            ElemRef::Boxed(v) => v.clone(),
-            ElemRef::Word(w) => self
-                .elems(pred)
-                .expect("words of a word lattice")
-                .decode(w, spill),
-        }
+    fn decode(&self, pred: PredId, word: u64, spill: &SpillTable) -> Value {
+        let elems = self.elems[pred.0 as usize].as_ref();
+        elems.expect("a lattice's element").decode(word, spill)
     }
 }
 
@@ -270,7 +253,7 @@ fn fact_hash(pred: PredId, key: &[u64]) -> u64 {
     hasher.finish()
 }
 
-/// An offset into a block's words or side values.
+/// An offset into a block's words.
 fn offset(len: usize) -> u32 {
     u32::try_from(len).expect("a log block holds fewer than 2^32 words")
 }
@@ -296,11 +279,10 @@ struct Block {
     pred: Vec<u32>,
     /// Per event: the rule that derived it, or [`NO_RULE`].
     rule: Vec<u32>,
-    /// Per event: where its words and its side values end (they start
-    /// where the previous event's end).
-    ends: Vec<(u32, u32)>,
+    /// Per event: where its words end (they start where the previous
+    /// event's end).
+    ends: Vec<u32>,
     words: Vec<u64>,
-    side: Vec<Value>,
 }
 
 /// What [`Segment::index`] builds: offsets into the segment's events by
@@ -366,10 +348,10 @@ pub(crate) struct EventRef<'a> {
     /// The slots that identify the concluded fact: a relation's tuple, a
     /// lattice cell's key.
     pub(crate) key: &'a [u64],
-    /// The value the cell was joined to, for a lattice predicate.
-    value: Option<ElemRef<'a>>,
+    /// The word of the value the cell was joined to, for a lattice
+    /// predicate.
+    value: Option<u64>,
     premise_words: &'a [u64],
-    premise_side: &'a [Value],
     shape: &'a Shape,
 }
 
@@ -382,7 +364,6 @@ impl<'a> EventRef<'a> {
     pub(crate) fn premises(&self) -> Premises<'a> {
         Premises {
             words: self.premise_words,
-            side: self.premise_side,
             shape: self.shape,
         }
     }
@@ -396,11 +377,7 @@ impl<'a> EventRef<'a> {
 
     /// Whether the cell was joined to `value`.
     pub(crate) fn joined_to(&self, value: &Value, spill: &SpillTable) -> bool {
-        match self.value {
-            Some(ElemRef::Boxed(v)) => v == value,
-            Some(word) => self.shape.decode(self.pred, word, spill) == *value,
-            None => false,
-        }
+        (self.value).is_some_and(|word| self.shape.decode(self.pred, word, spill) == *value)
     }
 
     pub(crate) fn decode(&self, spill: &SpillTable) -> Event {
@@ -421,7 +398,6 @@ impl<'a> EventRef<'a> {
 /// The premises of one stored event.
 pub(crate) struct Premises<'a> {
     words: &'a [u64],
-    side: &'a [Value],
     shape: &'a Shape,
 }
 
@@ -434,15 +410,12 @@ impl<'a> Iterator for Premises<'a> {
         let key_cols = self.shape.key_cols(pred);
         let width = key_cols + self.shape.is_lat[pred.0 as usize] as usize;
         let (pattern, rest) = rest.split_at(width);
-        let in_side = pattern.iter().filter(|&&slot| slot == SLOT_SIDE).count();
-        let (side, later) = self.side.split_at(in_side);
-        (self.words, self.side) = (rest, later);
+        self.words = rest;
         Some(PremiseRef {
             pred,
             pattern,
-            side,
             key_cols,
-            elems: self.shape.elems(pred),
+            elems: self.shape.elems[pred.0 as usize].as_ref(),
         })
     }
 }
@@ -452,11 +425,8 @@ pub(crate) struct PremiseRef<'a> {
     pub(crate) pred: PredId,
     /// One slot per column of the premise's predicate.
     pattern: &'a [u64],
-    /// The values of the columns marked [`SLOT_SIDE`], in column order.
-    side: &'a [Value],
     key_cols: usize,
-    /// The words of the predicate's lattice, when its value column holds
-    /// its element's word.
+    /// The words of the predicate's lattice; `None` for a relation.
     elems: Option<&'a KindWords>,
 }
 
@@ -465,20 +435,16 @@ impl PremiseRef<'_> {
     /// the row its atom matched.
     pub(crate) fn key(&self) -> &[u64] {
         let key = &self.pattern[..self.key_cols];
-        let marked = |slot: &u64| *slot == SLOT_WILDCARD || *slot == SLOT_SIDE;
+        let marked = |slot: &u64| *slot == SLOT_WILDCARD;
         debug_assert!(!key.iter().any(marked), "a key logs the row it matched");
         key
     }
 
     fn decode(&self, spill: &SpillTable) -> Premise {
-        let mut side = self.side.iter();
         let column = |(col, &slot): (usize, &u64)| match slot {
             SLOT_WILDCARD => None,
-            SLOT_SIDE => Some(side.next().expect("one per marker").clone()),
             word if col == self.key_cols => {
-                let elems = self
-                    .elems
-                    .expect("a value column's word is a word lattice's");
+                let elems = self.elems.expect("a value column is a lattice's");
                 Some(elems.decode(word, spill))
             }
             slot => Some(decode(slot, spill)),
@@ -504,74 +470,43 @@ impl Block {
             rule: Vec::with_capacity(BLOCK_EVENTS),
             ends: Vec::with_capacity(BLOCK_EVENTS),
             words: Vec::with_capacity(room(like.words.len())),
-            side: Vec::with_capacity(room(like.side.len())),
         }
     }
 
-    /// Where the words and the side values of event `at` start.
-    fn starts(&self, at: usize) -> (u32, u32) {
-        at.checked_sub(1).map_or((0, 0), |before| self.ends[before])
+    /// Where the words of event `at` start.
+    fn start(&self, at: usize) -> u32 {
+        at.checked_sub(1).map_or(0, |before| self.ends[before])
     }
 
     fn event<'a>(&'a self, shape: &'a Shape, at: usize) -> EventRef<'a> {
-        let (words, side) = self.starts(at);
-        let (words_end, side_end) = self.ends[at];
         let pred = PredId(self.pred[at]);
-        let words = &self.words[words as usize..words_end as usize];
-        let side = &self.side[side as usize..side_end as usize];
+        let words = &self.words[self.start(at) as usize..self.ends[at] as usize];
         let (head, premise_words) = words.split_at(shape.head_words(pred));
         let key = &head[..shape.key_cols(pred)];
-        let (value, premise_side) = match head.get(key.len()) {
-            Some(&word) => (Some(ElemRef::Word(word)), side),
-            None if shape.is_lat[pred.0 as usize] => {
-                let (value, rest) = side.split_first().expect("a lattice event has its value");
-                (Some(ElemRef::Boxed(value)), rest)
-            }
-            None => (None, side),
-        };
         EventRef {
             pred,
             rule: self.rule[at],
             key,
-            value,
+            value: head.get(key.len()).copied(),
             premise_words,
-            premise_side,
             shape,
         }
     }
 
-    /// Appends a head's lattice value: a word lattice's after the key's
-    /// words, a boxed one to the side values.
-    fn push_value(&mut self, value: Option<ElemRef<'_>>) {
-        match value {
-            Some(ElemRef::Word(word)) => self.words.push(word),
-            Some(ElemRef::Boxed(v)) => self.side.push(v.clone()),
-            None => {}
-        }
-    }
-
-    /// Ends the event whose predicate, rule, words and side values were
-    /// just appended.
+    /// Ends the event whose predicate, rule and words were just appended.
     fn close_event(&mut self) {
-        self.ends
-            .push((offset(self.words.len()), offset(self.side.len())));
+        self.ends.push(offset(self.words.len()));
     }
 
     /// Appends the events `events` of `other`: column concatenation.
     fn extend_from(&mut self, other: &Block, events: std::ops::Range<usize>) {
-        let (words, side) = other.starts(events.start);
-        let (words_end, side_end) = other.starts(events.end);
-        let (to_words, to_side) = (self.words.len(), self.side.len());
+        let (words, words_end) = (other.start(events.start), other.start(events.end));
+        let to_words = self.words.len();
         self.pred.extend_from_slice(&other.pred[events.clone()]);
         self.rule.extend_from_slice(&other.rule[events.clone()]);
         self.words
             .extend_from_slice(&other.words[words as usize..words_end as usize]);
-        self.side
-            .extend_from_slice(&other.side[side as usize..side_end as usize]);
-        let rebased = |&(w, s): &(u32, u32)| {
-            let (w, s) = ((w - words) as usize, (s - side) as usize);
-            (offset(to_words + w), offset(to_side + s))
-        };
+        let rebased = |&w: &u32| offset(to_words + (w - words) as usize);
         self.ends.extend(other.ends[events].iter().map(rebased));
     }
 }
@@ -821,39 +756,32 @@ impl OpenLog {
             return;
         }
         let words = facts.iter().map(|(pred, _)| self.shape.head_words(*pred));
-        let valued = facts.iter().filter(|(pred, _)| {
-            self.shape.is_lat[pred.0 as usize] && self.shape.elems(*pred).is_none()
-        });
         self.tail.blocks.push(Block {
             pred: Vec::with_capacity(facts.len()),
             rule: Vec::with_capacity(facts.len()),
             ends: Vec::with_capacity(facts.len()),
             words: Vec::with_capacity(words.sum()),
-            side: Vec::with_capacity(valued.count()),
         });
     }
 
     /// Records one database-changing insertion: the head's key slots,
     /// read from row `id` of its predicate's columns; for a lattice cell
-    /// the value it was `raised` to; and the premise words and side
-    /// values the evaluator recorded (the values are moved out, leaving
-    /// units behind).
+    /// the word of the value it was `raised` to; and the premise words
+    /// the evaluator recorded.
     pub(crate) fn record(
         &mut self,
         pred: PredId,
         rule: Option<usize>,
         (head, id): (&Columns, u32),
-        raised: Option<&Elem>,
-        (premise_words, premise_side): (&[u64], &mut [Value]),
+        raised: Option<u64>,
+        premise_words: &[u64],
     ) {
         let block = self.tail.open_block();
         block.pred.push(pred.0);
         block.rule.push(rule_column(rule));
         block.words.extend(head.slots(id));
-        block.push_value(raised.map(Elem::as_ref));
+        block.words.extend(raised);
         block.words.extend_from_slice(premise_words);
-        let premise_side = premise_side.iter_mut().map(std::mem::take);
-        block.side.extend(premise_side);
         block.close_event();
     }
 
@@ -879,11 +807,10 @@ impl OpenLog {
             block.pred.push(event.pred.0);
             block.rule.push(rule_column(event.rule().map(&origin)));
             block.words.extend_from_slice(event.key);
-            block.push_value(event.value);
+            block.words.extend(event.value);
             for premise in event.premises().filter(|p| keep(p.pred)) {
                 block.words.push(premise.pred.0 as u64);
                 block.words.extend_from_slice(premise.pattern);
-                block.side.extend_from_slice(premise.side);
             }
             block.close_event();
         }
@@ -1113,7 +1040,10 @@ mod tests {
         let solved = solver.solve(&program).expect("solves");
         let (matched, met) = (set(&[1, 2]), set(&[2]));
         let derived = [Value::from(1), met.clone()];
-        assert_eq!(slot_of(&met, &solved), None, "never a key: no slot");
+        assert!(
+            !solved.contains("Q", std::slice::from_ref(&met)),
+            "never a key"
+        );
         let logged = decoded(&solved);
         let event = logged.iter().find(|e| e.tuple == derived);
         let Source::Rule { premises, .. } = &event.expect("logged").source else {

@@ -17,7 +17,7 @@
 
 use crate::ast::{PredKind, ProgramError};
 use crate::database::{
-    decode, try_encode_row, Batch, Database, Elem, InsertFault, InsertOutcome, PredData,
+    decode, try_encode_row, Batch, Database, InsertFault, InsertOutcome, PredData,
 };
 use crate::demand::Query;
 use crate::fxhash::FxHashSet;
@@ -881,7 +881,7 @@ impl<'a> Run<'a> {
         }
         if let Some(log) = self.events.as_mut() {
             let head = (batch.pred(pred).columns(), id);
-            log.record(pred, None, head, raised.as_ref(), (&[], &mut []));
+            log.record(pred, None, head, raised, &[]);
         }
         if let Some(pending) = self.pending.as_mut() {
             pending[pred.0 as usize].push(id);
@@ -1190,28 +1190,22 @@ impl<'a> Run<'a> {
         for heads in &runs {
             let (rule, pred) = (heads.rule as usize, heads.pred);
             let data = batch.pred(pred);
-            let cell = match data {
-                PredData::Rel(_) => None,
-                PredData::Lat(lat) => Some(lat.kind_words().is_some()),
-            };
-            let shape = (pred, data.columns().arity(), cell);
+            let shape = (
+                pred,
+                data.columns().arity(),
+                matches!(data, PredData::Lat(_)),
+            );
+            let fault = |fault| insert_fault_error(self.program, pred, Some(rule), fault);
             for _ in 0..heads.rows {
                 self.stats.facts_derived += 1;
-                // This derivation's premise run (empty with provenance off).
+                // This derivation's premise run (empty with provenance off),
+                // and the elements in it that wait for a word.
                 let words = at.premise_words..at.premise_words + heads.premise_words as usize;
                 at.premise_words = words.end;
-                let mut side = at.premise_side..at.premise_side;
-                if let Some(&(_, count)) = buf
-                    .premise_sides
-                    .get(at.premise_sides)
-                    .filter(|&&(of, _)| of == at.n)
-                {
-                    side.end += count as usize;
-                    at.premise_sides += 1;
-                    at.premise_side = side.end;
-                }
-                let outcome = insert_next(&mut batch, shape, buf, &mut at)
-                    .map_err(|fault| insert_fault_error(self.program, pred, Some(rule), fault))?;
+                let elems = at.premise_elems;
+                let waiting = buf.premise_elems[elems..].iter();
+                at.premise_elems += waiting.take_while(|(of, ..)| words.contains(of)).count();
+                let outcome = insert_next(&mut batch, shape, buf, &mut at).map_err(fault)?;
                 let Some((id, raised)) = outcome.into_change() else {
                     continue;
                 };
@@ -1224,9 +1218,12 @@ impl<'a> Run<'a> {
                     self.solver.check_ascent(self.program, &mut batch, pred, id);
                 }
                 if let Some(log) = self.events.as_mut() {
+                    for (of, elem_pred, value) in &buf.premise_elems[elems..at.premise_elems] {
+                        let word = batch.intern_elem(*elem_pred, value).map_err(fault)?;
+                        buf.premise_words[*of] = word;
+                    }
                     let head = (batch.pred(pred).columns(), id);
-                    let premises = (&buf.premise_words[words], &mut buf.premise_side[side]);
-                    log.record(pred, Some(rule), head, raised.as_ref(), premises);
+                    log.record(pred, Some(rule), head, raised, &buf.premise_words[words]);
                 }
                 let rows = &mut changes[pred.0 as usize];
                 rows.ids.push(id);
@@ -1625,18 +1622,19 @@ pub(crate) struct Heads {
 /// The derivations of one round (or of one worker's share of it), in
 /// derivation order, as word runs: per task a [`Heads`] header, and per
 /// derived head its slots in `words` — a relation's columns; a lattice
-/// head's key columns and, when its cells are words, the cell's word. A
-/// relational head the store already holds costs its arity in words
-/// here, and one membership test in [`Run::absorb`].
+/// head's key columns and its element's word. A relational head the
+/// store already holds costs its arity in words here, and one membership
+/// test in [`Run::absorb`].
 ///
 /// What has no word goes in side vectors, in derivation order, which
-/// the relational word path leaves empty: a boxed lattice's cell; the
-/// cell id the plan resolved, per lattice head ([`NO_ID`] when it did
-/// not); a head with a value the store has never seen, as a tuple with
-/// its derivation's number, and no words. With provenance recorded, each
-/// derivation's premise run is in the arena (see [`crate::provenance`]):
-/// its words, as many as its [`Heads`] says, and its side values, whose
-/// count a derivation that has any files with its number.
+/// the relational word path leaves empty: the cell id the plan resolved,
+/// per lattice head ([`NO_ID`] when it did not); a head with a value the
+/// store has never seen, as a tuple with its derivation's number, and no
+/// words. With provenance recorded, each derivation's premise run is in
+/// the arena (see [`crate::provenance`]): its words, as many as its
+/// [`Heads`] says, and, in `premise_elems`, each element a plan held
+/// boxed, with its lattice predicate and its word's place in the arena,
+/// which [`Run::absorb`] fills in when it logs the derivation.
 ///
 /// [`NO_ID`]: crate::database::NO_ID
 #[derive(Default)]
@@ -1645,12 +1643,10 @@ pub(crate) struct Derivations {
     pub(crate) words: Vec<u64>,
     /// How many heads the runs hold, the task in progress's included.
     pub(crate) len: u32,
-    pub(crate) cells: Vec<Value>,
     pub(crate) cell_ids: Vec<u32>,
     pub(crate) tuples: Vec<(u32, Vec<Value>)>,
-    pub(crate) premise_sides: Vec<(u32, u32)>,
     pub(crate) premise_words: Vec<u64>,
-    pub(crate) premise_side: Vec<Value>,
+    pub(crate) premise_elems: Vec<(usize, PredId, Value)>,
 }
 
 impl Derivations {
@@ -1658,33 +1654,28 @@ impl Derivations {
         self.runs.clear();
         self.words.clear();
         self.len = 0;
-        self.cells.clear();
         self.cell_ids.clear();
         self.tuples.clear();
-        self.premise_sides.clear();
         self.premise_words.clear();
-        self.premise_side.clear();
+        self.premise_elems.clear();
     }
 
     /// Appends `later`'s derivations after these. Only the numbers a
-    /// derivation is filed under are rebased; everything else is read in
-    /// order.
+    /// derivation is filed under and the places in the premise arena are
+    /// rebased; everything else is read in order.
     fn append(&mut self, mut later: Derivations) {
         self.runs.append(&mut later.runs);
         self.words.append(&mut later.words);
-        self.cells.append(&mut later.cells);
         self.cell_ids.append(&mut later.cell_ids);
         let base = self.len;
         let tuples = later.tuples.into_iter().map(|(n, tuple)| (n + base, tuple));
         self.tuples.extend(tuples);
-        let sides = later
-            .premise_sides
-            .iter()
-            .map(|&(n, side)| (n + base, side));
-        self.premise_sides.extend(sides);
         self.len += later.len;
+        let base = self.premise_words.len();
+        let elems = later.premise_elems.into_iter();
+        let elems = elems.map(|(at, pred, value)| (at + base, pred, value));
+        self.premise_elems.extend(elems);
         self.premise_words.append(&mut later.premise_words);
-        self.premise_side.append(&mut later.premise_side);
     }
 }
 
@@ -1694,23 +1685,20 @@ impl Derivations {
 struct Cursor {
     n: u32,
     words: usize,
-    cells: usize,
     cell_ids: usize,
     tuples: usize,
-    premise_sides: usize,
     premise_words: usize,
-    premise_side: usize,
+    premise_elems: usize,
 }
 
 /// Inserts the head at `at` in `buf` into the store and moves `at` past
 /// it: a tuple through the decoded entry, a relational row through one
 /// find-or-insert walk, a lattice head through the encoded join. `keys`
-/// is the predicate's key columns; `cell` is `None` for a relation, and
-/// for a lattice whether its cells are words. A change names the row —
-/// all the event log and the next `∆` need.
+/// is the predicate's key columns, followed by a lattice's element. A
+/// change names the row — all the event log and the next `∆` need.
 fn insert_next(
     batch: &mut Batch<'_>,
-    (pred, keys, cell): (PredId, usize, Option<bool>),
+    (pred, keys, is_lat): (PredId, usize, bool),
     buf: &mut Derivations,
     at: &mut Cursor,
 ) -> Result<InsertOutcome, InsertFault> {
@@ -1723,18 +1711,13 @@ fn insert_next(
     }
     let key = &buf.words[at.words..at.words + keys];
     at.words += keys;
-    let Some(word) = cell else {
+    if !is_lat {
         return batch.insert_rel(pred, key);
-    };
-    let cell = if word {
-        at.words += 1;
-        Elem::Word(buf.words[at.words - 1])
-    } else {
-        at.cells += 1;
-        Elem::Boxed(std::mem::take(&mut buf.cells[at.cells - 1]))
-    };
+    }
+    at.words += 1;
     at.cell_ids += 1;
-    batch.join_lat(pred, key, buf.cell_ids[at.cell_ids - 1], cell)
+    let id = buf.cell_ids[at.cell_ids - 1];
+    batch.join_lat(pred, key, id, buf.words[at.words - 1])
 }
 
 /// The changes of one predicate that a semi-naïve round reads as `∆P`
@@ -1747,10 +1730,10 @@ pub(crate) struct DeltaRows {
     /// change order. A cell raised twice in one round is listed twice.
     pub(crate) ids: Vec<u32>,
     /// Lattice predicates, round-produced `∆` only: parallel to `ids`,
-    /// the value each change reached — the paper's `ga(P', S)` — in its
-    /// lattice's representation. Empty for a seed `∆`, whose cells are
-    /// read at their current value.
-    pub(crate) values: Vec<Elem>,
+    /// the word of the value each change reached — the paper's
+    /// `ga(P', S)`. Empty for a seed `∆`, whose cells are read at their
+    /// current value.
+    pub(crate) values: Vec<u64>,
 }
 
 /// Whether a per-predicate `∆` holds no rows: the fixed-point test.

@@ -320,8 +320,8 @@ pub fn check_filter_function(
 /// `samples`: for every sampled pair, `leq`, `lub` and `glb` must be what
 /// the kind computes on the pair's words, and the lattice's top, if it
 /// names one, must be the kind's ⊤. This is where the runtime law
-/// sentinels of §7 go for a lattice whose cells are words — the engine
-/// no longer calls its closures, so it checks once, up front, that they
+/// sentinels of §7 go for a lattice of a declared kind — the engine no
+/// longer calls its closures, so it checks once, up front, that they
 /// are the kind's (DESIGN §7). [`LatticeOps::check_kind`] runs it once
 /// per declaration, before the first solve of a program that uses it.
 pub(crate) fn check_kind(
@@ -334,9 +334,10 @@ pub(crate) fn check_kind(
         kind: kind.clone(),
         found,
     };
-    let Some(words) = KindWords::of(ops, &Names::default()) else {
+    if matches!(kind, LatticeKind::Flat { .. }) && ops.top().is_none() {
         return Err(mismatch("it has no top element".to_string()));
-    };
+    }
+    let words = KindWords::of(ops, &Names::default());
     let mut spill = SpillTable::default();
     let mut elems: Vec<(&Value, u64)> = Vec::new();
     for e in [ops.bottom()].into_iter().chain(ops.top()).chain(samples) {

@@ -8,8 +8,7 @@
 #![allow(dead_code)]
 
 use flix_core::{
-    BodyItem, Delta, DeltaOp, Head, HeadTerm, LatticeOps, Program, ProgramBuilder, Term, Value,
-    ValueLattice,
+    BodyItem, Delta, Head, HeadTerm, LatticeOps, Program, ProgramBuilder, Term, Value, ValueLattice,
 };
 use flix_lattice::MinCost;
 use flixd::Hooks;
@@ -74,11 +73,11 @@ pub fn parse_update(text: &str) -> Result<Delta, String> {
                     .map_err(|_| format!("bad value {p:?}"))
             })
             .collect::<Result<Vec<_>, _>>()?;
-        match op {
-            "+" => delta.push(predicate, tuple),
-            "-" => delta.push_op(DeltaOp::Retract { predicate, tuple }),
+        delta = match op {
+            "+" => delta.insert(predicate, tuple),
+            "-" => delta.retract(predicate, tuple),
             other => return Err(format!("bad op {other:?} (want + or -)")),
-        }
+        };
     }
     Ok(delta)
 }

@@ -27,6 +27,11 @@ use std::sync::Arc;
 /// capped.
 const MAX_PAYLOAD_SAMPLES: usize = 12;
 
+/// How many levels of nested enums a sample's payload descends through
+/// their payload cases; below that, a nested enum contributes its nullary
+/// cases only. Bounds the samples of a recursive enum.
+const MAX_SAMPLE_DEPTH: usize = 3;
+
 /// What [`check_lattices`] checked one lattice binding on.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Coverage {
@@ -99,13 +104,7 @@ fn sample_elements(checked: &CheckedProgram, enum_name: &str) -> (Vec<Value>, bo
             out.push(Value::tag0(case.as_str()));
             continue;
         }
-        let values = payload_samples(checked, payload, 2)
-            .into_iter()
-            .map(|combo| match <[Value; 1]>::try_from(combo) {
-                Ok([one]) => Value::tag(case.as_str(), one),
-                Err(combo) => Value::tag(case.as_str(), Value::tuple(combo)),
-            });
-        instantiations.push(values.collect::<Vec<_>>());
+        instantiations.push(instances(checked, case, payload, 2, MAX_SAMPLE_DEPTH));
     }
     let exhaustive = instantiations.is_empty();
     let rounds = instantiations.iter().map(Vec::len).max().unwrap_or(0);
@@ -114,12 +113,34 @@ fn sample_elements(checked: &CheckedProgram, enum_name: &str) -> (Vec<Value>, bo
     (out, exhaustive)
 }
 
+/// The elements `case(payload)` of an enum, the payload instantiated
+/// with [`payload_samples`].
+fn instances(
+    checked: &CheckedProgram,
+    case: &str,
+    payload: &[Type],
+    per_type: usize,
+    depth: usize,
+) -> Vec<Value> {
+    let combos = payload_samples(checked, payload, per_type, depth).into_iter();
+    let instance = |combo: Vec<Value>| match <[Value; 1]>::try_from(combo) {
+        Ok([one]) => Value::tag(case, one),
+        Err(combo) => Value::tag(case, Value::tuple(combo)),
+    };
+    combos.map(instance).collect()
+}
+
 /// Small sample values per type, combined across a payload (odometer over
-/// `per_type` choices per field).
-fn payload_samples(checked: &CheckedProgram, payload: &[Type], per_type: usize) -> Vec<Vec<Value>> {
+/// `per_type` choices per field); `depth` as for [`type_samples`].
+fn payload_samples(
+    checked: &CheckedProgram,
+    payload: &[Type],
+    per_type: usize,
+    depth: usize,
+) -> Vec<Vec<Value>> {
     let choices: Vec<Vec<Value>> = payload
         .iter()
-        .map(|t| type_samples(checked, t, per_type))
+        .map(|t| type_samples(checked, t, per_type, depth))
         .collect();
     let mut out = vec![Vec::new()];
     for field in choices {
@@ -136,28 +157,39 @@ fn payload_samples(checked: &CheckedProgram, payload: &[Type], per_type: usize) 
     out
 }
 
-fn type_samples(checked: &CheckedProgram, t: &Type, per_type: usize) -> Vec<Value> {
+/// Up to `per_type` small values of type `t`. A nested enum gives its
+/// nullary cases first, then — while `depth` levels of nesting remain —
+/// instantiations of its payload cases, so that an enum with no nullary
+/// case has samples too.
+fn type_samples(checked: &CheckedProgram, t: &Type, per_type: usize, depth: usize) -> Vec<Value> {
     let all = match t {
         Type::Int => vec![Value::Int(0), Value::Int(1), Value::Int(-1)],
         Type::Str => vec![Value::from("a"), Value::from("b")],
         Type::Bool => vec![Value::Bool(false), Value::Bool(true)],
         Type::Unit => vec![Value::Unit],
         Type::Enum(name) => {
-            // Nested enums contribute their nullary cases only.
-            let mut vals = Vec::new();
-            if let Some(info) = checked.enums.get(name) {
-                let mut cases: Vec<_> = info.cases.iter().collect();
-                cases.sort_by_key(|(n, _)| (*n).clone());
-                for (case, payload) in cases {
-                    if payload.is_empty() {
-                        vals.push(Value::tag0(case.as_str()));
-                    }
+            let Some(info) = checked.enums.get(name) else {
+                return Vec::new();
+            };
+            let mut cases: Vec<_> = info.cases.iter().collect();
+            cases.sort_by_key(|(n, _)| (*n).clone());
+            let (nullary, payload): (Vec<_>, Vec<_>) = cases
+                .into_iter()
+                .partition(|(_, payload)| payload.is_empty());
+            let mut vals: Vec<Value> = nullary
+                .into_iter()
+                .map(|(case, _)| Value::tag0(case.as_str()))
+                .collect();
+            for (case, payload) in payload {
+                if depth == 0 || vals.len() >= per_type {
+                    break;
                 }
+                vals.extend(instances(checked, case, payload, per_type, depth - 1));
             }
             vals
         }
         Type::Tuple(items) => {
-            return payload_samples(checked, items, per_type)
+            return payload_samples(checked, items, per_type, depth)
                 .into_iter()
                 .map(Value::tuple)
                 .take(per_type)

@@ -401,6 +401,42 @@ fn verify_checks_every_nullary_case_past_the_sample_cap() {
 }
 
 #[test]
+fn verify_instantiates_a_nested_enum_with_no_nullary_case() {
+    // `In` has no nullary case, so `Single`'s samples come from `In`'s
+    // payload case; `leq` fails reflexivity on every one of them.
+    let src = "
+        enum In { case V(Int) }
+        enum S { case Top, case Single(In), case Bot }
+        def leq(x: S, y: S): Bool = match (x, y) with {
+          case (S.Bot, _) => true
+          case (_, S.Top) => true
+          case _ => false
+        }
+        def lub(x: S, y: S): S = match (x, y) with {
+          case (S.Bot, z) => z
+          case (z, S.Bot) => z
+          case (S.Single(a), S.Single(b)) => if (a == b) S.Single(a) else S.Top
+          case _ => S.Top
+        }
+        def glb(x: S, y: S): S = match (x, y) with {
+          case (S.Top, z) => z
+          case (z, S.Top) => z
+          case (S.Single(a), S.Single(b)) => if (a == b) S.Single(a) else S.Bot
+          case _ => S.Bot
+        }
+        let S<> = (S.Bot, S.Top, leq, lub, glb);
+    ";
+    let file = write_temp("nested-no-nullary.flix", src);
+    let output = flixr().arg("--verify").arg(&file).output().expect("runs");
+    let stderr = String::from_utf8(output.stderr).expect("utf8");
+    assert_eq!(output.status.code(), Some(3), "{stderr}");
+    assert!(
+        stderr.contains("the S<> binding is not a lattice"),
+        "{stderr}"
+    );
+}
+
+#[test]
 fn verify_reports_what_each_binding_was_checked_on() {
     let parity = concat!(
         env!("CARGO_MANIFEST_DIR"),

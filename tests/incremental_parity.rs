@@ -200,7 +200,7 @@ fn shortest_paths_update_sequences_match_scratch() {
             let mut delta = Delta::new();
             for &(x, y, c) in chunk {
                 edges_so_far.push((x, y, c));
-                delta.push(
+                delta = delta.insert(
                     "Edge",
                     vec![(x as i64).into(), (y as i64).into(), (c as i64).into()],
                 );
@@ -262,15 +262,15 @@ fn df_delta(facts: &[DfFact]) -> Delta {
     let s = |x: &String| Value::from(x.as_str());
     let mut delta = Delta::new();
     for fact in facts {
-        match fact {
-            DfFact::New(a, b) => delta.push("New", vec![s(a), s(b)]),
-            DfFact::Assign(a, b) => delta.push("Assign", vec![s(a), s(b)]),
-            DfFact::Load(a, b, c) => delta.push("Load", vec![s(a), s(b), s(c)]),
-            DfFact::Store(a, b, c) => delta.push("Store", vec![s(a), s(b), s(c)]),
-            DfFact::Int(a, n) => delta.push("Int", vec![s(a), Value::Int(*n)]),
-            DfFact::Add(a, b, c) => delta.push("AddExp", vec![s(a), s(b), s(c)]),
-            DfFact::Div(a, b, c) => delta.push("DivExp", vec![s(a), s(b), s(c)]),
-        }
+        delta = match fact {
+            DfFact::New(a, b) => delta.insert("New", vec![s(a), s(b)]),
+            DfFact::Assign(a, b) => delta.insert("Assign", vec![s(a), s(b)]),
+            DfFact::Load(a, b, c) => delta.insert("Load", vec![s(a), s(b), s(c)]),
+            DfFact::Store(a, b, c) => delta.insert("Store", vec![s(a), s(b), s(c)]),
+            DfFact::Int(a, n) => delta.insert("Int", vec![s(a), Value::Int(*n)]),
+            DfFact::Add(a, b, c) => delta.insert("AddExp", vec![s(a), s(b), s(c)]),
+            DfFact::Div(a, b, c) => delta.insert("DivExp", vec![s(a), s(b), s(c)]),
+        };
     }
     delta
 }
@@ -362,7 +362,7 @@ fn ifds_update_sequences_match_scratch() {
             let upto = split + (step + 1) * (withheld / 2);
             let mut delta = Delta::new();
             for &(n, m) in &full_cfg[split + step * (withheld / 2)..upto] {
-                delta.push("CFG", vec![(n as i64).into(), (m as i64).into()]);
+                delta = delta.insert("CFG", vec![(n as i64).into(), (m as i64).into()]);
             }
             let mut scratch_graph = model.graph.clone();
             scratch_graph.cfg.truncate(upto);
@@ -429,7 +429,7 @@ fn mixed_update_sequences_match_scratch() {
             let mut delta = Delta::new();
             if let Some(edge) = pool.pop() {
                 current_edges.push(edge);
-                delta.push(
+                delta = delta.insert(
                     "Edge",
                     vec![
                         (edge.0 as i64).into(),

@@ -115,9 +115,7 @@ fn paths_program() -> Program {
 }
 
 fn edge_delta(x: i64, y: i64) -> Delta {
-    let mut delta = Delta::new();
-    delta.push("Edge", vec![x.into(), y.into()]);
-    delta
+    Delta::new().insert("Edge", vec![x.into(), y.into()])
 }
 
 /// Flip one mid-file bit with nothing but `std::fs` — the kind of

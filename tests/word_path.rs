@@ -44,7 +44,7 @@ use flix::lang::interp::lit_value;
 use flix::lang::typeck::{CheckedBodyItem, CheckedProgram};
 use flix::lang::Interpreter;
 use flix::lattice::rng::SmallRng;
-use flix::lattice::{Lattice, MinCost};
+use flix::lattice::{Lattice, MinCost, SuLattice};
 use flix::{
     save_snapshot, AscentConfig, AscentWarning, BodyItem, Delta, DeltaLog, DeltaOp, Head, HeadTerm,
     LatticeOps, Observer, Program, ProgramBuilder, Query, Solution, Solver, Term, Value,
@@ -1046,4 +1046,239 @@ fn word_forms_lowered_for_another_programs_names_are_refused() {
     let mut extended = own.names().clone();
     extended.intern("Elsewhere");
     assert!(moved(&extended).is_ok());
+}
+
+/// A lattice of sets of integers, as closures of no kind: its cells are
+/// the sets' slots, and a meet or a function may answer a set no cell
+/// holds.
+fn int_sets() -> LatticeOps {
+    let set = |v: &Value| v.as_set().expect("a set").clone();
+    LatticeOps::from_fns(
+        "IntSet",
+        Value::set([]),
+        None,
+        move |a, b| set(a).is_subset(&set(b)),
+        move |a, b| Value::set(set(a).union(&set(b)).cloned()),
+        move |a, b| Value::set(set(a).intersection(&set(b)).cloned()),
+    )
+}
+
+fn ints(items: &[i64]) -> Value {
+    Value::set(items.iter().map(|&n| Value::from(n)))
+}
+
+/// `A(k, s)`, `B(k, s)` over [`int_sets`], each rule reading both, so
+/// that `s` is rebound to `A(k) ⊓ B(k)`: `{1, 2} ⊓ {2, 3} = {2}` at `p`,
+/// a set no cell holds, and `{4}` at `q`, which `A(q)` holds. `heads`
+/// adds the rules that carry the witness; without them, only `Both(k)`
+/// reads it, and the witness reaches nothing but the premises it logs.
+fn glb_witness(heads: bool) -> (Program, Delta) {
+    let mut b = ProgramBuilder::new();
+    let on = b.relation("On", 1);
+    let a = b.lattice("A", 2, int_sets());
+    let bb = b.lattice("B", 2, int_sets());
+    for k in ["p", "q"] {
+        b.fact(on, vec![k.into()]);
+    }
+    b.fact(a, vec!["p".into(), ints(&[1, 2])]);
+    b.fact(bb, vec!["p".into(), ints(&[2, 3])]);
+    b.fact(a, vec!["q".into(), ints(&[4])]);
+    b.fact(bb, vec!["q".into(), ints(&[4, 5])]);
+    let v = Term::var;
+    let body = || {
+        [
+            BodyItem::atom(on, [v("k")]),
+            BodyItem::atom(a, [v("k"), v("s")]),
+            BodyItem::atom(bb, [v("k"), v("s")]),
+        ]
+    };
+    if heads {
+        let r = b.lattice("R", 2, int_sets());
+        let met = b.relation("Met", 2);
+        b.rule(
+            Head::new(r, [HeadTerm::var("k"), HeadTerm::var("s")]),
+            body(),
+        );
+        b.rule(
+            Head::new(met, [HeadTerm::var("k"), HeadTerm::var("s")]),
+            body(),
+        );
+    } else {
+        let both = b.relation("Both", 1);
+        b.rule(Head::new(both, [HeadTerm::var("k")]), body());
+    }
+    let program = b.build().expect("valid");
+    (program, Delta::new().retract("On", vec!["p".into()]))
+}
+
+/// `Name(x, s) :- Num(x), s <- spell(x)` with no choice form, whose
+/// strings no fact holds, and `Hit(x, s) :- Known(x, s), s <- spell(x)`,
+/// where `Known` binds `s` before the choice tests it.
+fn unstored_choice() -> (Program, Delta) {
+    let mut b = ProgramBuilder::new();
+    let num = b.relation("Num", 1);
+    let known = b.relation("Known", 2);
+    let name = b.relation("Name", 2);
+    let hit = b.relation("Hit", 2);
+    for n in 1..=3 {
+        b.fact(num, vec![n.into()]);
+    }
+    b.fact(known, vec![2.into(), "n2".into()]);
+    b.fact(known, vec![3.into(), "zz".into()]);
+    let spell = b.function("spell", |args| {
+        let n = args[0].as_int().expect("an int");
+        Value::set([format!("n{n}"), format!("m{n}")].map(Value::from))
+    });
+    let v = Term::var;
+    b.rule(
+        Head::new(name, [HeadTerm::var("x"), HeadTerm::var("s")]),
+        [
+            BodyItem::atom(num, [v("x")]),
+            BodyItem::choose(spell, [v("x")], "s"),
+        ],
+    );
+    b.rule(
+        Head::new(hit, [HeadTerm::var("x"), HeadTerm::var("s")]),
+        [
+            BodyItem::atom(known, [v("x"), v("s")]),
+            BodyItem::choose(spell, [v("x")], "s"),
+        ],
+    );
+    let program = b.build().expect("valid");
+    (program, Delta::new().retract("Num", vec![1.into()]))
+}
+
+/// Head functions that answer values no fact holds: `Label(label(x))`, a
+/// string in a key column; `Mark(x, single(x))`, a set as an element of
+/// [`int_sets`]; and `Owner(x, owner(x))`, `Single("o<x>")` as an element
+/// of the flat `SULattice`, whose word is the slot of a string no fact
+/// holds.
+fn unstored_heads() -> (Program, Delta) {
+    let mut b = ProgramBuilder::new();
+    let num = b.relation("Num", 1);
+    let label = b.relation("Label", 1);
+    let mark = b.lattice("Mark", 2, int_sets());
+    let owner = b.lattice("Owner", 2, LatticeOps::of::<SuLattice>());
+    for n in 1..=3 {
+        b.fact(num, vec![n.into()]);
+    }
+    let n = |args: &[Value]| args[0].as_int().expect("an int");
+    let label_of = b.function("label", move |args| Value::from(format!("L{}", n(args))));
+    let single = b.function("single", move |args| ints(&[n(args)]));
+    let owner_of = b.function("owner", move |args| {
+        SuLattice::single(format!("o{}", n(args)).as_str()).to_value()
+    });
+    let x = || [Term::var("x")];
+    let body = || [BodyItem::atom(num, x())];
+    b.rule(Head::new(label, [HeadTerm::app(label_of, x())]), body());
+    b.rule(
+        Head::new(mark, [HeadTerm::var("x"), HeadTerm::app(single, x())]),
+        body(),
+    );
+    b.rule(
+        Head::new(owner, [HeadTerm::var("x"), HeadTerm::app(owner_of, x())]),
+        body(),
+    );
+    let program = b.build().expect("valid");
+    (program, Delta::new().retract("Num", vec![2.into()]))
+}
+
+/// The sorted facts of every predicate, rendered.
+fn model_text(program: &Program, solution: &Solution) -> String {
+    let mut text = String::new();
+    for (_, decl) in program.predicates() {
+        let facts = solution.facts(decl.name()).expect("declared");
+        let mut facts: Vec<String> = facts.map(|fact| fact.to_string()).collect();
+        facts.sort();
+        writeln!(text, "{}: {facts:?}", decl.name()).expect("write to a string");
+    }
+    text
+}
+
+/// Every value a rule body can hold that the store may have no slot for
+/// yet: a `glb`-rebound witness (in a head, and only in the premises it
+/// logs), `boxed_join`'s `MinCost` element that is also a join key, a
+/// choice's strings — bound, and tested where already bound — and head
+/// functions' answers in a key column and as elements of a lattice of
+/// closures and of a declared kind. Each program solves to one model with
+/// one set of counters at one and four threads, with provenance recorded
+/// and not; one fact explains through its premises; and a retracting
+/// resume equals a solve from scratch and is a least model.
+#[test]
+fn values_the_store_never_held_solve_alike_everywhere() {
+    // A retraction of a `Cost` row re-derives through `Best(k, c)` first,
+    // which binds `c` to the cell, not to the rows below it: retract a cell.
+    let (join, _) = boxed_join();
+    let best_b = vec!["b".into(), MinCost::finite(9).to_value()];
+    let cases = [
+        ("glb witness", glb_witness(true), ("R", vec!["p".into()])),
+        (
+            "glb premise",
+            glb_witness(false),
+            ("Both", vec!["p".into()]),
+        ),
+        (
+            "boxed join",
+            (join, Delta::new().retract("Best", best_b)),
+            ("Near", vec!["a".into()]),
+        ),
+        (
+            "choice",
+            unstored_choice(),
+            ("Hit", vec![2.into(), "n2".into()]),
+        ),
+        (
+            "head functions",
+            unstored_heads(),
+            ("Owner", vec![3.into()]),
+        ),
+    ];
+    let pinned = [
+        ("glb witness", r#"R: ["\"p\", #{2}", "\"q\", #{4}"]"#),
+        ("glb witness", r#"Met: ["\"p\", #{2}", "\"q\", #{4}"]"#),
+        ("glb premise", r#"Both: ["\"p\"", "\"q\""]"#),
+        ("boxed join", r#"Near: ["\"a\"", "\"b\""]"#),
+        ("choice", r#"Hit: ["2, \"n2\""]"#),
+        ("head functions", r#"Label: ["\"L1\"", "\"L2\"", "\"L3\""]"#),
+        (
+            "head functions",
+            r#"Mark: ["1, #{1}", "2, #{2}", "3, #{3}"]"#,
+        ),
+    ];
+    for (label, (program, retract), (explained, row)) in &cases {
+        let mut first: Option<(String, SolveStats)> = None;
+        for threads in [1, 4] {
+            for provenance in [false, true] {
+                let at = format!("{label}/{threads} threads/provenance {provenance}");
+                let solver = Solver::new().threads(threads).record_provenance(provenance);
+                let solution = solver.solve(program).expect("solves");
+                let seen = (model_text(program, &solution), counters(&solution));
+                for (of, line) in pinned.iter().filter(|(of, _)| of == label) {
+                    assert!(seen.0.contains(line), "{of}: {line}\n{}", seen.0);
+                }
+                match &first {
+                    None => first = Some(seen),
+                    Some(first) => assert_eq!(first, &seen, "{at}"),
+                }
+                if provenance {
+                    let tree = solution.explain(explained, row);
+                    let tree = tree.map(|tree| tree.to_string());
+                    assert!(
+                        tree.as_ref().is_some_and(|tree| tree.lines().count() > 1),
+                        "{at}: {tree:?}"
+                    );
+                }
+                let resumed = solver.resume(program, &solution, retract).expect("resumes");
+                let extended = program.with_delta(retract).expect("fits");
+                let scratch = solver.solve(&extended).expect("solves");
+                assert_eq!(
+                    model_text(program, &resumed),
+                    model_text(program, &scratch),
+                    "{at}"
+                );
+                assert!(model::is_model(&extended, &resumed), "{at}");
+                assert!(model::is_locally_minimal(&extended, &resumed), "{at}");
+            }
+        }
+    }
 }

@@ -369,6 +369,19 @@ pub enum ProgramError {
         /// The lattice's name.
         lattice: String,
     },
+    /// A rule holds a literal in the value column of a lattice of a
+    /// declared kind ([`LatticeOps::with_kind`]) that is not one of the
+    /// kind's elements: no cell holds it, and a plan has no word for it.
+    ///
+    /// [`LatticeOps::with_kind`]: crate::LatticeOps::with_kind
+    LiteralNotAnElement {
+        /// The predicate whose value column holds the literal.
+        predicate: String,
+        /// The lattice's name.
+        lattice: String,
+        /// The literal, rendered.
+        literal: String,
+    },
 }
 
 impl fmt::Display for ProgramError {
@@ -425,6 +438,15 @@ impl fmt::Display for ProgramError {
                 f,
                 "the word forms of {lattice}, the lattice of {predicate}, were lowered \
                  against another program's names"
+            ),
+            LiteralNotAnElement {
+                predicate,
+                lattice,
+                literal,
+            } => write!(
+                f,
+                "a rule holds {literal} as an element of {predicate}, which is not one of \
+                 the elements of {lattice}'s kind"
             ),
         }
     }
@@ -561,7 +583,9 @@ impl ProgramBuilder {
     /// of the declared type — a join column for [`WordType::Slot`], the
     /// value of a lattice of the declared kind for [`WordType::Elem`] — and
     /// where the result goes to a column of the declared type; everywhere
-    /// else it calls the boxed form. Both must compute the same function:
+    /// else it calls the boxed form. A form is never handed a round-local
+    /// word — a value a rule body computed that the store holds no slot
+    /// for yet: that call runs the boxed form. Both must compute the same function:
     /// which one runs is the plan's choice. The word form runs under the
     /// same panic isolation as the boxed one; a result that is not a word
     /// of its type (for a filter: neither boolean) is dropped, and the
@@ -600,14 +624,14 @@ impl ProgramBuilder {
     ///
     /// A choice `binds <- func(args)` with `width` binds calls the choice
     /// form where every argument is a literal or a variable the plan holds
-    /// as a slot; its binds then live as slots too, so the elements go
-    /// from the function to the head without a `Value` in between. Every
-    /// other choice of `func` calls the boxed form. The choice form runs
-    /// under the same panic isolation as the boxed one. A written word
-    /// that is not a slot, or a count that is not a multiple of `width`,
-    /// fails the evaluation with [`Violation::ChoiceWordMalformed`]: the
-    /// binds already hold slots, so there is no boxed form to fall back
-    /// to. [`slot_of_int`](crate::slot_of_int) and
+    /// as a slot, so the elements go from the function to the head without
+    /// a `Value` in between. Every other choice of `func` calls the boxed
+    /// form, as does a call with an argument the store holds no slot for
+    /// yet. The choice form runs under the same panic isolation as the
+    /// boxed one. A written word that is not a slot, or a count that is
+    /// not a multiple of `width`, fails the evaluation with
+    /// [`Violation::ChoiceWordMalformed`]: the form answered, so the boxed
+    /// form is not asked. [`slot_of_int`](crate::slot_of_int) and
     /// [`int_of_slot`](crate::int_of_slot) are the slots of integers.
     ///
     /// For Figure 5, each flow function maps its node and fact integers

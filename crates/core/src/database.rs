@@ -27,8 +27,11 @@
 //! Each kind has one insertion body that takes *encoded* slots
 //! ([`RelationData::insert_encoded`], [`LatticeData::join_inner`]), which
 //! is what the evaluator's plans hand over; the decoded entries — asserted
-//! facts, snapshot loads, heads with a never-seen value — encode on the
-//! write path and call the same body. Both grow the shared [`Columns`]
+//! facts, snapshot loads — encode on the write path and call the same
+//! body. A value a plan computed that the store has no slot for yet
+//! leaves it as a *round-local* word ([`Locals`]), which the round's
+//! absorb interns in place ([`Batch::intern`]) before the insert: no
+//! round-local word is ever stored. Both grow the shared [`Columns`]
 //! store in one place, [`Columns::append`], after one walk of the row set
 //! that either finds the tuple or ends on the slot it takes. Rows come in
 //! through a [`Batch`], which files them into the indexes when it ends: a
@@ -139,6 +142,13 @@ const TAG_SPILL: u64 = 4;
 /// the low [`CTOR_INNER_BITS`] bits, sign-extended on decode; the bits
 /// above hold the id plus one.
 const TAG_CTOR: u64 = 5;
+/// The tag of a round-local word ([`Locals`]): a value the store has no
+/// slot for yet, numbered by the round that computed it.
+const TAG_LOCAL: u64 = 6;
+/// The tag and the top bit a round-local word carries: no slot has the
+/// tag, and no predicate id in a premise run ([`crate::provenance`]) has
+/// the bit, so a word of a run is round-local by its bits alone.
+const LOCAL: u64 = 1 << 63 | TAG_LOCAL;
 /// The tag no value encodes to: the reserved words of a lattice of a
 /// built-in kind ([`KindWords`]).
 const TAG_KIND: u64 = 7;
@@ -713,40 +723,86 @@ impl KindWords {
     }
 }
 
-/// A lattice element a plan's register holds: a word, or — where a
-/// read-only evaluation computed a value the store has no slot for, or a
-/// register is boxed ([`crate::kernel`]) — the value. A cell is always a
-/// word; only the kernel's registers and what [`LatticeData::lub`] and
-/// [`LatticeData::glb`] answer them are ever boxed.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub(crate) enum Elem {
-    Boxed(Value),
-    Word(u64),
+/// Whether `word` is a round-local word ([`Locals`]).
+#[inline]
+pub(crate) fn is_local(word: u64) -> bool {
+    word & (1 << 63 | TAG_MASK) == LOCAL
 }
 
-/// A borrowed [`Elem`].
-#[derive(Clone, Copy, Debug)]
-pub(crate) enum ElemRef<'a> {
-    Boxed(&'a Value),
-    Word(u64),
+/// The values a round's plan executions computed that their store has no
+/// slot for yet — a `glb`-rebound witness, a function's or a choice's
+/// result, an element a premise logs — each named by a *round-local*
+/// word: [`LOCAL`] over its number here. A value is numbered only
+/// after the store's spill table misses it, and an equal value gets the
+/// same number, so two words of one round are equal exactly when their
+/// values are. No round-local word is stored, joined, put in a `∆` or
+/// logged: the round's absorb interns each where it finds it, in
+/// derivation order ([`Batch::intern`]), and no word form is handed one.
+#[derive(Debug, Default)]
+pub(crate) struct Locals {
+    values: Vec<Value>,
+    numbers: FxHashMap<Value, u32>,
 }
 
-impl Elem {
-    #[inline]
-    pub(crate) fn as_ref(&self) -> ElemRef<'_> {
-        match self {
-            Elem::Boxed(v) => ElemRef::Boxed(v),
-            Elem::Word(w) => ElemRef::Word(*w),
+impl Locals {
+    /// The word `value` takes among `words` — a lattice's, or, for
+    /// `None`, the slots of `spill` — or else its round-local word: a
+    /// value with no word there, or whose word the store cannot give yet.
+    pub(crate) fn word(
+        &mut self,
+        words: Option<&KindWords>,
+        value: Value,
+        spill: &SpillTable,
+    ) -> u64 {
+        let word = match words {
+            None => try_encode(&value, spill),
+            Some(words) => words.try_encode(&value, spill),
+        };
+        word.unwrap_or_else(|| self.number(value))
+    }
+
+    fn number(&mut self, value: Value) -> u64 {
+        let next = u32::try_from(self.values.len()).expect("fewer than 2^32 round-local values");
+        let values = &mut self.values;
+        let number = *self.numbers.entry(value).or_insert_with_key(|value| {
+            values.push(value.clone());
+            next
+        });
+        LOCAL | (number as u64) << TAG_BITS
+    }
+
+    /// The value of a round-local word.
+    pub(crate) fn get(&self, word: u64) -> &Value {
+        debug_assert!(is_local(word));
+        &self.values[((word & !LOCAL) >> TAG_BITS) as usize]
+    }
+
+    /// The value of `word`: its own, for a round-local word, or a slot's,
+    /// decoded against `spill`.
+    pub(crate) fn value(&self, word: u64, spill: &SpillTable) -> Value {
+        if is_local(word) {
+            self.get(word).clone()
+        } else {
+            decode(word, spill)
         }
     }
-}
 
-impl ElemRef<'_> {
-    pub(crate) fn to_owned(self) -> Elem {
-        match self {
-            ElemRef::Boxed(v) => Elem::Boxed(v.clone()),
-            ElemRef::Word(w) => Elem::Word(w),
-        }
+    pub(crate) fn is_empty(&self) -> bool {
+        self.values.is_empty()
+    }
+
+    pub(crate) fn clear(&mut self) {
+        self.values.clear();
+        self.numbers.clear();
+    }
+
+    /// Appends `later`'s values after these, and returns what a word of
+    /// `later` adds to become the same value's word here. Only read after
+    /// that: the appended values are numbered here no more.
+    pub(crate) fn append(&mut self, later: Locals) -> u64 {
+        let base = self.values.len() as u64;
+        self.values.extend(later.values);
+        base << TAG_BITS
     }
 }
 
@@ -1265,6 +1321,10 @@ impl Columns {
     /// row when its [`Batch`] ends.
     fn append(&mut self, enc: &[u64], hash: u64, at: usize) -> Result<u32, InsertFault> {
         debug_assert_eq!(enc.len(), self.arity);
+        debug_assert!(
+            !enc.iter().any(|&w| is_local(w)),
+            "a round-local word is never stored"
+        );
         // `u32::MAX` is the row-set's empty sentinel, so the last usable
         // id is `u32::MAX - 1`: a checked bound instead of the silent
         // `len as u32` truncation that would corrupt every index.
@@ -1415,8 +1475,8 @@ impl RelationData {
         self.rows.id_of(row, spill).is_some()
     }
 
-    /// Inserts a decoded tuple — the entry of asserted facts and heads
-    /// the kernel could not encode: encodes on the write path, then takes
+    /// Inserts a decoded tuple — the entry of asserted facts and snapshot
+    /// loads: encodes on the write path, then takes
     /// the encoded entry. A batch of one of its own: it files what the
     /// relation holds unfiled, in id order as a batch's end would.
     fn insert(
@@ -1625,18 +1685,18 @@ impl LatticeData {
         Some(&self.decoded(spill)[id as usize])
     }
 
-    pub(crate) fn is_bottom(&self, e: ElemRef<'_>) -> bool {
-        match e {
-            ElemRef::Boxed(v) => self.ops.is_bottom(v),
-            ElemRef::Word(w) => w == self.words.bottom(),
-        }
+    /// Whether `word` is ⊥'s (kernel access).
+    #[inline]
+    pub(crate) fn is_bottom(&self, word: u64) -> bool {
+        word == self.words.bottom()
     }
 
-    /// The partial order on words, with the closures' panic isolation:
-    /// the words' order, or — where it declines — the closure's on the
-    /// decoded elements.
+    /// The partial order on the words of two elements the store holds,
+    /// with the closures' panic isolation: the words' order, or — where
+    /// it declines — the closure's on the decoded elements.
     #[inline(always)]
-    fn word_leq(&self, a: u64, b: u64, spill: &SpillTable) -> Result<bool, OpsPanic> {
+    pub(crate) fn leq(&self, a: u64, b: u64, spill: &SpillTable) -> Result<bool, OpsPanic> {
+        debug_assert!(!is_local(a) && !is_local(b), "an operand the store holds");
         match self.words.leq(a, b) {
             Some(leq) => Ok(leq),
             None => self
@@ -1645,61 +1705,43 @@ impl LatticeData {
         }
     }
 
-    /// Whether a register's element `a` lies below the cell word `b`
-    /// (kernel access): on a word, the words' order; on a boxed value,
-    /// the closure's, on the cell decoded.
+    /// The least upper bound of two elements the store holds, read-only
+    /// (kernel access): the words' `lub`, or — where it declines — the
+    /// closure's answer's word; `None` where the store has none for it.
     #[inline]
-    pub(crate) fn leq(&self, a: ElemRef<'_>, b: u64, spill: &SpillTable) -> Result<bool, OpsPanic> {
-        match a {
-            ElemRef::Word(a) => self.word_leq(a, b, spill),
-            ElemRef::Boxed(a) => self.ops.try_leq(a, &self.decode(b, spill)),
+    pub(crate) fn lub(&self, a: u64, b: u64, spill: &SpillTable) -> Result<Option<u64>, OpsPanic> {
+        if let Some(word) = self.words.lub(a, b, spill) {
+            return Ok(Some(word));
         }
+        let value = self
+            .ops
+            .try_lub(&self.decode(a, spill), &self.decode(b, spill))?;
+        Ok(self.words.try_encode(&value, spill))
     }
 
-    /// The least upper bound of two words, read-only (kernel access): a
-    /// declined form's answer is the closure's, as a word where `spill`
-    /// has one and boxed where it has none.
+    /// The greatest lower bound of a register's element `a` and the cell
+    /// word `b` (kernel access): the words' `glb`, or — where it declines,
+    /// or `a` is round-local, which no word form reads — the closure's on
+    /// the decoded elements, as its word in `locals`.
     #[inline]
-    pub(crate) fn lub(&self, a: u64, b: u64, spill: &SpillTable) -> Result<Elem, OpsPanic> {
-        self.combine(
-            ElemRef::Word(a),
-            b,
-            spill,
-            KindWords::lub,
-            LatticeOps::try_lub,
-        )
-    }
-
-    /// The greatest lower bound of a register's element and the cell word
-    /// `b`, as [`LatticeData::lub`]; of a boxed element, boxed.
-    #[inline]
-    pub(crate) fn glb(&self, a: ElemRef<'_>, b: u64, spill: &SpillTable) -> Result<Elem, OpsPanic> {
-        self.combine(a, b, spill, KindWords::glb, LatticeOps::try_glb)
-    }
-
-    #[inline(always)]
-    fn combine(
+    pub(crate) fn glb(
         &self,
-        a: ElemRef<'_>,
+        a: u64,
         b: u64,
         spill: &SpillTable,
-        words: fn(&KindWords, u64, u64, &SpillTable) -> Option<u64>,
-        boxed: fn(&LatticeOps, &Value, &Value) -> Result<Value, OpsPanic>,
-    ) -> Result<Elem, OpsPanic> {
-        let a = match a {
-            ElemRef::Word(a) => match words(&self.words, a, b, spill) {
-                Some(word) => return Ok(Elem::Word(word)),
-                None => self.decode(a, spill),
-            },
-            ElemRef::Boxed(a) => {
-                return boxed(&self.ops, a, &self.decode(b, spill)).map(Elem::Boxed);
+        locals: &mut Locals,
+    ) -> Result<u64, OpsPanic> {
+        if !is_local(a) {
+            if let Some(word) = self.words.glb(a, b, spill) {
+                return Ok(word);
             }
+        }
+        let a = match is_local(a) {
+            true => locals.get(a).clone(),
+            false => self.decode(a, spill),
         };
-        let value = boxed(&self.ops, &a, &self.decode(b, spill))?;
-        Ok(match self.words.try_encode(&value, spill) {
-            Some(word) => Elem::Word(word),
-            None => Elem::Boxed(value),
-        })
+        let value = self.ops.try_glb(&a, &self.decode(b, spill))?;
+        Ok(locals.word(Some(&self.words), value, spill))
     }
 
     /// The word of `value`, interning what it needs. A value that is not
@@ -1719,8 +1761,8 @@ impl LatticeData {
     }
 
     /// Joins `value` into the cell at the decoded `key` — the entry of
-    /// asserted facts and heads the kernel could not encode: encodes on
-    /// the write path, then takes the encoded body. Returns the cell id
+    /// asserted facts and snapshot loads: encodes on the write path, then
+    /// takes the encoded body. Returns the cell id
     /// and the new cell value's word on strict increase.
     fn join(
         &mut self,
@@ -1777,6 +1819,7 @@ impl LatticeData {
         word: u64,
         spill: &mut SpillTable,
     ) -> Result<Option<(u32, u64)>, InsertFault> {
+        debug_assert!(!is_local(word), "a round-local word is never joined");
         let (hash, found) = if id == NO_ID {
             let hash = hash_slots(enc);
             (hash, self.keys.find(hash, enc))
@@ -1791,7 +1834,7 @@ impl LatticeData {
             }
             Err(at) => at,
         };
-        if self.words.is_slots() && !self.word_leq(word, word, spill)? {
+        if self.words.is_slots() && !self.leq(word, word, spill)? {
             let value = self.decode(word, spill);
             return Err(InsertFault::Safety(Violation::NotReflexive(value)));
         }
@@ -1809,7 +1852,7 @@ impl LatticeData {
         spill: &mut SpillTable,
     ) -> Result<Option<u64>, InsertFault> {
         let cell = self.cells[id as usize];
-        if self.word_leq(word, cell, spill)? {
+        if self.leq(word, cell, spill)? {
             note_ascent(&mut self.ascent, id, false);
             return Ok(None);
         }
@@ -1823,7 +1866,7 @@ impl LatticeData {
             }
         };
         if self.words.is_slots()
-            && (!self.word_leq(cell, joined, spill)? || !self.word_leq(word, joined, spill)?)
+            && (!self.leq(cell, joined, spill)? || !self.leq(word, joined, spill)?)
         {
             return Err(InsertFault::Safety(Violation::LubNotUpperBound(
                 self.decode(cell, spill),
@@ -1995,10 +2038,12 @@ impl Database {
         encode_mut(v, &mut self.spill)
     }
 
-    /// [`Database::encode_literal`] for an element of a lattice: its
-    /// word, `None` when `v` is not an element.
-    pub(crate) fn encode_elem(&mut self, kind: &KindWords, v: &Value) -> Option<u64> {
-        kind.encode_mut(v, &mut self.spill)
+    /// [`Database::encode_literal`] for an element of a lattice: its word.
+    /// A rule literal is one ([`ProgramError::LiteralNotAnElement`]).
+    ///
+    /// [`ProgramError::LiteralNotAnElement`]: crate::ProgramError::LiteralNotAnElement
+    pub(crate) fn encode_elem(&mut self, kind: &KindWords, v: &Value) -> u64 {
+        (kind.encode_mut(v, &mut self.spill)).expect("a rule literal is an element")
     }
 
     /// Opens a [`Batch`]: the one way rows enter the store.
@@ -2149,9 +2194,8 @@ impl Drop for Batch<'_> {
 
 impl Batch<'_> {
     /// Inserts a decoded tuple, interpreting the last column as a lattice
-    /// element for `lat` predicates: the entry of asserted facts,
-    /// snapshot loads, and derived heads the kernel could not hand over
-    /// encoded. Fails when the lattice operations panic or trip
+    /// element for `lat` predicates: the entry of asserted facts and
+    /// snapshot loads. Fails when the lattice operations panic or trip
     /// a safety sentinel (see [`LatticeData::join_inner`]), or when the
     /// predicate's `u32` row-id space is exhausted.
     pub(crate) fn insert(
@@ -2205,14 +2249,21 @@ impl Batch<'_> {
             .map(InsertOutcome::of_cell)
     }
 
-    /// The word of `value` in `pred`'s lattice, interned: what the
-    /// provenance log records for a premise's element a plan held boxed.
-    /// Refused as a cell refuses it ([`LatticeData::join`]).
-    pub(crate) fn intern_elem(&mut self, pred: PredId, value: &Value) -> Result<u64, InsertFault> {
-        let PredData::Lat(l) = &self.db.preds[pred.0 as usize] else {
-            unreachable!("a value column is a lattice's");
-        };
-        l.word_mut(value, &mut self.db.spill)
+    /// The word `value` takes in column `col` of `pred`, interned: a
+    /// lattice's element as a cell takes it, refused as a cell refuses it
+    /// ([`LatticeData::join`]), and any other column's value as its slot.
+    /// What the round's absorb gives a round-local word ([`Locals`]).
+    pub(crate) fn intern(
+        &mut self,
+        pred: PredId,
+        col: usize,
+        value: &Value,
+    ) -> Result<u64, InsertFault> {
+        let spill = &mut self.db.spill;
+        match &self.db.preds[pred.0 as usize] {
+            PredData::Lat(l) if col == l.keys.arity() => l.word_mut(value, spill),
+            _ => Ok(encode_mut(value, spill)),
+        }
     }
 
     /// [`Database::ascent_crossed`], inside the batch.
@@ -3285,7 +3336,7 @@ mod tests {
                             key.iter().map(|v| batched.encode_literal(v)).collect();
                         enc.push(match *pred == r {
                             true => batched.encode_literal(value),
-                            false => batched.encode_elem(&kind, value).expect("an element"),
+                            false => batched.encode_elem(&kind, value),
                         });
                         enc
                     })
@@ -3464,10 +3515,39 @@ mod tests {
             pack(TAG_BOOL, 2),
             pack(3, 0),
             pack(TAG_SPILL, spill.len() as u64),
-            pack(6, 0),
+            LOCAL,
         ] {
             assert!(!is_slot(bad, &spill), "{bad:#x}");
         }
+    }
+
+    /// A round-local word names a value the store has no slot for, one
+    /// number per value: equal words are equal values, and none is a slot.
+    #[test]
+    fn round_local_words_number_each_unstored_value_once() {
+        let mut spill = SpillTable::default();
+        let stored = Value::from("stored");
+        let slot = encode_mut(&stored, &mut spill);
+        let mut locals = Locals::default();
+        assert_eq!(locals.word(None, stored.clone(), &spill), slot);
+        assert!(locals.is_empty());
+        let (a, b) = (Value::from("a"), Value::tuple([1.into(), "b".into()]));
+        let (wa, wb) = (
+            locals.word(None, a.clone(), &spill),
+            locals.word(None, b.clone(), &spill),
+        );
+        assert!(is_local(wa) && is_local(wb) && wa != wb);
+        assert_eq!(locals.word(None, a.clone(), &spill), wa);
+        assert!(!is_slot(wa, &spill) && !is_slot(wb, &spill));
+        assert_eq!(
+            (locals.value(wa, &spill), locals.value(slot, &spill)),
+            (a, stored)
+        );
+        // Appended after another round's, its words shift past those.
+        let mut earlier = Locals::default();
+        earlier.word(None, Value::from("c"), &spill);
+        let shift = earlier.append(locals);
+        assert_eq!(earlier.value(wb + shift, &spill), b);
     }
 
     #[test]
@@ -3589,7 +3669,7 @@ mod tests {
         }
         assert_eq!(spill.len(), 0);
         let negative = slot_of_int(-1).expect("inline");
-        for bad in [negative, FLAT_BOTTOM, FLAT_TOP, WORD_TRUE, pack(6, 0)] {
+        for bad in [negative, FLAT_BOTTOM, FLAT_TOP, WORD_TRUE, LOCAL] {
             assert!(!chain.holds(bad, &spill), "{bad:#x}");
         }
     }

@@ -244,8 +244,10 @@ impl LatticeOps {
     /// it cannot answer exactly — an operand it cannot read, such as a
     /// spilled slot, or an answer with no slot of its own — any word that
     /// is not a slot: then the closure decides, on the decoded operands.
-    /// Both must compute the same operation; which one runs is the
-    /// engine's choice.
+    /// A round-local operand — a `glb` a rule body computed that the store
+    /// holds no slot for yet — is never handed to a form: the closure
+    /// meets it. Both must compute the same operation; which one runs is
+    /// the engine's choice.
     ///
     /// A form that bakes in a constructor's id or a string's slot takes
     /// it from `names`, the [`Names`] of the program the lattice is

@@ -2,6 +2,7 @@
 //! index requirements derived from rule bodies.
 
 use crate::ast::{BodyItem, FuncDef, HeadTerm, PredDecl, ProgramError, RawRule, Term};
+use crate::database::KindWords;
 use crate::{Names, PredId, Value};
 use std::cmp::Reverse;
 use std::collections::{HashMap, HashSet};
@@ -216,6 +217,39 @@ impl Program {
         let mut index_requests: HashMap<PredId, HashSet<Vec<usize>>> = HashMap::new();
         for raw in &raw_rules {
             rules.push(compile_rule(raw, &preds, &mut index_requests)?);
+        }
+
+        // A rule literal in a lattice's value column is one of its
+        // elements: the plan compiles its word (`kernel::compile_body`).
+        for rule in &rules {
+            let head = rule.head.last().map(|h| (rule.head_pred, h));
+            let head = head.and_then(|(pred, h)| match h {
+                CHead::Lit(v) => Some((pred, v)),
+                _ => None,
+            });
+            let body = rule.body.iter().filter_map(|item| match item {
+                CItem::Atom { pred, terms, .. } | CItem::NegAtom { pred, terms } => {
+                    match terms.last() {
+                        Some(CTerm::Lit(v)) => Some((*pred, v)),
+                        _ => None,
+                    }
+                }
+                _ => None,
+            });
+            for (pred, literal) in head.into_iter().chain(body) {
+                let decl = &preds[pred.0 as usize];
+                let Some(ops) = decl.lattice_ops() else {
+                    continue;
+                };
+                let words = KindWords::of(ops, &names);
+                if !words.is_slots() && !words.is_elem(literal) {
+                    return Err(ProgramError::LiteralNotAnElement {
+                        predicate: decl.name.to_string(),
+                        lattice: ops.name().to_string(),
+                        literal: literal.to_string(),
+                    });
+                }
+            }
         }
 
         Ok(Program {

@@ -27,10 +27,11 @@
 //! their words, as its cells hold them: the joined cell value after the
 //! head's key, a premise's value column in place. A slot tag that no
 //! value encodes to marks a wildcard value column; a key column is
-//! always the slot of the row its atom matched. The log holds words
-//! only: a premise's element the evaluator held as a value (a
-//! glb-rebound witness) is interned by the round's absorb, which holds
-//! the store mutably, when it copies the premise in. Recording an event
+//! always the slot of the row its atom matched. The log holds stored
+//! words only: a premise's element the evaluator held as a round-local
+//! word (a glb-rebound witness the store had no slot for) is interned by
+//! the round's absorb, which holds the store mutably, before it copies
+//! the premise in. Recording an event
 //! therefore copies words the evaluator already holds and allocates
 //! nothing beyond the columns' growth — which comes a block of 4 096
 //! events at a time, each allocated at the size the last one reached, so
@@ -69,7 +70,7 @@
 //! DESIGN §16 states the merge policy that keeps the segment count
 //! logarithmic.
 
-use crate::database::{decode, Columns, KindWords, SpillTable, SLOT_WILDCARD};
+use crate::database::{decode, is_local, Columns, KindWords, SpillTable, SLOT_WILDCARD};
 use crate::fxhash::FxHasher;
 use crate::program::Program;
 use crate::{PredId, Value};
@@ -776,6 +777,10 @@ impl OpenLog {
         raised: Option<u64>,
         premise_words: &[u64],
     ) {
+        debug_assert!(
+            !premise_words.iter().any(|&word| is_local(word)),
+            "a round-local word is never logged"
+        );
         let block = self.tail.open_block();
         block.pred.push(pred.0);
         block.rule.push(rule_column(rule));

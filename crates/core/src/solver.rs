@@ -17,7 +17,7 @@
 
 use crate::ast::{PredKind, ProgramError};
 use crate::database::{
-    decode, try_encode_row, Batch, Database, InsertFault, InsertOutcome, PredData,
+    decode, is_local, try_encode_row, Batch, Database, InsertFault, InsertOutcome, Locals, PredData,
 };
 use crate::demand::Query;
 use crate::fxhash::FxHashSet;
@@ -1186,6 +1186,8 @@ impl<'a> Run<'a> {
         let mut changed = 0u64;
         let mut touched: FxHashSet<(PredId, u32)> = FxHashSet::default();
         let mut at = Cursor::default();
+        // A round that numbered no value absorbs with no word checked.
+        let locals = !buf.locals.is_empty();
         let runs = std::mem::take(&mut buf.runs);
         for heads in &runs {
             let (rule, pred) = (heads.rule as usize, heads.pred);
@@ -1198,13 +1200,17 @@ impl<'a> Run<'a> {
             let fault = |fault| insert_fault_error(self.program, pred, Some(rule), fault);
             for _ in 0..heads.rows {
                 self.stats.facts_derived += 1;
-                // This derivation's premise run (empty with provenance off),
-                // and the elements in it that wait for a word.
+                // This derivation's premise run (empty with provenance off).
                 let words = at.premise_words..at.premise_words + heads.premise_words as usize;
                 at.premise_words = words.end;
-                let elems = at.premise_elems;
-                let waiting = buf.premise_elems[elems..].iter();
-                at.premise_elems += waiting.take_while(|(of, ..)| words.contains(of)).count();
+                if locals {
+                    let head = &mut buf.words[at.words..at.words + shape.1 + shape.2 as usize];
+                    // A ⊥ element changes nothing, and interns nothing.
+                    let last = head[head.len() - 1];
+                    if !matches!(batch.pred(pred), PredData::Lat(l) if l.is_bottom(last)) {
+                        intern_locals(&mut batch, pred, head, &buf.locals).map_err(fault)?;
+                    }
+                }
                 let outcome = insert_next(&mut batch, shape, buf, &mut at).map_err(fault)?;
                 let Some((id, raised)) = outcome.into_change() else {
                     continue;
@@ -1218,13 +1224,21 @@ impl<'a> Run<'a> {
                     self.solver.check_ascent(self.program, &mut batch, pred, id);
                 }
                 if let Some(log) = self.events.as_mut() {
-                    for (of, elem_pred, value) in &buf.premise_elems[elems..at.premise_elems] {
-                        let word = batch.intern_elem(*elem_pred, value).map_err(fault)?;
-                        buf.premise_words[*of] = word;
+                    // Per positive body atom, its predicate and its columns.
+                    let mut run = &mut buf.premise_words[words.clone()];
+                    while let Some((of, rest)) = run.split_first_mut().filter(|_| locals) {
+                        let of = PredId(*of as u32);
+                        let (cols, rest) = rest.split_at_mut(self.program.decl(of).arity());
+                        intern_locals(&mut batch, of, cols, &buf.locals).map_err(fault)?;
+                        run = rest;
                     }
                     let head = (batch.pred(pred).columns(), id);
                     log.record(pred, Some(rule), head, raised, &buf.premise_words[words]);
                 }
+                debug_assert!(
+                    raised.is_none_or(|word| !is_local(word)),
+                    "a ∆ holds stored words"
+                );
                 let rows = &mut changes[pred.0 as usize];
                 rows.ids.push(id);
                 rows.values.extend(raised);
@@ -1621,20 +1635,18 @@ pub(crate) struct Heads {
 
 /// The derivations of one round (or of one worker's share of it), in
 /// derivation order, as word runs: per task a [`Heads`] header, and per
-/// derived head its slots in `words` — a relation's columns; a lattice
-/// head's key columns and its element's word. A relational head the
-/// store already holds costs its arity in words here, and one membership
-/// test in [`Run::absorb`].
+/// derived head its words in `words` — a relation's columns; a lattice
+/// head's key columns and its element's word — and, per lattice head, the
+/// cell id the plan resolved in `cell_ids` ([`NO_ID`] when it did not). A
+/// relational head the store already holds costs its arity in words
+/// here, and one membership test in [`Run::absorb`]. With provenance
+/// recorded, each derivation's premise run is in the arena (see
+/// [`crate::provenance`]): its words, as many as its [`Heads`] says.
 ///
-/// What has no word goes in side vectors, in derivation order, which
-/// the relational word path leaves empty: the cell id the plan resolved,
-/// per lattice head ([`NO_ID`] when it did not); a head with a value the
-/// store has never seen, as a tuple with its derivation's number, and no
-/// words. With provenance recorded, each derivation's premise run is in
-/// the arena (see [`crate::provenance`]): its words, as many as its
-/// [`Heads`] says, and, in `premise_elems`, each element a plan held
-/// boxed, with its lattice predicate and its word's place in the arena,
-/// which [`Run::absorb`] fills in when it logs the derivation.
+/// A word may be round-local ([`Locals`]): a value the store had no slot
+/// for when the plan computed it. `locals` holds those values;
+/// [`Run::absorb`] interns each where it finds it, in derivation order,
+/// before the head is inserted or the premises are logged.
 ///
 /// [`NO_ID`]: crate::database::NO_ID
 #[derive(Default)]
@@ -1644,9 +1656,8 @@ pub(crate) struct Derivations {
     /// How many heads the runs hold, the task in progress's included.
     pub(crate) len: u32,
     pub(crate) cell_ids: Vec<u32>,
-    pub(crate) tuples: Vec<(u32, Vec<Value>)>,
     pub(crate) premise_words: Vec<u64>,
-    pub(crate) premise_elems: Vec<(usize, PredId, Value)>,
+    pub(crate) locals: Locals,
 }
 
 impl Derivations {
@@ -1655,60 +1666,49 @@ impl Derivations {
         self.words.clear();
         self.len = 0;
         self.cell_ids.clear();
-        self.tuples.clear();
         self.premise_words.clear();
-        self.premise_elems.clear();
+        self.locals.clear();
     }
 
-    /// Appends `later`'s derivations after these. Only the numbers a
-    /// derivation is filed under and the places in the premise arena are
-    /// rebased; everything else is read in order.
+    /// Appends `later`'s derivations after these: in order, with
+    /// `later`'s round-local words renumbered after these'.
     fn append(&mut self, mut later: Derivations) {
+        let renumber = !later.locals.is_empty();
+        let shift = self.locals.append(std::mem::take(&mut later.locals));
+        if renumber && shift > 0 {
+            let words = later.words.iter_mut().chain(&mut later.premise_words);
+            for word in words.filter(|word| is_local(**word)) {
+                *word += shift;
+            }
+        }
         self.runs.append(&mut later.runs);
         self.words.append(&mut later.words);
         self.cell_ids.append(&mut later.cell_ids);
-        let base = self.len;
-        let tuples = later.tuples.into_iter().map(|(n, tuple)| (n + base, tuple));
-        self.tuples.extend(tuples);
         self.len += later.len;
-        let base = self.premise_words.len();
-        let elems = later.premise_elems.into_iter();
-        let elems = elems.map(|(at, pred, value)| (at + base, pred, value));
-        self.premise_elems.extend(elems);
         self.premise_words.append(&mut later.premise_words);
     }
 }
 
-/// Where [`Run::absorb`] is in a [`Derivations`]: the next head's number,
-/// and its place in `words` and each side vector.
+/// Where [`Run::absorb`] is in a [`Derivations`]: the next head's place in
+/// `words` and `cell_ids`, and the next premise run's in the arena.
 #[derive(Default)]
 struct Cursor {
-    n: u32,
     words: usize,
     cell_ids: usize,
-    tuples: usize,
     premise_words: usize,
-    premise_elems: usize,
 }
 
 /// Inserts the head at `at` in `buf` into the store and moves `at` past
-/// it: a tuple through the decoded entry, a relational row through one
-/// find-or-insert walk, a lattice head through the encoded join. `keys`
-/// is the predicate's key columns, followed by a lattice's element. A
-/// change names the row — all the event log and the next `∆` need.
+/// it: a relational row through one find-or-insert walk, a lattice head
+/// through the encoded join. `keys` is the predicate's key columns,
+/// followed by a lattice's element. A change names the row — all the
+/// event log and the next `∆` need.
 fn insert_next(
     batch: &mut Batch<'_>,
     (pred, keys, is_lat): (PredId, usize, bool),
-    buf: &mut Derivations,
+    buf: &Derivations,
     at: &mut Cursor,
 ) -> Result<InsertOutcome, InsertFault> {
-    let n = at.n;
-    at.n += 1;
-    if buf.tuples.get(at.tuples).is_some_and(|&(of, _)| of == n) {
-        let tuple = std::mem::take(&mut buf.tuples[at.tuples].1);
-        at.tuples += 1;
-        return batch.insert(pred, &tuple);
-    }
     let key = &buf.words[at.words..at.words + keys];
     at.words += keys;
     if !is_lat {
@@ -1718,6 +1718,23 @@ fn insert_next(
     at.cell_ids += 1;
     let id = buf.cell_ids[at.cell_ids - 1];
     batch.join_lat(pred, key, id, buf.words[at.words - 1])
+}
+
+/// Interns the round-local words among the columns `cols` of an atom of
+/// `pred`, in column order — a lattice's element as a cell takes it, any
+/// other value as its slot — as inserting the atom decoded would have.
+fn intern_locals(
+    batch: &mut Batch<'_>,
+    pred: PredId,
+    cols: &mut [u64],
+    locals: &Locals,
+) -> Result<(), InsertFault> {
+    for (col, word) in cols.iter_mut().enumerate() {
+        if is_local(*word) {
+            *word = batch.intern(pred, col, locals.get(*word))?;
+        }
+    }
+    Ok(())
 }
 
 /// The changes of one predicate that a semi-naïve round reads as `∆P`

@@ -1161,6 +1161,118 @@ fn a_value_outside_the_chain_is_a_named_failure_or_a_refused_delta() {
     }
 }
 
+/// A rule literal in the value column of a lattice of a declared kind
+/// must be one of the kind's elements — in a head, a body atom or a
+/// negated one; a lattice of closures takes any value.
+#[test]
+fn a_rule_literal_outside_the_kind_is_refused_when_built() {
+    use flix_core::ProgramError;
+    use flix_lattice::MinCost;
+    let fin = |n: i64| Value::tag("Fin", Value::Int(n));
+    let built = |ops: LatticeOps, literal: &Value, place: usize| {
+        let mut b = ProgramBuilder::new();
+        let start = b.relation("Start", 1);
+        let seen = b.relation("Seen", 1);
+        let dist = b.lattice("Dist", 2, ops);
+        let (k, lit) = (|| Term::var("k"), || Term::Lit(literal.clone()));
+        let start_k = || BodyItem::atom(start, [k()]);
+        match place {
+            0 => b.rule(
+                Head::new(dist, [HeadTerm::var("k"), HeadTerm::Lit(literal.clone())]),
+                [start_k()],
+            ),
+            1 => b.rule(
+                Head::new(seen, [HeadTerm::var("k")]),
+                [start_k(), BodyItem::atom(dist, [k(), lit()])],
+            ),
+            _ => b.rule(
+                Head::new(seen, [HeadTerm::var("k")]),
+                [start_k(), BodyItem::not(dist, [k(), lit()])],
+            ),
+        }
+        b.build()
+    };
+    for stranger in [fin(1 << 60), fin(-1), Value::tag0("Nope"), Value::Int(3)] {
+        for place in 0..3 {
+            match built(LatticeOps::of::<MinCost>(), &stranger, place) {
+                Err(ProgramError::LiteralNotAnElement {
+                    predicate,
+                    lattice,
+                    literal,
+                }) => {
+                    let named = (predicate.as_str(), lattice.as_str());
+                    assert_eq!(named, ("Dist", "MinCost"), "{stranger}");
+                    assert_eq!(literal, stranger.to_string());
+                }
+                other => panic!("{stranger} at {place}: {:?}", other.map(|_| "a program")),
+            }
+            assert!(
+                built(diverging_ops(), &stranger, place).is_ok(),
+                "{stranger}"
+            );
+        }
+    }
+    for element in [fin(0), fin(7), Value::tag0("Inf")] {
+        for place in 0..3 {
+            assert!(built(LatticeOps::of::<MinCost>(), &element, place).is_ok());
+        }
+    }
+}
+
+/// A word form is never handed a value the store holds no slot for:
+/// `length` reads a choice's strings, which no fact holds, through its
+/// boxed form, and a stored string through its word form first (which
+/// declines, so the boxed form answers that call too).
+#[test]
+fn a_word_form_is_never_handed_a_value_the_store_never_held() {
+    use flix_core::WordType;
+    use std::sync::atomic::Ordering;
+    let mut b = ProgramBuilder::new();
+    let num = b.relation("Num", 1);
+    let known = b.relation("Known", 1);
+    let len = b.relation("Len", 2);
+    for n in 1..=3 {
+        b.fact(num, vec![Value::Int(n)]);
+    }
+    b.fact(known, vec!["stored".into()]);
+    let spell = b.function("spell", |args| {
+        let n = args[0].as_int().expect("an int");
+        Value::set([format!("s{n}"), format!("tt{n}")].map(Value::from))
+    });
+    let (boxed, boxed_calls) = counter();
+    let length = b.function("length", move |args| {
+        boxed.fetch_add(1, Ordering::Relaxed);
+        Value::Int(args[0].as_str().expect("a string").len() as i64)
+    });
+    let (words, word_calls) = counter();
+    b.word_form(length, [WordType::Slot], WordType::Slot, move |_| {
+        words.fetch_add(1, Ordering::Relaxed);
+        u64::MAX
+    });
+    let s = || Term::var("s");
+    let head = || Head::new(len, [HeadTerm::var("s"), HeadTerm::app(length, [s()])]);
+    b.rule(
+        head(),
+        [
+            BodyItem::atom(num, [Term::var("x")]),
+            BodyItem::choose(spell, [Term::var("x")], "s"),
+        ],
+    );
+    b.rule(head(), [BodyItem::atom(known, [s()])]);
+    let solution = Solver::new()
+        .solve(&b.build().expect("valid"))
+        .expect("solves");
+    let mut lines = solution.fact_lines("Len", None).expect("declared");
+    lines.sort();
+    assert_eq!(lines.len(), 7, "{lines:?}");
+    assert!(lines.contains(&"Len(\"tt3\", 3)".to_string()), "{lines:?}");
+    assert!(
+        lines.contains(&"Len(\"stored\", 6)".to_string()),
+        "{lines:?}"
+    );
+    assert_eq!((word_calls(), boxed_calls()), (1, 7));
+}
+
 /// Counts calls of one form of a function.
 fn counter() -> (
     std::sync::Arc<std::sync::atomic::AtomicUsize>,

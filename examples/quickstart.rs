@@ -29,6 +29,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ],
     );
     let solution = Solver::new().solve(&b.build()?)?;
+    // 1→2, 2→3, 3→4, 1→3, 2→4, 1→4.
+    assert_eq!(
+        solution.len("Path"),
+        Some(6),
+        "the closure of a 4-node chain"
+    );
     println!(
         "transitive closure has {} paths:",
         solution.len("Path").unwrap_or(0)
@@ -46,9 +52,20 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     b.fact(obs, vec![Value::from("y"), Parity::Odd.to_value()]);
     let solution = Solver::new().solve(&b.build()?)?;
     println!("\nlattice cells (Even ⊔ Odd = ⊤):");
+    let mut cells = Vec::new();
     for (key, value) in solution.lattice("Observed").expect("declared") {
         println!("  Observed({}) = {}", key[0], value);
+        cells.push((key[0].clone(), value.clone()));
     }
+    cells.sort();
+    assert_eq!(
+        cells,
+        [
+            (Value::from("x"), Parity::Top.to_value()),
+            (Value::from("y"), Parity::Odd.to_value()),
+        ],
+        "Even ⊔ Odd = ⊤ at x; Odd alone at y"
+    );
 
     // ---- 3. The same idea in the FLIX surface language ------------------
     let source = r#"
@@ -60,9 +77,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     "#;
     let program = flix::compile(source)?;
     let solution = Solver::new().solve(&program)?;
-    println!(
-        "\nsurface language: Path(10, 30) derived? {}",
-        solution.contains("Path", &[10.into(), 30.into()])
+    let derived = solution.contains("Path", &[10.into(), 30.into()]);
+    println!("\nsurface language: Path(10, 30) derived? {derived}");
+    assert!(
+        derived,
+        "Path(10, 30) follows from Edge(10, 20), Edge(20, 30)"
     );
     Ok(())
 }

@@ -3,32 +3,36 @@
 //! The paper's implementation evaluates functions "using an AST-based
 //! interpreter" (§4.5). This module keeps that language and its semantics
 //! but reads the AST once: [`Interpreter::new`] compiles every `def` into
-//! a tree of closures in which the work a tree-walker repeats on each
-//! call is already done — callees are indexes into the compiled table,
-//! variables are numbered slots of a frame whose size is known, constant
-//! subterms are prebuilt values and constructor tags are interned, so a
-//! pattern tests a tag by pointer before it compares content. Values are
-//! the engine's dynamic [`Value`]s, so compiled lattice operations and
-//! transfer functions plug directly into [`flix_core::LatticeOps`] and
-//! [`flix_core::ProgramBuilder::function`].
+//! one tree of closures, *word code*, in which the work a tree-walker
+//! repeats on each call is already done — callees are indexes into the
+//! compiled table, variables are numbered words of a frame whose size is
+//! known, and constants are prebuilt words.
 //!
-//! The same walk compiles each body a second time, to *word code*:
-//! closures over the fact store's `u64` slots, on a fixed frame of words,
-//! that allocate nothing (DESIGN §6). A slot holds an integer, a boolean
-//! or a constructor applied to one of those inline
-//! ([`flix_core::slot_of_ctor`]), or the index of a spilled value — a
-//! string included — in its store. A constructor's id and a string
-//! literal's slot are the program's [`Names`], the same in every store
-//! of the program, so word code bakes them in. Word code reads and builds
-//! slots, tests patterns on them, and compares any two slots for
-//! equality, which is value equality. Where it cannot answer exactly — a
-//! spilled operand it would have to look into, a result with no inline
-//! slot, no arm that matches, the call-depth limit — it declines, and the
-//! boxed code runs the call, with its result or its panic. A `def` has
-//! word code when every construct of its body does and every `def` it
-//! calls has word code too; lowering registers it as the function's word
-//! form and, for a lattice's `leq`, `lub` and `glb`, as the lattice's
-//! ([`flix_core::LatticeOps::with_word_forms`]).
+//! Word code computes on `u64` words, the fact store's slots (DESIGN §6),
+//! on a frame of words on the machine stack. A word is one of three
+//! things. An *inline* slot holds a unit, a boolean, an integer of 61
+//! bits or a constructor applied to one of those
+//! ([`flix_core::slot_of_ctor`]). A *named* slot is a string the program's
+//! [`Names`] fix — a constructor's name or a string literal — the same in
+//! every store of the program, so word code bakes it in. Any other value —
+//! a tuple, a set, a constructor of several fields, an integer past the
+//! inline range, a string that is no literal — is a *heap* word: its index
+//! in the running call's heap, under a tag no slot and no round-local word
+//! carries. Encoding is canonical, so two words are equal exactly when
+//! their values are, except two heap words, whose values are compared.
+//!
+//! Two entries run the one code. [`Interpreter::call`] encodes its
+//! arguments, runs the code with a heap and decodes the result; it
+//! answers every call, and panics where the language does — no arm that
+//! matches, the call-depth limit. The word-form entry
+//! (`Interpreter::call_words`) runs it on a store's slots with no heap,
+//! and declines where it would make a heap value, look inside a value its
+//! store spilled, fill its frame, or panic: the engine then calls the
+//! value entry. A
+//! `def` gets a word form when no construct of its body always makes a
+//! heap value and every `def` it calls gets one too; lowering registers
+//! it as the function's word form and, for a lattice's `leq`, `lub` and
+//! `glb`, as the lattice's ([`flix_core::LatticeOps::with_word_forms`]).
 
 use crate::ast::{BinOp, Expr, Lit, MatchArm, Pattern, UnOp};
 use crate::token::Pos;
@@ -44,129 +48,120 @@ use std::sync::Arc;
 /// reports as a function panic, where running out of machine stack
 /// aborts the process. Fixed, and small on purpose: a level of recursion
 /// costs a machine frame per closure between one call and the next —
-/// measured at 1–2 KiB a level in a debug build (0.5–1 KiB in release)
-/// for bodies nesting up to seven expressions — so the limit is reached
-/// within a quarter of a 2 MiB thread stack (the default of
+/// measured at 0.8–1.5 KiB a level in a debug build (0.17–0.34 KiB in
+/// release) for bodies nesting one to seven expressions — so the limit is
+/// reached within a quarter of a 2 MiB thread stack (the default of
 /// `std::thread::spawn`, which solver workers and the `flixd` writer run
-/// on), and bodies nesting four times deeper still fit. Word code
-/// declines at the same depth.
+/// on), and bodies nesting four times deeper still fit. The word-form
+/// entry declines at the same depth.
 const MAX_CALL_DEPTH: usize = 256;
 
-/// The words a word frame holds: the slots of the running calls'
-/// parameters, `let`s, pattern variables and scrutinees. A call that
-/// needs more declines.
+/// The words a frame holds on the machine stack: the slots of the
+/// running calls' parameters, `let`s, pattern variables and scrutinees.
+/// The word-form entry declines where a call needs more; the value entry
+/// runs again on a stack four times as long.
 const WORD_STACK: usize = 32;
 
-/// Compiled code for one expression: evaluates it in a frame.
-type Code = Box<dyn Fn(&mut Frame<'_>) -> Value + Send + Sync>;
+/// The low three bits of a word: its tag, as the store encodes it. A
+/// heap word carries [`HEAP`], the one tag that no store slot, no reserved
+/// lattice word and no round-local word carries; a string the program's
+/// names fix carries [`NAMED`] over its id; `()` is [`UNIT`].
+const TAG_MASK: u64 = 7;
+const HEAP: u64 = 3;
+const NAMED: u64 = 4;
+const UNIT: u64 = 0;
 
-/// Word code for one expression: the slot of its value in a word frame,
-/// or `None` where it declines.
+/// The code of one expression: the word of its value in a frame, or
+/// `None` where the word-form entry declines.
 type WordCode = Box<dyn Fn(&mut WordFrame<'_>) -> Option<u64> + Send + Sync>;
 
-/// The compiled test of one pattern. Binding is separate (see [`Bind`]),
-/// so a test reads the matched value and nothing else.
-type Test = Box<dyn Fn(&Value) -> bool + Send + Sync>;
-
-/// A pattern's test on a slot: `None` where the slot does not tell — a
-/// spilled value whose constructor the test would have to read.
-type WordTest = Box<dyn Fn(u64) -> Option<bool> + Send + Sync>;
-
-/// One expression compiled both ways: the boxed code, and the word code
-/// where every part of the expression has word code.
-struct Compiled {
-    code: Code,
-    word: Option<WordCode>,
-}
+/// The compiled test of one pattern on a word, which binds the pattern's
+/// variables as it goes: `None` where the word-form entry cannot tell — a
+/// spilled value the test would have to look into.
+type WordTest = Box<dyn Fn(&mut WordFrame<'_>, u64) -> Option<bool> + Send + Sync>;
 
 /// One compiled `def`.
 struct Def {
     name: String,
     arity: usize,
     /// The frame size: parameters first, then the most `let`, pattern and
-    /// scrutinee slots live at once.
+    /// scrutinee words live at once.
     slots: usize,
-    body: Code,
-    /// The word code, on frames of the same slots.
-    word: Option<WordCode>,
+    code: WordCode,
+    /// Whether the word-form entry runs it: no construct of its body
+    /// always makes a heap value, and every `def` it calls runs too.
+    word_form: bool,
 }
 
-/// One frame slot. The arguments of an outermost call — the engine's
-/// borrowed operands — stay borrowed, and so does whatever a pattern
-/// binds inside them; only computed values are owned.
-#[derive(Clone)]
-enum Slot<'v> {
-    Own(Value),
-    Ref(&'v Value),
+/// The program's [`Names`], and the strings their ids stand for.
+#[derive(Clone, Default)]
+struct Strings {
+    names: Names,
+    /// Each name by its id.
+    by_id: Vec<Arc<str>>,
 }
 
-impl Slot<'_> {
-    fn value(&self) -> &Value {
-        match self {
-            Slot::Own(value) => value,
-            Slot::Ref(value) => value,
+impl Strings {
+    /// The id of `name`, registering it when it is new, and the one
+    /// allocation every store of the program decodes it to.
+    fn intern(&mut self, name: &str) -> (u32, Arc<str>) {
+        let (id, name) = self.names.intern(name);
+        if id as usize == self.by_id.len() {
+            self.by_id.push(Arc::clone(&name));
+        }
+        (id, name)
+    }
+
+    /// A literal's value, a string one among the names: then it has a
+    /// slot word code may bake in.
+    fn literal(&mut self, l: &Lit) -> Value {
+        match l {
+            Lit::Str(s) => Value::Str(self.intern(s).1),
+            _ => lit_value(l),
         }
     }
 }
 
-/// The activation state of one outermost call: a slot stack shared by
-/// the nested calls, the running call's window into it, and the depth.
-struct Frame<'v> {
-    defs: &'v [Def],
-    stack: Vec<Slot<'v>>,
-    /// Where the running call's slots start in `stack`.
-    base: usize,
-    depth: usize,
-}
-
-impl<'v> Frame<'v> {
-    fn get(&self, slot: usize) -> &Value {
-        self.stack[self.base + slot].value()
-    }
-
-    fn set(&mut self, slot: usize, value: Slot<'v>) {
-        let at = self.base + slot;
-        self.stack[at] = value;
-    }
-
-    /// Runs `callee` on the arguments the caller pushed from `base` up.
-    fn enter(&mut self, callee: usize, base: usize) -> Value {
-        let defs = self.defs;
-        let def = &defs[callee];
-        assert_eq!(
-            def.arity,
-            self.stack.len() - base,
-            "function {} called with wrong arity",
-            def.name
-        );
-        if self.depth == MAX_CALL_DEPTH {
-            panic!("recursion limit exceeded in {}", def.name);
-        }
-        self.stack.resize(base + def.slots, Slot::Own(Value::Unit));
-        let caller = std::mem::replace(&mut self.base, base);
-        self.depth += 1;
-        let result = (def.body)(self);
-        self.depth -= 1;
-        self.base = caller;
-        self.stack.truncate(base);
-        result
-    }
-}
-
-/// [`Frame`] for word code: the slots live in a fixed array on the
-/// machine stack of the outermost call.
+/// The activation state of one outermost call: a word stack shared by
+/// the nested calls, the running call's window into it, the depth, and
+/// the value entry's heap.
 struct WordFrame<'d> {
     defs: &'d [Def],
-    stack: [u64; WORD_STACK],
-    /// The words in use: the running call's, and the arguments pushed
-    /// for the next.
+    strings: &'d Strings,
+    /// The running calls' words — parameters, `let`s, pattern variables
+    /// and scrutinees — and the arguments pushed for the next call.
+    stack: &'d mut [u64],
+    /// The words in use.
     top: usize,
-    /// Where the running call's slots start in `stack`.
+    /// Where the running call's words start.
     base: usize,
     depth: usize,
+    /// Whether a call needed more words than `stack` has: it declined.
+    ran_out: bool,
+    /// The values heap words stand for, at the indexes the words carry;
+    /// `None` in the word-form entry.
+    heap: Option<&'d mut Vec<Value>>,
 }
 
-impl WordFrame<'_> {
+impl<'d> WordFrame<'d> {
+    fn new(
+        defs: &'d [Def],
+        strings: &'d Strings,
+        stack: &'d mut [u64],
+        heap: Option<&'d mut Vec<Value>>,
+    ) -> WordFrame<'d> {
+        WordFrame {
+            defs,
+            strings,
+            stack,
+            top: 0,
+            base: 0,
+            depth: 0,
+            ran_out: false,
+            heap,
+        }
+    }
+
     #[inline]
     fn get(&self, slot: usize) -> u64 {
         self.stack[self.base + slot]
@@ -177,33 +172,165 @@ impl WordFrame<'_> {
         self.stack[self.base + slot] = word;
     }
 
-    /// Pushes an argument of the next call; `None` when the frame is full.
+    /// Makes the words below `top` the frame's; `None` when `stack` has
+    /// fewer.
     #[inline]
-    fn push(&mut self, word: u64) -> Option<()> {
-        *self.stack.get_mut(self.top)? = word;
-        self.top += 1;
-        Some(())
-    }
-
-    /// Runs `callee`'s word code on the arguments pushed from `base` up;
-    /// declines where the boxed call would panic on depth or arity, or the
-    /// frame would overflow.
-    fn enter(&mut self, callee: usize, base: usize) -> Option<u64> {
-        let defs = self.defs;
-        let def = &defs[callee];
-        let word = def.word.as_ref()?;
-        let top = base + def.slots;
-        if self.depth == MAX_CALL_DEPTH || self.top - base != def.arity || top > WORD_STACK {
+    fn reach(&mut self, top: usize) -> Option<()> {
+        if top > self.stack.len() {
+            self.ran_out = true;
             return None;
         }
         self.top = top;
+        Some(())
+    }
+
+    /// Pushes an argument of the next call.
+    #[inline]
+    fn push(&mut self, word: u64) -> Option<()> {
+        let at = self.top;
+        self.reach(at + 1)?;
+        self.stack[at] = word;
+        Some(())
+    }
+
+    /// Runs `callee` on the arguments pushed from `base` up.
+    fn enter(&mut self, callee: usize, base: usize) -> Option<u64> {
+        let defs = self.defs;
+        let def = &defs[callee];
+        if self.depth == MAX_CALL_DEPTH {
+            return self.refuse(|_| format!("recursion limit exceeded in {}", def.name));
+        }
+        self.reach(base + def.slots)?;
         let caller = std::mem::replace(&mut self.base, base);
         self.depth += 1;
-        let result = word(self);
+        let result = (def.code)(self);
         self.depth -= 1;
         self.base = caller;
         self.top = base;
         result
+    }
+
+    /// Where the language panics: the value entry panics with `message`,
+    /// the word-form entry declines.
+    #[cold]
+    fn refuse(&self, message: impl FnOnce(&Self) -> String) -> Option<u64> {
+        if self.heap.is_some() {
+            panic!("{}", message(self));
+        }
+        None
+    }
+
+    /// A heap word for `value`, which has no inline or named slot; `None`
+    /// in the word-form entry.
+    #[cold]
+    fn alloc(&mut self, value: Value) -> Option<u64> {
+        let heap = self.heap.as_mut()?;
+        heap.push(value);
+        Some((((heap.len() - 1) as u64) << 3) | HEAP)
+    }
+
+    /// The word of `value`: its inline or named slot, or a heap word.
+    #[cold]
+    fn encode(&mut self, value: Value) -> Option<u64> {
+        match self.strings.names.slot(&value) {
+            Some(slot) => Some(slot),
+            None => self.alloc(value),
+        }
+    }
+
+    /// The heap word of constructor `tag` applied to the value of
+    /// `payload`: a value with no constructor slot.
+    #[cold]
+    fn tag(&mut self, tag: &Arc<str>, payload: u64) -> Option<u64> {
+        let payload = self.value(payload)?;
+        self.alloc(Value::Tag(Arc::clone(tag), Arc::new(payload)))
+    }
+
+    /// The word of the payload of heap word `word`, when its value is
+    /// constructor `tag`'s (`Some(None)` when it is another's).
+    #[cold]
+    fn payload(&mut self, word: u64, tag: &Arc<str>) -> Option<Option<u64>> {
+        match self.heap_value(word)? {
+            Value::Tag(name, payload) if name == tag => {
+                let payload = Value::clone(payload);
+                Some(Some(self.encode(payload)?))
+            }
+            _ => Some(None),
+        }
+    }
+
+    /// The value a heap word stands for.
+    #[inline]
+    fn heap_value(&self, word: u64) -> Option<&Value> {
+        if word & TAG_MASK != HEAP {
+            return None;
+        }
+        self.heap.as_ref()?.get((word >> 3) as usize)
+    }
+
+    /// The value `word` stands for; `None` for a value a store spilled.
+    fn value(&self, word: u64) -> Option<Value> {
+        if let Some(n) = int_of_slot(word) {
+            return Some(Value::Int(n));
+        }
+        if let Some((ctor, payload)) = ctor_of_slot(word) {
+            let name = self.strings.by_id.get(ctor as usize)?;
+            return Some(Value::Tag(Arc::clone(name), Arc::new(self.value(payload)?)));
+        }
+        match word {
+            WORD_TRUE => Some(Value::Bool(true)),
+            WORD_FALSE => Some(Value::Bool(false)),
+            UNIT => Some(Value::Unit),
+            _ if word & TAG_MASK == NAMED => {
+                let name = self.strings.by_id.get((word >> 3) as usize)?;
+                Some(Value::Str(Arc::clone(name)))
+            }
+            _ => self.heap_value(word).cloned(),
+        }
+    }
+
+    /// The values of `codes`, in order.
+    fn values(&mut self, codes: &[WordCode]) -> Option<Vec<Value>> {
+        let mut values = Vec::with_capacity(codes.len());
+        for code in codes {
+            let word = code(self)?;
+            values.push(self.value(word)?);
+        }
+        Some(values)
+    }
+
+    /// The integer `word` stands for.
+    #[inline]
+    fn int(&self, word: u64) -> Option<i64> {
+        match int_of_slot(word) {
+            Some(n) => Some(n),
+            None => self.heap_value(word)?.as_int(),
+        }
+    }
+
+    /// The word of `Value::Int(n)`.
+    #[inline]
+    fn int_word(&mut self, n: i64) -> Option<u64> {
+        match slot_of_int(n) {
+            Some(slot) => Some(slot),
+            None => self.alloc(Value::Int(n)),
+        }
+    }
+
+    /// Whether two words stand for one value.
+    #[inline]
+    fn same(&self, a: u64, b: u64) -> bool {
+        a == b
+            || match (self.heap_value(a), self.heap_value(b)) {
+                (Some(a), Some(b)) => a == b,
+                _ => false,
+            }
+    }
+
+    /// The tuple of the values in `slots`.
+    fn tuple(&self, slots: &[usize]) -> Option<Value> {
+        let items: Option<Vec<Value>> = slots.iter().map(|&s| self.value(self.get(s))).collect();
+        Some(Value::tuple(items?))
     }
 }
 
@@ -219,7 +346,7 @@ pub struct Interpreter {
     defs: Arc<[Def]>,
     /// The constructor names and string literals the word code bakes in,
     /// by the ids it bakes in: the program's [`Names`].
-    names: Arc<Names>,
+    strings: Arc<Strings>,
 }
 
 impl fmt::Debug for Interpreter {
@@ -235,7 +362,7 @@ impl Interpreter {
     /// string literal of its `def`s as compiling meets it, gets its id
     /// among the program's [`Names`]: an order fixed by the program.
     pub fn new(program: Arc<CheckedProgram>) -> Interpreter {
-        let mut strings = Names::default();
+        let mut strings = Strings::default();
         let mut cases: Vec<&str> = program
             .enums
             .values()
@@ -256,34 +383,34 @@ impl Interpreter {
                 for (param, _) in &info.params {
                     cx.bind(param);
                 }
-                let body = cx.expr(&info.body);
+                let code = cx.expr(&info.body);
                 calls.push(std::mem::take(&mut cx.calls));
                 Def {
                     name: name.to_string(),
                     arity: info.params.len(),
                     slots: cx.slots,
-                    body: body.code,
-                    word: body.word,
+                    code,
+                    word_form: cx.word_form,
                 }
             })
             .collect();
-        // Word code that calls a def without any would always decline
-        // there: until nothing changes, such a def has none either.
+        // A def that calls one the word-form entry does not run would
+        // always decline there: until nothing changes, it is not run either.
         loop {
             let lacking: Vec<usize> = (0..defs.len())
-                .filter(|&d| defs[d].word.is_some())
-                .filter(|&d| calls[d].iter().any(|&callee| defs[callee].word.is_none()))
+                .filter(|&d| defs[d].word_form)
+                .filter(|&d| calls[d].iter().any(|&callee| !defs[callee].word_form))
                 .collect();
             if lacking.is_empty() {
                 break;
             }
             for d in lacking {
-                defs[d].word = None;
+                defs[d].word_form = false;
             }
         }
         Interpreter {
             defs: defs.into(),
-            names: Arc::new(strings),
+            strings: Arc::new(strings),
         }
     }
 
@@ -310,7 +437,7 @@ impl Interpreter {
     /// The names the word code bakes in, for every store of the program
     /// to intern first ([`flix_core::ProgramBuilder::names`]).
     pub(crate) fn names(&self) -> &Names {
-        &self.names
+        &self.strings.names
     }
 
     /// The index [`Interpreter::call_at`] takes for a named function.
@@ -325,42 +452,73 @@ impl Interpreter {
     }
 
     /// [`Interpreter::call`] without the lookup, on borrowed arguments.
-    pub(crate) fn call_at<'v>(
-        &'v self,
-        def: usize,
-        args: impl IntoIterator<Item = &'v Value>,
-    ) -> Value {
+    pub(crate) fn call_at<'v, A>(&'v self, def: usize, args: A) -> Value
+    where
+        A: IntoIterator<Item = &'v Value>,
+        A::IntoIter: Clone,
+    {
         #[cfg(test)]
-        tests::BOXED_CALLS.with(|calls| calls.set(calls.get() + 1));
-        let mut frame = Frame {
-            defs: &self.defs,
-            stack: Vec::with_capacity(self.defs[def].slots),
-            base: 0,
-            depth: 0,
-        };
-        frame.stack.extend(args.into_iter().map(Slot::Ref));
-        frame.enter(def, 0)
+        tests::VALUE_CALLS.with(|calls| calls.set(calls.get() + 1));
+        let args = args.into_iter();
+        let callee = &self.defs[def];
+        assert_eq!(
+            callee.arity,
+            args.clone().count(),
+            "function {} called with wrong arity",
+            callee.name
+        );
+        self.run_values(&self.strings, |frame| {
+            for arg in args.clone() {
+                let word = frame.encode(Value::clone(arg))?;
+                frame.push(word)?;
+            }
+            frame.enter(def, 0)
+        })
     }
 
-    /// The number of parameters of the `def` at index `def`, when it has
-    /// word code.
+    /// Runs `code` in the value entry: with a heap, on a word stack that
+    /// grows until no call runs out of it — the one place the value
+    /// entry's code declines.
+    fn run_values(
+        &self,
+        strings: &Strings,
+        code: impl Fn(&mut WordFrame<'_>) -> Option<u64>,
+    ) -> Value {
+        let (mut first, mut longer) = ([0; WORD_STACK], Vec::new());
+        loop {
+            let stack = match longer.len() {
+                0 => &mut first[..],
+                _ => &mut longer[..],
+            };
+            let mut heap = Vec::new();
+            let mut frame = WordFrame::new(&self.defs, strings, stack, Some(&mut heap));
+            if let Some(word) = code(&mut frame) {
+                return frame
+                    .value(word)
+                    .expect("the value entry decodes its words");
+            }
+            assert!(frame.ran_out, "the value entry answers or panics");
+            longer = vec![0; 4 * frame.stack.len()];
+        }
+    }
+
+    /// The number of parameters of the `def` at index `def`, when the
+    /// word-form entry runs it.
     pub(crate) fn word_arity(&self, def: usize) -> Option<usize> {
         let def = &self.defs[def];
-        def.word.as_ref().map(|_| def.arity)
+        def.word_form.then_some(def.arity)
     }
 
-    /// Runs the word code of the `def` at index `def` on the slots of its
-    /// arguments: the slot of the result, or `None` where the word code
-    /// declines (or the def has none) and [`Interpreter::call_at`] must
-    /// answer.
+    /// The word-form entry: runs the `def` at index `def` on a store's
+    /// slots of its arguments, with no heap. The slot of the result, or
+    /// `None` where it declines (or does not run the def) and
+    /// [`Interpreter::call_at`] must answer.
     pub(crate) fn call_words(&self, def: usize, args: &[u64]) -> Option<u64> {
-        let mut frame = WordFrame {
-            defs: &self.defs,
-            stack: [0; WORD_STACK],
-            top: 0,
-            base: 0,
-            depth: 0,
-        };
+        if self.defs[def].arity != args.len() || !self.defs[def].word_form {
+            return None;
+        }
+        let mut stack = [0; WORD_STACK];
+        let mut frame = WordFrame::new(&self.defs, &self.strings, &mut stack, None);
         for &arg in args {
             frame.push(arg)?;
         }
@@ -370,16 +528,14 @@ impl Interpreter {
     /// Evaluates a closed expression (no free variables).
     pub fn eval_closed(&self, expr: &Expr) -> Value {
         let names: Vec<&str> = self.def_names().collect();
-        let mut strings = Names::clone(&self.names);
+        let mut strings = Strings::clone(&self.strings);
         let mut cx = Compiler::new(&names, &mut strings);
-        let code = cx.expr(expr).code;
-        let mut frame = Frame {
-            defs: &self.defs,
-            stack: vec![Slot::Own(Value::Unit); cx.slots],
-            base: 0,
-            depth: 0,
-        };
-        code(&mut frame)
+        let code = cx.expr(expr);
+        let slots = cx.slots;
+        self.run_values(&strings, |frame| {
+            frame.reach(slots)?;
+            code(frame)
+        })
     }
 }
 
@@ -407,86 +563,10 @@ fn payload(mut fields: impl ExactSizeIterator<Item = Value>) -> Value {
     }
 }
 
-fn same_tag(a: &Arc<str>, b: &Arc<str>) -> bool {
-    Arc::ptr_eq(a, b) || a == b
-}
-
-/// One step from a matched value to the part a pattern variable binds.
-#[derive(Clone, Copy)]
-enum Step {
-    /// A constructor's payload.
-    Payload,
-    /// A tuple's component.
-    Item(usize),
-}
-
-/// Where a value is read from once an arm's tests have passed.
-enum Source {
-    /// The slot's value, followed down `steps`.
-    Part(usize, Vec<Step>),
-    /// The tuple of the slots' values: a tuple-literal scrutinee, built
-    /// only by an arm that binds it whole and by the no-arm panic.
-    Tuple(Vec<usize>),
-}
-
-impl Source {
-    fn read<'v>(&self, frame: &Frame<'v>) -> Slot<'v> {
-        match self {
-            Source::Part(slot, steps) => match &frame.stack[frame.base + slot] {
-                Slot::Own(value) => Slot::Own(part(value, steps).clone()),
-                Slot::Ref(value) => Slot::Ref(part(value, steps)),
-            },
-            Source::Tuple(slots) => {
-                Slot::Own(Value::tuple(slots.iter().map(|&s| frame.get(s).clone())))
-            }
-        }
-    }
-
-    /// Where word code reads the same part: the slot, and how many
-    /// constructor payloads down. `None` for a tuple or a tuple's
-    /// component, which have no inline slot.
-    fn words(&self) -> Option<(usize, usize)> {
-        match self {
-            Source::Part(slot, steps) if steps.iter().all(|s| matches!(s, Step::Payload)) => {
-                Some((*slot, steps.len()))
-            }
-            Source::Part(..) | Source::Tuple(_) => None,
-        }
-    }
-}
-
-/// The part of `value` that `steps` lead to.
-fn part<'v>(mut value: &'v Value, steps: &[Step]) -> &'v Value {
-    for step in steps {
-        value = match (step, value) {
-            (Step::Payload, Value::Tag(_, payload)) => payload,
-            (Step::Item(i), Value::Tuple(items)) => &items[*i],
-            _ => unreachable!("the arm's tests passed"),
-        };
-    }
-    value
-}
-
-/// A pattern variable: the slot it gets and where its value comes from.
-struct Bind {
-    from: Source,
-    to: usize,
-}
-
-/// One compiled `match` arm: every test must pass on its slot, then the
-/// binds run, then the body.
-struct Arm {
-    tests: Vec<(usize, Test)>,
-    binds: Vec<Bind>,
-    body: Code,
-}
-
-/// [`Arm`] for word code: a bind reads its slot `payloads` constructor
-/// payloads down.
+/// One compiled `match` arm: every pattern must match its slot's word,
+/// then the body runs.
 struct WordArm {
     tests: Vec<(usize, WordTest)>,
-    /// `(slot, payloads, to)`.
-    binds: Vec<(usize, usize, usize)>,
     body: WordCode,
 }
 
@@ -501,21 +581,24 @@ struct Compiler<'a> {
     live: usize,
     /// The most slots in use at once: the frame size.
     slots: usize,
-    /// The callees the word code calls.
+    /// The callees the code calls.
     calls: Vec<usize>,
+    /// Whether no construct compiled so far always makes a heap value.
+    word_form: bool,
     /// The program's names: each constructor's tag and id, and each
     /// string literal's, interned as compiling meets it.
-    strings: &'a mut Names,
+    strings: &'a mut Strings,
 }
 
 impl<'a> Compiler<'a> {
-    fn new(names: &'a [&'a str], strings: &'a mut Names) -> Compiler<'a> {
+    fn new(names: &'a [&'a str], strings: &'a mut Strings) -> Compiler<'a> {
         Compiler {
             names,
             scope: Vec::new(),
             live: 0,
             slots: 0,
             calls: Vec::new(),
+            word_form: true,
             strings,
         }
     }
@@ -530,7 +613,7 @@ impl<'a> Compiler<'a> {
                 .collect::<Option<Vec<Value>>>()
         };
         match expr {
-            Expr::Lit(l, _) => Some(literal(self.strings, l)),
+            Expr::Lit(l, _) => Some(self.strings.literal(l)),
             Expr::Ctor { case, args, .. } => {
                 let fields = all(args)?;
                 let (_, tag) = self.strings.intern(case);
@@ -561,149 +644,97 @@ impl<'a> Compiler<'a> {
         Some(*slot)
     }
 
-    /// The boxed code of every item, and the word code when every item
-    /// has some.
-    fn exprs(&mut self, items: &'a [Expr]) -> (Vec<Code>, Option<Vec<WordCode>>) {
-        let mut codes = Vec::with_capacity(items.len());
-        let mut words = Some(Vec::with_capacity(items.len()));
-        for item in items {
-            let compiled = self.expr(item);
-            codes.push(compiled.code);
-            words = words.zip(compiled.word).map(|(mut words, word)| {
-                words.push(word);
-                words
-            });
-        }
-        (codes, words)
+    /// The code of a construct that always makes a heap value.
+    fn heap(&mut self, code: WordCode) -> WordCode {
+        self.word_form = false;
+        code
     }
 
-    fn expr(&mut self, expr: &'a Expr) -> Compiled {
+    fn exprs(&mut self, items: &'a [Expr]) -> Vec<WordCode> {
+        items.iter().map(|item| self.expr(item)).collect()
+    }
+
+    fn expr(&mut self, expr: &'a Expr) -> WordCode {
         if let Some(value) = self.constant(expr) {
-            let word = self.strings.slot(&value);
-            let word =
-                word.map(|slot| Box::new(move |_: &mut WordFrame<'_>| Some(slot)) as WordCode);
-            return Compiled {
-                code: Box::new(move |_| value.clone()),
-                word,
+            return match self.strings.names.slot(&value) {
+                Some(slot) => Box::new(move |_| Some(slot)),
+                None => self.heap(Box::new(move |f| f.alloc(value.clone()))),
             };
         }
-        let (code, word): (Code, Option<WordCode>) = match expr {
+        match expr {
             Expr::Lit(..) => unreachable!("a literal is a constant"),
-            Expr::Var(name, _) => match self.lookup(name) {
-                Some(slot) => (
-                    Box::new(move |f| f.get(slot).clone()),
-                    Some(Box::new(move |f| Some(f.get(slot)))),
-                ),
-                None => {
-                    let name = name.clone();
-                    (
-                        Box::new(move |_| panic!("unbound variable {name} (checker bug)")),
-                        None,
-                    )
-                }
-            },
+            Expr::Var(name, _) => {
+                let slot = self.lookup(name);
+                let slot = slot.unwrap_or_else(|| panic!("unbound variable {name} (checker bug)"));
+                Box::new(move |f| Some(f.get(slot)))
+            }
             Expr::Ctor { case, args, .. } => {
                 let (ctor, tag) = self.strings.intern(case);
-                let (fields, words) = self.exprs(args);
+                let mut fields = self.exprs(args);
                 // One field has a constructor slot where its own slot fits;
                 // a tuple of fields never has one.
-                let word = match words {
-                    Some(mut words) if words.len() == 1 => {
-                        let field = words.pop().expect("one field");
-                        Some(
-                            Box::new(move |f: &mut WordFrame<'_>| slot_of_ctor(ctor, field(f)?))
-                                as WordCode,
-                        )
+                if fields.len() != 1 {
+                    return self.heap(Box::new(move |f| {
+                        let fields = f.values(&fields)?;
+                        f.alloc(Value::Tag(tag.clone(), Arc::new(Value::tuple(fields))))
+                    }));
+                }
+                let field = fields.pop().expect("one field");
+                Box::new(move |f| {
+                    let word = field(f)?;
+                    match slot_of_ctor(ctor, word) {
+                        Some(slot) => Some(slot),
+                        None => f.tag(&tag, word),
                     }
-                    _ => None,
-                };
-                (
-                    Box::new(move |f| {
-                        Value::Tag(tag.clone(), Arc::new(payload(fields.iter().map(|c| c(f)))))
-                    }),
-                    word,
-                )
+                })
             }
             Expr::Call { func, args, .. } => {
                 let Ok(callee) = self.names.binary_search(&func.as_str()) else {
-                    let name = func.clone();
-                    return Compiled {
-                        code: Box::new(move |_| panic!("call to unknown function {name}")),
-                        word: None,
-                    };
+                    panic!("call to unknown function {func}");
                 };
-                let (args, words) = self.exprs(args);
-                let word = words.map(|words| {
-                    self.calls.push(callee);
-                    Box::new(move |f: &mut WordFrame<'_>| {
-                        let base = f.top;
-                        for arg in &words {
-                            let word = arg(f)?;
-                            f.push(word)?;
-                        }
-                        f.enter(callee, base)
-                    }) as WordCode
-                });
-                (
-                    Box::new(move |f| {
-                        let base = f.stack.len();
-                        for arg in &args {
-                            let value = arg(f);
-                            f.stack.push(Slot::Own(value));
-                        }
-                        f.enter(callee, base)
-                    }),
-                    word,
-                )
+                let args = self.exprs(args);
+                self.calls.push(callee);
+                Box::new(move |f| {
+                    let base = f.top;
+                    for arg in &args {
+                        let word = arg(f)?;
+                        f.push(word)?;
+                    }
+                    f.enter(callee, base)
+                })
             }
             Expr::Tuple(items, _) => {
-                let (items, _) = self.exprs(items);
-                (
-                    Box::new(move |f| Value::tuple(items.iter().map(|c| c(f)))),
-                    None,
-                )
+                let items = self.exprs(items);
+                self.heap(Box::new(move |f| {
+                    let items = f.values(&items)?;
+                    f.alloc(Value::tuple(items))
+                }))
             }
             Expr::SetLit(items, _) => {
-                let (items, _) = self.exprs(items);
-                (
-                    Box::new(move |f| Value::set(items.iter().map(|c| c(f)))),
-                    None,
-                )
+                let items = self.exprs(items);
+                self.heap(Box::new(move |f| {
+                    let items = f.values(&items)?;
+                    f.alloc(Value::set(items))
+                }))
             }
             Expr::Unary { op, expr, .. } => {
-                let Compiled {
-                    code: operand,
-                    word,
-                } = self.expr(expr);
+                let operand = self.expr(expr);
                 match op {
-                    UnOp::Not => (
-                        Box::new(move |f| {
-                            Value::Bool(!operand(f).as_bool().expect("typechecked Bool"))
-                        }),
-                        word.map(|word| {
-                            Box::new(move |f: &mut WordFrame<'_>| match word(f)? {
-                                WORD_TRUE => Some(WORD_FALSE),
-                                WORD_FALSE => Some(WORD_TRUE),
-                                _ => None,
-                            }) as WordCode
-                        }),
-                    ),
-                    UnOp::Neg => (
-                        Box::new(move |f| {
-                            Value::Int(-operand(f).as_int().expect("typechecked Int"))
-                        }),
-                        word.map(|word| {
-                            Box::new(move |f: &mut WordFrame<'_>| {
-                                slot_of_int(int_of_slot(word(f)?)?.wrapping_neg())
-                            }) as WordCode
-                        }),
-                    ),
+                    UnOp::Not => Box::new(move |f| match operand(f)? {
+                        WORD_TRUE => Some(WORD_FALSE),
+                        WORD_FALSE => Some(WORD_TRUE),
+                        _ => None,
+                    }),
+                    UnOp::Neg => Box::new(move |f| {
+                        let n = operand(f)?;
+                        let n = f.int(n)?;
+                        f.int_word(-n)
+                    }),
                 }
             }
             Expr::Binary { op, lhs, rhs, .. } => {
                 let (l, r) = (self.expr(lhs), self.expr(rhs));
-                let word = l.word.zip(r.word).map(|(l, r)| word_binary(*op, l, r));
-                (binary(*op, l.code, r.code), word)
+                binary(*op, l, r)
             }
             Expr::If {
                 cond,
@@ -713,27 +744,11 @@ impl<'a> Compiler<'a> {
             } => {
                 let (cond, then, otherwise) =
                     (self.expr(cond), self.expr(then), self.expr(otherwise));
-                let word = match (cond.word, then.word, otherwise.word) {
-                    (Some(cond), Some(then), Some(otherwise)) => {
-                        Some(Box::new(move |f: &mut WordFrame<'_>| match cond(f)? {
-                            WORD_TRUE => then(f),
-                            WORD_FALSE => otherwise(f),
-                            _ => None,
-                        }) as WordCode)
-                    }
+                Box::new(move |f| match cond(f)? {
+                    WORD_TRUE => then(f),
+                    WORD_FALSE => otherwise(f),
                     _ => None,
-                };
-                let (cond, then, otherwise) = (cond.code, then.code, otherwise.code);
-                (
-                    Box::new(move |f| {
-                        if cond(f).is_true() {
-                            then(f)
-                        } else {
-                            otherwise(f)
-                        }
-                    }),
-                    word,
-                )
+                })
             }
             Expr::Let {
                 name, bound, body, ..
@@ -744,30 +759,18 @@ impl<'a> Compiler<'a> {
                 let slot = self.bind(name);
                 let body = self.expr(body);
                 self.release(mark);
-                let word = bound.word.zip(body.word).map(|(bound, body)| {
-                    Box::new(move |f: &mut WordFrame<'_>| {
-                        let word = bound(f)?;
-                        f.set(slot, word);
-                        body(f)
-                    }) as WordCode
-                });
-                let (bound, body) = (bound.code, body.code);
-                (
-                    Box::new(move |f| {
-                        let value = bound(f);
-                        f.set(slot, Slot::Own(value));
-                        body(f)
-                    }),
-                    word,
-                )
+                Box::new(move |f| {
+                    let word = bound(f)?;
+                    f.set(slot, word);
+                    body(f)
+                })
             }
             Expr::Match {
                 scrutinee,
                 arms,
                 pos,
-            } => return self.match_expr(scrutinee, arms, *pos),
-        };
-        Compiled { code, word }
+            } => self.match_expr(scrutinee, arms, *pos),
+        }
     }
 
     /// Leaves the scopes entered since `mark` and frees their slots.
@@ -776,7 +779,7 @@ impl<'a> Compiler<'a> {
         self.live = live;
     }
 
-    fn match_expr(&mut self, scrutinee: &'a Expr, arms: &'a [MatchArm], pos: Pos) -> Compiled {
+    fn match_expr(&mut self, scrutinee: &'a Expr, arms: &'a [MatchArm], pos: Pos) -> WordCode {
         let mark = (self.scope.len(), self.live);
         // `match (a, b)` against tuple patterns is matched component by
         // component, so the tuple is never built on the way to an arm.
@@ -796,8 +799,7 @@ impl<'a> Compiler<'a> {
 
         // Each part is matched where it lies: a variable in its own slot,
         // anything else in a temporary one.
-        let mut evals: Vec<(Code, usize)> = Vec::new();
-        let mut word_evals: Option<Vec<(WordCode, usize)>> = Some(Vec::new());
+        let mut evals: Vec<(WordCode, usize)> = Vec::new();
         let mut places: Vec<usize> = Vec::with_capacity(parts.len());
         for part in parts {
             let bound = match part {
@@ -808,229 +810,155 @@ impl<'a> Compiler<'a> {
                 places.push(slot);
                 continue;
             }
-            let compiled = self.expr(part);
+            let code = self.expr(part);
             let slot = self.alloc();
-            evals.push((compiled.code, slot));
-            word_evals = word_evals.zip(compiled.word).map(|(mut evals, word)| {
-                evals.push((word, slot));
-                evals
-            });
+            evals.push((code, slot));
             places.push(slot);
         }
-        let matched = if split {
-            Source::Tuple(places.clone())
-        } else {
-            Source::Part(places[0], Vec::new())
-        };
 
-        let mut word_arms: Option<Vec<WordArm>> = Some(Vec::new());
-        let arms: Vec<Arm> = arms
+        let arms: Vec<WordArm> = arms
             .iter()
             .map(|arm| {
                 let arm_mark = (self.scope.len(), self.live);
-                let (mut tests, mut binds) = (Vec::new(), Vec::new());
-                let mut word_tests = Some(Vec::new());
+                let mut tests = Vec::new();
                 match &arm.pat {
                     Pattern::Tuple(pats, _) if split => {
                         for (pat, &place) in pats.iter().zip(&places) {
-                            self.pattern(pat, place, &mut tests, &mut word_tests, &mut binds);
+                            tests.extend(self.pattern(pat).map(|test| (place, test)));
                         }
                     }
-                    Pattern::Var(name, _) if split => binds.push(Bind {
-                        from: Source::Tuple(places.clone()),
-                        to: self.bind(name),
-                    }),
-                    pat => self.pattern(pat, places[0], &mut tests, &mut word_tests, &mut binds),
+                    Pattern::Var(name, _) if split => {
+                        // Binds the tuple of the places, whatever the word.
+                        self.word_form = false;
+                        let (slot, whole) = (self.bind(name), places.clone());
+                        let test: WordTest = Box::new(move |f, _| {
+                            let tuple = f.tuple(&whole)?;
+                            let word = f.alloc(tuple)?;
+                            f.set(slot, word);
+                            Some(true)
+                        });
+                        tests.push((places[0], test));
+                    }
+                    pat => tests.extend(self.pattern(pat).map(|test| (places[0], test))),
                 }
                 let body = self.expr(&arm.body);
                 self.release(arm_mark);
-                let word_binds: Option<Vec<(usize, usize, usize)>> = binds
-                    .iter()
-                    .map(|bind| {
-                        bind.from
-                            .words()
-                            .map(|(slot, payloads)| (slot, payloads, bind.to))
-                    })
-                    .collect();
-                word_arms = match (word_arms.take(), word_tests, word_binds, body.word) {
-                    (Some(mut arms), Some(tests), Some(binds), Some(body)) => {
-                        arms.push(WordArm { tests, binds, body });
-                        Some(arms)
-                    }
-                    _ => None,
-                };
-                Arm {
-                    tests,
-                    binds,
-                    body: body.code,
-                }
+                WordArm { tests, body }
             })
             .collect();
         self.release(mark);
 
-        let word = word_evals.zip(word_arms).map(|(evals, arms)| {
-            Box::new(move |f: &mut WordFrame<'_>| {
-                for (code, slot) in &evals {
-                    let word = code(f)?;
-                    f.set(*slot, word);
-                }
-                'arms: for arm in &arms {
-                    for (place, test) in &arm.tests {
-                        if !test(f.get(*place))? {
-                            continue 'arms;
-                        }
-                    }
-                    for &(slot, payloads, to) in &arm.binds {
-                        let mut word = f.get(slot);
-                        for _ in 0..payloads {
-                            word = ctor_of_slot(word)?.1;
-                        }
-                        f.set(to, word);
-                    }
-                    return (arm.body)(f);
-                }
-                // No arm matches: the boxed call panics with the value.
-                None
-            }) as WordCode
-        });
-        let code = Box::new(move |f: &mut Frame<'_>| {
+        Box::new(move |f| {
             for (code, slot) in &evals {
-                let value = code(f);
-                f.set(*slot, Slot::Own(value));
+                let word = code(f)?;
+                f.set(*slot, word);
             }
             // Arms are tried in order; the first whose tests pass runs.
-            for arm in &arms {
-                if arm.tests.iter().all(|(place, test)| test(f.get(*place))) {
-                    for bind in &arm.binds {
-                        let value = bind.from.read(f);
-                        f.set(bind.to, value);
+            'arms: for arm in &arms {
+                for (place, test) in &arm.tests {
+                    let word = f.get(*place);
+                    if !test(f, word)? {
+                        continue 'arms;
                     }
-                    return (arm.body)(f);
+                }
+                return (arm.body)(f);
+            }
+            f.refuse(|f| {
+                let value = match split {
+                    true => f.tuple(&places),
+                    false => f.value(f.get(places[0])),
+                };
+                let value = value.expect("the value entry decodes its words");
+                format!("non-exhaustive match at {pos}: no arm matches {value}")
+            })
+        })
+    }
+
+    /// What `pat` does with a word: binds each variable of the pattern
+    /// to the word of its part, and tests the rest; `None` for a
+    /// wildcard. A literal with a slot, or a nullary constructor, is one
+    /// word, and equal values have equal words; a constructor of one field
+    /// reads a constructor slot, or the heap value, and declines on any
+    /// other.
+    fn pattern(&mut self, pat: &'a Pattern) -> Option<WordTest> {
+        Some(match pat {
+            Pattern::Wildcard(_) => return None,
+            Pattern::Var(name, _) => {
+                let slot = self.bind(name);
+                Box::new(move |f, word| {
+                    f.set(slot, word);
+                    Some(true)
+                })
+            }
+            Pattern::Lit(l, _) => {
+                let lit = self.strings.literal(l);
+                match self.strings.names.slot(&lit) {
+                    Some(slot) => Box::new(move |_, word| Some(word == slot)),
+                    None => {
+                        self.word_form = false;
+                        Box::new(move |f, word| Some(f.value(word)? == lit))
+                    }
                 }
             }
-            let value = matched.read(f);
-            panic!(
-                "non-exhaustive match at {pos}: no arm matches {}",
-                value.value()
-            )
-        });
-        Compiled { code, word }
+            Pattern::Ctor { case, args, .. } => {
+                let (ctor, tag) = self.strings.intern(case);
+                let on_payload = match args.as_slice() {
+                    [] => {
+                        let nullary = slot_of_ctor(ctor, UNIT);
+                        let nullary = nullary.expect("fewer than 2^24 names");
+                        return Some(Box::new(move |_, word| Some(word == nullary)));
+                    }
+                    [only] => self.pattern(only),
+                    fields => Some(self.items_test(fields)),
+                };
+                Box::new(move |f, word| {
+                    let payload = match ctor_of_slot(word) {
+                        Some((of, payload)) if of == ctor => payload,
+                        Some(_) => return Some(false),
+                        None => match f.payload(word, &tag)? {
+                            Some(payload) => payload,
+                            None => return Some(false),
+                        },
+                    };
+                    on_payload
+                        .as_ref()
+                        .map_or(Some(true), |test| test(f, payload))
+                })
+            }
+            Pattern::Tuple(pats, _) => self.items_test(pats),
+        })
     }
 
-    /// Compiles `pat` against the value in slot `place`: its test, if it
-    /// can fail — boxed, and on words while every test so far has word
-    /// code — and a bind per variable.
-    fn pattern(
-        &mut self,
-        pat: &'a Pattern,
-        place: usize,
-        tests: &mut Vec<(usize, Test)>,
-        word_tests: &mut Option<Vec<(usize, WordTest)>>,
-        binds: &mut Vec<Bind>,
-    ) {
-        if let Some(test) = pattern_test(self.strings, pat) {
-            tests.push((place, test));
-            let word = word_test(self.strings, pat);
-            *word_tests = word_tests.take().zip(word).map(|(mut tests, test)| {
-                tests.push((place, test));
-                tests
-            });
-        }
-        self.pattern_binds(pat, place, &mut Vec::new(), binds);
-    }
-
-    fn pattern_binds(
-        &mut self,
-        pat: &'a Pattern,
-        place: usize,
-        path: &mut Vec<Step>,
-        binds: &mut Vec<Bind>,
-    ) {
-        match pat {
-            Pattern::Wildcard(_) | Pattern::Lit(..) => {}
-            Pattern::Var(name, _) => binds.push(Bind {
-                from: Source::Part(place, path.clone()),
-                to: self.bind(name),
-            }),
-            Pattern::Ctor { args, .. } => {
-                path.push(Step::Payload);
-                match args.as_slice() {
-                    [only] => self.pattern_binds(only, place, path, binds),
-                    fields => self.item_binds(fields, place, path, binds),
+    /// The test of a tuple of `pats.len()` components, one pattern each:
+    /// a heap value's.
+    fn items_test(&mut self, pats: &'a [Pattern]) -> WordTest {
+        self.word_form = false;
+        let tests: Vec<Option<WordTest>> = pats.iter().map(|pat| self.pattern(pat)).collect();
+        Box::new(move |f, word| {
+            let items = match f.heap_value(word)? {
+                Value::Tuple(items) if items.len() == tests.len() => Arc::clone(items),
+                _ => return Some(false),
+            };
+            for (test, item) in tests.iter().zip(items.iter()) {
+                if let Some(test) = test {
+                    let word = f.encode(item.clone())?;
+                    if !test(f, word)? {
+                        return Some(false);
+                    }
                 }
-                path.pop();
             }
-            Pattern::Tuple(pats, _) => self.item_binds(pats, place, path, binds),
-        }
-    }
-
-    fn item_binds(
-        &mut self,
-        pats: &'a [Pattern],
-        place: usize,
-        path: &mut Vec<Step>,
-        binds: &mut Vec<Bind>,
-    ) {
-        for (i, pat) in pats.iter().enumerate() {
-            path.push(Step::Item(i));
-            self.pattern_binds(pat, place, path, binds);
-            path.pop();
-        }
+            Some(true)
+        })
     }
 }
 
-/// The boxed code of a binary operator.
-fn binary(op: BinOp, l: Code, r: Code) -> Code {
-    match op {
-        // The boolean connectives short-circuit.
-        BinOp::And => Box::new(move |f| {
-            if l(f).is_true() {
-                r(f)
-            } else {
-                Value::Bool(false)
-            }
-        }),
-        BinOp::Or => Box::new(move |f| {
-            if l(f).is_true() {
-                Value::Bool(true)
-            } else {
-                r(f)
-            }
-        }),
-        BinOp::Eq => Box::new(move |f| Value::Bool(l(f) == r(f))),
-        BinOp::Ne => Box::new(move |f| Value::Bool(l(f) != r(f))),
-        BinOp::Add => int_op(l, r, |x, y| Value::Int(x.wrapping_add(y))),
-        BinOp::Sub => int_op(l, r, |x, y| Value::Int(x.wrapping_sub(y))),
-        BinOp::Mul => int_op(l, r, |x, y| Value::Int(x.wrapping_mul(y))),
-        // Total semantics: division by zero yields zero.
-        BinOp::Div => int_op(l, r, |x, y| {
-            Value::Int(if y == 0 { 0 } else { x.wrapping_div(y) })
-        }),
-        BinOp::Rem => int_op(l, r, |x, y| {
-            Value::Int(if y == 0 { 0 } else { x.wrapping_rem(y) })
-        }),
-        BinOp::Lt => int_op(l, r, |x, y| Value::Bool(x < y)),
-        BinOp::Le => int_op(l, r, |x, y| Value::Bool(x <= y)),
-        BinOp::Gt => int_op(l, r, |x, y| Value::Bool(x > y)),
-        BinOp::Ge => int_op(l, r, |x, y| Value::Bool(x >= y)),
-    }
-}
-
-fn int_op(l: Code, r: Code, op: impl Fn(i64, i64) -> Value + Send + Sync + 'static) -> Code {
-    Box::new(move |f| {
-        let x = l(f).as_int().expect("typechecked Int");
-        let y = r(f).as_int().expect("typechecked Int");
-        op(x, y)
-    })
-}
-
-/// The word code of a binary operator: the boxed code's semantics on
-/// slots. Equality compares slots, which is value equality; an integer
-/// operation reads inline integers and declines where its result has no
-/// inline slot.
-fn word_binary(op: BinOp, l: WordCode, r: WordCode) -> WordCode {
+/// The code of a binary operator. Equality compares words, which is
+/// value equality but for two heap words; an integer operation reads
+/// integers and makes the word of its result.
+fn binary(op: BinOp, l: WordCode, r: WordCode) -> WordCode {
     let truth = |b: bool| if b { WORD_TRUE } else { WORD_FALSE };
     match op {
+        // The boolean connectives short-circuit.
         BinOp::And => Box::new(move |f| match l(f)? {
             WORD_TRUE => r(f),
             WORD_FALSE => Some(WORD_FALSE),
@@ -1041,123 +969,41 @@ fn word_binary(op: BinOp, l: WordCode, r: WordCode) -> WordCode {
             WORD_FALSE => r(f),
             _ => None,
         }),
-        BinOp::Eq => Box::new(move |f| Some(truth(l(f)? == r(f)?))),
-        BinOp::Ne => Box::new(move |f| Some(truth(l(f)? != r(f)?))),
-        BinOp::Add => word_int_op(l, r, |x, y| slot_of_int(x.wrapping_add(y))),
-        BinOp::Sub => word_int_op(l, r, |x, y| slot_of_int(x.wrapping_sub(y))),
-        BinOp::Mul => word_int_op(l, r, |x, y| slot_of_int(x.wrapping_mul(y))),
-        BinOp::Div => word_int_op(l, r, |x, y| {
-            slot_of_int(if y == 0 { 0 } else { x.wrapping_div(y) })
+        BinOp::Eq | BinOp::Ne => Box::new(move |f| {
+            let (a, b) = (l(f)?, r(f)?);
+            Some(truth(f.same(a, b) == (op == BinOp::Eq)))
         }),
-        BinOp::Rem => word_int_op(l, r, |x, y| {
-            slot_of_int(if y == 0 { 0 } else { x.wrapping_rem(y) })
+        BinOp::Add => int_op(l, r, |f, x, y| f.int_word(x.wrapping_add(y))),
+        BinOp::Sub => int_op(l, r, |f, x, y| f.int_word(x.wrapping_sub(y))),
+        BinOp::Mul => int_op(l, r, |f, x, y| f.int_word(x.wrapping_mul(y))),
+        // Total semantics: division by zero yields zero.
+        BinOp::Div => int_op(l, r, |f, x, y| {
+            f.int_word(if y == 0 { 0 } else { x.wrapping_div(y) })
         }),
-        BinOp::Lt => word_int_op(l, r, move |x, y| Some(truth(x < y))),
-        BinOp::Le => word_int_op(l, r, move |x, y| Some(truth(x <= y))),
-        BinOp::Gt => word_int_op(l, r, move |x, y| Some(truth(x > y))),
-        BinOp::Ge => word_int_op(l, r, move |x, y| Some(truth(x >= y))),
+        BinOp::Rem => int_op(l, r, |f, x, y| {
+            f.int_word(if y == 0 { 0 } else { x.wrapping_rem(y) })
+        }),
+        BinOp::Lt => int_op(l, r, move |_, x, y| Some(truth(x < y))),
+        BinOp::Le => int_op(l, r, move |_, x, y| Some(truth(x <= y))),
+        BinOp::Gt => int_op(l, r, move |_, x, y| Some(truth(x > y))),
+        BinOp::Ge => int_op(l, r, move |_, x, y| Some(truth(x >= y))),
     }
 }
 
-fn word_int_op(
+/// An integer operator: both operands, in order, then `op` on their
+/// integers.
+fn int_op(
     l: WordCode,
     r: WordCode,
-    op: impl Fn(i64, i64) -> Option<u64> + Send + Sync + 'static,
+    op: impl Fn(&mut WordFrame<'_>, i64, i64) -> Option<u64> + Send + Sync + 'static,
 ) -> WordCode {
     Box::new(move |f| {
-        let x = int_of_slot(l(f)?)?;
-        let y = int_of_slot(r(f)?)?;
-        op(x, y)
+        let (x, y) = (l(f)?, r(f)?);
+        let (x, y) = (f.int(x)?, f.int(y)?);
+        op(f, x, y)
     })
 }
 
-/// A literal's value, a string one among the program's names: then it
-/// has a slot word code may bake in.
-fn literal(names: &mut Names, l: &Lit) -> Value {
-    match l {
-        Lit::Str(s) => Value::Str(names.intern(s).1),
-        _ => lit_value(l),
-    }
-}
-
-/// The test `pat` makes of a value; `None` if it matches every value.
-fn pattern_test(names: &mut Names, pat: &Pattern) -> Option<Test> {
-    match pat {
-        Pattern::Wildcard(_) | Pattern::Var(..) => None,
-        Pattern::Lit(l, _) => {
-            let lit = literal(names, l);
-            Some(Box::new(move |v| *v == lit))
-        }
-        Pattern::Ctor { case, args, .. } => {
-            // The allocation every store of the program decodes the tag
-            // to: a pattern recognises it by pointer.
-            let (_, tag) = names.intern(case);
-            let on_payload = match args.as_slice() {
-                [] => Some(Box::new(|payload: &Value| *payload == Value::Unit) as Test),
-                [only] => pattern_test(names, only),
-                fields => Some(items_test(names, fields)),
-            };
-            Some(match on_payload {
-                None => Box::new(move |v| matches!(v, Value::Tag(name, _) if same_tag(name, &tag))),
-                Some(test) => Box::new(move |v| match v {
-                    Value::Tag(name, payload) => same_tag(name, &tag) && test(payload),
-                    _ => false,
-                }),
-            })
-        }
-        Pattern::Tuple(pats, _) => Some(items_test(names, pats)),
-    }
-}
-
-/// The test of a tuple of `pats.len()` components, one pattern each.
-fn items_test(names: &mut Names, pats: &[Pattern]) -> Test {
-    let tests: Vec<Option<Test>> = pats.iter().map(|pat| pattern_test(names, pat)).collect();
-    Box::new(move |v| match v {
-        Value::Tuple(items) if items.len() == tests.len() => tests
-            .iter()
-            .zip(items.iter())
-            .all(|(test, item)| test.as_ref().is_none_or(|test| test(item))),
-        _ => false,
-    })
-}
-
-/// [`pattern_test`] on slots, for a pattern that can fail: `None` where
-/// word code has no test for it — a literal with no inline slot, a tuple
-/// (no tuple has one), a constructor of several fields or one whose
-/// values all spill. A literal or a nullary constructor is one slot, and
-/// equal values have equal slots; a constructor of one field reads an
-/// inline constructor slot and does not tell on any other.
-fn word_test(names: &mut Names, pat: &Pattern) -> Option<WordTest> {
-    match pat {
-        Pattern::Lit(l, _) => {
-            let lit = literal(names, l);
-            let lit = names.slot(&lit)?;
-            Some(Box::new(move |word| Some(word == lit)))
-        }
-        Pattern::Ctor { case, args, .. } => {
-            let (ctor, _) = names.intern(case);
-            let nullary = slot_of_ctor(ctor, names.slot(&Value::Unit)?)?;
-            match args.as_slice() {
-                [] => Some(Box::new(move |word| Some(word == nullary))),
-                [only] => {
-                    let on_payload = match pattern_test(names, only) {
-                        Some(_) => Some(word_test(names, only)?),
-                        None => None,
-                    };
-                    Some(Box::new(move |word| {
-                        let (of, payload) = ctor_of_slot(word)?;
-                        if of != ctor {
-                            return Some(false);
-                        }
-                        on_payload.as_ref().map_or(Some(true), |test| test(payload))
-                    }))
-                }
-                _ => None,
-            }
-        }
-        Pattern::Wildcard(_) | Pattern::Var(..) | Pattern::Tuple(..) => None,
-    }
-}
 /// The tree-walking evaluator this module's compiled form replaced: one
 /// `match` on the AST per node per call, variables found by name. Kept
 /// as the oracle of the differential test below.
@@ -1348,12 +1194,12 @@ mod tests {
     use crate::parser::parse;
     use crate::typeck::check;
     use flix_lattice::rng::SmallRng;
-    use std::collections::BTreeSet;
+    use std::collections::{BTreeSet, HashMap};
 
     thread_local! {
-        /// The boxed calls made on this thread: what a test of the word
+        /// The value-entry calls made on this thread: what a test of the word
         /// path counts.
-        pub(super) static BOXED_CALLS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+        pub(super) static VALUE_CALLS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
     }
 
     fn interp_of(src: &str) -> Interpreter {
@@ -1892,9 +1738,27 @@ mod tests {
         /// also compare tags by content.
         fn value(&mut self, ty: Ty, depth: usize) -> Value {
             match ty {
-                Ty::Int => Value::Int(self.pick(&[0, 1, -1, 2, 7, 41, i64::MAX, i64::MIN])),
+                // Past the inline integers (2⁶⁰) and the inline payloads
+                // (2³³), on either side.
+                Ty::Int => Value::Int(self.pick(&[
+                    0,
+                    1,
+                    -1,
+                    2,
+                    7,
+                    41,
+                    (1 << 33) - 1,
+                    1 << 33,
+                    -(1 << 33) - 1,
+                    (1 << 60) - 1,
+                    1 << 60,
+                    -(1 << 60) - 1,
+                    i64::MAX,
+                    i64::MIN,
+                ])),
                 Ty::Bool => Value::Bool(self.rng.gen_bool(0.5)),
-                Ty::Str => Value::from(self.pick(&["a", "b"])),
+                // "c" is no literal of any program.
+                Ty::Str => Value::from(self.pick(&["a", "b", "c"])),
                 Ty::Unit => Value::Unit,
                 Ty::Shape => {
                     let (case, fields) = if depth == 0 {
@@ -1919,17 +1783,52 @@ mod tests {
         }
     }
 
+    /// A store's slots, modelled on the program's names: a value with no
+    /// slot they fix is spilled in the order the store first meets it. A
+    /// string spills as itself; any other value as a key string of its own,
+    /// which word code can only compare, as it can a spilled value.
+    struct Store {
+        names: Names,
+        spilled: HashMap<Value, u64>,
+    }
+
+    impl Store {
+        /// The slot `value` has in the store, spilling it when it is new.
+        fn slot(&mut self, value: &Value) -> u64 {
+            if let Some(slot) = self.held(value) {
+                return slot;
+            }
+            let key = match value {
+                Value::Str(s) => s.to_string(),
+                _ => format!("\0spilled {}", self.spilled.len()),
+            };
+            self.names.intern(&key);
+            let slot = self.names.slot(&Value::str(key)).expect("interned");
+            self.spilled.insert(value.clone(), slot);
+            slot
+        }
+
+        /// The slot `value` has in the store, if it holds the value.
+        fn held(&self, value: &Value) -> Option<u64> {
+            let slot = self.names.slot(value);
+            slot.or_else(|| self.spilled.get(value).copied())
+        }
+    }
+
     /// SNIPPETS.md's `pattern_match_deterministic` and
     /// `expr_eval_deterministic` obligations, executable: on generated
-    /// well-typed defs the compiled code returns what the tree-walker
-    /// returns and panics with the message it panics with. Where the
-    /// arguments have inline slots, the word code answers with the slot of
-    /// that value or declines — always where the boxed call panics.
+    /// well-typed defs the value entry returns what the tree-walker
+    /// returns and panics with the message it panics with, on arguments
+    /// that take the heap too — integers past 2⁶⁰, payloads past 2³³,
+    /// strings no program names, tuples, sets and constructors of several
+    /// fields. On a store's slots of the same arguments, spilled ones
+    /// included, the word-form entry answers with the slot of that value
+    /// or declines — always where the tree-walker panics.
     #[test]
     fn compiled_code_agrees_with_the_reference_evaluator() {
         let mut seen = BTreeSet::new();
         let (mut returned, mut panicked) = (0, 0);
-        let (mut answered, mut declined) = (0, 0);
+        let (mut answered, mut declined, mut answered_spilled) = (0, 0, 0);
         for seed in 0..200 {
             let mut gen = Gen {
                 rng: SmallRng::seed_from_u64(0x1A06_2100 + seed),
@@ -1944,6 +1843,10 @@ mod tests {
             let parsed = parse(&source).unwrap_or_else(|e| panic!("{e} in\n{source}"));
             let checked = Arc::new(check(&parsed).unwrap_or_else(|e| panic!("{e} in\n{source}")));
             let compiled = Interpreter::new(checked.clone());
+            let mut store = Store {
+                names: compiled.names().clone(),
+                spilled: HashMap::new(),
+            };
             for (name, params, _) in gen.defs.clone() {
                 for _ in 0..6 {
                     let args: Vec<Value> = params.iter().map(|t| gen.value(*t, 2)).collect();
@@ -1951,21 +1854,20 @@ mod tests {
                     let expected = outcome(|| reference::call(&checked, &name, &args));
                     assert_eq!(got, expected, "{name}({args:?}) in\n{source}");
                     let def = compiled.resolve(&name);
-                    let slot = |value: &Value| compiled.names().slot(value);
-                    let slots: Option<Vec<u64>> = args.iter().map(slot).collect();
-                    if let (Some(_), Some(slots)) = (compiled.word_arity(def), slots) {
-                        match (compiled.call_words(def, &slots), &got) {
-                            (None, _) => declined += 1,
-                            (Some(word), Ok(value)) => {
-                                let at = format!("{name}({args:?}) = {value} in\n{source}");
-                                assert_eq!(Some(word), slot(value), "{at}");
-                                answered += 1;
-                            }
-                            (Some(word), Err(message)) => panic!(
-                                "word code answered {word:#x} where {name}({args:?}) panics \
-                                 with {message} in\n{source}"
-                            ),
+                    let slots: Vec<u64> = args.iter().map(|arg| store.slot(arg)).collect();
+                    let spilled = args.iter().any(|arg| compiled.names().slot(arg).is_none());
+                    match (compiled.call_words(def, &slots), &got) {
+                        (None, _) => declined += 1,
+                        (Some(word), Ok(value)) => {
+                            let at = format!("{name}({args:?}) = {value} in\n{source}");
+                            assert_eq!(Some(word), store.held(value), "{at}");
+                            answered += 1;
+                            answered_spilled += spilled as usize;
                         }
+                        (Some(word), Err(message)) => panic!(
+                            "word code answered {word:#x} where {name}({args:?}) panics \
+                             with {message} in\n{source}"
+                        ),
                     }
                     match got {
                         Ok(_) => returned += 1,
@@ -1983,8 +1885,9 @@ mod tests {
             "{returned} calls returned, {panicked} panicked"
         );
         assert!(
-            answered > 1_000,
-            "word code answered {answered} calls and declined {declined}"
+            answered > 1_000 && answered_spilled > 100,
+            "word code answered {answered} calls ({answered_spilled} on spilled arguments) \
+             and declined {declined}"
         );
     }
 
@@ -2032,26 +1935,28 @@ mod tests {
         source
     }
 
-    /// The number of boxed calls `program`'s solve makes, and the solution.
-    fn boxed_calls_of(program: &flix_core::Program) -> (u64, flix_core::Solution) {
-        let before = BOXED_CALLS.with(|calls| calls.get());
+    /// The number of value-entry calls `program`'s solve makes, and the
+    /// solution.
+    fn value_calls_of(program: &flix_core::Program) -> (u64, flix_core::Solution) {
+        let before = VALUE_CALLS.with(|calls| calls.get());
         let solution = flix_core::Solver::new().solve(program).expect("solves");
-        (BOXED_CALLS.with(|calls| calls.get()) - before, solution)
+        (VALUE_CALLS.with(|calls| calls.get()) - before, solution)
     }
 
     /// On the shortest-paths program, every operand of the solve fits a
-    /// slot, and the solve calls no boxed `leq`, `lub`, `glb` or `plus`.
+    /// slot, and the solve calls `leq`, `lub`, `glb` and `plus` through
+    /// their word forms only, never through the value entry.
     #[test]
     fn a_shortest_paths_solve_runs_on_words_only() {
         let nodes = 300;
         let program = crate::compile(&shortest_paths_source(nodes)).expect("compiles");
-        let (boxed, solution) = boxed_calls_of(&program);
+        let (calls, solution) = value_calls_of(&program);
         assert_eq!(solution.len("Reach"), Some(nodes));
         assert!(solution.stats().facts_derived > 2 * nodes as u64);
-        assert_eq!(boxed, 0, "the solve made {boxed} boxed calls");
-        // The same program lowered without word code calls them boxed.
-        let (boxed, _) = boxed_calls_of(&program.boxed_reference());
-        assert!(boxed > 2 * nodes as u64);
+        assert_eq!(calls, 0, "the solve made {calls} value-entry calls");
+        // The same program lowered without word forms calls the entry.
+        let (calls, _) = value_calls_of(&program.boxed_reference());
+        assert!(calls > 2 * nodes as u64);
     }
 
     /// Constructor names and string literals take their ids in each
@@ -2076,16 +1981,49 @@ mod tests {
              T(tag(s)) :- Q(s, _).",
         )
         .expect("compiles");
-        let (_, solution) = boxed_calls_of(&other);
+        let (_, solution) = value_calls_of(&other);
         assert!(solution.len("Q").is_some_and(|n| n > 4));
         let nodes = 50;
         let program = crate::compile(&shortest_paths_source(nodes)).expect("compiles");
-        let (boxed, solution) = boxed_calls_of(&program);
+        let (calls, solution) = value_calls_of(&program);
         assert_eq!(solution.len("Reach"), Some(nodes));
-        assert_eq!(boxed, 0, "the solve made {boxed} boxed calls");
+        assert_eq!(calls, 0, "the solve made {calls} value-entry calls");
         let expected = crate::compile(&shortest_paths_source(nodes)).expect("compiles");
-        let (_, expected) = boxed_calls_of(&expected.boxed_reference());
+        let (_, expected) = value_calls_of(&expected.boxed_reference());
         assert_eq!(solution.model_lines(), expected.model_lines());
+    }
+
+    /// A heap word is told apart by its tag alone: no slot and no reserved
+    /// lattice word carries it (a round-local word carries tag 6). `()` and
+    /// the names have the words the decoder reads them from.
+    #[test]
+    fn heap_words_carry_a_tag_of_their_own() {
+        let i = interp_of("enum E { case A, case B(Int) } def s(): Str = \"lit\"");
+        let slots = [
+            Value::Unit,
+            Value::Bool(false),
+            Value::Bool(true),
+            Value::Int(-1),
+            Value::Int(7),
+            Value::tag0("A"),
+            Value::tag("B", Value::Int(-5)),
+            Value::from("lit"),
+        ]
+        .map(|value| i.names().slot(&value).expect("a slot"));
+        let reserved = [
+            flix_core::FLAT_BOTTOM,
+            flix_core::FLAT_TOP,
+            flix_core::CHAIN_BOTTOM,
+        ];
+        for word in slots.into_iter().chain(reserved) {
+            assert_ne!(word & TAG_MASK, HEAP, "{word:#x}");
+        }
+        // `()` is word 0, and a name is its id over `NAMED`.
+        assert_eq!(slots[0], UNIT);
+        for (id, name) in i.strings.by_id.iter().enumerate() {
+            let named = i.names().slot(&Value::Str(Arc::clone(name)));
+            assert_eq!(named, Some(((id as u64) << 3) | NAMED), "{name}");
+        }
     }
 
     #[test]
@@ -2109,11 +2047,18 @@ mod tests {
         assert_eq!(words("plus", &[fin(2).expect("inline"), int(3)]), fin(5));
         assert_eq!(words("plus", &[inf, int(3)]), Some(inf));
         // A payload past the inline range, and a sum past the inline
-        // integers or wrapping at `i64::MAX`, decline; the boxed call
+        // integers or wrapping at `i64::MAX`, decline; the value entry
         // answers.
         let edge = (1 << 33) - 1;
         assert_eq!(fin(edge + 1), None);
         assert_eq!(words("plus", &[fin(edge).expect("inline"), int(1)]), None);
+        assert_eq!(
+            i.call(
+                "plus",
+                &[Value::tag("Fin", Value::Int(edge)), Value::Int(1)]
+            ),
+            Value::tag("Fin", Value::Int(edge + 1))
+        );
         let widest = (1 << 60) - 1;
         assert_eq!(words("add", &[int(widest), int(0)]), Some(int(widest)));
         assert_eq!(words("add", &[int(widest), int(1)]), None);
@@ -2121,7 +2066,7 @@ mod tests {
             i.call("add", &[Value::Int(i64::MAX), Value::Int(1)]),
             Value::Int(i64::MIN)
         );
-        // No arm matches: declined, and the boxed call panics.
+        // No arm matches: declined, and the value entry panics.
         assert_eq!(words("only", &[inf]), None);
         let message = outcome(|| i.call("only", &[Value::tag0("Inf")]));
         assert!(
@@ -2130,7 +2075,7 @@ mod tests {
                 .is_err_and(|m| m.starts_with("non-exhaustive match at")),
             "{message:?}"
         );
-        // Deep recursion declines before the boxed limit panics.
+        // Deep recursion declines where the value entry panics.
         assert_eq!(words("count", &[int(3)]), Some(int(3)));
         assert_eq!(words("count", &[int(MAX_CALL_DEPTH as i64)]), None);
         // A def that builds a tuple has no word code, nor its callers.

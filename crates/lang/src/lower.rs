@@ -4,10 +4,10 @@
 //! compiled `def`s of [`crate::interp`] by index; `def` functions are
 //! registered as engine functions the same way; predicates, facts, and
 //! rules map one-to-one onto the [`flix_core::ProgramBuilder`] API. A
-//! `def` with word code is also registered as its function's word form
-//! over slots ([`flix_core::ProgramBuilder::word_form`]), and a lattice
-//! whose `leq`, `lub` and `glb` all have word code and whose ⊥ has a slot
-//! the program's names fix gets them as its word forms
+//! `def` the word-form entry runs is also registered as its function's
+//! word form over slots ([`flix_core::ProgramBuilder::word_form`]), and a
+//! lattice whose `leq`, `lub` and `glb` all have word forms and whose ⊥
+//! has a slot the program's names fix gets them as its word forms
 //! ([`LatticeOps::with_word_forms`]): its cells are then slots. Those
 //! names — every enum case and every string literal the word code bakes
 //! in ([`Interpreter::names`]) — are the program's
@@ -45,7 +45,7 @@ pub fn lower(mut checked: Arc<CheckedProgram>) -> Result<Program, LangError> {
     let mut b = ProgramBuilder::new();
     b.names(interp.names().clone());
 
-    // Lattice bindings → runtime ops (closures over the interpreter).
+    // Lattice bindings → runtime ops (calls into the interpreter).
     let mut ops_by_ty: HashMap<String, LatticeOps> = HashMap::new();
     for (ty, bind) in &checked.lattices {
         ops_by_ty.insert(ty.clone(), ops_for_binding(&interp, ty, bind));
@@ -114,8 +114,8 @@ pub fn lower(mut checked: Arc<CheckedProgram>) -> Result<Program, LangError> {
         .map_err(|e| LangError::lower(Default::default(), e.to_string()))
 }
 
-/// What a word form answers where the word code declines: a word that is
-/// no slot.
+/// What a word form answers where the word-form entry declines: a word
+/// that is no slot.
 const DECLINED: u64 = u64::MAX;
 
 /// Builds the runtime [`LatticeOps`] for one surface lattice binding;

@@ -435,6 +435,110 @@ fn boxed_join() -> (Program, Vec<Delta>) {
     (b.build().expect("valid"), steps)
 }
 
+/// `Near(k) :- Cost(c), Best(k, c).` — the body as written, or reversed
+/// — with `Cost` = {Fin(3), Fin(8)} and `Best("a")` = Fin(5).
+fn near(reversed: bool) -> Program {
+    let mut b = ProgramBuilder::new();
+    let cost = b.relation("Cost", 1);
+    let best = b.lattice("Best", 2, LatticeOps::of::<MinCost>());
+    let near = b.relation("Near", 1);
+    let finite = |c: u64| MinCost::finite(c).to_value();
+    for c in [3, 8] {
+        b.fact(cost, vec![finite(c)]);
+    }
+    b.fact(best, vec!["a".into(), finite(5)]);
+    let v = Term::var;
+    let mut body = vec![
+        BodyItem::atom(cost, [v("c")]),
+        BodyItem::atom(best, [v("k"), v("c")]),
+    ];
+    if reversed {
+        body.reverse();
+    }
+    b.rule(Head::new(near, [HeadTerm::var("k")]), body);
+    b.build().expect("valid")
+}
+
+/// A lattice element read into a body key column means one thing
+/// whatever the plan order: both orders of `near`'s body give one model,
+/// and after `Best("c", Fin(2))` is inserted each resumed model equals a
+/// solve from scratch.
+#[test]
+#[ignore = "ROADMAP item 1: a lattice element in a key column means what the plan order makes it"]
+fn a_key_column_element_means_one_thing_in_every_body_order() {
+    let solver = Solver::new();
+    let (written, reversed) = (near(false), near(true));
+    let models: Vec<String> = [&written, &reversed]
+        .map(|program| model_text(program, &solver.solve(program).expect("solves")))
+        .into();
+    assert_eq!(models[0], models[1], "the two body orders");
+    let insert = Delta::new().insert("Best", vec!["c".into(), MinCost::finite(2).to_value()]);
+    for (order, program) in [("written", &written), ("reversed", &reversed)] {
+        let solution = solver.solve(program).expect("solves");
+        let resumed = solver.resume(program, &solution, &insert).expect("resumes");
+        let extended = program.with_delta(&insert).expect("fits");
+        let scratch = solver.solve(&extended).expect("solves");
+        assert_eq!(
+            model_text(program, &resumed),
+            model_text(program, &scratch),
+            "{order}"
+        );
+    }
+}
+
+/// A lattice element read into a relational head column is the settled
+/// cell: §4.4's shortest paths with `Seen(x, d) :- Reach(x, d).`, resumed
+/// after `Edge("a", "c", 1)`, equals a solve from scratch and is a least
+/// model.
+#[test]
+#[ignore = "ROADMAP item 1: a relational head column keeps every value a cell held"]
+fn a_head_column_element_is_the_settled_cell() {
+    let source = r#"
+        enum Dist { case Fin(Int), case Inf }
+        def leq(a: Dist, b: Dist): Bool = match (a, b) with {
+          case (Dist.Inf, _) => true
+          case (_, Dist.Inf) => false
+          case (Dist.Fin(x), Dist.Fin(y)) => x >= y
+        }
+        def lub(a: Dist, b: Dist): Dist = match (a, b) with {
+          case (Dist.Inf, x) => x
+          case (x, Dist.Inf) => x
+          case (Dist.Fin(x), Dist.Fin(y)) => if (x <= y) Dist.Fin(x) else Dist.Fin(y)
+        }
+        def glb(a: Dist, b: Dist): Dist = match (a, b) with {
+          case (Dist.Inf, _) => Dist.Inf
+          case (_, Dist.Inf) => Dist.Inf
+          case (Dist.Fin(x), Dist.Fin(y)) => if (x >= y) Dist.Fin(x) else Dist.Fin(y)
+        }
+        let Dist<> = (Dist.Inf, Dist.Fin(0), leq, lub, glb);
+        def plus(d: Dist, c: Int): Dist = match d with {
+          case Dist.Inf => Dist.Inf
+          case Dist.Fin(x) => Dist.Fin(x + c)
+        }
+        rel Edge(x: Str, y: Str, c: Int);
+        lat Reach(node: Str, Dist<>);
+        rel Seen(x: Str, d: Dist);
+        Reach(y, plus(d, c)) :- Reach(x, d), Edge(x, y, c).
+        Seen(x, d) :- Reach(x, d).
+        Reach("a", Dist.Fin(0)).
+        Edge("a", "b", 1). Edge("b", "c", 1). Edge("c", "d", 1). Edge("a", "d", 9).
+    "#;
+    let program = flix::lang::compile(source).expect("compiles");
+    let solver = Solver::new();
+    let solution = solver.solve(&program).expect("solves");
+    let insert = Delta::new().insert("Edge", vec!["a".into(), "c".into(), 1.into()]);
+    let resumed = solver
+        .resume(&program, &solution, &insert)
+        .expect("resumes");
+    let extended = program.with_delta(&insert).expect("fits");
+    let scratch = solver.solve(&extended).expect("solves");
+    assert_eq!(
+        model_text(&program, &resumed),
+        model_text(&program, &scratch)
+    );
+    assert!(model::is_locally_minimal(&extended, &resumed));
+}
+
 /// Neither a solve nor a resume decodes what the store holds: not the
 /// insert path, not a join that binds a boxed register, not an ascent
 /// warning — which decodes its own cell's key and nothing else. The first

@@ -5,7 +5,8 @@
 //!
 //! * **Span tracing** ([`TraceConfig`], [`ExecutionTrace`]): the solver
 //!   records hierarchical spans — solve → stratum → round → rule-eval,
-//!   plus resume-seeding (with a retraction's taint and delete steps
+//!   a round's index catch-up before its rule evaluations and its absorb
+//!   after them, plus resume-seeding (with a retraction's taint and delete steps
 //!   inside it) and demand-rewrite phases — into bounded
 //!   per-worker ring buffers (drop-oldest, with a [`dropped_events`]
 //!   counter) that are merged when the solve ends. The merged trace
@@ -80,6 +81,22 @@ pub enum SpanKind {
         /// The enclosing stratum.
         stratum: usize,
         /// The global round number (1-based, counting across strata).
+        round: u64,
+    },
+    /// Inside [`SpanKind::Round`], before its rule evaluations: bringing
+    /// the indexes the round's plans probe up to date.
+    IndexCatchUp {
+        /// The enclosing stratum.
+        stratum: usize,
+        /// The enclosing global round number.
+        round: u64,
+    },
+    /// Inside [`SpanKind::Round`], after its rule evaluations: absorbing
+    /// what they derived into the database.
+    Absorb {
+        /// The enclosing stratum.
+        stratum: usize,
+        /// The enclosing global round number.
         round: u64,
     },
     /// One rule evaluation (one delta variant, a full evaluation, or a
@@ -327,6 +344,8 @@ impl ExecutionTrace {
             SpanKind::DemandRewrite => "demand rewrite".to_string(),
             SpanKind::Stratum { stratum } => format!("stratum {stratum}"),
             SpanKind::Round { round, .. } => format!("round {round}"),
+            SpanKind::IndexCatchUp { .. } => "index catch-up".to_string(),
+            SpanKind::Absorb { .. } => "absorb".to_string(),
             SpanKind::RuleEval { rule, .. } => {
                 let head = self
                     .rule_heads
@@ -386,7 +405,9 @@ impl ExecutionTrace {
                 | SpanKind::ResumeSeed
                 | SpanKind::ResumeTaint
                 | SpanKind::ResumeDelete
-                | SpanKind::DemandRewrite => "phase",
+                | SpanKind::DemandRewrite
+                | SpanKind::IndexCatchUp { .. }
+                | SpanKind::Absorb { .. } => "phase",
                 SpanKind::Stratum { .. } => "stratum",
                 SpanKind::Round { .. } => "round",
                 SpanKind::RuleEval { .. } => "rule",
@@ -409,7 +430,9 @@ impl ExecutionTrace {
                 SpanKind::Stratum { stratum } => {
                     let _ = write!(body, "\"stratum\": {stratum}");
                 }
-                SpanKind::Round { stratum, round } => {
+                SpanKind::Round { stratum, round }
+                | SpanKind::IndexCatchUp { stratum, round }
+                | SpanKind::Absorb { stratum, round } => {
                     let _ = write!(body, "\"stratum\": {stratum}, \"round\": {round}");
                 }
                 SpanKind::RuleEval {
@@ -441,8 +464,8 @@ impl ExecutionTrace {
     /// nanoseconds, aggregated over all workers and rounds. Feed the
     /// output to `flamegraph.pl` or `inferno-flamegraph`.
     ///
-    /// Only leaf spans (rule evaluations and the load/seed/rewrite
-    /// phases) contribute values — the resume-seed phase what its taint
+    /// Only leaf spans (rule evaluations, a round's index catch-up and
+    /// absorb, and the load/seed/rewrite phases) contribute values — the resume-seed phase what its taint
     /// and delete steps leave of it — so frame totals are not double
     /// counted.
     pub fn to_folded(&self) -> String {
@@ -466,7 +489,9 @@ impl ExecutionTrace {
                 SpanKind::LoadFacts | SpanKind::DemandRewrite => {
                     format!("solve;{}", self.span_name(&event.kind))
                 }
-                SpanKind::RuleEval { stratum, round, .. } => format!(
+                SpanKind::RuleEval { stratum, round, .. }
+                | SpanKind::IndexCatchUp { stratum, round }
+                | SpanKind::Absorb { stratum, round } => format!(
                     "solve;stratum {stratum};round {round};{}",
                     self.span_name(&event.kind)
                 ),

@@ -70,8 +70,10 @@ fn dist_builder() -> ProgramBuilder {
 
 /// Asserts the structural invariants every trace must satisfy: exactly
 /// one solve span enclosing everything, every round inside its stratum's
-/// window, every rule evaluation inside its round's window (matching
-/// stratum and round numbers), and all tids within the worker count.
+/// window, every rule evaluation, index catch-up and absorb inside its
+/// round's window (matching stratum and round numbers), the catch-up
+/// before the round's rule evaluations and the absorb after them, and
+/// all tids within the worker count.
 fn assert_well_nested(trace: &ExecutionTrace) {
     let events = trace.events();
     let solves: Vec<_> = events
@@ -106,22 +108,61 @@ fn assert_well_nested(trace: &ExecutionTrace) {
                     "round escapes stratum {stratum}"
                 );
             }
-            SpanKind::RuleEval { stratum, round, .. } => {
+            SpanKind::RuleEval { stratum, round, .. }
+            | SpanKind::IndexCatchUp { stratum, round }
+            | SpanKind::Absorb { stratum, round } => {
                 let parent = events
                     .iter()
                     .find(|p| {
                         matches!(&p.kind, SpanKind::Round { stratum: s, round: r }
                                  if s == stratum && r == round)
                     })
-                    .unwrap_or_else(|| panic!("rule eval has no round {round} span"));
+                    .unwrap_or_else(|| panic!("{:?} has no round {round} span", event.kind));
                 assert!(
                     parent.start_ns <= event.start_ns && end <= parent.start_ns + parent.dur_ns,
-                    "rule eval escapes round {round}"
+                    "{:?} escapes round {round}",
+                    event.kind
                 );
             }
             _ => {}
         }
     }
+    // A round catches its indexes up before its first rule evaluation
+    // starts and absorbs after its last one ends.
+    for event in events {
+        let end = event.start_ns + event.dur_ns;
+        let SpanKind::RuleEval { round, .. } = event.kind else {
+            continue;
+        };
+        for phase in events {
+            match phase.kind {
+                SpanKind::IndexCatchUp { round: r, .. } if r == round => assert!(
+                    phase.start_ns + phase.dur_ns <= event.start_ns,
+                    "round {round}'s catch-up overlaps a rule evaluation"
+                ),
+                SpanKind::Absorb { round: r, .. } if r == round => assert!(
+                    end <= phase.start_ns,
+                    "round {round}'s absorb overlaps a rule evaluation"
+                ),
+                _ => {}
+            }
+        }
+    }
+}
+
+/// One index catch-up and one absorb span per round of a solve that
+/// finished.
+fn assert_one_catch_up_and_absorb_per_round(trace: &ExecutionTrace, rounds: u64) {
+    assert_eq!(
+        count(trace, |k| matches!(k, SpanKind::IndexCatchUp { .. })),
+        rounds,
+        "one index catch-up span per round"
+    );
+    assert_eq!(
+        count(trace, |k| matches!(k, SpanKind::Absorb { .. })),
+        rounds,
+        "one absorb span per round"
+    );
 }
 
 fn count(trace: &ExecutionTrace, pred: impl Fn(&SpanKind) -> bool) -> u64 {
@@ -157,6 +198,7 @@ fn trace_spans_nest_and_match_stats() {
             "one rule-eval span per rule evaluation"
         );
         assert_eq!(count(trace, |k| *k == SpanKind::LoadFacts), 1);
+        assert_one_catch_up_and_absorb_per_round(trace, stats.rounds);
     }
 }
 
@@ -184,6 +226,7 @@ fn event_counts_agree_across_strategies_and_threads() {
             count(trace, |k| matches!(k, SpanKind::Round { .. })),
             stats.rounds
         );
+        assert_one_catch_up_and_absorb_per_round(trace, stats.rounds);
         // The derived counts attached to the spans sum to the stats
         // counter, whichever thread recorded them.
         let derived: u64 = trace
@@ -254,7 +297,15 @@ fn chrome_export_is_schema_shaped() {
         .iter()
         .any(|e| e.get("args").and_then(|args| field(args, "name")) == Some("coordinator")));
 
+    // A round's two phases are named in both exports.
+    let rounds = solution.stats().rounds as usize;
+    assert_eq!(count("name", "index catch-up"), rounds);
+    assert_eq!(count("name", "absorb"), rounds);
     let folded = trace.to_folded();
+    for phase in ["index catch-up", "absorb"] {
+        let in_round = |l: &&str| l.contains(";round ") && l.contains(&format!(";{phase} "));
+        assert_eq!(folded.lines().filter(in_round).count(), rounds, "{folded}");
+    }
     for line in folded.lines() {
         let (stack, value) = line.rsplit_once(' ').expect("stack then value");
         assert!(stack.starts_with("solve;"), "{line}");

@@ -315,6 +315,16 @@ pub(crate) struct Plan {
     /// order, its predicate and then one source per column — the words
     /// each derivation appends to the premise arena.
     premises: Option<Vec<PremiseSrc>>,
+    /// The predicate and position of every index a step probes, each
+    /// once: what the round that runs the plan catches up first.
+    probes: Vec<(PredId, usize)>,
+}
+
+impl Plan {
+    /// The indexes this plan probes, by predicate and position.
+    pub(crate) fn probes(&self) -> &[(PredId, usize)] {
+        &self.probes
+    }
 }
 
 /// The compiled plans of a whole program: `plans[rule]` holds the full
@@ -750,6 +760,19 @@ fn compile_body(
         template
     });
 
+    let mut probes: Vec<(PredId, usize)> = Vec::new();
+    for step in &steps {
+        if let Step::Atom {
+            pred,
+            access: Access::Probe { index, .. },
+            ..
+        } = step
+        {
+            if !probes.contains(&(*pred, *index)) {
+                probes.push((*pred, *index));
+            }
+        }
+    }
     Plan {
         steps,
         head_pred: rule.head_pred,
@@ -759,6 +782,7 @@ fn compile_body(
         precheck: lat_precheck && is_lattice,
         key_cols,
         premises,
+        probes,
     }
 }
 

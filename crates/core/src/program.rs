@@ -5,7 +5,7 @@ use crate::ast::{BodyItem, FuncDef, HeadTerm, PredDecl, ProgramError, RawRule, T
 use crate::database::KindWords;
 use crate::{Names, PredId, Value};
 use std::cmp::Reverse;
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::sync::Arc;
 
 /// A compiled body or head term: variables are slot indices.
@@ -83,8 +83,9 @@ pub struct Program {
     pub(crate) facts: Arc<Vec<(PredId, Vec<Value>)>>,
     /// Index requests: for each predicate, the distinct bound-column sets
     /// occurring in rule bodies (the index-selection strategy of DESIGN.md
-    /// decision 4).
-    pub(crate) index_requests: HashMap<PredId, HashSet<Vec<usize>>>,
+    /// decision 4). Ordered, so every store of the program registers its
+    /// indexes at the same positions.
+    pub(crate) index_requests: BTreeMap<PredId, BTreeSet<Vec<usize>>>,
     /// The strings every store of the program interns first
     /// ([`ProgramBuilder::names`](crate::ProgramBuilder::names)).
     pub(crate) names: Names,
@@ -214,7 +215,7 @@ impl Program {
         }
 
         let mut rules = Vec::with_capacity(raw_rules.len());
-        let mut index_requests: HashMap<PredId, HashSet<Vec<usize>>> = HashMap::new();
+        let mut index_requests: BTreeMap<PredId, BTreeSet<Vec<usize>>> = BTreeMap::new();
         for raw in &raw_rules {
             rules.push(compile_rule(raw, &preds, &mut index_requests)?);
         }
@@ -355,7 +356,7 @@ pub(crate) fn key_cols(decl: &PredDecl) -> usize {
 fn compile_rule(
     raw: &RawRule,
     preds: &[PredDecl],
-    index_requests: &mut HashMap<PredId, HashSet<Vec<usize>>>,
+    index_requests: &mut BTreeMap<PredId, BTreeSet<Vec<usize>>>,
 ) -> Result<CRule, ProgramError> {
     let head_decl = &preds[raw.head.pred.0 as usize];
     let head_name = head_decl.name.to_string();

@@ -167,3 +167,39 @@ fn declarative_ide_identity_matches_declarative_ifds() {
     );
     assert_eq!(ide_result.reachable(), ifds_result);
 }
+
+/// Figure 5's program registers its indexes at the same positions every
+/// time it is built: the order is the program's, not a hash seed's.
+#[test]
+fn every_build_of_figure_5_registers_the_same_index_positions() {
+    let model = medium_model();
+    let indexes = || {
+        let problem = Arc::new(problems::Taint::new(model.clone()));
+        let program = ifds::flix::build_program(&model.graph, problem);
+        let solution = flix::Solver::new().solve(&program).expect("solves");
+        let indexes = solution.indexes().into_iter();
+        let positions = indexes.map(|(pred, on, _)| (pred.to_string(), on));
+        positions.collect::<Vec<_>>()
+    };
+    let first = indexes();
+    let eshs = first.iter().filter(|(pred, _)| pred == "EshCallStart");
+    assert!(eshs.count() >= 2, "a predicate with two indexes: {first:?}");
+    for _ in 0..8 {
+        assert_eq!(indexes(), first);
+    }
+}
+
+/// A solved Figure 5 model keeps the indexes that no round probed after
+/// its rows came lagging, and is still a model, and a locally minimal
+/// one: the model check scans where an index lags.
+#[test]
+fn a_figure_5_model_with_lagging_indexes_is_a_minimal_model() {
+    let model = medium_model();
+    let problem = Arc::new(problems::Taint::new(model.clone()));
+    let program = ifds::flix::build_program(&model.graph, problem);
+    let solution = flix::Solver::new().solve(&program).expect("solves");
+    let lagging = solution.indexes().into_iter().filter(|&(_, _, lags)| lags);
+    assert!(lagging.count() >= 1, "{:?}", solution.indexes());
+    assert!(flix::core::model::is_model(&program, &solution));
+    assert!(flix::core::model::is_locally_minimal(&program, &solution));
+}
